@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -79,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, id := range ids {
 		start := time.Now()
-		if _, err := runner.Run(id); err != nil {
+		if _, err := runner.Run(context.Background(), id); err != nil {
 			fmt.Fprintf(stderr, "exppred: %s: %v\n", id, err)
 			return 1
 		}

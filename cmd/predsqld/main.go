@@ -604,10 +604,6 @@ func isExplainSQL(sql string) bool {
 	return len(fields) < 2 || !strings.EqualFold(fields[1], "ANALYZE")
 }
 
-// errAdmission marks a request whose deadline fired while queueing for an
-// execution slot (reported 408, distinct from mid-query 504 timeouts).
-var errAdmission = errors.New("admission wait timed out")
-
 // statusClientClosedRequest is nginx's conventional 499 for a client that
 // disconnected before the response; net/http has no constant for it.
 const statusClientClosedRequest = 499
@@ -616,6 +612,87 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// execInfo is what an admitted execution reports beside its result.
+type execInfo struct {
+	trace   *obs.Trace    // nil unless the request asked or -trace-log forces one
+	elapsed time.Duration // engine time, measured while the slot was held
+}
+
+// runAdmitted is the one admitted-execution path behind both query
+// handlers: clamp the timeout, attach a trace (requested per query, or
+// forced server-wide by -trace-log), wait for an execution slot, call run
+// holding it, observe the duration, log the trace and fold the outcome into
+// the server counters. The deadline covers admission waiting AND
+// execution: a query that queues for its whole budget is answered 408
+// without ever running. A failure comes back as the HTTP status and the
+// error to put on the wire — unwritten, because a streaming caller may
+// already be past its header.
+func (s *server) runAdmitted(r *http.Request, req queryRequest, run func(ctx context.Context) (predeval.Stats, error)) (execInfo, int, error) {
+	timeout := s.cfg.DefaultTimeout
+	if req.TimeoutMS > 0 {
+		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+
+	var info execInfo
+	if req.Trace || s.traceLog != nil {
+		info.trace = obs.NewTrace()
+		ctx = obs.WithTrace(ctx, info.trace)
+	}
+
+	s.waiting.Add(1)
+	select {
+	case s.sem <- struct{}{}:
+		s.waiting.Add(-1)
+	case <-ctx.Done():
+		s.waiting.Add(-1)
+		// Distinguish "client hung up while queueing" (499) from "deadline
+		// ran out while queueing" (admission pressure, 408 — distinct from
+		// a mid-query 504).
+		if errors.Is(ctx.Err(), context.Canceled) {
+			s.disconnects.Add(1)
+			return info, statusClientClosedRequest, ctx.Err()
+		}
+		s.rejected.Add(1)
+		return info, http.StatusRequestTimeout, errors.New("timed out waiting for an execution slot")
+	}
+	st, err := func() (predeval.Stats, error) {
+		defer func() { <-s.sem }()
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
+		started := time.Now()
+		defer func() { info.elapsed = time.Since(started) }()
+		return run(ctx)
+	}()
+	s.queryDur.Observe(info.elapsed.Seconds())
+	if info.trace != nil {
+		s.traceLog.log(req.SQL, info.trace.Spans())
+	}
+	switch {
+	case err == nil:
+	case errors.Is(err, context.DeadlineExceeded):
+		s.timeouts.Add(1)
+		return info, http.StatusGatewayTimeout, fmt.Errorf("query exceeded its %v deadline", timeout)
+	case errors.Is(err, context.Canceled):
+		// The client went away mid-query; nobody reads this response, but
+		// count it apart from genuine query errors.
+		s.disconnects.Add(1)
+		return info, statusClientClosedRequest, err
+	default:
+		s.failed.Add(1)
+		return info, http.StatusBadRequest, err
+	}
+	s.failedRows.Add(int64(st.FailedRows))
+	s.retries.Add(int64(st.Retries))
+	s.breakerTrips.Add(int64(st.BreakerTrips))
+	if st.Degraded {
+		s.degraded.Add(1)
+	}
+	s.served.Add(1)
+	return info, http.StatusOK, nil
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -658,77 +735,21 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	// The deadline covers admission waiting AND execution: a query that
-	// queues for its whole budget is answered 408 without ever running.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	// Tracing: requested per query, or forced server-wide by -trace-log.
-	var tr *obs.Trace
-	if req.Trace || s.traceLog != nil {
-		tr = obs.NewTrace()
-		ctx = obs.WithTrace(ctx, tr)
-	}
-
 	// The execution slot is held only while the engine runs — response
 	// encoding happens after release, so a slow-reading client cannot pin
 	// an admission slot past its query.
-	var started time.Time
-	var elapsed time.Duration
-	rows, err := func() (*predeval.Rows, error) {
-		s.waiting.Add(1)
-		select {
-		case s.sem <- struct{}{}:
-			s.waiting.Add(-1)
-		case <-ctx.Done():
-			s.waiting.Add(-1)
-			// Distinguish "deadline ran out while queueing" (admission
-			// pressure, 408) from "client hung up while queueing" (499).
-			if errors.Is(ctx.Err(), context.Canceled) {
-				return nil, ctx.Err()
-			}
-			return nil, errAdmission
-		}
-		defer func() { <-s.sem }()
-		s.inflight.Add(1)
-		defer s.inflight.Add(-1)
-		started = time.Now()
-		defer func() { elapsed = time.Since(started) }()
-		return s.db.QueryContextOptions(ctx, req.SQL,
+	var rows *predeval.Rows
+	info, status, err := s.runAdmitted(r, req, func(ctx context.Context) (predeval.Stats, error) {
+		var err error
+		rows, err = s.db.QueryContextOptions(ctx, req.SQL,
 			predeval.QueryOptions{OnFailure: req.OnFailure, Analyze: req.Analyze})
-	}()
-	if !started.IsZero() {
-		s.queryDur.Observe(elapsed.Seconds())
-	}
-	if tr != nil {
-		s.traceLog.log(req.SQL, tr.Spans())
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, errAdmission):
-			s.rejected.Add(1)
-			writeJSON(w, http.StatusRequestTimeout,
-				errorResponse{Error: "timed out waiting for an execution slot"})
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout,
-				errorResponse{Error: fmt.Sprintf("query exceeded its %v deadline", timeout)})
-		case errors.Is(err, context.Canceled):
-			// The client went away mid-query; nobody reads this response,
-			// but count it apart from genuine query errors.
-			s.disconnects.Add(1)
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: err.Error()})
-		default:
-			s.failed.Add(1)
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+		if err != nil {
+			return predeval.Stats{}, err
 		}
+		return rows.Stats(), nil
+	})
+	if err != nil {
+		writeJSON(w, status, errorBody(err))
 		return
 	}
 
@@ -747,11 +768,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		RowIDs:    ids,
 		RowCount:  n,
 		Truncated: shown < n,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+		ElapsedMS: float64(info.elapsed.Microseconds()) / 1e3,
 		Plan:      rows.Plan(),
 	}
-	if req.Trace && tr != nil {
-		out.Trace = tr.Spans()
+	if req.Trace {
+		out.Trace = info.trace.Spans()
 	}
 	for i := 0; i < shown; i++ {
 		out.Rows = append(out.Rows, rows.Row(i))
@@ -759,60 +780,18 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	st := rows.Stats()
 	out.Degraded = st.Degraded
 	out.Stats = wireStats(st)
-	s.failedRows.Add(int64(st.FailedRows))
-	s.retries.Add(int64(st.Retries))
-	s.breakerTrips.Add(int64(st.BreakerTrips))
-	if st.Degraded {
-		s.degraded.Add(1)
-	}
-	s.served.Add(1)
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handleStreamQuery answers a "stream": true request with chunked NDJSON:
 // row lines are written and flushed as execution emits batches, so the
 // first rows reach the client while later rows are still being evaluated.
-// The admission slot is held for the whole stream — unlike the buffered
-// path, production and delivery are interleaved by design. Errors before
-// the first row use the normal status-code taxonomy; once rows are out the
-// status is already 200, so a failure becomes a final {"error": ...} line.
+// The admission slot is held until the last row is delivered — unlike the
+// buffered path, production and delivery are interleaved by design. Errors
+// before the first row use the normal status-code taxonomy; once rows are
+// out the status is already 200, so a failure becomes a final
+// {"error": ...} line.
 func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req queryRequest) {
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	var tr *obs.Trace
-	if req.Trace || s.traceLog != nil {
-		tr = obs.NewTrace()
-		ctx = obs.WithTrace(ctx, tr)
-	}
-
-	s.waiting.Add(1)
-	select {
-	case s.sem <- struct{}{}:
-		s.waiting.Add(-1)
-	case <-ctx.Done():
-		s.waiting.Add(-1)
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.disconnects.Add(1)
-			writeJSON(w, statusClientClosedRequest, errorResponse{Error: ctx.Err().Error()})
-			return
-		}
-		s.rejected.Add(1)
-		writeJSON(w, http.StatusRequestTimeout,
-			errorResponse{Error: "timed out waiting for an execution slot"})
-		return
-	}
-	defer func() { <-s.sem }()
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	headerSent := false
@@ -835,27 +814,17 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 		}
 		return nil
 	}
-	started := time.Now()
-	res, err := s.db.QueryStream(ctx, req.SQL,
-		predeval.StreamOptions{OnFailure: req.OnFailure, Limit: req.Limit}, emit)
-	elapsed := time.Since(started)
-	s.queryDur.Observe(elapsed.Seconds())
-	if tr != nil {
-		s.traceLog.log(req.SQL, tr.Spans())
-	}
-	if err != nil {
-		status := http.StatusBadRequest
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.timeouts.Add(1)
-			status = http.StatusGatewayTimeout
-			err = fmt.Errorf("query exceeded its %v deadline", timeout)
-		case errors.Is(err, context.Canceled):
-			s.disconnects.Add(1)
-			status = statusClientClosedRequest
-		default:
-			s.failed.Add(1)
+	var res *predeval.StreamResult
+	info, status, err := s.runAdmitted(r, req, func(ctx context.Context) (predeval.Stats, error) {
+		var err error
+		res, err = s.db.QueryStream(ctx, req.SQL,
+			predeval.StreamOptions{OnFailure: req.OnFailure, Limit: req.Limit}, emit)
+		if err != nil {
+			return predeval.Stats{}, err
 		}
+		return res.Stats, nil
+	})
+	if err != nil {
 		if !headerSent {
 			writeJSON(w, status, errorBody(err))
 			return
@@ -876,22 +845,15 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 		Truncated: res.Truncated,
 		Degraded:  st.Degraded,
 		Stats:     wireStats(st),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
+		ElapsedMS: float64(info.elapsed.Microseconds()) / 1e3,
 	}
-	if req.Trace && tr != nil {
-		done.Trace = tr.Spans()
+	if req.Trace {
+		done.Trace = info.trace.Spans()
 	}
 	_ = enc.Encode(done)
 	if flusher != nil {
 		flusher.Flush()
 	}
-	s.failedRows.Add(int64(st.FailedRows))
-	s.retries.Add(int64(st.Retries))
-	s.breakerTrips.Add(int64(st.BreakerTrips))
-	if st.Degraded {
-		s.degraded.Add(1)
-	}
-	s.served.Add(1)
 }
 
 // tableColumn is one column of a GET /tables entry.

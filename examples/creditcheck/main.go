@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 	}
 
 	rng := stats.NewRNG(99)
-	res, err := core.RunIntelSample(in, core.RunOptions{RNG: rng})
+	res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng})
 	if err != nil {
 		log.Fatal(err)
 	}

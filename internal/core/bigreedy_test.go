@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -185,7 +186,7 @@ func TestPlanSatisfiesConstraintsEmpirically(t *testing.T) {
 	const runs = 200
 	okP, okR := 0, 0
 	for i := 0; i < runs; i++ {
-		exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, rng.Split())
+		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng.Split(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,7 +54,10 @@ func TestSelectColumnPrefersCorrelated(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled := LabelFraction(rows, 0.05, UDFFunc(truth), rng)
+	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, UDFFunc(truth), rng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
 	choice, err := SelectColumn(cands, labeled, cons, DefaultCost)
 	if err != nil {
@@ -102,7 +106,10 @@ func TestLabelFraction(t *testing.T) {
 		calls++
 		return row%2 == 0
 	})
-	labeled := LabelFraction(rows, 0.1, udf, rng)
+	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.1, udf, rng, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(labeled) != 10 || calls != 10 {
 		t.Fatalf("labeled %d calls %d, want 10", len(labeled), calls)
 	}

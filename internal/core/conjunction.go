@@ -10,19 +10,21 @@ import (
 	"repro/internal/stats"
 )
 
-// Generalized conjunctions: N expensive predicates ANDed together. The
-// paper's five-action planner (Section 5) covers exactly two predicates and
-// lives in twopred.go; this file provides the N-ary substrate the planner
-// layer composes for every other conjunction shape:
+// Generalized conjunctions: N expensive predicates ANDed together. This
+// file is the joint-evaluation substrate every conjunction shape shares —
+// the paper's five-action plan for exactly two predicates (Section 5,
+// twopred.go) and the N-ary waves alike:
 //
-//   - SampleConjunctionParallelCtx — fused sampling of all N predicates
+//   - evalWorkLists — the one evaluation primitive: per-predicate
+//     work-lists, one resilient batch per predicate;
+//   - SampleConjunctionParallelCtx — joint sampling of all N predicates
 //     over a few rows per group (sampling never short-circuits: joint
 //     statistics need every outcome);
 //   - OrderPredicates — the classic greedy cheapest-first ordering by
 //     cost/(1−selectivity), using the sampled selectivity estimates;
-//   - ExecuteConjunctionWavesParallelCtx — short-circuit waves over the
-//     ordered predicates, where each wave evaluates only the survivors of
-//     the previous one and rows resolved during sampling are free.
+//   - ConjWaveRunner — short-circuit waves over the ordered predicates,
+//     where each wave evaluates only the survivors of the previous one and
+//     rows resolved during sampling are free.
 //
 // Everything is plan/evaluate split like the rest of the package: row
 // selection and ordering are sequential, UDF calls fan out across workers,
@@ -41,13 +43,34 @@ type ConjSample struct {
 	PosAll int
 }
 
+// evalWorkLists evaluates works[j] under udfs[j] for every predicate j and
+// returns the per-list verdicts and failure flags (failed[j] is nil when
+// udfs[j] cannot fail). Each list is one EvalRowsResilient batch and the
+// lists run in predicate order — a circuit breaker needs sequential fold
+// points — so outcomes are identical at any parallelism. A cancel returns
+// ctx.Err() with nothing else, also when every list is empty.
+func evalWorkLists(ctx context.Context, pool *exec.Pool, works [][]int, udfs []UDF) (verdicts, failed [][]bool, err error) {
+	// Empty batches never check ctx; non-empty ones check it per item.
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	verdicts = make([][]bool, len(udfs))
+	failed = make([][]bool, len(udfs))
+	for j, udf := range udfs {
+		verdicts[j], failed[j], err = EvalRowsResilient(ctx, pool, works[j], udf)
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	return verdicts, failed, nil
+}
+
 // SampleConjunctionParallelCtx evaluates every predicate on targets[i]
-// random tuples of each group, fusing all N×rows evaluations into a single
-// pooled wave. It returns the per-group samples plus pooled per-predicate
-// selectivity estimates (Beta-posterior means over all sampled rows) for
-// greedy ordering. The sample rows are drawn from the RNG up front, so the
-// sampled sets are identical at any parallelism level; a cancel returns
-// ctx.Err() with no partial samples.
+// random tuples of each group. It returns the per-group samples plus
+// pooled per-predicate selectivity estimates (Beta-posterior means over
+// all sampled rows) for greedy ordering. The sample rows are drawn from the
+// RNG up front, so the sampled sets are identical at any parallelism
+// level; a cancel returns ctx.Err() with no partial samples.
 func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets []int, udfs []UDF, rng *stats.RNG, parallelism int) ([]ConjSample, []float64, error) {
 	if len(targets) != len(groups) {
 		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
@@ -69,48 +92,23 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 			groupOf = append(groupOf, i)
 		}
 	}
-	// Evaluate: all predicates over all sampled rows as one pooled batch
-	// (predicate-major), so wide pools amortize N sequential barriers into
-	// one. Resilient UDFs instead run one gated batch per predicate — the
-	// breaker needs sequential fold points — and any row with a failed
-	// predicate is dropped from the sample entirely (joint statistics need
-	// every outcome of a row, so a partial row is no evidence).
-	n := len(work)
-	verdicts := make([][]bool, len(udfs))
-	failedAny := make([]bool, n)
-	if anyResilient(udfs...) {
-		pool := exec.NewPool(parallelism)
-		for j := range udfs {
-			vj, fj, err := EvalRowsResilient(ctx, pool, work, udfs[j])
-			if err != nil {
-				return nil, nil, err
+	// Evaluate every predicate over every sampled row. A row with a failed
+	// predicate is dropped from the sample entirely: joint statistics need
+	// every outcome of a row, so a partial row is no evidence.
+	works := make([][]int, len(udfs))
+	for j := range works {
+		works[j] = work
+	}
+	verdicts, failed, err := evalWorkLists(ctx, exec.NewPool(parallelism), works, udfs)
+	if err != nil {
+		return nil, nil, err
+	}
+	failedAny := make([]bool, len(work))
+	for _, fj := range failed {
+		for k, f := range fj {
+			if f {
+				failedAny[k] = true
 			}
-			verdicts[j] = vj
-			for k := range fj {
-				if fj[k] {
-					failedAny[k] = true
-				}
-			}
-		}
-		if n == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-		}
-	} else {
-		for j := range verdicts {
-			verdicts[j] = make([]bool, n)
-		}
-		err := exec.NewPool(parallelism).ForEachCtx(ctx, n*len(udfs), func(i int) {
-			j, k := i/n, i%n
-			verdicts[j][k] = udfs[j].Eval(work[k])
-		})
-		if n == 0 {
-			// ForEachCtx over zero items never checks ctx; normalize.
-			err = ctx.Err()
-		}
-		if err != nil {
-			return nil, nil, err
 		}
 	}
 	kept := 0
@@ -172,10 +170,8 @@ func OrderPredicates(costs, sels []float64) ([]int, error) {
 	return order, nil
 }
 
-// ConjWavesResult is the outcome of a short-circuit wave execution.
+// ConjWavesResult is the accounting of a short-circuit wave execution.
 type ConjWavesResult struct {
-	// Output holds the rows passing every predicate, in input row order.
-	Output []int
 	// Retrieved counts rows fetched during the waves (rows fully resolved
 	// by sampling are free; a row rejected by a known outcome before its
 	// first unknown predicate is never fetched).
@@ -283,30 +279,5 @@ func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
 	return survivors, nil
 }
 
-// Result returns the counts accumulated over every Run so far. Output holds
-// the survivors of all batches in push order.
+// Result returns the counts accumulated over every Run so far.
 func (w *ConjWaveRunner) Result() ConjWavesResult { return w.res }
-
-// ExecuteConjunctionWavesParallelCtx runs a conjunction over rows as
-// short-circuit waves: predicates are visited in the given order, each wave
-// evaluates its predicate only on the survivors of the previous waves, and
-// survivors of the final wave are the output. known[j], when non-nil, maps
-// row → already-paid outcome of predicate j (e.g. from sampling): known
-// rows are resolved without evaluation. Each wave fans out across up to
-// `parallelism` workers; survivor lists are maintained in input order, so
-// output and counts are identical at every parallelism level. A cancel
-// returns ctx.Err() and an empty result. (One-shot wrapper over
-// ConjWaveRunner; the batch executor drives the runner directly.)
-func ExecuteConjunctionWavesParallelCtx(ctx context.Context, rows []int, order []int, known []map[int]bool, udfs []UDF, parallelism int) (ConjWavesResult, error) {
-	w, err := NewConjWaveRunner(order, known, udfs, parallelism)
-	if err != nil {
-		return ConjWavesResult{}, err
-	}
-	out, err := w.Run(ctx, rows)
-	if err != nil {
-		return ConjWavesResult{}, err
-	}
-	res := w.Result()
-	res.Output = out
-	return res, nil
-}

@@ -109,6 +109,26 @@ func TestOrderPredicates(t *testing.T) {
 	}
 }
 
+// wavesOutcome is one single-batch wave run: the survivors plus the
+// runner's accounting.
+type wavesOutcome struct {
+	ConjWavesResult
+	Output []int
+}
+
+// runWaves pushes rows through a fresh ConjWaveRunner as a single batch.
+func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, udfs []UDF, parallelism int) (wavesOutcome, error) {
+	w, err := NewConjWaveRunner(order, known, udfs, parallelism)
+	if err != nil {
+		return wavesOutcome{}, err
+	}
+	out, err := w.Run(ctx, rows)
+	if err != nil {
+		return wavesOutcome{}, err
+	}
+	return wavesOutcome{ConjWavesResult: w.Result(), Output: out}, nil
+}
+
 func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	n := 200
 	rows := make([]int, n)
@@ -118,7 +138,7 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	m0 := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
 	m1 := NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))
 	m2 := NewMeter(UDFFunc(func(row int) bool { return row%5 == 0 }))
-	res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 1, 2}, nil, []UDF{m0, m1, m2}, 4)
+	res, err := runWaves(context.Background(), rows, []int{0, 1, 2}, nil, []UDF{m0, m1, m2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +171,7 @@ func TestExecuteConjunctionWavesKnownRowsFree(t *testing.T) {
 		{0: true, 1: false},
 		{0: true},
 	}
-	res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 1}, known, []UDF{m0, m1}, 1)
+	res, err := runWaves(context.Background(), rows, []int{0, 1}, known, []UDF{m0, m1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +203,8 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 		UDFFunc(func(row int) bool { return row%7 != 0 }),
 		UDFFunc(func(row int) bool { return row > 100 }),
 	}
-	run := func(par int) ConjWavesResult {
-		res, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{2, 0, 1}, nil, udfs, par)
+	run := func(par int) wavesOutcome {
+		res, err := runWaves(context.Background(), rows, []int{2, 0, 1}, nil, udfs, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,13 +218,13 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 func TestConjunctionWavesValidation(t *testing.T) {
 	rows := []int{0, 1}
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0}, nil, udfs, 1); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 0}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0, 0}, nil, udfs, 1); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if _, err := ExecuteConjunctionWavesParallelCtx(context.Background(), rows, []int{0, 2}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0, 2}, nil, udfs, 1); err == nil {
 		t.Fatal("out-of-range order accepted")
 	}
 	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, udfs, stats.NewRNG(1), 1); err == nil {
@@ -240,7 +260,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		return true
 	})
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	_, err = ExecuteConjunctionWavesParallelCtx(ctx2, rows, []int{0, 1}, nil, []UDF{udf2, udf2}, 1)
+	_, err = runWaves(ctx2, rows, []int{0, 1}, nil, []UDF{udf2, udf2}, 1)
 	if err != context.Canceled {
 		t.Fatalf("waves cancel: %v", err)
 	}

@@ -43,13 +43,6 @@ type ExecResult struct {
 	Cost float64
 }
 
-// Execute runs the strategy over the groups on the calling goroutine. It
-// is ExecuteParallel at parallelism 1, kept for the (many) sequential
-// callers in the experiment harness.
-func Execute(groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG) (ExecResult, error) {
-	return ExecuteParallel(groups, s, samples, udf, cost, rng, 1)
-}
-
 // execSlot is one potential output position produced by the plan phase:
 // either an unconditional emit (evalIdx < 0) or a slot whose inclusion
 // depends on the verdict of work-list item evalIdx.
@@ -58,21 +51,13 @@ type execSlot struct {
 	evalIdx int
 }
 
-// ExecuteParallel runs the strategy over the groups, fanning UDF calls
+// ExecuteParallelCtx runs the strategy over the groups, fanning UDF calls
 // across up to `parallelism` workers (≤ 0 means GOMAXPROCS). samples may
 // be nil (no sampling phase) or hold one entry per group; sampled rows are
 // not re-retrieved or re-evaluated — their recorded outcome decides
 // membership. The RNG drives the per-tuple coins; all draws happen in the
 // sequential plan phase, so results are identical at every parallelism
-// level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteParallelCtx
-func ExecuteParallel(groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
-	return ExecuteParallelCtx(context.Background(), groups, s, samples, udf, cost, rng, parallelism)
-}
-
-// ExecuteParallelCtx is ExecuteParallel honoring a context. The plan phase
-// (coin flips) is cheap and always completes, so the RNG is consumed
+// level. That phase is cheap and always completes, so the RNG is consumed
 // identically whether or not the evaluate phase is cancelled; a cancel
 // during evaluation returns ctx.Err() and an empty result.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"testing"
@@ -13,7 +14,7 @@ func TestExecuteFullEvaluationReturnsExactAnswer(t *testing.T) {
 	rng := stats.NewRNG(401)
 	groups, labels, truth := syntheticGroups(rng, []int{200, 200}, []float64{0.7, 0.2})
 	s := FullEvaluation(2)
-	exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, rng)
+	exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestExecuteRetrieveOnlyReturnsEverything(t *testing.T) {
 	groups, _, truth := syntheticGroups(rng, []int{150}, []float64{0.4})
 	s := NewStrategy(1)
 	s.R[0] = 1
-	exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, rng)
+	exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestExecuteRetrieveOnlyReturnsEverything(t *testing.T) {
 func TestExecuteDiscardAll(t *testing.T) {
 	rng := stats.NewRNG(405)
 	groups, _, truth := syntheticGroups(rng, []int{50}, []float64{0.5})
-	exec, err := Execute(groups, NewStrategy(1), nil, UDFFunc(truth), DefaultCost, rng)
+	exec, err := ExecuteParallelCtx(context.Background(), groups, NewStrategy(1), nil, UDFFunc(truth), DefaultCost, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestExecuteHonorsSampledRows(t *testing.T) {
 		return truth(row)
 	})
 	s := FullEvaluation(1)
-	exec, err := Execute(groups, s, samples, countingUDF, DefaultCost, rng)
+	exec, err := ExecuteParallelCtx(context.Background(), groups, s, samples, countingUDF, DefaultCost, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestExecuteStatisticalCounts(t *testing.T) {
 	groups, _, truth := syntheticGroups(rng, []int{8000}, []float64{0.5})
 	s := NewStrategy(1)
 	s.R[0], s.E[0] = 0.6, 0.3
-	exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, rng)
+	exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +130,14 @@ func TestExecuteStatisticalCounts(t *testing.T) {
 func TestExecuteInputValidation(t *testing.T) {
 	rng := stats.NewRNG(411)
 	groups, _, truth := syntheticGroups(rng, []int{10}, []float64{0.5})
-	if _, err := Execute(groups, NewStrategy(2), nil, UDFFunc(truth), DefaultCost, rng); err == nil {
+	if _, err := ExecuteParallelCtx(context.Background(), groups, NewStrategy(2), nil, UDFFunc(truth), DefaultCost, rng, 1); err == nil {
 		t.Fatal("group/strategy mismatch accepted")
 	}
-	if _, err := Execute(groups, NewStrategy(1), make([]SampleOutcome, 2), UDFFunc(truth), DefaultCost, rng); err == nil {
+	if _, err := ExecuteParallelCtx(context.Background(), groups, NewStrategy(1), make([]SampleOutcome, 2), UDFFunc(truth), DefaultCost, rng, 1); err == nil {
 		t.Fatal("group/samples mismatch accepted")
 	}
 	bad := Strategy{R: []float64{0.5}, E: []float64{0.9}}
-	if _, err := Execute(groups, bad, nil, UDFFunc(truth), DefaultCost, rng); err == nil {
+	if _, err := ExecuteParallelCtx(context.Background(), groups, bad, nil, UDFFunc(truth), DefaultCost, rng, 1); err == nil {
 		t.Fatal("invalid strategy accepted")
 	}
 }
@@ -171,7 +172,7 @@ func TestExecuteDeterministicWithSameSeed(t *testing.T) {
 	s := NewStrategy(1)
 	s.R[0], s.E[0] = 0.5, 0.2
 	run := func() []int {
-		exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, stats.NewRNG(42))
+		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, stats.NewRNG(42), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestExecuteAccountingInvariants(t *testing.T) {
 		s.E[0] = s.R[0] * math.Abs(math.Mod(eRaw, 1))
 		s.R[1] = math.Abs(math.Mod(eRaw*7, 1))
 		s.E[1] = s.R[1] * math.Abs(math.Mod(rRaw*3, 1))
-		exec, err := Execute(groups, s, nil, UDFFunc(truth), DefaultCost, rng.Split())
+		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng.Split(), 1)
 		if err != nil {
 			return false
 		}
@@ -243,7 +244,7 @@ func TestExecuteOutputSupersetOfEvaluatedTrue(t *testing.T) {
 	})
 	s := NewStrategy(1)
 	s.R[0], s.E[0] = 0.7, 0.5
-	exec, err := Execute(groups, s, nil, udf, DefaultCost, rng.Split())
+	exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, udf, DefaultCost, rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

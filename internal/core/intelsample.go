@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/stats"
@@ -82,7 +83,7 @@ type RunResult struct {
 
 // RunIntelSample executes the Intel-Sample algorithm on the instance:
 // sample → estimate → plan (Convex Prog. 4.1) → execute.
-func RunIntelSample(in Instance, opts RunOptions) (RunResult, error) {
+func RunIntelSample(ctx context.Context, in Instance, opts RunOptions) (RunResult, error) {
 	if err := in.Validate(); err != nil {
 		return RunResult{}, err
 	}
@@ -97,7 +98,7 @@ func RunIntelSample(in Instance, opts RunOptions) (RunResult, error) {
 	sampler := NewSampler(in.Groups, meter, opts.RNG.Split())
 
 	if opts.Adaptive {
-		if _, err := AdaptiveTwoThirdPower(sampler, in.Cons, in.Cost, opts.AdaptiveOpts); err != nil {
+		if _, err := AdaptiveTwoThirdPower(ctx, sampler, in.Cons, in.Cost, opts.AdaptiveOpts); err != nil {
 			return RunResult{}, err
 		}
 	} else {
@@ -105,7 +106,7 @@ func RunIntelSample(in Instance, opts RunOptions) (RunResult, error) {
 		for i, g := range in.Groups {
 			sizes[i] = len(g.Rows)
 		}
-		if _, err := sampler.TopUp(opts.Alloc.Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(ctx, opts.Alloc.Allocate(sizes)); err != nil {
 			return RunResult{}, err
 		}
 	}
@@ -116,7 +117,7 @@ func RunIntelSample(in Instance, opts RunOptions) (RunResult, error) {
 		return RunResult{}, err
 	}
 
-	exec, err := Execute(in.Groups, strat, sampler.Outcomes(), meter, in.Cost, opts.RNG.Split())
+	exec, err := ExecuteParallelCtx(ctx, in.Groups, strat, sampler.Outcomes(), meter, in.Cost, opts.RNG.Split(), 1)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -140,7 +141,7 @@ func RunIntelSample(in Instance, opts RunOptions) (RunResult, error) {
 // experiments: selectivities are computed exactly from the oracle (at no
 // charge — this baseline is deliberately unrealistic) and the Section 3.2
 // plan is executed. truth must answer without cost.
-func RunPerfectSelectivities(in Instance, truth func(row int) bool, rng *stats.RNG) (RunResult, error) {
+func RunPerfectSelectivities(ctx context.Context, in Instance, truth func(row int) bool, rng *stats.RNG) (RunResult, error) {
 	if err := in.Validate(); err != nil {
 		return RunResult{}, err
 	}
@@ -162,7 +163,7 @@ func RunPerfectSelectivities(in Instance, truth func(row int) bool, rng *stats.R
 	if err != nil {
 		return RunResult{}, err
 	}
-	exec, err := Execute(in.Groups, strat, nil, in.UDF, in.Cost, rng)
+	exec, err := ExecuteParallelCtx(ctx, in.Groups, strat, nil, in.UDF, in.Cost, rng, 1)
 	if err != nil {
 		return RunResult{}, err
 	}

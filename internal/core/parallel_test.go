@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -52,12 +53,12 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		return samples
 	}
 
-	seq, err := Execute(groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7))
+	seq, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8, 64} {
-		par, err := ExecuteParallel(groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), p)
+		par, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +73,11 @@ func TestSamplerTopUpParallelMatchesSequential(t *testing.T) {
 		groups, udf := parallelTestGroups(1200)
 		s := NewSampler(groups, udf, stats.NewRNG(11))
 		s.SetParallelism(parallelism)
-		if _, err := s.TopUp([]int{40, 25, 60}); err != nil {
+		if _, err := s.TopUpCtx(context.Background(), []int{40, 25, 60}); err != nil {
 			t.Fatal(err)
 		}
 		// A second top-up exercises the incremental path.
-		if _, err := s.TopUp([]int{55, 55, 60}); err != nil {
+		if _, err := s.TopUpCtx(context.Background(), []int{55, 55, 60}); err != nil {
 			t.Fatal(err)
 		}
 		return s
@@ -99,8 +100,14 @@ func TestLabelFractionParallelMatchesSequential(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	seq := LabelFraction(rows, 0.05, udf, stats.NewRNG(3))
-	par := LabelFractionParallel(rows, 0.05, udf, stats.NewRNG(3), 8)
+	seq, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("labeled sets differ: %d vs %d rows", len(seq), len(par))
 	}
@@ -111,11 +118,11 @@ func TestTwoPredicatesParallelMatchesSequential(t *testing.T) {
 	udf2 := UDFFunc(func(row int) bool { return row%2 == 0 })
 	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
 
-	seq, actsSeq, err := RunTwoPredicates(groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5))
+	seq, actsSeq, samplesSeq, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, actsPar, err := RunTwoPredicatesParallel(groups, udf1, udf2, cons, DefaultCost, nil, stats.NewRNG(5), 8)
+	par, actsPar, samplesPar, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +131,9 @@ func TestTwoPredicatesParallelMatchesSequential(t *testing.T) {
 	}
 	if !reflect.DeepEqual(actsSeq, actsPar) {
 		t.Fatalf("actions diverged: %v vs %v", actsSeq, actsPar)
+	}
+	if !reflect.DeepEqual(samplesSeq, samplesPar) {
+		t.Fatal("joint samples diverged across parallelism")
 	}
 }
 

@@ -32,9 +32,8 @@ type FallibleUDF interface {
 type ResilientUDF interface {
 	UDF
 	// Resilient reports whether evaluations can actually fail. Every *Meter
-	// carries these methods, so batch helpers use this — not the type
-	// assertion alone — to decide between the gated path and the (faster,
-	// fused) legacy paths.
+	// carries these methods, so EvalRowsResilient uses this — not the type
+	// assertion alone — to decide between the gated and the plain batch.
 	Resilient() bool
 	// EvalFallible evaluates the row, reporting (verdict, failed). A failed
 	// row always carries verdict false.
@@ -62,16 +61,6 @@ func EvalRowsResilient(ctx context.Context, pool *exec.Pool, rows []int, udf UDF
 	return verdicts, nil, nil
 }
 
-// anyResilient reports whether any of the UDFs needs the gated path.
-func anyResilient(udfs ...UDF) bool {
-	for _, u := range udfs {
-		if r, ok := u.(ResilientUDF); ok && r.Resilient() {
-			return true
-		}
-	}
-	return false
-}
-
 // NewResilientMeter wraps a fallible row evaluator with the standard meter
 // guarantees — call counting, single-flight memoization, an optional
 // shared cross-query cache — plus failure semantics: a row whose
@@ -93,76 +82,54 @@ func NewResilientMeter(fudf FallibleUDF, cache EvalCache, gate exec.Gate, onFail
 func (m *Meter) Gate() exec.Gate { return m.gate }
 
 // Resilient implements ResilientUDF: a plain meter (no fallible body, no
-// gate) reports false so batch helpers keep the fast fused paths.
+// gate) reports false so EvalRowsResilient keeps the plain pooled batch.
 func (m *Meter) Resilient() bool { return m.fudf != nil || m.gate != nil }
 
-// EvalFallible implements ResilientUDF: single-flight evaluation through
-// the fallible path. Failure handling:
+// EvalFallible implements ResilientUDF: single-flight evaluation of the
+// row through the meter's body. A plain body cannot fail (a panic
+// propagates). A fallible body's failure handling:
 //
 //   - a genuine failure memoizes the row as failed-final (every later
 //     phase of the query sees the same exclusion), skips the charge and the
 //     cache store, and fires onFailure once;
-//   - a cancellation (the batch is aborting) forgets the row like the
-//     legacy panic path — a later run of the query must re-evaluate it.
+//   - a cancellation (the batch is aborting) forgets the row — a later run
+//     of the query must re-evaluate it.
 func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
+	e, settled := m.claim(row)
+	if settled {
+		return e.val, e.errFinal
+	}
+	// A panicking body must not leave the row claimed forever; the panic
+	// still propagates to our caller.
+	returned := false
+	defer func() {
+		if !returned {
+			m.forget(row, e)
+		}
+	}()
+	var v bool
+	var err error
 	if m.fudf == nil {
-		// Plain meter reached through a resilient call site: nothing can
-		// fail, delegate to the classic path.
-		return m.Eval(row), false
+		v = m.udf.Eval(row)
+	} else {
+		v, err = m.fudf.EvalErr(ctx, row)
 	}
-	var e *meterEntry
-	for {
-		m.mu.Lock()
-		if cur, ok := m.memo[row]; ok {
-			m.mu.Unlock()
-			<-cur.done
-			if cur.failed {
-				// The owner was cancelled; the row was forgotten — retry.
-				continue
-			}
-			return cur.val, cur.errFinal
-		}
-		e = &meterEntry{done: make(chan struct{})}
-		m.memo[row] = e
-		m.mu.Unlock()
-		break
-	}
-
-	if m.shared != nil {
-		if v, ok := m.shared.Lookup(row); ok {
-			m.cacheHits.Add(1)
-			e.val = v
-			close(e.done)
-			return v, false
-		}
-		m.cacheMisses.Add(1)
-	}
-	v, err := m.fudf.EvalErr(ctx, row)
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Batch abort, not a row failure: forget the row so a later run
-			// re-evaluates, and flag waiters to retry.
-			e.failed = true
-			m.mu.Lock()
-			delete(m.memo, row)
-			m.mu.Unlock()
-			close(e.done)
-			return false, true
-		}
-		e.errFinal = true
+	returned = true
+	switch {
+	case err == nil:
+		m.calls.Add(1)
+		e.val = v
 		close(e.done)
-		if m.onFailure != nil {
-			m.onFailure(row, err)
+		if m.shared != nil {
+			m.shared.Store(row, v)
 		}
-		return false, true
+		return v, false
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		m.forget(row, e) // batch abort, not a row failure
+	default:
+		m.fail(row, e, err)
 	}
-	m.calls.Add(1)
-	e.val = v
-	close(e.done)
-	if m.shared != nil {
-		m.shared.Store(row, v)
-	}
-	return v, false
+	return false, true
 }
 
 // ResolveDenied implements ResilientUDF: resolve a breaker-denied row
@@ -171,37 +138,9 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 // memoized as failed-final so the whole query treats it consistently, and
 // onFailure fires with resilience.ErrBreakerOpen.
 func (m *Meter) ResolveDenied(row int) (bool, bool) {
-	m.mu.Lock()
-	if cur, ok := m.memo[row]; ok {
-		m.mu.Unlock()
-		select {
-		case <-cur.done:
-			if !cur.failed {
-				return cur.val, cur.errFinal
-			}
-		default:
-		}
-		// In-flight or forgotten entries cannot happen on the sequential
-		// deny path of a gated batch; fail safe by denying.
-		return false, true
+	e, settled := m.claim(row)
+	if !settled {
+		m.fail(row, e, resilience.ErrBreakerOpen)
 	}
-	e := &meterEntry{done: make(chan struct{})}
-	m.memo[row] = e
-	m.mu.Unlock()
-
-	if m.shared != nil {
-		if v, ok := m.shared.Lookup(row); ok {
-			m.cacheHits.Add(1)
-			e.val = v
-			close(e.done)
-			return v, false
-		}
-		m.cacheMisses.Add(1)
-	}
-	e.errFinal = true
-	close(e.done)
-	if m.onFailure != nil {
-		m.onFailure(row, resilience.ErrBreakerOpen)
-	}
-	return false, true
+	return e.val, e.errFinal
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -61,28 +62,28 @@ func TestSamplerTopUpNoDuplicates(t *testing.T) {
 	groups, _, truth := syntheticGroups(rng, []int{100, 50}, []float64{0.6, 0.3})
 	meter := NewMeter(UDFFunc(truth))
 	s := NewSampler(groups, meter, rng.Split())
-	if _, err := s.TopUp([]int{10, 5}); err != nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{10, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if s.TotalSampled() != 15 || meter.Calls() != 15 {
 		t.Fatalf("sampled %d calls %d", s.TotalSampled(), meter.Calls())
 	}
 	// Top up further: only the delta is evaluated.
-	if _, err := s.TopUp([]int{30, 5}); err != nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{30, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if s.TotalSampled() != 35 || meter.Calls() != 35 {
 		t.Fatalf("after top-up: sampled %d calls %d", s.TotalSampled(), meter.Calls())
 	}
 	// Lowering targets is a no-op.
-	if _, err := s.TopUp([]int{1, 1}); err != nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{1, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if s.TotalSampled() != 35 {
 		t.Fatalf("lowering target changed samples: %d", s.TotalSampled())
 	}
 	// Over-asking caps at group size.
-	if _, err := s.TopUp([]int{1000, 1000}); err != nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{1000, 1000}); err != nil {
 		t.Fatal(err)
 	}
 	if s.TotalSampled() != 150 {
@@ -106,7 +107,7 @@ func TestSamplerTargetsMismatch(t *testing.T) {
 	rng := stats.NewRNG(503)
 	groups, _, truth := syntheticGroups(rng, []int{10}, []float64{0.5})
 	s := NewSampler(groups, UDFFunc(truth), rng)
-	if _, err := s.TopUp([]int{1, 2}); err == nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{1, 2}); err == nil {
 		t.Fatal("mismatched targets accepted")
 	}
 }
@@ -115,7 +116,7 @@ func TestSamplerInfosMatchPosterior(t *testing.T) {
 	rng := stats.NewRNG(505)
 	groups, _, truth := syntheticGroups(rng, []int{400}, []float64{0.75})
 	s := NewSampler(groups, UDFFunc(truth), rng.Split())
-	if _, err := s.TopUp([]int{100}); err != nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{100}); err != nil {
 		t.Fatal(err)
 	}
 	infos := s.Infos()
@@ -136,7 +137,7 @@ func TestAdaptiveTwoThirdPower(t *testing.T) {
 	meter := NewMeter(UDFFunc(truth))
 	s := NewSampler(groups, meter, rng.Split())
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	num, err := AdaptiveTwoThirdPower(s, cons, DefaultCost, AdaptiveOptions{})
+	num, err := AdaptiveTwoThirdPower(context.Background(), s, cons, DefaultCost, AdaptiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,156 +10,18 @@ import (
 
 // Execution and estimation for conjunctions of two expensive predicates
 // (Section 5 / Appendix 10.7.2). Planning lives in extensions.go
-// (PlanTwoPredicates); this file adds per-group sampling of both UDFs and
-// a deterministic executor for the five per-group actions.
-
-// TwoPredSample records, per group, the sampled rows' outcomes under both
-// predicates.
-type TwoPredSample struct {
-	// Results maps sampled row → (f1, f2) outcomes.
-	Results map[int][2]bool
-	// Pos1, Pos2, PosBoth count rows passing f1, f2 and both.
-	Pos1, Pos2, PosBoth int
-}
-
-// SampleTwoPredicates evaluates both UDFs on `targets[i]` random tuples of
-// each group and returns per-group samples plus TwoPredGroup estimates
-// (Beta-posterior means over the remaining tuples). Evaluations are
-// charged through the provided UDFs (wrap them in meters).
-func SampleTwoPredicates(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG) ([]TwoPredSample, []TwoPredGroup, error) {
-	return SampleTwoPredicatesParallel(groups, targets, udf1, udf2, rng, 1)
-}
-
-// SampleTwoPredicatesParallel is SampleTwoPredicates with both predicates'
-// evaluations fanned across up to `parallelism` workers. All sampled rows
-// are drawn from the RNG up front (sequentially), so the sampled sets and
-// estimates are identical at any parallelism level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use SampleTwoPredicatesParallelCtx
-func SampleTwoPredicatesParallel(groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG, parallelism int) ([]TwoPredSample, []TwoPredGroup, error) {
-	return SampleTwoPredicatesParallelCtx(context.Background(), groups, targets, udf1, udf2, rng, parallelism)
-}
-
-// SampleTwoPredicatesParallelCtx is SampleTwoPredicatesParallel honoring a
-// context: the sample rows are drawn from the RNG up front either way, and
-// a cancel during evaluation returns ctx.Err() with no partial samples.
-func SampleTwoPredicatesParallelCtx(ctx context.Context, groups []Group, targets []int, udf1, udf2 UDF, rng *stats.RNG, parallelism int) ([]TwoPredSample, []TwoPredGroup, error) {
-	if len(targets) != len(groups) {
-		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
-	}
-	samples := make([]TwoPredSample, len(groups))
-	infos := make([]TwoPredGroup, len(groups))
-	// Plan: draw every group's sample rows in order.
-	var work, groupOf []int
-	for i, g := range groups {
-		samples[i] = TwoPredSample{Results: make(map[int][2]bool)}
-		want := targets[i]
-		if want > len(g.Rows) {
-			want = len(g.Rows)
-		}
-		for _, idx := range rng.SampleWithoutReplacement(len(g.Rows), want) {
-			work = append(work, g.Rows[idx])
-			groupOf = append(groupOf, i)
-		}
-	}
-	// Evaluate both predicates over the batch (sampling never
-	// short-circuits: joint selectivities need both outcomes). The two
-	// lists are independent, so they run fused as one wave — two
-	// sequential barriers would double the latency for I/O-bound UDFs.
-	// A row with a failed resilient evaluation under either predicate is
-	// dropped from the sample entirely: joint statistics need both
-	// outcomes, so a partial row is no evidence.
-	v1s, f1s, v2s, f2s, err := evalFused(ctx, work, udf1, work, udf2, parallelism)
-	if err != nil {
-		return nil, nil, err
-	}
-	for k, row := range work {
-		if (f1s != nil && f1s[k]) || (f2s != nil && f2s[k]) {
-			continue
-		}
-		i := groupOf[k]
-		v1, v2 := v1s[k], v2s[k]
-		samples[i].Results[row] = [2]bool{v1, v2}
-		if v1 {
-			samples[i].Pos1++
-		}
-		if v2 {
-			samples[i].Pos2++
-		}
-		if v1 && v2 {
-			samples[i].PosBoth++
-		}
-	}
-	for i, g := range groups {
-		f := len(samples[i].Results)
-		infos[i] = TwoPredGroup{
-			Size: len(g.Rows),
-			Sel1: stats.NewBetaPosterior(samples[i].Pos1, f-samples[i].Pos1).Mean(),
-			Sel2: stats.NewBetaPosterior(samples[i].Pos2, f-samples[i].Pos2).Mean(),
-		}
-	}
-	return samples, infos, nil
-}
-
-// evalFused evaluates two independent work-lists (rows1 under udf1, rows2
-// under udf2) as a single pooled batch, returning each list's verdicts
-// (and, for resilient UDFs, per-row failure flags — nil otherwise) in
-// order. One batch instead of two sequential barriers halves wall-clock
-// latency when the pool is wider than either list alone; resilient UDFs
-// instead run one gated batch per predicate, since the breaker needs
-// sequential fold points. A cancel returns ctx.Err() with all slices nil.
-func evalFused(ctx context.Context, rows1 []int, udf1 UDF, rows2 []int, udf2 UDF, parallelism int) (v1, f1, v2, f2 []bool, err error) {
-	if anyResilient(udf1, udf2) {
-		pool := exec.NewPool(parallelism)
-		v1, f1, err = EvalRowsResilient(ctx, pool, rows1, udf1)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		v2, f2, err = EvalRowsResilient(ctx, pool, rows2, udf2)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return v1, f1, v2, f2, nil
-	}
-	v1 = make([]bool, len(rows1))
-	v2 = make([]bool, len(rows2))
-	err = exec.NewPool(parallelism).ForEachCtx(ctx, len(rows1)+len(rows2), func(i int) {
-		if i < len(rows1) {
-			v1[i] = udf1.Eval(rows1[i])
-		} else {
-			v2[i-len(rows1)] = udf2.Eval(rows2[i-len(rows1)])
-		}
-	})
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return v1, nil, v2, nil, nil
-}
+// (PlanTwoPredicates); sampling and evaluation are the N-ary conjunction
+// substrate of conjunction.go at N=2. This file adds the deterministic
+// executor for the five per-group actions and the end-to-end pipeline.
 
 // TwoPredExecResult is the outcome of executing a two-predicate plan.
 type TwoPredExecResult struct {
 	Output    []int
 	Retrieved int
-	// Evaluated1 / Evaluated2 count UDF invocations charged during
-	// execution per predicate (excluding sampling).
+	// Evaluated1 / Evaluated2 count the UDF calls issued per predicate
+	// during execution (RunTwoPredicatesParallelCtx folds sampling in).
 	Evaluated1, Evaluated2 int
 	Cost                   float64
-}
-
-// ExecuteTwoPredicates runs the per-group actions. Rows fully evaluated
-// during sampling are resolved from their recorded outcomes at no extra
-// cost (they are returned iff both predicates held). samples may be nil.
-//
-// Action semantics per remaining tuple:
-//
-//	TPDiscard       skip
-//	TPAssumeBoth    retrieve, return
-//	TPEval1Assume2  retrieve, evaluate f1, return iff f1
-//	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
-//	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
-//	                return iff both
-func ExecuteTwoPredicates(groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel) (TwoPredExecResult, error) {
-	return ExecuteTwoPredicatesParallel(groups, acts, samples, udf1, udf2, cost, 1)
 }
 
 // tpKind classifies what a two-predicate output slot still needs.
@@ -179,22 +41,27 @@ type tpSlot struct {
 	idx1, idx2 int
 }
 
-// ExecuteTwoPredicatesParallel is ExecuteTwoPredicates with the UDF calls
-// batched and fanned across up to `parallelism` workers. Evaluation runs in
-// waves — all needed f1 calls and unconditional f2 calls first, then f2 on
-// the f1 survivors of TPEvalBoth groups — so the sequential short-circuit
-// accounting (f2 is never charged for rows f1 rejected) is preserved
-// exactly, as are output order and all counters.
+// ExecuteTwoPredicatesParallelCtx runs the per-group actions. Rows jointly
+// sampled (samples is the N=2 output of SampleConjunctionParallelCtx, or
+// nil) are resolved from their recorded outcomes at no extra cost: they are
+// returned iff both predicates held.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteTwoPredicatesParallelCtx
-func ExecuteTwoPredicatesParallel(groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
-	return ExecuteTwoPredicatesParallelCtx(context.Background(), groups, acts, samples, udf1, udf2, cost, parallelism)
-}
-
-// ExecuteTwoPredicatesParallelCtx is ExecuteTwoPredicatesParallel honoring
-// a context: a cancel in either evaluation wave returns ctx.Err() and an
-// empty result.
-func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []TwoPredSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
+// Action semantics per remaining tuple:
+//
+//	TPDiscard       skip
+//	TPAssumeBoth    retrieve, return
+//	TPEval1Assume2  retrieve, evaluate f1, return iff f1
+//	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
+//	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
+//	                return iff both
+//
+// The UDF calls are batched and fanned across up to `parallelism` workers.
+// Evaluation runs in waves — all needed f1 calls and unconditional f2 calls
+// first, then f2 on the f1 survivors of TPEvalBoth groups — so the
+// sequential short-circuit accounting (f2 is never charged for rows f1
+// rejected) is preserved exactly, as are output order and all counters. A
+// cancel in either wave returns ctx.Err() and an empty result.
+func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []ConjSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
 	if len(acts) != len(groups) {
 		return TwoPredExecResult{}, fmt.Errorf("core: %d actions for %d groups", len(acts), len(groups))
 	}
@@ -209,7 +76,7 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	var work1, work2 []int
 	for gi, g := range groups {
 		act := acts[gi]
-		var sampled map[int][2]bool
+		var sampled map[int][]bool
 		if samples != nil {
 			sampled = samples[gi].Results
 		}
@@ -243,14 +110,15 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 		}
 	}
 
-	// Wave 1: every needed f1 call plus the unconditional f2 calls, fused
-	// into one batch since the two lists are independent. Failed resilient
-	// evaluations carry verdict false, so failed rows drop out of the
-	// output (and, for TPEvalBoth, never reach the f2 wave).
-	v1, _, v2, _, err := evalFused(ctx, work1, udf1, work2, udf2, parallelism)
+	// Wave 1: every needed f1 call plus the unconditional f2 calls. Failed
+	// resilient evaluations carry verdict false, so failed rows drop out of
+	// the output (and, for TPEvalBoth, never reach the f2 wave).
+	pool := exec.NewPool(parallelism)
+	wave1, _, err := evalWorkLists(ctx, pool, [][]int{work1, work2}, []UDF{udf1, udf2})
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
+	v1, v2 := wave1[0], wave1[1]
 
 	// Wave 2: f2 on the TPEvalBoth rows that survived f1.
 	var work2b []int
@@ -266,7 +134,7 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 			sl.idx2 = -1
 		}
 	}
-	v2b, _, err := EvalRowsResilient(ctx, exec.NewPool(parallelism), work2b, udf2)
+	v2b, _, err := EvalRowsResilient(ctx, pool, work2b, udf2)
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
@@ -296,34 +164,26 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	return res, nil
 }
 
-// RunTwoPredicates is the end-to-end pipeline for a conjunction of two
-// expensive predicates: sample both UDFs per group, estimate joint
+// RunTwoPredicatesParallelCtx is the end-to-end pipeline for a conjunction
+// of two expensive predicates: jointly sample both per group, estimate the
 // selectivities, plan with PlanTwoPredicates (constraints tightened by
 // Hoeffding margins so the expectation-level plan carries a probabilistic
 // guarantee), and execute. A tuple is correct iff both predicates hold.
-func RunTwoPredicates(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG) (TwoPredExecResult, []TwoPredAction, error) {
-	return RunTwoPredicatesParallel(groups, udf1, udf2, cons, cost, alloc, rng, 1)
-}
-
-// RunTwoPredicatesParallel is RunTwoPredicates with sampling and execution
-// fanned across up to `parallelism` workers; planning stays sequential and
-// results are identical at any parallelism level.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use RunTwoPredicatesParallelCtx
-func RunTwoPredicatesParallel(groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
-	return RunTwoPredicatesParallelCtx(context.Background(), groups, udf1, udf2, cons, cost, alloc, rng, parallelism)
-}
-
-// RunTwoPredicatesParallelCtx is RunTwoPredicatesParallel honoring a
-// context: both the sampling wave and the execution waves check it, so a
-// cancel mid-pipeline returns ctx.Err() after at most one in-flight UDF
-// call per worker.
-func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2 UDF, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, error) {
+// m1 and m2 are the caller's meters and are evaluated directly, so their
+// failure semantics, circuit breaker and caches govern every phase. The
+// result folds the sampling spend in (each jointly sampled row is one
+// retrieval and one call per predicate); the joint samples come back
+// alongside the per-group actions. Sampling and execution fan out across up
+// to `parallelism` workers while planning stays sequential, so results are
+// identical at any parallelism level; a cancel mid-pipeline returns
+// ctx.Err() after at most one in-flight UDF call per worker.
+func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, []ConjSample, error) {
 	if alloc == nil {
 		alloc = TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}
 	}
 	if rng == nil {
-		return TwoPredExecResult{}, nil, fmt.Errorf("core: rng is required")
+		return TwoPredExecResult{}, nil, nil, fmt.Errorf("core: rng is required")
 	}
 	sizes := make([]int, len(groups))
 	total := 0
@@ -331,11 +191,22 @@ func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2
 		sizes[i] = len(g.Rows)
 		total += len(g.Rows)
 	}
-	m1 := NewMeter(udf1)
-	m2 := NewMeter(udf2)
-	samples, infos, err := SampleTwoPredicatesParallelCtx(ctx, groups, alloc.Allocate(sizes), m1, m2, rng.Split(), parallelism)
+	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, alloc.Allocate(sizes), []UDF{m1, m2}, rng.Split(), parallelism)
 	if err != nil {
-		return TwoPredExecResult{}, nil, err
+		return TwoPredExecResult{}, nil, nil, err
+	}
+	// Per-group Beta-posterior means over the jointly sampled rows.
+	infos := make([]TwoPredGroup, len(groups))
+	sampledRows := 0
+	for i, g := range groups {
+		s := samples[i]
+		f := len(s.Results)
+		sampledRows += f
+		infos[i] = TwoPredGroup{
+			Size: len(g.Rows),
+			Sel1: stats.NewBetaPosterior(s.Pos[0], f-s.Pos[0]).Mean(),
+			Sel2: stats.NewBetaPosterior(s.Pos[1], f-s.Pos[1]).Mean(),
+		}
 	}
 
 	// Expectation-level planning with margin-tightened constraints: shift
@@ -363,20 +234,14 @@ func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, udf1, udf2
 			acts[i] = TPEvalBoth
 		}
 	}
-	exec, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, cost, parallelism)
+	res, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, cost, parallelism)
 	if err != nil {
-		return TwoPredExecResult{}, nil, err
+		return TwoPredExecResult{}, nil, nil, err
 	}
 	// Fold the sampling work into the accounting.
-	sampledRows, evals1, evals2 := 0, 0, 0
-	for _, s := range samples {
-		sampledRows += len(s.Results)
-	}
-	evals1 = m1.Calls() - exec.Evaluated1
-	evals2 = m2.Calls() - exec.Evaluated2
-	exec.Retrieved += sampledRows
-	exec.Evaluated1 += evals1
-	exec.Evaluated2 += evals2
-	exec.Cost += float64(sampledRows)*cost.Retrieve + float64(evals1+evals2)*cost.Evaluate
-	return exec, acts, nil
+	res.Retrieved += sampledRows
+	res.Evaluated1 += sampledRows
+	res.Evaluated2 += sampledRows
+	res.Cost += float64(sampledRows)*cost.Retrieve + float64(2*sampledRows)*cost.Evaluate
+	return res, acts, samples, nil
 }

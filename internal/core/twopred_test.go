@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -31,32 +33,104 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64) ([]Group, [
 	return groups, l1, l2
 }
 
+// TestSampleTwoPredicates checks the §5 sampling step: the N-ary joint
+// sampler at N=2, whose per-group counts feed the five-action planner.
 func TestSampleTwoPredicates(t *testing.T) {
 	rng := stats.NewRNG(1101)
 	groups, l1, l2 := twoPredWorld(rng, []int{500, 500}, []float64{0.9, 0.2}, []float64{0.7, 0.7})
-	u1 := UDFFunc(func(r int) bool { return l1[r] })
-	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	samples, infos, err := SampleTwoPredicates(groups, []int{100, 100}, u1, u2, rng.Split())
+	udfs := []UDF{
+		UDFFunc(func(r int) bool { return l1[r] }),
+		UDFFunc(func(r int) bool { return l2[r] }),
+	}
+	samples, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{100, 100}, udfs, rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(samples[0].Results) != 100 {
 		t.Fatalf("sampled %d", len(samples[0].Results))
 	}
-	if math.Abs(infos[0].Sel1-0.9) > 0.1 || math.Abs(infos[1].Sel1-0.2) > 0.12 {
-		t.Fatalf("sel1 estimates %v / %v", infos[0].Sel1, infos[1].Sel1)
+	sel := func(g, j int) float64 {
+		return stats.NewBetaPosterior(samples[g].Pos[j], 100-samples[g].Pos[j]).Mean()
 	}
-	if math.Abs(infos[0].Sel2-0.7) > 0.12 {
-		t.Fatalf("sel2 estimate %v", infos[0].Sel2)
+	if math.Abs(sel(0, 0)-0.9) > 0.1 || math.Abs(sel(1, 0)-0.2) > 0.12 {
+		t.Fatalf("sel1 estimates %v / %v", sel(0, 0), sel(1, 0))
+	}
+	if math.Abs(sel(0, 1)-0.7) > 0.12 {
+		t.Fatalf("sel2 estimate %v", sel(0, 1))
 	}
 	// Counts are internally consistent.
 	for _, s := range samples {
-		if s.PosBoth > s.Pos1 || s.PosBoth > s.Pos2 {
+		if s.PosAll > s.Pos[0] || s.PosAll > s.Pos[1] {
 			t.Fatalf("inconsistent counts %+v", s)
 		}
 	}
-	if _, _, err := SampleTwoPredicates(groups, []int{1}, u1, u2, rng); err == nil {
+	if _, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{1}, udfs, rng, 1); err == nil {
 		t.Fatal("mismatched targets accepted")
+	}
+}
+
+// TestJointSampleDropsFailedRows pins the §5 evidence rule the meter
+// re-wrap used to hide: a row whose evaluation failed under either
+// predicate is no evidence — it is absent from the joint sample, from the
+// selectivity counts, and from the pipeline's output.
+func TestJointSampleDropsFailedRows(t *testing.T) {
+	rng := stats.NewRNG(1113)
+	groups, l1, l2 := twoPredWorld(rng, []int{600, 600}, []float64{0.8, 0.3}, []float64{0.7, 0.6})
+	fails1 := func(r int) bool { return r%7 == 0 }
+	fails2 := func(r int) bool { return r%11 == 0 }
+	meter := func(labels []bool, fails func(int) bool) *Meter {
+		return NewResilientMeter(fallibleFunc(func(_ context.Context, r int) (bool, error) {
+			if fails(r) {
+				return false, errors.New("value-keyed failure")
+			}
+			return labels[r], nil
+		}), nil, nil, nil)
+	}
+	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
+	res, acts, samples, err := RunTwoPredicatesParallelCtx(context.Background(), groups,
+		meter(l1, fails1), meter(l2, fails2), cons, DefaultCost, ConstantAllocator{C: 300}, rng.Split(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := 0
+	for gi, s := range samples {
+		sampled += len(s.Results)
+		pos := [2]int{}
+		for row, outs := range s.Results {
+			if fails1(row) || fails2(row) {
+				t.Fatalf("group %d: failed row %d entered the joint sample", gi, row)
+			}
+			if outs[0] != l1[row] || outs[1] != l2[row] {
+				t.Fatalf("group %d: row %d sampled as %v", gi, row, outs)
+			}
+			for j, v := range outs {
+				if v {
+					pos[j]++
+				}
+			}
+		}
+		if pos[0] != s.Pos[0] || pos[1] != s.Pos[1] {
+			t.Fatalf("group %d: counts %v disagree with results %v", gi, s.Pos, pos)
+		}
+	}
+	// 600 rows were drawn; the value-keyed failures (~22%) must be missing.
+	if sampled == 0 || sampled >= 600 {
+		t.Fatalf("joint sample holds %d of 600 drawn rows", sampled)
+	}
+	// A failed evaluation never verifies a row: a row that failed under a
+	// predicate is emitted only by an action that assumes that predicate.
+	emitted := map[int]bool{}
+	for _, row := range res.Output {
+		emitted[row] = true
+	}
+	for gi, g := range groups {
+		eval1 := acts[gi] == TPEval1Assume2 || acts[gi] == TPEvalBoth
+		eval2 := acts[gi] == TPAssume1Eval2 || acts[gi] == TPEvalBoth
+		for _, row := range g.Rows {
+			if emitted[row] && ((eval1 && fails1(row)) || (eval2 && fails2(row))) {
+				t.Fatalf("group %d (%v): row %d emitted despite a failed evaluation", gi, acts[gi], row)
+			}
+		}
 	}
 }
 
@@ -68,7 +142,7 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 
 	check := func(act TwoPredAction, wantMember func(r int) bool, wantE1, wantE2 int) {
 		t.Helper()
-		res, err := ExecuteTwoPredicates(groups, []TwoPredAction{act}, nil, u1, u2, DefaultCost)
+		res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{act}, nil, u1, u2, DefaultCost, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,11 +188,11 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	calls1, calls2 := 0, 0
 	u1 := UDFFunc(func(r int) bool { calls1++; return l1[r] })
 	u2 := UDFFunc(func(r int) bool { calls2++; return l2[r] })
-	samples := []TwoPredSample{{Results: map[int][2]bool{}}}
+	samples := []ConjSample{{Results: map[int][]bool{}}}
 	for _, row := range groups[0].Rows[:30] {
-		samples[0].Results[row] = [2]bool{l1[row], l2[row]}
+		samples[0].Results[row] = []bool{l1[row], l2[row]}
 	}
-	res, err := ExecuteTwoPredicates(groups, []TwoPredAction{TPEvalBoth}, samples, u1, u2, DefaultCost)
+	res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, u1, u2, DefaultCost, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +219,13 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5})
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	if _, err := ExecuteTwoPredicates(groups, nil, nil, u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("missing actions accepted")
 	}
-	if _, err := ExecuteTwoPredicates(groups, []TwoPredAction{99}, nil, u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{99}, nil, u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("invalid action accepted")
 	}
-	if _, err := ExecuteTwoPredicates(groups, []TwoPredAction{TPDiscard}, make([]TwoPredSample, 2), u1, u2, DefaultCost); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]ConjSample, 2), u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("mismatched samples accepted")
 	}
 }
@@ -165,7 +239,7 @@ func TestRunTwoPredicatesEndToEnd(t *testing.T) {
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	res, acts, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, rng.Split())
+	res, acts, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +267,7 @@ func TestRunTwoPredicatesEndToEnd(t *testing.T) {
 	if acts[2] == TPEvalBoth || acts[2] == TPAssume1Eval2 {
 		t.Fatalf("wasteful action on dead group: %v", acts)
 	}
-	if _, _, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, nil); err == nil {
+	if _, _, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, nil, 1); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 }
@@ -210,7 +284,7 @@ func TestRunTwoPredicatesSatisfactionRate(t *testing.T) {
 			[]float64{0.85, 0.7, 0.6})
 		u1 := UDFFunc(func(r int) bool { return l1[r] })
 		u2 := UDFFunc(func(r int) bool { return l2[r] })
-		res, _, err := RunTwoPredicates(groups, u1, u2, cons, DefaultCost, nil, rng.Split())
+		res, _, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -400,64 +400,70 @@ func NewCachedMeter(udf UDF, cache EvalCache) *Meter {
 // Eval implements UDF, charging only the first evaluation per row. On a
 // resilient meter a row whose evaluation ultimately failed reports false
 // (the failure was already delivered through onFailure); prefer
-// EvalRowsResilient for batch paths that need the per-row failure flags.
+// EvalRowsResilient for batch paths that need the per-row failure flags
+// and cancellation.
 //
-//predlint:allow ctxflow — pre-context compatibility shim; cancellable batch paths use EvalRowsResilient
+//predlint:allow ctxflow — Eval(row) bool is the core.UDF interface shape; cancellable batch paths use EvalRowsResilient
 func (m *Meter) Eval(row int) bool {
-	if m.fudf != nil {
-		v, _ := m.EvalFallible(context.Background(), row)
-		return v
-	}
-	var e *meterEntry
+	v, _ := m.EvalFallible(context.Background(), row)
+	return v
+}
+
+// claim is the single-flight entry shared by every evaluation path. It
+// returns the row's entry and whether its outcome is already settled —
+// memoized (after waiting out an in-flight owner, and retrying when that
+// owner forgot the row) or served by the shared cache. When not settled
+// the caller owns the fresh entry and must finish it with settle, fail or
+// forget. Single-flight guarantees at most one cache lookup per row.
+func (m *Meter) claim(row int) (e *meterEntry, settled bool) {
 	for {
 		m.mu.Lock()
-		if cur, ok := m.memo[row]; ok {
+		cur, ok := m.memo[row]
+		if !ok {
+			e = &meterEntry{done: make(chan struct{})}
+			m.memo[row] = e
 			m.mu.Unlock()
-			<-cur.done
-			if cur.failed {
-				// The owner panicked; the row was forgotten — retry.
-				continue
-			}
-			return cur.val
+			break
 		}
-		e = &meterEntry{done: make(chan struct{})}
-		m.memo[row] = e
 		m.mu.Unlock()
-		break
-	}
-
-	// If the UDF panics, forget the row (a retry must re-evaluate, never
-	// inherit the zero-value verdict) and release waiters flagged failed;
-	// the panic still propagates to our caller.
-	completed := false
-	defer func() {
-		if !completed {
-			e.failed = true
-			m.mu.Lock()
-			delete(m.memo, row)
-			m.mu.Unlock()
-			close(e.done)
+		<-cur.done
+		if !cur.failed {
+			return cur, true
 		}
-	}()
+		// The owner panicked or was cancelled; the row was forgotten — retry.
+	}
 	if m.shared != nil {
 		if v, ok := m.shared.Lookup(row); ok {
 			m.cacheHits.Add(1)
 			e.val = v
-			completed = true
 			close(e.done)
-			return v
+			return e, true
 		}
 		m.cacheMisses.Add(1)
 	}
-	m.calls.Add(1)
-	v := m.udf.Eval(row)
-	e.val = v
-	completed = true
+	return e, false
+}
+
+// forget abandons a claimed row whose evaluation never produced an outcome
+// (the body panicked, or the batch was cancelled): a retry must
+// re-evaluate, never inherit the zero-value verdict, so the entry leaves
+// the memo and its waiters are released flagged failed.
+func (m *Meter) forget(row int, e *meterEntry) {
+	e.failed = true
+	m.mu.Lock()
+	delete(m.memo, row)
+	m.mu.Unlock()
 	close(e.done)
-	if m.shared != nil {
-		m.shared.Store(row, v)
+}
+
+// fail settles a claimed row as failed-final: memoized for the meter's
+// lifetime, never charged, never cached, reported once through onFailure.
+func (m *Meter) fail(row int, e *meterEntry, err error) {
+	e.errFinal = true
+	close(e.done)
+	if m.onFailure != nil {
+		m.onFailure(row, err)
 	}
-	return v
 }
 
 // Calls returns the number of distinct UDF invocations charged so far.

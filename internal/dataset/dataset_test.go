@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -179,7 +180,7 @@ func TestDatasetInstanceRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(99)
-	res, err := core.RunIntelSample(in, core.RunOptions{RNG: rng})
+	res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,16 +213,8 @@ func (s *stageOp) Open(ctx context.Context) error {
 	}
 	err := s.run(ctx)
 	if err == nil && s.st.analyze {
-		after := s.st.predTotals()
-		a := &plan.Actual{
-			Calls:       after.calls - before.calls,
-			CacheHits:   after.hits - before.hits,
-			CacheMisses: after.misses - before.misses,
-			Retries:     after.retries - before.retries,
-			Denied:      after.denied - before.denied,
-			Failed:      after.failed - before.failed,
-			ElapsedNS:   int64(obs.Since(start)),
-		}
+		a := s.st.predTotals().actualSince(before)
+		a.ElapsedNS = int64(obs.Since(start))
 		s.st.fillActualRows(s.node.Op, a)
 		s.node.Actual = a
 	}
@@ -406,23 +398,10 @@ func (o *exactEvalOp) finalize() {
 			CacheMisses: meter.CacheMisses(),
 		},
 	}
-	o.recordActual()
-}
-
-func (o *exactEvalOp) recordActual() {
-	if !o.st.analyze {
-		return
-	}
-	after := o.st.predTotals()
-	o.node.Actual = &plan.Actual{
-		Rows:        o.emitted,
-		Calls:       after.calls - o.before.calls,
-		CacheHits:   after.hits - o.before.hits,
-		CacheMisses: after.misses - o.before.misses,
-		Retries:     after.retries - o.before.retries,
-		Denied:      after.denied - o.before.denied,
-		Failed:      after.failed - o.before.failed,
-		ElapsedNS:   o.elapsedNS,
+	if st.analyze {
+		a := st.predTotals().actualSince(o.before)
+		a.Rows, a.ElapsedNS = o.emitted, o.elapsedNS
+		o.node.Actual = a
 	}
 }
 
@@ -580,23 +559,10 @@ func (o *conjWavesOp) finalize() {
 	}
 	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
 	st.res = &Result{Rows: o.out, Stats: stats}
-	o.recordActual()
-}
-
-func (o *conjWavesOp) recordActual() {
-	if !o.st.analyze {
-		return
-	}
-	after := o.st.predTotals()
-	o.node.Actual = &plan.Actual{
-		Rows:        o.emitted,
-		Calls:       after.calls - o.before.calls,
-		CacheHits:   after.hits - o.before.hits,
-		CacheMisses: after.misses - o.before.misses,
-		Retries:     after.retries - o.before.retries,
-		Denied:      after.denied - o.before.denied,
-		Failed:      after.failed - o.before.failed,
-		ElapsedNS:   o.elapsedNS,
+	if st.analyze {
+		a := st.predTotals().actualSince(o.before)
+		a.Rows, a.ElapsedNS = o.emitted, o.elapsedNS
+		o.node.Actual = a
 	}
 }
 

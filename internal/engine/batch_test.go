@@ -70,8 +70,8 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 // bit-for-bit identical across parallelism {1, 8} × batch size
 // {1, 64, 4096} — batch sizes below, at and above the table size — on
 // seeded chaos workloads covering every pipeline family (fused
-// scan+filter, exact streaming eval, conjunction waves, and the blocking
-// sampling pipeline).
+// scan+filter, exact streaming eval, conjunction waves, the blocking
+// sampling pipeline, and the §5 two-predicate plan).
 func TestBatchDeterminismMatrix(t *testing.T) {
 	queries := map[string]Query{
 		"exact-filtered": {
@@ -86,6 +86,11 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 		"approx-grouped": {
 			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+		},
+		"conj-twopred": {
+			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+			Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
+			Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
 		},
 	}
 	type combo struct{ parallelism, batch int }
@@ -103,7 +108,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 				// A fresh engine per run: the chaos attempt counters and the
 				// RNG must restart identically.
 				e, _ := newChaosEngine(t, 600, c.parallelism, c.batch)
-				res, err := e.Execute(q)
+				res, err := e.ExecuteContext(context.Background(), q)
 				if err != nil {
 					t.Fatalf("p=%d batch=%d: %v", c.parallelism, c.batch, err)
 				}
@@ -132,7 +137,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 func TestStreamMatchesMaterialized(t *testing.T) {
 	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, OnFailure: SkipFailed}
 	e1, _ := newChaosEngine(t, 600, 4, 64)
-	want, err := e1.Execute(q)
+	want, err := e1.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +185,7 @@ func TestStreamEarlyStopCancelsUpstream(t *testing.T) {
 		t.Fatalf("Stats.Evaluations = %d, want far fewer than the 2000-row table", stats.Evaluations)
 	}
 	// The engine (and its caches) must stay fully usable after a stop.
-	res, err := e.Execute(q)
+	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

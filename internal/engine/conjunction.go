@@ -24,8 +24,8 @@ import (
 //     answer is exact — rows resolved during sampling are free, and the
 //     sampling spend buys the ordering that minimizes wave work.
 
-// opConjSample draws the N-ary conjunction's sample: all predicates,
-// fused, over a Two-Third-Power allocation per group (the whole filtered
+// opConjSample draws the N-ary conjunction's joint sample: all predicates
+// over a Two-Third-Power allocation per group (the whole filtered
 // scan counts as one group when no GROUP ON was given).
 func (e *Engine) opConjSample(ctx context.Context, st *pipeState) error {
 	cons := st.q.Approx.Constraints()
@@ -50,30 +50,24 @@ func (e *Engine) opConjSample(ctx context.Context, st *pipeState) error {
 	return nil
 }
 
-// opConjExec runs the §5 two-predicate pipeline over the resolved groups.
+// opConjExec runs the §5 two-predicate pipeline over the resolved groups,
+// evaluating through the predicates' own resilient meters: failed rows
+// leave the joint sample, the circuit breaker is consulted, and the UDF
+// bodies see the query's context.
 func (e *Engine) opConjExec(ctx context.Context, st *pipeState) error {
 	q := st.q
 	m1, m2 := st.preds[0].meter, st.preds[1].meter
-	res, _, err := core.RunTwoPredicatesParallelCtx(ctx, st.groups, m1, m2, q.Approx.Constraints(), st.cost, nil, st.rng, e.parallelism())
+	res, _, samples, err := core.RunTwoPredicatesParallelCtx(ctx, st.groups, m1, m2, q.Approx.Constraints(), st.cost, nil, st.rng, e.parallelism())
 	if err != nil {
 		return err
 	}
 	sort.Ints(res.Output)
-	if err := st.preds[0].fault.Err(); err != nil {
-		return err
+	sampled := 0
+	for _, s := range samples {
+		sampled += len(s.Results)
 	}
-	if err := st.preds[1].fault.Err(); err != nil {
-		return err
-	}
-	// Account evaluations from the outer meters so cross-query cache hits
-	// are not re-charged; sampling work is Retrievals beyond execution.
+	// Bill the meters' charged calls, so cross-query cache hits stay free.
 	evals := m1.Calls() + m2.Calls()
-	sampled := evals - res.Evaluated1 - res.Evaluated2
-	if sampled < 0 {
-		// Cache hits during sampling can push charged calls below the
-		// execution-phase counts; the sampling work was simply free.
-		sampled = 0
-	}
 	st.res = &Result{
 		Rows: res.Output,
 		Stats: Stats{

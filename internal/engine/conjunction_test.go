@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -62,7 +63,7 @@ func TestExecuteNaryConjunction(t *testing.T) {
 			e.Parallelism = par
 			registerModUDF(t, e, "div3", 3)
 			registerModUDF(t, e, "div5", 5)
-			res, err := e.Execute(naryQuery(true, groupOn))
+			res, err := e.ExecuteContext(context.Background(), naryQuery(true, groupOn))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +92,7 @@ func TestExecuteNaryConjunctionExact(t *testing.T) {
 	e, truth, goodCalls := newTestEngine(t, n)
 	div3 := registerModUDF(t, e, "div3", 3)
 	div5 := registerModUDF(t, e, "div5", 5)
-	res, err := e.Execute(naryQuery(false, ""))
+	res, err := e.ExecuteContext(context.Background(), naryQuery(false, ""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestExecuteNaryConjunctionDeterministic(t *testing.T) {
 		e.Parallelism = par
 		registerModUDF(t, e, "div3", 3)
 		registerModUDF(t, e, "div5", 5)
-		res, err := e.Execute(naryQuery(true, "grade"))
+		res, err := e.ExecuteContext(context.Background(), naryQuery(true, "grade"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,13 +174,13 @@ func TestNaryGreedyOrderingSaves(t *testing.T) {
 		},
 	}
 	exactQ := q
-	exact, err := newE().Execute(exactQ)
+	exact, err := newE().ExecuteContext(context.Background(), exactQ)
 	if err != nil {
 		t.Fatal(err)
 	}
 	greedyQ := q
 	greedyQ.Approx = approx(0.8, 0.8, 0.8)
-	greedy, err := newE().Execute(greedyQ)
+	greedy, err := newE().ExecuteContext(context.Background(), greedyQ)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +202,17 @@ func TestNaryConjunctionValidation(t *testing.T) {
 	registerModUDF(t, e, "div3", 3)
 	registerModUDF(t, e, "div5", 5)
 	q := naryQuery(true, VirtualColumn)
-	if _, err := e.Execute(q); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("N-ary conjunction over the virtual column accepted")
 	}
 	q = naryQuery(true, "")
 	q.Budget = 50
-	if _, err := e.Execute(q); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("budget + conjunction accepted")
 	}
 	q = naryQuery(true, "")
 	q.Conjuncts[1].UDFName = "missing"
-	if _, err := e.Execute(q); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("unknown third UDF accepted")
 	}
 }
@@ -277,7 +278,7 @@ func containsLine(text, substr string) bool {
 // from the shared outcome cache instead of re-invoking the UDF.
 func TestSameUDFExactConjunctionSharesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 100)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	})
@@ -344,7 +345,7 @@ func TestNaryConjunctionPerPredicateCost(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{
 			{UDFName: "cheap", UDFArg: "id", Want: true},
@@ -381,7 +382,7 @@ func TestPredCostNoLeakFromFirstOverride(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "pricey", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{
 			{UDFName: "cheapdef", UDFArg: "id", Want: true},
@@ -409,7 +410,7 @@ func TestExplainRejectsBadProjection(t *testing.T) {
 	if _, err := e.Explain(q); err == nil {
 		t.Fatal("EXPLAIN with unknown projection column accepted")
 	}
-	if _, err := e.Execute(q); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("execution with unknown projection column accepted")
 	}
 }

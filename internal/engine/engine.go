@@ -241,20 +241,14 @@ func (e *Engine) costModel(q Query) core.CostModel {
 	return cost
 }
 
-// Execute runs the query and returns the matching row ids plus statistics.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteContext
-func (e *Engine) Execute(q Query) (*Result, error) {
-	return e.ExecuteContext(context.Background(), q)
-}
-
-// ExecuteContext is Execute honoring a context: every UDF-evaluating phase
-// (labeling, sampling, execution, exact scans) checks the context between
-// work items, so a cancel or deadline returns ctx.Err() after at most one
-// in-flight UDF call per worker. A cancelled query leaves the engine fully
-// reusable — the cross-query outcome cache keeps every completed (and paid)
-// evaluation, no entry is ever stored partially, and a later run of the
-// same query completes normally. See DESIGN.md, "Cancellation contract".
+// ExecuteContext runs the query and returns the matching row ids plus
+// statistics. Every UDF-evaluating phase (labeling, sampling, execution,
+// exact scans) checks the context between work items, so a cancel or
+// deadline returns ctx.Err() after at most one in-flight UDF call per
+// worker. A cancelled query leaves the engine fully reusable — the
+// cross-query outcome cache keeps every completed (and paid) evaluation, no
+// entry is ever stored partially, and a later run of the same query
+// completes normally. See DESIGN.md, "Cancellation contract".
 func (e *Engine) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 	res, _, err := e.executeStatement(ctx, q, nil, false, nil)
 	return res, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -70,7 +71,7 @@ func approx(alpha, beta, rho float64) *Approx {
 
 func TestExecuteExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestExecuteExact(t *testing.T) {
 
 func TestExecuteApproxPinnedColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
@@ -128,7 +129,7 @@ func TestExecuteApproxPinnedColumn(t *testing.T) {
 
 func TestExecuteApproxDiscoversColumn(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8),
 	})
@@ -147,7 +148,7 @@ func TestExecuteApproxDiscoversColumn(t *testing.T) {
 
 func TestExecuteApproxVirtualColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 	})
@@ -181,7 +182,7 @@ func TestExecuteApproxVirtualColumn(t *testing.T) {
 
 func TestExecuteWantFalse(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 900)
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: false})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestExecuteWantFalse(t *testing.T) {
 
 func TestExecuteBudget(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", Budget: 4000,
 	})
@@ -224,7 +225,7 @@ func TestExecuteErrors(t *testing.T) {
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "missing"},
 	}
 	for i, q := range cases {
-		if _, err := e.Execute(q); err == nil {
+		if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, q)
 		}
 	}
@@ -291,7 +292,7 @@ func TestMaterialize(t *testing.T) {
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Columns: []string{"id", "grade"},
 	}
-	res, err := e.Execute(q)
+	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestExecuteSelectJoin(t *testing.T) {
 		},
 		JoinTable: "orders", LeftKey: "id", RightKey: "loan_id",
 	}
-	res, err := e.ExecuteSelectJoin(q)
+	res, err := e.ExecuteSelectJoinContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestExecuteSelectJoinErrors(t *testing.T) {
 		{Query: base, JoinTable: "loans", LeftKey: "id", RightKey: "missing"},
 	}
 	for i, q := range cases {
-		if _, err := e.ExecuteSelectJoin(q); err == nil {
+		if _, err := e.ExecuteSelectJoinContext(context.Background(), q); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
@@ -402,7 +403,7 @@ func TestVirtualColumnDeterministic(t *testing.T) {
 		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(Query{
+		res, err := e.ExecuteContext(context.Background(), Query{
 			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 		})
@@ -432,7 +433,7 @@ func TestEngineDeterministicAcrossSeeds(t *testing.T) {
 		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Execute(Query{
+		res, err := e.ExecuteContext(context.Background(), Query{
 			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		})
@@ -493,7 +494,7 @@ func TestExecuteConjunction(t *testing.T) {
 		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
 		Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
 	}
-	res, err := e.Execute(q)
+	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +505,7 @@ func TestExecuteConjunction(t *testing.T) {
 	qExact := q
 	qExact.Approx = nil
 	qExact.GroupOn = ""
-	exact, err := e.Execute(qExact)
+	exact, err := e.ExecuteContext(context.Background(), qExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,7 +544,7 @@ func TestExecuteConjunctionExactShortCircuits(t *testing.T) {
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Conjuncts: []Conjunct{{UDFName: "second", UDFArg: "id", Want: true}},
 	}
-	res, err := e.Execute(q)
+	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,24 +575,24 @@ func TestExecuteConjunctionValidation(t *testing.T) {
 		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx:    approx(0.8, 0.8, 0.8),
 	}
-	if _, err := e.Execute(base); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), base); err == nil {
 		t.Fatal("conjunction without GROUP ON accepted")
 	}
 	bad := base
 	bad.Conjuncts = []Conjunct{{}}
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), bad); err == nil {
 		t.Fatal("empty conjunct accepted")
 	}
 	bad = base
 	bad.GroupOn = "grade"
 	bad.Conjuncts = []Conjunct{{UDFName: "missing", UDFArg: "id", Want: true}}
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), bad); err == nil {
 		t.Fatal("unknown second UDF accepted")
 	}
 	bad = base
 	bad.GroupOn = "grade"
 	bad.Budget = 100
-	if _, err := e.Execute(bad); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), bad); err == nil {
 		t.Fatal("budget + conjunction accepted")
 	}
 }
@@ -606,7 +607,7 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Execute(Query{Table: "loans", UDFName: "explodes", UDFArg: "id", Want: true})
+	_, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "explodes", UDFArg: "id", Want: true})
 	if err == nil {
 		t.Fatal("panicking UDF did not surface an error")
 	}
@@ -614,7 +615,7 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 		t.Fatalf("error %v does not mention the panic", err)
 	}
 	// The engine must survive: a subsequent healthy query still works.
-	res, err := e.Execute(Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +631,7 @@ func TestUDFPanicInApproximateQuery(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.Execute(Query{
+	_, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
@@ -641,7 +642,7 @@ func TestUDFPanicInApproximateQuery(t *testing.T) {
 
 func TestCheapFilterPushdownExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "grade", Value: "A"}},
 	})
@@ -667,7 +668,7 @@ func TestCheapFilterPushdownExact(t *testing.T) {
 
 func TestCheapFilterPushdownApprox(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx:  approx(0.8, 0.8, 0.8),
 		Filters: []Filter{{Column: "purpose", Value: "car"}},
@@ -702,7 +703,7 @@ func TestCheapFilterPushdownApprox(t *testing.T) {
 
 func TestCheapFilterErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
-	_, err := e.Execute(Query{
+	_, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "missing", Value: "x"}},
 	})
@@ -713,7 +714,7 @@ func TestCheapFilterErrors(t *testing.T) {
 
 func TestCheapFilterEmptyResult(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Filters: []Filter{{Column: "grade", Value: "Z"}},
 	})

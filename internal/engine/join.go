@@ -21,18 +21,11 @@ type SelectJoinQuery struct {
 	RightKey  string
 }
 
-// ExecuteSelectJoin plans per (group, join-key-weight-class) subgroups with
-// join-multiplicity weights and executes the resulting strategy. The
-// output rows are row ids of the base table (joined expansion is left to
-// the caller); guarantees are at the join-result level.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExecuteSelectJoinContext
-func (e *Engine) ExecuteSelectJoin(q SelectJoinQuery) (*Result, error) {
-	return e.ExecuteSelectJoinContext(context.Background(), q)
-}
-
-// ExecuteSelectJoinContext is ExecuteSelectJoin honoring a context (same
-// cancellation contract as ExecuteContext). The join runs through the same
+// ExecuteSelectJoinContext plans per (group, join-key-weight-class)
+// subgroups with join-multiplicity weights and executes the resulting
+// strategy (same cancellation contract as ExecuteContext). The output rows
+// are row ids of the base table (joined expansion is left to the caller);
+// guarantees are at the join-result level. The join runs through the same
 // planner pipeline as every other shape: group-resolve → join-group →
 // sample → solve(join-weights) → prob-eval → merge (see operators.go).
 func (e *Engine) ExecuteSelectJoinContext(ctx context.Context, q SelectJoinQuery) (*Result, error) {

@@ -146,9 +146,10 @@ func (e *Engine) bindStatement(q Query, join *SelectJoinQuery) (*pipeState, erro
 // capture + retry + deadline, see resilience.go), fault box, telemetry
 // sink, shared circuit breaker and resilient meter. In approximate
 // conjunctions, a predicate whose (UDF, argument) key collides with an
-// earlier one gets a private (cache-less) meter: two meters sharing one
-// cache while sampling evaluates both predicates concurrently over the same
-// rows would make the charged-call split depend on store timing. Exact
+// earlier one gets a private (cache-less) meter, so each duplicate is
+// billed for its own sampling calls instead of being served by what its
+// twin just stored. (The rule dates from fused joint sampling, where that
+// split depended on store timing; the pinned Stats keep it.) Exact
 // conjunctions keep the shared cache even for duplicates — their waves are
 // sequential barriers, so the later predicate's lookups deterministically
 // hit what the earlier one stored.
@@ -196,6 +197,20 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: e.predCost(p)}
 	}
 	return preds, nil
+}
+
+// actualSince renders the counters accumulated since the before snapshot
+// as one operator's plan.Actual; rows and wall time are the caller's to
+// fill in.
+func (t predTotals) actualSince(before predTotals) *plan.Actual {
+	return &plan.Actual{
+		Calls:       t.calls - before.calls,
+		CacheHits:   t.hits - before.hits,
+		CacheMisses: t.misses - before.misses,
+		Retries:     t.retries - before.retries,
+		Denied:      t.denied - before.denied,
+		Failed:      t.failed - before.failed,
+	}
 }
 
 // fillActualRows resolves the "rows out" (and groups, where meaningful) of

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -44,7 +45,7 @@ func exactQuery(onFailure FailurePolicy) Query {
 
 func TestFailPolicyReturnsTypedError(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{17: true})
-	_, err := e.Execute(exactQuery(FailOnError))
+	_, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError))
 	if err == nil {
 		t.Fatal("want the query to fail under the fail policy")
 	}
@@ -60,7 +61,7 @@ func TestFailPolicyReturnsTypedError(t *testing.T) {
 func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 	failIDs := map[int64]bool{5: true, 100: true, 250: true}
 	e, truth := newFallibleEngine(t, 300, failIDs)
-	res, err := e.Execute(exactQuery(SkipFailed))
+	res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 
 func TestDegradePolicyMarksDegraded(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
-	res, err := e.Execute(exactQuery(DegradeFailed))
+	res, err := e.ExecuteContext(context.Background(), exactQuery(DegradeFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 	}
 	// No failures → not degraded, even under the degrade policy.
 	e2, _ := newFallibleEngine(t, 300, nil)
-	res2, err := e2.Execute(exactQuery(DegradeFailed))
+	res2, err := e2.ExecuteContext(context.Background(), exactQuery(DegradeFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 func TestEngineDefaultPolicyApplies(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
 	e.OnFailure = SkipFailed
-	res, err := e.Execute(exactQuery("")) // query defers to the engine default
+	res, err := e.ExecuteContext(context.Background(), exactQuery("")) // query defers to the engine default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestRetriesCountedAndTransientRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(exactQuery(FailOnError))
+	res, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError))
 	if err != nil {
 		t.Fatalf("transient errors within the retry budget must not fail the query: %v", err)
 	}
@@ -177,7 +178,7 @@ func TestBreakerTripRecordedInStats(t *testing.T) {
 	}
 	e, _ := newFallibleEngine(t, 300, failIDs)
 	e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 200, Probes: 2, Segment: 8}
-	res, err := e.Execute(exactQuery(SkipFailed))
+	res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := e.Execute(exactQuery(SkipFailed))
+	res1, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	mu.Lock()
 	healthy = true
 	mu.Unlock()
-	res2, err := e.Execute(exactQuery(SkipFailed))
+	res2, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 		failIDs[id] = true
 	}
 	e, _ := newFallibleEngine(t, 3000, failIDs)
-	res, err := e.Execute(Query{
+	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: DegradeFailed,
 	})
@@ -301,5 +302,40 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 	}
 	if len(res.Rows) == 0 {
 		t.Error("degraded approximate query returned no rows at all")
+	}
+}
+
+// TestTwoPredBreakerTripsDeterministic runs the §5 two-predicate shape on
+// value-keyed failures with a breaker that can trip. The §5 plan evaluates
+// through the predicates' own resilient meters, so the breaker is consulted
+// (BreakerTrips > 0) and — its fold points being sequential — rows and the
+// full Stats struct are bit-identical at parallelism 1 and 8.
+func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
+	q := Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
+		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+	}
+	run := func(parallelism int) *Result {
+		e, _ := newChaosEngine(t, 3000, parallelism, 0)
+		e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 8, Probes: 2, Segment: 8}
+		res, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatalf("p=%d: %v", parallelism, err)
+		}
+		return res
+	}
+	seq, par := run(1), run(8)
+	if seq.Stats.BreakerTrips == 0 {
+		t.Fatalf("the breaker never tripped on the §5 path: %+v", seq.Stats)
+	}
+	if seq.Stats.Sampled == 0 || seq.Stats.FailedRows == 0 {
+		t.Fatalf("scenario is miscalibrated: %+v", seq.Stats)
+	}
+	if !reflect.DeepEqual(seq.Rows, par.Rows) {
+		t.Errorf("rows diverged across parallelism (%d vs %d)", len(seq.Rows), len(par.Rows))
+	}
+	if seq.Stats != par.Stats {
+		t.Errorf("stats diverged across parallelism:\n p=1 %+v\n p=8 %+v", seq.Stats, par.Stats)
 	}
 }

@@ -25,11 +25,19 @@ func TestNewPoolDefaults(t *testing.T) {
 	}
 }
 
+// forEach runs a batch under a context that never ends, so it must complete.
+func forEach(t *testing.T, p *Pool, n int, fn func(i int)) {
+	t.Helper()
+	if err := p.ForEachCtx(context.Background(), n, fn); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 10000
 		counts := make([]atomic.Int32, n)
-		NewPool(workers).ForEach(n, func(i int) { counts[i].Add(1) })
+		forEach(t, NewPool(workers), n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d visited %d times", workers, i, c)
@@ -42,7 +50,7 @@ func TestForEachSequentialOrder(t *testing.T) {
 	// Parallelism 1 must preserve strict index order on the calling
 	// goroutine — the legacy-behavior contract.
 	var order []int
-	NewPool(1).ForEach(100, func(i int) { order = append(order, i) })
+	forEach(t, NewPool(1), 100, func(i int) { order = append(order, i) })
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("out of order at %d: %d", i, v)
@@ -55,8 +63,8 @@ func TestForEachSequentialOrder(t *testing.T) {
 
 func TestForEachZeroAndNegative(t *testing.T) {
 	called := false
-	NewPool(4).ForEach(0, func(int) { called = true })
-	NewPool(4).ForEach(-5, func(int) { called = true })
+	forEach(t, NewPool(4), 0, func(int) { called = true })
+	forEach(t, NewPool(4), -5, func(int) { called = true })
 	if called {
 		t.Fatal("fn called for empty batch")
 	}
@@ -82,7 +90,7 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Fatalf("workers=%d: Error() lost the panic value: %q", workers, pe.Error())
 				}
 			}()
-			NewPool(workers).ForEach(100, func(i int) {
+			forEach(t, NewPool(workers), 100, func(i int) {
 				if i == 37 {
 					panic("boom")
 				}
@@ -100,7 +108,7 @@ func TestForEachPanicStopsClaimingWork(t *testing.T) {
 	var executed atomic.Int64
 	func() {
 		defer func() { _ = recover() }()
-		NewPool(4).ForEach(n, func(i int) {
+		forEach(t, NewPool(4), n, func(i int) {
 			if i == 0 {
 				panic("early")
 			}
@@ -116,7 +124,7 @@ func TestForEachConcurrencyCap(t *testing.T) {
 	const workers = 4
 	var cur, peak atomic.Int32
 	var mu sync.Mutex
-	NewPool(workers).ForEach(200, func(int) {
+	forEach(t, NewPool(workers), 200, func(int) {
 		c := cur.Add(1)
 		mu.Lock()
 		if c > peak.Load() {
@@ -132,15 +140,18 @@ func TestForEachConcurrencyCap(t *testing.T) {
 
 func TestEvalRowsOrder(t *testing.T) {
 	rows := []int{5, 3, 8, 1, 9, 2}
-	got := NewPool(8).EvalRows(rows, func(r int) bool { return r%2 == 1 })
+	got, err := NewPool(8).EvalRowsCtx(context.Background(), rows, func(r int) bool { return r%2 == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []bool{true, true, false, true, true, false}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("verdicts %v, want %v", got, want)
 		}
 	}
-	if out := NewPool(3).EvalRows(nil, func(int) bool { return true }); len(out) != 0 {
-		t.Fatalf("empty input produced %v", out)
+	if out, err := NewPool(3).EvalRowsCtx(context.Background(), nil, func(int) bool { return true }); err != nil || len(out) != 0 {
+		t.Fatalf("empty input produced %v, %v", out, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -40,12 +41,12 @@ func outcomeFromRun(d *dataset.Dataset, cons core.Constraints, res core.RunResul
 
 // runIntel runs the Intel-Sample pipeline with the given allocator (nil =
 // the default TwoThirdPower(2.5α)).
-func runIntel(d *dataset.Dataset, cons core.Constraints, alloc core.Allocator, rng *stats.RNG) (AlgoOutcome, error) {
+func runIntel(ctx context.Context, d *dataset.Dataset, cons core.Constraints, alloc core.Allocator, rng *stats.RNG) (AlgoOutcome, error) {
 	in, err := d.Instance(cons, core.DefaultCost)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunIntelSample(in, core.RunOptions{Alloc: alloc, RNG: rng})
+	res, err := core.RunIntelSample(ctx, in, core.RunOptions{Alloc: alloc, RNG: rng})
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
@@ -53,12 +54,12 @@ func runIntel(d *dataset.Dataset, cons core.Constraints, alloc core.Allocator, r
 }
 
 // runOptimal runs the perfect-selectivity reference ("Optimal").
-func runOptimal(d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (AlgoOutcome, error) {
+func runOptimal(ctx context.Context, d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (AlgoOutcome, error) {
 	in, err := d.Instance(cons, core.DefaultCost)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunPerfectSelectivities(in, d.Truth(), rng)
+	res, err := core.RunPerfectSelectivities(ctx, in, d.Truth(), rng)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
@@ -131,14 +132,17 @@ func runMultiple(d *dataset.Dataset, cons core.Constraints, features [][]float64
 // column (Section 6.3.2): label 1%, train, bucket scores into 10 groups,
 // then sample/plan/execute as usual. The 1% training labels are preloaded
 // into the sampler so they are charged once and reused.
-func runIntelVirtual(d *dataset.Dataset, cons core.Constraints, num float64, rng *stats.RNG, features [][]float64) (AlgoOutcome, error) {
+func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constraints, num float64, rng *stats.RNG, features [][]float64) (AlgoOutcome, error) {
 	meter := core.NewMeter(d.UDF())
 	n := d.Table.NumRows()
 	rows := make([]int, n)
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled := core.LabelFraction(rows, 0.01, meter, rng)
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, 0.01, meter, rng, 1)
+	if err != nil {
+		return AlgoOutcome{}, err
+	}
 
 	X := make([][]float64, 0, len(labeled))
 	y := make([]bool, 0, len(labeled))
@@ -173,14 +177,14 @@ func runIntelVirtual(d *dataset.Dataset, cons core.Constraints, num float64, rng
 	for i, g := range groups {
 		sizes[i] = len(g.Rows)
 	}
-	if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: num}).Allocate(sizes)); err != nil {
+	if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: num}).Allocate(sizes)); err != nil {
 		return AlgoOutcome{}, err
 	}
 	strat, err := core.PlanWithSamples(sampler.Infos(), cons, core.DefaultCost)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	exec, err := core.Execute(groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split())
+	exec, err := core.ExecuteParallelCtx(ctx, groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -116,7 +117,7 @@ func (r *Runner) rng(salt uint64) *stats.RNG {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(r *Runner) (fmt.Stringer, error)
+	Run   func(ctx context.Context, r *Runner) (fmt.Stringer, error)
 }
 
 var registry = map[string]Experiment{}
@@ -147,13 +148,13 @@ func Lookup(id string) (Experiment, error) {
 }
 
 // Run executes the experiment and renders its result to cfg.Out.
-func (r *Runner) Run(id string) (fmt.Stringer, error) {
+func (r *Runner) Run(ctx context.Context, id string) (fmt.Stringer, error) {
 	e, err := Lookup(id)
 	if err != nil {
 		return nil, err
 	}
 	fmt.Fprintf(r.cfg.Out, "== %s: %s ==\n", e.ID, e.Title)
-	res, err := e.Run(r)
+	res, err := e.Run(ctx, r)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -12,7 +13,7 @@ func tinyRunner() *Runner {
 func TestAllExperimentsRun(t *testing.T) {
 	r := tinyRunner()
 	for _, id := range IDs() {
-		res, err := r.Run(id)
+		res, err := r.Run(context.Background(), id)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -33,7 +34,7 @@ func TestLookupUnknown(t *testing.T) {
 
 func TestTable1ActionsMatchPaper(t *testing.T) {
 	r := tinyRunner()
-	res, err := r.Run("table1")
+	res, err := r.Run(context.Background(), "table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 	// relative savings only emerge at sufficient scale; 10% of the paper's
 	// sizes is enough for every dataset to show a positive margin.
 	r := New(Config{Seed: 11, Scale: 0.1, Iterations: 3})
-	res, err := r.Run("table2")
+	res, err := r.Run(context.Background(), "table2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 
 func TestTable3MatchesSpecs(t *testing.T) {
 	r := New(Config{Seed: 3, Scale: 1}) // full scale: stats must match the paper
-	res, err := r.Run("table3")
+	res, err := r.Run(context.Background(), "table3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestTable3MatchesSpecs(t *testing.T) {
 
 func TestFig1aOrdering(t *testing.T) {
 	r := New(Config{Seed: 13, Scale: 0.1, Iterations: 5})
-	res, err := r.Run("fig1a")
+	res, err := r.Run(context.Background(), "fig1a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestFig1aOrdering(t *testing.T) {
 func TestFig2AccuracyAboveDiagonal(t *testing.T) {
 	r := New(Config{Seed: 17, Scale: 0.05, Iterations: 12})
 	for _, id := range []string{"fig2a", "fig2b"} {
-		res, err := r.Run(id)
+		res, err := r.Run(context.Background(), id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestFig2AccuracyAboveDiagonal(t *testing.T) {
 
 func TestColumnsBestIsTruePredictor(t *testing.T) {
 	r := New(Config{Seed: 19, Scale: 0.04, Iterations: 2})
-	res, err := r.Run("columns")
+	res, err := r.Run(context.Background(), "columns")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +179,7 @@ func TestColumnsBestIsTruePredictor(t *testing.T) {
 
 func TestBoundAblationOrdering(t *testing.T) {
 	r := New(Config{Seed: 23, Scale: 0.04})
-	res, err := r.Run("ablation-bound")
+	res, err := r.Run(context.Background(), "ablation-bound")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRunnerDatasetCache(t *testing.T) {
 
 func TestTwoPredExtensionShape(t *testing.T) {
 	r := New(Config{Seed: 29, Scale: 0.05, Iterations: 5})
-	res, err := r.Run("ext-twopred")
+	res, err := r.Run(context.Background(), "ext-twopred")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestTwoPredExtensionShape(t *testing.T) {
 
 func TestMarginAblationShape(t *testing.T) {
 	r := New(Config{Seed: 31, Scale: 0.05, Iterations: 10})
-	res, err := r.Run("ablation-margin")
+	res, err := r.Run(context.Background(), "ablation-margin")
 	if err != nil {
 		t.Fatal(err)
 	}

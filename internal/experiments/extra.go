@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -39,7 +40,7 @@ func (c *ColumnRobustnessResult) BestWorst() (best, worst float64) {
 	return c.Evals[0], c.Evals[len(c.Evals)-1]
 }
 
-func runColumns(r *Runner) (fmt.Stringer, error) {
+func runColumns(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(5)
 	cons := r.cons()
 	d, err := r.Dataset("lc")
@@ -66,7 +67,7 @@ func runColumns(r *Runner) (fmt.Stringer, error) {
 		var agg average
 		for i := 0; i < iters; i++ {
 			in := core.Instance{Groups: groups, UDF: core.NewMeter(d.UDF()), Cons: cons, Cost: core.DefaultCost}
-			res, err := core.RunIntelSample(in, core.RunOptions{RNG: rng.Split()})
+			res, err := core.RunIntelSample(ctx, in, core.RunOptions{RNG: rng.Split()})
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +113,7 @@ func (a *AdaptiveResult) String() string {
 	return textTable([]string{"dataset", "chosen num", "adaptive evals", "fixed-num evals"}, rows)
 }
 
-func runAdaptive(r *Runner) (fmt.Stringer, error) {
+func runAdaptive(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(5)
 	cons := r.cons()
 	res := &AdaptiveResult{}
@@ -133,7 +134,7 @@ func runAdaptive(r *Runner) (fmt.Stringer, error) {
 			meter := core.NewMeter(d.UDF())
 			in.UDF = meter
 			sampler := core.NewSampler(in.Groups, meter, rng.Split())
-			num, err := core.AdaptiveTwoThirdPower(sampler, cons, core.DefaultCost, core.AdaptiveOptions{})
+			num, err := core.AdaptiveTwoThirdPower(ctx, sampler, cons, core.DefaultCost, core.AdaptiveOptions{})
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +143,7 @@ func runAdaptive(r *Runner) (fmt.Stringer, error) {
 			if err != nil {
 				return nil, err
 			}
-			exec, err := core.Execute(in.Groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split())
+			exec, err := core.ExecuteParallelCtx(ctx, in.Groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
 			if err != nil {
 				return nil, err
 			}
@@ -155,7 +156,7 @@ func runAdaptive(r *Runner) (fmt.Stringer, error) {
 				SatisfiedP: pOK, SatisfiedR: rOK,
 			})
 
-			o, err := runIntel(d, cons, nil, rng.Split())
+			o, err := runIntel(ctx, d, cons, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -193,7 +194,7 @@ func (s *SolverAblationResult) String() string {
 	return textTable([]string{"dataset", "fixed-point cost", "gradient cost", "fp time", "grad time"}, rows)
 }
 
-func runSolverAblation(r *Runner) (fmt.Stringer, error) {
+func runSolverAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	cons := r.cons()
 	res := &SolverAblationResult{}
 	for _, name := range DatasetNames() {
@@ -212,7 +213,7 @@ func runSolverAblation(r *Runner) (fmt.Stringer, error) {
 		for i, g := range groups {
 			sizes[i] = len(g.Rows)
 		}
-		if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
 			return nil, err
 		}
 		infos := sampler.Infos()
@@ -254,7 +255,7 @@ func (b *BoundAblationResult) String() string {
 	return textTable([]string{"dataset", "independent cost", "unknown-corr cost"}, rows)
 }
 
-func runBoundAblation(r *Runner) (fmt.Stringer, error) {
+func runBoundAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	cons := r.cons()
 	res := &BoundAblationResult{}
 	for _, name := range DatasetNames() {
@@ -273,7 +274,7 @@ func runBoundAblation(r *Runner) (fmt.Stringer, error) {
 		for i, g := range groups {
 			sizes[i] = len(g.Rows)
 		}
-		if _, err := sampler.TopUp((core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
+		if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
 			return nil, err
 		}
 		infos := sampler.Infos()
@@ -314,7 +315,7 @@ func (m *MarginAblationResult) String() string {
 	return textTable([]string{"dataset", "cost w/ margins", "cost w/o", "satisfied w/", "satisfied w/o"}, rows)
 }
 
-func runMarginAblation(r *Runner) (fmt.Stringer, error) {
+func runMarginAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(30)
 	res := &MarginAblationResult{}
 	for _, name := range DatasetNames() {
@@ -328,7 +329,7 @@ func runMarginAblation(r *Runner) (fmt.Stringer, error) {
 		var aggWith, aggWithout average
 		var bothWith, bothWithout int
 		for i := 0; i < iters; i++ {
-			o, err := runIntel(d, with, nil, rng.Split())
+			o, err := runIntel(ctx, d, with, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -336,7 +337,7 @@ func runMarginAblation(r *Runner) (fmt.Stringer, error) {
 			if o.SatisfiedP && o.SatisfiedR {
 				bothWith++
 			}
-			o, err = runIntel(d, without, nil, rng.Split())
+			o, err = runIntel(ctx, d, without, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}

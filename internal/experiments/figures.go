@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -31,7 +32,7 @@ func (c *CostComparisonResult) String() string {
 	return textTable(header, rows)
 }
 
-func runFig1a(r *Runner) (fmt.Stringer, error) {
+func runFig1a(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(50)
 	cons := r.cons()
 	res := &CostComparisonResult{
@@ -51,12 +52,12 @@ func runFig1a(r *Runner) (fmt.Stringer, error) {
 				return nil, err
 			}
 			naive.add(o)
-			o, err = runIntel(d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}
 			intel.add(o)
-			o, err = runOptimal(d, cons, rng.Split())
+			o, err = runOptimal(ctx, d, cons, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -70,7 +71,7 @@ func runFig1a(r *Runner) (fmt.Stringer, error) {
 
 // ------------------------------------------------------------------ fig1b
 
-func runFig1b(r *Runner) (fmt.Stringer, error) {
+func runFig1b(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(5)
 	cons := r.cons()
 	res := &CostComparisonResult{
@@ -99,7 +100,7 @@ func runFig1b(r *Runner) (fmt.Stringer, error) {
 				return nil, err
 			}
 			multiple.add(o)
-			o, err = runIntel(d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +138,7 @@ func (s *SweepResult) String() string {
 	return textTable(header, rows)
 }
 
-func runFig1c(r *Runner) (fmt.Stringer, error) {
+func runFig1c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(5)
 	cons := r.cons()
 	nums := []float64{0.5, 1, 2, 3, 4, 6, 8, 10, 12, 14}
@@ -160,7 +161,7 @@ func runFig1c(r *Runner) (fmt.Stringer, error) {
 		for xi, num := range nums {
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntelVirtual(d, cons, num, rng.Split(), features)
+				o, err := runIntelVirtual(ctx, d, cons, num, rng.Split(), features)
 				if err != nil {
 					return nil, err
 				}
@@ -215,7 +216,7 @@ func (a *AccuracyResult) MinRate() float64 {
 	return worst
 }
 
-func runAccuracy(r *Runner, metric string) (fmt.Stringer, error) {
+func runAccuracy(ctx context.Context, r *Runner, metric string) (fmt.Stringer, error) {
 	iters := r.iters(100)
 	rhos := []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95}
 	res := &AccuracyResult{Title: "Figure 2(a/b)", Metric: metric, Rhos: rhos}
@@ -230,7 +231,7 @@ func runAccuracy(r *Runner, metric string) (fmt.Stringer, error) {
 			cons := core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: rho}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(d, cons, nil, rng.Split())
+				o, err := runIntel(ctx, d, cons, nil, rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -248,12 +249,16 @@ func runAccuracy(r *Runner, metric string) (fmt.Stringer, error) {
 	return res, nil
 }
 
-func runFig2a(r *Runner) (fmt.Stringer, error) { return runAccuracy(r, "precision") }
-func runFig2b(r *Runner) (fmt.Stringer, error) { return runAccuracy(r, "recall") }
+func runFig2a(ctx context.Context, r *Runner) (fmt.Stringer, error) {
+	return runAccuracy(ctx, r, "precision")
+}
+func runFig2b(ctx context.Context, r *Runner) (fmt.Stringer, error) {
+	return runAccuracy(ctx, r, "recall")
+}
 
 // ------------------------------------------------------------------ fig2c
 
-func runFig2c(r *Runner) (fmt.Stringer, error) {
+func runFig2c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(50)
 	alphas := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	ratios := []float64{2.5, 3.5, 4.5}
@@ -270,7 +275,7 @@ func runFig2c(r *Runner) (fmt.Stringer, error) {
 			alloc := core.TwoThirdPowerAllocator{Num: ratio * alpha}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(d, cons, alloc, rng.Split())
+				o, err := runIntel(ctx, d, cons, alloc, rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -286,7 +291,7 @@ func runFig2c(r *Runner) (fmt.Stringer, error) {
 
 // ------------------------------------------------------------------ fig3a
 
-func runFig3a(r *Runner) (fmt.Stringer, error) {
+func runFig3a(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(20)
 	cons := r.cons()
 	cs := []int{50, 100, 250, 500, 1000, 2000, 3500, 5000}
@@ -310,7 +315,7 @@ func runFig3a(r *Runner) (fmt.Stringer, error) {
 			}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(d, cons, core.ConstantAllocator{C: scaled}, rng.Split())
+				o, err := runIntel(ctx, d, cons, core.ConstantAllocator{C: scaled}, rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -326,7 +331,7 @@ func runFig3a(r *Runner) (fmt.Stringer, error) {
 
 // ------------------------------------------------------------------ fig3b
 
-func runFig3b(r *Runner) (fmt.Stringer, error) {
+func runFig3b(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(20)
 	cons := r.cons()
 	nums := []float64{0.5, 1, 2, 3, 4, 6, 8, 10, 12, 14, 16}
@@ -341,7 +346,7 @@ func runFig3b(r *Runner) (fmt.Stringer, error) {
 		for xi, num := range nums {
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(d, cons, core.TwoThirdPowerAllocator{Num: num}, rng.Split())
+				o, err := runIntel(ctx, d, cons, core.TwoThirdPowerAllocator{Num: num}, rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -357,7 +362,7 @@ func runFig3b(r *Runner) (fmt.Stringer, error) {
 
 // ------------------------------------------------------------------ fig3c
 
-func runFig3c(r *Runner) (fmt.Stringer, error) {
+func runFig3c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(50)
 	betas := []float64{0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
 	nums := []float64{2.5, 3.5, 4.5}
@@ -374,7 +379,7 @@ func runFig3c(r *Runner) (fmt.Stringer, error) {
 			alloc := core.TwoThirdPowerAllocator{Num: num * r.cfg.Alpha}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(d, cons, alloc, rng.Split())
+				o, err := runIntel(ctx, d, cons, alloc, rng.Split())
 				if err != nil {
 					return nil, err
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func (t *Table1Result) String() string {
 		fmt.Sprintf("optimal cost: %.0f\n", t.Cost)
 }
 
-func runTable1(r *Runner) (fmt.Stringer, error) {
+func runTable1(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	// Table 1 of the paper: A=1 has 4/4 correct, A=2 has 1/3, A=3 has 1/5.
 	groups := []core.PerfectInfoGroup{
 		{Key: "1", Correct: 4, Wrong: 0},
@@ -76,7 +77,7 @@ func (t *Table2Result) String() string {
 		rows)
 }
 
-func runTable2(r *Runner) (fmt.Stringer, error) {
+func runTable2(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(10)
 	mlIters := iters
 	if mlIters > 5 {
@@ -97,7 +98,7 @@ func runTable2(r *Runner) (fmt.Stringer, error) {
 				return nil, err
 			}
 			naive.add(o)
-			o, err = runIntel(d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, nil, rng.Split())
 			if err != nil {
 				return nil, err
 			}
@@ -166,7 +167,7 @@ func (t *Table3Result) String() string {
 	return textTable([]string{"dataset", "groups", "size dev", "sel dev", "corr"}, rows)
 }
 
-func runTable3(r *Runner) (fmt.Stringer, error) {
+func runTable3(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	res := &Table3Result{}
 	for _, name := range DatasetNames() {
 		d, err := r.Dataset(name)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -32,7 +33,7 @@ func (t *TwoPredResult) String() string {
 		fmt.Sprintf("constraints satisfied in %.0f%% of runs\n", 100*t.SatisfiedRate)
 }
 
-func runTwoPred(r *Runner) (fmt.Stringer, error) {
+func runTwoPred(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(20)
 	cons := r.cons()
 	rng := r.rng(hash("twopred"))
@@ -64,10 +65,10 @@ func runTwoPred(r *Runner) (fmt.Stringer, error) {
 			}
 			groups[gi] = core.Group{Key: fmt.Sprintf("g%d", gi), Rows: rows}
 		}
-		u1 := core.UDFFunc(func(r int) bool { return l1[r] })
-		u2 := core.UDFFunc(func(r int) bool { return l2[r] })
+		m1 := core.NewMeter(core.UDFFunc(func(r int) bool { return l1[r] }))
+		m2 := core.NewMeter(core.UDFFunc(func(r int) bool { return l2[r] }))
 
-		res, _, err := core.RunTwoPredicates(groups, u1, u2, cons, core.DefaultCost, nil, rng.Split())
+		res, _, _, err := core.RunTwoPredicatesParallelCtx(ctx, groups, m1, m2, cons, core.DefaultCost, nil, rng.Split(), 1)
 		if err != nil {
 			return nil, err
 		}

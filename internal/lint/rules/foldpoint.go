@@ -27,11 +27,8 @@ var Foldpoint = &lint.Analyzer{
 // poolMethods are the executor entry points whose function-literal
 // arguments run on pool goroutines.
 var poolMethods = map[string]bool{
-	"ForEach":          true,
 	"ForEachCtx":       true,
-	"EvalRows":         true,
 	"EvalRowsCtx":      true,
-	"EvalRowsGated":    true,
 	"EvalRowsGatedCtx": true,
 }
 
