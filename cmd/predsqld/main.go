@@ -194,21 +194,18 @@ func main() {
 	if chaosCfg.Seed == 0 {
 		chaosCfg.Seed = *seed
 	}
+	body := func(_ context.Context, v any) (bool, error) { return pred(v), nil }
 	var chaos *resilience.Chaos
 	if chaosCfg.Enabled() {
 		// Chaos mode: the simulated predicate runs behind the seeded fault
 		// schedule, exercising retries, breakers and degradation end to end.
 		chaos = resilience.NewChaos(chaosCfg)
-		body := chaos.Wrap(func(_ context.Context, v any) (bool, error) {
-			return pred(v), nil
-		})
-		if err := db.RegisterUDFErr(*udf, instrumentUDF(metrics, *udf, body), 0); err != nil {
-			log.Fatalf("predsqld: %v", err)
-		}
+		body = chaos.Wrap(body)
 		log.Printf("predsqld: chaos injection enabled (seed=%d error-rate=%g panic-rate=%g latency=%v@%g fail-attempts=%d flap=%d/%d)",
 			chaosCfg.Seed, chaosCfg.ErrorRate, chaosCfg.PanicRate, chaosCfg.Latency, chaosCfg.LatencyRate,
 			chaosCfg.FailAttempts, chaosCfg.FlapDown, chaosCfg.FlapPeriod)
-	} else if err := db.RegisterUDF(*udf, instrumentPredicate(metrics, *udf, pred), 0); err != nil {
+	}
+	if err := db.RegisterUDFErr(*udf, instrumentUDF(metrics, *udf, body), 0); err != nil {
 		log.Fatalf("predsqld: %v", err)
 	}
 
@@ -495,22 +492,6 @@ type queryRequest struct {
 	Trace bool `json:"trace"`
 }
 
-// queryStats mirrors predeval.Stats for the wire.
-type queryStats struct {
-	Evaluations         int     `json:"evaluations"`
-	Retrievals          int     `json:"retrievals"`
-	Sampled             int     `json:"sampled"`
-	Cost                float64 `json:"cost"`
-	ChosenColumn        string  `json:"chosen_column,omitempty"`
-	Exact               bool    `json:"exact"`
-	AchievedRecallBound float64 `json:"achieved_recall_bound,omitempty"`
-	CacheHits           int     `json:"cache_hits"`
-	CacheMisses         int     `json:"cache_misses"`
-	FailedRows          int     `json:"failed_rows,omitempty"`
-	Retries             int     `json:"retries,omitempty"`
-	BreakerTrips        int     `json:"breaker_trips,omitempty"`
-}
-
 // queryResponse is the POST /query success payload.
 type queryResponse struct {
 	Columns   []string   `json:"columns"`
@@ -520,31 +501,15 @@ type queryResponse struct {
 	Truncated bool       `json:"truncated"`
 	// Degraded marks a partial result: the "degrade" failure policy was in
 	// effect and rows were excluded because their UDF invocation failed.
-	Degraded  bool       `json:"degraded,omitempty"`
-	Stats     queryStats `json:"stats"`
-	ElapsedMS float64    `json:"elapsed_ms"`
+	Degraded bool `json:"degraded,omitempty"`
+	// Stats is the engine's own statistics struct; its JSON tags are the
+	// wire format (Degraded is carried above, not inside "stats").
+	Stats     predeval.Stats `json:"stats"`
+	ElapsedMS float64        `json:"elapsed_ms"`
 	// Plan is the EXPLAIN ANALYZE annotated operator tree ("analyze": true).
 	Plan []string `json:"plan,omitempty"`
 	// Trace is the query's span list ("trace": true).
 	Trace []obs.SpanJSON `json:"trace,omitempty"`
-}
-
-// wireStats converts execution stats to the wire mirror.
-func wireStats(st predeval.Stats) queryStats {
-	return queryStats{
-		Evaluations:         st.Evaluations,
-		Retrievals:          st.Retrievals,
-		Sampled:             st.Sampled,
-		Cost:                st.Cost,
-		ChosenColumn:        st.ChosenColumn,
-		Exact:               st.Exact,
-		AchievedRecallBound: st.AchievedRecallBound,
-		CacheHits:           st.CacheHits,
-		CacheMisses:         st.CacheMisses,
-		FailedRows:          st.FailedRows,
-		Retries:             st.Retries,
-		BreakerTrips:        st.BreakerTrips,
-	}
 }
 
 // streamRow is one NDJSON data line of a streamed query response.
@@ -560,9 +525,9 @@ type streamDone struct {
 	RowCount  int      `json:"row_count"`
 	Truncated bool     `json:"truncated"`
 	// Degraded marks a partial result under the "degrade" failure policy.
-	Degraded  bool       `json:"degraded,omitempty"`
-	Stats     queryStats `json:"stats"`
-	ElapsedMS float64    `json:"elapsed_ms"`
+	Degraded  bool           `json:"degraded,omitempty"`
+	Stats     predeval.Stats `json:"stats"`
+	ElapsedMS float64        `json:"elapsed_ms"`
 	// Trace is the query's span list ("trace": true).
 	Trace []obs.SpanJSON `json:"trace,omitempty"`
 }
@@ -777,9 +742,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	for i := 0; i < shown; i++ {
 		out.Rows = append(out.Rows, rows.Row(i))
 	}
-	st := rows.Stats()
-	out.Degraded = st.Degraded
-	out.Stats = wireStats(st)
+	out.Stats = rows.Stats()
+	out.Degraded = out.Stats.Degraded
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -837,14 +801,13 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 		return
 	}
 	sendHeader() // a zero-row result still answers NDJSON
-	st := res.Stats
 	done := streamDone{
 		Done:      true,
 		Columns:   res.Columns,
 		RowCount:  res.RowCount,
 		Truncated: res.Truncated,
-		Degraded:  st.Degraded,
-		Stats:     wireStats(st),
+		Degraded:  res.Stats.Degraded,
+		Stats:     res.Stats,
 		ElapsedMS: float64(info.elapsed.Microseconds()) / 1e3,
 	}
 	if req.Trace {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -42,7 +43,8 @@ func testServer(t *testing.T, n int, udfDelay time.Duration, cfg serverConfig) (
 		cfg.Metrics = obs.NewRegistry()
 	}
 	pred := labels.Delayed(labels.Predicate(truth), udfDelay)
-	if err := db.RegisterUDF("good_credit", instrumentPredicate(cfg.Metrics, "good_credit", pred), 0); err != nil {
+	body := func(_ context.Context, v any) (bool, error) { return pred(v), nil }
+	if err := db.RegisterUDFErr("good_credit", instrumentUDF(cfg.Metrics, "good_credit", body), 0); err != nil {
 		t.Fatal(err)
 	}
 	srv := newServer(db, cfg)

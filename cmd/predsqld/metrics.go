@@ -139,19 +139,6 @@ func instrumentUDF(reg *obs.Registry, name string, body func(context.Context, an
 	}
 }
 
-// instrumentPredicate is instrumentUDF for an infallible predicate body
-// (the non-chaos registration path).
-func instrumentPredicate(reg *obs.Registry, name string, body func(any) bool) func(any) bool {
-	h := reg.Histogram("predsqld_udf_duration_seconds",
-		"UDF invocation wall time per attempt, by UDF.", obs.DefBuckets,
-		obs.Label{Name: "udf", Value: name})
-	return func(v any) bool {
-		start := obs.Now()
-		defer h.ObserveSince(start)
-		return body(v)
-	}
-}
-
 // handleMetrics serves the registry as Prometheus text exposition
 // (format 0.0.4). Scraping is lock-brief and safe while queries run.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {

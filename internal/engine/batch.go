@@ -154,13 +154,14 @@ func (s *scanOp) Close() error { return nil }
 
 // stageOp wraps one blocking operator body (group-resolve, sample, solve,
 // prob-eval, merge, join-group, conj-sample, conj-exec) in the iterator
-// contract: Open runs the children first (pipeline tail), then the body —
-// exactly the legacy walker's child-first order, so RNG splits and meter
-// charges happen in the same sequence — and Next replays the operator's
-// row universe downstream in batches for consumers that stream (the
-// conj-waves operator above a conj-sample stage). A stage whose child
-// already finished the result (an operator short-circuit, e.g. the empty
-// join) skips its body, exactly like the legacy walker.
+// contract: Open runs the children first (pipeline tail), then the body.
+// That child-first order is the invariant the pinned results rest on: it
+// fixes the sequence of RNG splits and meter charges, so it must not depend
+// on who pulls or how. Next replays the operator's row universe downstream
+// in batches for consumers that stream (the conj-waves operator above a
+// conj-sample stage). A stage whose child already finished the result (an
+// operator short-circuit, e.g. the empty join) skips its body: a finished
+// result is final, and a skipped body draws no coins and charges no meter.
 type stageOp struct {
 	e     *Engine
 	st    *pipeState
@@ -483,8 +484,8 @@ func (o *conjWavesOp) Open(ctx context.Context) error {
 	}
 	o.runner = runner
 	if o.collect {
-		// The legacy operator's Output was never nil (the survivor list is
-		// rebuilt each wave); keep Rows bit-identical.
+		// A conjunction's Rows are never nil, even when empty: callers
+		// and the pinned results compare them as values.
 		o.out = make([]int, 0)
 	}
 	return nil
@@ -607,8 +608,8 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 		if p.stream != nil {
 			// Nodes above a streaming terminal (the merge of the greedy
 			// conjunction shape) describe work the terminal performs
-			// itself; the legacy walker skipped them via the result
-			// short-circuit, so they carry no Actual here either.
+			// itself: they compile to no operator, so they charge nothing
+			// and carry no Actual.
 			continue
 		}
 		switch {
@@ -687,11 +688,11 @@ func (p *pipeline) recordScanActuals() {
 }
 
 // runPipeline compiles and drives the batch pipeline for one statement.
-// With a nil sink the result is materialized into st.res exactly as the
-// legacy walker did (blocking chains never even pull their resultOp); with
-// a sink, result batches are delivered as produced and an ErrStopStream
-// from the sink cancels upstream work, leaving Stats covering the
-// evaluation actually performed.
+// With a nil sink the result is materialized into st.res (a blocking chain
+// finishes it during Open and its resultOp is never pulled, so no row is
+// copied and no batch counted); with a sink, result batches are delivered
+// as produced and an ErrStopStream from the sink cancels upstream work,
+// leaving Stats covering the evaluation actually performed.
 func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
 	pipe, err := e.buildPipeline(root, st, sink == nil)
 	if err != nil {
@@ -784,20 +785,7 @@ func (e *Engine) ExecuteStreamContext(ctx context.Context, q Query, sink RowSink
 	if sink == nil {
 		return Stats{}, fmt.Errorf("engine: ExecuteStreamContext requires a sink")
 	}
-	res, _, err := e.executeStatement(ctx, q, nil, false, sink)
-	if err != nil {
-		return Stats{}, err
-	}
-	return res.Stats, nil
-}
-
-// ExecuteStreamSelectJoinContext is ExecuteStreamContext for the
-// selection-before-join extension.
-func (e *Engine) ExecuteStreamSelectJoinContext(ctx context.Context, q SelectJoinQuery, sink RowSink) (Stats, error) {
-	if sink == nil {
-		return Stats{}, fmt.Errorf("engine: ExecuteStreamSelectJoinContext requires a sink")
-	}
-	res, _, err := e.executeStatement(ctx, q.Query, &q, false, sink)
+	res, _, err := e.executeStatement(ctx, q, false, sink)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -805,10 +793,11 @@ func (e *Engine) ExecuteStreamSelectJoinContext(ctx context.Context, q SelectJoi
 }
 
 // Renderer resolves the query's projection against its base table and
-// returns the projected column names plus a per-row cell renderer. The
-// rendering is identical to Materialize + CellString (both are the
-// column's canonical StringAt), which is what lets streaming consumers
-// format rows without materializing a result table.
+// returns the projected column names plus a per-row cell renderer. It is
+// the one way result cells are produced — streamed batches and materialized
+// Rows both call it — and it reads the base columns directly (the column's
+// canonical StringAt, the same text Materialize + CellString yields), so
+// no result table is built to format rows.
 func (e *Engine) Renderer(q Query) ([]string, func(row int) []string, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
@@ -817,12 +806,6 @@ func (e *Engine) Renderer(q Query) ([]string, func(row int) []string, error) {
 	idxs, err := e.projection(tbl, q.Columns)
 	if err != nil {
 		return nil, nil, err
-	}
-	if idxs == nil {
-		idxs = make([]int, tbl.Schema().Len())
-		for i := range idxs {
-			idxs[i] = i
-		}
 	}
 	names := make([]string, len(idxs))
 	cols := make([]table.Column, len(idxs))

@@ -317,12 +317,13 @@ func TestExplainValidatesBindings(t *testing.T) {
 	if _, err := e.Explain(q); err == nil {
 		t.Fatal("EXPLAIN with unknown GROUP ON column accepted")
 	}
-	sj := SelectJoinQuery{Query: base, JoinTable: "loans", LeftKey: "nosuch", RightKey: "id"}
-	if _, err := e.ExplainSelectJoin(sj); err == nil {
+	q = base
+	q.Join = &Join{Table: "loans", LeftKey: "nosuch", RightKey: "id"}
+	if _, err := e.Explain(q); err == nil {
 		t.Fatal("EXPLAIN with unknown join key accepted")
 	}
-	sj = SelectJoinQuery{Query: base, JoinTable: "missing", LeftKey: "id", RightKey: "id"}
-	if _, err := e.ExplainSelectJoin(sj); err == nil {
+	q.Join = &Join{Table: "missing", LeftKey: "id", RightKey: "id"}
+	if _, err := e.Explain(q); err == nil {
 		t.Fatal("EXPLAIN with unknown join table accepted")
 	}
 }

@@ -39,7 +39,7 @@ type Engine struct {
 	MaxCandidateCardinality int
 	// Parallelism caps the number of workers UDF evaluation fans out
 	// across (labeling, sampling, execution and exact scans). Default
-	// runtime.GOMAXPROCS(0); 1 reproduces the sequential legacy behavior;
+	// runtime.GOMAXPROCS(0); 1 runs fully sequentially;
 	// ≤ 0 also means GOMAXPROCS. For a given seed, query results are
 	// bit-for-bit identical at every setting — only wall clock changes.
 	// Values above GOMAXPROCS are honored (useful for I/O-bound UDFs).
@@ -250,24 +250,21 @@ func (e *Engine) costModel(q Query) core.CostModel {
 // entry is ever stored partially, and a later run of the same query
 // completes normally. See DESIGN.md, "Cancellation contract".
 func (e *Engine) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
-	res, _, err := e.executeStatement(ctx, q, nil, false, nil)
+	res, _, err := e.executeStatement(ctx, q, false, nil)
 	return res, err
 }
 
 // executeStatement is the uniform execution path for every query shape:
 // validate, bind tables and predicates, lower into the physical operator
-// tree, and run it as a batch pull pipeline (see batch.go). The former
-// per-shape dispatch branches live on as plan shapes (see planner.go and
-// operators.go). With analyze set, the executed tree comes back with
+// tree, and run it as a batch pull pipeline (see batch.go); shapes differ
+// only in the plan they lower to (see planner.go and operators.go). With
+// analyze set, the executed tree comes back with
 // per-operator Actual counts (EXPLAIN ANALYZE); the returned root is nil
 // otherwise. A non-nil sink streams result batches as they are produced
 // instead of materializing Result.Rows. A trace attached to ctx
 // (obs.WithTrace) gets bind/plan/operator spans either way.
-func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoinQuery, analyze bool, sink RowSink) (*Result, *plan.Node, error) {
+func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, sink RowSink) (*Result, *plan.Node, error) {
 	if err := q.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := validateShape(q, join); err != nil {
 		return nil, nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -275,7 +272,7 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoin
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("bind")
-	st, err := e.bindStatement(q, join)
+	st, err := e.bindStatement(q)
 	sp.End()
 	if err != nil {
 		return nil, nil, err
@@ -302,8 +299,9 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, join *SelectJoin
 	// query runs, its learnings are not persisted (see persistQueryLearnings).
 	st.epoch = e.invalidations.Load()
 	if q.Approx != nil {
-		// One split per approximate query, exactly like the legacy paths —
-		// exact shapes must not consume the engine's RNG stream.
+		// Exactly one split per approximate query, none for exact shapes:
+		// the engine's RNG stream advances by query, not by shape, which is
+		// what the pinned per-seed results depend on.
 		e.mu.Lock()
 		st.rng = e.rng.Split()
 		e.mu.Unlock()
@@ -516,11 +514,15 @@ func (e *Engine) virtualColumn(ctx context.Context, tbl *table.Table, q Query, m
 	return groups, VirtualColumn, labeled, nil
 }
 
-// projection validates the requested columns and returns their indices
-// (nil means all columns).
+// projection validates the requested columns and returns their indices in
+// projection order (every column, in schema order, for SELECT *).
 func (e *Engine) projection(tbl *table.Table, cols []string) ([]int, error) {
 	if len(cols) == 0 || (len(cols) == 1 && cols[0] == "*") {
-		return nil, nil
+		idxs := make([]int, tbl.Schema().Len())
+		for i := range idxs {
+			idxs[i] = i
+		}
+		return idxs, nil
 	}
 	idxs := make([]int, len(cols))
 	for i, name := range cols {
@@ -533,8 +535,10 @@ func (e *Engine) projection(tbl *table.Table, cols []string) ([]int, error) {
 	return idxs, nil
 }
 
-// Materialize builds a new table holding the result rows with the query's
-// projection applied.
+// Materialize builds a new typed table holding the result rows with the
+// query's projection applied. Query results are rendered by Renderer, which
+// never builds this table; Materialize is for callers that want typed cells,
+// and the reference Renderer's text is tested against.
 func (e *Engine) Materialize(q Query, res *Result) (*table.Table, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
@@ -543,12 +547,6 @@ func (e *Engine) Materialize(q Query, res *Result) (*table.Table, error) {
 	idxs, err := e.projection(tbl, q.Columns)
 	if err != nil {
 		return nil, err
-	}
-	if idxs == nil {
-		idxs = make([]int, tbl.Schema().Len())
-		for i := range idxs {
-			idxs[i] = i
-		}
 	}
 	defs := make([]table.ColumnDef, len(idxs))
 	for i, j := range idxs {

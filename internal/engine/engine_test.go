@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -308,6 +309,56 @@ func TestMaterialize(t *testing.T) {
 	}
 }
 
+// TestRendererMatchesMaterialize holds the one cell renderer to the typed
+// reference: for every table.Type (int, float and string columns), under
+// SELECT *, an explicit "*" and a reordered projection, Renderer's names and
+// cells equal Materialize's schema and CellString, row for row.
+func TestRendererMatchesMaterialize(t *testing.T) {
+	e, _, _ := newTestEngine(t, 300)
+	for _, cols := range [][]string{nil, {"*"}, {"income", "purpose", "id"}, {"grade"}} {
+		q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, Columns: cols}
+		res, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatal("empty result; comparison is vacuous")
+		}
+		want, err := e.Materialize(q, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, render, err := e.Renderer(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(names, want.Schema().Names()) {
+			t.Fatalf("columns %v: renderer names %v, materialized %v", cols, names, want.Schema().Names())
+		}
+		types := map[table.Type]bool{}
+		for j := range names {
+			types[want.Schema().Col(j).Type] = true
+		}
+		if cols == nil && len(types) != 3 {
+			t.Fatalf("SELECT * covers column types %v, want int, float and string", types)
+		}
+		for i, row := range res.Rows {
+			cells := render(row)
+			if len(cells) != len(names) {
+				t.Fatalf("columns %v row %d: %d cells for %d columns", cols, row, len(cells), len(names))
+			}
+			for j, cell := range cells {
+				if ref := want.CellString(i, j); cell != ref {
+					t.Fatalf("columns %v row %d col %s: rendered %q, materialized %q", cols, row, names[j], cell, ref)
+				}
+			}
+		}
+	}
+	if _, _, err := e.Renderer(Query{Table: "loans", Columns: []string{"nosuch"}}); err == nil {
+		t.Fatal("renderer accepted an unknown column")
+	}
+}
+
 func TestExecuteSelectJoin(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 1500)
 	// Orders table: grade-A customers appear many times.
@@ -324,14 +375,12 @@ func TestExecuteSelectJoin(t *testing.T) {
 	if err := e.RegisterTable(orders); err != nil {
 		t.Fatal(err)
 	}
-	q := SelectJoinQuery{
-		Query: Query{
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
-		},
-		JoinTable: "orders", LeftKey: "id", RightKey: "loan_id",
+	q := Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
+		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	}
-	res, err := e.ExecuteSelectJoinContext(context.Background(), q)
+	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,16 +407,25 @@ func TestExecuteSelectJoinErrors(t *testing.T) {
 		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	}
-	cases := []SelectJoinQuery{
-		{Query: Query{}},
-		{Query: base, JoinTable: "missing", LeftKey: "id", RightKey: "x"},
-		{Query: func() Query { q := base; q.Approx = nil; return q }(), JoinTable: "loans", LeftKey: "id", RightKey: "id"},
-		{Query: func() Query { q := base; q.GroupOn = ""; return q }(), JoinTable: "loans", LeftKey: "id", RightKey: "id"},
-		{Query: base, JoinTable: "loans", LeftKey: "missing", RightKey: "id"},
-		{Query: base, JoinTable: "loans", LeftKey: "id", RightKey: "missing"},
+	with := func(j Join, mutate func(*Query)) Query {
+		q := base
+		q.Join = &j
+		if mutate != nil {
+			mutate(&q)
+		}
+		return q
+	}
+	self := Join{Table: "loans", LeftKey: "id", RightKey: "id"}
+	cases := []Query{
+		{Join: &Join{}},
+		with(Join{Table: "missing", LeftKey: "id", RightKey: "x"}, nil),
+		with(self, func(q *Query) { q.Approx = nil }),
+		with(self, func(q *Query) { q.GroupOn = "" }),
+		with(Join{Table: "loans", LeftKey: "missing", RightKey: "id"}, nil),
+		with(Join{Table: "loans", LeftKey: "id", RightKey: "missing"}, nil),
 	}
 	for i, q := range cases {
-		if _, err := e.ExecuteSelectJoinContext(context.Background(), q); err == nil {
+		if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
@@ -381,15 +439,9 @@ func TestJoinMultiplicities(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mult, err := JoinMultiplicities(tbl, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mult["a"] != 2 || mult["b"] != 1 {
+	mult := joinMultiplicities(tbl.ColumnByName("k"))
+	if len(mult) != 2 || mult["a"] != 2 || mult["b"] != 1 {
 		t.Fatalf("multiplicities %v", mult)
-	}
-	if _, err := JoinMultiplicities(tbl, "nope"); err == nil {
-		t.Fatal("missing key accepted")
 	}
 }
 
@@ -467,6 +519,35 @@ func TestQueryValidate(t *testing.T) {
 	}
 	if msg(Query{Table: "t", UDFName: "f", UDFArg: "c", Budget: -1}) == "" {
 		t.Fatal("negative budget accepted")
+	}
+	// Shapes no plan covers are rejected statically too, so parsing,
+	// EXPLAIN and execution refuse them with the same error.
+	grouped := good
+	grouped.Approx, grouped.GroupOn = approx(0.8, 0.8, 0.8), "g"
+	shape := func(mutate func(*Query)) Query {
+		q := grouped
+		q.Join = &Join{Table: "u", LeftKey: "c", RightKey: "c"}
+		mutate(&q)
+		return q
+	}
+	and := []Conjunct{{UDFName: "g", UDFArg: "c", Want: true}}
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{shape(func(q *Query) {}), ""},
+		{shape(func(q *Query) { q.Budget = 50 }), "BUDGET is not supported with JOIN"},
+		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = and; q.Budget = 50 }), "BUDGET is not supported with AND conjunctions"},
+		{shape(func(q *Query) { q.Approx = nil }), "select-join requires WITH"},
+		{shape(func(q *Query) { q.GroupOn = "" }), "select-join requires an explicit GROUP ON"},
+		{shape(func(q *Query) { q.GroupOn = VirtualColumn }), "select-join requires an explicit GROUP ON"},
+		{shape(func(q *Query) { q.Conjuncts = and }), "select-join does not support AND"},
+		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = and; q.GroupOn = "" }), "AND conjunctions require an explicit GROUP ON"},
+		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = append(and, and...); q.GroupOn = VirtualColumn }), "do not support the virtual column"},
+	} {
+		if got := msg(c.q); (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
+			t.Fatalf("Validate(%+v) = %q, want an error containing %q", c.q, got, c.want)
+		}
 	}
 }
 

@@ -37,12 +37,10 @@ func TestSelectJoinSkipsZeroWeightSubgroups(t *testing.T) {
 		}
 	}
 	ordersFor(t, e, ids)
-	res, err := e.ExecuteSelectJoinContext(context.Background(), SelectJoinQuery{
-		Query: Query{
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
-		},
-		JoinTable: "orders", LeftKey: "id", RightKey: "loan_id",
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
+		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,12 +70,10 @@ func TestSelectJoinAllZeroWeight(t *testing.T) {
 	e, _, calls := newTestEngine(t, 300)
 	// Orders reference ids far outside the loans table.
 	ordersFor(t, e, []int64{5000, 5001, 5002})
-	res, err := e.ExecuteSelectJoinContext(context.Background(), SelectJoinQuery{
-		Query: Query{
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
-		},
-		JoinTable: "orders", LeftKey: "id", RightKey: "loan_id",
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
+		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	})
 	if err != nil {
 		t.Fatal(err)

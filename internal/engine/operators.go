@@ -17,11 +17,9 @@ import (
 // operators; the batch pipeline (batch.go) compiles that chain into pull
 // iterators, running each blocking body below during its stage's Open —
 // leaf-first, each operator reading and extending the shared pipeline
-// state. The operator bodies are the former executeExact / executeApprox /
-// executeTwoPred / ExecuteSelectJoin code paths, extracted statement-for-
-// statement so the determinism contract is preserved bit-for-bit: RNG
-// splits happen in the same order, meters charge the same rows, and Stats
-// are assembled with the same formulas.
+// state. The determinism contract lives in that order: RNG splits happen
+// in operator order, meters charge the same rows, and Stats are assembled
+// with the same formulas whatever the parallelism or batch size.
 
 // resolvedPred is one expensive predicate bound to the engine: its fault
 // box, its failure-telemetry sink, its metered (resilient, usually
@@ -37,7 +35,6 @@ type resolvedPred struct {
 // pipeState is the shared state flowing through a pipeline's operators.
 type pipeState struct {
 	q    Query
-	join *SelectJoinQuery
 	tbl  *table.Table
 	cost core.CostModel
 	// preds holds the resolved predicates, first predicate first.
@@ -107,14 +104,14 @@ func (st *pipeState) predTotals() predTotals {
 // column, and a pinned grouping column — into the pipeline state. Both
 // execution and EXPLAIN planning bind through here, so the two paths
 // accept and reject exactly the same statements.
-func (e *Engine) bindStatement(q Query, join *SelectJoinQuery) (*pipeState, error) {
+func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	st := &pipeState{q: q, join: join, tbl: tbl, cost: e.costModel(q)}
-	if join != nil {
-		st.joinTbl, err = e.Table(join.JoinTable)
+	st := &pipeState{q: q, tbl: tbl, cost: e.costModel(q)}
+	if join := q.Join; join != nil {
+		st.joinTbl, err = e.Table(join.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +121,7 @@ func (e *Engine) bindStatement(q Query, join *SelectJoinQuery) (*pipeState, erro
 		}
 		st.rightCol = st.joinTbl.ColumnByName(join.RightKey)
 		if st.rightCol == nil {
-			return nil, fmt.Errorf("engine: table %q has no column %q", join.JoinTable, join.RightKey)
+			return nil, fmt.Errorf("engine: table %q has no column %q", join.Table, join.RightKey)
 		}
 	}
 	st.preds, err = e.resolvePreds(tbl, q)
@@ -266,16 +263,23 @@ func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) error {
 	return nil
 }
 
+// joinMultiplicities counts, per join-key value, the join table's matching
+// rows.
+func joinMultiplicities(key table.Column) map[string]int {
+	mult := make(map[string]int)
+	for i := 0; i < key.Len(); i++ {
+		mult[key.StringAt(i)]++
+	}
+	return mult
+}
+
 // opJoinGroup splits each group into (group, join-multiplicity) subgroups,
 // so tuples in one subgroup share both selectivity behaviour and weight.
 // Tuples whose join key matches nothing can never appear in the join
 // result; they are dropped before the sampler ever sees them, and an
 // entirely empty join short-circuits the pipeline.
 func (e *Engine) opJoinGroup(st *pipeState) error {
-	mult := make(map[string]int)
-	for i := 0; i < st.joinTbl.NumRows(); i++ {
-		mult[st.rightCol.StringAt(i)]++
-	}
+	mult := joinMultiplicities(st.rightCol)
 	type subKey struct {
 		group  int
 		weight int

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -12,8 +11,8 @@ import (
 // everything only the engine knows — row counts, the cost model,
 // per-predicate costs, any catalog-memoized column choice), shaped into a
 // physical operator tree by internal/plan, and executed uniformly by the
-// operators in operators.go. The former dispatch branches (executeExact /
-// executeApprox / executeTwoPred / the join path) are now plan shapes.
+// operators in operators.go. Exact, approximate, conjunction and join
+// queries differ only in the plan shape they lower to.
 
 // buildSpec lowers a bound statement into the planner's spec. Everything
 // is read off the pipeState, so tables, predicates and costs are resolved
@@ -45,12 +44,12 @@ func (e *Engine) buildSpec(st *pipeState) plan.Spec {
 			}
 		}
 	}
-	if st.join != nil {
+	if q.Join != nil {
 		sp.Join = &plan.Join{
-			Table:    st.join.JoinTable,
+			Table:    q.Join.Table,
 			Rows:     st.joinTbl.NumRows(),
-			LeftKey:  st.join.LeftKey,
-			RightKey: st.join.RightKey,
+			LeftKey:  q.Join.LeftKey,
+			RightKey: q.Join.RightKey,
 		}
 	}
 	return sp
@@ -79,50 +78,15 @@ func (e *Engine) peekMemoColumn(q Query, cost core.CostModel) (string, bool) {
 	return c.ChosenColumn(workloadKey(q, cost))
 }
 
-// validateShape rejects query shapes no rewrite rule covers, with the same
-// errors whether the query is planned (EXPLAIN) or executed.
-func validateShape(q Query, join *SelectJoinQuery) error {
-	if len(q.Conjuncts) == 1 && q.Approx != nil && (q.GroupOn == "" || q.GroupOn == VirtualColumn) {
-		return fmt.Errorf("engine: AND conjunctions require an explicit GROUP ON column")
-	}
-	if len(q.Conjuncts) > 1 && q.Approx != nil && q.GroupOn == VirtualColumn {
-		return fmt.Errorf("engine: N-ary AND conjunctions do not support the virtual column")
-	}
-	if join != nil {
-		if q.Approx == nil {
-			return fmt.Errorf("engine: select-join requires WITH PRECISION/RECALL/PROBABILITY")
-		}
-		if q.GroupOn == "" || q.GroupOn == VirtualColumn {
-			return fmt.Errorf("engine: select-join requires an explicit GROUP ON column")
-		}
-		if len(q.Conjuncts) > 0 {
-			return fmt.Errorf("engine: select-join does not support AND conjunctions")
-		}
-	}
-	return nil
-}
-
 // Plan builds (without executing) the physical operator tree for a query.
 func (e *Engine) Plan(q Query) (*plan.Node, error) {
-	return e.planStatement(q, nil)
-}
-
-// PlanSelectJoin is Plan for the selection-before-join extension.
-func (e *Engine) PlanSelectJoin(q SelectJoinQuery) (*plan.Node, error) {
-	return e.planStatement(q.Query, &q)
-}
-
-func (e *Engine) planStatement(q Query, join *SelectJoinQuery) (*plan.Node, error) {
 	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateShape(q, join); err != nil {
 		return nil, err
 	}
 	// The same binder execution uses, so EXPLAIN fails exactly like
 	// execution would on unknown tables, UDFs, argument columns, join
 	// keys, or a pinned grouping column.
-	st, err := e.bindStatement(q, join)
+	st, err := e.bindStatement(q)
 	if err != nil {
 		return nil, err
 	}
@@ -138,31 +102,12 @@ func (e *Engine) Explain(q Query) (string, error) {
 	return plan.Format(n), nil
 }
 
-// ExplainSelectJoin is Explain for the selection-before-join extension.
-func (e *Engine) ExplainSelectJoin(q SelectJoinQuery) (string, error) {
-	n, err := e.PlanSelectJoin(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Format(n), nil
-}
-
 // ExplainAnalyzeContext EXECUTES the query and returns the physical plan
 // annotated with per-operator measured counts (plan.Actual) alongside the
 // result. The count fields are bit-identical at any parallelism; only the
 // per-node wall times vary (see plan.ZeroTimings).
 func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q Query) (*plan.Node, *Result, error) {
-	res, root, err := e.executeStatement(ctx, q, nil, true, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return root, res, nil
-}
-
-// ExplainAnalyzeSelectJoinContext is ExplainAnalyzeContext for the
-// selection-before-join extension.
-func (e *Engine) ExplainAnalyzeSelectJoinContext(ctx context.Context, q SelectJoinQuery) (*plan.Node, *Result, error) {
-	res, root, err := e.executeStatement(ctx, q.Query, &q, true, nil)
+	res, root, err := e.executeStatement(ctx, q, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}

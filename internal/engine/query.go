@@ -20,11 +20,17 @@ func (a Approx) Constraints() core.Constraints {
 
 // Query is the engine's logical plan for
 //
-//	SELECT cols FROM table WHERE udf(arg) = want
+//	SELECT cols FROM table [JOIN t2 ON table.k = t2.k] WHERE udf(arg) = want
 //	[WITH PRECISION α RECALL β PROBABILITY ρ] [GROUP ON col] [BUDGET b]
+//
+// It is the one statement value every layer passes along: the parser fills
+// it in, Validate checks it, and Plan / Explain / Execute* all take it.
 type Query struct {
 	// Table to select from.
 	Table string
+	// Join, when non-nil, is the Section 5 selection-before-join clause (see
+	// Join).
+	Join *Join
 	// Columns to project; empty or ["*"] means all.
 	Columns []string
 	// UDFName / UDFArg form the predicate UDFName(UDFArg) = Want.
@@ -61,6 +67,23 @@ type Query struct {
 	OnFailure FailurePolicy
 }
 
+// Join is the Section 5 "single predicate with join" clause:
+//
+//	SELECT * FROM T JOIN Table ON T.LeftKey = Table.RightKey WHERE udf(arg) = 1 ...
+//
+// Tuples of T matching many Table tuples count with that multiplicity in
+// the join result, so the optimizer prefers verifying them even at lower
+// selectivity: the plan splits each group into (group, multiplicity)
+// subgroups and solves with join-multiplicity weights (group-resolve →
+// join-group → sample → solve(join-weights) → prob-eval → merge). The
+// output rows are row ids of the base table (joined expansion is left to
+// the caller); the accuracy guarantees hold at the join-result level.
+type Join struct {
+	Table    string
+	LeftKey  string
+	RightKey string
+}
+
 // Conjunct is one additional expensive predicate of a conjunction.
 type Conjunct struct {
 	UDFName string
@@ -86,8 +109,10 @@ type Filter struct {
 	Value  string
 }
 
-// Validate performs static checks (table/UDF existence is checked at
-// execution time).
+// Validate performs the static checks — well-formed clauses, and shapes no
+// rewrite rule covers — with the same errors whether the query is parsed,
+// planned (EXPLAIN) or executed. Table, column and UDF existence is checked
+// when the statement is bound.
 func (q Query) Validate() error {
 	if q.Table == "" {
 		return fmt.Errorf("engine: query without table")
@@ -115,51 +140,80 @@ func (q Query) Validate() error {
 	if len(q.Conjuncts) > 0 && q.Budget > 0 {
 		return fmt.Errorf("engine: BUDGET is not supported with AND conjunctions")
 	}
+	if q.Join != nil && q.Budget > 0 {
+		return fmt.Errorf("engine: BUDGET is not supported with JOIN")
+	}
 	if _, err := ParseFailurePolicy(string(q.OnFailure)); err != nil {
 		return err
+	}
+	pinned := q.GroupOn != "" && q.GroupOn != VirtualColumn
+	if len(q.Conjuncts) == 1 && q.Approx != nil && !pinned {
+		return fmt.Errorf("engine: AND conjunctions require an explicit GROUP ON column")
+	}
+	if len(q.Conjuncts) > 1 && q.Approx != nil && q.GroupOn == VirtualColumn {
+		return fmt.Errorf("engine: N-ary AND conjunctions do not support the virtual column")
+	}
+	if q.Join != nil {
+		if q.Approx == nil {
+			return fmt.Errorf("engine: select-join requires WITH PRECISION/RECALL/PROBABILITY")
+		}
+		if !pinned {
+			return fmt.Errorf("engine: select-join requires an explicit GROUP ON column")
+		}
+		if len(q.Conjuncts) > 0 {
+			return fmt.Errorf("engine: select-join does not support AND conjunctions")
+		}
 	}
 	return nil
 }
 
-// Stats reports how a query execution spent its budget.
+// Stats reports how a query execution spent its budget. It is the one
+// statistics type from the operators to the wire: predeval.Stats is an alias
+// of it, and the JSON tags (with this field order) are predsqld's "stats"
+// object.
 type Stats struct {
 	// Evaluations is the number of UDF invocations (sampling + execution).
-	Evaluations int
+	Evaluations int `json:"evaluations"`
 	// Retrievals is the number of tuples fetched.
-	Retrievals int
+	Retrievals int `json:"retrievals"`
+	// Sampled is the number of tuples examined while estimating
+	// selectivities (labeling + sampling). Zero for exact queries. On a
+	// cold UDF cache every sampled tuple is also an Evaluation; when the
+	// cross-query cache is warm, sampled tuples served from cache are not
+	// charged, so Sampled may exceed Evaluations.
+	Sampled int `json:"sampled"`
 	// Cost is o_r·Retrievals + o_e·Evaluations.
-	Cost float64
-	// ChosenColumn is the correlated column the optimizer used ("" for
-	// exact execution).
-	ChosenColumn string
-	// Sampled is the number of tuples evaluated during estimation.
-	Sampled int
+	Cost float64 `json:"cost"`
+	// ChosenColumn is the correlated (possibly virtual) column the
+	// optimizer used ("" for exact execution).
+	ChosenColumn string `json:"chosen_column,omitempty"`
 	// Exact reports whether the query ran without approximation.
-	Exact bool
+	Exact bool `json:"exact"`
 	// AchievedRecallBound is set for budget queries: the recall bound the
 	// planner could afford.
-	AchievedRecallBound float64
+	AchievedRecallBound float64 `json:"achieved_recall_bound,omitempty"`
 	// CacheHits counts rows this query was served from the cross-query
 	// outcome cache (no UDF invocation charged). Zero when the cache is
 	// disabled.
-	CacheHits int
+	CacheHits int `json:"cache_hits"`
 	// CacheMisses counts cache lookups this query paid for with a fresh
 	// UDF invocation. Zero when the cache is disabled.
-	CacheMisses int
+	CacheMisses int `json:"cache_misses"`
 	// FailedRows counts rows whose UDF invocation ultimately failed (after
 	// retries, or denied by an open circuit breaker), summed per predicate:
 	// a row failing under two predicates counts twice. Failed rows are
 	// excluded from the output and from all learned evidence.
-	FailedRows int
+	FailedRows int `json:"failed_rows,omitempty"`
 	// Retries counts the extra UDF invocation attempts retries made beyond
 	// each row's first.
-	Retries int
+	Retries int `json:"retries,omitempty"`
 	// BreakerTrips counts how many times this query tripped a circuit
 	// breaker open.
-	BreakerTrips int
+	BreakerTrips int `json:"breaker_trips,omitempty"`
 	// Degraded marks a partial result: the failure policy was "degrade"
 	// and at least one row was excluded because its UDF invocation failed.
-	Degraded bool
+	// (On the wire it is a top-level response field, not part of "stats".)
+	Degraded bool `json:"-"`
 }
 
 // Result is a query's output: the matching row ids of the base table (so

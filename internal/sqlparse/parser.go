@@ -7,37 +7,17 @@ import (
 	"repro/internal/engine"
 )
 
-// JoinSpec is the optional JOIN clause of a statement.
-type JoinSpec struct {
-	Table    string
-	LeftKey  string
-	RightKey string
-}
-
-// Statement is a parsed query: the engine's logical query plus the
-// optional join clause. Explain marks an EXPLAIN-prefixed statement — the
-// caller should plan (and render) the query instead of executing it.
-// Analyze marks EXPLAIN ANALYZE: the caller should EXECUTE the query and
-// render the plan annotated with measured per-operator counts.
+// Statement is a parsed query: the engine's logical query (every clause,
+// JOIN included, is a field of engine.Query — the parser fills it in
+// directly; there is no separate AST to lower). Explain marks an
+// EXPLAIN-prefixed statement — the caller should plan (and render) the
+// query instead of executing it. Analyze marks EXPLAIN ANALYZE: the caller
+// should EXECUTE the query and render the plan annotated with measured
+// per-operator counts.
 type Statement struct {
 	Query   engine.Query
-	Join    *JoinSpec
 	Explain bool
 	Analyze bool
-}
-
-// SelectJoin assembles the engine's select-join form; valid only when a
-// JOIN clause is present.
-func (s *Statement) SelectJoin() (engine.SelectJoinQuery, error) {
-	if s.Join == nil {
-		return engine.SelectJoinQuery{}, &Error{Msg: "statement has no JOIN clause", Line: 1, Col: 1}
-	}
-	return engine.SelectJoinQuery{
-		Query:     s.Query,
-		JoinTable: s.Join.Table,
-		LeftKey:   s.Join.LeftKey,
-		RightKey:  s.Join.RightKey,
-	}, nil
 }
 
 // DefaultBound is the value used for WITH-clause bounds the user omits.
@@ -173,7 +153,7 @@ func (p *parser) parseSelect() (*Statement, error) {
 
 	if isKeyword(p.peek(), "JOIN") {
 		p.next()
-		join := &JoinSpec{}
+		join := &engine.Join{}
 		join.Table, err = p.ident()
 		if err != nil {
 			return nil, err
@@ -192,7 +172,7 @@ func (p *parser) parseSelect() (*Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt.Join = join
+		stmt.Query.Join = join
 	}
 
 	if err := p.expectKeyword("WHERE"); err != nil {

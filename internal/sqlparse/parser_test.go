@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
 )
 
 // errorsAs is errors.As without the test files importing it everywhere.
@@ -18,7 +20,7 @@ func TestParseBasic(t *testing.T) {
 	if q.Table != "loans" || q.UDFName != "good_credit" || q.UDFArg != "id" || !q.Want {
 		t.Fatalf("parsed %+v", q)
 	}
-	if q.Approx != nil || q.GroupOn != "" || q.Budget != 0 || stmt.Join != nil {
+	if q.Approx != nil || q.GroupOn != "" || q.Budget != 0 || q.Join != nil {
 		t.Fatalf("unexpected clauses: %+v", q)
 	}
 	if len(q.Columns) != 0 {
@@ -86,18 +88,12 @@ func TestParseJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.Join == nil {
+	join := stmt.Query.Join
+	if join == nil {
 		t.Fatal("join missing")
 	}
-	if stmt.Join.Table != "orders" || stmt.Join.LeftKey != "id" || stmt.Join.RightKey != "loan_id" {
-		t.Fatalf("join %+v", stmt.Join)
-	}
-	sj, err := stmt.SelectJoin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sj.JoinTable != "orders" {
-		t.Fatalf("select-join %+v", sj)
+	if *join != (engine.Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}) {
+		t.Fatalf("join %+v", join)
 	}
 }
 
@@ -106,8 +102,8 @@ func TestSelectJoinWithoutJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stmt.SelectJoin(); err == nil {
-		t.Fatal("SelectJoin without JOIN accepted")
+	if stmt.Query.Join != nil {
+		t.Fatalf("JOIN-less statement parsed a join clause: %+v", stmt.Query.Join)
 	}
 }
 
@@ -139,6 +135,11 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM t WHERE f(x) = 1 trailing garbage",
 		"SELECT * FROM t WHERE f(x) = 1 WITH PRECISION 1.5", // invalid bound
 		"SELECT * FROM t JOIN WHERE f(x) = 1",
+		"SELECT * FROM t JOIN u ON t.a = u.b WHERE f(x) = 1",                                         // join without WITH
+		"SELECT * FROM t JOIN u ON t.a = u.b WHERE f(x) = 1 WITH RECALL 0.8",                         // join without GROUP ON
+		"SELECT * FROM t JOIN u ON t.a = u.b WHERE f(x) = 1 WITH RECALL 0.8 GROUP ON g BUDGET 10",    // join with BUDGET
+		"SELECT * FROM t JOIN u ON t.a = u.b WHERE f(x) = 1 AND g(x) = 1 WITH RECALL 0.8 GROUP ON g", // join with AND
+		"SELECT * FROM t WHERE f(x) = 1 AND g(x) = 1 WITH RECALL 0.8",                                // §5 plan without GROUP ON
 		"SELECT ,* FROM t WHERE f(x) = 1",
 		"SELECT * FROM t WHERE f(x) @ 1",
 	}

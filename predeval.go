@@ -264,43 +264,10 @@ type BreakerStatus = engine.BreakerStatus
 // (table, UDF) order.
 func (db *DB) BreakerStatuses() []BreakerStatus { return db.eng.BreakerStatuses() }
 
-// Stats summarizes how a query spent its cost budget.
-type Stats struct {
-	// Evaluations is the number of UDF invocations made.
-	Evaluations int
-	// Retrievals is the number of tuples fetched.
-	Retrievals int
-	// Cost is o_r·Retrievals + o_e·Evaluations.
-	Cost float64
-	// ChosenColumn is the correlated (possibly virtual) column used.
-	ChosenColumn string
-	// Sampled is the number of tuples examined while estimating
-	// selectivities (labeling + sampling). Zero for exact queries. On a
-	// cold UDF cache every sampled tuple is also an Evaluation; when the
-	// cross-query cache is warm, sampled tuples served from cache are not
-	// charged, so Sampled may exceed Evaluations.
-	Sampled int
-	// Exact reports whether the query ran without approximation.
-	Exact bool
-	// AchievedRecallBound is set for BUDGET queries.
-	AchievedRecallBound float64
-	// CacheHits counts rows served from the cross-query outcome cache
-	// (no UDF invocation charged). Zero when the cache is disabled.
-	CacheHits int
-	// CacheMisses counts cache lookups that fell through to a paid UDF
-	// invocation. Zero when the cache is disabled.
-	CacheMisses int
-	// FailedRows counts rows excluded because their UDF invocation
-	// ultimately failed (after retries, or denied by an open breaker),
-	// summed per predicate.
-	FailedRows int
-	// Retries counts extra UDF invocation attempts beyond each row's first.
-	Retries int
-	// BreakerTrips counts circuit-breaker trips this query caused.
-	BreakerTrips int
-	// Degraded marks a partial result under the "degrade" failure policy.
-	Degraded bool
-}
+// Stats summarizes how a query spent its cost budget (evaluations,
+// retrievals, cost, sampling, cache traffic, failures — see the field
+// documentation on engine.Stats).
+type Stats = engine.Stats
 
 // Rows is a materialized query result.
 type Rows struct {
@@ -353,10 +320,13 @@ func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
 		return "", err
 	}
 	if stmt.Analyze {
-		_, text, err := db.executeStatement(ctx, stmt, true)
-		return text, err
+		root, _, err := db.eng.ExplainAnalyzeContext(ctx, stmt.Query)
+		if err != nil {
+			return "", err
+		}
+		return plan.Format(root), nil
 	}
-	return db.explainStatement(stmt)
+	return db.eng.Explain(stmt.Query)
 }
 
 // Query parses and executes one statement of the SQL dialect (see the
@@ -393,130 +363,82 @@ type QueryOptions struct {
 	Analyze bool
 }
 
-// QueryContextOptions is QueryContext with per-query options.
-func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOptions) (*Rows, error) {
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("parse")
+// parseStatement parses sql under the "parse" span and applies the
+// per-query failure-policy override ("" keeps the DB default).
+func parseStatement(ctx context.Context, sql, onFailure string) (*sqlparse.Statement, error) {
+	sp := obs.FromContext(ctx).Start("parse")
 	stmt, err := sqlparse.Parse(sql)
 	sp.End()
 	if err != nil {
 		return nil, err
 	}
-	if opts.OnFailure != "" {
-		policy, err := engine.ParseFailurePolicy(opts.OnFailure)
+	if onFailure != "" {
+		stmt.Query.OnFailure, err = engine.ParseFailurePolicy(onFailure)
 		if err != nil {
 			return nil, err
 		}
-		stmt.Query.OnFailure = policy
 	}
-	if stmt.Explain && !stmt.Analyze {
-		text, err := db.explainStatement(stmt)
-		if err != nil {
-			return nil, err
-		}
-		return planRows(text), nil
-	}
-	analyze := stmt.Analyze || opts.Analyze
-	res, planText, err := db.executeStatement(ctx, stmt, analyze)
+	return stmt, nil
+}
+
+// QueryContextOptions is QueryContext with per-query options.
+func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOptions) (*Rows, error) {
+	stmt, err := parseStatement(ctx, sql, opts.OnFailure)
 	if err != nil {
 		return nil, err
 	}
-	stats := Stats{
-		Evaluations:         res.Stats.Evaluations,
-		Retrievals:          res.Stats.Retrievals,
-		Cost:                res.Stats.Cost,
-		ChosenColumn:        res.Stats.ChosenColumn,
-		Sampled:             res.Stats.Sampled,
-		Exact:               res.Stats.Exact,
-		AchievedRecallBound: res.Stats.AchievedRecallBound,
-		CacheHits:           res.Stats.CacheHits,
-		CacheMisses:         res.Stats.CacheMisses,
-		FailedRows:          res.Stats.FailedRows,
-		Retries:             res.Stats.Retries,
-		BreakerTrips:        res.Stats.BreakerTrips,
-		Degraded:            res.Stats.Degraded,
+	q := stmt.Query
+	if stmt.Explain && !stmt.Analyze {
+		text, err := db.eng.Explain(q)
+		if err != nil {
+			return nil, err
+		}
+		return planRows(planLines(text)), nil
 	}
-	var planLines []string
-	if analyze {
-		planLines = strings.Split(strings.TrimRight(planText, "\n"), "\n")
+	var res *engine.Result
+	var annotated []string
+	if stmt.Analyze || opts.Analyze {
+		var root *plan.Node
+		if root, res, err = db.eng.ExplainAnalyzeContext(ctx, q); err == nil {
+			annotated = planLines(plan.Format(root))
+		}
+	} else {
+		res, err = db.eng.ExecuteContext(ctx, q)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if stmt.Analyze {
 		// EXPLAIN ANALYZE returns the annotated plan as the result set
 		// (like EXPLAIN — and like Postgres, the query's own output is
 		// discarded); Stats still reflect the real execution.
-		rows := planRows(planText)
-		rows.stats = stats
-		rows.plan = planLines
+		rows := planRows(annotated)
+		rows.stats, rows.plan = res.Stats, annotated
 		return rows, nil
 	}
-	sp = tr.Start("materialize")
-	out, err := db.eng.Materialize(stmt.Query, res)
-	sp.End()
+	// The cells come from the same Renderer QueryStream emits through, so a
+	// streamed and a materialized result cannot render differently.
+	sp := obs.FromContext(ctx).Start("materialize")
+	defer sp.End()
+	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
 	}
-	rows := &Rows{
-		cols:  out.Schema().Names(),
-		ids:   res.Rows,
-		stats: stats,
-		plan:  planLines,
+	cells := make([][]string, len(res.Rows))
+	for i, row := range res.Rows {
+		cells[i] = render(row)
 	}
-	rows.cells = make([][]string, out.NumRows())
-	for i := 0; i < out.NumRows(); i++ {
-		cells := make([]string, out.Schema().Len())
-		for j := range cells {
-			cells[j] = out.CellString(i, j)
-		}
-		rows.cells[i] = cells
-	}
-	return rows, nil
+	return &Rows{cols: cols, cells: cells, ids: res.Rows, stats: res.Stats, plan: annotated}, nil
 }
 
-// executeStatement runs an already-parsed statement; with analyze set the
-// executed plan comes back rendered with per-operator measured counts.
-func (db *DB) executeStatement(ctx context.Context, stmt *sqlparse.Statement, analyze bool) (*engine.Result, string, error) {
-	if stmt.Join != nil {
-		sj, err := stmt.SelectJoin()
-		if err != nil {
-			return nil, "", err
-		}
-		if analyze {
-			root, res, err := db.eng.ExplainAnalyzeSelectJoinContext(ctx, sj)
-			if err != nil {
-				return nil, "", err
-			}
-			return res, plan.Format(root), nil
-		}
-		res, err := db.eng.ExecuteSelectJoinContext(ctx, sj)
-		return res, "", err
-	}
-	if analyze {
-		root, res, err := db.eng.ExplainAnalyzeContext(ctx, stmt.Query)
-		if err != nil {
-			return nil, "", err
-		}
-		return res, plan.Format(root), nil
-	}
-	res, err := db.eng.ExecuteContext(ctx, stmt.Query)
-	return res, "", err
+// planLines splits EXPLAIN text into its operator lines.
+func planLines(text string) []string {
+	return strings.Split(strings.TrimRight(text, "\n"), "\n")
 }
 
-// explainStatement renders the plan for an already-parsed statement.
-func (db *DB) explainStatement(stmt *sqlparse.Statement) (string, error) {
-	if stmt.Join != nil {
-		sj, err := stmt.SelectJoin()
-		if err != nil {
-			return "", err
-		}
-		return db.eng.ExplainSelectJoin(sj)
-	}
-	return db.eng.Explain(stmt.Query)
-}
-
-// planRows wraps EXPLAIN text as a one-column result set (one row per
+// planRows wraps EXPLAIN lines as a one-column result set (one row per
 // operator line), so EXPLAIN statements flow through Query like any other.
-func planRows(text string) *Rows {
-	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+func planRows(lines []string) *Rows {
 	r := &Rows{cols: []string{"plan"}}
 	for _, line := range lines {
 		r.cells = append(r.cells, []string{line})
@@ -575,22 +497,12 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 	if emit == nil {
 		return nil, fmt.Errorf("predeval: QueryStream requires an emit callback")
 	}
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End()
+	stmt, err := parseStatement(ctx, sql, opts.OnFailure)
 	if err != nil {
 		return nil, err
 	}
 	if stmt.Explain || stmt.Analyze {
 		return nil, fmt.Errorf("predeval: EXPLAIN statements cannot be streamed")
-	}
-	if opts.OnFailure != "" {
-		policy, err := engine.ParseFailurePolicy(opts.OnFailure)
-		if err != nil {
-			return nil, err
-		}
-		stmt.Query.OnFailure = policy
 	}
 	if opts.Limit < 0 {
 		return nil, fmt.Errorf("predeval: negative stream limit %d", opts.Limit)
@@ -621,36 +533,9 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 		}
 		return nil
 	}
-	var stats engine.Stats
-	if stmt.Join != nil {
-		sj, err := stmt.SelectJoin()
-		if err != nil {
-			return nil, err
-		}
-		stats, err = db.eng.ExecuteStreamSelectJoinContext(ctx, sj, sink)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		stats, err = db.eng.ExecuteStreamContext(ctx, stmt.Query, sink)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res.Stats = Stats{
-		Evaluations:         stats.Evaluations,
-		Retrievals:          stats.Retrievals,
-		Cost:                stats.Cost,
-		ChosenColumn:        stats.ChosenColumn,
-		Sampled:             stats.Sampled,
-		Exact:               stats.Exact,
-		AchievedRecallBound: stats.AchievedRecallBound,
-		CacheHits:           stats.CacheHits,
-		CacheMisses:         stats.CacheMisses,
-		FailedRows:          stats.FailedRows,
-		Retries:             stats.Retries,
-		BreakerTrips:        stats.BreakerTrips,
-		Degraded:            stats.Degraded,
+	res.Stats, err = db.eng.ExecuteStreamContext(ctx, stmt.Query, sink)
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package predeval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -208,6 +209,32 @@ func TestQueryJoinSQL(t *testing.T) {
 	}
 	if rows.Stats().Evaluations >= 900 {
 		t.Fatalf("no savings: %d", rows.Stats().Evaluations)
+	}
+}
+
+// TestQueryJoinBudgetRejected is the regression test for JOIN … BUDGET: no
+// plan shape honours a budget under join weights (the join shape used to win
+// silently, returning the unbudgeted plan at full cost), so the combination
+// is an error on every entry point.
+func TestQueryJoinBudgetRejected(t *testing.T) {
+	db, _ := openLoanDB(t, 900)
+	if err := db.LoadCSV("orders", strings.NewReader("loan_id\n1\n2\n2\n")); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT * FROM loans JOIN orders ON loans.id = orders.loan_id
+		WHERE good_credit(id) = 1 WITH PRECISION 0.7 RECALL 0.7 PROBABILITY 0.8 GROUP ON grade BUDGET 50`
+	const want = "BUDGET is not supported with JOIN"
+	_, queryErr := db.Query(sql)
+	_, explainErr := db.Explain(sql)
+	_, analyzeErr := db.Explain("EXPLAIN ANALYZE " + sql)
+	_, streamErr := db.QueryStream(context.Background(), sql, StreamOptions{},
+		func([]int, [][]string) error { return nil })
+	for name, err := range map[string]error{
+		"Query": queryErr, "Explain": explainErr, "EXPLAIN ANALYZE": analyzeErr, "QueryStream": streamErr,
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %v, want one containing %q", name, err, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package predeval
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -27,44 +28,92 @@ func countingLoanDB(t *testing.T, n int) (*DB, *atomic.Int64) {
 	return db, calls
 }
 
-// TestQueryStreamMatchesQuery pins that a stream delivers exactly the
-// materialized result: same row ids, same rendered cells, same columns,
-// same stats.
-func TestQueryStreamMatchesQuery(t *testing.T) {
-	const sql = "SELECT id, grade FROM loans WHERE good_credit(id) = 1"
-	db, _ := openLoanDB(t, 600)
-	want, err := db.Query(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2, _ := openLoanDB(t, 600)
-	var ids []int
-	var cells [][]string
-	res, err := db2.QueryStream(context.Background(), sql, StreamOptions{},
-		func(batchIDs []int, batchCells [][]string) error {
-			ids = append(ids, batchIDs...)
-			cells = append(cells, batchCells...)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Columns, want.Columns()) {
-		t.Fatalf("columns %v, want %v", res.Columns, want.Columns())
-	}
-	if !reflect.DeepEqual(ids, want.RowIDs()) {
-		t.Fatalf("streamed %d ids, materialized %d; orders differ", len(ids), len(want.RowIDs()))
-	}
-	for i := range cells {
-		if !reflect.DeepEqual(cells[i], want.Row(i)) {
-			t.Fatalf("row %d rendered %v, materialized %v", i, cells[i], want.Row(i))
+// streamShapeDB is openLoanDB plus what the conjunction and join shapes
+// need: two more UDFs and an orders table joining on loan id.
+func streamShapeDB(t *testing.T, batchSize int) *DB {
+	t.Helper()
+	db, _ := openLoanDB(t, 900)
+	db.SetBatchSize(batchSize)
+	for name, fn := range map[string]func(int64) bool{
+		"is_even":  func(id int64) bool { return id%2 == 0 },
+		"not_five": func(id int64) bool { return id%5 != 0 },
+	} {
+		if err := db.RegisterUDF(name, func(v any) bool { return fn(v.(int64)) }, 3); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if res.RowCount != want.Len() || res.Truncated {
-		t.Fatalf("RowCount=%d Truncated=%v, want %d/false", res.RowCount, res.Truncated, want.Len())
+	var orders strings.Builder
+	orders.WriteString("loan_id\n")
+	for i := 0; i < 2000; i++ {
+		fmt.Fprintf(&orders, "%d\n", (i*7)%600)
 	}
-	if res.Stats != want.Stats() {
-		t.Fatalf("stats %+v, want %+v", res.Stats, want.Stats())
+	if err := db.LoadCSV("orders", strings.NewReader(orders.String())); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestQueryStreamMatchesQuery pins that a stream delivers exactly the
+// materialized result — same row ids, same rendered cells, same columns,
+// same stats — for every plan shape at every batch size. (The cells agree
+// by construction, both paths render through Engine.Renderer; the ids and
+// Stats are the executor's sink and sink-less paths agreeing.)
+func TestQueryStreamMatchesQuery(t *testing.T) {
+	const with = " WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8"
+	shapes := []struct{ name, sql string }{
+		{"exact", "SELECT id, grade FROM loans WHERE good_credit(id) = 1"},
+		{"approx", "SELECT * FROM loans WHERE good_credit(id) = 1" + with + " GROUP ON grade"},
+		{"discover", "SELECT id FROM loans WHERE good_credit(id) = 1" + with},
+		{"budget", "SELECT id FROM loans WHERE good_credit(id) = 1" + with + " GROUP ON grade BUDGET 1500"},
+		{"filtered", "SELECT income, id FROM loans WHERE good_credit(id) = 1 AND grade = 'A'"},
+		{"exact3", "SELECT id FROM loans WHERE good_credit(id) = 1 AND is_even(id) = 1 AND not_five(id) = 1"},
+		{"twopred", "SELECT id FROM loans WHERE good_credit(id) = 1 AND is_even(id) = 1" + with + " GROUP ON grade"},
+		{"nary", "SELECT id FROM loans WHERE good_credit(id) = 1 AND is_even(id) = 1 AND not_five(id) = 1" + with + " GROUP ON grade"},
+		{"join", "SELECT id, grade FROM loans JOIN orders ON loans.id = orders.loan_id WHERE good_credit(id) = 1" + with + " GROUP ON grade"},
+	}
+	for _, shape := range shapes {
+		for _, batchSize := range []int{1, 64, 4096} {
+			t.Run(fmt.Sprintf("%s/batch%d", shape.name, batchSize), func(t *testing.T) {
+				want, err := streamShapeDB(t, batchSize).Query(shape.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ids []int
+				var cells [][]string
+				res, err := streamShapeDB(t, batchSize).QueryStream(context.Background(), shape.sql, StreamOptions{},
+					func(batchIDs []int, batchCells [][]string) error {
+						ids = append(ids, batchIDs...)
+						cells = append(cells, batchCells...)
+						return nil
+					})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.Len() == 0 || want.Stats().Evaluations == 0 {
+					t.Fatal("query returned or evaluated nothing; comparison is vacuous")
+				}
+				if !reflect.DeepEqual(res.Columns, want.Columns()) {
+					t.Fatalf("columns %v, want %v", res.Columns, want.Columns())
+				}
+				if !reflect.DeepEqual(ids, want.RowIDs()) {
+					t.Fatalf("streamed %d ids, materialized %d; orders differ", len(ids), len(want.RowIDs()))
+				}
+				if len(cells) != want.Len() {
+					t.Fatalf("streamed %d rows of cells, materialized %d", len(cells), want.Len())
+				}
+				for i := range cells {
+					if !reflect.DeepEqual(cells[i], want.Row(i)) {
+						t.Fatalf("row %d rendered %v, materialized %v", i, cells[i], want.Row(i))
+					}
+				}
+				if res.RowCount != want.Len() || res.Truncated {
+					t.Fatalf("RowCount=%d Truncated=%v, want %d/false", res.RowCount, res.Truncated, want.Len())
+				}
+				if res.Stats != want.Stats() {
+					t.Fatalf("stats %+v, want %+v", res.Stats, want.Stats())
+				}
+			})
+		}
 	}
 }
 
