@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -240,5 +241,25 @@ func TestMeterKnown(t *testing.T) {
 	v, ok := m.Known(1)
 	if !ok || !v {
 		t.Fatalf("known(1) = %v, %v", v, ok)
+	}
+	m.Eval(2)
+	if v, ok := m.Known(2); !ok || v {
+		t.Fatalf("known(2) = %v, %v, want a known negative", v, ok)
+	}
+
+	// A failed-final row never produced a value: it is not a known negative.
+	r := NewResilientMeter(fallibleFunc(func(_ context.Context, row int) (bool, error) {
+		if row == 7 {
+			return false, errors.New("broken row")
+		}
+		return false, nil
+	}), nil, nil, nil)
+	r.Eval(7)
+	r.Eval(8)
+	if v, ok := r.Known(7); v || ok {
+		t.Fatalf("failed-final row: known(7) = %v, %v, want (false, false)", v, ok)
+	}
+	if v, ok := r.Known(8); v || !ok {
+		t.Fatalf("evaluated-false row: known(8) = %v, %v, want (false, true)", v, ok)
 	}
 }

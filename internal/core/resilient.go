@@ -71,10 +71,8 @@ func EvalRowsResilient(ctx context.Context, pool *exec.Pool, rows []int, udf UDF
 // (EvalRowsResilient); denied rows resolve from the memo or cache when
 // known and fail otherwise. Both gate and onFailure may be nil.
 func NewResilientMeter(fudf FallibleUDF, cache EvalCache, gate exec.Gate, onFailure func(row int, err error)) *Meter {
-	m := &Meter{fudf: fudf, memo: make(map[int]*meterEntry)}
-	m.shared = cache
-	m.gate = gate
-	m.onFailure = onFailure
+	m := &Meter{fudf: fudf, shared: cache, gate: gate, onFailure: onFailure}
+	m.rows.init()
 	return m
 }
 
@@ -95,16 +93,16 @@ func (m *Meter) Resilient() bool { return m.fudf != nil || m.gate != nil }
 //   - a cancellation (the batch is aborting) forgets the row — a later run
 //     of the query must re-evaluate it.
 func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
-	e, settled := m.claim(row)
-	if settled {
-		return e.val, e.errFinal
+	sl, st := m.claim(row)
+	if st != rowInFlight {
+		return st == rowTrue, st == rowFailed
 	}
 	// A panicking body must not leave the row claimed forever; the panic
 	// still propagates to our caller.
 	returned := false
 	defer func() {
 		if !returned {
-			m.forget(row, e)
+			m.forget(sl)
 		}
 	}()
 	var v bool
@@ -118,16 +116,15 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 	switch {
 	case err == nil:
 		m.calls.Add(1)
-		e.val = v
-		close(e.done)
+		m.rows.release(sl, verdictState(v))
 		if m.shared != nil {
 			m.shared.Store(row, v)
 		}
 		return v, false
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		m.forget(row, e) // batch abort, not a row failure
+		m.forget(sl) // batch abort, not a row failure
 	default:
-		m.fail(row, e, err)
+		m.fail(row, sl, err)
 	}
 	return false, true
 }
@@ -138,9 +135,10 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 // memoized as failed-final so the whole query treats it consistently, and
 // onFailure fires with resilience.ErrBreakerOpen.
 func (m *Meter) ResolveDenied(row int) (bool, bool) {
-	e, settled := m.claim(row)
-	if !settled {
-		m.fail(row, e, resilience.ErrBreakerOpen)
+	sl, st := m.claim(row)
+	if st == rowInFlight {
+		m.fail(row, sl, resilience.ErrBreakerOpen)
+		return false, true
 	}
-	return e.val, e.errFinal
+	return st == rowTrue, st == rowFailed
 }

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/exec"
@@ -263,6 +262,9 @@ func (s *Strategy) clamp() {
 // UDF is the expensive predicate f: given a tuple's row id it reports
 // whether the tuple satisfies the predicate. Implementations are expected
 // to be deterministic per row within one query execution.
+//
+// A row id is the tuple's position in its table: non-negative and dense in
+// [0, NumRows). Meter and SharedEvalCache index their state by it.
 type UDF interface {
 	Eval(row int) bool
 }
@@ -283,57 +285,63 @@ type EvalCache interface {
 	Store(row int, v bool)
 }
 
-// SharedEvalCache is the standard EvalCache: a mutex-guarded row → outcome
-// map, safe for concurrent queries.
+// SharedEvalCache is the standard EvalCache: dense row states (see
+// rowStates) read and written with atomic operations only, safe for
+// concurrent queries. Row ids must be non-negative; memory is as for Meter.
 type SharedEvalCache struct {
-	mu   sync.RWMutex
-	vals map[int]bool
+	rows rowStates
+	n    atomic.Int64 // rows holding an outcome
 }
 
 // NewSharedEvalCache returns an empty cache.
 func NewSharedEvalCache() *SharedEvalCache {
-	return &SharedEvalCache{vals: make(map[int]bool)}
+	c := &SharedEvalCache{}
+	c.rows.init()
+	return c
 }
 
 // Lookup implements EvalCache.
 func (c *SharedEvalCache) Lookup(row int) (bool, bool) {
-	c.mu.RLock()
-	v, ok := c.vals[row]
-	c.mu.RUnlock()
-	return v, ok
+	st := c.rows.peek(row)
+	return st == rowTrue, st != rowUnknown
 }
 
 // Store implements EvalCache.
 func (c *SharedEvalCache) Store(row int, v bool) {
-	c.mu.Lock()
-	c.vals[row] = v
-	c.mu.Unlock()
+	if c.store(row, v) {
+		c.n.Add(1)
+	}
+}
+
+// store records the outcome and reports whether the row had none before.
+func (c *SharedEvalCache) store(row int, v bool) bool {
+	sl, to := c.rows.slot(row), verdictState(v)
+	for {
+		cur := sl.load()
+		if cur == to || sl.cas(cur, to) {
+			return cur == rowUnknown
+		}
+	}
 }
 
 // Len reports how many rows have cached outcomes.
-func (c *SharedEvalCache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.vals)
-}
+func (c *SharedEvalCache) Len() int { return int(c.n.Load()) }
 
 // Preload bulk-loads outcomes (e.g. restored from a durable catalog).
 func (c *SharedEvalCache) Preload(m map[int]bool) {
-	c.mu.Lock()
+	added := 0
 	for row, v := range m {
-		c.vals[row] = v
+		if c.store(row, v) {
+			added++
+		}
 	}
-	c.mu.Unlock()
+	c.n.Add(int64(added))
 }
 
 // Snapshot copies the current outcomes (e.g. for persisting).
 func (c *SharedEvalCache) Snapshot() map[int]bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[int]bool, len(c.vals))
-	for row, v := range c.vals {
-		out[row] = v
-	}
+	out := make(map[int]bool, c.Len())
+	c.rows.each(func(row int, st uint32) { out[row] = st == rowTrue })
 	return out
 }
 
@@ -347,6 +355,11 @@ func (c *SharedEvalCache) Snapshot() map[int]bool {
 // keeping Calls deterministic at any parallelism level. An optional shared
 // EvalCache supplies outcomes already paid for by earlier queries; hits are
 // NOT charged to this meter.
+//
+// The memo is dense (see rowStates): half a byte per row, in 2 KiB pages of
+// 4096 rows allocated when first touched, plus 8 directory bytes per page
+// up to the largest row id seen — so a sparse id near 2^30 costs a 2 MiB
+// directory on top of its page. A negative row id panics.
 type Meter struct {
 	udf    UDF
 	calls  atomic.Int64
@@ -365,27 +378,14 @@ type Meter struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	mu   sync.Mutex
-	memo map[int]*meterEntry
-}
-
-// meterEntry is a single-flight slot: the first goroutine to claim a row
-// evaluates it and closes done; later arrivals wait on done. failed marks
-// an evaluation that panicked or was cancelled (written before done
-// closes): waiters retry instead of trusting the zero-value verdict.
-// errFinal marks a resilient evaluation that ultimately failed (after its
-// own retries): the row stays memoized as failed for the meter's lifetime,
-// so every phase of a query sees the same rows excluded.
-type meterEntry struct {
-	done     chan struct{}
-	val      bool
-	failed   bool
-	errFinal bool
+	rows rowStates
 }
 
 // NewMeter wraps udf with call counting and memoization.
 func NewMeter(udf UDF) *Meter {
-	return &Meter{udf: udf, memo: make(map[int]*meterEntry)}
+	m := &Meter{udf: udf}
+	m.rows.init()
+	return m
 }
 
 // NewCachedMeter is NewMeter backed by a cross-query outcome cache: rows
@@ -410,57 +410,48 @@ func (m *Meter) Eval(row int) bool {
 }
 
 // claim is the single-flight entry shared by every evaluation path. It
-// returns the row's entry and whether its outcome is already settled —
-// memoized (after waiting out an in-flight owner, and retrying when that
-// owner forgot the row) or served by the shared cache. When not settled
-// the caller owns the fresh entry and must finish it with settle, fail or
-// forget. Single-flight guarantees at most one cache lookup per row.
-func (m *Meter) claim(row int) (e *meterEntry, settled bool) {
+// returns the row's slot and state. rowInFlight means the caller now owns
+// the row and must release it — with the verdict, or through fail or
+// forget. Any other state is the row's settled outcome: memoized (after
+// waiting out an in-flight owner, and retrying when that owner forgot the
+// row) or just served by the shared cache. Only an owner asks the cache,
+// and a forgotten row comes back as rowMissed, so the cache sees at most
+// one lookup per row.
+func (m *Meter) claim(row int) (slot, uint32) {
+	sl := m.rows.slot(row)
 	for {
-		m.mu.Lock()
-		cur, ok := m.memo[row]
-		if !ok {
-			e = &meterEntry{done: make(chan struct{})}
-			m.memo[row] = e
-			m.mu.Unlock()
-			break
+		switch st := sl.load(); st {
+		case rowUnknown, rowMissed:
+			if !sl.cas(st, rowInFlight) {
+				continue
+			}
+			if m.shared != nil && st == rowUnknown {
+				if v, ok := m.shared.Lookup(row); ok {
+					m.cacheHits.Add(1)
+					m.rows.release(sl, verdictState(v))
+					return sl, verdictState(v)
+				}
+				m.cacheMisses.Add(1)
+			}
+			return sl, rowInFlight
+		case rowInFlight:
+			m.rows.await(sl)
+		default:
+			return sl, st
 		}
-		m.mu.Unlock()
-		<-cur.done
-		if !cur.failed {
-			return cur, true
-		}
-		// The owner panicked or was cancelled; the row was forgotten — retry.
 	}
-	if m.shared != nil {
-		if v, ok := m.shared.Lookup(row); ok {
-			m.cacheHits.Add(1)
-			e.val = v
-			close(e.done)
-			return e, true
-		}
-		m.cacheMisses.Add(1)
-	}
-	return e, false
 }
 
 // forget abandons a claimed row whose evaluation never produced an outcome
 // (the body panicked, or the batch was cancelled): a retry must
-// re-evaluate, never inherit the zero-value verdict, so the entry leaves
-// the memo and its waiters are released flagged failed.
-func (m *Meter) forget(row int, e *meterEntry) {
-	e.failed = true
-	m.mu.Lock()
-	delete(m.memo, row)
-	m.mu.Unlock()
-	close(e.done)
-}
+// re-evaluate, never inherit a verdict, so the row goes back to unclaimed —
+// as rowMissed, because its one shared-cache lookup is spent.
+func (m *Meter) forget(sl slot) { m.rows.release(sl, rowMissed) }
 
 // fail settles a claimed row as failed-final: memoized for the meter's
 // lifetime, never charged, never cached, reported once through onFailure.
-func (m *Meter) fail(row int, e *meterEntry, err error) {
-	e.errFinal = true
-	close(e.done)
+func (m *Meter) fail(row int, sl slot, err error) {
+	m.rows.release(sl, rowFailed)
 	if m.onFailure != nil {
 		m.onFailure(row, err)
 	}
@@ -478,25 +469,11 @@ func (m *Meter) CacheHits() int { return int(m.cacheHits.Load()) }
 func (m *Meter) CacheMisses() int { return int(m.cacheMisses.Load()) }
 
 // Known reports whether row's value is already memoized (and what it is).
-// In-flight evaluations on other goroutines report as unknown.
+// Rows in flight on another goroutine and rows that failed for good have
+// no value: both report unknown.
 func (m *Meter) Known(row int) (bool, bool) {
-	m.mu.Lock()
-	e, ok := m.memo[row]
-	m.mu.Unlock()
-	if !ok {
-		return false, false
-	}
-	select {
-	case <-e.done:
-		if e.failed {
-			// The evaluation panicked after we fetched the entry; its
-			// zero-value verdict was never computed.
-			return false, false
-		}
-		return e.val, true
-	default:
-		return false, false
-	}
+	st := m.rows.peek(row)
+	return st == rowTrue, st == rowTrue || st == rowFalse
 }
 
 // Group binds a group key to the row ids of its tuples.

@@ -70,22 +70,33 @@ func (p *Pool) EvalRowsGatedCtx(
 			}
 		}
 
-		// Resolve denied rows sequentially, collect the admitted work-list.
-		var work []int // indices into rows, segment-relative ordering kept
-		for i := start; i < end; i++ {
-			if allowed == nil || allowed[i-start] {
-				work = append(work, i)
-				continue
+		// Resolve denied rows sequentially, collect the admitted work-list:
+		// segment-relative indices in row order, or nil when the whole
+		// segment was admitted (the healthy case) and item k is row k.
+		seg, verdict, fail := rows[start:end], verdicts[start:end], failed[start:end]
+		var work []int
+		admitted := width
+		if denied := countFalse(allowed); denied > 0 {
+			admitted -= denied
+			work = make([]int, 0, admitted)
+			for i, ok := range allowed {
+				if ok {
+					work = append(work, i)
+					continue
+				}
+				verdict[i], fail[i] = deny(seg[i])
 			}
-			verdicts[i], failed[i] = deny(rows[i])
 		}
 
 		// Fan the admitted rows out; verdicts land at their own index.
-		err := p.ForEachCtx(ctx, len(work), func(k int) {
-			i := work[k]
-			verdicts[i], failed[i] = eval(ctx, rows[i])
+		err := p.ForEachCtx(ctx, admitted, func(k int) {
+			i := k
+			if work != nil {
+				i = work[k]
+			}
+			verdict[i], fail[i] = eval(ctx, seg[i])
 		})
-		if err == nil && len(work) == 0 {
+		if err == nil && admitted == 0 {
 			// A fully-denied segment makes no ctx checks; normalize so a
 			// cancelled caller can't spin through deny-only segments.
 			err = ctx.Err()
@@ -95,12 +106,22 @@ func (p *Pool) EvalRowsGatedCtx(
 		}
 
 		// Fold admitted outcomes back in row order.
-		if gate != nil {
-			for _, i := range work {
-				gate.Record(failed[i])
+		for i, ok := range allowed {
+			if ok {
+				gate.Record(fail[i])
 			}
 		}
 		start = end
 	}
 	return verdicts, failed, nil
+}
+
+func countFalse(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if !b {
+			n++
+		}
+	}
+	return n
 }
