@@ -279,7 +279,7 @@ func main() {
 	if err := db.CloseCatalog(); err != nil {
 		log.Printf("predsqld: catalog close: %v", err)
 	}
-	log.Printf("predsqld: shut down (%d queries served in total), bye", srv.served.Load())
+	log.Printf("predsqld: shut down (%d queries served in total), bye", srv.served.Value())
 }
 
 // serverConfig tunes the query server.
@@ -332,23 +332,29 @@ type server struct {
 	// query (-trace-log).
 	traceLog *traceLogger
 
-	served      atomic.Int64 // completed successfully
-	failed      atomic.Int64 // query/parse errors
-	timeouts    atomic.Int64 // deadline expired mid-query
-	rejected    atomic.Int64 // deadline expired waiting for admission
-	disconnects atomic.Int64 // client gone before the query finished
-	inflight    atomic.Int64 // currently executing (post-admission)
-	waiting     atomic.Int64 // queued for an execution slot right now
-	panics      atomic.Int64 // handler panics recovered by the middleware
+	// The monotonic counters are instruments of the metrics registry
+	// (registerMetrics): GET /metrics renders them and GET /stats reads the
+	// same ones, so the two cannot drift.
+	served      *obs.Counter // completed successfully
+	failed      *obs.Counter // query/parse errors
+	timeouts    *obs.Counter // deadline expired mid-query
+	rejected    *obs.Counter // deadline expired waiting for admission
+	disconnects *obs.Counter // client gone before the query finished
+	panics      *obs.Counter // handler panics recovered by the middleware
 
-	failedRows   atomic.Int64 // UDF rows that ultimately failed, summed over queries
-	retries      atomic.Int64 // UDF retry attempts, summed over queries
-	breakerTrips atomic.Int64 // breaker trips, summed over queries
-	degraded     atomic.Int64 // queries answered with a degraded (partial) result
+	failedRows *obs.Counter // UDF rows that ultimately failed, summed over queries
+	retries    *obs.Counter // UDF retry attempts, summed over queries
+	degraded   *obs.Counter // queries answered with a degraded (partial) result
 
-	flushes     atomic.Int64 // completed catalog flushes
-	flushErrors atomic.Int64 // failed catalog flushes
-	lastFlush   atomic.Int64 // unix seconds of the last successful flush
+	flushes     *obs.Counter // completed catalog flushes
+	flushErrors *obs.Counter // failed catalog flushes
+
+	inflight atomic.Int64 // currently executing (post-admission)
+	waiting  atomic.Int64 // queued for an execution slot right now
+	// breakerTrips sums Stats.BreakerTrips over served queries for GET
+	// /stats only: /metrics exposes trips per breaker from the engine.
+	breakerTrips atomic.Int64
+	lastFlush    atomic.Int64 // unix seconds of the last successful flush
 }
 
 // flushCatalog persists everything learned since the last flush. Safe to
@@ -358,11 +364,11 @@ func (s *server) flushCatalog() {
 		return
 	}
 	if err := s.db.FlushCatalog(); err != nil {
-		s.flushErrors.Add(1)
+		s.flushErrors.Inc()
 		log.Printf("predsqld: catalog flush: %v", err)
 		return
 	}
-	s.flushes.Add(1)
+	s.flushes.Inc()
 	s.lastFlush.Store(time.Now().Unix())
 }
 
@@ -437,7 +443,7 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			s.panics.Add(1)
+			s.panics.Inc()
 			log.Printf("predsqld: recovered handler panic on %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
 			// Best effort: if the handler already started its response this
 			// write is a no-op, but the connection survives either way.
@@ -618,10 +624,10 @@ func (s *server) runAdmitted(r *http.Request, req queryRequest, run func(ctx con
 		// ran out while queueing" (admission pressure, 408 — distinct from
 		// a mid-query 504).
 		if errors.Is(ctx.Err(), context.Canceled) {
-			s.disconnects.Add(1)
+			s.disconnects.Inc()
 			return info, statusClientClosedRequest, ctx.Err()
 		}
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		return info, http.StatusRequestTimeout, errors.New("timed out waiting for an execution slot")
 	}
 	st, err := func() (predeval.Stats, error) {
@@ -639,24 +645,24 @@ func (s *server) runAdmitted(r *http.Request, req queryRequest, run func(ctx con
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded):
-		s.timeouts.Add(1)
+		s.timeouts.Inc()
 		return info, http.StatusGatewayTimeout, fmt.Errorf("query exceeded its %v deadline", timeout)
 	case errors.Is(err, context.Canceled):
 		// The client went away mid-query; nobody reads this response, but
 		// count it apart from genuine query errors.
-		s.disconnects.Add(1)
+		s.disconnects.Inc()
 		return info, statusClientClosedRequest, err
 	default:
-		s.failed.Add(1)
+		s.failed.Inc()
 		return info, http.StatusBadRequest, err
 	}
 	s.failedRows.Add(int64(st.FailedRows))
 	s.retries.Add(int64(st.Retries))
 	s.breakerTrips.Add(int64(st.BreakerTrips))
 	if st.Degraded {
-		s.degraded.Add(1)
+		s.degraded.Inc()
 	}
-	s.served.Add(1)
+	s.served.Inc()
 	return info, http.StatusOK, nil
 }
 
@@ -690,11 +696,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// return the same {"plan": [...]} payload.
 		text, err := s.db.Explain(req.SQL)
 		if err != nil {
-			s.failed.Add(1)
+			s.failed.Inc()
 			writeJSON(w, http.StatusBadRequest, errorBody(err))
 			return
 		}
-		s.served.Add(1)
+		s.served.Inc()
 		writeJSON(w, http.StatusOK, explainResponse{
 			Plan: strings.Split(strings.TrimRight(text, "\n"), "\n"),
 		})
@@ -919,21 +925,21 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	cc := s.db.CacheCounters()
 	resp := statsResponse{
 		UptimeS:       time.Since(s.start).Seconds(),
-		Served:        s.served.Load(),
-		Failed:        s.failed.Load(),
-		Timeouts:      s.timeouts.Load(),
-		Rejected:      s.rejected.Load(),
-		Disconnects:   s.disconnects.Load(),
+		Served:        s.served.Value(),
+		Failed:        s.failed.Value(),
+		Timeouts:      s.timeouts.Value(),
+		Rejected:      s.rejected.Value(),
+		Disconnects:   s.disconnects.Value(),
 		InFlight:      s.inflight.Load(),
 		MaxConcurrent: s.cfg.MaxConcurrent,
 		Tables:        tables,
 		Cache:         cacheStats{Hits: cc.Hits, Misses: cc.Misses},
 		Resilience: resilienceStats{
-			HandlerPanics:   s.panics.Load(),
-			FailedRows:      s.failedRows.Load(),
-			Retries:         s.retries.Load(),
+			HandlerPanics:   s.panics.Value(),
+			FailedRows:      s.failedRows.Value(),
+			Retries:         s.retries.Value(),
 			BreakerTrips:    s.breakerTrips.Load(),
-			DegradedQueries: s.degraded.Load(),
+			DegradedQueries: s.degraded.Value(),
 		},
 	}
 	for _, b := range s.db.BreakerStatuses() {
@@ -952,8 +958,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ColumnMemos:    st.ColumnMemos,
 			ColumnMemoHits: cc.ColumnMemoHits,
 			SeededRows:     cc.SeededRows,
-			Flushes:        s.flushes.Load(),
-			FlushErrors:    s.flushErrors.Load(),
+			Flushes:        s.flushes.Value(),
+			FlushErrors:    s.flushErrors.Value(),
 			LastFlushUnix:  s.lastFlush.Load(),
 			Recovered:      st.Recovered,
 		}

@@ -225,7 +225,7 @@ func TestServerConcurrentMixedTimeouts(t *testing.T) {
 	}); status != http.StatusOK {
 		t.Fatalf("post-storm query: status %d: %s", status, body)
 	}
-	if got := srv.served.Load(); got != int64(ok)+1 {
+	if got := srv.served.Value(); got != int64(ok)+1 {
 		t.Fatalf("served %d, want %d", got, ok+1)
 	}
 }
@@ -403,7 +403,7 @@ func TestServerCatalogFlusher(t *testing.T) {
 		t.Fatalf("status %d: %s", status, body)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.flushes.Load() == 0 {
+	for srv.flushes.Value() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("periodic flusher never flushed")
 		}
@@ -454,8 +454,8 @@ func TestServerExplainFlag(t *testing.T) {
 		}
 	}
 	// Each UDF call sleeps 50ms; an instant answer proves nothing executed.
-	if srv.served.Load() != 1 {
-		t.Fatalf("served %d", srv.served.Load())
+	if srv.served.Value() != 1 {
+		t.Fatalf("served %d", srv.served.Value())
 	}
 
 	// The EXPLAIN keyword takes the same fast path and payload as the flag.

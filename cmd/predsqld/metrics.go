@@ -10,32 +10,28 @@ import (
 	"repro/internal/obs"
 )
 
-// The /metrics surface: every counter the server already keeps (admission,
-// resilience, catalog) is exposed as Prometheus text exposition via
-// scrape-time collectors over the same atomics GET /stats reads, plus two
-// histogram families the handlers feed directly — query latency and
-// per-UDF invocation duration. Collectors read live state, so /metrics
-// needs no second bookkeeping path that could drift from /stats.
+// The /metrics surface, as Prometheus text exposition: the server's own
+// monotonic counters (admission outcomes, resilience totals, catalog
+// flushes) are registry instruments the handlers increment and GET /stats
+// reads with Value(); state that lives elsewhere (the up/down admission
+// gauges, the engine's batch and cache counters, the breaker table) is read
+// by scrape-time collectors; and the handlers feed two histogram families
+// directly — query latency and per-UDF invocation duration. Every fact has
+// one instrument, so /metrics and /stats cannot drift.
 
-// registerMetrics wires the server's state into its registry. Called once
-// from newServer; collectors run at scrape time.
+// registerMetrics creates the server's instruments in its registry and
+// wires the collectors. Called once from newServer; collectors run at
+// scrape time.
 func (s *server) registerMetrics() {
 	reg := s.metrics
 	s.queryDur = reg.Histogram("predsqld_query_duration_seconds",
 		"Wall time of executed queries (excludes admission waiting).", obs.DefBuckets)
 
-	reg.Collect("predsqld_queries_total", "Queries by outcome.", "counter", func() []obs.Sample {
-		status := func(name string, v int64) obs.Sample {
-			return obs.Sample{Labels: []obs.Label{{Name: "status", Value: name}}, Value: float64(v)}
-		}
-		return []obs.Sample{
-			status("ok", s.served.Load()),
-			status("error", s.failed.Load()),
-			status("timeout", s.timeouts.Load()),
-			status("rejected", s.rejected.Load()),
-			status("disconnect", s.disconnects.Load()),
-		}
-	})
+	status := func(name string) *obs.Counter {
+		return reg.Counter("predsqld_queries_total", "Queries by outcome.", obs.Label{Name: "status", Value: name})
+	}
+	s.served, s.failed, s.timeouts = status("ok"), status("error"), status("timeout")
+	s.rejected, s.disconnects = status("rejected"), status("disconnect")
 	reg.GaugeFunc("predsqld_in_flight",
 		"Queries currently executing (post-admission).",
 		func() float64 { return float64(s.inflight.Load()) })
@@ -66,18 +62,14 @@ func (s *server) registerMetrics() {
 			return []obs.Sample{{Value: float64(total)}}
 		})
 
-	reg.Collect("predsqld_udf_retries_total",
-		"UDF retry attempts summed over all queries.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.retries.Load())}} })
-	reg.Collect("predsqld_failed_rows_total",
-		"Rows whose UDF invocation ultimately failed, summed over all queries.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.failedRows.Load())}} })
-	reg.Collect("predsqld_degraded_queries_total",
-		"Queries answered with a partial (degraded) result.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.degraded.Load())}} })
-	reg.Collect("predsqld_handler_panics_total",
-		"Handler panics recovered by the middleware.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.panics.Load())}} })
+	s.retries = reg.Counter("predsqld_udf_retries_total",
+		"UDF retry attempts summed over all queries.")
+	s.failedRows = reg.Counter("predsqld_failed_rows_total",
+		"Rows whose UDF invocation ultimately failed, summed over all queries.")
+	s.degraded = reg.Counter("predsqld_degraded_queries_total",
+		"Queries answered with a partial (degraded) result.")
+	s.panics = reg.Counter("predsqld_handler_panics_total",
+		"Handler panics recovered by the middleware.")
 
 	// Breaker state transitions (trips) and current position, one series per
 	// (table, UDF) breaker. BreakerStatuses returns in sorted order.
@@ -116,12 +108,10 @@ func (s *server) registerMetrics() {
 				{Labels: []obs.Label{{Name: "result", Value: "miss"}}, Value: float64(cc.Misses)},
 			}
 		})
-	reg.Collect("predsqld_catalog_flushes_total",
-		"Completed catalog flushes.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.flushes.Load())}} })
-	reg.Collect("predsqld_catalog_flush_errors_total",
-		"Failed catalog flushes.", "counter",
-		func() []obs.Sample { return []obs.Sample{{Value: float64(s.flushErrors.Load())}} })
+	s.flushes = reg.Counter("predsqld_catalog_flushes_total",
+		"Completed catalog flushes.")
+	s.flushErrors = reg.Counter("predsqld_catalog_flush_errors_total",
+		"Failed catalog flushes.")
 }
 
 // instrumentUDF wraps a fallible UDF body so every invocation's wall time

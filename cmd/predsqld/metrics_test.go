@@ -198,8 +198,8 @@ func TestQueryAnalyzeReturnsAnnotatedPlan(t *testing.T) {
 	if out.Trace != nil {
 		t.Error("trace returned without being requested")
 	}
-	if srv.served.Load() != 1 {
-		t.Errorf("served = %d, want 1", srv.served.Load())
+	if srv.served.Value() != 1 {
+		t.Errorf("served = %d, want 1", srv.served.Value())
 	}
 }
 

@@ -95,7 +95,7 @@ func TestServerFailPolicyReturns400(t *testing.T) {
 	if !strings.Contains(string(body), "good_credit") {
 		t.Errorf("error does not name the failing UDF: %s", body)
 	}
-	if srv.panics.Load() != 0 {
+	if srv.panics.Value() != 0 {
 		t.Error("a failing query must not count as a handler panic")
 	}
 	// The server survives: a degrade retry of the same query succeeds.
@@ -145,8 +145,8 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 	if !strings.Contains(er.Error, "internal error") {
 		t.Errorf("error payload %q", er.Error)
 	}
-	if srv.panics.Load() != 1 {
-		t.Errorf("panics counter = %d, want 1", srv.panics.Load())
+	if srv.panics.Value() != 1 {
+		t.Errorf("panics counter = %d, want 1", srv.panics.Value())
 	}
 
 	func() {
@@ -157,8 +157,8 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 		}()
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/abort", nil))
 	}()
-	if srv.panics.Load() != 1 {
-		t.Errorf("ErrAbortHandler must not be counted: panics = %d", srv.panics.Load())
+	if srv.panics.Value() != 1 {
+		t.Errorf("ErrAbortHandler must not be counted: panics = %d", srv.panics.Value())
 	}
 }
 

@@ -72,17 +72,16 @@ func TestExplainGolden(t *testing.T) {
 			"SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1 WITH PRECISION 0.8 GROUP ON grade", []string{
 				`merge output=«row ids, ascending»`,
 				`└─ conj-exec  (rows≈600, cost≤3206)`,
-				`   └─ conj-solve[two-pred] actions=«discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)»`,
-				`      └─ conj-sample[two-pred] fused=«all 2 predicates per sampled row»  (rows≈142, cost≈994)`,
+				`   └─ conj-solve actions=«discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)»`,
+				`      └─ conj-sample fused=«all 2 predicates per sampled row»  (rows≈142, cost≈994)`,
 				`         └─ group-resolve[pinned] column=grade  (rows≈600)`,
 				`            └─ scan table=loans  (rows≈600)`,
 			}},
 		{"n-ary conjunction",
 			"SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1 AND div3(id) = 1 WITH PRECISION 0.8", []string{
-				`merge output=«row ids, ascending»`,
-				`└─ conj-waves[greedy] order=«cheapest-first by sampled cost/(1−selectivity)» short-circuit=«each wave evaluates only prior survivors»  (rows≈600, cost≤4580)`,
-				`   └─ conj-sample fused=«all 3 predicates per sampled row»  (rows≈142, cost≈1420)`,
-				`      └─ scan table=loans  (rows≈600)`,
+				`conj-waves[greedy] order=«cheapest-first by sampled cost/(1−selectivity)» short-circuit=«each wave evaluates only prior survivors»  (rows≈600, cost≤4580)`,
+				`└─ conj-sample fused=«all 3 predicates per sampled row»  (rows≈142, cost≈1420)`,
+				`   └─ scan table=loans  (rows≈600)`,
 			}},
 		{"exact conjunction", "SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1", []string{
 			`conj-waves[query-order] order=«good_credit(id)=1 AND rich(income)=1» short-circuit=«each wave evaluates only prior survivors»  (rows≈600, cost≤4200)`,

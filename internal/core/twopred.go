@@ -9,10 +9,12 @@ import (
 )
 
 // Execution and estimation for conjunctions of two expensive predicates
-// (Section 5 / Appendix 10.7.2). Planning lives in extensions.go
-// (PlanTwoPredicates); sampling and evaluation are the N-ary conjunction
-// substrate of conjunction.go at N=2. This file adds the deterministic
-// executor for the five per-group actions and the end-to-end pipeline.
+// (Section 5 / Appendix 10.7.2). The expectation-level planner lives in
+// extensions.go (PlanTwoPredicates); sampling and evaluation are the N-ary
+// conjunction substrate of conjunction.go at N=2. This file adds the
+// deterministic executor for the five per-group actions, the
+// margin-tightened planning step over joint samples, and the end-to-end
+// pipeline composing the three.
 
 // TwoPredExecResult is the outcome of executing a two-predicate plan.
 type TwoPredExecResult struct {
@@ -164,11 +166,56 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	return res, nil
 }
 
+// PlanTwoPredicatesFromSamples is the §5 planning step between joint
+// sampling and execution: per-group Beta-posterior selectivities from the
+// joint samples (the N=2 output of SampleConjunctionParallelCtx), then
+// PlanTwoPredicates under constraints tightened by Hoeffding margins, so the
+// expectation-level plan carries a probabilistic guarantee. It always
+// returns one action per group: when the margins push the tightened problem
+// out of feasibility, evaluating both predicates everywhere still satisfies
+// the user's real constraints, and that is the plan.
+func PlanTwoPredicatesFromSamples(groups []Group, samples []ConjSample, cons Constraints, cost CostModel) []TwoPredAction {
+	infos := make([]TwoPredGroup, len(groups))
+	total := 0
+	for i, g := range groups {
+		s := samples[i]
+		f := len(s.Results)
+		total += len(g.Rows)
+		infos[i] = TwoPredGroup{
+			Size: len(g.Rows),
+			Sel1: stats.NewBetaPosterior(s.Pos[0], f-s.Pos[0]).Mean(),
+			Sel2: stats.NewBetaPosterior(s.Pos[1], f-s.Pos[1]).Mean(),
+		}
+	}
+	// Shift α and β by the relative Hoeffding deviations so the realized
+	// precision/recall concentrate above the user's bounds.
+	tight := cons
+	n := float64(total)
+	if n > 0 {
+		expCorrect := 0.0
+		for _, g := range infos {
+			expCorrect += float64(g.Size) * g.Sel1 * g.Sel2
+		}
+		if expCorrect > 1 {
+			tight.Beta = stats.Clamp01(cons.Beta + stats.RecallMargin(n, cons.Beta, cons.Rho)/expCorrect)
+			tight.Alpha = stats.Clamp01(cons.Alpha + stats.PrecisionMargin(n, cons.Rho)/expCorrect)
+		}
+	}
+	acts, _, err := PlanTwoPredicates(infos, tight, cost)
+	if err != nil {
+		acts = make([]TwoPredAction, len(groups))
+		for i := range acts {
+			acts[i] = TPEvalBoth
+		}
+	}
+	return acts
+}
+
 // RunTwoPredicatesParallelCtx is the end-to-end pipeline for a conjunction
-// of two expensive predicates: jointly sample both per group, estimate the
-// selectivities, plan with PlanTwoPredicates (constraints tightened by
-// Hoeffding margins so the expectation-level plan carries a probabilistic
-// guarantee), and execute. A tuple is correct iff both predicates hold.
+// of two expensive predicates: jointly sample both per group, plan with
+// PlanTwoPredicatesFromSamples, and execute. A tuple is correct iff both
+// predicates hold. (The engine runs the same three steps as three pipeline
+// stages; this is their composition for callers without a pipeline.)
 //
 // m1 and m2 are the caller's meters and are evaluated directly, so their
 // failure semantics, circuit breaker and caches govern every phase. The
@@ -186,59 +233,23 @@ func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, m1, m2 *Me
 		return TwoPredExecResult{}, nil, nil, fmt.Errorf("core: rng is required")
 	}
 	sizes := make([]int, len(groups))
-	total := 0
 	for i, g := range groups {
 		sizes[i] = len(g.Rows)
-		total += len(g.Rows)
 	}
 	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, alloc.Allocate(sizes), []UDF{m1, m2}, rng.Split(), parallelism)
 	if err != nil {
 		return TwoPredExecResult{}, nil, nil, err
 	}
-	// Per-group Beta-posterior means over the jointly sampled rows.
-	infos := make([]TwoPredGroup, len(groups))
-	sampledRows := 0
-	for i, g := range groups {
-		s := samples[i]
-		f := len(s.Results)
-		sampledRows += f
-		infos[i] = TwoPredGroup{
-			Size: len(g.Rows),
-			Sel1: stats.NewBetaPosterior(s.Pos[0], f-s.Pos[0]).Mean(),
-			Sel2: stats.NewBetaPosterior(s.Pos[1], f-s.Pos[1]).Mean(),
-		}
-	}
-
-	// Expectation-level planning with margin-tightened constraints: shift
-	// α and β by the relative Hoeffding deviations so the realized
-	// precision/recall concentrate above the user's bounds.
-	tight := cons
-	n := float64(total)
-	if n > 0 {
-		expCorrect := 0.0
-		for _, g := range infos {
-			expCorrect += float64(g.Size) * g.Sel1 * g.Sel2
-		}
-		if expCorrect > 1 {
-			tight.Beta = stats.Clamp01(cons.Beta + stats.RecallMargin(n, cons.Beta, cons.Rho)/expCorrect)
-			tight.Alpha = stats.Clamp01(cons.Alpha + stats.PrecisionMargin(n, cons.Rho)/expCorrect)
-		}
-	}
-	acts, _, err := PlanTwoPredicates(infos, tight, cost)
-	if err != nil {
-		// Margins can push the tightened problem out of feasibility even
-		// though evaluating both predicates everywhere trivially satisfies
-		// the user's real constraints — fall back to that.
-		acts = make([]TwoPredAction, len(groups))
-		for i := range acts {
-			acts[i] = TPEvalBoth
-		}
-	}
+	acts := PlanTwoPredicatesFromSamples(groups, samples, cons, cost)
 	res, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, cost, parallelism)
 	if err != nil {
 		return TwoPredExecResult{}, nil, nil, err
 	}
 	// Fold the sampling work into the accounting.
+	sampledRows := 0
+	for _, s := range samples {
+		sampledRows += len(s.Results)
+	}
 	res.Retrieved += sampledRows
 	res.Evaluated1 += sampledRows
 	res.Evaluated2 += sampledRows

@@ -3,7 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +189,128 @@ func TestExplainAnalyzeApproxPipeline(t *testing.T) {
 	}
 }
 
+// TestPlanIsPipeline pins the invariant that the tree EXPLAIN prints is the
+// pipeline that runs: for every statement shape, at parallelism 1 and 8,
+// every node of the analyzed tree carries an Actual (no node is
+// display-only), the per-operator deltas add up to the statement's Stats
+// (each operator is the unit of accounting, nothing is charged outside one),
+// and the root reports the result rows.
+func TestPlanIsPipeline(t *testing.T) {
+	base := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	with := func(mut func(*Query)) Query {
+		q := base
+		mut(&q)
+		return q
+	}
+	and := func(names ...string) []Conjunct {
+		var cs []Conjunct
+		for _, name := range names {
+			cs = append(cs, Conjunct{UDFName: name, UDFArg: "id", Want: true})
+		}
+		return cs
+	}
+	shapes := []struct {
+		name string
+		q    Query
+	}{
+		{"exact", base},
+		{"approx", with(func(q *Query) { q.Approx = approx(0.8, 0.8, 0.8); q.GroupOn = "grade" })},
+		{"discover", with(func(q *Query) { q.Approx = approx(0.8, 0.8, 0.8) })},
+		{"budget", with(func(q *Query) { q.Approx = approx(0.8, 0.8, 0.8); q.GroupOn = "grade"; q.Budget = 1500 })},
+		{"filtered", with(func(q *Query) { q.Filters = []Filter{{Column: "grade", Value: "A"}} })},
+		{"exact3", with(func(q *Query) { q.Conjuncts = and("div3", "div5") })},
+		{"twopred", with(func(q *Query) {
+			q.Conjuncts = and("div3")
+			q.Approx = approx(0.8, 0.8, 0.8)
+			q.GroupOn = "grade"
+		})},
+		{"nary", with(func(q *Query) {
+			q.Conjuncts = and("div3", "div5")
+			q.Approx = approx(0.8, 0.8, 0.8)
+			q.GroupOn = "grade"
+		})},
+		{"join", with(func(q *Query) {
+			q.Approx = approx(0.8, 0.8, 0.8)
+			q.GroupOn = "grade"
+			q.Join = &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}
+		})},
+	}
+	for _, shape := range shapes {
+		for _, par := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/p%d", shape.name, par), func(t *testing.T) {
+				e, _, _ := newTestEngine(t, 900)
+				e.Parallelism = par
+				registerModUDF(t, e, "div3", 3)
+				registerModUDF(t, e, "div5", 5)
+				var ids []int64
+				for i := 0; i < 2000; i++ {
+					ids = append(ids, int64((i*7)%600))
+				}
+				ordersFor(t, e, ids)
+				root, res, err := e.ExplainAnalyzeContext(context.Background(), shape.q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) == 0 || res.Stats.Evaluations == 0 {
+					t.Fatal("query returned or evaluated nothing; the sums below would be vacuous")
+				}
+				var calls, hits, misses int
+				for n := root; n != nil; n = n.Child() {
+					if n.Actual == nil {
+						t.Fatalf("node %s has no Actual: no operator ran it\n%s", n.Op, plan.Format(root))
+					}
+					calls += n.Actual.Calls
+					hits += n.Actual.CacheHits
+					misses += n.Actual.CacheMisses
+				}
+				if calls != res.Stats.Evaluations || hits != res.Stats.CacheHits || misses != res.Stats.CacheMisses {
+					t.Errorf("operators account for calls=%d hits=%d misses=%d, Stats say %d/%d/%d\n%s",
+						calls, hits, misses, res.Stats.Evaluations, res.Stats.CacheHits, res.Stats.CacheMisses, plan.Format(root))
+				}
+				if root.Actual.Rows != len(res.Rows) {
+					t.Errorf("root %s reports %d rows, result has %d", root.Op, root.Actual.Rows, len(res.Rows))
+				}
+				if shape.name == "twopred" {
+					if smp := root.Find(plan.OpConjSample); smp.Actual.Rows != res.Stats.Sampled || smp.Actual.Rows == 0 {
+						t.Errorf("conj-sample reports %d rows, Stats.Sampled = %d", smp.Actual.Rows, res.Stats.Sampled)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTwoPredCostBillsEachPredicateItsOwnRate: on the §5 shape every
+// predicate's charged calls pay that predicate's o_e — the rate EXPLAIN
+// estimates the same node with — not the first predicate's.
+func TestTwoPredCostBillsEachPredicateItsOwnRate(t *testing.T) {
+	e, _, goodCalls := newTestEngine(t, 1500) // good_credit at the default o_e = 3
+	richCalls := new(atomic.Int64)
+	if err := e.RegisterUDF(UDF{Name: "rich", Cost: 7, Body: func(v table.Value) bool {
+		richCalls.Add(1)
+		return v.(float64) > 70000
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
+		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, rich := goodCalls.Load(), richCalls.Load()
+	if good == 0 || rich == 0 || int(good+rich) != res.Stats.Evaluations {
+		t.Fatalf("calls %d + %d, Stats.Evaluations = %d", good, rich, res.Stats.Evaluations)
+	}
+	want := float64(res.Stats.Retrievals)*1 + float64(good)*3 + float64(rich)*7
+	if res.Stats.Cost != want {
+		t.Fatalf("Stats.Cost = %v, want %v (%d retrievals·1 + %d calls·3 + %d calls·7)",
+			res.Stats.Cost, want, res.Stats.Retrievals, good, rich)
+	}
+}
+
 func TestTraceSpansCoverPipeline(t *testing.T) {
 	e := analyzeEngine(t, 4)
 	tr := obs.NewTrace()
@@ -201,6 +325,28 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	for _, want := range []string{"bind", "plan", "op:scan", "op:exact-eval"} {
 		if !names[want] {
 			t.Errorf("missing span %q in %v", want, names)
+		}
+	}
+
+	// The §5 shape: every stage of its plan is an operator with its own span.
+	e2, _, _ := newTestEngine(t, 900)
+	registerModUDF(t, e2, "div3", 3)
+	tr = obs.NewTrace()
+	_, err := e2.ExecuteContext(obs.WithTrace(context.Background(), tr), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Conjuncts: []Conjunct{{UDFName: "div3", UDFArg: "id", Want: true}},
+		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names = make(map[string]bool)
+	for _, s := range tr.Spans() {
+		names[s.Name] = true
+	}
+	for _, want := range []string{"op:group-resolve", "op:conj-sample", "op:conj-solve", "op:conj-exec", "op:merge"} {
+		if !names[want] {
+			t.Errorf("§5 shape: missing span %q in %v", want, names)
 		}
 	}
 }

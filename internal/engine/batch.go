@@ -7,20 +7,20 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/table"
 )
 
 // Volcano-style batch execution. The planner's physical chain is compiled
-// into a pull pipeline of BatchOperators: the scan yields row-id batches
-// lazily from the column store with the cheap compiled filters fused in
-// (filtered-out rows never materialize anywhere), streaming operators
-// (exact-eval, conj-waves) evaluate one batch at a time, and blocking
-// stages — everything whose algorithm needs the whole input (grouping,
-// sampling, solving, the §5 pipeline, merge) — run their operator body
-// once during Open and then replay their product downstream in batches.
+// into a pull pipeline of BatchOperators, exactly one per plan node (the
+// filter node shares the scan's: its predicates are fused in): the scan
+// yields row-id batches lazily from the column store (filtered-out rows
+// never materialize anywhere), the streaming terminal (exact-eval,
+// conj-waves) evaluates one batch at a time, and blocking stages —
+// everything whose algorithm needs the whole input (grouping, sampling,
+// solving, the three §5 stages, merge) — run their operator body once
+// during Open and then replay their product downstream in batches.
 //
 // The determinism contract is untouched: batches are planned sequentially
 // in row order, UDF evaluation inside a batch fans out through
@@ -152,27 +152,36 @@ func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
 
 func (s *scanOp) Close() error { return nil }
 
-// stageOp wraps one blocking operator body (group-resolve, sample, solve,
-// prob-eval, merge, join-group, conj-sample, conj-exec) in the iterator
-// contract: Open runs the children first (pipeline tail), then the body.
-// That child-first order is the invariant the pinned results rest on: it
-// fixes the sequence of RNG splits and meter charges, so it must not depend
-// on who pulls or how. Next replays the operator's row universe downstream
-// in batches for consumers that stream (the conj-waves operator above a
-// conj-sample stage). A stage whose child already finished the result (an
-// operator short-circuit, e.g. the empty join) skips its body: a finished
-// result is final, and a skipped body draws no coins and charges no meter.
+// stageBody is one blocking operator body (operators.go, conjunction.go):
+// it reads and extends the pipeline state and reports its own product.
+type stageBody func(ctx context.Context, st *pipeState) (stageOut, error)
+
+// stageOp runs one blocking operator body (group-resolve, join-group,
+// sample, solve, prob-eval, conj-sample, conj-solve, conj-exec, merge) in
+// the iterator contract: Open runs the children first (pipeline tail), then
+// the body. That child-first order is the invariant the pinned results rest
+// on: it fixes the sequence of RNG splits and meter charges, so it must not
+// depend on who pulls or how. Next replays the stage's product downstream
+// in batches. The one body that is ever skipped is a stage above the empty
+// join: join-group finished the (empty) result, a finished result is final,
+// and a skipped body draws no coins and charges no meter.
 type stageOp struct {
 	e     *Engine
 	st    *pipeState
 	node  *plan.Node
 	child BatchOperator
-	run   func(ctx context.Context) error
+	run   stageBody
 	// drain: this is the lowest blocking stage and cheap filters exist, so
 	// the fused scan is pulled dry here to materialize st.subset (the row
 	// universe every blocking body reads). Without filters the drain is
 	// skipped and subset stays nil ("all rows"), so the scan never runs.
 	drain bool
+	// final marks the merge stage: its product is the finished result, and
+	// replaying it is what streams a blocking shape's output incrementally.
+	// Every other stage consumes groups and samples out of pipeState, so
+	// what flows up from it (to the conj-waves terminal above a conj-sample
+	// stage) is the scan universe itself.
+	final bool
 
 	opened bool
 	cursor int
@@ -203,7 +212,10 @@ func (s *stageOp) Open(ctx context.Context) error {
 		s.st.subset = subset
 	}
 	if s.st.res != nil {
-		return nil // a lower operator already finished the result
+		if s.st.analyze {
+			s.node.Actual = &plan.Actual{}
+		}
+		return nil // the empty join below already finished the result
 	}
 	sp := obs.FromContext(ctx).Start("op:" + string(s.node.Op))
 	var before predTotals
@@ -212,121 +224,106 @@ func (s *stageOp) Open(ctx context.Context) error {
 		before = s.st.predTotals()
 		start = obs.Now()
 	}
-	err := s.run(ctx)
+	out, err := s.run(ctx, s.st)
 	if err == nil && s.st.analyze {
 		a := s.st.predTotals().actualSince(before)
-		a.ElapsedNS = int64(obs.Since(start))
-		s.st.fillActualRows(s.node.Op, a)
+		a.Rows, a.Groups, a.ElapsedNS = out.rows, out.groups, int64(obs.Since(start))
 		s.node.Actual = a
 	}
 	sp.End()
 	return err
 }
 
-// Next replays the (possibly filtered) row universe in batches: blocking
-// stages consume groups and samples out of pipeState, so what flows up to
-// a streaming consumer is the scan universe itself.
+// product is what Next replays: the finished result above the merge stage,
+// the scan universe above any other — the filtered subset, or (nil, n) for
+// the n row ids of an unfiltered table, which Next generates.
+func (s *stageOp) product() (rows []int, n int) {
+	switch {
+	case s.final:
+		return s.st.res.Rows, len(s.st.res.Rows)
+	case s.st.subset != nil:
+		return s.st.subset, len(s.st.subset)
+	default:
+		return nil, s.st.tbl.NumRows()
+	}
+}
+
 func (s *stageOp) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.buf == nil {
-		s.buf = make([]int, 0, s.e.batchSize())
-	}
-	sub := s.st.subset
-	total := s.st.tbl.NumRows()
-	if sub != nil {
-		total = len(sub)
-	}
-	if s.cursor >= total {
+	rows, n := s.product()
+	if s.cursor >= n {
 		return nil, nil
 	}
-	end := s.cursor + cap(s.buf)
-	if end > total {
-		end = total
-	}
-	s.buf = s.buf[:0]
-	for i := s.cursor; i < end; i++ {
-		if sub != nil {
-			s.buf = append(s.buf, sub[i])
-		} else {
+	end := min(s.cursor+s.e.batchSize(), n)
+	if rows != nil {
+		s.batch.Rows = rows[s.cursor:end]
+	} else {
+		s.buf = s.buf[:0]
+		for i := s.cursor; i < end; i++ {
 			s.buf = append(s.buf, i)
 		}
+		s.batch.Rows = s.buf
 	}
 	s.cursor = end
-	s.batch.Rows = s.buf
 	return &s.batch, nil
 }
 
 func (s *stageOp) Close() error { return s.child.Close() }
 
-// resultOp terminates blocking chains: once Open has run every stage (and
-// st.res is finished), Next serves the result rows in batches — which is
-// what streams a fully-materialized shape's output incrementally.
-type resultOp struct {
-	e      *Engine
-	st     *pipeState
-	child  BatchOperator
-	cursor int
-	batch  Batch
-}
+// batchEval is the streaming terminal's per-batch work: the survivors of
+// one pulled batch in batch order (valid until the next call), and how many
+// of the batch's rows had to be retrieved to decide them.
+type batchEval func(ctx context.Context, rows []int) (survivors []int, retrieved int, err error)
 
-func (r *resultOp) Open(ctx context.Context) error { return r.child.Open(ctx) }
-
-func (r *resultOp) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if r.st.res == nil {
-		return nil, fmt.Errorf("engine: pipeline finished without a result")
-	}
-	rows := r.st.res.Rows
-	if r.cursor >= len(rows) {
-		return nil, nil
-	}
-	end := r.cursor + r.e.batchSize()
-	if end > len(rows) {
-		end = len(rows)
-	}
-	r.batch.Rows = rows[r.cursor:end]
-	r.cursor = end
-	return &r.batch, nil
-}
-
-func (r *resultOp) Close() error { return r.child.Close() }
-
-// streamingOp is the extra contract of terminal operators that produce
-// result rows batch-by-batch (exact-eval, conj-waves): finalize assembles
-// st.res from whatever was evaluated so far — at end-of-stream, or after
-// an early stop.
-type streamingOp interface {
-	BatchOperator
-	finalize()
-}
-
-// exactEvalOp evaluates the predicate on each pulled batch. Verdicts land
-// at their batch slot, so output order matches the sequential scan exactly;
+// exactEval evaluates the predicate on every pulled row. Verdicts land at
+// their batch slot, so output order matches the sequential scan exactly;
 // rows whose invocation failed carry verdict false and drop out.
-type exactEvalOp struct {
-	e       *Engine
+func (e *Engine) exactEval(st *pipeState) batchEval {
+	pool, meter := e.pool(), st.preds[0].meter
+	var buf []int
+	return func(ctx context.Context, rows []int) ([]int, int, error) {
+		verdicts, _, err := core.EvalRowsResilient(ctx, pool, rows, meter)
+		if err != nil {
+			return nil, 0, err
+		}
+		buf = buf[:0]
+		for i, r := range rows {
+			if verdicts[i] {
+				buf = append(buf, r)
+			}
+		}
+		return buf, len(rows), nil
+	}
+}
+
+// evalOp is the streaming terminal (exact-eval, conj-waves): it evaluates
+// each pulled batch with the shape's batchEval and emits the survivors, so
+// the first result batch leaves while later rows are still unevaluated.
+// prepare runs at the end of Open — after the child chain, so a conj-sample
+// stage below has produced its sample — and fixes the evaluate function for
+// every batch. finalize assembles st.res from whatever was evaluated so far:
+// at end-of-stream, or after an early stop.
+type evalOp struct {
 	st      *pipeState
 	node    *plan.Node
 	child   BatchOperator
+	prepare func() (batchEval, error)
 	collect bool // accumulate output rows for st.res (materialized path)
 
-	pool      *exec.Pool
-	pulled    int // rows pulled from the child (= retrievals so far)
+	span      string // "op:<operator>", one span per evaluated batch
+	eval      batchEval
+	retrieved int
 	emitted   int
 	out       []int
-	buf       []int
 	batch     Batch
 	opened    bool
-	finalized bool
 	before    predTotals
 	elapsedNS int64
 }
 
-func (o *exactEvalOp) Open(ctx context.Context) error {
+func (o *evalOp) Open(ctx context.Context) error {
 	if o.opened {
 		return nil
 	}
@@ -334,164 +331,21 @@ func (o *exactEvalOp) Open(ctx context.Context) error {
 	if err := o.child.Open(ctx); err != nil {
 		return err
 	}
-	o.pool = o.e.pool()
 	if o.st.analyze {
 		o.before = o.st.predTotals()
 	}
-	return nil
-}
-
-func (o *exactEvalOp) Next(ctx context.Context) (*Batch, error) {
-	meter := o.st.preds[0].meter
-	for {
-		cb, err := o.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			o.finalize()
-			return nil, nil
-		}
-		sp := obs.FromContext(ctx).Start("op:exact-eval")
-		start := obs.Now()
-		verdicts, _, err := core.EvalRowsResilient(ctx, o.pool, cb.Rows, meter)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		o.pulled += len(cb.Rows)
-		o.buf = o.buf[:0]
-		for i, r := range cb.Rows {
-			if verdicts[i] {
-				o.buf = append(o.buf, r)
-			}
-		}
-		o.elapsedNS += int64(obs.Since(start))
-		sp.End()
-		if o.collect {
-			o.out = append(o.out, o.buf...)
-		}
-		o.emitted += len(o.buf)
-		if len(o.buf) == 0 {
-			continue // batch fully rejected; pull the next one
-		}
-		o.batch.Rows = o.buf
-		return &o.batch, nil
-	}
-}
-
-func (o *exactEvalOp) finalize() {
-	if o.finalized {
-		return
-	}
-	o.finalized = true
-	st := o.st
-	meter := st.preds[0].meter
-	n := o.pulled
-	st.res = &Result{
-		Rows: o.out,
-		Stats: Stats{
-			Evaluations: meter.Calls(),
-			Retrievals:  n,
-			Cost:        float64(n)*st.cost.Retrieve + float64(meter.Calls())*st.cost.Evaluate,
-			Exact:       true,
-			CacheHits:   meter.CacheHits(),
-			CacheMisses: meter.CacheMisses(),
-		},
-	}
-	if st.analyze {
-		a := st.predTotals().actualSince(o.before)
-		a.Rows, a.ElapsedNS = o.emitted, o.elapsedNS
-		o.node.Actual = a
-	}
-}
-
-func (o *exactEvalOp) Close() error { return o.child.Close() }
-
-// conjWavesOp evaluates the conjunction in short-circuit waves, one pulled
-// batch at a time. The wave order and the free sampled outcomes are fixed
-// during Open (after the child chain — including any conj-sample stage —
-// has run), so every batch flows through identical waves; rows never
-// interact across batches, which is why batching leaves calls, survivors
-// and counters bit-identical (see core.ConjWaveRunner).
-type conjWavesOp struct {
-	e       *Engine
-	st      *pipeState
-	node    *plan.Node
-	mode    string
-	child   BatchOperator
-	collect bool
-
-	runner      *core.ConjWaveRunner
-	sampledRows int
-	pulled      int
-	emitted     int
-	out         []int
-	batch       Batch
-	opened      bool
-	finalized   bool
-	before      predTotals
-	elapsedNS   int64
-}
-
-func (o *conjWavesOp) Open(ctx context.Context) error {
-	if o.opened {
-		return nil
-	}
-	o.opened = true
-	if err := o.child.Open(ctx); err != nil {
-		return err
-	}
-	st := o.st
-	if o.st.analyze {
-		o.before = st.predTotals()
-	}
-	udfs := make([]core.UDF, len(st.preds))
-	for i, p := range st.preds {
-		udfs[i] = p.meter
-	}
-	order := make([]int, len(st.preds))
-	for i := range order {
-		order[i] = i
-	}
-	var known []map[int]bool
-	if o.mode == plan.ModeGreedyOrder {
-		costs := make([]float64, len(st.preds))
-		for i, p := range st.preds {
-			costs[i] = p.cost
-		}
-		var err error
-		order, err = core.OrderPredicates(costs, st.conjSels)
-		if err != nil {
-			return err
-		}
-		known = make([]map[int]bool, len(st.preds))
-		for j := range known {
-			known[j] = make(map[int]bool)
-		}
-		for _, s := range st.conjSamples {
-			o.sampledRows += len(s.Results)
-			for row, outs := range s.Results {
-				for j, v := range outs {
-					known[j][row] = v
-				}
-			}
-		}
-	}
-	runner, err := core.NewConjWaveRunner(order, known, udfs, o.e.parallelism())
-	if err != nil {
-		return err
-	}
-	o.runner = runner
 	if o.collect {
-		// A conjunction's Rows are never nil, even when empty: callers
-		// and the pinned results compare them as values.
+		// Materialized Rows are never nil, even when empty: callers and the
+		// pinned results compare them as values.
 		o.out = make([]int, 0)
 	}
-	return nil
+	o.span = "op:" + string(o.node.Op)
+	var err error
+	o.eval, err = o.prepare()
+	return err
 }
 
-func (o *conjWavesOp) Next(ctx context.Context) (*Batch, error) {
+func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
 	for {
 		cb, err := o.child.Next(ctx)
 		if err != nil {
@@ -501,73 +355,44 @@ func (o *conjWavesOp) Next(ctx context.Context) (*Batch, error) {
 			o.finalize()
 			return nil, nil
 		}
-		sp := obs.FromContext(ctx).Start("op:conj-waves")
+		sp := obs.FromContext(ctx).Start(o.span)
 		start := obs.Now()
-		survivors, err := o.runner.Run(ctx, cb.Rows)
-		if err != nil {
-			sp.End()
-			return nil, err
-		}
-		o.pulled += len(cb.Rows)
+		survivors, retrieved, err := o.eval(ctx, cb.Rows)
 		o.elapsedNS += int64(obs.Since(start))
 		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		o.retrieved += retrieved
+		o.emitted += len(survivors)
 		if o.collect {
 			o.out = append(o.out, survivors...)
 		}
-		o.emitted += len(survivors)
 		if len(survivors) == 0 {
-			continue
+			continue // batch fully rejected; pull the next one
 		}
 		o.batch.Rows = survivors
 		return &o.batch, nil
 	}
 }
 
-func (o *conjWavesOp) finalize() {
-	if o.finalized {
+// finalize finishes the result. Every returned row was verified under every
+// predicate, so the answer is exact even above a conj-sample stage — the
+// accuracy contract is met deterministically and the sampling spend bought
+// the wave ordering instead.
+func (o *evalOp) finalize() {
+	if o.st.res != nil {
 		return
 	}
-	o.finalized = true
-	st := o.st
-	// Billing is per predicate: each predicate's charged calls pay its own
-	// o_e — the same per-predicate costs the greedy ordering and the
-	// EXPLAIN estimates use.
-	evals := 0
-	evalCost := 0.0
-	hits, misses := 0, 0
-	for _, p := range st.preds {
-		evals += p.meter.Calls()
-		evalCost += float64(p.meter.Calls()) * p.cost
-		hits += p.meter.CacheHits()
-		misses += p.meter.CacheMisses()
-	}
-	stats := Stats{
-		Evaluations:  evals,
-		ChosenColumn: st.chosen,
-		CacheHits:    hits,
-		CacheMisses:  misses,
-		// Every returned row was verified under every predicate, so the
-		// answer is exact even on the sampled (approximate) path — the
-		// accuracy contract is met deterministically and the sampling
-		// spend bought the wave ordering instead.
-		Exact: true,
-	}
-	if st.q.Approx == nil {
-		stats.Retrievals = o.pulled
-	} else {
-		stats.Sampled = o.sampledRows
-		stats.Retrievals = o.sampledRows + o.runner.Result().Retrieved
-	}
-	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
-	st.res = &Result{Rows: o.out, Stats: stats}
-	if st.analyze {
-		a := st.predTotals().actualSince(o.before)
+	o.st.finish(o.out, o.retrieved, true)
+	if o.st.analyze {
+		a := o.st.predTotals().actualSince(o.before)
 		a.Rows, a.ElapsedNS = o.emitted, o.elapsedNS
 		o.node.Actual = a
 	}
 }
 
-func (o *conjWavesOp) Close() error { return o.child.Close() }
+func (o *evalOp) Close() error { return o.child.Close() }
 
 // pipeline is a compiled operator chain plus what the executor needs to
 // drive and account for it.
@@ -575,13 +400,13 @@ type pipeline struct {
 	st     *pipeState
 	root   BatchOperator
 	scan   *scanOp
-	stream streamingOp // nil when the terminal is a blocking resultOp
+	stream *evalOp // nil when the chain ends in the blocking merge stage
 }
 
 // buildPipeline compiles the physical plan chain (a linear single-child
-// tree) into a pull pipeline. collect makes the streaming terminal
-// accumulate its output rows into st.res (the materialized, sink-less
-// path).
+// tree) into a pull pipeline: one operator per node, the filter node fused
+// into the scan's. collect makes the streaming terminal accumulate its
+// output rows into st.res (the materialized, sink-less path).
 func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*pipeline, error) {
 	var chain []*plan.Node
 	for n := root; n != nil; n = n.Child() {
@@ -589,6 +414,11 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 			return nil, fmt.Errorf("engine: physical node %q has %d children, want a linear chain", n.Op, len(n.Children))
 		}
 		chain = append(chain, n)
+	}
+	// The chain's last operator finishes the result: a streaming terminal,
+	// or the merge stage of a blocking chain.
+	if top := chain[0].Op; top != plan.OpExactEval && top != plan.OpConjWaves && top != plan.OpMerge {
+		return nil, fmt.Errorf("engine: pipeline ends in %q, which finishes no result", top)
 	}
 	i := len(chain) - 1
 	if chain[i].Op != plan.OpScan {
@@ -605,63 +435,53 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 	lowestStage := true
 	for ; i >= 0; i-- {
 		n := chain[i]
-		if p.stream != nil {
-			// Nodes above a streaming terminal (the merge of the greedy
-			// conjunction shape) describe work the terminal performs
-			// itself: they compile to no operator, so they charge nothing
-			// and carry no Actual.
-			continue
-		}
-		switch {
-		case n.Op == plan.OpConjSolve || (n.Op == plan.OpConjSample && n.Mode == plan.ModeTwoPred):
-			// Display-only nodes of the fused §5 shape: the conj-exec
-			// operator performs their work internally.
-			continue
-		case n.Op == plan.OpExactEval:
-			t := &exactEvalOp{e: e, st: st, node: n, child: cur, collect: collect}
-			cur, p.stream = t, t
-		case n.Op == plan.OpConjWaves:
-			t := &conjWavesOp{e: e, st: st, node: n, mode: n.Mode, child: cur, collect: collect}
-			cur, p.stream = t, t
+		switch n.Op {
+		case plan.OpExactEval:
+			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect,
+				prepare: func() (batchEval, error) { return e.exactEval(st), nil }}
+			cur = p.stream
+		case plan.OpConjWaves:
+			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect,
+				prepare: func() (batchEval, error) { return e.conjWaves(st, n.Mode) }}
+			cur = p.stream
 		default:
-			body, err := e.stageBody(n, st)
+			body, err := e.stageBody(n)
 			if err != nil {
 				return nil, err
 			}
 			cur = &stageOp{
 				e: e, st: st, node: n, child: cur, run: body,
 				drain: lowestStage && scan.filterNode != nil,
+				final: n.Op == plan.OpMerge,
 			}
 			lowestStage = false
 		}
-	}
-	if p.stream == nil {
-		cur = &resultOp{e: e, st: st, child: cur}
 	}
 	p.root = cur
 	return p, nil
 }
 
 // stageBody resolves the blocking operator body for a stage node.
-func (e *Engine) stageBody(n *plan.Node, st *pipeState) (func(ctx context.Context) error, error) {
+func (e *Engine) stageBody(n *plan.Node) (stageBody, error) {
 	switch n.Op {
 	case plan.OpGroupResolve:
-		return func(ctx context.Context) error { return e.opGroupResolve(ctx, st) }, nil
+		return e.opGroupResolve, nil
 	case plan.OpJoinGroup:
-		return func(ctx context.Context) error { return e.opJoinGroup(st) }, nil
+		return e.opJoinGroup, nil
 	case plan.OpSample:
-		return func(ctx context.Context) error { return e.opSample(ctx, st) }, nil
+		return e.opSample, nil
 	case plan.OpSolve:
-		mode := n.Mode
-		return func(ctx context.Context) error { return e.opSolve(mode, st) }, nil
+		return func(_ context.Context, st *pipeState) (stageOut, error) { return e.opSolve(n.Mode, st) }, nil
 	case plan.OpProbEval:
-		return func(ctx context.Context) error { return e.opProbEval(ctx, st) }, nil
+		return e.opProbEval, nil
 	case plan.OpMerge:
-		return func(ctx context.Context) error { return e.opMerge(st) }, nil
+		return e.opMerge, nil
 	case plan.OpConjSample:
-		return func(ctx context.Context) error { return e.opConjSample(ctx, st) }, nil
+		return e.opConjSample, nil
+	case plan.OpConjSolve:
+		return e.opConjSolve, nil
 	case plan.OpConjExec:
-		return func(ctx context.Context) error { return e.opConjExec(ctx, st) }, nil
+		return e.opConjExec, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown physical operator %q", n.Op)
 	}
@@ -689,10 +509,10 @@ func (p *pipeline) recordScanActuals() {
 
 // runPipeline compiles and drives the batch pipeline for one statement.
 // With a nil sink the result is materialized into st.res (a blocking chain
-// finishes it during Open and its resultOp is never pulled, so no row is
-// copied and no batch counted); with a sink, result batches are delivered
-// as produced and an ErrStopStream from the sink cancels upstream work,
-// leaving Stats covering the evaluation actually performed.
+// finishes it during Open and its merge stage is never pulled, so no batch
+// is counted); with a sink, result batches are delivered as produced and an
+// ErrStopStream from the sink cancels upstream work, leaving Stats covering
+// the evaluation actually performed.
 func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
 	pipe, err := e.buildPipeline(root, st, sink == nil)
 	if err != nil {
@@ -710,7 +530,7 @@ func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState
 	}
 	if sink == nil && pipe.stream == nil {
 		// Blocking chain, materialized query: the stages finished st.res
-		// during Open; pulling it through the resultOp would only copy it.
+		// during Open; there is no one to pull it for.
 		pipe.recordScanActuals()
 		return nil
 	}
@@ -735,8 +555,8 @@ func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState
 			return err
 		}
 	}
-	if pipe.stream != nil && st.res == nil {
-		// Early stop before end-of-stream: assemble Stats from the work done.
+	if pipe.stream != nil {
+		// After an early stop, assemble Stats from the work done.
 		pipe.stream.finalize()
 	}
 	pipe.recordScanActuals()

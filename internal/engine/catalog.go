@@ -186,7 +186,7 @@ func (e *Engine) memoizedColumn(tbl *table.Table, q Query, cost core.CostModel, 
 		return nil, "", false
 	}
 	groups, err := groupsFromColumn(tbl, col, subset)
-	if err != nil || len(groups) < 2 || len(groups) > e.MaxCandidateCardinality {
+	if err != nil || len(groups) < 2 || len(groups) > maxCandidateCardinality {
 		// The table changed shape since the memo was written: fall back to
 		// a fresh discovery pass (which overwrites the memo).
 		return nil, "", false

@@ -28,15 +28,6 @@ type Engine struct {
 	// Cost is the engine-wide cost model; a UDF's own Cost overrides
 	// Evaluate when set.
 	Cost core.CostModel
-	// LabelFraction is the fraction of tuples labeled to discover a
-	// correlated column (default 0.01, the paper's 1%).
-	LabelFraction float64
-	// VirtualBuckets is the bucket count for the logistic-regression
-	// virtual column (default 10).
-	VirtualBuckets int
-	// MaxCandidateCardinality caps candidate correlated columns (default
-	// 50, matching the paper's column scan).
-	MaxCandidateCardinality int
 	// Parallelism caps the number of workers UDF evaluation fans out
 	// across (labeling, sampling, execution and exact scans). Default
 	// runtime.GOMAXPROCS(0); 1 runs fully sequentially;
@@ -107,23 +98,34 @@ type Engine struct {
 	batchesTotal    atomic.Int64
 }
 
+// The paper's values for correlated-column discovery (§4.4) and the virtual
+// column (§6.3.2).
+const (
+	// labelFraction is the fraction of tuples labeled to discover a
+	// correlated column or train the virtual one (the paper's 1%).
+	labelFraction = 0.01
+	// virtualBuckets is the bucket count of the logistic-regression virtual
+	// column.
+	virtualBuckets = 10
+	// maxCandidateCardinality caps candidate correlated columns, matching
+	// the paper's column scan.
+	maxCandidateCardinality = 50
+)
+
 // New returns an engine with the paper's default cost model (o_r = 1,
 // o_e = 3) and the given deterministic seed.
 func New(seed uint64) *Engine {
 	return &Engine{
-		tables:                  make(map[string]*table.Table),
-		registry:                NewRegistry(),
-		Cost:                    core.DefaultCost,
-		LabelFraction:           0.01,
-		VirtualBuckets:          10,
-		MaxCandidateCardinality: 50,
-		Parallelism:             runtime.GOMAXPROCS(0),
-		CacheUDFResults:         true,
-		rng:                     stats.NewRNG(seed),
-		seed:                    seed,
-		breakers:                make(map[breakerKey]*resilience.Breaker),
-		evalCaches:              make(map[evalCacheKey]*core.SharedEvalCache),
-		flushedLens:             make(map[evalCacheKey]int),
+		tables:          make(map[string]*table.Table),
+		registry:        NewRegistry(),
+		Cost:            core.DefaultCost,
+		Parallelism:     runtime.GOMAXPROCS(0),
+		CacheUDFResults: true,
+		rng:             stats.NewRNG(seed),
+		seed:            seed,
+		breakers:        make(map[breakerKey]*resilience.Breaker),
+		evalCaches:      make(map[evalCacheKey]*core.SharedEvalCache),
+		flushedLens:     make(map[evalCacheKey]int),
 	}
 }
 
@@ -413,7 +415,7 @@ func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, 
 		if err != nil {
 			return nil, "", nil, err
 		}
-		if len(groups) < 2 || len(groups) > e.MaxCandidateCardinality {
+		if len(groups) < 2 || len(groups) > maxCandidateCardinality {
 			continue
 		}
 		cands = append(cands, core.Candidate{Name: def.Name, Groups: groups})
@@ -423,10 +425,7 @@ func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, 
 	}
 
 	rows := universe(tbl, subset)
-	frac := e.LabelFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
+	frac := labelFraction
 	labeled := make(map[int]bool)
 	for attempt := 0; attempt < 8; attempt++ {
 		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, meter, rng, e.parallelism())
@@ -453,18 +452,14 @@ func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, 
 // row, and bucket the scores into equal-frequency groups.
 func (e *Engine) virtualColumn(ctx context.Context, tbl *table.Table, q Query, meter *core.Meter, rng *stats.RNG, subset []int) ([]core.Group, string, map[int]bool, error) {
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
-		MaxCardinality: e.MaxCandidateCardinality,
+		MaxCardinality: maxCandidateCardinality,
 		Exclude:        []string{q.UDFArg},
 	})
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
 	rows := universe(tbl, subset)
-	frac := e.LabelFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, frac, meter, rng, e.parallelism())
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, labelFraction, meter, rng, e.parallelism())
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -492,12 +487,8 @@ func (e *Engine) virtualColumn(ctx context.Context, tbl *table.Table, q Query, m
 	for i, r := range rows {
 		scores[i] = model.Prob(enc.EncodeRow(tbl, r))
 	}
-	k := e.VirtualBuckets
-	if k <= 1 {
-		k = 10
-	}
-	buckets := ml.EqualFrequencyBuckets(scores, k)
-	byBucket := make([][]int, k)
+	buckets := ml.EqualFrequencyBuckets(scores, virtualBuckets)
+	byBucket := make([][]int, virtualBuckets)
 	for i, b := range buckets {
 		byBucket[b] = append(byBucket[b], rows[i])
 	}

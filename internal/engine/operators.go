@@ -15,11 +15,12 @@ import (
 // Physical-operator state and the blocking operator bodies. The planner
 // (planner.go + internal/plan) shapes every query into a chain of physical
 // operators; the batch pipeline (batch.go) compiles that chain into pull
-// iterators, running each blocking body below during its stage's Open —
-// leaf-first, each operator reading and extending the shared pipeline
-// state. The determinism contract lives in that order: RNG splits happen
-// in operator order, meters charge the same rows, and Stats are assembled
-// with the same formulas whatever the parallelism or batch size.
+// iterators, one per node, running each blocking body below during its
+// stage's Open — leaf-first, each operator reading and extending the shared
+// pipeline state. The determinism contract lives in that order: RNG splits
+// happen in operator order, meters charge the same rows, and Stats are
+// assembled by the one formula (pipeState.finish) whatever the shape,
+// parallelism or batch size.
 
 // resolvedPred is one expensive predicate bound to the engine: its fault
 // box, its failure-telemetry sink, its metered (resilient, usually
@@ -48,24 +49,27 @@ type pipeState struct {
 	rng *stats.RNG
 
 	// Products of the operators, in pipeline order.
-	subset      []int             // op filter
-	groups      []core.Group      // op group-resolve (or join-group)
-	chosen      string            // op group-resolve
-	labeled     map[int]bool      // op group-resolve (discovery/virtual labels)
-	joinTbl     *table.Table      // join shape, bound during validation
-	leftCol     table.Column      // join shape
-	rightCol    table.Column      // join shape
-	joinWeights []float64         // op join-group, parallel to groups
-	sampler     *core.Sampler     // op sample
-	strategy    core.Strategy     // op solve
-	achieved    float64           // op solve (budget mode)
-	conjSamples []core.ConjSample // op conj-sample
-	conjSels    []float64         // op conj-sample
-	exec        core.ExecResult   // op prob-eval
+	subset      []int                // op filter
+	groups      []core.Group         // op group-resolve (or join-group)
+	chosen      string               // op group-resolve
+	labeled     map[int]bool         // op group-resolve (discovery/virtual labels)
+	joinTbl     *table.Table         // join shape, bound during validation
+	leftCol     table.Column         // join shape
+	rightCol    table.Column         // join shape
+	joinWeights []float64            // op join-group, parallel to groups
+	sampler     *core.Sampler        // op sample
+	sampled     int                  // op sample / conj-sample: rows examined
+	strategy    core.Strategy        // op solve
+	achieved    float64              // op solve (budget mode)
+	conjSamples []core.ConjSample    // op conj-sample
+	conjSels    []float64            // op conj-sample
+	actions     []core.TwoPredAction // op conj-solve
+	output      []int                // op prob-eval / conj-exec
+	retrieved   int                  // op prob-eval / conj-exec: rows fetched
 
-	// res is the finished result; once set, remaining operators are
-	// skipped (used by terminal operators and short-circuits like the
-	// empty join).
+	// res is the finished result, set by the chain's last operator (merge
+	// or a streaming terminal) through finish — or early by the empty-join
+	// short-circuit, after which the remaining stage bodies are skipped.
 	res *Result
 
 	// analyze turns on EXPLAIN ANALYZE instrumentation: each executed
@@ -97,6 +101,33 @@ func (st *pipeState) predTotals() predTotals {
 		t.denied += d
 	}
 	return t
+}
+
+// finish assembles the statement's Result. It is the one place Stats are
+// computed, for every shape, from the predicates' meters: each predicate's
+// charged calls pay its own o_e (the per-predicate costs the greedy ordering
+// and the EXPLAIN estimates use), cache hits are free, and every sampled row
+// was also a retrieval. retrieved counts the rows fetched after sampling;
+// exact marks an answer every row of which was verified under every
+// predicate.
+func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
+	stats := Stats{
+		Retrievals:          st.sampled + retrieved,
+		Sampled:             st.sampled,
+		ChosenColumn:        st.chosen,
+		Exact:               exact,
+		AchievedRecallBound: st.achieved,
+	}
+	evalCost := 0.0
+	for _, p := range st.preds {
+		calls := p.meter.Calls()
+		stats.Evaluations += calls
+		evalCost += float64(calls) * p.cost
+		stats.CacheHits += p.meter.CacheHits()
+		stats.CacheMisses += p.meter.CacheMisses()
+	}
+	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
+	st.res = &Result{Rows: rows, Stats: stats}
 }
 
 // bindStatement resolves every name a statement references — the base
@@ -210,57 +241,29 @@ func (t predTotals) actualSince(before predTotals) *plan.Actual {
 	}
 }
 
-// fillActualRows resolves the "rows out" (and groups, where meaningful) of
-// an operator from the pipeline products it just wrote.
-func (st *pipeState) fillActualRows(op plan.Op, a *plan.Actual) {
-	groupRows := func() int {
-		n := 0
-		for _, g := range st.groups {
-			n += len(g.Rows)
-		}
-		return n
+// stageOut is what a blocking stage body reports about its own product
+// for EXPLAIN ANALYZE: rows out, and groups where the stage resolves them.
+type stageOut struct{ rows, groups int }
+
+// groupsOut reports the pipeline's current grouping as a stage product.
+func (st *pipeState) groupsOut() stageOut {
+	out := stageOut{groups: len(st.groups)}
+	for _, g := range st.groups {
+		out.rows += len(g.Rows)
 	}
-	switch op {
-	case plan.OpScan:
-		a.Rows = st.tbl.NumRows()
-	case plan.OpFilter:
-		if st.subset != nil {
-			a.Rows = len(st.subset)
-		} else {
-			a.Rows = st.tbl.NumRows()
-		}
-	case plan.OpGroupResolve, plan.OpJoinGroup:
-		a.Rows = groupRows()
-		a.Groups = len(st.groups)
-	case plan.OpSample:
-		a.Rows = st.sampler.TotalSampled()
-	case plan.OpConjSample:
-		for _, s := range st.conjSamples {
-			a.Rows += len(s.Results)
-		}
-	case plan.OpProbEval:
-		a.Rows = len(st.exec.Output)
-	case plan.OpMerge, plan.OpExactEval, plan.OpConjExec, plan.OpConjWaves:
-		if st.res != nil {
-			a.Rows = len(st.res.Rows)
-		}
-	}
+	return out
 }
 
 // opGroupResolve determines the grouping the optimizer will use: the
 // pinned column, a discovered correlated column (memo-accelerated), or the
 // logistic-regression virtual column.
-func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) error {
-	cons := core.Constraints{}
-	if st.q.Approx != nil {
-		cons = st.q.Approx.Constraints()
-	}
-	groups, chosen, labeled, err := e.resolveGroups(ctx, st.tbl, st.q, st.preds[0].meter, cons, st.cost, st.rng, st.subset)
+func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, error) {
+	groups, chosen, labeled, err := e.resolveGroups(ctx, st.tbl, st.q, st.preds[0].meter, st.q.Approx.Constraints(), st.cost, st.rng, st.subset)
 	if err != nil {
-		return err
+		return stageOut{}, err
 	}
 	st.groups, st.chosen, st.labeled = groups, chosen, labeled
-	return nil
+	return st.groupsOut(), nil
 }
 
 // joinMultiplicities counts, per join-key value, the join table's matching
@@ -278,7 +281,7 @@ func joinMultiplicities(key table.Column) map[string]int {
 // Tuples whose join key matches nothing can never appear in the join
 // result; they are dropped before the sampler ever sees them, and an
 // entirely empty join short-circuits the pipeline.
-func (e *Engine) opJoinGroup(st *pipeState) error {
+func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error) {
 	mult := joinMultiplicities(st.rightCol)
 	type subKey struct {
 		group  int
@@ -296,7 +299,7 @@ func (e *Engine) opJoinGroup(st *pipeState) error {
 	}
 	if len(sub) == 0 {
 		st.res = &Result{Stats: Stats{ChosenColumn: st.q.GroupOn}}
-		return nil
+		return stageOut{}, nil
 	}
 	keys := make([]subKey, 0, len(sub))
 	for k := range sub {
@@ -318,13 +321,13 @@ func (e *Engine) opJoinGroup(st *pipeState) error {
 		weights[i] = float64(k.weight)
 	}
 	st.groups, st.joinWeights = groups, weights
-	return nil
+	return st.groupsOut(), nil
 }
 
 // opSample estimates per-group selectivities: preload rows labeled during
 // group resolution, warm-start from the durable catalog, then top up with
 // the Two-Third-Power allocation.
-func (e *Engine) opSample(ctx context.Context, st *pipeState) error {
+func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) {
 	cons := st.q.Approx.Constraints()
 	sampler := core.NewSampler(st.groups, st.preds[0].meter, st.rng.Split())
 	sampler.SetParallelism(e.parallelism())
@@ -336,16 +339,16 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) error {
 	}
 	alloc := core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}
 	if _, err := sampler.TopUpCtx(ctx, alloc.Allocate(sizes)); err != nil {
-		return err
+		return stageOut{}, err
 	}
-	st.sampler = sampler
-	return nil
+	st.sampler, st.sampled = sampler, sampler.TotalSampled()
+	return stageOut{rows: st.sampled}, nil
 }
 
 // opSolve turns the sampling estimates into an execution strategy: the
 // constrained program, the fixed-budget objective, or the join-weighted
 // variant.
-func (e *Engine) opSolve(mode string, st *pipeState) error {
+func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 	infos := st.sampler.Infos()
 	cons := st.q.Approx.Constraints()
 	switch mode {
@@ -360,7 +363,7 @@ func (e *Engine) opSolve(mode string, st *pipeState) error {
 				return core.PlanWithSamples(g, c, cm)
 			})
 		if err != nil {
-			return err
+			return stageOut{}, err
 		}
 		st.strategy = p.Strategy
 		st.achieved = p.AchievedBeta
@@ -375,51 +378,37 @@ func (e *Engine) opSolve(mode string, st *pipeState) error {
 		}
 		strat, err := core.PlanSelectJoin(joinGroups, cons, st.cost)
 		if err != nil {
-			return err
+			return stageOut{}, err
 		}
 		st.strategy = strat
 	default:
 		strat, err := core.PlanWithSamples(infos, cons, st.cost)
 		if err != nil {
-			return err
+			return stageOut{}, err
 		}
 		st.strategy = strat
 	}
-	return nil
+	return stageOut{}, nil
 }
 
 // opProbEval executes the strategy: per-tuple retrieve/evaluate coins
 // drawn sequentially, UDF calls fanned across the worker pool.
-func (e *Engine) opProbEval(ctx context.Context, st *pipeState) error {
+func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error) {
 	exec, err := core.ExecuteParallelCtx(ctx, st.groups, st.strategy, st.sampler.Outcomes(), st.preds[0].meter, st.cost, st.rng.Split(), e.parallelism())
 	if err != nil {
-		return err
+		return stageOut{}, err
 	}
-	st.exec = exec
-	return nil
+	st.output, st.retrieved = exec.Output, exec.Retrieved
+	return stageOut{rows: len(st.output)}, nil
 }
 
-// opMerge sorts the output, persists what the query learned, and assembles
-// the result statistics for sampler-based pipelines. (Conjunction
-// operators are terminal and assemble their own stats.)
-func (e *Engine) opMerge(st *pipeState) error {
-	sort.Ints(st.exec.Output)
-	e.persistQueryLearnings(st.sampler, st.q, st.cost, st.chosen, st.preds[0].fault, st.epoch)
-	meter := st.preds[0].meter
-	sampled := st.sampler.TotalSampled()
-	retrievals := sampled + st.exec.Retrieved
-	st.res = &Result{
-		Rows: st.exec.Output,
-		Stats: Stats{
-			Evaluations:         meter.Calls(),
-			Retrievals:          retrievals,
-			Cost:                float64(meter.Calls())*st.cost.Evaluate + float64(retrievals)*st.cost.Retrieve,
-			ChosenColumn:        st.chosen,
-			Sampled:             sampled,
-			AchievedRecallBound: st.achieved,
-			CacheHits:           meter.CacheHits(),
-			CacheMisses:         meter.CacheMisses(),
-		},
+// opMerge finishes every blocking pipeline, sampler-based and §5 alike:
+// sort the output, persist what a sampler learned, assemble the result.
+func (e *Engine) opMerge(_ context.Context, st *pipeState) (stageOut, error) {
+	sort.Ints(st.output)
+	if st.sampler != nil {
+		e.persistQueryLearnings(st.sampler, st.q, st.cost, st.chosen, st.preds[0].fault, st.epoch)
 	}
-	return nil
+	st.finish(st.output, st.retrieved, false)
+	return stageOut{rows: len(st.output)}, nil
 }

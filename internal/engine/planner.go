@@ -27,7 +27,7 @@ func (e *Engine) buildSpec(st *pipeState) plan.Spec {
 		VirtualName:   VirtualColumn,
 		Budget:        q.Budget,
 		Retrieve:      st.cost.Retrieve,
-		LabelFraction: e.LabelFraction,
+		LabelFraction: labelFraction,
 	}
 	for i, p := range st.preds {
 		sp.Preds[i] = plan.Pred{UDF: p.spec.UDFName, Arg: p.spec.UDFArg, Want: p.spec.Want, Cost: p.cost}

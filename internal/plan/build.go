@@ -5,57 +5,6 @@ import (
 	"strings"
 )
 
-// Logical lowers a spec into the logical plan: a composite root (select /
-// conjunction / join) over the scan → filter base, annotated with the
-// accuracy contract. Logical nodes say what the query means; Physical
-// decides how it runs.
-func Logical(s Spec) (*Node, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	base := s.scanChain()
-	var root *Node
-	switch {
-	case s.Join != nil:
-		root = &Node{
-			Op:       OpJoin,
-			Column:   s.Join.LeftKey,
-			Preds:    s.Preds,
-			Children: []*Node{base},
-			EstRows:  s.Rows,
-			Detail: []Attr{
-				{"table", s.Join.Table},
-				{"on", fmt.Sprintf("%s = %s.%s", s.Join.LeftKey, s.Join.Table, s.Join.RightKey)},
-			},
-		}
-	case len(s.Preds) > 1:
-		root = &Node{
-			Op:       OpConjunction,
-			Preds:    s.Preds,
-			Children: []*Node{base},
-			EstRows:  s.Rows,
-			Detail:   []Attr{{"predicates", predList(s.Preds)}},
-		}
-	default:
-		root = &Node{
-			Op:       OpSelect,
-			Preds:    s.Preds,
-			Children: []*Node{base},
-			EstRows:  s.Rows,
-			Detail:   []Attr{{"predicate", s.Preds[0].String()}},
-		}
-	}
-	if s.Approx != nil {
-		root.Detail = append(root.Detail, Attr{"accuracy", fmt.Sprintf("α=%g β=%g ρ=%g", s.Approx.Alpha, s.Approx.Beta, s.Approx.Rho)})
-		if s.Budget > 0 {
-			root.Detail = append(root.Detail, Attr{"budget", fmt.Sprintf("%g", s.Budget)})
-		}
-	} else {
-		root.Detail = append(root.Detail, Attr{"accuracy", "exact"})
-	}
-	return root, nil
-}
-
 // scanChain builds filter → scan (or a bare scan when there are no cheap
 // filters).
 func (s Spec) scanChain() *Node {
@@ -77,25 +26,27 @@ func (s Spec) scanChain() *Node {
 	}
 }
 
-// Physical rewrites the logical plan into the physical operator tree the
-// engine executes. The rewrite rules are the former dispatch branches:
+// Physical shapes a spec into the physical operator tree the engine
+// executes, one rewrite rule per statement shape:
 //
 //   - select + exact          → exact-eval
 //   - select + approx         → group-resolve · sample · solve · prob-eval · merge
 //   - conjunction + exact     → conj-waves (query order)
 //   - conjunction + approx, 2 → group-resolve · conj-sample · conj-solve · conj-exec · merge
-//   - conjunction + approx, N → [group-resolve ·] conj-sample · conj-waves(greedy) · merge
+//   - conjunction + approx, N → [group-resolve ·] conj-sample · conj-waves(greedy)
 //   - join + approx           → group-resolve · join-group · sample · solve(weights) · prob-eval · merge
+//
+// Every node is run by exactly one operator of the engine's pipeline (the
+// filter node by the scan it is fused into).
 func Physical(s Spec) (*Node, error) {
-	logical, err := Logical(s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	base := logical.Child() // filter → scan chain, reused as the pipeline tail
-	switch logical.Op {
-	case OpJoin:
+	base := s.scanChain() // filter → scan, the pipeline tail
+	switch {
+	case s.Join != nil:
 		return s.physicalJoin(base), nil
-	case OpConjunction:
+	case len(s.Preds) > 1:
 		return s.physicalConjunction(base), nil
 	default:
 		return s.physicalSelect(base), nil
@@ -170,10 +121,7 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 		}
 	}
 	if len(s.Preds) == 2 {
-		gr := s.groupResolve(base)
-		sample := conjSample(gr)
-		sample.Mode = ModeTwoPred
-		solve := &Node{Op: OpConjSolve, Mode: ModeTwoPred, Children: []*Node{sample},
+		solve := &Node{Op: OpConjSolve, Children: []*Node{conjSample(s.groupResolve(base))},
 			Detail: []Attr{{"actions", "discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)"}}}
 		exec := &Node{
 			Op:          OpConjExec,
@@ -186,12 +134,13 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 		return s.merge(exec)
 	}
 	// N ≥ 3: sampled selectivities only order the short-circuit waves; the
-	// answer itself is exact.
+	// answer itself is exact, and the waves emit in base-table order, so
+	// (like the exact shape) there is nothing left to merge.
 	child := base
 	if s.GroupOn != "" && s.GroupOn != s.VirtualName {
 		child = s.groupResolve(base)
 	}
-	waves := &Node{
+	return &Node{
 		Op:          OpConjWaves,
 		Mode:        ModeGreedyOrder,
 		Preds:       s.Preds,
@@ -204,7 +153,6 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 			{"short-circuit", "each wave evaluates only prior survivors"},
 		},
 	}
-	return s.merge(waves)
 }
 
 func (s Spec) physicalJoin(base *Node) *Node {

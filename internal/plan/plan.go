@@ -1,16 +1,17 @@
-// Package plan is the engine's planner layer: the SQL layer's query
-// description is lowered into a logical plan (scan → cheap-filter →
-// group-resolve → sample → solve → probabilistic-eval → merge, with
-// conjunctions and joins as composite nodes), and rewrite rules turn the
-// logical plan into a tree of physical operators that the engine executes
-// uniformly. Every node is printable, which is what EXPLAIN renders.
+// Package plan is the engine's planner layer: one rewrite rule per
+// statement shape turns the query description into a chain of physical
+// operators (scan → cheap-filter → group-resolve → sample → solve →
+// probabilistic-eval → merge and its conjunction and join variants). The
+// plan is the pipeline: the engine compiles exactly one operator per node
+// (the filter node fused into the scan's), so the tree EXPLAIN prints is
+// the tree that runs, and under EXPLAIN ANALYZE every node carries what its
+// operator measurably did.
 //
 // The package is deliberately free of engine dependencies: the engine
 // lowers its Query into a Spec (adding what only it knows — row counts,
 // cost model, per-predicate costs, any catalog-memoized column choice) and
-// walks the returned physical tree to run the extracted operators. Keeping
-// the shapes here means a new query form is a new rewrite rule plus an
-// operator, not a new dispatch branch.
+// compiles the returned tree. Keeping the shapes here means a new query
+// form is a new rewrite rule plus an operator, not a new dispatch branch.
 package plan
 
 import (
@@ -18,17 +19,11 @@ import (
 	"math"
 )
 
-// Op identifies a plan node. Logical ops describe what a query means;
-// physical ops name the operator the engine will run.
+// Op identifies a plan node: it names the operator the engine runs for it.
 type Op string
 
 const (
-	// Logical ops.
-	OpSelect      Op = "select"      // composite: predicates over a scan
-	OpConjunction Op = "conjunction" // composite: N expensive predicates ANDed
-	OpJoin        Op = "join"        // composite: selection before join
-
-	// Shared logical/physical pipeline stages.
+	// The single-predicate pipeline stages.
 	OpScan         Op = "scan"          // row universe of a table
 	OpFilter       Op = "filter"        // cheap typed predicates, pushed first
 	OpGroupResolve Op = "group-resolve" // correlated-column grouping
@@ -37,7 +32,7 @@ const (
 	OpProbEval     Op = "prob-eval"     // per-tuple retrieve/evaluate coins
 	OpMerge        Op = "merge"         // sort row ids, assemble stats
 
-	// Physical-only operators.
+	// Exact, conjunction and join operators.
 	OpExactEval  Op = "exact-eval"  // evaluate the predicate on every row
 	OpConjSample Op = "conj-sample" // fused sampling of all N predicates
 	OpConjSolve  Op = "conj-solve"  // §5 five-action per-group plan (N=2)
@@ -58,11 +53,6 @@ const (
 	// Conj-waves orderings.
 	ModeQueryOrder  = "query-order" // predicates as written
 	ModeGreedyOrder = "greedy"      // cheapest-first from sampled selectivities
-	// ModeTwoPred marks conj-sample/conj-solve nodes of the §5 two-predicate
-	// shape: they describe work the fused conj-exec operator performs
-	// internally (sampling, planning and execution are one core pipeline
-	// there), so the executor skips them.
-	ModeTwoPred = "two-pred"
 )
 
 // Attr is one display attribute of a node (ordered, for stable EXPLAIN
@@ -91,7 +81,7 @@ type Node struct {
 	// Detail holds extra display attributes.
 	Detail []Attr
 	// Actual holds the measured execution counts of the node (EXPLAIN
-	// ANALYZE); nil on plain EXPLAIN and on display-only nodes.
+	// ANALYZE); nil on plain EXPLAIN.
 	Actual *Actual
 }
 
@@ -217,8 +207,8 @@ type Spec struct {
 	MemoColumn string
 	// Retrieve is o_r; per-predicate o_e lives on each Pred.
 	Retrieve float64
-	// LabelFraction is the §4.4 labeling fraction (for discovery cost
-	// estimates).
+	// LabelFraction is the §4.4 labeling fraction the engine labels with
+	// (for discovery cost estimates).
 	LabelFraction float64
 	// SampleNum is the Two-Third-Power allocator's num factor (2.5·α).
 	SampleNum float64
@@ -262,11 +252,7 @@ func (s Spec) estSampleRows(n int) int {
 
 // estLabelRows estimates the §4.4 labeling pass size.
 func (s Spec) estLabelRows(n int) int {
-	frac := s.LabelFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
-	est := int(math.Round(frac * float64(n)))
+	est := int(math.Round(s.LabelFraction * float64(n)))
 	if est > n {
 		est = n
 	}

@@ -83,11 +83,11 @@ func TestPhysicalShapes(t *testing.T) {
 			s.Preds = append(s.Preds, second, third)
 			s.Approx = ap
 			s.GroupOn = "grade"
-		}, []Op{OpMerge, OpConjWaves, OpConjSample, OpGroupResolve, OpScan}},
+		}, []Op{OpConjWaves, OpConjSample, OpGroupResolve, OpScan}},
 		{"n-ary approx ungrouped", func(s *Spec) {
 			s.Preds = append(s.Preds, second, third)
 			s.Approx = ap
-		}, []Op{OpMerge, OpConjWaves, OpConjSample, OpScan}},
+		}, []Op{OpConjWaves, OpConjSample, OpScan}},
 		{"join", func(s *Spec) {
 			s.Approx = ap
 			s.GroupOn = "grade"
@@ -133,27 +133,6 @@ func TestPhysicalModes(t *testing.T) {
 	s.Budget = 100
 	if sv := mustPhysical(t, s).Find(OpSolve); sv.Mode != ModeBudget {
 		t.Fatalf("budget solve mode: %+v", sv)
-	}
-}
-
-func TestLogicalComposites(t *testing.T) {
-	s := baseSpec()
-	s.Preds = append(s.Preds, Pred{UDF: "rich", Arg: "income", Want: true, Cost: 3})
-	l, err := Logical(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Op != OpConjunction {
-		t.Fatalf("root %v, want conjunction", l.Op)
-	}
-	s.Preds = s.Preds[:1]
-	s.Join = &Join{Table: "orders", Rows: 1, LeftKey: "id", RightKey: "loan_id"}
-	l, err = Logical(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.Op != OpJoin {
-		t.Fatalf("root %v, want join", l.Op)
 	}
 }
 
