@@ -1,10 +1,9 @@
 // Command predlint runs the engine's invariant suite (internal/lint/rules)
 // over the repository: determinism (detrand, maporder, gospawn), context
 // plumbing (ctxflow), the typed failure taxonomy (errtaxonomy), atomic
-// catalog writes (atomicwrite), and the flow-sensitive batch/observability
-// checks (batchalias, spanbalance, atomicmix, foldpoint). It is a blocking
-// CI step: any finding — including a malformed //predlint:allow directive —
-// fails the run.
+// catalog writes (atomicwrite) and mixed atomic/plain access (atomicmix).
+// It is a blocking CI step: any finding — including a malformed
+// //predlint:allow directive — fails the run.
 //
 // Usage:
 //
@@ -12,7 +11,7 @@
 //	go run ./cmd/predlint -json ./...            # machine-readable findings
 //	go run ./cmd/predlint -list                  # describe the analyzer suite
 //	go run ./cmd/predlint -tests ./...           # include _test.go variants
-//	go run ./cmd/predlint -only spanbalance ./...  # run a subset
+//	go run ./cmd/predlint -only maporder ./...   # run a subset
 //	go run ./cmd/predlint -skip ctxflow ./...    # run all but a subset
 //	go run ./cmd/predlint -strict ./...          # stale directives are findings
 //

@@ -126,8 +126,8 @@ func covered(ch chan int) {
 	if res.Findings[0].File != filepath.Join("internal", "core", "bad.go") {
 		t.Errorf("finding file = %q, want module-relative path", res.Findings[0].File)
 	}
-	if len(res.Analyzers) != 10 {
-		t.Errorf("analyzers = %v, want the 10-analyzer suite", res.Analyzers)
+	if len(res.Analyzers) != 7 {
+		t.Errorf("analyzers = %v, want the 7-analyzer suite", res.Analyzers)
 	}
 	if res.Suppressed != 1 || res.Directives != 1 {
 		t.Errorf("suppressed/directives = %d/%d, want 1/1", res.Suppressed, res.Directives)
@@ -209,54 +209,13 @@ func nothing() {}
 	}
 }
 
-// TestSeededFlowViolationsFailLint is the acceptance check for the four
-// flow-sensitive analyzers: one module seeding a violation of each
-// invariant — an escaping batch slice, an unbalanced span, a mixed
-// atomic/plain field, and breaker interaction inside a worker closure —
-// must fail the lint with all four analyzers reporting.
+// TestSeededFlowViolationsFailLint seeds the one cross-statement invariant
+// the suite still owns — a field updated atomically in one method and read
+// plainly in another — into a module and requires the lint to fail on it.
+// (The other flow invariants are held by construction or by a test; see
+// DESIGN.md, "Held by construction".)
 func TestSeededFlowViolationsFailLint(t *testing.T) {
 	dir := writeModule(t, map[string]string{
-		"internal/engine/bad_batch.go": `package engine
-
-import "context"
-
-type Batch struct{ Rows []int }
-
-type child struct{}
-
-func (c *child) Next(ctx context.Context) (*Batch, error) { return &Batch{}, nil }
-
-type op struct {
-	child *child
-	rows  []int
-}
-
-func (o *op) pull(ctx context.Context) {
-	b, _ := o.child.Next(ctx)
-	o.rows = b.Rows
-}
-`,
-		"internal/engine/bad_span.go": `package engine
-
-type Span struct{}
-
-func (s *Span) End()                    {}
-func (s *Span) SetAttr(k, v string)     {}
-
-type Trace struct{}
-
-func (t *Trace) Start(name string) *Span { return &Span{} }
-
-func leakSpan(t *Trace, fail bool) bool {
-	sp := t.Start("wave")
-	sp.SetAttr("k", "v")
-	if fail {
-		return false
-	}
-	sp.End()
-	return true
-}
-`,
 		"internal/core/bad_atomic.go": `package core
 
 import "sync/atomic"
@@ -267,36 +226,13 @@ func (c *ctr) inc() { atomic.AddInt64(&c.n, 1) }
 
 func (c *ctr) read() int64 { return c.n }
 `,
-		"internal/exec/bad_fold.go": `package exec
-
-type Pool struct{}
-
-func (p *Pool) ForEachCtx(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		fn(i)
-	}
-}
-
-type Breaker struct{}
-
-func (b *Breaker) Plan(n int) []bool  { return make([]bool, n) }
-func (b *Breaker) Record(failed bool) {}
-
-func wave(p *Pool, b *Breaker) {
-	p.ForEachCtx(4, func(i int) {
-		b.Record(false)
-	})
-}
-`,
 	})
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-C", dir, "./..."}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	for _, name := range []string{"[batchalias]", "[spanbalance]", "[atomicmix]", "[foldpoint]"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("stdout does not report a %s finding:\n%s", name, stdout.String())
-		}
+	if !strings.Contains(stdout.String(), "[atomicmix]") {
+		t.Errorf("stdout does not report an [atomicmix] finding:\n%s", stdout.String())
 	}
 }
 
@@ -307,8 +243,8 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("exit = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"atomicmix", "atomicwrite", "batchalias", "ctxflow", "detrand",
-		"errtaxonomy", "foldpoint", "gospawn", "maporder", "spanbalance",
+		"atomicmix", "atomicwrite", "ctxflow", "detrand",
+		"errtaxonomy", "gospawn", "maporder",
 	} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, stdout.String())

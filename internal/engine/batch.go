@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -116,14 +115,23 @@ func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := obs.FromContext(ctx).Start("op:scan")
-	start := obs.Now()
+	s.elapsedNS += int64(obs.Timed(ctx, "op:scan", s.fill))
+	if len(s.buf) == 0 {
+		s.done = true
+		return nil, nil
+	}
+	s.emitted += len(s.buf)
+	s.batch.Rows = s.buf
+	return &s.batch, nil
+}
+
+// fill scans until the batch holds cap(buf) survivors (or the table ends):
+// batches carry surviving rows, so downstream work per batch is constant
+// regardless of filter selectivity.
+func (s *scanOp) fill() {
 	n := s.st.tbl.NumRows()
 	size := cap(s.buf)
 	s.buf = s.buf[:0]
-	// Scan until the batch holds `size` survivors (or the table ends):
-	// batches carry surviving rows, so downstream work per batch is
-	// constant regardless of filter selectivity.
 	for s.cursor < n && len(s.buf) < size {
 		r := s.cursor
 		s.cursor++
@@ -139,15 +147,6 @@ func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
 			s.buf = append(s.buf, r)
 		}
 	}
-	s.elapsedNS += int64(obs.Since(start))
-	sp.End()
-	if len(s.buf) == 0 {
-		s.done = true
-		return nil, nil
-	}
-	s.emitted += len(s.buf)
-	s.batch.Rows = s.buf
-	return &s.batch, nil
 }
 
 func (s *scanOp) Close() error { return nil }
@@ -217,20 +216,18 @@ func (s *stageOp) Open(ctx context.Context) error {
 		}
 		return nil // the empty join below already finished the result
 	}
-	sp := obs.FromContext(ctx).Start("op:" + string(s.node.Op))
 	var before predTotals
-	var start time.Time
 	if s.st.analyze {
 		before = s.st.predTotals()
-		start = obs.Now()
 	}
-	out, err := s.run(ctx, s.st)
+	var out stageOut
+	var err error
+	elapsed := obs.Timed(ctx, "op:"+string(s.node.Op), func() { out, err = s.run(ctx, s.st) })
 	if err == nil && s.st.analyze {
 		a := s.st.predTotals().actualSince(before)
-		a.Rows, a.Groups, a.ElapsedNS = out.rows, out.groups, int64(obs.Since(start))
+		a.Rows, a.Groups, a.ElapsedNS = out.rows, out.groups, int64(elapsed)
 		s.node.Actual = a
 	}
-	sp.End()
 	return err
 }
 
@@ -355,11 +352,9 @@ func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
 			o.finalize()
 			return nil, nil
 		}
-		sp := obs.FromContext(ctx).Start(o.span)
-		start := obs.Now()
-		survivors, retrieved, err := o.eval(ctx, cb.Rows)
-		o.elapsedNS += int64(obs.Since(start))
-		sp.End()
+		var survivors []int
+		var retrieved int
+		o.elapsedNS += int64(obs.Timed(ctx, o.span, func() { survivors, retrieved, err = o.eval(ctx, cb.Rows) }))
 		if err != nil {
 			return nil, err
 		}

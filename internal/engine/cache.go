@@ -66,27 +66,6 @@ func (c wantFoldedCache) Store(row int, v bool) {
 	c.inner.Store(row, v == c.want)
 }
 
-// faultGatedCache blocks writes once the query has recorded a UDF fault:
-// a recovered panic yields a synthetic "false" verdict that must not be
-// persisted — a later query would silently inherit it instead of
-// re-evaluating. Reads are unaffected (cached entries are always genuine).
-type faultGatedCache struct {
-	inner core.EvalCache
-	fault *udfFault
-}
-
-func (c faultGatedCache) Lookup(row int) (bool, bool) { return c.inner.Lookup(row) }
-
-func (c faultGatedCache) Store(row int, v bool) {
-	// The fault is recorded inside the UDF wrapper before Meter.Eval
-	// stores, so the faulting row itself is always blocked. Healthy rows
-	// evaluated concurrently with a fault may be skipped too — that only
-	// costs a future re-evaluation, never correctness.
-	if c.fault.Err() == nil {
-		c.inner.Store(row, v)
-	}
-}
-
 // InvalidateUDFCache drops every cached outcome (all tables and UDFs).
 func (e *Engine) InvalidateUDFCache() {
 	e.cacheMu.Lock()

@@ -55,6 +55,37 @@ func TestUDFPanicNotCached(t *testing.T) {
 	}
 }
 
+// TestCacheAfterFailedQueryIsParallelismIndependent: the shared cache a
+// failed FailOnError query leaves behind must not depend on scheduling. The
+// meter never stores a failed row, and every healthy verdict it computed —
+// before or after the fault — is genuine, so a follow-up query is served the
+// same 599 rows from cache at any parallelism and charges no evaluation: the
+// one failing row fails again and is skipped.
+func TestCacheAfterFailedQueryIsParallelismIndependent(t *testing.T) {
+	followUp := func(parallelism int) Stats {
+		e, _ := newFallibleEngine(t, 600, map[int64]bool{300: true})
+		e.Parallelism = parallelism
+		if !e.CacheUDFResults {
+			t.Fatal("the cross-query cache is off; the test would compare nothing")
+		}
+		if _, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError)); err == nil {
+			t.Fatal("the FailOnError query did not fail")
+		}
+		res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats
+	}
+	seq, par := followUp(1), followUp(8)
+	if seq != par {
+		t.Errorf("follow-up stats depend on the failed query's parallelism:\n p=1 %+v\n p=8 %+v", seq, par)
+	}
+	if seq.Evaluations != 0 || seq.CacheHits != 599 || seq.FailedRows != 1 {
+		t.Errorf("follow-up stats = %+v, want 0 evaluations, 599 cache hits, 1 failed row", seq)
+	}
+}
+
 // TestReRegisterUDFInvalidatesCache: replacing a UDF body must drop the
 // old body's cached outcomes.
 func TestReRegisterUDFInvalidatesCache(t *testing.T) {

@@ -272,30 +272,17 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	tr := obs.FromContext(ctx)
-	sp := tr.Start("bind")
-	st, err := e.bindStatement(q)
-	sp.End()
+	var st *pipeState
+	var err error
+	obs.Timed(ctx, "bind", func() { st, err = e.bindStatement(q) })
 	if err != nil {
 		return nil, nil, err
 	}
 	st.analyze = analyze
-	sp = tr.Start("plan")
-	root, err := plan.Physical(e.buildSpec(st))
-	sp.End()
+	var root *plan.Node
+	obs.Timed(ctx, "plan", func() { root, err = plan.Physical(e.buildSpec(st)) })
 	if err != nil {
 		return nil, nil, err
-	}
-	// Trip baselines for the breakers this statement touches (deduped by
-	// pointer — duplicate predicates share one breaker), so Stats can report
-	// the trips THIS statement caused, not the engine-lifetime totals.
-	baselines := make(map[*resilience.Breaker]int64)
-	for _, p := range st.preds {
-		if b, ok := p.meter.Gate().(*resilience.Breaker); ok && b != nil {
-			if _, seen := baselines[b]; !seen {
-				baselines[b] = b.Trips()
-			}
-		}
 	}
 	// Captured before any evaluation: if a UDF body is replaced while this
 	// query runs, its learnings are not persisted (see persistQueryLearnings).
@@ -315,19 +302,6 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 		if err := p.fault.Err(); err != nil {
 			return nil, nil, err
 		}
-	}
-	// Resilience accounting: failed rows and retries from the per-predicate
-	// sinks, breaker trips as deltas against the captured baselines.
-	for _, p := range st.preds {
-		f, r := p.sink.counts()
-		st.res.Stats.FailedRows += f
-		st.res.Stats.Retries += r
-	}
-	for b, base := range baselines {
-		st.res.Stats.BreakerTrips += int(b.Trips() - base)
-	}
-	if e.policyFor(q) == DegradeFailed && st.res.Stats.FailedRows > 0 {
-		st.res.Stats.Degraded = true
 	}
 	e.cacheHits.Add(int64(st.res.Stats.CacheHits))
 	e.cacheMisses.Add(int64(st.res.Stats.CacheMisses))

@@ -24,13 +24,17 @@ import (
 
 // resolvedPred is one expensive predicate bound to the engine: its fault
 // box, its failure-telemetry sink, its metered (resilient, usually
-// cache-backed) evaluator, and its effective o_e.
+// cache-backed) evaluator, its effective o_e, and its circuit breaker with
+// the trip count it had at bind — so Stats report the trips THIS statement
+// caused, not the engine-lifetime total.
 type resolvedPred struct {
-	spec  Conjunct
-	fault *udfFault
-	sink  *predSink
-	meter *core.Meter
-	cost  float64
+	spec     Conjunct
+	fault    *udfFault
+	sink     *predSink
+	meter    *core.Meter
+	cost     float64
+	breaker  *resilience.Breaker
+	tripBase int64
 }
 
 // pipeState is the shared state flowing through a pipeline's operators.
@@ -43,6 +47,9 @@ type pipeState struct {
 	// epoch is the invalidation epoch captured before any evaluation (see
 	// persistQueryLearnings).
 	epoch int64
+	// degrade is set under the DegradeFailed policy: a result that dropped
+	// failed rows is then flagged Stats.Degraded.
+	degrade bool
 	// rng is the query's RNG stream, split from the engine's once per
 	// approximate query (nil for exact shapes — they must not consume the
 	// engine stream).
@@ -95,7 +102,7 @@ func (st *pipeState) predTotals() predTotals {
 		t.calls += p.meter.Calls()
 		t.hits += p.meter.CacheHits()
 		t.misses += p.meter.CacheMisses()
-		f, r, d := p.sink.countsFull()
+		f, r, d := p.sink.counts()
 		t.failed += f
 		t.retries += r
 		t.denied += d
@@ -109,7 +116,8 @@ func (st *pipeState) predTotals() predTotals {
 // and the EXPLAIN estimates use), cache hits are free, and every sampled row
 // was also a retrieval. retrieved counts the rows fetched after sampling;
 // exact marks an answer every row of which was verified under every
-// predicate.
+// predicate. Resilience accounting folds here too: failed rows and retries
+// from the per-predicate sinks, breaker trips as deltas against tripBase.
 func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 	stats := Stats{
 		Retrievals:          st.sampled + retrieved,
@@ -119,13 +127,25 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 		AchievedRecallBound: st.achieved,
 	}
 	evalCost := 0.0
-	for _, p := range st.preds {
+	for i, p := range st.preds {
 		calls := p.meter.Calls()
 		stats.Evaluations += calls
 		evalCost += float64(calls) * p.cost
 		stats.CacheHits += p.meter.CacheHits()
 		stats.CacheMisses += p.meter.CacheMisses()
+		failed, retries, _ := p.sink.counts()
+		stats.FailedRows += failed
+		stats.Retries += retries
+		// Duplicate predicates share one breaker: count its trips once.
+		shared := false
+		for _, earlier := range st.preds[:i] {
+			shared = shared || earlier.breaker == p.breaker
+		}
+		if !shared {
+			stats.BreakerTrips += int(p.breaker.Trips() - p.tripBase)
+		}
 	}
+	stats.Degraded = st.degrade && stats.FailedRows > 0
 	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
 	st.res = &Result{Rows: rows, Stats: stats}
 }
@@ -159,6 +179,7 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.degrade = e.policyFor(q) == DegradeFailed
 	// A pinned grouping column is only consulted by grouping shapes (exact
 	// shapes ignore GroupOn), so only those reject a bad name.
 	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn && tbl.ColumnByName(q.GroupOn) == nil {
@@ -215,14 +236,12 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		var cache core.EvalCache
 		if !private && e.CacheUDFResults {
 			key := evalCacheKey{table: q.Table, udf: p.UDFName, column: p.UDFArg}
-			cache = faultGatedCache{
-				inner: wantFoldedCache{inner: e.evalCache(key), want: p.Want},
-				fault: fault,
-			}
+			cache = wantFoldedCache{inner: e.evalCache(key), want: p.Want}
 		}
-		meter := core.NewResilientMeter(inv, cache, e.breakerFor(q.Table, p.UDFName),
-			failureHandler(p.UDFName, policy, fault, sink))
-		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: e.predCost(p)}
+		breaker := e.breakerFor(q.Table, p.UDFName)
+		meter := core.NewResilientMeter(inv, cache, breaker, failureHandler(p.UDFName, policy, fault, sink))
+		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: e.predCost(p),
+			breaker: breaker, tripBase: breaker.Trips()}
 	}
 	return preds, nil
 }
@@ -298,7 +317,7 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 		}
 	}
 	if len(sub) == 0 {
-		st.res = &Result{Stats: Stats{ChosenColumn: st.q.GroupOn}}
+		st.finish(nil, 0, false)
 		return stageOut{}, nil
 	}
 	keys := make([]subKey, 0, len(sub))

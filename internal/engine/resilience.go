@@ -108,17 +108,10 @@ func (s *predSink) addRetries(n int) {
 	s.mu.Unlock()
 }
 
-// counts reports (distinct failed rows, total retries).
-func (s *predSink) counts() (int, int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.failed), s.retries
-}
-
-// countsFull reports (distinct failed rows, total retries, breaker-denied
+// counts reports (distinct failed rows, total retries, breaker-denied
 // rows). Like everything the sink folds, the totals are per-row
 // deterministic regardless of evaluation interleaving.
-func (s *predSink) countsFull() (failed, retries, denied int) {
+func (s *predSink) counts() (failed, retries, denied int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.failed), s.retries, s.denied

@@ -117,6 +117,60 @@ func TestEvalRowsGatedDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
+// TestEvalRowsGatedFoldsInRowOrder holds the fold-point invariant: Record
+// runs at the sequential fold site after the wave, in row order, never from
+// a worker. Every row of the wave is in flight at once and row i cannot
+// finish before row i+1 has, so completion order is the exact reverse of row
+// order — a Record issued from inside the worker closure would fold
+// reversed (and, the gate here being unsynchronised, trip -race).
+func TestEvalRowsGatedFoldsInRowOrder(t *testing.T) {
+	const n = 8
+	rows := make([]int, n)
+	finished := make([]chan struct{}, n+1)
+	for i := range finished {
+		finished[i] = make(chan struct{})
+	}
+	close(finished[n])
+	for i := range rows {
+		rows[i] = i
+	}
+	gate := &unlockedGate{}
+	_, failed, err := NewPool(n).EvalRowsGatedCtx(context.Background(), rows, gate,
+		func(_ context.Context, row int) (bool, bool) {
+			<-finished[row+1]
+			close(finished[row])
+			return true, row%3 == 0
+		},
+		func(int) (bool, bool) { t.Error("nothing is denied"); return false, true },
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gate.folds) != n {
+		t.Fatalf("folded %d outcomes, want %d", len(gate.folds), n)
+	}
+	for i := range rows {
+		if gate.folds[i] != failed[i] {
+			t.Fatalf("fold %d = %v, want row %d's outcome %v: folds %v are not in row order", i, gate.folds[i], i, failed[i], gate.folds)
+		}
+	}
+}
+
+// unlockedGate admits everything in one wave and records the fold sequence
+// without synchronisation: the Gate contract promises all three methods run
+// on the calling goroutine.
+type unlockedGate struct{ folds []bool }
+
+func (g *unlockedGate) Segment() int { return 0 }
+func (g *unlockedGate) Plan(n int) []bool {
+	allowed := make([]bool, n)
+	for i := range allowed {
+		allowed[i] = true
+	}
+	return allowed
+}
+func (g *unlockedGate) Record(failed bool) { g.folds = append(g.folds, failed) }
+
 func TestEvalRowsGatedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

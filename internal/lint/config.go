@@ -30,18 +30,8 @@ package lint
 //	             engine and core (where verdict-shaped functions live).
 //	atomicwrite  internal/catalog, the only package that owns durable
 //	             files.
-//	batchalias   internal/engine, the only package that produces or
-//	             consumes Volcano batches (the reuse contract in
-//	             internal/engine/batch.go).
-//	spanbalance  every package that opens obs spans on the query path.
-//	             Excluded: internal/obs itself — the package that OWNS
-//	             the span lifecycle legitimately constructs half-open
-//	             spans in its own tests (same carve-out shape as
-//	             detrand, pinned by TestDefaultTargetsObsCarveOut).
 //	atomicmix    the whole module: a mixed atomic/plain access is a data
 //	             race wherever it appears.
-//	foldpoint    the packages that dispatch pooled waves or own
-//	             fold-site state (core, engine, exec, the API root).
 //
 // The module root package ("") is predeval, the public API — it is on
 // every data path, so it is included everywhere.
@@ -74,13 +64,6 @@ func DefaultTargets() map[string]*Target {
 			"", "internal/core", "internal/engine", "internal/exec", "internal/resilience",
 		}},
 		"atomicwrite": {Module: ModulePath, Include: []string{"internal/catalog"}},
-		"batchalias":  {Module: ModulePath, Include: []string{"internal/engine"}},
-		"spanbalance": {Module: ModulePath, Include: []string{
-			"", "internal/core", "internal/engine", "internal/exec", "internal/plan",
-		}},
-		"atomicmix": {Module: ModulePath},
-		"foldpoint": {Module: ModulePath, Include: []string{
-			"", "internal/core", "internal/engine", "internal/exec",
-		}},
+		"atomicmix":   {Module: ModulePath},
 	}
 }

@@ -17,8 +17,8 @@
 // testdata/src/<path> is parsed and type-checked together (in directory
 // order), and wants are matched per (file, line), so cross-file analyses —
 // an atomic update in one file, the plain read it clashes with in
-// another — are exercisable. The maporder and flow-sensitive fixtures
-// (batchalias, spanbalance, atomicmix, foldpoint) all use this shape.
+// another — are exercisable. The maporder and atomicmix fixtures use this
+// shape.
 package linttest
 
 import (

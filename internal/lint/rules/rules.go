@@ -1,13 +1,13 @@
-// Package rules holds the predlint analyzer suite: ten project-specific
+// Package rules holds the predlint analyzer suite: seven project-specific
 // checks, each mechanically enforcing an invariant one of the earlier PRs
 // established by hand. Every analyzer flags ALL occurrences of its pattern
 // in whatever package it is handed; deciding which packages an analyzer
 // covers is the driver's job (internal/lint/config.go), so the testdata
 // suites exercise analyzers directly without faking package paths.
 //
-// Six of the checks are single-statement AST matchers; the flow-sensitive
-// ones (batchalias, spanbalance) run on the CFG/dataflow substrate in
-// internal/lint/cfg.
+// All seven are single-statement AST matchers over type information. The
+// invariants that would need flow analysis are held by construction or by a
+// test instead (DESIGN.md, "Held by construction").
 package rules
 
 import (
@@ -22,14 +22,11 @@ func Suite() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		Atomicmix,
 		Atomicwrite,
-		Batchalias,
 		Ctxflow,
 		Detrand,
 		Errtaxonomy,
-		Foldpoint,
 		Gospawn,
 		Maporder,
-		Spanbalance,
 	}
 }
 

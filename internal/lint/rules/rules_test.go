@@ -19,16 +19,13 @@ func TestMaporder(t *testing.T)    { linttest.Run(t, "testdata", "maporder", rul
 func TestErrtaxonomy(t *testing.T) { linttest.Run(t, "testdata", "errtaxonomy", rules.Errtaxonomy) }
 func TestAtomicwrite(t *testing.T) { linttest.Run(t, "testdata", "atomicwrite", rules.Atomicwrite) }
 func TestAtomicmix(t *testing.T)   { linttest.Run(t, "testdata", "atomicmix", rules.Atomicmix) }
-func TestBatchalias(t *testing.T)  { linttest.Run(t, "testdata", "batchalias", rules.Batchalias) }
-func TestFoldpoint(t *testing.T)   { linttest.Run(t, "testdata", "foldpoint", rules.Foldpoint) }
-func TestSpanbalance(t *testing.T) { linttest.Run(t, "testdata", "spanbalance", rules.Spanbalance) }
 
-// TestSuiteShape pins the suite: ten analyzers, sorted, documented.
+// TestSuiteShape pins the suite: seven analyzers, sorted, documented.
 func TestSuiteShape(t *testing.T) {
 	suite := rules.Suite()
 	want := []string{
-		"atomicmix", "atomicwrite", "batchalias", "ctxflow", "detrand",
-		"errtaxonomy", "foldpoint", "gospawn", "maporder", "spanbalance",
+		"atomicmix", "atomicwrite", "ctxflow", "detrand",
+		"errtaxonomy", "gospawn", "maporder",
 	}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
@@ -67,37 +64,7 @@ func TestAnalyzersFlagEverywhere(t *testing.T) {
 	if tg := targets["atomicwrite"]; tg != nil && !tg.Match("repro/internal/catalog") {
 		t.Error("atomicwrite must target internal/catalog")
 	}
-	if tg := targets["batchalias"]; tg != nil {
-		if !tg.Match("repro/internal/engine") {
-			t.Error("batchalias must target internal/engine (the batch executor)")
-		}
-		if tg.Match("repro/internal/core") {
-			t.Error("batchalias must not target internal/core (no batches there)")
-		}
-	}
 	if tg := targets["atomicmix"]; tg != nil && !tg.Match("repro/internal/obs") {
 		t.Error("atomicmix must target the whole module including internal/obs")
-	}
-	if tg := targets["foldpoint"]; tg != nil && !tg.Match("repro/internal/exec") {
-		t.Error("foldpoint must target internal/exec (the fold sites live there)")
-	}
-}
-
-// TestSpanbalanceObsCarveOut pins the spanbalance scoping decision: the
-// obs package owns the span lifecycle (its tests construct half-open
-// spans on purpose), so it is excluded by the target table rather than
-// by scattered directives — the same shape as detrand's obs carve-out.
-func TestSpanbalanceObsCarveOut(t *testing.T) {
-	tg := lint.DefaultTargets()["spanbalance"]
-	if tg == nil {
-		t.Fatal("spanbalance has no target config")
-	}
-	if tg.Match("repro/internal/obs") {
-		t.Error("spanbalance must not target internal/obs (the span lifecycle owner)")
-	}
-	for _, p := range []string{"repro", "repro/internal/engine", "repro/internal/core"} {
-		if !tg.Match(p) {
-			t.Errorf("spanbalance must target %s", p)
-		}
 	}
 }

@@ -2,6 +2,13 @@
 // a wall-clock facade, a hand-rolled metrics registry with Prometheus
 // text exposition, and lightweight per-query traces.
 //
+// Spans: Timed(ctx, name, fn) is the only way to open a span. It runs fn
+// inside a span on the trace ctx carries (WithTrace; none, no span), closes
+// the span in a defer and returns fn's wall time, which is also what feeds
+// EXPLAIN ANALYZE's elapsed fields — one clock pair per interval. Trace
+// exports no method that returns an open span, so a span left unclosed on
+// some path is not expressible outside this package.
+//
 // Determinism contract: obs is the single package sanctioned to read the
 // wall clock (see internal/lint/config.go — the detrand analyzer flags
 // time.Now/Since/Until everywhere else in result-producing code). Timing

@@ -1,11 +1,13 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterGaugeExposition(t *testing.T) {
@@ -134,18 +136,21 @@ func TestCollectCallback(t *testing.T) {
 	}
 }
 
+// malformedExpositions are inputs ParseExposition must reject; they also
+// seed FuzzParseExposition.
+var malformedExpositions = map[string]string{
+	"no type":          "orphan_metric 1\n",
+	"bad name":         "# TYPE 9bad counter\n9bad 1\n",
+	"bad value":        "# TYPE m counter\nm one\n",
+	"bad label":        "# TYPE m counter\nm{x=unquoted} 1\n",
+	"dup sample":       "# TYPE m counter\nm 1\nm 2\n",
+	"hist no inf":      "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
+	"hist decreasing":  "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
+	"hist count drift": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 4\n",
+}
+
 func TestParseExpositionRejectsGarbage(t *testing.T) {
-	cases := map[string]string{
-		"no type":          "orphan_metric 1\n",
-		"bad name":         "# TYPE 9bad counter\n9bad 1\n",
-		"bad value":        "# TYPE m counter\nm one\n",
-		"bad label":        "# TYPE m counter\nm{x=unquoted} 1\n",
-		"dup sample":       "# TYPE m counter\nm 1\nm 2\n",
-		"hist no inf":      "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"hist decreasing":  "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"2\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
-		"hist count drift": "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 4\n",
-	}
-	for name, in := range cases {
+	for name, in := range malformedExpositions {
 		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected parse error on %q", name, in)
 		}
@@ -211,20 +216,20 @@ func TestConcurrentObservations(t *testing.T) {
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace()
-	s := tr.Start("parse")
-	s.SetAttr("sql", "SELECT 1")
-	s.End()
-	s.End() // second End is a no-op
-	tr.Start("execute").End()
+	ctx := WithTrace(context.Background(), tr)
+	Timed(ctx, "parse", func() {})
+	Timed(ctx, "execute", func() {
+		// A span is exported while still open, with the time it has so far.
+		if open := tr.Spans(); len(open) != 2 || open[1].Name != "execute" {
+			t.Errorf("spans seen from inside execute: %+v", open)
+		}
+	})
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
 	}
 	if spans[0].Name != "parse" || spans[1].Name != "execute" {
 		t.Fatalf("span order: %+v", spans)
-	}
-	if spans[0].Attrs["sql"] != "SELECT 1" {
-		t.Fatalf("attrs: %+v", spans[0].Attrs)
 	}
 	if spans[0].StartUS < 0 || spans[0].DurUS < 0 {
 		t.Fatalf("negative timing: %+v", spans[0])
@@ -236,10 +241,48 @@ func TestTraceSpans(t *testing.T) {
 
 func TestNilTraceIsNoOp(t *testing.T) {
 	var tr *Trace
-	s := tr.Start("anything")
-	s.SetAttr("k", "v")
-	s.End()
 	if got := tr.Spans(); got != nil {
 		t.Fatalf("nil trace exported spans: %v", got)
+	}
+	ran := false
+	Timed(WithTrace(context.Background(), tr), "anything", func() { ran = true })
+	if !ran {
+		t.Fatal("Timed did not run fn under a nil trace")
+	}
+}
+
+// TestTimedReturnsDuration: Timed returns fn's wall time whether or not a
+// trace is attached, and on a traced context the span carries that same
+// reading (one clock pair per interval).
+func TestTimedReturnsDuration(t *testing.T) {
+	const nap = 2 * time.Millisecond
+	if d := Timed(context.Background(), "untraced", func() { time.Sleep(nap) }); d < nap {
+		t.Errorf("untraced Timed returned %v, want >= %v", d, nap)
+	}
+	tr := NewTrace()
+	d := Timed(WithTrace(context.Background(), tr), "traced", func() { time.Sleep(nap) })
+	if d < nap {
+		t.Errorf("traced Timed returned %v, want >= %v", d, nap)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].DurUS != d.Microseconds() {
+		t.Errorf("span = %+v, want one span of %d us", spans, d.Microseconds())
+	}
+}
+
+// TestTimedClosesSpanOnPanic: the span closes in a defer, so a panicking fn
+// leaves a finished span behind.
+func TestTimedClosesSpanOnPanic(t *testing.T) {
+	tr := NewTrace()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not propagate out of Timed")
+			}
+		}()
+		Timed(WithTrace(context.Background(), tr), "boom", func() { panic("boom") })
+	}()
+	if len(tr.spans) != 1 || !tr.spans[0].done {
+		t.Fatalf("span left open after panic: %+v", tr.spans)
 	}
 }

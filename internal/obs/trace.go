@@ -6,33 +6,32 @@ import (
 	"time"
 )
 
-// Trace collects the spans of one query. A nil *Trace is a valid no-op
-// sink — every method is nil-safe — so instrumented code pays only a nil
-// check when tracing is off. Span timings are display-only diagnostics:
-// they never feed back into planning or results.
+// Trace collects the spans of one query: create one, attach it with
+// WithTrace, export it with Spans. A nil *Trace is a valid no-op sink, so
+// instrumented code pays only a nil check when tracing is off. Span timings
+// are display-only diagnostics: they never feed back into planning or
+// results.
 type Trace struct {
 	mu    sync.Mutex
 	start time.Time
-	spans []*Span
+	spans []*span
 }
 
-// Span is one timed phase inside a trace.
-type Span struct {
+// span is one timed phase inside a trace. Only Timed opens and closes one.
+type span struct {
 	tr    *Trace
 	name  string
 	start time.Time
 	dur   time.Duration
-	attrs []Label
 	done  bool
 }
 
 // SpanJSON is the wire form of a finished span: offsets and durations in
 // microseconds relative to the trace start.
 type SpanJSON struct {
-	Name    string            `json:"name"`
-	StartUS int64             `json:"start_us"`
-	DurUS   int64             `json:"dur_us"`
-	Attrs   map[string]string `json:"attrs,omitempty"`
+	Name    string `json:"name"`
+	StartUS int64  `json:"start_us"`
+	DurUS   int64  `json:"dur_us"`
 }
 
 // NewTrace starts an empty trace anchored at the current time.
@@ -40,40 +39,43 @@ func NewTrace() *Trace {
 	return &Trace{start: Now()}
 }
 
-// Start opens a span. The returned span must be closed with End; spans
-// left open are exported with the duration they had accumulated at
-// export time.
-func (t *Trace) Start(name string) *Span {
+// Timed is the one way to open a span: it runs fn inside a span named name
+// on the trace ctx carries (no trace, no span) and returns fn's wall time.
+// The span opens before fn and closes in a defer, so it is closed on every
+// path out of fn — a panic included — and a caller cannot leave one open.
+// The span's duration and the returned duration are the same clock reading:
+// one instrumentation point per interval.
+func Timed(ctx context.Context, name string, fn func()) (elapsed time.Duration) {
+	start := Now()
+	t, _ := ctx.Value(traceKey{}).(*Trace)
+	s := t.open(name, start)
+	defer func() {
+		elapsed = Since(start)
+		s.close(elapsed)
+	}()
+	fn()
+	return
+}
+
+// open starts a span at the given instant; nil-safe on a nil trace.
+func (t *Trace) open(name string, at time.Time) *span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{tr: t, name: name, start: Now()}
+	s := &span{tr: t, name: name, start: at}
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
 	return s
 }
 
-// SetAttr attaches a key/value annotation to the span.
-func (s *Span) SetAttr(key, value string) {
+// close ends the span with the duration its caller measured.
+func (s *span) close(dur time.Duration) {
 	if s == nil {
 		return
 	}
 	s.tr.mu.Lock()
-	s.attrs = append(s.attrs, Label{key, value})
-	s.tr.mu.Unlock()
-}
-
-// End closes the span; second and later calls are no-ops.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	s.tr.mu.Lock()
-	if !s.done {
-		s.done = true
-		s.dur = Since(s.start)
-	}
+	s.done, s.dur = true, dur
 	s.tr.mu.Unlock()
 }
 
@@ -90,33 +92,19 @@ func (t *Trace) Spans() []SpanJSON {
 		if !s.done {
 			dur = Since(s.start)
 		}
-		j := SpanJSON{
+		out[i] = SpanJSON{
 			Name:    s.name,
 			StartUS: s.start.Sub(t.start).Microseconds(),
 			DurUS:   dur.Microseconds(),
 		}
-		if len(s.attrs) > 0 {
-			j.Attrs = make(map[string]string, len(s.attrs))
-			for _, a := range s.attrs {
-				j.Attrs[a.Name] = a.Value
-			}
-		}
-		out[i] = j
 	}
 	return out
 }
 
 type traceKey struct{}
 
-// WithTrace returns a context carrying t; instrumented layers pick it up
-// via FromContext.
+// WithTrace returns a context carrying t; Timed calls made under it record
+// their spans there.
 func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
-}
-
-// FromContext returns the trace carried by ctx, or nil (a valid no-op
-// trace) when none is attached.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
 }

@@ -366,9 +366,9 @@ type QueryOptions struct {
 // parseStatement parses sql under the "parse" span and applies the
 // per-query failure-policy override ("" keeps the DB default).
 func parseStatement(ctx context.Context, sql, onFailure string) (*sqlparse.Statement, error) {
-	sp := obs.FromContext(ctx).Start("parse")
-	stmt, err := sqlparse.Parse(sql)
-	sp.End()
+	var stmt *sqlparse.Statement
+	var err error
+	obs.Timed(ctx, "parse", func() { stmt, err = sqlparse.Parse(sql) })
 	if err != nil {
 		return nil, err
 	}
@@ -416,10 +416,15 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 		rows.stats, rows.plan = res.Stats, annotated
 		return rows, nil
 	}
-	// The cells come from the same Renderer QueryStream emits through, so a
-	// streamed and a materialized result cannot render differently.
-	sp := obs.FromContext(ctx).Start("materialize")
-	defer sp.End()
+	var rows *Rows
+	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, annotated) })
+	return rows, err
+}
+
+// materialize renders every result row's cells. They come from the same
+// Renderer QueryStream emits through, so a streamed and a materialized
+// result cannot render differently.
+func (db *DB) materialize(q engine.Query, res *engine.Result, annotated []string) (*Rows, error) {
 	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
