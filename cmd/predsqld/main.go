@@ -825,35 +825,16 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 	}
 }
 
-// tableColumn is one column of a GET /tables entry.
-type tableColumn struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
-}
-
-// tableInfo is one GET /tables entry.
-type tableInfo struct {
-	Name    string        `json:"name"`
-	Rows    int           `json:"rows"`
-	Columns []tableColumn `json:"columns"`
-}
-
 // handleTables lists the registered tables with row counts and schemas.
 func (s *server) handleTables(w http.ResponseWriter, _ *http.Request) {
-	tables := make([]tableInfo, 0)
+	tables := make([]predeval.TableInfo, 0)
 	for _, name := range s.db.TableNames() {
-		info, err := s.db.TableInfo(name)
-		if err != nil {
-			continue
+		if info, err := s.db.TableInfo(name); err == nil {
+			tables = append(tables, info)
 		}
-		ti := tableInfo{Name: info.Name, Rows: info.Rows}
-		for _, c := range info.Columns {
-			ti.Columns = append(ti.Columns, tableColumn{Name: c.Name, Type: c.Type})
-		}
-		tables = append(tables, ti)
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Tables []tableInfo `json:"tables"`
+		Tables []predeval.TableInfo `json:"tables"`
 	}{tables})
 }
 
@@ -878,25 +859,17 @@ type catalogStats struct {
 	Recovered      bool   `json:"recovered,omitempty"`
 }
 
-// breakerStats is one circuit breaker's state in GET /stats.
-type breakerStats struct {
-	Table string `json:"table"`
-	UDF   string `json:"udf"`
-	State string `json:"state"`
-	Trips int64  `json:"trips"`
-}
-
 // resilienceStats is the failure-handling section of GET /stats:
 // recovered handler panics, UDF failure/retry/breaker totals summed over
 // all served queries, and the live state of every circuit breaker.
 type resilienceStats struct {
-	HandlerPanics   int64          `json:"handler_panics"`
-	FailedRows      int64          `json:"failed_rows"`
-	Retries         int64          `json:"retries"`
-	BreakerTrips    int64          `json:"breaker_trips"`
-	DegradedQueries int64          `json:"degraded_queries"`
-	Breakers        []breakerStats `json:"breakers,omitempty"`
-	ChaosCalls      int64          `json:"chaos_calls,omitempty"`
+	HandlerPanics   int64                    `json:"handler_panics"`
+	FailedRows      int64                    `json:"failed_rows"`
+	Retries         int64                    `json:"retries"`
+	BreakerTrips    int64                    `json:"breaker_trips"`
+	DegradedQueries int64                    `json:"degraded_queries"`
+	Breakers        []predeval.BreakerStatus `json:"breakers,omitempty"`
+	ChaosCalls      int64                    `json:"chaos_calls,omitempty"`
 }
 
 // statsResponse is the GET /stats payload.
@@ -940,11 +913,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			Retries:         s.retries.Value(),
 			BreakerTrips:    s.breakerTrips.Load(),
 			DegradedQueries: s.degraded.Value(),
+			Breakers:        s.db.BreakerStatuses(),
 		},
-	}
-	for _, b := range s.db.BreakerStatuses() {
-		resp.Resilience.Breakers = append(resp.Resilience.Breakers,
-			breakerStats{Table: b.Table, UDF: b.UDF, State: b.State, Trips: b.Trips})
 	}
 	if s.chaos != nil {
 		resp.Resilience.ChaosCalls = s.chaos.Calls()

@@ -1,6 +1,7 @@
 package predeval
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -211,5 +212,124 @@ func TestTableInfo(t *testing.T) {
 	}
 	if _, err := db.TableInfo("missing"); err == nil {
 		t.Fatal("unknown table accepted")
+	}
+}
+
+// TestExplainRejectsWhatExecutionRejects: every name a statement references
+// is resolved in one place (engine.bindStatement), so EXPLAIN, Query and
+// QueryStream refuse a statement with a bad name identically — whichever
+// name it is, whatever the shape. (Before binding owned the cheap filters,
+// EXPLAIN planned a statement whose filter column did not exist and only
+// execution refused it.)
+func TestExplainRejectsWhatExecutionRejects(t *testing.T) {
+	t.Run("re-registered-udf", testReRegisteredUDFSeenWhole)
+	db := explainDB(t)
+	type parts struct{ cols, table, filterCol, udf, arg, joinTable, leftKey, rightKey, groupOn string }
+	good := parts{cols: "id, grade", table: "loans", filterCol: "grade", udf: "good_credit", arg: "id",
+		joinTable: "orders", leftKey: "id", rightKey: "loan_id", groupOn: "grade"}
+	where := func(p parts) string {
+		return fmt.Sprintf("WHERE %s = 'A' AND %s(%s) = 1", p.filterCol, p.udf, p.arg)
+	}
+	shapes := []struct {
+		name    string
+		sql     func(parts) string
+		grouped bool // exact shapes ignore GROUP ON, so only grouping shapes bind it
+		joined  bool
+	}{
+		{name: "exact", sql: func(p parts) string {
+			return fmt.Sprintf("SELECT %s FROM %s %s", p.cols, p.table, where(p))
+		}},
+		{name: "approx", grouped: true, sql: func(p parts) string {
+			return fmt.Sprintf("SELECT %s FROM %s %s WITH RECALL 0.8 GROUP ON %s", p.cols, p.table, where(p), p.groupOn)
+		}},
+		{name: "twopred", grouped: true, sql: func(p parts) string {
+			return fmt.Sprintf("SELECT %s FROM %s %s AND rich(income) = 1 WITH PRECISION 0.8 GROUP ON %s", p.cols, p.table, where(p), p.groupOn)
+		}},
+		{name: "join", grouped: true, joined: true, sql: func(p parts) string {
+			return fmt.Sprintf("SELECT %s FROM %s JOIN %s ON %s.%s = %s.%s %s WITH RECALL 0.8 GROUP ON %s",
+				p.cols, p.table, p.joinTable, p.table, p.leftKey, p.joinTable, p.rightKey, where(p), p.groupOn)
+		}},
+	}
+	breaks := []struct {
+		name            string
+		mut             func(*parts)
+		grouped, joined bool // applies only to shapes that bind the name
+	}{
+		{name: "table", mut: func(p *parts) { p.table = "nope" }},
+		{name: "udf", mut: func(p *parts) { p.udf = "nope" }},
+		{name: "udf-arg", mut: func(p *parts) { p.arg = "nope" }},
+		{name: "projection", mut: func(p *parts) { p.cols = "id, nope" }},
+		{name: "filter-column", mut: func(p *parts) { p.filterCol = "nope" }},
+		{name: "group-on", grouped: true, mut: func(p *parts) { p.groupOn = "nope" }},
+		{name: "join-table", joined: true, mut: func(p *parts) { p.joinTable = "nope" }},
+		{name: "join-left-key", joined: true, mut: func(p *parts) { p.leftKey = "nope" }},
+		{name: "join-right-key", joined: true, mut: func(p *parts) { p.rightKey = "nope" }},
+	}
+	// run returns the error each of the three entry points gives the statement.
+	run := func(sql string) [3]error {
+		var errs [3]error
+		_, errs[0] = db.Explain(sql)
+		_, errs[1] = db.Query(sql)
+		_, errs[2] = db.QueryStream(context.Background(), sql, StreamOptions{},
+			func([]int, [][]string) error { return nil })
+		return errs
+	}
+	entry := [3]string{"Explain", "Query", "QueryStream"}
+	for _, sh := range shapes {
+		for i, err := range run(sh.sql(good)) {
+			if err != nil {
+				t.Fatalf("%s: %s refused the well-formed statement: %v", sh.name, entry[i], err)
+			}
+		}
+		for _, br := range breaks {
+			if (br.grouped && !sh.grouped) || (br.joined && !sh.joined) {
+				continue
+			}
+			p := good
+			br.mut(&p)
+			errs := run(sh.sql(p))
+			for i, err := range errs {
+				if err == nil {
+					t.Errorf("%s/%s: %s accepted %q", sh.name, br.name, entry[i], sh.sql(p))
+				} else if errs[0] != nil && err.Error() != errs[0].Error() {
+					t.Errorf("%s/%s: %s says %q, Explain says %q", sh.name, br.name, entry[i], err, errs[0])
+				}
+			}
+		}
+	}
+}
+
+// testReRegisteredUDFSeenWhole: a statement reads each UDF from the registry
+// once when it binds, so the body it runs and the o_e it plans and bills with
+// come from the same registration — before and after a re-registration.
+func testReRegisteredUDFSeenWhole(t *testing.T) {
+	const n = 90
+	db, _ := openLoanDB(t, n)
+	for _, reg := range []struct {
+		verdict bool
+		cost    float64
+	}{{true, 2}, {false, 7}} {
+		if err := db.RegisterUDF("flip", func(any) bool { return reg.verdict }, reg.cost); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := db.Query("SELECT id FROM loans WHERE flip(id) = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRows := 0
+		if reg.verdict {
+			wantRows = n
+		}
+		if wantCost := n * (1 + reg.cost); rows.Len() != wantRows || rows.Stats().Cost != wantCost {
+			t.Fatalf("o_e=%g: %d rows at cost %g, want %d rows at cost %g",
+				reg.cost, rows.Len(), rows.Stats().Cost, wantRows, wantCost)
+		}
+		text, err := db.Explain("SELECT id FROM loans WHERE flip(id) = 1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("cost≈%g)", n*(1+reg.cost)); !strings.Contains(text, want) {
+			t.Fatalf("o_e=%g: EXPLAIN lacks %q:\n%s", reg.cost, want, text)
+		}
 	}
 }

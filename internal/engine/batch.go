@@ -68,18 +68,17 @@ type RowSink func(rows []int) error
 var ErrStopStream = errors.New("engine: stop streaming")
 
 // scanOp is the pipeline leaf: it walks the table's row ids in order,
-// applying the compiled cheap filters inline (operator fusion — a filtered
-// row costs one typed comparison and is never appended anywhere), and
-// yields surviving rows in batches of the engine's batch size. The batch
-// buffer is reused across Next calls, so a fully-streamed scan allocates
-// O(batch), not O(table).
+// applying the cheap filters bindStatement compiled inline (operator fusion
+// — a filtered row costs one typed comparison and is never appended
+// anywhere), and yields surviving rows in batches of the engine's batch
+// size. The batch buffer is reused across Next calls, so a fully-streamed
+// scan allocates O(batch), not O(table).
 type scanOp struct {
 	e          *Engine
 	st         *pipeState
 	node       *plan.Node // scan node (EXPLAIN ANALYZE attribution)
 	filterNode *plan.Node // filter node fused into this scan; nil without filters
 
-	preds     []func(int) bool
 	cursor    int
 	buf       []int
 	batch     Batch
@@ -95,15 +94,6 @@ func (s *scanOp) Open(ctx context.Context) error {
 		return nil
 	}
 	s.opened = true
-	filters := s.st.q.Filters
-	s.preds = make([]func(int) bool, len(filters))
-	for i, f := range filters {
-		col := s.st.tbl.ColumnByName(f.Column)
-		if col == nil {
-			return fmt.Errorf("engine: table %q has no column %q to filter on", s.st.tbl.Name(), f.Column)
-		}
-		s.preds[i] = compileFilter(col, f.Value)
-	}
 	s.buf = make([]int, 0, s.e.batchSize())
 	return nil
 }
@@ -129,7 +119,7 @@ func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
 // batches carry surviving rows, so downstream work per batch is constant
 // regardless of filter selectivity.
 func (s *scanOp) fill() {
-	n := s.st.tbl.NumRows()
+	n, filters := s.st.tbl.NumRows(), s.st.filters
 	size := cap(s.buf)
 	s.buf = s.buf[:0]
 	for s.cursor < n && len(s.buf) < size {
@@ -137,7 +127,7 @@ func (s *scanOp) fill() {
 		s.cursor++
 		s.scanned++
 		keep := true
-		for _, p := range s.preds {
+		for _, p := range filters {
 			if !p(r) {
 				keep = false
 				break

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/table"
 )
 
 // Durable catalog integration. When a catalog is attached the engine
@@ -174,25 +173,36 @@ func foldVerdicts(m map[int]bool, want bool) map[int]bool {
 	return out
 }
 
-// memoizedColumn returns persisted discovery output for the query's
-// workload, if the memoized column still yields a usable grouping.
-func (e *Engine) memoizedColumn(tbl *table.Table, q Query, cost core.CostModel, subset []int) ([]core.Group, string, bool) {
+// peekMemoColumn reports the catalog-memoized §4.4 column choice for the
+// statement's workload, if one exists.
+func (e *Engine) peekMemoColumn(st *pipeState) (string, bool) {
 	c := e.Catalog()
 	if c == nil {
-		return nil, "", false
+		return "", false
 	}
-	col, ok := c.ChosenColumn(workloadKey(q, cost))
+	return c.ChosenColumn(workloadKey(st.q, st.cost))
+}
+
+// memoizedColumn returns persisted discovery output for the query's
+// workload, if the memoized column still yields a usable grouping.
+func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
+	name, ok := e.peekMemoColumn(st)
 	if !ok {
 		return nil, "", false
 	}
-	groups, err := groupsFromColumn(tbl, col, subset)
-	if err != nil || len(groups) < 2 || len(groups) > maxCandidateCardinality {
+	// The memo names a column chosen at run time, so this lookup cannot move
+	// into bindStatement; a stale name is a miss, not an error.
+	var groups []core.Group
+	if col := st.tbl.ColumnByName(name); col != nil {
+		groups = groupsFromColumn(st.tbl, col, st.subset)
+	}
+	if len(groups) < 2 || len(groups) > maxCandidateCardinality {
 		// The table changed shape since the memo was written: fall back to
 		// a fresh discovery pass (which overwrites the memo).
 		return nil, "", false
 	}
 	e.columnMemoHits.Add(1)
-	return groups, col, true
+	return groups, name, true
 }
 
 // seedSamplerFromCatalog warm-starts a sampler with persisted evidence for

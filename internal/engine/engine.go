@@ -234,15 +234,6 @@ func (f *udfFault) Err() error {
 	return f.err
 }
 
-// costModel resolves the effective costs for the query's UDF.
-func (e *Engine) costModel(q Query) core.CostModel {
-	cost := e.Cost
-	if u, err := e.registry.Lookup(q.UDFName); err == nil && u.Cost > 0 {
-		cost.Evaluate = u.Cost
-	}
-	return cost
-}
-
 // ExecuteContext runs the query and returns the matching row ids plus
 // statistics. Every UDF-evaluating phase (labeling, sampling, execution,
 // exact scans) checks the context between work items, so a cancel or
@@ -324,39 +315,30 @@ func universe(tbl *table.Table, subset []int) []int {
 }
 
 // resolveGroups determines the grouping the optimizer will use: the pinned
-// column, a discovered correlated column, or the logistic-regression
-// virtual column. It returns the groups, the column's display name, and
-// any rows labeled along the way (row → outcome) for reuse.
-func (e *Engine) resolveGroups(ctx context.Context, tbl *table.Table, q Query, meter *core.Meter, cons core.Constraints, cost core.CostModel, rng *stats.RNG, subset []int) ([]core.Group, string, map[int]bool, error) {
-	switch q.GroupOn {
+// column (bound by bindStatement), a discovered correlated column, or the
+// logistic-regression virtual column. It returns the groups, the column's
+// display name, and any rows labeled along the way (row → outcome) for
+// reuse.
+func (e *Engine) resolveGroups(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
+	switch st.q.GroupOn {
 	case "":
 		// A memoized Section 4.4 choice skips the labeling scan entirely;
 		// the RNG draws it would have consumed are simply not made (warm
 		// runs are deterministic among themselves, not vs. cold runs).
-		if groups, col, ok := e.memoizedColumn(tbl, q, cost, subset); ok {
+		if groups, col, ok := e.memoizedColumn(st); ok {
 			return groups, col, nil, nil
 		}
-		return e.discoverColumn(ctx, tbl, q, meter, cons, cost, rng, subset)
+		return e.discoverColumn(ctx, st)
 	case VirtualColumn:
-		return e.virtualColumn(ctx, tbl, q, meter, rng, subset)
+		return e.virtualColumn(ctx, st)
 	default:
-		groups, err := groupsFromColumn(tbl, q.GroupOn, subset)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		return groups, q.GroupOn, nil, nil
+		return groupsFromColumn(st.tbl, st.groupCol, st.subset), st.q.GroupOn, nil, nil
 	}
 }
 
-// VirtualColumn is the GroupOn value requesting a logistic-regression
-// virtual column (Section 6.3.2).
-const VirtualColumn = "virtual"
-
-func groupsFromColumn(tbl *table.Table, column string, subset []int) ([]core.Group, error) {
-	col := tbl.ColumnByName(column)
-	if col == nil {
-		return nil, fmt.Errorf("engine: table %q has no column %q to group on", tbl.Name(), column)
-	}
+// groupsFromColumn groups the row universe by col's rendered value, groups
+// in sorted key order.
+func groupsFromColumn(tbl *table.Table, col table.Column, subset []int) []core.Group {
 	byKey := make(map[string][]int)
 	var keys []string
 	for _, r := range universe(tbl, subset) {
@@ -371,24 +353,22 @@ func groupsFromColumn(tbl *table.Table, column string, subset []int) ([]core.Gro
 	for _, k := range keys {
 		groups = append(groups, core.Group{Key: k, Rows: byKey[k]})
 	}
-	return groups, nil
+	return groups
 }
 
 // discoverColumn implements Section 4.4's column scan: label a small
 // fraction of tuples, score every low-cardinality column with the
 // Section 3.2 planner, pick the cheapest. The labeled rows are returned
 // for reuse by the sampler.
-func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, meter *core.Meter, cons core.Constraints, cost core.CostModel, rng *stats.RNG, subset []int) ([]core.Group, string, map[int]bool, error) {
+func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
+	tbl, q := st.tbl, st.q
 	var cands []core.Candidate
 	for i := 0; i < tbl.Schema().Len(); i++ {
 		def := tbl.Schema().Col(i)
 		if def.Name == q.UDFArg {
 			continue // the UDF argument (usually a key) is not a predictor
 		}
-		groups, err := groupsFromColumn(tbl, def.Name, subset)
-		if err != nil {
-			return nil, "", nil, err
-		}
+		groups := groupsFromColumn(tbl, tbl.Column(i), st.subset)
 		if len(groups) < 2 || len(groups) > maxCandidateCardinality {
 			continue
 		}
@@ -398,18 +378,18 @@ func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, 
 		return nil, "", nil, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
 	}
 
-	rows := universe(tbl, subset)
+	rows := universe(tbl, st.subset)
 	frac := labelFraction
 	labeled := make(map[int]bool)
 	for attempt := 0; attempt < 8; attempt++ {
-		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, meter, rng, e.parallelism())
+		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, st.preds[0].meter, st.rng, e.parallelism())
 		if err != nil {
 			return nil, "", nil, err
 		}
 		for row, v := range batch {
 			labeled[row] = v
 		}
-		choice, err := core.SelectColumn(cands, labeled, cons, cost)
+		choice, err := core.SelectColumn(cands, labeled, q.Approx.Constraints(), st.cost)
 		if err == nil {
 			return cands[choice.Index].Groups, choice.Name, labeled, nil
 		}
@@ -424,16 +404,17 @@ func (e *Engine) discoverColumn(ctx context.Context, tbl *table.Table, q Query, 
 // virtualColumn implements Section 6.3.2: label ~1% of rows, train a
 // logistic regression over the table's encodable features, score every
 // row, and bucket the scores into equal-frequency groups.
-func (e *Engine) virtualColumn(ctx context.Context, tbl *table.Table, q Query, meter *core.Meter, rng *stats.RNG, subset []int) ([]core.Group, string, map[int]bool, error) {
+func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
+	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
 		MaxCardinality: maxCandidateCardinality,
-		Exclude:        []string{q.UDFArg},
+		Exclude:        []string{st.q.UDFArg},
 	})
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
-	rows := universe(tbl, subset)
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, labelFraction, meter, rng, e.parallelism())
+	rows := universe(tbl, st.subset)
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, labelFraction, st.preds[0].meter, st.rng, e.parallelism())
 	if err != nil {
 		return nil, "", nil, err
 	}

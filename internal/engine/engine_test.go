@@ -277,13 +277,14 @@ func TestUDFCostOverride(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cost := e.costModel(Query{UDFName: "pricey"})
-	if cost.Evaluate != 50 {
-		t.Fatalf("override cost %v", cost.Evaluate)
-	}
-	cost = e.costModel(Query{UDFName: "good_credit"})
-	if cost.Evaluate != core.DefaultCost.Evaluate {
-		t.Fatalf("default cost %v", cost.Evaluate)
+	for udf, want := range map[string]float64{"pricey": 50, "good_credit": core.DefaultCost.Evaluate} {
+		st, err := e.bindStatement(Query{Table: "loans", UDFName: udf, UDFArg: "id"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.cost.Evaluate != want || st.preds[0].cost != want {
+			t.Fatalf("%s: bound o_e %v / %v, want %v", udf, st.cost.Evaluate, st.preds[0].cost, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 
@@ -59,36 +58,4 @@ func compileFilter(col table.Column, lit string) func(row int) bool {
 	default:
 		return func(row int) bool { return col.StringAt(row) == lit }
 	}
-}
-
-// filterRows applies the query's cheap predicates, returning the matching
-// row ids (nil when there are no filters, meaning "all rows"). The scan is
-// over already-resident column data, so no retrieval or evaluation cost is
-// charged — this is the Section 5 "execute cheap predicates first" rule.
-func (e *Engine) filterRows(tbl *table.Table, filters []Filter) ([]int, error) {
-	if len(filters) == 0 {
-		return nil, nil
-	}
-	preds := make([]func(int) bool, len(filters))
-	for i, f := range filters {
-		col := tbl.ColumnByName(f.Column)
-		if col == nil {
-			return nil, fmt.Errorf("engine: table %q has no column %q to filter on", tbl.Name(), f.Column)
-		}
-		preds[i] = compileFilter(col, f.Value)
-	}
-	rows := []int{}
-	for r := 0; r < tbl.NumRows(); r++ {
-		keep := true
-		for _, pred := range preds {
-			if !pred(r) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			rows = append(rows, r)
-		}
-	}
-	return rows, nil
 }

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/table"
@@ -35,9 +37,37 @@ func filterTestTable(t *testing.T) *table.Table {
 	return tbl
 }
 
+// scanRows binds a statement carrying the filters and drains its fused scan:
+// the rows the cheap predicates keep, through the code every query runs.
+func scanRows(e *Engine, filters []Filter) ([]int, error) {
+	st, err := e.bindStatement(Query{Table: "t", UDFName: "f", UDFArg: "n", Filters: filters})
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	sc := &scanOp{e: e, st: st}
+	if err := sc.Open(ctx); err != nil {
+		return nil, err
+	}
+	rows := []int{}
+	for {
+		b, err := sc.Next(ctx)
+		if err != nil || b == nil {
+			return rows, err
+		}
+		rows = append(rows, b.Rows...)
+	}
+}
+
 func TestTypedFilterSemantics(t *testing.T) {
 	e := New(1)
-	tbl := filterTestTable(t)
+	e.BatchSize = 2 // several batches even on this 6-row table
+	if err := e.RegisterTable(filterTestTable(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterUDF(UDF{Name: "f", Body: func(table.Value) bool { return true }}); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		filters []Filter
 		want    []int
@@ -67,7 +97,7 @@ func TestTypedFilterSemantics(t *testing.T) {
 		{[]Filter{{Column: "n", Value: "42"}, {Column: "s", Value: "a"}, {Column: "x", Value: "100"}}, []int{2}},
 	}
 	for _, c := range cases {
-		got, err := e.filterRows(tbl, c.filters)
+		got, err := scanRows(e, c.filters)
 		if err != nil {
 			t.Fatalf("%v: %v", c.filters, err)
 		}
@@ -75,13 +105,79 @@ func TestTypedFilterSemantics(t *testing.T) {
 			t.Fatalf("filters %v matched %v, want %v", c.filters, got, c.want)
 		}
 	}
-	// No filters means "all rows" signaled as nil.
-	got, err := e.filterRows(tbl, nil)
-	if err != nil || got != nil {
+	// No filters means every row.
+	got, err := scanRows(e, nil)
+	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5}) {
 		t.Fatalf("no filters: %v, %v", got, err)
 	}
-	// Unknown column errors.
-	if _, err := e.filterRows(tbl, []Filter{{Column: "nope", Value: "1"}}); err == nil {
+	// An unknown column is refused when the statement binds.
+	if _, err := scanRows(e, []Filter{{Column: "nope", Value: "1"}}); err == nil {
 		t.Fatal("unknown filter column accepted")
+	}
+}
+
+// TestFilterBindingMetamorphic holds the bound cheap filters to two
+// relations on exact queries over the loans fixture, whatever the filters:
+// filtering then querying equals querying then filtering (the oracle
+// re-checks each result row against the cell's canonical rendering, not the
+// compiled predicate), and the "= 0" answer is the complement of the "= 1"
+// answer within the filtered universe.
+func TestFilterBindingMetamorphic(t *testing.T) {
+	const n = 600
+	e, _, _ := newTestEngine(t, n)
+	tbl, err := e.Table("loans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := func(want bool, filters []Filter) []int {
+		t.Helper()
+		res, err := e.ExecuteContext(context.Background(),
+			Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: want, Filters: filters})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows
+	}
+	// keep is query-then-filter: the rows of an unfiltered answer whose cells
+	// render as the filters' literals.
+	keep := func(rows []int, filters []Filter) []int {
+		out := []int{}
+		for _, r := range rows {
+			ok := true
+			for _, f := range filters {
+				ok = ok && tbl.ColumnByName(f.Column).StringAt(r) == f.Value
+			}
+			if ok {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	yes, no := exact(true, nil), exact(false, nil)
+	for _, filters := range [][]Filter{
+		{{Column: "grade", Value: "A"}},
+		{{Column: "purpose", Value: "car"}},
+		{{Column: "grade", Value: "C"}, {Column: "purpose", Value: "home"}},
+		{{Column: "id", Value: "17"}},
+		{{Column: "id", Value: "017"}},                                 // not a canonical rendering: matches nothing
+		{{Column: "grade", Value: "A"}, {Column: "grade", Value: "B"}}, // contradictory
+	} {
+		fYes, fNo := exact(true, filters), exact(false, filters)
+		if want := keep(yes, filters); !reflect.DeepEqual(fYes, want) {
+			t.Errorf("%v: filter-then-query %v, query-then-filter %v", filters, fYes, want)
+		}
+		if want := keep(no, filters); !reflect.DeepEqual(fNo, want) {
+			t.Errorf("%v: = 0: filter-then-query %v, query-then-filter %v", filters, fNo, want)
+		}
+		// Complement: the two answers partition the filtered universe.
+		both := append(append([]int{}, fYes...), fNo...)
+		sort.Ints(both)
+		if want := keep(all, filters); !reflect.DeepEqual(both, want) {
+			t.Errorf("%v: = 1 ∪ = 0 is %v, the filtered universe is %v", filters, both, want)
+		}
 	}
 }

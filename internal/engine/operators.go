@@ -39,11 +39,19 @@ type resolvedPred struct {
 
 // pipeState is the shared state flowing through a pipeline's operators.
 type pipeState struct {
-	q    Query
-	tbl  *table.Table
+	q   Query
+	tbl *table.Table
+	// cost is the statement's cost model: the engine's o_r, and the first
+	// predicate's o_e (preds[0].cost) — the predicate every single-predicate
+	// stage evaluates.
 	cost core.CostModel
 	// preds holds the resolved predicates, first predicate first.
 	preds []resolvedPred
+	// filters are the compiled cheap predicates the scan applies inline.
+	filters []func(row int) bool
+	// groupCol is the pinned GROUP ON column of a grouping shape (nil when
+	// the grouping is discovered or virtual, and for exact shapes).
+	groupCol table.Column
 	// epoch is the invalidation epoch captured before any evaluation (see
 	// persistQueryLearnings).
 	epoch int64
@@ -150,17 +158,18 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 	st.res = &Result{Rows: rows, Stats: stats}
 }
 
-// bindStatement resolves every name a statement references — the base
-// table, the join table and its keys, each predicate's UDF and argument
-// column, and a pinned grouping column — into the pipeline state. Both
-// execution and EXPLAIN planning bind through here, so the two paths
-// accept and reject exactly the same statements.
+// bindStatement is the one place a statement's names are resolved — the
+// base table, the join table and its keys, each predicate's UDF and
+// argument column, a pinned grouping column, the projection and the cheap
+// filters' columns — into the pipeline state; the operators only read what
+// it bound. Both execution and EXPLAIN planning bind through here, so the
+// two paths accept and reject exactly the same statements.
 func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	st := &pipeState{q: q, tbl: tbl, cost: e.costModel(q)}
+	st := &pipeState{q: q, tbl: tbl}
 	if join := q.Join; join != nil {
 		st.joinTbl, err = e.Table(join.Table)
 		if err != nil {
@@ -179,24 +188,38 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.cost = e.Cost
+	st.cost.Evaluate = st.preds[0].cost
 	st.degrade = e.policyFor(q) == DegradeFailed
 	// A pinned grouping column is only consulted by grouping shapes (exact
 	// shapes ignore GroupOn), so only those reject a bad name.
-	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn && tbl.ColumnByName(q.GroupOn) == nil {
-		return nil, fmt.Errorf("engine: table %q has no column %q to group on", q.Table, q.GroupOn)
+	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn {
+		if st.groupCol = tbl.ColumnByName(q.GroupOn); st.groupCol == nil {
+			return nil, fmt.Errorf("engine: table %q has no column %q to group on", q.Table, q.GroupOn)
+		}
 	}
 	if _, err := e.projection(tbl, q.Columns); err != nil {
 		return nil, err
 	}
+	st.filters = make([]func(int) bool, len(q.Filters))
+	for i, f := range q.Filters {
+		col := tbl.ColumnByName(f.Column)
+		if col == nil {
+			return nil, fmt.Errorf("engine: table %q has no column %q to filter on", q.Table, f.Column)
+		}
+		st.filters[i] = compileFilter(col, f.Value)
+	}
 	return st, nil
 }
 
-// resolvePreds binds every predicate of the query: its row invoker (panic
-// capture + retry + deadline, see resilience.go), fault box, telemetry
-// sink, shared circuit breaker and resilient meter. In approximate
-// conjunctions, a predicate whose (UDF, argument) key collides with an
-// earlier one gets a private (cache-less) meter, so each duplicate is
-// billed for its own sampling calls instead of being served by what its
+// resolvePreds binds every predicate of the query: its UDF — read from the
+// registry once, so the body and the effective o_e (the UDF's own cost when
+// set, the engine-wide default otherwise) come from the same registration —
+// its row invoker (panic capture + retry + deadline, see resilience.go),
+// fault box, telemetry sink, shared circuit breaker and resilient meter. In
+// approximate conjunctions, a predicate whose (UDF, argument) key collides
+// with an earlier one gets a private (cache-less) meter, so each duplicate
+// is billed for its own sampling calls instead of being served by what its
 // twin just stored. (The rule dates from fused joint sampling, where that
 // split depended on store timing; the pinned Stats keep it.) Exact
 // conjunctions keep the shared cache even for duplicates — their waves are
@@ -204,12 +227,16 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 // hit what the earlier one stored.
 func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error) {
 	policy := e.policyFor(q)
-	specs := q.predicates()
+	specs := q.Predicates()
 	preds := make([]resolvedPred, len(specs))
 	for i, p := range specs {
 		u, err := e.registry.Lookup(p.UDFName)
 		if err != nil {
 			return nil, err
+		}
+		cost := e.Cost.Evaluate
+		if u.Cost > 0 {
+			cost = u.Cost
 		}
 		col := tbl.ColumnByName(p.UDFArg)
 		if col == nil {
@@ -240,7 +267,7 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		}
 		breaker := e.breakerFor(q.Table, p.UDFName)
 		meter := core.NewResilientMeter(inv, cache, breaker, failureHandler(p.UDFName, policy, fault, sink))
-		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: e.predCost(p),
+		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: cost,
 			breaker: breaker, tripBase: breaker.Trips()}
 	}
 	return preds, nil
@@ -277,7 +304,7 @@ func (st *pipeState) groupsOut() stageOut {
 // pinned column, a discovered correlated column (memo-accelerated), or the
 // logistic-regression virtual column.
 func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, error) {
-	groups, chosen, labeled, err := e.resolveGroups(ctx, st.tbl, st.q, st.preds[0].meter, st.q.Approx.Constraints(), st.cost, st.rng, st.subset)
+	groups, chosen, labeled, err := e.resolveGroups(ctx, st)
 	if err != nil {
 		return stageOut{}, err
 	}

@@ -3,79 +3,42 @@ package engine
 import (
 	"context"
 
-	"repro/internal/core"
 	"repro/internal/plan"
 )
 
-// The planner layer: queries are lowered into plan.Spec (the query plus
-// everything only the engine knows — row counts, the cost model,
-// per-predicate costs, any catalog-memoized column choice), shaped into a
-// physical operator tree by internal/plan, and executed uniformly by the
-// operators in operators.go. Exact, approximate, conjunction and join
-// queries differ only in the plan shape they lower to.
+// The planner layer: a bound statement becomes a plan.Spec (the Query plus
+// what only the engine knows — row counts, per-predicate costs, any
+// catalog-memoized column choice), internal/plan shapes it into a physical
+// operator tree, and the operators in operators.go execute it uniformly.
+// Exact, approximate, conjunction and join queries differ only in the plan
+// shape they lower to.
 
-// buildSpec lowers a bound statement into the planner's spec. Everything
-// is read off the pipeState, so tables, predicates and costs are resolved
-// exactly once (by bindStatement) per plan or execution.
+// buildSpec hands a bound statement to the planner. Everything is read off
+// the pipeState, so tables, predicates and costs are resolved exactly once
+// (by bindStatement) per plan or execution.
 func (e *Engine) buildSpec(st *pipeState) plan.Spec {
-	q := st.q
 	sp := plan.Spec{
-		Table:         q.Table,
+		Query:         st.q,
 		Rows:          st.tbl.NumRows(),
-		Preds:         make([]plan.Pred, len(st.preds)),
-		GroupOn:       q.GroupOn,
-		VirtualName:   VirtualColumn,
-		Budget:        q.Budget,
+		EvalCosts:     make([]float64, len(st.preds)),
 		Retrieve:      st.cost.Retrieve,
 		LabelFraction: labelFraction,
 	}
 	for i, p := range st.preds {
-		sp.Preds[i] = plan.Pred{UDF: p.spec.UDFName, Arg: p.spec.UDFArg, Want: p.spec.Want, Cost: p.cost}
+		sp.EvalCosts[i] = p.cost
 	}
-	for _, f := range q.Filters {
-		sp.Filters = append(sp.Filters, plan.Filter{Column: f.Column, Value: f.Value})
-	}
-	if q.Approx != nil {
-		sp.Approx = &plan.Approx{Alpha: q.Approx.Precision, Beta: q.Approx.Recall, Rho: q.Approx.Probability}
-		sp.SampleNum = 2.5 * q.Approx.Precision
-		if q.GroupOn == "" {
-			if col, ok := e.peekMemoColumn(q, st.cost); ok {
-				sp.MemoColumn = col
-			}
+	if st.q.Approx != nil {
+		sp.SampleNum = 2.5 * st.q.Approx.Precision
+		if st.q.GroupOn == "" {
+			// Display only: the group-resolve operator re-checks at execution
+			// time and falls back to discovery when the memo went stale.
+			sp.MemoColumn, _ = e.peekMemoColumn(st)
 		}
 	}
-	if q.Join != nil {
-		sp.Join = &plan.Join{
-			Table:    q.Join.Table,
-			Rows:     st.joinTbl.NumRows(),
-			LeftKey:  q.Join.LeftKey,
-			RightKey: q.Join.RightKey,
-		}
+	if st.joinTbl != nil {
+		sp.JoinRows = st.joinTbl.NumRows()
 	}
 	return sp
-}
-
-// predCost resolves the effective o_e for one predicate: its UDF's own
-// cost when set, the engine-wide default otherwise. (Not costModel(q) —
-// that carries the FIRST predicate's override, which must not leak onto
-// later conjuncts.)
-func (e *Engine) predCost(p Conjunct) float64 {
-	if u, err := e.registry.Lookup(p.UDFName); err == nil && u.Cost > 0 {
-		return u.Cost
-	}
-	return e.Cost.Evaluate
-}
-
-// peekMemoColumn reports the catalog-memoized §4.4 column choice for the
-// query's workload, if one exists (display only — the group-resolve
-// operator re-checks at execution time and falls back to discovery when the
-// memo went stale).
-func (e *Engine) peekMemoColumn(q Query, cost core.CostModel) (string, bool) {
-	c := e.Catalog()
-	if c == nil {
-		return "", false
-	}
-	return c.ChosenColumn(workloadKey(q, cost))
 }
 
 // Plan builds (without executing) the physical operator tree for a query.

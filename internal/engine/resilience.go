@@ -19,36 +19,6 @@ import (
 // per-(table, UDF) circuit breaker — and each query decides via its
 // FailurePolicy what a row whose invocation ultimately fails means.
 
-// FailurePolicy decides what a query does with rows whose UDF invocation
-// ultimately fails (after retries, or denied by an open breaker).
-type FailurePolicy string
-
-const (
-	// FailOnError (the default) surfaces the first failure as a query error
-	// once execution finishes; no partial result is returned. Failed rows
-	// are still excluded from all evidence, so the engine stays usable.
-	FailOnError FailurePolicy = "fail"
-	// SkipFailed silently excludes failed rows from the result; the failure
-	// counters in Stats are still populated.
-	SkipFailed FailurePolicy = "skip"
-	// DegradeFailed excludes failed rows like SkipFailed and additionally
-	// marks the result Stats.Degraded, so clients can tell a partial answer
-	// from a complete one.
-	DegradeFailed FailurePolicy = "degrade"
-)
-
-// ParseFailurePolicy validates a policy string ("" means FailOnError).
-func ParseFailurePolicy(s string) (FailurePolicy, error) {
-	switch FailurePolicy(s) {
-	case "":
-		return FailOnError, nil
-	case FailOnError, SkipFailed, DegradeFailed:
-		return FailurePolicy(s), nil
-	default:
-		return "", fmt.Errorf("engine: unknown failure policy %q (want fail, skip or degrade)", s)
-	}
-}
-
 // policyFor resolves the effective failure policy for a query: the query's
 // own, else the engine default, else FailOnError.
 func (e *Engine) policyFor(q Query) FailurePolicy {
@@ -196,12 +166,13 @@ func (e *Engine) breakerFor(tableName, udfName string) *resilience.Breaker {
 	return b
 }
 
-// BreakerStatus is one circuit breaker's observable state.
+// BreakerStatus is one circuit breaker's observable state. The JSON tags
+// are predsqld's GET /stats "breakers" entry.
 type BreakerStatus struct {
-	Table string
-	UDF   string
-	State string
-	Trips int64
+	Table string `json:"table"`
+	UDF   string `json:"udf"`
+	State string `json:"state"`
+	Trips int64  `json:"trips"`
 }
 
 // BreakerStatuses reports every circuit breaker the engine has created, in

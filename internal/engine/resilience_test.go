@@ -263,23 +263,6 @@ func TestRegisterUDFBodyValidation(t *testing.T) {
 	}
 }
 
-func TestParseFailurePolicy(t *testing.T) {
-	for in, want := range map[string]FailurePolicy{
-		"": FailOnError, "fail": FailOnError, "skip": SkipFailed, "degrade": DegradeFailed,
-	} {
-		got, err := ParseFailurePolicy(in)
-		if err != nil || got != want {
-			t.Errorf("ParseFailurePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseFailurePolicy("explode"); err == nil {
-		t.Error("want an error for an unknown policy")
-	}
-	if err := (Query{Table: "t", UDFName: "u", UDFArg: "a", OnFailure: "explode"}).Validate(); err == nil {
-		t.Error("Validate must reject an unknown failure policy")
-	}
-}
-
 func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 	// Every 5th id fails when invoked. An approximate query may still emit
 	// such rows as part of a group accepted without evaluation — failure

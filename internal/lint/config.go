@@ -30,8 +30,8 @@ package lint
 //	             engine and core (where verdict-shaped functions live).
 //	atomicwrite  internal/catalog, the only package that owns durable
 //	             files.
-//	atomicmix    the whole module: a mixed atomic/plain access is a data
-//	             race wherever it appears.
+//	atomicmix    the whole module: a function-style sync/atomic call opens
+//	             the door to a mixed atomic/plain access wherever it appears.
 //
 // The module root package ("") is predeval, the public API — it is on
 // every data path, so it is included everywhere.

@@ -15,10 +15,8 @@
 //
 // A fixture package may span multiple files: every .go file under
 // testdata/src/<path> is parsed and type-checked together (in directory
-// order), and wants are matched per (file, line), so cross-file analyses —
-// an atomic update in one file, the plain read it clashes with in
-// another — are exercisable. The maporder and atomicmix fixtures use this
-// shape.
+// order), and wants are matched per (file, line), so cross-file analyses
+// are exercisable. The maporder fixture uses this shape.
 package linttest
 
 import (

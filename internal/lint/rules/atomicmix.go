@@ -2,108 +2,35 @@ package rules
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
 
 	"repro/internal/lint"
 )
 
-// Atomicmix enforces a whole-package memory-model invariant: a variable
-// (struct field or package-level var) whose address is ever passed to a
-// sync/atomic function may only be accessed through sync/atomic. A
-// plain load racing an atomic store is undefined under the Go memory
-// model and is exactly the PR 8 drive-by bug class — the /metrics
-// collectors scrape the same counters the engine mutates, so one
-// forgotten atomic.Load turns the exposition into a data race. Typed
-// atomics (atomic.Int64 and friends) make the mix impossible by
-// construction and are the preferred fix.
+// Atomicmix keeps mixed atomic/plain access — a plain load racing an atomic
+// store, the PR 8 drive-by bug class: the /metrics collectors scrape the
+// counters the engine mutates — a type error by construction: every atomic
+// in the module is a typed one (atomic.Int64 and friends), whose value has
+// no plain access path, and this rule forbids the function-style API
+// (atomic.AddInt64(&x, …)) that would let a plain int64 be half-atomic.
 var Atomicmix = &lint.Analyzer{
 	Name: "atomicmix",
-	Doc: "a field or variable accessed through sync/atomic anywhere in the package must never be " +
-		"read or written with plain loads/stores elsewhere — mixed access is a data race (PR 8 bug class); " +
-		"prefer typed atomics (atomic.Int64)",
+	Doc: "forbid function-style sync/atomic calls (atomic.AddInt64(&x, …)): a plain variable updated that way " +
+		"can still be read or written plainly elsewhere — a data race (PR 8 bug class); use typed atomics (atomic.Int64)",
 	Run: runAtomicmix,
 }
 
 func runAtomicmix(pass *lint.Pass) error {
-	// Pass 1: collect every variable whose address flows into a
-	// sync/atomic call, and the &x argument nodes themselves (uses
-	// inside those arguments are the sanctioned access path).
-	atomicVars := map[types.Object]bool{}
-	sanctioned := map[ast.Node]bool{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if path, _ := lint.QualifiedCallee(pass.Info, call); path != "sync/atomic" {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				if obj := addressedVar(pass.Info, un.X); obj != nil {
-					atomicVars[obj] = true
-					sanctioned[arg] = true
+			if call, ok := n.(*ast.CallExpr); ok {
+				if path, fn := lint.QualifiedCallee(pass.Info, call); path == "sync/atomic" {
+					pass.Reportf(call.Pos(),
+						"function-style atomic.%s leaves its operand open to mixed atomic/plain access — a data race; "+
+							"declare the variable as a typed atomic (atomic.Int64, atomic.Pointer[T], …) instead", fn)
 				}
 			}
 			return true
 		})
-	}
-	if len(atomicVars) == 0 {
-		return nil
-	}
-	// Pass 2: any other reference to those variables is a plain access.
-	for _, f := range pass.Files {
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			if sanctioned[n] {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel, ok := pass.Info.Selections[n]; ok && atomicVars[sel.Obj()] {
-					pass.Reportf(n.Pos(),
-						"field %s is updated through sync/atomic elsewhere in this package but accessed "+
-							"plainly here — mixed atomic/plain access is a data race; use sync/atomic for "+
-							"every access (or migrate the field to a typed atomic)",
-						n.Sel.Name)
-					return false
-				}
-			case *ast.Ident:
-				if obj := pass.Info.Uses[n]; obj != nil && atomicVars[obj] {
-					pass.Reportf(n.Pos(),
-						"variable %s is updated through sync/atomic elsewhere in this package but accessed "+
-							"plainly here — mixed atomic/plain access is a data race; use sync/atomic for "+
-							"every access (or migrate to a typed atomic)",
-						n.Name)
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-	}
-	return nil
-}
-
-// addressedVar resolves &x to the variable being addressed: a field
-// selection (s.counter) or a plain variable. Index expressions
-// (&arr[i]) are out of scope — per-element atomics don't occur here.
-func addressedVar(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := info.Selections[e]; ok && sel.Kind() == types.FieldVal {
-			return sel.Obj()
-		}
-	case *ast.Ident:
-		if obj := info.Uses[e]; obj != nil {
-			if _, ok := obj.(*types.Var); ok {
-				return obj
-			}
-		}
 	}
 	return nil
 }

@@ -1,29 +1,37 @@
-// Package atomicmix exercises the atomicmix analyzer: fields and
-// variables touched through sync/atomic anywhere in the package must be
-// atomic everywhere — plain reads/writes elsewhere are data races.
+// Package atomicmix exercises the atomicmix analyzer: function-style
+// sync/atomic calls are forbidden (their operand stays open to plain
+// access elsewhere); typed atomics and plain variables are fine.
 package atomicmix
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-func (c *counters) flaggedPlainRead() int64 {
-	return c.hits // want "mixed atomic/plain access"
+type counters struct {
+	hits  int64
+	plain int64
+	typed atomic.Int64
+	ptr   unsafe.Pointer
 }
 
-func (c *counters) flaggedPlainWrite() {
-	c.hits = 0 // want "mixed atomic/plain access"
+var generation uint64
+
+func (c *counters) flaggedAdd() {
+	atomic.AddInt64(&c.hits, 1) // want "mixed atomic/plain access"
 }
 
-func (c *counters) flaggedPlainIncrement() {
-	c.misses++ // want "mixed atomic/plain access"
+func (c *counters) flaggedLoadStore() int64 {
+	atomic.StoreInt64(&c.hits, 0)    // want "mixed atomic/plain access"
+	return atomic.LoadInt64(&c.hits) // want "function-style atomic.LoadInt64"
 }
 
-func flaggedGlobalRead() uint64 {
-	return generation // want "mixed atomic/plain access"
+func flaggedGlobal() uint64 {
+	return atomic.AddUint64(&generation, 1) // want "mixed atomic/plain access"
 }
 
-func (c *counters) cleanAtomicEverywhere() int64 {
-	atomic.StoreInt64(&c.hits, 0)
-	return atomic.LoadInt64(&c.misses)
+func (c *counters) flaggedPointer() unsafe.Pointer {
+	return atomic.LoadPointer(&c.ptr) // want "function-style atomic.LoadPointer"
 }
 
 // cleanPlainOnly: plain is never touched atomically, so plain access is

@@ -232,9 +232,3 @@ func prefixMatch(prefix, rel string) bool {
 	}
 	return prefix != "" && strings.HasPrefix(rel, prefix+"/")
 }
-
-// sortAnalyzers orders a suite by name (run order is part of output
-// determinism only through finding sort, but a stable -list matters too).
-func sortAnalyzers(suite []*Analyzer) {
-	sort.Slice(suite, func(i, j int) bool { return suite[i].Name < suite[j].Name })
-}

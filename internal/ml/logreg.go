@@ -129,11 +129,6 @@ func (m *LogisticRegression) Prob(x []float64) float64 {
 // Predict returns Prob(x) >= 0.5.
 func (m *LogisticRegression) Predict(x []float64) bool { return m.Prob(x) >= 0.5 }
 
-// Weights returns a copy of the learned weights (standardized space).
-func (m *LogisticRegression) Weights() []float64 {
-	return append([]float64(nil), m.weights...)
-}
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		e := math.Exp(-z)

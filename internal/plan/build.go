@@ -8,13 +8,14 @@ import (
 // scanChain builds filter → scan (or a bare scan when there are no cheap
 // filters).
 func (s Spec) scanChain() *Node {
-	scan := &Node{Op: OpScan, Column: s.Table, EstRows: s.Rows,
-		Detail: []Attr{{"table", s.Table}}}
-	if len(s.Filters) == 0 {
+	q := s.Query
+	scan := &Node{Op: OpScan, Column: q.Table, EstRows: s.Rows,
+		Detail: []Attr{{"table", q.Table}}}
+	if len(q.Filters) == 0 {
 		return scan
 	}
-	fs := make([]string, len(s.Filters))
-	for i, f := range s.Filters {
+	fs := make([]string, len(q.Filters))
+	for i, f := range q.Filters {
 		fs[i] = fmt.Sprintf("%s = %q", f.Column, f.Value)
 	}
 	return &Node{
@@ -37,16 +38,22 @@ func (s Spec) scanChain() *Node {
 //   - join + approx           → group-resolve · join-group · sample · solve(weights) · prob-eval · merge
 //
 // Every node is run by exactly one operator of the engine's pipeline (the
-// filter node by the scan it is fused into).
+// filter node by the scan it is fused into). The query must pass
+// Query.Validate — the one validator, so a shape no rule covers is refused
+// here with the same error parsing and binding give.
 func Physical(s Spec) (*Node, error) {
-	if err := s.Validate(); err != nil {
+	q := s.Query
+	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	if want := 1 + len(q.Conjuncts); len(s.EvalCosts) != want {
+		return nil, fmt.Errorf("plan: %d predicate costs for %d predicates", len(s.EvalCosts), want)
 	}
 	base := s.scanChain() // filter → scan, the pipeline tail
 	switch {
-	case s.Join != nil:
+	case q.Join != nil:
 		return s.physicalJoin(base), nil
-	case len(s.Preds) > 1:
+	case len(q.Conjuncts) > 0:
 		return s.physicalConjunction(base), nil
 	default:
 		return s.physicalSelect(base), nil
@@ -54,15 +61,14 @@ func Physical(s Spec) (*Node, error) {
 }
 
 func (s Spec) physicalSelect(base *Node) *Node {
-	p := s.Preds[0]
-	if s.Approx == nil {
+	q := s.Query
+	if q.Approx == nil {
 		return &Node{
 			Op:       OpExactEval,
-			Preds:    s.Preds,
 			Children: []*Node{base},
 			EstRows:  s.Rows,
-			EstCost:  float64(s.Rows) * s.perRow(p),
-			Detail:   []Attr{{"predicate", p.String()}},
+			EstCost:  float64(s.Rows) * s.perRow(),
+			Detail:   []Attr{{"predicate", q.Predicates()[0].String()}},
 		}
 	}
 	gr := s.groupResolve(base)
@@ -72,20 +78,21 @@ func (s Spec) physicalSelect(base *Node) *Node {
 		Op:       OpSample,
 		Children: []*Node{gr},
 		EstRows:  sampleRows,
-		EstCost:  float64(sampleRows) * s.perRow(p),
+		EstCost:  float64(sampleRows) * s.perRow(),
 		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.SampleNum)}},
 	}
+	ap := q.Approx
 	solve := &Node{Op: OpSolve, Mode: ModeConstrained, Children: []*Node{sample},
-		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. α=%g β=%g ρ=%g", s.Approx.Alpha, s.Approx.Beta, s.Approx.Rho)}}}
-	if s.Budget > 0 {
+		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}}
+	if q.Budget > 0 {
 		solve.Mode = ModeBudget
-		solve.Detail = []Attr{{"objective", fmt.Sprintf("max recall s.t. α=%g ρ=%g cost≤%g", s.Approx.Alpha, s.Approx.Rho, s.Budget)}}
+		solve.Detail = []Attr{{"objective", fmt.Sprintf("max recall s.t. α=%g ρ=%g cost≤%g", ap.Precision, ap.Probability, q.Budget)}}
 	}
 	eval := &Node{
 		Op:          OpProbEval,
 		Children:    []*Node{solve},
 		EstRows:     n,
-		EstCost:     float64(n-sampleRows) * s.perRow(p),
+		EstCost:     float64(n-sampleRows) * s.perRow(),
 		CostIsBound: true,
 		Detail:      []Attr{{"strategy", "per-group retrieve/evaluate coins"}},
 	}
@@ -93,18 +100,18 @@ func (s Spec) physicalSelect(base *Node) *Node {
 }
 
 func (s Spec) physicalConjunction(base *Node) *Node {
-	n := s.Rows
-	if s.Approx == nil {
+	q, n := s.Query, s.Rows
+	preds := q.Predicates()
+	if q.Approx == nil {
 		return &Node{
 			Op:          OpConjWaves,
 			Mode:        ModeQueryOrder,
-			Preds:       s.Preds,
 			Children:    []*Node{base},
 			EstRows:     n,
 			EstCost:     float64(n) * (s.Retrieve + s.sumEval()),
 			CostIsBound: true,
 			Detail: []Attr{
-				{"order", predList(s.Preds)},
+				{"order", predList(preds)},
 				{"short-circuit", "each wave evaluates only prior survivors"},
 			},
 		}
@@ -113,19 +120,17 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 	conjSample := func(child *Node) *Node {
 		return &Node{
 			Op:       OpConjSample,
-			Preds:    s.Preds,
 			Children: []*Node{child},
 			EstRows:  sampleRows,
 			EstCost:  float64(sampleRows) * (s.Retrieve + s.sumEval()),
-			Detail:   []Attr{{"fused", fmt.Sprintf("all %d predicates per sampled row", len(s.Preds))}},
+			Detail:   []Attr{{"fused", fmt.Sprintf("all %d predicates per sampled row", len(preds))}},
 		}
 	}
-	if len(s.Preds) == 2 {
+	if len(preds) == 2 {
 		solve := &Node{Op: OpConjSolve, Children: []*Node{conjSample(s.groupResolve(base))},
 			Detail: []Attr{{"actions", "discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)"}}}
 		exec := &Node{
 			Op:          OpConjExec,
-			Preds:       s.Preds,
 			Children:    []*Node{solve},
 			EstRows:     n,
 			EstCost:     float64(n-sampleRows) * (s.Retrieve + s.sumEval()),
@@ -137,13 +142,12 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 	// answer itself is exact, and the waves emit in base-table order, so
 	// (like the exact shape) there is nothing left to merge.
 	child := base
-	if s.GroupOn != "" && s.GroupOn != s.VirtualName {
+	if q.GroupOn != "" && q.GroupOn != VirtualColumn {
 		child = s.groupResolve(base)
 	}
 	return &Node{
 		Op:          OpConjWaves,
 		Mode:        ModeGreedyOrder,
-		Preds:       s.Preds,
 		Children:    []*Node{conjSample(child)},
 		EstRows:     n,
 		EstCost:     float64(n-sampleRows) * (s.Retrieve + s.sumEval()),
@@ -156,15 +160,15 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 }
 
 func (s Spec) physicalJoin(base *Node) *Node {
-	p := s.Preds[0]
+	join, ap := s.Query.Join, s.Query.Approx
 	gr := s.groupResolve(base)
 	jg := &Node{
 		Op:       OpJoinGroup,
-		Column:   s.Join.LeftKey,
+		Column:   join.LeftKey,
 		Children: []*Node{gr},
 		EstRows:  s.Rows,
 		Detail: []Attr{
-			{"weights", fmt.Sprintf("join multiplicity of %s in %s.%s (%d rows)", s.Join.LeftKey, s.Join.Table, s.Join.RightKey, s.Join.Rows)},
+			{"weights", fmt.Sprintf("join multiplicity of %s in %s.%s (%d rows)", join.LeftKey, join.Table, join.RightKey, s.JoinRows)},
 		},
 	}
 	n := s.Rows
@@ -173,16 +177,16 @@ func (s Spec) physicalJoin(base *Node) *Node {
 		Op:       OpSample,
 		Children: []*Node{jg},
 		EstRows:  sampleRows,
-		EstCost:  float64(sampleRows) * s.perRow(p),
+		EstCost:  float64(sampleRows) * s.perRow(),
 		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.SampleNum)}},
 	}
 	solve := &Node{Op: OpSolve, Mode: ModeJoinWeight, Children: []*Node{sample},
-		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. join-weighted α=%g β=%g ρ=%g", s.Approx.Alpha, s.Approx.Beta, s.Approx.Rho)}}}
+		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. join-weighted α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}}
 	eval := &Node{
 		Op:          OpProbEval,
 		Children:    []*Node{solve},
 		EstRows:     n,
-		EstCost:     float64(n-sampleRows) * s.perRow(p),
+		EstCost:     float64(n-sampleRows) * s.perRow(),
 		CostIsBound: true,
 		Detail:      []Attr{{"strategy", "per-subgroup retrieve/evaluate coins"}},
 	}
@@ -192,7 +196,7 @@ func (s Spec) physicalJoin(base *Node) *Node {
 // groupResolve builds the group-resolve node for the spec's GroupOn.
 func (s Spec) groupResolve(child *Node) *Node {
 	n := &Node{Op: OpGroupResolve, Children: []*Node{child}, EstRows: s.Rows}
-	switch s.GroupOn {
+	switch groupOn := s.Query.GroupOn; groupOn {
 	case "":
 		n.Mode = ModeAuto
 		labelRows := s.estLabelRows(s.Rows)
@@ -204,21 +208,21 @@ func (s Spec) groupResolve(child *Node) *Node {
 			return n
 		}
 		n.Detail = []Attr{{"column", "discovered at runtime (§4.4 column scan)"}}
-		n.EstCost = float64(labelRows) * s.perRow(s.Preds[0])
+		n.EstCost = float64(labelRows) * s.perRow()
 		n.Detail = append(n.Detail, Attr{"labeling", fmt.Sprintf("≈%d rows", labelRows)})
-	case s.VirtualName:
+	case VirtualColumn:
 		n.Mode = ModeVirtual
-		n.Column = s.VirtualName
+		n.Column = VirtualColumn
 		labelRows := s.estLabelRows(s.Rows)
-		n.EstCost = float64(labelRows) * s.perRow(s.Preds[0])
+		n.EstCost = float64(labelRows) * s.perRow()
 		n.Detail = []Attr{
 			{"column", "logistic-regression buckets (§6.3.2)"},
 			{"labeling", fmt.Sprintf("≈%d rows", labelRows)},
 		}
 	default:
 		n.Mode = ModePinned
-		n.Column = s.GroupOn
-		n.Detail = []Attr{{"column", s.GroupOn}}
+		n.Column = groupOn
+		n.Detail = []Attr{{"column", groupOn}}
 	}
 	return n
 }
@@ -229,7 +233,7 @@ func (s Spec) merge(child *Node) *Node {
 		Detail: []Attr{{"output", "row ids, ascending"}}}
 }
 
-func predList(preds []Pred) string {
+func predList(preds []Conjunct) string {
 	parts := make([]string, len(preds))
 	for i, p := range preds {
 		parts[i] = p.String()

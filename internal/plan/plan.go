@@ -7,17 +7,18 @@
 // the tree that runs, and under EXPLAIN ANALYZE every node carries what its
 // operator measurably did.
 //
-// The package is deliberately free of engine dependencies: the engine
-// lowers its Query into a Spec (adding what only it knows — row counts,
-// cost model, per-predicate costs, any catalog-memoized column choice) and
-// compiles the returned tree. Keeping the shapes here means a new query
-// form is a new rewrite rule plus an operator, not a new dispatch branch.
+// The package also owns the statement itself (query.go): Query and its
+// clauses are declared here once, below both the parser that fills them in
+// and the engine that binds and runs them, so internal/sqlparse depends on
+// this package and not on the engine. It imports nothing above
+// internal/core. The engine hands the rewrite rules a Spec — the Query plus
+// what only it knows (row counts, per-predicate costs, any catalog-memoized
+// column choice) — and compiles the returned tree. Keeping the shapes here
+// means a new query form is a new rewrite rule plus an operator, not a new
+// dispatch branch.
 package plan
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Op identifies a plan node: it names the operator the engine runs for it.
 type Op string
@@ -68,9 +69,7 @@ type Node struct {
 	Mode string // operator variant, one of the Mode* constants ("" when unique)
 	// Column is the node's principal column (group column, join key), when
 	// meaningful.
-	Column string
-	// Preds carries the expensive predicates a conjunction/eval node owns.
-	Preds    []Pred
+	Column   string
 	Children []*Node
 	// EstRows is the planner's row estimate flowing out of the node;
 	// EstCost its estimated cost in cost-model units. CostIsBound marks an
@@ -151,87 +150,27 @@ func (n *Node) Find(op Op) *Node {
 	return nil
 }
 
-// Pred is one expensive predicate udf(arg) = want with its per-invocation
-// cost o_e.
-type Pred struct {
-	UDF  string
-	Arg  string
-	Want bool
-	Cost float64
-}
-
-func (p Pred) String() string {
-	w := 0
-	if p.Want {
-		w = 1
-	}
-	return fmt.Sprintf("%s(%s)=%d", p.UDF, p.Arg, w)
-}
-
-// Approx carries the accuracy contract of an approximate query.
-type Approx struct {
-	Alpha, Beta, Rho float64
-}
-
-// Filter is a cheap equality predicate.
-type Filter struct {
-	Column, Value string
-}
-
-// Join describes the selection-before-join extension.
-type Join struct {
-	Table             string
-	Rows              int
-	LeftKey, RightKey string
-}
-
-// Spec is everything the planner needs to shape a query: the parsed query
-// plus engine-known statistics. It is the seam between the engine and this
-// package.
+// Spec is what the rewrite rules shape: the validated statement plus what
+// only the engine knows about it. It is the seam between the engine and
+// this package.
 type Spec struct {
-	Table   string
-	Rows    int
-	Filters []Filter
-	// Preds holds the expensive predicates, first predicate first. At least
-	// one is required.
-	Preds  []Pred
-	Approx *Approx
-	Budget float64
-	// GroupOn is "" (automatic discovery), the virtual-column marker, or a
-	// pinned column name.
-	GroupOn string
-	// VirtualName is the GroupOn value that requests the virtual column.
-	VirtualName string
+	Query Query
+	// Rows is the base table's row count; JoinRows the join table's (join
+	// shape only).
+	Rows     int
+	JoinRows int
+	// EvalCosts holds each expensive predicate's o_e, parallel to
+	// Query.Predicates(); Retrieve is o_r.
+	EvalCosts []float64
+	Retrieve  float64
 	// MemoColumn is a catalog-memoized §4.4 choice for this workload (""
 	// when unknown); discovery starts there and falls back if stale.
 	MemoColumn string
-	// Retrieve is o_r; per-predicate o_e lives on each Pred.
-	Retrieve float64
 	// LabelFraction is the §4.4 labeling fraction the engine labels with
 	// (for discovery cost estimates).
 	LabelFraction float64
 	// SampleNum is the Two-Third-Power allocator's num factor (2.5·α).
 	SampleNum float64
-	Join      *Join
-}
-
-// Validate checks the spec is shapeable.
-func (s Spec) Validate() error {
-	if s.Table == "" {
-		return fmt.Errorf("plan: spec without table")
-	}
-	if len(s.Preds) == 0 {
-		return fmt.Errorf("plan: spec without predicates")
-	}
-	for _, p := range s.Preds {
-		if p.UDF == "" || p.Arg == "" {
-			return fmt.Errorf("plan: predicate without UDF or argument")
-		}
-	}
-	if s.Join != nil && len(s.Preds) > 1 {
-		return fmt.Errorf("plan: join with a conjunction is not supported")
-	}
-	return nil
 }
 
 // estSampleRows estimates the Two-Third-Power allocation over n rows:
@@ -259,14 +198,15 @@ func (s Spec) estLabelRows(n int) int {
 	return est
 }
 
-// perRow is o_r + o_e for predicate p.
-func (s Spec) perRow(p Pred) float64 { return s.Retrieve + p.Cost }
+// perRow is o_r + o_e for the first predicate — the one every
+// single-predicate stage evaluates.
+func (s Spec) perRow() float64 { return s.Retrieve + s.EvalCosts[0] }
 
 // sumEval is Σ o_e over the predicates.
 func (s Spec) sumEval() float64 {
 	total := 0.0
-	for _, p := range s.Preds {
-		total += p.Cost
+	for _, c := range s.EvalCosts {
+		total += c
 	}
 	return total
 }

@@ -7,13 +7,20 @@ import (
 
 func baseSpec() Spec {
 	return Spec{
-		Table:         "loans",
+		Query:         Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
 		Rows:          3000,
-		Preds:         []Pred{{UDF: "good_credit", Arg: "id", Want: true, Cost: 3}},
+		EvalCosts:     []float64{3},
 		Retrieve:      1,
 		LabelFraction: 0.01,
 		SampleNum:     2.25,
-		VirtualName:   "virtual",
+	}
+}
+
+// and appends expensive predicates (o_e = 3 each) to the spec.
+func (s *Spec) and(preds ...Conjunct) {
+	s.Query.Conjuncts = append(s.Query.Conjuncts, preds...)
+	for range preds {
+		s.EvalCosts = append(s.EvalCosts, 3)
 	}
 }
 
@@ -47,9 +54,9 @@ func opsEqual(a, b []Op) bool {
 }
 
 func TestPhysicalShapes(t *testing.T) {
-	ap := &Approx{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
-	second := Pred{UDF: "rich", Arg: "income", Want: true, Cost: 3}
-	third := Pred{UDF: "local", Arg: "state", Want: true, Cost: 3}
+	ap := &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9}
+	second := Conjunct{UDFName: "rich", UDFArg: "income", Want: true}
+	third := Conjunct{UDFName: "local", UDFArg: "state", Want: true}
 
 	cases := []struct {
 		name string
@@ -58,40 +65,41 @@ func TestPhysicalShapes(t *testing.T) {
 	}{
 		{"exact select", func(s *Spec) {}, []Op{OpExactEval, OpScan}},
 		{"exact select filtered", func(s *Spec) {
-			s.Filters = []Filter{{Column: "purpose", Value: "car"}}
+			s.Query.Filters = []Filter{{Column: "purpose", Value: "car"}}
 		}, []Op{OpExactEval, OpFilter, OpScan}},
 		{"approx pinned", func(s *Spec) {
-			s.Approx = ap
-			s.GroupOn = "grade"
+			s.Query.Approx = ap
+			s.Query.GroupOn = "grade"
 		}, []Op{OpMerge, OpProbEval, OpSolve, OpSample, OpGroupResolve, OpScan}},
-		{"approx discover", func(s *Spec) { s.Approx = ap },
+		{"approx discover", func(s *Spec) { s.Query.Approx = ap },
 			[]Op{OpMerge, OpProbEval, OpSolve, OpSample, OpGroupResolve, OpScan}},
 		{"budget", func(s *Spec) {
-			s.Approx = ap
-			s.GroupOn = "grade"
-			s.Budget = 500
+			s.Query.Approx = ap
+			s.Query.GroupOn = "grade"
+			s.Query.Budget = 500
 		}, []Op{OpMerge, OpProbEval, OpSolve, OpSample, OpGroupResolve, OpScan}},
 		{"exact conjunction", func(s *Spec) {
-			s.Preds = append(s.Preds, second, third)
+			s.and(second, third)
 		}, []Op{OpConjWaves, OpScan}},
 		{"two-pred approx", func(s *Spec) {
-			s.Preds = append(s.Preds, second)
-			s.Approx = ap
-			s.GroupOn = "grade"
+			s.and(second)
+			s.Query.Approx = ap
+			s.Query.GroupOn = "grade"
 		}, []Op{OpMerge, OpConjExec, OpConjSolve, OpConjSample, OpGroupResolve, OpScan}},
 		{"n-ary approx grouped", func(s *Spec) {
-			s.Preds = append(s.Preds, second, third)
-			s.Approx = ap
-			s.GroupOn = "grade"
+			s.and(second, third)
+			s.Query.Approx = ap
+			s.Query.GroupOn = "grade"
 		}, []Op{OpConjWaves, OpConjSample, OpGroupResolve, OpScan}},
 		{"n-ary approx ungrouped", func(s *Spec) {
-			s.Preds = append(s.Preds, second, third)
-			s.Approx = ap
+			s.and(second, third)
+			s.Query.Approx = ap
 		}, []Op{OpConjWaves, OpConjSample, OpScan}},
 		{"join", func(s *Spec) {
-			s.Approx = ap
-			s.GroupOn = "grade"
-			s.Join = &Join{Table: "orders", Rows: 9000, LeftKey: "id", RightKey: "loan_id"}
+			s.Query.Approx = ap
+			s.Query.GroupOn = "grade"
+			s.Query.Join = &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}
+			s.JoinRows = 9000
 		}, []Op{OpMerge, OpProbEval, OpSolve, OpSample, OpJoinGroup, OpGroupResolve, OpScan}},
 	}
 	for _, tc := range cases {
@@ -107,9 +115,8 @@ func TestPhysicalShapes(t *testing.T) {
 }
 
 func TestPhysicalModes(t *testing.T) {
-	ap := &Approx{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
 	s := baseSpec()
-	s.Approx = ap
+	s.Query.Approx = &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9}
 	n := mustPhysical(t, s).Find(OpGroupResolve)
 	if n == nil || n.Mode != ModeAuto {
 		t.Fatalf("discover mode: %+v", n)
@@ -120,38 +127,48 @@ func TestPhysicalModes(t *testing.T) {
 		t.Fatalf("memo column not surfaced: %+v", n)
 	}
 	s.MemoColumn = ""
-	s.GroupOn = "virtual"
+	s.Query.GroupOn = VirtualColumn
 	n = mustPhysical(t, s).Find(OpGroupResolve)
 	if n.Mode != ModeVirtual {
 		t.Fatalf("virtual mode: %+v", n)
 	}
-	s.GroupOn = "grade"
+	s.Query.GroupOn = "grade"
 	n = mustPhysical(t, s).Find(OpGroupResolve)
 	if n.Mode != ModePinned || n.Column != "grade" {
 		t.Fatalf("pinned mode: %+v", n)
 	}
-	s.Budget = 100
+	s.Query.Budget = 100
 	if sv := mustPhysical(t, s).Find(OpSolve); sv.Mode != ModeBudget {
 		t.Fatalf("budget solve mode: %+v", sv)
 	}
 }
 
+// TestSpecValidate: Physical refuses what Query.Validate refuses (there is
+// no second validator), and a spec whose costs do not line up with its
+// predicates.
 func TestSpecValidate(t *testing.T) {
 	s := baseSpec()
-	s.Table = ""
+	s.Query.Table = ""
 	if _, err := Physical(s); err == nil {
 		t.Fatal("empty table accepted")
 	}
 	s = baseSpec()
-	s.Preds = nil
+	s.Query.UDFName = ""
 	if _, err := Physical(s); err == nil {
 		t.Fatal("no predicates accepted")
 	}
 	s = baseSpec()
-	s.Preds = append(s.Preds, Pred{UDF: "rich", Arg: "income"})
-	s.Join = &Join{Table: "orders", Rows: 1, LeftKey: "id", RightKey: "loan_id"}
+	s.and(Conjunct{UDFName: "rich", UDFArg: "income"})
+	s.Query.Approx = &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9}
+	s.Query.GroupOn = "grade"
+	s.Query.Join = &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}
 	if _, err := Physical(s); err == nil {
 		t.Fatal("join+conjunction accepted")
+	}
+	s = baseSpec()
+	s.Query.Conjuncts = []Conjunct{{UDFName: "rich", UDFArg: "income"}}
+	if _, err := Physical(s); err == nil {
+		t.Fatal("two predicates with one cost accepted")
 	}
 }
 
@@ -159,9 +176,9 @@ func TestSpecValidate(t *testing.T) {
 // query — the format is part of the public surface (predsqld returns it).
 func TestFormatGolden(t *testing.T) {
 	s := baseSpec()
-	s.Approx = &Approx{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
-	s.GroupOn = "grade"
-	s.Filters = []Filter{{Column: "purpose", Value: "car"}}
+	s.Query.Approx = &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9}
+	s.Query.GroupOn = "grade"
+	s.Query.Filters = []Filter{{Column: "purpose", Value: "car"}}
 	got := Format(mustPhysical(t, s))
 	// The golden is asserted line-by-line for readable failures.
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")

@@ -235,60 +235,6 @@ func finiteDiff(f func([]float64) float64, x []float64, out []float64) {
 	}
 }
 
-// Bisect finds a root of f on [lo, hi] assuming f(lo) and f(hi) bracket
-// zero; it returns the midpoint after iters halvings (default 100 when
-// iters <= 0). Used by scalar threshold searches in the optimizer.
-func Bisect(f func(float64) float64, lo, hi float64, iters int) float64 {
-	if iters <= 0 {
-		iters = 100
-	}
-	flo := f(lo)
-	for i := 0; i < iters; i++ {
-		mid := (lo + hi) / 2
-		fm := f(mid)
-		if (flo <= 0) == (fm <= 0) {
-			lo, flo = mid, fm
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// MinimizeScalar minimizes a unimodal function on [lo, hi] by golden-section
-// search and returns the minimizing argument.
-func MinimizeScalar(f func(float64) float64, lo, hi float64, iters int) float64 {
-	if iters <= 0 {
-		iters = 80
-	}
-	const invPhi = 0.6180339887498949
-	a, b := lo, hi
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for i := 0; i < iters; i++ {
-		if f1 < f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
-}
-
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	total := 0.0
-	for i := range a {
-		total += a[i] * b[i]
-	}
-	return total
-}
-
 // NaNGuard returns an error if any coordinate is NaN or infinite.
 func NaNGuard(x []float64) error {
 	for _, v := range x {

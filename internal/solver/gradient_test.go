@@ -101,31 +101,6 @@ func TestSolveDimensionMismatch(t *testing.T) {
 	}
 }
 
-func TestBisect(t *testing.T) {
-	root := Bisect(func(x float64) float64 { return x*x - 2 }, 0, 2, 0)
-	if math.Abs(root-math.Sqrt2) > 1e-9 {
-		t.Fatalf("root %v", root)
-	}
-	// Decreasing function.
-	root = Bisect(func(x float64) float64 { return 1 - x }, 0, 3, 0)
-	if math.Abs(root-1) > 1e-9 {
-		t.Fatalf("root %v", root)
-	}
-}
-
-func TestMinimizeScalar(t *testing.T) {
-	x := MinimizeScalar(func(x float64) float64 { return (x - 1.7) * (x - 1.7) }, 0, 5, 0)
-	if math.Abs(x-1.7) > 1e-6 {
-		t.Fatalf("argmin %v", x)
-	}
-}
-
-func TestDot(t *testing.T) {
-	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
-		t.Fatalf("dot %v", d)
-	}
-}
-
 func TestNaNGuard(t *testing.T) {
 	if err := NaNGuard([]float64{1, 2}); err != nil {
 		t.Fatal(err)

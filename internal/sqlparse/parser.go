@@ -4,18 +4,19 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/engine"
+	"repro/internal/plan"
 )
 
-// Statement is a parsed query: the engine's logical query (every clause,
-// JOIN included, is a field of engine.Query — the parser fills it in
-// directly; there is no separate AST to lower). Explain marks an
+// Statement is a parsed query: the statement AST internal/plan declares
+// (every clause, JOIN included, is a field of plan.Query — the parser fills
+// it in and the engine binds it; there is no second form to lower into),
+// plus the statement's marks. Explain marks an
 // EXPLAIN-prefixed statement — the caller should plan (and render) the
 // query instead of executing it. Analyze marks EXPLAIN ANALYZE: the caller
 // should EXECUTE the query and render the plan annotated with measured
 // per-operator counts.
 type Statement struct {
-	Query   engine.Query
+	Query   plan.Query
 	Explain bool
 	Analyze bool
 }
@@ -153,7 +154,7 @@ func (p *parser) parseSelect() (*Statement, error) {
 
 	if isKeyword(p.peek(), "JOIN") {
 		p.next()
-		join := &engine.Join{}
+		join := &plan.Join{}
 		join.Table, err = p.ident()
 		if err != nil {
 			return nil, err
@@ -265,7 +266,7 @@ func (p *parser) parseWhere(stmt *Statement) error {
 				stmt.Query.UDFName, stmt.Query.UDFArg, stmt.Query.Want = name, arg, want
 			} else {
 				stmt.Query.Conjuncts = append(stmt.Query.Conjuncts,
-					engine.Conjunct{UDFName: name, UDFArg: arg, Want: want})
+					plan.Conjunct{UDFName: name, UDFArg: arg, Want: want})
 			}
 			udfCount++
 		} else {
@@ -285,7 +286,7 @@ func (p *parser) parseWhere(stmt *Statement) error {
 			if err != nil {
 				return err
 			}
-			stmt.Query.Filters = append(stmt.Query.Filters, engine.Filter{Column: col, Value: val})
+			stmt.Query.Filters = append(stmt.Query.Filters, plan.Filter{Column: col, Value: val})
 		}
 		if !isKeyword(p.peek(), "AND") {
 			break
@@ -330,8 +331,8 @@ func (p *parser) parseColumns() ([]string, error) {
 	}
 }
 
-func (p *parser) parseWith() (*engine.Approx, error) {
-	approx := &engine.Approx{Precision: DefaultBound, Recall: DefaultBound, Probability: DefaultBound}
+func (p *parser) parseWith() (*plan.Approx, error) {
+	approx := &plan.Approx{Precision: DefaultBound, Recall: DefaultBound, Probability: DefaultBound}
 	seen := map[string]bool{}
 	found := false
 	for {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/engine"
+	"repro/internal/plan"
 )
 
 // errorsAs is errors.As without the test files importing it everywhere.
@@ -92,7 +92,7 @@ func TestParseJoin(t *testing.T) {
 	if join == nil {
 		t.Fatal("join missing")
 	}
-	if *join != (engine.Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}) {
+	if *join != (plan.Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"}) {
 		t.Fatalf("join %+v", join)
 	}
 }

@@ -249,7 +249,7 @@ func (db *DB) SetBreakerConfig(c resilience.BreakerConfig) { db.eng.Breaker = c 
 // "degrade" (excluded and the result is marked Degraded). Configure before
 // serving queries.
 func (db *DB) SetFailurePolicy(policy string) error {
-	p, err := engine.ParseFailurePolicy(policy)
+	p, err := plan.ParseFailurePolicy(policy)
 	if err != nil {
 		return err
 	}
@@ -373,7 +373,7 @@ func parseStatement(ctx context.Context, sql, onFailure string) (*sqlparse.State
 		return nil, err
 	}
 	if onFailure != "" {
-		stmt.Query.OnFailure, err = engine.ParseFailurePolicy(onFailure)
+		stmt.Query.OnFailure, err = plan.ParseFailurePolicy(onFailure)
 		if err != nil {
 			return nil, err
 		}
@@ -424,7 +424,7 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 // materialize renders every result row's cells. They come from the same
 // Renderer QueryStream emits through, so a streamed and a materialized
 // result cannot render differently.
-func (db *DB) materialize(q engine.Query, res *engine.Result, annotated []string) (*Rows, error) {
+func (db *DB) materialize(q plan.Query, res *engine.Result, annotated []string) (*Rows, error) {
 	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
@@ -550,15 +550,16 @@ func (db *DB) TableNames() []string { return db.eng.TableNames() }
 
 // ColumnInfo describes one column of a registered table.
 type ColumnInfo struct {
-	Name string
-	Type string
+	Name string `json:"name"`
+	Type string `json:"type"`
 }
 
 // TableInfo describes a registered table: its name, row count and schema.
+// The JSON tags are predsqld's GET /tables entry.
 type TableInfo struct {
-	Name    string
-	Rows    int
-	Columns []ColumnInfo
+	Name    string       `json:"name"`
+	Rows    int          `json:"rows"`
+	Columns []ColumnInfo `json:"columns"`
 }
 
 // TableInfo reports the schema and row count of a registered table.
