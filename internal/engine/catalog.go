@@ -194,9 +194,9 @@ func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
 	// into bindStatement; a stale name is a miss, not an error.
 	var groups []core.Group
 	if col := st.tbl.ColumnByName(name); col != nil {
-		groups = groupsFromColumn(st.tbl, col, st.subset)
+		groups, _ = groupsFromColumn(col, st.subset, maxCandidateCardinality)
 	}
-	if len(groups) < 2 || len(groups) > maxCandidateCardinality {
+	if len(groups) < 2 {
 		// The table changed shape since the memo was written: fall back to
 		// a fresh discovery pass (which overwrites the memo).
 		return nil, "", false

@@ -332,28 +332,46 @@ func (e *Engine) resolveGroups(ctx context.Context, st *pipeState) ([]core.Group
 	case VirtualColumn:
 		return e.virtualColumn(ctx, st)
 	default:
-		return groupsFromColumn(st.tbl, st.groupCol, st.subset), st.q.GroupOn, nil, nil
+		groups, _ := groupsFromColumn(st.groupCol, st.subset, 0)
+		return groups, st.q.GroupOn, nil, nil
 	}
 }
 
-// groupsFromColumn groups the row universe by col's rendered value, groups
-// in sorted key order.
-func groupsFromColumn(tbl *table.Table, col table.Column, subset []int) []core.Group {
-	byKey := make(map[string][]int)
-	var keys []string
-	for _, r := range universe(tbl, subset) {
-		k := col.StringAt(r)
-		if _, seen := byKey[k]; !seen {
-			keys = append(keys, k)
+// groupsFromColumn partitions the row universe (subset; nil means every row)
+// by col through table.Partition — groups sorted byte-wise on the rendered
+// key, rows in universe order, each distinct value rendered once. It reports
+// false when the universe holds more than maxGroups distinct values
+// (maxGroups <= 0: no cap); the partition gives up as soon as it knows.
+func groupsFromColumn(col table.Column, subset []int, maxGroups int) ([]core.Group, bool) {
+	parts, ok := table.Partition(col, subset, maxGroups)
+	if !ok {
+		return nil, false
+	}
+	groups := make([]core.Group, len(parts))
+	for i, p := range parts {
+		groups[i] = core.Group(p)
+	}
+	return groups, true
+}
+
+// candidateColumns partitions the statement's row universe by every column
+// but the UDF argument (usually a key, not a predictor) and keeps, in schema
+// order, those with 2..maxCandidateCardinality groups — §4.4's column scan.
+func candidateColumns(st *pipeState) []core.Candidate {
+	var cands []core.Candidate
+	schema := st.tbl.Schema()
+	for i := 0; i < schema.Len(); i++ {
+		name := schema.Col(i).Name
+		if name == st.q.UDFArg {
+			continue
 		}
-		byKey[k] = append(byKey[k], r)
+		groups, ok := groupsFromColumn(st.tbl.Column(i), st.subset, maxCandidateCardinality)
+		if !ok || len(groups) < 2 {
+			continue
+		}
+		cands = append(cands, core.Candidate{Name: name, Groups: groups})
 	}
-	sort.Strings(keys)
-	groups := make([]core.Group, 0, len(keys))
-	for _, k := range keys {
-		groups = append(groups, core.Group{Key: k, Rows: byKey[k]})
-	}
-	return groups
+	return cands
 }
 
 // discoverColumn implements Section 4.4's column scan: label a small
@@ -362,26 +380,14 @@ func groupsFromColumn(tbl *table.Table, col table.Column, subset []int) []core.G
 // for reuse by the sampler.
 func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
 	tbl, q := st.tbl, st.q
-	var cands []core.Candidate
-	for i := 0; i < tbl.Schema().Len(); i++ {
-		def := tbl.Schema().Col(i)
-		if def.Name == q.UDFArg {
-			continue // the UDF argument (usually a key) is not a predictor
-		}
-		groups := groupsFromColumn(tbl, tbl.Column(i), st.subset)
-		if len(groups) < 2 || len(groups) > maxCandidateCardinality {
-			continue
-		}
-		cands = append(cands, core.Candidate{Name: def.Name, Groups: groups})
-	}
+	cands := candidateColumns(st)
 	if len(cands) == 0 {
 		return nil, "", nil, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
 	}
 
 	rows := universe(tbl, st.subset)
-	frac := labelFraction
 	labeled := make(map[int]bool)
-	for attempt := 0; attempt < 8; attempt++ {
+	for frac := labelFraction; ; frac = min(2*frac, 1) {
 		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, st.preds[0].meter, st.rng, e.parallelism())
 		if err != nil {
 			return nil, "", nil, err
@@ -393,12 +399,12 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 		if err == nil {
 			return cands[choice.Index].Groups, choice.Name, labeled, nil
 		}
-		frac *= 2 // every candidate disqualified: label more and retry
-		if frac > 1 {
-			break
+		// Every candidate disqualified: label more and retry, ending with one
+		// attempt over the whole universe.
+		if frac >= 1 {
+			return nil, "", nil, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
 		}
 	}
-	return nil, "", nil, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
 }
 
 // virtualColumn implements Section 6.3.2: label ~1% of rows, train a

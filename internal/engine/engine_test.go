@@ -434,15 +434,20 @@ func TestExecuteSelectJoinErrors(t *testing.T) {
 
 func TestJoinMultiplicities(t *testing.T) {
 	schema := table.MustSchema(table.ColumnDef{Name: "k", Type: table.String})
-	tbl := table.New("t", schema)
-	for _, k := range []string{"a", "a", "b"} {
-		if err := tbl.AppendRow(k); err != nil {
+	left, right := table.New("l", schema), table.New("r", schema)
+	for _, k := range []string{"b", "x", "a"} {
+		if err := left.AppendRow(k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mult := joinMultiplicities(tbl.ColumnByName("k"))
-	if len(mult) != 2 || mult["a"] != 2 || mult["b"] != 1 {
-		t.Fatalf("multiplicities %v", mult)
+	for _, k := range []string{"a", "a", "b", "unmatched"} {
+		if err := right.AppendRow(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weight := joinWeights(left.ColumnByName("k"), right.ColumnByName("k"))
+	if got := []int{weight(0), weight(1), weight(2)}; !reflect.DeepEqual(got, []int{1, 0, 2}) {
+		t.Fatalf("weights %v, want [1 0 2]", got)
 	}
 }
 

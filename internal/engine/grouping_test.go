@@ -1,0 +1,149 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/stats"
+	"repro/internal/table"
+)
+
+// pinned is an answer captured by running the same test body at commit
+// 8cd01ae, where every grouping rendered each cell into a map of strings.
+// table.Partition must reproduce it bit for bit: same groups in the same
+// order means the same RNG stream, sample, plan and rows.
+type pinned struct {
+	rows  int
+	hash  uint64
+	stats Stats
+}
+
+func (want pinned) check(t *testing.T, name string, res *Result) {
+	t.Helper()
+	if len(res.Rows) != want.rows || rowsChecksum(res.Rows) != want.hash {
+		t.Errorf("%s: got %d rows (hash %#x), want %d (hash %#x)",
+			name, len(res.Rows), rowsChecksum(res.Rows), want.rows, want.hash)
+	}
+	if res.Stats != want.stats {
+		t.Errorf("%s: stats %+v, want %+v", name, res.Stats, want.stats)
+	}
+}
+
+// shopsEngine builds a table whose city column has 200 distinct values —
+// four of them in region 'north', 196 elsewhere — so city is far over
+// maxCandidateCardinality on the whole table and well under it inside the
+// filter region = 'north', where it is also the column the UDF follows.
+func shopsEngine(t *testing.T) *Engine {
+	t.Helper()
+	rng := stats.NewRNG(5)
+	tbl := table.New("shops", table.MustSchema(
+		table.ColumnDef{Name: "id", Type: table.Int},
+		table.ColumnDef{Name: "region", Type: table.String},
+		table.ColumnDef{Name: "city", Type: table.String},
+		table.ColumnDef{Name: "tier", Type: table.Int},
+		table.ColumnDef{Name: "amount", Type: table.Float},
+	))
+	truth := make(map[int64]bool)
+	sels := []float64{0.9, 0.6, 0.3, 0.05}
+	for i := 0; i < 3000; i++ {
+		region, city := "north", fmt.Sprintf("n%d", (i/5)%4)
+		if i%5 != 0 {
+			region, city = []string{"south", "east", "west"}[i%3], fmt.Sprintf("t%03d", rng.IntN(196))
+		} else {
+			truth[int64(i)] = rng.Bernoulli(sels[(i/5)%4])
+		}
+		if err := tbl.AppendRow(int64(i), region, city, int64(rng.IntN(3)), rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(11)
+	if err := e.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterUDF(UDF{Name: "open_late", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestDiscoveryCapCountsValuesInsideFilter is the trap in "reject on
+// dictionary size": the cap is on the values live in the statement's row
+// universe. Cold, city must still be a discovery candidate (and win); warm,
+// the memoized city must still be a memo hit.
+func TestDiscoveryCapCountsValuesInsideFilter(t *testing.T) {
+	q := Query{
+		Table: "shops", UDFName: "open_late", UDFArg: "id", Want: true,
+		Filters: []Filter{{Column: "region", Value: "north"}},
+		Approx:  approx(0.8, 0.8, 0.8),
+	}
+	cold := pinned{280, 0x4c4b1d3b8a38a55c, Stats{
+		Evaluations: 299, Retrievals: 431, Sampled: 144, Cost: 1328, ChosenColumn: "city", CacheMisses: 299,
+	}}
+	warm := pinned{280, 0x4c4b1d3b8a38a55c, Stats{
+		Retrievals: 287, Cost: 287, ChosenColumn: "city", CacheHits: 155,
+	}}
+
+	dir := t.TempDir()
+	for i, want := range []pinned{cold, warm} {
+		e := shopsEngine(t)
+		c, err := catalog.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetCatalog(c)
+		res, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ChosenColumn != "city" {
+			t.Fatalf("run %d grouped on %q, want city", i, res.Stats.ChosenColumn)
+		}
+		if hits := e.CatalogCounters().ColumnMemoHits; hits != int64(i) {
+			t.Fatalf("run %d: %d column memo hits, want %d", i, hits, i)
+		}
+		want.check(t, fmt.Sprintf("run %d", i), res)
+		if err := e.CloseCatalog(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDiscoveryLabelsWholeSmallTable: on a table this small the only
+// candidate (6 values) passes the √|labeled| rule only once 36 of the 38
+// rows are labeled. The retry loop used to double 0.64 to 1.28 and give up;
+// it now ends with one attempt over the whole universe, which qualifies the
+// column.
+func TestDiscoveryLabelsWholeSmallTable(t *testing.T) {
+	tbl := table.New("tiny", table.MustSchema(
+		table.ColumnDef{Name: "id", Type: table.Int},
+		table.ColumnDef{Name: "kind", Type: table.String},
+	))
+	for i := 0; i < 38; i++ {
+		if err := tbl.AppendRow(int64(i), fmt.Sprintf("k%d", i%6)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(3)
+	if err := e.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return v.(int64)%6 < 3 }}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "tiny", UDFName: "f", UDFArg: "id", Want: true, Approx: approx(0.8, 0.8, 0.8),
+	})
+	if err != nil {
+		t.Fatalf("discovery must end by labeling the whole table: %v", err)
+	}
+	if res.Stats.ChosenColumn != "kind" || res.Stats.Evaluations != 38 {
+		t.Fatalf("stats %+v, want kind chosen with all 38 rows labeled", res.Stats)
+	}
+	for _, row := range res.Rows {
+		if row%6 >= 3 {
+			t.Fatalf("row %d returned though every row was labeled and it is negative", row)
+		}
+	}
+}

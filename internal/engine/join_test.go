@@ -85,3 +85,81 @@ func TestSelectJoinAllZeroWeight(t *testing.T) {
 		t.Fatalf("empty join paid work: calls=%d stats=%+v", calls.Load(), res.Stats)
 	}
 }
+
+// TestSelectJoinMatchesParent holds joinWeights to answers captured at the
+// parent commit (see pinned), where every right-table row and every left
+// row's key was rendered to a string: keys still match by rendered value (an
+// int 7 joins a float 7), right keys that match nothing change nothing, and
+// a filtered left side joins only its survivors.
+func TestSelectJoinMatchesParent(t *testing.T) {
+	const n = 1500
+	join := func(left, right string) *Join { return &Join{Table: "orders", LeftKey: left, RightKey: right} }
+	base := Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
+	}
+	intKeys := pinned{572, 0x4ffde4e61903a70c, Stats{
+		Evaluations: 315, Retrievals: 686, Sampled: 176, Cost: 1631, ChosenColumn: "grade", CacheMisses: 315,
+	}}
+	cases := []struct {
+		name    string
+		keyType table.Type
+		key     func(i, k int) table.Value // k-th order of loan i
+		extra   []table.Value              // right keys no loan carries
+		join    *Join
+		filters []Filter
+		want    pinned
+	}{
+		{name: "unmatched keys both sides", keyType: table.Int,
+			key:   func(i, _ int) table.Value { return int64(i) },
+			extra: []table.Value{int64(5000), int64(5000), int64(-1)},
+			join:  join("id", "ref"), want: intKeys},
+		{name: "int joins float", keyType: table.Float,
+			key:   func(i, _ int) table.Value { return float64(i) },
+			extra: []table.Value{2.5, 1e21},
+			join:  join("id", "ref"), want: intKeys}, // the same join as above, so the same answer
+		{name: "string keys", keyType: table.String,
+			key:   func(i, _ int) table.Value { return []string{"car", "home", "debt"}[i%3] },
+			extra: []table.Value{"boat"},
+			join:  join("purpose", "ref"),
+			want: pinned{327, 0xc3d5f6860020e873, Stats{
+				Evaluations: 148, Retrievals: 406, Sampled: 148, Cost: 850, ChosenColumn: "grade", CacheMisses: 148,
+			}}},
+		{name: "filtered left", keyType: table.Int,
+			key:     func(i, _ int) table.Value { return int64(i) },
+			join:    join("id", "ref"),
+			filters: []Filter{{Column: "purpose", Value: "car"}},
+			want: pinned{156, 0xf5b179e6a2887ddd, Stats{
+				Evaluations: 124, Retrievals: 195, Sampled: 73, Cost: 567, ChosenColumn: "grade", CacheMisses: 124,
+			}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e, _, _ := newTestEngine(t, n)
+			orders := table.New("orders", table.MustSchema(table.ColumnDef{Name: "ref", Type: tc.keyType}))
+			// Two loans in three have 1–3 orders; the rest join nothing.
+			for i := 0; i < n; i++ {
+				for k := 0; i%3 != 2 && k < 1+i%3+i%2; k++ {
+					if err := orders.AppendRow(tc.key(i, k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, v := range tc.extra {
+				if err := orders.AppendRow(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.RegisterTable(orders); err != nil {
+				t.Fatal(err)
+			}
+			q := base
+			q.Join, q.Filters = tc.join, tc.filters
+			res, err := e.ExecuteContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.want.check(t, tc.name, res)
+		})
+	}
+}

@@ -312,14 +312,22 @@ func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, e
 	return st.groupsOut(), nil
 }
 
-// joinMultiplicities counts, per join-key value, the join table's matching
-// rows.
-func joinMultiplicities(key table.Column) map[string]int {
-	mult := make(map[string]int)
-	for i := 0; i < key.Len(); i++ {
-		mult[key.StringAt(i)]++
+// joinWeights resolves the join multiplicity of every left row: how many
+// rows of the join table carry its key. Keys match by rendered value (an int
+// 1 joins a float 1), and each column's distinct values are rendered once:
+// rows are counted and looked up by table.Codes' value codes, never by string.
+func joinWeights(left, right table.Column) func(row int) int {
+	_, rightKeys, counts := table.Codes(right)
+	byKey := make(map[string]int, len(rightKeys))
+	for code, k := range rightKeys {
+		byKey[k] = counts[code]
 	}
-	return mult
+	leftCodes, leftKeys, _ := table.Codes(left)
+	weights := make([]int, len(leftKeys))
+	for code, k := range leftKeys {
+		weights[code] = byKey[k]
+	}
+	return func(row int) int { return weights[leftCodes[row]] }
 }
 
 // opJoinGroup splits each group into (group, join-multiplicity) subgroups,
@@ -328,7 +336,7 @@ func joinMultiplicities(key table.Column) map[string]int {
 // result; they are dropped before the sampler ever sees them, and an
 // entirely empty join short-circuits the pipeline.
 func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error) {
-	mult := joinMultiplicities(st.rightCol)
+	weight := joinWeights(st.leftCol, st.rightCol)
 	type subKey struct {
 		group  int
 		weight int
@@ -336,7 +344,7 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 	sub := make(map[subKey][]int)
 	for gi, g := range st.groups {
 		for _, row := range g.Rows {
-			w := mult[st.leftCol.StringAt(row)]
+			w := weight(row)
 			if w == 0 {
 				continue
 			}

@@ -8,30 +8,26 @@ import (
 // GroupIndex partitions a table's rows by the distinct values of one
 // column — the "groups" of Section 2 of the paper. The cost model assumes
 // an index on the correlated attribute so examined tuples are reachable at
-// constant cost; this is that index.
+// constant cost; this is that index: Partition over every row, kept with a
+// lookup by key.
 type GroupIndex struct {
 	column string
-	keys   []string         // distinct values, sorted for determinism
-	rows   map[string][]int // value → row ids (ascending)
+	keys   []string // distinct values, sorted for determinism
+	groups []Group  // parallel to keys; rows ascending
 }
 
 // BuildGroupIndex indexes tbl on the named column. Any column type works;
-// values are keyed by their canonical string rendering.
+// values are keyed by their canonical string rendering (see Partition).
 func BuildGroupIndex(tbl *Table, column string) (*GroupIndex, error) {
 	col := tbl.ColumnByName(column)
 	if col == nil {
 		return nil, fmt.Errorf("table %s: no column %q to index", tbl.Name(), column)
 	}
-	idx := &GroupIndex{column: column, rows: make(map[string][]int)}
-	for i := 0; i < tbl.NumRows(); i++ {
-		k := col.StringAt(i)
-		idx.rows[k] = append(idx.rows[k], i)
+	groups, _ := Partition(col, nil, 0)
+	idx := &GroupIndex{column: column, groups: groups, keys: make([]string, len(groups))}
+	for i, g := range groups {
+		idx.keys[i] = g.Key
 	}
-	idx.keys = make([]string, 0, len(idx.rows))
-	for k := range idx.rows {
-		idx.keys = append(idx.keys, k)
-	}
-	sort.Strings(idx.keys)
 	return idx, nil
 }
 
@@ -45,15 +41,21 @@ func (g *GroupIndex) NumGroups() int { return len(g.keys) }
 // callers must not modify it.
 func (g *GroupIndex) Keys() []string { return g.keys }
 
-// Rows returns the row ids holding value key. The slice is shared; callers
-// must not modify it.
-func (g *GroupIndex) Rows(key string) []int { return g.rows[key] }
+// Rows returns the row ids holding value key (nil when no row does). The
+// slice is shared; callers must not modify it.
+func (g *GroupIndex) Rows(key string) []int {
+	i := sort.SearchStrings(g.keys, key)
+	if i == len(g.keys) || g.keys[i] != key {
+		return nil
+	}
+	return g.groups[i].Rows
+}
 
 // GroupSizes returns the tuple count per group, aligned with Keys().
 func (g *GroupIndex) GroupSizes() []int {
-	sizes := make([]int, len(g.keys))
-	for i, k := range g.keys {
-		sizes[i] = len(g.rows[k])
+	sizes := make([]int, len(g.groups))
+	for i, grp := range g.groups {
+		sizes[i] = len(grp.Rows)
 	}
 	return sizes
 }
@@ -61,8 +63,8 @@ func (g *GroupIndex) GroupSizes() []int {
 // TotalRows returns the number of indexed rows.
 func (g *GroupIndex) TotalRows() int {
 	total := 0
-	for _, k := range g.keys {
-		total += len(g.rows[k])
+	for _, grp := range g.groups {
+		total += len(grp.Rows)
 	}
 	return total
 }
