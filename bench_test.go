@@ -8,36 +8,40 @@
 package predeval_test
 
 import (
-	"context"
 	"testing"
 
+	predeval "repro"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/experiments"
 	"repro/internal/stats"
 )
 
 // BenchmarkIntelSamplePipeline measures one full Intel-Sample run
-// (sample → estimate → plan → execute) on the LC stand-in, reporting the
-// UDF calls it needed.
+// (sample → estimate → plan → execute) on the LC stand-in through the
+// facade, reporting the UDF calls it needed.
 func BenchmarkIntelSamplePipeline(b *testing.B) {
 	d, err := dataset.Generate(dataset.LendingClub.Scaled(0.1), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cons := core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	rng := stats.NewRNG(2)
+	db := predeval.Open(2)
+	db.SetUDFCache(false)
+	if err := db.Engine().RegisterTable(d.Table); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.RegisterUDF("good_credit", func(v any) bool { return d.Labels[v.(int64)] }, 0); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	totalEvals := 0.0
 	for i := 0; i < b.N; i++ {
-		in, err := d.Instance(cons, core.DefaultCost)
+		rows, err := db.Query(`SELECT id FROM lc WHERE good_credit(id) = 1
+			WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng.Split()})
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalEvals += float64(res.TotalEvaluations)
+		totalEvals += float64(rows.Stats().Evaluations)
 	}
 	b.ReportMetric(totalEvals/float64(b.N), "udfcalls/op")
 }
@@ -63,9 +67,9 @@ func BenchmarkBiGreedyPlanner(b *testing.B) {
 // 20-group instance.
 func BenchmarkPerfectInfoBranchBound(b *testing.B) {
 	rng := stats.NewRNG(11)
-	groups := make([]core.PerfectInfoGroup, 20)
+	groups := make([]experiments.PerfectInfoGroup, 20)
 	for i := range groups {
-		groups[i] = core.PerfectInfoGroup{
+		groups[i] = experiments.PerfectInfoGroup{
 			Key:     "g",
 			Correct: rng.IntN(1000),
 			Wrong:   rng.IntN(1000),
@@ -74,7 +78,7 @@ func BenchmarkPerfectInfoBranchBound(b *testing.B) {
 	cons := core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolvePerfectInformation(groups, cons, core.DefaultCost); err != nil {
+		if _, err := experiments.SolvePerfectInformation(groups, cons, core.DefaultCost); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,24 +43,6 @@ func PlanPerfectSelectivities(groups []GroupInfo, cons Constraints, cost CostMod
 	return biGreedy(groups, cons.Alpha, recallTarget, hp, nil), nil
 }
 
-// PlanBrowsing solves the browsing special case (Section 2): 100%
-// precision is required, so every retrieved tuple must be evaluated; the
-// planner minimizes cost subject to the recall constraint only.
-func PlanBrowsing(groups []GroupInfo, beta, rho float64, cost CostModel) (Strategy, error) {
-	cons := Constraints{Alpha: 1, Beta: beta, Rho: rho}
-	if err := validatePlanInput(groups, cons, cost); err != nil {
-		return Strategy{}, err
-	}
-	n := float64(TotalSize(groups))
-	hr := stats.RecallMargin(n, beta, rho)
-	recallTarget := beta*ExpectedCorrect(groups) + hr
-	s := biGreedy(groups, 1, recallTarget, 0, nil)
-	// α = 1 forces full evaluation of everything retrieved.
-	copy(s.E, s.R)
-	s.PrecisionCapped = true
-	return s, nil
-}
-
 func validatePlanInput(groups []GroupInfo, cons Constraints, cost CostModel) error {
 	if len(groups) == 0 {
 		return fmt.Errorf("core: no groups to plan over")

@@ -148,23 +148,6 @@ func TestPlanDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestPlanBrowsingEvaluatesEverythingRetrieved(t *testing.T) {
-	s, err := PlanBrowsing(paperGroups(), 0.8, 0.8, DefaultCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s.R {
-		if math.Abs(s.E[i]-s.R[i]) > 1e-12 {
-			t.Fatalf("browsing plan leaves group %d unevaluated: R=%v E=%v", i, s.R[i], s.E[i])
-		}
-	}
-	// Recall target still enforced: enough mass retrieved.
-	_, recall := perfectSelectivityLHS(paperGroups(), s, 1, nil)
-	if recall < 0.8*ExpectedCorrect(paperGroups()) {
-		t.Fatalf("browsing recall LHS %v too small", recall)
-	}
-}
-
 // TestPlanSatisfiesConstraintsEmpirically is the core correctness check:
 // run the planned strategy many times against a synthetic ground truth and
 // verify the precision/recall constraints hold in at least ~ρ of runs.
@@ -261,12 +244,6 @@ func TestStrategyHelpers(t *testing.T) {
 	groups := []GroupInfo{{Size: 100, Selectivity: 0.5}, {Size: 200, Selectivity: 0.2}}
 	if c := s.ExpectedCost(groups, DefaultCost); math.Abs(c-(100*1+100*0.5*3)) > 1e-9 {
 		t.Fatalf("cost %v", c)
-	}
-	if e := s.ExpectedEvaluations(groups); math.Abs(e-50) > 1e-9 {
-		t.Fatalf("evals %v", e)
-	}
-	if r := s.ExpectedRetrievals(groups); math.Abs(r-100) > 1e-9 {
-		t.Fatalf("retrievals %v", r)
 	}
 	clone := s.Clone()
 	clone.R[0] = 0

@@ -106,7 +106,7 @@ func TestRunTwoPredicatesParallelCtxCancel(t *testing.T) {
 	cons := Constraints{Alpha: 0.7, Beta: 0.7, Rho: 0.7}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		_, _, _, err := RunTwoPredicatesParallelCtx(ctx, groups, NewMeter(cancelAfter(udf, 5, cancel)), NewMeter(udf), cons, DefaultCost, nil, stats.NewRNG(11), par)
+		_, _, _, err := runTwoPred(ctx, groups, NewMeter(cancelAfter(udf, 5, cancel)), NewMeter(udf), cons, defaultTargets(groups, cons), stats.NewRNG(11), par)
 		if err != context.Canceled {
 			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
 		}

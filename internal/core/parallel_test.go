@@ -119,11 +119,11 @@ func TestTwoPredicatesParallelMatchesSequential(t *testing.T) {
 	udf2 := UDFFunc(func(row int) bool { return row%2 == 0 })
 	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
 
-	seq, actsSeq, samplesSeq, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 1)
+	seq, actsSeq, samplesSeq, err := runTwoPred(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, defaultTargets(groups, cons), stats.NewRNG(5), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, actsPar, samplesPar, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, DefaultCost, nil, stats.NewRNG(5), 8)
+	par, actsPar, samplesPar, err := runTwoPred(context.Background(), groups, NewMeter(udf1), NewMeter(udf2), cons, defaultTargets(groups, cons), stats.NewRNG(5), 8)
 	if err != nil {
 		t.Fatal(err)
 	}

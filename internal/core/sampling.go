@@ -12,58 +12,19 @@ import (
 // This file implements Section 4: joint estimation and exploitation.
 // Selectivities are estimated by sampling (retrieving and evaluating) a few
 // tuples per group; the Beta posterior of Section 4.1 turns the outcomes
-// into (sₐ, vₐ) estimates; allocators decide how much to sample per group,
-// including the paper's Two-Third-Power rule of thumb Fₐ = num·tₐ·n^(−1/3)
-// and the adaptive scheme that discovers a good num value.
-
-// Allocator decides how many tuples to sample from each group given the
-// group sizes.
-type Allocator interface {
-	// Allocate returns the target sample count per group; implementations
-	// must return values in [0, sizes[i]].
-	Allocate(sizes []int) []int
-	// String names the allocator for reports.
-	String() string
-}
-
-// ConstantAllocator samples the same number of tuples from every group
-// (capped by group size) — the Constant(c) scheme of Section 6.3.
-type ConstantAllocator struct{ C int }
-
-// Allocate implements Allocator.
-func (a ConstantAllocator) Allocate(sizes []int) []int {
-	out := make([]int, len(sizes))
-	for i, t := range sizes {
-		out[i] = min(a.C, t)
-	}
-	return out
-}
-
-func (a ConstantAllocator) String() string { return fmt.Sprintf("constant(%d)", a.C) }
-
-// ProportionalAllocator samples a fixed fraction of every group — the
-// "fixed 5% of the data" scheme of Experiment 1.
-type ProportionalAllocator struct{ Fraction float64 }
-
-// Allocate implements Allocator.
-func (a ProportionalAllocator) Allocate(sizes []int) []int {
-	out := make([]int, len(sizes))
-	for i, t := range sizes {
-		out[i] = min(t, int(math.Round(a.Fraction*float64(t))))
-	}
-	return out
-}
-
-func (a ProportionalAllocator) String() string {
-	return fmt.Sprintf("proportional(%.3f)", a.Fraction)
-}
+// into (sₐ, vₐ) estimates; the paper's Two-Third-Power rule of thumb
+// Fₐ = num·tₐ·n^(−1/3) decides how much to sample per group. (The other
+// allocation schemes the paper studies — constant, and the Section 4.3
+// adaptive search for num — live in internal/experiments: the engine runs
+// only this one.)
 
 // TwoThirdPowerAllocator samples Fₐ = num·tₐ·n^(−1/3) tuples from group a,
 // the Section 4.3 rule of thumb (so named because total sampling grows as
 // n^(2/3)).
 type TwoThirdPowerAllocator struct{ Num float64 }
 
-// Allocate implements Allocator.
+// Allocate returns the target sample count per group, each in
+// [0, sizes[i]].
 func (a TwoThirdPowerAllocator) Allocate(sizes []int) []int {
 	n := 0
 	for _, t := range sizes {
@@ -85,8 +46,8 @@ func (a TwoThirdPowerAllocator) String() string {
 }
 
 // Sampler incrementally samples tuples from groups without replacement,
-// remembering outcomes so allocations can be topped up (as the adaptive
-// scheme requires) without re-evaluating tuples.
+// remembering outcomes so allocations can be topped up (a warm catalog,
+// Section 4.3's adaptive scheme) without re-evaluating tuples.
 type Sampler struct {
 	groups   []Group
 	udf      UDF
@@ -259,82 +220,4 @@ func (s *Sampler) Infos() []GroupInfo {
 		infos[i] = GroupInfoFromSample(len(g.Rows), len(o.Results), o.Positives)
 	}
 	return infos
-}
-
-// AdaptiveOptions tunes AdaptiveTwoThirdPower.
-type AdaptiveOptions struct {
-	// StartNum is the initial num value (default 0.5·α, with α from the
-	// constraints; the paper observes the optimum scales with α).
-	StartNum float64
-	// GrowthFactor multiplies num each round (default 1.4).
-	GrowthFactor float64
-	// MaxNum stops the search (default 20).
-	MaxNum float64
-	// Patience is how many consecutive cost increases end the search
-	// (default 2).
-	Patience int
-}
-
-func (o *AdaptiveOptions) fill(alpha float64) {
-	if o.StartNum <= 0 {
-		o.StartNum = 0.5 * alpha
-		if o.StartNum <= 0 {
-			o.StartNum = 0.5
-		}
-	}
-	if o.GrowthFactor <= 1 {
-		o.GrowthFactor = 1.4
-	}
-	if o.MaxNum <= 0 {
-		o.MaxNum = 20
-	}
-	if o.Patience <= 0 {
-		o.Patience = 2
-	}
-}
-
-// AdaptiveTwoThirdPower implements the Section 4.3 adaptive scheme: start
-// with a small num, repeatedly enlarge the sample, re-solve Convex
-// Prog. 4.1, and track the estimated total cost (sampling already paid +
-// planned execution). When the cost estimate has risen Patience times in a
-// row, stop. The sampler retains all evaluations, so the final state is
-// ready for planning and execution. Returns the num value whose cost
-// estimate was lowest.
-func AdaptiveTwoThirdPower(ctx context.Context, s *Sampler, cons Constraints, cost CostModel, opts AdaptiveOptions) (float64, error) {
-	opts.fill(cons.Alpha)
-	sizes := make([]int, len(s.groups))
-	for i, g := range s.groups {
-		sizes[i] = len(g.Rows)
-	}
-	bestNum := opts.StartNum
-	bestCost := math.Inf(1)
-	rises := 0
-	prev := math.Inf(1)
-	for num := opts.StartNum; num <= opts.MaxNum; num *= opts.GrowthFactor {
-		alloc := TwoThirdPowerAllocator{Num: num}.Allocate(sizes)
-		if _, err := s.TopUpCtx(ctx, alloc); err != nil {
-			return bestNum, err
-		}
-		infos := s.Infos()
-		strat, err := PlanWithSamples(infos, cons, cost)
-		if err != nil {
-			return bestNum, err
-		}
-		sunk := float64(s.TotalSampled()) * (cost.Retrieve + cost.Evaluate)
-		est := sunk + strat.ExpectedCost(infos, cost)
-		if est < bestCost {
-			bestCost = est
-			bestNum = num
-		}
-		if est > prev {
-			rises++
-			if rises >= opts.Patience {
-				break
-			}
-		} else {
-			rises = 0
-		}
-		prev = est
-	}
-	return bestNum, nil
 }

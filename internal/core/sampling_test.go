@@ -8,31 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestConstantAllocator(t *testing.T) {
-	a := ConstantAllocator{C: 50}
-	got := a.Allocate([]int{100, 30, 0})
-	want := []int{50, 30, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("alloc %v want %v", got, want)
-		}
-	}
-	if a.String() != "constant(50)" {
-		t.Fatalf("name %s", a.String())
-	}
-}
-
-func TestProportionalAllocator(t *testing.T) {
-	a := ProportionalAllocator{Fraction: 0.05}
-	got := a.Allocate([]int{1000, 10})
-	if got[0] != 50 {
-		t.Fatalf("alloc %v", got)
-	}
-	if got[1] != 1 { // round(0.5) = 1, capped at 10
-		t.Fatalf("alloc %v", got)
-	}
-}
-
 func TestTwoThirdPowerAllocator(t *testing.T) {
 	sizes := []int{1000, 2000, 3000}
 	n := 6000.0
@@ -131,36 +106,7 @@ func TestSamplerInfosMatchPosterior(t *testing.T) {
 	}
 }
 
-func TestAdaptiveTwoThirdPower(t *testing.T) {
-	rng := stats.NewRNG(507)
-	groups, _, truth := syntheticGroups(rng, []int{2000, 2000, 2000}, []float64{0.9, 0.5, 0.1})
-	meter := NewMeter(UDFFunc(truth))
-	s := NewSampler(groups, meter, rng.Split())
-	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	num, err := AdaptiveTwoThirdPower(context.Background(), s, cons, DefaultCost, AdaptiveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if num <= 0 || num > 20 {
-		t.Fatalf("num %v out of range", num)
-	}
-	// Sampling must have happened, but far less than evaluating everything.
-	if s.TotalSampled() == 0 {
-		t.Fatal("adaptive scheme sampled nothing")
-	}
-	if s.TotalSampled() > 3000 {
-		t.Fatalf("adaptive scheme sampled %d of 6000 tuples", s.TotalSampled())
-	}
-	// The sampler state must be planable afterwards.
-	if _, err := PlanWithSamples(s.Infos(), cons, DefaultCost); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllocatorStrings(t *testing.T) {
-	if (ProportionalAllocator{Fraction: 0.05}).String() != "proportional(0.050)" {
-		t.Fatal("proportional name")
-	}
 	if (TwoThirdPowerAllocator{Num: 2.5}).String() != "two-third-power(2.50)" {
 		t.Fatal("two-third-power name")
 	}

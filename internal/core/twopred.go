@@ -12,16 +12,16 @@ import (
 // (Section 5 / Appendix 10.7.2). The expectation-level planner lives in
 // extensions.go (PlanTwoPredicates); sampling and evaluation are the N-ary
 // conjunction substrate of conjunction.go at N=2. This file adds the
-// deterministic executor for the five per-group actions, the
-// margin-tightened planning step over joint samples, and the end-to-end
-// pipeline composing the three.
+// deterministic executor for the five per-group actions and the
+// margin-tightened planning step over joint samples; the engine composes
+// the three as its conj-sample → conj-solve → conj-exec stages.
 
 // TwoPredExecResult is the outcome of executing a two-predicate plan.
 type TwoPredExecResult struct {
 	Output    []int
 	Retrieved int
 	// Evaluated1 / Evaluated2 count the UDF calls issued per predicate
-	// during execution (RunTwoPredicatesParallelCtx folds sampling in).
+	// during execution (sampling excluded).
 	Evaluated1, Evaluated2 int
 	Cost                   float64
 }
@@ -209,50 +209,4 @@ func PlanTwoPredicatesFromSamples(groups []Group, samples []ConjSample, cons Con
 		}
 	}
 	return acts
-}
-
-// RunTwoPredicatesParallelCtx is the end-to-end pipeline for a conjunction
-// of two expensive predicates: jointly sample both per group, plan with
-// PlanTwoPredicatesFromSamples, and execute. A tuple is correct iff both
-// predicates hold. (The engine runs the same three steps as three pipeline
-// stages; this is their composition for callers without a pipeline.)
-//
-// m1 and m2 are the caller's meters and are evaluated directly, so their
-// failure semantics, circuit breaker and caches govern every phase. The
-// result folds the sampling spend in (each jointly sampled row is one
-// retrieval and one call per predicate); the joint samples come back
-// alongside the per-group actions. Sampling and execution fan out across up
-// to `parallelism` workers while planning stays sequential, so results are
-// identical at any parallelism level; a cancel mid-pipeline returns
-// ctx.Err() after at most one in-flight UDF call per worker.
-func RunTwoPredicatesParallelCtx(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, cost CostModel, alloc Allocator, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, []ConjSample, error) {
-	if alloc == nil {
-		alloc = TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}
-	}
-	if rng == nil {
-		return TwoPredExecResult{}, nil, nil, fmt.Errorf("core: rng is required")
-	}
-	sizes := make([]int, len(groups))
-	for i, g := range groups {
-		sizes[i] = len(g.Rows)
-	}
-	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, alloc.Allocate(sizes), []UDF{m1, m2}, rng.Split(), parallelism)
-	if err != nil {
-		return TwoPredExecResult{}, nil, nil, err
-	}
-	acts := PlanTwoPredicatesFromSamples(groups, samples, cons, cost)
-	res, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, cost, parallelism)
-	if err != nil {
-		return TwoPredExecResult{}, nil, nil, err
-	}
-	// Fold the sampling work into the accounting.
-	sampledRows := 0
-	for _, s := range samples {
-		sampledRows += len(s.Results)
-	}
-	res.Retrieved += sampledRows
-	res.Evaluated1 += sampledRows
-	res.Evaluated2 += sampledRows
-	res.Cost += float64(sampledRows)*cost.Retrieve + float64(2*sampledRows)*cost.Evaluate
-	return res, acts, samples, nil
 }

@@ -33,6 +33,28 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64) ([]Group, [
 	return groups, l1, l2
 }
 
+// runTwoPred composes the three §5 steps at core level — what the engine
+// runs as its conj-sample → conj-solve → conj-exec stages — for the tests
+// that pin core's own parallelism, cancellation and failure behaviour.
+func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, targets []int, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, []ConjSample, error) {
+	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, targets, []UDF{m1, m2}, rng.Split(), parallelism)
+	if err != nil {
+		return TwoPredExecResult{}, nil, nil, err
+	}
+	acts := PlanTwoPredicatesFromSamples(groups, samples, cons, DefaultCost)
+	res, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, DefaultCost, parallelism)
+	return res, acts, samples, err
+}
+
+// defaultTargets is the engine's sampling allocation, TwoThirdPower(2.5·α).
+func defaultTargets(groups []Group, cons Constraints) []int {
+	sizes := make([]int, len(groups))
+	for i, g := range groups {
+		sizes[i] = len(g.Rows)
+	}
+	return TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}.Allocate(sizes)
+}
+
 // TestSampleTwoPredicates checks the §5 sampling step: the N-ary joint
 // sampler at N=2, whose per-group counts feed the five-action planner.
 func TestSampleTwoPredicates(t *testing.T) {
@@ -87,8 +109,8 @@ func TestJointSampleDropsFailedRows(t *testing.T) {
 		}), nil, nil, nil)
 	}
 	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
-	res, acts, samples, err := RunTwoPredicatesParallelCtx(context.Background(), groups,
-		meter(l1, fails1), meter(l2, fails2), cons, DefaultCost, ConstantAllocator{C: 300}, rng.Split(), 4)
+	res, acts, samples, err := runTwoPred(context.Background(), groups,
+		meter(l1, fails1), meter(l2, fails2), cons, []int{300, 300}, rng.Split(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,81 +249,5 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	}
 	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]ConjSample, 2), u1, u2, DefaultCost, 1); err == nil {
 		t.Fatal("mismatched samples accepted")
-	}
-}
-
-func TestRunTwoPredicatesEndToEnd(t *testing.T) {
-	rng := stats.NewRNG(1109)
-	groups, l1, l2 := twoPredWorld(rng,
-		[]int{1500, 1500, 1500},
-		[]float64{0.95, 0.5, 0.05},
-		[]float64{0.9, 0.6, 0.5})
-	u1 := UDFFunc(func(r int) bool { return l1[r] })
-	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	res, acts, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) != 3 {
-		t.Fatalf("actions %v", acts)
-	}
-	// Quality versus the conjunction ground truth.
-	truth := func(r int) bool { return l1[r] && l2[r] }
-	totalCorrect := 0
-	for r := range l1 {
-		if truth(r) {
-			totalCorrect++
-		}
-	}
-	m := ComputeMetrics(res.Output, truth, totalCorrect)
-	if m.Precision < 0.7 || m.Recall < 0.7 {
-		t.Fatalf("metrics collapsed: %+v", m)
-	}
-	// Must beat evaluating both predicates on every tuple.
-	evalAllCost := float64(4500) * (DefaultCost.Retrieve + 2*DefaultCost.Evaluate)
-	if res.Cost >= evalAllCost {
-		t.Fatalf("cost %v not below eval-everything %v", res.Cost, evalAllCost)
-	}
-	// The near-zero sel1 group should mostly be discarded, not eval'd.
-	if acts[2] == TPEvalBoth || acts[2] == TPAssume1Eval2 {
-		t.Fatalf("wasteful action on dead group: %v", acts)
-	}
-	if _, _, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, nil, 1); err == nil {
-		t.Fatal("nil rng accepted")
-	}
-}
-
-func TestRunTwoPredicatesSatisfactionRate(t *testing.T) {
-	rng := stats.NewRNG(1111)
-	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
-	const runs = 40
-	ok := 0
-	for i := 0; i < runs; i++ {
-		groups, l1, l2 := twoPredWorld(rng.Split(),
-			[]int{1000, 1000, 1000},
-			[]float64{0.9, 0.5, 0.1},
-			[]float64{0.85, 0.7, 0.6})
-		u1 := UDFFunc(func(r int) bool { return l1[r] })
-		u2 := UDFFunc(func(r int) bool { return l2[r] })
-		res, _, _, err := RunTwoPredicatesParallelCtx(context.Background(), groups, NewMeter(u1), NewMeter(u2), cons, DefaultCost, nil, rng.Split(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		truth := func(r int) bool { return l1[r] && l2[r] }
-		totalCorrect := 0
-		for r := range l1 {
-			if truth(r) {
-				totalCorrect++
-			}
-		}
-		m := ComputeMetrics(res.Output, truth, totalCorrect)
-		pOK, rOK := m.Satisfies(cons)
-		if pOK && rOK {
-			ok++
-		}
-	}
-	if frac := float64(ok) / runs; frac < 0.7 {
-		t.Fatalf("constraints satisfied in only %v of runs", frac)
 	}
 }

@@ -5,10 +5,10 @@
 // recall (β) and satisfaction-probability (ρ) constraints at minimum
 // expected cost.
 //
-// Three information regimes are supported, mirroring Section 3:
+// Two information regimes are planned here, mirroring Sections 3.2–3.3
+// (Section 3.1's NP-hard perfect-information problem is only a worked
+// example; its solver lives with the reproduction in internal/experiments):
 //
-//   - Perfect information (exact correct/incorrect counts): the NP-hard 0/1
-//     problem, solved exactly by branch and bound (SolvePerfectInformation).
 //   - Perfect selectivities: the Hoeffding-tightened linear program solved by
 //     the O(|A| log |A|) BIGREEDY-LP algorithm (PlanPerfectSelectivities).
 //   - Estimated selectivities: the Chebyshev-tightened convex programs for
@@ -16,10 +16,12 @@
 //     variant of Section 4 (PlanEstimated*, PlanWithSamples).
 //
 // The package also implements the Section 4 machinery for jointly
-// estimating and exploiting selectivities (sampling allocators, Beta
-// posterior estimates, adaptive sampling, correlated-column selection), the
-// probabilistic executor, the experiment baselines, and the Section 5
-// extensions (cost budgets, multiple predicates, selection before join).
+// estimating and exploiting selectivities (the Two-Third-Power allocator,
+// Beta posterior estimates, correlated-column selection), the probabilistic
+// executor, metering, and the Section 5 extensions (cost budgets, multiple
+// predicates, selection before join). It holds what internal/engine
+// executes; the paper's baselines, oracles and alternative allocators are
+// in internal/experiments.
 package core
 
 import (
@@ -201,25 +203,6 @@ func (s Strategy) ExpectedCost(groups []GroupInfo, cost CostModel) float64 {
 	for i, g := range groups {
 		w := float64(g.Remaining())
 		total += w * (cost.Retrieve*s.R[i] + cost.Evaluate*s.E[i])
-	}
-	return total
-}
-
-// ExpectedEvaluations returns Σ wₐ·Eₐ, the expected number of UDF calls the
-// strategy will make (excluding sampling).
-func (s Strategy) ExpectedEvaluations(groups []GroupInfo) float64 {
-	total := 0.0
-	for i, g := range groups {
-		total += float64(g.Remaining()) * s.E[i]
-	}
-	return total
-}
-
-// ExpectedRetrievals returns Σ wₐ·Rₐ (excluding sampling).
-func (s Strategy) ExpectedRetrievals(groups []GroupInfo) float64 {
-	total := 0.0
-	for i, g := range groups {
-		total += float64(g.Remaining()) * s.R[i]
 	}
 	return total
 }

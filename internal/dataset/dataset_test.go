@@ -1,10 +1,10 @@
 package dataset
 
 import (
-	"context"
 	"math"
 	"testing"
 
+	predeval "repro"
 	"repro/internal/core"
 	"repro/internal/stats"
 )
@@ -175,19 +175,25 @@ func TestDatasetInstanceRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := d.Instance(core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}, core.DefaultCost)
+	// The dataset as a user meets it: its table and its hidden label as a
+	// UDF, queried through the facade.
+	db := predeval.Open(99)
+	db.SetUDFCache(false)
+	if err := db.Engine().RegisterTable(d.Table); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RegisterUDF("truth", func(v any) bool { return d.Labels[v.(int64)] }, 0); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Query("SELECT id FROM " + spec.Name + " WHERE truth(id) = 1 " +
+		"WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON " + spec.Predictor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := stats.NewRNG(99)
-	res, err := core.RunIntelSample(context.Background(), in, core.RunOptions{RNG: rng})
-	if err != nil {
-		t.Fatal(err)
+	if evals := rows.Stats().Evaluations; evals <= 0 || evals > spec.N {
+		t.Fatalf("evaluations %d", evals)
 	}
-	if res.TotalEvaluations <= 0 || res.TotalEvaluations > spec.N {
-		t.Fatalf("evaluations %d", res.TotalEvaluations)
-	}
-	m := core.ComputeMetrics(res.Output, d.Truth(), d.TotalCorrect())
+	m := core.ComputeMetrics(rows.RowIDs(), d.Truth(), d.TotalCorrect())
 	if m.Recall < 0.5 {
 		t.Fatalf("recall collapsed: %+v", m)
 	}

@@ -164,22 +164,6 @@ func (d *Dataset) PredictorGroups() ([]core.Group, error) {
 	return d.Groups(d.Spec.Predictor)
 }
 
-// Instance assembles a core.Instance over the designated predictor with
-// the given constraints and cost model. The UDF is a fresh meter so each
-// instance accounts its own calls.
-func (d *Dataset) Instance(cons core.Constraints, cost core.CostModel) (core.Instance, error) {
-	groups, err := d.PredictorGroups()
-	if err != nil {
-		return core.Instance{}, err
-	}
-	return core.Instance{
-		Groups: groups,
-		UDF:    core.NewMeter(d.UDF()),
-		Cons:   cons,
-		Cost:   cost,
-	}, nil
-}
-
 // MeasuredStats reports the realized group statistics (what Table 3 shows):
 // group count, sample deviation of sizes, sample deviation of
 // selectivities, and the size–selectivity Pearson correlation.

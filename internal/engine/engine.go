@@ -347,11 +347,17 @@ func groupsFromColumn(col table.Column, subset []int, maxGroups int) ([]core.Gro
 	if !ok {
 		return nil, false
 	}
+	return coreGroups(parts), true
+}
+
+// coreGroups hands a table partition to the optimizer (core must not import
+// table, so the one group struct is declared in both).
+func coreGroups(parts []table.Group) []core.Group {
 	groups := make([]core.Group, len(parts))
 	for i, p := range parts {
 		groups[i] = core.Group(p)
 	}
-	return groups, true
+	return groups
 }
 
 // candidateColumns partitions the statement's row universe by every column
@@ -407,9 +413,9 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 	}
 }
 
-// virtualColumn implements Section 6.3.2: label ~1% of rows, train a
-// logistic regression over the table's encodable features, score every
-// row, and bucket the scores into equal-frequency groups.
+// virtualColumn implements Section 6.3.2: label ~1% of rows and hand them,
+// with the table's encodable features, to ml.VirtualGroups (train, score
+// every row, bucket the scores into equal-frequency groups).
 func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
 	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
@@ -425,41 +431,11 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 		return nil, "", nil, err
 	}
 
-	// Train in sorted row order: ranging over the map would feed the
-	// gradient accumulation in Go's randomized iteration order, making
-	// same-seed runs diverge at the last ulp (and occasionally across a
-	// bucket boundary).
-	labeledRows := make([]int, 0, len(labeled))
-	for row := range labeled {
-		labeledRows = append(labeledRows, row)
-	}
-	sort.Ints(labeledRows)
-	X := make([][]float64, 0, len(labeled))
-	y := make([]bool, 0, len(labeled))
-	for _, row := range labeledRows {
-		X = append(X, enc.EncodeRow(tbl, row))
-		y = append(y, labeled[row])
-	}
-	var model ml.LogisticRegression
-	if err := model.Fit(X, y); err != nil {
+	parts, err := ml.VirtualGroups(func(row int) []float64 { return enc.EncodeRow(tbl, row) }, rows, labeled, virtualBuckets)
+	if err != nil {
 		return nil, "", nil, fmt.Errorf("engine: training virtual column: %w", err)
 	}
-	scores := make([]float64, len(rows))
-	for i, r := range rows {
-		scores[i] = model.Prob(enc.EncodeRow(tbl, r))
-	}
-	buckets := ml.EqualFrequencyBuckets(scores, virtualBuckets)
-	byBucket := make([][]int, virtualBuckets)
-	for i, b := range buckets {
-		byBucket[b] = append(byBucket[b], rows[i])
-	}
-	var groups []core.Group
-	for b, rws := range byBucket {
-		if len(rws) == 0 {
-			continue
-		}
-		groups = append(groups, core.Group{Key: fmt.Sprintf("bucket%02d", b), Rows: rws})
-	}
+	groups := coreGroups(parts)
 	if len(groups) < 2 {
 		return nil, "", nil, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(groups))
 	}

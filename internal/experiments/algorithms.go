@@ -14,7 +14,8 @@ import (
 // the experiments can aggregate evaluations, retrievals, cost and
 // constraint satisfaction uniformly.
 
-// AlgoOutcome is one algorithm run's accounting.
+// AlgoOutcome is one algorithm run's accounting, scored against ground
+// truth.
 type AlgoOutcome struct {
 	Evaluations int
 	Retrievals  int
@@ -25,63 +26,76 @@ type AlgoOutcome struct {
 	SatisfiedR  bool
 }
 
-func outcomeFromRun(d *dataset.Dataset, cons core.Constraints, res core.RunResult) AlgoOutcome {
-	m := core.ComputeMetrics(res.Output, d.Truth(), d.TotalCorrect())
+// score rates a run against the dataset's ground truth.
+func score(d *dataset.Dataset, cons core.Constraints, run Run, err error) (AlgoOutcome, error) {
+	if err != nil {
+		return AlgoOutcome{}, err
+	}
+	m := core.ComputeMetrics(run.Rows, d.Truth(), d.TotalCorrect())
 	pOK, rOK := m.Satisfies(cons)
 	return AlgoOutcome{
-		Evaluations: res.TotalEvaluations,
-		Retrievals:  res.TotalRetrievals,
-		Cost:        res.TotalCost,
+		Evaluations: run.Evaluations,
+		Retrievals:  run.Retrievals,
+		Cost:        run.Cost,
 		Precision:   m.Precision,
 		Recall:      m.Recall,
 		SatisfiedP:  pOK,
 		SatisfiedR:  rOK,
-	}
+	}, nil
 }
 
-// runIntel runs the Intel-Sample pipeline with the given allocator (nil =
-// the default TwoThirdPower(2.5α)).
-func runIntel(ctx context.Context, d *dataset.Dataset, cons core.Constraints, alloc core.Allocator, rng *stats.RNG) (AlgoOutcome, error) {
-	in, err := d.Instance(cons, core.DefaultCost)
+// runIntel runs Intel-Sample as the system ships it: one approximate
+// statement over the dataset's table, grouped on the named column, on a
+// fresh engine.
+func runIntel(ctx context.Context, d *dataset.Dataset, cons core.Constraints, groupOn string, seed uint64) (AlgoOutcome, error) {
+	run, err := RunEngine(ctx, seed, d.Table, cons, groupOn, Predicate{Name: "truth", Truth: d.Truth()})
+	return score(d, cons, run, err)
+}
+
+// instance hands the dataset, grouped on its designated predictor, to the
+// lab and the reference algorithms; each instance meters its own calls.
+func instance(d *dataset.Dataset, cons core.Constraints) (Instance, error) {
+	groups, err := d.PredictorGroups()
+	if err != nil {
+		return Instance{}, err
+	}
+	return Instance{Groups: groups, Meter: core.NewMeter(d.UDF()), Cons: cons}, nil
+}
+
+// runLab runs Intel-Sample in the lab with the draw under study.
+func runLab(ctx context.Context, d *dataset.Dataset, cons core.Constraints, draw Draw, rng *stats.RNG) (AlgoOutcome, error) {
+	in, err := instance(d, cons)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunIntelSample(ctx, in, core.RunOptions{Alloc: alloc, RNG: rng})
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	return outcomeFromRun(d, cons, res), nil
+	run, err := Lab(ctx, in, nil, draw, rng)
+	return score(d, cons, run, err)
 }
 
 // runOptimal runs the perfect-selectivity reference ("Optimal").
 func runOptimal(ctx context.Context, d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (AlgoOutcome, error) {
-	in, err := d.Instance(cons, core.DefaultCost)
+	in, err := instance(d, cons)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunPerfectSelectivities(ctx, in, d.Truth(), rng)
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	return outcomeFromRun(d, cons, res), nil
+	run, err := RunPerfectSelectivities(ctx, in, d.Truth(), rng)
+	return score(d, cons, run, err)
 }
 
 // runNaive runs the Naive baseline.
 func runNaive(d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (AlgoOutcome, error) {
-	in, err := d.Instance(cons, core.DefaultCost)
+	in, err := instance(d, cons)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunNaive(in, rng)
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	return outcomeFromRun(d, cons, res), nil
+	run, err := RunNaive(in, rng)
+	return score(d, cons, run, err)
 }
 
-// mlFeatures encodes the dataset's feature columns for the ML baselines,
-// excluding the row id and the many noisy extra predictors (which would
-// slow training without matching the paper's feature set).
+// mlFeatures encodes the dataset's feature columns for the ML baselines and
+// fig1c's virtual column, excluding the row id and the many noisy extra
+// predictors (which would slow training without matching the paper's
+// feature set).
 func mlFeatures(d *dataset.Dataset) ([][]float64, error) {
 	exclude := []string{"id"}
 	for i := 0; i < d.Spec.ExtraPredictors; i++ {
@@ -94,112 +108,43 @@ func mlFeatures(d *dataset.Dataset) ([][]float64, error) {
 	return enc.EncodeAll(d.Table), nil
 }
 
-func mlOpts() core.MLBaselineOptions {
-	return core.MLBaselineOptions{InitialFraction: 0.02, GrowthFactor: 1.6}
-}
-
-func mlClassifier() *ml.SelfTraining {
-	return &ml.SelfTraining{Rounds: 1, Model: ml.LogisticRegression{Epochs: 60}}
-}
-
-// runLearning runs the semi-supervised Learning baseline.
-func runLearning(d *dataset.Dataset, cons core.Constraints, features [][]float64, rng *stats.RNG) (AlgoOutcome, error) {
-	in, err := d.Instance(cons, core.DefaultCost)
+// runML runs the semi-supervised Learning baseline, or the
+// multiple-imputations one.
+func runML(d *dataset.Dataset, cons core.Constraints, features [][]float64, rng *stats.RNG, multiple bool) (AlgoOutcome, error) {
+	in, err := instance(d, cons)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	res, err := core.RunLearning(in, features, mlClassifier(), d.Truth(), rng, mlOpts())
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	return outcomeFromRun(d, cons, res), nil
-}
-
-// runMultiple runs the multiple-imputations baseline.
-func runMultiple(d *dataset.Dataset, cons core.Constraints, features [][]float64, rng *stats.RNG) (AlgoOutcome, error) {
-	in, err := d.Instance(cons, core.DefaultCost)
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	res, err := core.RunMultiple(in, features, mlClassifier(), d.Truth(), rng, mlOpts())
-	if err != nil {
-		return AlgoOutcome{}, err
-	}
-	return outcomeFromRun(d, cons, res), nil
+	clf := &SelfTraining{Rounds: 1, Model: ml.LogisticRegression{Epochs: 60}}
+	opts := MLBaselineOptions{InitialFraction: 0.02, GrowthFactor: 1.6}
+	run, err := runMLBaseline(in, features, clf, d.Truth(), rng, opts, multiple)
+	return score(d, cons, run, err)
 }
 
 // runIntelVirtual runs Intel-Sample over the logistic-regression virtual
-// column (Section 6.3.2): label 1%, train, bucket scores into 10 groups,
-// then sample/plan/execute as usual. The 1% training labels are preloaded
-// into the sampler so they are charged once and reused.
+// column (Section 6.3.2) with a Two-Third-Power num under study: label 1%
+// through the instance's meter, group with ml.VirtualGroups — the function
+// the engine's GROUP ON virtual calls — then sample/plan/execute in the lab
+// with the labels preloaded, so they are charged once and reused.
 func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constraints, num float64, rng *stats.RNG, features [][]float64) (AlgoOutcome, error) {
-	meter := core.NewMeter(d.UDF())
-	n := d.Table.NumRows()
-	rows := make([]int, n)
+	in := Instance{Meter: core.NewMeter(d.UDF()), Cons: cons}
+	rows := make([]int, d.Table.NumRows())
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, 0.01, meter, rng, 1)
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, 0.01, in.Meter, rng, 1)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-
-	X := make([][]float64, 0, len(labeled))
-	y := make([]bool, 0, len(labeled))
-	for row, v := range labeled {
-		X = append(X, features[row])
-		y = append(y, v)
-	}
-	model := ml.LogisticRegression{Epochs: 80}
-	if err := model.Fit(X, y); err != nil {
-		return AlgoOutcome{}, err
-	}
-	scores := make([]float64, n)
-	for i := range scores {
-		scores[i] = model.Prob(features[i])
-	}
-	buckets := ml.EqualFrequencyBuckets(scores, 10)
-	byBucket := make([][]int, 10)
-	for row, b := range buckets {
-		byBucket[b] = append(byBucket[b], row)
-	}
-	var groups []core.Group
-	for b, rws := range byBucket {
-		if len(rws) == 0 {
-			continue
-		}
-		groups = append(groups, core.Group{Key: fmt.Sprintf("b%02d", b), Rows: rws})
-	}
-
-	sampler := core.NewSampler(groups, meter, rng.Split())
-	sampler.Preload(labeled)
-	sizes := make([]int, len(groups))
-	for i, g := range groups {
-		sizes[i] = len(g.Rows)
-	}
-	if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: num}).Allocate(sizes)); err != nil {
-		return AlgoOutcome{}, err
-	}
-	strat, err := core.PlanWithSamples(sampler.Infos(), cons, core.DefaultCost)
+	parts, err := ml.VirtualGroups(func(row int) []float64 { return features[row] }, rows, labeled, 10)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	exec, err := core.ExecuteParallelCtx(ctx, groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
-	if err != nil {
-		return AlgoOutcome{}, err
+	for _, p := range parts {
+		in.Groups = append(in.Groups, core.Group(p))
 	}
-	m := core.ComputeMetrics(exec.Output, d.Truth(), d.TotalCorrect())
-	pOK, rOK := m.Satisfies(cons)
-	retr := sampler.TotalSampled() + exec.Retrieved
-	return AlgoOutcome{
-		Evaluations: meter.Calls(),
-		Retrievals:  retr,
-		Cost:        float64(meter.Calls())*core.DefaultCost.Evaluate + float64(retr)*core.DefaultCost.Retrieve,
-		Precision:   m.Precision,
-		Recall:      m.Recall,
-		SatisfiedP:  pOK,
-		SatisfiedR:  rOK,
-	}, nil
+	run, err := Lab(ctx, in, labeled, TwoThirdPower(num), rng)
+	return score(d, cons, run, err)
 }
 
 // average aggregates outcomes.

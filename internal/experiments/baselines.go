@@ -1,47 +1,43 @@
-package core
+package experiments
 
 import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
 // Experiment baselines (Section 6.2). Naive needs nothing extra; the two
 // machine-learning baselines take a semi-supervised classifier through the
-// SemiSupervised interface so the core package stays independent of the ml
-// package (which provides the implementation used in the experiments).
+// SemiSupervised interface (SelfTraining is the one the experiments use; the
+// tests substitute a stub).
 
 // RunNaive implements the Naive baseline: retrieve a uniformly random β
 // fraction of all tuples, evaluate every one of them, and return the
 // matching tuples. It satisfies the recall constraint in expectation only,
 // and precision exactly (everything returned is verified).
-func RunNaive(in Instance, rng *stats.RNG) (RunResult, error) {
+func RunNaive(in Instance, rng *stats.RNG) (Run, error) {
 	if err := in.Validate(); err != nil {
-		return RunResult{}, err
+		return Run{}, err
 	}
 	if rng == nil {
-		return RunResult{}, fmt.Errorf("core: rng is required")
+		return Run{}, fmt.Errorf("experiments: rng is required")
 	}
-	all := make([]int, 0, in.TotalRows())
-	for _, g := range in.Groups {
-		all = append(all, g.Rows...)
-	}
+	all := in.rows()
 	k := int(math.Ceil(in.Cons.Beta * float64(len(all))))
 	idx := rng.SampleWithoutReplacement(len(all), k)
 	var output []int
 	for _, i := range idx {
-		if in.UDF.Eval(all[i]) {
+		if in.Meter.Eval(all[i]) {
 			output = append(output, all[i])
 		}
 	}
-	return RunResult{
-		Output:           output,
-		Retrieved:        k,
-		Evaluated:        k,
-		TotalEvaluations: k,
-		TotalRetrievals:  k,
-		TotalCost:        float64(k) * (in.Cost.Retrieve + in.Cost.Evaluate),
+	return Run{
+		Rows:        output,
+		Evaluations: k,
+		Retrievals:  k,
+		Cost:        float64(k) * (core.DefaultCost.Retrieve + core.DefaultCost.Evaluate),
 	}, nil
 }
 
@@ -93,7 +89,7 @@ func (o *MLBaselineOptions) fill() {
 // constraints are met — checked against ground truth, which (as the paper
 // notes) gives this baseline an unfair advantage since real deployments
 // cannot know when to stop.
-func RunLearning(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (RunResult, error) {
+func RunLearning(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (Run, error) {
 	return runMLBaseline(in, features, clf, truth, rng, opts, false)
 }
 
@@ -101,30 +97,27 @@ func RunLearning(in Instance, features [][]float64, clf SemiSupervised, truth fu
 // unlabeled tuples receive labels drawn from the classifier's class
 // probabilities; the labeled-set size grows until the constraints hold on
 // average across the imputed datasets.
-func RunMultiple(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (RunResult, error) {
+func RunMultiple(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (Run, error) {
 	return runMLBaseline(in, features, clf, truth, rng, opts, true)
 }
 
-func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions, multiple bool) (RunResult, error) {
+func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions, multiple bool) (Run, error) {
 	if err := in.Validate(); err != nil {
-		return RunResult{}, err
+		return Run{}, err
 	}
 	if rng == nil || clf == nil || truth == nil {
-		return RunResult{}, fmt.Errorf("core: rng, classifier and truth are required")
+		return Run{}, fmt.Errorf("experiments: rng, classifier and truth are required")
 	}
 	opts.fill()
 
-	all := make([]int, 0, in.TotalRows())
-	for _, g := range in.Groups {
-		all = append(all, g.Rows...)
-	}
+	all := in.rows()
 	n := len(all)
 	if n == 0 {
-		return RunResult{}, fmt.Errorf("core: empty instance")
+		return Run{}, fmt.Errorf("experiments: empty instance")
 	}
 	for _, row := range all {
 		if row >= len(features) {
-			return RunResult{}, fmt.Errorf("core: row %d has no feature vector (have %d)", row, len(features))
+			return Run{}, fmt.Errorf("experiments: row %d has no feature vector (have %d)", row, len(features))
 		}
 	}
 	totalCorrect := 0
@@ -140,7 +133,7 @@ func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth 
 	labeled := 0
 	var labeledIdx []int
 	var labels []bool
-	meter := NewMeter(in.UDF)
+	meter := in.Meter
 
 	target := int(math.Ceil(opts.InitialFraction * float64(n)))
 	for {
@@ -199,7 +192,7 @@ func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth 
 			var sumP, sumR float64
 			for j := 0; j < opts.Imputations; j++ {
 				out := build(true)
-				m := ComputeMetrics(out, truth, totalCorrect)
+				m := core.ComputeMetrics(out, truth, totalCorrect)
 				sumP += m.Precision
 				sumR += m.Recall
 				output = out
@@ -208,7 +201,7 @@ func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth 
 			satisfied = sumP/k >= in.Cons.Alpha && sumR/k >= in.Cons.Beta
 		} else {
 			output = build(false)
-			m := ComputeMetrics(output, truth, totalCorrect)
+			m := core.ComputeMetrics(output, truth, totalCorrect)
 			pOK, rOK := m.Satisfies(in.Cons)
 			satisfied = pOK && rOK
 		}
@@ -221,15 +214,13 @@ func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth 
 				}
 			}
 			evals := meter.Calls()
-			return RunResult{
-				Output:           output,
-				Retrieved:        retrievedExtra,
-				Evaluated:        0,
-				SampledTuples:    evals,
-				TotalEvaluations: evals,
-				TotalRetrievals:  evals + retrievedExtra,
-				TotalCost: float64(evals)*(in.Cost.Retrieve+in.Cost.Evaluate) +
-					float64(retrievedExtra)*in.Cost.Retrieve,
+			return Run{
+				Rows:        output,
+				Evaluations: evals,
+				Retrievals:  evals + retrievedExtra,
+				Sampled:     evals,
+				Cost: float64(evals)*(core.DefaultCost.Retrieve+core.DefaultCost.Evaluate) +
+					float64(retrievedExtra)*core.DefaultCost.Retrieve,
 			}, nil
 		}
 		target = int(math.Ceil(float64(target) * opts.GrowthFactor))

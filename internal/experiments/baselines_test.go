@@ -1,8 +1,9 @@
-package core
+package experiments
 
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
@@ -52,13 +53,13 @@ func TestRunLearningTerminatesAndSatisfies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalEvaluations == 0 {
+	if res.Evaluations == 0 {
 		t.Fatal("learning baseline evaluated nothing")
 	}
-	m := ComputeMetrics(res.Output, truth, totalCorrect(labels))
+	m := core.ComputeMetrics(res.Rows, truth, totalCorrect(labels))
 	pOK, rOK := m.Satisfies(in.Cons)
-	if !(pOK && rOK) && res.TotalEvaluations < in.TotalRows() {
-		t.Fatalf("terminated without satisfying constraints: %+v after %d evals", m, res.TotalEvaluations)
+	if !(pOK && rOK) && res.Evaluations < len(in.rows()) {
+		t.Fatalf("terminated without satisfying constraints: %+v after %d evals", m, res.Evaluations)
 	}
 }
 
@@ -69,11 +70,11 @@ func TestRunMultipleTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalEvaluations == 0 || res.TotalEvaluations > in.TotalRows() {
-		t.Fatalf("evaluations %d out of range", res.TotalEvaluations)
+	if res.Evaluations == 0 || res.Evaluations > len(in.rows()) {
+		t.Fatalf("evaluations %d out of range", res.Evaluations)
 	}
-	if res.TotalCost <= 0 {
-		t.Fatalf("cost %v", res.TotalCost)
+	if res.Cost <= 0 {
+		t.Fatalf("cost %v", res.Cost)
 	}
 }
 

@@ -1,4 +1,4 @@
-package solver
+package experiments
 
 import (
 	"errors"
@@ -12,8 +12,8 @@ import (
 // precision constraints. The paper proves this NP-hard by reduction from
 // min-knapsack; this file provides an exact branch-and-bound optimizer that
 // is practical for the group counts real predictors produce (tens of
-// groups), plus a greedy fallback used as an upper bound and for very wide
-// instances.
+// groups). The engine never runs it (it plans on selectivities, Sections
+// 3.2 onward); Table 1 does.
 
 // Action is the deterministic per-group decision.
 type Action uint8
@@ -56,7 +56,7 @@ type PerfectInfoInstance struct {
 // ErrNoFeasibleAssignment is returned when no action vector satisfies the
 // constraints (only possible when α or β exceed what evaluation everywhere
 // can deliver, which cannot happen for α,β ≤ 1 — kept for safety).
-var ErrNoFeasibleAssignment = errors.New("solver: no feasible action assignment")
+var ErrNoFeasibleAssignment = errors.New("experiments: no feasible action assignment")
 
 // groupOrder sorts groups by decreasing "value density" Cₐ/(Cₐ+Wₐ) so the
 // search finds good incumbents early.
@@ -128,7 +128,7 @@ func (p PerfectInfoInstance) contribution(i int, act Action, invAlphaMinus1 floa
 func SolvePerfectInfo(p PerfectInfoInstance) ([]Action, float64, error) {
 	n := len(p.Correct)
 	if len(p.Wrong) != n {
-		return nil, 0, errors.New("solver: Correct/Wrong length mismatch")
+		return nil, 0, errors.New("experiments: Correct/Wrong length mismatch")
 	}
 	totalCorrect := 0
 	for _, c := range p.Correct {
@@ -207,52 +207,4 @@ func SolvePerfectInfo(p PerfectInfoInstance) ([]Action, float64, error) {
 		return nil, 0, ErrNoFeasibleAssignment
 	}
 	return bestActs, best, nil
-}
-
-// GreedyPerfectInfo returns a feasible (not necessarily optimal) assignment
-// quickly: it retrieves groups in decreasing selectivity order until the
-// recall target is met, then switches the retrieved groups with the lowest
-// selectivity to Evaluate until precision is met. Used as an incumbent
-// seed and for instances too wide for exact search.
-func GreedyPerfectInfo(p PerfectInfoInstance) ([]Action, float64) {
-	n := len(p.Correct)
-	totalCorrect := 0
-	for _, c := range p.Correct {
-		totalCorrect += c
-	}
-	gamma := p.Beta * float64(totalCorrect)
-	order := p.groupOrder()
-	acts := make([]Action, n)
-	recall := 0.0
-	for _, i := range order {
-		if recall >= gamma-1e-9 {
-			break
-		}
-		acts[i] = Retrieve
-		recall += float64(p.Correct[i])
-	}
-	if p.Alpha > 0 {
-		invAlphaMinus1 := 1/p.Alpha - 1
-		prec := 0.0
-		for i, act := range acts {
-			_, pc := p.contribution(i, act, invAlphaMinus1)
-			prec += pc
-		}
-		// Upgrade lowest-selectivity retrieved groups to Evaluate.
-		for k := n - 1; k >= 0 && prec < -1e-9; k-- {
-			i := order[k]
-			if acts[i] != Retrieve {
-				continue
-			}
-			_, before := p.contribution(i, Retrieve, invAlphaMinus1)
-			_, after := p.contribution(i, Evaluate, invAlphaMinus1)
-			acts[i] = Evaluate
-			prec += after - before
-		}
-	}
-	cost := 0.0
-	for i, act := range acts {
-		cost += p.cost(i, act)
-	}
-	return acts, cost
 }

@@ -1,4 +1,4 @@
-package solver
+package experiments
 
 import (
 	"math"
@@ -149,52 +149,6 @@ func TestSolvePerfectInfoAlphaZeroReducesToKnapsack(t *testing.T) {
 		// equals the threshold exactly by construction.
 		if math.Abs(gotCost-wantWeight) > 1e-6 {
 			t.Fatalf("trial %d: B&B cost %v, knapsack weight %v", trial, gotCost, wantWeight)
-		}
-	}
-}
-
-func TestGreedyPerfectInfoFeasibleAndBoundsExact(t *testing.T) {
-	r := stats.NewRNG(99)
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + r.IntN(7)
-		p := PerfectInfoInstance{
-			Correct:      make([]int, n),
-			Wrong:        make([]int, n),
-			Alpha:        0.5 + 0.4*r.Float64(),
-			Beta:         0.5 + 0.4*r.Float64(),
-			RetrieveCost: 1,
-			EvaluateCost: 3,
-		}
-		for i := 0; i < n; i++ {
-			p.Correct[i] = r.IntN(40) + 1
-			p.Wrong[i] = r.IntN(40)
-		}
-		acts, cost := GreedyPerfectInfo(p)
-		// Verify feasibility.
-		totalCorrect := 0
-		for _, c := range p.Correct {
-			totalCorrect += c
-		}
-		gamma := p.Beta * float64(totalCorrect)
-		invAlphaMinus1 := 1/p.Alpha - 1
-		recall, prec := 0.0, 0.0
-		for i, a := range acts {
-			rc, pc := p.contribution(i, a, invAlphaMinus1)
-			recall += rc
-			prec += pc
-		}
-		if recall < gamma-1e-9 {
-			t.Fatalf("trial %d: greedy recall %v < %v", trial, recall, gamma)
-		}
-		if prec < -1e-9 {
-			t.Fatalf("trial %d: greedy precision slack %v < 0", trial, prec)
-		}
-		_, exact, err := SolvePerfectInfo(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cost < exact-1e-9 {
-			t.Fatalf("trial %d: greedy cost %v beat exact %v", trial, cost, exact)
 		}
 	}
 }

@@ -1,8 +1,13 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (Section 6) plus the ablations DESIGN.md calls out. Each
-// experiment is a named runner that computes a typed result and renders it
-// as a text table; cmd/exppred exposes them on the command line and
-// bench_test.go wraps them as benchmarks.
+// evaluation (Section 6) plus the ablations DESIGN.md calls out, as a
+// client of the system: Intel-Sample's numbers come from statements
+// internal/engine executes (harness.go); the experiments whose subject is
+// the sampling allocator run the one lab composition (lab.go); and the
+// algorithms the paper compares against, which the engine never runs, live
+// here beside their only caller (baselines, self-training, the Optimal
+// oracle, Section 3.1's branch and bound). Each experiment is a named runner
+// that computes a typed result and renders it as a text table; cmd/exppred
+// exposes them on the command line.
 package experiments
 
 import (

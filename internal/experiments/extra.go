@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // Experiments beyond the numbered tables/figures: the §6.2.1 column
@@ -60,18 +62,13 @@ func runColumns(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	}
 	results := make([]colEval, 0, len(cols))
 	for _, col := range cols {
-		groups, err := d.Groups(col)
-		if err != nil {
-			return nil, err
-		}
 		var agg average
 		for i := 0; i < iters; i++ {
-			in := core.Instance{Groups: groups, UDF: core.NewMeter(d.UDF()), Cons: cons, Cost: core.DefaultCost}
-			res, err := core.RunIntelSample(ctx, in, core.RunOptions{RNG: rng.Split()})
+			o, err := runIntel(ctx, d, cons, col, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
-			agg.add(outcomeFromRun(d, cons, res))
+			agg.add(o)
 		}
 		results = append(results, colEval{col, agg.meanEvals()})
 	}
@@ -100,7 +97,7 @@ type AdaptiveResult struct {
 	Datasets      []string
 	ChosenNum     []float64
 	AdaptiveEvals []float64
-	FixedEvals    []float64 // fixed num = 2.5α reference
+	FixedEvals    []float64 // the engine's fixed num = 2.5α
 }
 
 func (a *AdaptiveResult) String() string {
@@ -125,38 +122,18 @@ func runAdaptive(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		rng := r.rng(hash("adaptive" + name))
 		var adaptive, fixed average
 		numSum := 0.0
-		for i := 0; i < iters; i++ {
-			in, err := d.Instance(cons, core.DefaultCost)
-			if err != nil {
-				return nil, err
-			}
-			// Run the adaptive search manually to capture the chosen num.
-			meter := core.NewMeter(d.UDF())
-			in.UDF = meter
-			sampler := core.NewSampler(in.Groups, meter, rng.Split())
-			num, err := core.AdaptiveTwoThirdPower(ctx, sampler, cons, core.DefaultCost, core.AdaptiveOptions{})
-			if err != nil {
-				return nil, err
-			}
+		search := func(ctx context.Context, s *core.Sampler, sizes []int) error {
+			num, err := AdaptiveTwoThirdPower(ctx, s, sizes, cons, AdaptiveOptions{})
 			numSum += num
-			strat, err := core.PlanWithSamples(sampler.Infos(), cons, core.DefaultCost)
+			return err
+		}
+		for i := 0; i < iters; i++ {
+			o, err := runLab(ctx, d, cons, search, rng.Split())
 			if err != nil {
 				return nil, err
 			}
-			exec, err := core.ExecuteParallelCtx(ctx, in.Groups, strat, sampler.Outcomes(), meter, core.DefaultCost, rng.Split(), 1)
-			if err != nil {
-				return nil, err
-			}
-			m := core.ComputeMetrics(exec.Output, d.Truth(), d.TotalCorrect())
-			pOK, rOK := m.Satisfies(cons)
-			adaptive.add(AlgoOutcome{
-				Evaluations: meter.Calls(),
-				Retrievals:  sampler.TotalSampled() + exec.Retrieved,
-				Precision:   m.Precision, Recall: m.Recall,
-				SatisfiedP: pOK, SatisfiedR: rOK,
-			})
-
-			o, err := runIntel(ctx, d, cons, nil, rng.Split())
+			adaptive.add(o)
+			o, err = runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -171,6 +148,21 @@ func runAdaptive(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 }
 
 // -------------------------------------------------------------- ablations
+
+// sampledInfos draws the engine's TwoThirdPower(2.5·α) sample in the lab and
+// returns the estimates a planner would be handed — the sampling half the
+// two planner ablations compare planners on.
+func sampledInfos(ctx context.Context, d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) ([]core.GroupInfo, error) {
+	in, err := instance(d, cons)
+	if err != nil {
+		return nil, err
+	}
+	sampler, err := labSample(ctx, in, nil, EngineDraw(cons.Alpha), rng)
+	if err != nil {
+		return nil, err
+	}
+	return sampler.Infos(), nil
+}
 
 // SolverAblationResult compares the fixed-point and projected-gradient
 // convex planners on the same estimated instances.
@@ -203,20 +195,10 @@ func runSolverAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			return nil, err
 		}
 		rng := r.rng(hash("solverabl" + name))
-		groups, err := d.PredictorGroups()
+		infos, err := sampledInfos(ctx, d, cons, rng)
 		if err != nil {
 			return nil, err
 		}
-		meter := core.NewMeter(d.UDF())
-		sampler := core.NewSampler(groups, meter, rng.Split())
-		sizes := make([]int, len(groups))
-		for i, g := range groups {
-			sizes[i] = len(g.Rows)
-		}
-		if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
-			return nil, err
-		}
-		infos := sampler.Infos()
 
 		t0 := time.Now()
 		sFP, err := core.PlanWithSamples(infos, cons, core.DefaultCost)
@@ -264,20 +246,10 @@ func runBoundAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			return nil, err
 		}
 		rng := r.rng(hash("boundabl" + name))
-		groups, err := d.PredictorGroups()
+		infos, err := sampledInfos(ctx, d, cons, rng)
 		if err != nil {
 			return nil, err
 		}
-		meter := core.NewMeter(d.UDF())
-		sampler := core.NewSampler(groups, meter, rng.Split())
-		sizes := make([]int, len(groups))
-		for i, g := range groups {
-			sizes[i] = len(g.Rows)
-		}
-		if _, err := sampler.TopUpCtx(ctx, (core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}).Allocate(sizes)); err != nil {
-			return nil, err
-		}
-		infos := sampler.Infos()
 		sInd, err := core.PlanEstimated(infos, cons, core.DefaultCost, core.IndependentGroups)
 		if err != nil {
 			return nil, err
@@ -329,7 +301,7 @@ func runMarginAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		var aggWith, aggWithout average
 		var bothWith, bothWithout int
 		for i := 0; i < iters; i++ {
-			o, err := runIntel(ctx, d, with, nil, rng.Split())
+			o, err := runIntel(ctx, d, with, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -337,7 +309,7 @@ func runMarginAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			if o.SatisfiedP && o.SatisfiedR {
 				bothWith++
 			}
-			o, err = runIntel(ctx, d, without, nil, rng.Split())
+			o, err = runIntel(ctx, d, without, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}

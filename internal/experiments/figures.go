@@ -52,7 +52,7 @@ func runFig1a(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 				return nil, err
 			}
 			naive.add(o)
-			o, err = runIntel(ctx, d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -90,17 +90,17 @@ func runFig1b(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		rng := r.rng(hash("fig1b" + name))
 		var learning, multiple, intel average
 		for i := 0; i < iters; i++ {
-			o, err := runLearning(d, cons, features, rng.Split())
+			o, err := runML(d, cons, features, rng.Split(), false)
 			if err != nil {
 				return nil, err
 			}
 			learning.add(o)
-			o, err = runMultiple(d, cons, features, rng.Split())
+			o, err = runML(d, cons, features, rng.Split(), true)
 			if err != nil {
 				return nil, err
 			}
 			multiple.add(o)
-			o, err = runIntel(ctx, d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -231,7 +231,7 @@ func runAccuracy(ctx context.Context, r *Runner, metric string) (fmt.Stringer, e
 			cons := core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: rho}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, nil, rng.Split())
+				o, err := runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
 				if err != nil {
 					return nil, err
 				}
@@ -272,10 +272,10 @@ func runFig2c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		ys := make([]float64, len(alphas))
 		for xi, alpha := range alphas {
 			cons := core.Constraints{Alpha: alpha, Beta: r.cfg.Beta, Rho: r.cfg.Rho}
-			alloc := core.TwoThirdPowerAllocator{Num: ratio * alpha}
+			draw := TwoThirdPower(ratio * alpha)
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, alloc, rng.Split())
+				o, err := runLab(ctx, d, cons, draw, rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -315,7 +315,7 @@ func runFig3a(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			}
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, core.ConstantAllocator{C: scaled}, rng.Split())
+				o, err := runLab(ctx, d, cons, Fixed(ConstantAllocator{C: scaled}.Allocate), rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -346,7 +346,7 @@ func runFig3b(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		for xi, num := range nums {
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, core.TwoThirdPowerAllocator{Num: num}, rng.Split())
+				o, err := runLab(ctx, d, cons, TwoThirdPower(num), rng.Split())
 				if err != nil {
 					return nil, err
 				}
@@ -376,10 +376,10 @@ func runFig3c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 		ys := make([]float64, len(betas))
 		for xi, beta := range betas {
 			cons := core.Constraints{Alpha: r.cfg.Alpha, Beta: beta, Rho: r.cfg.Rho}
-			alloc := core.TwoThirdPowerAllocator{Num: num * r.cfg.Alpha}
+			draw := TwoThirdPower(num * r.cfg.Alpha)
 			var agg average
 			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, alloc, rng.Split())
+				o, err := runLab(ctx, d, cons, draw, rng.Split())
 				if err != nil {
 					return nil, err
 				}

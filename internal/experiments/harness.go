@@ -1,0 +1,98 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/plan"
+	"repro/internal/table"
+)
+
+// The harness: the reproduction is a client of the system. Every experiment
+// that uses the shipped settings (table2, fig1a, fig1b's Intel-Sample row,
+// fig2a/b, columns, ablation-margin, ext-twopred) issues a statement to
+// internal/engine — the pipeline a user runs — and scores the rows and
+// Stats that come back against ground truth. What the engine cannot vary
+// without a new knob, the sampling allocator, is lab.go's subject.
+
+// Predicate is ground truth registered with the engine as an expensive UDF
+// over the table's id column (whose value is the row id).
+type Predicate struct {
+	Name  string
+	Truth func(row int) bool
+}
+
+// RunEngine executes
+//
+//	SELECT id FROM tbl WHERE p₁(id) = 1 [AND p₂(id) = 1 …]
+//	WITH PRECISION α RECALL β PROBABILITY ρ GROUP ON groupOn
+//
+// on a fresh engine with the given seed. The cross-query cache is off so
+// every run pays for its own evaluations; parallelism is 1 because the
+// truth UDFs are instant and the result is the same at any setting.
+func RunEngine(ctx context.Context, seed uint64, tbl *table.Table, cons core.Constraints, groupOn string, preds ...Predicate) (Run, error) {
+	if len(preds) == 0 {
+		return Run{}, fmt.Errorf("experiments: no predicate")
+	}
+	eng := engine.New(seed)
+	eng.CacheUDFResults = false
+	eng.Parallelism = 1
+	if err := eng.RegisterTable(tbl); err != nil {
+		return Run{}, err
+	}
+	q := plan.Query{
+		Table:   tbl.Name(),
+		Columns: []string{"id"},
+		Approx:  &plan.Approx{Precision: cons.Alpha, Recall: cons.Beta, Probability: cons.Rho},
+		GroupOn: groupOn,
+	}
+	for _, p := range preds {
+		truth := p.Truth
+		err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: func(v table.Value) bool { return truth(int(v.(int64))) }})
+		if err != nil {
+			return Run{}, err
+		}
+	}
+	q.UDFName, q.UDFArg, q.Want = preds[0].Name, "id", true
+	for _, p := range preds[1:] {
+		q.Conjuncts = append(q.Conjuncts, plan.Conjunct{UDFName: p.Name, UDFArg: "id", Want: true})
+	}
+	res, err := eng.ExecuteContext(ctx, q)
+	if err != nil {
+		return Run{}, err
+	}
+	st := res.Stats
+	return Run{Rows: res.Rows, Evaluations: st.Evaluations, Retrievals: st.Retrievals, Sampled: st.Sampled, Cost: st.Cost}, nil
+}
+
+// GroupTable loads a grouped synthetic world as the two-column table
+// (id, g) the engine can GROUP ON: row i carries id i and its group's key.
+// The groups must partition 0..n-1.
+func GroupTable(name string, groups []core.Group) (*table.Table, error) {
+	n := 0
+	for _, g := range groups {
+		n += len(g.Rows)
+	}
+	keys := make([]string, n)
+	for _, g := range groups {
+		for _, row := range g.Rows {
+			keys[row] = g.Key
+		}
+	}
+	schema, err := table.NewSchema(
+		table.ColumnDef{Name: "id", Type: table.Int},
+		table.ColumnDef{Name: "g", Type: table.String},
+	)
+	if err != nil {
+		return nil, err
+	}
+	tbl := table.New(name, schema)
+	for row, key := range keys {
+		if err := tbl.AppendRow(int64(row), key); err != nil {
+			return nil, err
+		}
+	}
+	return tbl, nil
+}

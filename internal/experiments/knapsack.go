@@ -1,4 +1,4 @@
-package solver
+package experiments
 
 import "errors"
 
@@ -17,7 +17,7 @@ import "errors"
 func MinKnapsack(weights []float64, values []int, threshold int) ([]int, float64, error) {
 	n := len(weights)
 	if len(values) != n {
-		return nil, 0, errors.New("solver: weights/values length mismatch")
+		return nil, 0, errors.New("experiments: weights/values length mismatch")
 	}
 	if threshold <= 0 {
 		return nil, 0, nil
@@ -25,12 +25,12 @@ func MinKnapsack(weights []float64, values []int, threshold int) ([]int, float64
 	totalValue := 0
 	for _, v := range values {
 		if v < 0 {
-			return nil, 0, errors.New("solver: negative value")
+			return nil, 0, errors.New("experiments: negative value")
 		}
 		totalValue += v
 	}
 	if totalValue < threshold {
-		return nil, 0, errors.New("solver: threshold unreachable")
+		return nil, 0, errors.New("experiments: threshold unreachable")
 	}
 
 	// dp[t] = min weight achieving value total ≥ t, for t in [0, threshold].
@@ -59,7 +59,7 @@ func MinKnapsack(weights []float64, values []int, threshold int) ([]int, float64
 		}
 	}
 	if dp[threshold] >= inf {
-		return nil, 0, errors.New("solver: threshold unreachable")
+		return nil, 0, errors.New("experiments: threshold unreachable")
 	}
 	items := make([]int, len(choice[threshold]))
 	for i, v := range choice[threshold] {

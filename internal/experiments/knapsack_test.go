@@ -1,4 +1,4 @@
-package solver
+package experiments
 
 import (
 	"math"

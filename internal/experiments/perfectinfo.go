@@ -1,16 +1,16 @@
-package core
+package experiments
 
 import (
 	"fmt"
 
-	"repro/internal/solver"
+	"repro/internal/core"
 )
 
 // This file wraps the Section 3.1 Perfect-Information problem: exact
 // per-group correct/incorrect counts are known, decisions are deterministic
 // (0/1), and the optimization is NP-hard (Theorem 3.2, by reduction from
-// min-knapsack). The exact optimizer lives in internal/solver; this file
-// adapts it to the package's strategy types.
+// min-knapsack). The exact optimizer is branchbound.go; this file adapts it
+// to core's constraint, cost and strategy types.
 
 // PerfectInfoGroup is a group with exactly known composition.
 type PerfectInfoGroup struct {
@@ -22,19 +22,19 @@ type PerfectInfoGroup struct {
 // PerfectInfoPlan is the deterministic plan for the perfect-information
 // problem.
 type PerfectInfoPlan struct {
-	Actions []solver.Action
+	Actions []Action
 	Cost    float64
 }
 
 // Strategy converts the deterministic actions to the probabilistic strategy
 // representation (probabilities 0 or 1), so the shared executor can run it.
-func (p PerfectInfoPlan) Strategy() Strategy {
-	s := NewStrategy(len(p.Actions))
+func (p PerfectInfoPlan) Strategy() core.Strategy {
+	s := core.NewStrategy(len(p.Actions))
 	for i, a := range p.Actions {
 		switch a {
-		case solver.Retrieve:
+		case Retrieve:
 			s.R[i] = 1
-		case solver.Evaluate:
+		case Evaluate:
 			s.R[i], s.E[i] = 1, 1
 		}
 	}
@@ -44,42 +44,30 @@ func (p PerfectInfoPlan) Strategy() Strategy {
 // SolvePerfectInformation solves Problem 1 exactly: minimum-cost
 // deterministic actions satisfying the precision and recall constraints
 // given exact Cₐ/Wₐ counts. Exponential worst case (the problem is
-// NP-hard) but fast in practice for realistic group counts; use
-// GreedyPerfectInformation for very wide instances.
-func SolvePerfectInformation(groups []PerfectInfoGroup, cons Constraints, cost CostModel) (PerfectInfoPlan, error) {
+// NP-hard) but fast in practice for realistic group counts.
+func SolvePerfectInformation(groups []PerfectInfoGroup, cons core.Constraints, cost core.CostModel) (PerfectInfoPlan, error) {
 	inst, err := perfectInfoInstance(groups, cons, cost)
 	if err != nil {
 		return PerfectInfoPlan{}, err
 	}
-	acts, c, err := solver.SolvePerfectInfo(inst)
+	acts, c, err := SolvePerfectInfo(inst)
 	if err != nil {
 		return PerfectInfoPlan{}, err
 	}
 	return PerfectInfoPlan{Actions: acts, Cost: c}, nil
 }
 
-// GreedyPerfectInformation returns a feasible (not necessarily optimal)
-// plan in O(|A| log |A|) time.
-func GreedyPerfectInformation(groups []PerfectInfoGroup, cons Constraints, cost CostModel) (PerfectInfoPlan, error) {
-	inst, err := perfectInfoInstance(groups, cons, cost)
-	if err != nil {
-		return PerfectInfoPlan{}, err
-	}
-	acts, c := solver.GreedyPerfectInfo(inst)
-	return PerfectInfoPlan{Actions: acts, Cost: c}, nil
-}
-
-func perfectInfoInstance(groups []PerfectInfoGroup, cons Constraints, cost CostModel) (solver.PerfectInfoInstance, error) {
+func perfectInfoInstance(groups []PerfectInfoGroup, cons core.Constraints, cost core.CostModel) (PerfectInfoInstance, error) {
 	if len(groups) == 0 {
-		return solver.PerfectInfoInstance{}, fmt.Errorf("core: no groups")
+		return PerfectInfoInstance{}, fmt.Errorf("experiments: no groups")
 	}
 	if err := cons.Validate(); err != nil {
-		return solver.PerfectInfoInstance{}, err
+		return PerfectInfoInstance{}, err
 	}
 	if err := cost.Validate(); err != nil {
-		return solver.PerfectInfoInstance{}, err
+		return PerfectInfoInstance{}, err
 	}
-	inst := solver.PerfectInfoInstance{
+	inst := PerfectInfoInstance{
 		Correct:      make([]int, len(groups)),
 		Wrong:        make([]int, len(groups)),
 		Alpha:        cons.Alpha,
@@ -89,7 +77,7 @@ func perfectInfoInstance(groups []PerfectInfoGroup, cons Constraints, cost CostM
 	}
 	for i, g := range groups {
 		if g.Correct < 0 || g.Wrong < 0 {
-			return solver.PerfectInfoInstance{}, fmt.Errorf("core: group %d has negative counts", i)
+			return PerfectInfoInstance{}, fmt.Errorf("experiments: group %d has negative counts", i)
 		}
 		inst.Correct[i] = g.Correct
 		inst.Wrong[i] = g.Wrong

@@ -1,12 +1,15 @@
-package ml
+package experiments
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/ml"
+)
 
 // SelfTraining is a semi-supervised classifier built on logistic
 // regression: fit on the labeled rows, pseudo-label the most confident
-// unlabeled predictions, refit, repeat. It implements the
-// core.SemiSupervised interface used by the Learning and Multiple
-// experiment baselines.
+// unlabeled predictions, refit, repeat. It implements SemiSupervised for
+// the Learning and Multiple baselines.
 type SelfTraining struct {
 	// Rounds of pseudo-labeling (default 2).
 	Rounds int
@@ -18,7 +21,7 @@ type SelfTraining struct {
 	// pseudo-labeled per round (default 0.5).
 	MaxPseudoFraction float64
 	// Model configures the underlying regressions (zero value is fine).
-	Model LogisticRegression
+	Model ml.LogisticRegression
 }
 
 func (s *SelfTraining) fill() {
@@ -38,7 +41,7 @@ func (s *SelfTraining) fill() {
 
 // FitPredict trains on the labeled rows (labeledIdx indexes features;
 // labels aligns with labeledIdx) and returns P(true) for every row of
-// features. Implements core.SemiSupervised.
+// features. Implements SemiSupervised.
 func (s *SelfTraining) FitPredict(features [][]float64, labeledIdx []int, labels []bool) []float64 {
 	s.fill()
 	n := len(features)
@@ -57,7 +60,7 @@ func (s *SelfTraining) FitPredict(features [][]float64, labeledIdx []int, labels
 		isLabeled[i] = true
 	}
 
-	var model LogisticRegression
+	var model ml.LogisticRegression
 	for round := 0; round <= s.Rounds; round++ {
 		model = s.Model // fresh copy with the configured hyperparameters
 		X := make([][]float64, len(trainIdx))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/solver"
 )
 
 // ---------------------------------------------------------------- table1
@@ -14,8 +13,8 @@ import (
 // 12-tuple relation with three groups, solved exactly with the
 // perfect-information optimizer.
 type Table1Result struct {
-	Groups  []core.PerfectInfoGroup
-	Actions []solver.Action
+	Groups  []PerfectInfoGroup
+	Actions []Action
 	Cost    float64
 }
 
@@ -35,12 +34,12 @@ func (t *Table1Result) String() string {
 
 func runTable1(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	// Table 1 of the paper: A=1 has 4/4 correct, A=2 has 1/3, A=3 has 1/5.
-	groups := []core.PerfectInfoGroup{
+	groups := []PerfectInfoGroup{
 		{Key: "1", Correct: 4, Wrong: 0},
 		{Key: "2", Correct: 1, Wrong: 2},
 		{Key: "3", Correct: 1, Wrong: 4},
 	}
-	plan, err := core.SolvePerfectInformation(groups, core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}, core.DefaultCost)
+	plan, err := SolvePerfectInformation(groups, core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}, core.DefaultCost)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +97,7 @@ func runTable2(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 				return nil, err
 			}
 			naive.add(o)
-			o, err = runIntel(ctx, d, cons, nil, rng.Split())
+			o, err = runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
 			if err != nil {
 				return nil, err
 			}
@@ -109,12 +108,12 @@ func runTable2(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			return nil, err
 		}
 		for i := 0; i < mlIters; i++ {
-			o, err := runLearning(d, cons, features, rng.Split())
+			o, err := runML(d, cons, features, rng.Split(), false)
 			if err != nil {
 				return nil, err
 			}
 			learning.add(o)
-			o, err = runMultiple(d, cons, features, rng.Split())
+			o, err = runML(d, cons, features, rng.Split(), true)
 			if err != nil {
 				return nil, err
 			}

@@ -65,10 +65,16 @@ func runTwoPred(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 			}
 			groups[gi] = core.Group{Key: fmt.Sprintf("g%d", gi), Rows: rows}
 		}
-		m1 := core.NewMeter(core.UDFFunc(func(r int) bool { return l1[r] }))
-		m2 := core.NewMeter(core.UDFFunc(func(r int) bool { return l2[r] }))
-
-		res, _, _, err := core.RunTwoPredicatesParallelCtx(ctx, groups, m1, m2, cons, core.DefaultCost, nil, rng.Split(), 1)
+		// The world becomes a two-column table with two UDFs, so §5 is
+		// measured through the engine's conj-sample → conj-solve →
+		// conj-exec stages.
+		tbl, err := GroupTable("world", groups)
+		if err != nil {
+			return nil, err
+		}
+		res, err := RunEngine(ctx, rng.Uint64(), tbl, cons, "g",
+			Predicate{Name: "f1", Truth: func(r int) bool { return l1[r] }},
+			Predicate{Name: "f2", Truth: func(r int) bool { return l2[r] }})
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +89,7 @@ func runTwoPred(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 				pass1++
 			}
 		}
-		m := core.ComputeMetrics(res.Output, truth, totalCorrect)
+		m := core.ComputeMetrics(res.Rows, truth, totalCorrect)
 		costAgg.Add(res.Cost)
 		precAgg.Add(m.Precision)
 		recAgg.Add(m.Recall)

@@ -5,11 +5,14 @@ package lint
 // which packages that is. The rationale per analyzer:
 //
 //	detrand      result-producing packages: everything on the path from a
-//	             parsed query to rows/Stats/persisted evidence. Excluded:
-//	             internal/experiments and internal/dataset (offline
-//	             harnesses that legitimately measure wall-clock time and
-//	             generate data), internal/ml (offline training), cmd/*
-//	             (entry points report real timestamps in /stats), and
+//	             parsed query to rows/Stats/persisted evidence — including
+//	             internal/ml: GROUP ON virtual puts its regression, encoder
+//	             and bucketing on the row-producing path (the one offline
+//	             trainer, self-training, lives in internal/experiments).
+//	             Excluded: internal/experiments and internal/dataset
+//	             (offline harnesses that legitimately measure wall-clock
+//	             time and generate data), cmd/* (entry points report real
+//	             timestamps in /stats), and
 //	             internal/obs — the ONE sanctioned wall-clock package:
 //	             every timer, span and histogram observation routes
 //	             through obs.Now/obs.Since, so a time.Now() appearing in
@@ -44,7 +47,7 @@ func DefaultTargets() map[string]*Target {
 	dataPath := []string{
 		"", "internal/core", "internal/engine", "internal/plan", "internal/solver",
 		"internal/stats", "internal/catalog", "internal/exec", "internal/labels",
-		"internal/table", "internal/sqlparse", "internal/resilience",
+		"internal/table", "internal/sqlparse", "internal/resilience", "internal/ml",
 	}
 	// internal/obs produces deterministic output from map-shaped state
 	// (metric families, label sets), so ordered emission applies to it —

@@ -1,8 +1,7 @@
-// Package ml provides the small machine-learning substrate the paper's
-// experiments need: L2-regularized logistic regression, a self-training
-// semi-supervised wrapper (the Learning/Multiple baselines of Section 6.2),
-// feature encoding from tables, and equal-frequency bucketing for the
-// logistic-regression virtual column of Section 4.4.
+// Package ml provides the small machine-learning substrate behind the
+// logistic-regression virtual column of Section 6.3.2 (GROUP ON virtual):
+// L2-regularized logistic regression, feature encoding from tables,
+// equal-frequency bucketing, and VirtualGroups, which sequences the three.
 //
 // Everything is deterministic given the inputs; no randomness is used.
 package ml

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -118,46 +119,56 @@ func TestSigmoidProperties(t *testing.T) {
 	}
 }
 
-func TestSelfTrainingImprovesOnTinyLabeledSet(t *testing.T) {
-	rng := stats.NewRNG(1005)
-	X, y := linearlySeparable(rng, 1000)
-	labeledIdx := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
-	labels := make([]bool, len(labeledIdx))
-	for k, i := range labeledIdx {
-		labels[k] = y[i]
+// TestVirtualGroupsOrderIndependent pins §6.3.2's determinism: the labeled
+// set reaches VirtualGroups as a map, and neither the order it was filled in
+// nor Go's per-iteration map order may reach the gradient sums — scores are
+// bit-identical, so buckets are too.
+func TestVirtualGroupsOrderIndependent(t *testing.T) {
+	rng := stats.NewRNG(1007)
+	X, y := linearlySeparable(rng, 2000)
+	features := func(row int) []float64 { return X[row] }
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
 	}
-	var st SelfTraining
-	probs := st.FitPredict(X, labeledIdx, labels)
-	if len(probs) != len(X) {
-		t.Fatalf("got %d probs", len(probs))
+	labeledRows := rng.Perm(len(X))[:300]
+	forward, backward := map[int]bool{}, map[int]bool{}
+	for i := range labeledRows {
+		forward[labeledRows[i]] = y[labeledRows[i]]
+		r := labeledRows[len(labeledRows)-1-i]
+		backward[r] = y[r]
 	}
-	correct := 0
-	for i := range X {
-		if (probs[i] >= 0.5) == y[i] {
-			correct++
+	wantScores, err := virtualScores(features, rows, forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantGroups, err := VirtualGroups(features, rows, forward, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantGroups) != 10 {
+		t.Fatalf("%d buckets, want 10", len(wantGroups))
+	}
+	for trial := 0; trial < 10; trial++ {
+		labeled := forward
+		if trial%2 == 1 {
+			labeled = backward
 		}
-	}
-	if acc := float64(correct) / float64(len(X)); acc < 0.85 {
-		t.Fatalf("self-training accuracy %v", acc)
-	}
-	// Labeled rows must keep their hard labels.
-	for k, i := range labeledIdx {
-		want := 0.0
-		if labels[k] {
-			want = 1
+		scores, err := virtualScores(features, rows, labeled)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if probs[i] != want {
-			t.Fatalf("labeled row %d prob %v, want %v", i, probs[i], want)
+		for i := range scores {
+			if math.Float64bits(scores[i]) != math.Float64bits(wantScores[i]) {
+				t.Fatalf("trial %d: row %d scored %v, then %v", trial, i, wantScores[i], scores[i])
+			}
 		}
-	}
-}
-
-func TestSelfTrainingNoLabels(t *testing.T) {
-	var st SelfTraining
-	probs := st.FitPredict([][]float64{{1}, {2}}, nil, nil)
-	for _, p := range probs {
-		if p != 0.5 {
-			t.Fatalf("unlabeled-only prob %v, want 0.5", p)
+		groups, err := VirtualGroups(features, rows, labeled, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(groups, wantGroups) {
+			t.Fatalf("trial %d: buckets differ", trial)
 		}
 	}
 }
