@@ -8,6 +8,7 @@
 package predeval_test
 
 import (
+	"context"
 	"testing"
 
 	predeval "repro"
@@ -36,7 +37,7 @@ func BenchmarkIntelSamplePipeline(b *testing.B) {
 	b.ResetTimer()
 	totalEvals := 0.0
 	for i := 0; i < b.N; i++ {
-		rows, err := db.Query(`SELECT id FROM lc WHERE good_credit(id) = 1
+		rows, err := db.QueryContext(context.Background(), `SELECT id FROM lc WHERE good_credit(id) = 1
 			WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`)
 		if err != nil {
 			b.Fatal(err)

@@ -71,7 +71,7 @@ func TestQueryContextCancelBlockingUDF(t *testing.T) {
 	// The engine stays reusable: the same query, un-blocked, now answers
 	// exactly and correctly.
 	blocking.Store(false)
-	rows, err := db.Query("SELECT * FROM loans WHERE good_credit(id) = 1")
+	rows, err := db.QueryContext(context.Background(), "SELECT * FROM loans WHERE good_credit(id) = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestQueryContextCancelDuringExecution(t *testing.T) {
 	}
 	sql := `SELECT * FROM loans WHERE good_credit(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`
-	rows, err := ref.Query(sql)
+	rows, err := ref.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

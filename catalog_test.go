@@ -1,6 +1,7 @@
 package predeval
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -46,11 +47,11 @@ func TestCatalogRestartRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 
 	db1, calls1 := openCatalogDB(t, 900, dir)
-	exact1, err := db1.Query(exactSQL)
+	exact1, err := db1.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx1, err := db1.Query(approxSQL)
+	approx1, err := db1.QueryContext(context.Background(), approxSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCatalogRestartRoundTrip(t *testing.T) {
 
 	// "Restart": fresh DB over the same data, same catalog directory.
 	db2, calls2 := openCatalogDB(t, 900, dir)
-	exact2, err := db2.Query(exactSQL)
+	exact2, err := db2.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCatalogRestartRoundTrip(t *testing.T) {
 	if st := exact2.Stats(); st.Evaluations != 0 {
 		t.Fatalf("fully cached exact query paid %d evaluations, want 0", st.Evaluations)
 	}
-	approx2, err := db2.Query(approxSQL)
+	approx2, err := db2.QueryContext(context.Background(), approxSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +106,13 @@ func TestCatalogCorruptTailRecovered(t *testing.T) {
 	// Two flushes produce two log records: the approximate query's paid
 	// verdicts first, then the exact scan's remainder. Tearing the tail
 	// must lose only the second.
-	if _, err := db1.Query(approxSQL); err != nil {
+	if _, err := db1.QueryContext(context.Background(), approxSQL); err != nil {
 		t.Fatal(err)
 	}
 	if err := db1.FlushCatalog(); err != nil {
 		t.Fatal(err)
 	}
-	exact1, err := db1.Query(exactSQL)
+	exact1, err := db1.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCatalogCorruptTailRecovered(t *testing.T) {
 	if !rec.Truncated || rec.Note == "" {
 		t.Fatalf("torn tail not reported: %+v", rec)
 	}
-	exact2, err := db2.Query(exactSQL)
+	exact2, err := db2.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +153,14 @@ func TestCatalogCorruptTailRecovered(t *testing.T) {
 // facade, with or without a catalog.
 func TestCatalogStatsCacheCounters(t *testing.T) {
 	db, _ := openLoanDB(t, 300)
-	r1, err := db.Query(exactSQL)
+	r1, err := db.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := r1.Stats(); st.CacheHits != 0 || st.CacheMisses != 300 {
 		t.Fatalf("cold stats hits=%d misses=%d, want 0/300", st.CacheHits, st.CacheMisses)
 	}
-	r2, err := db.Query(exactSQL)
+	r2, err := db.QueryContext(context.Background(), exactSQL)
 	if err != nil {
 		t.Fatal(err)
 	}

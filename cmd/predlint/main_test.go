@@ -255,11 +255,10 @@ func TestListFlag(t *testing.T) {
 // TestRepositoryIsClean runs the real suite over the real tree — the same
 // invocation CI blocks on, -strict included, so a stale directive anywhere
 // in the repo fails here first — and holds the tree to its directive
-// budget: at most 7 //predlint:allow directives, of which the only ctxflow
-// ones are the two public-facade conveniences in predeval.go (DB.Query,
-// DB.Explain) and core.Meter.Eval, whose Eval(row) bool shape is the
-// core.UDF interface. A new pre-context wrapper therefore fails here, not
-// in review. Skipped under -short (it type-checks the whole module).
+// budget: at most 5 //predlint:allow directives, of which the only ctxflow
+// one is core.Meter.Eval, whose Eval(row) bool shape is the core.UDF
+// interface. A new pre-context wrapper therefore fails here, not in review.
+// Skipped under -short (it type-checks the whole module).
 func TestRepositoryIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree lint is not a short test")
@@ -279,11 +278,10 @@ func TestRepositoryIsClean(t *testing.T) {
 	if err := json.Unmarshal(stdout.Bytes(), &res); err != nil {
 		t.Fatalf("stdout is not JSON: %v\n%s", err, stdout.String())
 	}
-	if res.Directives > 7 {
-		t.Errorf("the tree carries %d //predlint:allow directives, budget is 7:\n%+v", res.Directives, res.DirectiveUses)
+	if res.Directives > 5 {
+		t.Errorf("the tree carries %d //predlint:allow directives, budget is 5:\n%+v", res.Directives, res.DirectiveUses)
 	}
 	ctxflowBudget := map[string]int{
-		"predeval.go": 2, // DB.Query, DB.Explain
 		filepath.Join("internal", "core", "types.go"): 1, // Meter.Eval
 	}
 	for _, u := range res.DirectiveUses {
@@ -293,7 +291,7 @@ func TestRepositoryIsClean(t *testing.T) {
 			}
 			ctxflowBudget[u.File]--
 			if ctxflowBudget[u.File] < 0 {
-				t.Errorf("%s:%d: ctxflow directive outside the sanctioned three (%s)", u.File, u.Line, u.Reason)
+				t.Errorf("%s:%d: ctxflow directive other than Meter.Eval's (%s)", u.File, u.Line, u.Reason)
 			}
 		}
 	}

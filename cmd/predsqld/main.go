@@ -72,7 +72,7 @@
 //
 // The -chaos-* flags wrap the registered UDF in a seeded deterministic
 // fault injector (transient errors, latency spikes, persistently
-// panicking values, scripted flapping) for end-to-end failure drills:
+// panicking values, failing first attempts) for end-to-end failure drills:
 //
 //	predsqld ... -on-failure degrade -udf-retries 4 \
 //	         -chaos-error-rate 0.1 -chaos-latency 5ms -chaos-latency-rate 0.05
@@ -136,8 +136,6 @@ func main() {
 		chaosLatency      = flag.Duration("chaos-latency", 0, "injected latency spike duration")
 		chaosLatencyRate  = flag.Float64("chaos-latency-rate", 0, "per-attempt probability of an injected latency spike")
 		chaosFailAttempts = flag.Int("chaos-fail-attempts", 0, "fail the first N attempts of every value (retry exerciser)")
-		chaosFlapPeriod   = flag.Int("chaos-flap-period", 0, "flap schedule period in calls (0 = no flapping)")
-		chaosFlapDown     = flag.Int("chaos-flap-down", 0, "calls failed at the start of every flap period")
 	)
 	flag.Var(&tables, "table", "name=path CSV table (repeatable)")
 	flag.Parse()
@@ -188,8 +186,6 @@ func main() {
 		Latency:      *chaosLatency,
 		LatencyRate:  *chaosLatencyRate,
 		FailAttempts: *chaosFailAttempts,
-		FlapPeriod:   *chaosFlapPeriod,
-		FlapDown:     *chaosFlapDown,
 	}
 	if chaosCfg.Seed == 0 {
 		chaosCfg.Seed = *seed
@@ -201,9 +197,9 @@ func main() {
 		// schedule, exercising retries, breakers and degradation end to end.
 		chaos = resilience.NewChaos(chaosCfg)
 		body = chaos.Wrap(body)
-		log.Printf("predsqld: chaos injection enabled (seed=%d error-rate=%g panic-rate=%g latency=%v@%g fail-attempts=%d flap=%d/%d)",
+		log.Printf("predsqld: chaos injection enabled (seed=%d error-rate=%g panic-rate=%g latency=%v@%g fail-attempts=%d)",
 			chaosCfg.Seed, chaosCfg.ErrorRate, chaosCfg.PanicRate, chaosCfg.Latency, chaosCfg.LatencyRate,
-			chaosCfg.FailAttempts, chaosCfg.FlapDown, chaosCfg.FlapPeriod)
+			chaosCfg.FailAttempts)
 	}
 	if err := db.RegisterUDFErr(*udf, instrumentUDF(metrics, *udf, body), 0); err != nil {
 		log.Fatalf("predsqld: %v", err)
@@ -693,18 +689,22 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Planning never invokes a UDF, so it bypasses admission control:
 		// an EXPLAIN answers immediately even when every slot is busy. The
 		// EXPLAIN keyword and the request flag take the same path, so both
-		// return the same {"plan": [...]} payload.
-		text, err := s.db.Explain(req.SQL)
-		if err != nil {
-			s.failed.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
+		// return the same {"plan": [...]} payload. The parsed statement
+		// decides: EXPLAIN ANALYZE executes UDFs, so under the flag too it
+		// falls through to admission like any query.
+		if stmt, err := sqlparse.Parse(req.SQL); err != nil || !stmt.Analyze {
+			text, err := s.db.ExplainContext(r.Context(), req.SQL)
+			if err != nil {
+				s.failed.Inc()
+				writeJSON(w, http.StatusBadRequest, errorBody(err))
+				return
+			}
+			s.served.Inc()
+			writeJSON(w, http.StatusOK, explainResponse{
+				Plan: strings.Split(strings.TrimRight(text, "\n"), "\n"),
+			})
 			return
 		}
-		s.served.Inc()
-		writeJSON(w, http.StatusOK, explainResponse{
-			Plan: strings.Split(strings.TrimRight(text, "\n"), "\n"),
-		})
-		return
 	}
 	// The execution slot is held only while the engine runs — response
 	// encoding happens after release, so a slow-reading client cannot pin

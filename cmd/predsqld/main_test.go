@@ -261,6 +261,27 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestServerExplainFlagAnalyzeIsAdmitted: "explain": true over an EXPLAIN
+// ANALYZE statement executes UDFs, so it must queue for a slot like any
+// query — with the one slot held and a 50 ms deadline it is turned away
+// with 408 and no UDF is invoked.
+func TestServerExplainFlagAnalyzeIsAdmitted(t *testing.T) {
+	srv, ts := testServer(t, 300, time.Millisecond, serverConfig{MaxConcurrent: 1})
+	srv.sem <- struct{}{} // hold the one execution slot
+	defer func() { <-srv.sem }()
+	status, body := mustPostQuery(t, ts.URL, queryRequest{
+		SQL:       "EXPLAIN ANALYZE SELECT * FROM loans WHERE good_credit(id) = 1",
+		Explain:   true,
+		TimeoutMS: 50,
+	})
+	if status != http.StatusRequestTimeout {
+		t.Fatalf("status %d (%s), want 408", status, body)
+	}
+	if n := scrapeMetrics(t, ts.URL)[`predsqld_udf_duration_seconds_count{udf="good_credit"}`]; n != 0 {
+		t.Fatalf("%v UDF calls outside admission control", n)
+	}
+}
+
 func TestServerHealthz(t *testing.T) {
 	_, ts := testServer(t, 10, 0, serverConfig{})
 	resp, err := http.Get(ts.URL + "/healthz")

@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -68,7 +69,7 @@ func main() {
 
 	fmt.Printf("loans: %d, payments: %d\n", d.Table.NumRows(), paymentRows)
 
-	rows, err := db.Query(`SELECT id, grade FROM loans
+	rows, err := db.QueryContext(context.Background(), `SELECT id, grade FROM loans
 		JOIN payments ON loans.id = payments.loan_id
 		WHERE good_credit(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8

@@ -9,6 +9,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 
 	// 1. The virtual column: let a logistic regression combine all the
 	// feature columns into one predictor, bucketed into 10 groups.
-	rows, err := db.Query(`SELECT id FROM contacts WHERE will_subscribe(id) = 1
+	rows, err := db.QueryContext(context.Background(), `SELECT id FROM contacts WHERE will_subscribe(id) = 1
 		WITH PRECISION 0.7 RECALL 0.8 PROBABILITY 0.8 GROUP ON virtual`)
 	if err != nil {
 		log.Fatal(err)
@@ -56,7 +57,7 @@ func main() {
 
 	// 2. A fixed budget: precision at least 0.7, spend at most 8000 cost
 	// units, maximize how many subscribers we reach.
-	budget, err := db.Query(`SELECT id FROM contacts WHERE will_subscribe(id) = 1
+	budget, err := db.QueryContext(context.Background(), `SELECT id FROM contacts WHERE will_subscribe(id) = 1
 		WITH PRECISION 0.7 PROBABILITY 0.8 GROUP ON emp_var_rate BUDGET 8000`)
 	if err != nil {
 		log.Fatal(err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -55,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rows, err := db.Query(`SELECT id, topic FROM posts
+	rows, err := db.QueryContext(context.Background(), `SELECT id, topic FROM posts
 		WHERE is_relevant(id) = 1 AND is_safe(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8
 		GROUP ON topic`)

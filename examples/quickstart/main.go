@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -52,7 +53,7 @@ func main() {
 	}
 
 	// Exact query: evaluates the UDF on every tuple.
-	exact, err := db.Query("SELECT id, grade FROM loans WHERE good_credit(id) = 1")
+	exact, err := db.QueryContext(context.Background(), "SELECT id, grade FROM loans WHERE good_credit(id) = 1")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 	// Approximate query: 90% precision and recall, each with probability
 	// 90%. The engine discovers that grade predicts the UDF, samples a few
 	// tuples per grade, and skips or trusts whole groups.
-	approx, err := db.Query(`SELECT id, grade FROM loans WHERE good_credit(id) = 1
+	approx, err := db.QueryContext(context.Background(), `SELECT id, grade FROM loans WHERE good_credit(id) = 1
 		WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9`)
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,7 @@ func explainDB(t *testing.T) *DB {
 }
 
 // TestExplainGolden pins the EXPLAIN text of every query shape the planner
-// covers. These strings are the public contract of DB.Explain (and of
+// covers. These strings are the public contract of DB.ExplainContext (and of
 // predsqld's "explain" flag) — update them deliberately.
 func TestExplainGolden(t *testing.T) {
 	db := explainDB(t)
@@ -101,7 +101,7 @@ func TestExplainGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := db.Explain(tc.sql)
+			got, err := db.ExplainContext(context.Background(), tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestExplainGolden(t *testing.T) {
 				}
 			}
 			// The EXPLAIN keyword routes through Query as plan rows.
-			rows, err := db.Query("EXPLAIN " + tc.sql)
+			rows, err := db.QueryContext(context.Background(), "EXPLAIN "+tc.sql)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -141,16 +141,16 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	if err := db.RegisterUDF("counted", func(v any) bool { calls++; return true }, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Explain("SELECT * FROM loans WHERE counted(id) = 1 WITH RECALL 0.8"); err != nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM loans WHERE counted(id) = 1 WITH RECALL 0.8"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query("EXPLAIN SELECT * FROM loans WHERE counted(id) = 1"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM loans WHERE counted(id) = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
 		t.Fatalf("EXPLAIN invoked the UDF %d times", calls)
 	}
-	if _, err := db.Explain("SELECT * FROM loans WHERE missing(id) = 1"); err == nil {
+	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM loans WHERE missing(id) = 1"); err == nil {
 		t.Fatal("EXPLAIN of unknown UDF accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestQueryNaryConjunctionSQL(t *testing.T) {
 	if err := db.RegisterUDF("div5", func(v any) bool { return v.(int64)%5 == 0 }, 0); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query(`SELECT id FROM loans
+	rows, err := db.QueryContext(context.Background(), `SELECT id FROM loans
 		WHERE good_credit(id) = 1 AND div3(id) = 1 AND div5(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 GROUP ON grade`)
 	if err != nil {
@@ -268,8 +268,8 @@ func TestExplainRejectsWhatExecutionRejects(t *testing.T) {
 	// run returns the error each of the three entry points gives the statement.
 	run := func(sql string) [3]error {
 		var errs [3]error
-		_, errs[0] = db.Explain(sql)
-		_, errs[1] = db.Query(sql)
+		_, errs[0] = db.ExplainContext(context.Background(), sql)
+		_, errs[1] = db.QueryContext(context.Background(), sql)
 		_, errs[2] = db.QueryStream(context.Background(), sql, StreamOptions{},
 			func([]int, [][]string) error { return nil })
 		return errs
@@ -312,7 +312,7 @@ func testReRegisteredUDFSeenWhole(t *testing.T) {
 		if err := db.RegisterUDF("flip", func(any) bool { return reg.verdict }, reg.cost); err != nil {
 			t.Fatal(err)
 		}
-		rows, err := db.Query("SELECT id FROM loans WHERE flip(id) = 1")
+		rows, err := db.QueryContext(context.Background(), "SELECT id FROM loans WHERE flip(id) = 1")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func testReRegisteredUDFSeenWhole(t *testing.T) {
 			t.Fatalf("o_e=%g: %d rows at cost %g, want %d rows at cost %g",
 				reg.cost, rows.Len(), rows.Stats().Cost, wantRows, wantCost)
 		}
-		text, err := db.Explain("SELECT id FROM loans WHERE flip(id) = 1")
+		text, err := db.ExplainContext(context.Background(), "SELECT id FROM loans WHERE flip(id) = 1")
 		if err != nil {
 			t.Fatal(err)
 		}

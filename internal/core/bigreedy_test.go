@@ -169,7 +169,7 @@ func TestPlanSatisfiesConstraintsEmpirically(t *testing.T) {
 	const runs = 200
 	okP, okR := 0, 0
 	for i := 0; i < runs; i++ {
-		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, UDFFunc(truth), DefaultCost, rng.Split(), 1)
+		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, NewMeter(UDFFunc(truth)), DefaultCost, rng.Split(), 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 	targets := []int{200, 200, 200}
 
 	// Reference: an uncancelled sampler over the same seed.
-	ref := NewSampler(groups, udf, stats.NewRNG(5))
+	ref := NewSampler(groups, NewMeter(udf), stats.NewRNG(5))
 	refN, err := ref.TopUpCtx(context.Background(), targets)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		s := NewSampler(groups, cancelAfter(udf, 25, cancel), stats.NewRNG(5))
+		s := NewSampler(groups, NewMeter(cancelAfter(udf, 25, cancel)), stats.NewRNG(5))
 		s.SetParallelism(par)
 		if _, err := s.TopUpCtx(ctx, targets); err != context.Canceled {
 			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
@@ -73,7 +73,7 @@ func TestLabelFractionParallelCtxCancel(t *testing.T) {
 	}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		labeled, err := LabelFractionParallelCtx(ctx, rows, 0.2, cancelAfter(udf, 10, cancel), stats.NewRNG(3), par)
+		labeled, err := LabelFractionParallelCtx(ctx, rows, 0.2, NewMeter(cancelAfter(udf, 10, cancel)), stats.NewRNG(3), par)
 		if err != context.Canceled {
 			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
 		}
@@ -91,7 +91,7 @@ func TestExecuteParallelCtxCancel(t *testing.T) {
 	}
 	for _, par := range []int{1, 8} {
 		ctx, cancel := context.WithCancel(context.Background())
-		res, err := ExecuteParallelCtx(ctx, groups, s, nil, cancelAfter(udf, 40, cancel), DefaultCost, stats.NewRNG(7), par)
+		res, err := ExecuteParallelCtx(ctx, groups, s, nil, NewMeter(cancelAfter(udf, 40, cancel)), DefaultCost, stats.NewRNG(7), par)
 		if err != context.Canceled {
 			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
 		}

@@ -96,26 +96,25 @@ type Labeler interface {
 
 // LabelFractionParallelCtx evaluates the UDF on a uniform random fraction
 // of all rows and returns the labels, for use with SelectColumn. The UDF
-// calls are charged to the provided meter (wrap the raw UDF first so the
-// cost is accounted once) and fanned across up to `parallelism` workers
-// (≤ 0 means GOMAXPROCS). The sample is drawn from the RNG before any
+// calls are charged to the meter and fanned across up to `parallelism`
+// workers (≤ 0 means GOMAXPROCS). The sample is drawn from the RNG before any
 // evaluation starts, so the labeled set — and the RNG stream seen by later
 // phases — is identical at any parallelism level. A cancel mid-labeling
 // returns (nil, ctx.Err()) without handing back a partial label map.
-func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, udf UDF, rng Labeler, parallelism int) (map[int]bool, error) {
+func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng Labeler, parallelism int) (map[int]bool, error) {
 	k := int(math.Ceil(fraction * float64(len(rows))))
 	picks := rng.SampleWithoutReplacement(len(rows), k)
 	work := make([]int, len(picks))
 	for j, i := range picks {
 		work[j] = rows[i]
 	}
-	verdicts, failed, err := EvalRowsResilient(ctx, exec.NewPool(parallelism), work, udf)
+	verdicts, failed, err := meter.EvalRows(ctx, exec.NewPool(parallelism), work)
 	if err != nil {
 		return nil, err
 	}
 	labeled := make(map[int]bool, len(work))
 	for j, row := range work {
-		if failed != nil && failed[j] {
+		if failed[j] {
 			// A failed evaluation is no label: excluding the row keeps the
 			// discovery evidence honest under a flaky UDF.
 			continue

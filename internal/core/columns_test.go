@@ -54,7 +54,7 @@ func TestSelectColumnPrefersCorrelated(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, UDFFunc(truth), rng, 1)
+	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, NewMeter(UDFFunc(truth)), rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLabelFraction(t *testing.T) {
 		calls++
 		return row%2 == 0
 	})
-	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.1, udf, rng, 1)
+	labeled, err := LabelFractionParallelCtx(context.Background(), rows, 0.1, NewMeter(udf), rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

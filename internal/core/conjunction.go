@@ -15,8 +15,8 @@ import (
 // the paper's five-action plan for exactly two predicates (Section 5,
 // twopred.go) and the N-ary waves alike:
 //
-//   - evalWorkLists — the one evaluation primitive: per-predicate
-//     work-lists, one resilient batch per predicate;
+//   - evalWorkLists — per-predicate work-lists, one Meter.EvalRows batch
+//     per predicate;
 //   - SampleConjunctionParallelCtx — joint sampling of all N predicates
 //     over a few rows per group (sampling never short-circuits: joint
 //     statistics need every outcome);
@@ -35,7 +35,7 @@ import (
 // predicate.
 type ConjSample struct {
 	// Results maps sampled row → per-predicate outcomes (indexed like the
-	// udfs slice passed to SampleConjunctionParallelCtx).
+	// meters slice passed to SampleConjunctionParallelCtx).
 	Results map[int][]bool
 	// Pos counts rows passing each predicate; PosAll counts rows passing
 	// all of them.
@@ -43,21 +43,21 @@ type ConjSample struct {
 	PosAll int
 }
 
-// evalWorkLists evaluates works[j] under udfs[j] for every predicate j and
-// returns the per-list verdicts and failure flags (failed[j] is nil when
-// udfs[j] cannot fail). Each list is one EvalRowsResilient batch and the
-// lists run in predicate order — a circuit breaker needs sequential fold
-// points — so outcomes are identical at any parallelism. A cancel returns
-// ctx.Err() with nothing else, also when every list is empty.
-func evalWorkLists(ctx context.Context, pool *exec.Pool, works [][]int, udfs []UDF) (verdicts, failed [][]bool, err error) {
+// evalWorkLists evaluates works[j] through meters[j] for every predicate j
+// and returns the per-list verdicts and failure flags. Each list is one
+// EvalRows batch and the lists run in predicate order — a circuit breaker
+// needs sequential fold points — so outcomes are identical at any
+// parallelism. A cancel returns ctx.Err() with nothing else, also when every
+// list is empty.
+func evalWorkLists(ctx context.Context, pool *exec.Pool, works [][]int, meters []*Meter) (verdicts, failed [][]bool, err error) {
 	// Empty batches never check ctx; non-empty ones check it per item.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
-	verdicts = make([][]bool, len(udfs))
-	failed = make([][]bool, len(udfs))
-	for j, udf := range udfs {
-		verdicts[j], failed[j], err = EvalRowsResilient(ctx, pool, works[j], udf)
+	verdicts = make([][]bool, len(meters))
+	failed = make([][]bool, len(meters))
+	for j, m := range meters {
+		verdicts[j], failed[j], err = m.EvalRows(ctx, pool, works[j])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -71,18 +71,18 @@ func evalWorkLists(ctx context.Context, pool *exec.Pool, works [][]int, udfs []U
 // all sampled rows) for greedy ordering. The sample rows are drawn from the
 // RNG up front, so the sampled sets are identical at any parallelism
 // level; a cancel returns ctx.Err() with no partial samples.
-func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets []int, udfs []UDF, rng *stats.RNG, parallelism int) ([]ConjSample, []float64, error) {
+func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets []int, meters []*Meter, rng *stats.RNG, parallelism int) ([]ConjSample, []float64, error) {
 	if len(targets) != len(groups) {
 		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
 	}
-	if len(udfs) == 0 {
+	if len(meters) == 0 {
 		return nil, nil, fmt.Errorf("core: conjunction without predicates")
 	}
 	samples := make([]ConjSample, len(groups))
 	// Plan: draw every group's sample rows in order.
 	var work, groupOf []int
 	for i, g := range groups {
-		samples[i] = ConjSample{Results: make(map[int][]bool), Pos: make([]int, len(udfs))}
+		samples[i] = ConjSample{Results: make(map[int][]bool), Pos: make([]int, len(meters))}
 		want := targets[i]
 		if want > len(g.Rows) {
 			want = len(g.Rows)
@@ -95,11 +95,11 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 	// Evaluate every predicate over every sampled row. A row with a failed
 	// predicate is dropped from the sample entirely: joint statistics need
 	// every outcome of a row, so a partial row is no evidence.
-	works := make([][]int, len(udfs))
+	works := make([][]int, len(meters))
 	for j := range works {
 		works[j] = work
 	}
-	verdicts, failed, err := evalWorkLists(ctx, exec.NewPool(parallelism), works, udfs)
+	verdicts, failed, err := evalWorkLists(ctx, exec.NewPool(parallelism), works, meters)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,9 +118,9 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 		}
 		kept++
 		i := groupOf[k]
-		outs := make([]bool, len(udfs))
+		outs := make([]bool, len(meters))
 		all := true
-		for j := range udfs {
+		for j := range meters {
 			outs[j] = verdicts[j][k]
 			if outs[j] {
 				samples[i].Pos[j]++
@@ -133,8 +133,8 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 			samples[i].PosAll++
 		}
 	}
-	sels := make([]float64, len(udfs))
-	for j := range udfs {
+	sels := make([]float64, len(meters))
+	for j := range meters {
 		pos := 0
 		for i := range samples {
 			pos += samples[i].Pos[j]
@@ -177,7 +177,7 @@ type ConjWavesResult struct {
 	// first unknown predicate is never fetched).
 	Retrieved int
 	// Evaluated counts the UDF calls issued per predicate during the waves
-	// (indexed like udfs; excludes sampling).
+	// (indexed like meters; excludes sampling).
 	Evaluated []int
 }
 
@@ -194,7 +194,7 @@ type ConjWavesResult struct {
 type ConjWaveRunner struct {
 	order     []int
 	known     []map[int]bool
-	udfs      []UDF
+	meters    []*Meter
 	pool      *exec.Pool
 	retrieved map[int]bool
 	res       ConjWavesResult
@@ -203,16 +203,16 @@ type ConjWaveRunner struct {
 // NewConjWaveRunner validates the predicate order and returns a runner.
 // known[j], when non-nil, maps row → already-paid outcome of predicate j
 // (e.g. from sampling): known rows are resolved without evaluation.
-func NewConjWaveRunner(order []int, known []map[int]bool, udfs []UDF, parallelism int) (*ConjWaveRunner, error) {
-	if len(order) != len(udfs) {
-		return nil, fmt.Errorf("core: order covers %d of %d predicates", len(order), len(udfs))
+func NewConjWaveRunner(order []int, known []map[int]bool, meters []*Meter, parallelism int) (*ConjWaveRunner, error) {
+	if len(order) != len(meters) {
+		return nil, fmt.Errorf("core: order covers %d of %d predicates", len(order), len(meters))
 	}
-	if known != nil && len(known) != len(udfs) {
-		return nil, fmt.Errorf("core: %d known maps for %d predicates", len(known), len(udfs))
+	if known != nil && len(known) != len(meters) {
+		return nil, fmt.Errorf("core: %d known maps for %d predicates", len(known), len(meters))
 	}
-	seen := make([]bool, len(udfs))
+	seen := make([]bool, len(meters))
 	for _, j := range order {
-		if j < 0 || j >= len(udfs) || seen[j] {
+		if j < 0 || j >= len(meters) || seen[j] {
 			return nil, fmt.Errorf("core: invalid predicate order %v", order)
 		}
 		seen[j] = true
@@ -220,10 +220,10 @@ func NewConjWaveRunner(order []int, known []map[int]bool, udfs []UDF, parallelis
 	return &ConjWaveRunner{
 		order:     order,
 		known:     known,
-		udfs:      udfs,
+		meters:    meters,
 		pool:      exec.NewPool(parallelism),
 		retrieved: make(map[int]bool),
-		res:       ConjWavesResult{Evaluated: make([]int, len(udfs))},
+		res:       ConjWavesResult{Evaluated: make([]int, len(meters))},
 	}, nil
 }
 
@@ -255,9 +255,9 @@ func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
 			slots = append(slots, slot{row: row, evalIdx: len(work)})
 			work = append(work, row)
 		}
-		// Failed resilient evaluations carry verdict false, so failed rows
-		// simply do not survive the wave.
-		verdicts, _, err := EvalRowsResilient(ctx, w.pool, work, w.udfs[j])
+		// Failed evaluations carry verdict false, so failed rows simply do
+		// not survive the wave.
+		verdicts, _, err := w.meters[j].EvalRows(ctx, w.pool, work)
 		if err != nil {
 			return nil, err
 		}

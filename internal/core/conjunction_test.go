@@ -22,6 +22,15 @@ func conjGroups(n int) []Group {
 	return []Group{{Key: "even", Rows: even}, {Key: "odd", Rows: odd}}
 }
 
+// metered wraps each UDF in its own fresh meter.
+func metered(udfs ...UDF) []*Meter {
+	ms := make([]*Meter, len(udfs))
+	for i, u := range udfs {
+		ms[i] = NewMeter(u)
+	}
+	return ms
+}
+
 func TestSampleConjunctionEstimates(t *testing.T) {
 	groups := conjGroups(400)
 	udfs := []UDF{
@@ -29,7 +38,7 @@ func TestSampleConjunctionEstimates(t *testing.T) {
 		UDFFunc(func(row int) bool { return row < 300 }),   // sel 0.75
 		UDFFunc(func(row int) bool { return row%10 != 0 }), // sel 0.9
 	}
-	samples, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{60, 60}, udfs, stats.NewRNG(3), 4)
+	samples, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{60, 60}, metered(udfs...), stats.NewRNG(3), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +75,7 @@ func TestSampleConjunctionDeterministicAcrossParallelism(t *testing.T) {
 		UDFFunc(func(row int) bool { return row%5 != 0 }),
 	}
 	run := func(par int) ([]ConjSample, []float64) {
-		s, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{40, 40}, udfs, stats.NewRNG(17), par)
+		s, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{40, 40}, metered(udfs...), stats.NewRNG(17), par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,8 +126,8 @@ type wavesOutcome struct {
 }
 
 // runWaves pushes rows through a fresh ConjWaveRunner as a single batch.
-func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, udfs []UDF, parallelism int) (wavesOutcome, error) {
-	w, err := NewConjWaveRunner(order, known, udfs, parallelism)
+func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, meters []*Meter, parallelism int) (wavesOutcome, error) {
+	w, err := NewConjWaveRunner(order, known, meters, parallelism)
 	if err != nil {
 		return wavesOutcome{}, err
 	}
@@ -138,7 +147,7 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	m0 := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
 	m1 := NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))
 	m2 := NewMeter(UDFFunc(func(row int) bool { return row%5 == 0 }))
-	res, err := runWaves(context.Background(), rows, []int{0, 1, 2}, nil, []UDF{m0, m1, m2}, 4)
+	res, err := runWaves(context.Background(), rows, []int{0, 1, 2}, nil, []*Meter{m0, m1, m2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +180,7 @@ func TestExecuteConjunctionWavesKnownRowsFree(t *testing.T) {
 		{0: true, 1: false},
 		{0: true},
 	}
-	res, err := runWaves(context.Background(), rows, []int{0, 1}, known, []UDF{m0, m1}, 1)
+	res, err := runWaves(context.Background(), rows, []int{0, 1}, known, []*Meter{m0, m1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +213,7 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 		UDFFunc(func(row int) bool { return row > 100 }),
 	}
 	run := func(par int) wavesOutcome {
-		res, err := runWaves(context.Background(), rows, []int{2, 0, 1}, nil, udfs, par)
+		res, err := runWaves(context.Background(), rows, []int{2, 0, 1}, nil, metered(udfs...), par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,16 +227,16 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 func TestConjunctionWavesValidation(t *testing.T) {
 	rows := []int{0, 1}
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, err := runWaves(context.Background(), rows, []int{0}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0}, nil, metered(udfs...), 1); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := runWaves(context.Background(), rows, []int{0, 0}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0, 0}, nil, metered(udfs...), 1); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if _, err := runWaves(context.Background(), rows, []int{0, 2}, nil, udfs, 1); err == nil {
+	if _, err := runWaves(context.Background(), rows, []int{0, 2}, nil, metered(udfs...), 1); err == nil {
 		t.Fatal("out-of-range order accepted")
 	}
-	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, udfs, stats.NewRNG(1), 1); err == nil {
+	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, metered(udfs...), stats.NewRNG(1), 1); err == nil {
 		t.Fatal("target/group mismatch accepted")
 	}
 	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1, 1}, nil, stats.NewRNG(1), 1); err == nil {
@@ -246,7 +255,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		}
 		return true
 	})
-	_, _, err := SampleConjunctionParallelCtx(ctx, groups, []int{20, 20}, []UDF{udf, udf}, stats.NewRNG(2), 1)
+	_, _, err := SampleConjunctionParallelCtx(ctx, groups, []int{20, 20}, metered(udf, udf), stats.NewRNG(2), 1)
 	if err != context.Canceled {
 		t.Fatalf("sample cancel: %v", err)
 	}
@@ -260,7 +269,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		return true
 	})
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	_, err = runWaves(ctx2, rows, []int{0, 1}, nil, []UDF{udf2, udf2}, 1)
+	_, err = runWaves(ctx2, rows, []int{0, 1}, nil, metered(udf2, udf2), 1)
 	if err != context.Canceled {
 		t.Fatalf("waves cancel: %v", err)
 	}

@@ -60,7 +60,7 @@ type execSlot struct {
 // level. That phase is cheap and always completes, so the RNG is consumed
 // identically whether or not the evaluate phase is cancelled; a cancel
 // during evaluation returns ctx.Err() and an empty result.
-func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, udf UDF, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
+func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, meter *Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())
 	}
@@ -108,9 +108,9 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 	}
 
 	// Evaluate: fan the expensive calls out, then merge in plan order. A
-	// failed resilient evaluation carries verdict false, so failed rows are
-	// excluded from the output below without extra bookkeeping.
-	verdicts, _, err := EvalRowsResilient(ctx, exec.NewPool(parallelism), work, udf)
+	// failed evaluation carries verdict false, so failed rows are excluded
+	// from the output below without extra bookkeeping.
+	verdicts, _, err := meter.EvalRows(ctx, exec.NewPool(parallelism), work)
 	if err != nil {
 		return ExecResult{}, err
 	}

@@ -54,12 +54,12 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 		return samples
 	}
 
-	seq, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), 1)
+	seq, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), NewMeter(udf), DefaultCost, stats.NewRNG(7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 8, 64} {
-		par, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), udf, DefaultCost, stats.NewRNG(7), p)
+		par, err := ExecuteParallelCtx(context.Background(), groups, s, mkSamples(), NewMeter(udf), DefaultCost, stats.NewRNG(7), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 func TestSamplerTopUpParallelMatchesSequential(t *testing.T) {
 	build := func(parallelism int) *Sampler {
 		groups, udf := parallelTestGroups(1200)
-		s := NewSampler(groups, udf, stats.NewRNG(11))
+		s := NewSampler(groups, NewMeter(udf), stats.NewRNG(11))
 		s.SetParallelism(parallelism)
 		if _, err := s.TopUpCtx(context.Background(), []int{40, 25, 60}); err != nil {
 			t.Fatal(err)
@@ -101,11 +101,11 @@ func TestLabelFractionParallelMatchesSequential(t *testing.T) {
 	for i := range rows {
 		rows[i] = i
 	}
-	seq, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 1)
+	seq, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, NewMeter(udf), stats.NewRNG(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, udf, stats.NewRNG(3), 8)
+	par, err := LabelFractionParallelCtx(context.Background(), rows, 0.05, NewMeter(udf), stats.NewRNG(3), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestMeterKnown(t *testing.T) {
 			return false, errors.New("broken row")
 		}
 		return false, nil
-	}), nil, nil, nil)
+	}), nil, nil)
 	r.Eval(7)
 	r.Eval(8)
 	if v, ok := r.Known(7); v || ok {

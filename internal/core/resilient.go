@@ -3,20 +3,20 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/resilience"
 )
 
 // Resilient evaluation: the core algorithms (sampling, labeling, the
-// probabilistic executor, conjunction waves) evaluate UDFs through the
-// EvalRowsResilient helper below. For a plain UDF it degenerates to the
-// classic pooled batch — zero overhead, nil failure flags. For a
-// ResilientUDF (in practice: a Meter built with NewResilientMeter) the
-// batch runs gated: per-row failure flags come back, an attached circuit
-// breaker decides admissions segment by segment, and every caller excludes
-// failed rows from its evidence (samples, labels, output) so a flaky UDF
-// degrades a query instead of poisoning it.
+// probabilistic executor, conjunction waves) evaluate UDFs only through a
+// *Meter's EvalRows — one gated batch path. Per-row failure flags come
+// back, an attached circuit breaker decides admissions segment by segment,
+// and every caller excludes failed rows from its evidence (samples, labels,
+// output) so a flaky UDF degrades a query instead of poisoning it. A meter
+// over a plain UDF (NewMeter) takes the same path with no gate and a body
+// that never fails.
 
 // FallibleUDF is a row evaluator that can fail. Implementations perform
 // their own retries (see resilience.Do); an error here is final for the
@@ -26,73 +26,43 @@ type FallibleUDF interface {
 	EvalErr(ctx context.Context, row int) (bool, error)
 }
 
-// ResilientUDF is a UDF that distinguishes failed evaluations and
-// optionally carries a circuit-breaker gate. *Meter implements it when
-// built with NewResilientMeter.
-type ResilientUDF interface {
-	UDF
-	// Resilient reports whether evaluations can actually fail. Every *Meter
-	// carries these methods, so EvalRowsResilient uses this — not the type
-	// assertion alone — to decide between the gated and the plain batch.
-	Resilient() bool
-	// EvalFallible evaluates the row, reporting (verdict, failed). A failed
-	// row always carries verdict false.
-	EvalFallible(ctx context.Context, row int) (verdict, failed bool)
-	// ResolveDenied resolves a breaker-denied row without invoking: from
-	// the memo or shared cache when the outcome is already known, else as a
-	// failure.
-	ResolveDenied(row int) (verdict, failed bool)
-	// Gate returns the circuit breaker steering gated batches (nil = none).
-	Gate() exec.Gate
-}
+// infallible adapts a UDF that cannot fail to the meter's body (a panic
+// still propagates).
+type infallible struct{ udf UDF }
 
-// EvalRowsResilient evaluates rows under udf honoring ctx. When udf is
-// resilient the batch runs gated and the second slice flags failed rows;
-// otherwise it is a plain pooled batch and the failure slice is nil. On
-// cancellation all outputs are withheld: (nil, nil, ctx.Err()).
-func EvalRowsResilient(ctx context.Context, pool *exec.Pool, rows []int, udf UDF) ([]bool, []bool, error) {
-	if r, ok := udf.(ResilientUDF); ok && r.Resilient() {
-		return pool.EvalRowsGatedCtx(ctx, rows, r.Gate(), r.EvalFallible, r.ResolveDenied)
-	}
-	verdicts, err := pool.EvalRowsCtx(ctx, rows, udf.Eval)
-	if err != nil {
-		return nil, nil, err
-	}
-	return verdicts, nil, nil
-}
+func (u *infallible) EvalErr(_ context.Context, row int) (bool, error) { return u.udf.Eval(row), nil }
 
 // NewResilientMeter wraps a fallible row evaluator with the standard meter
 // guarantees — call counting, single-flight memoization, an optional
 // shared cross-query cache — plus failure semantics: a row whose
 // evaluation ultimately fails (after the evaluator's own retries) is
 // memoized as failed for the meter's lifetime, is never charged to Calls,
-// never stored in the shared cache, and is reported exactly once through
-// onFailure. gate, when non-nil, is consulted by gated batch evaluation
-// (EvalRowsResilient); denied rows resolve from the memo or cache when
-// known and fail otherwise. Both gate and onFailure may be nil.
-func NewResilientMeter(fudf FallibleUDF, cache EvalCache, gate exec.Gate, onFailure func(row int, err error)) *Meter {
-	m := &Meter{fudf: fudf, shared: cache, gate: gate, onFailure: onFailure}
-	m.rows.init()
-	return m
+// never stored in the shared cache, and is recorded exactly once in the
+// meter's ledger (Failures, Failure). gate, when non-nil, is consulted by
+// EvalRows; denied rows resolve from the memo or cache when known and fail
+// otherwise.
+func NewResilientMeter(body FallibleUDF, cache EvalCache, gate exec.Gate) *Meter {
+	return new(Meter).init(body, cache, gate)
 }
 
-// Gate implements ResilientUDF.
-func (m *Meter) Gate() exec.Gate { return m.gate }
+// EvalRows evaluates rows through the meter on pool, honoring ctx. The
+// batch runs gated (a nil gate admits it as one wave): verdicts and failure
+// flags come back index-aligned with rows, and a failed row carries verdict
+// false. On cancellation all outputs are withheld: (nil, nil, ctx.Err()).
+func (m *Meter) EvalRows(ctx context.Context, pool *exec.Pool, rows []int) (verdicts, failed []bool, err error) {
+	return pool.EvalRowsGatedCtx(ctx, rows, m.gate, m.evalFallible, m.resolveDenied)
+}
 
-// Resilient implements ResilientUDF: a plain meter (no fallible body, no
-// gate) reports false so EvalRowsResilient keeps the plain pooled batch.
-func (m *Meter) Resilient() bool { return m.fudf != nil || m.gate != nil }
-
-// EvalFallible implements ResilientUDF: single-flight evaluation of the
-// row through the meter's body. A plain body cannot fail (a panic
-// propagates). A fallible body's failure handling:
+// evalFallible is single-flight evaluation of the row through the meter's
+// body, reporting (verdict, failed):
 //
 //   - a genuine failure memoizes the row as failed-final (every later
 //     phase of the query sees the same exclusion), skips the charge and the
-//     cache store, and fires onFailure once;
+//     cache store, and is recorded in the ledger once;
 //   - a cancellation (the batch is aborting) forgets the row — a later run
-//     of the query must re-evaluate it.
-func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
+//     of the query must re-evaluate it;
+//   - a panic forgets the row and propagates.
+func (m *Meter) evalFallible(ctx context.Context, row int) (bool, bool) {
 	sl, st := m.claim(row)
 	if st != rowInFlight {
 		return st == rowTrue, st == rowFailed
@@ -105,13 +75,7 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 			m.forget(sl)
 		}
 	}()
-	var v bool
-	var err error
-	if m.fudf == nil {
-		v = m.udf.Eval(row)
-	} else {
-		v, err = m.fudf.EvalErr(ctx, row)
-	}
+	v, err := m.body.EvalErr(ctx, row)
 	returned = true
 	switch {
 	case err == nil:
@@ -129,16 +93,61 @@ func (m *Meter) EvalFallible(ctx context.Context, row int) (bool, bool) {
 	return false, true
 }
 
-// ResolveDenied implements ResilientUDF: resolve a breaker-denied row
-// without invoking the UDF. A row whose outcome is already memoized or
-// cached resolves normally (denial costs nothing); otherwise the row is
-// memoized as failed-final so the whole query treats it consistently, and
-// onFailure fires with resilience.ErrBreakerOpen.
-func (m *Meter) ResolveDenied(row int) (bool, bool) {
+// resolveDenied resolves a breaker-denied row without invoking the UDF. A
+// row whose outcome is already memoized or cached resolves normally (denial
+// costs nothing); otherwise the row is memoized as failed-final so the
+// whole query treats it consistently, and the ledger records it with
+// resilience.ErrBreakerOpen.
+func (m *Meter) resolveDenied(row int) (bool, bool) {
 	sl, st := m.claim(row)
 	if st == rowInFlight {
 		m.fail(row, sl, resilience.ErrBreakerOpen)
 		return false, true
 	}
 	return st == rowTrue, st == rowFailed
+}
+
+// failureLedger is a meter's record of the rows that failed for good. The
+// meter settles each failed row exactly once (fail), so the counts are
+// exact and — because which rows fail depends on the rows, not on
+// scheduling — identical at any parallelism, like Calls. It keeps one
+// failure to report: the lowest row whose body failed, else the lowest row
+// a breaker denied, so the error names the cause, not whichever failure a
+// worker happened to reach first.
+type failureLedger struct {
+	mu             sync.Mutex
+	failed, denied int
+	row            int
+	err            error
+	rowDenied      bool // the kept failure is a breaker denial
+}
+
+func (l *failureLedger) record(row int, err error) {
+	denied := errors.Is(err, resilience.ErrBreakerOpen)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.failed++
+	if denied {
+		l.denied++
+	}
+	if l.err == nil || (l.rowDenied && !denied) || (l.rowDenied == denied && row < l.row) {
+		l.row, l.err, l.rowDenied = row, err, denied
+	}
+}
+
+// Failures returns how many rows failed for good — body failures and
+// breaker denials alike — and how many of them a breaker denied.
+func (m *Meter) Failures() (failed, denied int) {
+	m.ledger.mu.Lock()
+	defer m.ledger.mu.Unlock()
+	return m.ledger.failed, m.ledger.denied
+}
+
+// Failure returns the failure to report for the meter: the lowest row whose
+// body failed, else the lowest breaker-denied row, with its error. err is
+// nil when no row failed.
+func (m *Meter) Failure() (row int, err error) {
+	m.ledger.mu.Lock()
+	defer m.ledger.mu.Unlock()
+	return m.ledger.row, m.ledger.err
 }

@@ -21,7 +21,7 @@ const (
 	rowInFlight // one goroutine owns the row and is evaluating it
 	rowTrue     // settled
 	rowFalse    // settled
-	rowFailed   // settled as failed-final (resilient meters only)
+	rowFailed   // settled as failed-final (a body failure or a breaker denial)
 )
 
 func verdictState(v bool) uint32 {

@@ -58,7 +58,6 @@ func TestMeterSingleFlightStress(t *testing.T) {
 
 	attempts := make([]atomic.Int32, maxRow)
 	successes := make([]atomic.Int32, maxRow)
-	failures := make([]atomic.Int32, maxRow)
 	body := fallibleFunc(func(_ context.Context, row int) (bool, error) {
 		first := attempts[row].Add(1) == 1
 		runtime.Gosched() // widen the in-flight window so others find the row claimed
@@ -75,7 +74,7 @@ func TestMeterSingleFlightStress(t *testing.T) {
 		successes[row].Add(1)
 		return truth(row), nil
 	})
-	m := NewResilientMeter(body, cache, nil, func(row int, _ error) { failures[row].Add(1) })
+	m := NewResilientMeter(body, cache, nil)
 
 	// eval is one attempt; a panic surfaces as retry, like a cancelled owner.
 	eval := func(row int) (v, failed, retry bool) {
@@ -84,7 +83,7 @@ func TestMeterSingleFlightStress(t *testing.T) {
 				retry = true
 			}
 		}()
-		v, failed = m.EvalFallible(context.Background(), row)
+		v, failed = m.evalFallible(context.Background(), row)
 		return v, failed, failed && class(row) != stressFails
 	}
 
@@ -120,21 +119,23 @@ func TestMeterSingleFlightStress(t *testing.T) {
 	if w := m.rows.waiters.Load(); w != 0 {
 		t.Errorf("%d waiters still parked after every goroutine returned", w)
 	}
-	succeeded, hits := 0, 0
+	succeeded, hits, failedRows, lowestFailed := 0, 0, 0, maxRow
 	for row := range touched {
-		wantSuccesses, wantAttempts, wantFailures := int32(1), int32(1), int32(0)
+		wantSuccesses, wantAttempts := int32(1), int32(1)
 		switch class(row) {
 		case stressPanics, stressCancelled:
 			wantAttempts = 2
 		case stressFails:
-			wantSuccesses, wantFailures = 0, 1
+			wantSuccesses = 0
+			failedRows++
+			lowestFailed = min(lowestFailed, row)
 		case stressCached:
 			wantSuccesses, wantAttempts = 0, 0
 			hits++
 		}
-		if s, a, f := successes[row].Load(), attempts[row].Load(), failures[row].Load(); s != wantSuccesses || a != wantAttempts || f != wantFailures {
-			t.Errorf("row %d (class %d): %d successes, %d attempts, %d onFailure; want %d, %d, %d",
-				row, class(row), s, a, f, wantSuccesses, wantAttempts, wantFailures)
+		if s, a := successes[row].Load(), attempts[row].Load(); s != wantSuccesses || a != wantAttempts {
+			t.Errorf("row %d (class %d): %d successes, %d attempts; want %d, %d",
+				row, class(row), s, a, wantSuccesses, wantAttempts)
 		}
 		if l := cache.lookups[row].Load(); l != 1 {
 			t.Errorf("row %d: %d shared-cache lookups, want exactly 1", row, l)
@@ -151,6 +152,14 @@ func TestMeterSingleFlightStress(t *testing.T) {
 	}
 	if m.Calls() != succeeded {
 		t.Errorf("Calls() = %d, want %d (one per distinct successful row)", m.Calls(), succeeded)
+	}
+	// Every failed row settled once: the ledger counts each exactly once and
+	// keeps the lowest.
+	if failed, denied := m.Failures(); failed != failedRows || denied != 0 {
+		t.Errorf("Failures() = (%d, %d), want (%d, 0)", failed, denied, failedRows)
+	}
+	if row, err := m.Failure(); row != lowestFailed || err == nil {
+		t.Errorf("Failure() = (%d, %v), want row %d", row, err, lowestFailed)
 	}
 	if got := cache.Len(); got != cached+succeeded {
 		t.Errorf("cache holds %d rows, want %d preloaded + %d evaluated", got, cached, succeeded)

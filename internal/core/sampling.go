@@ -50,7 +50,7 @@ func (a TwoThirdPowerAllocator) String() string {
 // Section 4.3's adaptive scheme) without re-evaluating tuples.
 type Sampler struct {
 	groups   []Group
-	udf      UDF
+	meter    *Meter
 	rng      *stats.RNG
 	outcomes []SampleOutcome
 	// unsampled[i] holds the not-yet-sampled row ids of group i in a
@@ -72,10 +72,10 @@ func (s *Sampler) SetParallelism(p int) { s.parallelism = p }
 // NewSampler prepares a sampler over the groups. Each group's rows are
 // shuffled once up front so successive top-ups are uniform without
 // replacement.
-func NewSampler(groups []Group, udf UDF, rng *stats.RNG) *Sampler {
+func NewSampler(groups []Group, meter *Meter, rng *stats.RNG) *Sampler {
 	s := &Sampler{
 		groups:      groups,
-		udf:         udf,
+		meter:       meter,
 		rng:         rng,
 		outcomes:    make([]SampleOutcome, len(groups)),
 		unsampled:   make([][]int, len(groups)),
@@ -146,8 +146,8 @@ func (s *Sampler) SeedPrior(known map[int]bool) int {
 // any parallelism level. The state mutates only after the whole batch
 // evaluated successfully: a cancelled top-up returns ctx.Err() with the
 // un-sampled pools and outcomes exactly as they were, so the sampler (and
-// any shared meter beneath the UDF) stays reusable — a later top-up over
-// the same targets re-plans the identical batch.
+// its meter) stays reusable — a later top-up over the same targets
+// re-plans the identical batch.
 func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(targets) != len(s.groups) {
 		return 0, fmt.Errorf("core: %d targets for %d groups", len(targets), len(s.groups))
@@ -172,11 +172,11 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		take[i] = want
 	}
 	// Evaluate in parallel; commit (pop + record) only on full success.
-	// Rows whose resilient evaluation failed are popped (so they are not
-	// endlessly re-planned) but recorded as NOTHING: failed invocations
-	// must never become sampling evidence, and a later top-up to the same
-	// target simply samples replacement rows.
-	verdicts, failed, err := EvalRowsResilient(ctx, exec.NewPool(s.parallelism), work, s.udf)
+	// Rows whose evaluation failed are popped (so they are not endlessly
+	// re-planned) but recorded as NOTHING: failed invocations must never
+	// become sampling evidence, and a later top-up to the same target
+	// simply samples replacement rows.
+	verdicts, failed, err := s.meter.EvalRows(ctx, exec.NewPool(s.parallelism), work)
 	if err != nil {
 		return 0, err
 	}
@@ -184,7 +184,7 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		s.unsampled[i] = s.unsampled[i][:len(s.unsampled[i])-k]
 	}
 	for k, row := range work {
-		if failed != nil && failed[k] {
+		if failed[k] {
 			continue
 		}
 		i := groupOf[k]

@@ -81,7 +81,7 @@ func TestSamplerTopUpNoDuplicates(t *testing.T) {
 func TestSamplerTargetsMismatch(t *testing.T) {
 	rng := stats.NewRNG(503)
 	groups, _, truth := syntheticGroups(rng, []int{10}, []float64{0.5})
-	s := NewSampler(groups, UDFFunc(truth), rng)
+	s := NewSampler(groups, NewMeter(UDFFunc(truth)), rng)
 	if _, err := s.TopUpCtx(context.Background(), []int{1, 2}); err == nil {
 		t.Fatal("mismatched targets accepted")
 	}
@@ -90,7 +90,7 @@ func TestSamplerTargetsMismatch(t *testing.T) {
 func TestSamplerInfosMatchPosterior(t *testing.T) {
 	rng := stats.NewRNG(505)
 	groups, _, truth := syntheticGroups(rng, []int{400}, []float64{0.75})
-	s := NewSampler(groups, UDFFunc(truth), rng.Split())
+	s := NewSampler(groups, NewMeter(UDFFunc(truth)), rng.Split())
 	if _, err := s.TopUpCtx(context.Background(), []int{100}); err != nil {
 		t.Fatal(err)
 	}

@@ -57,13 +57,14 @@ type tpSlot struct {
 //	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
 //	                return iff both
 //
-// The UDF calls are batched and fanned across up to `parallelism` workers.
+// f1 and f2 are evaluated through m1 and m2, batched and fanned across up
+// to `parallelism` workers.
 // Evaluation runs in waves — all needed f1 calls and unconditional f2 calls
 // first, then f2 on the f1 survivors of TPEvalBoth groups — so the
 // sequential short-circuit accounting (f2 is never charged for rows f1
 // rejected) is preserved exactly, as are output order and all counters. A
 // cancel in either wave returns ctx.Err() and an empty result.
-func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []ConjSample, udf1, udf2 UDF, cost CostModel, parallelism int) (TwoPredExecResult, error) {
+func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []ConjSample, m1, m2 *Meter, cost CostModel, parallelism int) (TwoPredExecResult, error) {
 	if len(acts) != len(groups) {
 		return TwoPredExecResult{}, fmt.Errorf("core: %d actions for %d groups", len(acts), len(groups))
 	}
@@ -113,10 +114,10 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	}
 
 	// Wave 1: every needed f1 call plus the unconditional f2 calls. Failed
-	// resilient evaluations carry verdict false, so failed rows drop out of
-	// the output (and, for TPEvalBoth, never reach the f2 wave).
+	// evaluations carry verdict false, so failed rows drop out of the
+	// output (and, for TPEvalBoth, never reach the f2 wave).
 	pool := exec.NewPool(parallelism)
-	wave1, _, err := evalWorkLists(ctx, pool, [][]int{work1, work2}, []UDF{udf1, udf2})
+	wave1, _, err := evalWorkLists(ctx, pool, [][]int{work1, work2}, []*Meter{m1, m2})
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
@@ -136,7 +137,7 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 			sl.idx2 = -1
 		}
 	}
-	v2b, _, err := EvalRowsResilient(ctx, pool, work2b, udf2)
+	v2b, _, err := m2.EvalRows(ctx, pool, work2b)
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}

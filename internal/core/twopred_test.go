@@ -37,7 +37,7 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64) ([]Group, [
 // runs as its conj-sample → conj-solve → conj-exec stages — for the tests
 // that pin core's own parallelism, cancellation and failure behaviour.
 func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, targets []int, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, []ConjSample, error) {
-	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, targets, []UDF{m1, m2}, rng.Split(), parallelism)
+	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, targets, []*Meter{m1, m2}, rng.Split(), parallelism)
 	if err != nil {
 		return TwoPredExecResult{}, nil, nil, err
 	}
@@ -64,7 +64,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 		UDFFunc(func(r int) bool { return l1[r] }),
 		UDFFunc(func(r int) bool { return l2[r] }),
 	}
-	samples, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{100, 100}, udfs, rng.Split(), 1)
+	samples, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{100, 100}, metered(udfs...), rng.Split(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 			t.Fatalf("inconsistent counts %+v", s)
 		}
 	}
-	if _, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{1}, udfs, rng, 1); err == nil {
+	if _, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{1}, metered(udfs...), rng, 1); err == nil {
 		t.Fatal("mismatched targets accepted")
 	}
 }
@@ -106,7 +106,7 @@ func TestJointSampleDropsFailedRows(t *testing.T) {
 				return false, errors.New("value-keyed failure")
 			}
 			return labels[r], nil
-		}), nil, nil, nil)
+		}), nil, nil)
 	}
 	cons := Constraints{Alpha: 0.75, Beta: 0.75, Rho: 0.8}
 	res, acts, samples, err := runTwoPred(context.Background(), groups,
@@ -164,7 +164,7 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 
 	check := func(act TwoPredAction, wantMember func(r int) bool, wantE1, wantE2 int) {
 		t.Helper()
-		res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{act}, nil, u1, u2, DefaultCost, 1)
+		res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{act}, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	for _, row := range groups[0].Rows[:30] {
 		samples[0].Results[row] = []bool{l1[row], l2[row]}
 	}
-	res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, u1, u2, DefaultCost, 1)
+	res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, NewMeter(u1), NewMeter(u2), DefaultCost, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +241,13 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5})
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, u1, u2, DefaultCost, 1); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
 		t.Fatal("missing actions accepted")
 	}
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{99}, nil, u1, u2, DefaultCost, 1); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{99}, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
 		t.Fatal("invalid action accepted")
 	}
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]ConjSample, 2), u1, u2, DefaultCost, 1); err == nil {
+	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]ConjSample, 2), NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
 		t.Fatal("mismatched samples accepted")
 	}
 }

@@ -328,9 +328,11 @@ func (c *SharedEvalCache) Snapshot() map[int]bool {
 	return out
 }
 
-// Meter wraps a UDF and counts invocations; it memoizes results so repeated
-// evaluations of the same tuple (e.g. sampled during estimation and touched
-// again at execution) are charged once, matching the paper's accounting.
+// Meter is the one point a UDF is evaluated through: it counts charged
+// invocations and memoizes results so repeated evaluations of the same tuple
+// (e.g. sampled during estimation and touched again at execution) are charged
+// once, matching the paper's accounting, and it is the one record of which
+// rows failed (see resilient.go).
 //
 // Meter is safe for concurrent use: parallel batch evaluation may hit the
 // same row from several goroutines, and single-flight de-duplication
@@ -344,51 +346,53 @@ func (c *SharedEvalCache) Snapshot() map[int]bool {
 // up to the largest row id seen — so a sparse id near 2^30 costs a 2 MiB
 // directory on top of its page. A negative row id panics.
 type Meter struct {
-	udf    UDF
-	calls  atomic.Int64
+	// body evaluates a claimed row; its failures are memoized as
+	// failed-final, never charged, never cached, and settled once in the
+	// ledger. gate, when non-nil, is the circuit breaker EvalRows consults.
+	body   FallibleUDF
+	gate   exec.Gate
 	shared EvalCache // may be nil
-	// fudf, when non-nil, makes the meter resilient: evaluation goes
-	// through the fallible path (see resilient.go), failed rows are
-	// memoized as failed-final, never charged, never cached, and reported
-	// once through onFailure. gate, when non-nil, is the circuit breaker
-	// consulted by gated batch evaluation.
-	fudf      FallibleUDF
-	gate      exec.Gate
-	onFailure func(row int, err error)
+	calls  atomic.Int64
 	// cacheHits / cacheMisses count shared-cache lookups (zero when shared
 	// is nil). Single-flight guarantees at most one lookup per row, so both
 	// are deterministic at any parallelism level.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	ledger      failureLedger
 
 	rows rowStates
 }
 
 // NewMeter wraps udf with call counting and memoization.
-func NewMeter(udf UDF) *Meter {
-	m := &Meter{udf: udf}
-	m.rows.init()
-	return m
-}
+func NewMeter(udf UDF) *Meter { return NewCachedMeter(udf, nil) }
 
 // NewCachedMeter is NewMeter backed by a cross-query outcome cache: rows
 // found in cache are served without invoking (or charging for) the UDF, and
 // newly computed outcomes are written back for future queries.
 func NewCachedMeter(udf UDF, cache EvalCache) *Meter {
-	m := NewMeter(udf)
-	m.shared = cache
+	// The never-failing adapter is allocated with the meter, so a plain
+	// meter costs no more allocations than a resilient one.
+	m := &struct {
+		Meter
+		adapter infallible
+	}{adapter: infallible{udf}}
+	return m.init(&m.adapter, cache, nil)
+}
+
+func (m *Meter) init(body FallibleUDF, cache EvalCache, gate exec.Gate) *Meter {
+	m.body, m.shared, m.gate = body, cache, gate
+	m.rows.init()
 	return m
 }
 
-// Eval implements UDF, charging only the first evaluation per row. On a
-// resilient meter a row whose evaluation ultimately failed reports false
-// (the failure was already delivered through onFailure); prefer
-// EvalRowsResilient for batch paths that need the per-row failure flags
-// and cancellation.
+// Eval implements UDF, charging only the first evaluation per row. A row
+// whose evaluation failed for good reports false (the ledger holds the
+// failure); batch paths use EvalRows, which reports per-row failures and
+// honors cancellation.
 //
-//predlint:allow ctxflow — Eval(row) bool is the core.UDF interface shape; cancellable batch paths use EvalRowsResilient
+//predlint:allow ctxflow — Eval(row) bool is the core.UDF interface shape; cancellable batch paths use Meter.EvalRows
 func (m *Meter) Eval(row int) bool {
-	v, _ := m.EvalFallible(context.Background(), row)
+	v, _ := m.evalFallible(context.Background(), row)
 	return v
 }
 
@@ -431,13 +435,12 @@ func (m *Meter) claim(row int) (slot, uint32) {
 // as rowMissed, because its one shared-cache lookup is spent.
 func (m *Meter) forget(sl slot) { m.rows.release(sl, rowMissed) }
 
-// fail settles a claimed row as failed-final: memoized for the meter's
-// lifetime, never charged, never cached, reported once through onFailure.
+// fail settles a claimed row as failed-final: recorded once in the ledger
+// (before any waiter can see the row settled), memoized for the meter's
+// lifetime, never charged, never cached.
 func (m *Meter) fail(row int, sl slot, err error) {
+	m.ledger.record(row, err)
 	m.rows.release(sl, rowFailed)
-	if m.onFailure != nil {
-		m.onFailure(row, err)
-	}
 }
 
 // Calls returns the number of distinct UDF invocations charged so far.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -81,19 +82,13 @@ func TestGenerateSmallScale(t *testing.T) {
 	if got := d.OverallSelectivity(); math.Abs(got-spec.Selectivity) > 0.02 {
 		t.Fatalf("overall selectivity %v, want %v", got, spec.Selectivity)
 	}
-	// Realized group stats must match the calibration exactly (counts are
-	// deterministic).
-	sizes, sels, err := d.RealizedGroupStats()
+	// The predictor column realizes every calibrated group.
+	groups, err := d.PredictorGroups()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sizes) != spec.Groups {
-		t.Fatalf("%d realized groups", len(sizes))
-	}
-	for i := range sels {
-		if sels[i] < 0 || sels[i] > 1 {
-			t.Fatalf("realized selectivity %v", sels[i])
-		}
+	if len(groups) != spec.Groups {
+		t.Fatalf("%d realized groups", len(groups))
 	}
 	// The extra predictors exist with the requested cardinalities.
 	if spec.ExtraPredictors > 0 {
@@ -185,8 +180,8 @@ func TestDatasetInstanceRuns(t *testing.T) {
 	if err := db.RegisterUDF("truth", func(v any) bool { return d.Labels[v.(int64)] }, 0); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query("SELECT id FROM " + spec.Name + " WHERE truth(id) = 1 " +
-		"WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON " + spec.Predictor)
+	rows, err := db.QueryContext(context.Background(), "SELECT id FROM "+spec.Name+" WHERE truth(id) = 1 "+
+		"WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON "+spec.Predictor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,28 +185,3 @@ func (d *Dataset) OverallSelectivity() float64 {
 	}
 	return float64(d.totalCorrect) / float64(len(d.Labels))
 }
-
-// RealizedGroupStats recomputes sizes and exact selectivities from the
-// stored labels and the predictor column (a consistency check: they must
-// match the calibration up to count rounding).
-func (d *Dataset) RealizedGroupStats() (sizes []int, sels []float64, err error) {
-	groups, err := d.PredictorGroups()
-	if err != nil {
-		return nil, nil, err
-	}
-	sizes = make([]int, len(groups))
-	sels = make([]float64, len(groups))
-	for i, g := range groups {
-		correct := 0
-		for _, row := range g.Rows {
-			if d.Labels[row] {
-				correct++
-			}
-		}
-		sizes[i] = len(g.Rows)
-		if len(g.Rows) > 0 {
-			sels[i] = float64(correct) / float64(len(g.Rows))
-		}
-	}
-	return sizes, sels, nil
-}

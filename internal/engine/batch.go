@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/table"
@@ -271,7 +270,7 @@ func (e *Engine) exactEval(st *pipeState) batchEval {
 	pool, meter := e.pool(), st.preds[0].meter
 	var buf []int
 	return func(ctx context.Context, rows []int) ([]int, int, error) {
-		verdicts, _, err := core.EvalRowsResilient(ctx, pool, rows, meter)
+		verdicts, _, err := meter.EvalRows(ctx, pool, rows)
 		if err != nil {
 			return nil, 0, err
 		}

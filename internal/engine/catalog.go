@@ -24,8 +24,8 @@ import (
 //
 // Writes go to the catalog's memory as queries finish; FlushCatalog (or a
 // server's periodic flush) makes them durable. Catalog writes are gated on
-// the query's UDF fault state: a panicking UDF yields synthetic verdicts
-// that must never become durable facts. The same hygiene extends
+// the statement's failure (see pipeState.failure): a query that fails on a
+// row must leave no durable facts behind. The same hygiene extends
 // structurally to per-row failures under the skip/degrade policies: a row
 // whose invocation ultimately fails (retries exhausted, breaker denial) is
 // excluded from the eval cache, sampler evidence and output before any of
@@ -227,21 +227,22 @@ func (e *Engine) seedSamplerFromCatalog(s *core.Sampler, q Query, groupCol strin
 // persistQueryLearnings records what an approximate query learned: the
 // sampler's accumulated evidence (unfolded to raw verdicts) and, when
 // discovery ran, the chosen column. Two gates protect the catalog from
-// poison: the query's fault state (synthetic verdicts from a panicking
-// UDF must never become durable) and the invalidation epoch captured
-// before the query evaluated anything — if a UDF body was replaced
-// mid-query, this query's verdicts may belong to the old body and are
-// discarded rather than re-persisted after the tombstone. cacheMu
-// serializes the epoch check with RegisterUDF's invalidation.
-func (e *Engine) persistQueryLearnings(s *core.Sampler, q Query, cost core.CostModel, chosen string, fault *udfFault, epoch int64) {
+// poison: the statement's failure (a query that errors persists nothing)
+// and the invalidation epoch captured before the query evaluated anything
+// — if a UDF body was replaced mid-query, this query's verdicts may belong
+// to the old body and are discarded rather than re-persisted after the
+// tombstone. cacheMu serializes the epoch check with RegisterUDF's
+// invalidation.
+func (e *Engine) persistQueryLearnings(st *pipeState) {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	c := e.catalog
-	if c == nil || fault.Err() != nil || e.invalidations.Load() != epoch {
+	if c == nil || st.failure() != nil || e.invalidations.Load() != st.epoch {
 		return
 	}
+	s, q, chosen := st.sampler, st.q, st.chosen
 	if q.GroupOn == "" && chosen != "" && chosen != VirtualColumn {
-		c.SetChosenColumn(workloadKey(q, cost), q.UDFName, chosen)
+		c.SetChosenColumn(workloadKey(q, st.cost), q.UDFName, chosen)
 	}
 	raw := make(map[int]bool)
 	for _, o := range s.Outcomes() {

@@ -39,7 +39,7 @@ func (e *Engine) opConjSample(ctx context.Context, st *pipeState) (stageOut, err
 		sizes[i] = len(g.Rows)
 	}
 	targets := core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}.Allocate(sizes)
-	samples, sels, err := core.SampleConjunctionParallelCtx(ctx, groups, targets, st.udfs(), st.rng.Split(), e.parallelism())
+	samples, sels, err := core.SampleConjunctionParallelCtx(ctx, groups, targets, st.meters(), st.rng.Split(), e.parallelism())
 	if err != nil {
 		return stageOut{}, err
 	}
@@ -105,7 +105,7 @@ func (e *Engine) conjWaves(st *pipeState, mode string) (batchEval, error) {
 			}
 		}
 	}
-	runner, err := core.NewConjWaveRunner(order, known, st.udfs(), e.parallelism())
+	runner, err := core.NewConjWaveRunner(order, known, st.meters(), e.parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -116,11 +116,11 @@ func (e *Engine) conjWaves(st *pipeState, mode string) (batchEval, error) {
 	}, nil
 }
 
-// udfs lists the predicates' meters as the core evaluation interface.
-func (st *pipeState) udfs() []core.UDF {
-	udfs := make([]core.UDF, len(st.preds))
+// meters lists the predicates' meters in query order.
+func (st *pipeState) meters() []*core.Meter {
+	meters := make([]*core.Meter, len(st.preds))
 	for i, p := range st.preds {
-		udfs[i] = p.meter
+		meters[i] = p.meter
 	}
-	return udfs
+	return meters
 }

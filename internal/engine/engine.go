@@ -207,33 +207,6 @@ func (e *Engine) RegisterUDF(u UDF) error {
 	return e.registry.Register(u)
 }
 
-// udfFault collects the first panic a UDF body raised during a query, so
-// a buggy user function surfaces as a query error instead of crashing the
-// process. The faulting tuple is treated as non-matching (it is never
-// returned), and the error is reported once execution finishes. It is safe
-// for concurrent use: parallel evaluation may fault on several rows at
-// once, and only the first capture wins.
-type udfFault struct {
-	mu  sync.Mutex
-	err error
-}
-
-// record stores err if no earlier fault was captured.
-func (f *udfFault) record(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-// Err returns the recorded fault, if any.
-func (f *udfFault) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
 // ExecuteContext runs the query and returns the matching row ids plus
 // statistics. Every UDF-evaluating phase (labeling, sampling, execution,
 // exact scans) checks the context between work items, so a cancel or
@@ -289,10 +262,8 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 	if err := e.runPipeline(ctx, root, st, sink); err != nil {
 		return nil, nil, err
 	}
-	for _, p := range st.preds {
-		if err := p.fault.Err(); err != nil {
-			return nil, nil, err
-		}
+	if err := st.failure(); err != nil {
+		return nil, nil, err
 	}
 	e.cacheHits.Add(int64(st.res.Stats.CacheHits))
 	e.cacheMisses.Add(int64(st.res.Stats.CacheMisses))

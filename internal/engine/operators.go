@@ -22,15 +22,15 @@ import (
 // assembled by the one formula (pipeState.finish) whatever the shape,
 // parallelism or batch size.
 
-// resolvedPred is one expensive predicate bound to the engine: its fault
-// box, its failure-telemetry sink, its metered (resilient, usually
-// cache-backed) evaluator, its effective o_e, and its circuit breaker with
-// the trip count it had at bind — so Stats report the trips THIS statement
-// caused, not the engine-lifetime total.
+// resolvedPred is one expensive predicate bound to the engine: its row
+// invoker (which counts retries), its metered (resilient, usually
+// cache-backed) evaluator — the record of its charged calls and failed
+// rows — its effective o_e, and its circuit breaker with the trip count it
+// had at bind, so Stats report the trips THIS statement caused, not the
+// engine-lifetime total.
 type resolvedPred struct {
 	spec     Conjunct
-	fault    *udfFault
-	sink     *predSink
+	inv      *rowInvoker
 	meter    *core.Meter
 	cost     float64
 	breaker  *resilience.Breaker
@@ -55,9 +55,10 @@ type pipeState struct {
 	// epoch is the invalidation epoch captured before any evaluation (see
 	// persistQueryLearnings).
 	epoch int64
-	// degrade is set under the DegradeFailed policy: a result that dropped
-	// failed rows is then flagged Stats.Degraded.
-	degrade bool
+	// policy is the statement's effective failure policy: FailOnError
+	// turns a failed row into the statement's error (failure), and a
+	// DegradeFailed result that dropped failed rows is flagged Degraded.
+	policy FailurePolicy
 	// rng is the query's RNG stream, split from the engine's once per
 	// approximate query (nil for exact shapes — they must not consume the
 	// engine stream).
@@ -94,8 +95,8 @@ type pipeState struct {
 }
 
 // predTotals is a snapshot of the statement-wide deterministic counters:
-// charged UDF calls and cache traffic summed over the predicates' meters,
-// failure/retry/denial totals summed over their sinks. The batch executor
+// charged UDF calls, cache traffic and failed/denied rows summed over the
+// predicates' meters, retries over their invokers. The batch executor
 // diffs two snapshots to attribute work to one operator. Operators run
 // sequentially (parallelism lives inside an operator), so the deltas are
 // exact and — because every underlying counter is deterministic at any
@@ -110,10 +111,10 @@ func (st *pipeState) predTotals() predTotals {
 		t.calls += p.meter.Calls()
 		t.hits += p.meter.CacheHits()
 		t.misses += p.meter.CacheMisses()
-		f, r, d := p.sink.counts()
-		t.failed += f
-		t.retries += r
-		t.denied += d
+		failed, denied := p.meter.Failures()
+		t.failed += failed
+		t.denied += denied
+		t.retries += int(p.inv.retries.Load())
 	}
 	return t
 }
@@ -124,8 +125,9 @@ func (st *pipeState) predTotals() predTotals {
 // and the EXPLAIN estimates use), cache hits are free, and every sampled row
 // was also a retrieval. retrieved counts the rows fetched after sampling;
 // exact marks an answer every row of which was verified under every
-// predicate. Resilience accounting folds here too: failed rows and retries
-// from the per-predicate sinks, breaker trips as deltas against tripBase.
+// predicate. Resilience accounting folds here too: failed rows from the
+// meters, retries from the invokers, breaker trips as deltas against
+// tripBase.
 func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 	stats := Stats{
 		Retrievals:          st.sampled + retrieved,
@@ -141,9 +143,9 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 		evalCost += float64(calls) * p.cost
 		stats.CacheHits += p.meter.CacheHits()
 		stats.CacheMisses += p.meter.CacheMisses()
-		failed, retries, _ := p.sink.counts()
+		failed, _ := p.meter.Failures()
 		stats.FailedRows += failed
-		stats.Retries += retries
+		stats.Retries += int(p.inv.retries.Load())
 		// Duplicate predicates share one breaker: count its trips once.
 		shared := false
 		for _, earlier := range st.preds[:i] {
@@ -153,7 +155,7 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 			stats.BreakerTrips += int(p.breaker.Trips() - p.tripBase)
 		}
 	}
-	stats.Degraded = st.degrade && stats.FailedRows > 0
+	stats.Degraded = st.policy == DegradeFailed && stats.FailedRows > 0
 	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
 	st.res = &Result{Rows: rows, Stats: stats}
 }
@@ -190,7 +192,7 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	}
 	st.cost = e.Cost
 	st.cost.Evaluate = st.preds[0].cost
-	st.degrade = e.policyFor(q) == DegradeFailed
+	st.policy = e.policyFor(q)
 	// A pinned grouping column is only consulted by grouping shapes (exact
 	// shapes ignore GroupOn), so only those reject a bad name.
 	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn {
@@ -216,17 +218,15 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 // registry once, so the body and the effective o_e (the UDF's own cost when
 // set, the engine-wide default otherwise) come from the same registration —
 // its row invoker (panic capture + retry + deadline, see resilience.go),
-// fault box, telemetry sink, shared circuit breaker and resilient meter. In
-// approximate conjunctions, a predicate whose (UDF, argument) key collides
-// with an earlier one gets a private (cache-less) meter, so each duplicate
-// is billed for its own sampling calls instead of being served by what its
-// twin just stored. (The rule dates from fused joint sampling, where that
+// shared circuit breaker and resilient meter. In approximate conjunctions,
+// a predicate whose (UDF, argument) key collides with an earlier one gets a
+// private (cache-less) meter, so each duplicate is billed for its own
+// sampling calls instead of being served by what its twin just stored. (The rule dates from fused joint sampling, where that
 // split depended on store timing; the pinned Stats keep it.) Exact
 // conjunctions keep the shared cache even for duplicates — their waves are
 // sequential barriers, so the later predicate's lookups deterministically
 // hit what the earlier one stored.
 func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error) {
-	policy := e.policyFor(q)
 	specs := q.Predicates()
 	preds := make([]resolvedPred, len(specs))
 	for i, p := range specs {
@@ -242,8 +242,6 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		if col == nil {
 			return nil, fmt.Errorf("engine: table %q has no column %q for UDF argument", q.Table, p.UDFArg)
 		}
-		fault := &udfFault{}
-		sink := &predSink{}
 		inv := &rowInvoker{
 			udfName: p.UDFName,
 			body:    u.fallible(),
@@ -251,7 +249,6 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 			want:    p.Want,
 			policy:  e.retryPolicy(),
 			key:     resilience.HashString(q.Table + "\x00" + p.UDFName + "\x00" + p.UDFArg),
-			sink:    sink,
 		}
 		private := false
 		for j := 0; q.Approx != nil && j < i; j++ {
@@ -266,9 +263,8 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 			cache = wantFoldedCache{inner: e.evalCache(key), want: p.Want}
 		}
 		breaker := e.breakerFor(q.Table, p.UDFName)
-		meter := core.NewResilientMeter(inv, cache, breaker, failureHandler(p.UDFName, policy, fault, sink))
-		preds[i] = resolvedPred{spec: p, fault: fault, sink: sink, meter: meter, cost: cost,
-			breaker: breaker, tripBase: breaker.Trips()}
+		preds[i] = resolvedPred{spec: p, inv: inv, meter: core.NewResilientMeter(inv, cache, breaker),
+			cost: cost, breaker: breaker, tripBase: breaker.Trips()}
 	}
 	return preds, nil
 }
@@ -461,7 +457,7 @@ func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error
 func (e *Engine) opMerge(_ context.Context, st *pipeState) (stageOut, error) {
 	sort.Ints(st.output)
 	if st.sampler != nil {
-		e.persistQueryLearnings(st.sampler, st.q, st.cost, st.chosen, st.preds[0].fault, st.epoch)
+		e.persistQueryLearnings(st)
 	}
 	st.finish(st.output, st.retrieved, false)
 	return stageOut{rows: len(st.output)}, nil

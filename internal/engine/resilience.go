@@ -1,13 +1,12 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
-
-	"context"
+	"sync/atomic"
 
 	"repro/internal/resilience"
 	"repro/internal/table"
@@ -41,52 +40,6 @@ func (e *Engine) retryPolicy() resilience.Policy {
 	return p
 }
 
-// predSink accumulates one predicate's failure telemetry over a single
-// query. It is safe for concurrent use (invocations fan out); the totals it
-// folds are per-row deterministic, so the sums are too.
-type predSink struct {
-	mu      sync.Mutex
-	failed  map[int]error
-	retries int
-	denied  int
-}
-
-// recordFailure notes a row's final failure (first error per row wins).
-// Rows denied by an open circuit breaker are additionally tallied so
-// EXPLAIN ANALYZE can split denials out of the failure total.
-func (s *predSink) recordFailure(row int, err error) {
-	s.mu.Lock()
-	if s.failed == nil {
-		s.failed = make(map[int]error)
-	}
-	if _, dup := s.failed[row]; !dup {
-		s.failed[row] = err
-		if errors.Is(err, resilience.ErrBreakerOpen) {
-			s.denied++
-		}
-	}
-	s.mu.Unlock()
-}
-
-// addRetries folds the extra attempts one invocation made.
-func (s *predSink) addRetries(n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.retries += n
-	s.mu.Unlock()
-}
-
-// counts reports (distinct failed rows, total retries, breaker-denied
-// rows). Like everything the sink folds, the totals are per-row
-// deterministic regardless of evaluation interleaving.
-func (s *predSink) counts() (failed, retries, denied int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.failed), s.retries, s.denied
-}
-
 // rowInvoker adapts one bound predicate to the core fallible-UDF interface:
 // fetch the argument cell, invoke the body under the retry policy with
 // panics captured into typed errors, fold the "= 0/1" comparison on
@@ -99,8 +52,10 @@ type rowInvoker struct {
 	policy  resilience.Policy
 	// key salts the per-row retry-jitter stream so two predicates never
 	// share backoff schedules.
-	key  uint64
-	sink *predSink
+	key uint64
+	// retries counts the extra attempts invocations made; like the meter's
+	// counters it is a per-row sum, so identical at any parallelism.
+	retries atomic.Int64
 }
 
 // EvalErr implements core.FallibleUDF. Cancellation errors pass through
@@ -119,29 +74,36 @@ func (r *rowInvoker) EvalErr(ctx context.Context, row int) (bool, error) {
 			}
 			return raw == r.want, nil
 		})
-	r.sink.addRetries(attempts - 1)
+	if attempts > 1 {
+		r.retries.Add(int64(attempts - 1))
+	}
 	return v, err
 }
 
-// failureHandler builds the meter's onFailure callback for one predicate:
-// always record into the sink; under FailOnError additionally record the
-// query fault so execution surfaces an error once it finishes.
-func failureHandler(udfName string, policy FailurePolicy, fault *udfFault, sink *predSink) func(row int, err error) {
-	return func(row int, err error) {
-		sink.recordFailure(row, err)
-		if policy != FailOnError {
-			return
+// failure is the error a FailOnError statement reports once execution
+// finishes: the first predicate, in query order, whose meter recorded a
+// failed row, naming that meter's lowest failed row (a body failure before
+// a breaker denial) — the same row at any parallelism. Under the skip and
+// degrade policies failed rows are excluded instead, and failure is nil.
+func (st *pipeState) failure() error {
+	if st.policy != FailOnError {
+		return nil
+	}
+	for _, p := range st.preds {
+		row, err := p.meter.Failure()
+		if err == nil {
+			continue
 		}
 		var re *resilience.Error
 		if errors.As(err, &re) && re.Kind == resilience.Panic {
 			// Wrap the typed error (not just its message) so callers can
 			// errors.As to the panic kind; the text keeps the historical
 			// "panicked on row" shape.
-			fault.record(fmt.Errorf("engine: UDF %q panicked on row %d: %w", udfName, row, re))
-			return
+			return fmt.Errorf("engine: UDF %q panicked on row %d: %w", p.spec.UDFName, row, re)
 		}
-		fault.record(fmt.Errorf("engine: UDF %q failed on row %d: %w", udfName, row, err))
+		return fmt.Errorf("engine: UDF %q failed on row %d: %w", p.spec.UDFName, row, err)
 	}
+	return nil
 }
 
 // breakerKey identifies one shared circuit breaker.

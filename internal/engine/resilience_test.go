@@ -58,6 +58,66 @@ func TestFailPolicyReturnsTypedError(t *testing.T) {
 	}
 }
 
+// TestFailOnErrorNamesSameRowAtAnyParallelism pins the FailOnError error to
+// the meter's ledger, not to scheduling: row 100 fails after 2 ms and the
+// other failing rows at once, so a parallel scan settles a higher row's
+// failure first — the error must still name row 100, identically at every
+// parallelism × batch size. The breaker case fails a run long enough to
+// trip the breaker, so denied rows exist beside the body failures.
+func TestFailOnErrorNamesSameRowAtAnyParallelism(t *testing.T) {
+	cases := []struct {
+		name     string
+		fails    func(id int64) bool
+		wantTrip bool
+	}{
+		{"two-rows", func(id int64) bool { return id == 100 || id == 900 }, false},
+		{"breaker", func(id int64) bool { return id == 100 || id >= 600 }, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var want string
+			for _, par := range []int{1, 8} {
+				for _, batch := range []int{1, 64, 1024} {
+					tbl, truth := buildLoanTable(t, 1000, 42)
+					e := New(7)
+					e.Parallelism, e.BatchSize = par, batch
+					if err := e.RegisterTable(tbl); err != nil {
+						t.Fatal(err)
+					}
+					err := e.RegisterUDF(UDF{
+						Name: "good_credit",
+						BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+							id := v.(int64)
+							if id == 100 {
+								time.Sleep(2 * time.Millisecond)
+							}
+							if c.fails(id) {
+								return false, resilience.New(resilience.Permanent, "udf", errors.New("row is cursed"))
+							}
+							return truth[id], nil
+						},
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, err = e.ExecuteContext(context.Background(), exactQuery(FailOnError))
+					if err == nil || !strings.Contains(err.Error(), "failed on row 100:") {
+						t.Fatalf("p=%d batch=%d: err = %v, want the failure on row 100", par, batch, err)
+					}
+					if want == "" {
+						want = err.Error()
+					} else if err.Error() != want {
+						t.Fatalf("p=%d batch=%d: err = %q, want %q", par, batch, err, want)
+					}
+					if tripped := e.BreakerStatuses()[0].Trips > 0; c.wantTrip && batch < 1024 && !tripped {
+						t.Fatalf("p=%d batch=%d: breaker never tripped — no denials to rank", par, batch)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 	failIDs := map[int64]bool{5: true, 100: true, 250: true}
 	e, truth := newFallibleEngine(t, 300, failIDs)

@@ -63,12 +63,9 @@ func NewPool(parallelism int) *Pool {
 	return &Pool{workers: parallelism}
 }
 
-// Workers reports the pool's parallelism.
-func (p *Pool) Workers() int { return p.workers }
-
-// ForEachCtx invokes fn(i) for every i in [0, n), using up to Workers()
-// goroutines. When parallelism is 1 (or n is 1) everything runs on the
-// calling goroutine, in index order.
+// ForEachCtx invokes fn(i) for every i in [0, n), using up to the pool's
+// parallelism in goroutines. When parallelism is 1 (or n is 1) everything
+// runs on the calling goroutine, in index order.
 //
 // fn must be safe for concurrent invocation when the pool's parallelism
 // exceeds 1. If any invocation panics, no further chunks are claimed

@@ -10,17 +10,17 @@ import (
 )
 
 func TestNewPoolDefaults(t *testing.T) {
-	if got := NewPool(0).Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := NewPool(0).workers; got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("NewPool(0) workers %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewPool(-3).Workers(); got != runtime.GOMAXPROCS(0) {
+	if got := NewPool(-3).workers; got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("NewPool(-3) workers %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	if got := NewPool(7).Workers(); got != 7 {
+	if got := NewPool(7).workers; got != 7 {
 		t.Fatalf("NewPool(7) workers %d", got)
 	}
 	// Oversubscription beyond GOMAXPROCS is deliberate (I/O-bound UDFs).
-	if got := NewPool(1000).Workers(); got != 1000 {
+	if got := NewPool(1000).workers; got != 1000 {
 		t.Fatalf("NewPool(1000) workers %d", got)
 	}
 }

@@ -39,14 +39,3 @@ func EqualFrequencyBuckets(scores []float64, k int) []int {
 	}
 	return out
 }
-
-// BucketCounts tallies the population of each bucket id in [0, k).
-func BucketCounts(buckets []int, k int) []int {
-	counts := make([]int, k)
-	for _, b := range buckets {
-		if b >= 0 && b < k {
-			counts[b]++
-		}
-	}
-	return counts
-}

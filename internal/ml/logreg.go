@@ -125,9 +125,6 @@ func (m *LogisticRegression) Prob(x []float64) float64 {
 	return m.probStandardized(x)
 }
 
-// Predict returns Prob(x) >= 0.5.
-func (m *LogisticRegression) Predict(x []float64) bool { return m.Prob(x) >= 0.5 }
-
 func sigmoid(z float64) float64 {
 	if z >= 0 {
 		e := math.Exp(-z)

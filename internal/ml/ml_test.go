@@ -32,7 +32,7 @@ func TestLogisticRegressionSeparable(t *testing.T) {
 	}
 	correct := 0
 	for i := range X {
-		if m.Predict(X[i]) == y[i] {
+		if (m.Prob(X[i]) >= 0.5) == y[i] {
 			correct++
 		}
 	}
@@ -176,7 +176,10 @@ func TestVirtualGroupsOrderIndependent(t *testing.T) {
 func TestEqualFrequencyBuckets(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.5, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6, 0.0}
 	buckets := EqualFrequencyBuckets(scores, 5)
-	counts := BucketCounts(buckets, 5)
+	counts := make([]int, 5)
+	for _, b := range buckets {
+		counts[b]++
+	}
 	for b, c := range counts {
 		if c != 2 {
 			t.Fatalf("bucket %d has %d members: %v", b, counts, buckets)

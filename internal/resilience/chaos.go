@@ -11,10 +11,7 @@ import (
 // ChaosConfig describes a seeded fault schedule for exercising retry,
 // breaker and degradation behavior. Every decision is a pure hash of
 // (Seed, value, per-value attempt index), so at a fixed seed the same
-// values fail on the same attempts regardless of worker interleaving —
-// EXCEPT the flap schedule, which runs on a global call counter and is
-// deliberately order-dependent (useful for liveness tests, excluded from
-// the bit-determinism contract).
+// values fail on the same attempts regardless of worker interleaving.
 //
 // The determinism contract additionally assumes the wrapped column's
 // values are distinct per row (ids, typically): two rows sharing a value
@@ -38,16 +35,12 @@ type ChaosConfig struct {
 	// FailAttempts, when positive, makes the first FailAttempts attempts of
 	// EVERY value fail transiently — a deterministic retry exerciser.
 	FailAttempts int
-	// FlapPeriod / FlapDown fail the first FlapDown of every FlapPeriod
-	// calls (global counter; not bit-deterministic under parallelism).
-	FlapPeriod int
-	FlapDown   int
 }
 
 // Enabled reports whether the config injects anything.
 func (c ChaosConfig) Enabled() bool {
 	return c.ErrorRate > 0 || c.PanicRate > 0 || (c.LatencyRate > 0 && c.Latency > 0) ||
-		c.FailAttempts > 0 || (c.FlapPeriod > 0 && c.FlapDown > 0)
+		c.FailAttempts > 0
 }
 
 // Chaos wraps fallible UDF bodies with the configured fault schedule.
@@ -57,7 +50,6 @@ type Chaos struct {
 	mu       sync.Mutex
 	attempts map[uint64]int
 
-	flap  atomic.Int64
 	calls atomic.Int64
 }
 
@@ -100,12 +92,6 @@ func (c *Chaos) Wrap(fn func(ctx context.Context, v any) (bool, error)) func(ctx
 				t.Stop()
 				return false, ctx.Err()
 			case <-t.C:
-			}
-		}
-		if c.cfg.FlapPeriod > 0 && c.cfg.FlapDown > 0 {
-			g := c.flap.Add(1) - 1
-			if int(g%int64(c.cfg.FlapPeriod)) < c.cfg.FlapDown {
-				return false, New(Transient, "chaos", fmt.Errorf("injected flap failure (call=%d)", g))
 			}
 		}
 		if attempt <= c.cfg.FailAttempts {

@@ -52,15 +52,3 @@ func ChebyshevMultiplier(rho float64) float64 {
 	}
 	return 1 / math.Sqrt(1-rho)
 }
-
-// HoeffdingUpperTail returns the Hoeffding bound on P(S − E[S] ≥ t) for a
-// sum of n independent variables each with the given range width.
-func HoeffdingUpperTail(n float64, rangeWidth, t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	if n <= 0 || rangeWidth <= 0 {
-		return 0
-	}
-	return math.Exp(-2 * t * t / (n * rangeWidth * rangeWidth))
-}

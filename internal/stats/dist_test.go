@@ -151,7 +151,7 @@ func TestNormalSampleMoments(t *testing.T) {
 	if math.Abs(w.Mean()+4) > 0.05 {
 		t.Fatalf("sample mean %v", w.Mean())
 	}
-	if math.Abs(w.StdDev()-2) > 0.05 {
-		t.Fatalf("sample sd %v", w.StdDev())
+	if sd := math.Sqrt(w.Variance()); math.Abs(sd-2) > 0.05 {
+		t.Fatalf("sample sd %v", sd)
 	}
 }

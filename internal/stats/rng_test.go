@@ -147,8 +147,8 @@ func TestBinomialMoments(t *testing.T) {
 		if math.Abs(w.Mean()-wantMean) > 4*wantSD/math.Sqrt(4000)+0.75 {
 			t.Fatalf("n=%d p=%v: mean %v want %v", tc.n, tc.p, w.Mean(), wantMean)
 		}
-		if math.Abs(w.StdDev()-wantSD) > 0.15*wantSD+0.5 {
-			t.Fatalf("n=%d p=%v: sd %v want %v", tc.n, tc.p, w.StdDev(), wantSD)
+		if sd := math.Sqrt(w.Variance()); math.Abs(sd-wantSD) > 0.15*wantSD+0.5 {
+			t.Fatalf("n=%d p=%v: sd %v want %v", tc.n, tc.p, sd, wantSD)
 		}
 	}
 }

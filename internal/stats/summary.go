@@ -34,9 +34,6 @@ func Variance(xs []float64) float64 {
 	return total / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // SampleStdDev returns the sample (n−1 denominator) standard deviation,
 // matching how the paper reports the group-size and selectivity deviations
 // in Appendix 10.8.
@@ -146,9 +143,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n)
 }
-
-// StdDev returns the running population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Clamp restricts x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {

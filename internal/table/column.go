@@ -122,9 +122,6 @@ func (c *StringColumn) Cardinality() int { return len(c.dict) }
 // in [0, Cardinality()).
 func (c *StringColumn) Code(i int) int { return int(c.data[i]) }
 
-// Dict returns the dictionary (code → string) for read-only use.
-func (c *StringColumn) Dict() []string { return c.dict }
-
 // LookupCode resolves a value to its dictionary code, or -1 if the value
 // never appears in the column.
 func (c *StringColumn) LookupCode(s string) int {

@@ -59,12 +59,3 @@ func (g *GroupIndex) GroupSizes() []int {
 	}
 	return sizes
 }
-
-// TotalRows returns the number of indexed rows.
-func (g *GroupIndex) TotalRows() int {
-	total := 0
-	for _, grp := range g.groups {
-		total += len(grp.Rows)
-	}
-	return total
-}

@@ -122,7 +122,3 @@ func (t *Table) Row(i int) []Value {
 
 // CellString renders cell (row, col) as a string.
 func (t *Table) CellString(row, col int) string { return t.cols[col].StringAt(row) }
-
-// GroupKey renders the value of column col at row i as a canonical string
-// key, usable for grouping across column types.
-func (t *Table) GroupKey(row, col int) string { return t.cols[col].StringAt(row) }

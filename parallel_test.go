@@ -5,6 +5,7 @@
 package predeval_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -92,7 +93,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 			run := func(parallelism int) snapshot {
 				db := openLoansDB(t, 3000, 42)
 				db.SetParallelism(parallelism)
-				rows, err := db.Query(sql)
+				rows, err := db.QueryContext(context.Background(), sql)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,7 +120,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 func TestConcurrentQueriesSharedDB(t *testing.T) {
 	db := openLoansDB(t, 1500, 7)
 	db.SetParallelism(4)
-	want, err := db.Query(`SELECT id FROM loans WHERE good_credit(id) = 1`)
+	want, err := db.QueryContext(context.Background(), `SELECT id FROM loans WHERE good_credit(id) = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestConcurrentQueriesSharedDB(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for k, sql := range sqls {
-				rows, err := db.Query(sql)
+				rows, err := db.QueryContext(context.Background(), sql)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d query %d: %w", g, k, err)
 					return
@@ -165,14 +166,14 @@ func TestConcurrentQueriesSharedDB(t *testing.T) {
 // query touching the same (table, UDF, column) pays zero evaluations.
 func TestUDFCacheNeverRepays(t *testing.T) {
 	db := openLoansDB(t, 600, 3)
-	first, err := db.Query(`SELECT id FROM loans WHERE good_credit(id) = 1`)
+	first, err := db.QueryContext(context.Background(), `SELECT id FROM loans WHERE good_credit(id) = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats().Evaluations != 600 {
 		t.Fatalf("first scan evaluated %d, want 600", first.Stats().Evaluations)
 	}
-	second, err := db.Query(`SELECT id FROM loans WHERE good_credit(id) = 1`)
+	second, err := db.QueryContext(context.Background(), `SELECT id FROM loans WHERE good_credit(id) = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestUDFCacheNeverRepays(t *testing.T) {
 	}
 	// An approximate query over the same predicate also rides the cache:
 	// every row it samples or verifies was already evaluated.
-	approx, err := db.Query(`SELECT id FROM loans WHERE good_credit(id) = 1
+	approx, err := db.QueryContext(context.Background(), `SELECT id FROM loans WHERE good_credit(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`)
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +199,7 @@ func TestUDFCacheNeverRepays(t *testing.T) {
 
 	// Disabling the cache restores pay-per-query.
 	db.SetUDFCache(false)
-	third, err := db.Query(`SELECT id FROM loans WHERE good_credit(id) = 1`)
+	third, err := db.QueryContext(context.Background(), `SELECT id FROM loans WHERE good_credit(id) = 1`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 //	db := predeval.Open(42)
 //	db.LoadCSV("loans", csvReader)
 //	db.RegisterUDF("good_credit", func(v any) bool { return creditCheck(v) }, 3.0)
-//	res, err := db.Query(`SELECT * FROM loans WHERE good_credit(id) = 1
-//	                      WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9`)
+//	res, err := db.QueryContext(ctx, `SELECT * FROM loans WHERE good_credit(id) = 1
+//	                                 WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9`)
 //
 // The engine estimates how each column correlates with the UDF, samples a
 // few tuples to learn per-group selectivities, and then skips or
@@ -31,10 +31,10 @@
 // predicates over the same rows never re-pays the evaluation cost; see
 // DESIGN.md for the determinism contract and cache semantics.
 //
-// QueryContext adds per-query deadlines and cancellation: workers check
-// the context between UDF calls, so a cancel returns ctx.Err() within one
-// in-flight call per worker and the database stays reusable. cmd/predsqld
-// serves the engine over HTTP with per-request timeouts built on it.
+// The context carries per-query deadlines and cancellation: workers check
+// it between UDF calls, so a cancel returns ctx.Err() within one in-flight
+// call per worker and the database stays reusable. cmd/predsqld serves the
+// engine over HTTP with per-request timeouts built on it.
 package predeval
 
 import (
@@ -84,7 +84,7 @@ func (db *DB) SetCosts(retrieve, evaluate float64) error {
 // when n > 1.
 //
 // Like SetCosts and SetUDFCache, configure before serving queries:
-// calling it concurrently with in-flight Query calls is a data race.
+// calling it concurrently with in-flight queries is a data race.
 func (db *DB) SetParallelism(n int) {
 	db.eng.Parallelism = n
 }
@@ -238,11 +238,6 @@ func (db *DB) RegisterUDFErr(name string, fn func(ctx context.Context, value any
 // serving queries (see SetParallelism).
 func (db *DB) SetRetryPolicy(p resilience.Policy) { db.eng.Retry = p }
 
-// SetBreakerConfig tunes the per-(table, UDF) circuit breakers (the zero
-// value uses the documented defaults). Configure before serving queries;
-// breakers already created keep their config.
-func (db *DB) SetBreakerConfig(c resilience.BreakerConfig) { db.eng.Breaker = c }
-
 // SetFailurePolicy sets the default failure policy for queries that do not
 // carry their own: "fail" (default — a failed row fails the query once
 // execution finishes), "skip" (failed rows are silently excluded) or
@@ -299,21 +294,13 @@ func (r *Rows) Stats() Stats { return r.stats }
 // keyword or QueryOptions.Analyze. Nil otherwise.
 func (r *Rows) Plan() []string { return r.plan }
 
-// Explain parses a statement and returns its physical operator tree as
-// EXPLAIN text (one operator per line, with estimated costs and the chosen
-// correlated column where known) without executing anything. The EXPLAIN
-// keyword is optional — Explain("SELECT ...") and Explain("EXPLAIN
-// SELECT ...") render the same plan. An EXPLAIN ANALYZE statement is the
-// exception: it EXECUTES the query (UDFs run, caches fill) and returns the
-// plan annotated with measured per-operator counts.
-//
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use ExplainContext
-func (db *DB) Explain(sql string) (string, error) {
-	return db.ExplainContext(context.Background(), sql)
-}
-
-// ExplainContext is Explain honoring a context (which matters for EXPLAIN
-// ANALYZE, where the query actually executes).
+// ExplainContext parses a statement and returns its physical operator tree
+// as EXPLAIN text (one operator per line, with estimated costs and the
+// chosen correlated column where known) without executing anything. The
+// EXPLAIN keyword is optional — "SELECT ..." and "EXPLAIN SELECT ..."
+// render the same plan. An EXPLAIN ANALYZE statement is the exception: it
+// EXECUTES the query under ctx (UDFs run, caches fill) and returns the plan
+// annotated with measured per-operator counts.
 func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
 	stmt, err := sqlparse.Parse(sql)
 	if err != nil {
@@ -329,23 +316,18 @@ func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
 	return db.eng.Explain(stmt.Query)
 }
 
-// Query parses and executes one statement of the SQL dialect (see the
-// package documentation and internal/sqlparse). It returns the
+// QueryContext parses and executes one statement of the SQL dialect (see
+// the package documentation and internal/sqlparse) and returns the
 // materialized result. An EXPLAIN-prefixed statement is planned instead of
 // executed: the result has a single "plan" column with one row per
 // operator line and zero-valued Stats.
 //
-//predlint:allow ctxflow — pre-context compatibility wrapper; cancellable callers use QueryContext
-func (db *DB) Query(sql string) (*Rows, error) {
-	return db.QueryContext(context.Background(), sql)
-}
-
-// QueryContext is Query honoring a context: cancel it (or attach a
-// deadline) and the engine stops evaluating UDFs promptly — within at most
-// one in-flight UDF call per worker — returning ctx.Err(). A cancelled
-// query leaves the database fully reusable, and every UDF outcome computed
-// before the cancel stays in the cross-query cache, so re-running the query
-// resumes from paid-for work. See DESIGN.md, "Cancellation contract".
+// Cancel ctx (or attach a deadline) and the engine stops evaluating UDFs
+// promptly — within at most one in-flight UDF call per worker — returning
+// ctx.Err(). A cancelled query leaves the database fully reusable, and
+// every UDF outcome computed before the cancel stays in the cross-query
+// cache, so re-running the query resumes from paid-for work. See
+// DESIGN.md, "Cancellation contract".
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 	return db.QueryContextOptions(ctx, sql, QueryOptions{})
 }
@@ -442,7 +424,8 @@ func planLines(text string) []string {
 }
 
 // planRows wraps EXPLAIN lines as a one-column result set (one row per
-// operator line), so EXPLAIN statements flow through Query like any other.
+// operator line), so EXPLAIN statements flow through QueryContext like any
+// other.
 func planRows(lines []string) *Rows {
 	r := &Rows{cols: []string{"plan"}}
 	for _, line := range lines {
@@ -490,7 +473,7 @@ type StreamResult struct {
 // blocking shapes (sampling pipelines, the §5 two-predicate plan, joins)
 // finish evaluating first and then stream the finished result out in
 // batches. Rows arrive in base-table order, rendered identically to
-// Query's materialized cells. emit returning ErrStopStream stops the
+// QueryContext's materialized cells. emit returning ErrStopStream stops the
 // stream early (successfully); any other error aborts the query with that
 // error. EXPLAIN / EXPLAIN ANALYZE statements are not streamable.
 //

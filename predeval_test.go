@@ -44,7 +44,7 @@ func openLoanDB(t *testing.T, n int) (*DB, map[int64]bool) {
 
 func TestQueryExact(t *testing.T) {
 	db, truth := openLoanDB(t, 600)
-	rows, err := db.Query("SELECT id, grade FROM loans WHERE good_credit(id) = 1")
+	rows, err := db.QueryContext(context.Background(), "SELECT id, grade FROM loans WHERE good_credit(id) = 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestQueryExact(t *testing.T) {
 
 func TestQueryApproximate(t *testing.T) {
 	db, truth := openLoanDB(t, 3000)
-	rows, err := db.Query(`SELECT * FROM loans WHERE good_credit(id) = 1
+	rows, err := db.QueryContext(context.Background(), `SELECT * FROM loans WHERE good_credit(id) = 1
 		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8`)
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestQueryApproximate(t *testing.T) {
 
 func TestQueryBudget(t *testing.T) {
 	db, _ := openLoanDB(t, 3000)
-	rows, err := db.Query(`SELECT * FROM loans WHERE good_credit(id) = 1
+	rows, err := db.QueryContext(context.Background(), `SELECT * FROM loans WHERE good_credit(id) = 1
 		WITH PRECISION 0.8 PROBABILITY 0.8 GROUP ON grade BUDGET 4000`)
 	if err != nil {
 		t.Fatal(err)
@@ -129,13 +129,13 @@ func TestQueryBudget(t *testing.T) {
 
 func TestQueryParseError(t *testing.T) {
 	db, _ := openLoanDB(t, 90)
-	if _, err := db.Query("SELECT FROM"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT FROM"); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
-	if _, err := db.Query("SELECT * FROM missing WHERE good_credit(id) = 1"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM missing WHERE good_credit(id) = 1"); err == nil {
 		t.Fatal("missing table accepted")
 	}
-	if _, err := db.Query("SELECT * FROM loans WHERE nope(id) = 1"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM loans WHERE nope(id) = 1"); err == nil {
 		t.Fatal("missing UDF accepted")
 	}
 }
@@ -199,7 +199,7 @@ func TestQueryJoinSQL(t *testing.T) {
 	if err := db.LoadCSV("orders", strings.NewReader(sb.String())); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Query(`SELECT * FROM loans JOIN orders ON loans.id = orders.loan_id
+	rows, err := db.QueryContext(context.Background(), `SELECT * FROM loans JOIN orders ON loans.id = orders.loan_id
 		WHERE good_credit(id) = 1 WITH PRECISION 0.7 RECALL 0.7 PROBABILITY 0.8 GROUP ON grade`)
 	if err != nil {
 		t.Fatal(err)
@@ -224,9 +224,9 @@ func TestQueryJoinBudgetRejected(t *testing.T) {
 	const sql = `SELECT * FROM loans JOIN orders ON loans.id = orders.loan_id
 		WHERE good_credit(id) = 1 WITH PRECISION 0.7 RECALL 0.7 PROBABILITY 0.8 GROUP ON grade BUDGET 50`
 	const want = "BUDGET is not supported with JOIN"
-	_, queryErr := db.Query(sql)
-	_, explainErr := db.Explain(sql)
-	_, analyzeErr := db.Explain("EXPLAIN ANALYZE " + sql)
+	_, queryErr := db.QueryContext(context.Background(), sql)
+	_, explainErr := db.ExplainContext(context.Background(), sql)
+	_, analyzeErr := db.ExplainContext(context.Background(), "EXPLAIN ANALYZE "+sql)
 	_, streamErr := db.QueryStream(context.Background(), sql, StreamOptions{},
 		func([]int, [][]string) error { return nil })
 	for name, err := range map[string]error{

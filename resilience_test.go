@@ -239,7 +239,7 @@ func TestCatalogTornTailAfterRetryHeavyWorkload(t *testing.T) {
 	if err := db1.OpenCatalog(dir); err != nil {
 		t.Fatal(err)
 	}
-	rows1, err := db1.Query(sql)
+	rows1, err := db1.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCatalogTornTailAfterRetryHeavyWorkload(t *testing.T) {
 	if rec := db2.Catalog().Recovery(); !rec.Truncated || rec.Note == "" {
 		t.Fatalf("torn tail not reported: %+v", rec)
 	}
-	rows2, err := db2.Query(sql)
+	rows2, err := db2.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 	for _, shape := range shapes {
 		for _, batchSize := range []int{1, 64, 4096} {
 			t.Run(fmt.Sprintf("%s/batch%d", shape.name, batchSize), func(t *testing.T) {
-				want, err := streamShapeDB(t, batchSize).Query(shape.sql)
+				want, err := streamShapeDB(t, batchSize).QueryContext(context.Background(), shape.sql)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +125,7 @@ func TestQueryStreamLimitStopsProduction(t *testing.T) {
 	const sql = "SELECT id FROM loans WHERE good_credit(id) = 1"
 	const n, limit = 3000, 10
 	full, _ := openLoanDB(t, n)
-	want, err := full.Query(sql)
+	want, err := full.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestQueryStreamApproxBlockingShape(t *testing.T) {
 	const sql = "SELECT id FROM loans WHERE good_credit(id) = 1 " +
 		"WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade"
 	db, _ := openLoanDB(t, 600)
-	want, err := db.Query(sql)
+	want, err := db.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
