@@ -4,16 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// blockingDB builds a loans DB whose UDF can be switched into a blocking
-// mode: while blocking is set, every call parks on the release channel
-// after signaling started. Calls are counted either way.
-func blockingDB(t *testing.T, n, parallelism int) (db *DB, calls *atomic.Int64, blocking *atomic.Bool, started chan struct{}, release chan struct{}) {
+// blockingDB builds a loans DB with good_credit, rich and div3 registered
+// behind one call counter: every call past blockAfter signals started and
+// parks until release is closed (calls then run straight through).
+func blockingDB(t *testing.T, n, parallelism int, blockAfter int64) (db *DB, calls *atomic.Int64, started, release chan struct{}) {
 	t.Helper()
 	csv, truth := loanCSV(n, 9)
 	db = Open(1)
@@ -22,34 +23,42 @@ func blockingDB(t *testing.T, n, parallelism int) (db *DB, calls *atomic.Int64, 
 		t.Fatal(err)
 	}
 	calls = &atomic.Int64{}
-	blocking = &atomic.Bool{}
-	started = make(chan struct{}, n)
+	started = make(chan struct{}, 3*n) // at most one call per row per UDF
 	release = make(chan struct{})
-	if err := db.RegisterUDF("good_credit", func(v any) bool {
-		calls.Add(1)
-		if blocking.Load() {
-			started <- struct{}{}
-			<-release
-		}
-		return truth[v.(int64)]
-	}, 3); err != nil {
-		t.Fatal(err)
+	udfs := []struct {
+		name string
+		fn   func(v any) bool
+	}{
+		{"good_credit", func(v any) bool { return truth[v.(int64)] }},
+		{"rich", func(v any) bool { return v.(float64) > 70000 }},
+		{"div3", func(v any) bool { return v.(int64)%3 == 0 }},
 	}
-	return db, calls, blocking, started, release
+	for _, u := range udfs {
+		fn := u.fn
+		if err := db.RegisterUDF(u.name, func(v any) bool {
+			if calls.Add(1) > blockAfter {
+				started <- struct{}{}
+				<-release
+			}
+			return fn(v)
+		}, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, calls, started, release
 }
 
-// TestQueryContextCancelBlockingUDF is the acceptance-criteria test: a
-// blocking UDF must not let a cancelled exact scan finish — the query
-// returns ctx.Err() after at most one in-flight call per worker.
-func TestQueryContextCancelBlockingUDF(t *testing.T) {
-	const n, workers = 600, 4
-	db, calls, blocking, started, release := blockingDB(t, n, workers)
-	blocking.Store(true)
-
+// cancelWhileBlocked runs sql on a blockingDB, cancels once a call has
+// parked, lets the parked calls drain, and requires ctx.Err() with no call
+// started after the cancel: at most one in-flight call per worker past
+// blockAfter.
+func cancelWhileBlocked(t *testing.T, db *DB, sql string, calls *atomic.Int64, started, release chan struct{}, blockAfter int64, workers int) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := db.QueryContext(ctx, "SELECT * FROM loans WHERE good_credit(id) = 1")
+		_, err := db.QueryContext(ctx, sql)
 		errc <- err
 	}()
 	<-started // at least one UDF call is in flight
@@ -64,13 +73,21 @@ func TestQueryContextCancelBlockingUDF(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled query did not return")
 	}
-	if got := calls.Load(); got > workers {
+	if got := calls.Load() - blockAfter; got > int64(workers) {
 		t.Fatalf("%d UDF calls after cancel; at most one in-flight per worker (%d) allowed", got, workers)
 	}
+}
+
+// TestQueryContextCancelBlockingUDF is the acceptance-criteria test: a
+// blocking UDF must not let a cancelled exact scan finish — the query
+// returns ctx.Err() after at most one in-flight call per worker.
+func TestQueryContextCancelBlockingUDF(t *testing.T) {
+	const n, workers = 600, 4
+	db, calls, started, release := blockingDB(t, n, workers, 0)
+	cancelWhileBlocked(t, db, "SELECT * FROM loans WHERE good_credit(id) = 1", calls, started, release, 0, workers)
 
 	// The engine stays reusable: the same query, un-blocked, now answers
 	// exactly and correctly.
-	blocking.Store(false)
 	rows, err := db.QueryContext(context.Background(), "SELECT * FROM loans WHERE good_credit(id) = 1")
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +95,42 @@ func TestQueryContextCancelBlockingUDF(t *testing.T) {
 	if !rows.Stats().Exact || rows.Len() == 0 {
 		t.Fatalf("post-cancel rerun: exact=%v rows=%d", rows.Stats().Exact, rows.Len())
 	}
+}
+
+// TestQueryContextCancelConjWaves cancels an exact three-predicate
+// conjunction, which runs the conj-waves terminal. Seed it catches:
+// context.Background() handed to the terminal's wave runner
+// (engine/conjunction.go) — the waves then evaluate every row after the
+// cancel.
+func TestQueryContextCancelConjWaves(t *testing.T) {
+	const n, workers = 600, 4
+	db, calls, started, release := blockingDB(t, n, workers, 0)
+	cancelWhileBlocked(t, db, "SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1 AND div3(id) = 1",
+		calls, started, release, 0, workers)
+}
+
+// TestQueryContextCancelTwoPredicatePlan cancels the §5 two-predicate plan
+// inside conj-exec, after its joint sample. Seed it catches:
+// context.Background() handed to core.ExecuteTwoPredicatesParallelCtx in
+// engine.opConjExec — the plan then executes every action after the cancel.
+func TestQueryContextCancelTwoPredicatePlan(t *testing.T) {
+	const n, workers = 600, 4
+	sql := `SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1
+		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`
+	// The joint sample evaluates both predicates on every sampled row; an
+	// unblocked run with the same seed tells how many calls that is.
+	ref, _, _, _ := blockingDB(t, n, workers, math.MaxInt64)
+	rows, err := ref.QueryContext(context.Background(), sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rows.Stats()
+	sampleCalls := int64(2 * st.Sampled)
+	if st.Sampled == 0 || int64(st.Evaluations)-sampleCalls <= workers {
+		t.Fatalf("reference run stats unusable: %+v", st)
+	}
+	db, calls, started, release := blockingDB(t, n, workers, sampleCalls)
+	cancelWhileBlocked(t, db, sql, calls, started, release, sampleCalls, workers)
 }
 
 // runCancelledApprox executes the approximate query cancelling at the
@@ -152,6 +205,9 @@ func TestQueryContextCancelDuringLabeling(t *testing.T) {
 		 WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8`, 3000, 3)
 }
 
+// TestQueryContextCancelDuringSampling cancels inside the sampler's
+// top-up. Seed it catches: context.Background() handed to the top-up's
+// Meter.EvalRows (core.Sampler.TopUpCtx).
 func TestQueryContextCancelDuringSampling(t *testing.T) {
 	// GROUP ON skips labeling: the first UDF calls are the sampler's
 	// two-third-power top-up, so call 3 is mid-sampling.
@@ -160,6 +216,9 @@ func TestQueryContextCancelDuringSampling(t *testing.T) {
 		 WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`, 3000, 3)
 }
 
+// TestQueryContextCancelDuringExecution cancels inside the probabilistic
+// executor. Seed it catches: context.Background() handed to
+// core.ExecuteParallelCtx in engine.opProbEval.
 func TestQueryContextCancelDuringExecution(t *testing.T) {
 	// Learn the sampling size from an uncancelled run with the same seed,
 	// then cancel a few calls past it — inside the execution phase.

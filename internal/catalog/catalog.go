@@ -44,9 +44,12 @@ type OutcomeKey struct {
 
 // SampleKey identifies accumulated labeled sampling evidence: the rows a
 // query labeled or sampled while estimating per-group selectivities,
-// stored per (table, UDF, argument column, grouping column).
+// stored per (table, UDF, argument column, grouping column, filter set).
+// A filtered query's sample is uniform only over the filtered rows of each
+// group, so it never seeds a query with another filter set. Filters is the
+// engine's canonical filter string ("" when unfiltered).
 type SampleKey struct {
-	Table, UDF, Column, GroupColumn string
+	Table, UDF, Column, GroupColumn, Filters string
 }
 
 // columnChoice is a memoized Section 4.4 discovery result.
@@ -180,7 +183,7 @@ func (c *Catalog) apply(r record) {
 			m[row] = r.Bits[i] == '1'
 		}
 	case kindSamples:
-		k := SampleKey{Table: r.Table, UDF: r.UDF, Column: r.Column, GroupColumn: r.Group}
+		k := SampleKey{Table: r.Table, UDF: r.UDF, Column: r.Column, GroupColumn: r.Group, Filters: r.Filters}
 		m := c.samples[k]
 		if m == nil {
 			m = make(map[int]bool, len(r.Rows))
@@ -278,7 +281,7 @@ func (c *Catalog) AddSamples(k SampleKey, verdicts map[int]bool) {
 	rows, bits := encodeRows(delta)
 	c.pending = append(c.pending, record{
 		Kind: kindSamples, Table: k.Table, UDF: k.UDF, Column: k.Column, Group: k.GroupColumn,
-		Rows: rows, Bits: bits,
+		Filters: k.Filters, Rows: rows, Bits: bits,
 	})
 }
 
@@ -408,7 +411,8 @@ func (c *Catalog) snapshotRecords() []record {
 	sort.Slice(skeys, func(i, j int) bool { return lessSample(skeys[i], skeys[j]) })
 	for _, k := range skeys {
 		rows, bits := encodeRows(c.samples[k])
-		recs = append(recs, record{Kind: kindSamples, Table: k.Table, UDF: k.UDF, Column: k.Column, Group: k.GroupColumn, Rows: rows, Bits: bits})
+		recs = append(recs, record{Kind: kindSamples, Table: k.Table, UDF: k.UDF, Column: k.Column, Group: k.GroupColumn,
+			Filters: k.Filters, Rows: rows, Bits: bits})
 	}
 	ckeys := make([]string, 0, len(c.columns))
 	for k := range c.columns {
@@ -442,7 +446,10 @@ func lessSample(a, b SampleKey) bool {
 	if a.Column != b.Column {
 		return a.Column < b.Column
 	}
-	return a.GroupColumn < b.GroupColumn
+	if a.GroupColumn != b.GroupColumn {
+		return a.GroupColumn < b.GroupColumn
+	}
+	return a.Filters < b.Filters
 }
 
 // Close flushes buffered deltas and releases the log handle. The catalog

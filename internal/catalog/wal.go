@@ -48,10 +48,13 @@ type record struct {
 	UDF    string `json:"u,omitempty"`
 	Column string `json:"c,omitempty"`
 	Group  string `json:"g,omitempty"` // grouping column (samples)
-	Key    string `json:"w,omitempty"` // workload key (column memos)
-	Chosen string `json:"n,omitempty"` // chosen column (column memos)
-	Rows   []int  `json:"r,omitempty"`
-	Bits   string `json:"b,omitempty"` // one '0'/'1' per entry of Rows
+	// Filters is a sample's canonical filter set, omitted when unfiltered
+	// so unfiltered records keep their bytes.
+	Filters string `json:"f,omitempty"`
+	Key     string `json:"w,omitempty"` // workload key (column memos)
+	Chosen  string `json:"n,omitempty"` // chosen column (column memos)
+	Rows    []int  `json:"r,omitempty"`
+	Bits    string `json:"b,omitempty"` // one '0'/'1' per entry of Rows
 }
 
 // valid rejects structurally damaged payloads that happen to checksum

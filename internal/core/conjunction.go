@@ -170,34 +170,21 @@ func OrderPredicates(costs, sels []float64) ([]int, error) {
 	return order, nil
 }
 
-// ConjWavesResult is the accounting of a short-circuit wave execution.
-type ConjWavesResult struct {
-	// Retrieved counts rows fetched during the waves (rows fully resolved
-	// by sampling are free; a row rejected by a known outcome before its
-	// first unknown predicate is never fetched).
-	Retrieved int
-	// Evaluated counts the UDF calls issued per predicate during the waves
-	// (indexed like meters; excludes sampling).
-	Evaluated []int
-}
-
 // ConjWaveRunner executes short-circuit waves over row batches: each Run
 // call pushes one batch of rows through every predicate (in the configured
-// order) and returns the batch's survivors in input order, while the
-// per-predicate evaluation counts and the retrieved-row total accumulate
-// across batches. Batching does not change any outcome: a wave evaluates a
-// predicate on exactly the rows that survived the previous predicates, and
-// rows never interact across waves, so splitting the input into batches
-// yields the same calls, the same verdicts and the same survivors as one
-// monolithic run — the engine's batch executor relies on this. Not safe for
-// concurrent Run calls; parallelism lives inside a wave's pool fan-out.
+// order) and returns the batch's survivors in input order plus how many of
+// its rows had to be retrieved. Batching does not change any outcome: a wave
+// evaluates a predicate on exactly the rows that survived the previous
+// predicates, and rows never interact across waves, so splitting the input
+// into disjoint batches yields the same calls, the same verdicts and the
+// same survivors as one monolithic run — the engine's batch executor relies
+// on this. Not safe for concurrent Run calls; parallelism lives inside a
+// wave's pool fan-out.
 type ConjWaveRunner struct {
-	order     []int
-	known     []map[int]bool
-	meters    []*Meter
-	pool      *exec.Pool
-	retrieved map[int]bool
-	res       ConjWavesResult
+	order  []int
+	known  []map[int]bool
+	meters []*Meter
+	pool   *exec.Pool
 }
 
 // NewConjWaveRunner validates the predicate order and returns a runner.
@@ -217,21 +204,23 @@ func NewConjWaveRunner(order []int, known []map[int]bool, meters []*Meter, paral
 		}
 		seen[j] = true
 	}
-	return &ConjWaveRunner{
-		order:     order,
-		known:     known,
-		meters:    meters,
-		pool:      exec.NewPool(parallelism),
-		retrieved: make(map[int]bool),
-		res:       ConjWavesResult{Evaluated: make([]int, len(meters))},
-	}, nil
+	return &ConjWaveRunner{order: order, known: known, meters: meters, pool: exec.NewPool(parallelism)}, nil
 }
 
 // Run pushes one batch of rows through the waves and returns its survivors
-// in input order. A cancel returns ctx.Err() with the accumulated counts
-// untouched by the aborted batch's partial work beyond calls already paid.
-func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
-	survivors := rows
+// in input order and how many of its rows were retrieved: a row counts once,
+// when it first enters a wave's work list (a row resolved by known outcomes
+// before its first unknown predicate is never fetched). Batches must be
+// disjoint — no row may appear in two Run calls — for the retrieved counts
+// to sum to the statement's. A cancel returns ctx.Err().
+func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) (survivors []int, retrieved int, err error) {
+	// live holds the surviving rows' positions in rows, so fetched can mark
+	// a row's first retrieval without a per-row map.
+	live := make([]int, len(rows))
+	for i := range live {
+		live[i] = i
+	}
+	fetched := make([]bool, len(rows))
 	for _, j := range w.order {
 		var kn map[int]bool
 		if w.known != nil {
@@ -240,44 +229,42 @@ func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) ([]int, error) {
 		// Plan the wave: resolve known rows, emit slots for the rest so the
 		// merge below rebuilds the survivor list in input order.
 		type slot struct {
-			row     int
+			pos     int // position in rows
 			evalIdx int // -1: known pass, no evaluation needed
 		}
 		var slots []slot
 		var work []int
-		for _, row := range survivors {
-			if v, ok := kn[row]; ok {
+		for _, pos := range live {
+			if v, ok := kn[rows[pos]]; ok {
 				if v {
-					slots = append(slots, slot{row: row, evalIdx: -1})
+					slots = append(slots, slot{pos: pos, evalIdx: -1})
 				}
 				continue
 			}
-			slots = append(slots, slot{row: row, evalIdx: len(work)})
-			work = append(work, row)
+			slots = append(slots, slot{pos: pos, evalIdx: len(work)})
+			work = append(work, rows[pos])
+			if !fetched[pos] {
+				fetched[pos] = true
+				retrieved++
+			}
 		}
 		// Failed evaluations carry verdict false, so failed rows simply do
 		// not survive the wave.
 		verdicts, _, err := w.meters[j].EvalRows(ctx, w.pool, work)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		w.res.Evaluated[j] += len(work)
-		for _, row := range work {
-			if !w.retrieved[row] {
-				w.retrieved[row] = true
-				w.res.Retrieved++
-			}
-		}
-		next := make([]int, 0, len(slots))
+		next := live[:0]
 		for _, sl := range slots {
 			if sl.evalIdx < 0 || verdicts[sl.evalIdx] {
-				next = append(next, sl.row)
+				next = append(next, sl.pos)
 			}
 		}
-		survivors = next
+		live = next
 	}
-	return survivors, nil
+	survivors = make([]int, len(live))
+	for i, pos := range live {
+		survivors[i] = rows[pos]
+	}
+	return survivors, retrieved, nil
 }
-
-// Result returns the counts accumulated over every Run so far.
-func (w *ConjWaveRunner) Result() ConjWavesResult { return w.res }

@@ -118,11 +118,12 @@ func TestOrderPredicates(t *testing.T) {
 	}
 }
 
-// wavesOutcome is one single-batch wave run: the survivors plus the
-// runner's accounting.
+// wavesOutcome is one single-batch wave run: the survivors, the rows
+// retrieved, and the calls charged per predicate (indexed like meters).
 type wavesOutcome struct {
-	ConjWavesResult
-	Output []int
+	Output    []int
+	Retrieved int
+	Calls     []int
 }
 
 // runWaves pushes rows through a fresh ConjWaveRunner as a single batch.
@@ -131,11 +132,15 @@ func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, mete
 	if err != nil {
 		return wavesOutcome{}, err
 	}
-	out, err := w.Run(ctx, rows)
+	out, retrieved, err := w.Run(ctx, rows)
 	if err != nil {
 		return wavesOutcome{}, err
 	}
-	return wavesOutcome{ConjWavesResult: w.Result(), Output: out}, nil
+	calls := make([]int, len(meters))
+	for j, m := range meters {
+		calls[j] = m.Calls()
+	}
+	return wavesOutcome{Output: out, Retrieved: retrieved, Calls: calls}, nil
 }
 
 func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
@@ -161,11 +166,8 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 		t.Fatalf("output %v, want %v", res.Output, want)
 	}
 	// Wave sizes: 200, then the 100 even rows, then the 34 multiples of 6.
-	if got := res.Evaluated; !reflect.DeepEqual(got, []int{200, 100, 34}) {
-		t.Fatalf("evaluated %v", got)
-	}
-	if m0.Calls() != 200 || m1.Calls() != 100 || m2.Calls() != 34 {
-		t.Fatalf("meter calls %d/%d/%d", m0.Calls(), m1.Calls(), m2.Calls())
+	if got := res.Calls; !reflect.DeepEqual(got, []int{200, 100, 34}) {
+		t.Fatalf("meter calls %v", got)
 	}
 	if res.Retrieved != 200 {
 		t.Fatalf("retrieved %d, want 200", res.Retrieved)
@@ -189,11 +191,8 @@ func TestExecuteConjunctionWavesKnownRowsFree(t *testing.T) {
 	}
 	// Rows 0 and 1 were fully decided (or rejected) without touching pred 0;
 	// row 0 also skipped pred 1.
-	if m0.Calls() != 4 {
-		t.Fatalf("pred0 calls %d, want 4", m0.Calls())
-	}
-	if m1.Calls() != 4 {
-		t.Fatalf("pred1 calls %d, want 4", m1.Calls())
+	if !reflect.DeepEqual(res.Calls, []int{4, 4}) {
+		t.Fatalf("meter calls %v, want [4 4]", res.Calls)
 	}
 	// Row 0 was never fetched during waves; rows 2..5 were.
 	if res.Retrieved != 4 {

@@ -389,8 +389,6 @@ func (m *Meter) init(body FallibleUDF, cache EvalCache, gate exec.Gate) *Meter {
 // whose evaluation failed for good reports false (the ledger holds the
 // failure); batch paths use EvalRows, which reports per-row failures and
 // honors cancellation.
-//
-//predlint:allow ctxflow — Eval(row) bool is the core.UDF interface shape; cancellable batch paths use Meter.EvalRows
 func (m *Meter) Eval(row int) bool {
 	v, _ := m.evalFallible(context.Background(), row)
 	return v

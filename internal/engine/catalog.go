@@ -16,9 +16,9 @@ import (
 //   - the cross-query eval caches are seeded lazily from persisted raw
 //     verdicts (so repeated exact workloads run with zero evaluations);
 //   - samplers are seeded with prior labeled/sampled evidence per
-//     (table, UDF, column, grouping column), shrinking or eliminating the
-//     1% labeling pass and the per-group top-ups of repeated approximate
-//     queries;
+//     (table, UDF, column, grouping column, filter set), shrinking or
+//     eliminating the 1% labeling pass and the per-group top-ups of
+//     repeated approximate queries;
 //   - the Section 4.4 correlated-column discovery result is memoized per
 //     workload key, so repeat queries skip the labeling scan entirely.
 //
@@ -152,14 +152,31 @@ func workloadKey(q Query, cost core.CostModel) string {
 		parts = append(parts, fmt.Sprintf("apr=%g,%g,%g", q.Approx.Precision, q.Approx.Recall, q.Approx.Probability))
 	}
 	if len(q.Filters) > 0 {
-		fs := make([]string, len(q.Filters))
-		for i, f := range q.Filters {
-			fs[i] = f.Column + "=" + f.Value
-		}
-		sort.Strings(fs)
-		parts = append(parts, "flt="+strings.Join(fs, "&"))
+		parts = append(parts, "flt="+filterKey(q.Filters))
 	}
 	return strings.Join(parts, "\x1f")
+}
+
+// filterKey canonicalizes a cheap-filter set: "col=value" terms, sorted,
+// joined by "&" ("" for no filters). The §4.4 memo is keyed by it because
+// the filtered subset shapes the column choice, sampling evidence because a
+// filtered query's sample is uniform only over the filtered rows of each
+// group.
+func filterKey(filters []Filter) string {
+	fs := make([]string, len(filters))
+	for i, f := range filters {
+		fs[i] = f.Column + "=" + f.Value
+	}
+	sort.Strings(fs)
+	return strings.Join(fs, "&")
+}
+
+// sampleKey is the catalog key of the statement's sampling evidence.
+func sampleKey(q Query, groupCol string) catalog.SampleKey {
+	return catalog.SampleKey{
+		Table: q.Table, UDF: q.UDFName, Column: q.UDFArg, GroupColumn: groupCol,
+		Filters: filterKey(q.Filters),
+	}
 }
 
 // foldVerdicts maps between raw UDF outcomes and want-folded verdicts.
@@ -206,16 +223,14 @@ func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
 }
 
 // seedSamplerFromCatalog warm-starts a sampler with persisted evidence for
-// the query's (table, UDF, column, grouping column), folded to its want.
-// Returns the number of rows seeded.
+// the query's (table, UDF, column, grouping column, filter set), folded to
+// its want. Returns the number of rows seeded.
 func (e *Engine) seedSamplerFromCatalog(s *core.Sampler, q Query, groupCol string) int {
 	c := e.Catalog()
 	if c == nil {
 		return 0
 	}
-	prior := c.Samples(catalog.SampleKey{
-		Table: q.Table, UDF: q.UDFName, Column: q.UDFArg, GroupColumn: groupCol,
-	})
+	prior := c.Samples(sampleKey(q, groupCol))
 	if len(prior) == 0 {
 		return 0
 	}
@@ -251,8 +266,6 @@ func (e *Engine) persistQueryLearnings(st *pipeState) {
 		}
 	}
 	if len(raw) > 0 {
-		c.AddSamples(catalog.SampleKey{
-			Table: q.Table, UDF: q.UDFName, Column: q.UDFArg, GroupColumn: chosen,
-		}, raw)
+		c.AddSamples(sampleKey(q, chosen), raw)
 	}
 }

@@ -245,3 +245,52 @@ func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 		t.Fatalf("faulted query persisted %d sample rows", st.SampleRows)
 	}
 }
+
+// TestCatalogSampleEvidenceKeyedByFilters: a filtered query's within-group
+// sample is uniform only over the filtered rows, so its evidence must not
+// warm-start a query with another filter set — in this process or after a
+// restart — while a re-run of the same filtered query still seeds from it.
+// (Keyed without the filter set, the unfiltered query below seeded all 166
+// rows the filtered one sampled.)
+func TestCatalogSampleEvidenceKeyedByFilters(t *testing.T) {
+	dir := t.TempDir()
+	unfiltered := approxQ()
+	unfiltered.GroupOn = "grade"
+	filtered := unfiltered
+	filtered.Filters = []Filter{{Column: "purpose", Value: "car"}}
+	// run executes q with the cross-query cache off and reports its sampled
+	// and catalog-seeded row counts.
+	run := func(e *Engine, q Query) (sampled, seeded int) {
+		t.Helper()
+		before := e.CatalogCounters().SeededRows
+		res, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Stats.Sampled, int(e.CatalogCounters().SeededRows - before)
+	}
+	e, _, _ := catalogEngine(t, 3000, dir)
+	e.CacheUDFResults = false
+	if sampled, seeded := run(e, filtered); sampled == 0 || seeded != 0 {
+		t.Fatalf("cold filtered query: sampled %d, seeded %d; want a sample and no seeds", sampled, seeded)
+	}
+	sampledU, seeded := run(e, unfiltered)
+	if seeded != 0 {
+		t.Fatalf("unfiltered query seeded %d rows from the filtered query's sample", seeded)
+	}
+	if _, seeded := run(e, filtered); seeded == 0 {
+		t.Fatal("re-run filtered query seeded nothing from its own sample")
+	}
+	if err := e.CloseCatalog(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, _, _ := catalogEngine(t, 3000, dir)
+	e2.CacheUDFResults = false
+	if _, seeded := run(e2, unfiltered); seeded != sampledU {
+		t.Fatalf("after restart the unfiltered query seeded %d rows, want its own %d", seeded, sampledU)
+	}
+	if _, seeded := run(e2, filtered); seeded == 0 {
+		t.Fatal("after restart the filtered query seeded nothing from its own sample")
+	}
+}

@@ -74,9 +74,9 @@ func (e *Engine) opConjExec(ctx context.Context, st *pipeState) (stageOut, error
 // conjWaves prepares the short-circuit waves of the conj-waves terminal.
 // The wave order and the free sampled outcomes are fixed here, once, after
 // the child chain (including any conj-sample stage) has run, so every batch
-// flows through identical waves; rows never interact across batches, which
-// is why batching leaves calls, survivors and counters bit-identical (see
-// core.ConjWaveRunner).
+// flows through identical waves; rows never interact across batches, and
+// the scan never repeats a row, which is why batching leaves calls,
+// survivors and counters bit-identical (see core.ConjWaveRunner.Run).
 func (e *Engine) conjWaves(st *pipeState, mode string) (batchEval, error) {
 	order := make([]int, len(st.preds))
 	for i := range order {
@@ -109,11 +109,7 @@ func (e *Engine) conjWaves(st *pipeState, mode string) (batchEval, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(ctx context.Context, rows []int) ([]int, int, error) {
-		before := runner.Result().Retrieved
-		survivors, err := runner.Run(ctx, rows)
-		return survivors, runner.Result().Retrieved - before, err
-	}, nil
+	return runner.Run, nil
 }
 
 // meters lists the predicates' meters in query order.

@@ -211,6 +211,34 @@ func TestExecuteBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetHoldsOnWarmCache: the budget left for execution must subtract
+// what sampling cost as Stats bills it — every sampled row retrieved (o_r),
+// only charged calls evaluated (o_e). After an exact query warmed the cache
+// the sampled rows are retrieved but never evaluated; billing them o_r+o_e
+// per charged call (0 calls) overstated the remaining budget, and the query
+// overran it (Stats.Cost 1567 against BUDGET 1500).
+func TestBudgetHoldsOnWarmCache(t *testing.T) {
+	e, _, _ := newTestEngine(t, 3000)
+	if _, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", Budget: 1500,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Sampled == 0 || res.Stats.Evaluations != 0 {
+		t.Fatalf("scenario needs a cache-served sample: %+v", res.Stats)
+	}
+	if res.Stats.Cost > 1500 {
+		t.Fatalf("Stats.Cost %v overran BUDGET 1500: %+v", res.Stats.Cost, res.Stats)
+	}
+}
+
 func TestExecuteErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	cases := []Query{
@@ -684,6 +712,9 @@ func TestExecuteConjunctionValidation(t *testing.T) {
 	}
 }
 
+// TestUDFPanicSurfacesAsError: a panicking body becomes the statement's
+// typed error instead of crashing the caller. Seed it catches: an untyped
+// error from rowInvoker's panic capture.
 func TestUDFPanicSurfacesAsError(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 300)
 	if err := e.RegisterUDF(UDF{Name: "explodes", Body: func(v table.Value) bool {

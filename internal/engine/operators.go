@@ -403,7 +403,9 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 	cons := st.q.Approx.Constraints()
 	switch mode {
 	case plan.ModeBudget:
-		spent := float64(st.preds[0].meter.Calls()) * (st.cost.Retrieve + st.cost.Evaluate)
+		// What sampling spent, billed as finish bills it: every sampled row
+		// was retrieved, but rows the cache served were not evaluated.
+		spent := float64(st.sampled)*st.cost.Retrieve + float64(st.preds[0].meter.Calls())*st.cost.Evaluate
 		remaining := st.q.Budget - spent
 		if remaining < 0 {
 			remaining = 0

@@ -382,3 +382,133 @@ func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 		t.Errorf("stats diverged across parallelism:\n p=1 %+v\n p=8 %+v", seq.Stats, par.Stats)
 	}
 }
+
+// TestFailureClassification pins the one classification site,
+// rowInvoker.EvalErr, for every failure source that can reach a row: what
+// resilience.Classify makes of the error the fail policy returns, whether
+// that error unwraps to a *resilience.Error, and how many retries the skip
+// policy's Stats report. Only row 17 fails (every row, for the breaker
+// denial); the retry policy allows 3 attempts with no backoff. An untyped
+// body error stays Transient and is retried, because DB.RegisterUDFErr
+// documents that contract. A cancelled context is no row failure: the
+// statement aborts with ctx.Err() under every policy.
+//
+// Seeds this table catches: an untyped error on runOnce's per-call timeout
+// paths (Classify Transient, not Timeout); an untyped error from
+// rowInvoker's panic capture (Transient and retried twice, not Panic); an
+// untyped chaos injection (no *resilience.Error).
+func TestFailureClassification(t *testing.T) {
+	const failRow = 17
+	chaos := resilience.NewChaos(resilience.ChaosConfig{Seed: 3, ErrorRate: 1})
+	injected := chaos.Wrap(func(context.Context, any) (bool, error) { return true, nil })
+	cases := []struct {
+		name  string
+		setup func(e *Engine)
+		// fail is good_credit's body on failRow; nil answers from truth.
+		fail    func(ctx context.Context, cancel context.CancelFunc) (bool, error)
+		kind    resilience.Kind
+		typed   bool  // the error unwraps to *resilience.Error
+		is      error // a sentinel the error must match, when set
+		retries int   // Stats.Retries under the skip policy
+	}{
+		{name: "plain body error",
+			fail: func(context.Context, context.CancelFunc) (bool, error) {
+				return false, errors.New("service said no")
+			},
+			kind: resilience.Transient, typed: false, retries: 2},
+		{name: "permanent",
+			fail: func(context.Context, context.CancelFunc) (bool, error) {
+				return false, resilience.New(resilience.Permanent, "udf", errors.New("bad input"))
+			},
+			kind: resilience.Permanent, typed: true, retries: 0},
+		{name: "panic",
+			fail: func(context.Context, context.CancelFunc) (bool, error) { panic("body crashed") },
+			kind: resilience.Panic, typed: true, retries: 0},
+		{name: "per-call timeout",
+			setup: func(e *Engine) { e.Retry.CallTimeout = 50 * time.Millisecond },
+			fail: func(ctx context.Context, _ context.CancelFunc) (bool, error) {
+				<-ctx.Done()
+				return false, ctx.Err()
+			},
+			kind: resilience.Timeout, typed: true, retries: 2},
+		{name: "chaos injection",
+			fail: func(ctx context.Context, _ context.CancelFunc) (bool, error) {
+				return injected(ctx, failRow)
+			},
+			kind: resilience.Transient, typed: true, retries: 2},
+		{name: "breaker denial",
+			setup: func(e *Engine) {
+				e.Breaker = resilience.BreakerConfig{MinCalls: 1, Cooldown: 1 << 20}
+				e.breakerFor("loans", "good_credit").Record(true) // trips it
+			},
+			kind: resilience.Transient, typed: false, is: resilience.ErrBreakerOpen, retries: 0},
+		{name: "cancelled context",
+			fail: func(ctx context.Context, cancel context.CancelFunc) (bool, error) {
+				cancel()
+				return false, ctx.Err()
+			},
+			kind: resilience.Transient, typed: false, is: context.Canceled},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(policy FailurePolicy) (*Result, error) {
+				tbl, truth := buildLoanTable(t, 64, 42)
+				e := New(7)
+				e.Retry = resilience.Policy{MaxAttempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
+				if c.setup != nil {
+					c.setup(e)
+				}
+				if err := e.RegisterTable(tbl); err != nil {
+					t.Fatal(err)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				err := e.RegisterUDF(UDF{
+					Name: "good_credit",
+					BodyErr: func(bctx context.Context, v table.Value) (bool, error) {
+						if id := v.(int64); id != failRow || c.fail == nil {
+							return truth[id], nil
+						}
+						return c.fail(bctx, cancel)
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e.ExecuteContext(ctx, exactQuery(policy))
+			}
+
+			_, err := run(FailOnError)
+			if err == nil {
+				t.Fatal("fail policy: the query succeeded")
+			}
+			if got := resilience.Classify(err); got != c.kind {
+				t.Errorf("Classify(%v) = %v, want %v", err, got, c.kind)
+			}
+			var re *resilience.Error
+			if typed := errors.As(err, &re); typed != c.typed {
+				t.Errorf("errors.As(%v, *resilience.Error) = %t, want %t", err, typed, c.typed)
+			}
+			if c.is != nil && !errors.Is(err, c.is) {
+				t.Errorf("err = %v, want it to match %v", err, c.is)
+			}
+
+			res, err := run(SkipFailed)
+			if c.is == context.Canceled {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("skip policy: err = %v, want the statement aborted with context.Canceled", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("skip policy: %v", err)
+			}
+			if res.Stats.FailedRows == 0 {
+				t.Errorf("skip policy: FailedRows = 0, want the failing row counted")
+			}
+			if res.Stats.Retries != c.retries {
+				t.Errorf("skip policy: Retries = %d, want %d", res.Stats.Retries, c.retries)
+			}
+		})
+	}
+}

@@ -19,8 +19,6 @@ package lint
 //	             any data-path package is a determinism bug, not a
 //	             measurement (no blanket //predlint:allow — the carve-out
 //	             is this table, pinned by TestDefaultTargetsObsCarveOut).
-//	ctxflow      the UDF-invoking call chain PR 2 made cancellable.
-//	             Excluded: cmd/* (servers mint their own root contexts).
 //	gospawn      everywhere except the two packages whose whole point is
 //	             owning goroutines (internal/exec pool, internal/resilience
 //	             call-timeout watchdog) and cmd entry points (server
@@ -29,12 +27,8 @@ package lint
 //	             records. Excluded: cmd/* (human-facing printouts are
 //	             sorted where it matters and irrelevant where not),
 //	             offline harnesses.
-//	errtaxonomy  the invocation boundary: resilience itself, the pool, the
-//	             engine and core (where verdict-shaped functions live).
 //	atomicwrite  internal/catalog, the only package that owns durable
 //	             files.
-//	atomicmix    the whole module: a function-style sync/atomic call opens
-//	             the door to a mixed atomic/plain access wherever it appears.
 //
 // The module root package ("") is predeval, the public API — it is on
 // every data path, so it is included everywhere.
@@ -55,18 +49,10 @@ func DefaultTargets() map[string]*Target {
 	mapOrdered := append(append([]string{}, dataPath...), "internal/obs")
 	return map[string]*Target{
 		"detrand": {Module: ModulePath, Include: dataPath},
-		"ctxflow": {Module: ModulePath, Include: []string{
-			"", "internal/core", "internal/engine", "internal/exec",
-			"internal/plan", "internal/resilience",
-		}},
 		"gospawn": {Module: ModulePath, Exclude: []string{
 			"internal/exec", "internal/resilience", "cmd",
 		}},
-		"maporder": {Module: ModulePath, Include: mapOrdered},
-		"errtaxonomy": {Module: ModulePath, Include: []string{
-			"", "internal/core", "internal/engine", "internal/exec", "internal/resilience",
-		}},
+		"maporder":    {Module: ModulePath, Include: mapOrdered},
 		"atomicwrite": {Module: ModulePath, Include: []string{"internal/catalog"}},
-		"atomicmix":   {Module: ModulePath},
 	}
 }

@@ -41,20 +41,20 @@ func TestDefaultTargetsObsCarveOut(t *testing.T) {
 
 // TestDefaultTargetsCoverBatchPipeline pins that the batch iterator code
 // paths introduced with the Volcano executor stay under the determinism
-// and context-flow analyzers: the batch operators (internal/engine), the
-// wave runner (internal/core), the plan shapes they compile from
-// (internal/plan), the pool they fan out through (internal/exec) and the
-// public streaming API (the module root, "") are all detrand, maporder
-// AND ctxflow targets. A batch operator that grabbed wall-clock time,
-// ranged a map into an emitted batch, or dropped the context on its
-// Open/Next path must fail the suite.
+// analyzers: the batch operators (internal/engine), the wave runner
+// (internal/core), the plan shapes they compile from (internal/plan), the
+// pool they fan out through (internal/exec) and the public streaming API
+// (the module root, "") are all detrand AND maporder targets. A batch
+// operator that grabbed wall-clock time or ranged a map into an emitted
+// batch must fail the suite. (A dropped context on the Open/Next path is
+// the cancellation tests' to catch: cancel_test.go at the module root.)
 func TestDefaultTargetsCoverBatchPipeline(t *testing.T) {
 	targets := lint.DefaultTargets()
 	batchPath := []string{
 		"repro", "repro/internal/core", "repro/internal/engine",
 		"repro/internal/plan", "repro/internal/exec",
 	}
-	for _, analyzer := range []string{"detrand", "maporder", "ctxflow"} {
+	for _, analyzer := range []string{"detrand", "maporder"} {
 		target := targets[analyzer]
 		if target == nil {
 			t.Fatalf("no %s target", analyzer)

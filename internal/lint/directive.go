@@ -14,12 +14,9 @@ import (
 //
 // The separator may be an em dash or "--"; the reason is mandatory and
 // should say why the exception is safe, not what the code does. A
-// directive suppresses findings of the named analyzers
-//
-//   - on its own line (trailing comment),
-//   - on the line immediately below (standalone comment above a statement),
-//   - in the whole function, when it appears in a func declaration's doc
-//     comment (the shape used by directive-marked legacy wrappers).
+// directive suppresses findings of the named analyzers on its own line
+// (trailing comment) and on the line immediately below (standalone comment
+// above a statement).
 //
 // A malformed directive — no analyzer names, an unknown analyzer name, or
 // a missing reason — is itself a finding, attributed to the pseudo-analyzer
@@ -33,16 +30,11 @@ const InvalidDirectiveAnalyzer = "predlint"
 
 // directive is one parsed //predlint:allow comment.
 type directive struct {
-	pos       token.Pos
 	line      int
 	col       int
 	file      string
 	analyzers []string
 	reason    string
-	// funcStart/funcEnd bound the enclosing function when the directive
-	// rides a func declaration's doc comment; both are token.NoPos for
-	// line-scoped directives.
-	funcStart, funcEnd token.Pos
 }
 
 func (d *directive) allows(analyzer string) bool {
@@ -79,14 +71,6 @@ func (s *suppressor) collectDirectives(fset *token.FileSet, files []*ast.File, k
 			continue
 		}
 		s.seen[name] = true
-		// Map comments that serve as function documentation to their
-		// function's extent.
-		funcDoc := make(map[*ast.CommentGroup]*ast.FuncDecl)
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil {
-				funcDoc[fd.Doc] = fd
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, directivePrefix) {
@@ -104,13 +88,9 @@ func (s *suppressor) collectDirectives(fset *token.FileSet, files []*ast.File, k
 					})
 					continue
 				}
-				d.pos = c.Pos()
 				d.line = pos.Line
 				d.col = pos.Column
 				d.file = pos.Filename
-				if fd, ok := funcDoc[cg]; ok {
-					d.funcStart, d.funcEnd = fd.Pos(), fd.End()
-				}
 				s.directives = append(s.directives, d)
 				s.used = append(s.used, 0)
 			}
@@ -157,16 +137,11 @@ func parseDirective(text string, known map[string]bool) (*directive, string) {
 	return &directive{analyzers: names, reason: reason}, ""
 }
 
-// suppress reports whether finding f (already positioned) is covered by a
-// directive, and records the use.
-func (s *suppressor) suppress(f Finding, pos token.Pos) bool {
+// suppress reports whether finding f is covered by a directive, and records
+// the use.
+func (s *suppressor) suppress(f Finding) bool {
 	for i, d := range s.directives {
-		if d.file != f.File || !d.allows(f.Analyzer) {
-			continue
-		}
-		lineScoped := f.Line == d.line || f.Line == d.line+1
-		funcScoped := d.funcStart.IsValid() && pos >= d.funcStart && pos < d.funcEnd
-		if lineScoped || funcScoped {
+		if d.file == f.File && d.allows(f.Analyzer) && (f.Line == d.line || f.Line == d.line+1) {
 			s.used[i]++
 			return true
 		}
@@ -183,23 +158,11 @@ func (s *suppressor) counts() (suppressed, directives int) {
 }
 
 // stale returns one finding per directive that suppressed nothing this
-// run, attributed to the pseudo-analyzer "predlint". A directive is only
-// stale when every analyzer it names is in ran: under a filtered suite
-// (-only/-skip) an unexercised directive proves nothing.
-func (s *suppressor) stale(ran map[string]bool) []Finding {
+// run, attributed to the pseudo-analyzer "predlint".
+func (s *suppressor) stale() []Finding {
 	var out []Finding
 	for i, d := range s.directives {
 		if s.used[i] > 0 {
-			continue
-		}
-		exercised := true
-		for _, a := range d.analyzers {
-			if !ran[a] {
-				exercised = false
-				break
-			}
-		}
-		if !exercised {
 			continue
 		}
 		out = append(out, Finding{

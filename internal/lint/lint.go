@@ -1,9 +1,9 @@
 // Package lint is the engine-specific static-analysis substrate behind
-// cmd/predlint. It mechanically enforces the correctness invariants earlier
-// PRs established by hand — seeded determinism, context plumbing, pooled
-// concurrency, ordered map iteration on evidence paths, the typed
-// resilience error taxonomy, and atomic catalog writes — so a future change
-// that silently violates one becomes un-mergeable instead of un-noticed.
+// cmd/predlint. It mechanically enforces the correctness invariants no test
+// catches reliably — seeded determinism, pooled concurrency, ordered map
+// iteration on evidence paths, and atomic catalog writes — so a future
+// change that silently violates one becomes un-mergeable instead of
+// un-noticed. (Cancellation and the failure taxonomy are held by tests.)
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) so analyzers read like standard

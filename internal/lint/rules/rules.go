@@ -1,13 +1,14 @@
-// Package rules holds the predlint analyzer suite: seven project-specific
-// checks, each mechanically enforcing an invariant one of the earlier PRs
-// established by hand. Every analyzer flags ALL occurrences of its pattern
-// in whatever package it is handed; deciding which packages an analyzer
-// covers is the driver's job (internal/lint/config.go), so the testdata
-// suites exercise analyzers directly without faking package paths.
+// Package rules holds the predlint analyzer suite: four project-specific
+// checks, each guarding an invariant whose seeded violation no test catches
+// (DESIGN.md, "Invariants & static enforcement", names the seed for each).
+// Every analyzer flags ALL occurrences of its pattern in whatever package
+// it is handed; deciding which packages an analyzer covers is the driver's
+// job (internal/lint/config.go), so the testdata suites exercise analyzers
+// directly without faking package paths.
 //
-// All seven are single-statement AST matchers over type information. The
-// invariants that would need flow analysis are held by construction or by a
-// test instead (DESIGN.md, "Held by construction").
+// All four are single-statement AST matchers over type information. The
+// invariants a test or the type system can hold are held there instead
+// (DESIGN.md, "Held by construction").
 package rules
 
 import (
@@ -20,11 +21,8 @@ import (
 // Suite returns the full analyzer suite in stable (alphabetical) order.
 func Suite() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		Atomicmix,
 		Atomicwrite,
-		Ctxflow,
 		Detrand,
-		Errtaxonomy,
 		Gospawn,
 		Maporder,
 	}

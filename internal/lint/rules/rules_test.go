@@ -13,20 +13,14 @@ import (
 // must stay silent.
 
 func TestDetrand(t *testing.T)     { linttest.Run(t, "testdata", "detrand", rules.Detrand) }
-func TestCtxflow(t *testing.T)     { linttest.Run(t, "testdata", "ctxflow", rules.Ctxflow) }
 func TestGospawn(t *testing.T)     { linttest.Run(t, "testdata", "gospawn", rules.Gospawn) }
 func TestMaporder(t *testing.T)    { linttest.Run(t, "testdata", "maporder", rules.Maporder) }
-func TestErrtaxonomy(t *testing.T) { linttest.Run(t, "testdata", "errtaxonomy", rules.Errtaxonomy) }
 func TestAtomicwrite(t *testing.T) { linttest.Run(t, "testdata", "atomicwrite", rules.Atomicwrite) }
-func TestAtomicmix(t *testing.T)   { linttest.Run(t, "testdata", "atomicmix", rules.Atomicmix) }
 
-// TestSuiteShape pins the suite: seven analyzers, sorted, documented.
+// TestSuiteShape pins the suite: four analyzers, sorted, documented.
 func TestSuiteShape(t *testing.T) {
 	suite := rules.Suite()
-	want := []string{
-		"atomicmix", "atomicwrite", "ctxflow", "detrand",
-		"errtaxonomy", "gospawn", "maporder",
-	}
+	want := []string{"atomicwrite", "detrand", "gospawn", "maporder"}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
 	}
@@ -63,8 +57,5 @@ func TestAnalyzersFlagEverywhere(t *testing.T) {
 	}
 	if tg := targets["atomicwrite"]; tg != nil && !tg.Match("repro/internal/catalog") {
 		t.Error("atomicwrite must target internal/catalog")
-	}
-	if tg := targets["atomicmix"]; tg != nil && !tg.Match("repro/internal/obs") {
-		t.Error("atomicmix must target the whole module including internal/obs")
 	}
 }

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"fmt"
-	"go/token"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -45,15 +44,8 @@ type Options struct {
 	// under the pseudo-analyzer "predlint" (like malformed directives,
 	// they are not themselves suppressible). CI runs strict so stale
 	// suppressions rot loudly instead of silently widening the allowed
-	// surface. A directive only counts as stale when every analyzer it
-	// names actually ran — filtered runs (-only/-skip) cannot produce
-	// false staleness.
+	// surface.
 	Strict bool
-	// KnownAnalyzers names the full analyzer universe for directive
-	// validation. When the run suite is filtered (-only/-skip), a
-	// directive naming a known-but-not-run analyzer must be neither
-	// "unknown" nor stale; empty means the run suite is the universe.
-	KnownAnalyzers []string
 }
 
 // Summary renders the one-line report CI prints win or lose, e.g.
@@ -69,22 +61,14 @@ func (r Result) Summary() string {
 // when non-empty, roots finding file paths (module-relative paths keep
 // output stable across checkouts).
 func Run(pkgs []*Package, suite []*Analyzer, targets map[string]*Target, baseDir string, opts Options) (Result, error) {
-	ran := make(map[string]bool, len(suite))
+	known := make(map[string]bool, len(suite))
 	res := Result{Packages: len(pkgs)}
 	for _, a := range suite {
-		ran[a.Name] = true
+		known[a.Name] = true
 		res.Analyzers = append(res.Analyzers, a.Name)
-	}
-	known := ran
-	if len(opts.KnownAnalyzers) > 0 {
-		known = make(map[string]bool, len(opts.KnownAnalyzers))
-		for _, n := range opts.KnownAnalyzers {
-			known[n] = true
-		}
 	}
 
 	var raw []Finding
-	var rawPos []token.Pos // parallel to raw, for function-scoped suppression
 	sup := &suppressor{}
 	for _, pkg := range pkgs {
 		sup.collectDirectives(pkg.Fset, pkg.Files, known)
@@ -112,21 +96,19 @@ func Run(pkgs []*Package, suite []*Analyzer, targets map[string]*Target, baseDir
 					Analyzer: a.Name,
 					Message:  d.Message,
 				})
-				rawPos = append(rawPos, d.Pos)
 			}
 		}
 	}
 
 	var surviving []Finding
-	for i, f := range raw {
-		if sup.suppress(f, rawPos[i]) {
-			continue
+	for _, f := range raw {
+		if !sup.suppress(f) {
+			surviving = append(surviving, f)
 		}
-		surviving = append(surviving, f)
 	}
 	surviving = append(surviving, sup.invalid...)
 	if opts.Strict {
-		surviving = append(surviving, sup.stale(ran)...)
+		surviving = append(surviving, sup.stale()...)
 	}
 	res.DirectiveUses = sup.uses()
 	if baseDir != "" {

@@ -10,11 +10,11 @@ import (
 )
 
 // TestSuppressionEndToEnd runs the full suite over testdata/src/suppress
-// and checks the whole suppression pipeline: every directive scope
-// (same-line, line-above, function-doc) suppresses its finding; malformed
-// directives (no reason, unknown analyzer) surface as unsuppressible
-// "predlint" findings; the uncovered violation survives; and the counters
-// the CI summary prints are exact.
+// and checks the whole suppression pipeline: both directive scopes
+// (same-line, line-above) suppress their finding; malformed directives (no
+// reason, unknown analyzer) surface as unsuppressible "predlint" findings;
+// the uncovered violation survives; and the counters the CI summary prints
+// are exact.
 func TestSuppressionEndToEnd(t *testing.T) {
 	pkg := linttest.Load(t, "testdata", "suppress")
 	res, err := lint.Run([]*lint.Package{pkg}, rules.Suite(), nil, "", lint.Options{})
@@ -22,13 +22,13 @@ func TestSuppressionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 4 detrand findings suppressed by 3 well-formed directives (same-line,
-	// line-above, and a function-doc directive covering two draws).
-	if res.Suppressed != 4 {
-		t.Errorf("Suppressed = %d, want 4", res.Suppressed)
+	// 2 detrand findings suppressed by 2 well-formed directives (same-line
+	// and line-above).
+	if res.Suppressed != 2 {
+		t.Errorf("Suppressed = %d, want 2", res.Suppressed)
 	}
-	if res.Directives != 3 {
-		t.Errorf("Directives = %d, want 3 (malformed directives must not count)", res.Directives)
+	if res.Directives != 2 {
+		t.Errorf("Directives = %d, want 2 (malformed directives must not count)", res.Directives)
 	}
 
 	// Survivors: the uncovered rand.Int, the go statement whose directive
@@ -65,16 +65,14 @@ func TestSuppressionEndToEnd(t *testing.T) {
 
 	// The summary line is what CI prints; pin its counters.
 	sum := res.Summary()
-	if !strings.Contains(sum, "4 suppressed by 3 directives") {
-		t.Errorf("Summary() = %q, want it to report 4 suppressed by 3 directives", sum)
+	if !strings.Contains(sum, "2 suppressed by 2 directives") {
+		t.Errorf("Summary() = %q, want it to report 2 suppressed by 2 directives", sum)
 	}
 }
 
 // TestStrictStaleDirectives pins -strict semantics over testdata/src/stale:
 // a never-used directive is a "predlint" finding only under Strict, a used
-// directive never is, DirectiveUses itemizes both, and a filtered suite
-// (-only) cannot declare a directive stale when the analyzer it names did
-// not run.
+// directive never is, and DirectiveUses itemizes both.
 func TestStrictStaleDirectives(t *testing.T) {
 	pkg := linttest.Load(t, "testdata", "stale")
 	suite := rules.Suite()
@@ -111,25 +109,6 @@ func TestStrictStaleDirectives(t *testing.T) {
 	}
 	if !strings.Contains(f.Message, "stale") || !strings.Contains(f.Message, "maporder") {
 		t.Errorf("stale finding message = %q, want it to name the stale maporder directive", f.Message)
-	}
-
-	// Filtered suite: with only detrand running, the maporder directive is
-	// neither an unknown name (KnownAnalyzers covers it) nor stale.
-	var detrandOnly []*lint.Analyzer
-	var allNames []string
-	for _, a := range suite {
-		allNames = append(allNames, a.Name)
-		if a.Name == "detrand" {
-			detrandOnly = append(detrandOnly, a)
-		}
-	}
-	res, err = lint.Run([]*lint.Package{pkg}, detrandOnly, nil, "",
-		lint.Options{Strict: true, KnownAnalyzers: allNames})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Findings) != 0 {
-		t.Errorf("filtered strict run has %d findings, want 0 (maporder did not run): %v", len(res.Findings), res.Findings)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package suppress exercises the //predlint:allow grammar end to end:
-// same-line, line-above and function-doc scopes suppress; directives
-// without a reason or naming an unknown analyzer are findings themselves;
-// an uncovered violation survives.
+// same-line and line-above scopes suppress; directives without a reason or
+// naming an unknown analyzer are findings themselves; an uncovered
+// violation survives.
 package suppress
 
 import (
@@ -16,15 +16,6 @@ func sameLine() int {
 func lineAbove() time.Time {
 	//predlint:allow detrand — line-above scope under test
 	return time.Now()
-}
-
-// funcScoped draws twice; one doc-comment directive covers both.
-//
-//predlint:allow detrand — function scope under test
-func funcScoped() int {
-	a := rand.Intn(10)
-	b := rand.Intn(20)
-	return a + b
 }
 
 func unsuppressed() int {

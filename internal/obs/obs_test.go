@@ -173,6 +173,9 @@ func TestParseExpositionEscapes(t *testing.T) {
 	}
 }
 
+// TestConcurrentObservations updates every metric kind from many
+// goroutines at once. Seed it catches under -race: a Counter kept as a
+// plain int64 behind atomic.AddInt64 and read plainly by Value.
 func TestConcurrentObservations(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("c_total", "c")

@@ -154,6 +154,9 @@ func TestDoCancelledDuringBackoffReturnsCtxErr(t *testing.T) {
 	}
 }
 
+// TestDoCallTimeoutClassifiedRetryable: an attempt that outlives its
+// per-call deadline is a typed, retryable Timeout, not a batch abort. Seed
+// it catches: an untyped error on runOnce's timeout paths.
 func TestDoCallTimeoutClassifiedRetryable(t *testing.T) {
 	p := Policy{
 		MaxAttempts: 2,

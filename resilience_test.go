@@ -138,6 +138,60 @@ func TestChaosAcceptanceFailPolicy(t *testing.T) {
 	}
 }
 
+// TestRegisterUDFErrKeepsErrorClass: the facade hands a body's error to
+// the engine's one classification site unchanged, so its class decides
+// retries as DB.RegisterUDFErr documents — a typed Permanent error fails
+// the row at once, a plain error is Transient and retried (engine
+// TestFailureClassification pins every other failure source). Seed it
+// catches: RegisterUDFErr re-wrapping body errors untyped, after which a
+// Permanent row is retried.
+func TestRegisterUDFErrKeepsErrorClass(t *testing.T) {
+	cases := []struct {
+		name    string
+		err     error
+		kind    resilience.Kind
+		retries int
+	}{
+		{"permanent", resilience.New(resilience.Permanent, "udf", errors.New("bad input")), resilience.Permanent, 0},
+		{"plain", errors.New("service said no"), resilience.Transient, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(policy string) (*predeval.Rows, error) {
+				csv, truth := loansCSV(64, 1)
+				db := predeval.Open(7)
+				if err := db.LoadCSV("loans", strings.NewReader(csv)); err != nil {
+					t.Fatal(err)
+				}
+				db.SetRetryPolicy(resilience.Policy{
+					MaxAttempts: 3,
+					Sleep:       func(context.Context, time.Duration) error { return nil },
+				})
+				if err := db.RegisterUDFErr("good_credit", func(_ context.Context, v any) (bool, error) {
+					if v.(int64) == 17 {
+						return false, c.err
+					}
+					return truth[v.(int64)], nil
+				}, 3); err != nil {
+					t.Fatal(err)
+				}
+				return db.QueryContextOptions(context.Background(),
+					"SELECT id FROM loans WHERE good_credit(id) = 1", predeval.QueryOptions{OnFailure: policy})
+			}
+			if _, err := run("fail"); err == nil || resilience.Classify(err) != c.kind {
+				t.Errorf("fail policy: err = %v, want it classified %v", err, c.kind)
+			}
+			rows, err := run("skip")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := rows.Stats(); st.FailedRows != 1 || st.Retries != c.retries {
+				t.Errorf("skip policy: FailedRows %d, Retries %d; want 1, %d", st.FailedRows, st.Retries, c.retries)
+			}
+		})
+	}
+}
+
 // TestCancellationDuringRetry (satellite): a context cancelled while a row
 // sits in its retry backoff must abort the query promptly with ctx.Err() —
 // not a row failure — and leave no partial state behind: the identical
