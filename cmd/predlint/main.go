@@ -1,8 +1,9 @@
 // Command predlint runs the engine's invariant suite (internal/lint/rules)
-// over the repository: determinism (detrand, maporder, gospawn) and atomic
-// catalog writes (atomicwrite) — the invariants whose seeded violations no
-// test catches. It is a blocking CI step: any finding — including a
-// malformed //predlint:allow directive — fails the run.
+// over the repository: the determinism invariants (detrand, maporder,
+// gospawn) whose seeded violations no test catches. It is a blocking CI
+// step: any finding fails the run. There is no in-code suppression; an
+// exception is a code change or a package carve-out in
+// internal/lint/config.go.
 //
 // Usage:
 //
@@ -10,11 +11,9 @@
 //	go run ./cmd/predlint -json ./...            # machine-readable findings
 //	go run ./cmd/predlint -list                  # describe the analyzer suite
 //	go run ./cmd/predlint -tests ./...           # include _test.go variants
-//	go run ./cmd/predlint -strict ./...          # stale directives are findings
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure. A one-line
-// summary (findings, suppressions, directives) always goes to stderr so
-// suppression creep stays visible in CI logs.
+// summary (findings, analyzers, packages) always goes to stderr.
 package main
 
 import (
@@ -39,7 +38,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit findings and counters as JSON on stdout")
 	list := fs.Bool("list", false, "describe the analyzer suite and exit")
 	tests := fs.Bool("tests", false, "also analyze _test.go variants of the matched packages")
-	strict := fs.Bool("strict", false, "report never-used //predlint:allow directives as findings")
 	dir := fs.String("C", "", "run as if launched from this directory (defaults to the working directory)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -70,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		base = root
 	}
-	res, err := lint.Run(pkgs, suite, lint.DefaultTargets(), base, lint.Options{Strict: *strict})
+	res, err := lint.Run(pkgs, suite, lint.DefaultTargets(), base)
 	if err != nil {
 		fmt.Fprintf(stderr, "predlint: %v\n", err)
 		return 2

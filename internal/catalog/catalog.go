@@ -26,11 +26,15 @@
 // that name can survive a crash. The catalog trusts the operator to
 // register the same UDF bodies across restarts; a changed body must be
 // re-registered under the engine, which invalidates here.
+//
+// The contract holds under this crash model: a crash may lose any bytes a
+// file has not fsynced and any directory entry whose directory has not
+// been fsynced. crash_test.go crashes a scripted workload after every file
+// operation to check it.
 package catalog
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -88,8 +92,9 @@ type Stats struct {
 // a Flush or Compact simply wait on the mutex.
 type Catalog struct {
 	mu  sync.Mutex
+	fs  fileSystem
 	dir string
-	log *os.File
+	log file
 
 	outcomes map[OutcomeKey]map[int]bool
 	samples  map[SampleKey]map[int]bool
@@ -112,11 +117,16 @@ type Catalog struct {
 // returns a catalog positioned to append. Damaged tails are truncated and
 // reported via Recovery(); only a version mismatch or an I/O failure is an
 // error.
-func Open(dir string) (*Catalog, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*Catalog, error) { return openFS(osFS{}, dir) }
+
+// openFS is Open over fsys.
+func openFS(fsys fileSystem, dir string) (*Catalog, error) {
+	created, err := fsys.MkdirAll(dir)
+	if err != nil {
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
 	c := &Catalog{
+		fs:       fsys,
 		dir:      dir,
 		outcomes: make(map[OutcomeKey]map[int]bool),
 		samples:  make(map[SampleKey]map[int]bool),
@@ -125,7 +135,7 @@ func Open(dir string) (*Catalog, error) {
 	// Snapshot first: a damaged snapshot tail loses facts (safe — they are
 	// re-paid), never corrupts what follows, because records are
 	// self-contained.
-	snapRecs, snapRec, err := readRecordFile(c.snapPath())
+	snapRecs, _, snapRec, err := readRecordFile(fsys, c.snapPath())
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +144,7 @@ func Open(dir string) (*Catalog, error) {
 	}
 	// Log second, in append order; its tail is truncated on damage so the
 	// file is immediately appendable again.
-	logRecs, logRec, err := recoverRecordFile(c.logPath())
+	logRecs, logRec, err := recoverLog(fsys, c.logPath())
 	if err != nil {
 		return nil, err
 	}
@@ -142,16 +152,28 @@ func Open(dir string) (*Catalog, error) {
 		c.apply(r)
 	}
 	c.recovery = mergeRecovery(snapRec, logRec)
-	f, err := openAppend(c.logPath())
+	f, fresh, err := openAppend(fsys, c.logPath())
 	if err != nil {
 		return nil, err
 	}
-	c.log = f
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("catalog: %w", err)
 	}
+	// A new directory entry survives a crash only once its directory is
+	// synced; without this, facts a Flush reported durable would live in a
+	// log a crash can unlink.
+	if fresh {
+		created = append(created, c.logPath())
+	}
+	for _, p := range created {
+		if err := fsys.SyncDir(filepath.Dir(p)); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("catalog: %w", err)
+		}
+	}
+	c.log = f
 	c.goodLen = info.Size()
 	return c, nil
 }
@@ -356,23 +378,23 @@ func (c *Catalog) flushLocked() error {
 }
 
 // Compact folds the full state into a fresh snapshot (tmp + fsync +
-// rename) and truncates the log. Crashing between the rename and the
-// truncate is safe: the old log replays idempotently over the new
-// snapshot because replay preserves record order.
+// rename + directory fsync) and truncates the log. The log is left
+// untouched unless the new snapshot is durable. Crashing between the
+// rename and the truncate is safe: the old log replays idempotently over
+// the new snapshot because replay preserves record order.
 func (c *Catalog) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return fmt.Errorf("catalog: closed")
 	}
-	if err := writeSnapshot(c.snapPath(), c.snapshotRecords()); err != nil {
+	if err := writeSnapshot(c.fs, c.snapPath(), c.snapshotRecords()); err != nil {
 		return err
 	}
 	// Truncate the log in place — the handle stays open (O_APPEND puts the
 	// next write at the new EOF). If truncation fails the old log is still
 	// valid and appendable: replaying it over the fresh snapshot is
 	// idempotent, so nothing is lost or wrong, just un-shrunk.
-	//predlint:allow atomicwrite — log reset after the snapshot rename made every log record redundant; replay is idempotent
 	if err := c.log.Truncate(0); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
@@ -94,7 +95,6 @@ func (c *Catalog) appendLocked(recs []record) error {
 		}
 	}
 	if _, err := c.log.Write(buf.Bytes()); err != nil {
-		//predlint:allow atomicwrite — crash repair: truncating back to goodLen discards only the partially-written record
 		if terr := c.log.Truncate(c.goodLen); terr != nil {
 			c.broken = true
 		}
@@ -159,116 +159,77 @@ func parseRecords(data []byte) (recs []record, goodLen int, note string) {
 }
 
 // readRecordFile reads and validates one catalog file. A missing file is
-// an empty catalog; a damaged tail is reported (the good prefix is
-// returned) but the file is left untouched.
-func readRecordFile(path string) ([]record, Recovery, error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, Recovery{}, nil
+// an empty catalog. A damaged tail is reported, and goodLen is the length
+// of the valid prefix (0 when the header is unusable); the file itself is
+// left untouched.
+func readRecordFile(fsys fileSystem, path string) (recs []record, goodLen int, rec Recovery, err error) {
+	data, err := fsys.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, 0, Recovery{}, nil
 	}
 	if err != nil {
-		return nil, Recovery{}, fmt.Errorf("catalog: %w", err)
+		return nil, 0, Recovery{}, fmt.Errorf("catalog: %w", err)
 	}
 	if len(data) == 0 {
-		return nil, Recovery{}, nil
+		return nil, 0, Recovery{}, nil
 	}
 	if len(data) < headerLen || string(data[:len(fileMagic)]) != fileMagic {
-		return nil, Recovery{
+		return nil, 0, Recovery{
 			Truncated: true,
 			Note:      fmt.Sprintf("%s: unrecognized header, file ignored", filepath.Base(path)),
 		}, nil
 	}
 	if v := data[len(fileMagic)]; v != formatVersion {
-		return nil, Recovery{}, fmt.Errorf("catalog: %s is format version %d, this build reads version %d", filepath.Base(path), v, formatVersion)
+		return nil, 0, Recovery{}, fmt.Errorf("catalog: %s is format version %d, this build reads version %d", filepath.Base(path), v, formatVersion)
 	}
-	recs, _, note := parseRecords(data)
+	recs, goodLen, note := parseRecords(data)
 	if note != "" {
-		return recs, Recovery{Truncated: true, Note: filepath.Base(path) + ": " + note}, nil
+		return recs, goodLen, Recovery{Truncated: true, Note: filepath.Base(path) + ": " + note}, nil
 	}
-	return recs, Recovery{}, nil
+	return recs, goodLen, Recovery{}, nil
 }
 
-// recoverRecordFile is readRecordFile for the append-only log: on a
-// damaged tail the file is truncated back to its valid prefix so
-// subsequent appends produce a clean file. A file with an unrecognized
-// header is reset to an empty log (its content cannot be trusted).
-func recoverRecordFile(path string) ([]record, Recovery, error) {
-	recs, rec, err := readRecordFile(path)
-	if err != nil {
-		return nil, rec, err
+// recoverLog is readRecordFile for the append-only log: a damaged tail is
+// cut back to the valid prefix, and a log with an unrecognized header is
+// emptied (its content cannot be trusted), so appends resume on a clean
+// file. The cut is not synced: until the next sync a crash may restore
+// the damaged tail, and the next Open cuts it again.
+func recoverLog(fsys fileSystem, path string) ([]record, Recovery, error) {
+	recs, goodLen, rec, err := readRecordFile(fsys, path)
+	if err != nil || !rec.Truncated {
+		return recs, rec, err
 	}
-	if !rec.Truncated {
-		return recs, rec, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, rec, fmt.Errorf("catalog: %w", err)
-	}
-	goodLen := 0
-	if len(data) >= headerLen && string(data[:len(fileMagic)]) == fileMagic && data[len(fileMagic)] == formatVersion {
-		_, goodLen, _ = parseRecords(data)
-	}
-	if goodLen < headerLen {
-		// Header unusable: start the log over.
-		f, err := resetLog(path)
-		if err != nil {
-			return nil, rec, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, rec, fmt.Errorf("catalog: %w", err)
-		}
-		return recs, rec, nil
-	}
-	//predlint:allow atomicwrite — recovery: cuts the checksum-damaged tail so the log ends at the last valid record
-	if err := os.Truncate(path, int64(goodLen)); err != nil {
+	if err := fsys.Truncate(path, int64(goodLen)); err != nil {
 		return nil, rec, fmt.Errorf("catalog: %w", err)
 	}
 	return recs, rec, nil
 }
 
-// openAppend opens (creating and writing a header if needed) the log for
-// appending. The file is assumed already validated/truncated by
-// recoverRecordFile.
-func openAppend(path string) (*os.File, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// openAppend opens the log for appending, creating it if needed. An empty
+// log gets a fsynced header; fresh reports that the log was empty, so its
+// directory entry may be new.
+func openAppend(fsys fileSystem, path string) (f file, fresh bool, err error) {
+	f, err = fsys.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
+		return nil, false, fmt.Errorf("catalog: %w", err)
 	}
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("catalog: %w", err)
+		return nil, false, fmt.Errorf("catalog: %w", err)
 	}
-	if info.Size() == 0 {
-		if err := writeHeader(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("catalog: %w", err)
-		}
-	}
-	return f, nil
-}
-
-// resetLog replaces the log with a fresh, fsynced header-only file and
-// returns it open for appending.
-func resetLog(path string) (*os.File, error) {
-	//predlint:allow atomicwrite — only called after snapshot recovery/rename made the old log redundant; a fresh header-only log is the safe state
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %w", err)
+	if info.Size() > 0 {
+		return f, false, nil
 	}
 	if err := writeHeader(f); err != nil {
 		f.Close()
-		return nil, err
+		return nil, false, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("catalog: %w", err)
+		return nil, false, fmt.Errorf("catalog: %w", err)
 	}
-	return f, nil
+	return f, true, nil
 }
 
 func writeHeader(w io.Writer) error {
@@ -280,10 +241,11 @@ func writeHeader(w io.Writer) error {
 }
 
 // writeSnapshot atomically replaces the snapshot: write tmp, fsync,
-// rename, fsync directory.
-func writeSnapshot(path string, recs []record) error {
+// rename, fsync directory. It returns nil only once the new snapshot is
+// durable, because Compact then empties the log.
+func writeSnapshot(fsys fileSystem, path string, recs []record) error {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
@@ -303,16 +265,15 @@ func writeSnapshot(path string, recs []record) error {
 		err = fmt.Errorf("catalog: %w", cerr)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := fsys.Rename(tmp, path); err != nil {
+		fsys.Remove(tmp)
 		return fmt.Errorf("catalog: %w", err)
 	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = dir.Sync()
-		dir.Close()
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return fmt.Errorf("catalog: %w", err)
 	}
 	return nil
 }

@@ -17,8 +17,8 @@ package lint
 //	             every timer, span and histogram observation routes
 //	             through obs.Now/obs.Since, so a time.Now() appearing in
 //	             any data-path package is a determinism bug, not a
-//	             measurement (no blanket //predlint:allow — the carve-out
-//	             is this table, pinned by TestDefaultTargetsObsCarveOut).
+//	             measurement (the carve-out is this table, pinned by
+//	             TestDefaultTargetsObsCarveOut).
 //	gospawn      everywhere except the two packages whose whole point is
 //	             owning goroutines (internal/exec pool, internal/resilience
 //	             call-timeout watchdog) and cmd entry points (server
@@ -27,8 +27,9 @@ package lint
 //	             records. Excluded: cmd/* (human-facing printouts are
 //	             sorted where it matters and irrelevant where not),
 //	             offline harnesses.
-//	atomicwrite  internal/catalog, the only package that owns durable
-//	             files.
+//
+// A carve-out in this table, with its reason, is the only way to exempt
+// code from an analyzer.
 //
 // The module root package ("") is predeval, the public API — it is on
 // every data path, so it is included everywhere.
@@ -52,7 +53,6 @@ func DefaultTargets() map[string]*Target {
 		"gospawn": {Module: ModulePath, Exclude: []string{
 			"internal/exec", "internal/resilience", "cmd",
 		}},
-		"maporder":    {Module: ModulePath, Include: mapOrdered},
-		"atomicwrite": {Module: ModulePath, Include: []string{"internal/catalog"}},
+		"maporder": {Module: ModulePath, Include: mapOrdered},
 	}
 }

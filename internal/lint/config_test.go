@@ -11,7 +11,7 @@ import (
 // package but NOT repro/internal/obs, the single sanctioned wall-clock
 // site. Combined with the rules-level detrand test (time.Now is always
 // flagged where the analyzer runs), this proves a time.Now() outside
-// internal/obs fails the suite without any //predlint:allow escape hatch.
+// internal/obs fails the suite.
 func TestDefaultTargetsObsCarveOut(t *testing.T) {
 	targets := lint.DefaultTargets()
 	detrand := targets["detrand"]
@@ -27,7 +27,7 @@ func TestDefaultTargetsObsCarveOut(t *testing.T) {
 		}
 	}
 	if detrand.Match("repro/internal/obs") {
-		t.Error("detrand covers repro/internal/obs: the sanctioned clock package must be carved out here, not via //predlint:allow")
+		t.Error("detrand covers repro/internal/obs: the sanctioned clock package must be carved out here")
 	}
 
 	maporder := targets["maporder"]

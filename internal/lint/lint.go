@@ -1,9 +1,9 @@
 // Package lint is the engine-specific static-analysis substrate behind
-// cmd/predlint. It mechanically enforces the correctness invariants no test
-// catches reliably — seeded determinism, pooled concurrency, ordered map
-// iteration on evidence paths, and atomic catalog writes — so a future
-// change that silently violates one becomes un-mergeable instead of
-// un-noticed. (Cancellation and the failure taxonomy are held by tests.)
+// cmd/predlint. It mechanically enforces the determinism invariants no test
+// catches reliably — seeded randomness, pooled concurrency and ordered map
+// iteration on evidence paths — so a future change that silently violates
+// one becomes un-mergeable instead of un-noticed. (Cancellation, the
+// failure taxonomy and the catalog's crash safety are held by tests.)
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) so analyzers read like standard
@@ -12,14 +12,8 @@
 // loader (load.go) type-checks the full dependency closure from source via
 // `go list -deps -json` instead of depending on x/tools/go/packages.
 //
-// Violations that are deliberate protocol exceptions are suppressed in
-// place with a reasoned directive:
-//
-//	//predlint:allow <analyzer>[,<analyzer>...] — <reason>
-//
-// The reason is mandatory; a bare allow is itself a finding. See
-// directive.go for attachment semantics and run.go for how suppressions
-// are counted and reported.
+// There is no in-code suppression. A deliberate exception is a change to
+// the code, or a package carve-out with its reason in config.go.
 package lint
 
 import (
@@ -33,7 +27,7 @@ import (
 // Analyzer is one named invariant check. The Run function inspects a single
 // package and reports findings through the Pass.
 type Analyzer struct {
-	// Name identifies the analyzer in findings, directives and -list output.
+	// Name identifies the analyzer in findings and -list output.
 	// It must be a lowercase single word.
 	Name string
 	// Doc is a one-paragraph description: the invariant enforced and the PR
@@ -65,7 +59,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Diagnostic is one raw finding, before suppression.
+// Diagnostic is one finding, positioned by token.Pos.
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string

@@ -35,9 +35,10 @@ import (
 	"repro/internal/lint"
 )
 
-// Load type-checks testdata/src/<pkgPath> beneath root and returns it as a
-// lint.Package ready to analyze. Fatal on any parse or type error.
-func Load(t *testing.T, root, pkgPath string) *lint.Package {
+// Run type-checks testdata/src/<pkgPath> beneath root, analyzes it with a
+// and matches diagnostics against the package's want comments. Fatal on
+// any parse or type error.
+func Run(t *testing.T, root, pkgPath string, a *lint.Analyzer) {
 	t.Helper()
 	h := &harness{
 		fset: token.NewFileSet(),
@@ -45,25 +46,18 @@ func Load(t *testing.T, root, pkgPath string) *lint.Package {
 		pkgs: make(map[string]*types.Package),
 	}
 	h.std = importer.ForCompiler(h.fset, "source", nil)
-	pkg, files, info, err := h.load(pkgPath)
+	tpkg, files, info, err := h.load(pkgPath)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	return &lint.Package{
+	pkg := &lint.Package{
 		PkgPath: pkgPath,
 		Dir:     filepath.Join(root, "src", pkgPath),
 		Fset:    h.fset,
 		Files:   files,
-		Types:   pkg,
+		Types:   tpkg,
 		Info:    info,
 	}
-}
-
-// Run analyzes testdata/src/<pkgPath> with a and matches diagnostics
-// against the package's want comments.
-func Run(t *testing.T, root, pkgPath string, a *lint.Analyzer) {
-	t.Helper()
-	pkg := Load(t, root, pkgPath)
 	diags, err := lint.RunSingle(pkg, a)
 	if err != nil {
 		t.Fatalf("linttest: analyzer %s: %v", a.Name, err)

@@ -26,8 +26,8 @@ import (
 // Package is one loaded, type-checked package.
 type Package struct {
 	// PkgPath is the canonical import path: for a test variant
-	// ("pkg [pkg.test]") it is the path under test, so targeting rules and
-	// directives treat test variants like the package they exercise.
+	// ("pkg [pkg.test]") it is the path under test, so targeting rules
+	// treat test variants like the package they exercise.
 	PkgPath string
 	Dir     string
 	Fset    *token.FileSet

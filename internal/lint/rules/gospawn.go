@@ -13,7 +13,7 @@ import (
 // statement anywhere else introduces scheduling nondeterminism the fold
 // cannot repair. The driver exempts internal/exec, internal/resilience and
 // the cmd entry points (server lifecycle goroutines); everywhere else a
-// goroutine needs an explicit, reasoned directive.
+// goroutine is a finding.
 var Gospawn = &lint.Analyzer{
 	Name: "gospawn",
 	Doc: "forbid go statements outside the exec pool, resilience timeouts and cmd entry points " +

@@ -1,12 +1,13 @@
-// Package rules holds the predlint analyzer suite: four project-specific
-// checks, each guarding an invariant whose seeded violation no test catches
-// (DESIGN.md, "Invariants & static enforcement", names the seed for each).
+// Package rules holds the predlint analyzer suite: three project-specific
+// determinism checks, each guarding an invariant whose seeded violation no
+// test catches (DESIGN.md, "Invariants & static enforcement", names the
+// seed for each).
 // Every analyzer flags ALL occurrences of its pattern in whatever package
 // it is handed; deciding which packages an analyzer covers is the driver's
 // job (internal/lint/config.go), so the testdata suites exercise analyzers
 // directly without faking package paths.
 //
-// All four are single-statement AST matchers over type information. The
+// All three are single-statement AST matchers over type information. The
 // invariants a test or the type system can hold are held there instead
 // (DESIGN.md, "Held by construction").
 package rules
@@ -21,7 +22,6 @@ import (
 // Suite returns the full analyzer suite in stable (alphabetical) order.
 func Suite() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		Atomicwrite,
 		Detrand,
 		Gospawn,
 		Maporder,

@@ -12,15 +12,14 @@ import (
 // mixes flagged cases (pinned by // want comments) with clean idioms that
 // must stay silent.
 
-func TestDetrand(t *testing.T)     { linttest.Run(t, "testdata", "detrand", rules.Detrand) }
-func TestGospawn(t *testing.T)     { linttest.Run(t, "testdata", "gospawn", rules.Gospawn) }
-func TestMaporder(t *testing.T)    { linttest.Run(t, "testdata", "maporder", rules.Maporder) }
-func TestAtomicwrite(t *testing.T) { linttest.Run(t, "testdata", "atomicwrite", rules.Atomicwrite) }
+func TestDetrand(t *testing.T)  { linttest.Run(t, "testdata", "detrand", rules.Detrand) }
+func TestGospawn(t *testing.T)  { linttest.Run(t, "testdata", "gospawn", rules.Gospawn) }
+func TestMaporder(t *testing.T) { linttest.Run(t, "testdata", "maporder", rules.Maporder) }
 
-// TestSuiteShape pins the suite: four analyzers, sorted, documented.
+// TestSuiteShape pins the suite: three analyzers, sorted, documented.
 func TestSuiteShape(t *testing.T) {
 	suite := rules.Suite()
-	want := []string{"atomicwrite", "detrand", "gospawn", "maporder"}
+	want := []string{"detrand", "gospawn", "maporder"}
 	if len(suite) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(suite), len(want))
 	}
@@ -54,8 +53,5 @@ func TestAnalyzersFlagEverywhere(t *testing.T) {
 		if !tg.Match("repro/internal/core") {
 			t.Error("gospawn must target internal/core")
 		}
-	}
-	if tg := targets["atomicwrite"]; tg != nil && !tg.Match("repro/internal/catalog") {
-		t.Error("atomicwrite must target internal/catalog")
 	}
 }
