@@ -79,7 +79,7 @@ func (m *Meter) evalFallible(ctx context.Context, row int) (bool, bool) {
 	returned = true
 	switch {
 	case err == nil:
-		m.calls.Add(1)
+		m.stripe(row).calls.Add(1)
 		m.rows.release(sl, verdictState(v))
 		if m.shared != nil {
 			m.shared.Store(row, v)

@@ -206,8 +206,8 @@ func TestEvalRowsWithBreakerDeterministic(t *testing.T) {
 // batch positions ≡ 3 (mod 4). Safe for the concurrent batches below.
 type denyEveryFourth struct{}
 
-func (denyEveryFourth) Segment() int { return 0 }
-func (denyEveryFourth) Record(bool)  {}
+func (denyEveryFourth) Segment() int  { return 0 }
+func (denyEveryFourth) Record([]bool) {}
 func (denyEveryFourth) Plan(n int) []bool {
 	allowed := make([]bool, n)
 	for k := range allowed {

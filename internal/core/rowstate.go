@@ -35,6 +35,8 @@ const (
 	bitsPerRow  = 4
 	rowsPerWord = 32 / bitsPerRow
 	stateMask   = 1<<bitsPerRow - 1
+	// lineRows is how many rows share one 64-byte cache line of state.
+	lineRows = 64 * 8 / bitsPerRow
 	// pageRows is how many rows one page covers: 2 KiB of states, allocated
 	// when the first of its rows is touched.
 	pageRows  = 4096

@@ -352,15 +352,50 @@ type Meter struct {
 	body   FallibleUDF
 	gate   exec.Gate
 	shared EvalCache // may be nil
-	calls  atomic.Int64
-	// cacheHits / cacheMisses count shared-cache lookups (zero when shared
-	// is nil). Single-flight guarantees at most one lookup per row, so both
-	// are deterministic at any parallelism level.
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-	ledger      failureLedger
+	ledger failureLedger
 
 	rows rowStates
+
+	// counts holds the per-row counters, striped by 128-row block (see
+	// meterStripe); the pad keeps the first stripe off the read-mostly
+	// fields above.
+	_      [stripeBytes]byte
+	counts [meterStripes]meterStripe
+}
+
+// meterStripes is how many cache-line stripes a meter's counters are
+// spread over. A row's block (row / 128, the rows of one cache line of row
+// state) picks its stripe, so workers on different blocks charge different
+// lines, and no charge invalidates the line of read-mostly fields every
+// worker loads per row.
+const (
+	meterStripes = 8
+	stripeBytes  = 128 // a cache line, doubled for the adjacent-line prefetcher
+)
+
+// meterStripe is one stripe of a meter's counters: charged calls, and
+// shared-cache lookups that hit or missed (zero when the meter has no
+// shared cache). Single-flight guarantees at most one charge and one
+// lookup per row, so every sum is deterministic at any parallelism level.
+type meterStripe struct {
+	calls, cacheHits, cacheMisses atomic.Int64
+	_                             [stripeBytes - 24]byte
+}
+
+// stripe returns the counters row charges.
+func (m *Meter) stripe(row int) *meterStripe {
+	return &m.counts[row/lineRows%meterStripes]
+}
+
+// totals sums the counters over every stripe.
+func (m *Meter) totals() (calls, cacheHits, cacheMisses int) {
+	for i := range m.counts {
+		s := &m.counts[i]
+		calls += int(s.calls.Load())
+		cacheHits += int(s.cacheHits.Load())
+		cacheMisses += int(s.cacheMisses.Load())
+	}
+	return calls, cacheHits, cacheMisses
 }
 
 // NewMeter wraps udf with call counting and memoization.
@@ -412,11 +447,11 @@ func (m *Meter) claim(row int) (slot, uint32) {
 			}
 			if m.shared != nil && st == rowUnknown {
 				if v, ok := m.shared.Lookup(row); ok {
-					m.cacheHits.Add(1)
+					m.stripe(row).cacheHits.Add(1)
 					m.rows.release(sl, verdictState(v))
 					return sl, verdictState(v)
 				}
-				m.cacheMisses.Add(1)
+				m.stripe(row).cacheMisses.Add(1)
 			}
 			return sl, rowInFlight
 		case rowInFlight:
@@ -442,15 +477,15 @@ func (m *Meter) fail(row int, sl slot, err error) {
 }
 
 // Calls returns the number of distinct UDF invocations charged so far.
-func (m *Meter) Calls() int { return int(m.calls.Load()) }
+func (m *Meter) Calls() int { calls, _, _ := m.totals(); return calls }
 
 // CacheHits returns how many rows the shared cross-query cache served
 // without charging an evaluation (always 0 without a shared cache).
-func (m *Meter) CacheHits() int { return int(m.cacheHits.Load()) }
+func (m *Meter) CacheHits() int { _, hits, _ := m.totals(); return hits }
 
 // CacheMisses returns how many shared-cache lookups fell through to a
 // charged UDF invocation (always 0 without a shared cache).
-func (m *Meter) CacheMisses() int { return int(m.cacheMisses.Load()) }
+func (m *Meter) CacheMisses() int { _, _, misses := m.totals(); return misses }
 
 // Known reports whether row's value is already memoized (and what it is).
 // Rows in flight on another goroutine and rows that failed for good have

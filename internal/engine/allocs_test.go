@@ -3,9 +3,12 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/resilience"
+	"repro/internal/table"
 )
 
 // TestGroupResolveAllocs pins §4.4 candidate enumeration — the whole of
@@ -29,6 +32,30 @@ func TestGroupResolveAllocs(t *testing.T) {
 		}
 		if allocs > 50 {
 			t.Fatalf("candidate enumeration over %d rows allocated %v times, want at most 50", d.Table.NumRows(), allocs)
+		}
+	}
+}
+
+// TestRowInvokerAllocs pins one invocation — retry loop, attempt closure,
+// panic guard, cell fetch, body — at the one allocation the UDF ABI
+// forces: boxing the cell into a table.Value. An int64 below 256 boxes
+// into the runtime's static cells, so it allocates nothing.
+func TestRowInvokerAllocs(t *testing.T) {
+	tbl, truth := buildLoanTable(t, 300, 42)
+	body := UDF{Body: func(v table.Value) bool { return truth[v.(int64)] }}.fallible()
+	inv := newRowInvoker("good_credit", body, tbl.ColumnByName("id"), true, resilience.Policy{}, 1)
+	ctx := context.Background()
+	for _, c := range []struct {
+		row  int
+		want float64
+	}{{299, 1}, {17, 0}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			if v, err := inv.EvalErr(ctx, c.row); err != nil || v != truth[int64(c.row)] {
+				t.Fatalf("EvalErr(%d) = (%v, %v)", c.row, v, err)
+			}
+		})
+		if allocs != c.want {
+			t.Errorf("EvalErr on id %d allocated %v times, want %v", c.row, allocs, c.want)
 		}
 	}
 }

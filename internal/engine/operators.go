@@ -242,14 +242,8 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		if col == nil {
 			return nil, fmt.Errorf("engine: table %q has no column %q for UDF argument", q.Table, p.UDFArg)
 		}
-		inv := &rowInvoker{
-			udfName: p.UDFName,
-			body:    u.fallible(),
-			col:     col,
-			want:    p.Want,
-			policy:  e.retryPolicy(),
-			key:     resilience.HashString(q.Table + "\x00" + p.UDFName + "\x00" + p.UDFArg),
-		}
+		inv := newRowInvoker(p.UDFName, u.fallible(), col, p.Want, e.retryPolicy(),
+			resilience.HashString(q.Table+"\x00"+p.UDFName+"\x00"+p.UDFArg))
 		private := false
 		for j := 0; q.Approx != nil && j < i; j++ {
 			if specs[j].UDFName == p.UDFName && specs[j].UDFArg == p.UDFArg {

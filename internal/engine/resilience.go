@@ -53,27 +53,42 @@ type rowInvoker struct {
 	// key salts the per-row retry-jitter stream so two predicates never
 	// share backoff schedules.
 	key uint64
+	// attempt is one try at a row: try under the policy's per-call
+	// deadline, built once when the predicate binds.
+	attempt func(ctx context.Context, row int) (bool, error)
 	// retries counts the extra attempts invocations made; like the meter's
 	// counters it is a per-row sum, so identical at any parallelism.
 	retries atomic.Int64
 }
 
+func newRowInvoker(udfName string, body UDFBodyErr, col table.Column, want bool, policy resilience.Policy, key uint64) *rowInvoker {
+	r := &rowInvoker{udfName: udfName, body: body, col: col, want: want, policy: policy, key: key}
+	r.attempt = policy.Bound(r.try)
+	return r
+}
+
+// try invokes the body once on row. It recovers the body's panic itself,
+// on the goroutine the body runs on — under a call timeout that is the
+// deadline's watchdog goroutine, which no recover of the caller's reaches.
+func (r *rowInvoker) try(ctx context.Context, row int) (out bool, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = resilience.NewPanicError("udf:"+r.udfName, rec, debug.Stack())
+		}
+	}()
+	raw, err := r.body(ctx, r.col.Value(row))
+	if err != nil {
+		return false, err
+	}
+	return raw == r.want, nil
+}
+
 // EvalErr implements core.FallibleUDF. Cancellation errors pass through
 // unwrapped (the meter treats them as a batch abort, not a row failure).
+// Do never retains its attempt closure, so the closure stays on the stack.
 func (r *rowInvoker) EvalErr(ctx context.Context, row int) (bool, error) {
 	v, attempts, err := resilience.Do(ctx, r.policy, r.key^resilience.Mix64(uint64(row)),
-		func(ctx context.Context) (out bool, rerr error) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					rerr = resilience.NewPanicError("udf:"+r.udfName, rec, debug.Stack())
-				}
-			}()
-			raw, err := r.body(ctx, r.col.Value(row))
-			if err != nil {
-				return false, err
-			}
-			return raw == r.want, nil
-		})
+		func(ctx context.Context) (bool, error) { return r.attempt(ctx, row) })
 	if attempts > 1 {
 		r.retries.Add(int64(attempts - 1))
 	}

@@ -393,8 +393,8 @@ func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 // documents that contract. A cancelled context is no row failure: the
 // statement aborts with ctx.Err() under every policy.
 //
-// Seeds this table catches: an untyped error on runOnce's per-call timeout
-// paths (Classify Transient, not Timeout); an untyped error from
+// Seeds this table catches: an untyped error on Policy.Bound's per-call
+// timeout paths (Classify Transient, not Timeout); an untyped error from
 // rowInvoker's panic capture (Transient and retried twice, not Panic); an
 // untyped chaos injection (no *resilience.Error).
 func TestFailureClassification(t *testing.T) {
@@ -439,7 +439,7 @@ func TestFailureClassification(t *testing.T) {
 		{name: "breaker denial",
 			setup: func(e *Engine) {
 				e.Breaker = resilience.BreakerConfig{MinCalls: 1, Cooldown: 1 << 20}
-				e.breakerFor("loans", "good_credit").Record(true) // trips it
+				e.breakerFor("loans", "good_credit").Record([]bool{true}) // trips it
 			},
 			kind: resilience.Transient, typed: false, is: resilience.ErrBreakerOpen, retries: 0},
 		{name: "cancelled context",
@@ -510,5 +510,62 @@ func TestFailureClassification(t *testing.T) {
 				t.Errorf("skip policy: Retries = %d, want %d", res.Stats.Retries, c.retries)
 			}
 		})
+	}
+}
+
+// TestUDFPanicUnderCallTimeout: with a per-call deadline the body runs on
+// the deadline's watchdog goroutine, so its panic must be recovered there,
+// inside the invoker's attempt. Under fail the statement's error unwraps to
+// a Panic naming the row; under skip the row is excluded. Seed it catches:
+// the deadline wrapping the raw body with the recover outside it — the
+// panic then escapes on the watchdog goroutine and kills the process.
+func TestUDFPanicUnderCallTimeout(t *testing.T) {
+	const panicRow = 17
+	run := func(policy FailurePolicy) (*Result, map[int64]bool, error) {
+		tbl, truth := buildLoanTable(t, 200, 42)
+		e := New(7)
+		e.Retry = resilience.Policy{CallTimeout: time.Second, Sleep: func(context.Context, time.Duration) error { return nil }}
+		if err := e.RegisterTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		err := e.RegisterUDF(UDF{Name: "good_credit", Body: func(v table.Value) bool {
+			if v.(int64) == panicRow {
+				panic("body crashed")
+			}
+			return truth[v.(int64)]
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.ExecuteContext(context.Background(), exactQuery(policy))
+		return res, truth, err
+	}
+
+	_, _, err := run(FailOnError)
+	var re *resilience.Error
+	if !errors.As(err, &re) || re.Kind != resilience.Panic {
+		t.Fatalf("fail policy: err = %v, want a *resilience.Error of kind Panic", err)
+	}
+	if !strings.Contains(err.Error(), "panicked on row 17") {
+		t.Fatalf("fail policy: err = %v, want it to name row %d", err, panicRow)
+	}
+
+	res, truth, err := run(SkipFailed)
+	if err != nil {
+		t.Fatalf("skip policy: %v", err)
+	}
+	want := 0
+	for id, v := range truth {
+		if v && id != panicRow {
+			want++
+		}
+	}
+	if len(res.Rows) != want || res.Stats.FailedRows != 1 {
+		t.Fatalf("skip policy: %d rows, %d failed; want %d rows and the panicking row failed", len(res.Rows), res.Stats.FailedRows, want)
+	}
+	for _, row := range res.Rows {
+		if row == panicRow {
+			t.Fatalf("skip policy: the panicking row %d is in the output", panicRow)
+		}
 	}
 }

@@ -7,18 +7,22 @@ import (
 	"testing"
 )
 
-// admitAll is a gate that admits every row in one wave and does not
-// allocate, so the count below is the batch's own.
-type admitAll struct{ plan []bool }
+// admitAll is a gate that admits every row, in segments of the given
+// width (0: one wave), and does not allocate, so the count below is the
+// batch's own.
+type admitAll struct {
+	plan    []bool
+	segment int
+}
 
-func (g *admitAll) Segment() int      { return 0 }
+func (g *admitAll) Segment() int      { return g.segment }
 func (g *admitAll) Plan(n int) []bool { return g.plan[:n] }
-func (g *admitAll) Record(bool)       {}
+func (g *admitAll) Record([]bool)     {}
 
 func TestEvalRowsGatedAllocs(t *testing.T) {
-	allocs := func(n int) float64 {
+	allocs := func(n, segment int) float64 {
 		rows := make([]int, n)
-		gate := &admitAll{plan: make([]bool, n)}
+		gate := &admitAll{plan: make([]bool, n), segment: segment}
 		for i := range rows {
 			rows[i], gate.plan[i] = i, true
 		}
@@ -31,9 +35,14 @@ func TestEvalRowsGatedAllocs(t *testing.T) {
 			}
 		})
 	}
-	small, large := allocs(64), allocs(1<<14)
-	// verdicts, failed and the fan-out closure; no admitted-index list.
-	if small != large || large > 3 {
-		t.Fatalf("all-admitting gated batch: %v allocations for 64 rows, %v for 16384; want equal and at most 3", small, large)
+	// verdicts, failed, and one fan-out closure per segment. Nothing per
+	// row: no admitted-index list, and Record is handed the segment's own
+	// slice of failed.
+	for _, c := range []struct{ n, segment, want int }{
+		{64, 0, 3}, {1 << 14, 0, 3}, {1 << 14, 64, 2 + 1<<14/64},
+	} {
+		if got := allocs(c.n, c.segment); got != float64(c.want) {
+			t.Errorf("all-admitting gated batch of %d rows in segments of %d: %v allocations, want %d", c.n, c.segment, got, c.want)
+		}
 	}
 }

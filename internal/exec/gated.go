@@ -30,8 +30,10 @@ type Gate interface {
 	// Plan reports, for each of the next n rows in order, whether the row
 	// may invoke.
 	Plan(n int) []bool
-	// Record folds one admitted row's outcome, in row order.
-	Record(failed bool)
+	// Record folds one segment's admitted outcomes: failed[k] is the k-th
+	// admitted row's, in row order. It is called once per segment that
+	// admitted a row, and the slice is only valid during the call.
+	Record(failed []bool)
 }
 
 // EvalRowsGatedCtx evaluates rows with per-row failure reporting and an
@@ -105,11 +107,16 @@ func (p *Pool) EvalRowsGatedCtx(
 			return nil, nil, err
 		}
 
-		// Fold admitted outcomes back in row order.
-		for i, ok := range allowed {
-			if ok {
-				gate.Record(fail[i])
+		// Fold admitted outcomes back in row order, one call per segment.
+		if gate != nil && admitted > 0 {
+			outcomes := fail
+			if work != nil {
+				outcomes = make([]bool, admitted)
+				for k, i := range work {
+					outcomes[k] = fail[i]
+				}
 			}
+			gate.Record(outcomes)
 		}
 		start = end
 	}

@@ -30,10 +30,10 @@ func (g *scriptGate) Plan(n int) []bool {
 	return allowed
 }
 
-func (g *scriptGate) Record(failed bool) {
+func (g *scriptGate) Record(failed []bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.folds = append(g.folds, failed)
+	g.folds = append(g.folds, failed...)
 }
 
 func TestEvalRowsGatedNilGateMatchesPlain(t *testing.T) {
@@ -118,11 +118,12 @@ func TestEvalRowsGatedDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestEvalRowsGatedFoldsInRowOrder holds the fold-point invariant: Record
-// runs at the sequential fold site after the wave, in row order, never from
-// a worker. Every row of the wave is in flight at once and row i cannot
-// finish before row i+1 has, so completion order is the exact reverse of row
-// order — a Record issued from inside the worker closure would fold
-// reversed (and, the gate here being unsynchronised, trip -race).
+// runs once per segment at the sequential fold site after the wave, with the
+// outcomes in row order, never from a worker. Every row of the wave is in
+// flight at once and row i cannot finish before row i+1 has, so completion
+// order is the exact reverse of row order — a Record issued from inside the
+// worker closure would fold reversed (and, the gate here being
+// unsynchronised, trip -race).
 func TestEvalRowsGatedFoldsInRowOrder(t *testing.T) {
 	const n = 8
 	rows := make([]int, n)
@@ -146,8 +147,8 @@ func TestEvalRowsGatedFoldsInRowOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gate.folds) != n {
-		t.Fatalf("folded %d outcomes, want %d", len(gate.folds), n)
+	if len(gate.folds) != n || gate.records != 1 {
+		t.Fatalf("folded %d outcomes in %d Record calls, want %d in 1 (one wave)", len(gate.folds), gate.records, n)
 	}
 	for i := range rows {
 		if gate.folds[i] != failed[i] {
@@ -159,7 +160,10 @@ func TestEvalRowsGatedFoldsInRowOrder(t *testing.T) {
 // unlockedGate admits everything in one wave and records the fold sequence
 // without synchronisation: the Gate contract promises all three methods run
 // on the calling goroutine.
-type unlockedGate struct{ folds []bool }
+type unlockedGate struct {
+	folds   []bool
+	records int
+}
 
 func (g *unlockedGate) Segment() int { return 0 }
 func (g *unlockedGate) Plan(n int) []bool {
@@ -169,7 +173,10 @@ func (g *unlockedGate) Plan(n int) []bool {
 	}
 	return allowed
 }
-func (g *unlockedGate) Record(failed bool) { g.folds = append(g.folds, failed) }
+func (g *unlockedGate) Record(failed []bool) {
+	g.folds = append(g.folds, failed...)
+	g.records++
+}
 
 func TestEvalRowsGatedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -192,7 +199,7 @@ func (denyAllGate) Segment() int { return 4 }
 func (denyAllGate) Plan(n int) []bool {
 	return make([]bool, n)
 }
-func (denyAllGate) Record(bool) {}
+func (denyAllGate) Record([]bool) {}
 
 func TestEvalRowsGatedDenyOnlySegmentsHonorCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

@@ -105,8 +105,8 @@ func (s BreakerState) String() string {
 //     the healthy path exactly as fast as ungated evaluation.
 //   - Plan(n) decides, before a segment evaluates, which of its n items
 //     may invoke; denials advance the open-state cooldown.
-//   - Record(failed) folds admitted outcomes back in item order after the
-//     segment evaluates.
+//   - Record(failed) folds the segment's admitted outcomes back in item
+//     order after the segment evaluates: one lock per segment.
 //
 // Because Plan and Record run sequentially on the batch's spine (only the
 // evaluations between them fan out), the breaker's state transitions — and
@@ -183,13 +183,22 @@ func (b *Breaker) Plan(n int) []bool {
 	return allowed
 }
 
-// Record implements exec.Gate: fold one admitted item's outcome, in item
-// order. Closed-state outcomes feed the sliding window and may trip the
-// breaker; half-open outcomes resolve probes. Outcomes arriving while open
-// (admitted before the trip folded) are ignored.
-func (b *Breaker) Record(failed bool) {
+// Record implements exec.Gate: fold one segment's admitted outcomes, in
+// item order, under one lock. Folding a segment is folding its items one
+// by one; the slice is not retained.
+func (b *Breaker) Record(failed []bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for _, f := range failed {
+		b.fold(f)
+	}
+}
+
+// fold applies one admitted item's outcome. Closed-state outcomes feed the
+// sliding window and may trip the breaker; half-open outcomes resolve
+// probes. Outcomes arriving while open (admitted before the trip folded)
+// are ignored. Callers hold b.mu.
+func (b *Breaker) fold(failed bool) {
 	if failed {
 		b.armed = true
 	}

@@ -156,7 +156,7 @@ func TestDoCancelledDuringBackoffReturnsCtxErr(t *testing.T) {
 
 // TestDoCallTimeoutClassifiedRetryable: an attempt that outlives its
 // per-call deadline is a typed, retryable Timeout, not a batch abort. Seed
-// it catches: an untyped error on runOnce's timeout paths.
+// it catches: an untyped error on Bound's timeout paths.
 func TestDoCallTimeoutClassifiedRetryable(t *testing.T) {
 	p := Policy{
 		MaxAttempts: 2,
@@ -164,13 +164,16 @@ func TestDoCallTimeoutClassifiedRetryable(t *testing.T) {
 		Sleep:       func(context.Context, time.Duration) error { return nil },
 	}
 	// Atomic: the body runs on the call-timeout watchdog's goroutine, which
-	// Do abandons when the deadline fires — the final read here has no
-	// happens-before edge with the increment.
+	// the bounded attempt abandons when the deadline fires — the final read
+	// here has no happens-before edge with the increment.
 	var calls atomic.Int32
-	_, attempts, err := Do(context.Background(), p, 1, func(ctx context.Context) (bool, error) {
+	attempt := p.Bound(func(ctx context.Context, _ int) (bool, error) {
 		calls.Add(1)
 		<-ctx.Done() // body honors its per-attempt deadline
 		return false, ctx.Err()
+	})
+	_, attempts, err := Do(context.Background(), p, 1, func(ctx context.Context) (bool, error) {
+		return attempt(ctx, 1)
 	})
 	if attempts != 2 || calls.Load() != 2 {
 		t.Errorf("attempts=%d calls=%d, want the timeout retried once", attempts, calls.Load())
@@ -188,10 +191,13 @@ func TestDoCallTimeoutClassifiedRetryable(t *testing.T) {
 func TestDoParentCancelBeatsCallTimeout(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	p := Policy{MaxAttempts: 3, CallTimeout: time.Minute}
-	_, _, err := Do(ctx, p, 1, func(ctx context.Context) (bool, error) {
+	attempt := p.Bound(func(ctx context.Context, _ int) (bool, error) {
 		cancel()
 		<-ctx.Done()
 		return false, ctx.Err()
+	})
+	_, _, err := Do(ctx, p, 1, func(ctx context.Context) (bool, error) {
+		return attempt(ctx, 1)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -199,12 +205,13 @@ func TestDoParentCancelBeatsCallTimeout(t *testing.T) {
 }
 
 // drive pushes a scripted outcome sequence through the breaker the way a
-// gated batch does: Plan one item, then Record it if admitted.
+// gated batch of one-item segments does: Plan one item, then Record it if
+// admitted.
 func drive(b *Breaker, outcomes []bool) (admitted, denied int) {
 	for _, failed := range outcomes {
 		if b.Plan(1)[0] {
 			admitted++
-			b.Record(failed)
+			b.Record([]bool{failed})
 		} else {
 			denied++
 		}
@@ -278,12 +285,12 @@ func TestBreakerSegmentArmsOnFirstFailure(t *testing.T) {
 		t.Fatalf("Segment() = %d before any failure, want 0 (unsegmented fast path)", got)
 	}
 	b.Plan(1)
-	b.Record(false)
+	b.Record([]bool{false})
 	if got := b.Segment(); got != 0 {
 		t.Fatalf("Segment() = %d after a success, want 0", got)
 	}
 	b.Plan(1)
-	b.Record(true)
+	b.Record([]bool{true})
 	if got := b.Segment(); got != 16 {
 		t.Fatalf("Segment() = %d after a failure, want the configured 16", got)
 	}
@@ -297,6 +304,55 @@ func TestBreakerSlidingWindowEviction(t *testing.T) {
 	drive(b, []bool{true, true, false, false, false, false})
 	if b.State() != BreakerClosed {
 		t.Fatalf("state=%v, want closed: aged-out failures must not count", b.State())
+	}
+}
+
+// TestBreakerSegmentFoldEqualsRowByRow: folding a segment's outcomes with
+// one Record call is folding them one by one. Two breakers under the same
+// config see the same seeded segments — random widths, random outcomes for
+// the admitted items — one folding each segment at once, the other item by
+// item; their plans, State, Trips and Segment() must agree after every
+// segment. Small windows and cooldowns make every seed cycle through open
+// and half-open, so the per-item rules (a half-open failure re-trips, open
+// ignores stragglers) are exercised mid-segment.
+func TestBreakerSegmentFoldEqualsRowByRow(t *testing.T) {
+	for seed := uint64(1); seed <= 50; seed++ {
+		draw := func(stream uint64, n int) int { return int(Mix64(seed^Mix64(stream)) % uint64(n)) }
+		cfg := BreakerConfig{
+			Window: 4 + draw(1, 12), MinCalls: 2 + draw(2, 3), FailureRate: 0.3 + float64(draw(3, 5))/10,
+			Cooldown: 1 + draw(4, 20), Probes: 1 + draw(5, 4), Segment: 1 + draw(6, 16),
+		}
+		failPct := 30 + draw(7, 60)
+		bySegment, byRow := NewBreaker(cfg), NewBreaker(cfg)
+		var stream uint64 = 100
+		halfOpen := false
+		for seg := 0; seg < 200; seg++ {
+			width := 1 + draw(stream, 40)
+			stream++
+			plan, rowPlan := bySegment.Plan(width), byRow.Plan(width)
+			halfOpen = halfOpen || bySegment.State() == BreakerHalfOpen
+			var outcomes []bool
+			for i, ok := range plan {
+				if ok != rowPlan[i] {
+					t.Fatalf("seed %d segment %d: plans diverge at item %d", seed, seg, i)
+				}
+				if ok {
+					outcomes = append(outcomes, draw(stream, 100) < failPct)
+					stream++
+				}
+			}
+			bySegment.Record(outcomes)
+			for _, failed := range outcomes {
+				byRow.Record([]bool{failed})
+			}
+			if bySegment.State() != byRow.State() || bySegment.Trips() != byRow.Trips() || bySegment.Segment() != byRow.Segment() {
+				t.Fatalf("seed %d segment %d: per-segment fold (%v, %d trips, segment %d) != row-by-row fold (%v, %d trips, segment %d)",
+					seed, seg, bySegment.State(), bySegment.Trips(), bySegment.Segment(), byRow.State(), byRow.Trips(), byRow.Segment())
+			}
+		}
+		if bySegment.Trips() < 2 || !halfOpen {
+			t.Fatalf("seed %d: %d trips, half-open reached %t (cfg %+v, %d%% failures) — the scenario misses the open/half-open cycle", seed, bySegment.Trips(), halfOpen, cfg, failPct)
+		}
 	}
 }
 

@@ -13,10 +13,13 @@ type Policy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (default 3). 1 disables retries.
 	MaxAttempts int
-	// CallTimeout bounds each attempt (0 = unbounded). The deadline is
-	// cooperative — the attempt's context is cancelled and the attempt is
-	// abandoned; bodies that honor their context return promptly, bodies
-	// that don't leak a goroutine until they finish on their own.
+	// CallTimeout bounds each attempt (0 = unbounded). Bound applies it,
+	// wrapping an attempt function once; Do does not, so Do's attempt
+	// never leaves the caller's goroutine (nor its closure the stack). The
+	// deadline is cooperative — the attempt's context is cancelled and the
+	// attempt is abandoned; bodies that honor their context return
+	// promptly, bodies that don't leak a goroutine until they finish on
+	// their own.
 	CallTimeout time.Duration
 	// BaseBackoff is the delay before the second attempt (default 1ms);
 	// each further attempt doubles it, capped at MaxBackoff (default 50ms).
@@ -87,6 +90,11 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 // between attempts. key identifies the logical call (e.g. a hash of the
 // UDF name and row) so its jitter schedule is stable across runs.
 //
+// fn runs on the calling goroutine and is never retained, so a closure
+// passed here can live on the caller's stack. Do applies no per-attempt
+// deadline: a caller that wants CallTimeout builds fn from an attempt
+// wrapped once with Bound.
+//
 // It returns the verdict, the number of attempts made, and the final
 // error. A context that ends mid-attempt or mid-backoff surfaces as
 // ctx.Err() promptly — the full backoff is never slept out — which callers
@@ -98,7 +106,7 @@ func Do(ctx context.Context, p Policy, key uint64, fn func(ctx context.Context) 
 			return false, attempts, err
 		}
 		attempts++
-		v, err := p.runOnce(ctx, fn)
+		v, err := fn(ctx)
 		if err == nil {
 			return v, attempts, nil
 		}
@@ -114,39 +122,47 @@ func Do(ctx context.Context, p Policy, key uint64, fn func(ctx context.Context) 
 	}
 }
 
-// runOnce performs a single attempt, enforcing the per-call deadline when
-// one is configured. fn is responsible for recovering its own panics (the
-// engine's invocation boundary does); an abandoned timed-out attempt keeps
-// running on its goroutine but its result is discarded.
-func (p Policy) runOnce(ctx context.Context, fn func(ctx context.Context) (bool, error)) (bool, error) {
-	if p.CallTimeout <= 0 {
-		return fn(ctx)
+// Bound returns attempt under the per-call deadline CallTimeout, or
+// attempt itself when there is none. Build it once and call it from each
+// Do attempt. Each bounded call runs attempt on a watchdog goroutine with
+// a context that expires after CallTimeout; an abandoned timed-out attempt
+// keeps running there but its result is discarded. attempt must therefore
+// recover its own panics: one raised on the watchdog goroutine reaches no
+// recover on the caller's.
+//
+// An attempt that outlives its deadline — returning the deadline's error,
+// or not returning in time — is a retryable Timeout, never the raw context
+// error (callers treat those as a batch abort). The parent context's own
+// end is returned raw.
+func (p Policy) Bound(attempt func(ctx context.Context, item int) (bool, error)) func(ctx context.Context, item int) (bool, error) {
+	d := p.CallTimeout
+	if d <= 0 {
+		return attempt
 	}
-	cctx, cancel := context.WithTimeout(ctx, p.CallTimeout)
-	defer cancel()
 	type result struct {
 		v   bool
 		err error
 	}
-	ch := make(chan result, 1)
-	go func() {
-		v, err := fn(cctx)
-		ch <- result{v, err}
-	}()
-	select {
-	case r := <-ch:
-		if r.err != nil && cctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-			// The body honored its deadline; classify as a retryable timeout
-			// rather than leaking the raw context error upward (which callers
-			// treat as a batch abort).
-			return false, &Error{Kind: Timeout, Err: fmt.Errorf("call exceeded %v", p.CallTimeout)}
+	return func(ctx context.Context, item int) (bool, error) {
+		cctx, cancel := context.WithTimeout(ctx, d)
+		defer cancel()
+		ch := make(chan result, 1)
+		go func() {
+			v, err := attempt(cctx, item)
+			ch <- result{v, err}
+		}()
+		select {
+		case r := <-ch:
+			if r.err != nil && cctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
+				return false, &Error{Kind: Timeout, Err: fmt.Errorf("call exceeded %v", d)}
+			}
+			return r.v, r.err
+		case <-cctx.Done():
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+			return false, &Error{Kind: Timeout, Err: fmt.Errorf("call exceeded %v (abandoned)", d)}
 		}
-		return r.v, r.err
-	case <-cctx.Done():
-		if err := ctx.Err(); err != nil {
-			return false, err
-		}
-		return false, &Error{Kind: Timeout, Err: fmt.Errorf("call exceeded %v (abandoned)", p.CallTimeout)}
 	}
 }
 

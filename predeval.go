@@ -264,10 +264,11 @@ func (db *DB) BreakerStatuses() []BreakerStatus { return db.eng.BreakerStatuses(
 // documentation on engine.Stats).
 type Stats = engine.Stats
 
-// Rows is a materialized query result.
+// Rows is a query result. Its cells are rendered when Row asks for them.
 type Rows struct {
 	cols  []string
-	cells [][]string
+	n     int
+	row   func(i int) []string // renders result row i
 	ids   []int
 	stats Stats
 	plan  []string
@@ -277,10 +278,11 @@ type Rows struct {
 func (r *Rows) Columns() []string { return r.cols }
 
 // Len returns the number of result rows.
-func (r *Rows) Len() int { return len(r.cells) }
+func (r *Rows) Len() int { return r.n }
 
-// Row returns the rendered cells of result row i.
-func (r *Rows) Row(i int) []string { return r.cells[i] }
+// Row renders the cells of result row i. Each call renders afresh, from
+// the same registered table, so repeated calls return equal cells.
+func (r *Rows) Row(i int) []string { return r.row(i) }
 
 // RowIDs returns the base-table row ids of the result (useful for joining
 // results back to ground truth in evaluations).
@@ -403,19 +405,18 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 	return rows, err
 }
 
-// materialize renders every result row's cells. They come from the same
-// Renderer QueryStream emits through, so a streamed and a materialized
-// result cannot render differently.
+// materialize wraps the result rows with the Renderer QueryStream emits
+// through, so a streamed and a materialized result cannot render
+// differently. Row renders on demand: a caller reading only RowIDs or Len
+// pays for no cell.
 func (db *DB) materialize(q plan.Query, res *engine.Result, annotated []string) (*Rows, error) {
 	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
 	}
-	cells := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		cells[i] = render(row)
-	}
-	return &Rows{cols: cols, cells: cells, ids: res.Rows, stats: res.Stats, plan: annotated}, nil
+	ids := res.Rows
+	return &Rows{cols: cols, n: len(ids), row: func(i int) []string { return render(ids[i]) },
+		ids: ids, stats: res.Stats, plan: annotated}, nil
 }
 
 // planLines splits EXPLAIN text into its operator lines.
@@ -427,11 +428,7 @@ func planLines(text string) []string {
 // operator line), so EXPLAIN statements flow through QueryContext like any
 // other.
 func planRows(lines []string) *Rows {
-	r := &Rows{cols: []string{"plan"}}
-	for _, line := range lines {
-		r.cells = append(r.cells, []string{line})
-	}
-	return r
+	return &Rows{cols: []string{"plan"}, n: len(lines), row: func(i int) []string { return []string{lines[i]} }}
 }
 
 // ErrStopStream can be returned by a QueryStream emit callback to stop
