@@ -891,8 +891,8 @@ type statsResponse struct {
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	tables := make(map[string]int)
 	for _, name := range s.db.TableNames() {
-		if n, err := s.db.NumRows(name); err == nil {
-			tables[name] = n
+		if info, err := s.db.TableInfo(name); err == nil {
+			tables[name] = info.Rows
 		}
 	}
 	cc := s.db.CacheCounters()

@@ -55,6 +55,10 @@ func FuzzParsePlanExplain(f *testing.F) {
 		"SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0 AND h(z) = 1 WITH RECALL 0.7",
 		"SELECT * FROM t WHERE f(x) = 1 WITH PROBABILITY 0.8",
 		"SELECT nope FROM t WHERE nope = 1 AND f(x) = 1",
+		"SELECT * FROM t WHERE grade = 'A' AND f(x) = 0",
+		"SELECT * FROM t WHERE f(x) = 1 AND grade = 'A' AND g(y) = 0 WITH RECALL 0.8 GROUP ON grade",
+		"SELECT * FROM t WHERE a = 3 AND f(x) = 1 AND g(y) = 1 AND grade = 'B' AND h(z) = 0",
+		"SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0 AND amount = 5000 AND h(z) = 1 AND f(y) = 1 WITH PRECISION 0.8 GROUP ON grade",
 	} {
 		f.Add(seed)
 	}

@@ -89,6 +89,10 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 	return choice, nil
 }
 
+// DefaultLabelFraction is the fraction of tuples the engine labels to
+// discover a correlated column or train the virtual one (the paper's 1%).
+const DefaultLabelFraction = 0.01
+
 // Labeler is the random source LabelFractionParallelCtx needs to pick rows.
 type Labeler interface {
 	SampleWithoutReplacement(n, k int) []int

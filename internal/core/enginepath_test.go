@@ -132,7 +132,7 @@ func TestRunTwoPredicatesEndToEnd(t *testing.T) {
 	// The near-zero sel1 group should mostly be discarded, not eval'd: the
 	// two wasteful actions (evaluate f2, or both) are the only ones that
 	// call f2 on a row of it the joint sample did not already pay for.
-	sampledDead := core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}.Allocate([]int{1500, 1500, 1500})[2]
+	sampledDead := core.DefaultAllocator(cons.Alpha).Allocate([]int{1500, 1500, 1500})[2]
 	if dead2 != sampledDead || dead1 < sampledDead {
 		t.Fatalf("wasteful action on dead group: f1 called %d times, f2 %d, joint sample %d", dead1, dead2, sampledDead)
 	}

@@ -12,10 +12,6 @@ import (
 // conjunctions of two expensive predicates, and selection followed by a
 // join (where output tuples count with their join multiplicity).
 
-// PlannerFunc plans a strategy for groups under constraints; both
-// PlanPerfectSelectivities and the estimated-selectivity planners match.
-type PlannerFunc func([]GroupInfo, Constraints, CostModel) (Strategy, error)
-
 // BudgetPlan is the result of PlanBudget.
 type BudgetPlan struct {
 	Strategy Strategy
@@ -27,16 +23,13 @@ type BudgetPlan struct {
 // PlanBudget solves the alternate objective of Section 5/Appendix 10.7.1:
 // maximize recall subject to precision ≥ α (with probability ρ) and
 // expected cost ≤ budget. It binary-searches the recall bound β and plans
-// with the supplied planner (PlanPerfectSelectivities by default).
-func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel, planner PlannerFunc) (BudgetPlan, error) {
-	if planner == nil {
-		planner = PlanPerfectSelectivities
-	}
+// each candidate with PlanWithSamples, the planner the engine runs.
+func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) (BudgetPlan, error) {
 	if budget < 0 {
 		return BudgetPlan{}, fmt.Errorf("core: negative budget %v", budget)
 	}
 	plan := func(beta float64) (Strategy, float64, error) {
-		s, err := planner(groups, Constraints{Alpha: alpha, Beta: beta, Rho: rho}, cost)
+		s, err := PlanWithSamples(groups, Constraints{Alpha: alpha, Beta: beta, Rho: rho}, cost)
 		if err != nil {
 			return Strategy{}, 0, err
 		}

@@ -7,10 +7,20 @@ import (
 	"repro/internal/stats"
 )
 
+// sampledPaperGroups is paperGroups as the engine's planner sees them: each
+// group's selectivity estimated from a 20-tuple sample.
+func sampledPaperGroups() []GroupInfo {
+	return []GroupInfo{
+		GroupInfoFromSample(1000, 20, 18),
+		GroupInfoFromSample(1000, 20, 10),
+		GroupInfoFromSample(1000, 20, 2),
+	}
+}
+
 func TestPlanBudgetEndpoints(t *testing.T) {
-	groups := paperGroups()
+	groups := sampledPaperGroups()
 	// Huge budget: full recall achievable.
-	plan, err := PlanBudget(groups, 0.8, 0.8, 1e9, DefaultCost, nil)
+	plan, err := PlanBudget(groups, 0.8, 0.8, 1e9, DefaultCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,19 +29,19 @@ func TestPlanBudgetEndpoints(t *testing.T) {
 	}
 	// Zero budget with a precision-trivial setup: β=0 plan costs > 0
 	// because of margins, so expect an error.
-	if _, err := PlanBudget(groups, 0.8, 0.8, 0, DefaultCost, nil); err == nil {
+	if _, err := PlanBudget(groups, 0.8, 0.8, 0, DefaultCost); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if _, err := PlanBudget(groups, 0.8, 0.8, -5, DefaultCost, nil); err == nil {
+	if _, err := PlanBudget(groups, 0.8, 0.8, -5, DefaultCost); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
 
 func TestPlanBudgetMonotone(t *testing.T) {
-	groups := paperGroups()
+	groups := sampledPaperGroups()
 	prev := -1.0
 	for _, budget := range []float64{1500, 3000, 5000, 8000} {
-		plan, err := PlanBudget(groups, 0.8, 0.8, budget, DefaultCost, nil)
+		plan, err := PlanBudget(groups, 0.8, 0.8, budget, DefaultCost)
 		if err != nil {
 			t.Fatalf("budget %v: %v", budget, err)
 		}

@@ -45,6 +45,13 @@ func (a TwoThirdPowerAllocator) String() string {
 	return fmt.Sprintf("two-third-power(%.2f)", a.Num)
 }
 
+// DefaultAllocator is the allocation the engine samples with, for the
+// single-predicate and the conjunction shapes alike: Two-Third-Power at
+// num = 2.5·α, the paper's recommended setting.
+func DefaultAllocator(alpha float64) TwoThirdPowerAllocator {
+	return TwoThirdPowerAllocator{Num: 2.5 * alpha}
+}
+
 // Sampler incrementally samples tuples from groups without replacement,
 // remembering outcomes so allocations can be topped up (a warm catalog,
 // Section 4.3's adaptive scheme) without re-evaluating tuples.

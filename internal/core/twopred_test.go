@@ -46,13 +46,13 @@ func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constra
 	return res, acts, samples, err
 }
 
-// defaultTargets is the engine's sampling allocation, TwoThirdPower(2.5·α).
+// defaultTargets is the engine's sampling allocation over groups.
 func defaultTargets(groups []Group, cons Constraints) []int {
 	sizes := make([]int, len(groups))
 	for i, g := range groups {
 		sizes[i] = len(g.Rows)
 	}
-	return TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}.Allocate(sizes)
+	return DefaultAllocator(cons.Alpha).Allocate(sizes)
 }
 
 // TestSampleTwoPredicates checks the §5 sampling step: the N-ary joint

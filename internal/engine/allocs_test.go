@@ -24,7 +24,7 @@ func TestGroupResolveAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &pipeState{tbl: d.Table, q: Query{UDFArg: "id"}}
+		st := &pipeState{tbl: d.Table, preds: []resolvedPred{{spec: Conjunct{UDFArg: "id"}}}}
 		var cands int
 		allocs := testing.AllocsPerRun(5, func() { cands = len(candidateColumns(st)) })
 		if cands != 2 {
@@ -42,7 +42,7 @@ func TestGroupResolveAllocs(t *testing.T) {
 // into the runtime's static cells, so it allocates nothing.
 func TestRowInvokerAllocs(t *testing.T) {
 	tbl, truth := buildLoanTable(t, 300, 42)
-	body := UDF{Body: func(v table.Value) bool { return truth[v.(int64)] }}.fallible()
+	body := pure(func(v table.Value) bool { return truth[v.(int64)] })
 	inv := newRowInvoker("good_credit", body, tbl.ColumnByName("id"), true, resilience.Policy{}, 1)
 	ctx := context.Background()
 	for _, c := range []struct {

@@ -32,7 +32,7 @@ func analyzeEngine(t testing.TB, parallelism int) *Engine {
 	}
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+		Body: func(_ context.Context, v table.Value) (bool, error) {
 			id := v.(int64)
 			if id >= 50 && id < 150 {
 				return false, resilience.New(resilience.Transient, "udf", errors.New("service flapping"))
@@ -163,11 +163,11 @@ func TestExplainAnalyzeApproxPipeline(t *testing.T) {
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "good_credit", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+	if err := e.RegisterUDF(UDF{Name: "good_credit", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		GroupOn: "grade",
 		Approx:  &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9},
 	}
@@ -196,14 +196,14 @@ func TestExplainAnalyzeApproxPipeline(t *testing.T) {
 // (each operator is the unit of accounting, nothing is charged outside one),
 // and the root reports the result rows.
 func TestPlanIsPipeline(t *testing.T) {
-	base := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	base := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	with := func(mut func(*Query)) Query {
 		q := base
 		mut(&q)
 		return q
 	}
 	and := func(names ...string) []Conjunct {
-		var cs []Conjunct
+		cs := []Conjunct{base.Predicates[0]}
 		for _, name := range names {
 			cs = append(cs, Conjunct{UDFName: name, UDFArg: "id", Want: true})
 		}
@@ -218,14 +218,14 @@ func TestPlanIsPipeline(t *testing.T) {
 		{"discover", with(func(q *Query) { q.Approx = approx(0.8, 0.8, 0.8) })},
 		{"budget", with(func(q *Query) { q.Approx = approx(0.8, 0.8, 0.8); q.GroupOn = "grade"; q.Budget = 1500 })},
 		{"filtered", with(func(q *Query) { q.Filters = []Filter{{Column: "grade", Value: "A"}} })},
-		{"exact3", with(func(q *Query) { q.Conjuncts = and("div3", "div5") })},
+		{"exact3", with(func(q *Query) { q.Predicates = and("div3", "div5") })},
 		{"twopred", with(func(q *Query) {
-			q.Conjuncts = and("div3")
+			q.Predicates = and("div3")
 			q.Approx = approx(0.8, 0.8, 0.8)
 			q.GroupOn = "grade"
 		})},
 		{"nary", with(func(q *Query) {
-			q.Conjuncts = and("div3", "div5")
+			q.Predicates = and("div3", "div5")
 			q.Approx = approx(0.8, 0.8, 0.8)
 			q.GroupOn = "grade"
 		})},
@@ -286,16 +286,18 @@ func TestPlanIsPipeline(t *testing.T) {
 func TestTwoPredCostBillsEachPredicateItsOwnRate(t *testing.T) {
 	e, _, goodCalls := newTestEngine(t, 1500) // good_credit at the default o_e = 3
 	richCalls := new(atomic.Int64)
-	if err := e.RegisterUDF(UDF{Name: "rich", Cost: 7, Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "rich", Cost: 7, Body: pure(func(v table.Value) bool {
 		richCalls.Add(1)
 		return v.(float64) > 70000
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
-		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade",
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "rich", UDFArg: "income", Want: true},
+		},
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,9 +335,11 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	registerModUDF(t, e2, "div3", 3)
 	tr = obs.NewTrace()
 	_, err := e2.ExecuteContext(obs.WithTrace(context.Background(), tr), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "div3", UDFArg: "id", Want: true}},
-		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade",
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "div3", UDFArg: "id", Want: true},
+		},
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
 	if err != nil {
 		t.Fatal(err)

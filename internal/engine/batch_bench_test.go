@@ -35,10 +35,10 @@ func BenchmarkBatchScanFilter1M(b *testing.B) {
 	if err := e.RegisterTable(benchFilterTable(b, n)); err != nil {
 		b.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "f", Body: func(table.Value) bool { return true }}); err != nil {
+	if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(table.Value) bool { return true })}); err != nil {
 		b.Fatal(err)
 	}
-	st, err := e.bindStatement(Query{Table: "loans", UDFName: "f", UDFArg: "id",
+	st, err := e.bindStatement(Query{Table: "loans", Predicates: []Conjunct{{UDFName: "f", UDFArg: "id"}},
 		Filters: []Filter{{Column: "grade", Value: "B"}}})
 	if err != nil {
 		b.Fatal(err)

@@ -36,7 +36,7 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 	attempts := make(map[int64]int)
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+		Body: func(_ context.Context, v table.Value) (bool, error) {
 			id := v.(int64)
 			mu.Lock()
 			attempts[id]++
@@ -56,7 +56,7 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 	}
 	err = e.RegisterUDF(UDF{
 		Name: "rich",
-		Body: func(v table.Value) bool { return v.(float64) > 70000 },
+		Body: pure(func(v table.Value) bool { return v.(float64) > 70000 }),
 		Cost: 1,
 	})
 	if err != nil {
@@ -68,7 +68,7 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 // filteredApprox is the filtered-approximate shape: cheap filter below a
 // blocking sampling chain, so stageOp's drain loop consumes the scan.
 var filteredApprox = Query{
-	Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+	Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	Filters: []Filter{{Column: "grade", Value: "B"}},
 	Approx:  approx(0.8, 0.8, 0.8), GroupOn: "purpose", OnFailure: SkipFailed,
 }
@@ -83,22 +83,26 @@ var filteredApprox = Query{
 func TestBatchDeterminismMatrix(t *testing.T) {
 	queries := map[string]Query{
 		"exact-filtered": {
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+			Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 			Filters: []Filter{{Column: "grade", Value: "B"}}, OnFailure: SkipFailed,
 		},
 		"conj-waves": {
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
+			Table: "loans", Predicates: []Conjunct{
+				{UDFName: "good_credit", UDFArg: "id", Want: true},
+				{UDFName: "rich", UDFArg: "income", Want: true},
+			},
 			OnFailure: SkipFailed,
 		},
 		"approx-grouped": {
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+			Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
 		},
 		"conj-twopred": {
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
-			Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+			Table: "loans", Predicates: []Conjunct{
+				{UDFName: "good_credit", UDFArg: "id", Want: true},
+				{UDFName: "rich", UDFArg: "income", Want: true},
+			},
+			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
 		},
 		// The one shape whose lowest blocking stage drains the fused scan
 		// into st.subset: it is what holds the batch reuse contract (a
@@ -150,7 +154,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 // materialized result: same rows in the same order, same Stats.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	queries := map[string]Query{
-		"exact":           {Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, OnFailure: SkipFailed},
+		"exact":           {Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, OnFailure: SkipFailed},
 		"approx-filtered": filteredApprox,
 	}
 	for name, q := range queries {
@@ -190,7 +194,7 @@ func TestStreamEarlyStopCancelsUpstream(t *testing.T) {
 	e, _, calls := newTestEngine(t, 2000)
 	e.BatchSize = 16
 	e.Parallelism = 1
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	var got []int
 	stats, err := e.ExecuteStreamContext(context.Background(), q, func(rows []int) error {
 		got = append(got, rows...)
@@ -224,7 +228,7 @@ func TestStreamEarlyStopCancelsUpstream(t *testing.T) {
 func TestStreamFirstBatchBeforeLastWave(t *testing.T) {
 	e, _, calls := newTestEngine(t, 1000)
 	e.BatchSize = 8
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	var callsAtFirstBatch int64 = -1
 	_, err := e.ExecuteStreamContext(context.Background(), q, func(rows []int) error {
 		if callsAtFirstBatch < 0 {
@@ -250,7 +254,7 @@ func TestBatchCountersAdvance(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
 	e.BatchSize = 64
 	_, err := e.ExecuteStreamContext(context.Background(),
-		Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
+		Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
 		func([]int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +279,7 @@ func TestBatchSizeKnobHonored(t *testing.T) {
 		e.BatchSize = size
 		batches := 0
 		_, err := e.ExecuteStreamContext(context.Background(),
-			Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
+			Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
 			func(rows []int) error {
 				batches++
 				if len(rows) == 0 || len(rows) > size {

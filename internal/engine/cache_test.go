@@ -14,15 +14,15 @@ import (
 func TestUDFPanicNotCached(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 300)
 	var failedOnce atomic.Bool
-	if err := e.RegisterUDF(UDF{Name: "flaky", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "flaky", Body: pure(func(v table.Value) bool {
 		if v.(int64) == 7 && failedOnce.CompareAndSwap(false, true) {
 			panic("transient")
 		}
 		return truth[v.(int64)]
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "flaky", UDFArg: "id", Want: true}}}
 	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("first query with panicking UDF did not error")
 	}
@@ -90,7 +90,7 @@ func TestCacheAfterFailedQueryIsParallelismIndependent(t *testing.T) {
 // old body's cached outcomes.
 func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 300)
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	if _, err := e.ExecuteContext(context.Background(), q); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 		t.Fatalf("first query made %d calls, want 300", calls.Load())
 	}
 	// Replace the body with its negation.
-	if err := e.RegisterUDF(UDF{Name: "good_credit", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "good_credit", Body: pure(func(v table.Value) bool {
 		calls.Add(1)
 		return !truth[v.(int64)]
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), q)
@@ -125,12 +125,12 @@ func TestReRegisterUDFInvalidatesCache(t *testing.T) {
 // a want=0 query rides the evaluations a want=1 query already paid for.
 func TestComplementaryWantSharesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 300)
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	pos, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Want = false
+	q.Predicates[0].Want = false
 	neg, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -160,13 +160,15 @@ func TestSameUDFConjunctionDeterministicStats(t *testing.T) {
 		if err := e.RegisterTable(tbl); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+		if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.ExecuteContext(context.Background(), Query{
-			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
-			Conjuncts: []Conjunct{{UDFName: "f", UDFArg: "id", Want: true}},
-			Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
+			Table: "loans", Predicates: []Conjunct{
+				{UDFName: "f", UDFArg: "id", Want: true},
+				{UDFName: "f", UDFArg: "id", Want: true},
+			},
+			Approx: approx(0.75, 0.75, 0.8), GroupOn: "grade",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -184,7 +186,7 @@ func TestSameUDFConjunctionDeterministicStats(t *testing.T) {
 // TestCachedSecondQueryFree: the happy-path cache contract at engine level.
 func TestCachedSecondQueryFree(t *testing.T) {
 	e, _, calls := newTestEngine(t, 300)
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	first, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)

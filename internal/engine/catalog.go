@@ -140,13 +140,15 @@ func (e *Engine) CatalogCounters() CatalogCounters {
 }
 
 // workloadKey canonicalizes everything that influences the Section 4.4
-// column choice: the predicate application, the cheap-filter subset, the
-// accuracy constraints and the cost model. Two queries with equal keys
-// would discover the same column, so the choice is safe to memoize.
-func workloadKey(q Query, cost core.CostModel) string {
+// column choice: the (first) predicate's application, the cheap-filter
+// subset, the accuracy constraints and the cost model. Two statements with
+// equal keys would discover the same column, so the choice is safe to
+// memoize.
+func workloadKey(st *pipeState) string {
+	q, p := st.q, st.preds[0].spec
 	parts := []string{
-		"v1", q.Table, q.UDFName, q.UDFArg, fmt.Sprintf("want=%t", q.Want),
-		fmt.Sprintf("cost=%g,%g", cost.Retrieve, cost.Evaluate),
+		"v1", q.Table, p.UDFName, p.UDFArg, fmt.Sprintf("want=%t", p.Want),
+		fmt.Sprintf("cost=%g,%g", st.cost.Retrieve, st.cost.Evaluate),
 	}
 	if q.Approx != nil {
 		parts = append(parts, fmt.Sprintf("apr=%g,%g,%g", q.Approx.Precision, q.Approx.Recall, q.Approx.Probability))
@@ -171,11 +173,13 @@ func filterKey(filters []Filter) string {
 	return strings.Join(fs, "&")
 }
 
-// sampleKey is the catalog key of the statement's sampling evidence.
-func sampleKey(q Query, groupCol string) catalog.SampleKey {
+// sampleKey is the catalog key of the statement's sampling evidence: the
+// (first) predicate's, grouped by groupCol.
+func sampleKey(st *pipeState, groupCol string) catalog.SampleKey {
+	p := st.preds[0].spec
 	return catalog.SampleKey{
-		Table: q.Table, UDF: q.UDFName, Column: q.UDFArg, GroupColumn: groupCol,
-		Filters: filterKey(q.Filters),
+		Table: st.q.Table, UDF: p.UDFName, Column: p.UDFArg, GroupColumn: groupCol,
+		Filters: filterKey(st.q.Filters),
 	}
 }
 
@@ -197,7 +201,7 @@ func (e *Engine) peekMemoColumn(st *pipeState) (string, bool) {
 	if c == nil {
 		return "", false
 	}
-	return c.ChosenColumn(workloadKey(st.q, st.cost))
+	return c.ChosenColumn(workloadKey(st))
 }
 
 // memoizedColumn returns persisted discovery output for the query's
@@ -223,18 +227,18 @@ func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
 }
 
 // seedSamplerFromCatalog warm-starts a sampler with persisted evidence for
-// the query's (table, UDF, column, grouping column, filter set), folded to
-// its want. Returns the number of rows seeded.
-func (e *Engine) seedSamplerFromCatalog(s *core.Sampler, q Query, groupCol string) int {
+// the statement's (table, UDF, column, grouping column, filter set), folded
+// to its want. Returns the number of rows seeded.
+func (e *Engine) seedSamplerFromCatalog(s *core.Sampler, st *pipeState) int {
 	c := e.Catalog()
 	if c == nil {
 		return 0
 	}
-	prior := c.Samples(sampleKey(q, groupCol))
+	prior := c.Samples(sampleKey(st, st.chosen))
 	if len(prior) == 0 {
 		return 0
 	}
-	n := s.SeedPrior(foldVerdicts(prior, q.Want))
+	n := s.SeedPrior(foldVerdicts(prior, st.preds[0].spec.Want))
 	e.seededRows.Add(int64(n))
 	return n
 }
@@ -255,17 +259,17 @@ func (e *Engine) persistQueryLearnings(st *pipeState) {
 	if c == nil || st.failure() != nil || e.invalidations.Load() != st.epoch {
 		return
 	}
-	s, q, chosen := st.sampler, st.q, st.chosen
-	if q.GroupOn == "" && chosen != "" && chosen != VirtualColumn {
-		c.SetChosenColumn(workloadKey(q, st.cost), q.UDFName, chosen)
+	p, chosen := st.preds[0].spec, st.chosen
+	if st.q.GroupOn == "" && chosen != "" && chosen != VirtualColumn {
+		c.SetChosenColumn(workloadKey(st), p.UDFName, chosen)
 	}
 	raw := make(map[int]bool)
-	for _, o := range s.Outcomes() {
+	for _, o := range st.sampler.Outcomes() {
 		for row, v := range o.Results {
-			raw[row] = v == q.Want
+			raw[row] = v == p.Want
 		}
 	}
 	if len(raw) > 0 {
-		c.AddSamples(sampleKey(q, chosen), raw)
+		c.AddSamples(sampleKey(st, chosen), raw)
 	}
 }

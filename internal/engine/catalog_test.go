@@ -26,7 +26,7 @@ func catalogEngine(t testing.TB, n int, dir string) (*Engine, map[int64]bool, *a
 }
 
 func exactQ() Query {
-	return Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	return Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 }
 
 func approxQ() Query {
@@ -133,10 +133,10 @@ func TestCatalogReRegisterInvalidates(t *testing.T) {
 	var calls2 atomic.Int64
 	err = e1.RegisterUDF(UDF{
 		Name: "good_credit",
-		Body: func(v table.Value) bool {
+		Body: pure(func(v table.Value) bool {
 			calls2.Add(1)
 			return !truth[v.(int64)]
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,10 +166,10 @@ func TestCatalogReRegisterInvalidates(t *testing.T) {
 	var calls3 atomic.Int64
 	err = e2.RegisterUDF(UDF{
 		Name: "good_credit",
-		Body: func(v table.Value) bool {
+		Body: pure(func(v table.Value) bool {
 			calls3.Add(1)
 			return !truth[v.(int64)]
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,17 +223,17 @@ func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 	e, truth, _ := catalogEngine(t, 300, dir)
 	err := e.RegisterUDF(UDF{
 		Name: "flaky",
-		Body: func(v table.Value) bool {
+		Body: pure(func(v table.Value) bool {
 			if v.(int64) == 7 {
 				panic("boom")
 			}
 			return truth[v.(int64)]
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true, Approx: approx(0.8, 0.8, 0.8)}
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "flaky", UDFArg: "id", Want: true}}, Approx: approx(0.8, 0.8, 0.8)}
 	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("faulting query succeeded")
 	}
@@ -292,5 +292,46 @@ func TestCatalogSampleEvidenceKeyedByFilters(t *testing.T) {
 	}
 	if _, seeded := run(e2, filtered); seeded == 0 {
 		t.Fatal("after restart the filtered query seeded nothing from its own sample")
+	}
+}
+
+// TestCatalogKeysStable pins the catalog's keys byte for byte: the §4.4
+// memo's workload key and the sampling-evidence key of four statements,
+// as earlier builds wrote them. A key that drifts orphans every memo and
+// sample already on disk, silently: the catalog only stops hitting.
+func TestCatalogKeysStable(t *testing.T) {
+	e, _, _ := newTestEngine(t, 30)
+	pred := func(want bool) []Conjunct { return []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: want}} }
+	for _, c := range []struct {
+		name     string
+		q        Query
+		groupCol string
+		workload string
+		sample   catalog.SampleKey
+	}{
+		{"unfiltered", Query{Table: "loans", Predicates: pred(true)}, "grade",
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3",
+			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
+		{"filters in reverse order", Query{Table: "loans", Predicates: pred(true), Approx: approx(0.9, 0.9, 0.9),
+			Filters: []Filter{{Column: "purpose", Value: "car"}, {Column: "grade", Value: "A"}}}, "income",
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.9,0.9,0.9\x1fflt=grade=A&purpose=car",
+			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "income", Filters: "grade=A&purpose=car"}},
+		{"want zero", Query{Table: "loans", Predicates: pred(false), Approx: approx(0.9, 0.9, 0.9)}, "grade",
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=false\x1fcost=1,3\x1fapr=0.9,0.9,0.9",
+			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
+		{"approximate grouped", Query{Table: "loans", Predicates: pred(true), Approx: approx(0.8, 0.7, 0.95), GroupOn: "grade"}, "grade",
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.8,0.7,0.95",
+			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
+	} {
+		st, err := e.bindStatement(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := workloadKey(st); got != c.workload {
+			t.Errorf("%s: workload key %q, want %q", c.name, got, c.workload)
+		}
+		if got := sampleKey(st, c.groupCol); got != c.sample {
+			t.Errorf("%s: sample key %+v, want %+v", c.name, got, c.sample)
+		}
 	}
 }

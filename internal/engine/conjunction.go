@@ -29,7 +29,6 @@ import (
 // Two-Third-Power allocation per group (the whole filtered scan counts as
 // one group when no GROUP ON was given).
 func (e *Engine) opConjSample(ctx context.Context, st *pipeState) (stageOut, error) {
-	cons := st.q.Approx.Constraints()
 	groups := st.groups
 	if groups == nil {
 		groups = []core.Group{{Key: "all", Rows: universe(st.tbl, st.subset)}}
@@ -38,7 +37,7 @@ func (e *Engine) opConjSample(ctx context.Context, st *pipeState) (stageOut, err
 	for i, g := range groups {
 		sizes[i] = len(g.Rows)
 	}
-	targets := core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}.Allocate(sizes)
+	targets := core.DefaultAllocator(st.q.Approx.Precision).Allocate(sizes)
 	samples, sels, err := core.SampleConjunctionParallelCtx(ctx, groups, targets, st.meters(), st.rng.Split(), e.parallelism())
 	if err != nil {
 		return stageOut{}, err

@@ -14,10 +14,10 @@ import (
 func registerModUDF(t *testing.T, e *Engine, name string, mod int64) *atomic.Int64 {
 	t.Helper()
 	calls := new(atomic.Int64)
-	err := e.RegisterUDF(UDF{Name: name, Body: func(v table.Value) bool {
+	err := e.RegisterUDF(UDF{Name: name, Body: pure(func(v table.Value) bool {
 		calls.Add(1)
 		return v.(int64)%mod == 0
-	}})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func registerModUDF(t *testing.T, e *Engine, name string, mod int64) *atomic.Int
 // naryQuery is a three-predicate conjunction over the loan fixture.
 func naryQuery(approximate bool, groupOn string) Query {
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
 			{UDFName: "div3", UDFArg: "id", Want: true},
 			{UDFName: "div5", UDFArg: "id", Want: true},
 		},
@@ -153,22 +153,22 @@ func TestNaryGreedyOrderingSaves(t *testing.T) {
 	newE := func() *Engine {
 		e, _, _ := newTestEngine(t, n)
 		// pass90/pass80 are wide; div30 passes ~3% — the query lists it last.
-		if err := e.RegisterUDF(UDF{Name: "pass90", Body: func(v table.Value) bool {
+		if err := e.RegisterUDF(UDF{Name: "pass90", Body: pure(func(v table.Value) bool {
 			return v.(int64)%10 != 0
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterUDF(UDF{Name: "pass80", Body: func(v table.Value) bool {
+		if err := e.RegisterUDF(UDF{Name: "pass80", Body: pure(func(v table.Value) bool {
 			return v.(int64)%5 != 0
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 		registerModUDF(t, e, "div30", 30)
 		return e
 	}
 	q := Query{
-		Table: "loans", UDFName: "pass90", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "pass90", UDFArg: "id", Want: true},
 			{UDFName: "pass80", UDFArg: "id", Want: true},
 			{UDFName: "div30", UDFArg: "id", Want: true},
 		},
@@ -211,7 +211,7 @@ func TestNaryConjunctionValidation(t *testing.T) {
 		t.Fatal("budget + conjunction accepted")
 	}
 	q = naryQuery(true, "")
-	q.Conjuncts[1].UDFName = "missing"
+	q.Predicates[2].UDFName = "missing"
 	if _, err := e.ExecuteContext(context.Background(), q); err == nil {
 		t.Fatal("unknown third UDF accepted")
 	}
@@ -223,7 +223,7 @@ func TestExplainShapes(t *testing.T) {
 	e, _, _ := newTestEngine(t, 900)
 	registerModUDF(t, e, "div3", 3)
 	registerModUDF(t, e, "div5", 5)
-	base := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true}
+	base := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	cases := []struct {
 		name string
 		mut  func(Query) Query
@@ -236,15 +236,14 @@ func TestExplainShapes(t *testing.T) {
 		{"two-pred", func(q Query) Query {
 			q.Approx = approx(0.9, 0.9, 0.9)
 			q.GroupOn = "grade"
-			q.Conjuncts = []Conjunct{{UDFName: "div3", UDFArg: "id", Want: true}}
+			q.Predicates = append(q.Predicates, Conjunct{UDFName: "div3", UDFArg: "id", Want: true})
 			return q
 		}, "conj-exec"},
 		{"n-ary", func(q Query) Query {
 			q.Approx = approx(0.9, 0.9, 0.9)
-			q.Conjuncts = []Conjunct{
-				{UDFName: "div3", UDFArg: "id", Want: true},
-				{UDFName: "div5", UDFArg: "id", Want: true},
-			}
+			q.Predicates = append(q.Predicates,
+				Conjunct{UDFName: "div3", UDFArg: "id", Want: true},
+				Conjunct{UDFName: "div5", UDFArg: "id", Want: true})
 			return q
 		}, "conj-waves[greedy]"},
 	}
@@ -259,7 +258,7 @@ func TestExplainShapes(t *testing.T) {
 			}
 		})
 	}
-	if _, err := e.Explain(Query{Table: "loans", UDFName: "missing", UDFArg: "id"}); err == nil {
+	if _, err := e.Explain(Query{Table: "loans", Predicates: []Conjunct{{UDFName: "missing", UDFArg: "id"}}}); err == nil {
 		t.Fatal("EXPLAIN of unknown UDF accepted")
 	}
 }
@@ -279,8 +278,10 @@ func containsLine(text, substr string) bool {
 func TestSameUDFExactConjunctionSharesCache(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 100)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +311,7 @@ func TestSameUDFExactConjunctionSharesCache(t *testing.T) {
 // pinned group columns just like execution would.
 func TestExplainValidatesBindings(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
-	base := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+	base := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.9, 0.9, 0.9), GroupOn: "grade"}
 	q := base
 	q.GroupOn = "nosuch"
@@ -334,21 +335,21 @@ func TestExplainValidatesBindings(t *testing.T) {
 func TestNaryConjunctionPerPredicateCost(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 300)
 	var cheapCalls, priceyCalls atomic.Int64
-	if err := e.RegisterUDF(UDF{Name: "cheap", Cost: 1, Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "cheap", Cost: 1, Body: pure(func(v table.Value) bool {
 		cheapCalls.Add(1)
 		return v.(int64)%2 == 0
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "pricey", Cost: 50, Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "pricey", Cost: 50, Body: pure(func(v table.Value) bool {
 		priceyCalls.Add(1)
 		return v.(int64)%3 == 0
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
 			{UDFName: "cheap", UDFArg: "id", Want: true},
 			{UDFName: "pricey", UDFArg: "id", Want: true},
 		},
@@ -371,21 +372,21 @@ func TestNaryConjunctionPerPredicateCost(t *testing.T) {
 func TestPredCostNoLeakFromFirstOverride(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
 	var priceyCalls, cheapCalls atomic.Int64
-	if err := e.RegisterUDF(UDF{Name: "pricey", Cost: 100, Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "pricey", Cost: 100, Body: pure(func(v table.Value) bool {
 		priceyCalls.Add(1)
 		return v.(int64)%2 == 0
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "cheapdef", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "cheapdef", Body: pure(func(v table.Value) bool {
 		cheapCalls.Add(1)
 		return v.(int64)%3 == 0
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "pricey", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "pricey", UDFArg: "id", Want: true},
 			{UDFName: "cheapdef", UDFArg: "id", Want: true},
 			{UDFName: "good_credit", UDFArg: "id", Want: true},
 		},
@@ -406,7 +407,7 @@ func TestPredCostNoLeakFromFirstOverride(t *testing.T) {
 // same statements, including the projection columns.
 func TestExplainRejectsBadProjection(t *testing.T) {
 	e, _, _ := newTestEngine(t, 60)
-	q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Columns: []string{"nosuchcol"}}
 	if _, err := e.Explain(q); err == nil {
 		t.Fatal("EXPLAIN with unknown projection column accepted")

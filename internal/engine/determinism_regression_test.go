@@ -61,7 +61,7 @@ func TestFlushCatalogDeterministicRecordOrder(t *testing.T) {
 func TestRegistryNamesSorted(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega", "kappa", "nu", "eps"} {
-		if err := r.Register(UDF{Name: name, Body: func(table.Value) bool { return true }}); err != nil {
+		if err := r.Register(UDF{Name: name, Body: pure(func(table.Value) bool { return true })}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -25,9 +25,6 @@ type Engine struct {
 	mu       sync.RWMutex
 	tables   map[string]*table.Table
 	registry *Registry
-	// Cost is the engine-wide cost model; a UDF's own Cost overrides
-	// Evaluate when set.
-	Cost core.CostModel
 	// Parallelism caps the number of workers UDF evaluation fans out
 	// across (labeling, sampling, execution and exact scans). Default
 	// runtime.GOMAXPROCS(0); 1 runs fully sequentially;
@@ -99,11 +96,8 @@ type Engine struct {
 }
 
 // The paper's values for correlated-column discovery (§4.4) and the virtual
-// column (§6.3.2).
+// column (§6.3.2); the labeling fraction is core.DefaultLabelFraction.
 const (
-	// labelFraction is the fraction of tuples labeled to discover a
-	// correlated column or train the virtual one (the paper's 1%).
-	labelFraction = 0.01
 	// virtualBuckets is the bucket count of the logistic-regression virtual
 	// column.
 	virtualBuckets = 10
@@ -112,13 +106,13 @@ const (
 	maxCandidateCardinality = 50
 )
 
-// New returns an engine with the paper's default cost model (o_r = 1,
-// o_e = 3) and the given deterministic seed.
+// New returns an engine with the given deterministic seed. Its cost model is
+// the paper's, core.DefaultCost (o_r = 1, o_e = 3); a UDF's own cost
+// overrides o_e.
 func New(seed uint64) *Engine {
 	return &Engine{
 		tables:          make(map[string]*table.Table),
 		registry:        NewRegistry(),
-		Cost:            core.DefaultCost,
 		Parallelism:     runtime.GOMAXPROCS(0),
 		CacheUDFResults: true,
 		rng:             stats.NewRNG(seed),
@@ -339,7 +333,7 @@ func candidateColumns(st *pipeState) []core.Candidate {
 	schema := st.tbl.Schema()
 	for i := 0; i < schema.Len(); i++ {
 		name := schema.Col(i).Name
-		if name == st.q.UDFArg {
+		if name == st.preds[0].spec.UDFArg {
 			continue
 		}
 		groups, ok := groupsFromColumn(st.tbl.Column(i), st.subset, maxCandidateCardinality)
@@ -364,7 +358,7 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 
 	rows := universe(tbl, st.subset)
 	labeled := make(map[int]bool)
-	for frac := labelFraction; ; frac = min(2*frac, 1) {
+	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
 		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, st.preds[0].meter, st.rng, e.parallelism())
 		if err != nil {
 			return nil, "", nil, err
@@ -391,13 +385,13 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
 		MaxCardinality: maxCandidateCardinality,
-		Exclude:        []string{st.q.UDFArg},
+		Exclude:        []string{st.preds[0].spec.UDFArg},
 	})
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
 	rows := universe(tbl, st.subset)
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, labelFraction, st.preds[0].meter, st.rng, e.parallelism())
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, core.DefaultLabelFraction, st.preds[0].meter, st.rng, e.parallelism())
 	if err != nil {
 		return nil, "", nil, err
 	}

@@ -55,15 +55,20 @@ func newTestEngine(t testing.TB, n int) (*Engine, map[int64]bool, *atomic.Int64)
 	calls := new(atomic.Int64)
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		Body: func(v table.Value) bool {
+		Body: pure(func(v table.Value) bool {
 			calls.Add(1)
 			return truth[v.(int64)]
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e, truth, calls
+}
+
+// pure adapts an infallible test predicate to the UDF body form.
+func pure(f func(table.Value) bool) UDFBody {
+	return func(_ context.Context, v table.Value) (bool, error) { return f(v), nil }
 }
 
 func approx(alpha, beta, rho float64) *Approx {
@@ -72,7 +77,7 @@ func approx(alpha, beta, rho float64) *Approx {
 
 func TestExecuteExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
-	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +101,7 @@ func TestExecuteExact(t *testing.T) {
 func TestExecuteApproxPinnedColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
 	if err != nil {
@@ -131,7 +136,7 @@ func TestExecuteApproxPinnedColumn(t *testing.T) {
 func TestExecuteApproxDiscoversColumn(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8),
 	})
 	if err != nil {
@@ -150,7 +155,7 @@ func TestExecuteApproxDiscoversColumn(t *testing.T) {
 func TestExecuteApproxVirtualColumn(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 3000)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 	})
 	if err != nil {
@@ -183,7 +188,7 @@ func TestExecuteApproxVirtualColumn(t *testing.T) {
 
 func TestExecuteWantFalse(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 900)
-	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: false})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: false}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +202,7 @@ func TestExecuteWantFalse(t *testing.T) {
 func TestExecuteBudget(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", Budget: 4000,
 	})
 	if err != nil {
@@ -220,12 +225,12 @@ func TestExecuteBudget(t *testing.T) {
 func TestBudgetHoldsOnWarmCache(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
 	if _, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", Budget: 1500,
 	})
 	if err != nil {
@@ -243,14 +248,14 @@ func TestExecuteErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	cases := []Query{
 		{},
-		{Table: "nope", UDFName: "good_credit", UDFArg: "id", Want: true},
-		{Table: "loans", UDFName: "nope", UDFArg: "id", Want: true},
-		{Table: "loans", UDFName: "good_credit", UDFArg: "nope", Want: true},
-		{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, Columns: []string{"missing"}},
-		{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, Budget: 10},
-		{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		{Table: "nope", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "nope", UDFArg: "id", Want: true}}},
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "nope", Want: true}}},
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, Columns: []string{"missing"}},
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, Budget: 10},
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 			Approx: &Approx{Precision: 2, Recall: 0.5, Probability: 0.5}},
-		{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "missing"},
 	}
 	for i, q := range cases {
@@ -269,20 +274,20 @@ func TestRegisterErrors(t *testing.T) {
 	if err := e.RegisterTable(tbl); err == nil {
 		t.Fatal("duplicate table accepted")
 	}
-	if err := e.RegisterUDF(UDF{Name: "", Body: func(table.Value) bool { return true }}); err == nil {
+	if err := e.RegisterUDF(UDF{Name: "", Body: pure(func(table.Value) bool { return true })}); err == nil {
 		t.Fatal("empty UDF name accepted")
 	}
 	if err := e.RegisterUDF(UDF{Name: "f"}); err == nil {
 		t.Fatal("nil UDF body accepted")
 	}
-	if err := e.RegisterUDF(UDF{Name: "f", Body: func(table.Value) bool { return true }, Cost: -1}); err == nil {
+	if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(table.Value) bool { return true }), Cost: -1}); err == nil {
 		t.Fatal("negative UDF cost accepted")
 	}
 }
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	if err := r.Register(UDF{Name: "f", Body: func(table.Value) bool { return true }}); err != nil {
+	if err := r.Register(UDF{Name: "f", Body: pure(func(table.Value) bool { return true })}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Lookup("f"); err != nil {
@@ -300,13 +305,13 @@ func TestUDFCostOverride(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	if err := e.RegisterUDF(UDF{
 		Name: "pricey",
-		Body: func(v table.Value) bool { return true },
+		Body: pure(func(v table.Value) bool { return true }),
 		Cost: 50,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for udf, want := range map[string]float64{"pricey": 50, "good_credit": core.DefaultCost.Evaluate} {
-		st, err := e.bindStatement(Query{Table: "loans", UDFName: udf, UDFArg: "id"})
+		st, err := e.bindStatement(Query{Table: "loans", Predicates: []Conjunct{{UDFName: udf, UDFArg: "id"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,7 +324,7 @@ func TestUDFCostOverride(t *testing.T) {
 func TestMaterialize(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Columns: []string{"id", "grade"},
 	}
 	res, err := e.ExecuteContext(context.Background(), q)
@@ -345,7 +350,7 @@ func TestMaterialize(t *testing.T) {
 func TestRendererMatchesMaterialize(t *testing.T) {
 	e, _, _ := newTestEngine(t, 300)
 	for _, cols := range [][]string{nil, {"*"}, {"income", "purpose", "id"}, {"grade"}} {
-		q := Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, Columns: cols}
+		q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, Columns: cols}
 		res, err := e.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
@@ -405,7 +410,7 @@ func TestExecuteSelectJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
 		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	}
@@ -433,7 +438,7 @@ func TestExecuteSelectJoin(t *testing.T) {
 func TestExecuteSelectJoinErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	base := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	}
 	with := func(j Join, mutate func(*Query)) Query {
@@ -486,11 +491,11 @@ func TestVirtualColumnDeterministic(t *testing.T) {
 		if err := e.RegisterTable(tbl); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+		if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.ExecuteContext(context.Background(), Query{
-			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
+			Table: "loans", Predicates: []Conjunct{{UDFName: "f", UDFArg: "id", Want: true}},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
 		})
 		if err != nil {
@@ -516,11 +521,11 @@ func TestEngineDeterministicAcrossSeeds(t *testing.T) {
 		if err := e.RegisterTable(tbl); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+		if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
 			t.Fatal(err)
 		}
 		res, err := e.ExecuteContext(context.Background(), Query{
-			Table: "loans", UDFName: "f", UDFArg: "id", Want: true,
+			Table: "loans", Predicates: []Conjunct{{UDFName: "f", UDFArg: "id", Want: true}},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		})
 		if err != nil {
@@ -534,7 +539,7 @@ func TestEngineDeterministicAcrossSeeds(t *testing.T) {
 }
 
 func TestQueryValidate(t *testing.T) {
-	good := Query{Table: "t", UDFName: "f", UDFArg: "c", Want: true}
+	good := Query{Table: "t", Predicates: []Conjunct{{UDFName: "f", UDFArg: "c", Want: true}}}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -545,13 +550,13 @@ func TestQueryValidate(t *testing.T) {
 		}
 		return err.Error()
 	}
-	if msg(Query{UDFName: "f", UDFArg: "c"}) == "" {
+	if msg(Query{Predicates: []Conjunct{{UDFName: "f", UDFArg: "c"}}}) == "" {
 		t.Fatal("missing table accepted")
 	}
 	if msg(Query{Table: "t"}) == "" {
 		t.Fatal("missing UDF accepted")
 	}
-	if msg(Query{Table: "t", UDFName: "f", UDFArg: "c", Budget: -1}) == "" {
+	if msg(Query{Table: "t", Predicates: []Conjunct{{UDFName: "f", UDFArg: "c"}}, Budget: -1}) == "" {
 		t.Fatal("negative budget accepted")
 	}
 	// Shapes no plan covers are rejected statically too, so parsing,
@@ -564,20 +569,24 @@ func TestQueryValidate(t *testing.T) {
 		mutate(&q)
 		return q
 	}
-	and := []Conjunct{{UDFName: "g", UDFArg: "c", Want: true}}
+	second := Conjunct{UDFName: "g", UDFArg: "c", Want: true}
 	for _, c := range []struct {
 		q    Query
 		want string
 	}{
 		{shape(func(q *Query) {}), ""},
 		{shape(func(q *Query) { q.Budget = 50 }), "BUDGET is not supported with JOIN"},
-		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = and; q.Budget = 50 }), "BUDGET is not supported with AND conjunctions"},
+		{shape(func(q *Query) { q.Join = nil; q.Predicates = append(q.Predicates, second); q.Budget = 50 }), "BUDGET is not supported with AND conjunctions"},
 		{shape(func(q *Query) { q.Approx = nil }), "select-join requires WITH"},
 		{shape(func(q *Query) { q.GroupOn = "" }), "select-join requires an explicit GROUP ON"},
 		{shape(func(q *Query) { q.GroupOn = VirtualColumn }), "select-join requires an explicit GROUP ON"},
-		{shape(func(q *Query) { q.Conjuncts = and }), "select-join does not support AND"},
-		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = and; q.GroupOn = "" }), "AND conjunctions require an explicit GROUP ON"},
-		{shape(func(q *Query) { q.Join = nil; q.Conjuncts = append(and, and...); q.GroupOn = VirtualColumn }), "do not support the virtual column"},
+		{shape(func(q *Query) { q.Predicates = append(q.Predicates, second) }), "select-join does not support AND"},
+		{shape(func(q *Query) { q.Join = nil; q.Predicates = append(q.Predicates, second); q.GroupOn = "" }), "AND conjunctions require an explicit GROUP ON"},
+		{shape(func(q *Query) {
+			q.Join = nil
+			q.Predicates = append(q.Predicates, second, second)
+			q.GroupOn = VirtualColumn
+		}), "do not support the virtual column"},
 	} {
 		if got := msg(c.q); (c.want == "") != (got == "") || !strings.Contains(got, c.want) {
 			t.Fatalf("Validate(%+v) = %q, want an error containing %q", c.q, got, c.want)
@@ -599,15 +608,17 @@ func TestExecuteConjunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "rich", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "rich", Body: pure(func(v table.Value) bool {
 		return v.(float64) > 80000
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
-		Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "rich", UDFArg: "income", Want: true},
+		},
+		Approx: approx(0.75, 0.75, 0.8), GroupOn: "grade",
 	}
 	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
@@ -649,15 +660,17 @@ func TestExecuteConjunction(t *testing.T) {
 func TestExecuteConjunctionExactShortCircuits(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 300)
 	var calls2 atomic.Int64
-	if err := e.RegisterUDF(UDF{Name: "second", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "second", Body: pure(func(v table.Value) bool {
 		calls2.Add(1)
 		return v.(int64)%2 == 0
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "second", UDFArg: "id", Want: true}},
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "second", UDFArg: "id", Want: true},
+		},
 	}
 	res, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
@@ -686,21 +699,23 @@ func TestExecuteConjunctionExactShortCircuits(t *testing.T) {
 func TestExecuteConjunctionValidation(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	base := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
-		Approx:    approx(0.8, 0.8, 0.8),
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+		},
+		Approx: approx(0.8, 0.8, 0.8),
 	}
 	if _, err := e.ExecuteContext(context.Background(), base); err == nil {
 		t.Fatal("conjunction without GROUP ON accepted")
 	}
 	bad := base
-	bad.Conjuncts = []Conjunct{{}}
+	bad.Predicates = []Conjunct{base.Predicates[0], {}}
 	if _, err := e.ExecuteContext(context.Background(), bad); err == nil {
 		t.Fatal("empty conjunct accepted")
 	}
 	bad = base
 	bad.GroupOn = "grade"
-	bad.Conjuncts = []Conjunct{{UDFName: "missing", UDFArg: "id", Want: true}}
+	bad.Predicates = []Conjunct{base.Predicates[0], {UDFName: "missing", UDFArg: "id", Want: true}}
 	if _, err := e.ExecuteContext(context.Background(), bad); err == nil {
 		t.Fatal("unknown second UDF accepted")
 	}
@@ -717,15 +732,15 @@ func TestExecuteConjunctionValidation(t *testing.T) {
 // error from rowInvoker's panic capture.
 func TestUDFPanicSurfacesAsError(t *testing.T) {
 	e, truth, _ := newTestEngine(t, 300)
-	if err := e.RegisterUDF(UDF{Name: "explodes", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "explodes", Body: pure(func(v table.Value) bool {
 		if v.(int64) == 7 {
 			panic("boom")
 		}
 		return truth[v.(int64)]
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "explodes", UDFArg: "id", Want: true})
+	_, err := e.ExecuteContext(context.Background(), Query{Table: "loans", Predicates: []Conjunct{{UDFName: "explodes", UDFArg: "id", Want: true}}})
 	if err == nil {
 		t.Fatal("panicking UDF did not surface an error")
 	}
@@ -733,7 +748,7 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 		t.Fatalf("error %v does not mention the panic", err)
 	}
 	// The engine must survive: a subsequent healthy query still works.
-	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true})
+	res, err := e.ExecuteContext(context.Background(), Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,13 +759,13 @@ func TestUDFPanicSurfacesAsError(t *testing.T) {
 
 func TestUDFPanicInApproximateQuery(t *testing.T) {
 	e, _, _ := newTestEngine(t, 900)
-	if err := e.RegisterUDF(UDF{Name: "flaky", Body: func(v table.Value) bool {
+	if err := e.RegisterUDF(UDF{Name: "flaky", Body: pure(func(v table.Value) bool {
 		panic("always")
-	}}); err != nil {
+	})}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "flaky", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "flaky", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
 	if err == nil {
@@ -761,7 +776,7 @@ func TestUDFPanicInApproximateQuery(t *testing.T) {
 func TestCheapFilterPushdownExact(t *testing.T) {
 	e, truth, calls := newTestEngine(t, 900)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Filters: []Filter{{Column: "grade", Value: "A"}},
 	})
 	if err != nil {
@@ -787,7 +802,7 @@ func TestCheapFilterPushdownExact(t *testing.T) {
 func TestCheapFilterPushdownApprox(t *testing.T) {
 	e, _, _ := newTestEngine(t, 3000)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx:  approx(0.8, 0.8, 0.8),
 		Filters: []Filter{{Column: "purpose", Value: "car"}},
 	})
@@ -822,7 +837,7 @@ func TestCheapFilterPushdownApprox(t *testing.T) {
 func TestCheapFilterErrors(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	_, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Filters: []Filter{{Column: "missing", Value: "x"}},
 	})
 	if err == nil {
@@ -833,7 +848,7 @@ func TestCheapFilterErrors(t *testing.T) {
 func TestCheapFilterEmptyResult(t *testing.T) {
 	e, _, _ := newTestEngine(t, 90)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Filters: []Filter{{Column: "grade", Value: "Z"}},
 	})
 	if err != nil {

@@ -40,7 +40,7 @@ func filterTestTable(t *testing.T) *table.Table {
 // scanRows binds a statement carrying the filters and drains its fused scan:
 // the rows the cheap predicates keep, through the code every query runs.
 func scanRows(e *Engine, filters []Filter) ([]int, error) {
-	st, err := e.bindStatement(Query{Table: "t", UDFName: "f", UDFArg: "n", Filters: filters})
+	st, err := e.bindStatement(Query{Table: "t", Predicates: []Conjunct{{UDFName: "f", UDFArg: "n"}}, Filters: filters})
 	if err != nil {
 		return nil, err
 	}
@@ -65,7 +65,7 @@ func TestTypedFilterSemantics(t *testing.T) {
 	if err := e.RegisterTable(filterTestTable(t)); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "f", Body: func(table.Value) bool { return true }}); err != nil {
+	if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(table.Value) bool { return true })}); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
@@ -132,7 +132,7 @@ func TestFilterBindingMetamorphic(t *testing.T) {
 	exact := func(want bool, filters []Filter) []int {
 		t.Helper()
 		res, err := e.ExecuteContext(context.Background(),
-			Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: want, Filters: filters})
+			Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: want}}, Filters: filters})
 		if err != nil {
 			t.Fatal(err)
 		}

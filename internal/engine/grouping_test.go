@@ -62,7 +62,7 @@ func shopsEngine(t *testing.T) *Engine {
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "open_late", Body: func(v table.Value) bool { return truth[v.(int64)] }}); err != nil {
+	if err := e.RegisterUDF(UDF{Name: "open_late", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -74,7 +74,7 @@ func shopsEngine(t *testing.T) *Engine {
 // the memoized city must still be a memo hit.
 func TestDiscoveryCapCountsValuesInsideFilter(t *testing.T) {
 	q := Query{
-		Table: "shops", UDFName: "open_late", UDFArg: "id", Want: true,
+		Table: "shops", Predicates: []Conjunct{{UDFName: "open_late", UDFArg: "id", Want: true}},
 		Filters: []Filter{{Column: "region", Value: "north"}},
 		Approx:  approx(0.8, 0.8, 0.8),
 	}
@@ -129,11 +129,11 @@ func TestDiscoveryLabelsWholeSmallTable(t *testing.T) {
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RegisterUDF(UDF{Name: "f", Body: func(v table.Value) bool { return v.(int64)%6 < 3 }}); err != nil {
+	if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(v table.Value) bool { return v.(int64)%6 < 3 })}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "tiny", UDFName: "f", UDFArg: "id", Want: true, Approx: approx(0.8, 0.8, 0.8),
+		Table: "tiny", Predicates: []Conjunct{{UDFName: "f", UDFArg: "id", Want: true}}, Approx: approx(0.8, 0.8, 0.8),
 	})
 	if err != nil {
 		t.Fatalf("discovery must end by labeling the whole table: %v", err)

@@ -38,7 +38,7 @@ func TestSelectJoinSkipsZeroWeightSubgroups(t *testing.T) {
 	}
 	ordersFor(t, e, ids)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
 		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	})
@@ -71,7 +71,7 @@ func TestSelectJoinAllZeroWeight(t *testing.T) {
 	// Orders reference ids far outside the loans table.
 	ordersFor(t, e, []int64{5000, 5001, 5002})
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
 		Join: &Join{Table: "orders", LeftKey: "id", RightKey: "loan_id"},
 	})
@@ -95,7 +95,7 @@ func TestSelectJoinMatchesParent(t *testing.T) {
 	const n = 1500
 	join := func(left, right string) *Join { return &Join{Table: "orders", LeftKey: left, RightKey: right} }
 	base := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.7, 0.7, 0.8), GroupOn: "grade",
 	}
 	intKeys := pinned{572, 0x4ffde4e61903a70c, Stats{

@@ -41,9 +41,9 @@ type resolvedPred struct {
 type pipeState struct {
 	q   Query
 	tbl *table.Table
-	// cost is the statement's cost model: the engine's o_r, and the first
-	// predicate's o_e (preds[0].cost) — the predicate every single-predicate
-	// stage evaluates.
+	// cost is the statement's cost model: core.DefaultCost's o_r, and the
+	// first predicate's o_e (preds[0].cost) — the predicate every
+	// single-predicate stage evaluates.
 	cost core.CostModel
 	// preds holds the resolved predicates, first predicate first.
 	preds []resolvedPred
@@ -190,8 +190,7 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.cost = e.Cost
-	st.cost.Evaluate = st.preds[0].cost
+	st.cost = core.CostModel{Retrieve: core.DefaultCost.Retrieve, Evaluate: st.preds[0].cost}
 	st.policy = e.policyFor(q)
 	// A pinned grouping column is only consulted by grouping shapes (exact
 	// shapes ignore GroupOn), so only those reject a bad name.
@@ -216,7 +215,7 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 
 // resolvePreds binds every predicate of the query: its UDF — read from the
 // registry once, so the body and the effective o_e (the UDF's own cost when
-// set, the engine-wide default otherwise) come from the same registration —
+// set, core.DefaultCost's otherwise) come from the same registration —
 // its row invoker (panic capture + retry + deadline, see resilience.go),
 // shared circuit breaker and resilient meter. In approximate conjunctions,
 // a predicate whose (UDF, argument) key collides with an earlier one gets a
@@ -227,14 +226,13 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 // sequential barriers, so the later predicate's lookups deterministically
 // hit what the earlier one stored.
 func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error) {
-	specs := q.Predicates()
-	preds := make([]resolvedPred, len(specs))
-	for i, p := range specs {
+	preds := make([]resolvedPred, len(q.Predicates))
+	for i, p := range q.Predicates {
 		u, err := e.registry.Lookup(p.UDFName)
 		if err != nil {
 			return nil, err
 		}
-		cost := e.Cost.Evaluate
+		cost := core.DefaultCost.Evaluate
 		if u.Cost > 0 {
 			cost = u.Cost
 		}
@@ -242,11 +240,11 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		if col == nil {
 			return nil, fmt.Errorf("engine: table %q has no column %q for UDF argument", q.Table, p.UDFArg)
 		}
-		inv := newRowInvoker(p.UDFName, u.fallible(), col, p.Want, e.retryPolicy(),
+		inv := newRowInvoker(p.UDFName, u.Body, col, p.Want, e.retryPolicy(),
 			resilience.HashString(q.Table+"\x00"+p.UDFName+"\x00"+p.UDFArg))
 		private := false
 		for j := 0; q.Approx != nil && j < i; j++ {
-			if specs[j].UDFName == p.UDFName && specs[j].UDFArg == p.UDFArg {
+			if q.Predicates[j].UDFName == p.UDFName && q.Predicates[j].UDFArg == p.UDFArg {
 				private = true
 				break
 			}
@@ -372,16 +370,15 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 // group resolution, warm-start from the durable catalog, then top up with
 // the Two-Third-Power allocation.
 func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) {
-	cons := st.q.Approx.Constraints()
 	sampler := core.NewSampler(st.groups, st.preds[0].meter, st.rng.Split())
 	sampler.SetParallelism(e.parallelism())
 	sampler.Preload(st.labeled)
-	e.seedSamplerFromCatalog(sampler, st.q, st.chosen)
+	e.seedSamplerFromCatalog(sampler, st)
 	sizes := make([]int, len(st.groups))
 	for i, g := range st.groups {
 		sizes[i] = len(g.Rows)
 	}
-	alloc := core.TwoThirdPowerAllocator{Num: 2.5 * cons.Alpha}
+	alloc := core.DefaultAllocator(st.q.Approx.Precision)
 	if _, err := sampler.TopUpCtx(ctx, alloc.Allocate(sizes)); err != nil {
 		return stageOut{}, err
 	}
@@ -404,10 +401,7 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 		if remaining < 0 {
 			remaining = 0
 		}
-		p, err := core.PlanBudget(infos, cons.Alpha, cons.Rho, remaining, st.cost,
-			func(g []core.GroupInfo, c core.Constraints, cm core.CostModel) (core.Strategy, error) {
-				return core.PlanWithSamples(g, c, cm)
-			})
+		p, err := core.PlanBudget(infos, cons.Alpha, cons.Rho, remaining, st.cost)
 		if err != nil {
 			return stageOut{}, err
 		}

@@ -18,22 +18,17 @@ import (
 // (by bindStatement) per plan or execution.
 func (e *Engine) buildSpec(st *pipeState) plan.Spec {
 	sp := plan.Spec{
-		Query:         st.q,
-		Rows:          st.tbl.NumRows(),
-		EvalCosts:     make([]float64, len(st.preds)),
-		Retrieve:      st.cost.Retrieve,
-		LabelFraction: labelFraction,
+		Query:     st.q,
+		Rows:      st.tbl.NumRows(),
+		EvalCosts: make([]float64, len(st.preds)),
 	}
 	for i, p := range st.preds {
 		sp.EvalCosts[i] = p.cost
 	}
-	if st.q.Approx != nil {
-		sp.SampleNum = 2.5 * st.q.Approx.Precision
-		if st.q.GroupOn == "" {
-			// Display only: the group-resolve operator re-checks at execution
-			// time and falls back to discovery when the memo went stale.
-			sp.MemoColumn, _ = e.peekMemoColumn(st)
-		}
+	if st.q.Approx != nil && st.q.GroupOn == "" {
+		// Display only: the group-resolve operator re-checks at execution
+		// time and falls back to discovery when the memo went stale.
+		sp.MemoColumn, _ = e.peekMemoColumn(st)
 	}
 	if st.joinTbl != nil {
 		sp.JoinRows = st.joinTbl.NumRows()

@@ -46,7 +46,7 @@ func (e *Engine) retryPolicy() resilience.Policy {
 // success. It implements core.FallibleUDF.
 type rowInvoker struct {
 	udfName string
-	body    UDFBodyErr
+	body    UDFBody
 	col     table.Column
 	want    bool
 	policy  resilience.Policy
@@ -61,7 +61,7 @@ type rowInvoker struct {
 	retries atomic.Int64
 }
 
-func newRowInvoker(udfName string, body UDFBodyErr, col table.Column, want bool, policy resilience.Policy, key uint64) *rowInvoker {
+func newRowInvoker(udfName string, body UDFBody, col table.Column, want bool, policy resilience.Policy, key uint64) *rowInvoker {
 	r := &rowInvoker{udfName: udfName, body: body, col: col, want: want, policy: policy, key: key}
 	r.attempt = policy.Bound(r.try)
 	return r

@@ -25,7 +25,7 @@ func newFallibleEngine(t testing.TB, n int, failIDs map[int64]bool) (*Engine, ma
 	}
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+		Body: func(_ context.Context, v table.Value) (bool, error) {
 			id := v.(int64)
 			if failIDs[id] {
 				return false, resilience.New(resilience.Permanent, "udf", errors.New("row is cursed"))
@@ -40,7 +40,7 @@ func newFallibleEngine(t testing.TB, n int, failIDs map[int64]bool) (*Engine, ma
 }
 
 func exactQuery(onFailure FailurePolicy) Query {
-	return Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true, OnFailure: onFailure}
+	return Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, OnFailure: onFailure}
 }
 
 func TestFailPolicyReturnsTypedError(t *testing.T) {
@@ -86,7 +86,7 @@ func TestFailOnErrorNamesSameRowAtAnyParallelism(t *testing.T) {
 					}
 					err := e.RegisterUDF(UDF{
 						Name: "good_credit",
-						BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+						Body: func(_ context.Context, v table.Value) (bool, error) {
 							id := v.(int64)
 							if id == 100 {
 								time.Sleep(2 * time.Millisecond)
@@ -191,7 +191,7 @@ func TestRetriesCountedAndTransientRecovers(t *testing.T) {
 	attempts := make(map[int64]int)
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+		Body: func(_ context.Context, v table.Value) (bool, error) {
 			id := v.(int64)
 			if id%10 == 0 {
 				mu.Lock()
@@ -266,7 +266,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	healthy := false
 	err := e.RegisterUDF(UDF{
 		Name: "good_credit",
-		BodyErr: func(_ context.Context, v table.Value) (bool, error) {
+		Body: func(_ context.Context, v table.Value) (bool, error) {
 			id := v.(int64)
 			mu.Lock()
 			h := healthy
@@ -313,14 +313,6 @@ func TestRegisterUDFBodyValidation(t *testing.T) {
 	if err := e.RegisterUDF(UDF{Name: "x"}); err == nil {
 		t.Error("want an error registering a UDF with no body")
 	}
-	err := e.RegisterUDF(UDF{
-		Name:    "x",
-		Body:    func(table.Value) bool { return true },
-		BodyErr: func(context.Context, table.Value) (bool, error) { return true, nil },
-	})
-	if err == nil {
-		t.Error("want an error registering a UDF with both bodies")
-	}
 }
 
 func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
@@ -334,7 +326,7 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 	}
 	e, _ := newFallibleEngine(t, 3000, failIDs)
 	res, err := e.ExecuteContext(context.Background(), Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: DegradeFailed,
 	})
 	if err != nil {
@@ -355,9 +347,11 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 // full Stats struct are bit-identical at parallelism 1 and 8.
 func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 	q := Query{
-		Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-		Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
-		Approx:    approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+		Table: "loans", Predicates: []Conjunct{
+			{UDFName: "good_credit", UDFArg: "id", Want: true},
+			{UDFName: "rich", UDFArg: "income", Want: true},
+		},
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
 	}
 	run := func(parallelism int) *Result {
 		e, _ := newChaosEngine(t, 3000, parallelism, 0)
@@ -465,7 +459,7 @@ func TestFailureClassification(t *testing.T) {
 				defer cancel()
 				err := e.RegisterUDF(UDF{
 					Name: "good_credit",
-					BodyErr: func(bctx context.Context, v table.Value) (bool, error) {
+					Body: func(bctx context.Context, v table.Value) (bool, error) {
 						if id := v.(int64); id != failRow || c.fail == nil {
 							return truth[id], nil
 						}
@@ -528,12 +522,12 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		if err := e.RegisterTable(tbl); err != nil {
 			t.Fatal(err)
 		}
-		err := e.RegisterUDF(UDF{Name: "good_credit", Body: func(v table.Value) bool {
+		err := e.RegisterUDF(UDF{Name: "good_credit", Body: pure(func(v table.Value) bool {
 			if v.(int64) == panicRow {
 				panic("body crashed")
 			}
 			return truth[v.(int64)]
-		}})
+		})})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -58,15 +58,17 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		e, _, _ := newTestEngine(t, 3000)
 		e.Parallelism = par
-		if err := e.RegisterUDF(UDF{Name: "rich", Body: func(v table.Value) bool {
+		if err := e.RegisterUDF(UDF{Name: "rich", Body: pure(func(v table.Value) bool {
 			return v.(float64) > 80000
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 		q := Query{
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
-			Conjuncts: []Conjunct{{UDFName: "rich", UDFArg: "income", Want: true}},
-			Approx:    approx(0.75, 0.75, 0.8), GroupOn: "grade",
+			Table: "loans", Predicates: []Conjunct{
+				{UDFName: "good_credit", UDFArg: "id", Want: true},
+				{UDFName: "rich", UDFArg: "income", Want: true},
+			},
+			Approx: approx(0.75, 0.75, 0.8), GroupOn: "grade",
 		}
 		res, err := e.ExecuteContext(context.Background(), q)
 		if err != nil {
@@ -78,7 +80,7 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 		// engine RNG stream: if the conjunction path consumed one extra (or
 		// one fewer) split, this diverges.
 		res2, err := e.ExecuteContext(context.Background(), Query{
-			Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true,
+			Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		})
 		if err != nil {
@@ -90,9 +92,9 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 		// change the accounting).
 		e2, _, _ := newTestEngine(t, 3000)
 		e2.Parallelism = par
-		if err := e2.RegisterUDF(UDF{Name: "rich", Body: func(v table.Value) bool {
+		if err := e2.RegisterUDF(UDF{Name: "rich", Body: pure(func(v table.Value) bool {
 			return v.(float64) > 80000
-		}}); err != nil {
+		})}); err != nil {
 			t.Fatal(err)
 		}
 		qe := q

@@ -14,41 +14,22 @@ import (
 	"repro/internal/table"
 )
 
-// UDFBody is a user-supplied predicate over a single column value.
-type UDFBody func(v table.Value) bool
-
-// UDFBodyErr is a fallible user-supplied predicate: a UDF that may fail
-// (remote service error, timeout) instead of panicking. Returned errors are
-// classified by the resilience package — wrap them in *resilience.Error to
-// control retryability; plain errors default to transient (retried). The
+// UDFBody is a user-supplied predicate over a single column value. It may
+// fail (remote service error, timeout) instead of panicking; a panic is
+// captured into a typed error at the invocation boundary. Returned errors
+// are classified by the resilience package — wrap them in *resilience.Error
+// to control retryability; plain errors default to transient (retried). The
 // context carries the per-call deadline; bodies that honor it return
 // promptly on cancellation (return ctx.Err() unwrapped).
-type UDFBodyErr func(ctx context.Context, v table.Value) (bool, error)
+type UDFBody func(ctx context.Context, v table.Value) (bool, error)
 
 // UDF is a registered expensive predicate: a named boolean function of one
-// column, with a per-invocation cost (the paper's o_e). Exactly one of Body
-// and BodyErr must be set; a legacy Body is adapted to the fallible
-// invocation path automatically (its panics become typed errors at the
-// invocation boundary).
+// column, with a per-invocation cost (the paper's o_e).
 type UDF struct {
 	Name string
 	Body UDFBody
-	// BodyErr is the fallible form; see UDFBodyErr.
-	BodyErr UDFBodyErr
-	// Cost is o_e for this UDF; zero means "use the engine default".
+	// Cost is o_e for this UDF; zero means core.DefaultCost's.
 	Cost float64
-}
-
-// fallible returns the UDF's body in fallible form, adapting a legacy Body
-// (panic capture happens at the invocation boundary, not here).
-func (u UDF) fallible() UDFBodyErr {
-	if u.BodyErr != nil {
-		return u.BodyErr
-	}
-	body := u.Body
-	return func(_ context.Context, v table.Value) (bool, error) {
-		return body(v), nil
-	}
 }
 
 // Registry holds named UDFs. It is safe for concurrent use.
@@ -62,17 +43,14 @@ func NewRegistry() *Registry {
 	return &Registry{udfs: make(map[string]UDF)}
 }
 
-// Register adds or replaces a UDF. The name must be non-empty and exactly
-// one of Body / BodyErr set.
+// Register adds or replaces a UDF. The name must be non-empty and the body
+// set.
 func (r *Registry) Register(u UDF) error {
 	if u.Name == "" {
 		return fmt.Errorf("engine: UDF with empty name")
 	}
-	if u.Body == nil && u.BodyErr == nil {
+	if u.Body == nil {
 		return fmt.Errorf("engine: UDF %q has no body", u.Name)
-	}
-	if u.Body != nil && u.BodyErr != nil {
-		return fmt.Errorf("engine: UDF %q has both Body and BodyErr", u.Name)
 	}
 	if u.Cost < 0 {
 		return fmt.Errorf("engine: UDF %q has negative cost", u.Name)

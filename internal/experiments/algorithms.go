@@ -132,7 +132,7 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, 0.01, in.Meter, rng, 1)
+	labeled, err := core.LabelFractionParallelCtx(ctx, rows, core.DefaultLabelFraction, in.Meter, rng, 1)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}

@@ -50,14 +50,12 @@ func RunEngine(ctx context.Context, seed uint64, tbl *table.Table, cons core.Con
 	}
 	for _, p := range preds {
 		truth := p.Truth
-		err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: func(v table.Value) bool { return truth(int(v.(int64))) }})
+		body := func(_ context.Context, v table.Value) (bool, error) { return truth(int(v.(int64))), nil }
+		err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: body})
 		if err != nil {
 			return Run{}, err
 		}
-	}
-	q.UDFName, q.UDFArg, q.Want = preds[0].Name, "id", true
-	for _, p := range preds[1:] {
-		q.Conjuncts = append(q.Conjuncts, plan.Conjunct{UDFName: p.Name, UDFArg: "id", Want: true})
+		q.Predicates = append(q.Predicates, plan.Conjunct{UDFName: p.Name, UDFArg: "id", Want: true})
 	}
 	res, err := eng.ExecuteContext(ctx, q)
 	if err != nil {

@@ -85,9 +85,10 @@ func TwoThirdPower(num float64) Draw {
 	return Fixed(core.TwoThirdPowerAllocator{Num: num}.Allocate)
 }
 
-// EngineDraw is the allocation internal/engine hard-codes:
-// TwoThirdPower(2.5·α), the paper's recommended setting.
-func EngineDraw(alpha float64) Draw { return TwoThirdPower(2.5 * alpha) }
+// EngineDraw is the allocation internal/engine samples with,
+// core.DefaultAllocator: TwoThirdPower(2.5·α), the paper's recommended
+// setting.
+func EngineDraw(alpha float64) Draw { return Fixed(core.DefaultAllocator(alpha).Allocate) }
 
 // ConstantAllocator samples the same number of tuples from every group
 // (capped by group size) — the Constant(c) scheme of Section 6.3.

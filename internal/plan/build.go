@@ -46,14 +46,14 @@ func Physical(s Spec) (*Node, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	if want := 1 + len(q.Conjuncts); len(s.EvalCosts) != want {
+	if want := len(q.Predicates); len(s.EvalCosts) != want {
 		return nil, fmt.Errorf("plan: %d predicate costs for %d predicates", len(s.EvalCosts), want)
 	}
 	base := s.scanChain() // filter → scan, the pipeline tail
 	switch {
 	case q.Join != nil:
 		return s.physicalJoin(base), nil
-	case len(q.Conjuncts) > 0:
+	case len(q.Predicates) > 1:
 		return s.physicalConjunction(base), nil
 	default:
 		return s.physicalSelect(base), nil
@@ -68,7 +68,7 @@ func (s Spec) physicalSelect(base *Node) *Node {
 			Children: []*Node{base},
 			EstRows:  s.Rows,
 			EstCost:  float64(s.Rows) * s.perRow(),
-			Detail:   []Attr{{"predicate", q.Predicates()[0].String()}},
+			Detail:   []Attr{{"predicate", q.Predicates[0].String()}},
 		}
 	}
 	gr := s.groupResolve(base)
@@ -79,7 +79,7 @@ func (s Spec) physicalSelect(base *Node) *Node {
 		Children: []*Node{gr},
 		EstRows:  sampleRows,
 		EstCost:  float64(sampleRows) * s.perRow(),
-		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.SampleNum)}},
+		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
 	}
 	ap := q.Approx
 	solve := &Node{Op: OpSolve, Mode: ModeConstrained, Children: []*Node{sample},
@@ -101,14 +101,14 @@ func (s Spec) physicalSelect(base *Node) *Node {
 
 func (s Spec) physicalConjunction(base *Node) *Node {
 	q, n := s.Query, s.Rows
-	preds := q.Predicates()
+	preds := q.Predicates
 	if q.Approx == nil {
 		return &Node{
 			Op:          OpConjWaves,
 			Mode:        ModeQueryOrder,
 			Children:    []*Node{base},
 			EstRows:     n,
-			EstCost:     float64(n) * (s.Retrieve + s.sumEval()),
+			EstCost:     float64(n) * s.perRowAll(),
 			CostIsBound: true,
 			Detail: []Attr{
 				{"order", predList(preds)},
@@ -122,7 +122,7 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 			Op:       OpConjSample,
 			Children: []*Node{child},
 			EstRows:  sampleRows,
-			EstCost:  float64(sampleRows) * (s.Retrieve + s.sumEval()),
+			EstCost:  float64(sampleRows) * s.perRowAll(),
 			Detail:   []Attr{{"fused", fmt.Sprintf("all %d predicates per sampled row", len(preds))}},
 		}
 	}
@@ -133,7 +133,7 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 			Op:          OpConjExec,
 			Children:    []*Node{solve},
 			EstRows:     n,
-			EstCost:     float64(n-sampleRows) * (s.Retrieve + s.sumEval()),
+			EstCost:     float64(n-sampleRows) * s.perRowAll(),
 			CostIsBound: true,
 		}
 		return s.merge(exec)
@@ -150,7 +150,7 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 		Mode:        ModeGreedyOrder,
 		Children:    []*Node{conjSample(child)},
 		EstRows:     n,
-		EstCost:     float64(n-sampleRows) * (s.Retrieve + s.sumEval()),
+		EstCost:     float64(n-sampleRows) * s.perRowAll(),
 		CostIsBound: true,
 		Detail: []Attr{
 			{"order", "cheapest-first by sampled cost/(1−selectivity)"},
@@ -178,7 +178,7 @@ func (s Spec) physicalJoin(base *Node) *Node {
 		Children: []*Node{jg},
 		EstRows:  sampleRows,
 		EstCost:  float64(sampleRows) * s.perRow(),
-		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.SampleNum)}},
+		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
 	}
 	solve := &Node{Op: OpSolve, Mode: ModeJoinWeight, Children: []*Node{sample},
 		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. join-weighted α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}}

@@ -18,7 +18,11 @@
 // dispatch branch.
 package plan
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/core"
+)
 
 // Op identifies a plan node: it names the operator the engine runs for it.
 type Op string
@@ -152,7 +156,9 @@ func (n *Node) Find(op Op) *Node {
 
 // Spec is what the rewrite rules shape: the validated statement plus what
 // only the engine knows about it. It is the seam between the engine and
-// this package.
+// this package. The rules the engine runs by — o_r, the sampling allocation
+// and the labeling fraction — are read from internal/core, where they are
+// declared once.
 type Spec struct {
 	Query Query
 	// Rows is the base table's row count; JoinRows the join table's (join
@@ -160,18 +166,15 @@ type Spec struct {
 	Rows     int
 	JoinRows int
 	// EvalCosts holds each expensive predicate's o_e, parallel to
-	// Query.Predicates(); Retrieve is o_r.
+	// Query.Predicates.
 	EvalCosts []float64
-	Retrieve  float64
 	// MemoColumn is a catalog-memoized §4.4 choice for this workload (""
 	// when unknown); discovery starts there and falls back if stale.
 	MemoColumn string
-	// LabelFraction is the §4.4 labeling fraction the engine labels with
-	// (for discovery cost estimates).
-	LabelFraction float64
-	// SampleNum is the Two-Third-Power allocator's num factor (2.5·α).
-	SampleNum float64
 }
+
+// sampleNum is the num factor of the engine's Two-Third-Power allocation.
+func (s Spec) sampleNum() float64 { return core.DefaultAllocator(s.Query.Approx.Precision).Num }
 
 // estSampleRows estimates the Two-Third-Power allocation over n rows:
 // Fₐ = num·tₐ·n^(−1/3) sums to num·n^(2/3).
@@ -179,7 +182,7 @@ func (s Spec) estSampleRows(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	est := int(math.Round(s.SampleNum * math.Pow(float64(n), 2.0/3.0)))
+	est := int(math.Round(s.sampleNum() * math.Pow(float64(n), 2.0/3.0)))
 	if est > n {
 		est = n
 	}
@@ -191,7 +194,7 @@ func (s Spec) estSampleRows(n int) int {
 
 // estLabelRows estimates the §4.4 labeling pass size.
 func (s Spec) estLabelRows(n int) int {
-	est := int(math.Round(s.LabelFraction * float64(n)))
+	est := int(math.Round(core.DefaultLabelFraction * float64(n)))
 	if est > n {
 		est = n
 	}
@@ -200,13 +203,14 @@ func (s Spec) estLabelRows(n int) int {
 
 // perRow is o_r + o_e for the first predicate — the one every
 // single-predicate stage evaluates.
-func (s Spec) perRow() float64 { return s.Retrieve + s.EvalCosts[0] }
+func (s Spec) perRow() float64 { return core.DefaultCost.Retrieve + s.EvalCosts[0] }
 
-// sumEval is Σ o_e over the predicates.
-func (s Spec) sumEval() float64 {
+// perRowAll is o_r + Σ o_e: one row retrieved and every predicate
+// evaluated on it.
+func (s Spec) perRowAll() float64 {
 	total := 0.0
 	for _, c := range s.EvalCosts {
 		total += c
 	}
-	return total
+	return core.DefaultCost.Retrieve + total
 }

@@ -7,18 +7,15 @@ import (
 
 func baseSpec() Spec {
 	return Spec{
-		Query:         Query{Table: "loans", UDFName: "good_credit", UDFArg: "id", Want: true},
-		Rows:          3000,
-		EvalCosts:     []float64{3},
-		Retrieve:      1,
-		LabelFraction: 0.01,
-		SampleNum:     2.25,
+		Query:     Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
+		Rows:      3000,
+		EvalCosts: []float64{3},
 	}
 }
 
 // and appends expensive predicates (o_e = 3 each) to the spec.
 func (s *Spec) and(preds ...Conjunct) {
-	s.Query.Conjuncts = append(s.Query.Conjuncts, preds...)
+	s.Query.Predicates = append(s.Query.Predicates, preds...)
 	for range preds {
 		s.EvalCosts = append(s.EvalCosts, 3)
 	}
@@ -153,9 +150,14 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal("empty table accepted")
 	}
 	s = baseSpec()
-	s.Query.UDFName = ""
+	s.Query.Predicates = nil
 	if _, err := Physical(s); err == nil {
 		t.Fatal("no predicates accepted")
+	}
+	s = baseSpec()
+	s.Query.Predicates[0].UDFName = ""
+	if _, err := Physical(s); err == nil {
+		t.Fatal("empty predicate accepted")
 	}
 	s = baseSpec()
 	s.and(Conjunct{UDFName: "rich", UDFArg: "income"})
@@ -166,7 +168,7 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatal("join+conjunction accepted")
 	}
 	s = baseSpec()
-	s.Query.Conjuncts = []Conjunct{{UDFName: "rich", UDFArg: "income"}}
+	s.Query.Predicates = append(s.Query.Predicates, Conjunct{UDFName: "rich", UDFArg: "income"})
 	if _, err := Physical(s); err == nil {
 		t.Fatal("two predicates with one cost accepted")
 	}

@@ -20,7 +20,8 @@ func (a Approx) Constraints() core.Constraints {
 
 // Query is the statement
 //
-//	SELECT cols FROM table [JOIN t2 ON table.k = t2.k] WHERE udf(arg) = want
+//	SELECT cols FROM table [JOIN t2 ON table.k = t2.k]
+//	WHERE udf₁(arg₁) = want₁ [AND udf₂(arg₂) = want₂ …] [AND col = literal …]
 //	[WITH PRECISION α RECALL β PROBABILITY ρ] [GROUP ON col] [BUDGET b]
 //
 // It is the one statement value every layer passes along, declared here —
@@ -35,11 +36,14 @@ type Query struct {
 	Join *Join
 	// Columns to project; empty or ["*"] means all.
 	Columns []string
-	// UDFName / UDFArg form the predicate UDFName(UDFArg) = Want.
-	UDFName string
-	UDFArg  string
-	// Want is the required predicate outcome (true for "= 1").
-	Want bool
+	// Predicates are the expensive predicates, ANDed, first predicate first.
+	// One is the plain selection. Exactly two with Approx set run the paper's
+	// five-action two-predicate optimizer (Section 5), which requires an
+	// explicit GroupOn column; three or more sample every predicate, order
+	// them cheapest-first and evaluate in short-circuit waves. Without Approx,
+	// conjunctions of any arity evaluate exactly, each wave touching only
+	// prior survivors.
+	Predicates []Conjunct
 	// Approx, when non-nil, allows approximate evaluation; nil demands the
 	// exact answer (evaluate every tuple).
 	Approx *Approx
@@ -50,15 +54,6 @@ type Query struct {
 	// Budget, when positive, switches to the fixed-budget objective:
 	// maximize recall subject to the precision bound and cost ≤ Budget.
 	Budget float64
-	// Conjuncts adds further expensive predicates ANDed with the first
-	// (Section 5 and its N-ary generalization): for each c,
-	// AND c.UDFName(c.UDFArg) = c.Want. With exactly one conjunct and
-	// Approx set, the planner uses the paper's five-action two-predicate
-	// optimizer (which requires an explicit GroupOn column); with two or
-	// more, it samples every predicate, orders them cheapest-first and
-	// evaluates in short-circuit waves. Without Approx, conjunctions of any
-	// arity evaluate exactly, each wave touching only prior survivors.
-	Conjuncts []Conjunct
 	// Filters are cheap equality predicates evaluated before any UDF work.
 	Filters []Filter
 	// OnFailure decides what a row whose UDF invocation ultimately fails
@@ -90,7 +85,8 @@ type Join struct {
 	RightKey string
 }
 
-// Conjunct is one expensive predicate UDFName(UDFArg) = Want.
+// Conjunct is one expensive predicate UDFName(UDFArg) = Want; Want is the
+// required outcome (true for "= 1").
 type Conjunct struct {
 	UDFName string
 	UDFArg  string
@@ -104,14 +100,6 @@ func (c Conjunct) String() string {
 		w = 1
 	}
 	return fmt.Sprintf("%s(%s)=%d", c.UDFName, c.UDFArg, w)
-}
-
-// Predicates lists every expensive predicate of the query, first predicate
-// first.
-func (q Query) Predicates() []Conjunct {
-	preds := make([]Conjunct, 0, 1+len(q.Conjuncts))
-	preds = append(preds, Conjunct{UDFName: q.UDFName, UDFArg: q.UDFArg, Want: q.Want})
-	return append(preds, q.Conjuncts...)
 }
 
 // Filter is a cheap (non-UDF) equality predicate. Per Section 5, cheap
@@ -163,8 +151,14 @@ func (q Query) Validate() error {
 	if q.Table == "" {
 		return fmt.Errorf("engine: query without table")
 	}
-	if q.UDFName == "" || q.UDFArg == "" {
+	n := len(q.Predicates)
+	if n == 0 {
 		return fmt.Errorf("engine: query without UDF predicate")
+	}
+	for _, p := range q.Predicates {
+		if p.UDFName == "" || p.UDFArg == "" {
+			return fmt.Errorf("engine: empty UDF predicate")
+		}
 	}
 	if q.Approx != nil {
 		c := q.Approx.Constraints()
@@ -178,12 +172,7 @@ func (q Query) Validate() error {
 	if q.Budget > 0 && q.Approx == nil {
 		return fmt.Errorf("engine: BUDGET requires WITH PRECISION/RECALL/PROBABILITY")
 	}
-	for _, c := range q.Conjuncts {
-		if c.UDFName == "" || c.UDFArg == "" {
-			return fmt.Errorf("engine: empty AND predicate")
-		}
-	}
-	if len(q.Conjuncts) > 0 && q.Budget > 0 {
+	if n > 1 && q.Budget > 0 {
 		return fmt.Errorf("engine: BUDGET is not supported with AND conjunctions")
 	}
 	if q.Join != nil && q.Budget > 0 {
@@ -193,10 +182,10 @@ func (q Query) Validate() error {
 		return err
 	}
 	pinned := q.GroupOn != "" && q.GroupOn != VirtualColumn
-	if len(q.Conjuncts) == 1 && q.Approx != nil && !pinned {
+	if n == 2 && q.Approx != nil && !pinned {
 		return fmt.Errorf("engine: AND conjunctions require an explicit GROUP ON column")
 	}
-	if len(q.Conjuncts) > 1 && q.Approx != nil && q.GroupOn == VirtualColumn {
+	if n > 2 && q.Approx != nil && q.GroupOn == VirtualColumn {
 		return fmt.Errorf("engine: N-ary AND conjunctions do not support the virtual column")
 	}
 	if q.Join != nil {
@@ -206,7 +195,7 @@ func (q Query) Validate() error {
 		if !pinned {
 			return fmt.Errorf("engine: select-join requires an explicit GROUP ON column")
 		}
-		if len(q.Conjuncts) > 0 {
+		if n > 1 {
 			return fmt.Errorf("engine: select-join does not support AND conjunctions")
 		}
 	}

@@ -22,7 +22,7 @@ func TestParseFailurePolicy(t *testing.T) {
 	if _, err := ParseFailurePolicy("explode"); err == nil {
 		t.Error("want an error for an unknown policy")
 	}
-	if err := (Query{Table: "t", UDFName: "u", UDFArg: "a", OnFailure: "explode"}).Validate(); err == nil {
+	if err := (Query{Table: "t", Predicates: []Conjunct{{UDFName: "u", UDFArg: "a"}}, OnFailure: "explode"}).Validate(); err == nil {
 		t.Error("Validate must reject an unknown failure policy")
 	}
 }

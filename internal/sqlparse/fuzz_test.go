@@ -7,8 +7,8 @@ import (
 
 // FuzzParse drives the lexer and parser with arbitrary input: any input
 // may be rejected, but none may panic, and accepted statements must
-// satisfy the parser's own invariants (a UDF predicate exists, EXPLAIN is
-// flagged, errors carry positions inside the input).
+// satisfy the parser's own invariants (at least one UDF predicate, every one
+// named, errors carry positions inside the input).
 //
 // CI runs this with a short budget (-fuzz=FuzzParse -fuzztime=20s); the
 // seed corpus covers every clause of the dialect.
@@ -26,6 +26,10 @@ func FuzzParse(f *testing.F) {
 		"SELECT * FROM t WHERE f(x.y.z) = 1 GROUP ON virtual",
 		"SELECT a,b,c FROM t WHERE f(x) = 1 BUDGET 10.5.5",
 		"\x00\xff\xfe SELECT",
+		"SELECT * FROM t WHERE grade = 'A' AND f(x) = 0",
+		"SELECT * FROM t WHERE f(x) = 1 AND grade = 'A' AND g(y) = 0 WITH RECALL 0.8 GROUP ON grade",
+		"SELECT * FROM t WHERE a = 1 AND f(x) = 1 AND g(y) = 1 AND b = 'B' AND h(z) = 0",
+		"SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0 AND amount = 5000 AND h(z) = 1 AND f(y) = 1 WITH PRECISION 0.8",
 	} {
 		f.Add(seed)
 	}
@@ -43,12 +47,12 @@ func FuzzParse(f *testing.F) {
 			}
 			return
 		}
-		if stmt.Query.UDFName == "" || stmt.Query.UDFArg == "" {
+		if len(stmt.Query.Predicates) == 0 {
 			t.Fatalf("accepted statement without UDF predicate: %q → %+v", input, stmt.Query)
 		}
-		for _, c := range stmt.Query.Conjuncts {
+		for _, c := range stmt.Query.Predicates {
 			if c.UDFName == "" || c.UDFArg == "" {
-				t.Fatalf("accepted empty conjunct: %q → %+v", input, stmt.Query)
+				t.Fatalf("accepted unnamed predicate: %q → %+v", input, stmt.Query)
 			}
 		}
 		if err := stmt.Query.Validate(); err != nil {

@@ -229,7 +229,6 @@ func (p *parser) parseSelect() (*Statement, error) {
 // these down and evaluates them first, per Section 5).
 func (p *parser) parseWhere(stmt *Statement) error {
 	whereTok := p.peek()
-	udfCount := 0
 	for {
 		name, err := p.ident()
 		if err != nil {
@@ -253,22 +252,11 @@ func (p *parser) parseWhere(stmt *Statement) error {
 			if err != nil {
 				return err
 			}
-			var want bool
-			switch v {
-			case 0:
-				want = false
-			case 1:
-				want = true
-			default:
+			if v != 0 && v != 1 {
 				return p.errf(numTok, "UDF comparison must be = 0 or = 1, got %v", v)
 			}
-			if udfCount == 0 {
-				stmt.Query.UDFName, stmt.Query.UDFArg, stmt.Query.Want = name, arg, want
-			} else {
-				stmt.Query.Conjuncts = append(stmt.Query.Conjuncts,
-					plan.Conjunct{UDFName: name, UDFArg: arg, Want: want})
-			}
-			udfCount++
+			stmt.Query.Predicates = append(stmt.Query.Predicates,
+				plan.Conjunct{UDFName: name, UDFArg: arg, Want: v == 1})
 		} else {
 			// Cheap equality filter: col [= literal].
 			col := name
@@ -293,7 +281,7 @@ func (p *parser) parseWhere(stmt *Statement) error {
 		}
 		p.next()
 	}
-	if udfCount == 0 {
+	if len(stmt.Query.Predicates) == 0 {
 		return p.errf(whereTok, "WHERE clause needs a UDF predicate")
 	}
 	return nil

@@ -2,6 +2,7 @@ package sqlparse
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,7 +18,8 @@ func TestParseBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := stmt.Query
-	if q.Table != "loans" || q.UDFName != "good_credit" || q.UDFArg != "id" || !q.Want {
+	want := []plan.Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}
+	if q.Table != "loans" || !reflect.DeepEqual(q.Predicates, want) {
 		t.Fatalf("parsed %+v", q)
 	}
 	if q.Approx != nil || q.GroupOn != "" || q.Budget != 0 || q.Join != nil {
@@ -78,7 +80,7 @@ func TestParseWantZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stmt.Query.Want {
+	if stmt.Query.Predicates[0].Want {
 		t.Fatal("want should be false")
 	}
 }
@@ -192,31 +194,43 @@ func TestTokenString(t *testing.T) {
 	}
 }
 
-func TestParseConjunction(t *testing.T) {
-	stmt, err := Parse(`SELECT * FROM posts WHERE relevant(id) = 1 AND safe(id) = 1
-		WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON topic`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmt.Query.Conjuncts) != 1 {
-		t.Fatalf("conjuncts %+v", stmt.Query.Conjuncts)
-	}
-	and := stmt.Query.Conjuncts[0]
-	if and.UDFName != "safe" || and.UDFArg != "id" || !and.Want {
-		t.Fatalf("conjunct %+v", and)
-	}
-	if stmt.Query.UDFName != "relevant" {
-		t.Fatalf("primary %+v", stmt.Query)
-	}
-}
-
-func TestParseConjunctionWantZero(t *testing.T) {
-	stmt, err := Parse("SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stmt.Query.Conjuncts) != 1 || stmt.Query.Conjuncts[0].Want {
-		t.Fatalf("conjuncts %+v", stmt.Query.Conjuncts)
+// TestParsePredicates: the WHERE clause's UDF predicates land in
+// Query.Predicates in source order, and its cheap filters in Query.Filters,
+// however the two kinds interleave.
+func TestParsePredicates(t *testing.T) {
+	type preds = []plan.Conjunct
+	type filters = []plan.Filter
+	for _, c := range []struct {
+		name    string
+		sql     string
+		preds   preds
+		filters filters
+	}{
+		{"conjunction", `SELECT * FROM posts WHERE relevant(id) = 1 AND safe(id) = 1
+			WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON topic`,
+			preds{{UDFName: "relevant", UDFArg: "id", Want: true}, {UDFName: "safe", UDFArg: "id", Want: true}}, nil},
+		{"conjunction want zero", "SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0",
+			preds{{UDFName: "f", UDFArg: "x", Want: true}, {UDFName: "g", UDFArg: "y"}}, nil},
+		{"cheap filters", `SELECT * FROM loans WHERE grade = 'A' AND good_credit(id) = 1
+			AND purpose = car AND amount = 5000`,
+			preds{{UDFName: "good_credit", UDFArg: "id", Want: true}},
+			filters{{Column: "grade", Value: "A"}, {Column: "purpose", Value: "car"}, {Column: "amount", Value: "5000"}}},
+		{"n-ary conjunction", "SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0 AND h(z) = 1 AND grade = 'A'",
+			preds{{UDFName: "f", UDFArg: "x", Want: true}, {UDFName: "g", UDFArg: "y"}, {UDFName: "h", UDFArg: "z", Want: true}},
+			filters{{Column: "grade", Value: "A"}}},
+		{"filters between predicates", "SELECT * FROM t WHERE f(x) = 1 AND grade = 'A' AND g(y) = 0",
+			preds{{UDFName: "f", UDFArg: "x", Want: true}, {UDFName: "g", UDFArg: "y"}},
+			filters{{Column: "grade", Value: "A"}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stmt, err := Parse(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q := stmt.Query; !reflect.DeepEqual(q.Predicates, c.preds) || !reflect.DeepEqual(q.Filters, c.filters) {
+				t.Fatalf("predicates %+v, filters %+v; want %+v, %+v", q.Predicates, q.Filters, c.preds, c.filters)
+			}
+		})
 	}
 }
 
@@ -233,50 +247,9 @@ func TestParseConjunctionErrors(t *testing.T) {
 	}
 }
 
-func TestParseCheapFilters(t *testing.T) {
-	stmt, err := Parse(`SELECT * FROM loans WHERE grade = 'A' AND good_credit(id) = 1
-		AND purpose = car AND amount = 5000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := stmt.Query
-	if q.UDFName != "good_credit" {
-		t.Fatalf("primary UDF %q", q.UDFName)
-	}
-	if len(q.Filters) != 3 {
-		t.Fatalf("filters %+v", q.Filters)
-	}
-	want := []struct{ col, val string }{{"grade", "A"}, {"purpose", "car"}, {"amount", "5000"}}
-	for i, w := range want {
-		if q.Filters[i].Column != w.col || q.Filters[i].Value != w.val {
-			t.Fatalf("filter %d = %+v, want %+v", i, q.Filters[i], w)
-		}
-	}
-}
-
 func TestParseFilterOnlyWhereRejected(t *testing.T) {
 	if _, err := Parse("SELECT * FROM t WHERE grade = 'A'"); err == nil {
 		t.Fatal("WHERE without a UDF predicate accepted")
-	}
-}
-
-func TestParseNaryConjunction(t *testing.T) {
-	stmt, err := Parse("SELECT * FROM t WHERE f(x) = 1 AND g(y) = 0 AND h(z) = 1 AND grade = 'A'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := stmt.Query
-	if q.UDFName != "f" || len(q.Conjuncts) != 2 {
-		t.Fatalf("parsed %+v", q)
-	}
-	if q.Conjuncts[0].UDFName != "g" || q.Conjuncts[0].Want {
-		t.Fatalf("conjunct 0: %+v", q.Conjuncts[0])
-	}
-	if q.Conjuncts[1].UDFName != "h" || !q.Conjuncts[1].Want {
-		t.Fatalf("conjunct 1: %+v", q.Conjuncts[1])
-	}
-	if len(q.Filters) != 1 || q.Filters[0].Column != "grade" {
-		t.Fatalf("filters %+v", q.Filters)
 	}
 }
 

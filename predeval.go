@@ -20,6 +20,14 @@
 // clause to run exactly. See DESIGN.md for the algorithm map and
 // EXPERIMENTS.md for the reproduction results.
 //
+// A WHERE clause ANDs one or more UDF predicates, udf(col) = 0 or 1, with
+// any number of cheap equality filters, which run first. One predicate is
+// the paper's selection; two under a WITH clause are its Section 5
+// conjunction; more are evaluated in short-circuit waves. Costs are the
+// paper's: o_r = 1 per retrieved tuple and o_e = 3 per UDF call, unless
+// RegisterUDF gives the UDF its own o_e. A UDF that can fail instead of
+// answering registers through RegisterUDFErr.
+//
 // UDF invocations — the dominant cost — fan out across a worker pool
 // (SetParallelism; default runtime.GOMAXPROCS(0)). Execution is split into
 // a sequential plan phase that draws all random coins and a parallel
@@ -64,17 +72,6 @@ func Open(seed uint64) *DB {
 	return &DB{eng: engine.New(seed)}
 }
 
-// SetCosts overrides the per-tuple retrieval cost o_r and the default UDF
-// evaluation cost o_e (individual UDFs can override o_e at registration).
-func (db *DB) SetCosts(retrieve, evaluate float64) error {
-	if retrieve < 0 || evaluate < 0 {
-		return fmt.Errorf("predeval: negative cost")
-	}
-	db.eng.Cost.Retrieve = retrieve
-	db.eng.Cost.Evaluate = evaluate
-	return nil
-}
-
 // SetParallelism caps the number of workers UDF evaluation fans out
 // across. n = 1 runs fully sequentially; n ≤ 0 resets to
 // runtime.GOMAXPROCS(0), the default. Results for a given seed are
@@ -83,7 +80,7 @@ func (db *DB) SetCosts(retrieve, evaluate float64) error {
 // usually the right call. UDF bodies must tolerate concurrent invocation
 // when n > 1.
 //
-// Like SetCosts and SetUDFCache, configure before serving queries:
+// Like SetUDFCache, configure before serving queries:
 // calling it concurrently with in-flight queries is a data race.
 func (db *DB) SetParallelism(n int) {
 	db.eng.Parallelism = n
@@ -134,10 +131,6 @@ func (db *DB) OpenCatalog(dir string) error {
 	db.eng.SetCatalog(c)
 	return nil
 }
-
-// SetCatalog attaches an already-open catalog (nil detaches). Configure
-// before serving queries, like SetParallelism.
-func (db *DB) SetCatalog(c *catalog.Catalog) { db.eng.SetCatalog(c) }
 
 // Catalog returns the attached catalog, or nil.
 func (db *DB) Catalog() *catalog.Catalog { return db.eng.Catalog() }
@@ -206,7 +199,7 @@ func (db *DB) RegisterUDF(name string, fn func(value any) bool, cost float64) er
 	}
 	return db.eng.RegisterUDF(engine.UDF{
 		Name: name,
-		Body: func(v table.Value) bool { return fn(v) },
+		Body: func(_ context.Context, v table.Value) (bool, error) { return fn(v), nil },
 		Cost: cost,
 	})
 }
@@ -225,9 +218,9 @@ func (db *DB) RegisterUDFErr(name string, fn func(ctx context.Context, value any
 		return fmt.Errorf("predeval: nil UDF %q", name)
 	}
 	return db.eng.RegisterUDF(engine.UDF{
-		Name:    name,
-		BodyErr: func(ctx context.Context, v table.Value) (bool, error) { return fn(ctx, v) },
-		Cost:    cost,
+		Name: name,
+		Body: func(ctx context.Context, v table.Value) (bool, error) { return fn(ctx, v) },
+		Cost: cost,
 	})
 }
 
@@ -555,16 +548,6 @@ func (db *DB) TableInfo(name string) (TableInfo, error) {
 		info.Columns = append(info.Columns, ColumnInfo{Name: def.Name, Type: def.Type.String()})
 	}
 	return info, nil
-}
-
-// NumRows reports the row count of a registered table... exposed for
-// tooling.
-func (db *DB) NumRows(tableName string) (int, error) {
-	tbl, err := db.eng.Table(tableName)
-	if err != nil {
-		return 0, err
-	}
-	return tbl.NumRows(), nil
 }
 
 // Engine exposes the underlying engine for advanced, non-SQL use (the

@@ -167,27 +167,6 @@ func TestRegisterUDFErrors(t *testing.T) {
 	}
 }
 
-func TestSetCosts(t *testing.T) {
-	db := Open(1)
-	if err := db.SetCosts(2, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.SetCosts(-1, 1); err == nil {
-		t.Fatal("negative cost accepted")
-	}
-}
-
-func TestNumRows(t *testing.T) {
-	db, _ := openLoanDB(t, 50)
-	n, err := db.NumRows("loans")
-	if err != nil || n != 50 {
-		t.Fatalf("NumRows %d %v", n, err)
-	}
-	if _, err := db.NumRows("missing"); err == nil {
-		t.Fatal("missing table accepted")
-	}
-}
-
 func TestQueryJoinSQL(t *testing.T) {
 	db, _ := openLoanDB(t, 900)
 	var sb strings.Builder
