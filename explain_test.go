@@ -46,11 +46,11 @@ func TestExplainGolden(t *testing.T) {
 		{"approx pinned with filter",
 			"SELECT * FROM loans WHERE grade = 'A' AND good_credit(id) = 1 WITH PRECISION 0.9 RECALL 0.85 PROBABILITY 0.9 GROUP ON grade", []string{
 				`merge output=«row ids, ascending»`,
-				`└─ prob-eval strategy=«per-group retrieve/evaluate coins»  (rows≈600, cost≤1760)`,
+				`└─ prob-eval strategy=«per-group retrieve/evaluate coins»  (rows≈200, cost≤492)`,
 				`   └─ solve[constrained] objective=«min cost s.t. α=0.9 β=0.85 ρ=0.9»`,
-				`      └─ sample allocator=«two-third-power num=2.25»  (rows≈160, cost≈640)`,
-				`         └─ group-resolve[pinned] column=grade  (rows≈600)`,
-				`            └─ filter predicates=«grade = "A"»  (rows≈600)`,
+				`      └─ sample allocator=«two-third-power num=2.25»  (rows≈77, cost≈308)`,
+				`         └─ group-resolve[pinned] column=grade  (rows≈200)`,
+				`            └─ filter predicates=«grade = "A"»  (rows≈200)`,
 				`               └─ scan table=loans  (rows≈600)`,
 			}},
 		{"approx discover", "SELECT * FROM loans WHERE good_credit(id) = 1 WITH RECALL 0.8", []string{

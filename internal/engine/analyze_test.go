@@ -270,6 +270,11 @@ func TestPlanIsPipeline(t *testing.T) {
 				if root.Actual.Rows != len(res.Rows) {
 					t.Errorf("root %s reports %d rows, result has %d", root.Op, root.Actual.Rows, len(res.Rows))
 				}
+				// The filters are answered at bind; their time is the filter
+				// node's, not lost between nodes.
+				if f := root.Find(plan.OpFilter); f != nil && f.Actual.ElapsedNS <= 0 {
+					t.Errorf("filter node reports no elapsed time\n%s", plan.Format(root))
+				}
 				if shape.name == "twopred" {
 					if smp := root.Find(plan.OpConjSample); smp.Actual.Rows != res.Stats.Sampled || smp.Actual.Rows == 0 {
 						t.Errorf("conj-sample reports %d rows, Stats.Sampled = %d", smp.Actual.Rows, res.Stats.Sampled)

@@ -12,13 +12,14 @@ import (
 
 // Volcano-style batch execution. The planner's physical chain is compiled
 // into a pull pipeline of BatchOperators, exactly one per plan node (the
-// filter node shares the scan's: its predicates are fused in): the scan
-// yields row-id batches lazily from the column store (filtered-out rows
-// never materialize anywhere), the streaming terminal (exact-eval,
-// conj-waves) evaluates one batch at a time, and blocking stages —
-// everything whose algorithm needs the whole input (grouping, sampling,
-// solving, the three §5 stages, merge) — run their operator body once
-// during Open and then replay their product downstream in batches.
+// filter node shares the scan's: bindStatement answered its predicates from
+// the posting index): the scan yields row-id batches of the filtered
+// universe, or generates an unfiltered table's ids lazily, the streaming
+// terminal (exact-eval, conj-waves) evaluates one batch at a time, and
+// blocking stages — everything whose algorithm needs the whole input
+// (grouping, sampling, solving, the three §5 stages, merge) — run their
+// operator body once during Open and then replay their product downstream
+// in batches.
 //
 // The determinism contract is untouched: batches are planned sequentially
 // in row order, UDF evaluation inside a batch fans out through
@@ -66,79 +67,80 @@ type RowSink func(rows []int) error
 // skipped entirely.
 var ErrStopStream = errors.New("engine: stop streaming")
 
-// scanOp is the pipeline leaf: it walks the table's row ids in order,
-// applying the cheap filters bindStatement compiled inline (operator fusion
-// — a filtered row costs one typed comparison and is never appended
-// anywhere), and yields surviving rows in batches of the engine's batch
-// size. The batch buffer is reused across Next calls, so a fully-streamed
-// scan allocates O(batch), not O(table).
+// scanOp is the pipeline leaf: it yields the statement's row universe in
+// batches of the engine's batch size — the rows the cheap filters keep,
+// which bindStatement answered from the posting index (the filter node is
+// fused into this operator), or every row id of an unfiltered table,
+// generated into one reused buffer, so a fully-streamed scan allocates
+// O(batch), not O(table).
 type scanOp struct {
 	e          *Engine
 	st         *pipeState
 	node       *plan.Node // scan node (EXPLAIN ANALYZE attribution)
 	filterNode *plan.Node // filter node fused into this scan; nil without filters
 
-	cursor    int
-	buf       []int
-	batch     Batch
-	opened    bool
-	done      bool
-	scanned   int // rows read off the table so far
-	emitted   int // rows surviving the fused filters
+	out       batcher
+	cur       *Batch
 	elapsedNS int64
 }
 
-func (s *scanOp) Open(ctx context.Context) error {
-	if s.opened {
-		return nil
+func (s *scanOp) Open(context.Context) error {
+	if s.st.subset == nil && s.out.buf == nil {
+		s.out.buf = make([]int, 0, s.e.batchSize())
 	}
-	s.opened = true
-	s.buf = make([]int, 0, s.e.batchSize())
 	return nil
 }
 
 func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
-	if s.done {
-		return nil, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	s.elapsedNS += int64(obs.Timed(ctx, "op:scan", s.fill))
-	if len(s.buf) == 0 {
-		s.done = true
-		return nil, nil
-	}
-	s.emitted += len(s.buf)
-	s.batch.Rows = s.buf
-	return &s.batch, nil
+	return s.cur, nil
 }
 
-// fill scans until the batch holds cap(buf) survivors (or the table ends):
-// batches carry surviving rows, so downstream work per batch is constant
-// regardless of filter selectivity.
 func (s *scanOp) fill() {
-	n, filters := s.st.tbl.NumRows(), s.st.filters
-	size := cap(s.buf)
-	s.buf = s.buf[:0]
-	for s.cursor < n && len(s.buf) < size {
-		r := s.cursor
-		s.cursor++
-		s.scanned++
-		keep := true
-		for _, p := range filters {
-			if !p(r) {
-				keep = false
-				break
-			}
-		}
-		if keep {
-			s.buf = append(s.buf, r)
-		}
-	}
+	rows, n := s.st.scanRows()
+	s.cur = s.out.next(rows, n, s.e.batchSize())
 }
 
 func (s *scanOp) Close() error { return nil }
+
+// scanRows is the statement's row universe as the scan emits it: the
+// filtered rows, or (nil, n) for the n row ids of an unfiltered table.
+func (st *pipeState) scanRows() (rows []int, n int) {
+	if st.subset != nil {
+		return st.subset, len(st.subset)
+	}
+	return nil, st.tbl.NumRows()
+}
+
+// batcher replays a row list — or, when rows is nil, the ids 0..n-1 — one
+// batch per call, then nil at the end. A list is sliced, not copied; ids are
+// generated into buf, which the next call reuses.
+type batcher struct {
+	cursor int
+	buf    []int
+	batch  Batch
+}
+
+func (b *batcher) next(rows []int, n, size int) *Batch {
+	if b.cursor >= n {
+		return nil
+	}
+	end := min(b.cursor+size, n)
+	if rows != nil {
+		b.batch.Rows = rows[b.cursor:end]
+	} else {
+		b.buf = b.buf[:0]
+		for i := b.cursor; i < end; i++ {
+			b.buf = append(b.buf, i)
+		}
+		b.batch.Rows = b.buf
+	}
+	b.cursor = end
+	return &b.batch
+}
 
 // stageBody is one blocking operator body (operators.go, conjunction.go):
 // it reads and extends the pipeline state and reports its own product.
@@ -152,18 +154,15 @@ type stageBody func(ctx context.Context, st *pipeState) (stageOut, error)
 // depend on who pulls or how. Next replays the stage's product downstream
 // in batches. The one body that is ever skipped is a stage above the empty
 // join: join-group finished the (empty) result, a finished result is final,
-// and a skipped body draws no coins and charges no meter.
+// and a skipped body draws no coins and charges no meter. The bodies read
+// the row universe from st.subset, bound before the pipeline opens, so the
+// scan below a blocking chain is never pulled.
 type stageOp struct {
 	e     *Engine
 	st    *pipeState
 	node  *plan.Node
 	child BatchOperator
 	run   stageBody
-	// drain: this is the lowest blocking stage and cheap filters exist, so
-	// the fused scan is pulled dry here to materialize st.subset (the row
-	// universe every blocking body reads). Without filters the drain is
-	// skipped and subset stays nil ("all rows"), so the scan never runs.
-	drain bool
 	// final marks the merge stage: its product is the finished result, and
 	// replaying it is what streams a blocking shape's output incrementally.
 	// Every other stage consumes groups and samples out of pipeState, so
@@ -172,9 +171,7 @@ type stageOp struct {
 	final bool
 
 	opened bool
-	cursor int
-	buf    []int
-	batch  Batch
+	out    batcher
 }
 
 func (s *stageOp) Open(ctx context.Context) error {
@@ -184,20 +181,6 @@ func (s *stageOp) Open(ctx context.Context) error {
 	s.opened = true
 	if err := s.child.Open(ctx); err != nil {
 		return err
-	}
-	if s.drain {
-		subset := []int{}
-		for {
-			b, err := s.child.Next(ctx)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			subset = append(subset, b.Rows...)
-		}
-		s.st.subset = subset
 	}
 	if s.st.res != nil {
 		if s.st.analyze {
@@ -220,40 +203,17 @@ func (s *stageOp) Open(ctx context.Context) error {
 	return err
 }
 
-// product is what Next replays: the finished result above the merge stage,
-// the scan universe above any other — the filtered subset, or (nil, n) for
-// the n row ids of an unfiltered table, which Next generates.
-func (s *stageOp) product() (rows []int, n int) {
-	switch {
-	case s.final:
-		return s.st.res.Rows, len(s.st.res.Rows)
-	case s.st.subset != nil:
-		return s.st.subset, len(s.st.subset)
-	default:
-		return nil, s.st.tbl.NumRows()
-	}
-}
-
 func (s *stageOp) Next(ctx context.Context) (*Batch, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rows, n := s.product()
-	if s.cursor >= n {
-		return nil, nil
+	// The finished result above the merge stage, the scan universe above
+	// any other.
+	rows, n := s.st.scanRows()
+	if s.final {
+		rows, n = s.st.res.Rows, len(s.st.res.Rows)
 	}
-	end := min(s.cursor+s.e.batchSize(), n)
-	if rows != nil {
-		s.batch.Rows = rows[s.cursor:end]
-	} else {
-		s.buf = s.buf[:0]
-		for i := s.cursor; i < end; i++ {
-			s.buf = append(s.buf, i)
-		}
-		s.batch.Rows = s.buf
-	}
-	s.cursor = end
-	return &s.batch, nil
+	return s.out.next(rows, n, s.e.batchSize()), nil
 }
 
 func (s *stageOp) Close() error { return s.child.Close() }
@@ -411,12 +371,11 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 	scan := &scanOp{e: e, st: st, node: chain[i]}
 	i--
 	if i >= 0 && chain[i].Op == plan.OpFilter {
-		scan.filterNode = chain[i] // fused: the scan applies the filters inline
+		scan.filterNode = chain[i] // fused: the scan emits the filtered universe
 		i--
 	}
 	p := &pipeline{st: st, scan: scan}
 	var cur BatchOperator = scan
-	lowestStage := true
 	for ; i >= 0; i-- {
 		n := chain[i]
 		switch n.Op {
@@ -433,12 +392,7 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 			if err != nil {
 				return nil, err
 			}
-			cur = &stageOp{
-				e: e, st: st, node: n, child: cur, run: body,
-				drain: lowestStage && scan.filterNode != nil,
-				final: n.Op == plan.OpMerge,
-			}
-			lowestStage = false
+			cur = &stageOp{e: e, st: st, node: n, child: cur, run: body, final: n.Op == plan.OpMerge}
 		}
 	}
 	p.root = cur
@@ -472,10 +426,10 @@ func (e *Engine) stageBody(n *plan.Node) (stageBody, error) {
 }
 
 // recordScanActuals attributes the fused scan(+filter) under EXPLAIN
-// ANALYZE: the scan reports the table's row universe (every row is read,
-// whether pulled in batches or implicit under a blocking chain), the
-// filter node reports the survivors its fused predicates passed. Neither
-// charges UDF counters — cheap predicates run on resident column data.
+// ANALYZE: the scan reports the table's row universe, the filter node the
+// rows its predicates keep and the time bindStatement spent answering them.
+// Neither charges UDF counters — cheap predicates run on resident column
+// data and the table's posting index.
 func (p *pipeline) recordScanActuals() {
 	if !p.st.analyze {
 		return
@@ -483,11 +437,7 @@ func (p *pipeline) recordScanActuals() {
 	sc := p.scan
 	sc.node.Actual = &plan.Actual{Rows: p.st.tbl.NumRows(), ElapsedNS: sc.elapsedNS}
 	if sc.filterNode != nil {
-		rows := sc.emitted
-		if !sc.done && p.st.subset != nil {
-			rows = len(p.st.subset)
-		}
-		sc.filterNode.Actual = &plan.Actual{Rows: rows}
+		sc.filterNode.Actual = &plan.Actual{Rows: len(p.st.subset), ElapsedNS: p.st.filterNS}
 	}
 }
 

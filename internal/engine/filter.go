@@ -1,61 +1,53 @@
 package engine
 
 import (
-	"math"
-	"strconv"
+	"fmt"
+	"slices"
 
 	"repro/internal/table"
 )
 
-// Cheap-predicate evaluation over the column store. Filter literals arrive
-// as strings (the SQL layer's rendering); rather than re-rendering every
-// cell with StringAt per row, each filter is compiled once per column into
-// a typed predicate that compares raw []int64 / []float64 / dictionary
-// codes directly. Semantics match the old render-and-compare exactly: a
-// literal that is not the canonical rendering of any cell value (e.g.
-// "042", "+7", "1e2") matches nothing, just as it never equaled a
-// canonical StringAt before.
+// Cheap-predicate evaluation reads the table's posting index, not the
+// table. An equality filter's answer is a posting list: the ascending row
+// ids whose cell renders as the literal (table.Postings), built by one typed
+// pass over the column the first time a statement names the value and
+// cached with the table. The filtered universe is the lists' intersection,
+// taken smallest first: the shortest list is walked, and every other filter
+// is applied by its typed predicate (table.Matcher) on each of those rows,
+// most selective first. So a statement whose values were named before does
+// the shortest list's work, not the table's; one naming a value for the
+// first time also pays a column pass for it. The rows come out in
+// base-table order — everything downstream (batches, samples, coins) sees
+// exactly what a full scan would have kept.
 
-// matchNone is the compiled form of a literal no cell can render as.
-func matchNone(int) bool { return false }
-
-// compileFilter turns one equality filter into a typed row predicate.
-func compileFilter(col table.Column, lit string) func(row int) bool {
-	switch c := col.(type) {
-	case *table.IntColumn:
-		v, err := strconv.ParseInt(lit, 10, 64)
-		if err != nil || strconv.FormatInt(v, 10) != lit {
-			return matchNone
+// filterRows answers the statement's cheap filters: the rows every filter
+// keeps, ascending, never nil (an empty universe is not "every row").
+func filterRows(tbl *table.Table, filters []Filter) ([]int, error) {
+	lists := make([][]int32, len(filters))
+	order := make([]int, len(filters))
+	for i, f := range filters {
+		rows, err := tbl.Postings(f.Column, f.Value)
+		if err != nil {
+			return nil, fmt.Errorf("engine: table %q has no column %q to filter on", tbl.Name(), f.Column)
 		}
-		data := c.Data()
-		return func(row int) bool { return data[row] == v }
-	case *table.FloatColumn:
-		v, err := strconv.ParseFloat(lit, 64)
-		if err != nil || strconv.FormatFloat(v, 'g', -1, 64) != lit {
-			return matchNone
-		}
-		data := c.Data()
-		if math.IsNaN(v) {
-			// StringAt renders NaN as "NaN", which the old comparison
-			// matched; float equality would not.
-			return func(row int) bool { return math.IsNaN(data[row]) }
-		}
-		if v == 0 {
-			// "0" and "-0" render differently, so only the same-signed
-			// zero matched before; == would conflate them.
-			neg := math.Signbit(v)
-			return func(row int) bool {
-				return data[row] == 0 && math.Signbit(data[row]) == neg
+		lists[i], order[i] = rows, i
+	}
+	// Stable, so equally selective filters keep query order.
+	slices.SortStableFunc(order, func(a, b int) int { return len(lists[a]) - len(lists[b]) })
+	probes := make([]func(row int) bool, len(order)-1)
+	for j, i := range order[1:] {
+		probes[j] = table.Matcher(tbl.ColumnByName(filters[i].Column), filters[i].Value)
+	}
+	out := []int{}
+next:
+	for _, r32 := range lists[order[0]] {
+		r := int(r32)
+		for _, match := range probes {
+			if !match(r) {
+				continue next
 			}
 		}
-		return func(row int) bool { return data[row] == v }
-	case *table.StringColumn:
-		code := c.LookupCode(lit)
-		if code < 0 {
-			return matchNone
-		}
-		return func(row int) bool { return c.Code(row) == code }
-	default:
-		return func(row int) bool { return col.StringAt(row) == lit }
+		out = append(out, r)
 	}
+	return out, nil
 }

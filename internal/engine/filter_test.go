@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/table"
 )
 
@@ -178,6 +179,71 @@ func TestFilterBindingMetamorphic(t *testing.T) {
 		sort.Ints(both)
 		if want := keep(all, filters); !reflect.DeepEqual(both, want) {
 			t.Errorf("%v: = 1 ∪ = 0 is %v, the filtered universe is %v", filters, both, want)
+		}
+	}
+}
+
+// TestIndexScanMatchesRendering is the model test of the posting-index
+// scan: over random tables and random filter sets, the universe the scan
+// emits is exactly the rows whose cells StringAt renders as every filter's
+// literal — the filter semantics by definition, with no typed comparison
+// and no index in the oracle. The literals mix renderings of real cells
+// with ones no cell renders as, over a float column holding several NaN
+// payloads, both zeros and the infinities.
+func TestIndexScanMatchesRendering(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		math.Inf(1), math.Inf(-1), 1.5, 0.1, 42, 1e21}
+	strs := []string{"", "a", "b", "NaN", "0", "-0"}
+	tricky := []string{"NaN", "-0", "0", "+Inf", "-Inf", "Inf", "nan", "042", "+7", "1e2", "4.20", "", "a ", "zz"}
+	cols := []string{"n", "x", "s"}
+	rng := stats.NewRNG(15)
+	for trial := 0; trial < 200; trial++ {
+		tbl := table.New("t", table.MustSchema(
+			table.ColumnDef{Name: "n", Type: table.Int},
+			table.ColumnDef{Name: "x", Type: table.Float},
+			table.ColumnDef{Name: "s", Type: table.String},
+		))
+		for r := rng.IntN(300); r > 0; r-- {
+			if err := tbl.AppendRow(int64(rng.IntN(7)-3), floats[rng.IntN(len(floats))], strs[rng.IntN(len(strs))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := New(1)
+		e.BatchSize = 1 + rng.IntN(64)
+		if err := e.RegisterTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RegisterUDF(UDF{Name: "f", Body: pure(func(table.Value) bool { return true })}); err != nil {
+			t.Fatal(err)
+		}
+		// Several statements per table, so later ones read cached lists.
+		for stmt := 0; stmt < 5; stmt++ {
+			filters := make([]Filter, 1+rng.IntN(3))
+			for i := range filters {
+				col := cols[rng.IntN(len(cols))]
+				lit := tricky[rng.IntN(len(tricky))]
+				if tbl.NumRows() > 0 && rng.Bernoulli(0.7) {
+					lit = tbl.ColumnByName(col).StringAt(rng.IntN(tbl.NumRows()))
+				}
+				filters[i] = Filter{Column: col, Value: lit}
+			}
+			want := []int{}
+			for r := 0; r < tbl.NumRows(); r++ {
+				keep := true
+				for _, f := range filters {
+					keep = keep && tbl.ColumnByName(f.Column).StringAt(r) == f.Value
+				}
+				if keep {
+					want = append(want, r)
+				}
+			}
+			got, err := scanRows(e, filters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, %d rows, filters %q: scan %v, rendering %v", trial, tbl.NumRows(), filters, got, want)
+			}
 		}
 	}
 }

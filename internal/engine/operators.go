@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/resilience"
 	"repro/internal/stats"
@@ -47,8 +48,12 @@ type pipeState struct {
 	cost core.CostModel
 	// preds holds the resolved predicates, first predicate first.
 	preds []resolvedPred
-	// filters are the compiled cheap predicates the scan applies inline.
-	filters []func(row int) bool
+	// subset is the row universe every operator reads: the rows the cheap
+	// filters keep, answered from the posting index at bind (filter.go), or
+	// nil — every row — without filters. filterNS is the time that took,
+	// the filter node's under EXPLAIN ANALYZE.
+	subset   []int
+	filterNS int64
 	// groupCol is the pinned GROUP ON column of a grouping shape (nil when
 	// the grouping is discovered or virtual, and for exact shapes).
 	groupCol table.Column
@@ -65,7 +70,6 @@ type pipeState struct {
 	rng *stats.RNG
 
 	// Products of the operators, in pipeline order.
-	subset      []int                // op filter
 	groups      []core.Group         // op group-resolve (or join-group)
 	chosen      string               // op group-resolve
 	labeled     map[int]bool         // op group-resolve (discovery/virtual labels)
@@ -163,9 +167,11 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 // bindStatement is the one place a statement's names are resolved — the
 // base table, the join table and its keys, each predicate's UDF and
 // argument column, a pinned grouping column, the projection and the cheap
-// filters' columns — into the pipeline state; the operators only read what
-// it bound. Both execution and EXPLAIN planning bind through here, so the
-// two paths accept and reject exactly the same statements.
+// filters — into the pipeline state; the operators only read what it bound.
+// The filters are answered here, from the posting index, so the planner
+// sees the filtered universe's exact size. Both execution and EXPLAIN
+// planning bind through here, so the two paths accept and reject exactly
+// the same statements.
 func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	tbl, err := e.Table(q.Table)
 	if err != nil {
@@ -202,13 +208,12 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 	if _, err := e.projection(tbl, q.Columns); err != nil {
 		return nil, err
 	}
-	st.filters = make([]func(int) bool, len(q.Filters))
-	for i, f := range q.Filters {
-		col := tbl.ColumnByName(f.Column)
-		if col == nil {
-			return nil, fmt.Errorf("engine: table %q has no column %q to filter on", q.Table, f.Column)
+	if len(q.Filters) > 0 {
+		start := obs.Now()
+		if st.subset, err = filterRows(tbl, q.Filters); err != nil {
+			return nil, err
 		}
-		st.filters[i] = compileFilter(col, f.Value)
+		st.filterNS = obs.Since(start).Nanoseconds()
 	}
 	return st, nil
 }

@@ -7,9 +7,10 @@ import (
 )
 
 // The planner layer: a bound statement becomes a plan.Spec (the Query plus
-// what only the engine knows — row counts, per-predicate costs, any
-// catalog-memoized column choice), internal/plan shapes it into a physical
-// operator tree, and the operators in operators.go execute it uniformly.
+// what only the engine knows — row counts, the filtered universe's size,
+// per-predicate costs, any catalog-memoized column choice), internal/plan
+// shapes it into a physical operator tree, and the operators in
+// operators.go execute it uniformly.
 // Exact, approximate, conjunction and join queries differ only in the plan
 // shape they lower to.
 
@@ -17,10 +18,12 @@ import (
 // the pipeState, so tables, predicates and costs are resolved exactly once
 // (by bindStatement) per plan or execution.
 func (e *Engine) buildSpec(st *pipeState) plan.Spec {
+	_, universe := st.scanRows()
 	sp := plan.Spec{
-		Query:     st.q,
-		Rows:      st.tbl.NumRows(),
-		EvalCosts: make([]float64, len(st.preds)),
+		Query:        st.q,
+		Rows:         st.tbl.NumRows(),
+		FilteredRows: universe,
+		EvalCosts:    make([]float64, len(st.preds)),
 	}
 	for i, p := range st.preds {
 		sp.EvalCosts[i] = p.cost

@@ -6,7 +6,8 @@ import (
 )
 
 // scanChain builds filter → scan (or a bare scan when there are no cheap
-// filters).
+// filters). The filter's estimate is exact: the engine counted the rows its
+// posting lists keep.
 func (s Spec) scanChain() *Node {
 	q := s.Query
 	scan := &Node{Op: OpScan, Column: q.Table, EstRows: s.Rows,
@@ -19,11 +20,10 @@ func (s Spec) scanChain() *Node {
 		fs[i] = fmt.Sprintf("%s = %q", f.Column, f.Value)
 	}
 	return &Node{
-		Op:          OpFilter,
-		Children:    []*Node{scan},
-		EstRows:     s.Rows,
-		CostIsBound: true,
-		Detail:      []Attr{{"predicates", strings.Join(fs, " AND ")}},
+		Op:       OpFilter,
+		Children: []*Node{scan},
+		EstRows:  s.FilteredRows,
+		Detail:   []Attr{{"predicates", strings.Join(fs, " AND ")}},
 	}
 }
 
@@ -61,18 +61,17 @@ func Physical(s Spec) (*Node, error) {
 }
 
 func (s Spec) physicalSelect(base *Node) *Node {
-	q := s.Query
+	q, n := s.Query, s.FilteredRows
 	if q.Approx == nil {
 		return &Node{
 			Op:       OpExactEval,
 			Children: []*Node{base},
-			EstRows:  s.Rows,
-			EstCost:  float64(s.Rows) * s.perRow(),
+			EstRows:  n,
+			EstCost:  float64(n) * s.perRow(),
 			Detail:   []Attr{{"predicate", q.Predicates[0].String()}},
 		}
 	}
 	gr := s.groupResolve(base)
-	n := s.Rows
 	sampleRows := s.estSampleRows(n)
 	sample := &Node{
 		Op:       OpSample,
@@ -100,7 +99,7 @@ func (s Spec) physicalSelect(base *Node) *Node {
 }
 
 func (s Spec) physicalConjunction(base *Node) *Node {
-	q, n := s.Query, s.Rows
+	q, n := s.Query, s.FilteredRows
 	preds := q.Predicates
 	if q.Approx == nil {
 		return &Node{
@@ -166,12 +165,12 @@ func (s Spec) physicalJoin(base *Node) *Node {
 		Op:       OpJoinGroup,
 		Column:   join.LeftKey,
 		Children: []*Node{gr},
-		EstRows:  s.Rows,
+		EstRows:  s.FilteredRows,
 		Detail: []Attr{
 			{"weights", fmt.Sprintf("join multiplicity of %s in %s.%s (%d rows)", join.LeftKey, join.Table, join.RightKey, s.JoinRows)},
 		},
 	}
-	n := s.Rows
+	n := s.FilteredRows
 	sampleRows := s.estSampleRows(n)
 	sample := &Node{
 		Op:       OpSample,
@@ -195,11 +194,12 @@ func (s Spec) physicalJoin(base *Node) *Node {
 
 // groupResolve builds the group-resolve node for the spec's GroupOn.
 func (s Spec) groupResolve(child *Node) *Node {
-	n := &Node{Op: OpGroupResolve, Children: []*Node{child}, EstRows: s.Rows}
+	rows := s.FilteredRows
+	n := &Node{Op: OpGroupResolve, Children: []*Node{child}, EstRows: rows}
 	switch groupOn := s.Query.GroupOn; groupOn {
 	case "":
 		n.Mode = ModeAuto
-		labelRows := s.estLabelRows(s.Rows)
+		labelRows := s.estLabelRows(rows)
 		if s.MemoColumn != "" {
 			n.Column = s.MemoColumn
 			n.Detail = []Attr{
@@ -213,7 +213,7 @@ func (s Spec) groupResolve(child *Node) *Node {
 	case VirtualColumn:
 		n.Mode = ModeVirtual
 		n.Column = VirtualColumn
-		labelRows := s.estLabelRows(s.Rows)
+		labelRows := s.estLabelRows(rows)
 		n.EstCost = float64(labelRows) * s.perRow()
 		n.Detail = []Attr{
 			{"column", "logistic-regression buckets (§6.3.2)"},

@@ -12,8 +12,9 @@
 // and the engine that binds and runs them, so internal/sqlparse depends on
 // this package and not on the engine. It imports nothing above
 // internal/core. The engine hands the rewrite rules a Spec — the Query plus
-// what only it knows (row counts, per-predicate costs, any catalog-memoized
-// column choice) — and compiles the returned tree. Keeping the shapes here
+// what only it knows (row counts, the filtered universe's size,
+// per-predicate costs, any catalog-memoized column choice) — and compiles
+// the returned tree. Keeping the shapes here
 // means a new query form is a new rewrite rule plus an operator, not a new
 // dispatch branch.
 package plan
@@ -165,6 +166,10 @@ type Spec struct {
 	// shape only).
 	Rows     int
 	JoinRows int
+	// FilteredRows is the row universe every node above the scan sees: how
+	// many rows the cheap filters keep, counted exactly from the engine's
+	// posting index, or Rows without filters.
+	FilteredRows int
 	// EvalCosts holds each expensive predicate's o_e, parallel to
 	// Query.Predicates.
 	EvalCosts []float64

@@ -7,9 +7,10 @@ import (
 
 func baseSpec() Spec {
 	return Spec{
-		Query:     Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
-		Rows:      3000,
-		EvalCosts: []float64{3},
+		Query:        Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
+		Rows:         3000,
+		FilteredRows: 3000,
+		EvalCosts:    []float64{3},
 	}
 }
 
@@ -176,21 +177,23 @@ func TestSpecValidate(t *testing.T) {
 
 // TestFormatGolden pins the EXPLAIN rendering of an approximate pinned
 // query — the format is part of the public surface (predsqld returns it).
+// Every node above the filter is estimated over the rows it keeps.
 func TestFormatGolden(t *testing.T) {
 	s := baseSpec()
 	s.Query.Approx = &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9}
 	s.Query.GroupOn = "grade"
 	s.Query.Filters = []Filter{{Column: "purpose", Value: "car"}}
+	s.FilteredRows = 1200
 	got := Format(mustPhysical(t, s))
 	// The golden is asserted line-by-line for readable failures.
 	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
 	wantLines := []string{
 		`merge output=«row ids, ascending»`,
-		`└─ prob-eval strategy=«per-group retrieve/evaluate coins»  (rows≈3000, cost≤10128)`,
+		`└─ prob-eval strategy=«per-group retrieve/evaluate coins»  (rows≈1200, cost≤3784)`,
 		`   └─ solve[constrained] objective=«min cost s.t. α=0.9 β=0.9 ρ=0.9»`,
-		`      └─ sample allocator=«two-third-power num=2.25»  (rows≈468, cost≈1872)`,
-		`         └─ group-resolve[pinned] column=grade  (rows≈3000)`,
-		`            └─ filter predicates=«purpose = "car"»  (rows≈3000)`,
+		`      └─ sample allocator=«two-third-power num=2.25»  (rows≈254, cost≈1016)`,
+		`         └─ group-resolve[pinned] column=grade  (rows≈1200)`,
+		`            └─ filter predicates=«purpose = "car"»  (rows≈1200)`,
 		`               └─ scan table=loans  (rows≈3000)`,
 	}
 	if len(lines) != len(wantLines) {

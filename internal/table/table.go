@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Table is an append-only columnar relation.
@@ -10,6 +11,12 @@ type Table struct {
 	schema *Schema
 	cols   []Column
 	rows   int
+
+	// postings caches equality-filter answers (see Postings). It is valid
+	// while postingsRows == rows, so an append needs no lock of its own.
+	postingsMu   sync.Mutex
+	postings     map[postingKey][]int32
+	postingsRows int
 }
 
 // New creates an empty table with the given name and schema.

@@ -1,7 +1,11 @@
 package table
 
 import (
+	"fmt"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -343,5 +347,118 @@ func TestGroupKeyAndCellString(t *testing.T) {
 	}
 	if tbl.CellString(0, 0) != "1" {
 		t.Fatalf("cell string %s", tbl.CellString(0, 0))
+	}
+}
+
+// TestPostings checks the posting cache: lists agree with the column, a
+// list is shared once built, an append invalidates it, and literals no cell
+// renders as, or unknown columns, are answered without a list.
+func TestPostings(t *testing.T) {
+	tbl := sampleTable(t)
+	rows, err := tbl.Postings("grade", "A")
+	if err != nil || !slices.Equal(rows, []int32{0, 1, 5}) {
+		t.Fatalf("Postings(grade, A) = %v, %v", rows, err)
+	}
+	if again, _ := tbl.Postings("grade", "A"); &again[0] != &rows[0] {
+		t.Fatal("a built list was rebuilt instead of read from the cache")
+	}
+	if rows, _ := tbl.Postings("income", "85000"); !slices.Equal(rows, []int32{1}) {
+		t.Fatalf("Postings(income, 85000) = %v", rows)
+	}
+	for _, lit := range []string{"Z", "85000.0", "8.5e4"} {
+		for _, col := range []string{"grade", "income"} {
+			if rows, err := tbl.Postings(col, lit); err != nil || len(rows) != 0 {
+				t.Fatalf("Postings(%s, %q) = %v, %v; want none", col, lit, rows, err)
+			}
+		}
+	}
+	if _, err := tbl.Postings("nope", "A"); err == nil {
+		t.Fatal("unknown column accepted")
+	}
+	if err := tbl.AppendRow(int64(7), "A", 1.0); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := tbl.Postings("grade", "A"); !slices.Equal(rows, []int32{0, 1, 5, 6}) {
+		t.Fatalf("after an append, Postings(grade, A) = %v", rows)
+	}
+	if rows, _ := tbl.Postings("id", "7"); !slices.Equal(rows, []int32{6}) {
+		t.Fatalf("after an append, Postings(id, 7) = %v", rows)
+	}
+}
+
+// TestPostingsCacheOnlyPresentValues names many values no row holds — well
+// formed and not — and checks that none of them adds a cache entry: the
+// cache grows with the values the table holds, not with what statements
+// ask for.
+func TestPostingsCacheOnlyPresentValues(t *testing.T) {
+	tbl := sampleTable(t)
+	for _, lit := range []string{"1", "A", "85000"} {
+		for _, col := range []string{"id", "grade", "income"} {
+			if _, err := tbl.Postings(col, lit); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := len(tbl.postings)
+	if before == 0 {
+		t.Fatal("present values were not cached")
+	}
+	for i := 0; i < 1000; i++ {
+		for _, col := range []string{"id", "grade", "income"} {
+			for _, lit := range []string{strconv.Itoa(1000 + i), "Q" + strconv.Itoa(i), "0" + strconv.Itoa(i)} {
+				if rows, err := tbl.Postings(col, lit); err != nil || len(rows) != 0 {
+					t.Fatalf("Postings(%s, %q) = %v, %v; want none", col, lit, rows, err)
+				}
+			}
+		}
+	}
+	if after := len(tbl.postings); after != before {
+		t.Fatalf("absent values grew the cache from %d to %d entries", before, after)
+	}
+}
+
+// TestPostingsConcurrent has concurrent statements share one table's
+// posting cache, built outside its lock: whichever goroutine builds a list,
+// every goroutine reads the same rows (run under -race).
+func TestPostingsConcurrent(t *testing.T) {
+	tbl := New("t", MustSchema(ColumnDef{Name: "k", Type: Int}, ColumnDef{Name: "s", Type: String}))
+	for i := 0; i < 1000; i++ {
+		if err := tbl.AppendRow(int64(i%10), strconv.Itoa(i%7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := 0; v < 10; v++ {
+				col, lit := "k", strconv.Itoa((v+g)%10)
+				if g%2 == 1 {
+					col, lit = "s", strconv.Itoa((v+g)%7)
+				}
+				rows, err := tbl.Postings(col, lit)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for _, r := range rows {
+					if got := tbl.ColumnByName(col).StringAt(int(r)); got != lit {
+						errs <- fmt.Errorf("%s=%s: row %d holds %s", col, lit, r, got)
+						return
+					}
+				}
+				if want := map[string]int{"k": 100, "s": 142}[col]; len(rows) < want {
+					errs <- fmt.Errorf("%s=%s: %d rows, want at least %d", col, lit, len(rows), want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

@@ -21,7 +21,8 @@
 // EXPERIMENTS.md for the reproduction results.
 //
 // A WHERE clause ANDs one or more UDF predicates, udf(col) = 0 or 1, with
-// any number of cheap equality filters, which run first. One predicate is
+// any number of cheap equality filters, which run first and are answered
+// from a posting index the table builds on first use. One predicate is
 // the paper's selection; two under a WITH clause are its Section 5
 // conjunction; more are evaluated in short-circuit waves. Costs are the
 // paper's: o_r = 1 per retrieved tuple and o_e = 3 per UDF call, unless
