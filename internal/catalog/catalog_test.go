@@ -1,9 +1,12 @@
 package catalog
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -254,6 +257,75 @@ func TestCompact(t *testing.T) {
 	}
 	if col, ok := c2.ChosenColumn("wk"); !ok || col != "grade" {
 		t.Fatalf("column memo lost in compaction: %q %v", col, ok)
+	}
+}
+
+// TestBytesFollowContents pins the catalog's byte order: log and snapshot
+// records list their rows ascending, the snapshot lists outcome keys,
+// sample keys and column memos ascending, and so two catalogs fed the same
+// facts in opposite orders compact to the same bytes. Ascending order is
+// asserted outright: equal bytes alone can hide map order on small maps.
+func TestBytesFollowContents(t *testing.T) {
+	const n = 64
+	rows := make(map[int]bool, n)
+	for r := 0; r < n; r++ {
+		rows[r*7] = r%3 == 0
+	}
+	records := func(fsys *memFS, p string) []record {
+		recs, _, _, err := readRecordFile(fsys, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if !sort.IntsAreSorted(r.Rows) {
+				t.Fatalf("%s: %s record for %q lists rows out of order", p, r.Kind, r.UDF)
+			}
+		}
+		return recs
+	}
+	build := func(desc bool) *memFS {
+		fsys := newMemFS("/data")
+		c, err := openFS(fsys, crashDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			k := fmt.Sprintf("k%02d", i)
+			if desc {
+				k = fmt.Sprintf("k%02d", n-1-i)
+			}
+			c.AddOutcomes(OutcomeKey{Table: "t", UDF: k, Column: "id"}, rows)
+			c.AddSamples(SampleKey{Table: "t", UDF: k, Column: "id", GroupColumn: "g"}, rows)
+			c.SetChosenColumn(k, "u", "g")
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		records(fsys, c.logPath())
+		if err := c.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return fsys
+	}
+	asc, desc := build(false), build(true)
+	for _, name := range []string{"catalog.snap", "catalog.log"} {
+		a, _ := asc.get(crashDir + "/" + name)
+		d, _ := desc.get(crashDir + "/" + name)
+		if !bytes.Equal(a, d) {
+			t.Errorf("%s differs between ascending and descending insertion", name)
+		}
+	}
+	keys := map[string][]string{}
+	for _, r := range records(asc, crashDir+"/catalog.snap") {
+		keys[r.Kind] = append(keys[r.Kind], r.UDF+r.Key)
+	}
+	for _, kind := range []string{kindOutcomes, kindSamples, kindColumn} {
+		if len(keys[kind]) != n || !sort.StringsAreSorted(keys[kind]) {
+			t.Errorf("snapshot %s keys %v, want %d in ascending order", kind, keys[kind], n)
+		}
 	}
 }
 

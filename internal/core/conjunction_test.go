@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -105,13 +106,22 @@ func TestOrderPredicates(t *testing.T) {
 	if !reflect.DeepEqual(order, []int{1, 0}) {
 		t.Fatalf("order %v", order)
 	}
-	// Ties keep original position.
-	order, err = OrderPredicates([]float64{2, 2}, []float64{0.5, 0.5})
+	// Ties keep original position: eight equal finite ranks at the even
+	// indices, then eight never-rejecting ones, +Inf whatever their
+	// (descending) costs, at the odd indices.
+	costs, sels := make([]float64, 16), make([]float64, 16)
+	for i := range costs {
+		costs[i], sels[i] = 2, 0.5
+		if i%2 == 1 {
+			costs[i], sels[i] = float64(16-i), 1
+		}
+	}
+	order, err = OrderPredicates(costs, sels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(order, []int{0, 1}) {
-		t.Fatalf("order %v", order)
+	if want := []int{0, 2, 4, 6, 8, 10, 12, 14, 1, 3, 5, 7, 9, 11, 13, 15}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order %v, want %v", order, want)
 	}
 	if _, err := OrderPredicates([]float64{1}, []float64{0.5, 0.5}); err == nil {
 		t.Fatal("length mismatch accepted")
@@ -271,5 +281,71 @@ func TestConjunctionCancellation(t *testing.T) {
 	_, err = runWaves(ctx2, rows, []int{0, 1}, nil, metered(udf2, udf2), 1)
 	if err != context.Canceled {
 		t.Fatalf("waves cancel: %v", err)
+	}
+}
+
+// foldLog admits every row, one row per segment, and logs each fold
+// without synchronisation: exec.Gate promises its methods run on the
+// calling goroutine.
+type foldLog struct{ folds []bool }
+
+func (g *foldLog) Segment() int { return 1 }
+func (g *foldLog) Plan(n int) []bool {
+	allowed := make([]bool, n)
+	for i := range allowed {
+		allowed[i] = true
+	}
+	return allowed
+}
+func (g *foldLog) Record(failed []bool) { g.folds = append(g.folds, failed...) }
+
+// TestEvalWorkListsFoldSharedGateInOrder: two predicates on one UDF share
+// its breaker, so both evalWorkLists call sites must fold predicate 0's
+// segments before predicate 1's, each in row order. Work lists run on
+// goroutines fail it under -race.
+func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
+	failEvery := func(k int) FallibleUDF {
+		return fallibleFunc(func(_ context.Context, row int) (bool, error) {
+			if row%k == 0 {
+				return false, errors.New("down")
+			}
+			return true, nil
+		})
+	}
+	folds := func(rows []int, k int) []bool {
+		out := make([]bool, len(rows))
+		for i, r := range rows {
+			out[i] = r%k == 0
+		}
+		return out
+	}
+	lo, hi := make([]int, 16), make([]int, 16)
+	single, ones := make([]Group, 16), make([]int, 16) // one-row groups: the sample keeps group order
+	for i := range lo {
+		lo[i], hi[i], single[i], ones[i] = i, 16+i, Group{Rows: []int{i}}, 1
+	}
+	ctx := context.Background()
+	for _, site := range []struct {
+		name string
+		run  func(m0, m1 *Meter) error
+		want []bool
+	}{
+		{"SampleConjunctionParallelCtx", func(m0, m1 *Meter) error {
+			_, _, err := SampleConjunctionParallelCtx(ctx, single, ones, []*Meter{m0, m1}, stats.NewRNG(1), 4)
+			return err
+		}, append(folds(lo, 3), folds(lo, 4)...)},
+		{"ExecuteTwoPredicatesParallelCtx", func(m0, m1 *Meter) error {
+			_, err := ExecuteTwoPredicatesParallelCtx(ctx, []Group{{Rows: lo}, {Rows: hi}},
+				[]TwoPredAction{TPEval1Assume2, TPAssume1Eval2}, nil, m0, m1, DefaultCost, 4)
+			return err
+		}, append(folds(lo, 3), folds(hi, 4)...)},
+	} {
+		gate := &foldLog{}
+		if err := site.run(NewResilientMeter(failEvery(3), nil, gate), NewResilientMeter(failEvery(4), nil, gate)); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gate.folds, site.want) {
+			t.Errorf("%s folded %v, want %v", site.name, gate.folds, site.want)
+		}
 	}
 }

@@ -75,3 +75,30 @@ func TestRegistryNamesSorted(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineListingsSorted pins the same fix in the engine's two other
+// map-backed listings, GET /tables and GET /stats' breakers.
+func TestEngineListingsSorted(t *testing.T) {
+	names := []string{"zeta", "alpha", "mid", "beta", "omega", "kappa", "nu", "eps"}
+	e := New(1)
+	for _, name := range names {
+		if err := e.RegisterTable(table.New(name, table.MustSchema(table.ColumnDef{Name: "id", Type: table.Int}))); err != nil {
+			t.Fatal(err)
+		}
+		e.breakerFor("b", name)
+		e.breakerFor("a", name)
+	}
+	for i := 0; i < 5; i++ {
+		if got := e.TableNames(); len(got) != len(names) || !sort.StringsAreSorted(got) {
+			t.Fatalf("TableNames() = %v, want %d names sorted", got, len(names))
+		}
+		sts := e.BreakerStatuses()
+		keys := make([]string, len(sts))
+		for j, s := range sts {
+			keys[j] = s.Table + "\x00" + s.UDF
+		}
+		if len(keys) != 2*len(names) || !sort.StringsAreSorted(keys) {
+			t.Fatalf("BreakerStatuses() = %+v, want %d in (table, UDF) order", sts, 2*len(names))
+		}
+	}
+}

@@ -10,8 +10,8 @@
 // some path is not expressible outside this package.
 //
 // Determinism contract: obs is the single package sanctioned to read the
-// wall clock (see internal/lint/config.go — the detrand analyzer flags
-// time.Now/Since/Until everywhere else in result-producing code). Timing
+// wall clock (see clockReaders in the module root's invariants_test.go,
+// which flags time.Now/Since/Until in every data-path package). Timing
 // data produced here is display-only: nothing derived from a clock may
 // influence query results, plans, or persisted state. EXPLAIN ANALYZE
 // count fields are computed from deterministic engine counters and are
@@ -22,8 +22,8 @@ package obs
 import "time"
 
 // Now returns the current wall-clock time. It exists so that every clock
-// read in the tree flows through this package, keeping result-producing
-// packages clock-free under the detrand lint.
+// read in the tree flows through this package, keeping data-path packages
+// clock-free under the root invariant test.
 func Now() time.Time { return time.Now() }
 
 // Since returns the elapsed wall time since start. Display-only by

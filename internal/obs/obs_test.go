@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -125,7 +126,7 @@ func TestCollectCallback(t *testing.T) {
 	}
 	got := b.String()
 	// Samples are sorted by label signature even when the callback returns
-	// them out of order (maporder contract: collect-then-sort).
+	// them out of order (collect-then-sort).
 	fIdx := strings.Index(got, `udf="f"`)
 	gIdx := strings.Index(got, `udf="g"`)
 	if fIdx < 0 || gIdx < 0 || fIdx > gIdx {
@@ -153,6 +154,22 @@ func TestParseExpositionRejectsGarbage(t *testing.T) {
 	for name, in := range malformedExpositions {
 		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: expected parse error on %q", name, in)
+		}
+	}
+}
+
+// TestParseExpositionReportsFirstBadHistogram: of many malformed
+// histograms, scraped in reverse, the error names the lexically first,
+// on every parse.
+func TestParseExpositionReportsFirstBadHistogram(t *testing.T) {
+	var b strings.Builder
+	for c := 'p'; c >= 'a'; c-- { // 16 families, none with a _sum
+		fmt.Fprintf(&b, "# TYPE h_%c histogram\nh_%c_bucket{le=\"+Inf\"} 1\nh_%c_count 1\n", c, c, c)
+	}
+	for i := 0; i < 5; i++ {
+		_, err := ParseExposition(strings.NewReader(b.String()))
+		if err == nil || !strings.HasPrefix(err.Error(), "histogram h_a:") {
+			t.Fatalf("parse %d: err = %v, want one naming h_a", i, err)
 		}
 	}
 }
