@@ -599,7 +599,12 @@ type execInfo struct {
 func (s *server) runAdmitted(r *http.Request, req queryRequest, run func(ctx context.Context) (predeval.Stats, error)) (execInfo, int, error) {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+		// Clamp in milliseconds: a large timeout_ms would overflow the
+		// Duration product and wrap negative.
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS <= timeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -279,6 +280,22 @@ func TestServerExplainFlagAnalyzeIsAdmitted(t *testing.T) {
 	}
 	if n := scrapeMetrics(t, ts.URL)[`predsqld_udf_duration_seconds_count{udf="good_credit"}`]; n != 0 {
 		t.Fatalf("%v UDF calls outside admission control", n)
+	}
+}
+
+// TestServerHugeTimeoutClamped: a timeout_ms whose Duration product
+// overflows int64 must run under -max-timeout, not wrap into a negative
+// deadline that answers 408 or 504 before the query starts.
+func TestServerHugeTimeoutClamped(t *testing.T) {
+	_, ts := testServer(t, 30, 0, serverConfig{})
+	for _, ms := range []int64{9_223_372_036_855, math.MaxInt64} {
+		status, body := mustPostQuery(t, ts.URL, queryRequest{
+			SQL:       "SELECT * FROM loans WHERE good_credit(id) = 1",
+			TimeoutMS: ms,
+		})
+		if status != http.StatusOK {
+			t.Errorf("timeout_ms=%d: status %d (%s), want 200", ms, status, body)
+		}
 	}
 }
 

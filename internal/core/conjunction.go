@@ -11,20 +11,20 @@ import (
 )
 
 // Generalized conjunctions: N expensive predicates ANDed together. This
-// file is the joint-evaluation substrate every conjunction shape shares —
-// the paper's five-action plan for exactly two predicates (Section 5,
-// twopred.go) and the N-ary waves alike:
+// file holds what every conjunction shape — the paper's five-action plan
+// for exactly two predicates (Section 5, twopred.go) and the N-ary waves —
+// is built on, including the one evaluator every execution shape runs
+// through:
 //
-//   - evalWorkLists — per-predicate work-lists, one Meter.EvalRows batch
-//     per predicate;
 //   - SampleConjunctionParallelCtx — joint sampling of all N predicates
 //     over a few rows per group (sampling never short-circuits: joint
 //     statistics need every outcome);
 //   - OrderPredicates — the classic greedy cheapest-first ordering by
 //     cost/(1−selectivity), using the sampled selectivity estimates;
-//   - ConjWaveRunner — short-circuit waves over the ordered predicates,
-//     where each wave evaluates only the survivors of the previous one and
-//     rows resolved during sampling are free.
+//   - Waves — short-circuit evaluation: each row passes a range of
+//     predicates, and each wave evaluates only the rows the earlier waves
+//     kept. Exact scans, the probabilistic executor (executor.go), the
+//     five actions and the N-ary waves all execute through it.
 //
 // Everything is plan/evaluate split like the rest of the package: row
 // selection and ordering are sequential, UDF calls fan out across workers,
@@ -41,28 +41,6 @@ type ConjSample struct {
 	// all of them.
 	Pos    []int
 	PosAll int
-}
-
-// evalWorkLists evaluates works[j] through meters[j] for every predicate j
-// and returns the per-list verdicts and failure flags. Each list is one
-// EvalRows batch and the lists run in predicate order — a circuit breaker
-// needs sequential fold points — so outcomes are identical at any
-// parallelism. A cancel returns ctx.Err() with nothing else, also when every
-// list is empty.
-func evalWorkLists(ctx context.Context, pool *exec.Pool, works [][]int, meters []*Meter) (verdicts, failed [][]bool, err error) {
-	// Empty batches never check ctx; non-empty ones check it per item.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	verdicts = make([][]bool, len(meters))
-	failed = make([][]bool, len(meters))
-	for j, m := range meters {
-		verdicts[j], failed[j], err = m.EvalRows(ctx, pool, works[j])
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return verdicts, failed, nil
 }
 
 // SampleConjunctionParallelCtx evaluates every predicate on targets[i]
@@ -92,23 +70,25 @@ func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets [
 			groupOf = append(groupOf, i)
 		}
 	}
-	// Evaluate every predicate over every sampled row. A row with a failed
-	// predicate is dropped from the sample entirely: joint statistics need
-	// every outcome of a row, so a partial row is no evidence.
-	works := make([][]int, len(meters))
-	for j := range works {
-		works[j] = work
-	}
-	verdicts, failed, err := evalWorkLists(ctx, exec.NewPool(parallelism), works, meters)
-	if err != nil {
+	// Evaluate every predicate over every sampled row, one EvalRows batch
+	// per predicate in predicate order — a circuit breaker needs sequential
+	// fold points. A row with a failed predicate is dropped from the sample
+	// entirely: joint statistics need every outcome of a row, so a partial
+	// row is no evidence. A cancel returns ctx.Err(), also with no rows.
+	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
+	pool := exec.NewPool(parallelism)
+	verdicts := make([][]bool, len(meters))
 	failedAny := make([]bool, len(work))
-	for _, fj := range failed {
-		for k, f := range fj {
-			if f {
-				failedAny[k] = true
-			}
+	for j, m := range meters {
+		v, failed, err := m.EvalRows(ctx, pool, work)
+		if err != nil {
+			return nil, nil, err
+		}
+		verdicts[j] = v
+		for k, f := range failed {
+			failedAny[k] = failedAny[k] || f
 		}
 	}
 	kept := 0
@@ -170,101 +150,100 @@ func OrderPredicates(costs, sels []float64) ([]int, error) {
 	return order, nil
 }
 
-// ConjWaveRunner executes short-circuit waves over row batches: each Run
-// call pushes one batch of rows through every predicate (in the configured
-// order) and returns the batch's survivors in input order plus how many of
-// its rows had to be retrieved. Batching does not change any outcome: a wave
-// evaluates a predicate on exactly the rows that survived the previous
-// predicates, and rows never interact across waves, so splitting the input
-// into disjoint batches yields the same calls, the same verdicts and the
-// same survivors as one monolithic run — the engine's batch executor relies
-// on this. Not safe for concurrent Run calls; parallelism lives inside a
-// wave's pool fan-out.
-type ConjWaveRunner struct {
-	order  []int
-	known  []map[int]bool
-	meters []*Meter
-	pool   *exec.Pool
+// Span is the contiguous range [From, To) of wave positions a row must
+// still pass. An empty span (From == To) passes without evaluation. The
+// positions are int32 so a plan phase's per-row spans stay half the size.
+type Span struct{ From, To int32 }
+
+func (s Span) covers(j int) bool { return int(s.From) <= j && j < int(s.To) }
+
+// Waves is the one short-circuit evaluator every execution shape shares:
+// the exact scan (one wave), the probabilistic executor (one wave, coins
+// decide each row's span), the §5 five-action executor (two waves) and the
+// N-ary conjunction waves. Wave j runs Meters[j] as one Meter.EvalRows
+// batch over the live rows whose span covers j, in row order, so a row is
+// checked against a predicate only after it passed every earlier one it
+// needs, and breaker fold points are sequential. A false or failed verdict
+// drops the row.
+//
+// Batching does not change any outcome: rows never interact across Run
+// calls, so splitting the input into disjoint batches yields the same
+// calls, verdicts and survivors as one monolithic run; only the segments a
+// breaker folds move. Not safe for concurrent Run calls; parallelism lives
+// inside a wave's pool fan-out.
+type Waves struct {
+	Meters []*Meter
+	Pool   *exec.Pool
+	// Evaluated[j] counts the rows wave j evaluated, summed over Run calls.
+	Evaluated []int
+
+	// Scratch reused across Run calls: a wave's work list, and the live
+	// rows with their spans.
+	work, live []int
+	spans      []Span
 }
 
-// NewConjWaveRunner validates the predicate order and returns a runner.
-// known[j], when non-nil, maps row → already-paid outcome of predicate j
-// (e.g. from sampling): known rows are resolved without evaluation.
-func NewConjWaveRunner(order []int, known []map[int]bool, meters []*Meter, parallelism int) (*ConjWaveRunner, error) {
-	if len(order) != len(meters) {
-		return nil, fmt.Errorf("core: order covers %d of %d predicates", len(order), len(meters))
+// Run pushes rows through the waves; need[i] is the span row i must pass,
+// and a nil need means every wave for every row. It returns the survivors
+// in input order — nil when none survive — valid until the next Run call.
+// A cancel returns ctx.Err() and no survivors, also when no wave has work.
+func (w *Waves) Run(ctx context.Context, rows []int, need []Span) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	if known != nil && len(known) != len(meters) {
-		return nil, fmt.Errorf("core: %d known maps for %d predicates", len(known), len(meters))
+	if len(w.Evaluated) != len(w.Meters) {
+		w.Evaluated = make([]int, len(w.Meters))
 	}
-	seen := make([]bool, len(meters))
-	for _, j := range order {
-		if j < 0 || j >= len(meters) || seen[j] {
-			return nil, fmt.Errorf("core: invalid predicate order %v", order)
-		}
-		seen[j] = true
+	if cap(w.live) < len(rows) {
+		w.live = make([]int, 0, len(rows))
 	}
-	return &ConjWaveRunner{order: order, known: known, meters: meters, pool: exec.NewPool(parallelism)}, nil
-}
-
-// Run pushes one batch of rows through the waves and returns its survivors
-// in input order and how many of its rows were retrieved: a row counts once,
-// when it first enters a wave's work list (a row resolved by known outcomes
-// before its first unknown predicate is never fetched). Batches must be
-// disjoint — no row may appear in two Run calls — for the retrieved counts
-// to sum to the statement's. A cancel returns ctx.Err().
-func (w *ConjWaveRunner) Run(ctx context.Context, rows []int) (survivors []int, retrieved int, err error) {
-	// live holds the surviving rows' positions in rows, so fetched can mark
-	// a row's first retrieval without a per-row map.
-	live := make([]int, len(rows))
-	for i := range live {
-		live[i] = i
+	if need != nil && len(w.Meters) > 1 && cap(w.spans) < len(rows) {
+		w.spans = make([]Span, 0, len(rows))
 	}
-	fetched := make([]bool, len(rows))
-	for _, j := range w.order {
-		var kn map[int]bool
-		if w.known != nil {
-			kn = w.known[j]
-		}
-		// Plan the wave: resolve known rows, emit slots for the rest so the
-		// merge below rebuilds the survivor list in input order.
-		type slot struct {
-			pos     int // position in rows
-			evalIdx int // -1: known pass, no evaluation needed
-		}
-		var slots []slot
-		var work []int
-		for _, pos := range live {
-			if v, ok := kn[rows[pos]]; ok {
-				if v {
-					slots = append(slots, slot{pos: pos, evalIdx: -1})
+	live, spans := rows, need
+	for j, m := range w.Meters {
+		work := live
+		if spans != nil {
+			work = w.work[:0]
+			for k, row := range live {
+				if spans[k].covers(j) {
+					work = append(work, row)
 				}
-				continue
 			}
-			slots = append(slots, slot{pos: pos, evalIdx: len(work)})
-			work = append(work, rows[pos])
-			if !fetched[pos] {
-				fetched[pos] = true
-				retrieved++
-			}
+			w.work = work
 		}
-		// Failed evaluations carry verdict false, so failed rows simply do
-		// not survive the wave.
-		verdicts, _, err := w.meters[j].EvalRows(ctx, w.pool, work)
+		if len(work) == 0 {
+			continue
+		}
+		verdicts, _, err := m.EvalRows(ctx, w.Pool, work)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		next := live[:0]
-		for _, sl := range slots {
-			if sl.evalIdx < 0 || verdicts[sl.evalIdx] {
-				next = append(next, sl.pos)
+		w.Evaluated[j] += len(work)
+		// Compact the survivors into scratch (in place from the second
+		// evaluated wave on), and their spans while a wave follows. A
+		// failed evaluation carries verdict false.
+		moreWaves := spans != nil && j+1 < len(w.Meters)
+		keep, keepSpans, v := w.live[:0], w.spans[:0], 0
+		for k, row := range live {
+			if spans == nil || spans[k].covers(j) {
+				v++
+				if !verdicts[v-1] {
+					continue
+				}
+			}
+			keep = append(keep, row)
+			if moreWaves {
+				keepSpans = append(keepSpans, spans[k])
 			}
 		}
-		live = next
+		live = keep
+		if moreWaves {
+			spans = keepSpans
+		}
 	}
-	survivors = make([]int, len(live))
-	for i, pos := range live {
-		survivors[i] = rows[pos]
+	if len(live) == 0 {
+		return nil, nil
 	}
-	return survivors, retrieved, nil
+	return live, nil
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -128,21 +129,18 @@ func TestOrderPredicates(t *testing.T) {
 	}
 }
 
-// wavesOutcome is one single-batch wave run: the survivors, the rows
-// retrieved, and the calls charged per predicate (indexed like meters).
+// wavesOutcome is one single-batch wave run: the survivors, the rows each
+// wave evaluated, and the calls charged per meter (indexed like meters).
 type wavesOutcome struct {
 	Output    []int
-	Retrieved int
+	Evaluated []int
 	Calls     []int
 }
 
-// runWaves pushes rows through a fresh ConjWaveRunner as a single batch.
-func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, meters []*Meter, parallelism int) (wavesOutcome, error) {
-	w, err := NewConjWaveRunner(order, known, meters, parallelism)
-	if err != nil {
-		return wavesOutcome{}, err
-	}
-	out, retrieved, err := w.Run(ctx, rows)
+// runWaves pushes rows through fresh Waves over meters as a single batch.
+func runWaves(ctx context.Context, rows []int, need []Span, meters []*Meter, parallelism int) (wavesOutcome, error) {
+	w := Waves{Meters: meters, Pool: exec.NewPool(parallelism)}
+	out, err := w.Run(ctx, rows, need)
 	if err != nil {
 		return wavesOutcome{}, err
 	}
@@ -150,7 +148,7 @@ func runWaves(ctx context.Context, rows, order []int, known []map[int]bool, mete
 	for j, m := range meters {
 		calls[j] = m.Calls()
 	}
-	return wavesOutcome{Output: out, Retrieved: retrieved, Calls: calls}, nil
+	return wavesOutcome{Output: out, Evaluated: w.Evaluated, Calls: calls}, nil
 }
 
 func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
@@ -162,7 +160,7 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	m0 := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
 	m1 := NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))
 	m2 := NewMeter(UDFFunc(func(row int) bool { return row%5 == 0 }))
-	res, err := runWaves(context.Background(), rows, []int{0, 1, 2}, nil, []*Meter{m0, m1, m2}, 4)
+	res, err := runWaves(context.Background(), rows, nil, []*Meter{m0, m1, m2}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,34 +177,29 @@ func TestExecuteConjunctionWavesShortCircuit(t *testing.T) {
 	if got := res.Calls; !reflect.DeepEqual(got, []int{200, 100, 34}) {
 		t.Fatalf("meter calls %v", got)
 	}
-	if res.Retrieved != 200 {
-		t.Fatalf("retrieved %d, want 200", res.Retrieved)
+	if !reflect.DeepEqual(res.Evaluated, res.Calls) {
+		t.Fatalf("evaluated %v, want the calls %v", res.Evaluated, res.Calls)
 	}
 }
 
 func TestExecuteConjunctionWavesKnownRowsFree(t *testing.T) {
-	rows := []int{0, 1, 2, 3, 4, 5}
+	// Row 0 was sampled and passed both predicates: it needs nothing more.
+	// Row 1 was sampled and failed, so the caller leaves it out.
+	rows := []int{0, 2, 3, 4, 5}
+	every := Span{0, 2}
+	need := []Span{{}, every, every, every, every}
 	m0 := NewMeter(UDFFunc(func(row int) bool { return row != 1 }))
 	m1 := NewMeter(UDFFunc(func(row int) bool { return row%2 == 0 }))
-	known := []map[int]bool{
-		{0: true, 1: false},
-		{0: true},
-	}
-	res, err := runWaves(context.Background(), rows, []int{0, 1}, known, []*Meter{m0, m1}, 1)
+	res, err := runWaves(context.Background(), rows, need, []*Meter{m0, m1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(res.Output, []int{0, 2, 4}) {
 		t.Fatalf("output %v", res.Output)
 	}
-	// Rows 0 and 1 were fully decided (or rejected) without touching pred 0;
-	// row 0 also skipped pred 1.
+	// Row 0 skipped both predicates.
 	if !reflect.DeepEqual(res.Calls, []int{4, 4}) {
 		t.Fatalf("meter calls %v, want [4 4]", res.Calls)
-	}
-	// Row 0 was never fetched during waves; rows 2..5 were.
-	if res.Retrieved != 4 {
-		t.Fatalf("retrieved %d, want 4", res.Retrieved)
 	}
 }
 
@@ -217,12 +210,12 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 		rows[i] = i
 	}
 	udfs := []UDF{
+		UDFFunc(func(row int) bool { return row > 100 }),
 		UDFFunc(func(row int) bool { return row%2 == 1 }),
 		UDFFunc(func(row int) bool { return row%7 != 0 }),
-		UDFFunc(func(row int) bool { return row > 100 }),
 	}
 	run := func(par int) wavesOutcome {
-		res, err := runWaves(context.Background(), rows, []int{2, 0, 1}, nil, metered(udfs...), par)
+		res, err := runWaves(context.Background(), rows, nil, metered(udfs...), par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,17 +227,7 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 }
 
 func TestConjunctionWavesValidation(t *testing.T) {
-	rows := []int{0, 1}
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, err := runWaves(context.Background(), rows, []int{0}, nil, metered(udfs...), 1); err == nil {
-		t.Fatal("short order accepted")
-	}
-	if _, err := runWaves(context.Background(), rows, []int{0, 0}, nil, metered(udfs...), 1); err == nil {
-		t.Fatal("duplicate order accepted")
-	}
-	if _, err := runWaves(context.Background(), rows, []int{0, 2}, nil, metered(udfs...), 1); err == nil {
-		t.Fatal("out-of-range order accepted")
-	}
 	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, metered(udfs...), stats.NewRNG(1), 1); err == nil {
 		t.Fatal("target/group mismatch accepted")
 	}
@@ -278,18 +261,25 @@ func TestConjunctionCancellation(t *testing.T) {
 		return true
 	})
 	rows := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	_, err = runWaves(ctx2, rows, []int{0, 1}, nil, metered(udf2, udf2), 1)
+	_, err = runWaves(ctx2, rows, nil, metered(udf2, udf2), 1)
 	if err != context.Canceled {
 		t.Fatalf("waves cancel: %v", err)
 	}
+	// A cancelled context returns no survivors even when no wave has work.
+	if out, err := (&Waves{Meters: metered(udf2)}).Run(ctx2, rows, make([]Span, len(rows))); err != context.Canceled || out != nil {
+		t.Fatalf("cancelled run without work: %v, %v", out, err)
+	}
 }
 
-// foldLog admits every row, one row per segment, and logs each fold
-// without synchronisation: exec.Gate promises its methods run on the
-// calling goroutine.
-type foldLog struct{ folds []bool }
+// foldLog admits every row, seg rows per segment (one when seg is 0), and
+// logs each fold without synchronisation: exec.Gate promises its methods
+// run on the calling goroutine.
+type foldLog struct {
+	seg   int
+	folds []bool
+}
 
-func (g *foldLog) Segment() int { return 1 }
+func (g *foldLog) Segment() int { return max(g.seg, 1) }
 func (g *foldLog) Plan(n int) []bool {
 	allowed := make([]bool, n)
 	for i := range allowed {
@@ -300,9 +290,10 @@ func (g *foldLog) Plan(n int) []bool {
 func (g *foldLog) Record(failed []bool) { g.folds = append(g.folds, failed...) }
 
 // TestEvalWorkListsFoldSharedGateInOrder: two predicates on one UDF share
-// its breaker, so both evalWorkLists call sites must fold predicate 0's
-// segments before predicate 1's, each in row order. Work lists run on
-// goroutines fail it under -race.
+// its breaker, so the joint sampler and the §5 executor must fold predicate
+// 0's segments before predicate 1's, each in row order — the executor's f2
+// wave merges the evaluate-f2 rows with the evaluate-both rows f1 kept.
+// Work lists run on goroutines fail it under -race.
 func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 	failEvery := func(k int) FallibleUDF {
 		return fallibleFunc(func(_ context.Context, row int) (bool, error) {
@@ -316,6 +307,15 @@ func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 		out := make([]bool, len(rows))
 		for i, r := range rows {
 			out[i] = r%k == 0
+		}
+		return out
+	}
+	kept := func(rows []int, k int) []int { // the rows failEvery(k) passes
+		var out []int
+		for _, r := range rows {
+			if r%k != 0 {
+				out = append(out, r)
+			}
 		}
 		return out
 	}
@@ -339,6 +339,11 @@ func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 				[]TwoPredAction{TPEval1Assume2, TPAssume1Eval2}, nil, m0, m1, DefaultCost, 4)
 			return err
 		}, append(folds(lo, 3), folds(hi, 4)...)},
+		{"ExecuteTwoPredicatesParallelCtx eval-both + eval-2", func(m0, m1 *Meter) error {
+			_, err := ExecuteTwoPredicatesParallelCtx(ctx, []Group{{Rows: lo}, {Rows: hi}},
+				[]TwoPredAction{TPEvalBoth, TPAssume1Eval2}, nil, m0, m1, DefaultCost, 4)
+			return err
+		}, append(append(folds(lo, 3), folds(kept(lo, 3), 4)...), folds(hi, 4)...)},
 	} {
 		gate := &foldLog{}
 		if err := site.run(NewResilientMeter(failEvery(3), nil, gate), NewResilientMeter(failEvery(4), nil, gate)); err != nil {
@@ -346,6 +351,116 @@ func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 		}
 		if !reflect.DeepEqual(gate.folds, site.want) {
 			t.Errorf("%s folded %v, want %v", site.name, gate.folds, site.want)
+		}
+	}
+}
+
+// TestWavesMatchRowAtATime holds Waves to the rule it implements, applied
+// one row at a time: a row survives iff every predicate of its span, taken
+// in order, passes without failing, and it is evaluated under a predicate
+// only when every earlier predicate of its span passed. Random spans over
+// 1–4 resilient meters with failing rows, split into batches that share
+// one reused Waves, must give the reference's survivors, evaluated counts,
+// charged calls and — through one logging gate shared by every meter — its
+// fold sequence, at parallelism 1 and 8.
+func TestWavesMatchRowAtATime(t *testing.T) {
+	// Predicate j passes a row unless pass rejects it, and fails it for good
+	// every fail-th row; both depend on the row only.
+	pass := func(j, row int) bool { return (row*(j+3)+j)%5 != 0 }
+	fails := func(j, row int) bool { return (row+j)%(7+j) == 0 }
+	ctx := context.Background()
+	for _, par := range []int{1, 8} {
+		rng := stats.NewRNG(33)
+		w := Waves{Pool: exec.NewPool(par)}
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.IntN(4)
+			gate := &foldLog{seg: 1 + rng.IntN(4)}
+			meters := make([]*Meter, n)
+			for j := range meters {
+				meters[j] = NewResilientMeter(fallibleFunc(func(_ context.Context, row int) (bool, error) {
+					if fails(j, row) {
+						return false, errors.New("down")
+					}
+					return pass(j, row), nil
+				}), nil, gate)
+			}
+			w.Meters, w.Evaluated = meters, nil
+
+			// Distinct rows in random order, random spans (nil: every
+			// predicate), split into batches; an empty set is one empty batch.
+			rows := rng.Perm(300)[:rng.IntN(120)]
+			var need []Span
+			if rng.IntN(4) > 0 {
+				need = make([]Span, len(rows))
+				for i := range need {
+					from := rng.IntN(n + 1)
+					need[i] = Span{int32(from), int32(from + rng.IntN(n+1-from))}
+				}
+			}
+			var got, want []int
+			var wantFolds []bool
+			wantEval, wantCalls := make([]int, n), make([]int, n)
+			for start, first := 0, true; first || start < len(rows); first = false {
+				end := min(len(rows), start+1+rng.IntN(50))
+				batch := rows[start:end]
+				var batchNeed []Span
+				if need != nil {
+					batchNeed = need[start:end]
+				}
+				out, err := w.Run(ctx, batch, batchNeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, out...)
+
+				// Reference, one row at a time: reached[i] is the first
+				// predicate row i did not pass (its span's end if none).
+				reached := make([]int, len(batch))
+				for i, row := range batch {
+					sp := Span{0, int32(n)}
+					if batchNeed != nil {
+						sp = batchNeed[i]
+					}
+					reached[i] = int(sp.To)
+					for j := int(sp.From); j < int(sp.To); j++ {
+						wantEval[j]++
+						if fails(j, row) {
+							reached[i] = j
+							break
+						}
+						wantCalls[j]++
+						if !pass(j, row) {
+							reached[i] = j
+							break
+						}
+					}
+					if reached[i] == int(sp.To) {
+						want = append(want, row)
+					}
+				}
+				// The gate folds wave by wave, each wave in row order.
+				for j := 0; j < n; j++ {
+					for i, row := range batch {
+						sp := Span{0, int32(n)}
+						if batchNeed != nil {
+							sp = batchNeed[i]
+						}
+						if sp.covers(j) && j <= reached[i] {
+							wantFolds = append(wantFolds, fails(j, row))
+						}
+					}
+				}
+				start = end
+			}
+			calls := make([]int, n)
+			for j, m := range meters {
+				calls[j] = m.Calls()
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(w.Evaluated, wantEval) ||
+				!reflect.DeepEqual(calls, wantCalls) || !reflect.DeepEqual(gate.folds, wantFolds) {
+				t.Fatalf("par=%d trial %d (n=%d): survivors %v evaluated %v calls %v folds %v;\nreference %v %v %v %v",
+					par, trial, n, got, w.Evaluated, calls, gate.folds, want, wantEval, wantCalls, wantFolds)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -18,8 +19,9 @@ import (
 // Execution is split into two phases so the expensive UDF calls can fan
 // out across goroutines without perturbing determinism: a sequential PLAN
 // phase draws every Bernoulli coin from the RNG in tuple order and emits
-// the work-list of rows needing evaluation, then a parallel EVALUATE phase
-// runs the UDF over the work-list and merges verdicts back in row order.
+// each returned candidate with the predicate span it still needs, then a
+// parallel EVALUATE phase runs them through one Waves wave, which keeps
+// row order.
 // Because the UDF never consumes the RNG, the coin stream — and therefore
 // the output — is bit-for-bit identical at every parallelism level.
 
@@ -43,14 +45,6 @@ type ExecResult struct {
 	Cost float64
 }
 
-// execSlot is one potential output position produced by the plan phase:
-// either an unconditional emit (evalIdx < 0) or a slot whose inclusion
-// depends on the verdict of work-list item evalIdx.
-type execSlot struct {
-	row     int
-	evalIdx int
-}
-
 // ExecuteParallelCtx runs the strategy over the groups, fanning UDF calls
 // across up to `parallelism` workers (≤ 0 means GOMAXPROCS). samples may
 // be nil (no sampling phase) or hold one entry per group; sampled rows are
@@ -59,7 +53,7 @@ type execSlot struct {
 // sequential plan phase, so results are identical at every parallelism
 // level. That phase is cheap and always completes, so the RNG is consumed
 // identically whether or not the evaluate phase is cancelled; a cancel
-// during evaluation returns ctx.Err() and an empty result.
+// returns ctx.Err() and an empty result.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, meter *Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())
@@ -72,10 +66,11 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 	}
 	var res ExecResult
 
-	// Plan: draw retrieval/evaluation coins for every tuple in order,
-	// collecting output slots and the work-list of rows to evaluate.
-	var slots []execSlot
-	var work []int
+	// Plan: draw retrieval/evaluation coins for every tuple in order. A
+	// retrieved tuple needs the predicate (span [0,1)) when its evaluation
+	// coin lands, and nothing (an empty span) otherwise.
+	var rows []int
+	var need []Span
 	for i, g := range groups {
 		ra, ea := s.R[i], s.E[i]
 		var sampled map[int]bool
@@ -90,7 +85,7 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 			if v, ok := sampled[row]; ok {
 				// Already paid for during sampling; include iff correct.
 				if v {
-					slots = append(slots, execSlot{row: row, evalIdx: -1})
+					rows, need = append(rows, row), append(need, Span{})
 				}
 				continue
 			}
@@ -98,28 +93,24 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 				continue
 			}
 			res.Retrieved++
+			span := Span{}
 			if rng.Bernoulli(condEval) {
-				slots = append(slots, execSlot{row: row, evalIdx: len(work)})
-				work = append(work, row)
-			} else {
-				slots = append(slots, execSlot{row: row, evalIdx: -1})
+				span.To = 1
 			}
+			rows, need = append(rows, row), append(need, span)
 		}
 	}
 
-	// Evaluate: fan the expensive calls out, then merge in plan order. A
-	// failed evaluation carries verdict false, so failed rows are excluded
-	// from the output below without extra bookkeeping.
-	verdicts, _, err := meter.EvalRows(ctx, exec.NewPool(parallelism), work)
+	// Evaluate: one wave fans the expensive calls out and keeps the plan
+	// order; a failed evaluation drops its row like a false verdict.
+	w := Waves{Meters: []*Meter{meter}, Pool: exec.NewPool(parallelism)}
+	out, err := w.Run(ctx, rows, need)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	res.Evaluated = len(work)
-	for _, sl := range slots {
-		if sl.evalIdx < 0 || verdicts[sl.evalIdx] {
-			res.Output = append(res.Output, sl.row)
-		}
-	}
+	// The survivors live in scratch sized to every candidate; the answer
+	// keeps only its own rows.
+	res.Output, res.Evaluated = slices.Clone(out), w.Evaluated[0]
 	res.Cost = cost.Retrieve*float64(res.Retrieved) + cost.Evaluate*float64(res.Evaluated)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -10,8 +11,8 @@ import (
 
 // Execution and estimation for conjunctions of two expensive predicates
 // (Section 5 / Appendix 10.7.2). The expectation-level planner lives in
-// extensions.go (PlanTwoPredicates); sampling and evaluation are the N-ary
-// conjunction substrate of conjunction.go at N=2. This file adds the
+// extensions.go (PlanTwoPredicates); sampling is the N-ary joint sampler
+// of conjunction.go at N=2, and evaluation its Waves. This file adds the
 // deterministic executor for the five per-group actions and the
 // margin-tightened planning step over joint samples; the engine composes
 // the three as its conj-sample → conj-solve → conj-exec stages.
@@ -24,23 +25,6 @@ type TwoPredExecResult struct {
 	// during execution (sampling excluded).
 	Evaluated1, Evaluated2 int
 	Cost                   float64
-}
-
-// tpKind classifies what a two-predicate output slot still needs.
-type tpKind uint8
-
-const (
-	tpEmit     tpKind = iota // unconditional output
-	tpNeed1                  // output iff f1
-	tpNeed2                  // output iff f2
-	tpNeedBoth               // output iff f1, then f2 (short-circuit preserved)
-)
-
-// tpSlot is one potential output position of the two-predicate executor.
-type tpSlot struct {
-	row        int
-	kind       tpKind
-	idx1, idx2 int
 }
 
 // ExecuteTwoPredicatesParallelCtx runs the per-group actions. Rows jointly
@@ -57,13 +41,12 @@ type tpSlot struct {
 //	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
 //	                return iff both
 //
-// f1 and f2 are evaluated through m1 and m2, batched and fanned across up
-// to `parallelism` workers.
-// Evaluation runs in waves — all needed f1 calls and unconditional f2 calls
-// first, then f2 on the f1 survivors of TPEvalBoth groups — so the
-// sequential short-circuit accounting (f2 is never charged for rows f1
-// rejected) is preserved exactly, as are output order and all counters. A
-// cancel in either wave returns ctx.Err() and an empty result.
+// Each action is the span of waves its rows need — assume both: none,
+// evaluate f1: [0,1), evaluate f2: [1,2), evaluate both: [0,2) — and one
+// Waves run over m1 then m2, fanned across up to `parallelism` workers,
+// evaluates them: f2 runs, in row order, on the evaluate-f2 rows and the
+// evaluate-both rows f1 kept, so f2 is never charged for a row f1 rejected.
+// A cancel returns ctx.Err() and an empty result.
 func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []ConjSample, m1, m2 *Meter, cost CostModel, parallelism int) (TwoPredExecResult, error) {
 	if len(acts) != len(groups) {
 		return TwoPredExecResult{}, fmt.Errorf("core: %d actions for %d groups", len(acts), len(groups))
@@ -73,12 +56,22 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 	}
 	var res TwoPredExecResult
 
-	// Plan: classify every tuple, building the f1 work-list and the
-	// unconditional-f2 work-list.
-	var slots []tpSlot
-	var work1, work2 []int
+	// Plan: every returned candidate with the span of waves it needs.
+	var rows []int
+	var need []Span
 	for gi, g := range groups {
-		act := acts[gi]
+		var span Span
+		switch acts[gi] {
+		case TPDiscard, TPAssumeBoth:
+		case TPEval1Assume2:
+			span = Span{0, 1}
+		case TPAssume1Eval2:
+			span = Span{1, 2}
+		case TPEvalBoth:
+			span = Span{0, 2}
+		default:
+			return TwoPredExecResult{}, fmt.Errorf("core: invalid action %v for group %d", acts[gi], gi)
+		}
 		var sampled map[int][]bool
 		if samples != nil {
 			sampled = samples[gi].Results
@@ -86,82 +79,24 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 		for _, row := range g.Rows {
 			if v, ok := sampled[row]; ok {
 				if v[0] && v[1] {
-					slots = append(slots, tpSlot{row: row, kind: tpEmit})
+					rows, need = append(rows, row), append(need, Span{})
 				}
 				continue
 			}
-			switch act {
-			case TPDiscard:
-			case TPAssumeBoth:
+			if acts[gi] != TPDiscard {
 				res.Retrieved++
-				slots = append(slots, tpSlot{row: row, kind: tpEmit})
-			case TPEval1Assume2:
-				res.Retrieved++
-				slots = append(slots, tpSlot{row: row, kind: tpNeed1, idx1: len(work1)})
-				work1 = append(work1, row)
-			case TPAssume1Eval2:
-				res.Retrieved++
-				slots = append(slots, tpSlot{row: row, kind: tpNeed2, idx2: len(work2)})
-				work2 = append(work2, row)
-			case TPEvalBoth:
-				res.Retrieved++
-				slots = append(slots, tpSlot{row: row, kind: tpNeedBoth, idx1: len(work1)})
-				work1 = append(work1, row)
-			default:
-				return TwoPredExecResult{}, fmt.Errorf("core: invalid action %v for group %d", act, gi)
+				rows, need = append(rows, row), append(need, span)
 			}
 		}
 	}
 
-	// Wave 1: every needed f1 call plus the unconditional f2 calls. Failed
-	// evaluations carry verdict false, so failed rows drop out of the
-	// output (and, for TPEvalBoth, never reach the f2 wave).
-	pool := exec.NewPool(parallelism)
-	wave1, _, err := evalWorkLists(ctx, pool, [][]int{work1, work2}, []*Meter{m1, m2})
+	w := Waves{Meters: []*Meter{m1, m2}, Pool: exec.NewPool(parallelism)}
+	out, err := w.Run(ctx, rows, need)
 	if err != nil {
 		return TwoPredExecResult{}, err
 	}
-	v1, v2 := wave1[0], wave1[1]
-
-	// Wave 2: f2 on the TPEvalBoth rows that survived f1.
-	var work2b []int
-	for si := range slots {
-		sl := &slots[si]
-		if sl.kind != tpNeedBoth {
-			continue
-		}
-		if v1[sl.idx1] {
-			sl.idx2 = len(work2b)
-			work2b = append(work2b, sl.row)
-		} else {
-			sl.idx2 = -1
-		}
-	}
-	v2b, _, err := m2.EvalRows(ctx, pool, work2b)
-	if err != nil {
-		return TwoPredExecResult{}, err
-	}
-
-	res.Evaluated1 = len(work1)
-	res.Evaluated2 = len(work2) + len(work2b)
-	for _, sl := range slots {
-		switch sl.kind {
-		case tpEmit:
-			res.Output = append(res.Output, sl.row)
-		case tpNeed1:
-			if v1[sl.idx1] {
-				res.Output = append(res.Output, sl.row)
-			}
-		case tpNeed2:
-			if v2[sl.idx2] {
-				res.Output = append(res.Output, sl.row)
-			}
-		case tpNeedBoth:
-			if sl.idx2 >= 0 && v2b[sl.idx2] {
-				res.Output = append(res.Output, sl.row)
-			}
-		}
-	}
+	// Copied out of scratch sized to every candidate (see ExecuteParallelCtx).
+	res.Output, res.Evaluated1, res.Evaluated2 = slices.Clone(out), w.Evaluated[0], w.Evaluated[1]
 	res.Cost = cost.Retrieve*float64(res.Retrieved) +
 		cost.Evaluate*float64(res.Evaluated1+res.Evaluated2)
 	return res, nil

@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // Constraints carries the user's accuracy requirements: precision lower
@@ -495,11 +496,9 @@ func (m *Meter) Known(row int) (bool, bool) {
 	return st == rowTrue, st == rowTrue || st == rowFalse
 }
 
-// Group binds a group key to the row ids of its tuples.
-type Group struct {
-	Key  string
-	Rows []int
-}
+// Group binds a group key to the row ids of its tuples. It is the table
+// package's partition group, so a partition feeds the optimizer as is.
+type Group = table.Group
 
 // infeasibleMargin is the tolerance used when verifying planner output
 // against its own constraints.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/plan"
 	"repro/internal/resilience"
 	"repro/internal/table"
 )
@@ -56,6 +57,55 @@ func TestRowInvokerAllocs(t *testing.T) {
 		})
 		if allocs != c.want {
 			t.Errorf("EvalErr on id %d allocated %v times, want %v", c.row, allocs, c.want)
+		}
+	}
+}
+
+// TestStreamingTerminalAllocs pins one 1,024-row batch through the
+// streaming terminal at parallelism 1 — exact-eval, and a two-predicate
+// conj-waves — at 37 and 54 allocations per statement. The runs are warm,
+// so the cross-query cache answers every row and no UDF body boxes a cell:
+// what remains is the statement's fixed cost plus the terminal's scratch,
+// which core.Waves sizes once, so scratch grown by append shows here.
+func TestStreamingTerminalAllocs(t *testing.T) {
+	tbl, truth := buildLoanTable(t, DefaultBatchSize, 42)
+	e := New(7)
+	e.Parallelism = 1
+	if err := e.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []UDF{
+		{Name: "good_credit", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })},
+		{Name: "even", Body: pure(func(v table.Value) bool { return v.(int64)%2 == 0 })},
+	} {
+		if err := e.RegisterUDF(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	good := Conjunct{UDFName: "good_credit", UDFArg: "id", Want: true}
+	even := Conjunct{UDFName: "even", UDFArg: "id", Want: true}
+	for _, c := range []struct {
+		op    plan.Op
+		preds []Conjunct
+		max   float64
+	}{
+		{plan.OpExactEval, []Conjunct{good}, 37},
+		{plan.OpConjWaves, []Conjunct{good, even}, 54},
+	} {
+		q := Query{Table: "loans", Predicates: c.preds}
+		if root, err := e.Plan(q); err != nil || root.Op != c.op {
+			t.Fatalf("%v plans as %v (%v)", c.preds, root, err)
+		}
+		run := func() {
+			if _, err := e.ExecuteContext(ctx, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the cross-query caches
+		allocs := testing.AllocsPerRun(20, run)
+		if allocs > c.max {
+			t.Errorf("%s: one %d-row batch allocated %v times, want at most %v", c.op, DefaultBatchSize, allocs, c.max)
 		}
 	}
 }

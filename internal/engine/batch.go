@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/table"
@@ -218,48 +219,28 @@ func (s *stageOp) Next(ctx context.Context) (*Batch, error) {
 
 func (s *stageOp) Close() error { return s.child.Close() }
 
-// batchEval is the streaming terminal's per-batch work: the survivors of
-// one pulled batch in batch order (valid until the next call), and how many
-// of the batch's rows had to be retrieved to decide them.
-type batchEval func(ctx context.Context, rows []int) (survivors []int, retrieved int, err error)
-
-// exactEval evaluates the predicate on every pulled row. Verdicts land at
-// their batch slot, so output order matches the sequential scan exactly;
-// rows whose invocation failed carry verdict false and drop out.
-func (e *Engine) exactEval(st *pipeState) batchEval {
-	pool, meter := e.pool(), st.preds[0].meter
-	var buf []int
-	return func(ctx context.Context, rows []int) ([]int, int, error) {
-		verdicts, _, err := meter.EvalRows(ctx, pool, rows)
-		if err != nil {
-			return nil, 0, err
-		}
-		buf = buf[:0]
-		for i, r := range rows {
-			if verdicts[i] {
-				buf = append(buf, r)
-			}
-		}
-		return buf, len(rows), nil
-	}
-}
-
-// evalOp is the streaming terminal (exact-eval, conj-waves): it evaluates
-// each pulled batch with the shape's batchEval and emits the survivors, so
-// the first result batch leaves while later rows are still unevaluated.
-// prepare runs at the end of Open — after the child chain, so a conj-sample
-// stage below has produced its sample — and fixes the evaluate function for
-// every batch. finalize assembles st.res from whatever was evaluated so far:
-// at end-of-stream, or after an early stop.
+// evalOp is the streaming terminal (exact-eval, conj-waves): it pushes each
+// pulled batch through the statement's short-circuit waves (core.Waves) and
+// emits the survivors, so the first result batch leaves while later rows
+// are still unevaluated. The waves are fixed at the end of Open — after the
+// child chain, so a conj-sample stage below has produced its sample — and
+// every batch flows through the same waves (prepareWaves). finalize
+// assembles st.res from whatever was evaluated so far: at end-of-stream, or
+// after an early stop.
 type evalOp struct {
 	st      *pipeState
 	node    *plan.Node
 	child   BatchOperator
-	prepare func() (batchEval, error)
 	collect bool // accumulate output rows for st.res (materialized path)
 
-	span      string // "op:<operator>", one span per evaluated batch
-	eval      batchEval
+	span  string // "op:<operator>", one span per evaluated batch
+	waves core.Waves
+	// sampled maps each jointly sampled row to whether it passed every
+	// predicate (greedy conj-waves only): such a row is decided for free.
+	// rows and need are the scratch for a batch without its decided rows.
+	sampled   map[int]bool
+	rows      []int
+	need      []core.Span
 	retrieved int
 	emitted   int
 	out       []int
@@ -286,9 +267,7 @@ func (o *evalOp) Open(ctx context.Context) error {
 		o.out = make([]int, 0)
 	}
 	o.span = "op:" + string(o.node.Op)
-	var err error
-	o.eval, err = o.prepare()
-	return err
+	return o.prepareWaves()
 }
 
 func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
@@ -303,7 +282,7 @@ func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
 		}
 		var survivors []int
 		var retrieved int
-		o.elapsedNS += int64(obs.Timed(ctx, o.span, func() { survivors, retrieved, err = o.eval(ctx, cb.Rows) }))
+		o.elapsedNS += int64(obs.Timed(ctx, o.span, func() { survivors, retrieved, err = o.evalBatch(ctx, cb.Rows) }))
 		if err != nil {
 			return nil, err
 		}
@@ -379,13 +358,8 @@ func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*p
 	for ; i >= 0; i-- {
 		n := chain[i]
 		switch n.Op {
-		case plan.OpExactEval:
-			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect,
-				prepare: func() (batchEval, error) { return e.exactEval(st), nil }}
-			cur = p.stream
-		case plan.OpConjWaves:
-			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect,
-				prepare: func() (batchEval, error) { return e.conjWaves(st, n.Mode) }}
+		case plan.OpExactEval, plan.OpConjWaves:
+			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect, waves: core.Waves{Pool: e.pool()}}
 			cur = p.stream
 		default:
 			body, err := e.stageBody(n)

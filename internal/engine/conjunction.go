@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -16,9 +17,9 @@ import (
 //     with short-circuit), execute the actions (opConjExec). This requires
 //     an explicit GROUP ON column, like the paper.
 //
-//   - Every other conjunction runs short-circuit waves (conjWaves, the
-//     streaming terminal's per-batch evaluate): each
-//     predicate is evaluated only on the survivors of the ones before it.
+//   - Every other conjunction runs short-circuit waves in the streaming
+//     terminal (prepareWaves, evalBatch): each predicate is evaluated
+//     only on the survivors of the ones before it.
 //     Exact queries keep the predicates in query order; approximate N-ary
 //     queries first sample every predicate (opConjSample) and order them
 //     greedily cheapest-first by sampled cost/(1−selectivity). The wave
@@ -70,45 +71,62 @@ func (e *Engine) opConjExec(ctx context.Context, st *pipeState) (stageOut, error
 	return stageOut{rows: len(st.output)}, nil
 }
 
-// conjWaves prepares the short-circuit waves of the conj-waves terminal.
-// The wave order and the free sampled outcomes are fixed here, once, after
-// the child chain (including any conj-sample stage) has run, so every batch
-// flows through identical waves; rows never interact across batches, and
-// the scan never repeats a row, which is why batching leaves calls,
-// survivors and counters bit-identical (see core.ConjWaveRunner.Run).
-func (e *Engine) conjWaves(st *pipeState, mode string) (batchEval, error) {
-	order := make([]int, len(st.preds))
-	for i := range order {
-		order[i] = i
-	}
-	var known []map[int]bool
-	if mode == plan.ModeGreedyOrder {
+// prepareWaves fixes the streaming terminal's waves once, after the child
+// chain (including any conj-sample stage) has run: one wave per predicate in
+// query order — exact-eval is the one-wave case — reordered cheapest-first
+// by the sampled selectivities under greedy, where the rows the joint
+// sample decided are also free. Rows never interact across batches and the
+// scan never repeats a row, which is why batching leaves calls, survivors
+// and counters bit-identical (see core.Waves).
+func (o *evalOp) prepareWaves() error {
+	st := o.st
+	meters := st.meters()
+	if o.node.Mode == plan.ModeGreedyOrder {
 		costs := make([]float64, len(st.preds))
 		for i, p := range st.preds {
 			costs[i] = p.cost
 		}
-		var err error
-		order, err = core.OrderPredicates(costs, st.conjSels)
+		order, err := core.OrderPredicates(costs, st.conjSels)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		known = make([]map[int]bool, len(st.preds))
-		for j := range known {
-			known[j] = make(map[int]bool)
+		for w, j := range order {
+			meters[w] = st.preds[j].meter
 		}
+		o.sampled = make(map[int]bool)
 		for _, s := range st.conjSamples {
 			for row, outs := range s.Results {
-				for j, v := range outs {
-					known[j][row] = v
-				}
+				o.sampled[row] = !slices.Contains(outs, false)
 			}
 		}
 	}
-	runner, err := core.NewConjWaveRunner(order, known, st.meters(), e.parallelism())
-	if err != nil {
-		return nil, err
+	o.waves.Meters = meters
+	return nil
+}
+
+// evalBatch pushes one pulled batch through the waves and returns its
+// survivors in batch order (valid until the next call) and how many of its
+// rows had to be retrieved: all of them but those the joint sample decided.
+func (o *evalOp) evalBatch(ctx context.Context, rows []int) ([]int, int, error) {
+	if o.sampled == nil {
+		out, err := o.waves.Run(ctx, rows, nil)
+		return out, len(rows), err
 	}
-	return runner.Run, nil
+	every := core.Span{To: int32(len(o.waves.Meters))}
+	o.rows, o.need = o.rows[:0], o.need[:0]
+	retrieved := 0
+	for _, row := range rows {
+		pass, ok := o.sampled[row]
+		switch {
+		case !ok:
+			retrieved++
+			o.rows, o.need = append(o.rows, row), append(o.need, every)
+		case pass:
+			o.rows, o.need = append(o.rows, row), append(o.need, core.Span{})
+		}
+	}
+	out, err := o.waves.Run(ctx, o.rows, o.need)
+	return out, retrieved, err
 }
 
 // meters lists the predicates' meters in query order.

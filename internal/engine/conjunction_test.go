@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/table"
 )
 
@@ -193,6 +195,119 @@ func TestNaryGreedyOrderingSaves(t *testing.T) {
 	if greedy.Stats.Evaluations >= exact.Stats.Evaluations {
 		t.Fatalf("greedy ordering saved nothing: %d vs query-order %d",
 			greedy.Stats.Evaluations, exact.Stats.Evaluations)
+	}
+}
+
+// TestGreedyWavesSampledRowsFree pins what greedy conj-waves owes the rows
+// of its joint sample: each is retrieved once (by the sample, never again by
+// the waves) and evaluated once per predicate (by the sample, never again
+// by a wave), while every other row is retrieved once and meets the first
+// wave. The cross-query cache is off so every evaluation reaches a body.
+func TestGreedyWavesSampledRowsFree(t *testing.T) {
+	const n = 3000
+	for _, groupOn := range []string{"", "grade"} {
+		for _, par := range []int{1, 8} {
+			e, truth, _ := newTestEngine(t, n)
+			e.Parallelism, e.CacheUDFResults = par, false
+			perRow := map[string][]atomic.Int32{}
+			for name, pass := range map[string]func(int64) bool{
+				"good_credit2": func(id int64) bool { return truth[id] },
+				"div3":         func(id int64) bool { return id%3 == 0 },
+				"div5":         func(id int64) bool { return id%5 == 0 },
+			} {
+				counts := make([]atomic.Int32, n)
+				perRow[name] = counts
+				if err := e.RegisterUDF(UDF{Name: name, Body: pure(func(v table.Value) bool {
+					counts[v.(int64)].Add(1)
+					return pass(v.(int64))
+				})}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			q := naryQuery(true, groupOn)
+			q.Predicates[0].UDFName = "good_credit2"
+			res, err := e.ExecuteContext(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := naryTruth(truth, n); !reflect.DeepEqual(res.Rows, want) {
+				t.Fatalf("groupOn=%q par=%d: %d rows, want %d", groupOn, par, len(res.Rows), len(want))
+			}
+			s := res.Stats
+			if s.Sampled == 0 || s.Sampled >= n {
+				t.Fatalf("groupOn=%q par=%d: sampled %d of %d rows; the test needs a proper joint sample", groupOn, par, s.Sampled, n)
+			}
+			if want := s.Sampled + (n - s.Sampled); s.Retrievals != want {
+				t.Fatalf("groupOn=%q par=%d: retrievals = %d, want %d sampled + %d unsampled",
+					groupOn, par, s.Retrievals, s.Sampled, n-s.Sampled)
+			}
+			// Each predicate's calls are its sampled rows plus its wave's
+			// unsampled rows, with no row twice: the first wave alone meets
+			// every row, and the sampled rows meet all three predicates.
+			total, full, allThree := 0, 0, 0
+			for name, counts := range perRow {
+				calls := 0
+				for row := range counts {
+					c := int(counts[row].Load())
+					if c > 1 {
+						t.Fatalf("groupOn=%q par=%d: %s evaluated row %d %d times", groupOn, par, name, row, c)
+					}
+					calls += c
+				}
+				total += calls
+				if calls == n {
+					full++
+				}
+			}
+			for row := 0; row < n; row++ {
+				if perRow["good_credit2"][row].Load()+perRow["div3"][row].Load()+perRow["div5"][row].Load() == 3 {
+					allThree++
+				}
+			}
+			if total != s.Evaluations || full != 1 || allThree < s.Sampled {
+				t.Fatalf("groupOn=%q par=%d: %d body calls (stats %d), %d predicates met every row (want 1), %d rows met all three (want >= %d sampled)",
+					groupOn, par, total, s.Evaluations, full, allThree, s.Sampled)
+			}
+		}
+	}
+}
+
+// TestEvalBatchResolvesSampledRows pins the greedy terminal's per-batch
+// bookkeeping: a jointly sampled row that passed every predicate is emitted
+// unevaluated, one that failed is dropped unevaluated, neither counts as
+// retrieved, and every other row runs the waves.
+func TestEvalBatchResolvesSampledRows(t *testing.T) {
+	var seen [2][]int
+	meter := func(w int, pass func(int) bool) *core.Meter {
+		return core.NewMeter(core.UDFFunc(func(row int) bool {
+			seen[w] = append(seen[w], row)
+			return pass(row)
+		}))
+	}
+	o := &evalOp{
+		waves:   core.Waves{Pool: exec.NewPool(1)},
+		sampled: map[int]bool{1: true, 2: false, 5: true},
+	}
+	for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch
+		// Fresh meters: a meter remembers the outcomes it evaluated.
+		o.waves.Meters = []*core.Meter{
+			meter(0, func(row int) bool { return row != 3 }),
+			meter(1, func(int) bool { return true }),
+		}
+		seen = [2][]int{}
+		out, retrieved, err := o.evalBatch(context.Background(), []int{0, 1, 2, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 4, 5}; !reflect.DeepEqual(out, want) {
+			t.Fatalf("pass %d: survivors %v, want %v", pass, out, want)
+		}
+		if retrieved != 3 {
+			t.Fatalf("pass %d: retrieved %d, want 3 (rows 0, 3, 4)", pass, retrieved)
+		}
+		if want := [2][]int{{0, 3, 4}, {0, 4}}; !reflect.DeepEqual(seen, want) {
+			t.Fatalf("pass %d: waves evaluated %v, want %v", pass, seen, want)
+		}
 	}
 }
 

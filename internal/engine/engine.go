@@ -312,17 +312,7 @@ func groupsFromColumn(col table.Column, subset []int, maxGroups int) ([]core.Gro
 	if !ok {
 		return nil, false
 	}
-	return coreGroups(parts), true
-}
-
-// coreGroups hands a table partition to the optimizer (core must not import
-// table, so the one group struct is declared in both).
-func coreGroups(parts []table.Group) []core.Group {
-	groups := make([]core.Group, len(parts))
-	for i, p := range parts {
-		groups[i] = core.Group(p)
-	}
-	return groups
+	return parts, true
 }
 
 // candidateColumns partitions the statement's row universe by every column
@@ -400,11 +390,10 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("engine: training virtual column: %w", err)
 	}
-	groups := coreGroups(parts)
-	if len(groups) < 2 {
-		return nil, "", nil, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(groups))
+	if len(parts) < 2 {
+		return nil, "", nil, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(parts))
 	}
-	return groups, VirtualColumn, labeled, nil
+	return parts, VirtualColumn, labeled, nil
 }
 
 // projection validates the requested columns and returns their indices in

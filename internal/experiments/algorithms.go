@@ -136,12 +136,9 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	parts, err := ml.VirtualGroups(func(row int) []float64 { return features[row] }, rows, labeled, 10)
+	in.Groups, err = ml.VirtualGroups(func(row int) []float64 { return features[row] }, rows, labeled, 10)
 	if err != nil {
 		return AlgoOutcome{}, err
-	}
-	for _, p := range parts {
-		in.Groups = append(in.Groups, core.Group(p))
 	}
 	run, err := Lab(ctx, in, labeled, TwoThirdPower(num), rng)
 	return score(d, cons, run, err)
