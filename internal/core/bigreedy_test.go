@@ -150,7 +150,8 @@ func TestPlanDegenerateInputs(t *testing.T) {
 
 // TestPlanSatisfiesConstraintsEmpirically is the core correctness check:
 // run the planned strategy many times against a synthetic ground truth and
-// verify the precision/recall constraints hold in at least ~ρ of runs.
+// decide, by stats.ContractHolds, that precision and recall each hold in at
+// least ρ of runs.
 func TestPlanSatisfiesConstraintsEmpirically(t *testing.T) {
 	rng := stats.NewRNG(2024)
 	groups, labels, truth := syntheticGroups(rng, []int{1000, 1000, 1000}, []float64{0.9, 0.5, 0.1})
@@ -166,7 +167,7 @@ func TestPlanSatisfiesConstraintsEmpirically(t *testing.T) {
 			totalCorrect++
 		}
 	}
-	const runs = 200
+	const runs = 420
 	okP, okR := 0, 0
 	for i := 0; i < runs; i++ {
 		exec, err := ExecuteParallelCtx(context.Background(), groups, s, nil, NewMeter(UDFFunc(truth)), DefaultCost, rng.Split(), 1)
@@ -182,13 +183,9 @@ func TestPlanSatisfiesConstraintsEmpirically(t *testing.T) {
 			okR++
 		}
 	}
-	// The Hoeffding margins are conservative, so the satisfaction rate
-	// should comfortably exceed ρ; allow a small sampling slack.
-	if frac := float64(okP) / runs; frac < cons.Rho-0.05 {
-		t.Fatalf("precision satisfied in only %v of runs (ρ=%v)", frac, cons.Rho)
-	}
-	if frac := float64(okR) / runs; frac < cons.Rho-0.05 {
-		t.Fatalf("recall satisfied in only %v of runs (ρ=%v)", frac, cons.Rho)
+	if !stats.ContractHolds(okP, runs, cons.Rho, stats.ContractSignificance) ||
+		!stats.ContractHolds(okR, runs, cons.Rho, stats.ContractSignificance) {
+		t.Fatalf("precision met in %d, recall in %d of %d runs (ρ=%v)", okP, okR, runs, cons.Rho)
 	}
 }
 

@@ -71,11 +71,15 @@ func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) 
 }
 
 // TwoPredGroup describes one group for a conjunction of two expensive
-// predicates f1 AND f2, with independent per-tuple selectivities.
+// predicates f1 AND f2 by its joint cells: the per-tuple probabilities that
+// both hold, that only f1 holds and that only f2 holds (neither holding is
+// the remainder). The cells carry whatever correlation the two predicates
+// have within the group; nothing assumes they are independent.
 type TwoPredGroup struct {
-	Size int
-	Sel1 float64 // P(f1 = 1) per tuple
-	Sel2 float64 // P(f2 = 1) per tuple
+	Size  int
+	Both  float64 // P(f1 ∧ f2) per tuple
+	Only1 float64 // P(f1 ∧ ¬f2)
+	Only2 float64 // P(¬f1 ∧ f2)
 }
 
 // TwoPredAction is the per-group decision for two predicates. A predicate
@@ -113,20 +117,18 @@ func (a TwoPredAction) String() string {
 // (cost, expected correct output, expected incorrect output).
 // A tuple is correct iff both predicates hold.
 func twoPredStats(g TwoPredGroup, a TwoPredAction, cost CostModel) (c, correct, wrong float64) {
-	p1, p2 := g.Sel1, g.Sel2
-	both := p1 * p2
 	switch a {
 	case TPDiscard:
 		return 0, 0, 0
 	case TPAssumeBoth:
-		return cost.Retrieve, both, 1 - both
+		return cost.Retrieve, g.Both, 1 - g.Both
 	case TPEval1Assume2:
 		// Output iff f1 passes; incorrect when f1 passes but f2 fails.
-		return cost.Retrieve + cost.Evaluate, both, p1 * (1 - p2)
+		return cost.Retrieve + cost.Evaluate, g.Both, g.Only1
 	case TPAssume1Eval2:
-		return cost.Retrieve + cost.Evaluate, both, (1 - p1) * p2
+		return cost.Retrieve + cost.Evaluate, g.Both, g.Only2
 	default: // TPEvalBoth: f2 evaluated only on f1 survivors.
-		return cost.Retrieve + cost.Evaluate*(1+p1), both, 0
+		return cost.Retrieve + cost.Evaluate*(1+g.Both+g.Only1), g.Both, 0
 	}
 }
 
@@ -152,7 +154,7 @@ func PlanTwoPredicates(groups []TwoPredGroup, cons Constraints, cost CostModel) 
 	totalCorrect := 0.0
 	for i, g := range groups {
 		t := float64(g.Size)
-		totalCorrect += t * g.Sel1 * g.Sel2
+		totalCorrect += t * g.Both
 		costs[i] = make([]float64, len(actions))
 		recalls[i] = make([]float64, len(actions))
 		precs[i] = make([]float64, len(actions))

@@ -61,7 +61,7 @@ func bruteForceTwoPred(groups []TwoPredGroup, cons Constraints, cost CostModel) 
 	n := len(groups)
 	totalCorrect := 0.0
 	for _, g := range groups {
-		totalCorrect += float64(g.Size) * g.Sel1 * g.Sel2
+		totalCorrect += float64(g.Size) * g.Both
 	}
 	gamma := cons.Beta * totalCorrect
 	best := math.Inf(1)
@@ -92,16 +92,35 @@ func bruteForceTwoPred(groups []TwoPredGroup, cons Constraints, cost CostModel) 
 	return best
 }
 
+// randomCells draws a group's joint cells uniformly from the simplex, so
+// almost every draw is far from the product of its marginals.
+func randomCells(r *stats.RNG, size int) TwoPredGroup {
+	var w [4]float64
+	sum := 0.0
+	for i := range w {
+		w[i] = r.Gamma(1)
+		sum += w[i]
+	}
+	return TwoPredGroup{Size: size, Both: w[0] / sum, Only1: w[1] / sum, Only2: w[2] / sum}
+}
+
+// independentCells is the group whose predicates are independent with
+// the given marginals.
+func independentCells(size int, p1, p2 float64) TwoPredGroup {
+	return TwoPredGroup{Size: size, Both: p1 * p2, Only1: p1 * (1 - p2), Only2: (1 - p1) * p2}
+}
+
 func TestPlanTwoPredicatesMatchesBruteForce(t *testing.T) {
 	r := stats.NewRNG(801)
+	correlated := 0
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + r.IntN(4)
 		groups := make([]TwoPredGroup, n)
 		for i := range groups {
-			groups[i] = TwoPredGroup{
-				Size: 50 + r.IntN(500),
-				Sel1: r.Float64(),
-				Sel2: r.Float64(),
+			groups[i] = randomCells(r, 50+r.IntN(500))
+			g := groups[i]
+			if p1, p2 := g.Both+g.Only1, g.Both+g.Only2; math.Abs(g.Both-p1*p2) > 0.05 {
+				correlated++
 			}
 		}
 		cons := Constraints{Alpha: 0.4 + 0.5*r.Float64(), Beta: 0.4 + 0.5*r.Float64(), Rho: 0.8}
@@ -114,14 +133,17 @@ func TestPlanTwoPredicatesMatchesBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: cost %v want %v (acts %v)", trial, got, want, acts)
 		}
 	}
+	if correlated < 10 {
+		t.Fatalf("only %d drawn groups are far from independent", correlated)
+	}
 }
 
 func TestPlanTwoPredicatesSkipsSecondUDF(t *testing.T) {
 	// A group very unlikely to pass predicate 1 should not pay for
 	// evaluating predicate 2 (the paper's motivating observation).
 	groups := []TwoPredGroup{
-		{Size: 1000, Sel1: 0.95, Sel2: 0.95}, // passes both: assume or cheap
-		{Size: 1000, Sel1: 0.02, Sel2: 0.9},  // fails pred 1: discard
+		independentCells(1000, 0.95, 0.95), // passes both: assume or cheap
+		independentCells(1000, 0.02, 0.9),  // fails pred 1: discard
 	}
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
 	acts, _, err := PlanTwoPredicates(groups, cons, DefaultCost)
@@ -151,7 +173,7 @@ func TestTwoPredActionString(t *testing.T) {
 func TestTwoPredStatsEvalBothNeverWrong(t *testing.T) {
 	r := stats.NewRNG(803)
 	for trial := 0; trial < 100; trial++ {
-		g := TwoPredGroup{Size: 100, Sel1: r.Float64(), Sel2: r.Float64()}
+		g := randomCells(r, 100)
 		_, _, wrong := twoPredStats(g, TPEvalBoth, DefaultCost)
 		if wrong != 0 {
 			t.Fatalf("eval-both produced wrong mass %v", wrong)

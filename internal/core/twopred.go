@@ -103,8 +103,10 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 }
 
 // PlanTwoPredicatesFromSamples is the §5 planning step between joint
-// sampling and execution: per-group Beta-posterior selectivities from the
-// joint samples (the N=2 output of SampleConjunctionParallelCtx), then
+// sampling and execution: per-group joint cells from the joint samples (the
+// N=2 output of SampleConjunctionParallelCtx), each the mean of one uniform
+// Dirichlet posterior over the four outcomes — (k+1)/(f+4) for k of f
+// sampled rows, with k read from PosAll and Pos[j] − PosAll — then
 // PlanTwoPredicates under constraints tightened by Hoeffding margins, so the
 // expectation-level plan carries a probabilistic guarantee. It always
 // returns one action per group: when the margins push the tightened problem
@@ -113,29 +115,26 @@ func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts [
 func PlanTwoPredicatesFromSamples(groups []Group, samples []ConjSample, cons Constraints, cost CostModel) []TwoPredAction {
 	infos := make([]TwoPredGroup, len(groups))
 	total := 0
+	expCorrect := 0.0
 	for i, g := range groups {
 		s := samples[i]
-		f := len(s.Results)
+		f := float64(len(s.Results) + 4)
 		total += len(g.Rows)
 		infos[i] = TwoPredGroup{
-			Size: len(g.Rows),
-			Sel1: stats.NewBetaPosterior(s.Pos[0], f-s.Pos[0]).Mean(),
-			Sel2: stats.NewBetaPosterior(s.Pos[1], f-s.Pos[1]).Mean(),
+			Size:  len(g.Rows),
+			Both:  float64(s.PosAll+1) / f,
+			Only1: float64(s.Pos[0]-s.PosAll+1) / f,
+			Only2: float64(s.Pos[1]-s.PosAll+1) / f,
 		}
+		expCorrect += float64(len(g.Rows)) * infos[i].Both
 	}
 	// Shift α and β by the relative Hoeffding deviations so the realized
 	// precision/recall concentrate above the user's bounds.
 	tight := cons
-	n := float64(total)
-	if n > 0 {
-		expCorrect := 0.0
-		for _, g := range infos {
-			expCorrect += float64(g.Size) * g.Sel1 * g.Sel2
-		}
-		if expCorrect > 1 {
-			tight.Beta = stats.Clamp01(cons.Beta + stats.RecallMargin(n, cons.Beta, cons.Rho)/expCorrect)
-			tight.Alpha = stats.Clamp01(cons.Alpha + stats.PrecisionMargin(n, cons.Rho)/expCorrect)
-		}
+	if expCorrect > 1 {
+		n := float64(total)
+		tight.Beta = stats.Clamp01(cons.Beta + stats.RecallMargin(n, cons.Beta, cons.Rho)/expCorrect)
+		tight.Alpha = stats.Clamp01(cons.Alpha + stats.PrecisionMargin(n, cons.Rho)/expCorrect)
 	}
 	acts, _, err := PlanTwoPredicates(infos, tight, cost)
 	if err != nil {

@@ -9,9 +9,12 @@ import (
 	"repro/internal/stats"
 )
 
-// twoPredWorld builds groups with independent per-group selectivities for
-// two predicates.
-func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64) ([]Group, []bool, []bool) {
+// twoPredWorld draws labels for f1 and f2 per group from independent
+// Bernoullis with the given selectivities; then, on a random |share| of
+// rows, f2 copies f1 (share > 0) or its negation (share < 0), which
+// correlates the two predicates within every group. Share 0 draws nothing
+// more.
+func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64, share float64) ([]Group, []bool, []bool) {
 	total := 0
 	for _, s := range sizes {
 		total += s
@@ -26,6 +29,9 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64) ([]Group, [
 			rows[k] = row
 			l1[row] = rng.Bernoulli(sel1[gi])
 			l2[row] = rng.Bernoulli(sel2[gi])
+			if rng.Bernoulli(math.Abs(share)) {
+				l2[row] = l1[row] == (share > 0)
+			}
 			row++
 		}
 		groups[gi] = Group{Key: string(rune('A' + gi)), Rows: rows}
@@ -59,7 +65,7 @@ func defaultTargets(groups []Group, cons Constraints) []int {
 // sampler at N=2, whose per-group counts feed the five-action planner.
 func TestSampleTwoPredicates(t *testing.T) {
 	rng := stats.NewRNG(1101)
-	groups, l1, l2 := twoPredWorld(rng, []int{500, 500}, []float64{0.9, 0.2}, []float64{0.7, 0.7})
+	groups, l1, l2 := twoPredWorld(rng, []int{500, 500}, []float64{0.9, 0.2}, []float64{0.7, 0.7}, 0)
 	udfs := []UDF{
 		UDFFunc(func(r int) bool { return l1[r] }),
 		UDFFunc(func(r int) bool { return l2[r] }),
@@ -97,7 +103,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 // selectivity counts, and from the pipeline's output.
 func TestJointSampleDropsFailedRows(t *testing.T) {
 	rng := stats.NewRNG(1113)
-	groups, l1, l2 := twoPredWorld(rng, []int{600, 600}, []float64{0.8, 0.3}, []float64{0.7, 0.6})
+	groups, l1, l2 := twoPredWorld(rng, []int{600, 600}, []float64{0.8, 0.3}, []float64{0.7, 0.6}, 0)
 	fails1 := func(r int) bool { return r%7 == 0 }
 	fails2 := func(r int) bool { return r%11 == 0 }
 	meter := func(labels []bool, fails func(int) bool) *Meter {
@@ -158,7 +164,7 @@ func TestJointSampleDropsFailedRows(t *testing.T) {
 
 func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 	rng := stats.NewRNG(1103)
-	groups, l1, l2 := twoPredWorld(rng, []int{200}, []float64{0.5}, []float64{0.5})
+	groups, l1, l2 := twoPredWorld(rng, []int{200}, []float64{0.5}, []float64{0.5}, 0)
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
 
@@ -206,7 +212,7 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 
 func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	rng := stats.NewRNG(1105)
-	groups, l1, l2 := twoPredWorld(rng, []int{100}, []float64{0.5}, []float64{0.5})
+	groups, l1, l2 := twoPredWorld(rng, []int{100}, []float64{0.5}, []float64{0.5}, 0)
 	calls1, calls2 := 0, 0
 	u1 := UDFFunc(func(r int) bool { calls1++; return l1[r] })
 	u2 := UDFFunc(func(r int) bool { calls2++; return l2[r] })
@@ -238,7 +244,7 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 
 func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	rng := stats.NewRNG(1107)
-	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5})
+	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5}, 0)
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
 	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {

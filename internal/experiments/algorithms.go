@@ -26,12 +26,13 @@ type AlgoOutcome struct {
 	SatisfiedR  bool
 }
 
-// score rates a run against the dataset's ground truth.
-func score(d *dataset.Dataset, cons core.Constraints, run Run, err error) (AlgoOutcome, error) {
+// score rates a run against ground truth: truth(row), of which total rows
+// are correct.
+func score(truth func(int) bool, total int, cons core.Constraints, run Run, err error) (AlgoOutcome, error) {
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	m := core.ComputeMetrics(run.Rows, d.Truth(), d.TotalCorrect())
+	m := core.ComputeMetrics(run.Rows, truth, total)
 	pOK, rOK := m.Satisfies(cons)
 	return AlgoOutcome{
 		Evaluations: run.Evaluations,
@@ -49,7 +50,13 @@ func score(d *dataset.Dataset, cons core.Constraints, run Run, err error) (AlgoO
 // fresh engine.
 func runIntel(ctx context.Context, d *dataset.Dataset, cons core.Constraints, groupOn string, seed uint64) (AlgoOutcome, error) {
 	run, err := RunEngine(ctx, seed, d.Table, cons, groupOn, Predicate{Name: "truth", Truth: d.Truth()})
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
+}
+
+// predictorWorld is the dataset as a Sweep world: its table, grouped on its
+// designated predictor, with the hidden label as the one predicate.
+func predictorWorld(d *dataset.Dataset) World {
+	return World{Table: d.Table, GroupOn: d.Spec.Predictor, Preds: []Predicate{{Name: "truth", Truth: d.Truth()}}}
 }
 
 // instance hands the dataset, grouped on its designated predictor, to the
@@ -69,7 +76,7 @@ func runLab(ctx context.Context, d *dataset.Dataset, cons core.Constraints, draw
 		return AlgoOutcome{}, err
 	}
 	run, err := Lab(ctx, in, nil, draw, rng)
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
 // runOptimal runs the perfect-selectivity reference ("Optimal").
@@ -79,7 +86,7 @@ func runOptimal(ctx context.Context, d *dataset.Dataset, cons core.Constraints, 
 		return AlgoOutcome{}, err
 	}
 	run, err := RunPerfectSelectivities(ctx, in, d.Truth(), rng)
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
 // runNaive runs the Naive baseline.
@@ -89,7 +96,7 @@ func runNaive(d *dataset.Dataset, cons core.Constraints, rng *stats.RNG) (AlgoOu
 		return AlgoOutcome{}, err
 	}
 	run, err := RunNaive(in, rng)
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
 // mlFeatures encodes the dataset's feature columns for the ML baselines and
@@ -118,7 +125,7 @@ func runML(d *dataset.Dataset, cons core.Constraints, features [][]float64, rng 
 	clf := &SelfTraining{Rounds: 1, Model: ml.LogisticRegression{Epochs: 60}}
 	opts := MLBaselineOptions{InitialFraction: 0.02, GrowthFactor: 1.6}
 	run, err := runMLBaseline(in, features, clf, d.Truth(), rng, opts, multiple)
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
 // runIntelVirtual runs Intel-Sample over the logistic-regression virtual
@@ -141,40 +148,18 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 		return AlgoOutcome{}, err
 	}
 	run, err := Lab(ctx, in, labeled, TwoThirdPower(num), rng)
-	return score(d, cons, run, err)
+	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
 // average aggregates outcomes.
 type average struct {
-	evals, retrievals, cost stats.Welford
-	precOK, recallOK        int
-	n                       int
+	evals, retrievals stats.Welford
 }
 
 func (a *average) add(o AlgoOutcome) {
 	a.evals.Add(float64(o.Evaluations))
 	a.retrievals.Add(float64(o.Retrievals))
-	a.cost.Add(o.Cost)
-	if o.SatisfiedP {
-		a.precOK++
-	}
-	if o.SatisfiedR {
-		a.recallOK++
-	}
-	a.n++
 }
 
 func (a *average) meanEvals() float64      { return a.evals.Mean() }
 func (a *average) meanRetrievals() float64 { return a.retrievals.Mean() }
-func (a *average) precRate() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return float64(a.precOK) / float64(a.n)
-}
-func (a *average) recallRate() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return float64(a.recallOK) / float64(a.n)
-}

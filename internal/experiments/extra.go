@@ -290,39 +290,32 @@ func (m *MarginAblationResult) String() string {
 func runMarginAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(30)
 	res := &MarginAblationResult{}
+	meanCost := func(t Tally) float64 {
+		var w stats.Welford
+		for _, o := range t.Statements {
+			w.Add(o.Cost)
+		}
+		return w.Mean()
+	}
 	for _, name := range DatasetNames() {
 		d, err := r.Dataset(name)
 		if err != nil {
 			return nil, err
 		}
-		rng := r.rng(hash("marginabl" + name))
-		with := core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: r.cfg.Rho}
-		without := core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: 0.01}
-		var aggWith, aggWithout average
-		var bothWith, bothWithout int
-		for i := 0; i < iters; i++ {
-			o, err := runIntel(ctx, d, with, d.Spec.Predictor, rng.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			aggWith.add(o)
-			if o.SatisfiedP && o.SatisfiedR {
-				bothWith++
-			}
-			o, err = runIntel(ctx, d, without, d.Spec.Predictor, rng.Uint64())
-			if err != nil {
-				return nil, err
-			}
-			aggWithout.add(o)
-			if o.SatisfiedP && o.SatisfiedR {
-				bothWithout++
-			}
+		rng, w := r.rng(hash("marginabl"+name)), predictorWorld(d)
+		with, err := Sweep(ctx, w, r.cons(), iters, rng)
+		if err != nil {
+			return nil, err
+		}
+		without, err := Sweep(ctx, w, core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: 0.01}, iters, rng)
+		if err != nil {
+			return nil, err
 		}
 		res.Datasets = append(res.Datasets, name)
-		res.WithCost = append(res.WithCost, aggWith.cost.Mean())
-		res.WithoutCost = append(res.WithoutCost, aggWithout.cost.Mean())
-		res.WithBothOK = append(res.WithBothOK, float64(bothWith)/float64(iters))
-		res.WithoutBothO = append(res.WithoutBothO, float64(bothWithout)/float64(iters))
+		res.WithCost = append(res.WithCost, meanCost(with))
+		res.WithoutCost = append(res.WithoutCost, meanCost(without))
+		res.WithBothOK = append(res.WithBothOK, float64(with.Met)/float64(iters))
+		res.WithoutBothO = append(res.WithoutBothO, float64(without.Met)/float64(iters))
 	}
 	return res, nil
 }

@@ -177,15 +177,16 @@ func runFig1c(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 
 // ------------------------------------------------------------- fig2a/fig2b
 
-// AccuracyResult is Figures 2(a)/2(b): per dataset, the fraction of runs
-// whose precision (or recall) constraint was satisfied, per ρ value.
+// AccuracyResult is Figures 2(a)/2(b): per dataset and ρ, one Sweep of
+// statements, and the fraction of them whose precision (2a) or recall (2b)
+// constraint was satisfied. Both figures count the same statements.
 type AccuracyResult struct {
 	Title  string
-	Metric string // "precision" or "recall"
+	Metric string // "precision" or "recall": the count String renders
 	Rhos   []float64
 	Series []string
-	// Rate[s][r] is the satisfaction rate of series s at Rhos[r].
-	Rate [][]float64
+	// Tallies[s][r] is series s's Sweep at Rhos[r].
+	Tallies [][]Tally
 }
 
 func (a *AccuracyResult) String() string {
@@ -193,58 +194,39 @@ func (a *AccuracyResult) String() string {
 	rows := make([][]string, len(a.Rhos))
 	for i := range a.Rhos {
 		row := []string{f2(a.Rhos[i])}
-		for _, series := range a.Rate {
-			row = append(row, f2(series[i]))
+		for _, series := range a.Tallies {
+			met := series[i].MetR
+			if a.Metric == "precision" {
+				met = series[i].MetP
+			}
+			row = append(row, f2(float64(met)/float64(len(series[i].Statements))))
 		}
 		rows[i] = row
 	}
 	return textTable(header, rows)
 }
 
-// MinRate returns the worst satisfaction-rate margin over all series and
-// ρ values: min over cells of (rate − ρ). Nonnegative means the guarantee
-// held everywhere.
-func (a *AccuracyResult) MinRate() float64 {
-	worst := 1.0
-	for _, series := range a.Rate {
-		for i, rate := range series {
-			if m := rate - a.Rhos[i]; m < worst {
-				worst = m
-			}
-		}
-	}
-	return worst
-}
+// fig2Rhos are Figure 2's x axis.
+var fig2Rhos = []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95}
 
 func runAccuracy(ctx context.Context, r *Runner, metric string) (fmt.Stringer, error) {
 	iters := r.iters(100)
-	rhos := []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95}
-	res := &AccuracyResult{Title: "Figure 2(a/b)", Metric: metric, Rhos: rhos}
+	res := &AccuracyResult{Title: "Figure 2(a/b)", Metric: metric, Rhos: fig2Rhos}
 	for _, name := range DatasetNames() {
 		d, err := r.Dataset(name)
 		if err != nil {
 			return nil, err
 		}
-		rng := r.rng(hash("fig2" + metric + name))
-		rates := make([]float64, len(rhos))
-		for ri, rho := range rhos {
+		rng := r.rng(hash("fig2" + name))
+		tallies := make([]Tally, len(fig2Rhos))
+		for ri, rho := range fig2Rhos {
 			cons := core.Constraints{Alpha: r.cfg.Alpha, Beta: r.cfg.Beta, Rho: rho}
-			var agg average
-			for i := 0; i < iters; i++ {
-				o, err := runIntel(ctx, d, cons, d.Spec.Predictor, rng.Uint64())
-				if err != nil {
-					return nil, err
-				}
-				agg.add(o)
-			}
-			if metric == "precision" {
-				rates[ri] = agg.precRate()
-			} else {
-				rates[ri] = agg.recallRate()
+			if tallies[ri], err = Sweep(ctx, predictorWorld(d), cons, iters, rng); err != nil {
+				return nil, err
 			}
 		}
 		res.Series = append(res.Series, name)
-		res.Rate = append(res.Rate, rates)
+		res.Tallies = append(res.Tallies, tallies)
 	}
 	return res, nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/plan"
+	"repro/internal/stats"
 	"repro/internal/table"
 )
 
@@ -14,8 +15,11 @@ import (
 // that uses the shipped settings (table2, fig1a, fig1b's Intel-Sample row,
 // fig2a/b, columns, ablation-margin, ext-twopred) issues a statement to
 // internal/engine — the pipeline a user runs — and scores the rows and
-// Stats that come back against ground truth. What the engine cannot vary
-// without a new knob, the sampling allocator, is lab.go's subject.
+// Stats that come back against ground truth. Sweep is the one loop that
+// checks the (α, β, ρ) contract: many statements against one world, each
+// scored, counted and decided by stats.ContractHolds. What the engine
+// cannot vary without a new knob, the sampling allocator, is lab.go's
+// subject.
 
 // Predicate is ground truth registered with the engine as an expensive UDF
 // over the table's id column (whose value is the row id).
@@ -63,6 +67,70 @@ func RunEngine(ctx context.Context, seed uint64, tbl *table.Table, cons core.Con
 	}
 	st := res.Stats
 	return Run{Rows: res.Rows, Evaluations: st.Evaluations, Retrievals: st.Retrievals, Sampled: st.Sampled, Cost: st.Cost}, nil
+}
+
+// World is what a Sweep runs statements against: a table whose id column
+// holds the row id, the column they group on and the predicates they AND.
+// The conjunction of the predicates' truths is the ground truth.
+type World struct {
+	Table   *table.Table
+	GroupOn string
+	Preds   []Predicate
+}
+
+// Tally is a Sweep's outcome: every statement scored against the world's
+// ground truth, and how many met precision, recall and both.
+type Tally struct {
+	Statements      []AlgoOutcome
+	MetP, MetR, Met int
+}
+
+// Holds decides the contract by stats.ContractHolds at
+// stats.ContractSignificance. Precision and recall are each promised with
+// probability ρ (core.Constraints), so each count is tested on its own.
+func (t Tally) Holds(rho float64) bool {
+	n := len(t.Statements)
+	return stats.ContractHolds(t.MetP, n, rho, stats.ContractSignificance) &&
+		stats.ContractHolds(t.MetR, n, rho, stats.ContractSignificance)
+}
+
+// Sweep runs n approximate statements through RunEngine against one world,
+// each on a fresh engine seeded by the next draw of rng, and scores each
+// against the world's ground truth.
+func Sweep(ctx context.Context, w World, cons core.Constraints, n int, rng *stats.RNG) (Tally, error) {
+	truth := func(row int) bool {
+		for _, p := range w.Preds {
+			if !p.Truth(row) {
+				return false
+			}
+		}
+		return true
+	}
+	total := 0
+	for row := 0; row < w.Table.NumRows(); row++ {
+		if truth(row) {
+			total++
+		}
+	}
+	t := Tally{Statements: make([]AlgoOutcome, n)}
+	for i := range t.Statements {
+		run, err := RunEngine(ctx, rng.Uint64(), w.Table, cons, w.GroupOn, w.Preds...)
+		o, err := score(truth, total, cons, run, err)
+		if err != nil {
+			return Tally{}, err
+		}
+		t.Statements[i] = o
+		if o.SatisfiedP {
+			t.MetP++
+		}
+		if o.SatisfiedR {
+			t.MetR++
+		}
+		if o.SatisfiedP && o.SatisfiedR {
+			t.Met++
+		}
+	}
+	return t, nil
 }
 
 // GroupTable loads a grouped synthetic world as the two-column table

@@ -20,7 +20,8 @@ type TwoPredResult struct {
 	EvalBothCost     float64
 	Precision        float64
 	Recall           float64
-	SatisfiedRate    float64
+	// Tally is the joint planner's Sweep over the world.
+	Tally Tally
 }
 
 func (t *TwoPredResult) String() string {
@@ -30,85 +31,64 @@ func (t *TwoPredResult) String() string {
 		{"exact eval-both", f0(t.EvalBothCost), "1.00", "1.00"},
 	}
 	return textTable([]string{"strategy", "cost", "precision", "recall"}, rows) +
-		fmt.Sprintf("constraints satisfied in %.0f%% of runs\n", 100*t.SatisfiedRate)
+		fmt.Sprintf("constraints satisfied in %.0f%% of runs\n", 100*float64(t.Tally.Met)/float64(len(t.Tally.Statements)))
 }
 
 func runTwoPred(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	iters := r.iters(20)
-	cons := r.cons()
 	rng := r.rng(hash("twopred"))
 
 	sizes := []int{3000, 3000, 3000, 3000}
 	sel1 := []float64{0.9, 0.55, 0.05, 0.35}
 	sel2 := []float64{0.95, 0.6, 0.3, 0.85}
 
-	var costAgg, precAgg, recAgg stats.Welford
-	satisfied := 0
-	var shortCircuit, evalBoth float64
-	for iter := 0; iter < iters; iter++ {
-		world := rng.Split()
-		total := 0
-		for _, s := range sizes {
-			total += s
+	world := rng.Split()
+	var l1, l2 []bool
+	groups := make([]core.Group, len(sizes))
+	for gi, size := range sizes {
+		rows := make([]int, size)
+		for k := range rows {
+			rows[k] = len(l1)
+			l1 = append(l1, world.Bernoulli(sel1[gi]))
+			l2 = append(l2, world.Bernoulli(sel2[gi]))
 		}
-		l1 := make([]bool, total)
-		l2 := make([]bool, total)
-		groups := make([]core.Group, len(sizes))
-		row := 0
-		for gi, size := range sizes {
-			rows := make([]int, size)
-			for k := 0; k < size; k++ {
-				rows[k] = row
-				l1[row] = world.Bernoulli(sel1[gi])
-				l2[row] = world.Bernoulli(sel2[gi])
-				row++
-			}
-			groups[gi] = core.Group{Key: fmt.Sprintf("g%d", gi), Rows: rows}
-		}
-		// The world becomes a two-column table with two UDFs, so §5 is
-		// measured through the engine's conj-sample → conj-solve →
-		// conj-exec stages.
-		tbl, err := GroupTable("world", groups)
-		if err != nil {
-			return nil, err
-		}
-		res, err := RunEngine(ctx, rng.Uint64(), tbl, cons, "g",
-			Predicate{Name: "f1", Truth: func(r int) bool { return l1[r] }},
-			Predicate{Name: "f2", Truth: func(r int) bool { return l2[r] }})
-		if err != nil {
-			return nil, err
-		}
-		truth := func(r int) bool { return l1[r] && l2[r] }
-		totalCorrect := 0
-		pass1 := 0
-		for i := range l1 {
-			if truth(i) {
-				totalCorrect++
-			}
-			if l1[i] {
-				pass1++
-			}
-		}
-		m := core.ComputeMetrics(res.Rows, truth, totalCorrect)
-		costAgg.Add(res.Cost)
-		precAgg.Add(m.Precision)
-		recAgg.Add(m.Recall)
-		pOK, rOK := m.Satisfies(cons)
-		if pOK && rOK {
-			satisfied++
-		}
-		// Exact references for this world.
-		n := float64(total)
-		shortCircuit = n*core.DefaultCost.Retrieve + (n+float64(pass1))*core.DefaultCost.Evaluate
-		evalBoth = n * (core.DefaultCost.Retrieve + 2*core.DefaultCost.Evaluate)
+		groups[gi] = core.Group{Key: fmt.Sprintf("g%d", gi), Rows: rows}
 	}
+	// The world becomes a two-column table with two UDFs, so §5 is
+	// measured through the engine's conj-sample → conj-solve → conj-exec
+	// stages.
+	tbl, err := GroupTable("world", groups)
+	if err != nil {
+		return nil, err
+	}
+	tally, err := Sweep(ctx, World{Table: tbl, GroupOn: "g", Preds: []Predicate{
+		{Name: "f1", Truth: func(r int) bool { return l1[r] }},
+		{Name: "f2", Truth: func(r int) bool { return l2[r] }},
+	}}, r.cons(), iters, rng)
+	if err != nil {
+		return nil, err
+	}
+	var costAgg, precAgg, recAgg stats.Welford
+	for _, o := range tally.Statements {
+		costAgg.Add(o.Cost)
+		precAgg.Add(o.Precision)
+		recAgg.Add(o.Recall)
+	}
+	// Exact references for this world.
+	pass1 := 0
+	for _, v := range l1 {
+		if v {
+			pass1++
+		}
+	}
+	n := float64(len(l1))
 	return &TwoPredResult{
 		PlannerCost:      costAgg.Mean(),
-		ShortCircuitCost: shortCircuit,
-		EvalBothCost:     evalBoth,
+		ShortCircuitCost: n*core.DefaultCost.Retrieve + (n+float64(pass1))*core.DefaultCost.Evaluate,
+		EvalBothCost:     n * (core.DefaultCost.Retrieve + 2*core.DefaultCost.Evaluate),
 		Precision:        precAgg.Mean(),
 		Recall:           recAgg.Mean(),
-		SatisfiedRate:    float64(satisfied) / float64(iters),
+		Tally:            tally,
 	}, nil
 }
 

@@ -134,6 +134,21 @@ func (d BinomialDist) CDF(k int) float64 {
 // Sample draws from the distribution using r.
 func (d BinomialDist) Sample(r *RNG) int { return r.Binomial(d.N, d.P) }
 
+// ContractSignificance is the false-alarm rate every in-tree contract
+// check runs ContractHolds at.
+const ContractSignificance = 1e-3
+
+// ContractHolds is the one rule by which an (α, β, ρ) check decides: of n
+// independent statements, met met a constraint the system promises to meet
+// with probability at least rho. The contract is refuted only when so few
+// would be seen with probability below significance were the true rate
+// exactly rho — the binomial lower tail P(Binomial(n, rho) ≤ met). Its false
+// alarm rate is at most significance; its power against a true rate q < rho
+// is P(Binomial(n, q) ≤ c) for the largest c it refutes.
+func ContractHolds(met, n int, rho, significance float64) bool {
+	return BinomialDist{N: n, P: rho}.CDF(met) >= significance
+}
+
 // NormalDist is the Normal(Mu, Sigma) distribution, used for tail checks in
 // tests and the large-n binomial approximation.
 type NormalDist struct {

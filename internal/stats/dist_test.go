@@ -105,6 +105,23 @@ func TestBinomialDegenerate(t *testing.T) {
 	}
 }
 
+// TestContractHoldsCriticalCounts pins the rule's critical counts at the
+// full-power grid's size: 810 statements at ρ = 0.9 refute the contract at
+// 701 met or fewer, which refutes a true rate of 0.85 nine times in ten.
+func TestContractHoldsCriticalCounts(t *testing.T) {
+	const n, rho, sig = 810, 0.9, ContractSignificance
+	if ContractHolds(701, n, rho, sig) || !ContractHolds(702, n, rho, sig) {
+		t.Fatal("critical count at n=810, ρ=0.9 is not 701")
+	}
+	if power := (BinomialDist{N: n, P: 0.85}).CDF(701); power < 0.90 {
+		t.Fatalf("power against 0.85 is %v, want ≥ 0.90", power)
+	}
+	// A clean sweep always holds; so does an empty one.
+	if !ContractHolds(n, n, 0.99, sig) || !ContractHolds(0, 0, 0.9, sig) {
+		t.Fatal("full or empty sweep refuted")
+	}
+}
+
 func TestBinomialCDFMonotone(t *testing.T) {
 	d := BinomialDist{N: 25, P: 0.45}
 	prev := -1.0
