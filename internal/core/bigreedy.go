@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -40,7 +41,7 @@ func PlanPerfectSelectivities(groups []GroupInfo, cons Constraints, cost CostMod
 	hp := stats.PrecisionMargin(n, cons.Rho)
 	hr := stats.RecallMargin(n, cons.Beta, cons.Rho)
 	recallTarget := cons.Beta*ExpectedCorrect(groups) + hr
-	return biGreedy(groups, cons.Alpha, recallTarget, hp, nil), nil
+	return biGreedy(groups, greedyOrder(groups, nil), cons.Alpha, recallTarget, hp, nil), nil
 }
 
 func validatePlanInput(groups []GroupInfo, cons Constraints, cost CostModel) error {
@@ -80,39 +81,32 @@ func (w weights) at(i int) float64 {
 // per-group weight (1 by default) and wᵢ = remaining size; precTarget is
 // the required value of the precision LHS
 // Σ cₐ·wᵢ·[sᵢ(1−α)Rᵢ − (1−sᵢ)α(Rᵢ−Eᵢ)].
-func biGreedy(groups []GroupInfo, alpha float64, recallTarget, precTarget float64, wt weights) Strategy {
+// order is greedyOrder(groups, wt).
+func biGreedy(groups []GroupInfo, order []int, alpha float64, recallTarget, precTarget float64, wt weights) Strategy {
 	s := NewStrategy(len(groups))
-
-	order := make([]int, len(groups))
-	for i := range order {
-		order[i] = i
-	}
-	// Recall phase ordering: by weighted selectivity, descending — the
-	// cheapest recall per unit retrieval cost first.
-	sort.SliceStable(order, func(x, y int) bool {
-		i, j := order[x], order[y]
-		return wt.at(i)*groups[i].Selectivity > wt.at(j)*groups[j].Selectivity
-	})
 
 	// Phase 1: raise R in decreasing selectivity order.
 	acc := 0.0
-	for _, i := range order {
-		if acc >= recallTarget {
-			break
+	for lo := 0; lo < len(order) && acc < recallTarget; {
+		hi := tieEnd(order, lo, groups, wt)
+		block := order[lo:hi]
+		lo = hi
+		gain := 0.0
+		for _, i := range block {
+			gain += wt.at(i) * float64(groups[i].Remaining()) * groups[i].Selectivity
 		}
-		g := groups[i]
-		gain := wt.at(i) * float64(g.Remaining()) * g.Selectivity
 		if gain <= 0 {
 			// Zero-selectivity or empty groups cannot add recall.
 			continue
 		}
-		if acc+gain <= recallTarget {
-			s.R[i] = 1
-			acc += gain
-		} else {
-			s.R[i] = (recallTarget - acc) / gain
-			acc = recallTarget
+		f := 1.0
+		if acc+gain > recallTarget {
+			f = (recallTarget - acc) / gain
 		}
+		for _, i := range block {
+			s.R[i] = f
+		}
+		acc = min(acc+gain, recallTarget)
 	}
 	if acc < recallTarget {
 		// Even retrieving everything with positive selectivity cannot meet
@@ -134,33 +128,26 @@ func biGreedy(groups []GroupInfo, alpha float64, recallTarget, precTarget float6
 	if lhs < precTarget {
 		// Ordering for evaluations: ascending weighted wrongness — the
 		// paper evaluates the most incorrect retrieved groups first.
-		evalOrder := make([]int, len(order))
-		copy(evalOrder, order)
-		sort.SliceStable(evalOrder, func(x, y int) bool {
-			i, j := evalOrder[x], evalOrder[y]
-			return wt.at(i)*groups[i].Selectivity < wt.at(j)*groups[j].Selectivity
-		})
+		evalOrder := slices.Clone(order)
+		slices.Reverse(evalOrder)
 		needed := precTarget - lhs
-		for _, i := range evalOrder {
-			if needed <= 0 {
-				break
+		for lo := 0; lo < len(evalOrder) && needed > 0; {
+			hi := tieEnd(evalOrder, lo, groups, wt)
+			block := evalOrder[lo:hi]
+			lo = hi
+			// cap is what raising E from 0 to R over the block adds.
+			cap := 0.0
+			for _, i := range block {
+				cap += wt.at(i) * float64(groups[i].Remaining()) * (1 - groups[i].Selectivity) * alpha * s.R[i]
 			}
-			g := groups[i]
-			if s.R[i] <= 0 {
+			if cap <= 0 {
 				continue
 			}
-			perUnit := wt.at(i) * float64(g.Remaining()) * (1 - g.Selectivity) * alpha
-			if perUnit <= 0 {
-				continue
+			f := min(needed/cap, 1)
+			for _, i := range block {
+				s.E[i] = f * s.R[i]
 			}
-			cap := perUnit * s.R[i] // raising E from 0 to R
-			if cap <= needed {
-				s.E[i] = s.R[i]
-				needed -= cap
-			} else {
-				s.E[i] = needed / perUnit
-				needed = 0
-			}
+			needed -= f * cap
 		}
 		if needed > 0 {
 			// Everything retrieved is evaluated: the output contains only
@@ -171,6 +158,36 @@ func biGreedy(groups []GroupInfo, alpha float64, recallTarget, precTarget float6
 	}
 	s.clamp()
 	return s
+}
+
+// greedyOrder is BIGREEDY-LP's visiting order: groups by weighted
+// selectivity, descending — the cheapest recall per unit retrieval cost
+// first. It depends on neither target, so a fixed point over the targets
+// sorts once.
+func greedyOrder(groups []GroupInfo, wt weights) []int {
+	order := make([]int, len(groups))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(x, y int) bool {
+		i, j := order[x], order[y]
+		return wt.at(i)*groups[i].Selectivity > wt.at(j)*groups[j].Selectivity
+	})
+	return order
+}
+
+// tieEnd returns the end of the run of equal weighted selectivity that
+// starts at order[lo]. Groups in one run are exchangeable to the planner,
+// so each greedy phase gives them one shared fraction: the plan then does
+// not depend on the order the groups are listed in (their keys), which an
+// ordered world could otherwise correlate with their true selectivities.
+func tieEnd(order []int, lo int, groups []GroupInfo, wt weights) int {
+	key := wt.at(order[lo]) * groups[order[lo]].Selectivity
+	hi := lo + 1
+	for hi < len(order) && wt.at(order[hi])*groups[order[hi]].Selectivity == key {
+		hi++
+	}
+	return hi
 }
 
 // perfectSelectivityLHS returns the precision and recall LHS values of

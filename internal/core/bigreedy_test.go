@@ -315,3 +315,41 @@ func TestMeterMemoizes(t *testing.T) {
 		t.Fatal("Known(99) should be unknown")
 	}
 }
+
+// TestPlanInvariantToGroupOrder: groups with equal posteriors are
+// exchangeable, so listing the groups in another order permutes the plan
+// and changes nothing else. (Filling tied groups in list order made the
+// plan depend on the group keys: in a world whose keys sort by true
+// selectivity, the retrieved ties were always the emptiest, and recall
+// missed β on 21 of 100 statements at ρ = 0.9.)
+func TestPlanInvariantToGroupOrder(t *testing.T) {
+	r := stats.NewRNG(43)
+	groups := make([]GroupInfo, 60)
+	for i := range groups {
+		// Three sampled tuples per group: only four posteriors exist.
+		groups[i] = GroupInfoFromSample(20, 3, r.IntN(4))
+	}
+	cons := Constraints{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
+	base, err := PlanWithSamples(groups, cons, DefaultCost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 5; trial++ {
+		perm := r.Perm(len(groups))
+		shuffled := make([]GroupInfo, len(groups))
+		for k, i := range perm {
+			shuffled[k] = groups[i]
+		}
+		s, err := PlanWithSamples(shuffled, cons, DefaultCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, i := range perm {
+			// Summation order moves the fixed point in the eighth digit.
+			if math.Abs(s.R[k]-base.R[i]) > 1e-6 || math.Abs(s.E[k]-base.E[i]) > 1e-6 {
+				t.Fatalf("group %d: (R, E) = (%v, %v) listed at %d, (%v, %v) in list order",
+					i, s.R[k], s.E[k], k, base.R[i], base.E[i])
+			}
+		}
+	}
+}

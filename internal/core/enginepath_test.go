@@ -164,6 +164,21 @@ func TestRunTwoPredicatesSatisfactionRate(t *testing.T) {
 	}
 }
 
+// gridN is the statements per cell of a contract grid: 100 in tier-1, or
+// CONTRACT_GRID_N (CI's full-power step sets 810).
+func gridN(t *testing.T) int {
+	t.Helper()
+	v := os.Getenv("CONTRACT_GRID_N")
+	if v == "" {
+		return 100
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		t.Fatalf("CONTRACT_GRID_N=%q", v)
+	}
+	return n
+}
+
 // TestContractGridTwoPredicates runs the §5 plan over worlds built to break
 // its old independence assumption: six groups of 1,000 rows, f1 falling and
 // f2 rising across them, and f2 copying f1 ("pos") or ¬f1 ("neg") on a
@@ -178,13 +193,7 @@ func TestRunTwoPredicatesSatisfactionRate(t *testing.T) {
 // which the rule refutes, and on 83 of tier-1's 100. Its counts are pinned
 // so the cell fails loudly once the margin is fixed.
 func TestContractGridTwoPredicates(t *testing.T) {
-	n := 100
-	if v := os.Getenv("CONTRACT_GRID_N"); v != "" {
-		var err error
-		if n, err = strconv.Atoi(v); err != nil || n <= 0 {
-			t.Fatalf("CONTRACT_GRID_N=%q", v)
-		}
-	}
+	n := gridN(t)
 	cons := core.Constraints{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
 	knownRecall := map[int]int{100: 83, 810: 683} // neg 0.6, by n
 	for _, cell := range []struct {
@@ -218,6 +227,68 @@ func TestContractGridTwoPredicates(t *testing.T) {
 		}
 		if n == 810 && stats.ContractHolds(tally.MetR, n, cons.Rho, stats.ContractSignificance) {
 			t.Errorf("neg 0.6: the known recall breach is no longer refuted (%d of %d)", tally.MetR, n)
+		}
+	}
+}
+
+// TestContractGridCalibration is the single-predicate ρ-calibration curve:
+// the §4 plan at α = β = 0.9 for ρ ∈ {0.5, 0.8, 0.9, 0.95} over four
+// worlds — three large groups, thirty mid-size groups with selectivities
+// spread over [0, 1], two hundred groups of twenty rows spread the same way
+// (three sampled rows each, so many groups share a posterior, and their keys
+// sort by true selectivity), and group sizes skewed from 8,000 down to 50.
+// Each cell is one Sweep decided by
+// stats.ContractHolds; the delivered rates and the cost against an exact
+// scan are logged, so a tighter margin shows as rates moving toward ρ from
+// above. Tier-1 runs 100 statements per cell, CI's full-power step 810.
+func TestContractGridCalibration(t *testing.T) {
+	n := gridN(t)
+	spread := func(k int) []float64 {
+		sel := make([]float64, k)
+		for i := range sel {
+			sel[i] = float64(i) / float64(k-1)
+		}
+		return sel
+	}
+	repeat := func(k, size int) []int {
+		sizes := make([]int, k)
+		for i := range sizes {
+			sizes[i] = size
+		}
+		return sizes
+	}
+	worlds := []struct {
+		name  string
+		sizes []int
+		sel   []float64
+	}{
+		{"3x2000", []int{2000, 2000, 2000}, []float64{0.9, 0.5, 0.1}},
+		{"30x200", repeat(30, 200), spread(30)},
+		{"200x20", repeat(200, 20), spread(200)},
+		{"skewed", []int{8000, 2000, 500, 200, 50}, []float64{0.5, 0.8, 0.2, 0.95, 0.05}},
+	}
+	for _, wd := range worlds {
+		rng := stats.NewRNG(3701)
+		groups, _, truth := core.SyntheticGroups(rng.Split(), wd.sizes, wd.sel)
+		w := world(t, groups, experiments.Predicate{Name: "f", Truth: truth})
+		rows := float64(w.Table.NumRows())
+		for _, rho := range []float64{0.5, 0.8, 0.9, 0.95} {
+			cons := core.Constraints{Alpha: 0.9, Beta: 0.9, Rho: rho}
+			tally, err := experiments.Sweep(context.Background(), w, cons, n, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cost := 0.0
+			for _, o := range tally.Statements {
+				cost += o.Cost
+			}
+			cost /= float64(n) * rows * (core.DefaultCost.Retrieve + core.DefaultCost.Evaluate)
+			t.Logf("%s ρ=%.2f: precision met %.3f, recall met %.3f, cost ratio %.3f",
+				wd.name, rho, float64(tally.MetP)/float64(n), float64(tally.MetR)/float64(n), cost)
+			if !tally.Holds(rho) {
+				t.Errorf("%s ρ=%v: precision met %d, recall met %d of %d statements",
+					wd.name, rho, tally.MetP, tally.MetR, n)
+			}
 		}
 	}
 }

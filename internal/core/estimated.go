@@ -9,21 +9,37 @@ import (
 
 // This file implements Section 3.3 (estimated selectivities) and
 // Section 4.2 (the sampling-aware variant). The optimizer only has a
-// selectivity estimate per group — a random variable Sₐ with mean sₐ and
+// selectivity estimate per group — a random variable Sₐ with mean mₐ and
 // variance vₐ — so the Hoeffding margins of Section 3.2 are replaced by
-// Chebyshev bounds with deviation terms that depend on the decision
-// variables themselves, making the problem convex instead of linear:
+// deviation bounds that depend on the decision variables themselves, making
+// the problem convex instead of linear:
 //
 //	minimize  Σ wₐ (o_r·Rₐ + o_e·Eₐ)
 //	s.t.      Gp(R,E) ≥ X(R,E)   and   Gr(R) ≥ Y(R)
 //
 // where Gp/Gr are the expected precision/recall LHS and X/Y are e_ρ times
-// an upper bound on the LHS standard deviation. Two bounds are provided:
+// an upper bound on the LHS standard deviation. Each constraint is
+// one-sided, so e_ρ is Cantelli's √(ρ/(1−ρ)) (stats.CantelliMultiplier):
+// P(LHS < E[LHS] − e_ρ·Dev) ≤ 1−ρ, the event Constraints promises per
+// constraint, rather than the paper's two-sided Chebyshev 1/√(1−ρ).
 //
-//   - Unknown correlations (Convex Prog. 3.10): Dev(Σ) ≤ Σ Dev, giving the
-//     separable bound e_ρ·Σ (√vₐ·wₐ·(Rₐ−αEₐ) + 0.5·√wₐ).
+// Each group's share of the LHS has an exact variance under the model the
+// planner assumes: given Sₐ its wₐ remaining tuples are i.i.d.
+// Bernoulli(Sₐ), and each one's retrieve/evaluate coins are independent.
+// By the law of total variance,
+//
+//	Var(LHSₐ) = wₐ²·vₐ·dₐ² + wₐ·cₐ,   cₐ = E_S[Var(per-tuple term | S)],
+//
+// with dₐ = Rₐ−αEₐ for precision and Rₐ−β for recall, and cₐ a closed form
+// in mₐ and qₐ = vₐ+mₐ² (precisionTerms, recallTerms). cₐ ≤ 1/4, the most a
+// term in a range of width 1 can vary, which is what the paper charges every
+// tuple; a group the plan discards has precision variance exactly 0. Two
+// bounds combine the groups:
+//
+//   - Unknown correlations (Convex Prog. 3.10): Dev(Σ) ≤ Σ Dev, giving
+//     e_ρ·Σ √Var(LHSₐ).
 //   - Independent groups (Convex Prog. 3.11): variances add, giving
-//     e_ρ·sqrt(Σ wₐ²vₐ(Rₐ−αEₐ)² + 0.25·wₐ).
+//     e_ρ·√(Σ Var(LHSₐ)).
 //
 // The sampling variant (Convex Prog. 4.1) additionally returns the already
 // evaluated F⁺ₐ tuples and plans only over the remaining wₐ = tₐ−Fₐ.
@@ -64,95 +80,116 @@ type estProblem struct {
 	erho   float64
 
 	// Derived: per-group remaining sizes and constants.
-	w          []float64 // wₐ = tₐ − Fₐ
-	sumPos     float64   // Σ F⁺ₐ
-	sumWS      float64   // Σ wₐ·sₐ
-	precConst  float64   // Σ F⁺ₐ·(1−α): constant part of the precision LHS
-	recallRHS  float64   // β·Σ(F⁺ₐ + wₐsₐ) − Σ F⁺ₐ: constant part of recall RHS
-	sqrtVTimes []float64 // √vₐ·wₐ (unknown-correlations coefficients)
-	v2         []float64 // wₐ²·vₐ (independent-groups coefficients)
+	w         []float64 // wₐ = tₐ − Fₐ
+	q         []float64 // qₐ = E[Sₐ²] = vₐ + mₐ², the posterior second moment
+	vars      []float64 // scratch: Var(LHSₐ) of the strategy being priced
+	sumPos    float64   // Σ F⁺ₐ
+	sumWS     float64   // Σ wₐ·sₐ
+	precConst float64   // Σ F⁺ₐ·(1−α): constant part of the precision LHS
+	recallRHS float64   // β·Σ(F⁺ₐ + wₐsₐ) − Σ F⁺ₐ: constant part of recall RHS
 }
 
 func newEstProblem(groups []GroupInfo, cons Constraints, cost CostModel, model CorrelationModel) *estProblem {
 	p := &estProblem{
 		groups: groups, cons: cons, cost: cost, model: model,
-		erho:       stats.ChebyshevMultiplier(cons.Rho),
-		w:          make([]float64, len(groups)),
-		sqrtVTimes: make([]float64, len(groups)),
-		v2:         make([]float64, len(groups)),
+		erho: stats.CantelliMultiplier(cons.Rho),
+		w:    make([]float64, len(groups)),
+		q:    make([]float64, len(groups)),
+		vars: make([]float64, len(groups)),
 	}
 	for i, g := range groups {
 		w := float64(g.Remaining())
 		p.w[i] = w
+		// S ∈ [0,1] has E[S²] ≤ E[S]: capping q at m keeps c ≥ 0 for any
+		// given variance.
+		p.q[i] = min(g.Variance+g.Selectivity*g.Selectivity, g.Selectivity)
 		p.sumPos += float64(g.SampledPositive)
 		p.sumWS += w * g.Selectivity
-		p.sqrtVTimes[i] = math.Sqrt(g.Variance) * w
-		p.v2[i] = w * w * g.Variance
 	}
 	p.precConst = p.sumPos * (1 - cons.Alpha)
 	p.recallRHS = cons.Beta*(p.sumPos+p.sumWS) - p.sumPos
 	return p
 }
 
+// precisionTerms returns dₐ and cₐ of a group's precision LHS, whose
+// per-tuple term is (1−α) for a retrieved positive, −α for a retrieved but
+// unevaluated negative and 0 otherwise: given S its mean is d·S − b with
+// b = α(R−E), and c = E_S[Var | S] over S with mean m and E[S²] = q.
+func precisionTerms(alpha, m, q, r, e float64) (d, c float64) {
+	d = r - alpha*e
+	b := alpha * (r - e)
+	c = (1-alpha)*(1-alpha)*m*r + (r-e)*(1-m)*alpha*alpha - d*d*q + 2*d*b*m - b*b
+	return d, c
+}
+
+// recallTerms returns dₐ and cₐ of a group's recall LHS, whose per-tuple
+// term is (1−β) for a retrieved positive, −β for a discarded one and 0 for
+// a negative: given S its mean is d·S.
+func recallTerms(beta, m, q, r float64) (d, c float64) {
+	d = r - beta
+	c = m*(r*(1-beta)*(1-beta)+(1-r)*beta*beta) - d*d*q
+	return d, c
+}
+
+// groupVar is Var(LHSₐ) = wₐ²·vₐ·d² + wₐ·c, the one per-group variance
+// both correlation models combine.
+func (p *estProblem) groupVar(i int, d, c float64) float64 {
+	w := p.w[i]
+	return w*w*p.groups[i].Variance*d*d + w*max(c, 0)
+}
+
+// deviation combines the per-group variances in p.vars into e_ρ times the
+// model's bound on Dev(Σₐ LHSₐ).
+func (p *estProblem) deviation() float64 {
+	total := 0.0
+	if p.model == UnknownCorrelations {
+		for _, v := range p.vars {
+			total += math.Sqrt(v)
+		}
+		return p.erho * total
+	}
+	for _, v := range p.vars {
+		total += v
+	}
+	return p.erho * math.Sqrt(total)
+}
+
 // devPrecision returns the deviation bound X(R,E) for the precision
 // constraint.
 func (p *estProblem) devPrecision(s Strategy) float64 {
-	switch p.model {
-	case UnknownCorrelations:
-		total := 0.0
-		for i := range p.groups {
-			total += p.sqrtVTimes[i]*(s.R[i]-p.cons.Alpha*s.E[i]) + 0.5*math.Sqrt(p.w[i])
-		}
-		return p.erho * total
-	default:
-		total := 0.0
-		for i := range p.groups {
-			d := s.R[i] - p.cons.Alpha*s.E[i]
-			total += p.v2[i]*d*d + 0.25*p.w[i]
-		}
-		return p.erho * math.Sqrt(total)
+	for i := range p.vars {
+		d, c := precisionTerms(p.cons.Alpha, p.groups[i].Selectivity, p.q[i], s.R[i], s.E[i])
+		p.vars[i] = p.groupVar(i, d, c)
 	}
+	return p.deviation()
 }
 
 // devRecall returns the deviation bound Y(R) for the recall constraint.
 func (p *estProblem) devRecall(s Strategy) float64 {
-	switch p.model {
-	case UnknownCorrelations:
-		total := 0.0
-		for i := range p.groups {
-			total += p.sqrtVTimes[i]*math.Abs(s.R[i]-p.cons.Beta) + 0.5*math.Sqrt(p.w[i])
-		}
-		return p.erho * total
-	default:
-		total := 0.0
-		for i := range p.groups {
-			d := s.R[i] - p.cons.Beta
-			total += p.v2[i]*d*d + 0.25*p.w[i]
-		}
-		return p.erho * math.Sqrt(total)
+	for i := range p.vars {
+		d, c := recallTerms(p.cons.Beta, p.groups[i].Selectivity, p.q[i], s.R[i])
+		p.vars[i] = p.groupVar(i, d, c)
 	}
+	return p.deviation()
 }
 
 // devPrecisionMax / devRecallMax bound the deviations over the whole
-// feasible box, providing safe starting thresholds.
+// feasible box, providing safe starting thresholds: |d| at its box maximum
+// (R−αE ≤ 1; |R−β| ≤ max(β, 1−β)) and c at its bound of 1/4, the largest
+// variance of a per-tuple term in a range of width 1.
 func (p *estProblem) devPrecisionMax() float64 {
-	s := FullEvaluation(len(p.groups))
-	for i := range s.E {
-		s.E[i] = 0 // (R−αE) is largest at R=1, E=0
+	for i := range p.vars {
+		p.vars[i] = p.groupVar(i, 1, 0.25)
 	}
-	return p.devPrecision(s)
+	return p.deviation()
 }
 
 func (p *estProblem) devRecallMax() float64 {
-	s := NewStrategy(len(p.groups))
-	worst := p.cons.Beta
-	if 1-p.cons.Beta > worst {
-		worst = 1 - p.cons.Beta
+	worst := max(p.cons.Beta, 1-p.cons.Beta)
+	for i := range p.vars {
+		p.vars[i] = p.groupVar(i, worst, 0.25)
 	}
-	for i := range s.R {
-		s.R[i] = p.cons.Beta + worst // |R−β| = worst (may exceed 1; fine for a bound)
-	}
-	return p.devRecall(s)
+	return p.deviation()
 }
 
 // lhs returns the expected precision and recall LHS (including sampled
@@ -175,6 +212,7 @@ func (p *estProblem) feasible(s Strategy) bool {
 func (p *estProblem) solveFixedPoint() Strategy {
 	x := p.devPrecisionMax()
 	y := p.devRecallMax()
+	order := greedyOrder(p.groups, nil)
 	var best Strategy
 	bestCost := math.Inf(1)
 	const maxIter = 40
@@ -183,7 +221,7 @@ func (p *estProblem) solveFixedPoint() Strategy {
 		// sampled constant; recall LHS must reach y plus the recall RHS.
 		recallTarget := y + p.recallRHS
 		precTarget := x - p.precConst
-		s := biGreedy(p.groups, p.cons.Alpha, recallTarget, precTarget, nil)
+		s := biGreedy(p.groups, order, p.cons.Alpha, recallTarget, precTarget, nil)
 		if p.feasible(s) {
 			if c := s.ExpectedCost(p.groups, p.cost); c < bestCost {
 				bestCost = c

@@ -295,3 +295,120 @@ func TestLHSMatchesManualComputation(t *testing.T) {
 		t.Fatalf("recall LHS %v want %v", recall, wantRecallLHS-wantRecallRHS)
 	}
 }
+
+// bruteGroupVar is Var(Σ of w per-tuple terms) by numerical integration
+// over a Beta posterior on S: given S the terms are i.i.d., taking vals[k]
+// with probability probs(S)[k]. It uses no closed form.
+func bruteGroupVar(post stats.BetaDist, w float64, vals []float64, probs func(s float64) []float64) float64 {
+	const n = 5000
+	var z, m1, m2 float64
+	for k := 0; k < n; k++ {
+		x := (float64(k) + 0.5) / n
+		dens := post.PDF(x)
+		mu, mu2 := 0.0, 0.0
+		for j, p := range probs(x) {
+			mu += p * vals[j]
+			mu2 += p * vals[j] * vals[j]
+		}
+		sum := w * mu
+		z += dens
+		m1 += dens * sum
+		m2 += dens * (w*(mu2-mu*mu) + sum*sum)
+	}
+	m1 /= z
+	m2 /= z
+	return m2 - m1*m1
+}
+
+// TestGroupVarianceMatchesBruteForce: the closed forms behind devPrecision
+// and devRecall equal the law of total variance worked out by brute force
+// over the Beta posterior, the tuples' labels and the retrieve/evaluate
+// coins.
+func TestGroupVarianceMatchesBruteForce(t *testing.T) {
+	for _, tc := range []struct{ size, sampled, pos int }{
+		{100, 10, 8}, {1000, 60, 30}, {40, 3, 0}, {20, 3, 3}, {500, 0, 0},
+	} {
+		g := GroupInfoFromSample(tc.size, tc.sampled, tc.pos)
+		post := stats.NewBetaPosterior(tc.pos, tc.sampled-tc.pos)
+		w := float64(g.Remaining())
+		for _, ab := range []float64{0.5, 0.8, 0.9} {
+			cons := Constraints{Alpha: ab, Beta: ab, Rho: 0.9}
+			p := newEstProblem([]GroupInfo{g}, cons, DefaultCost, IndependentGroups)
+			for _, re := range [][2]float64{{0, 0}, {1, 0}, {1, 1}, {0.6, 0.3}, {0.25, 0.25}, {0.9, 0.1}} {
+				s := NewStrategy(1)
+				s.R[0], s.E[0] = re[0], re[1]
+				r, e := re[0], re[1]
+				// Precision: a retrieved positive adds 1−α, a retrieved but
+				// unevaluated negative −α.
+				wantP := bruteGroupVar(post, w, []float64{1 - ab, -ab}, func(x float64) []float64 {
+					return []float64{x * r, (1 - x) * (r - e)}
+				})
+				// Recall: a retrieved positive adds 1−β, a discarded one −β.
+				wantR := bruteGroupVar(post, w, []float64{1 - ab, -ab}, func(x float64) []float64 {
+					return []float64{x * r, x * (1 - r)}
+				})
+				gotP := math.Pow(p.devPrecision(s)/p.erho, 2)
+				gotR := math.Pow(p.devRecall(s)/p.erho, 2)
+				if math.Abs(gotP-wantP) > 1e-6*(1+wantP) || math.Abs(gotR-wantR) > 1e-6*(1+wantR) {
+					t.Fatalf("%+v α=β=%v R=%v E=%v: precision var %v want %v, recall var %v want %v",
+						tc, ab, r, e, gotP, wantP, gotR, wantR)
+				}
+			}
+		}
+	}
+}
+
+// TestPerTupleVarianceBounds: c, the expected conditional variance of one
+// tuple's term, never exceeds 1/4 (a term in a range of width 1) and is
+// exactly 0 for a group the plan discards.
+func TestPerTupleVarianceBounds(t *testing.T) {
+	r := stats.NewRNG(37)
+	for trial := 0; trial < 5000; trial++ {
+		m := r.Float64()
+		v := m * (1 - m) * r.Float64()
+		q := v + m*m
+		ab := r.Float64()
+		R := r.Float64()
+		E := R * r.Float64()
+		_, cp := precisionTerms(ab, m, q, R, E)
+		_, cr := recallTerms(ab, m, q, R)
+		for _, c := range []float64{cp, cr} {
+			if c < -1e-12 || c > 0.25+1e-12 {
+				t.Fatalf("c=%v (precision %v, recall %v) outside [0, 1/4] at m=%v v=%v α/β=%v R=%v E=%v", c, cp, cr, m, v, ab, R, E)
+			}
+		}
+		if d, c := precisionTerms(ab, m, q, 0, 0); d != 0 || c != 0 {
+			t.Fatalf("discarded group: precision d=%v c=%v, want 0, 0", d, c)
+		}
+		if d, c := recallTerms(0, m, q, 0); d != 0 || c != 0 {
+			t.Fatalf("discarded group at β=0: recall d=%v c=%v, want 0, 0", d, c)
+		}
+	}
+}
+
+// TestDeviationMaxDominatesBox: the fixed point starts from
+// devPrecisionMax/devRecallMax, which must bound the deviation at every
+// strategy in the box, under both correlation models.
+func TestDeviationMaxDominatesBox(t *testing.T) {
+	r := stats.NewRNG(41)
+	groups := append(estimatedGroups(), GroupInfoFromSample(50, 3, 0), GroupInfoFromSample(20, 0, 0))
+	for _, model := range []CorrelationModel{IndependentGroups, UnknownCorrelations} {
+		for _, ab := range []float64{0.1, 0.5, 0.9} {
+			p := newEstProblem(groups, Constraints{Alpha: ab, Beta: ab, Rho: 0.9}, DefaultCost, model)
+			maxP, maxR := p.devPrecisionMax(), p.devRecallMax()
+			for trial := 0; trial < 500; trial++ {
+				s := NewStrategy(len(groups))
+				for i := range s.R {
+					s.R[i] = r.Float64()
+					s.E[i] = s.R[i] * r.Float64()
+				}
+				if d := p.devPrecision(s); d > maxP+1e-9 {
+					t.Fatalf("%v α=%v: precision deviation %v above start %v", model, ab, d, maxP)
+				}
+				if d := p.devRecall(s); d > maxR+1e-9 {
+					t.Fatalf("%v β=%v: recall deviation %v above start %v", model, ab, d, maxR)
+				}
+			}
+		}
+	}
+}

@@ -35,8 +35,9 @@ func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) 
 		}
 		return s, s.ExpectedCost(groups, cost), nil
 	}
-	// Quick exits: even β=0 may exceed the budget (precision margins), and
-	// β=1 may fit it.
+	// β=1 may fit the budget outright. β=0 always does: discarding every
+	// remaining tuple costs nothing and has deviation exactly 0, and the
+	// sampled positives alone meet both constraints at β=0.
 	s1, c1, err := plan(1)
 	if err != nil {
 		return BudgetPlan{}, err
@@ -44,16 +45,8 @@ func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) 
 	if c1 <= budget {
 		return BudgetPlan{Strategy: s1, AchievedBeta: 1}, nil
 	}
-	s0, c0, err := plan(0)
-	if err != nil {
-		return BudgetPlan{}, err
-	}
-	if c0 > budget {
-		return BudgetPlan{Strategy: s0, AchievedBeta: 0},
-			fmt.Errorf("core: budget %v cannot cover even β=0 (cost %v)", budget, c0)
-	}
 	lo, hi := 0.0, 1.0
-	best, bestBeta := s0, 0.0
+	best, bestBeta := NewStrategy(len(groups)), 0.0
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2
 		s, c, err := plan(mid)
@@ -252,5 +245,5 @@ func PlanSelectJoin(groups []JoinGroup, cons Constraints, cost CostModel) (Strat
 	hp := stats.HoeffdingMargin(sumSq, 1, cons.Rho)
 	hr := stats.HoeffdingMargin(sumSq, 1-cons.Beta, cons.Rho)
 	recallTarget := cons.Beta*weightedCorrect + hr
-	return biGreedy(infos, cons.Alpha, recallTarget, hp, wt), nil
+	return biGreedy(infos, greedyOrder(infos, wt), cons.Alpha, recallTarget, hp, wt), nil
 }

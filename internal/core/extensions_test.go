@@ -27,11 +27,20 @@ func TestPlanBudgetEndpoints(t *testing.T) {
 	if plan.AchievedBeta != 1 {
 		t.Fatalf("huge budget achieved β=%v, want 1", plan.AchievedBeta)
 	}
-	// Zero budget with a precision-trivial setup: β=0 plan costs > 0
-	// because of margins, so expect an error.
-	if _, err := PlanBudget(groups, 0.8, 0.8, 0, DefaultCost); err == nil {
-		t.Fatal("zero budget accepted")
+	// Zero budget: discarding every remaining tuple has deviation exactly
+	// 0, so a plan always fits at zero cost, carried by the sampled
+	// positives.
+	plan, err = PlanBudget(groups, 0.8, 0.8, 0, DefaultCost)
+	if err != nil {
+		t.Fatalf("zero budget: %v", err)
 	}
+	if c := plan.Strategy.ExpectedCost(groups, DefaultCost); c != 0 {
+		t.Fatalf("zero budget plan costs %v", c)
+	}
+	if plan.AchievedBeta < 0 || plan.AchievedBeta >= 1 {
+		t.Fatalf("zero budget achieved β=%v", plan.AchievedBeta)
+	}
+	t.Logf("zero budget: achieved β=%v", plan.AchievedBeta)
 	if _, err := PlanBudget(groups, 0.8, 0.8, -5, DefaultCost); err == nil {
 		t.Fatal("negative budget accepted")
 	}

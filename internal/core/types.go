@@ -11,7 +11,7 @@
 //
 //   - Perfect selectivities: the Hoeffding-tightened linear program solved by
 //     the O(|A| log |A|) BIGREEDY-LP algorithm (PlanPerfectSelectivities).
-//   - Estimated selectivities: the Chebyshev-tightened convex programs for
+//   - Estimated selectivities: the Cantelli-tightened convex programs for
 //     unknown correlations and independent groups, and the sampling-aware
 //     variant of Section 4 (PlanEstimated*, PlanWithSamples).
 //

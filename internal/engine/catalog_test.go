@@ -217,14 +217,17 @@ func TestCatalogCacheCountersColdRun(t *testing.T) {
 }
 
 // TestCatalogFaultedQueryPersistsNothing: a panicking UDF body must not
-// leave synthetic verdicts in the durable catalog.
+// leave synthetic verdicts in the durable catalog. The body panics on the
+// first row it sees, which every plan evaluates, so the fault does not
+// depend on which rows the plan picks.
 func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 	dir := t.TempDir()
 	e, truth, _ := catalogEngine(t, 300, dir)
+	var faulted atomic.Bool
 	err := e.RegisterUDF(UDF{
 		Name: "flaky",
 		Body: pure(func(v table.Value) bool {
-			if v.(int64) == 7 {
+			if faulted.CompareAndSwap(false, true) {
 				panic("boom")
 			}
 			return truth[v.(int64)]

@@ -216,6 +216,38 @@ func TestExecuteBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetSpentBySampling: when sampling alone spends the whole budget,
+// the plan left to run is to discard every unsampled row. Its deviation is
+// exactly 0, so the statement answers with the sampled positives and the
+// recall bound they certify. (Charged 1/4 per unsampled tuple at ρ = 0.99,
+// even β=0 needed retrievals, and the statement failed with "cannot cover
+// even β=0".)
+func TestBudgetSpentBySampling(t *testing.T) {
+	e, truth, calls := newTestEngine(t, 3000)
+	res, err := e.ExecuteContext(context.Background(), Query{
+		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
+		Approx: approx(0.8, 0.8, 0.99), GroupOn: "grade", Budget: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.Sampled == 0 || st.Retrievals != st.Sampled || int(calls.Load()) != st.Sampled {
+		t.Fatalf("want only the sample retrieved and evaluated: %+v, %d calls", st, calls.Load())
+	}
+	if len(res.Rows) == 0 {
+		t.Fatalf("no sampled positive returned: %+v", st)
+	}
+	for _, row := range res.Rows {
+		if !truth[int64(row)] {
+			t.Fatalf("output row %d is not a sampled positive", row)
+		}
+	}
+	if st.AchievedRecallBound < 0 || st.AchievedRecallBound >= 1 {
+		t.Fatalf("achieved recall bound %v", st.AchievedRecallBound)
+	}
+}
+
 // TestBudgetHoldsOnWarmCache: the budget left for execution must subtract
 // what sampling cost as Stats bills it — every sampled row retrieved (o_r),
 // only charged calls evaluated (o_e). After an exact query warmed the cache

@@ -28,7 +28,10 @@ func rowsChecksum(rows []int) uint64 {
 // dispatch always reported 0, because it subtracted evaluation counts that
 // already included sampling. The approx row is no longer the legacy
 // capture: it was re-pinned when the §5 planner stopped pricing a product of
-// marginals and read its sample's joint cells instead.
+// marginals and read its sample's joint cells instead. The follow-up row was
+// re-pinned when the §4 planner's margin became each group's exact variance
+// with a one-sided (Cantelli) tail; the sample it draws is unchanged
+// (Sampled 417).
 func TestTwoPredRegressionPinned(t *testing.T) {
 	type golden struct {
 		rows  int
@@ -39,9 +42,9 @@ func TestTwoPredRegressionPinned(t *testing.T) {
 		Evaluations: 2520, Retrievals: 2130, Cost: 9690,
 		ChosenColumn: "grade", Sampled: 390, CacheMisses: 2520,
 	}}
-	followGold := golden{1596, 0xb914cc97771b5ede, Stats{
-		Evaluations: 236, Retrievals: 1885, Cost: 2593,
-		ChosenColumn: "grade", Sampled: 417, CacheHits: 374, CacheMisses: 236,
+	followGold := golden{1608, 0xf0a61cc733583d6a, Stats{
+		Evaluations: 236, Retrievals: 1853, Cost: 2561,
+		ChosenColumn: "grade", Sampled: 417, CacheHits: 282, CacheMisses: 236,
 	}}
 	exactGold := golden{1016, 0x8806df37156d2052, Stats{
 		Evaluations: 4515, Retrievals: 3000, Cost: 16545,

@@ -265,7 +265,7 @@ func runBoundAblation(ctx context.Context, r *Runner) (fmt.Stringer, error) {
 	return res, nil
 }
 
-// MarginAblationResult shows what the Hoeffding/Chebyshev margins buy:
+// MarginAblationResult shows what the concentration margins buy:
 // plan cost and empirical satisfaction with margins on (the real planner)
 // vs off (ρ→0, expectation-level planning like the Naive baseline).
 type MarginAblationResult struct {

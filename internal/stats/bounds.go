@@ -4,8 +4,8 @@ import "math"
 
 // This file implements the concentration bounds from Sections 3.2 and 3.3:
 // Hoeffding margins that convert "satisfy the constraint in expectation"
-// into "satisfy the constraint with probability ≥ ρ", and the Chebyshev
-// deviation multiplier e_ρ used by the convex programs.
+// into "satisfy the constraint with probability ≥ ρ", and the one-sided
+// (Cantelli) deviation multiplier e_ρ used by the convex programs.
 
 // HoeffdingMargin returns the one-sided deviation t such that a sum of n
 // independent random variables, each with range width `rangeWidth`, stays
@@ -39,16 +39,17 @@ func RecallMargin(totalTuples, beta, rho float64) float64 {
 	return HoeffdingMargin(totalTuples, 1-beta, rho)
 }
 
-// ChebyshevMultiplier returns e_ρ = 1/sqrt(1−ρ). Chebyshev's inequality
-// guarantees P(|X−E[X]| ≥ e_ρ·Dev(X)) ≤ 1−ρ, so requiring
-// E[LHS] ≥ e_ρ·Dev(LHS) makes the probabilistic constraint hold with
-// probability at least ρ (Section 3.3.1).
-func ChebyshevMultiplier(rho float64) float64 {
-	if rho < 0 {
-		rho = 0
+// CantelliMultiplier returns e_ρ = √(ρ/(1−ρ)). Cantelli's one-sided
+// inequality P(X−E[X] ≤ −k·Dev(X)) ≤ 1/(1+k²) equals 1−ρ at k = e_ρ, so
+// requiring E[LHS] ≥ e_ρ·Dev(LHS) makes a one-sided constraint LHS ≥ 0
+// hold with probability at least ρ. It is the tight form of Section
+// 3.3.1's two-sided Chebyshev 1/√(1−ρ): 3.00 against 3.16 at ρ = 0.9.
+func CantelliMultiplier(rho float64) float64 {
+	if rho <= 0 {
+		return 0
 	}
 	if rho >= 1 {
 		return math.Inf(1)
 	}
-	return 1 / math.Sqrt(1-rho)
+	return math.Sqrt(rho / (1 - rho))
 }

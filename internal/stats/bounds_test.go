@@ -76,29 +76,39 @@ func TestRecallMarginUsesRange(t *testing.T) {
 	}
 }
 
-func TestChebyshevMultiplier(t *testing.T) {
-	if e := ChebyshevMultiplier(0.75); math.Abs(e-2) > 1e-12 {
-		t.Fatalf("e_0.75 = %v, want 2", e)
+func TestCantelliMultiplier(t *testing.T) {
+	if e := CantelliMultiplier(0.9); math.Abs(e-3) > 1e-12 {
+		t.Fatalf("e_0.9 = %v, want 3", e)
 	}
-	if e := ChebyshevMultiplier(0); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("e_0 = %v, want 1", e)
+	if e := CantelliMultiplier(0.5); math.Abs(e-1) > 1e-12 {
+		t.Fatalf("e_0.5 = %v, want 1", e)
 	}
-	if !math.IsInf(ChebyshevMultiplier(1), 1) {
+	if e := CantelliMultiplier(0); e != 0 {
+		t.Fatalf("e_0 = %v, want 0", e)
+	}
+	if e := CantelliMultiplier(-3); e != 0 {
+		t.Fatalf("negative rho should clamp to 0, got %v", e)
+	}
+	if !math.IsInf(CantelliMultiplier(1), 1) {
 		t.Fatal("e_1 should be +Inf")
 	}
-	if e := ChebyshevMultiplier(-3); math.Abs(e-1) > 1e-12 {
-		t.Fatalf("negative rho should clamp to 0, got %v", e)
+	// The one-sided tail at e_ρ is exactly the failure budget 1−ρ.
+	for _, rho := range []float64{0.01, 0.5, 0.8, 0.9, 0.95, 0.99} {
+		k := CantelliMultiplier(rho)
+		if tail := 1 / (1 + k*k); math.Abs(tail-(1-rho)) > 1e-12 {
+			t.Fatalf("ρ=%v: 1/(1+k²) = %v, want %v", rho, tail, 1-rho)
+		}
 	}
 }
 
-func TestChebyshevMultiplierMonotone(t *testing.T) {
+func TestCantelliMultiplierMonotone(t *testing.T) {
 	f := func(a, b float64) bool {
 		a = math.Abs(math.Mod(a, 1))
 		b = math.Abs(math.Mod(b, 1))
 		if a > b {
 			a, b = b, a
 		}
-		return ChebyshevMultiplier(a) <= ChebyshevMultiplier(b)+1e-12
+		return CantelliMultiplier(a) <= CantelliMultiplier(b)+1e-12
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate used throughout the
 // repository: a deterministic splittable random number generator,
 // the Beta/Binomial/Normal distributions needed by the selectivity
-// estimators, Hoeffding and Chebyshev tail bounds, and small-sample
+// estimators, Hoeffding and Cantelli tail bounds, and small-sample
 // summaries (moments, quantiles, Pearson correlation).
 //
 // Everything is built on the standard library only. All randomness flows
