@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // The end-to-end statistical checks of this package's algorithms run them
@@ -45,7 +46,7 @@ func world(t *testing.T, groups []core.Group, preds ...experiments.Predicate) ex
 func runEngine(t *testing.T, seed uint64, groups []core.Group, cons core.Constraints, preds ...experiments.Predicate) experiments.Run {
 	t.Helper()
 	w := world(t, groups, preds...)
-	res, err := experiments.RunEngine(context.Background(), seed, w.Table, cons, w.GroupOn, preds...)
+	res, err := experiments.RunEngine(context.Background(), seed, w, cons)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +232,68 @@ func TestContractGridTwoPredicates(t *testing.T) {
 	}
 }
 
+// costRatio is a Sweep's mean statement cost against retrieving and
+// evaluating every row of the world's table.
+func costRatio(tally experiments.Tally, w experiments.World) float64 {
+	cost := 0.0
+	for _, o := range tally.Statements {
+		cost += o.Cost
+	}
+	return cost / (float64(len(tally.Statements)*w.Table.NumRows()) * (core.DefaultCost.Retrieve + core.DefaultCost.Evaluate))
+}
+
+// TestContractGridJoin checks the §5 selection-before-join plan against the
+// join result's ground truth: six groups of 1,000 rows with selectivities
+// 0.9 … 0.15, joined to an orders table that holds each row's id as many
+// times as its join weight, so a returned row counts that many times toward
+// precision and recall. "uniform 0–3" draws every row's weight uniformly
+// from {0, 1, 2, 3} (a row of weight 0 is not in the join); "5% at 20"
+// gives one row in twenty weight 20 and the rest weight 1. Each cell is one
+// Sweep at α = β = ρ = 0.9, decided by Tally.Holds; the cost against
+// evaluating every row is logged. Tier-1 runs 100 statements per cell, CI's
+// full-power step 810.
+func TestContractGridJoin(t *testing.T) {
+	n := gridN(t)
+	cons := core.Constraints{Alpha: 0.9, Beta: 0.9, Rho: 0.9}
+	for _, cell := range []struct {
+		name   string
+		weight func(r *stats.RNG) int
+	}{
+		{"uniform 0-3", func(r *stats.RNG) int { return r.IntN(4) }},
+		{"5% at 20", func(r *stats.RNG) int {
+			if r.Bernoulli(0.05) {
+				return 20
+			}
+			return 1
+		}},
+	} {
+		rng := stats.NewRNG(3801)
+		groups, _, truth := core.SyntheticGroups(rng.Split(),
+			[]int{1000, 1000, 1000, 1000, 1000, 1000},
+			[]float64{0.9, 0.75, 0.6, 0.45, 0.3, 0.15})
+		w := world(t, groups, experiments.Predicate{Name: "f", Truth: truth})
+		orders := table.New("orders", table.MustSchema(table.ColumnDef{Name: "ref", Type: table.Int}))
+		weights := rng.Split()
+		for row := 0; row < w.Table.NumRows(); row++ {
+			for range cell.weight(weights) {
+				if err := orders.AppendRow(int64(row)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		w.Right, w.LeftKey, w.RightKey = orders, "id", "ref"
+		tally, err := experiments.Sweep(context.Background(), w, cons, n, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: precision met %d, recall met %d of %d, cost ratio %.3f",
+			cell.name, tally.MetP, tally.MetR, n, costRatio(tally, w))
+		if !tally.Holds(cons.Rho) {
+			t.Errorf("%s: precision met %d, recall met %d of %d statements", cell.name, tally.MetP, tally.MetR, n)
+		}
+	}
+}
+
 // TestContractGridCalibration is the single-predicate ρ-calibration curve:
 // the §4 plan at α = β = 0.9 for ρ ∈ {0.5, 0.8, 0.9, 0.95} over four
 // worlds — three large groups, thirty mid-size groups with selectivities
@@ -271,18 +334,13 @@ func TestContractGridCalibration(t *testing.T) {
 		rng := stats.NewRNG(3701)
 		groups, _, truth := core.SyntheticGroups(rng.Split(), wd.sizes, wd.sel)
 		w := world(t, groups, experiments.Predicate{Name: "f", Truth: truth})
-		rows := float64(w.Table.NumRows())
 		for _, rho := range []float64{0.5, 0.8, 0.9, 0.95} {
 			cons := core.Constraints{Alpha: 0.9, Beta: 0.9, Rho: rho}
 			tally, err := experiments.Sweep(context.Background(), w, cons, n, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cost := 0.0
-			for _, o := range tally.Statements {
-				cost += o.Cost
-			}
-			cost /= float64(n) * rows * (core.DefaultCost.Retrieve + core.DefaultCost.Evaluate)
+			cost := costRatio(tally, w)
 			t.Logf("%s ρ=%.2f: precision met %.3f, recall met %.3f, cost ratio %.3f",
 				wd.name, rho, float64(tally.MetP)/float64(n), float64(tally.MetR)/float64(n), cost)
 			if !tally.Holds(rho) {

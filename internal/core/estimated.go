@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/solver"
@@ -43,6 +44,9 @@ import (
 //
 // The sampling variant (Convex Prog. 4.1) additionally returns the already
 // evaluated F⁺ₐ tuples and plans only over the remaining wₐ = tₐ−Fₐ.
+// Selection before a join (Section 5) is the same program weighted: a
+// group whose tuples each join kₐ tuples scales its LHS terms and sampled
+// constants by kₐ and its variance by kₐ² (PlanSelectJoin).
 //
 // Solution method: the first two constraints match Linear-Prog. 3.4 with
 // thresholds (X, Y), so we iterate BIGREEDY-LP against relinearized
@@ -74,6 +78,7 @@ func (m CorrelationModel) String() string {
 // planning problem.
 type estProblem struct {
 	groups []GroupInfo
+	wt     weights // per-group join multiplicity kₐ; nil is 1 everywhere
 	cons   Constraints
 	cost   CostModel
 	model  CorrelationModel
@@ -83,15 +88,15 @@ type estProblem struct {
 	w         []float64 // wₐ = tₐ − Fₐ
 	q         []float64 // qₐ = E[Sₐ²] = vₐ + mₐ², the posterior second moment
 	vars      []float64 // scratch: Var(LHSₐ) of the strategy being priced
-	sumPos    float64   // Σ F⁺ₐ
-	sumWS     float64   // Σ wₐ·sₐ
-	precConst float64   // Σ F⁺ₐ·(1−α): constant part of the precision LHS
-	recallRHS float64   // β·Σ(F⁺ₐ + wₐsₐ) − Σ F⁺ₐ: constant part of recall RHS
+	sumPos    float64   // Σ kₐ·F⁺ₐ
+	sumWS     float64   // Σ kₐ·wₐ·sₐ
+	precConst float64   // Σ kₐ·F⁺ₐ·(1−α): constant part of the precision LHS
+	recallRHS float64   // β·Σ kₐ(F⁺ₐ + wₐsₐ) − Σ kₐF⁺ₐ: constant part of recall RHS
 }
 
-func newEstProblem(groups []GroupInfo, cons Constraints, cost CostModel, model CorrelationModel) *estProblem {
+func newEstProblem(groups []GroupInfo, wt weights, cons Constraints, cost CostModel, model CorrelationModel) *estProblem {
 	p := &estProblem{
-		groups: groups, cons: cons, cost: cost, model: model,
+		groups: groups, wt: wt, cons: cons, cost: cost, model: model,
 		erho: stats.CantelliMultiplier(cons.Rho),
 		w:    make([]float64, len(groups)),
 		q:    make([]float64, len(groups)),
@@ -103,8 +108,8 @@ func newEstProblem(groups []GroupInfo, cons Constraints, cost CostModel, model C
 		// S ∈ [0,1] has E[S²] ≤ E[S]: capping q at m keeps c ≥ 0 for any
 		// given variance.
 		p.q[i] = min(g.Variance+g.Selectivity*g.Selectivity, g.Selectivity)
-		p.sumPos += float64(g.SampledPositive)
-		p.sumWS += w * g.Selectivity
+		p.sumPos += wt.at(i) * float64(g.SampledPositive)
+		p.sumWS += wt.at(i) * w * g.Selectivity
 	}
 	p.precConst = p.sumPos * (1 - cons.Alpha)
 	p.recallRHS = cons.Beta*(p.sumPos+p.sumWS) - p.sumPos
@@ -131,11 +136,11 @@ func recallTerms(beta, m, q, r float64) (d, c float64) {
 	return d, c
 }
 
-// groupVar is Var(LHSₐ) = wₐ²·vₐ·d² + wₐ·c, the one per-group variance
-// both correlation models combine.
+// groupVar is Var(LHSₐ) = kₐ²·(wₐ²·vₐ·d² + wₐ·c), the one per-group
+// variance both correlation models combine.
 func (p *estProblem) groupVar(i int, d, c float64) float64 {
-	w := p.w[i]
-	return w*w*p.groups[i].Variance*d*d + w*max(c, 0)
+	w, k := p.w[i], p.wt.at(i)
+	return k * k * (w*w*p.groups[i].Variance*d*d + w*max(c, 0))
 }
 
 // deviation combines the per-group variances in p.vars into e_ρ times the
@@ -195,7 +200,7 @@ func (p *estProblem) devRecallMax() float64 {
 // lhs returns the expected precision and recall LHS (including sampled
 // constants) for the strategy.
 func (p *estProblem) lhs(s Strategy) (prec, recall float64) {
-	gp, gr := perfectSelectivityLHS(p.groups, s, p.cons.Alpha, nil)
+	gp, gr := perfectSelectivityLHS(p.groups, s, p.cons.Alpha, p.wt)
 	return gp + p.precConst, gr - p.recallRHS
 }
 
@@ -212,7 +217,7 @@ func (p *estProblem) feasible(s Strategy) bool {
 func (p *estProblem) solveFixedPoint() Strategy {
 	x := p.devPrecisionMax()
 	y := p.devRecallMax()
-	order := greedyOrder(p.groups, nil)
+	order := greedyOrder(p.groups, p.wt)
 	var best Strategy
 	bestCost := math.Inf(1)
 	const maxIter = 40
@@ -221,7 +226,7 @@ func (p *estProblem) solveFixedPoint() Strategy {
 		// sampled constant; recall LHS must reach y plus the recall RHS.
 		recallTarget := y + p.recallRHS
 		precTarget := x - p.precConst
-		s := biGreedy(p.groups, order, p.cons.Alpha, recallTarget, precTarget, nil)
+		s := biGreedy(p.groups, order, p.cons.Alpha, recallTarget, precTarget, p.wt)
 		if p.feasible(s) {
 			if c := s.ExpectedCost(p.groups, p.cost); c < bestCost {
 				bestCost = c
@@ -252,7 +257,7 @@ func PlanEstimated(groups []GroupInfo, cons Constraints, cost CostModel, model C
 	if err := validatePlanInput(groups, cons, cost); err != nil {
 		return Strategy{}, err
 	}
-	p := newEstProblem(groups, cons, cost, model)
+	p := newEstProblem(groups, nil, cons, cost, model)
 	return p.solveFixedPoint(), nil
 }
 
@@ -264,10 +269,30 @@ func PlanWithSamples(groups []GroupInfo, cons Constraints, cost CostModel) (Stra
 	return PlanEstimated(groups, cons, cost, IndependentGroups)
 }
 
+// PlanSelectJoin solves Convex Prog. 4.1 for selection before a join
+// (Section 5): each tuple of group a joins wt[a] tuples of the joined
+// table, so it counts that many times toward join-result precision and
+// recall (sampled positives included) while costing the same to retrieve or
+// evaluate. With every weight 1 it is PlanWithSamples, bit for bit.
+func PlanSelectJoin(groups []GroupInfo, wt []float64, cons Constraints, cost CostModel) (Strategy, error) {
+	if err := validatePlanInput(groups, cons, cost); err != nil {
+		return Strategy{}, err
+	}
+	if len(wt) != len(groups) {
+		return Strategy{}, fmt.Errorf("core: %d join weights for %d groups", len(wt), len(groups))
+	}
+	for _, k := range wt {
+		if k < 0 {
+			return Strategy{}, fmt.Errorf("core: negative join weight %v", k)
+		}
+	}
+	return newEstProblem(groups, wt, cons, cost, IndependentGroups).solveFixedPoint(), nil
+}
+
 // CheckEstimatedFeasible verifies a strategy against the exact convex
 // constraints of the estimated-selectivity problem.
 func CheckEstimatedFeasible(groups []GroupInfo, s Strategy, cons Constraints, model CorrelationModel) bool {
-	p := newEstProblem(groups, cons, CostModel{}, model)
+	p := newEstProblem(groups, nil, cons, CostModel{}, model)
 	return p.feasible(s)
 }
 
@@ -279,7 +304,7 @@ func PlanEstimatedGradient(groups []GroupInfo, cons Constraints, cost CostModel,
 	if err := validatePlanInput(groups, cons, cost); err != nil {
 		return Strategy{}, err
 	}
-	p := newEstProblem(groups, cons, cost, model)
+	p := newEstProblem(groups, nil, cons, cost, model)
 	m := len(groups)
 
 	toStrategy := func(x []float64) Strategy {

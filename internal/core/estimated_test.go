@@ -258,8 +258,8 @@ func TestDeviationBoundsOrdering(t *testing.T) {
 	// the triangle inequality).
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
 	groups := estimatedGroups()
-	pInd := newEstProblem(groups, cons, DefaultCost, IndependentGroups)
-	pUnk := newEstProblem(groups, cons, DefaultCost, UnknownCorrelations)
+	pInd := newEstProblem(groups, nil, cons, DefaultCost, IndependentGroups)
+	pUnk := newEstProblem(groups, nil, cons, DefaultCost, UnknownCorrelations)
 	r := stats.NewRNG(11)
 	for trial := 0; trial < 50; trial++ {
 		s := NewStrategy(len(groups))
@@ -279,7 +279,7 @@ func TestDeviationBoundsOrdering(t *testing.T) {
 func TestLHSMatchesManualComputation(t *testing.T) {
 	groups := []GroupInfo{GroupInfoFromSample(100, 10, 8)}
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	p := newEstProblem(groups, cons, DefaultCost, IndependentGroups)
+	p := newEstProblem(groups, nil, cons, DefaultCost, IndependentGroups)
 	s := NewStrategy(1)
 	s.R[0], s.E[0] = 0.6, 0.3
 	prec, recall := p.lhs(s)
@@ -333,7 +333,7 @@ func TestGroupVarianceMatchesBruteForce(t *testing.T) {
 		w := float64(g.Remaining())
 		for _, ab := range []float64{0.5, 0.8, 0.9} {
 			cons := Constraints{Alpha: ab, Beta: ab, Rho: 0.9}
-			p := newEstProblem([]GroupInfo{g}, cons, DefaultCost, IndependentGroups)
+			p := newEstProblem([]GroupInfo{g}, nil, cons, DefaultCost, IndependentGroups)
 			for _, re := range [][2]float64{{0, 0}, {1, 0}, {1, 1}, {0.6, 0.3}, {0.25, 0.25}, {0.9, 0.1}} {
 				s := NewStrategy(1)
 				s.R[0], s.E[0] = re[0], re[1]
@@ -394,7 +394,7 @@ func TestDeviationMaxDominatesBox(t *testing.T) {
 	groups := append(estimatedGroups(), GroupInfoFromSample(50, 3, 0), GroupInfoFromSample(20, 0, 0))
 	for _, model := range []CorrelationModel{IndependentGroups, UnknownCorrelations} {
 		for _, ab := range []float64{0.1, 0.5, 0.9} {
-			p := newEstProblem(groups, Constraints{Alpha: ab, Beta: ab, Rho: 0.9}, DefaultCost, model)
+			p := newEstProblem(groups, nil, Constraints{Alpha: ab, Beta: ab, Rho: 0.9}, DefaultCost, model)
 			maxP, maxR := p.devPrecisionMax(), p.devRecallMax()
 			for trial := 0; trial < 500; trial++ {
 				s := NewStrategy(len(groups))

@@ -1,16 +1,11 @@
 package core
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"repro/internal/stats"
-)
+import "fmt"
 
 // Section 5 extensions: a fixed cost budget with recall as the objective,
-// conjunctions of two expensive predicates, and selection followed by a
-// join (where output tuples count with their join multiplicity).
+// and conjunctions of two expensive predicates. Selection followed by a
+// join, where output tuples count with their join multiplicity, is the
+// weighted Convex Prog. 4.1 (PlanSelectJoin, estimated.go).
 
 // BudgetPlan is the result of PlanBudget.
 type BudgetPlan struct {
@@ -128,7 +123,8 @@ func twoPredStats(g TwoPredGroup, a TwoPredAction, cost CostModel) (c, correct, 
 // PlanTwoPredicates chooses one action per group minimizing expected cost
 // while satisfying the precision and recall constraints in expectation
 // (the Section 5 sketch; probability-ρ margins can be layered on by
-// tightening α and β before the call). Exact search via branch and bound.
+// tightening α and β before the call). Exact search: each group's five
+// actions go to ChooseActions.
 func PlanTwoPredicates(groups []TwoPredGroup, cons Constraints, cost CostModel) ([]TwoPredAction, float64, error) {
 	if len(groups) == 0 {
 		return nil, 0, fmt.Errorf("core: no groups")
@@ -136,114 +132,24 @@ func PlanTwoPredicates(groups []TwoPredGroup, cons Constraints, cost CostModel) 
 	if err := cons.Validate(); err != nil {
 		return nil, 0, err
 	}
-	n := len(groups)
-	actions := []TwoPredAction{TPDiscard, TPAssumeBoth, TPEval1Assume2, TPAssume1Eval2, TPEvalBoth}
-
-	// Per group and action: cost, recall contribution, precision slack
-	// contribution correct − α(correct+wrong).
-	costs := make([][]float64, n)
-	recalls := make([][]float64, n)
-	precs := make([][]float64, n)
+	table := make([][]ActionCost, len(groups))
 	totalCorrect := 0.0
 	for i, g := range groups {
 		t := float64(g.Size)
 		totalCorrect += t * g.Both
-		costs[i] = make([]float64, len(actions))
-		recalls[i] = make([]float64, len(actions))
-		precs[i] = make([]float64, len(actions))
-		for ai, a := range actions {
-			c, corr, wrong := twoPredStats(g, a, cost)
-			costs[i][ai] = t * c
-			recalls[i][ai] = t * corr
-			precs[i][ai] = t * (corr - cons.Alpha*(corr+wrong))
+		table[i] = make([]ActionCost, TPEvalBoth+1)
+		for a := range table[i] {
+			c, corr, wrong := twoPredStats(g, TwoPredAction(a), cost)
+			table[i][a] = ActionCost{Cost: t * c, Recall: t * corr, Slack: t * (corr - cons.Alpha*(corr+wrong))}
 		}
 	}
-	gamma := cons.Beta * totalCorrect
-
-	// Optimistic suffix bounds for pruning.
-	sufRecall := make([]float64, n+1)
-	sufPrec := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		br, bp := 0.0, 0.0
-		for ai := range actions {
-			br = math.Max(br, recalls[i][ai])
-			bp = math.Max(bp, precs[i][ai])
-		}
-		sufRecall[i] = sufRecall[i+1] + br
-		sufPrec[i] = sufPrec[i+1] + bp
-	}
-
-	best := math.Inf(1)
-	var bestActs []TwoPredAction
-	acts := make([]TwoPredAction, n)
-	var dfs func(i int, c, recall, prec float64)
-	dfs = func(i int, c, recall, prec float64) {
-		if c >= best {
-			return
-		}
-		if recall+sufRecall[i] < gamma-1e-9 || prec+sufPrec[i] < -1e-9 {
-			return
-		}
-		if i == n {
-			best = c
-			bestActs = append([]TwoPredAction(nil), acts...)
-			return
-		}
-		// Cheap actions first for early incumbents.
-		order := []int{0, 1, 2, 3, 4}
-		sort.Slice(order, func(x, y int) bool { return costs[i][order[x]] < costs[i][order[y]] })
-		for _, ai := range order {
-			acts[i] = actions[ai]
-			dfs(i+1, c+costs[i][ai], recall+recalls[i][ai], prec+precs[i][ai])
-		}
-		acts[i] = TPDiscard
-	}
-	dfs(0, 0, 0, 0)
-	if bestActs == nil {
+	pick, best, ok := ChooseActions(table, cons.Beta*totalCorrect)
+	if !ok {
 		return nil, 0, fmt.Errorf("core: no feasible two-predicate plan")
 	}
-	return bestActs, best, nil
-}
-
-// JoinGroup describes one (correlated-value, join-key) subgroup for the
-// selection-before-join extension: its tuples match JoinWeight tuples of
-// the joined table, so each output tuple counts JoinWeight times toward
-// join-result precision and recall while costing the same to retrieve or
-// evaluate.
-type JoinGroup struct {
-	Size        int
-	Selectivity float64
-	JoinWeight  float64 // n_j ≥ 0
-}
-
-// PlanSelectJoin plans retrieval/evaluation probabilities per subgroup so
-// the join result meets the precision and recall constraints with
-// probability ρ. The linear program is Linear-Prog. 3.4 with every
-// contribution weighted by n_j; Hoeffding ranges scale with n_j as well.
-func PlanSelectJoin(groups []JoinGroup, cons Constraints, cost CostModel) (Strategy, error) {
-	if len(groups) == 0 {
-		return Strategy{}, fmt.Errorf("core: no groups")
+	acts := make([]TwoPredAction, len(pick))
+	for i, a := range pick {
+		acts[i] = TwoPredAction(a)
 	}
-	if err := cons.Validate(); err != nil {
-		return Strategy{}, err
-	}
-	infos := make([]GroupInfo, len(groups))
-	wt := make(weights, len(groups))
-	// Hoeffding: per-tuple indicators now span ranges proportional to n_j,
-	// so Σ(bᵢ−aᵢ)² = Σ tₐ·n_j².
-	sumSq := 0.0
-	weightedCorrect := 0.0
-	for i, g := range groups {
-		if g.JoinWeight < 0 {
-			return Strategy{}, fmt.Errorf("core: negative join weight %v", g.JoinWeight)
-		}
-		infos[i] = GroupInfo{Size: g.Size, Selectivity: g.Selectivity}
-		wt[i] = g.JoinWeight
-		sumSq += float64(g.Size) * g.JoinWeight * g.JoinWeight
-		weightedCorrect += g.JoinWeight * float64(g.Size) * g.Selectivity
-	}
-	hp := stats.HoeffdingMargin(sumSq, 1, cons.Rho)
-	hr := stats.HoeffdingMargin(sumSq, 1-cons.Beta, cons.Rho)
-	recallTarget := cons.Beta*weightedCorrect + hr
-	return biGreedy(infos, greedyOrder(infos, wt), cons.Alpha, recallTarget, hp, wt), nil
+	return acts, best, nil
 }

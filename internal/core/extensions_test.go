@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -198,13 +199,10 @@ func TestTwoPredStatsEvalBothNeverWrong(t *testing.T) {
 
 func TestPlanSelectJoinWeighting(t *testing.T) {
 	cons := Constraints{Alpha: 0.7, Beta: 0.7, Rho: 0.8}
-	// Two groups with the same size/selectivity; one joins with 10 tuples
+	// Two groups with the same size and sample; one joins with 10 tuples
 	// per row, the other with 1. The heavy group should be retrieved first.
-	groups := []JoinGroup{
-		{Size: 1000, Selectivity: 0.5, JoinWeight: 1},
-		{Size: 1000, Selectivity: 0.5, JoinWeight: 10},
-	}
-	s, err := PlanSelectJoin(groups, cons, DefaultCost)
+	groups := []GroupInfo{GroupInfoFromSample(1000, 50, 25), GroupInfoFromSample(1000, 50, 25)}
+	s, err := PlanSelectJoin(groups, []float64{1, 10}, cons, DefaultCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,35 +219,45 @@ func TestPlanSelectJoinWeighting(t *testing.T) {
 	}
 }
 
+// TestPlanSelectJoinUniformWeightsMatchPlain: a join in which every tuple
+// joins exactly one tuple is the plain query, so with every weight 1 the
+// join planner is Convex Prog. 4.1 itself, bit for bit.
 func TestPlanSelectJoinUniformWeightsMatchPlain(t *testing.T) {
-	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	jg := []JoinGroup{
-		{Size: 1000, Selectivity: 0.9, JoinWeight: 1},
-		{Size: 1000, Selectivity: 0.5, JoinWeight: 1},
-		{Size: 1000, Selectivity: 0.1, JoinWeight: 1},
-	}
-	sJoin, err := PlanSelectJoin(jg, cons, DefaultCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sPlain, err := PlanPerfectSelectivities(paperGroups(), cons, DefaultCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sPlain.R {
-		if math.Abs(sJoin.R[i]-sPlain.R[i]) > 1e-9 || math.Abs(sJoin.E[i]-sPlain.E[i]) > 1e-9 {
-			t.Fatalf("weight-1 join plan differs from plain plan: %v vs %v", sJoin, sPlain)
+	r := stats.NewRNG(805)
+	for trial := 0; trial < 40; trial++ {
+		groups := make([]GroupInfo, 1+r.IntN(8))
+		ones := make([]float64, len(groups))
+		for i := range groups {
+			size := 1 + r.IntN(3000)
+			sampled := r.IntN(min(size, 80) + 1)
+			groups[i] = GroupInfoFromSample(size, sampled, r.IntN(sampled+1))
+			ones[i] = 1
+		}
+		cons := Constraints{Alpha: 0.5 + 0.45*r.Float64(), Beta: 0.5 + 0.45*r.Float64(), Rho: 0.5 + 0.45*r.Float64()}
+		sJoin, err := PlanSelectJoin(groups, ones, cons, DefaultCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sPlain, err := PlanWithSamples(groups, cons, DefaultCost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sJoin, sPlain) {
+			t.Fatalf("trial %d: weight-1 join plan %+v, plain plan %+v", trial, sJoin, sPlain)
 		}
 	}
 }
 
 func TestPlanSelectJoinErrors(t *testing.T) {
 	cons := Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	if _, err := PlanSelectJoin(nil, cons, DefaultCost); err == nil {
+	if _, err := PlanSelectJoin(nil, nil, cons, DefaultCost); err == nil {
 		t.Fatal("empty groups accepted")
 	}
-	bad := []JoinGroup{{Size: 10, Selectivity: 0.5, JoinWeight: -1}}
-	if _, err := PlanSelectJoin(bad, cons, DefaultCost); err == nil {
+	groups := []GroupInfo{GroupInfoFromSample(10, 2, 1)}
+	if _, err := PlanSelectJoin(groups, []float64{-1}, cons, DefaultCost); err == nil {
 		t.Fatal("negative weight accepted")
+	}
+	if _, err := PlanSelectJoin(groups, []float64{1, 1}, cons, DefaultCost); err == nil {
+		t.Fatal("one weight per group not enforced")
 	}
 }

@@ -5,15 +5,17 @@
 // recall (β) and satisfaction-probability (ρ) constraints at minimum
 // expected cost.
 //
-// Two information regimes are planned here, mirroring Sections 3.2–3.3
-// (Section 3.1's NP-hard perfect-information problem is only a worked
-// example; its solver lives with the reproduction in internal/experiments):
+// Each program the paper poses has one solver here:
 //
-//   - Perfect selectivities: the Hoeffding-tightened linear program solved by
-//     the O(|A| log |A|) BIGREEDY-LP algorithm (PlanPerfectSelectivities).
-//   - Estimated selectivities: the Cantelli-tightened convex programs for
-//     unknown correlations and independent groups, and the sampling-aware
-//     variant of Section 4 (PlanEstimated*, PlanWithSamples).
+//   - Perfect selectivities (§3.2): BIGREEDY-LP on the Hoeffding-tightened
+//     linear program (PlanPerfectSelectivities).
+//   - Estimated selectivities (§3.3, §4): the Cantelli-tightened convex
+//     programs (PlanEstimated*), of which Convex Prog. 4.1 (PlanWithSamples)
+//     is the engine's; weighted by join multiplicity it is §5's selection
+//     before join (PlanSelectJoin).
+//   - Per-group action choices: one exact branch and bound (ChooseActions),
+//     handed five actions per group by §5's two-predicate planner and three
+//     by §3.1's perfect-information problem (in internal/experiments).
 //
 // The package also implements the Section 4 machinery for jointly
 // estimating and exploiting selectivities (the Two-Third-Power allocator,
@@ -500,8 +502,8 @@ func (m *Meter) Known(row int) (bool, bool) {
 // package's partition group, so a partition feeds the optimizer as is.
 type Group = table.Group
 
-// infeasibleMargin is the tolerance used when verifying planner output
-// against its own constraints.
+// feasEps is the relative tolerance almostGE allows when verifying planner
+// output against its own constraints.
 const feasEps = 1e-6
 
 // almostGE reports a ≥ b within feasEps scaled by the magnitude of b.

@@ -413,15 +413,7 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 		st.strategy = p.Strategy
 		st.achieved = p.AchievedBeta
 	case plan.ModeJoinWeight:
-		joinGroups := make([]core.JoinGroup, len(infos))
-		for i, info := range infos {
-			joinGroups[i] = core.JoinGroup{
-				Size:        info.Remaining(),
-				Selectivity: info.Selectivity,
-				JoinWeight:  st.joinWeights[i],
-			}
-		}
-		strat, err := core.PlanSelectJoin(joinGroups, cons, st.cost)
+		strat, err := core.PlanSelectJoin(infos, st.joinWeights, cons, st.cost)
 		if err != nil {
 			return stageOut{}, err
 		}

@@ -49,7 +49,9 @@ func score(truth func(int) bool, total int, cons core.Constraints, run Run, err 
 // statement over the dataset's table, grouped on the named column, on a
 // fresh engine.
 func runIntel(ctx context.Context, d *dataset.Dataset, cons core.Constraints, groupOn string, seed uint64) (AlgoOutcome, error) {
-	run, err := RunEngine(ctx, seed, d.Table, cons, groupOn, Predicate{Name: "truth", Truth: d.Truth()})
+	w := predictorWorld(d)
+	w.GroupOn = groupOn
+	run, err := RunEngine(ctx, seed, w, cons)
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 

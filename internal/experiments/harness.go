@@ -30,29 +30,37 @@ type Predicate struct {
 
 // RunEngine executes
 //
-//	SELECT id FROM tbl WHERE p₁(id) = 1 [AND p₂(id) = 1 …]
+//	SELECT id FROM tbl [JOIN right ON tbl.LeftKey = right.RightKey]
+//	WHERE p₁(id) = 1 [AND p₂(id) = 1 …]
 //	WITH PRECISION α RECALL β PROBABILITY ρ GROUP ON groupOn
 //
-// on a fresh engine with the given seed. The cross-query cache is off so
-// every run pays for its own evaluations; parallelism is 1 because the
-// truth UDFs are instant and the result is the same at any setting.
-func RunEngine(ctx context.Context, seed uint64, tbl *table.Table, cons core.Constraints, groupOn string, preds ...Predicate) (Run, error) {
-	if len(preds) == 0 {
+// over the world on a fresh engine with the given seed. The cross-query
+// cache is off so every run pays for its own evaluations; parallelism is 1
+// because the truth UDFs are instant and the result is the same at any
+// setting.
+func RunEngine(ctx context.Context, seed uint64, w World, cons core.Constraints) (Run, error) {
+	if len(w.Preds) == 0 {
 		return Run{}, fmt.Errorf("experiments: no predicate")
 	}
 	eng := engine.New(seed)
 	eng.CacheUDFResults = false
 	eng.Parallelism = 1
-	if err := eng.RegisterTable(tbl); err != nil {
+	if err := eng.RegisterTable(w.Table); err != nil {
 		return Run{}, err
 	}
 	q := plan.Query{
-		Table:   tbl.Name(),
+		Table:   w.Table.Name(),
 		Columns: []string{"id"},
 		Approx:  &plan.Approx{Precision: cons.Alpha, Recall: cons.Beta, Probability: cons.Rho},
-		GroupOn: groupOn,
+		GroupOn: w.GroupOn,
 	}
-	for _, p := range preds {
+	if w.Right != nil {
+		if err := eng.RegisterTable(w.Right); err != nil {
+			return Run{}, err
+		}
+		q.Join = &plan.Join{Table: w.Right.Name(), LeftKey: w.LeftKey, RightKey: w.RightKey}
+	}
+	for _, p := range w.Preds {
 		truth := p.Truth
 		body := func(_ context.Context, v table.Value) (bool, error) { return truth(int(v.(int64))), nil }
 		err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: body})
@@ -71,11 +79,34 @@ func RunEngine(ctx context.Context, seed uint64, tbl *table.Table, cons core.Con
 
 // World is what a Sweep runs statements against: a table whose id column
 // holds the row id, the column they group on and the predicates they AND.
-// The conjunction of the predicates' truths is the ground truth.
+// The conjunction of the predicates' truths is the ground truth. A world
+// with a Right table joins it on Table.LeftKey = Right.RightKey (Section
+// 5's selection before join): its ground truth is the join result, in which
+// a row appears once per Right row carrying its key.
 type World struct {
 	Table   *table.Table
 	GroupOn string
 	Preds   []Predicate
+
+	Right             *table.Table
+	LeftKey, RightKey string
+}
+
+// multiplicity returns each row's count in the world's result: 1, or with a
+// join the Right rows whose key renders as the row's does.
+func (w World) multiplicity() (func(row int) int, error) {
+	if w.Right == nil {
+		return func(int) int { return 1 }, nil
+	}
+	left, right := w.Table.ColumnByName(w.LeftKey), w.Right.ColumnByName(w.RightKey)
+	if left == nil || right == nil {
+		return nil, fmt.Errorf("experiments: join key %s.%s or %s.%s not found", w.Table.Name(), w.LeftKey, w.Right.Name(), w.RightKey)
+	}
+	count := make(map[string]int)
+	for row := 0; row < right.Len(); row++ {
+		count[right.StringAt(row)]++
+	}
+	return func(row int) int { return count[left.StringAt(row)] }, nil
 }
 
 // Tally is a Sweep's outcome: every statement scored against the world's
@@ -96,7 +127,8 @@ func (t Tally) Holds(rho float64) bool {
 
 // Sweep runs n approximate statements through RunEngine against one world,
 // each on a fresh engine seeded by the next draw of rng, and scores each
-// against the world's ground truth.
+// against the world's ground truth. With a join, the score is over the join
+// result: every returned row counts with its multiplicity.
 func Sweep(ctx context.Context, w World, cons core.Constraints, n int, rng *stats.RNG) (Tally, error) {
 	truth := func(row int) bool {
 		for _, p := range w.Preds {
@@ -106,15 +138,28 @@ func Sweep(ctx context.Context, w World, cons core.Constraints, n int, rng *stat
 		}
 		return true
 	}
+	mult, err := w.multiplicity()
+	if err != nil {
+		return Tally{}, err
+	}
 	total := 0
 	for row := 0; row < w.Table.NumRows(); row++ {
 		if truth(row) {
-			total++
+			total += mult(row)
 		}
 	}
 	t := Tally{Statements: make([]AlgoOutcome, n)}
 	for i := range t.Statements {
-		run, err := RunEngine(ctx, rng.Uint64(), w.Table, cons, w.GroupOn, w.Preds...)
+		run, err := RunEngine(ctx, rng.Uint64(), w, cons)
+		if w.Right != nil {
+			var joined []int
+			for _, row := range run.Rows {
+				for range mult(row) {
+					joined = append(joined, row)
+				}
+			}
+			run.Rows = joined
+		}
 		o, err := score(truth, total, cons, run, err)
 		if err != nil {
 			return Tally{}, err

@@ -77,8 +77,7 @@ func TestLabMatchesEngineAtDefaultAllocator(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := uint64(1); seed <= 5; seed++ {
-			system, err := RunEngine(context.Background(), seed, d.Table, cons, spec.Predictor,
-				Predicate{Name: "truth", Truth: d.Truth()})
+			system, err := RunEngine(context.Background(), seed, predictorWorld(d), cons)
 			if err != nil {
 				t.Fatal(err)
 			}

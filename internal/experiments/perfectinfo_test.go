@@ -15,10 +15,6 @@ func bruteForcePerfectInfo(p PerfectInfoInstance) ([]Action, float64) {
 		totalCorrect += c
 	}
 	gamma := p.Beta * float64(totalCorrect)
-	invAlphaMinus1 := math.Inf(1)
-	if p.Alpha > 0 {
-		invAlphaMinus1 = 1/p.Alpha - 1
-	}
 	best := math.Inf(1)
 	var bestActs []Action
 	acts := make([]Action, n)
@@ -28,7 +24,7 @@ func bruteForcePerfectInfo(p PerfectInfoInstance) ([]Action, float64) {
 			cost, recall, prec := 0.0, 0.0, 0.0
 			for i, a := range acts {
 				cost += p.cost(i, a)
-				r, pc := p.contribution(i, a, invAlphaMinus1)
+				r, pc := p.contribution(i, a)
 				recall += r
 				if p.Alpha > 0 {
 					prec += pc

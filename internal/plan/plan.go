@@ -55,7 +55,7 @@ const (
 	// Solve modes.
 	ModeConstrained = "constrained" // min cost s.t. α, β, ρ
 	ModeBudget      = "budget"      // max recall s.t. α, ρ, cost ≤ B
-	ModeJoinWeight  = "join-weight" // join-multiplicity-weighted LP
+	ModeJoinWeight  = "join-weight" // constrained, join-multiplicity-weighted
 	// Conj-waves orderings.
 	ModeQueryOrder  = "query-order" // predicates as written
 	ModeGreedyOrder = "greedy"      // cheapest-first from sampled selectivities

@@ -1,10 +1,8 @@
 // Package solver provides the from-scratch numerical optimization substrate
 // the paper's optimizer builds on: Euclidean projections onto the feasible
-// boxes used by the execution strategies, a projected-gradient method with
-// penalty continuation for convex programs, an exact branch-and-bound
-// optimizer for the NP-hard 0/1 Perfect-Information problem, and a
-// min-knapsack dynamic program (the problem the paper reduces from in its
-// hardness proof).
+// boxes used by the execution strategies, and a projected-gradient method
+// with penalty continuation for convex programs. The exact branch and bound
+// for per-group action choices is core.ChooseActions.
 //
 // Only the standard library is used.
 package solver
