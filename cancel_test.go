@@ -111,8 +111,9 @@ func TestQueryContextCancelConjWaves(t *testing.T) {
 
 // TestQueryContextCancelTwoPredicatePlan cancels the §5 two-predicate plan
 // inside conj-exec, after its joint sample. Seed it catches:
-// context.Background() handed to core.ExecuteTwoPredicatesParallelCtx in
-// engine.opConjExec — the plan then executes every action after the cancel.
+// context.Background() handed to core.ExecuteSpansParallelCtx in
+// engine.opProbEval, the stage body conj-exec shares with prob-eval — the
+// plan then executes every action after the cancel.
 func TestQueryContextCancelTwoPredicatePlan(t *testing.T) {
 	const n, workers = 600, 4
 	sql := `SELECT * FROM loans WHERE good_credit(id) = 1 AND rich(income) = 1
@@ -218,7 +219,7 @@ func TestQueryContextCancelDuringSampling(t *testing.T) {
 
 // TestQueryContextCancelDuringExecution cancels inside the probabilistic
 // executor. Seed it catches: context.Background() handed to
-// core.ExecuteParallelCtx in engine.opProbEval.
+// core.ExecuteSpansParallelCtx in engine.opProbEval.
 func TestQueryContextCancelDuringExecution(t *testing.T) {
 	// Learn the sampling size from an uncancelled run with the same seed,
 	// then cancel a few calls past it — inside the execution phase.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -21,46 +22,67 @@ func cancelAfter(udf UDF, after int64, cancel context.CancelFunc) UDF {
 	})
 }
 
+// TestTopUpCtxCancelLeavesSamplerConsistent cancels a top-up mid-batch:
+// in the one predicate's batch, and in the second predicate's batch of a
+// joint sample, after the first predicate evaluated every row.
 func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 	groups, udf := parallelTestGroups(3000)
+	even := UDFFunc(func(row int) bool { return row%2 == 0 })
 	targets := []int{200, 200, 200}
 
-	// Reference: an uncancelled sampler over the same seed.
-	ref := NewSampler(groups, NewMeter(udf), stats.NewRNG(5))
-	refN, err := ref.TopUpCtx(context.Background(), targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, par := range []int{1, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		s := NewSampler(groups, NewMeter(cancelAfter(udf, 25, cancel)), stats.NewRNG(5))
-		s.SetParallelism(par)
-		if _, err := s.TopUpCtx(ctx, targets); err != context.Canceled {
-			t.Fatalf("par=%d: err %v, want context.Canceled", par, err)
-		}
-		// The cancelled top-up must not have mutated the sampler: no
-		// outcomes recorded, no rows popped.
-		if got := s.TotalSampled(); got != 0 {
-			t.Fatalf("par=%d: cancelled TopUp recorded %d outcomes", par, got)
-		}
-		for i := range groups {
-			if len(s.unsampled[i]) != len(groups[i].Rows) {
-				t.Fatalf("par=%d: group %d pool shrank to %d of %d",
-					par, i, len(s.unsampled[i]), len(groups[i].Rows))
-			}
-		}
-		// A retry over a live context completes and matches the reference
-		// bit-for-bit: same rows sampled, same outcomes.
-		n, err := s.TopUpCtx(context.Background(), targets)
+	for _, in := range []struct {
+		name     string
+		udfs     []UDF
+		cancelIn int // the predicate whose batch the cancel lands in
+	}{
+		{"one predicate", []UDF{udf}, 0},
+		{"second of two predicates", []UDF{udf, even}, 1},
+	} {
+		// Reference: an uncancelled sampler over the same seed.
+		ref := NewJointSampler(groups, metered(in.udfs...), stats.NewRNG(5))
+		refN, err := ref.TopUpCtx(context.Background(), targets)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != refN {
-			t.Fatalf("par=%d: retry sampled %d, reference %d", par, n, refN)
-		}
-		if !reflect.DeepEqual(s.Outcomes(), ref.Outcomes()) {
-			t.Fatalf("par=%d: retry outcomes diverge from uncancelled run", par)
+
+		for _, par := range []int{1, 8} {
+			ctx, cancel := context.WithCancel(context.Background())
+			udfs := slices.Clone(in.udfs)
+			udfs[in.cancelIn] = cancelAfter(udfs[in.cancelIn], 25, cancel)
+			meters := metered(udfs...)
+			s := NewJointSampler(groups, meters, stats.NewRNG(5))
+			s.SetParallelism(par)
+			if _, err := s.TopUpCtx(ctx, targets); err != context.Canceled {
+				t.Fatalf("%s, par=%d: err %v, want context.Canceled", in.name, par, err)
+			}
+			// The cancelled top-up must not have mutated the sampler: no
+			// outcomes recorded, no rows popped.
+			if got := s.TotalSampled(); got != 0 {
+				t.Fatalf("%s, par=%d: cancelled TopUp recorded %d outcomes", in.name, par, got)
+			}
+			for i := range groups {
+				if len(s.unsampled[i]) != len(groups[i].Rows) {
+					t.Fatalf("%s, par=%d: group %d pool shrank to %d of %d",
+						in.name, par, i, len(s.unsampled[i]), len(groups[i].Rows))
+				}
+			}
+			// A retry over a live context completes and matches the
+			// reference bit-for-bit: same rows sampled, same outcomes.
+			n, err := s.TopUpCtx(context.Background(), targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != refN {
+				t.Fatalf("%s, par=%d: retry sampled %d, reference %d", in.name, par, n, refN)
+			}
+			if !reflect.DeepEqual(s.Outcomes(), ref.Outcomes()) {
+				t.Fatalf("%s, par=%d: retry outcomes diverge from uncancelled run", in.name, par)
+			}
+			// The first meter charged each sampled row once, although the
+			// cancelled top-up had already evaluated some or all of them.
+			if got := meters[0].Calls(); got != refN {
+				t.Fatalf("%s, par=%d: meter 0 charged %d calls for %d rows", in.name, par, got, refN)
+			}
 		}
 	}
 }

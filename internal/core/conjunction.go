@@ -7,122 +7,26 @@ import (
 	"sort"
 
 	"repro/internal/exec"
-	"repro/internal/stats"
 )
 
 // Generalized conjunctions: N expensive predicates ANDed together. This
 // file holds what every conjunction shape — the paper's five-action plan
 // for exactly two predicates (Section 5, twopred.go) and the N-ary waves —
-// is built on, including the one evaluator every execution shape runs
-// through:
+// is built on, beside the one Sampler (sampling.go, which evaluates every
+// predicate on a sampled row: joint statistics need every outcome) and the
+// one coin executor (executor.go):
 //
-//   - SampleConjunctionParallelCtx — joint sampling of all N predicates
-//     over a few rows per group (sampling never short-circuits: joint
-//     statistics need every outcome);
 //   - OrderPredicates — the classic greedy cheapest-first ordering by
-//     cost/(1−selectivity), using the sampled selectivity estimates;
+//     cost/(1−selectivity), using the sampler's pooled selectivities;
 //   - Waves — short-circuit evaluation: each row passes a range of
 //     predicates, and each wave evaluates only the rows the earlier waves
-//     kept. Exact scans, the probabilistic executor (executor.go), the
-//     five actions and the N-ary waves all execute through it.
+//     kept. Exact scans, the coin executor (single-predicate strategies and
+//     the five actions alike) and the N-ary waves all execute through it.
 //
 // Everything is plan/evaluate split like the rest of the package: row
 // selection and ordering are sequential, UDF calls fan out across workers,
 // and outcomes merge back in plan order — so for a fixed seed the results
 // are bit-for-bit identical at every parallelism level.
-
-// ConjSample records, for one group, the sampled rows' outcomes under every
-// predicate.
-type ConjSample struct {
-	// Results maps sampled row → per-predicate outcomes (indexed like the
-	// meters slice passed to SampleConjunctionParallelCtx).
-	Results map[int][]bool
-	// Pos counts rows passing each predicate; PosAll counts rows passing
-	// all of them.
-	Pos    []int
-	PosAll int
-}
-
-// SampleConjunctionParallelCtx evaluates every predicate on targets[i]
-// random tuples of each group. It returns the per-group samples plus
-// pooled per-predicate selectivity estimates (Beta-posterior means over
-// all sampled rows) for greedy ordering. The sample rows are drawn from the
-// RNG up front, so the sampled sets are identical at any parallelism
-// level; a cancel returns ctx.Err() with no partial samples.
-func SampleConjunctionParallelCtx(ctx context.Context, groups []Group, targets []int, meters []*Meter, rng *stats.RNG, parallelism int) ([]ConjSample, []float64, error) {
-	if len(targets) != len(groups) {
-		return nil, nil, fmt.Errorf("core: %d targets for %d groups", len(targets), len(groups))
-	}
-	if len(meters) == 0 {
-		return nil, nil, fmt.Errorf("core: conjunction without predicates")
-	}
-	samples := make([]ConjSample, len(groups))
-	// Plan: draw every group's sample rows in order.
-	var work, groupOf []int
-	for i, g := range groups {
-		samples[i] = ConjSample{Results: make(map[int][]bool), Pos: make([]int, len(meters))}
-		want := targets[i]
-		if want > len(g.Rows) {
-			want = len(g.Rows)
-		}
-		for _, idx := range rng.SampleWithoutReplacement(len(g.Rows), want) {
-			work = append(work, g.Rows[idx])
-			groupOf = append(groupOf, i)
-		}
-	}
-	// Evaluate every predicate over every sampled row, one EvalRows batch
-	// per predicate in predicate order — a circuit breaker needs sequential
-	// fold points. A row with a failed predicate is dropped from the sample
-	// entirely: joint statistics need every outcome of a row, so a partial
-	// row is no evidence. A cancel returns ctx.Err(), also with no rows.
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	pool := exec.NewPool(parallelism)
-	verdicts := make([][]bool, len(meters))
-	failedAny := make([]bool, len(work))
-	for j, m := range meters {
-		v, failed, err := m.EvalRows(ctx, pool, work)
-		if err != nil {
-			return nil, nil, err
-		}
-		verdicts[j] = v
-		for k, f := range failed {
-			failedAny[k] = failedAny[k] || f
-		}
-	}
-	kept := 0
-	for k, row := range work {
-		if failedAny[k] {
-			continue
-		}
-		kept++
-		i := groupOf[k]
-		outs := make([]bool, len(meters))
-		all := true
-		for j := range meters {
-			outs[j] = verdicts[j][k]
-			if outs[j] {
-				samples[i].Pos[j]++
-			} else {
-				all = false
-			}
-		}
-		samples[i].Results[row] = outs
-		if all {
-			samples[i].PosAll++
-		}
-	}
-	sels := make([]float64, len(meters))
-	for j := range meters {
-		pos := 0
-		for i := range samples {
-			pos += samples[i].Pos[j]
-		}
-		sels[j] = stats.NewBetaPosterior(pos, kept-pos).Mean()
-	}
-	return samples, sels, nil
-}
 
 // OrderPredicates returns the greedy cheapest-first evaluation order for a
 // conjunction: ascending by the classic rank cost/(1−selectivity) — the
@@ -158,8 +62,8 @@ type Span struct{ From, To int32 }
 func (s Span) covers(j int) bool { return int(s.From) <= j && j < int(s.To) }
 
 // Waves is the one short-circuit evaluator every execution shape shares:
-// the exact scan (one wave), the probabilistic executor (one wave, coins
-// decide each row's span), the §5 five-action executor (two waves) and the
+// the exact scan (one wave), the coin executor (one wave per predicate,
+// coins decide each row's span — two waves for the §5 actions) and the
 // N-ary conjunction waves. Wave j runs Meters[j] as one Meter.EvalRows
 // batch over the live rows whose span covers j, in row order, so a row is
 // checked against a predicate only after it passed every earlier one it

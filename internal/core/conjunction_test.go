@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -31,63 +30,6 @@ func metered(udfs ...UDF) []*Meter {
 		ms[i] = NewMeter(u)
 	}
 	return ms
-}
-
-func TestSampleConjunctionEstimates(t *testing.T) {
-	groups := conjGroups(400)
-	udfs := []UDF{
-		UDFFunc(func(row int) bool { return row%4 == 0 }),  // sel 0.25
-		UDFFunc(func(row int) bool { return row < 300 }),   // sel 0.75
-		UDFFunc(func(row int) bool { return row%10 != 0 }), // sel 0.9
-	}
-	samples, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{60, 60}, metered(udfs...), stats.NewRNG(3), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) != 2 || len(sels) != 3 {
-		t.Fatalf("got %d samples, %d sels", len(samples), len(sels))
-	}
-	for i, s := range samples {
-		if len(s.Results) != 60 {
-			t.Fatalf("group %d sampled %d rows, want 60", i, len(s.Results))
-		}
-		for row, outs := range s.Results {
-			if len(outs) != 3 {
-				t.Fatalf("row %d has %d outcomes", row, len(outs))
-			}
-			for j, u := range udfs {
-				if outs[j] != u.Eval(row) {
-					t.Fatalf("row %d pred %d recorded %v", row, j, outs[j])
-				}
-			}
-		}
-	}
-	approx := []float64{0.25, 0.75, 0.9}
-	for j, want := range approx {
-		if math.Abs(sels[j]-want) > 0.15 {
-			t.Fatalf("sel[%d] = %v, want ≈%v", j, sels[j], want)
-		}
-	}
-}
-
-func TestSampleConjunctionDeterministicAcrossParallelism(t *testing.T) {
-	groups := conjGroups(300)
-	udfs := []UDF{
-		UDFFunc(func(row int) bool { return row%3 == 0 }),
-		UDFFunc(func(row int) bool { return row%5 != 0 }),
-	}
-	run := func(par int) ([]ConjSample, []float64) {
-		s, sels, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{40, 40}, metered(udfs...), stats.NewRNG(17), par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, sels
-	}
-	s1, sel1 := run(1)
-	s8, sel8 := run(8)
-	if !reflect.DeepEqual(s1, s8) || !reflect.DeepEqual(sel1, sel8) {
-		t.Fatal("sampling diverged across parallelism levels")
-	}
 }
 
 func TestOrderPredicates(t *testing.T) {
@@ -228,10 +170,10 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 
 func TestConjunctionWavesValidation(t *testing.T) {
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1}, metered(udfs...), stats.NewRNG(1), 1); err == nil {
+	if _, err := NewJointSampler(conjGroups(10), metered(udfs...), stats.NewRNG(1)).TopUpCtx(context.Background(), []int{1}); err == nil {
 		t.Fatal("target/group mismatch accepted")
 	}
-	if _, _, err := SampleConjunctionParallelCtx(context.Background(), conjGroups(10), []int{1, 1}, nil, stats.NewRNG(1), 1); err == nil {
+	if _, err := NewJointSampler(conjGroups(10), nil, stats.NewRNG(1)).TopUpCtx(context.Background(), []int{1, 1}); err == nil {
 		t.Fatal("no predicates accepted")
 	}
 }
@@ -247,7 +189,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		}
 		return true
 	})
-	_, _, err := SampleConjunctionParallelCtx(ctx, groups, []int{20, 20}, metered(udf, udf), stats.NewRNG(2), 1)
+	_, err := NewJointSampler(groups, metered(udf, udf), stats.NewRNG(2)).TopUpCtx(ctx, []int{20, 20})
 	if err != context.Canceled {
 		t.Fatalf("sample cancel: %v", err)
 	}
@@ -290,10 +232,11 @@ func (g *foldLog) Plan(n int) []bool {
 func (g *foldLog) Record(failed []bool) { g.folds = append(g.folds, failed...) }
 
 // TestEvalWorkListsFoldSharedGateInOrder: two predicates on one UDF share
-// its breaker, so the joint sampler and the §5 executor must fold predicate
-// 0's segments before predicate 1's, each in row order — the executor's f2
-// wave merges the evaluate-f2 rows with the evaluate-both rows f1 kept.
-// Work lists run on goroutines fail it under -race.
+// its breaker, so the sampler and the coin executor running the §5 actions
+// must fold predicate 0's segments before predicate 1's, each in row order
+// — the executor's f2 wave merges the evaluate-f2 rows with the
+// evaluate-both rows f1 kept. Work lists run on goroutines fail it under
+// -race.
 func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 	failEvery := func(k int) FallibleUDF {
 		return fallibleFunc(func(_ context.Context, row int) (bool, error) {
@@ -330,18 +273,20 @@ func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 		run  func(m0, m1 *Meter) error
 		want []bool
 	}{
-		{"SampleConjunctionParallelCtx", func(m0, m1 *Meter) error {
-			_, _, err := SampleConjunctionParallelCtx(ctx, single, ones, []*Meter{m0, m1}, stats.NewRNG(1), 4)
+		{"Sampler.TopUpCtx", func(m0, m1 *Meter) error {
+			s := NewJointSampler(single, []*Meter{m0, m1}, stats.NewRNG(1))
+			s.SetParallelism(4)
+			_, err := s.TopUpCtx(ctx, ones)
 			return err
 		}, append(folds(lo, 3), folds(lo, 4)...)},
-		{"ExecuteTwoPredicatesParallelCtx", func(m0, m1 *Meter) error {
-			_, err := ExecuteTwoPredicatesParallelCtx(ctx, []Group{{Rows: lo}, {Rows: hi}},
-				[]TwoPredAction{TPEval1Assume2, TPAssume1Eval2}, nil, m0, m1, DefaultCost, 4)
+		{"eval-1 + eval-2", func(m0, m1 *Meter) error {
+			_, err := executeActions(ctx, []Group{{Rows: lo}, {Rows: hi}},
+				[]TwoPredAction{TPEval1Assume2, TPAssume1Eval2}, nil, m0, m1, 4)
 			return err
 		}, append(folds(lo, 3), folds(hi, 4)...)},
-		{"ExecuteTwoPredicatesParallelCtx eval-both + eval-2", func(m0, m1 *Meter) error {
-			_, err := ExecuteTwoPredicatesParallelCtx(ctx, []Group{{Rows: lo}, {Rows: hi}},
-				[]TwoPredAction{TPEvalBoth, TPAssume1Eval2}, nil, m0, m1, DefaultCost, 4)
+		{"eval-both + eval-2", func(m0, m1 *Meter) error {
+			_, err := executeActions(ctx, []Group{{Rows: lo}, {Rows: hi}},
+				[]TwoPredAction{TPEvalBoth, TPAssume1Eval2}, nil, m0, m1, 4)
 			return err
 		}, append(append(folds(lo, 3), folds(kept(lo, 3), 4)...), folds(hi, 4)...)},
 	} {

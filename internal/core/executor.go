@@ -12,25 +12,30 @@ import (
 // This file implements query execution (the "Execution" step of
 // Sections 3.2/3.3): given a strategy, flip a coin per tuple to decide
 // retrieval, then another to decide evaluation; retrieved-but-unevaluated
-// tuples are returned as-is, evaluated tuples are returned only when the
-// UDF accepts them. Tuples already evaluated during sampling are returned
-// (or dropped) according to their known value at no extra cost.
+// tuples are returned as-is, evaluated tuples are returned only when every
+// predicate of their span accepts them. Tuples already evaluated during
+// sampling are returned (or dropped) according to their known outcome at
+// no extra cost. It is the one executor: §5's five per-group actions are
+// strategies whose coins land at 0 or 1 (TwoPredStrategy), and
+// stats.RNG.Bernoulli draws nothing there.
 //
 // Execution is split into two phases so the expensive UDF calls can fan
 // out across goroutines without perturbing determinism: a sequential PLAN
 // phase draws every Bernoulli coin from the RNG in tuple order and emits
 // each returned candidate with the predicate span it still needs, then a
-// parallel EVALUATE phase runs them through one Waves wave, which keeps
+// parallel EVALUATE phase runs them through one Waves run, which keeps
 // row order.
 // Because the UDF never consumes the RNG, the coin stream — and therefore
 // the output — is bit-for-bit identical at every parallelism level.
 
 // SampleOutcome records the sampling phase's work for one group.
 type SampleOutcome struct {
-	// Results maps sampled row id → UDF outcome.
+	// Results maps sampled row id → whether it passed every predicate.
 	Results map[int]bool
-	// Positives counts true outcomes (F⁺ₐ).
+	// Positives counts rows passing every predicate (F⁺ₐ); Pos[j] counts
+	// rows passing predicate j.
 	Positives int
+	Pos       []int
 }
 
 // ExecResult is the outcome of executing a strategy.
@@ -39,27 +44,45 @@ type ExecResult struct {
 	Output []int
 	// Retrieved counts tuples fetched during execution (excluding sampling).
 	Retrieved int
-	// Evaluated counts UDF calls made during execution (excluding sampling).
+	// Evaluated counts UDF calls made during execution (excluding
+	// sampling), summed over the predicates.
 	Evaluated int
 	// Cost is the execution cost o_r·Retrieved + o_e·Evaluated.
 	Cost float64
 }
 
-// ExecuteParallelCtx runs the strategy over the groups, fanning UDF calls
-// across up to `parallelism` workers (≤ 0 means GOMAXPROCS). samples may
-// be nil (no sampling phase) or hold one entry per group; sampled rows are
-// not re-retrieved or re-evaluated — their recorded outcome decides
-// membership. The RNG drives the per-tuple coins; all draws happen in the
-// sequential plan phase, so results are identical at every parallelism
-// level. That phase is cheap and always completes, so the RNG is consumed
-// identically whether or not the evaluate phase is cancelled; a cancel
-// returns ctx.Err() and an empty result.
+// ExecuteParallelCtx runs the strategy over the groups with one predicate:
+// ExecuteSpansParallelCtx with the one meter.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, meter *Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
+	return ExecuteSpansParallelCtx(ctx, groups, s, nil, samples, []*Meter{meter}, cost, rng, parallelism)
+}
+
+// ExecuteSpansParallelCtx runs the strategy over the groups, fanning UDF
+// calls across up to `parallelism` workers (≤ 0 means GOMAXPROCS). A row
+// of group i that is retrieved and evaluated must pass the meters of
+// spans[i], in order, short-circuiting at the first that rejects it; nil
+// spans mean every meter for every group. samples may be nil (no sampling
+// phase) or hold one entry per group; sampled rows are not re-retrieved or
+// re-evaluated — their recorded outcome decides membership. The RNG drives
+// the per-tuple coins; all draws happen in the sequential plan phase, so
+// results are identical at every parallelism level. That phase is cheap
+// and always completes, so the RNG is consumed identically whether or not
+// the evaluate phase is cancelled; a cancel returns ctx.Err() and an empty
+// result.
+func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, spans []Span, samples []SampleOutcome, meters []*Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())
 	}
 	if samples != nil && len(samples) != len(groups) {
 		return ExecResult{}, fmt.Errorf("core: %d groups but %d sample outcomes", len(groups), len(samples))
+	}
+	if spans != nil && len(spans) != len(groups) {
+		return ExecResult{}, fmt.Errorf("core: %d groups but %d spans", len(groups), len(spans))
+	}
+	for i, sp := range spans {
+		if sp.From < 0 || sp.From > sp.To || int(sp.To) > len(meters) {
+			return ExecResult{}, fmt.Errorf("core: span [%d,%d) of group %d outside %d predicates", sp.From, sp.To, i, len(meters))
+		}
 	}
 	if err := s.Validate(); err != nil {
 		return ExecResult{}, err
@@ -67,12 +90,16 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 	var res ExecResult
 
 	// Plan: draw retrieval/evaluation coins for every tuple in order. A
-	// retrieved tuple needs the predicate (span [0,1)) when its evaluation
-	// coin lands, and nothing (an empty span) otherwise.
+	// retrieved tuple needs its group's span when its evaluation coin
+	// lands, and nothing (an empty span) otherwise.
 	var rows []int
 	var need []Span
 	for i, g := range groups {
 		ra, ea := s.R[i], s.E[i]
+		span := Span{To: int32(len(meters))}
+		if spans != nil {
+			span = spans[i]
+		}
 		var sampled map[int]bool
 		if samples != nil {
 			sampled = samples[i].Results
@@ -93,24 +120,27 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 				continue
 			}
 			res.Retrieved++
-			span := Span{}
+			sp := Span{}
 			if rng.Bernoulli(condEval) {
-				span.To = 1
+				sp = span
 			}
-			rows, need = append(rows, row), append(need, span)
+			rows, need = append(rows, row), append(need, sp)
 		}
 	}
 
-	// Evaluate: one wave fans the expensive calls out and keeps the plan
+	// Evaluate: the waves fan the expensive calls out and keep the plan
 	// order; a failed evaluation drops its row like a false verdict.
-	w := Waves{Meters: []*Meter{meter}, Pool: exec.NewPool(parallelism)}
+	w := Waves{Meters: meters, Pool: exec.NewPool(parallelism)}
 	out, err := w.Run(ctx, rows, need)
 	if err != nil {
 		return ExecResult{}, err
 	}
 	// The survivors live in scratch sized to every candidate; the answer
 	// keeps only its own rows.
-	res.Output, res.Evaluated = slices.Clone(out), w.Evaluated[0]
+	res.Output = slices.Clone(out)
+	for _, n := range w.Evaluated {
+		res.Evaluated += n
+	}
 	res.Cost = cost.Retrieve*float64(res.Retrieved) + cost.Evaluate*float64(res.Evaluated)
 	return res, nil
 }

@@ -16,7 +16,9 @@ import (
 // Fₐ = num·tₐ·n^(−1/3) decides how much to sample per group. (The other
 // allocation schemes the paper studies — constant, and the Section 4.3
 // adaptive search for num — live in internal/experiments: the engine runs
-// only this one.)
+// only this one.) One Sampler serves every sampled shape: one predicate
+// (§4), the §5 pair whose joint cells the five-action planner reads, and
+// the N-ary conjunction whose pooled selectivities order its waves.
 
 // TwoThirdPowerAllocator samples Fₐ = num·tₐ·n^(−1/3) tuples from group a,
 // the Section 4.3 rule of thumb (so named because total sampling grows as
@@ -52,13 +54,18 @@ func DefaultAllocator(alpha float64) TwoThirdPowerAllocator {
 	return TwoThirdPowerAllocator{Num: 2.5 * alpha}
 }
 
-// Sampler incrementally samples tuples from groups without replacement,
+// Sampler incrementally samples tuples from groups without replacement and
+// evaluates every predicate of the statement on each sampled row,
 // remembering outcomes so allocations can be topped up (a warm catalog,
-// Section 4.3's adaptive scheme) without re-evaluating tuples.
+// Section 4.3's adaptive scheme) without re-evaluating tuples. A sampled
+// row's outcome is whether it passed every predicate: with one meter that
+// is the UDF's verdict, with two the §5 joint cell P(f1 ∧ f2) the five
+// actions are priced on, and each predicate's own passes are kept beside
+// it (SampleOutcome.Pos) for the other joint cells and the greedy
+// conjunction order.
 type Sampler struct {
 	groups   []Group
-	meter    *Meter
-	rng      *stats.RNG
+	meters   []*Meter
 	outcomes []SampleOutcome
 	// unsampled[i] holds the not-yet-sampled row ids of group i in a
 	// pre-shuffled order; sampling pops from the tail.
@@ -76,14 +83,19 @@ type Sampler struct {
 // (≤ 0 means GOMAXPROCS, 1 means sequential).
 func (s *Sampler) SetParallelism(p int) { s.parallelism = p }
 
-// NewSampler prepares a sampler over the groups. Each group's rows are
-// shuffled once up front so successive top-ups are uniform without
-// replacement.
+// NewSampler prepares a single-predicate sampler over the groups: the
+// one-meter case of NewJointSampler.
 func NewSampler(groups []Group, meter *Meter, rng *stats.RNG) *Sampler {
+	return NewJointSampler(groups, []*Meter{meter}, rng)
+}
+
+// NewJointSampler prepares a sampler that evaluates every meter, in order,
+// on each sampled row. Each group's rows are shuffled once up front so
+// successive top-ups are uniform without replacement.
+func NewJointSampler(groups []Group, meters []*Meter, rng *stats.RNG) *Sampler {
 	s := &Sampler{
 		groups:      groups,
-		meter:       meter,
-		rng:         rng,
+		meters:      meters,
 		outcomes:    make([]SampleOutcome, len(groups)),
 		unsampled:   make([][]int, len(groups)),
 		parallelism: 1,
@@ -92,23 +104,29 @@ func NewSampler(groups []Group, meter *Meter, rng *stats.RNG) *Sampler {
 		rows := append([]int(nil), g.Rows...)
 		rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
 		s.unsampled[i] = rows
-		s.outcomes[i] = SampleOutcome{Results: make(map[int]bool)}
+		s.outcomes[i] = SampleOutcome{Results: make(map[int]bool), Pos: make([]int, len(meters))}
 	}
 	return s
 }
 
 // seedKnown moves rows with known outcomes from the unsampled pools into
 // the recorded results, returning how many rows it seeded. Rows not
-// belonging to any group (or already sampled) are ignored.
+// belonging to any group (or already sampled) are ignored. A known outcome
+// is one predicate's verdict, so only a single-predicate sampler takes it.
 func (s *Sampler) seedKnown(known map[int]bool) int {
+	if len(s.meters) != 1 {
+		panic("core: known outcomes seed a single-predicate sampler only")
+	}
 	seeded := 0
 	for i := range s.groups {
 		kept := s.unsampled[i][:0]
 		for _, row := range s.unsampled[i] {
 			if v, ok := known[row]; ok {
-				s.outcomes[i].Results[row] = v
+				o := &s.outcomes[i]
+				o.Results[row] = v
 				if v {
-					s.outcomes[i].Positives++
+					o.Positives++
+					o.Pos[0]++
 				}
 				seeded++
 				continue
@@ -123,7 +141,8 @@ func (s *Sampler) seedKnown(known map[int]bool) int {
 // Preload records rows whose UDF outcome is already known (e.g. tuples
 // labeled while discovering the correlated column, Section 4.4) so they
 // count as sampled without re-evaluation. Rows not belonging to any group
-// are ignored.
+// are ignored. Like SeedPrior it takes one predicate's verdicts, so it
+// panics on a joint sampler.
 func (s *Sampler) Preload(known map[int]bool) {
 	s.seedKnown(known)
 }
@@ -143,21 +162,28 @@ func (s *Sampler) SeedPrior(known map[int]bool) int {
 }
 
 // TopUpCtx raises each group's sampled count to targets[i] (no-op for
-// groups already at or above target), evaluating the UDF on newly sampled
-// rows. It returns the number of new evaluations performed.
+// groups already at or above target), evaluating every predicate on the
+// newly sampled rows. It returns the number of rows it drew.
 //
 // TopUpCtx is plan/evaluate split: the rows to sample are read sequentially
-// from the pre-shuffled per-group pools (no RNG is consumed), the UDF runs
-// over the whole batch on up to SetParallelism workers, and outcomes are
-// recorded in pop order — so the sampler's state afterwards is identical at
-// any parallelism level. The state mutates only after the whole batch
-// evaluated successfully: a cancelled top-up returns ctx.Err() with the
-// un-sampled pools and outcomes exactly as they were, so the sampler (and
-// its meter) stays reusable — a later top-up over the same targets
-// re-plans the identical batch.
+// from the pre-shuffled per-group pools (no RNG is consumed), then each
+// predicate runs over the whole batch as one Meter.EvalRows batch on up to
+// SetParallelism workers, in predicate order on the calling goroutine — a
+// circuit breaker the predicates share needs sequential fold points — and
+// outcomes are recorded in pop order, so the sampler's state afterwards is
+// identical at any parallelism level. Sampling never short-circuits: a
+// joint outcome needs every predicate's verdict. The state mutates only
+// after every batch evaluated successfully: a cancelled top-up returns
+// ctx.Err() with the un-sampled pools and outcomes exactly as they were, so
+// the sampler (and its meters, whose memos charge a row once) stays
+// reusable — a later top-up over the same targets re-plans the identical
+// batch.
 func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(targets) != len(s.groups) {
 		return 0, fmt.Errorf("core: %d targets for %d groups", len(targets), len(s.groups))
+	}
+	if len(s.meters) == 0 {
+		return 0, fmt.Errorf("core: sampler without predicates")
 	}
 	// Plan: read (without popping) the rows each group still owes from the
 	// tail of its pre-shuffled pool, group-major, in pop order.
@@ -179,13 +205,27 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		take[i] = want
 	}
 	// Evaluate in parallel; commit (pop + record) only on full success.
-	// Rows whose evaluation failed are popped (so they are not endlessly
-	// re-planned) but recorded as NOTHING: failed invocations must never
-	// become sampling evidence, and a later top-up to the same target
+	// Rows whose evaluation failed under some predicate are popped (so they
+	// are not endlessly re-planned) but recorded as NOTHING: failed
+	// invocations must never become sampling evidence, a row missing one
+	// verdict has no joint outcome, and a later top-up to the same target
 	// simply samples replacement rows.
-	verdicts, failed, err := s.meter.EvalRows(ctx, exec.NewPool(s.parallelism), work)
-	if err != nil {
-		return 0, err
+	pool := exec.NewPool(s.parallelism)
+	verdicts := make([][]bool, len(s.meters))
+	var failed []bool
+	for j, m := range s.meters {
+		v, f, err := m.EvalRows(ctx, pool, work)
+		if err != nil {
+			return 0, err
+		}
+		verdicts[j] = v
+		if j == 0 {
+			failed = f
+			continue
+		}
+		for k := range f {
+			failed[k] = failed[k] || f[k]
+		}
 	}
 	for i, k := range take {
 		s.unsampled[i] = s.unsampled[i][:len(s.unsampled[i])-k]
@@ -194,10 +234,18 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 		if failed[k] {
 			continue
 		}
-		i := groupOf[k]
-		s.outcomes[i].Results[row] = verdicts[k]
-		if verdicts[k] {
-			s.outcomes[i].Positives++
+		o := &s.outcomes[groupOf[k]]
+		all := true
+		for j, v := range verdicts {
+			if v[k] {
+				o.Pos[j]++
+			} else {
+				all = false
+			}
+		}
+		o.Results[row] = all
+		if all {
+			o.Positives++
 		}
 	}
 	return len(work), nil
@@ -219,7 +267,7 @@ func (s *Sampler) TotalSampled() int {
 }
 
 // Infos converts the current sampling state into estimated-selectivity
-// GroupInfo values using the Beta posterior.
+// GroupInfo values (of passing every predicate) using the Beta posterior.
 func (s *Sampler) Infos() []GroupInfo {
 	infos := make([]GroupInfo, len(s.groups))
 	for i, g := range s.groups {
@@ -227,4 +275,23 @@ func (s *Sampler) Infos() []GroupInfo {
 		infos[i] = GroupInfoFromSample(len(g.Rows), len(o.Results), o.Positives)
 	}
 	return infos
+}
+
+// Selectivities returns each predicate's selectivity pooled over every
+// group: the Beta-posterior mean of its passes among all rows sampled so
+// far. They rank a conjunction's predicates for the greedy order.
+func (s *Sampler) Selectivities() []float64 {
+	sampled := 0
+	for _, o := range s.outcomes {
+		sampled += len(o.Results)
+	}
+	sels := make([]float64, len(s.meters))
+	for j := range sels {
+		pos := 0
+		for _, o := range s.outcomes {
+			pos += o.Pos[j]
+		}
+		sels[j] = stats.NewBetaPosterior(pos, sampled-pos).Mean()
+	}
+	return sels
 }

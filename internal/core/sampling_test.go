@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -109,5 +110,78 @@ func TestSamplerInfosMatchPosterior(t *testing.T) {
 func TestAllocatorStrings(t *testing.T) {
 	if (TwoThirdPowerAllocator{Num: 2.5}).String() != "two-third-power(2.50)" {
 		t.Fatal("two-third-power name")
+	}
+}
+
+// TestSampleConjunctionEstimates: a sampler over three predicates records,
+// per sampled row, whether it passed all of them, counts each predicate's
+// passes, and pools those into per-predicate selectivities.
+func TestSampleConjunctionEstimates(t *testing.T) {
+	groups := conjGroups(400)
+	udfs := []UDF{
+		UDFFunc(func(row int) bool { return row%4 == 0 }),  // sel 0.25
+		UDFFunc(func(row int) bool { return row < 300 }),   // sel 0.75
+		UDFFunc(func(row int) bool { return row%10 != 0 }), // sel 0.9
+	}
+	s := NewJointSampler(groups, metered(udfs...), stats.NewRNG(3))
+	s.SetParallelism(4)
+	if _, err := s.TopUpCtx(context.Background(), []int{60, 60}); err != nil {
+		t.Fatal(err)
+	}
+	sels := s.Selectivities()
+	if len(s.Outcomes()) != 2 || len(sels) != 3 {
+		t.Fatalf("got %d samples, %d sels", len(s.Outcomes()), len(sels))
+	}
+	for i, o := range s.Outcomes() {
+		if len(o.Results) != 60 {
+			t.Fatalf("group %d sampled %d rows, want 60", i, len(o.Results))
+		}
+		pos, all := make([]int, len(udfs)), 0
+		for row, v := range o.Results {
+			want := true
+			for j, u := range udfs {
+				if u.Eval(row) {
+					pos[j]++
+				} else {
+					want = false
+				}
+			}
+			if v != want {
+				t.Fatalf("row %d recorded %v, want %v", row, v, want)
+			}
+			if v {
+				all++
+			}
+		}
+		if !reflect.DeepEqual(o.Pos, pos) || o.Positives != all {
+			t.Fatalf("group %d counted %v / %d, results hold %v / %d", i, o.Pos, o.Positives, pos, all)
+		}
+	}
+	approx := []float64{0.25, 0.75, 0.9}
+	for j, want := range approx {
+		if math.Abs(sels[j]-want) > 0.15 {
+			t.Fatalf("sel[%d] = %v, want ≈%v", j, sels[j], want)
+		}
+	}
+}
+
+func TestSampleConjunctionDeterministicAcrossParallelism(t *testing.T) {
+	groups := conjGroups(300)
+	udfs := []UDF{
+		UDFFunc(func(row int) bool { return row%3 == 0 }),
+		UDFFunc(func(row int) bool { return row%5 != 0 }),
+	}
+	run := func(par int) ([]SampleOutcome, []float64) {
+		s := NewJointSampler(groups, metered(udfs...), stats.NewRNG(17))
+		s.SetParallelism(par)
+		if _, err := s.TopUpCtx(context.Background(), []int{40, 40}); err != nil {
+			t.Fatal(err)
+		}
+		return s.Outcomes(), s.Selectivities()
+	}
+	s1, sel1 := run(1)
+	s8, sel8 := run(8)
+	if !reflect.DeepEqual(s1, s8) || !reflect.DeepEqual(sel1, sel8) {
+		t.Fatal("sampling diverged across parallelism levels")
 	}
 }

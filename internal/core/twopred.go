@@ -1,118 +1,61 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"slices"
 
-	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
-// Execution and estimation for conjunctions of two expensive predicates
-// (Section 5 / Appendix 10.7.2). The expectation-level planner lives in
-// extensions.go (PlanTwoPredicates); sampling is the N-ary joint sampler
-// of conjunction.go at N=2, and evaluation its Waves. This file adds the
-// deterministic executor for the five per-group actions and the
-// margin-tightened planning step over joint samples; the engine composes
-// the three as its conj-sample → conj-solve → conj-exec stages.
+// The Section 5 / Appendix 10.7.2 pipeline for conjunctions of two
+// expensive predicates is §4's with joint cells and per-group actions: the
+// one Sampler evaluates both predicates on each sampled row, the
+// margin-tightened planning step below reads the sample's joint cells and
+// picks one of five actions per group (PlanTwoPredicates, extensions.go),
+// and the coin executor runs the actions as strategies whose coins land at
+// 0 or 1 (TwoPredStrategy). The engine composes the three as its
+// conj-sample → conj-solve → conj-exec stages.
 
-// TwoPredExecResult is the outcome of executing a two-predicate plan.
-type TwoPredExecResult struct {
-	Output    []int
-	Retrieved int
-	// Evaluated1 / Evaluated2 count the UDF calls issued per predicate
-	// during execution (sampling excluded).
-	Evaluated1, Evaluated2 int
-	Cost                   float64
+// twoPredRows is each action as a row of the coin executor: retrieve with
+// probability R, evaluate with probability E, and the span of predicates
+// an evaluated row must pass. Evaluating both runs f2, in row order, only
+// on the rows f1 kept, so f2 is never charged for a row f1 rejected.
+var twoPredRows = [...]struct {
+	r, e float64
+	span Span
+}{
+	TPDiscard:      {0, 0, Span{}},
+	TPAssumeBoth:   {1, 0, Span{}},
+	TPEval1Assume2: {1, 1, Span{0, 1}},
+	TPAssume1Eval2: {1, 1, Span{1, 2}},
+	TPEvalBoth:     {1, 1, Span{0, 2}},
 }
 
-// ExecuteTwoPredicatesParallelCtx runs the per-group actions. Rows jointly
-// sampled (samples is the N=2 output of SampleConjunctionParallelCtx, or
-// nil) are resolved from their recorded outcomes at no extra cost: they are
-// returned iff both predicates held.
-//
-// Action semantics per remaining tuple:
-//
-//	TPDiscard       skip
-//	TPAssumeBoth    retrieve, return
-//	TPEval1Assume2  retrieve, evaluate f1, return iff f1
-//	TPAssume1Eval2  retrieve, evaluate f2, return iff f2
-//	TPEvalBoth      retrieve, evaluate f1; if it passes, evaluate f2;
-//	                return iff both
-//
-// Each action is the span of waves its rows need — assume both: none,
-// evaluate f1: [0,1), evaluate f2: [1,2), evaluate both: [0,2) — and one
-// Waves run over m1 then m2, fanned across up to `parallelism` workers,
-// evaluates them: f2 runs, in row order, on the evaluate-f2 rows and the
-// evaluate-both rows f1 kept, so f2 is never charged for a row f1 rejected.
-// A cancel returns ctx.Err() and an empty result.
-func ExecuteTwoPredicatesParallelCtx(ctx context.Context, groups []Group, acts []TwoPredAction, samples []ConjSample, m1, m2 *Meter, cost CostModel, parallelism int) (TwoPredExecResult, error) {
-	if len(acts) != len(groups) {
-		return TwoPredExecResult{}, fmt.Errorf("core: %d actions for %d groups", len(acts), len(groups))
-	}
-	if samples != nil && len(samples) != len(groups) {
-		return TwoPredExecResult{}, fmt.Errorf("core: %d samples for %d groups", len(samples), len(groups))
-	}
-	var res TwoPredExecResult
-
-	// Plan: every returned candidate with the span of waves it needs.
-	var rows []int
-	var need []Span
-	for gi, g := range groups {
-		var span Span
-		switch acts[gi] {
-		case TPDiscard, TPAssumeBoth:
-		case TPEval1Assume2:
-			span = Span{0, 1}
-		case TPAssume1Eval2:
-			span = Span{1, 2}
-		case TPEvalBoth:
-			span = Span{0, 2}
-		default:
-			return TwoPredExecResult{}, fmt.Errorf("core: invalid action %v for group %d", acts[gi], gi)
+// TwoPredStrategy turns per-group actions into the coin executor's input:
+// a strategy of (R, E) rows and the span of f1, f2 each group's evaluated
+// rows need (ExecuteSpansParallelCtx over the two meters).
+func TwoPredStrategy(acts []TwoPredAction) (Strategy, []Span, error) {
+	s, spans := NewStrategy(len(acts)), make([]Span, len(acts))
+	for i, a := range acts {
+		if int(a) >= len(twoPredRows) {
+			return Strategy{}, nil, fmt.Errorf("core: invalid action %v for group %d", a, i)
 		}
-		var sampled map[int][]bool
-		if samples != nil {
-			sampled = samples[gi].Results
-		}
-		for _, row := range g.Rows {
-			if v, ok := sampled[row]; ok {
-				if v[0] && v[1] {
-					rows, need = append(rows, row), append(need, Span{})
-				}
-				continue
-			}
-			if acts[gi] != TPDiscard {
-				res.Retrieved++
-				rows, need = append(rows, row), append(need, span)
-			}
-		}
+		row := twoPredRows[a]
+		s.R[i], s.E[i], spans[i] = row.r, row.e, row.span
 	}
-
-	w := Waves{Meters: []*Meter{m1, m2}, Pool: exec.NewPool(parallelism)}
-	out, err := w.Run(ctx, rows, need)
-	if err != nil {
-		return TwoPredExecResult{}, err
-	}
-	// Copied out of scratch sized to every candidate (see ExecuteParallelCtx).
-	res.Output, res.Evaluated1, res.Evaluated2 = slices.Clone(out), w.Evaluated[0], w.Evaluated[1]
-	res.Cost = cost.Retrieve*float64(res.Retrieved) +
-		cost.Evaluate*float64(res.Evaluated1+res.Evaluated2)
-	return res, nil
+	return s, spans, nil
 }
 
 // PlanTwoPredicatesFromSamples is the §5 planning step between joint
-// sampling and execution: per-group joint cells from the joint samples (the
-// N=2 output of SampleConjunctionParallelCtx), each the mean of one uniform
-// Dirichlet posterior over the four outcomes — (k+1)/(f+4) for k of f
-// sampled rows, with k read from PosAll and Pos[j] − PosAll — then
+// sampling and execution: per-group joint cells from a two-predicate
+// Sampler's outcomes, each the mean of one uniform Dirichlet posterior over
+// the four outcomes — (k+1)/(f+4) for k of f sampled rows, with k read
+// from Positives and Pos[j] − Positives — then
 // PlanTwoPredicates under constraints tightened by Hoeffding margins, so the
 // expectation-level plan carries a probabilistic guarantee. It always
 // returns one action per group: when the margins push the tightened problem
 // out of feasibility, evaluating both predicates everywhere still satisfies
 // the user's real constraints, and that is the plan.
-func PlanTwoPredicatesFromSamples(groups []Group, samples []ConjSample, cons Constraints, cost CostModel) []TwoPredAction {
+func PlanTwoPredicatesFromSamples(groups []Group, samples []SampleOutcome, cons Constraints, cost CostModel) []TwoPredAction {
 	infos := make([]TwoPredGroup, len(groups))
 	total := 0
 	expCorrect := 0.0
@@ -122,9 +65,9 @@ func PlanTwoPredicatesFromSamples(groups []Group, samples []ConjSample, cons Con
 		total += len(g.Rows)
 		infos[i] = TwoPredGroup{
 			Size:  len(g.Rows),
-			Both:  float64(s.PosAll+1) / f,
-			Only1: float64(s.Pos[0]-s.PosAll+1) / f,
-			Only2: float64(s.Pos[1]-s.PosAll+1) / f,
+			Both:  float64(s.Positives+1) / f,
+			Only1: float64(s.Pos[0]-s.Positives+1) / f,
+			Only2: float64(s.Pos[1]-s.Positives+1) / f,
 		}
 		expCorrect += float64(len(g.Rows)) * infos[i].Both
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/stats"
@@ -42,14 +43,24 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64, share float
 // runTwoPred composes the three §5 steps at core level — what the engine
 // runs as its conj-sample → conj-solve → conj-exec stages — for the tests
 // that pin core's own parallelism, cancellation and failure behaviour.
-func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, targets []int, rng *stats.RNG, parallelism int) (TwoPredExecResult, []TwoPredAction, []ConjSample, error) {
-	samples, _, err := SampleConjunctionParallelCtx(ctx, groups, targets, []*Meter{m1, m2}, rng.Split(), parallelism)
-	if err != nil {
-		return TwoPredExecResult{}, nil, nil, err
+func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, targets []int, rng *stats.RNG, parallelism int) (ExecResult, []TwoPredAction, []SampleOutcome, error) {
+	s := NewJointSampler(groups, []*Meter{m1, m2}, rng.Split())
+	s.SetParallelism(parallelism)
+	if _, err := s.TopUpCtx(ctx, targets); err != nil {
+		return ExecResult{}, nil, nil, err
 	}
-	acts := PlanTwoPredicatesFromSamples(groups, samples, cons, DefaultCost)
-	res, err := ExecuteTwoPredicatesParallelCtx(ctx, groups, acts, samples, m1, m2, DefaultCost, parallelism)
-	return res, acts, samples, err
+	acts := PlanTwoPredicatesFromSamples(groups, s.Outcomes(), cons, DefaultCost)
+	res, err := executeActions(ctx, groups, acts, s.Outcomes(), m1, m2, parallelism)
+	return res, acts, s.Outcomes(), err
+}
+
+// executeActions runs per-group §5 actions through the coin executor.
+func executeActions(ctx context.Context, groups []Group, acts []TwoPredAction, samples []SampleOutcome, m1, m2 *Meter, parallelism int) (ExecResult, error) {
+	s, spans, err := TwoPredStrategy(acts)
+	if err != nil {
+		return ExecResult{}, err
+	}
+	return ExecuteSpansParallelCtx(ctx, groups, s, spans, samples, []*Meter{m1, m2}, DefaultCost, stats.NewRNG(1), parallelism)
 }
 
 // defaultTargets is the engine's sampling allocation over groups.
@@ -61,8 +72,8 @@ func defaultTargets(groups []Group, cons Constraints) []int {
 	return DefaultAllocator(cons.Alpha).Allocate(sizes)
 }
 
-// TestSampleTwoPredicates checks the §5 sampling step: the N-ary joint
-// sampler at N=2, whose per-group counts feed the five-action planner.
+// TestSampleTwoPredicates checks the §5 sampling step: the sampler over
+// two meters, whose per-group counts feed the five-action planner.
 func TestSampleTwoPredicates(t *testing.T) {
 	rng := stats.NewRNG(1101)
 	groups, l1, l2 := twoPredWorld(rng, []int{500, 500}, []float64{0.9, 0.2}, []float64{0.7, 0.7}, 0)
@@ -70,10 +81,11 @@ func TestSampleTwoPredicates(t *testing.T) {
 		UDFFunc(func(r int) bool { return l1[r] }),
 		UDFFunc(func(r int) bool { return l2[r] }),
 	}
-	samples, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{100, 100}, metered(udfs...), rng.Split(), 1)
-	if err != nil {
+	s := NewJointSampler(groups, metered(udfs...), rng.Split())
+	if _, err := s.TopUpCtx(context.Background(), []int{100, 100}); err != nil {
 		t.Fatal(err)
 	}
+	samples := s.Outcomes()
 	if len(samples[0].Results) != 100 {
 		t.Fatalf("sampled %d", len(samples[0].Results))
 	}
@@ -87,12 +99,12 @@ func TestSampleTwoPredicates(t *testing.T) {
 		t.Fatalf("sel2 estimate %v", sel(0, 1))
 	}
 	// Counts are internally consistent.
-	for _, s := range samples {
-		if s.PosAll > s.Pos[0] || s.PosAll > s.Pos[1] {
-			t.Fatalf("inconsistent counts %+v", s)
+	for _, o := range samples {
+		if o.Positives > o.Pos[0] || o.Positives > o.Pos[1] {
+			t.Fatalf("inconsistent counts %+v", o)
 		}
 	}
-	if _, _, err := SampleConjunctionParallelCtx(context.Background(), groups, []int{1}, metered(udfs...), rng, 1); err == nil {
+	if _, err := s.TopUpCtx(context.Background(), []int{1}); err == nil {
 		t.Fatal("mismatched targets accepted")
 	}
 }
@@ -121,24 +133,24 @@ func TestJointSampleDropsFailedRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampled := 0
-	for gi, s := range samples {
-		sampled += len(s.Results)
-		pos := [2]int{}
-		for row, outs := range s.Results {
+	for gi, o := range samples {
+		sampled += len(o.Results)
+		pos := []int{0, 0}
+		for row, v := range o.Results {
 			if fails1(row) || fails2(row) {
 				t.Fatalf("group %d: failed row %d entered the joint sample", gi, row)
 			}
-			if outs[0] != l1[row] || outs[1] != l2[row] {
-				t.Fatalf("group %d: row %d sampled as %v", gi, row, outs)
+			if v != (l1[row] && l2[row]) {
+				t.Fatalf("group %d: row %d sampled as %v", gi, row, v)
 			}
-			for j, v := range outs {
-				if v {
+			for j, l := range [][]bool{l1, l2} {
+				if l[row] {
 					pos[j]++
 				}
 			}
 		}
-		if pos[0] != s.Pos[0] || pos[1] != s.Pos[1] {
-			t.Fatalf("group %d: counts %v disagree with results %v", gi, s.Pos, pos)
+		if !reflect.DeepEqual(pos, o.Pos) {
+			t.Fatalf("group %d: counts %v disagree with results %v", gi, o.Pos, pos)
 		}
 	}
 	// 600 rows were drawn; the value-keyed failures (~22%) must be missing.
@@ -170,7 +182,8 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 
 	check := func(act TwoPredAction, wantMember func(r int) bool, wantE1, wantE2 int) {
 		t.Helper()
-		res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{act}, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1)
+		m1, m2 := NewMeter(u1), NewMeter(u2)
+		res, err := executeActions(context.Background(), groups, []TwoPredAction{act}, nil, m1, m2, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,11 +201,9 @@ func TestExecuteTwoPredicatesSemantics(t *testing.T) {
 		if len(res.Output) != want {
 			t.Fatalf("action %v: output %d want %d", act, len(res.Output), want)
 		}
-		if wantE1 >= 0 && res.Evaluated1 != wantE1 {
-			t.Fatalf("action %v: evaluated1 %d want %d", act, res.Evaluated1, wantE1)
-		}
-		if wantE2 >= 0 && res.Evaluated2 != wantE2 {
-			t.Fatalf("action %v: evaluated2 %d want %d", act, res.Evaluated2, wantE2)
+		if m1.Calls() != wantE1 || m2.Calls() != wantE2 || res.Evaluated != wantE1+wantE2 {
+			t.Fatalf("action %v: evaluated %d + %d (total %d), want %d + %d",
+				act, m1.Calls(), m2.Calls(), res.Evaluated, wantE1, wantE2)
 		}
 	}
 
@@ -216,11 +227,11 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	calls1, calls2 := 0, 0
 	u1 := UDFFunc(func(r int) bool { calls1++; return l1[r] })
 	u2 := UDFFunc(func(r int) bool { calls2++; return l2[r] })
-	samples := []ConjSample{{Results: map[int][]bool{}}}
+	samples := []SampleOutcome{{Results: map[int]bool{}}}
 	for _, row := range groups[0].Rows[:30] {
-		samples[0].Results[row] = []bool{l1[row], l2[row]}
+		samples[0].Results[row] = l1[row] && l2[row]
 	}
-	res, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, NewMeter(u1), NewMeter(u2), DefaultCost, 1)
+	res, err := executeActions(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, NewMeter(u1), NewMeter(u2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +247,7 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 		outSet[r] = true
 	}
 	for row, v := range samples[0].Results {
-		if (v[0] && v[1]) != outSet[row] {
+		if v != outSet[row] {
 			t.Fatalf("sampled row %d membership wrong", row)
 		}
 	}
@@ -247,13 +258,20 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	groups, l1, l2 := twoPredWorld(rng, []int{10}, []float64{0.5}, []float64{0.5}, 0)
 	u1 := UDFFunc(func(r int) bool { return l1[r] })
 	u2 := UDFFunc(func(r int) bool { return l2[r] })
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, nil, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
+	if _, err := executeActions(context.Background(), groups, nil, nil, NewMeter(u1), NewMeter(u2), 1); err == nil {
 		t.Fatal("missing actions accepted")
 	}
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{99}, nil, NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
+	if _, err := executeActions(context.Background(), groups, []TwoPredAction{99}, nil, NewMeter(u1), NewMeter(u2), 1); err == nil {
 		t.Fatal("invalid action accepted")
 	}
-	if _, err := ExecuteTwoPredicatesParallelCtx(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]ConjSample, 2), NewMeter(u1), NewMeter(u2), DefaultCost, 1); err == nil {
+	if _, err := executeActions(context.Background(), groups, []TwoPredAction{TPDiscard}, make([]SampleOutcome, 2), NewMeter(u1), NewMeter(u2), 1); err == nil {
 		t.Fatal("mismatched samples accepted")
+	}
+	// A span must lie within the meters it indexes, and cover one group each.
+	for _, spans := range [][]Span{{{1, 3}}, {{1, 0}}, {{0, 1}, {0, 1}}} {
+		if _, err := ExecuteSpansParallelCtx(context.Background(), groups, FullEvaluation(1), spans, nil,
+			[]*Meter{NewMeter(u1), NewMeter(u2)}, DefaultCost, stats.NewRNG(1), 1); err == nil {
+			t.Fatalf("spans %v accepted", spans)
+		}
 	}
 }

@@ -380,20 +380,16 @@ func (e *Engine) stageBody(n *plan.Node) (stageBody, error) {
 		return e.opGroupResolve, nil
 	case plan.OpJoinGroup:
 		return e.opJoinGroup, nil
-	case plan.OpSample:
+	case plan.OpSample, plan.OpConjSample:
 		return e.opSample, nil
 	case plan.OpSolve:
 		return func(_ context.Context, st *pipeState) (stageOut, error) { return e.opSolve(n.Mode, st) }, nil
-	case plan.OpProbEval:
+	case plan.OpProbEval, plan.OpConjExec:
 		return e.opProbEval, nil
 	case plan.OpMerge:
 		return e.opMerge, nil
-	case plan.OpConjSample:
-		return e.opConjSample, nil
 	case plan.OpConjSolve:
 		return e.opConjSolve, nil
-	case plan.OpConjExec:
-		return e.opConjExec, nil
 	default:
 		return nil, fmt.Errorf("engine: unknown physical operator %q", n.Op)
 	}

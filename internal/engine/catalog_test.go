@@ -338,3 +338,35 @@ func TestCatalogKeysStable(t *testing.T) {
 		}
 	}
 }
+
+// TestConjunctionsPersistNoSampleEvidence: a conjunction's sample records
+// whether a row passed every predicate, which is evidence for no single
+// predicate's sample key, so neither the §5 plan nor the greedy N-ary waves
+// may persist it (or a column memo) — only the verdicts their meters
+// cached, as outcomes.
+func TestConjunctionsPersistNoSampleEvidence(t *testing.T) {
+	e, _, _ := catalogEngine(t, 3000, t.TempDir())
+	registerModUDF(t, e, "div3", 3)
+	registerModUDF(t, e, "div5", 5)
+	twoPred := naryQuery(true, "grade")
+	twoPred.Predicates = twoPred.Predicates[:2]
+	for _, q := range []Query{twoPred, naryQuery(true, "")} {
+		res, err := e.ExecuteContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Sampled == 0 {
+			t.Fatalf("%d-predicate statement did not sample: %+v", len(q.Predicates), res.Stats)
+		}
+	}
+	if err := e.FlushCatalog(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Catalog().Stats()
+	if st.SampleRows != 0 || st.ColumnMemos != 0 {
+		t.Fatalf("conjunctions persisted %d sample rows and %d column memos, want none", st.SampleRows, st.ColumnMemos)
+	}
+	if st.OutcomeRows == 0 {
+		t.Fatal("the flush persisted no outcomes either: nothing was checked")
+	}
+}

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-	"slices"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/plan"
@@ -11,64 +11,29 @@ import (
 // Conjunctions of expensive predicates. Two shapes exist:
 //
 //   - Exactly two predicates with accuracy bounds run the paper's §5
-//     pipeline as three stages: sample both UDFs per group (opConjSample),
-//     estimate joint selectivities and plan one of five actions per group
-//     (opConjSolve: discard / assume both / evaluate either / evaluate both
-//     with short-circuit), execute the actions (opConjExec). This requires
-//     an explicit GROUP ON column, like the paper.
+//     pipeline as three stages: sample both UDFs per group (conj-sample,
+//     the one sampling stage opSample), estimate joint selectivities and
+//     plan one of five actions per group (opConjSolve: discard / assume
+//     both / evaluate either / evaluate both with short-circuit), execute
+//     the actions (conj-exec, the one coin-executor stage opProbEval). This
+//     requires an explicit GROUP ON column, like the paper.
 //
 //   - Every other conjunction runs short-circuit waves in the streaming
 //     terminal (prepareWaves, evalBatch): each predicate is evaluated
 //     only on the survivors of the ones before it.
 //     Exact queries keep the predicates in query order; approximate N-ary
-//     queries first sample every predicate (opConjSample) and order them
+//     queries first sample every predicate (conj-sample) and order them
 //     greedily cheapest-first by sampled cost/(1−selectivity). The wave
 //     answer is exact — rows resolved during sampling are free, and the
 //     sampling spend buys the ordering that minimizes wave work.
 
-// opConjSample draws the conjunction's joint sample: all predicates over a
-// Two-Third-Power allocation per group (the whole filtered scan counts as
-// one group when no GROUP ON was given).
-func (e *Engine) opConjSample(ctx context.Context, st *pipeState) (stageOut, error) {
-	groups := st.groups
-	if groups == nil {
-		groups = []core.Group{{Key: "all", Rows: universe(st.tbl, st.subset)}}
-	}
-	sizes := make([]int, len(groups))
-	for i, g := range groups {
-		sizes[i] = len(g.Rows)
-	}
-	targets := core.DefaultAllocator(st.q.Approx.Precision).Allocate(sizes)
-	samples, sels, err := core.SampleConjunctionParallelCtx(ctx, groups, targets, st.meters(), st.rng.Split(), e.parallelism())
-	if err != nil {
-		return stageOut{}, err
-	}
-	sampled := 0
-	for _, s := range samples {
-		sampled += len(s.Results)
-	}
-	st.conjSamples, st.conjSels, st.sampled = samples, sels, sampled
-	return stageOut{rows: sampled}, nil
-}
-
-// opConjSolve plans the §5 per-group actions from the joint sample.
+// opConjSolve plans the §5 per-group actions from the joint sample, as the
+// coin executor's strategy and spans.
 func (e *Engine) opConjSolve(_ context.Context, st *pipeState) (stageOut, error) {
-	st.actions = core.PlanTwoPredicatesFromSamples(st.groups, st.conjSamples, st.q.Approx.Constraints(), st.cost)
-	return stageOut{}, nil
-}
-
-// opConjExec executes the §5 actions through the predicates' own resilient
-// meters: failed rows drop out, the circuit breaker is consulted, and the
-// UDF bodies see the query's context. Jointly sampled rows are resolved
-// from their recorded outcomes for free.
-func (e *Engine) opConjExec(ctx context.Context, st *pipeState) (stageOut, error) {
-	res, err := core.ExecuteTwoPredicatesParallelCtx(ctx, st.groups, st.actions, st.conjSamples,
-		st.preds[0].meter, st.preds[1].meter, st.cost, e.parallelism())
-	if err != nil {
-		return stageOut{}, err
-	}
-	st.output, st.retrieved = res.Output, res.Retrieved
-	return stageOut{rows: len(st.output)}, nil
+	acts := core.PlanTwoPredicatesFromSamples(st.groups, st.samples, st.q.Approx.Constraints(), st.cost)
+	var err error
+	st.strategy, st.spans, err = core.TwoPredStrategy(acts)
+	return stageOut{}, err
 }
 
 // prepareWaves fixes the streaming terminal's waves once, after the child
@@ -86,7 +51,7 @@ func (o *evalOp) prepareWaves() error {
 		for i, p := range st.preds {
 			costs[i] = p.cost
 		}
-		order, err := core.OrderPredicates(costs, st.conjSels)
+		order, err := core.OrderPredicates(costs, st.sels)
 		if err != nil {
 			return err
 		}
@@ -94,10 +59,8 @@ func (o *evalOp) prepareWaves() error {
 			meters[w] = st.preds[j].meter
 		}
 		o.sampled = make(map[int]bool)
-		for _, s := range st.conjSamples {
-			for row, outs := range s.Results {
-				o.sampled[row] = !slices.Contains(outs, false)
-			}
+		for _, s := range st.samples {
+			maps.Copy(o.sampled, s.Results)
 		}
 	}
 	o.waves.Meters = meters

@@ -77,13 +77,13 @@ type pipeState struct {
 	leftCol     table.Column         // join shape
 	rightCol    table.Column         // join shape
 	joinWeights []float64            // op join-group, parallel to groups
-	sampler     *core.Sampler        // op sample
+	sampler     *core.Sampler        // op sample, single predicate only: merge persists its evidence
+	samples     []core.SampleOutcome // op sample / conj-sample
+	sels        []float64            // op sample / conj-sample: pooled per predicate
 	sampled     int                  // op sample / conj-sample: rows examined
-	strategy    core.Strategy        // op solve
+	strategy    core.Strategy        // op solve / conj-solve
+	spans       []core.Span          // op conj-solve: the predicates each group evaluates
 	achieved    float64              // op solve (budget mode)
-	conjSamples []core.ConjSample    // op conj-sample
-	conjSels    []float64            // op conj-sample
-	actions     []core.TwoPredAction // op conj-solve
 	output      []int                // op prob-eval / conj-exec
 	retrieved   int                  // op prob-eval / conj-exec: rows fetched
 
@@ -371,23 +371,35 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 	return st.groupsOut(), nil
 }
 
-// opSample estimates per-group selectivities: preload rows labeled during
-// group resolution, warm-start from the durable catalog, then top up with
-// the Two-Third-Power allocation.
+// opSample is the one sampling stage, sample and conj-sample alike: a
+// Two-Third-Power allocation per group (the whole filtered scan counts as
+// one group when nothing grouped it) through one sampler over every
+// predicate. A single-predicate sample is first preloaded with the rows
+// labeled during group resolution and warm-started from the durable
+// catalog, and merge persists what it learned; a conjunction's sample is
+// every predicate's joint verdict, which is evidence for no one predicate,
+// so it is neither seeded nor persisted.
 func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) {
-	sampler := core.NewSampler(st.groups, st.preds[0].meter, st.rng.Split())
+	groups := st.groups
+	if groups == nil {
+		groups = []core.Group{{Key: "all", Rows: universe(st.tbl, st.subset)}}
+	}
+	sampler := core.NewJointSampler(groups, st.meters(), st.rng.Split())
 	sampler.SetParallelism(e.parallelism())
-	sampler.Preload(st.labeled)
-	e.seedSamplerFromCatalog(sampler, st)
-	sizes := make([]int, len(st.groups))
-	for i, g := range st.groups {
+	if len(st.preds) == 1 {
+		sampler.Preload(st.labeled)
+		e.seedSamplerFromCatalog(sampler, st)
+		st.sampler = sampler
+	}
+	sizes := make([]int, len(groups))
+	for i, g := range groups {
 		sizes[i] = len(g.Rows)
 	}
 	alloc := core.DefaultAllocator(st.q.Approx.Precision)
 	if _, err := sampler.TopUpCtx(ctx, alloc.Allocate(sizes)); err != nil {
 		return stageOut{}, err
 	}
-	st.sampler, st.sampled = sampler, sampler.TotalSampled()
+	st.samples, st.sels, st.sampled = sampler.Outcomes(), sampler.Selectivities(), sampler.TotalSampled()
 	return stageOut{rows: st.sampled}, nil
 }
 
@@ -428,10 +440,14 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 	return stageOut{}, nil
 }
 
-// opProbEval executes the strategy: per-tuple retrieve/evaluate coins
-// drawn sequentially, UDF calls fanned across the worker pool.
+// opProbEval is the one execution stage, prob-eval and conj-exec alike:
+// per-tuple retrieve/evaluate coins drawn sequentially — the §4 strategy's,
+// or the §5 actions' at 0 and 1 with each group's span of predicates — and
+// UDF calls fanned across the worker pool through the predicates' own
+// resilient meters. Sampled rows are resolved from their recorded outcomes
+// for free.
 func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error) {
-	exec, err := core.ExecuteParallelCtx(ctx, st.groups, st.strategy, st.sampler.Outcomes(), st.preds[0].meter, st.cost, st.rng.Split(), e.parallelism())
+	exec, err := core.ExecuteSpansParallelCtx(ctx, st.groups, st.strategy, st.spans, st.samples, st.meters(), st.cost, st.rng.Split(), e.parallelism())
 	if err != nil {
 		return stageOut{}, err
 	}

@@ -31,20 +31,25 @@ func rowsChecksum(rows []int) uint64 {
 // marginals and read its sample's joint cells instead. The follow-up row was
 // re-pinned when the §4 planner's margin became each group's exact variance
 // with a one-sided (Cantelli) tail; the sample it draws is unchanged
-// (Sampled 417).
+// (Sampled 417). Both approximate rows were re-pinned again when the §5
+// sample moved onto the one core.Sampler, whose per-group shuffle draws
+// other (equally uniform) rows than the joint sampler's draw did: the §5
+// answer changed, its Stats did not, and the follow-up moved only through
+// the shared cache the §5 statement filled (Evaluations 236 → 249,
+// CacheHits 282 → 269).
 func TestTwoPredRegressionPinned(t *testing.T) {
 	type golden struct {
 		rows  int
 		hash  uint64
 		stats Stats
 	}
-	approxGold := golden{1161, 0xd71a3be59a81d226, Stats{
+	approxGold := golden{1159, 0x8c4b27bdbab00a27, Stats{
 		Evaluations: 2520, Retrievals: 2130, Cost: 9690,
 		ChosenColumn: "grade", Sampled: 390, CacheMisses: 2520,
 	}}
 	followGold := golden{1608, 0xf0a61cc733583d6a, Stats{
-		Evaluations: 236, Retrievals: 1853, Cost: 2561,
-		ChosenColumn: "grade", Sampled: 417, CacheHits: 282, CacheMisses: 236,
+		Evaluations: 249, Retrievals: 1853, Cost: 2600,
+		ChosenColumn: "grade", Sampled: 417, CacheHits: 269, CacheMisses: 249,
 	}}
 	exactGold := golden{1016, 0x8806df37156d2052, Stats{
 		Evaluations: 4515, Retrievals: 3000, Cost: 16545,

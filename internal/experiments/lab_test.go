@@ -240,18 +240,18 @@ func TestPerfectInfoWrapper(t *testing.T) {
 }
 
 // TestOneComposition pins where the paper's pipeline is sequenced: outside
-// tests, examples and predbench's layer probes, the single-predicate
-// sample/execute steps are called only by internal/engine and the lab, and
-// the §5 steps only by internal/engine. A third composition — the drift this
-// package used to carry — fails here.
+// tests, examples and predbench's layer probes, the sampler's top-up and the
+// single-predicate executor are called only by internal/engine and the lab,
+// and the executor over spans of predicates (the §5 actions) only by
+// internal/engine. A third composition — the drift this package used to
+// carry — fails here.
 func TestOneComposition(t *testing.T) {
 	const root = "../.."
 	lab := filepath.Join("internal", "experiments", "lab.go")
 	steps := map[string][]string{ // step → files allowed beside internal/engine
-		"TopUpCtx":                        {lab},
-		"ExecuteParallelCtx":              {lab},
-		"SampleConjunctionParallelCtx":    nil,
-		"ExecuteTwoPredicatesParallelCtx": nil,
+		"TopUpCtx":                {lab},
+		"ExecuteParallelCtx":      {lab},
+		"ExecuteSpansParallelCtx": nil,
 	}
 	seen := map[string]int{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
