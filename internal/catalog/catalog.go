@@ -1,7 +1,7 @@
 // Package catalog is the durable statistics and outcome store: a
 // crash-safe, versioned on-disk catalog that persists the assets the
 // engine pays for at query time — raw UDF verdicts per (table, UDF,
-// column), labeled sampling evidence per (table, UDF, grouping column),
+// column), sampling evidence per (table, UDF, grouping column),
 // and the correlated column chosen by the Section 4.4 discovery pass per
 // workload key — so a process restart warm-starts from them instead of
 // re-paying o_e.
@@ -46,8 +46,8 @@ type OutcomeKey struct {
 	Table, UDF, Column string
 }
 
-// SampleKey identifies accumulated labeled sampling evidence: the rows a
-// query labeled or sampled while estimating per-group selectivities,
+// SampleKey identifies accumulated sampling evidence: the rows a query's
+// sampler drew while estimating per-group selectivities,
 // stored per (table, UDF, argument column, grouping column, filter set).
 // A filtered query's sample is uniform only over the filtered rows of each
 // group, so it never seeds a query with another filter set. Filters is the

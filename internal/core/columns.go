@@ -6,14 +6,18 @@ import (
 	"math"
 
 	"repro/internal/exec"
+	"repro/internal/stats"
 )
 
 // This file implements Section 4.4: finding a correlated column. A small
 // fraction of tuples is labeled (UDF-evaluated); every candidate column
 // with few enough distinct values is scored by estimating its per-group
 // selectivities from the labeled tuples and planning with the Section 3.2
-// optimizer; the cheapest plan wins. The labeled tuples are reusable both
-// for later selectivity estimation and as part of the output.
+// optimizer; the cheapest plan wins. The labels choose the grouping and
+// are not evidence about it: the groups' selectivities are estimated only
+// from the sampler's uniform draw, made after the grouping is fixed (a
+// label the draw picks again is served from the meter's memo, not paid
+// twice).
 
 // Candidate is one column (real or virtual) under consideration, given as
 // its induced partition of the relation's rows.
@@ -93,11 +97,6 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 // discover a correlated column or train the virtual one (the paper's 1%).
 const DefaultLabelFraction = 0.01
 
-// Labeler is the random source LabelFractionParallelCtx needs to pick rows.
-type Labeler interface {
-	SampleWithoutReplacement(n, k int) []int
-}
-
 // LabelFractionParallelCtx evaluates the UDF on a uniform random fraction
 // of all rows and returns the labels, for use with SelectColumn. The UDF
 // calls are charged to the meter and fanned across up to `parallelism`
@@ -105,7 +104,7 @@ type Labeler interface {
 // evaluation starts, so the labeled set — and the RNG stream seen by later
 // phases — is identical at any parallelism level. A cancel mid-labeling
 // returns (nil, ctx.Err()) without handing back a partial label map.
-func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng Labeler, parallelism int) (map[int]bool, error) {
+func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng *stats.RNG, parallelism int) (map[int]bool, error) {
 	k := int(math.Ceil(fraction * float64(len(rows))))
 	picks := rng.SampleWithoutReplacement(len(rows), k)
 	work := make([]int, len(picks))

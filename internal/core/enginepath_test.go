@@ -2,11 +2,14 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"os"
 	"strconv"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/stats"
 	"repro/internal/table"
@@ -53,34 +56,59 @@ func runEngine(t *testing.T, seed uint64, groups []core.Group, cons core.Constra
 	return res
 }
 
+// TestRunIntelSampleEndToEnd runs one statement per grouping mode: GROUP
+// ON the pinned column, §4.4 discovery and §6.3.2's virtual column. On this
+// world every mode resolves g's three groups (discovery's only candidate is
+// g, and the virtual column's one-hot g features score each group as one
+// bucket), so each draws the same Two-Third-Power sample. The two modes
+// that label 1% of the rows to resolve the grouping must bill those rows as
+// sampled on top of the draw, although they are not sampling evidence, and
+// every mode must bill cost as retrievals·o_r + evaluations·o_e.
 func TestRunIntelSampleEndToEnd(t *testing.T) {
 	rng := stats.NewRNG(601)
 	groups, labels, truth := intelWorld(rng)
 	cons := core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
-	res := runEngine(t, rng.Uint64(), groups, cons, experiments.Predicate{Name: "f", Truth: truth})
-	if res.Sampled == 0 {
-		t.Fatal("no sampling happened")
+	w := world(t, groups, experiments.Predicate{Name: "f", Truth: truth})
+	seed := rng.Uint64()
+	n := len(labels)
+	draw := 0
+	for _, k := range core.DefaultAllocator(cons.Alpha).Allocate([]int{2000, 2000, 2000}) {
+		draw += k
 	}
-	if res.Evaluations < res.Sampled || res.Retrievals < res.Evaluations {
-		t.Fatal("evaluation accounting inconsistent")
-	}
-	if res.Evaluations >= len(labels) {
-		t.Fatalf("evaluated %d of %d tuples — no savings", res.Evaluations, len(labels))
-	}
-	m := core.ComputeMetrics(res.Rows, truth, countTrue(len(labels), truth))
-	// A single run can miss (ρ=0.8) but with these wide margins it should
-	// be extremely safe; treat failure as suspicious.
-	if m.Precision < 0.7 || m.Recall < 0.7 {
-		t.Fatalf("metrics far below constraints: %+v", m)
-	}
-	// Savings vs the naive baseline.
 	in := experiments.Instance{Groups: groups, Meter: core.NewMeter(core.UDFFunc(truth)), Cons: cons}
 	naive, err := experiments.RunNaive(in, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluations >= naive.Evaluations {
-		t.Fatalf("Intel-Sample evals %d not below Naive %d", res.Evaluations, naive.Evaluations)
+	onePercent := int(math.Ceil(core.DefaultLabelFraction * float64(n)))
+	for _, mode := range []struct {
+		groupOn string
+		labels  int
+	}{{"g", 0}, {"", onePercent}, {engine.VirtualColumn, onePercent}} {
+		w.GroupOn = mode.groupOn
+		res, err := experiments.RunEngine(context.Background(), seed, w, cons)
+		if err != nil {
+			t.Fatalf("GROUP ON %q: %v", mode.groupOn, err)
+		}
+		if res.Sampled < draw+mode.labels {
+			t.Errorf("GROUP ON %q: sampled %d, want the %d labels billed on top of the %d-row draw", mode.groupOn, res.Sampled, mode.labels, draw)
+		}
+		// A label the draw picks again is sampled twice but called once.
+		if res.Evaluations < res.Sampled-mode.labels || res.Retrievals < res.Evaluations {
+			t.Errorf("GROUP ON %q: evaluation accounting inconsistent: %+v", mode.groupOn, res)
+		}
+		if want := float64(res.Retrievals)*core.DefaultCost.Retrieve + float64(res.Evaluations)*core.DefaultCost.Evaluate; res.Cost != want {
+			t.Errorf("GROUP ON %q: cost %v, want %v", mode.groupOn, res.Cost, want)
+		}
+		if res.Evaluations >= naive.Evaluations {
+			t.Errorf("GROUP ON %q: Intel-Sample evals %d not below Naive %d", mode.groupOn, res.Evaluations, naive.Evaluations)
+		}
+		m := core.ComputeMetrics(res.Rows, truth, countTrue(n, truth))
+		// A single run can miss (ρ=0.8) but with these wide margins it
+		// should be extremely safe; treat failure as suspicious.
+		if m.Precision < 0.7 || m.Recall < 0.7 {
+			t.Errorf("GROUP ON %q: metrics far below constraints: %+v", mode.groupOn, m)
+		}
 	}
 }
 
@@ -346,6 +374,43 @@ func TestContractGridCalibration(t *testing.T) {
 			if !tally.Holds(rho) {
 				t.Errorf("%s ρ=%v: precision met %d, recall met %d of %d statements",
 					wd.name, rho, tally.MetP, tally.MetR, n)
+			}
+		}
+	}
+}
+
+// TestContractGridGroupingModes runs the §4 plan over the four paper
+// datasets at scale 0.05, grouped each of the ways a statement can group:
+// on the dataset's designated predictor (GROUP ON pinned), on the column
+// §4.4 discovery picks (no GROUP ON) and on §6.3.2's virtual column (GROUP
+// ON virtual). Discovery and the virtual column label 1% of the rows to
+// choose or train the grouping; those labels shape the groups, so they must
+// not also serve as evidence about them. Each cell is one Sweep at
+// α = β = ρ = 0.8, decided by Tally.Holds; met counts and the cost against
+// an exact scan are logged. Tier-1 runs 100 statements per cell, CI's
+// full-power step 810.
+func TestContractGridGroupingModes(t *testing.T) {
+	n := gridN(t)
+	cons := core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
+	for _, spec := range dataset.All() {
+		d, err := dataset.Generate(spec.Scaled(0.05), 4101)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []struct{ name, groupOn string }{
+			{"predictor", spec.Predictor}, {"discovery", ""}, {"virtual", engine.VirtualColumn},
+		} {
+			w := experiments.World{Table: d.Table, GroupOn: mode.groupOn,
+				Preds: []experiments.Predicate{{Name: "f", Truth: d.Truth()}}}
+			tally, err := experiments.Sweep(context.Background(), w, cons, n, stats.NewRNG(4103))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s %s: precision met %d, recall met %d of %d, cost ratio %.3f",
+				spec.Name, mode.name, tally.MetP, tally.MetR, n, costRatio(tally, w))
+			if !tally.Holds(cons.Rho) {
+				t.Errorf("%s %s: precision met %d, recall met %d of %d statements",
+					spec.Name, mode.name, tally.MetP, tally.MetR, n)
 			}
 		}
 	}

@@ -109,11 +109,16 @@ func NewJointSampler(groups []Group, meters []*Meter, rng *stats.RNG) *Sampler {
 	return s
 }
 
-// seedKnown moves rows with known outcomes from the unsampled pools into
-// the recorded results, returning how many rows it seeded. Rows not
-// belonging to any group (or already sampled) are ignored. A known outcome
-// is one predicate's verdict, so only a single-predicate sampler takes it.
-func (s *Sampler) seedKnown(known map[int]bool) int {
+// SeedPrior records rows whose UDF outcome was paid for in an earlier
+// process life (restored from a durable catalog), moving them from the
+// unsampled pools into the recorded results. They count as sampling
+// evidence — they strengthen the Beta posterior and shrink or eliminate
+// later top-ups — but not toward TotalSampled: they were not examined
+// during this query, and reporting them as sampled would hide the
+// warm-start savings. Rows not belonging to any group (or already sampled)
+// are ignored. A prior is one predicate's verdict, so it panics on a joint
+// sampler. Returns the number of rows seeded.
+func (s *Sampler) SeedPrior(known map[int]bool) int {
 	if len(s.meters) != 1 {
 		panic("core: known outcomes seed a single-predicate sampler only")
 	}
@@ -135,28 +140,6 @@ func (s *Sampler) seedKnown(known map[int]bool) int {
 		}
 		s.unsampled[i] = kept
 	}
-	return seeded
-}
-
-// Preload records rows whose UDF outcome is already known (e.g. tuples
-// labeled while discovering the correlated column, Section 4.4) so they
-// count as sampled without re-evaluation. Rows not belonging to any group
-// are ignored. Like SeedPrior it takes one predicate's verdicts, so it
-// panics on a joint sampler.
-func (s *Sampler) Preload(known map[int]bool) {
-	s.seedKnown(known)
-}
-
-// SeedPrior records rows whose UDF outcome was paid for in an earlier
-// process life (e.g. restored from a durable catalog). Like Preload, the
-// rows count as sampling evidence — they strengthen the Beta posterior and
-// shrink or eliminate later top-ups — but unlike Preload they are NOT
-// counted by TotalSampled: they were not examined during this query, and
-// reporting them as sampled would hide the warm-start savings. Rows not
-// belonging to any group (or already sampled) are ignored. Returns the
-// number of rows seeded.
-func (s *Sampler) SeedPrior(known map[int]bool) int {
-	seeded := s.seedKnown(known)
 	s.priors += seeded
 	return seeded
 }
@@ -254,10 +237,9 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 // Outcomes returns the per-group sampling outcomes (shared, do not mutate).
 func (s *Sampler) Outcomes() []SampleOutcome { return s.outcomes }
 
-// TotalSampled returns the number of tuples examined so far by this
-// sampler: labeled, preloaded or topped up. Rows seeded from prior
-// process lives (SeedPrior) are excluded — their cost was paid before
-// this query started.
+// TotalSampled returns the number of tuples this sampler's top-ups
+// examined. Rows seeded from prior process lives (SeedPrior) are excluded
+// — their cost was paid before this query started.
 func (s *Sampler) TotalSampled() int {
 	total := 0
 	for _, o := range s.outcomes {

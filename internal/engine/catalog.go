@@ -15,10 +15,10 @@ import (
 //
 //   - the cross-query eval caches are seeded lazily from persisted raw
 //     verdicts (so repeated exact workloads run with zero evaluations);
-//   - samplers are seeded with prior labeled/sampled evidence per
-//     (table, UDF, column, grouping column, filter set), shrinking or
-//     eliminating the 1% labeling pass and the per-group top-ups of
-//     repeated approximate queries;
+//   - samplers are seeded with the rows earlier samplers drew (never the
+//     labels that chose a grouping) per (table, UDF, column, grouping
+//     column, filter set), shrinking or eliminating the per-group top-ups
+//     of repeated approximate queries;
 //   - the Section 4.4 correlated-column discovery result is memoized per
 //     workload key, so repeat queries skip the labeling scan entirely.
 //

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -279,29 +280,6 @@ func universe(tbl *table.Table, subset []int) []int {
 	return rows
 }
 
-// resolveGroups determines the grouping the optimizer will use: the pinned
-// column (bound by bindStatement), a discovered correlated column, or the
-// logistic-regression virtual column. It returns the groups, the column's
-// display name, and any rows labeled along the way (row → outcome) for
-// reuse.
-func (e *Engine) resolveGroups(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
-	switch st.q.GroupOn {
-	case "":
-		// A memoized Section 4.4 choice skips the labeling scan entirely;
-		// the RNG draws it would have consumed are simply not made (warm
-		// runs are deterministic among themselves, not vs. cold runs).
-		if groups, col, ok := e.memoizedColumn(st); ok {
-			return groups, col, nil, nil
-		}
-		return e.discoverColumn(ctx, st)
-	case VirtualColumn:
-		return e.virtualColumn(ctx, st)
-	default:
-		groups, _ := groupsFromColumn(st.groupCol, st.subset, 0)
-		return groups, st.q.GroupOn, nil, nil
-	}
-}
-
 // groupsFromColumn partitions the row universe (subset; nil means every row)
 // by col through table.Partition — groups sorted byte-wise on the rendered
 // key, rows in universe order, each distinct value rendered once. It reports
@@ -337,13 +315,13 @@ func candidateColumns(st *pipeState) []core.Candidate {
 
 // discoverColumn implements Section 4.4's column scan: label a small
 // fraction of tuples, score every low-cardinality column with the
-// Section 3.2 planner, pick the cheapest. The labeled rows are returned
-// for reuse by the sampler.
-func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
+// Section 3.2 planner, pick the cheapest. It also returns how many rows
+// it labeled.
+func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
 	tbl, q := st.tbl, st.q
 	cands := candidateColumns(st)
 	if len(cands) == 0 {
-		return nil, "", nil, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
+		return nil, "", 0, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
 	}
 
 	rows := universe(tbl, st.subset)
@@ -351,49 +329,51 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
 		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, st.preds[0].meter, st.rng, e.parallelism())
 		if err != nil {
-			return nil, "", nil, err
+			return nil, "", 0, err
 		}
-		for row, v := range batch {
-			labeled[row] = v
+		maps.Copy(labeled, batch)
+		if len(labeled) == 0 { // every label failed: labeling more would only fail more
+			_, ferr := st.preds[0].meter.Failure()
+			return nil, "", 0, fmt.Errorf("engine: every row labeled to discover a correlated column for table %q failed: %w", q.Table, ferr)
 		}
 		choice, err := core.SelectColumn(cands, labeled, q.Approx.Constraints(), st.cost)
 		if err == nil {
-			return cands[choice.Index].Groups, choice.Name, labeled, nil
+			return cands[choice.Index].Groups, choice.Name, len(labeled), nil
 		}
 		// Every candidate disqualified: label more and retry, ending with one
 		// attempt over the whole universe.
 		if frac >= 1 {
-			return nil, "", nil, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
+			return nil, "", 0, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
 		}
 	}
 }
 
 // virtualColumn implements Section 6.3.2: label ~1% of rows and hand them,
 // with the table's encodable features, to ml.VirtualGroups (train, score
-// every row, bucket the scores into equal-frequency groups).
-func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, map[int]bool, error) {
+// every row, bucket the scores into equal-frequency groups), counting labels.
+func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
 	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
 		MaxCardinality: maxCandidateCardinality,
 		Exclude:        []string{st.preds[0].spec.UDFArg},
 	})
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
+		return nil, "", 0, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
 	rows := universe(tbl, st.subset)
 	labeled, err := core.LabelFractionParallelCtx(ctx, rows, core.DefaultLabelFraction, st.preds[0].meter, st.rng, e.parallelism())
 	if err != nil {
-		return nil, "", nil, err
+		return nil, "", 0, err
 	}
 
 	parts, err := ml.VirtualGroups(func(row int) []float64 { return enc.EncodeRow(tbl, row) }, rows, labeled, virtualBuckets)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("engine: training virtual column: %w", err)
+		return nil, "", 0, fmt.Errorf("engine: training virtual column: %w", err)
 	}
 	if len(parts) < 2 {
-		return nil, "", nil, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(parts))
+		return nil, "", 0, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(parts))
 	}
-	return parts, VirtualColumn, labeled, nil
+	return parts, VirtualColumn, len(labeled), nil
 }
 
 // projection validates the requested columns and returns their indices in

@@ -72,7 +72,6 @@ type pipeState struct {
 	// Products of the operators, in pipeline order.
 	groups      []core.Group         // op group-resolve (or join-group)
 	chosen      string               // op group-resolve
-	labeled     map[int]bool         // op group-resolve (discovery/virtual labels)
 	joinTbl     *table.Table         // join shape, bound during validation
 	leftCol     table.Column         // join shape
 	rightCol    table.Column         // join shape
@@ -80,7 +79,7 @@ type pipeState struct {
 	sampler     *core.Sampler        // op sample, single predicate only: merge persists its evidence
 	samples     []core.SampleOutcome // op sample / conj-sample
 	sels        []float64            // op sample / conj-sample: pooled per predicate
-	sampled     int                  // op sample / conj-sample: rows examined
+	sampled     int                  // op group-resolve's labels + op sample / conj-sample's draw
 	strategy    core.Strategy        // op solve / conj-solve
 	spans       []core.Span          // op conj-solve: the predicates each group evaluates
 	achieved    float64              // op solve (budget mode)
@@ -294,14 +293,31 @@ func (st *pipeState) groupsOut() stageOut {
 }
 
 // opGroupResolve determines the grouping the optimizer will use: the
-// pinned column, a discovered correlated column (memo-accelerated), or the
-// logistic-regression virtual column.
+// pinned column (bound by bindStatement), a discovered correlated column
+// (memo-accelerated), or the logistic-regression virtual column. The rows
+// discovery or the virtual column label are billed as sampled rows
+// (Stats.Sampled, Retrievals) but are no evidence about the groups they
+// shaped: see opSample.
 func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, error) {
-	groups, chosen, labeled, err := e.resolveGroups(ctx, st)
+	var err error
+	switch st.q.GroupOn {
+	case "":
+		// A memoized Section 4.4 choice skips the labeling scan entirely;
+		// the RNG draws it would have consumed are simply not made (warm
+		// runs are deterministic among themselves, not vs. cold runs).
+		var ok bool
+		if st.groups, st.chosen, ok = e.memoizedColumn(st); !ok {
+			st.groups, st.chosen, st.sampled, err = e.discoverColumn(ctx, st)
+		}
+	case VirtualColumn:
+		st.groups, st.chosen, st.sampled, err = e.virtualColumn(ctx, st)
+	default:
+		st.groups, _ = groupsFromColumn(st.groupCol, st.subset, 0)
+		st.chosen = st.q.GroupOn
+	}
 	if err != nil {
 		return stageOut{}, err
 	}
-	st.groups, st.chosen, st.labeled = groups, chosen, labeled
 	return st.groupsOut(), nil
 }
 
@@ -374,11 +390,13 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 // opSample is the one sampling stage, sample and conj-sample alike: a
 // Two-Third-Power allocation per group (the whole filtered scan counts as
 // one group when nothing grouped it) through one sampler over every
-// predicate. A single-predicate sample is first preloaded with the rows
-// labeled during group resolution and warm-started from the durable
-// catalog, and merge persists what it learned; a conjunction's sample is
-// every predicate's joint verdict, which is evidence for no one predicate,
-// so it is neither seeded nor persisted.
+// predicate. Its uniform draw, made after the grouping is fixed, is the
+// only estimate of the groups: rows labeled to choose or train the grouping
+// would overstate its purity (a label drawn again is served from the
+// meter's memo). A single-predicate sample is warm-started from the durable
+// catalog, and merge persists what it drew; a conjunction's sample is every
+// predicate's joint verdict, which is evidence for no one predicate, so it
+// is neither seeded nor persisted.
 func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) {
 	groups := st.groups
 	if groups == nil {
@@ -387,7 +405,6 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) 
 	sampler := core.NewJointSampler(groups, st.meters(), st.rng.Split())
 	sampler.SetParallelism(e.parallelism())
 	if len(st.preds) == 1 {
-		sampler.Preload(st.labeled)
 		e.seedSamplerFromCatalog(sampler, st)
 		st.sampler = sampler
 	}
@@ -399,8 +416,9 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) 
 	if _, err := sampler.TopUpCtx(ctx, alloc.Allocate(sizes)); err != nil {
 		return stageOut{}, err
 	}
-	st.samples, st.sels, st.sampled = sampler.Outcomes(), sampler.Selectivities(), sampler.TotalSampled()
-	return stageOut{rows: st.sampled}, nil
+	st.samples, st.sels = sampler.Outcomes(), sampler.Selectivities()
+	st.sampled += sampler.TotalSampled()
+	return stageOut{rows: sampler.TotalSampled()}, nil
 }
 
 // opSolve turns the sampling estimates into an execution strategy: the

@@ -31,11 +31,11 @@ type Stats struct {
 	Evaluations int `json:"evaluations"`
 	// Retrievals is the number of tuples fetched.
 	Retrievals int `json:"retrievals"`
-	// Sampled is the number of tuples examined while estimating
-	// selectivities (labeling + sampling). Zero for exact queries. On a
-	// cold UDF cache every sampled tuple is also an Evaluation; when the
-	// cross-query cache is warm, sampled tuples served from cache are not
-	// charged, so Sampled may exceed Evaluations.
+	// Sampled is the number of tuples examined before execution: the rows
+	// labeled to choose or train the grouping plus the sampler's draw. Zero
+	// for exact queries. On a cold UDF cache each is also an Evaluation,
+	// but a label the draw picks again counts twice here and is evaluated
+	// once; sampled tuples a warm cross-query cache serves are not charged.
 	Sampled int `json:"sampled"`
 	// Cost is o_r·Retrievals + o_e·Evaluations.
 	Cost float64 `json:"cost"`

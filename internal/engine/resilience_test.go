@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -561,5 +562,38 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		if row == panicRow {
 			t.Fatalf("skip policy: the panicking row %d is in the output", panicRow)
 		}
+	}
+}
+
+// TestDiscoveryStopsWhenEveryLabelFails: §4.4 discovery labels 1% of the
+// rows and labels more only when every candidate column was disqualified.
+// When every label failed there is nothing to qualify a column with, and
+// labeling more would only fail more: the statement must stop after one
+// labeling round and name the failures, not double its way through the
+// table and blame the columns.
+func TestDiscoveryStopsWhenEveryLabelFails(t *testing.T) {
+	const n = 20000
+	tbl, _ := buildLoanTable(t, n, 42)
+	e := New(7)
+	e.Retry = resilience.Policy{Sleep: func(context.Context, time.Duration) error { return nil }}
+	if err := e.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	err := e.RegisterUDF(UDF{Name: "good_credit", Body: func(context.Context, table.Value) (bool, error) {
+		calls.Add(1)
+		return false, resilience.New(resilience.Permanent, "udf", errors.New("backend down"))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := exactQuery(SkipFailed)
+	q.Approx = approx(0.8, 0.8, 0.8)
+	_, err = e.ExecuteContext(context.Background(), q)
+	if err == nil || !strings.Contains(err.Error(), "backend down") {
+		t.Fatalf("err = %v, want the labels' failure named", err)
+	}
+	if round := int64(n / 100); calls.Load() > round {
+		t.Fatalf("%d invocations, want at most one labeling round's %d", calls.Load(), round)
 	}
 }

@@ -77,7 +77,7 @@ func runLab(ctx context.Context, d *dataset.Dataset, cons core.Constraints, draw
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	run, err := Lab(ctx, in, nil, draw, rng)
+	run, err := Lab(ctx, in, draw, rng)
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
@@ -133,8 +133,9 @@ func runML(d *dataset.Dataset, cons core.Constraints, features [][]float64, rng 
 // runIntelVirtual runs Intel-Sample over the logistic-regression virtual
 // column (Section 6.3.2) with a Two-Third-Power num under study: label 1%
 // through the instance's meter, group with ml.VirtualGroups — the function
-// the engine's GROUP ON virtual calls — then sample/plan/execute in the lab
-// with the labels preloaded, so they are charged once and reused.
+// the engine's GROUP ON virtual calls — then sample/plan/execute in the lab,
+// billing each label as the engine does: as a retrieval, not as evidence
+// about the groups it trained (a label drawn again is a memo hit).
 func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constraints, num float64, rng *stats.RNG, features [][]float64) (AlgoOutcome, error) {
 	in := Instance{Meter: core.NewMeter(d.UDF()), Cons: cons}
 	rows := make([]int, d.Table.NumRows())
@@ -149,7 +150,9 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	run, err := Lab(ctx, in, labeled, TwoThirdPower(num), rng)
+	run, err := Lab(ctx, in, TwoThirdPower(num), rng)
+	run.Retrievals += len(labeled)
+	run.Cost += float64(len(labeled)) * core.DefaultCost.Retrieve
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 

@@ -185,14 +185,12 @@ func AdaptiveTwoThirdPower(ctx context.Context, s *core.Sampler, sizes []int, co
 }
 
 // labSample is the sampling half of the pipeline, in the engine's order: a
-// sampler on rng's first split, the rows labeled while the grouping was
-// being resolved preloaded, then the draw under study.
-func labSample(ctx context.Context, in Instance, labeled map[int]bool, draw Draw, rng *stats.RNG) (*core.Sampler, error) {
+// sampler on rng's first split, then the draw under study.
+func labSample(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (*core.Sampler, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
 	sampler := core.NewSampler(in.Groups, in.Meter, rng.Split())
-	sampler.Preload(labeled)
 	sizes := make([]int, len(in.Groups))
 	for i, g := range in.Groups {
 		sizes[i] = len(g.Rows)
@@ -204,12 +202,10 @@ func labSample(ctx context.Context, in Instance, labeled map[int]bool, draw Draw
 }
 
 // Lab runs Intel-Sample with the given draw: sample, plan with Convex
-// Prog. 4.1, execute on rng's second split, and account as the engine does
-// (every sampled row is also a retrieval; calls are what the meter
-// charged). labeled holds rows already evaluated through in.Meter while
-// resolving the grouping (Section 6.3.2's training labels), nil otherwise.
-func Lab(ctx context.Context, in Instance, labeled map[int]bool, draw Draw, rng *stats.RNG) (Run, error) {
-	sampler, err := labSample(ctx, in, labeled, draw, rng)
+// Prog. 4.1, execute on rng's second split, and account as the engine
+// does (each sampled row is a retrieval; calls are what the meter charged).
+func Lab(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (Run, error) {
+	sampler, err := labSample(ctx, in, draw, rng)
 	if err != nil {
 		return Run{}, err
 	}

@@ -86,7 +86,7 @@ func TestLabMatchesEngineAtDefaultAllocator(t *testing.T) {
 				t.Fatal(err)
 			}
 			// engine.New(seed) splits its stream once per approximate query.
-			lab, err := Lab(context.Background(), in, nil, EngineDraw(cons.Alpha), stats.NewRNG(seed).Split())
+			lab, err := Lab(context.Background(), in, EngineDraw(cons.Alpha), stats.NewRNG(seed).Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestRunIntelSampleAdaptive(t *testing.T) {
 		_, err := AdaptiveTwoThirdPower(ctx, s, sizes, in.Cons, AdaptiveOptions{})
 		return err
 	}
-	res, err := Lab(context.Background(), in, nil, search, rng.Split())
+	res, err := Lab(context.Background(), in, search, rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestRunPerfectSelectivities(t *testing.T) {
 	// With free perfect knowledge, Optimal should beat Intel-Sample on
 	// total evaluations (which pays for sampling).
 	in.Meter = core.NewMeter(core.UDFFunc(truth))
-	intel, err := Lab(context.Background(), in, nil, EngineDraw(in.Cons.Alpha), rng.Split())
+	intel, err := Lab(context.Background(), in, EngineDraw(in.Cons.Alpha), rng.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
