@@ -2,7 +2,13 @@
 
 package core
 
-import "testing"
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"repro/internal/stats"
+)
 
 // Allocation pins for the dense verdict state. The race detector changes
 // allocation counts, so these run in the non-race CI step.
@@ -46,5 +52,34 @@ func TestSharedEvalCacheLookupAllocs(t *testing.T) {
 		cache.Lookup(9 * pageRows) // miss beyond the directory
 	}); n != 0 {
 		t.Fatalf("Lookup allocated %v times, want 0", n)
+	}
+}
+
+// TestSamplerTopUpAllocs pins that a top-up allocates for the rows it draws,
+// not for the group it draws them from: k rows of a 2²⁰-row group cost the
+// meter's state pages they land on and the top-up's own O(k) scratch — no
+// copy of the group's 8 MiB of row ids.
+func TestSamplerTopUpAllocs(t *testing.T) {
+	rows := make([]int, 1<<20)
+	for i := range rows {
+		rows[i] = i
+	}
+	groups := []Group{{Key: "all", Rows: rows}}
+	udf := UDFFunc(func(row int) bool { return row%3 == 0 })
+	for _, k := range []int{16, 64} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s := NewJointSampler(groups, []*Meter{NewMeter(udf)}, stats.Key(k))
+		if _, err := s.TopUpCtx(context.Background(), []int{k}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if s.TotalSampled() != k {
+			t.Fatalf("k=%d: sampled %d", k, s.TotalSampled())
+		}
+		// A state page (2 KiB) per drawn row at worst, plus O(k) scratch.
+		if bytes, limit := after.TotalAlloc-before.TotalAlloc, uint64(4096*k+32<<10); bytes > limit {
+			t.Fatalf("a %d-row top-up over %d rows allocated %d bytes, want at most %d", k, len(rows), bytes, limit)
+		}
 	}
 }

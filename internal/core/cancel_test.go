@@ -39,7 +39,7 @@ func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 		{"second of two predicates", []UDF{udf, even}, 1},
 	} {
 		// Reference: an uncancelled sampler over the same seed.
-		ref := NewJointSampler(groups, metered(in.udfs...), stats.NewRNG(5))
+		ref := NewJointSampler(groups, metered(in.udfs...), stats.Key(5))
 		refN, err := ref.TopUpCtx(context.Background(), targets)
 		if err != nil {
 			t.Fatal(err)
@@ -50,20 +50,19 @@ func TestTopUpCtxCancelLeavesSamplerConsistent(t *testing.T) {
 			udfs := slices.Clone(in.udfs)
 			udfs[in.cancelIn] = cancelAfter(udfs[in.cancelIn], 25, cancel)
 			meters := metered(udfs...)
-			s := NewJointSampler(groups, meters, stats.NewRNG(5))
+			s := NewJointSampler(groups, meters, stats.Key(5))
 			s.SetParallelism(par)
 			if _, err := s.TopUpCtx(ctx, targets); err != context.Canceled {
 				t.Fatalf("%s, par=%d: err %v, want context.Canceled", in.name, par, err)
 			}
 			// The cancelled top-up must not have mutated the sampler: no
-			// outcomes recorded, no rows popped.
+			// outcomes recorded, no rank cut moved.
 			if got := s.TotalSampled(); got != 0 {
 				t.Fatalf("%s, par=%d: cancelled TopUp recorded %d outcomes", in.name, par, got)
 			}
 			for i := range groups {
-				if len(s.unsampled[i]) != len(groups[i].Rows) {
-					t.Fatalf("%s, par=%d: group %d pool shrank to %d of %d",
-						in.name, par, i, len(s.unsampled[i]), len(groups[i].Rows))
+				if s.cut[i] != 0 {
+					t.Fatalf("%s, par=%d: group %d cut moved to %#x", in.name, par, i, s.cut[i])
 				}
 			}
 			// A retry over a live context completes and matches the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -13,7 +12,8 @@ import (
 // fraction of tuples is labeled (UDF-evaluated); every candidate column
 // with few enough distinct values is scored by estimating its per-group
 // selectivities from the labeled tuples and planning with the Section 3.2
-// optimizer; the cheapest plan wins. The labels choose the grouping and
+// optimizer; the cheapest plan wins. The labels are one Sampler's draw
+// over the universe, topped up to label more. They choose the grouping and
 // are not evidence about it: the groups' selectivities are estimated only
 // from the sampler's uniform draw, made after the grouping is fixed (a
 // label the draw picks again is served from the meter's memo, not paid
@@ -97,32 +97,19 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 // discover a correlated column or train the virtual one (the paper's 1%).
 const DefaultLabelFraction = 0.01
 
-// LabelFractionParallelCtx evaluates the UDF on a uniform random fraction
-// of all rows and returns the labels, for use with SelectColumn. The UDF
-// calls are charged to the meter and fanned across up to `parallelism`
-// workers (≤ 0 means GOMAXPROCS). The sample is drawn from the RNG before any
-// evaluation starts, so the labeled set — and the RNG stream seen by later
-// phases — is identical at any parallelism level. A cancel mid-labeling
-// returns (nil, ctx.Err()) without handing back a partial label map.
+// LabelTarget is how many rows labeling a fraction of n rows draws.
+func LabelTarget(fraction float64, n int) int { return int(math.Ceil(fraction * float64(n))) }
+
+// LabelFractionParallelCtx labels a uniform random fraction of rows for
+// SelectColumn: one top-up of a one-group sampler keyed by rng's next draw,
+// so the labels at fraction f nest in those at any larger one. Calls fan
+// out across up to `parallelism` workers (≤ 0 means GOMAXPROCS), and a
+// failed row is no label. A cancel returns (nil, ctx.Err()).
 func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng *stats.RNG, parallelism int) (map[int]bool, error) {
-	k := int(math.Ceil(fraction * float64(len(rows))))
-	picks := rng.SampleWithoutReplacement(len(rows), k)
-	work := make([]int, len(picks))
-	for j, i := range picks {
-		work[j] = rows[i]
-	}
-	verdicts, failed, err := meter.EvalRows(ctx, exec.NewPool(parallelism), work)
-	if err != nil {
+	s := NewSampler([]Group{{Key: "all", Rows: rows}}, meter, rng)
+	s.SetParallelism(parallelism)
+	if _, err := s.TopUpCtx(ctx, []int{LabelTarget(fraction, len(rows))}); err != nil {
 		return nil, err
 	}
-	labeled := make(map[int]bool, len(work))
-	for j, row := range work {
-		if failed[j] {
-			// A failed evaluation is no label: excluding the row keeps the
-			// discovery evidence honest under a flaky UDF.
-			continue
-		}
-		labeled[row] = verdicts[j]
-	}
-	return labeled, nil
+	return s.Outcomes()[0].Results, nil
 }

@@ -170,10 +170,10 @@ func TestExecuteConjunctionWavesOrderIndependentOfParallelism(t *testing.T) {
 
 func TestConjunctionWavesValidation(t *testing.T) {
 	udfs := []UDF{UDFFunc(func(int) bool { return true }), UDFFunc(func(int) bool { return true })}
-	if _, err := NewJointSampler(conjGroups(10), metered(udfs...), stats.NewRNG(1)).TopUpCtx(context.Background(), []int{1}); err == nil {
+	if _, err := NewJointSampler(conjGroups(10), metered(udfs...), stats.Key(1)).TopUpCtx(context.Background(), []int{1}); err == nil {
 		t.Fatal("target/group mismatch accepted")
 	}
-	if _, err := NewJointSampler(conjGroups(10), nil, stats.NewRNG(1)).TopUpCtx(context.Background(), []int{1, 1}); err == nil {
+	if _, err := NewJointSampler(conjGroups(10), nil, stats.Key(1)).TopUpCtx(context.Background(), []int{1, 1}); err == nil {
 		t.Fatal("no predicates accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestConjunctionCancellation(t *testing.T) {
 		}
 		return true
 	})
-	_, err := NewJointSampler(groups, metered(udf, udf), stats.NewRNG(2)).TopUpCtx(ctx, []int{20, 20})
+	_, err := NewJointSampler(groups, metered(udf, udf), stats.Key(2)).TopUpCtx(ctx, []int{20, 20})
 	if err != context.Canceled {
 		t.Fatalf("sample cancel: %v", err)
 	}
@@ -274,7 +274,7 @@ func TestEvalWorkListsFoldSharedGateInOrder(t *testing.T) {
 		want []bool
 	}{
 		{"Sampler.TopUpCtx", func(m0, m1 *Meter) error {
-			s := NewJointSampler(single, []*Meter{m0, m1}, stats.NewRNG(1))
+			s := NewJointSampler(single, []*Meter{m0, m1}, stats.Key(1))
 			s.SetParallelism(4)
 			_, err := s.TopUpCtx(ctx, ones)
 			return err

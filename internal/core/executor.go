@@ -16,17 +16,14 @@ import (
 // predicate of their span accepts them. Tuples already evaluated during
 // sampling are returned (or dropped) according to their known outcome at
 // no extra cost. It is the one executor: §5's five per-group actions are
-// strategies whose coins land at 0 or 1 (TwoPredStrategy), and
-// stats.RNG.Bernoulli draws nothing there.
+// strategies whose coins land at 0 or 1 (TwoPredStrategy).
 //
-// Execution is split into two phases so the expensive UDF calls can fan
-// out across goroutines without perturbing determinism: a sequential PLAN
-// phase draws every Bernoulli coin from the RNG in tuple order and emits
-// each returned candidate with the predicate span it still needs, then a
-// parallel EVALUATE phase runs them through one Waves run, which keeps
-// row order.
-// Because the UDF never consumes the RNG, the coin stream — and therefore
-// the output — is bit-for-bit identical at every parallelism level.
+// A tuple's coins are keyed by its row (stats.Key.Bernoulli): Bernoulli(R)
+// to retrieve and Bernoulli(E/R) to evaluate, under two sub-keys of the
+// execution key. A PLAN phase flips them in tuple order and emits each
+// returned candidate with the predicate span it still needs, then a
+// parallel EVALUATE phase runs them through one Waves run, which keeps row
+// order, so the output is bit-for-bit identical at every parallelism level.
 
 // SampleOutcome records the sampling phase's work for one group.
 type SampleOutcome struct {
@@ -52,9 +49,9 @@ type ExecResult struct {
 }
 
 // ExecuteParallelCtx runs the strategy over the groups with one predicate:
-// ExecuteSpansParallelCtx with the one meter.
+// ExecuteSpansParallelCtx with the one meter, keyed by rng's next draw.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, meter *Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
-	return ExecuteSpansParallelCtx(ctx, groups, s, nil, samples, []*Meter{meter}, cost, rng, parallelism)
+	return ExecuteSpansParallelCtx(ctx, groups, s, nil, samples, []*Meter{meter}, cost, stats.Key(rng.Uint64()), parallelism)
 }
 
 // ExecuteSpansParallelCtx runs the strategy over the groups, fanning UDF
@@ -63,13 +60,11 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 // spans[i], in order, short-circuiting at the first that rejects it; nil
 // spans mean every meter for every group. samples may be nil (no sampling
 // phase) or hold one entry per group; sampled rows are not re-retrieved or
-// re-evaluated — their recorded outcome decides membership. The RNG drives
-// the per-tuple coins; all draws happen in the sequential plan phase, so
-// results are identical at every parallelism level. That phase is cheap
-// and always completes, so the RNG is consumed identically whether or not
-// the evaluate phase is cancelled; a cancel returns ctx.Err() and an empty
-// result.
-func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, spans []Span, samples []SampleOutcome, meters []*Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
+// re-evaluated — their recorded outcome decides membership. key keys the
+// per-tuple coins, so results are identical at every parallelism level and
+// whatever order the groups come in; a cancel returns ctx.Err() and an
+// empty result.
+func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, spans []Span, samples []SampleOutcome, meters []*Meter, cost CostModel, key stats.Key, parallelism int) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())
 	}
@@ -89,9 +84,10 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 	}
 	var res ExecResult
 
-	// Plan: draw retrieval/evaluation coins for every tuple in order. A
+	// Plan: flip retrieval/evaluation coins for every tuple in order. A
 	// retrieved tuple needs its group's span when its evaluation coin
 	// lands, and nothing (an empty span) otherwise.
+	retrieve, evaluate := key.Sub(1), key.Sub(2)
 	var rows []int
 	var need []Span
 	for i, g := range groups {
@@ -116,12 +112,12 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 				}
 				continue
 			}
-			if !rng.Bernoulli(ra) {
+			if !retrieve.Bernoulli(row, ra) {
 				continue
 			}
 			res.Retrieved++
 			sp := Span{}
-			if rng.Bernoulli(condEval) {
+			if evaluate.Bernoulli(row, condEval) {
 				sp = span
 			}
 			rows, need = append(rows, row), append(need, sp)

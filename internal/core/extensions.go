@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/stats"
+)
 
 // Section 5 extensions: a fixed cost budget with recall as the objective,
 // and conjunctions of two expensive predicates. Selection followed by a
@@ -16,9 +21,11 @@ type BudgetPlan struct {
 }
 
 // PlanBudget solves the alternate objective of Section 5/Appendix 10.7.1:
-// maximize recall subject to precision ≥ α (with probability ρ) and
-// expected cost ≤ budget. It binary-searches the recall bound β and plans
-// each candidate with PlanWithSamples, the planner the engine runs.
+// maximize recall subject to precision ≥ α and cost ≤ budget, each with
+// probability ρ (the paper bounds the expected cost, which a plan spending
+// its budget on coins overruns half the time; costBound). It binary-searches
+// the recall bound β and plans each candidate with PlanWithSamples, the
+// planner the engine runs.
 func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) (BudgetPlan, error) {
 	if budget < 0 {
 		return BudgetPlan{}, fmt.Errorf("core: negative budget %v", budget)
@@ -28,7 +35,7 @@ func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) 
 		if err != nil {
 			return Strategy{}, 0, err
 		}
-		return s, s.ExpectedCost(groups, cost), nil
+		return s, costBound(s, groups, cost, rho), nil
 	}
 	// β=1 may fit the budget outright. β=0 always does: discarding every
 	// remaining tuple costs nothing and has deviation exactly 0, and the
@@ -56,6 +63,18 @@ func PlanBudget(groups []GroupInfo, alpha, rho, budget float64, cost CostModel) 
 		}
 	}
 	return BudgetPlan{Strategy: best, AchievedBeta: bestBeta}, nil
+}
+
+// costBound is the cost s stays within with probability ρ (Cantelli). An
+// unsampled row costs o_r·X_r + o_e·X_e, X_r ~ Bernoulli(R), X_e ≤ X_r ~
+// Bernoulli(E): variance o_r²R(1−R) + o_e²E(1−E) + 2·o_r·o_e·E(1−R).
+func costBound(s Strategy, groups []GroupInfo, cost CostModel, rho float64) float64 {
+	o, e, v := cost.Retrieve, cost.Evaluate, 0.0
+	for i, g := range groups {
+		r, ev := s.R[i], s.E[i]
+		v += float64(g.Remaining()) * (o*o*r*(1-r) + e*e*ev*(1-ev) + 2*o*e*ev*(1-r))
+	}
+	return s.ExpectedCost(groups, cost) + stats.CantelliMultiplier(rho)*math.Sqrt(v)
 }
 
 // TwoPredGroup describes one group for a conjunction of two expensive

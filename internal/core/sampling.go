@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
@@ -17,8 +18,11 @@ import (
 // allocation schemes the paper studies — constant, and the Section 4.3
 // adaptive search for num — live in internal/experiments: the engine runs
 // only this one.) One Sampler serves every sampled shape: one predicate
-// (§4), the §5 pair whose joint cells the five-action planner reads, and
-// the N-ary conjunction whose pooled selectivities order its waves.
+// (§4), the §5 pair whose joint cells the five-action planner reads, the
+// N-ary conjunction whose pooled selectivities order its waves, and §4.4's
+// labels (one group, the universe). Its draw is keyed: §4's uniform sample
+// without replacement is each group's lowest-ranked rows under the key, so
+// it needs no copy or shuffle of a group and reads only what it takes.
 
 // TwoThirdPowerAllocator samples Fₐ = num·tₐ·n^(−1/3) tuples from group a,
 // the Section 4.3 rule of thumb (so named because total sampling grows as
@@ -54,22 +58,31 @@ func DefaultAllocator(alpha float64) TwoThirdPowerAllocator {
 	return TwoThirdPowerAllocator{Num: 2.5 * alpha}
 }
 
+// A statement's stages draw under their own sub-keys of its key
+// (stats.Key.Sub): §4.4 / §6.3.2 labels, §4's sample and the coins.
+const LabelDraw, SampleDraw, ExecuteDraw uint64 = 1, 2, 3
+
 // Sampler incrementally samples tuples from groups without replacement and
 // evaluates every predicate of the statement on each sampled row,
 // remembering outcomes so allocations can be topped up (a warm catalog,
-// Section 4.3's adaptive scheme) without re-evaluating tuples. A sampled
-// row's outcome is whether it passed every predicate: with one meter that
-// is the UDF's verdict, with two the §5 joint cell P(f1 ∧ f2) the five
-// actions are priced on, and each predicate's own passes are kept beside
-// it (SampleOutcome.Pos) for the other joint cells and the greedy
-// conjunction order.
+// Section 4.3's adaptive scheme, §4.4's label rounds) without re-evaluating
+// tuples. A sampled row's outcome is whether it passed every predicate:
+// with one meter that is the UDF's verdict, with two the §5 joint cell
+// P(f1 ∧ f2) the five actions are priced on, and each predicate's own
+// passes are kept beside it (SampleOutcome.Pos) for the other joint cells
+// and the greedy conjunction order. A group's sample at target t is its t
+// lowest-ranked rows under the key (stats.Key.Rank), skipping failed rows
+// and rows seeded by SeedPrior: a row's fate depends on (key, row) and its
+// group's target only, and a sample is a prefix of any larger one.
 type Sampler struct {
 	groups   []Group
 	meters   []*Meter
 	outcomes []SampleOutcome
-	// unsampled[i] holds the not-yet-sampled row ids of group i in a
-	// pre-shuffled order; sampling pops from the tail.
-	unsampled [][]int
+	key      stats.Key
+	// cut[i] is group i's rank cut: every row ranked below it is recorded in
+	// outcomes[i] or failed, every other row at or above it is undrawn or a
+	// prior.
+	cut []uint64
 	// parallelism caps the workers used to evaluate newly sampled rows
 	// (default 1, fully sequential). Row selection is always sequential, so
 	// outcomes are identical at any setting.
@@ -84,83 +97,113 @@ type Sampler struct {
 func (s *Sampler) SetParallelism(p int) { s.parallelism = p }
 
 // NewSampler prepares a single-predicate sampler over the groups: the
-// one-meter case of NewJointSampler.
+// one-meter case of NewJointSampler, keyed by rng's next draw.
 func NewSampler(groups []Group, meter *Meter, rng *stats.RNG) *Sampler {
-	return NewJointSampler(groups, []*Meter{meter}, rng)
+	return NewJointSampler(groups, []*Meter{meter}, stats.Key(rng.Uint64()))
 }
 
 // NewJointSampler prepares a sampler that evaluates every meter, in order,
-// on each sampled row. Each group's rows are shuffled once up front so
-// successive top-ups are uniform without replacement.
-func NewJointSampler(groups []Group, meters []*Meter, rng *stats.RNG) *Sampler {
+// on each sampled row, drawing rows by their rank under key.
+func NewJointSampler(groups []Group, meters []*Meter, key stats.Key) *Sampler {
 	s := &Sampler{
 		groups:      groups,
 		meters:      meters,
 		outcomes:    make([]SampleOutcome, len(groups)),
-		unsampled:   make([][]int, len(groups)),
+		key:         key,
+		cut:         make([]uint64, len(groups)),
 		parallelism: 1,
 	}
-	for i, g := range groups {
-		rows := append([]int(nil), g.Rows...)
-		rng.Shuffle(len(rows), func(a, b int) { rows[a], rows[b] = rows[b], rows[a] })
-		s.unsampled[i] = rows
+	for i := range groups {
 		s.outcomes[i] = SampleOutcome{Results: make(map[int]bool), Pos: make([]int, len(meters))}
 	}
 	return s
 }
 
 // SeedPrior records rows whose UDF outcome was paid for in an earlier
-// process life (restored from a durable catalog), moving them from the
-// unsampled pools into the recorded results. They count as sampling
+// process life (restored from a durable catalog). They count as sampling
 // evidence — they strengthen the Beta posterior and shrink or eliminate
-// later top-ups — but not toward TotalSampled: they were not examined
-// during this query, and reporting them as sampled would hide the
-// warm-start savings. Rows not belonging to any group (or already sampled)
-// are ignored. A prior is one predicate's verdict, so it panics on a joint
-// sampler. Returns the number of rows seeded.
+// later top-ups, which skip them — but not toward TotalSampled: they were
+// not examined during this query, and reporting them as sampled would hide
+// the warm-start savings. Rows not belonging to any group (or already
+// drawn) are ignored. A prior is one predicate's verdict, so it panics on a
+// joint sampler. Returns the number of rows seeded.
 func (s *Sampler) SeedPrior(known map[int]bool) int {
 	if len(s.meters) != 1 {
 		panic("core: known outcomes seed a single-predicate sampler only")
 	}
 	seeded := 0
-	for i := range s.groups {
-		kept := s.unsampled[i][:0]
-		for _, row := range s.unsampled[i] {
-			if v, ok := known[row]; ok {
-				o := &s.outcomes[i]
-				o.Results[row] = v
-				if v {
-					o.Positives++
-					o.Pos[0]++
-				}
-				seeded++
+	for i, g := range s.groups {
+		o := &s.outcomes[i]
+		for _, row := range g.Rows {
+			v, ok := known[row]
+			if _, dup := o.Results[row]; !ok || dup || s.key.Rank(row) < s.cut[i] {
 				continue
 			}
-			kept = append(kept, row)
+			o.Results[row] = v
+			if v {
+				o.Positives++
+				o.Pos[0]++
+			}
+			seeded++
 		}
-		s.unsampled[i] = kept
 	}
 	s.priors += seeded
 	return seeded
+}
+
+// lowest appends group i's want lowest-ranked undrawn rows (or all of
+// them, if fewer) to buf in the group's row order and returns its next cut.
+// A pass hashes the group once for the rows ranked in a window above the
+// cut sized for want plus four standard deviations, so a second pass (over
+// a doubled window) is rare and the ranks to sort are few.
+func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
+	key, o, lo, from, k := s.key, s.outcomes[i], s.cut[i], len(buf), float64(want)
+	var ranks []uint64
+	for share := (k + 4*math.Sqrt(k) + 8) / float64(len(s.groups[i].Rows)); ; share *= 2 {
+		span := ^uint64(0) - lo
+		if w := share * 0x1p64; w < float64(span) {
+			span = uint64(w)
+		}
+		for _, row := range s.groups[i].Rows {
+			if r := key.Rank(row); r-lo <= span {
+				if _, prior := o.Results[row]; s.priors == 0 || !prior {
+					buf, ranks = append(buf, row), append(ranks, r)
+				}
+			}
+		}
+		if len(ranks) >= want || lo+span == ^uint64(0) {
+			break
+		}
+		lo += span + 1
+	}
+	if want = min(want, len(ranks)); want == 0 {
+		return buf, s.cut[i]
+	}
+	slices.Sort(ranks)
+	cut, kept := ranks[want-1], buf[:from]
+	for _, row := range buf[from:] {
+		if key.Rank(row) <= cut {
+			kept = append(kept, row)
+		}
+	}
+	return kept, cut + 1
 }
 
 // TopUpCtx raises each group's sampled count to targets[i] (no-op for
 // groups already at or above target), evaluating every predicate on the
 // newly sampled rows. It returns the number of rows it drew.
 //
-// TopUpCtx is plan/evaluate split: the rows to sample are read sequentially
-// from the pre-shuffled per-group pools (no RNG is consumed), then each
-// predicate runs over the whole batch as one Meter.EvalRows batch on up to
-// SetParallelism workers, in predicate order on the calling goroutine — a
+// TopUpCtx is plan/evaluate split: the rows each group still owes are
+// chosen sequentially by rank, then each predicate runs over the whole
+// batch as one Meter.EvalRows batch on up to SetParallelism workers, in predicate order on the calling goroutine — a
 // circuit breaker the predicates share needs sequential fold points — and
-// outcomes are recorded in pop order, so the sampler's state afterwards is
+// outcomes are recorded in plan order, so the sampler's state afterwards is
 // identical at any parallelism level. Sampling never short-circuits: a
 // joint outcome needs every predicate's verdict. The state mutates only
 // after every batch evaluated successfully: a cancelled top-up returns
-// ctx.Err() with the un-sampled pools and outcomes exactly as they were, so
-// the sampler (and its meters, whose memos charge a row once) stays
-// reusable — a later top-up over the same targets re-plans the identical
-// batch.
+// ctx.Err() with the cuts and outcomes exactly as they were, so the sampler
+// (and its meters, whose memos charge a row once) stays reusable — a later
+// top-up over the same targets re-plans the identical batch.
 func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(targets) != len(s.groups) {
 		return 0, fmt.Errorf("core: %d targets for %d groups", len(targets), len(s.groups))
@@ -168,31 +211,24 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(s.meters) == 0 {
 		return 0, fmt.Errorf("core: sampler without predicates")
 	}
-	// Plan: read (without popping) the rows each group still owes from the
-	// tail of its pre-shuffled pool, group-major, in pop order.
+	// Plan: the rows each group owes, group-major.
 	var work, groupOf []int
-	take := make([]int, len(s.groups))
+	cuts := slices.Clone(s.cut)
 	for i := range s.groups {
-		want := targets[i] - len(s.outcomes[i].Results)
-		if avail := len(s.unsampled[i]); want > avail {
-			want = avail
+		if want := targets[i] - len(s.outcomes[i].Results); want > 0 {
+			n := len(work)
+			work, cuts[i] = s.lowest(work, i, want)
+			for range len(work) - n {
+				groupOf = append(groupOf, i)
+			}
 		}
-		if want < 0 {
-			want = 0
-		}
-		last := len(s.unsampled[i]) - 1
-		for k := 0; k < want; k++ {
-			work = append(work, s.unsampled[i][last-k])
-			groupOf = append(groupOf, i)
-		}
-		take[i] = want
 	}
-	// Evaluate in parallel; commit (pop + record) only on full success.
-	// Rows whose evaluation failed under some predicate are popped (so they
-	// are not endlessly re-planned) but recorded as NOTHING: failed
-	// invocations must never become sampling evidence, a row missing one
-	// verdict has no joint outcome, and a later top-up to the same target
-	// simply samples replacement rows.
+	// Evaluate in parallel; commit (cut + record) only on full success.
+	// Rows whose evaluation failed under some predicate fall below the cut
+	// (so they are not endlessly re-planned) but are recorded as NOTHING:
+	// failed invocations must never become sampling evidence, a row missing
+	// one verdict has no joint outcome, and a later top-up to the same
+	// target simply samples the next-ranked rows.
 	pool := exec.NewPool(s.parallelism)
 	verdicts := make([][]bool, len(s.meters))
 	var failed []bool
@@ -210,9 +246,7 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 			failed[k] = failed[k] || f[k]
 		}
 	}
-	for i, k := range take {
-		s.unsampled[i] = s.unsampled[i][:len(s.unsampled[i])-k]
-	}
+	s.cut = cuts
 	for k, row := range work {
 		if failed[k] {
 			continue

@@ -123,7 +123,7 @@ func TestSampleConjunctionEstimates(t *testing.T) {
 		UDFFunc(func(row int) bool { return row < 300 }),   // sel 0.75
 		UDFFunc(func(row int) bool { return row%10 != 0 }), // sel 0.9
 	}
-	s := NewJointSampler(groups, metered(udfs...), stats.NewRNG(3))
+	s := NewJointSampler(groups, metered(udfs...), stats.Key(3))
 	s.SetParallelism(4)
 	if _, err := s.TopUpCtx(context.Background(), []int{60, 60}); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSampleConjunctionDeterministicAcrossParallelism(t *testing.T) {
 		UDFFunc(func(row int) bool { return row%5 != 0 }),
 	}
 	run := func(par int) ([]SampleOutcome, []float64) {
-		s := NewJointSampler(groups, metered(udfs...), stats.NewRNG(17))
+		s := NewJointSampler(groups, metered(udfs...), stats.Key(17))
 		s.SetParallelism(par)
 		if _, err := s.TopUpCtx(context.Background(), []int{40, 40}); err != nil {
 			t.Fatal(err)

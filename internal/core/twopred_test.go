@@ -44,7 +44,7 @@ func twoPredWorld(rng *stats.RNG, sizes []int, sel1, sel2 []float64, share float
 // runs as its conj-sample → conj-solve → conj-exec stages — for the tests
 // that pin core's own parallelism, cancellation and failure behaviour.
 func runTwoPred(ctx context.Context, groups []Group, m1, m2 *Meter, cons Constraints, targets []int, rng *stats.RNG, parallelism int) (ExecResult, []TwoPredAction, []SampleOutcome, error) {
-	s := NewJointSampler(groups, []*Meter{m1, m2}, rng.Split())
+	s := NewJointSampler(groups, []*Meter{m1, m2}, stats.Key(rng.Uint64()))
 	s.SetParallelism(parallelism)
 	if _, err := s.TopUpCtx(ctx, targets); err != nil {
 		return ExecResult{}, nil, nil, err
@@ -60,7 +60,7 @@ func executeActions(ctx context.Context, groups []Group, acts []TwoPredAction, s
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return ExecuteSpansParallelCtx(ctx, groups, s, spans, samples, []*Meter{m1, m2}, DefaultCost, stats.NewRNG(1), parallelism)
+	return ExecuteSpansParallelCtx(ctx, groups, s, spans, samples, []*Meter{m1, m2}, DefaultCost, stats.Key(1), parallelism)
 }
 
 // defaultTargets is the engine's sampling allocation over groups.
@@ -81,7 +81,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 		UDFFunc(func(r int) bool { return l1[r] }),
 		UDFFunc(func(r int) bool { return l2[r] }),
 	}
-	s := NewJointSampler(groups, metered(udfs...), rng.Split())
+	s := NewJointSampler(groups, metered(udfs...), stats.Key(rng.Uint64()))
 	if _, err := s.TopUpCtx(context.Background(), []int{100, 100}); err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	// A span must lie within the meters it indexes, and cover one group each.
 	for _, spans := range [][]Span{{{1, 3}}, {{1, 0}}, {{0, 1}, {0, 1}}} {
 		if _, err := ExecuteSpansParallelCtx(context.Background(), groups, FullEvaluation(1), spans, nil,
-			[]*Meter{NewMeter(u1), NewMeter(u2)}, DefaultCost, stats.NewRNG(1), 1); err == nil {
+			[]*Meter{NewMeter(u1), NewMeter(u2)}, DefaultCost, stats.Key(1), 1); err == nil {
 			t.Fatalf("spans %v accepted", spans)
 		}
 	}

@@ -150,12 +150,13 @@ type stageBody func(ctx context.Context, st *pipeState) (stageOut, error)
 // stageOp runs one blocking operator body (group-resolve, join-group,
 // sample, solve, prob-eval, conj-sample, conj-solve, conj-exec, merge) in
 // the iterator contract: Open runs the children first (pipeline tail), then
-// the body. That child-first order is the invariant the pinned results rest
-// on: it fixes the sequence of RNG splits and meter charges, so it must not
-// depend on who pulls or how. Next replays the stage's product downstream
-// in batches. The one body that is ever skipped is a stage above the empty
-// join: join-group finished the (empty) result, a finished result is final,
-// and a skipped body draws no coins and charges no meter. The bodies read
+// the body. That child-first order fixes the sequence of meter charges
+// (what a later stage finds in the memo), so it must not depend on who
+// pulls or how; the draws need no order, each stage's being keyed by its
+// own sub-key of the statement's key. Next replays the stage's product
+// downstream in batches. The one body that is ever skipped is a stage above
+// the empty join: join-group finished the (empty) result, a finished result
+// is final, and a skipped body draws no coins and charges no meter. The bodies read
 // the row universe from st.subset, bound before the pipeline opens, so the
 // scan below a blocking chain is never pulled.
 type stageOp struct {

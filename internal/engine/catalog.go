@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
+	"repro/internal/table"
 )
 
 // Durable catalog integration. When a catalog is attached the engine
@@ -215,7 +216,7 @@ func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
 	// into bindStatement; a stale name is a miss, not an error.
 	var groups []core.Group
 	if col := st.tbl.ColumnByName(name); col != nil {
-		groups, _ = groupsFromColumn(col, st.subset, maxCandidateCardinality)
+		groups, _ = table.Partition(col, st.subset, maxCandidateCardinality)
 	}
 	if len(groups) < 2 {
 		// The table changed shape since the memo was written: fall back to

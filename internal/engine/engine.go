@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
 	"sort"
 	"sync"
@@ -59,8 +58,8 @@ type Engine struct {
 	// serving queries.
 	BatchSize int
 
-	rng  *stats.RNG
-	seed uint64
+	seed       uint64
+	statements atomic.Uint64 // approximate statements begun (executeStatement)
 
 	breakerMu sync.Mutex
 	breakers  map[breakerKey]*resilience.Breaker
@@ -116,7 +115,6 @@ func New(seed uint64) *Engine {
 		registry:        NewRegistry(),
 		Parallelism:     runtime.GOMAXPROCS(0),
 		CacheUDFResults: true,
-		rng:             stats.NewRNG(seed),
 		seed:            seed,
 		breakers:        make(map[breakerKey]*resilience.Breaker),
 		evalCaches:      make(map[evalCacheKey]*core.SharedEvalCache),
@@ -247,12 +245,9 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 	// query runs, its learnings are not persisted (see persistQueryLearnings).
 	st.epoch = e.invalidations.Load()
 	if q.Approx != nil {
-		// Exactly one split per approximate query, none for exact shapes:
-		// the engine's RNG stream advances by query, not by shape, which is
-		// what the pinned per-seed results depend on.
-		e.mu.Lock()
-		st.rng = e.rng.Split()
-		e.mu.Unlock()
+		// The n-th approximate statement draws under the seed's n-th sub-key
+		// (exact shapes draw nothing), so repetitions are independent trials.
+		st.key = stats.Key(e.seed).Sub(e.statements.Add(1) - 1)
 	}
 	if err := e.runPipeline(ctx, root, st, sink); err != nil {
 		return nil, nil, err
@@ -280,22 +275,10 @@ func universe(tbl *table.Table, subset []int) []int {
 	return rows
 }
 
-// groupsFromColumn partitions the row universe (subset; nil means every row)
-// by col through table.Partition — groups sorted byte-wise on the rendered
-// key, rows in universe order, each distinct value rendered once. It reports
-// false when the universe holds more than maxGroups distinct values
-// (maxGroups <= 0: no cap); the partition gives up as soon as it knows.
-func groupsFromColumn(col table.Column, subset []int, maxGroups int) ([]core.Group, bool) {
-	parts, ok := table.Partition(col, subset, maxGroups)
-	if !ok {
-		return nil, false
-	}
-	return parts, true
-}
-
 // candidateColumns partitions the statement's row universe by every column
 // but the UDF argument (usually a key, not a predictor) and keeps, in schema
 // order, those with 2..maxCandidateCardinality groups — §4.4's column scan.
+// table.Partition gives up on a column as soon as it sees too many values.
 func candidateColumns(st *pipeState) []core.Candidate {
 	var cands []core.Candidate
 	schema := st.tbl.Schema()
@@ -304,7 +287,7 @@ func candidateColumns(st *pipeState) []core.Candidate {
 		if name == st.preds[0].spec.UDFArg {
 			continue
 		}
-		groups, ok := groupsFromColumn(st.tbl.Column(i), st.subset, maxCandidateCardinality)
+		groups, ok := table.Partition(st.tbl.Column(i), st.subset, maxCandidateCardinality)
 		if !ok || len(groups) < 2 {
 			continue
 		}
@@ -313,25 +296,34 @@ func candidateColumns(st *pipeState) []core.Candidate {
 	return cands
 }
 
+// labeler is §4.4's and §6.3.2's labeling draw: a one-group sampler over
+// the statement's universe (returned beside it) on the first predicate.
+func (e *Engine) labeler(st *pipeState) (*core.Sampler, []int) {
+	rows := universe(st.tbl, st.subset)
+	s := core.NewJointSampler([]core.Group{{Key: "all", Rows: rows}}, st.meters()[:1], st.key.Sub(core.LabelDraw))
+	s.SetParallelism(e.parallelism())
+	return s, rows
+}
+
 // discoverColumn implements Section 4.4's column scan: label a small
 // fraction of tuples, score every low-cardinality column with the
 // Section 3.2 planner, pick the cheapest. It also returns how many rows
 // it labeled.
 func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
-	tbl, q := st.tbl, st.q
+	q := st.q
 	cands := candidateColumns(st)
 	if len(cands) == 0 {
 		return nil, "", 0, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
 	}
-
-	rows := universe(tbl, st.subset)
-	labeled := make(map[int]bool)
+	labels, rows := e.labeler(st)
+	target := 0
 	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
-		batch, err := core.LabelFractionParallelCtx(ctx, rows, frac, st.preds[0].meter, st.rng, e.parallelism())
-		if err != nil {
+		// Each round tops the one label sample up by ⌈frac·n⌉ rows.
+		target += core.LabelTarget(frac, len(rows))
+		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
 			return nil, "", 0, err
 		}
-		maps.Copy(labeled, batch)
+		labeled := labels.Outcomes()[0].Results
 		if len(labeled) == 0 { // every label failed: labeling more would only fail more
 			_, ferr := st.preds[0].meter.Failure()
 			return nil, "", 0, fmt.Errorf("engine: every row labeled to discover a correlated column for table %q failed: %w", q.Table, ferr)
@@ -360,19 +352,17 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
-	rows := universe(tbl, st.subset)
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, core.DefaultLabelFraction, st.preds[0].meter, st.rng, e.parallelism())
-	if err != nil {
+	labels, rows := e.labeler(st)
+	if _, err := labels.TopUpCtx(ctx, []int{core.LabelTarget(core.DefaultLabelFraction, len(rows))}); err != nil {
 		return nil, "", 0, err
 	}
-
+	labeled := labels.Outcomes()[0].Results
 	parts, err := ml.VirtualGroups(func(row int) []float64 { return enc.EncodeRow(tbl, row) }, rows, labeled, virtualBuckets)
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: training virtual column: %w", err)
 	}
-	if len(parts) < 2 {
-		return nil, "", 0, fmt.Errorf("engine: virtual column collapsed to %d buckets", len(parts))
-	}
+	// Labels of one class can leave the model nothing to score by, so every
+	// row lands in one bucket: the universe ungrouped, which §4 still answers.
 	return parts, VirtualColumn, len(labeled), nil
 }
 

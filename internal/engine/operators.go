@@ -18,10 +18,10 @@ import (
 // operators; the batch pipeline (batch.go) compiles that chain into pull
 // iterators, one per node, running each blocking body below during its
 // stage's Open — leaf-first, each operator reading and extending the shared
-// pipeline state. The determinism contract lives in that order: RNG splits
-// happen in operator order, meters charge the same rows, and Stats are
-// assembled by the one formula (pipeState.finish) whatever the shape,
-// parallelism or batch size.
+// pipeline state. The determinism contract lives in that order and in the
+// keys: every stage draws under its own sub-key of the statement's key,
+// meters charge the same rows, and Stats are assembled by the one formula
+// (pipeState.finish) whatever the shape, parallelism or batch size.
 
 // resolvedPred is one expensive predicate bound to the engine: its row
 // invoker (which counts retries), its metered (resilient, usually
@@ -64,10 +64,9 @@ type pipeState struct {
 	// turns a failed row into the statement's error (failure), and a
 	// DegradeFailed result that dropped failed rows is flagged Degraded.
 	policy FailurePolicy
-	// rng is the query's RNG stream, split from the engine's once per
-	// approximate query (nil for exact shapes — they must not consume the
-	// engine stream).
-	rng *stats.RNG
+	// key is the statement's draw key (zero for exact shapes, which draw
+	// nothing); stages draw under core.LabelDraw, SampleDraw, ExecuteDraw.
+	key stats.Key
 
 	// Products of the operators, in pipeline order.
 	groups      []core.Group         // op group-resolve (or join-group)
@@ -302,9 +301,9 @@ func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, e
 	var err error
 	switch st.q.GroupOn {
 	case "":
-		// A memoized Section 4.4 choice skips the labeling scan entirely;
-		// the RNG draws it would have consumed are simply not made (warm
-		// runs are deterministic among themselves, not vs. cold runs).
+		// A memoized Section 4.4 choice skips the labeling scan entirely
+		// (warm runs are deterministic among themselves, not vs. cold runs:
+		// they bill no labels).
 		var ok bool
 		if st.groups, st.chosen, ok = e.memoizedColumn(st); !ok {
 			st.groups, st.chosen, st.sampled, err = e.discoverColumn(ctx, st)
@@ -312,7 +311,7 @@ func (e *Engine) opGroupResolve(ctx context.Context, st *pipeState) (stageOut, e
 	case VirtualColumn:
 		st.groups, st.chosen, st.sampled, err = e.virtualColumn(ctx, st)
 	default:
-		st.groups, _ = groupsFromColumn(st.groupCol, st.subset, 0)
+		st.groups, _ = table.Partition(st.groupCol, st.subset, 0)
 		st.chosen = st.q.GroupOn
 	}
 	if err != nil {
@@ -402,7 +401,7 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) 
 	if groups == nil {
 		groups = []core.Group{{Key: "all", Rows: universe(st.tbl, st.subset)}}
 	}
-	sampler := core.NewJointSampler(groups, st.meters(), st.rng.Split())
+	sampler := core.NewJointSampler(groups, st.meters(), st.key.Sub(core.SampleDraw))
 	sampler.SetParallelism(e.parallelism())
 	if len(st.preds) == 1 {
 		e.seedSamplerFromCatalog(sampler, st)
@@ -465,7 +464,7 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 // resilient meters. Sampled rows are resolved from their recorded outcomes
 // for free.
 func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error) {
-	exec, err := core.ExecuteSpansParallelCtx(ctx, st.groups, st.strategy, st.spans, st.samples, st.meters(), st.cost, st.rng.Split(), e.parallelism())
+	exec, err := core.ExecuteSpansParallelCtx(ctx, st.groups, st.strategy, st.spans, st.samples, st.meters(), st.cost, st.key.Sub(core.ExecuteDraw), e.parallelism())
 	if err != nil {
 		return stageOut{}, err
 	}

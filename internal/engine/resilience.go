@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/resilience"
+	"repro/internal/stats"
 	"repro/internal/table"
 )
 
@@ -87,7 +88,7 @@ func (r *rowInvoker) try(ctx context.Context, row int) (out bool, err error) {
 // unwrapped (the meter treats them as a batch abort, not a row failure).
 // Do never retains its attempt closure, so the closure stays on the stack.
 func (r *rowInvoker) EvalErr(ctx context.Context, row int) (bool, error) {
-	v, attempts, err := resilience.Do(ctx, r.policy, r.key^resilience.Mix64(uint64(row)),
+	v, attempts, err := resilience.Do(ctx, r.policy, r.key^stats.Mix64(uint64(row)),
 		func(ctx context.Context) (bool, error) { return r.attempt(ctx, row) })
 	if attempts > 1 {
 		r.retries.Add(int64(attempts - 1))

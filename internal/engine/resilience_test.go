@@ -345,7 +345,10 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 // value-keyed failures with a breaker that can trip. The §5 plan evaluates
 // through the predicates' own resilient meters, so the breaker is consulted
 // (BreakerTrips > 0) and — its fold points being sequential — rows and the
-// full Stats struct are bit-identical at parallelism 1 and 8.
+// full Stats struct are bit-identical at parallelism 1 and 8. One failure
+// among the window's last 8 outcomes trips the breaker, so it trips once
+// any row that fails (every id ≡ 5 mod 13) is evaluated after the first
+// four, whichever rows the sample and the coins draw.
 func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 	q := Query{
 		Table: "loans", Predicates: []Conjunct{
@@ -356,7 +359,7 @@ func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 	}
 	run := func(parallelism int) *Result {
 		e, _ := newChaosEngine(t, 3000, parallelism, 0)
-		e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 8, Probes: 2, Segment: 8}
+		e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.125, Cooldown: 8, Probes: 2, Segment: 8}
 		res, err := e.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatalf("p=%d: %v", parallelism, err)

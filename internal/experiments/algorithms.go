@@ -77,7 +77,7 @@ func runLab(ctx context.Context, d *dataset.Dataset, cons core.Constraints, draw
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	run, err := Lab(ctx, in, draw, rng)
+	run, err := Lab(ctx, in, draw, stats.Key(rng.Uint64()))
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 
@@ -150,7 +150,7 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
-	run, err := Lab(ctx, in, TwoThirdPower(num), rng)
+	run, err := Lab(ctx, in, TwoThirdPower(num), stats.Key(rng.Uint64()))
 	run.Retrievals += len(labeled)
 	run.Cost += float64(len(labeled)) * core.DefaultCost.Retrieve
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/stats"
@@ -24,13 +26,14 @@ func RunNaive(in Instance, rng *stats.RNG) (Run, error) {
 	if rng == nil {
 		return Run{}, fmt.Errorf("experiments: rng is required")
 	}
-	all := in.rows()
+	// The uniform fraction is the k lowest-ranked rows under a key.
+	key, all := stats.Key(rng.Uint64()), in.rows()
 	k := int(math.Ceil(in.Cons.Beta * float64(len(all))))
-	idx := rng.SampleWithoutReplacement(len(all), k)
+	slices.SortFunc(all, func(a, b int) int { return cmp.Compare(key.Rank(a), key.Rank(b)) })
 	var output []int
-	for _, i := range idx {
-		if in.Meter.Eval(all[i]) {
-			output = append(output, all[i])
+	for _, row := range all[:k] {
+		if in.Meter.Eval(row) {
+			output = append(output, row)
 		}
 	}
 	return Run{

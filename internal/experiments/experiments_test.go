@@ -161,8 +161,11 @@ func TestFig2AccuracyAboveDiagonal(t *testing.T) {
 	}
 }
 
+// TestColumnsBestIsTruePredictor averages each column's cost over 12
+// statements. At 2 the ranking was mostly noise: the test passed on 14 of
+// the 20 seeds 19–38; at 12 it passes on 20 of them (19 under keyed draws).
 func TestColumnsBestIsTruePredictor(t *testing.T) {
-	r := New(Config{Seed: 19, Scale: 0.04, Iterations: 2})
+	r := New(Config{Seed: 19, Scale: 0.04, Iterations: 12})
 	res, err := r.Run(context.Background(), "columns")
 	if err != nil {
 		t.Fatal(err)

@@ -157,7 +157,7 @@ func sampledInfos(ctx context.Context, d *dataset.Dataset, cons core.Constraints
 	if err != nil {
 		return nil, err
 	}
-	sampler, err := labSample(ctx, in, EngineDraw(cons.Alpha), rng)
+	sampler, err := labSample(ctx, in, EngineDraw(cons.Alpha), stats.Key(rng.Uint64()))
 	if err != nil {
 		return nil, err
 	}

@@ -184,13 +184,13 @@ func AdaptiveTwoThirdPower(ctx context.Context, s *core.Sampler, sizes []int, co
 	return bestNum, nil
 }
 
-// labSample is the sampling half of the pipeline, in the engine's order: a
-// sampler on rng's first split, then the draw under study.
-func labSample(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (*core.Sampler, error) {
+// labSample is the sampling half of the pipeline, as the engine draws it: a
+// sampler on key's sample sub-key, then the draw under study.
+func labSample(ctx context.Context, in Instance, draw Draw, key stats.Key) (*core.Sampler, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	sampler := core.NewSampler(in.Groups, in.Meter, rng.Split())
+	sampler := core.NewJointSampler(in.Groups, []*core.Meter{in.Meter}, key.Sub(core.SampleDraw))
 	sizes := make([]int, len(in.Groups))
 	for i, g := range in.Groups {
 		sizes[i] = len(g.Rows)
@@ -201,11 +201,12 @@ func labSample(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (*co
 	return sampler, nil
 }
 
-// Lab runs Intel-Sample with the given draw: sample, plan with Convex
-// Prog. 4.1, execute on rng's second split, and account as the engine
-// does (each sampled row is a retrieval; calls are what the meter charged).
-func Lab(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (Run, error) {
-	sampler, err := labSample(ctx, in, draw, rng)
+// Lab runs Intel-Sample with the given draw under a statement's key: sample,
+// plan with Convex Prog. 4.1, execute on the key's coin sub-key, and account
+// as the engine does (each sampled row is a retrieval; calls are what the
+// meter charged).
+func Lab(ctx context.Context, in Instance, draw Draw, key stats.Key) (Run, error) {
+	sampler, err := labSample(ctx, in, draw, key)
 	if err != nil {
 		return Run{}, err
 	}
@@ -214,7 +215,7 @@ func Lab(ctx context.Context, in Instance, draw Draw, rng *stats.RNG) (Run, erro
 	if err != nil {
 		return Run{}, err
 	}
-	exec, err := core.ExecuteParallelCtx(ctx, in.Groups, strat, sampler.Outcomes(), in.Meter, cost, rng.Split(), 1)
+	exec, err := core.ExecuteSpansParallelCtx(ctx, in.Groups, strat, nil, sampler.Outcomes(), []*core.Meter{in.Meter}, cost, key.Sub(core.ExecuteDraw), 1)
 	if err != nil {
 		return Run{}, err
 	}

@@ -65,10 +65,11 @@ func totalCorrect(labels []bool) int {
 }
 
 // TestLabMatchesEngineAtDefaultAllocator holds the lab to the engine bit for
-// bit where the two overlap: at the engine's allocator, on the RNG stream an
-// engine seeded the same way hands its first query, both compositions return
-// the same rows and the same accounting. It fails the moment either side's
-// sequencing, RNG split order or cost formula changes alone.
+// bit where the two overlap: at the engine's allocator, under the key an
+// engine seeded the same way gives its first approximate statement, both
+// compositions return the same rows and the same accounting. It fails the
+// moment either side's sequencing, key derivation or cost formula changes
+// alone.
 func TestLabMatchesEngineAtDefaultAllocator(t *testing.T) {
 	cons := core.Constraints{Alpha: 0.8, Beta: 0.8, Rho: 0.8}
 	for _, spec := range dataset.All() {
@@ -85,8 +86,8 @@ func TestLabMatchesEngineAtDefaultAllocator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// engine.New(seed) splits its stream once per approximate query.
-			lab, err := Lab(context.Background(), in, EngineDraw(cons.Alpha), stats.NewRNG(seed).Split())
+			// engine.New(seed) keys its first approximate statement Sub(0).
+			lab, err := Lab(context.Background(), in, EngineDraw(cons.Alpha), stats.Key(seed).Sub(0))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +111,7 @@ func TestRunIntelSampleAdaptive(t *testing.T) {
 		_, err := AdaptiveTwoThirdPower(ctx, s, sizes, in.Cons, AdaptiveOptions{})
 		return err
 	}
-	res, err := Lab(context.Background(), in, search, rng.Split())
+	res, err := Lab(context.Background(), in, search, stats.Key(rng.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRunPerfectSelectivities(t *testing.T) {
 	// With free perfect knowledge, Optimal should beat Intel-Sample on
 	// total evaluations (which pays for sampling).
 	in.Meter = core.NewMeter(core.UDFFunc(truth))
-	intel, err := Lab(context.Background(), in, EngineDraw(in.Cons.Alpha), rng.Split())
+	intel, err := Lab(context.Background(), in, EngineDraw(in.Cons.Alpha), stats.Key(rng.Uint64()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,17 +242,16 @@ func TestPerfectInfoWrapper(t *testing.T) {
 
 // TestOneComposition pins where the paper's pipeline is sequenced: outside
 // tests, examples and predbench's layer probes, the sampler's top-up and the
-// single-predicate executor are called only by internal/engine and the lab,
-// and the executor over spans of predicates (the §5 actions) only by
-// internal/engine. A third composition — the drift this package used to
-// carry — fails here.
+// executor are called only by internal/engine and the lab (which runs the
+// keyed executor to draw the engine's coins). A third composition — the
+// drift this package used to carry — fails here.
 func TestOneComposition(t *testing.T) {
 	const root = "../.."
 	lab := filepath.Join("internal", "experiments", "lab.go")
 	steps := map[string][]string{ // step → files allowed beside internal/engine
 		"TopUpCtx":                {lab},
 		"ExecuteParallelCtx":      {lab},
-		"ExecuteSpansParallelCtx": nil,
+		"ExecuteSpansParallelCtx": {lab},
 	}
 	seen := map[string]int{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // ChaosConfig describes a seeded fault schedule for exercising retry,
@@ -63,7 +65,7 @@ func (c *Chaos) Calls() int64 { return c.calls.Load() }
 
 // draw maps a (stream, key, attempt) triple to a uniform [0,1) value.
 func (c *Chaos) draw(stream, key uint64, attempt int) float64 {
-	h := Mix64(c.cfg.Seed ^ Mix64(stream) ^ Mix64(key) ^ Mix64(uint64(attempt)))
+	h := stats.Mix64(c.cfg.Seed ^ stats.Mix64(stream) ^ stats.Mix64(key) ^ stats.Mix64(uint64(attempt)))
 	return float64(h>>11) / float64(uint64(1)<<53)
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func TestClassify(t *testing.T) {
@@ -317,7 +319,7 @@ func TestBreakerSlidingWindowEviction(t *testing.T) {
 // ignores stragglers) are exercised mid-segment.
 func TestBreakerSegmentFoldEqualsRowByRow(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		draw := func(stream uint64, n int) int { return int(Mix64(seed^Mix64(stream)) % uint64(n)) }
+		draw := func(stream uint64, n int) int { return int(stats.Mix64(seed^stats.Mix64(stream)) % uint64(n)) }
 		cfg := BreakerConfig{
 			Window: 4 + draw(1, 12), MinCalls: 2 + draw(2, 3), FailureRate: 0.3 + float64(draw(3, 5))/10,
 			Cooldown: 1 + draw(4, 20), Probes: 1 + draw(5, 4), Segment: 1 + draw(6, 16),
@@ -436,7 +438,7 @@ func TestChaosEnabled(t *testing.T) {
 }
 
 func TestMix64AndHashString(t *testing.T) {
-	if Mix64(1) == Mix64(2) {
+	if stats.Mix64(1) == stats.Mix64(2) {
 		t.Error("Mix64 collision on adjacent inputs")
 	}
 	if HashString("a") != HashString("a") || HashString("a") == HashString("b") {

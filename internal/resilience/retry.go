@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Policy tunes retry behavior for one class of invocations. The zero value
@@ -66,7 +68,7 @@ func (p Policy) Backoff(key uint64, attempt int) time.Duration {
 	if d > p.maxBackoff() {
 		d = p.maxBackoff()
 	}
-	h := Mix64(p.Seed ^ Mix64(key) ^ Mix64(uint64(attempt)))
+	h := stats.Mix64(p.Seed ^ stats.Mix64(key) ^ stats.Mix64(uint64(attempt)))
 	frac := float64(h>>11) / float64(uint64(1)<<53)
 	return time.Duration(float64(d) * (0.5 + frac))
 }
@@ -166,19 +168,10 @@ func (p Policy) Bound(attempt func(ctx context.Context, item int) (bool, error))
 	}
 }
 
-// Mix64 is the splitmix64 finalizer: a cheap, well-mixed 64-bit hash step
-// used to derive independent deterministic streams from composite keys.
-func Mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // HashString hashes a string to a stable 64-bit key (FNV-1a finished with
-// Mix64), for keying retry jitter and chaos schedules by value.
+// stats.Mix64), for keying retry jitter and chaos schedules by value.
 func HashString(s string) uint64 {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(s))
-	return Mix64(h.Sum64())
+	return stats.Mix64(h.Sum64())
 }

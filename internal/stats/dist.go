@@ -131,9 +131,6 @@ func (d BinomialDist) CDF(k int) float64 {
 	return total
 }
 
-// Sample draws from the distribution using r.
-func (d BinomialDist) Sample(r *RNG) int { return r.Binomial(d.N, d.P) }
-
 // ContractSignificance is the false-alarm rate every in-tree contract
 // check runs ContractHolds at.
 const ContractSignificance = 1e-3

@@ -1,11 +1,13 @@
 // Package stats provides the statistical substrate used throughout the
-// repository: a deterministic splittable random number generator,
+// repository: keyed per-row draws, a deterministic splittable random
+// number generator,
 // the Beta/Binomial/Normal distributions needed by the selectivity
 // estimators, Hoeffding and Cantelli tail bounds, and small-sample
 // summaries (moments, quantiles, Pearson correlation).
 //
-// Everything is built on the standard library only. All randomness flows
-// through RNG so experiments are reproducible from a single seed.
+// Everything is built on the standard library only. All randomness comes
+// from a seed, through Key (the engine's draws) or RNG (data generation
+// and the experiments), so every result is reproducible.
 package stats
 
 import (
@@ -14,8 +16,9 @@ import (
 )
 
 // RNG is a deterministic random number generator. It wraps a PCG source and
-// adds the sampling primitives the optimizer and the experiment harness
-// need: Bernoulli draws, integer ranges, shuffles and subset sampling.
+// adds the sampling primitives data generation and the experiment harness
+// need: Bernoulli draws, integer ranges and shuffles. The engine's draws
+// are keyed instead (Key).
 //
 // RNG is not safe for concurrent use; derive independent generators with
 // Split when goroutines need their own streams.
@@ -38,13 +41,16 @@ func NewRNG(seed uint64) *RNG {
 // future output. Each call yields a distinct child.
 func (r *RNG) Split() *RNG {
 	r.splits++
-	hi := mix64(r.hi + r.splits*0xd1342543de82ef95)
-	lo := mix64(r.lo ^ r.splits*0xaf251af3b0f025b5)
+	hi := Mix64(r.hi + r.splits*0xd1342543de82ef95)
+	lo := Mix64(r.lo ^ r.splits*0xaf251af3b0f025b5)
 	return &RNG{src: rand.New(rand.NewPCG(hi, lo)), hi: hi, lo: lo}
 }
 
-// mix64 is the SplitMix64 finalizer; it decorrelates sequential seeds.
-func mix64(z uint64) uint64 {
+// Mix64 is the SplitMix64 finalizer: a bijection of the 64-bit integers
+// whose outputs look independent even for sequential inputs. Keyed draws,
+// RNG splits and the resilience layer's jitter and chaos schedules all
+// hash through it.
+func Mix64(z uint64) uint64 {
 	z += 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -80,63 +86,6 @@ func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
 
 // Shuffle permutes xs in place.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
-
-// SampleWithoutReplacement returns k distinct indices drawn uniformly from
-// [0,n). If k >= n it returns all n indices in random order. The result is
-// in random order.
-func (r *RNG) SampleWithoutReplacement(n, k int) []int {
-	if k >= n {
-		return r.Perm(n)
-	}
-	if k <= 0 {
-		return nil
-	}
-	// Floyd's algorithm: O(k) expected work, no O(n) allocation.
-	chosen := make(map[int]struct{}, k)
-	out := make([]int, 0, k)
-	for j := n - k; j < n; j++ {
-		t := r.IntN(j + 1)
-		if _, dup := chosen[t]; dup {
-			t = j
-		}
-		chosen[t] = struct{}{}
-		out = append(out, t)
-	}
-	r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-// Binomial returns the number of successes in n independent Bernoulli(p)
-// trials. For large n it uses a normal approximation with continuity
-// correction, clamped to [0,n]; exact inversion is used for small n so the
-// executor's per-group draws stay faithful.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if r.src.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mu := float64(n) * p
-	sigma := math.Sqrt(float64(n) * p * (1 - p))
-	k := int(math.Round(mu + sigma*r.src.NormFloat64()))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
 
 // Gamma returns a draw from the Gamma(shape, 1) distribution using the
 // Marsaglia–Tsang squeeze method. shape must be > 0.

@@ -87,85 +87,6 @@ func TestBernoulliFrequency(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRNG(5)
-	for _, tc := range []struct{ n, k int }{{10, 3}, {10, 10}, {10, 15}, {1, 1}, {5, 0}} {
-		idx := r.SampleWithoutReplacement(tc.n, tc.k)
-		want := tc.k
-		if want > tc.n {
-			want = tc.n
-		}
-		if want < 0 {
-			want = 0
-		}
-		if len(idx) != want {
-			t.Fatalf("n=%d k=%d: got %d indices", tc.n, tc.k, len(idx))
-		}
-		seen := map[int]bool{}
-		for _, i := range idx {
-			if i < 0 || i >= tc.n {
-				t.Fatalf("index %d out of range [0,%d)", i, tc.n)
-			}
-			if seen[i] {
-				t.Fatalf("duplicate index %d", i)
-			}
-			seen[i] = true
-		}
-	}
-}
-
-func TestSampleWithoutReplacementUniform(t *testing.T) {
-	// Each of 10 items should be chosen ~k/n of the time.
-	r := NewRNG(17)
-	counts := make([]int, 10)
-	const trials = 20000
-	for i := 0; i < trials; i++ {
-		for _, idx := range r.SampleWithoutReplacement(10, 3) {
-			counts[idx]++
-		}
-	}
-	for i, c := range counts {
-		got := float64(c) / trials
-		if math.Abs(got-0.3) > 0.02 {
-			t.Fatalf("item %d selected with frequency %v, want ~0.3", i, got)
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	r := NewRNG(23)
-	for _, tc := range []struct {
-		n int
-		p float64
-	}{{20, 0.5}, {500, 0.1}, {2000, 0.72}} {
-		var w Welford
-		for i := 0; i < 4000; i++ {
-			w.Add(float64(r.Binomial(tc.n, tc.p)))
-		}
-		wantMean := float64(tc.n) * tc.p
-		wantSD := math.Sqrt(float64(tc.n) * tc.p * (1 - tc.p))
-		if math.Abs(w.Mean()-wantMean) > 4*wantSD/math.Sqrt(4000)+0.75 {
-			t.Fatalf("n=%d p=%v: mean %v want %v", tc.n, tc.p, w.Mean(), wantMean)
-		}
-		if sd := math.Sqrt(w.Variance()); math.Abs(sd-wantSD) > 0.15*wantSD+0.5 {
-			t.Fatalf("n=%d p=%v: sd %v want %v", tc.n, tc.p, sd, wantSD)
-		}
-	}
-}
-
-func TestBinomialBounds(t *testing.T) {
-	r := NewRNG(29)
-	f := func(nRaw uint16, p float64) bool {
-		n := int(nRaw % 3000)
-		p = math.Abs(math.Mod(p, 1))
-		k := r.Binomial(n, p)
-		return k >= 0 && k <= n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGammaMean(t *testing.T) {
 	r := NewRNG(31)
 	for _, shape := range []float64{0.5, 1, 2.5, 9} {

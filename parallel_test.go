@@ -116,7 +116,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 // TestConcurrentQueriesSharedDB hammers one DB from many goroutines with a
 // mix of exact and approximate queries. Run under -race this exercises the
 // meter single-flight, the shared eval cache, the fault collector, and the
-// engine's RNG splitting.
+// engine's statement ordinal that keys each approximate statement's draws.
 func TestConcurrentQueriesSharedDB(t *testing.T) {
 	db := openLoansDB(t, 1500, 7)
 	db.SetParallelism(4)
