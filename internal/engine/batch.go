@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -11,16 +12,15 @@ import (
 	"repro/internal/table"
 )
 
-// Volcano-style batch execution. The planner's physical chain is compiled
-// into a pull pipeline of BatchOperators, exactly one per plan node (the
-// filter node shares the scan's: bindStatement answered its predicates from
-// the posting index): the scan yields row-id batches of the filtered
-// universe, or generates an unfiltered table's ids lazily, the streaming
-// terminal (exact-eval, conj-waves) evaluates one batch at a time, and
-// blocking stages — everything whose algorithm needs the whole input
-// (grouping, sampling, solving, the three §5 stages, merge) — run their
-// operator body once during Open and then replay their product downstream
-// in batches.
+// The statement executor. plan.Physical lowers every statement to a linear
+// chain whose nodes all block but one: the streaming terminal (exact-eval,
+// conj-waves), or nothing when the chain ends in the merge stage. runPipeline
+// walks that chain leaf first and runs it in two phases: every blocking stage
+// body once, in chain order — grouping, sampling, solving, the three §5
+// stages and merge, everything whose algorithm needs the whole input — then
+// one batch loop over the row universe. In that loop the streaming terminal
+// evaluates the universe batch by batch, or a blocking chain replays its
+// merged result to the sink.
 //
 // The determinism contract is untouched: batches are planned sequentially
 // in row order, UDF evaluation inside a batch fans out through
@@ -37,75 +37,17 @@ import (
 // is unset.
 const DefaultBatchSize = 1024
 
-// Batch is one unit of rows flowing between operators: a selection vector
-// of row ids into the (columnar) base table, at most Engine.BatchSize
-// long. The slice is owned by the producing operator and valid only until
-// its next Next call — consumers that retain rows must copy them.
-type Batch struct {
-	Rows []int
-}
-
-// BatchOperator is the Volcano iterator contract every physical operator
-// implements. Open prepares the operator (and its children; blocking
-// stages do their work here), Next returns the next non-empty batch or
-// (nil, nil) at end-of-stream, Close releases resources. Operators are
-// single-consumer: Next must not be called concurrently.
-type BatchOperator interface {
-	Open(ctx context.Context) error
-	Next(ctx context.Context) (*Batch, error)
-	Close() error
-}
-
 // RowSink receives result-row batches as execution produces them. The
 // slice is only valid during the call (copy to retain). Returning
-// ErrStopStream stops production — upstream operators are cancelled and
-// the query finishes with statistics covering the work actually done;
-// any other error aborts the query with that error.
+// ErrStopStream stops production — no further batch is evaluated and the
+// query finishes with statistics covering the work actually done; any
+// other error aborts the query with that error.
 type RowSink func(rows []int) error
 
 // ErrStopStream is returned by a RowSink to stop a streaming query early
-// (e.g. a row limit was reached). Evaluation of batches not yet pulled is
-// skipped entirely.
+// (e.g. a row limit was reached). Batches not yet evaluated are skipped
+// entirely.
 var ErrStopStream = errors.New("engine: stop streaming")
-
-// scanOp is the pipeline leaf: it yields the statement's row universe in
-// batches of the engine's batch size — the rows the cheap filters keep,
-// which bindStatement answered from the posting index (the filter node is
-// fused into this operator), or every row id of an unfiltered table,
-// generated into one reused buffer, so a fully-streamed scan allocates
-// O(batch), not O(table).
-type scanOp struct {
-	e          *Engine
-	st         *pipeState
-	node       *plan.Node // scan node (EXPLAIN ANALYZE attribution)
-	filterNode *plan.Node // filter node fused into this scan; nil without filters
-
-	out       batcher
-	cur       *Batch
-	elapsedNS int64
-}
-
-func (s *scanOp) Open(context.Context) error {
-	if s.st.subset == nil && s.out.buf == nil {
-		s.out.buf = make([]int, 0, s.e.batchSize())
-	}
-	return nil
-}
-
-func (s *scanOp) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.elapsedNS += int64(obs.Timed(ctx, "op:scan", s.fill))
-	return s.cur, nil
-}
-
-func (s *scanOp) fill() {
-	rows, n := s.st.scanRows()
-	s.cur = s.out.next(rows, n, s.e.batchSize())
-}
-
-func (s *scanOp) Close() error { return nil }
 
 // scanRows is the statement's row universe as the scan emits it: the
 // filtered rows, or (nil, n) for the n row ids of an unfiltered table.
@@ -118,120 +60,48 @@ func (st *pipeState) scanRows() (rows []int, n int) {
 
 // batcher replays a row list — or, when rows is nil, the ids 0..n-1 — one
 // batch per call, then nil at the end. A list is sliced, not copied; ids are
-// generated into buf, which the next call reuses.
+// generated into buf, sized once to the batch size, which the next call
+// reuses, so a fully-streamed unfiltered scan allocates O(batch), not
+// O(table).
 type batcher struct {
 	cursor int
 	buf    []int
-	batch  Batch
 }
 
-func (b *batcher) next(rows []int, n, size int) *Batch {
+func (b *batcher) next(rows []int, n, size int) []int {
 	if b.cursor >= n {
 		return nil
 	}
-	end := min(b.cursor+size, n)
-	if rows != nil {
-		b.batch.Rows = rows[b.cursor:end]
-	} else {
-		b.buf = b.buf[:0]
-		for i := b.cursor; i < end; i++ {
-			b.buf = append(b.buf, i)
-		}
-		b.batch.Rows = b.buf
-	}
+	start, end := b.cursor, min(b.cursor+size, n)
 	b.cursor = end
-	return &b.batch
+	if rows != nil {
+		return rows[start:end]
+	}
+	if b.buf == nil {
+		b.buf = make([]int, 0, size)
+	}
+	b.buf = b.buf[:0]
+	for i := start; i < end; i++ {
+		b.buf = append(b.buf, i)
+	}
+	return b.buf
 }
 
 // stageBody is one blocking operator body (operators.go, conjunction.go):
 // it reads and extends the pipeline state and reports its own product.
 type stageBody func(ctx context.Context, st *pipeState) (stageOut, error)
 
-// stageOp runs one blocking operator body (group-resolve, join-group,
-// sample, solve, prob-eval, conj-sample, conj-solve, conj-exec, merge) in
-// the iterator contract: Open runs the children first (pipeline tail), then
-// the body. That child-first order fixes the sequence of meter charges
-// (what a later stage finds in the memo), so it must not depend on who
-// pulls or how; the draws need no order, each stage's being keyed by its
-// own sub-key of the statement's key. Next replays the stage's product
-// downstream in batches. The one body that is ever skipped is a stage above
-// the empty join: join-group finished the (empty) result, a finished result
-// is final, and a skipped body draws no coins and charges no meter. The bodies read
-// the row universe from st.subset, bound before the pipeline opens, so the
-// scan below a blocking chain is never pulled.
-type stageOp struct {
-	e     *Engine
-	st    *pipeState
-	node  *plan.Node
-	child BatchOperator
-	run   stageBody
-	// final marks the merge stage: its product is the finished result, and
-	// replaying it is what streams a blocking shape's output incrementally.
-	// Every other stage consumes groups and samples out of pipeState, so
-	// what flows up from it (to the conj-waves terminal above a conj-sample
-	// stage) is the scan universe itself.
-	final bool
-
-	opened bool
-	out    batcher
-}
-
-func (s *stageOp) Open(ctx context.Context) error {
-	if s.opened {
-		return nil
-	}
-	s.opened = true
-	if err := s.child.Open(ctx); err != nil {
-		return err
-	}
-	if s.st.res != nil {
-		if s.st.analyze {
-			s.node.Actual = &plan.Actual{}
-		}
-		return nil // the empty join below already finished the result
-	}
-	var before predTotals
-	if s.st.analyze {
-		before = s.st.predTotals()
-	}
-	var out stageOut
-	var err error
-	elapsed := obs.Timed(ctx, "op:"+string(s.node.Op), func() { out, err = s.run(ctx, s.st) })
-	if err == nil && s.st.analyze {
-		a := s.st.predTotals().actualSince(before)
-		a.Rows, a.Groups, a.ElapsedNS = out.rows, out.groups, int64(elapsed)
-		s.node.Actual = a
-	}
-	return err
-}
-
-func (s *stageOp) Next(ctx context.Context) (*Batch, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The finished result above the merge stage, the scan universe above
-	// any other.
-	rows, n := s.st.scanRows()
-	if s.final {
-		rows, n = s.st.res.Rows, len(s.st.res.Rows)
-	}
-	return s.out.next(rows, n, s.e.batchSize()), nil
-}
-
-func (s *stageOp) Close() error { return s.child.Close() }
-
 // evalOp is the streaming terminal (exact-eval, conj-waves): it pushes each
-// pulled batch through the statement's short-circuit waves (core.Waves) and
-// emits the survivors, so the first result batch leaves while later rows
-// are still unevaluated. The waves are fixed at the end of Open — after the
-// child chain, so a conj-sample stage below has produced its sample — and
-// every batch flows through the same waves (prepareWaves). finalize
-// assembles st.res from whatever was evaluated so far: at end-of-stream, or
-// after an early stop.
+// batch of the universe through the statement's short-circuit waves
+// (core.Waves) and emits the survivors, so the first result batch leaves
+// while later rows are still unevaluated. The waves are fixed once, after
+// the blocking stages below it have run — so a conj-sample stage has
+// produced its sample — and every batch flows through the same waves
+// (prepareWaves). finalize assembles st.res from whatever was evaluated so
+// far: at end-of-stream, or after an early stop.
 type evalOp struct {
 	st      *pipeState
 	node    *plan.Node
-	child   BatchOperator
 	collect bool // accumulate output rows for st.res (materialized path)
 
 	span  string // "op:<operator>", one span per evaluated batch
@@ -245,20 +115,13 @@ type evalOp struct {
 	retrieved int
 	emitted   int
 	out       []int
-	batch     Batch
-	opened    bool
 	before    predTotals
 	elapsedNS int64
 }
 
-func (o *evalOp) Open(ctx context.Context) error {
-	if o.opened {
-		return nil
-	}
-	o.opened = true
-	if err := o.child.Open(ctx); err != nil {
-		return err
-	}
+// open fixes the terminal before its first batch: it snapshots the counters
+// its EXPLAIN ANALYZE actuals are diffed from and prepares the waves.
+func (o *evalOp) open() error {
 	if o.st.analyze {
 		o.before = o.st.predTotals()
 	}
@@ -271,33 +134,22 @@ func (o *evalOp) Open(ctx context.Context) error {
 	return o.prepareWaves()
 }
 
-func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
-	for {
-		cb, err := o.child.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if cb == nil {
-			o.finalize()
-			return nil, nil
-		}
-		var survivors []int
-		var retrieved int
-		o.elapsedNS += int64(obs.Timed(ctx, o.span, func() { survivors, retrieved, err = o.evalBatch(ctx, cb.Rows) }))
-		if err != nil {
-			return nil, err
-		}
-		o.retrieved += retrieved
-		o.emitted += len(survivors)
-		if o.collect {
-			o.out = append(o.out, survivors...)
-		}
-		if len(survivors) == 0 {
-			continue // batch fully rejected; pull the next one
-		}
-		o.batch.Rows = survivors
-		return &o.batch, nil
+// next evaluates one batch of the universe under the terminal's span and
+// returns its survivors (valid until the next call).
+func (o *evalOp) next(ctx context.Context, rows []int) ([]int, error) {
+	var survivors []int
+	var retrieved int
+	var err error
+	o.elapsedNS += int64(obs.Timed(ctx, o.span, func() { survivors, retrieved, err = o.evalBatch(ctx, rows) }))
+	if err != nil {
+		return nil, err
 	}
+	o.retrieved += retrieved
+	o.emitted += len(survivors)
+	if o.collect {
+		o.out = append(o.out, survivors...)
+	}
+	return survivors, nil
 }
 
 // finalize finishes the result. Every returned row was verified under every
@@ -305,73 +157,12 @@ func (o *evalOp) Next(ctx context.Context) (*Batch, error) {
 // accuracy contract is met deterministically and the sampling spend bought
 // the wave ordering instead.
 func (o *evalOp) finalize() {
-	if o.st.res != nil {
-		return
-	}
 	o.st.finish(o.out, o.retrieved, true)
 	if o.st.analyze {
 		a := o.st.predTotals().actualSince(o.before)
 		a.Rows, a.ElapsedNS = o.emitted, o.elapsedNS
 		o.node.Actual = a
 	}
-}
-
-func (o *evalOp) Close() error { return o.child.Close() }
-
-// pipeline is a compiled operator chain plus what the executor needs to
-// drive and account for it.
-type pipeline struct {
-	st     *pipeState
-	root   BatchOperator
-	scan   *scanOp
-	stream *evalOp // nil when the chain ends in the blocking merge stage
-}
-
-// buildPipeline compiles the physical plan chain (a linear single-child
-// tree) into a pull pipeline: one operator per node, the filter node fused
-// into the scan's. collect makes the streaming terminal accumulate its
-// output rows into st.res (the materialized, sink-less path).
-func (e *Engine) buildPipeline(root *plan.Node, st *pipeState, collect bool) (*pipeline, error) {
-	var chain []*plan.Node
-	for n := root; n != nil; n = n.Child() {
-		if len(n.Children) > 1 {
-			return nil, fmt.Errorf("engine: physical node %q has %d children, want a linear chain", n.Op, len(n.Children))
-		}
-		chain = append(chain, n)
-	}
-	// The chain's last operator finishes the result: a streaming terminal,
-	// or the merge stage of a blocking chain.
-	if top := chain[0].Op; top != plan.OpExactEval && top != plan.OpConjWaves && top != plan.OpMerge {
-		return nil, fmt.Errorf("engine: pipeline ends in %q, which finishes no result", top)
-	}
-	i := len(chain) - 1
-	if chain[i].Op != plan.OpScan {
-		return nil, fmt.Errorf("engine: pipeline does not end in a scan (got %q)", chain[i].Op)
-	}
-	scan := &scanOp{e: e, st: st, node: chain[i]}
-	i--
-	if i >= 0 && chain[i].Op == plan.OpFilter {
-		scan.filterNode = chain[i] // fused: the scan emits the filtered universe
-		i--
-	}
-	p := &pipeline{st: st, scan: scan}
-	var cur BatchOperator = scan
-	for ; i >= 0; i-- {
-		n := chain[i]
-		switch n.Op {
-		case plan.OpExactEval, plan.OpConjWaves:
-			p.stream = &evalOp{st: st, node: n, child: cur, collect: collect, waves: core.Waves{Pool: e.pool()}}
-			cur = p.stream
-		default:
-			body, err := e.stageBody(n)
-			if err != nil {
-				return nil, err
-			}
-			cur = &stageOp{e: e, st: st, node: n, child: cur, run: body, final: n.Op == plan.OpMerge}
-		}
-	}
-	p.root = cur
-	return p, nil
 }
 
 // stageBody resolves the blocking operator body for a stage node.
@@ -396,76 +187,158 @@ func (e *Engine) stageBody(n *plan.Node) (stageBody, error) {
 	}
 }
 
-// recordScanActuals attributes the fused scan(+filter) under EXPLAIN
-// ANALYZE: the scan reports the table's row universe, the filter node the
-// rows its predicates keep and the time bindStatement spent answering them.
-// Neither charges UDF counters — cheap predicates run on resident column
-// data and the table's posting index.
-func (p *pipeline) recordScanActuals() {
-	if !p.st.analyze {
-		return
-	}
-	sc := p.scan
-	sc.node.Actual = &plan.Actual{Rows: p.st.tbl.NumRows(), ElapsedNS: sc.elapsedNS}
-	if sc.filterNode != nil {
-		sc.filterNode.Actual = &plan.Actual{Rows: len(p.st.subset), ElapsedNS: p.st.filterNS}
-	}
-}
-
-// runPipeline compiles and drives the batch pipeline for one statement.
-// With a nil sink the result is materialized into st.res (a blocking chain
-// finishes it during Open and its merge stage is never pulled, so no batch
-// is counted); with a sink, result batches are delivered as produced and an
-// ErrStopStream from the sink cancels upstream work, leaving Stats covering
-// the evaluation actually performed.
-func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
-	pipe, err := e.buildPipeline(root, st, sink == nil)
-	if err != nil {
-		return err
-	}
-	defer pipe.root.Close()
-	pctx := ctx
-	var cancel context.CancelFunc
-	if sink != nil {
-		pctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
-	if err := pipe.root.Open(pctx); err != nil {
-		return err
-	}
-	if sink == nil && pipe.stream == nil {
-		// Blocking chain, materialized query: the stages finished st.res
-		// during Open; there is no one to pull it for.
-		pipe.recordScanActuals()
+// runStage runs one blocking stage body under its op:<name> span and, under
+// EXPLAIN ANALYZE, records its counter deltas, rows and wall time into its
+// node. The one body that is ever skipped is a stage above the empty join:
+// join-group finished the (empty) result, a finished result is final, and a
+// skipped body draws no coins and charges no meter.
+func (st *pipeState) runStage(ctx context.Context, n *plan.Node, run stageBody) error {
+	if st.res != nil {
+		if st.analyze {
+			n.Actual = &plan.Actual{}
+		}
 		return nil
 	}
-	for {
-		b, err := pipe.root.Next(pctx)
+	var before predTotals
+	if st.analyze {
+		before = st.predTotals()
+	}
+	var out stageOut
+	var err error
+	elapsed := obs.Timed(ctx, "op:"+string(n.Op), func() { out, err = run(ctx, st) })
+	if err == nil && st.analyze {
+		a := st.predTotals().actualSince(before)
+		a.Rows, a.Groups, a.ElapsedNS = out.rows, out.groups, int64(elapsed)
+		n.Actual = a
+	}
+	return err
+}
+
+// runPipeline executes one statement's physical chain (a linear
+// single-child tree: scan, an optional filter, blocking stages, and a
+// streaming terminal or the merge stage on top). The blocking stages run
+// first, leaf first: that order fixes the sequence of meter charges (what a
+// later stage finds in the memo); the draws need no order, each stage's
+// being keyed by its own sub-key of the statement's key. The stages read the
+// row universe from st.subset, bound before the chain runs (the filter node
+// is answered there, from the posting index), so only the batch loop reads
+// the scan. With a nil sink the result is materialized into st.res: a
+// blocking chain has then finished, and no batch is counted. With a sink,
+// result batches are delivered as produced, and an ErrStopStream from the
+// sink stops the loop, leaving Stats covering the evaluation actually
+// performed.
+func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
+	var chain []*plan.Node
+	for n := root; n != nil; n = n.Child() {
+		if len(n.Children) > 1 {
+			return fmt.Errorf("engine: physical node %q has %d children, want a linear chain", n.Op, len(n.Children))
+		}
+		chain = append(chain, n)
+	}
+	slices.Reverse(chain) // leaf first
+	if chain[0].Op != plan.OpScan {
+		return fmt.Errorf("engine: pipeline does not end in a scan (got %q)", chain[0].Op)
+	}
+	scan, filter, rest := chain[0], (*plan.Node)(nil), chain[1:]
+	if len(rest) > 0 && rest[0].Op == plan.OpFilter {
+		filter, rest = rest[0], rest[1:]
+	}
+	// The chain's last operator finishes the result: a streaming terminal,
+	// or the merge stage of a blocking chain.
+	var term *evalOp
+	switch root.Op {
+	case plan.OpExactEval, plan.OpConjWaves:
+		term = &evalOp{st: st, node: root, collect: sink == nil, waves: core.Waves{Pool: e.pool()}}
+		rest = rest[:len(rest)-1]
+	case plan.OpMerge:
+	default:
+		return fmt.Errorf("engine: pipeline ends in %q, which finishes no result", root.Op)
+	}
+	for _, n := range rest {
+		body, err := e.stageBody(n)
 		if err != nil {
 			return err
 		}
-		if b == nil {
-			break
+		if err := st.runStage(ctx, n, body); err != nil {
+			return err
 		}
-		e.noteBatch(len(b.Rows))
+	}
+	var scanNS int64
+	if term != nil {
+		if err := term.open(); err != nil {
+			return err
+		}
+		// Only a scan feeding the terminal directly is timed as one: above a
+		// stage the universe is st.subset, bound before anything ran.
+		var err error
+		if scanNS, err = e.batchLoop(ctx, st, term, len(rest) == 0, sink); err != nil {
+			return err
+		}
+		// At end-of-stream or after an early stop: Stats from the work done.
+		term.finalize()
+	} else if sink != nil {
+		if _, err := e.batchLoop(ctx, st, nil, false, sink); err != nil {
+			return err
+		}
+	}
+	if st.analyze {
+		// The fused scan(+filter): the scan reports the table's row universe,
+		// the filter node the rows its predicates keep and the time
+		// bindStatement spent answering them. Neither charges UDF counters —
+		// cheap predicates run on resident column data and the posting index.
+		scan.Actual = &plan.Actual{Rows: st.tbl.NumRows(), ElapsedNS: scanNS}
+		if filter != nil {
+			filter.Actual = &plan.Actual{Rows: len(st.subset), ElapsedNS: st.filterNS}
+		}
+	}
+	return nil
+}
+
+// batchLoop is the one batch loop: the terminal evaluates the scan universe
+// batch by batch (each fill an op:scan span when timeScan is set), or, with
+// no terminal, a blocking chain replays its finished result. Non-empty
+// batches go to the sink, when there is one, between the batch counters.
+// It returns the time spent filling scan batches.
+func (e *Engine) batchLoop(ctx context.Context, st *pipeState, term *evalOp, timeScan bool, sink RowSink) (scanNS int64, err error) {
+	rows, n := st.scanRows()
+	if term == nil {
+		rows, n = st.res.Rows, len(st.res.Rows)
+	}
+	var b batcher
+	size := e.batchSize()
+	for {
+		if err := ctx.Err(); err != nil {
+			return scanNS, err
+		}
+		var batch []int
+		if timeScan {
+			scanNS += int64(obs.Timed(ctx, "op:scan", func() { batch = b.next(rows, n, size) }))
+		} else {
+			batch = b.next(rows, n, size)
+		}
+		if batch == nil {
+			return scanNS, nil
+		}
+		if term != nil {
+			if batch, err = term.next(ctx, batch); err != nil {
+				return scanNS, err
+			}
+			if len(batch) == 0 {
+				continue // batch fully rejected
+			}
+		}
+		e.noteBatch(len(batch))
 		if sink != nil {
-			err = sink(b.Rows)
+			err = sink(batch)
 		}
 		e.batchDone()
+		if errors.Is(err, ErrStopStream) {
+			return scanNS, nil
+		}
 		if err != nil {
-			if errors.Is(err, ErrStopStream) {
-				cancel()
-				break
-			}
-			return err
+			return scanNS, err
 		}
 	}
-	if pipe.stream != nil {
-		// After an early stop, assemble Stats from the work done.
-		pipe.stream.finalize()
-	}
-	pipe.recordScanActuals()
-	return nil
 }
 
 // batchSize resolves the effective rows-per-batch.
@@ -505,7 +378,7 @@ func (e *Engine) BatchCounters() (inFlight, peakRows, total int64) {
 // pipelines, the §5 two-predicate plan, joins) complete their evaluation
 // first and then stream the finished result out in batches. The returned
 // Stats cover the evaluation performed — after an ErrStopStream they
-// reflect only the batches actually pulled.
+// reflect only the batches actually evaluated.
 func (e *Engine) ExecuteStreamContext(ctx context.Context, q Query, sink RowSink) (Stats, error) {
 	if sink == nil {
 		return Stats{}, fmt.Errorf("engine: ExecuteStreamContext requires a sink")

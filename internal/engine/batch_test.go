@@ -62,11 +62,20 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 	if err != nil {
 		t.Fatal(err)
 	}
+	err = e.RegisterUDF(UDF{
+		Name: "even",
+		Body: pure(func(v table.Value) bool { return v.(int64)%2 == 0 }),
+		Cost: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return e, truth
 }
 
 // filteredApprox is the filtered-approximate shape: cheap filter below a
-// blocking sampling chain, so stageOp's drain loop consumes the scan.
+// blocking sampling chain, whose stages read the filtered universe bound
+// before they run.
 var filteredApprox = Query{
 	Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	Filters: []Filter{{Column: "grade", Value: "B"}},
@@ -79,7 +88,8 @@ var filteredApprox = Query{
 // {1, 64, 4096} — batch sizes below, at and above the table size — on
 // seeded chaos workloads covering every pipeline family (fused
 // scan+filter, exact streaming eval, conjunction waves, the blocking
-// sampling pipeline, and the §5 two-predicate plan).
+// sampling pipeline, the §5 two-predicate plan, and the greedy N-ary waves
+// above a joint sample).
 func TestBatchDeterminismMatrix(t *testing.T) {
 	queries := map[string]Query{
 		"exact-filtered": {
@@ -104,12 +114,21 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 			},
 			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
 		},
-		// The one shape whose lowest blocking stage drains the fused scan
-		// into st.subset: it is what holds the batch reuse contract (a
-		// consumer that retains b.Rows past the next Next must copy) for
-		// stageOp. Retaining the slice instead — as the subset itself, or
-		// as parts to concatenate later — diverges across batch sizes here.
+		// The filtered universe below a blocking chain: the stages read
+		// st.subset, bound before any of them runs, so the batch size must
+		// not reach what they sample, plan or execute.
 		"approx-filtered": filteredApprox,
+		// The one shape whose streaming terminal is fed by a stage rather
+		// than by the scan: conj-waves[greedy] above conj-sample, where the
+		// rows the joint sample decided are skipped batch by batch.
+		"conj-greedy": {
+			Table: "loans", Predicates: []Conjunct{
+				{UDFName: "good_credit", UDFArg: "id", Want: true},
+				{UDFName: "rich", UDFArg: "income", Want: true},
+				{UDFName: "even", UDFArg: "id", Want: true},
+			},
+			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+		},
 	}
 	type combo struct{ parallelism, batch int }
 	var combos []combo

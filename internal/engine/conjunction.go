@@ -36,8 +36,8 @@ func (e *Engine) opConjSolve(_ context.Context, st *pipeState) (stageOut, error)
 	return stageOut{}, err
 }
 
-// prepareWaves fixes the streaming terminal's waves once, after the child
-// chain (including any conj-sample stage) has run: one wave per predicate in
+// prepareWaves fixes the streaming terminal's waves once, after the blocking
+// stages (including any conj-sample stage) have run: one wave per predicate in
 // query order — exact-eval is the one-wave case — reordered cheapest-first
 // by the sampled selectivities under greedy, where the rows the joint
 // sample decided are also free. Rows never interact across batches and the
@@ -67,9 +67,9 @@ func (o *evalOp) prepareWaves() error {
 	return nil
 }
 
-// evalBatch pushes one pulled batch through the waves and returns its
-// survivors in batch order (valid until the next call) and how many of its
-// rows had to be retrieved: all of them but those the joint sample decided.
+// evalBatch pushes one batch through the waves and returns its survivors in
+// batch order (valid until the next call) and how many of its rows had to be
+// retrieved: all of them but those the joint sample decided.
 func (o *evalOp) evalBatch(ctx context.Context, rows []int) ([]int, int, error) {
 	if o.sampled == nil {
 		out, err := o.waves.Run(ctx, rows, nil)

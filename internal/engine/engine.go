@@ -51,11 +51,11 @@ type Engine struct {
 	// OnFailure is the default failure policy for queries that do not set
 	// their own ("" means FailOnError). See resilience.go.
 	OnFailure FailurePolicy
-	// BatchSize is the number of rows per execution batch in the Volcano
-	// pipeline (see batch.go); ≤ 0 means DefaultBatchSize. Results are
-	// bit-identical at any setting (breaker-tripping workloads excepted —
-	// fold points move with batch boundaries; see DESIGN.md). Set before
-	// serving queries.
+	// BatchSize is the number of rows per execution batch in the
+	// executor's batch loop (see batch.go); ≤ 0 means DefaultBatchSize.
+	// Results are bit-identical at any setting (breaker-tripping workloads
+	// excepted — fold points move with batch boundaries; see DESIGN.md).
+	// Set before serving queries.
 	BatchSize int
 
 	seed       uint64
@@ -215,9 +215,9 @@ func (e *Engine) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 
 // executeStatement is the uniform execution path for every query shape:
 // validate, bind tables and predicates, lower into the physical operator
-// tree, and run it as a batch pull pipeline (see batch.go); shapes differ
-// only in the plan they lower to (see planner.go and operators.go). With
-// analyze set, the executed tree comes back with
+// chain, and run it: its blocking stages in order, then one batch loop (see
+// batch.go); shapes differ only in the plan they lower to (see planner.go
+// and operators.go). With analyze set, the executed tree comes back with
 // per-operator Actual counts (EXPLAIN ANALYZE); the returned root is nil
 // otherwise. A non-nil sink streams result batches as they are produced
 // instead of materializing Result.Rows. A trace attached to ctx
@@ -343,6 +343,10 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 // virtualColumn implements Section 6.3.2: label ~1% of rows and hand them,
 // with the table's encodable features, to ml.VirtualGroups (train, score
 // every row, bucket the scores into equal-frequency groups), counting labels.
+// Labels of one class give the model nothing to learn, so the one label
+// sample is topped up in discoverColumn's doubling rounds until both classes
+// appear or the whole universe is labeled; a universe of one class is then
+// answered as one group.
 func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
 	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
@@ -353,16 +357,24 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 		return nil, "", 0, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
 	labels, rows := e.labeler(st)
-	if _, err := labels.TopUpCtx(ctx, []int{core.LabelTarget(core.DefaultLabelFraction, len(rows))}); err != nil {
-		return nil, "", 0, err
+	var labeled map[int]bool
+	target := 0
+	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
+		target += core.LabelTarget(frac, len(rows))
+		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
+			return nil, "", 0, err
+		}
+		labeled = labels.Outcomes()[0].Results
+		// No label at all means every one failed: labeling more would only
+		// fail more.
+		if !ml.OneClass(labeled) || frac >= 1 {
+			break
+		}
 	}
-	labeled := labels.Outcomes()[0].Results
 	parts, err := ml.VirtualGroups(func(row int) []float64 { return enc.EncodeRow(tbl, row) }, rows, labeled, virtualBuckets)
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: training virtual column: %w", err)
 	}
-	// Labels of one class can leave the model nothing to score by, so every
-	// row lands in one bucket: the universe ungrouped, which §4 still answers.
 	return parts, VirtualColumn, len(labeled), nil
 }
 

@@ -38,26 +38,21 @@ func filterTestTable(t *testing.T) *table.Table {
 	return tbl
 }
 
-// scanRows binds a statement carrying the filters and drains its fused scan:
-// the rows the cheap predicates keep, through the code every query runs.
+// scanRows binds a statement carrying the filters and drains its scan in
+// batches: the rows the cheap predicates keep, through the code every query
+// runs.
 func scanRows(e *Engine, filters []Filter) ([]int, error) {
 	st, err := e.bindStatement(Query{Table: "t", Predicates: []Conjunct{{UDFName: "f", UDFArg: "n"}}, Filters: filters})
 	if err != nil {
 		return nil, err
 	}
-	ctx := context.Background()
-	sc := &scanOp{e: e, st: st}
-	if err := sc.Open(ctx); err != nil {
-		return nil, err
-	}
+	universe, n := st.scanRows()
+	var b batcher
 	rows := []int{}
-	for {
-		b, err := sc.Next(ctx)
-		if err != nil || b == nil {
-			return rows, err
-		}
-		rows = append(rows, b.Rows...)
+	for batch := b.next(universe, n, e.batchSize()); batch != nil; batch = b.next(universe, n, e.batchSize()) {
+		rows = append(rows, batch...)
 	}
+	return rows, nil
 }
 
 func TestTypedFilterSemantics(t *testing.T) {

@@ -148,3 +148,69 @@ func TestDiscoveryLabelsWholeSmallTable(t *testing.T) {
 		}
 	}
 }
+
+// TestVirtualColumnLabelsBothClasses: §6.3.2's regression learns nothing
+// from labels of one class, so the virtual column labels on, in §4.4's
+// doubling rounds, until a pass and a fail are both labeled. The UDF passes
+// the 40 rows of tier "x" among 2,000 (2 %); at engine seed 7 the first
+// statement's 1 % draw (20 labels) holds none of them. Trained on both
+// classes, the regression gives tier "x" a group of its own.
+func TestVirtualColumnLabelsBothClasses(t *testing.T) {
+	const n = 2000
+	tbl := table.New("accounts", table.MustSchema(
+		table.ColumnDef{Name: "id", Type: table.Int},
+		table.ColumnDef{Name: "tier", Type: table.String},
+	))
+	for i := 0; i < n; i++ {
+		tier := []string{"a", "b", "c"}[i%3]
+		if i%50 == 7 {
+			tier = "x"
+		}
+		if err := tbl.AppendRow(int64(i), tier); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := New(7)
+	if err := e.RegisterTable(tbl); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RegisterUDF(UDF{Name: "rare", Body: pure(func(v table.Value) bool { return v.(int64)%50 == 7 })}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := e.bindStatement(Query{
+		Table: "accounts", Predicates: []Conjunct{{UDFName: "rare", UDFArg: "id", Want: true}},
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: VirtualColumn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.key = stats.Key(7).Sub(0) // the engine's first approximate statement
+	ctx := context.Background()
+	first, _ := e.labeler(st)
+	if _, err := first.TopUpCtx(ctx, []int{20}); err != nil {
+		t.Fatal(err)
+	}
+	for row, pass := range first.Outcomes()[0].Results {
+		if pass {
+			t.Fatalf("the 1 %% draw labels row %d, a pass: the fixture no longer starts from one class", row)
+		}
+	}
+
+	groups, _, labeled, err := e.virtualColumn(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labeled <= 20 {
+		t.Fatalf("labeled %d rows, all of one class: want labeling to go on until both appear", labeled)
+	}
+	for _, g := range groups {
+		tierX := len(g.Rows) == n/50
+		for _, row := range g.Rows {
+			tierX = tierX && row%50 == 7
+		}
+		if tierX {
+			return
+		}
+	}
+	t.Fatalf("no group holds exactly the %d rows of tier x: %d groups", n/50, len(groups))
+}

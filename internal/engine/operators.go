@@ -15,13 +15,13 @@ import (
 
 // Physical-operator state and the blocking operator bodies. The planner
 // (planner.go + internal/plan) shapes every query into a chain of physical
-// operators; the batch pipeline (batch.go) compiles that chain into pull
-// iterators, one per node, running each blocking body below during its
-// stage's Open — leaf-first, each operator reading and extending the shared
-// pipeline state. The determinism contract lives in that order and in the
-// keys: every stage draws under its own sub-key of the statement's key,
-// meters charge the same rows, and Stats are assembled by the one formula
-// (pipeState.finish) whatever the shape, parallelism or batch size.
+// operators; the executor (batch.go) runs each blocking body below once, in
+// chain order leaf first, each reading and extending the shared pipeline
+// state, before its one batch loop. The determinism contract lives in that
+// order and in the keys: every stage draws under its own sub-key of the
+// statement's key, meters charge the same rows, and Stats are assembled by
+// the one formula (pipeState.finish) whatever the shape, parallelism or
+// batch size.
 
 // resolvedPred is one expensive predicate bound to the engine: its row
 // invoker (which counts retries), its metered (resilient, usually
@@ -38,7 +38,7 @@ type resolvedPred struct {
 	tripBase int64
 }
 
-// pipeState is the shared state flowing through a pipeline's operators.
+// pipeState is the shared state the stages of one statement read and extend.
 type pipeState struct {
 	q   Query
 	tbl *table.Table

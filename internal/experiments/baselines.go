@@ -63,8 +63,8 @@ type MLBaselineOptions struct {
 	MaxFraction float64
 	// Threshold is the probability cutoff for predicting true (default 0.5).
 	Threshold float64
-	// Imputations is the number of imputed datasets for RunMultiple
-	// (default 5).
+	// Imputations is the number of imputed datasets of the Multiple
+	// baseline (default 5).
 	Imputations int
 }
 
@@ -86,24 +86,15 @@ func (o *MLBaselineOptions) fill() {
 	}
 }
 
-// RunLearning implements the Learning baseline: evaluate a batch of tuples,
-// train the semi-supervised classifier, and return evaluated-true plus
-// predicted-true tuples. The batch grows until the precision and recall
+// runMLBaseline runs the Learning baseline, or with multiple set the
+// Multiple (multiple imputations) baseline. Learning evaluates a batch of
+// tuples, trains the semi-supervised classifier, and returns evaluated-true
+// plus predicted-true tuples; the batch grows until the precision and recall
 // constraints are met — checked against ground truth, which (as the paper
 // notes) gives this baseline an unfair advantage since real deployments
-// cannot know when to stop.
-func RunLearning(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (Run, error) {
-	return runMLBaseline(in, features, clf, truth, rng, opts, false)
-}
-
-// RunMultiple implements the Multiple (multiple imputations) baseline:
-// unlabeled tuples receive labels drawn from the classifier's class
-// probabilities; the labeled-set size grows until the constraints hold on
-// average across the imputed datasets.
-func RunMultiple(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions) (Run, error) {
-	return runMLBaseline(in, features, clf, truth, rng, opts, true)
-}
-
+// cannot know when to stop. Multiple gives unlabeled tuples labels drawn
+// from the classifier's class probabilities, and the labeled set grows
+// until the constraints hold on average across the imputed datasets.
 func runMLBaseline(in Instance, features [][]float64, clf SemiSupervised, truth func(row int) bool, rng *stats.RNG, opts MLBaselineOptions, multiple bool) (Run, error) {
 	if err := in.Validate(); err != nil {
 		return Run{}, err

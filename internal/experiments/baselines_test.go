@@ -49,7 +49,7 @@ func mlTestSetup(rng *stats.RNG) (Instance, [][]float64, []bool, func(int) bool)
 func TestRunLearningTerminatesAndSatisfies(t *testing.T) {
 	rng := stats.NewRNG(901)
 	in, features, labels, truth := mlTestSetup(rng)
-	res, err := RunLearning(in, features, stubClassifier{}, truth, rng.Split(), MLBaselineOptions{})
+	res, err := runMLBaseline(in, features, stubClassifier{}, truth, rng.Split(), MLBaselineOptions{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunLearningTerminatesAndSatisfies(t *testing.T) {
 func TestRunMultipleTerminates(t *testing.T) {
 	rng := stats.NewRNG(903)
 	in, features, _, truth := mlTestSetup(rng)
-	res, err := RunMultiple(in, features, stubClassifier{}, truth, rng.Split(), MLBaselineOptions{Imputations: 3})
+	res, err := runMLBaseline(in, features, stubClassifier{}, truth, rng.Split(), MLBaselineOptions{Imputations: 3}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +81,17 @@ func TestRunMultipleTerminates(t *testing.T) {
 func TestRunMLBaselineValidation(t *testing.T) {
 	rng := stats.NewRNG(905)
 	in, features, _, truth := mlTestSetup(rng)
-	if _, err := RunLearning(in, features, nil, truth, rng, MLBaselineOptions{}); err == nil {
+	if _, err := runMLBaseline(in, features, nil, truth, rng, MLBaselineOptions{}, false); err == nil {
 		t.Fatal("nil classifier accepted")
 	}
-	if _, err := RunLearning(in, features, stubClassifier{}, nil, rng, MLBaselineOptions{}); err == nil {
+	if _, err := runMLBaseline(in, features, stubClassifier{}, nil, rng, MLBaselineOptions{}, false); err == nil {
 		t.Fatal("nil truth accepted")
 	}
-	if _, err := RunLearning(in, features, stubClassifier{}, truth, nil, MLBaselineOptions{}); err == nil {
+	if _, err := runMLBaseline(in, features, stubClassifier{}, truth, nil, MLBaselineOptions{}, false); err == nil {
 		t.Fatal("nil rng accepted")
 	}
 	short := [][]float64{{1}}
-	if _, err := RunLearning(in, short, stubClassifier{}, truth, rng, MLBaselineOptions{}); err == nil {
+	if _, err := runMLBaseline(in, short, stubClassifier{}, truth, rng, MLBaselineOptions{}, false); err == nil {
 		t.Fatal("short feature matrix accepted")
 	}
 }

@@ -326,3 +326,33 @@ func TestEncoderNoColumns(t *testing.T) {
 		t.Fatal("empty encoder accepted")
 	}
 }
+
+// TestVirtualGroupsOneClassIsOneGroup: labels of one class give the
+// regression nothing to separate, so every row of the universe lands in one
+// group, whichever class it is. Trained anyway, the scores can differ only
+// by rounding, and the buckets then cut the universe at random.
+func TestVirtualGroupsOneClassIsOneGroup(t *testing.T) {
+	rng := stats.NewRNG(1009)
+	X, _ := linearlySeparable(rng, 2000)
+	features := func(row int) []float64 { return X[row] }
+	rows := make([]int, len(X))
+	for i := range rows {
+		rows[i] = i
+	}
+	for _, class := range []bool{false, true} {
+		labeled := map[int]bool{}
+		for _, row := range rng.Perm(len(X))[:20] {
+			labeled[row] = class
+		}
+		groups, err := VirtualGroups(features, rows, labeled, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(groups) != 1 || !reflect.DeepEqual(groups[0].Rows, rows) {
+			t.Fatalf("labels all %v: %d groups, want the universe as one", class, len(groups))
+		}
+	}
+	if _, err := VirtualGroups(features, rows, map[int]bool{}, 10); err == nil {
+		t.Fatal("no labels at all trained a virtual column")
+	}
+}

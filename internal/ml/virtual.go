@@ -10,7 +10,10 @@ import (
 // VirtualGroups builds the logistic-regression virtual column of
 // Section 6.3.2: fit a regression on the labeled rows, score every row of
 // the universe, and cut the scores into k equal-frequency buckets — one
-// group per non-empty bucket, rows in universe order.
+// group per non-empty bucket, rows in universe order. Labels of one class
+// leave the regression nothing to separate (standardized features get no
+// gradient, so the scores would differ only by rounding), so they group
+// the universe as one bucket.
 //
 // features renders a row's feature vector; rows is the universe; labeled
 // maps row id → UDF outcome for the rows already paid for. Training visits
@@ -19,6 +22,9 @@ import (
 // same-seed runs diverge at the last ulp (and occasionally across a bucket
 // boundary).
 func VirtualGroups(features func(row int) []float64, rows []int, labeled map[int]bool, k int) ([]table.Group, error) {
+	if OneClass(labeled) {
+		return []table.Group{{Key: "bucket00", Rows: rows}}, nil
+	}
 	scores, err := virtualScores(features, rows, labeled)
 	if err != nil {
 		return nil, err
@@ -34,6 +40,19 @@ func VirtualGroups(features func(row int) []float64, rows []int, labeled map[int
 		}
 	}
 	return groups, nil
+}
+
+// OneClass reports whether there are labels and they all agree.
+func OneClass(labeled map[int]bool) bool {
+	seen, first := false, false
+	for _, v := range labeled {
+		if !seen {
+			seen, first = true, v
+		} else if v != first {
+			return false
+		}
+	}
+	return seen
 }
 
 // virtualScores trains on the labeled rows and scores the universe.

@@ -122,15 +122,6 @@ func (c *StringColumn) Cardinality() int { return len(c.dict) }
 // in [0, Cardinality()).
 func (c *StringColumn) Code(i int) int { return int(c.data[i]) }
 
-// LookupCode resolves a value to its dictionary code, or -1 if the value
-// never appears in the column.
-func (c *StringColumn) LookupCode(s string) int {
-	if code, ok := c.lookup[s]; ok {
-		return int(code)
-	}
-	return -1
-}
-
 func (c *StringColumn) append(v Value) error {
 	s, ok := v.(string)
 	if !ok {
