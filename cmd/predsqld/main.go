@@ -213,8 +213,8 @@ func main() {
 			log.Printf("predsqld: catalog recovered a damaged tail (%s); facts since the last flush were lost and will be re-paid", rec.Note)
 		}
 		st := db.Catalog().Stats()
-		log.Printf("predsqld: catalog %s warm with %d verdicts, %d sample rows, %d column memos",
-			*dataDir, st.OutcomeRows, st.SampleRows, st.ColumnMemos)
+		log.Printf("predsqld: catalog %s warm with %d verdicts, %d column memos",
+			*dataDir, st.OutcomeRows, st.ColumnMemos)
 	}
 
 	srv := newServer(db, serverConfig{
@@ -854,10 +854,8 @@ type cacheStats struct {
 type catalogStats struct {
 	Dir            string `json:"dir"`
 	OutcomeRows    int    `json:"outcome_rows"`
-	SampleRows     int    `json:"sample_rows"`
 	ColumnMemos    int    `json:"column_memos"`
 	ColumnMemoHits int64  `json:"column_memo_hits"`
-	SeededRows     int64  `json:"seeded_rows"`
 	Flushes        int64  `json:"flushes"`
 	FlushErrors    int64  `json:"flush_errors,omitempty"`
 	LastFlushUnix  int64  `json:"last_flush_unix,omitempty"`
@@ -929,10 +927,8 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		resp.Catalog = &catalogStats{
 			Dir:            cat.Dir(),
 			OutcomeRows:    st.OutcomeRows,
-			SampleRows:     st.SampleRows,
 			ColumnMemos:    st.ColumnMemos,
 			ColumnMemoHits: cc.ColumnMemoHits,
-			SeededRows:     cc.SeededRows,
 			Flushes:        s.flushes.Value(),
 			FlushErrors:    s.flushErrors.Value(),
 			LastFlushUnix:  s.lastFlush.Load(),

@@ -1,10 +1,9 @@
 // Package catalog is the durable statistics and outcome store: a
 // crash-safe, versioned on-disk catalog that persists the assets the
 // engine pays for at query time — raw UDF verdicts per (table, UDF,
-// column), sampling evidence per (table, UDF, grouping column),
-// and the correlated column chosen by the Section 4.4 discovery pass per
-// workload key — so a process restart warm-starts from them instead of
-// re-paying o_e.
+// column) and the correlated column chosen by the Section 4.4 discovery
+// pass per workload key — so a process restart warm-starts from them
+// instead of re-paying o_e.
 //
 // On disk a catalog directory holds two files:
 //
@@ -46,16 +45,6 @@ type OutcomeKey struct {
 	Table, UDF, Column string
 }
 
-// SampleKey identifies accumulated sampling evidence: the rows a query's
-// sampler drew while estimating per-group selectivities,
-// stored per (table, UDF, argument column, grouping column, filter set).
-// A filtered query's sample is uniform only over the filtered rows of each
-// group, so it never seeds a query with another filter set. Filters is the
-// engine's canonical filter string ("" when unfiltered).
-type SampleKey struct {
-	Table, UDF, Column, GroupColumn, Filters string
-}
-
 // columnChoice is a memoized Section 4.4 discovery result.
 type columnChoice struct {
 	udf    string
@@ -75,8 +64,6 @@ type Recovery struct {
 type Stats struct {
 	// OutcomeRows is the total number of persisted raw UDF verdicts.
 	OutcomeRows int
-	// SampleRows is the total number of persisted labeled sample outcomes.
-	SampleRows int
 	// ColumnMemos is the number of memoized correlated-column choices.
 	ColumnMemos int
 	// PendingRecords counts buffered deltas not yet flushed to the log.
@@ -97,7 +84,6 @@ type Catalog struct {
 	log file
 
 	outcomes map[OutcomeKey]map[int]bool
-	samples  map[SampleKey]map[int]bool
 	columns  map[string]columnChoice
 
 	pending  []record
@@ -129,7 +115,6 @@ func openFS(fsys fileSystem, dir string) (*Catalog, error) {
 		fs:       fsys,
 		dir:      dir,
 		outcomes: make(map[OutcomeKey]map[int]bool),
-		samples:  make(map[SampleKey]map[int]bool),
 		columns:  make(map[string]columnChoice),
 	}
 	// Snapshot first: a damaged snapshot tail loses facts (safe — they are
@@ -204,23 +189,14 @@ func (c *Catalog) apply(r record) {
 		for i, row := range r.Rows {
 			m[row] = r.Bits[i] == '1'
 		}
-	case kindSamples:
-		k := SampleKey{Table: r.Table, UDF: r.UDF, Column: r.Column, GroupColumn: r.Group, Filters: r.Filters}
-		m := c.samples[k]
-		if m == nil {
-			m = make(map[int]bool, len(r.Rows))
-			c.samples[k] = m
-		}
-		for i, row := range r.Rows {
-			m[row] = r.Bits[i] == '1'
-		}
 	case kindColumn:
 		c.columns[r.Key] = columnChoice{udf: r.UDF, chosen: r.Chosen}
 	case kindInvalidate:
 		c.dropUDF(r.UDF)
 	}
-	// Unknown kinds (written by a newer minor revision) are ignored: they
-	// can only be additive facts this revision does not use.
+	// Unknown kinds are ignored: facts a newer minor revision writes, or the
+	// sampling evidence ("samples") older builds wrote, which a repeated
+	// statement must not plan on. Compact drops them.
 }
 
 // dropUDF removes every fact derived from the named UDF's body.
@@ -228,11 +204,6 @@ func (c *Catalog) dropUDF(udf string) {
 	for k := range c.outcomes {
 		if k.UDF == udf {
 			delete(c.outcomes, k)
-		}
-	}
-	for k := range c.samples {
-		if k.UDF == udf {
-			delete(c.samples, k)
 		}
 	}
 	for k, ch := range c.columns {
@@ -272,38 +243,6 @@ func (c *Catalog) AddOutcomes(k OutcomeKey, verdicts map[int]bool) {
 	c.pending = append(c.pending, record{
 		Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column,
 		Rows: rows, Bits: bits,
-	})
-}
-
-// Samples returns a copy of the labeled sampling evidence for key (raw,
-// unfolded verdicts; nil when none is known).
-func (c *Catalog) Samples(k SampleKey) map[int]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return copyRows(c.samples[k])
-}
-
-// AddSamples merges labeled sampling evidence (raw verdicts) and buffers
-// the new facts for the next Flush.
-func (c *Catalog) AddSamples(k SampleKey, verdicts map[int]bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.samples[k]
-	delta := diffRows(cur, verdicts)
-	if len(delta) == 0 {
-		return
-	}
-	if cur == nil {
-		cur = make(map[int]bool, len(delta))
-		c.samples[k] = cur
-	}
-	for row, v := range delta {
-		cur[row] = v
-	}
-	rows, bits := encodeRows(delta)
-	c.pending = append(c.pending, record{
-		Kind: kindSamples, Table: k.Table, UDF: k.UDF, Column: k.Column, Group: k.GroupColumn,
-		Filters: k.Filters, Rows: rows, Bits: bits,
 	})
 }
 
@@ -426,16 +365,6 @@ func (c *Catalog) snapshotRecords() []record {
 		rows, bits := encodeRows(c.outcomes[k])
 		recs = append(recs, record{Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column, Rows: rows, Bits: bits})
 	}
-	skeys := make([]SampleKey, 0, len(c.samples))
-	for k := range c.samples {
-		skeys = append(skeys, k)
-	}
-	sort.Slice(skeys, func(i, j int) bool { return lessSample(skeys[i], skeys[j]) })
-	for _, k := range skeys {
-		rows, bits := encodeRows(c.samples[k])
-		recs = append(recs, record{Kind: kindSamples, Table: k.Table, UDF: k.UDF, Column: k.Column, Group: k.GroupColumn,
-			Filters: k.Filters, Rows: rows, Bits: bits})
-	}
 	ckeys := make([]string, 0, len(c.columns))
 	for k := range c.columns {
 		ckeys = append(ckeys, k)
@@ -456,22 +385,6 @@ func lessOutcome(a, b OutcomeKey) bool {
 		return a.UDF < b.UDF
 	}
 	return a.Column < b.Column
-}
-
-func lessSample(a, b SampleKey) bool {
-	if a.Table != b.Table {
-		return a.Table < b.Table
-	}
-	if a.UDF != b.UDF {
-		return a.UDF < b.UDF
-	}
-	if a.Column != b.Column {
-		return a.Column < b.Column
-	}
-	if a.GroupColumn != b.GroupColumn {
-		return a.GroupColumn < b.GroupColumn
-	}
-	return a.Filters < b.Filters
 }
 
 // Close flushes buffered deltas and releases the log handle. The catalog
@@ -502,9 +415,6 @@ func (c *Catalog) Stats() Stats {
 	}
 	for _, m := range c.outcomes {
 		s.OutcomeRows += len(m)
-	}
-	for _, m := range c.samples {
-		s.SampleRows += len(m)
 	}
 	return s
 }

@@ -2,7 +2,9 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,10 +12,7 @@ import (
 	"testing"
 )
 
-var (
-	okey = OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
-	skey = SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}
-)
+var okey = OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
 
 func open(t *testing.T, dir string) *Catalog {
 	t.Helper()
@@ -29,7 +28,6 @@ func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	c := open(t, dir)
 	c.AddOutcomes(okey, map[int]bool{1: true, 2: false, 7: true})
-	c.AddSamples(skey, map[int]bool{2: false, 9: true})
 	c.SetChosenColumn("wk1", "good_credit", "grade")
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
@@ -42,9 +40,6 @@ func TestRoundTrip(t *testing.T) {
 	if got := c2.Outcomes(okey); !reflect.DeepEqual(got, map[int]bool{1: true, 2: false, 7: true}) {
 		t.Fatalf("outcomes after reopen: %v", got)
 	}
-	if got := c2.Samples(skey); !reflect.DeepEqual(got, map[int]bool{2: false, 9: true}) {
-		t.Fatalf("samples after reopen: %v", got)
-	}
 	if col, ok := c2.ChosenColumn("wk1"); !ok || col != "grade" {
 		t.Fatalf("chosen column after reopen: %q %v", col, ok)
 	}
@@ -52,7 +47,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("clean reopen reported recovery: %+v", rec)
 	}
 	st := c2.Stats()
-	if st.OutcomeRows != 3 || st.SampleRows != 2 || st.ColumnMemos != 1 {
+	if st.OutcomeRows != 3 || st.ColumnMemos != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -261,8 +256,8 @@ func TestCompact(t *testing.T) {
 }
 
 // TestBytesFollowContents pins the catalog's byte order: log and snapshot
-// records list their rows ascending, the snapshot lists outcome keys,
-// sample keys and column memos ascending, and so two catalogs fed the same
+// records list their rows ascending, the snapshot lists outcome keys and
+// column memos ascending, and so two catalogs fed the same
 // facts in opposite orders compact to the same bytes. Ascending order is
 // asserted outright: equal bytes alone can hide map order on small maps.
 func TestBytesFollowContents(t *testing.T) {
@@ -295,7 +290,6 @@ func TestBytesFollowContents(t *testing.T) {
 				k = fmt.Sprintf("k%02d", n-1-i)
 			}
 			c.AddOutcomes(OutcomeKey{Table: "t", UDF: k, Column: "id"}, rows)
-			c.AddSamples(SampleKey{Table: "t", UDF: k, Column: "id", GroupColumn: "g"}, rows)
 			c.SetChosenColumn(k, "u", "g")
 		}
 		if err := c.Flush(); err != nil {
@@ -322,7 +316,7 @@ func TestBytesFollowContents(t *testing.T) {
 	for _, r := range records(asc, crashDir+"/catalog.snap") {
 		keys[r.Kind] = append(keys[r.Kind], r.UDF+r.Key)
 	}
-	for _, kind := range []string{kindOutcomes, kindSamples, kindColumn} {
+	for _, kind := range []string{kindOutcomes, kindColumn} {
 		if len(keys[kind]) != n || !sort.StringsAreSorted(keys[kind]) {
 			t.Errorf("snapshot %s keys %v, want %d in ascending order", kind, keys[kind], n)
 		}
@@ -365,7 +359,6 @@ func TestInvalidateUDFDurable(t *testing.T) {
 	other := OutcomeKey{Table: "loans", UDF: "other", Column: "id"}
 	c.AddOutcomes(okey, map[int]bool{1: true})
 	c.AddOutcomes(other, map[int]bool{1: false})
-	c.AddSamples(skey, map[int]bool{2: true})
 	c.SetChosenColumn("wk", "good_credit", "grade")
 	c.SetChosenColumn("wk-other", "other", "grade")
 	if err := c.Flush(); err != nil {
@@ -385,9 +378,6 @@ func TestInvalidateUDFDurable(t *testing.T) {
 	c2 := open(t, dir)
 	if got := c2.Outcomes(okey); got != nil {
 		t.Fatalf("invalidated outcomes survived: %v", got)
-	}
-	if got := c2.Samples(skey); got != nil {
-		t.Fatalf("invalidated samples survived: %v", got)
 	}
 	if _, ok := c2.ChosenColumn("wk"); ok {
 		t.Fatal("invalidated column memo survived")
@@ -438,6 +428,73 @@ func TestClosedCatalogRefusesWrites(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// legacySamples is a "samples" record as older builds wrote it: the rows
+// one statement's sampler drew, kept as evidence for the next statement
+// grouped on the same column under the same filters.
+const legacySamples = `{"k":"samples","t":"loans","u":"good_credit","c":"id","g":"grade","f":"purpose=car","r":[2,9],"b":"01"}`
+
+// frame wraps a record payload in its length and checksum.
+func frame(payload string) []byte {
+	var hdr [8]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum([]byte(payload), crcTable))
+	return append(hdr[:], payload...)
+}
+
+// TestOlderSampleRecordsIgnored: a catalog whose log holds a samples
+// record from an older build opens cleanly with the same outcomes and
+// memos as one without it, and Compact leaves the record out of the
+// snapshot.
+func TestOlderSampleRecordsIgnored(t *testing.T) {
+	plain, older := t.TempDir(), t.TempDir()
+	c := open(t, plain)
+	c.AddOutcomes(okey, map[int]bool{1: true, 2: false})
+	c.SetChosenColumn("wk", "good_credit", "grade")
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(plain, "catalog.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withSamples := append(bytes.Clone(data[:headerLen]), frame(legacySamples)...)
+	withSamples = append(withSamples, data[headerLen:]...)
+	if err := os.WriteFile(filepath.Join(older, "catalog.log"), withSamples, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	state := func(c *Catalog) string {
+		col, ok := c.ChosenColumn("wk")
+		st := c.Stats()
+		return fmt.Sprintf("outcomes %v, memo %q %t, %d verdicts, %d memos", c.Outcomes(okey), col, ok, st.OutcomeRows, st.ColumnMemos)
+	}
+	want := state(open(t, plain))
+	c = open(t, older)
+	if rec := c.Recovery(); rec.Truncated {
+		t.Fatalf("an older samples record was taken for damage: %s", rec.Note)
+	}
+	if got := state(c); got != want {
+		t.Fatalf("with an older samples record: %s, want %s", got, want)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := readRecordFile(osFS{}, filepath.Join(older, "catalog.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Kind != kindOutcomes && r.Kind != kindColumn {
+			t.Fatalf("the compacted snapshot kept a %q record", r.Kind)
+		}
+	}
+	if got := state(open(t, older)); got != want {
+		t.Fatalf("after Compact: %s, want %s", got, want)
 	}
 }
 

@@ -39,10 +39,6 @@ func outcomeFact(k OutcomeKey, row int, v bool) fact {
 	return fact{k.UDF, fmt.Sprintf("outcome %s/%s/%s row %d = %t", k.Table, k.UDF, k.Column, row, v)}
 }
 
-func sampleFact(k SampleKey, row int, v bool) fact {
-	return fact{k.UDF, fmt.Sprintf("sample %s/%s/%s/%s/%s row %d = %t", k.Table, k.UDF, k.Column, k.GroupColumn, k.Filters, row, v)}
-}
-
 func columnFact(key, udf, chosen string) fact {
 	return fact{udf, fmt.Sprintf("column %s = %s (udf %s)", key, chosen, udf)}
 }
@@ -53,11 +49,6 @@ func facts(c *Catalog) []string {
 	for k, m := range c.outcomes {
 		for row, v := range m {
 			out = append(out, outcomeFact(k, row, v).key)
-		}
-	}
-	for k, m := range c.samples {
-		for row, v := range m {
-			out = append(out, sampleFact(k, row, v).key)
 		}
 	}
 	for key, ch := range c.columns {
@@ -99,10 +90,9 @@ func (o *crashOracle) invalidated(udf string, ok bool) {
 }
 
 var (
-	crashA  = OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
-	crashB  = OutcomeKey{Table: "loans", UDF: "other", Column: "id"}
-	crashSA = SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}
-	crashSB = SampleKey{Table: "loans", UDF: "other", Column: "id", GroupColumn: "grade", Filters: "grade=A"}
+	crashA = OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
+	crashB = OutcomeKey{Table: "loans", UDF: "other", Column: "id"}
+	crashC = OutcomeKey{Table: "loans", UDF: "other", Column: "grade"}
 )
 
 // crashWorkload runs the scripted workload on fsys until it ends or fsys
@@ -124,26 +114,20 @@ func crashWorkload(fsys *memFS, o *crashOracle) {
 			o.add(outcomeFact(k, row, v))
 		}
 	}
-	samples := func(k SampleKey, m map[int]bool) {
-		c.AddSamples(k, m)
-		for row, v := range m {
-			o.add(sampleFact(k, row, v))
-		}
-	}
 	column := func(key, udf, chosen string) {
 		c.SetChosenColumn(key, udf, chosen)
 		o.add(columnFact(key, udf, chosen))
 	}
 
-	// Outcomes, then samples and column memos, for two UDFs, flushing
-	// twice: a torn second flush then lies between durable facts and the
-	// tombstone that drops them.
+	// Outcomes, then more outcomes and column memos, for two UDFs,
+	// flushing twice: a torn second flush then lies between durable facts
+	// and the tombstone that drops them.
 	outcomes(crashA, map[int]bool{1: true, 2: false})
 	outcomes(crashB, map[int]bool{1: false})
 	if done(c.Flush()) {
 		return
 	}
-	samples(crashSA, map[int]bool{2: false, 9: true})
+	outcomes(crashA, map[int]bool{9: true})
 	column("wk1", "good_credit", "grade")
 	column("wk2", "other", "grade")
 	if done(c.Flush()) {
@@ -164,7 +148,7 @@ func crashWorkload(fsys *memFS, o *crashOracle) {
 	}
 	// More facts after the compaction, then flush and close.
 	outcomes(crashB, map[int]bool{3: true})
-	samples(crashSB, map[int]bool{4: true, 5: false})
+	outcomes(crashC, map[int]bool{4: true, 5: false})
 	column("wk3", "other", "segment")
 	if done(c.Flush()) {
 		return
@@ -241,7 +225,7 @@ func checkReopen(disk *memFS, o *crashOracle) error {
 }
 
 // TestCrashAtEveryFileOperation runs a scripted workload (open; add
-// outcomes, flush; add samples and column memos, flush; invalidate a UDF,
+// outcomes, flush; add outcomes and column memos, flush; invalidate a UDF,
 // flush; compact; add more, flush; close) over memFS. It crashes the
 // workload after each file operation in turn, and separately makes each
 // operation fail and then crashes after each later one and at the end.
@@ -323,6 +307,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(snap[:len(snap)/2], logData)
 	f.Add([]byte("PREDCAT\x01"), []byte("PRED"))
 	f.Add([]byte(nil), []byte("not a catalog at all"))
+	f.Add(snap, append(bytes.Clone(logData), frame(legacySamples)...))
 
 	var extra bytes.Buffer
 	if err := writeRecord(&extra, record{Kind: kindOutcomes, Table: "t", UDF: "u", Column: "c", Rows: []int{7}, Bits: "1"}); err != nil {

@@ -37,7 +37,6 @@ const (
 // Record kinds. Additive facts plus the invalidation tombstone.
 const (
 	kindOutcomes   = "outcomes"
-	kindSamples    = "samples"
 	kindColumn     = "column"
 	kindInvalidate = "invalidate-udf"
 )
@@ -48,14 +47,10 @@ type record struct {
 	Table  string `json:"t,omitempty"`
 	UDF    string `json:"u,omitempty"`
 	Column string `json:"c,omitempty"`
-	Group  string `json:"g,omitempty"` // grouping column (samples)
-	// Filters is a sample's canonical filter set, omitted when unfiltered
-	// so unfiltered records keep their bytes.
-	Filters string `json:"f,omitempty"`
-	Key     string `json:"w,omitempty"` // workload key (column memos)
-	Chosen  string `json:"n,omitempty"` // chosen column (column memos)
-	Rows    []int  `json:"r,omitempty"`
-	Bits    string `json:"b,omitempty"` // one '0'/'1' per entry of Rows
+	Key    string `json:"w,omitempty"` // workload key (column memos)
+	Chosen string `json:"n,omitempty"` // chosen column (column memos)
+	Rows   []int  `json:"r,omitempty"`
+	Bits   string `json:"b,omitempty"` // one '0'/'1' per entry of Rows
 }
 
 // valid rejects structurally damaged payloads that happen to checksum
@@ -63,7 +58,7 @@ type record struct {
 // buggy writer might): replaying them would corrupt memory state.
 func (r record) valid() bool {
 	switch r.Kind {
-	case kindOutcomes, kindSamples:
+	case kindOutcomes:
 		return len(r.Rows) == len(r.Bits)
 	case kindColumn, kindInvalidate:
 		return true

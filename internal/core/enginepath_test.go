@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -414,5 +416,75 @@ func TestContractGridGroupingModes(t *testing.T) {
 					spec.Name, mode.name, tally.MetP, tally.MetR, n)
 			}
 		}
+	}
+}
+
+// TestRepeatedStatementsAreFreshTrials is the repeat cell: ρ must hold per
+// engine, over one statement repeated on it, with a durable catalog
+// attached. Each of 60 engines (seeds 1000–1059) runs the §4 plan 20 times
+// over the calibration grid's 30×200 world at α = β = 0.9, and its
+// precision and recall counts are each decided by stats.ContractHolds at
+// the Bonferroni level 10⁻³/60. Every repeat must also return the rows a
+// catalog-less engine at the same seed returns: what the catalog knows may
+// change what an answer costs, never which draw it is.
+func TestRepeatedStatementsAreFreshTrials(t *testing.T) {
+	const engines, repeats = 60, 20
+	sizes, sel := make([]int, 30), make([]float64, 30)
+	for i := range sizes {
+		sizes[i], sel[i] = 200, float64(i)/29
+	}
+	groups, _, truth := core.SyntheticGroups(stats.NewRNG(3701).Split(), sizes, sel)
+	w := world(t, groups, experiments.Predicate{Name: "f", Truth: truth})
+	total := countTrue(w.Table.NumRows(), truth)
+	for _, rho := range []float64{0.5, 0.8} {
+		cons := core.Constraints{Alpha: 0.9, Beta: 0.9, Rho: rho}
+		refuted, diverged := 0, 0
+		for seed := uint64(1000); seed < 1000+engines; seed++ {
+			warm, q, err := experiments.NewEngine(seed, w, cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := catalog.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm.SetCatalog(c)
+			cold, _, err := experiments.NewEngine(seed, w, cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			metP, metR := 0, 0
+			for i := range repeats {
+				res, err := warm.ExecuteContext(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := cold.ExecuteContext(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(res.Rows, ref.Rows) {
+					if diverged++; diverged <= 3 {
+						t.Errorf("ρ=%v seed %d repeat %d: warm returned %d rows, cold %d", rho, seed, i, len(res.Rows), len(ref.Rows))
+					}
+				}
+				p, r := core.ComputeMetrics(res.Rows, truth, total).Satisfies(cons)
+				if p {
+					metP++
+				}
+				if r {
+					metR++
+				}
+			}
+			if err := warm.CloseCatalog(); err != nil {
+				t.Fatal(err)
+			}
+			alpha := stats.ContractSignificance / engines
+			if !stats.ContractHolds(metP, repeats, rho, alpha) || !stats.ContractHolds(metR, repeats, rho, alpha) {
+				refuted++
+				t.Errorf("ρ=%v seed %d: precision met %d, recall met %d of %d repeats", rho, seed, metP, metR, repeats)
+			}
+		}
+		t.Logf("ρ=%v: %d of %d engines refuted, %d warm repeats diverged from cold", rho, refuted, engines, diverged)
 	}
 }

@@ -64,32 +64,28 @@ const LabelDraw, SampleDraw, ExecuteDraw uint64 = 1, 2, 3
 
 // Sampler incrementally samples tuples from groups without replacement and
 // evaluates every predicate of the statement on each sampled row,
-// remembering outcomes so allocations can be topped up (a warm catalog,
-// Section 4.3's adaptive scheme, §4.4's label rounds) without re-evaluating
-// tuples. A sampled row's outcome is whether it passed every predicate:
-// with one meter that is the UDF's verdict, with two the §5 joint cell
+// remembering outcomes so allocations can be topped up (Section 4.3's
+// adaptive scheme, §4.4's label rounds) without re-evaluating tuples. A
+// sampled row's outcome is whether it passed every predicate: with one
+// meter that is the UDF's verdict, with two the §5 joint cell
 // P(f1 ∧ f2) the five actions are priced on, and each predicate's own
 // passes are kept beside it (SampleOutcome.Pos) for the other joint cells
 // and the greedy conjunction order. A group's sample at target t is its t
-// lowest-ranked rows under the key (stats.Key.Rank), skipping failed rows
-// and rows seeded by SeedPrior: a row's fate depends on (key, row) and its
-// group's target only, and a sample is a prefix of any larger one.
+// lowest-ranked rows under the key (stats.Key.Rank), skipping failed rows:
+// a row's fate depends on (key, row) and its group's target only, and a
+// sample is a prefix of any larger one.
 type Sampler struct {
 	groups   []Group
 	meters   []*Meter
 	outcomes []SampleOutcome
 	key      stats.Key
 	// cut[i] is group i's rank cut: every row ranked below it is recorded in
-	// outcomes[i] or failed, every other row at or above it is undrawn or a
-	// prior.
+	// outcomes[i] or failed, every row at or above it is undrawn.
 	cut []uint64
 	// parallelism caps the workers used to evaluate newly sampled rows
 	// (default 1, fully sequential). Row selection is always sequential, so
 	// outcomes are identical at any setting.
 	parallelism int
-	// priors counts rows seeded via SeedPrior: they carry evidence but were
-	// not examined by this query, so TotalSampled excludes them.
-	priors int
 }
 
 // SetParallelism sets the worker cap for UDF evaluation during TopUpCtx
@@ -119,45 +115,13 @@ func NewJointSampler(groups []Group, meters []*Meter, key stats.Key) *Sampler {
 	return s
 }
 
-// SeedPrior records rows whose UDF outcome was paid for in an earlier
-// process life (restored from a durable catalog). They count as sampling
-// evidence — they strengthen the Beta posterior and shrink or eliminate
-// later top-ups, which skip them — but not toward TotalSampled: they were
-// not examined during this query, and reporting them as sampled would hide
-// the warm-start savings. Rows not belonging to any group (or already
-// drawn) are ignored. A prior is one predicate's verdict, so it panics on a
-// joint sampler. Returns the number of rows seeded.
-func (s *Sampler) SeedPrior(known map[int]bool) int {
-	if len(s.meters) != 1 {
-		panic("core: known outcomes seed a single-predicate sampler only")
-	}
-	seeded := 0
-	for i, g := range s.groups {
-		o := &s.outcomes[i]
-		for _, row := range g.Rows {
-			v, ok := known[row]
-			if _, dup := o.Results[row]; !ok || dup || s.key.Rank(row) < s.cut[i] {
-				continue
-			}
-			o.Results[row] = v
-			if v {
-				o.Positives++
-				o.Pos[0]++
-			}
-			seeded++
-		}
-	}
-	s.priors += seeded
-	return seeded
-}
-
 // lowest appends group i's want lowest-ranked undrawn rows (or all of
 // them, if fewer) to buf in the group's row order and returns its next cut.
 // A pass hashes the group once for the rows ranked in a window above the
 // cut sized for want plus four standard deviations, so a second pass (over
 // a doubled window) is rare and the ranks to sort are few.
 func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
-	key, o, lo, from, k := s.key, s.outcomes[i], s.cut[i], len(buf), float64(want)
+	key, lo, from, k := s.key, s.cut[i], len(buf), float64(want)
 	var ranks []uint64
 	for share := (k + 4*math.Sqrt(k) + 8) / float64(len(s.groups[i].Rows)); ; share *= 2 {
 		span := ^uint64(0) - lo
@@ -166,9 +130,7 @@ func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
 		}
 		for _, row := range s.groups[i].Rows {
 			if r := key.Rank(row); r-lo <= span {
-				if _, prior := o.Results[row]; s.priors == 0 || !prior {
-					buf, ranks = append(buf, row), append(ranks, r)
-				}
+				buf, ranks = append(buf, row), append(ranks, r)
 			}
 		}
 		if len(ranks) >= want || lo+span == ^uint64(0) {
@@ -272,14 +234,13 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 func (s *Sampler) Outcomes() []SampleOutcome { return s.outcomes }
 
 // TotalSampled returns the number of tuples this sampler's top-ups
-// examined. Rows seeded from prior process lives (SeedPrior) are excluded
-// — their cost was paid before this query started.
+// examined.
 func (s *Sampler) TotalSampled() int {
 	total := 0
 	for _, o := range s.outcomes {
 		total += len(o.Results)
 	}
-	return total - s.priors
+	return total
 }
 
 // Infos converts the current sampling state into estimated-selectivity

@@ -306,7 +306,9 @@ func (e *Engine) batchLoop(ctx context.Context, st *pipeState, term *evalOp, tim
 	}
 	var b batcher
 	size := e.batchSize()
-	for {
+	// The loop ends once the cursor reaches n, so no scan span times an
+	// empty fill past the universe's end.
+	for b.cursor < n {
 		if err := ctx.Err(); err != nil {
 			return scanNS, err
 		}
@@ -315,9 +317,6 @@ func (e *Engine) batchLoop(ctx context.Context, st *pipeState, term *evalOp, tim
 			scanNS += int64(obs.Timed(ctx, "op:scan", func() { batch = b.next(rows, n, size) }))
 		} else {
 			batch = b.next(rows, n, size)
-		}
-		if batch == nil {
-			return scanNS, nil
 		}
 		if term != nil {
 			if batch, err = term.next(ctx, batch); err != nil {
@@ -339,6 +338,7 @@ func (e *Engine) batchLoop(ctx context.Context, st *pipeState, term *evalOp, tim
 			return scanNS, err
 		}
 	}
+	return scanNS, nil
 }
 
 // batchSize resolves the effective rows-per-batch.

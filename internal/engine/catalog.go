@@ -15,23 +15,24 @@ import (
 // restart:
 //
 //   - the cross-query eval caches are seeded lazily from persisted raw
-//     verdicts (so repeated exact workloads run with zero evaluations);
-//   - samplers are seeded with the rows earlier samplers drew (never the
-//     labels that chose a grouping) per (table, UDF, column, grouping
-//     column, filter set), shrinking or eliminating the per-group top-ups
-//     of repeated approximate queries;
+//     verdicts (so a repeated workload pays no evaluation for a row whose
+//     verdict is known);
 //   - the Section 4.4 correlated-column discovery result is memoized per
 //     workload key, so repeat queries skip the labeling scan entirely.
 //
+// A sample is never persisted: each statement draws its own, so a warm
+// engine returns the rows a cold one at the same seed returns, and only
+// what the answer costs differs.
+//
 // Writes go to the catalog's memory as queries finish; FlushCatalog (or a
-// server's periodic flush) makes them durable. Catalog writes are gated on
+// server's periodic flush) makes them durable. A column memo is gated on
 // the statement's failure (see pipeState.failure): a query that fails on a
-// row must leave no durable facts behind. The same hygiene extends
-// structurally to per-row failures under the skip/degrade policies: a row
-// whose invocation ultimately fails (retries exhausted, breaker denial) is
-// excluded from the eval cache, sampler evidence and output before any of
-// the snapshots below are taken, so no failed row is ever persisted as a
-// verdict or a sampling fact.
+// row memoizes nothing, while the verdicts its other rows paid for are
+// genuine and stay cached. The same hygiene extends structurally to
+// per-row failures under the skip/degrade policies: a row whose invocation
+// ultimately fails (retries exhausted, breaker denial) is excluded from
+// the eval cache and output before any of the snapshots below are taken,
+// so no failed row is ever persisted as a verdict.
 //
 // Like Parallelism, attach the catalog before serving queries.
 
@@ -128,16 +129,11 @@ type CatalogCounters struct {
 	// ColumnMemoHits counts queries whose Section 4.4 discovery pass was
 	// skipped because the catalog had memoized the chosen column.
 	ColumnMemoHits int64
-	// SeededRows counts sampler rows seeded from persisted evidence.
-	SeededRows int64
 }
 
 // CatalogCounters reports warm-start activity since engine creation.
 func (e *Engine) CatalogCounters() CatalogCounters {
-	return CatalogCounters{
-		ColumnMemoHits: e.columnMemoHits.Load(),
-		SeededRows:     e.seededRows.Load(),
-	}
+	return CatalogCounters{ColumnMemoHits: e.columnMemoHits.Load()}
 }
 
 // workloadKey canonicalizes everything that influences the Section 4.4
@@ -162,9 +158,7 @@ func workloadKey(st *pipeState) string {
 
 // filterKey canonicalizes a cheap-filter set: "col=value" terms, sorted,
 // joined by "&" ("" for no filters). The §4.4 memo is keyed by it because
-// the filtered subset shapes the column choice, sampling evidence because a
-// filtered query's sample is uniform only over the filtered rows of each
-// group.
+// the filtered subset shapes the column choice.
 func filterKey(filters []Filter) string {
 	fs := make([]string, len(filters))
 	for i, f := range filters {
@@ -172,27 +166,6 @@ func filterKey(filters []Filter) string {
 	}
 	sort.Strings(fs)
 	return strings.Join(fs, "&")
-}
-
-// sampleKey is the catalog key of the statement's sampling evidence: the
-// (first) predicate's, grouped by groupCol.
-func sampleKey(st *pipeState, groupCol string) catalog.SampleKey {
-	p := st.preds[0].spec
-	return catalog.SampleKey{
-		Table: st.q.Table, UDF: p.UDFName, Column: p.UDFArg, GroupColumn: groupCol,
-		Filters: filterKey(st.q.Filters),
-	}
-}
-
-// foldVerdicts maps between raw UDF outcomes and want-folded verdicts.
-// The transform is its own inverse: folded = (raw == want) and
-// raw = (folded == want).
-func foldVerdicts(m map[int]bool, want bool) map[int]bool {
-	out := make(map[int]bool, len(m))
-	for row, v := range m {
-		out[row] = v == want
-	}
-	return out
 }
 
 // peekMemoColumn reports the catalog-memoized §4.4 column choice for the
@@ -227,30 +200,12 @@ func (e *Engine) memoizedColumn(st *pipeState) ([]core.Group, string, bool) {
 	return groups, name, true
 }
 
-// seedSamplerFromCatalog warm-starts a sampler with persisted evidence for
-// the statement's (table, UDF, column, grouping column, filter set), folded
-// to its want. Returns the number of rows seeded.
-func (e *Engine) seedSamplerFromCatalog(s *core.Sampler, st *pipeState) int {
-	c := e.Catalog()
-	if c == nil {
-		return 0
-	}
-	prior := c.Samples(sampleKey(st, st.chosen))
-	if len(prior) == 0 {
-		return 0
-	}
-	n := s.SeedPrior(foldVerdicts(prior, st.preds[0].spec.Want))
-	e.seededRows.Add(int64(n))
-	return n
-}
-
-// persistQueryLearnings records what an approximate query learned: the
-// sampler's accumulated evidence (unfolded to raw verdicts) and, when
+// persistQueryLearnings records what an approximate query learned: when
 // discovery ran, the chosen column. Two gates protect the catalog from
-// poison: the statement's failure (a query that errors persists nothing)
+// poison: the statement's failure (a query that errors memoizes nothing)
 // and the invalidation epoch captured before the query evaluated anything
-// — if a UDF body was replaced mid-query, this query's verdicts may belong
-// to the old body and are discarded rather than re-persisted after the
+// — if a UDF body was replaced mid-query, this query's choice may rest on
+// the old body and is discarded rather than re-persisted after the
 // tombstone. cacheMu serializes the epoch check with RegisterUDF's
 // invalidation.
 func (e *Engine) persistQueryLearnings(st *pipeState) {
@@ -260,17 +215,7 @@ func (e *Engine) persistQueryLearnings(st *pipeState) {
 	if c == nil || st.failure() != nil || e.invalidations.Load() != st.epoch {
 		return
 	}
-	p, chosen := st.preds[0].spec, st.chosen
-	if st.q.GroupOn == "" && chosen != "" && chosen != VirtualColumn {
-		c.SetChosenColumn(workloadKey(st), p.UDFName, chosen)
-	}
-	raw := make(map[int]bool)
-	for _, o := range st.sampler.Outcomes() {
-		for row, v := range o.Results {
-			raw[row] = v == p.Want
-		}
-	}
-	if len(raw) > 0 {
-		c.AddSamples(sampleKey(st, chosen), raw)
+	if chosen := st.chosen; st.q.GroupOn == "" && chosen != "" && chosen != VirtualColumn {
+		c.SetChosenColumn(workloadKey(st), st.preds[0].spec.UDFName, chosen)
 	}
 }

@@ -71,9 +71,9 @@ func TestCatalogWarmRestartExact(t *testing.T) {
 }
 
 // TestCatalogWarmRestartApprox: after a restart the approximate workload
-// skips the labeling pass (column memo) and its top-ups (seeded
-// evidence): Sampled strictly shrinks and — because the cold run also ran
-// an exact query — no UDF is ever invoked.
+// skips the labeling pass (column memo), so Sampled strictly shrinks, but
+// still draws its own sample: it returns the cold run's rows, and —
+// because the cold run also ran an exact query — no UDF is ever invoked.
 func TestCatalogWarmRestartApprox(t *testing.T) {
 	dir := t.TempDir()
 	e1, _, _ := catalogEngine(t, 600, dir)
@@ -96,8 +96,11 @@ func TestCatalogWarmRestartApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Stats.Sampled >= res1.Stats.Sampled {
-		t.Fatalf("warm Sampled %d not reduced from cold %d", res2.Stats.Sampled, res1.Stats.Sampled)
+	if !reflect.DeepEqual(res2.Rows, res1.Rows) {
+		t.Fatalf("warm restart changed the approximate answer: %d vs %d rows", len(res2.Rows), len(res1.Rows))
+	}
+	if res2.Stats.Sampled == 0 || res2.Stats.Sampled >= res1.Stats.Sampled {
+		t.Fatalf("warm Sampled %d, want its own draw without the cold run's labels (cold %d)", res2.Stats.Sampled, res1.Stats.Sampled)
 	}
 	if calls2.Load() != 0 || res2.Stats.Evaluations != 0 {
 		t.Fatalf("warm approx paid %d invocations / %d evaluations, want 0", calls2.Load(), res2.Stats.Evaluations)
@@ -105,12 +108,8 @@ func TestCatalogWarmRestartApprox(t *testing.T) {
 	if res2.Stats.ChosenColumn != res1.Stats.ChosenColumn {
 		t.Fatalf("memoized column %q differs from discovered %q", res2.Stats.ChosenColumn, res1.Stats.ChosenColumn)
 	}
-	cc := e2.CatalogCounters()
-	if cc.ColumnMemoHits != 1 {
+	if cc := e2.CatalogCounters(); cc.ColumnMemoHits != 1 {
 		t.Fatalf("column memo hits %d, want 1", cc.ColumnMemoHits)
-	}
-	if cc.SeededRows == 0 {
-		t.Fatal("no sampler rows were seeded from the catalog")
 	}
 }
 
@@ -217,17 +216,20 @@ func TestCatalogCacheCountersColdRun(t *testing.T) {
 }
 
 // TestCatalogFaultedQueryPersistsNothing: a panicking UDF body must not
-// leave synthetic verdicts in the durable catalog. The body panics on the
-// first row it sees, which every plan evaluates, so the fault does not
-// depend on which rows the plan picks.
+// leave a synthetic verdict or a column memo in the durable catalog. The
+// body panics on the first row it sees, which every plan evaluates, so the
+// fault does not depend on which rows the plan picks. The verdicts the
+// other rows paid for are genuine and may persist.
 func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 	dir := t.TempDir()
 	e, truth, _ := catalogEngine(t, 300, dir)
 	var faulted atomic.Bool
+	var faultedRow atomic.Int64
 	err := e.RegisterUDF(UDF{
 		Name: "flaky",
 		Body: pure(func(v table.Value) bool {
 			if faulted.CompareAndSwap(false, true) {
+				faultedRow.Store(v.(int64))
 				panic("boom")
 			}
 			return truth[v.(int64)]
@@ -243,88 +245,37 @@ func TestCatalogFaultedQueryPersistsNothing(t *testing.T) {
 	if err := e.FlushCatalog(); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Catalog().Stats()
-	if st.SampleRows != 0 {
-		t.Fatalf("faulted query persisted %d sample rows", st.SampleRows)
+	if st := e.Catalog().Stats(); st.ColumnMemos != 0 {
+		t.Fatalf("faulted query persisted %d column memos", st.ColumnMemos)
 	}
-}
-
-// TestCatalogSampleEvidenceKeyedByFilters: a filtered query's within-group
-// sample is uniform only over the filtered rows, so its evidence must not
-// warm-start a query with another filter set — in this process or after a
-// restart — while a re-run of the same filtered query still seeds from it.
-// (Keyed without the filter set, the unfiltered query below seeded all 166
-// rows the filtered one sampled.)
-func TestCatalogSampleEvidenceKeyedByFilters(t *testing.T) {
-	dir := t.TempDir()
-	unfiltered := approxQ()
-	unfiltered.GroupOn = "grade"
-	filtered := unfiltered
-	filtered.Filters = []Filter{{Column: "purpose", Value: "car"}}
-	// run executes q with the cross-query cache off and reports its sampled
-	// and catalog-seeded row counts.
-	run := func(e *Engine, q Query) (sampled, seeded int) {
-		t.Helper()
-		before := e.CatalogCounters().SeededRows
-		res, err := e.ExecuteContext(context.Background(), q)
-		if err != nil {
-			t.Fatal(err)
+	for row, v := range e.Catalog().Outcomes(catalog.OutcomeKey{Table: "loans", UDF: "flaky", Column: "id"}) {
+		if int64(row) == faultedRow.Load() || v != truth[int64(row)] {
+			t.Fatalf("faulted query persisted verdict %t for row %d (the faulted row is %d)", v, row, faultedRow.Load())
 		}
-		return res.Stats.Sampled, int(e.CatalogCounters().SeededRows - before)
-	}
-	e, _, _ := catalogEngine(t, 3000, dir)
-	e.CacheUDFResults = false
-	if sampled, seeded := run(e, filtered); sampled == 0 || seeded != 0 {
-		t.Fatalf("cold filtered query: sampled %d, seeded %d; want a sample and no seeds", sampled, seeded)
-	}
-	sampledU, seeded := run(e, unfiltered)
-	if seeded != 0 {
-		t.Fatalf("unfiltered query seeded %d rows from the filtered query's sample", seeded)
-	}
-	if _, seeded := run(e, filtered); seeded == 0 {
-		t.Fatal("re-run filtered query seeded nothing from its own sample")
-	}
-	if err := e.CloseCatalog(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2, _, _ := catalogEngine(t, 3000, dir)
-	e2.CacheUDFResults = false
-	if _, seeded := run(e2, unfiltered); seeded != sampledU {
-		t.Fatalf("after restart the unfiltered query seeded %d rows, want its own %d", seeded, sampledU)
-	}
-	if _, seeded := run(e2, filtered); seeded == 0 {
-		t.Fatal("after restart the filtered query seeded nothing from its own sample")
 	}
 }
 
-// TestCatalogKeysStable pins the catalog's keys byte for byte: the §4.4
-// memo's workload key and the sampling-evidence key of four statements,
-// as earlier builds wrote them. A key that drifts orphans every memo and
-// sample already on disk, silently: the catalog only stops hitting.
+// TestCatalogKeysStable pins the §4.4 memo's workload key byte for byte,
+// for four statements, as earlier builds wrote it. A key that drifts
+// orphans every memo already on disk, silently: the catalog only stops
+// hitting.
 func TestCatalogKeysStable(t *testing.T) {
 	e, _, _ := newTestEngine(t, 30)
 	pred := func(want bool) []Conjunct { return []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: want}} }
 	for _, c := range []struct {
 		name     string
 		q        Query
-		groupCol string
 		workload string
-		sample   catalog.SampleKey
 	}{
-		{"unfiltered", Query{Table: "loans", Predicates: pred(true)}, "grade",
-			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3",
-			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
+		{"unfiltered", Query{Table: "loans", Predicates: pred(true)},
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3"},
 		{"filters in reverse order", Query{Table: "loans", Predicates: pred(true), Approx: approx(0.9, 0.9, 0.9),
-			Filters: []Filter{{Column: "purpose", Value: "car"}, {Column: "grade", Value: "A"}}}, "income",
-			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.9,0.9,0.9\x1fflt=grade=A&purpose=car",
-			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "income", Filters: "grade=A&purpose=car"}},
-		{"want zero", Query{Table: "loans", Predicates: pred(false), Approx: approx(0.9, 0.9, 0.9)}, "grade",
-			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=false\x1fcost=1,3\x1fapr=0.9,0.9,0.9",
-			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
-		{"approximate grouped", Query{Table: "loans", Predicates: pred(true), Approx: approx(0.8, 0.7, 0.95), GroupOn: "grade"}, "grade",
-			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.8,0.7,0.95",
-			catalog.SampleKey{Table: "loans", UDF: "good_credit", Column: "id", GroupColumn: "grade"}},
+			Filters: []Filter{{Column: "purpose", Value: "car"}, {Column: "grade", Value: "A"}}},
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.9,0.9,0.9\x1fflt=grade=A&purpose=car"},
+		{"want zero", Query{Table: "loans", Predicates: pred(false), Approx: approx(0.9, 0.9, 0.9)},
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=false\x1fcost=1,3\x1fapr=0.9,0.9,0.9"},
+		{"approximate grouped", Query{Table: "loans", Predicates: pred(true), Approx: approx(0.8, 0.7, 0.95), GroupOn: "grade"},
+			"v1\x1floans\x1fgood_credit\x1fid\x1fwant=true\x1fcost=1,3\x1fapr=0.8,0.7,0.95"},
 	} {
 		st, err := e.bindStatement(c.q)
 		if err != nil {
@@ -333,17 +284,12 @@ func TestCatalogKeysStable(t *testing.T) {
 		if got := workloadKey(st); got != c.workload {
 			t.Errorf("%s: workload key %q, want %q", c.name, got, c.workload)
 		}
-		if got := sampleKey(st, c.groupCol); got != c.sample {
-			t.Errorf("%s: sample key %+v, want %+v", c.name, got, c.sample)
-		}
 	}
 }
 
-// TestConjunctionsPersistNoSampleEvidence: a conjunction's sample records
-// whether a row passed every predicate, which is evidence for no single
-// predicate's sample key, so neither the §5 plan nor the greedy N-ary waves
-// may persist it (or a column memo) — only the verdicts their meters
-// cached, as outcomes.
+// TestConjunctionsPersistNoSampleEvidence: neither the §5 plan nor the
+// greedy N-ary waves persist their sample or a column memo — only the
+// verdicts their meters cached, as outcomes.
 func TestConjunctionsPersistNoSampleEvidence(t *testing.T) {
 	e, _, _ := catalogEngine(t, 3000, t.TempDir())
 	registerModUDF(t, e, "div3", 3)
@@ -363,8 +309,8 @@ func TestConjunctionsPersistNoSampleEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Catalog().Stats()
-	if st.SampleRows != 0 || st.ColumnMemos != 0 {
-		t.Fatalf("conjunctions persisted %d sample rows and %d column memos, want none", st.SampleRows, st.ColumnMemos)
+	if st.ColumnMemos != 0 {
+		t.Fatalf("conjunctions persisted %d column memos, want none", st.ColumnMemos)
 	}
 	if st.OutcomeRows == 0 {
 		t.Fatal("the flush persisted no outcomes either: nothing was checked")

@@ -87,7 +87,6 @@ type Engine struct {
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	columnMemoHits atomic.Int64
-	seededRows     atomic.Int64
 
 	// Batch execution observability (see BatchCounters).
 	batchesInFlight atomic.Int64

@@ -83,7 +83,7 @@ func TestDiscoveryCapCountsValuesInsideFilter(t *testing.T) {
 		Evaluations: 207, Retrievals: 416, Sampled: 162, Cost: 1037, ChosenColumn: "city", CacheMisses: 207,
 	}}
 	warm := pinned{300, 0xe2b98c3561603bcb, Stats{
-		Retrievals: 254, Cost: 254, ChosenColumn: "city", CacheHits: 49,
+		Retrievals: 398, Sampled: 144, Cost: 398, ChosenColumn: "city", CacheHits: 193,
 	}}
 
 	dir := t.TempDir()

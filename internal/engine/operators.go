@@ -75,7 +75,7 @@ type pipeState struct {
 	leftCol     table.Column         // join shape
 	rightCol    table.Column         // join shape
 	joinWeights []float64            // op join-group, parallel to groups
-	sampler     *core.Sampler        // op sample, single predicate only: merge persists its evidence
+	sampler     *core.Sampler        // op sample, single predicate only: solve reads it, merge gates the column memo on it
 	samples     []core.SampleOutcome // op sample / conj-sample
 	sels        []float64            // op sample / conj-sample: pooled per predicate
 	sampled     int                  // op group-resolve's labels + op sample / conj-sample's draw
@@ -392,10 +392,8 @@ func (e *Engine) opJoinGroup(_ context.Context, st *pipeState) (stageOut, error)
 // predicate. Its uniform draw, made after the grouping is fixed, is the
 // only estimate of the groups: rows labeled to choose or train the grouping
 // would overstate its purity (a label drawn again is served from the
-// meter's memo). A single-predicate sample is warm-started from the durable
-// catalog, and merge persists what it drew; a conjunction's sample is every
-// predicate's joint verdict, which is evidence for no one predicate, so it
-// is neither seeded nor persisted.
+// meter's memo). Each statement draws its own sample: what the catalog
+// knows serves the draw's verdicts (the eval cache), never replaces it.
 func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) {
 	groups := st.groups
 	if groups == nil {
@@ -404,7 +402,6 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) 
 	sampler := core.NewJointSampler(groups, st.meters(), st.key.Sub(core.SampleDraw))
 	sampler.SetParallelism(e.parallelism())
 	if len(st.preds) == 1 {
-		e.seedSamplerFromCatalog(sampler, st)
 		st.sampler = sampler
 	}
 	sizes := make([]int, len(groups))
@@ -473,7 +470,7 @@ func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error
 }
 
 // opMerge finishes every blocking pipeline, sampler-based and §5 alike:
-// sort the output, persist what a sampler learned, assemble the result.
+// sort the output, memoize a discovered column, assemble the result.
 func (e *Engine) opMerge(_ context.Context, st *pipeState) (stageOut, error) {
 	sort.Ints(st.output)
 	if st.sampler != nil {

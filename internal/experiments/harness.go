@@ -34,19 +34,33 @@ type Predicate struct {
 //	WHERE p₁(id) = 1 [AND p₂(id) = 1 …]
 //	WITH PRECISION α RECALL β PROBABILITY ρ GROUP ON groupOn
 //
-// over the world on a fresh engine with the given seed. The cross-query
-// cache is off so every run pays for its own evaluations; parallelism is 1
-// because the truth UDFs are instant and the result is the same at any
-// setting.
+// over the world on a fresh engine with the given seed (NewEngine).
 func RunEngine(ctx context.Context, seed uint64, w World, cons core.Constraints) (Run, error) {
+	eng, q, err := NewEngine(seed, w, cons)
+	if err != nil {
+		return Run{}, err
+	}
+	res, err := eng.ExecuteContext(ctx, q)
+	if err != nil {
+		return Run{}, err
+	}
+	st := res.Stats
+	return Run{Rows: res.Rows, Evaluations: st.Evaluations, Retrievals: st.Retrievals, Sampled: st.Sampled, Cost: st.Cost}, nil
+}
+
+// NewEngine returns a fresh engine with the given seed that holds the world,
+// and the statement RunEngine executes on it. The cross-query cache is off
+// so every statement pays for its own evaluations; parallelism is 1 because
+// the truth UDFs are instant and the result is the same at any setting.
+func NewEngine(seed uint64, w World, cons core.Constraints) (*engine.Engine, plan.Query, error) {
 	if len(w.Preds) == 0 {
-		return Run{}, fmt.Errorf("experiments: no predicate")
+		return nil, plan.Query{}, fmt.Errorf("experiments: no predicate")
 	}
 	eng := engine.New(seed)
 	eng.CacheUDFResults = false
 	eng.Parallelism = 1
 	if err := eng.RegisterTable(w.Table); err != nil {
-		return Run{}, err
+		return nil, plan.Query{}, err
 	}
 	q := plan.Query{
 		Table:   w.Table.Name(),
@@ -56,25 +70,19 @@ func RunEngine(ctx context.Context, seed uint64, w World, cons core.Constraints)
 	}
 	if w.Right != nil {
 		if err := eng.RegisterTable(w.Right); err != nil {
-			return Run{}, err
+			return nil, plan.Query{}, err
 		}
 		q.Join = &plan.Join{Table: w.Right.Name(), LeftKey: w.LeftKey, RightKey: w.RightKey}
 	}
 	for _, p := range w.Preds {
 		truth := p.Truth
 		body := func(_ context.Context, v table.Value) (bool, error) { return truth(int(v.(int64))), nil }
-		err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: body})
-		if err != nil {
-			return Run{}, err
+		if err := eng.RegisterUDF(engine.UDF{Name: p.Name, Body: body}); err != nil {
+			return nil, plan.Query{}, err
 		}
 		q.Predicates = append(q.Predicates, plan.Conjunct{UDFName: p.Name, UDFArg: "id", Want: true})
 	}
-	res, err := eng.ExecuteContext(ctx, q)
-	if err != nil {
-		return Run{}, err
-	}
-	st := res.Stats
-	return Run{Rows: res.Rows, Evaluations: st.Evaluations, Retrievals: st.Retrievals, Sampled: st.Sampled, Cost: st.Cost}, nil
+	return eng, q, nil
 }
 
 // World is what a Sweep runs statements against: a table whose id column

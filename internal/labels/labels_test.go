@@ -1,6 +1,7 @@
 package labels
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,4 +84,20 @@ func TestPredicateFaultsOnBadIDs(t *testing.T) {
 			pred(v)
 		}()
 	}
+}
+
+// FuzzLoad reads arbitrary bytes as a labels file: Load must not panic,
+// and each input is either an error or a map.
+func FuzzLoad(f *testing.F) {
+	f.Add([]byte("id,label\n0,1\n1,0\n2,true\n3,TRUE\n4,0\n"))
+	f.Add([]byte("id\n0\n"))
+	f.Add([]byte("id,label\nxyz,1\n"))
+	f.Add([]byte("id,label,extra\n-9223372036854775808,\"tr\"\"ue\",x\n"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Load(bytes.NewReader(data))
+		if (err == nil) == (m == nil) {
+			t.Fatalf("Load returned map %v and error %v: want exactly one", m, err)
+		}
+	})
 }

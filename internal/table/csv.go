@@ -1,6 +1,7 @@
 package table
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -116,21 +117,43 @@ func inferTypes(header []string, body [][]string) []Type {
 	return types
 }
 
-// WriteCSV writes the table (header + all rows) to w.
+// WriteCSV writes the table (header + all rows) to w. Reading its output
+// back with ReadCSV and writing again gives the same bytes: a Float
+// column's negative zero is written "-0.0", since its rendering "-0" would
+// read back as the integer 0, and a record that is one empty field is
+// written as "" (csv.Writer writes an empty line, which csv.Reader skips).
 func WriteCSV(tbl *Table, w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(tbl.Schema().Names()); err != nil {
+	bw := bufio.NewWriter(w)
+	cw := csv.NewWriter(bw)
+	write := func(rec []string) error {
+		if len(rec) != 1 || rec[0] != "" {
+			return cw.Write(rec)
+		}
+		cw.Flush()
+		if err := cw.Error(); err != nil {
+			return err
+		}
+		_, err := bw.WriteString("\"\"\n")
+		return err
+	}
+	if err := write(tbl.Schema().Names()); err != nil {
 		return fmt.Errorf("table: writing csv header: %w", err)
 	}
 	rec := make([]string, tbl.Schema().Len())
 	for i := 0; i < tbl.NumRows(); i++ {
 		for j := range rec {
 			rec[j] = tbl.CellString(i, j)
+			if rec[j] == "-0" && tbl.Schema().Col(j).Type == Float {
+				rec[j] = "-0.0"
+			}
 		}
-		if err := cw.Write(rec); err != nil {
+		if err := write(rec); err != nil {
 			return fmt.Errorf("table: writing csv row %d: %w", i, err)
 		}
 	}
 	cw.Flush()
-	return cw.Error()
+	if err := cw.Error(); err != nil {
+		return err
+	}
+	return bw.Flush()
 }

@@ -114,3 +114,35 @@ func TestCSVRoundTripWithEmptyCells(t *testing.T) {
 		t.Fatalf("empty id round-tripped to %v", v)
 	}
 }
+
+// FuzzReadCSV reads arbitrary bytes as a CSV table. ReadCSV must not
+// panic, and for any input it accepts, WriteCSV's output must read back
+// and be a fixed point of read-then-write.
+func FuzzReadCSV(f *testing.F) {
+	f.Add([]byte("id,grade,score\n1,A,0.5\n2,B,1.25\n3,A,-3\n"))
+	f.Add([]byte("id,score\n1,0.5\n,\n3,1.5\n"))
+	f.Add([]byte("id,blank\n1,\n2,\n"))
+	f.Add([]byte("a,b\n\"x,\"\"y\"\"\",NaN\n\"line\r\nbreak\",Inf\n"))
+	f.Add([]byte("n\n9223372036854775807\n-9223372036854775808\n1e300\n"))
+	f.Add([]byte("id,id\n1,2\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := ReadCSV("t", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteCSV(tbl, &first); err != nil {
+			t.Fatalf("WriteCSV of an accepted table: %v", err)
+		}
+		back, err := ReadCSV("t", bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteCSV's output %q does not read back: %v", first.Bytes(), err)
+		}
+		if err := WriteCSV(back, &second); err != nil {
+			t.Fatalf("WriteCSV of the re-read table: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("read-then-write is not a fixed point:\n first %q\nsecond %q", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -113,8 +113,8 @@ func (db *DB) SetUDFCache(enabled bool) {
 }
 
 // OpenCatalog attaches a durable statistics & outcome catalog stored in
-// dir (created if needed): UDF verdicts, sampling evidence and learned
-// correlated-column choices persist across process restarts, so repeated
+// dir (created if needed): UDF verdicts and learned correlated-column
+// choices persist across process restarts, so repeated
 // workloads warm-start instead of re-paying the UDF cost. Call after
 // registering tables and UDFs, before serving queries. New facts become
 // durable on FlushCatalog (or a server's periodic flush) — see DESIGN.md,
@@ -155,7 +155,9 @@ type CacheCounters struct {
 	// ColumnMemoHits counts queries that skipped the correlated-column
 	// discovery pass thanks to a catalog memo.
 	ColumnMemoHits int64
-	// SeededRows counts sampler rows warm-started from persisted evidence.
+	// SeededRows reads 0. It counted sampler rows seeded from persisted
+	// sampling evidence, which the catalog no longer keeps: every statement
+	// draws its own sample. It stays so existing readers compile.
 	SeededRows int64
 }
 
@@ -167,7 +169,6 @@ func (db *DB) CacheCounters() CacheCounters {
 		Hits:           hits,
 		Misses:         misses,
 		ColumnMemoHits: cc.ColumnMemoHits,
-		SeededRows:     cc.SeededRows,
 	}
 }
 
