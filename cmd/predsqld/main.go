@@ -13,15 +13,15 @@
 // Endpoints:
 //
 //	POST /query    {"sql": "...", "timeout_ms": 500, "limit": 100,
-//	               "explain": false, "analyze": false, "trace": false}
+//	               "analyze": false, "trace": false}
 //	               → columns, rows, row ids and execution stats as JSON.
-//	               With "explain": true the statement is planned, not
-//	               executed: the response carries the physical operator
-//	               tree ("plan": one line per operator) and no UDF is ever
-//	               invoked. With "analyze": true the query EXECUTES under
-//	               EXPLAIN ANALYZE instrumentation: the rows come back as
-//	               usual and "plan" carries the tree annotated with
-//	               measured per-operator counts. With "trace": true the
+//	               An unknown field is a 400. A statement prefixed with
+//	               EXPLAIN is planned, not executed: the response is the
+//	               physical operator tree ({"plan": one line per operator})
+//	               and no UDF is ever invoked. With "analyze": true the query
+//	               EXECUTES under EXPLAIN ANALYZE instrumentation: the rows
+//	               come back as usual and "plan" carries the tree annotated
+//	               with measured per-operator counts. With "trace": true the
 //	               response carries "trace": per-phase spans (parse, bind,
 //	               plan, per-operator, materialize) with µs offsets.
 //	               408 if the request waited out its deadline in
@@ -36,10 +36,9 @@
 //	               stops production early (unevaluated rows are never paid
 //	               for) instead of merely bounding the payload.
 //	GET  /tables   registered tables: name, row count, column names/types.
-//	GET  /stats    server counters (served/failed/timeouts/…) + tables.
-//	GET  /metrics  Prometheus text exposition: query-latency and per-UDF
-//	               duration histograms, admission gauges, resilience and
-//	               catalog counters (same atomics as /stats).
+//	GET  /metrics  Prometheus text exposition of every server counter:
+//	               query-latency and per-UDF duration histograms, admission
+//	               gauges, resilience, breaker and catalog series.
 //	GET  /healthz  liveness probe.
 //
 // -trace-log FILE appends one JSON line of spans per executed query;
@@ -50,13 +49,13 @@
 // degrades to queueing latency instead of unbounded goroutine fan-out.
 // SIGINT/SIGTERM drain in-flight queries before exit (graceful shutdown).
 //
-// With -data-dir the server runs on a durable statistics & outcome
-// catalog: every paid-for UDF verdict, sampling outcome and learned
-// correlated-column choice is flushed to disk periodically
-// (-flush-interval) and on drain, so a restarted server warm-starts
-// instead of re-paying the most expensive work. GET /stats reports the
-// catalog contents and warm-start counters alongside the cross-query
-// cache hit/miss totals.
+// With -data-dir the server runs on a durable catalog: every paid-for UDF
+// verdict and learned correlated-column choice is flushed to disk
+// periodically (-flush-interval) and on drain, so a restarted server
+// warm-starts instead of re-paying the most expensive work. No sampling
+// outcome is kept: every statement draws its own sample. GET /metrics
+// carries the catalog's size, flushes and column-memo hits beside the
+// cross-query cache hit/miss totals.
 //
 // UDF invocations are resilient: each call runs under a per-attempt
 // deadline (-udf-call-timeout) with capped exponential-backoff retries
@@ -66,13 +65,12 @@
 // the response degraded ("degrade"); a request can override per query via
 // "on_failure". Failed rows never contaminate the outcome cache, the
 // durable catalog or learned statistics. A panicking handler answers 500
-// JSON instead of killing the connection, and GET /stats carries a
-// "resilience" section: handler panics, failure/retry/breaker totals and
-// each breaker's live state.
+// JSON instead of killing the connection, and GET /metrics counts handler
+// panics, failure/retry totals and each breaker's trips and live state.
 //
-// The -chaos-* flags wrap the registered UDF in a seeded deterministic
-// fault injector (transient errors, latency spikes, persistently
-// panicking values, failing first attempts) for end-to-end failure drills:
+// The -chaos-* flags wrap the registered UDF in a fault injector seeded by
+// -seed (transient errors, latency spikes, persistently panicking values,
+// failing first attempts) for end-to-end failure drills:
 //
 //	predsqld ... -on-failure degrade -udf-retries 4 \
 //	         -chaos-error-rate 0.1 -chaos-latency 5ms -chaos-latency-rate 0.05
@@ -117,11 +115,11 @@ func main() {
 		seed          = flag.Uint64("seed", 1, "random seed")
 		parallelism   = flag.Int("parallelism", 0, "per-query UDF worker cap (0 = GOMAXPROCS)")
 		batchSize     = flag.Int("batch-size", 0, "rows per execution batch (0 = engine default 1024); smaller lowers streamed first-row latency")
-		maxConcurrent = flag.Int("max-concurrent", 8, "queries admitted concurrently; excess queue")
-		timeout       = flag.Duration("timeout", 30*time.Second, "default per-request timeout")
-		maxTimeout    = flag.Duration("max-timeout", 5*time.Minute, "ceiling on client-requested timeouts")
+		maxConcurrent = flag.Int("max-concurrent", defaultMaxConcurrent, "queries admitted concurrently; excess queue")
+		timeout       = flag.Duration("timeout", defaultTimeout, "default per-request timeout")
+		maxTimeout    = flag.Duration("max-timeout", defaultMaxTimeout, "ceiling on client-requested timeouts")
 		udfDelay      = flag.Duration("udf-delay", 0, "artificial latency per UDF call (simulates an expensive predicate)")
-		dataDir       = flag.String("data-dir", "", "durable catalog directory: UDF verdicts and learned statistics persist across restarts (empty = in-memory only)")
+		dataDir       = flag.String("data-dir", "", "durable catalog directory: UDF verdicts and correlated-column choices persist across restarts (empty = in-memory only)")
 		flushInterval = flag.Duration("flush-interval", 30*time.Second, "how often the catalog is flushed to disk (0 disables the periodic flush; the drain still flushes)")
 		traceLogPath  = flag.String("trace-log", "", "append one JSON line of per-phase spans for every executed query to this file")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
@@ -130,7 +128,6 @@ func main() {
 		udfRetries     = flag.Int("udf-retries", 0, "max UDF invocation attempts including the first (0 = default 3)")
 		udfCallTimeout = flag.Duration("udf-call-timeout", 0, "per-attempt UDF deadline (0 = unbounded)")
 
-		chaosSeed         = flag.Uint64("chaos-seed", 0, "seed for the deterministic fault-injection schedule (0 = reuse -seed)")
 		chaosErrorRate    = flag.Float64("chaos-error-rate", 0, "per-attempt probability of an injected transient UDF error")
 		chaosPanicRate    = flag.Float64("chaos-panic-rate", 0, "per-value probability of a persistently panicking UDF body")
 		chaosLatency      = flag.Duration("chaos-latency", 0, "injected latency spike duration")
@@ -180,15 +177,12 @@ func main() {
 
 	pred := labels.Delayed(labels.Predicate(truthLabels), *udfDelay)
 	chaosCfg := resilience.ChaosConfig{
-		Seed:         *chaosSeed,
+		Seed:         *seed,
 		ErrorRate:    *chaosErrorRate,
 		PanicRate:    *chaosPanicRate,
 		Latency:      *chaosLatency,
 		LatencyRate:  *chaosLatencyRate,
 		FailAttempts: *chaosFailAttempts,
-	}
-	if chaosCfg.Seed == 0 {
-		chaosCfg.Seed = *seed
 	}
 	body := func(_ context.Context, v any) (bool, error) { return pred(v), nil }
 	var chaos *resilience.Chaos
@@ -278,16 +272,24 @@ func main() {
 	log.Printf("predsqld: shut down (%d queries served in total), bye", srv.served.Value())
 }
 
+// The server defaults, read by both the flags and serverConfig.fill.
+const (
+	defaultMaxConcurrent = 8
+	defaultTimeout       = 30 * time.Second
+	defaultMaxTimeout    = 5 * time.Minute
+)
+
 // serverConfig tunes the query server.
 type serverConfig struct {
 	// MaxConcurrent is the admission-control width: at most this many
 	// queries execute at once; excess requests queue until a slot frees or
-	// their deadline fires. ≤ 0 defaults to 8.
+	// their deadline fires. ≤ 0 defaults to defaultMaxConcurrent.
 	MaxConcurrent int
 	// DefaultTimeout applies when a request carries no timeout_ms.
-	// ≤ 0 defaults to 30s.
+	// ≤ 0 defaults to defaultTimeout.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested timeouts. ≤ 0 defaults to 5m.
+	// MaxTimeout caps client-requested timeouts. ≤ 0 defaults to
+	// defaultMaxTimeout.
 	MaxTimeout time.Duration
 	// Metrics is the registry GET /metrics serves (nil = a fresh one). Pass
 	// the registry used to instrument the UDF bodies so their duration
@@ -297,13 +299,13 @@ type serverConfig struct {
 
 func (c *serverConfig) fill() {
 	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 8
+		c.MaxConcurrent = defaultMaxConcurrent
 	}
 	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 30 * time.Second
+		c.DefaultTimeout = defaultTimeout
 	}
 	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 5 * time.Minute
+		c.MaxTimeout = defaultMaxTimeout
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -314,12 +316,11 @@ func (c *serverConfig) fill() {
 // engine is safe for concurrent queries (per-query meters, mutex-guarded
 // caches), so one shared DB serves every request.
 type server struct {
-	db    *predeval.DB
-	cfg   serverConfig
-	sem   chan struct{}
-	start time.Time
+	db  *predeval.DB
+	cfg serverConfig
+	sem chan struct{}
 	// chaos, when non-nil, is the fault injector wrapped around the UDF
-	// (surfaced in GET /stats).
+	// (its calls are counted on GET /metrics).
 	chaos *resilience.Chaos
 	// metrics backs GET /metrics; queryDur is its query-latency histogram.
 	metrics  *obs.Registry
@@ -329,8 +330,7 @@ type server struct {
 	traceLog *traceLogger
 
 	// The monotonic counters are instruments of the metrics registry
-	// (registerMetrics): GET /metrics renders them and GET /stats reads the
-	// same ones, so the two cannot drift.
+	// (registerMetrics), which GET /metrics renders.
 	served      *obs.Counter // completed successfully
 	failed      *obs.Counter // query/parse errors
 	timeouts    *obs.Counter // deadline expired mid-query
@@ -345,12 +345,9 @@ type server struct {
 	flushes     *obs.Counter // completed catalog flushes
 	flushErrors *obs.Counter // failed catalog flushes
 
-	inflight atomic.Int64 // currently executing (post-admission)
-	waiting  atomic.Int64 // queued for an execution slot right now
-	// breakerTrips sums Stats.BreakerTrips over served queries for GET
-	// /stats only: /metrics exposes trips per breaker from the engine.
-	breakerTrips atomic.Int64
-	lastFlush    atomic.Int64 // unix seconds of the last successful flush
+	inflight  atomic.Int64 // currently executing (post-admission)
+	waiting   atomic.Int64 // queued for an execution slot right now
+	lastFlush atomic.Int64 // unix seconds of the last successful flush
 }
 
 // flushCatalog persists everything learned since the last flush. Safe to
@@ -405,7 +402,6 @@ func newServer(db *predeval.DB, cfg serverConfig) *server {
 		db:      db,
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
-		start:   time.Now(),
 		metrics: cfg.Metrics,
 	}
 	s.registerMetrics()
@@ -416,7 +412,6 @@ func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.handleQuery)
 	mux.HandleFunc("GET /tables", s.handleTables)
-	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -427,8 +422,8 @@ func (s *server) handler() http.Handler {
 
 // recoverPanics is the outermost middleware: a panicking handler answers
 // 500 with a JSON error instead of killing the connection (net/http's
-// default) — and never the server. Recovered panics are counted in
-// GET /stats. http.ErrAbortHandler keeps its conventional meaning.
+// default) — and never the server. Recovered panics are counted on
+// GET /metrics. http.ErrAbortHandler keeps its conventional meaning.
 func (s *server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -450,7 +445,9 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// queryRequest is the POST /query body.
+// queryRequest is the POST /query body. A body carrying any other field is
+// refused, so a client sending a field the server does not know is told
+// rather than served as if it were absent.
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// TimeoutMS overrides the server's default per-request timeout
@@ -471,14 +468,9 @@ type queryRequest struct {
 	// the full execution stats. For streaming plan shapes (exact
 	// selections, conjunction waves) the first rows arrive while later
 	// rows are still unevaluated. An error after rows have been written is
-	// reported as a final {"error": ...} line. Incompatible with "explain"
+	// reported as a final {"error": ...} line. Incompatible with EXPLAIN
 	// and "analyze" (400).
 	Stream bool `json:"stream"`
-	// Explain plans the statement instead of executing it: the response is
-	// the physical operator tree (with estimated costs and the chosen
-	// correlated column where known) and no UDF is invoked. Equivalent to
-	// prefixing the SQL with EXPLAIN.
-	Explain bool `json:"explain"`
 	// OnFailure overrides the server's failure policy for this query:
 	// "fail", "skip" or "degrade" ("" keeps the server default).
 	OnFailure string `json:"on_failure"`
@@ -486,7 +478,7 @@ type queryRequest struct {
 	// response carries the result as usual plus "plan", the operator tree
 	// annotated with measured per-operator counts. Equivalent to prefixing
 	// the SQL with EXPLAIN ANALYZE (which instead returns the plan as the
-	// result set, like Postgres). Unlike "explain", the query RUNS — it
+	// result set, like Postgres). Unlike plain EXPLAIN, the query RUNS — it
 	// goes through admission control and invokes UDFs.
 	Analyze bool `json:"analyze"`
 	// Trace records per-phase spans (parse, bind, plan, per-operator,
@@ -553,22 +545,10 @@ func errorBody(err error) errorResponse {
 	return resp
 }
 
-// explainResponse is the POST /query payload when "explain" is set (or the
-// SQL starts with EXPLAIN): the operator tree, one line per operator.
+// explainResponse is the POST /query payload of a plan-only EXPLAIN
+// statement: the operator tree, one line per operator.
 type explainResponse struct {
 	Plan []string `json:"plan"`
-}
-
-// isExplainSQL reports whether the statement is a plan-only EXPLAIN: first
-// word EXPLAIN and NOT followed by ANALYZE. Keyword-explain requests take
-// the same fast path as the request flag; EXPLAIN ANALYZE executes UDFs,
-// so it must go through admission control like any other query.
-func isExplainSQL(sql string) bool {
-	fields := strings.Fields(sql)
-	if len(fields) == 0 || !strings.EqualFold(fields[0], "EXPLAIN") {
-		return false
-	}
-	return len(fields) < 2 || !strings.EqualFold(fields[1], "ANALYZE")
 }
 
 // statusClientClosedRequest is nginx's conventional 499 for a client that
@@ -659,7 +639,6 @@ func (s *server) runAdmitted(r *http.Request, req queryRequest, run func(ctx con
 	}
 	s.failedRows.Add(int64(st.FailedRows))
 	s.retries.Add(int64(st.Retries))
-	s.breakerTrips.Add(int64(st.BreakerTrips))
 	if st.Degraded {
 		s.degraded.Inc()
 	}
@@ -673,7 +652,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// before admission control ever runs.
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
@@ -681,8 +662,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing sql"})
 		return
 	}
+	// A statement that does not parse goes the way of any other query, which
+	// reports the parse error through the usual admitted path.
+	stmt, err := sqlparse.Parse(req.SQL)
+	explain := err == nil && stmt.Explain
 	if req.Stream {
-		if req.Explain || req.Analyze || isExplainSQL(req.SQL) {
+		if explain || req.Analyze {
 			writeJSON(w, http.StatusBadRequest,
 				errorResponse{Error: "explain/analyze cannot be streamed"})
 			return
@@ -690,26 +675,23 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleStreamQuery(w, r, req)
 		return
 	}
-	if req.Explain || isExplainSQL(req.SQL) {
-		// Planning never invokes a UDF, so it bypasses admission control:
-		// an EXPLAIN answers immediately even when every slot is busy. The
-		// EXPLAIN keyword and the request flag take the same path, so both
-		// return the same {"plan": [...]} payload. The parsed statement
-		// decides: EXPLAIN ANALYZE executes UDFs, so under the flag too it
-		// falls through to admission like any query.
-		if stmt, err := sqlparse.Parse(req.SQL); err != nil || !stmt.Analyze {
-			text, err := s.db.ExplainContext(r.Context(), req.SQL)
-			if err != nil {
-				s.failed.Inc()
-				writeJSON(w, http.StatusBadRequest, errorBody(err))
-				return
-			}
-			s.served.Inc()
-			writeJSON(w, http.StatusOK, explainResponse{
-				Plan: strings.Split(strings.TrimRight(text, "\n"), "\n"),
-			})
+	if explain && !stmt.Analyze {
+		// Planning never invokes a UDF, so it bypasses admission control: an
+		// EXPLAIN answers immediately even when every slot is busy. EXPLAIN
+		// ANALYZE executes UDFs, so it is admitted like any query.
+		rows, err := s.db.QueryContext(r.Context(), req.SQL)
+		if err != nil {
+			s.failed.Inc()
+			writeJSON(w, http.StatusBadRequest, errorBody(err))
 			return
 		}
+		plan := make([]string, rows.Len())
+		for i := range plan {
+			plan[i] = rows.Row(i)[0]
+		}
+		s.served.Inc()
+		writeJSON(w, http.StatusOK, explainResponse{Plan: plan})
+		return
 	}
 	// The execution slot is held only while the engine runs — response
 	// encoding happens after release, so a slow-reading client cannot pin
@@ -841,99 +823,4 @@ func (s *server) handleTables(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Tables []predeval.TableInfo `json:"tables"`
 	}{tables})
-}
-
-// cacheStats is the cross-query outcome-cache section of GET /stats.
-type cacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-}
-
-// catalogStats is the durable-catalog section of GET /stats (present only
-// when the server runs with -data-dir).
-type catalogStats struct {
-	Dir            string `json:"dir"`
-	OutcomeRows    int    `json:"outcome_rows"`
-	ColumnMemos    int    `json:"column_memos"`
-	ColumnMemoHits int64  `json:"column_memo_hits"`
-	Flushes        int64  `json:"flushes"`
-	FlushErrors    int64  `json:"flush_errors,omitempty"`
-	LastFlushUnix  int64  `json:"last_flush_unix,omitempty"`
-	Recovered      bool   `json:"recovered,omitempty"`
-}
-
-// resilienceStats is the failure-handling section of GET /stats:
-// recovered handler panics, UDF failure/retry/breaker totals summed over
-// all served queries, and the live state of every circuit breaker.
-type resilienceStats struct {
-	HandlerPanics   int64                    `json:"handler_panics"`
-	FailedRows      int64                    `json:"failed_rows"`
-	Retries         int64                    `json:"retries"`
-	BreakerTrips    int64                    `json:"breaker_trips"`
-	DegradedQueries int64                    `json:"degraded_queries"`
-	Breakers        []predeval.BreakerStatus `json:"breakers,omitempty"`
-	ChaosCalls      int64                    `json:"chaos_calls,omitempty"`
-}
-
-// statsResponse is the GET /stats payload.
-type statsResponse struct {
-	UptimeS       float64         `json:"uptime_s"`
-	Served        int64           `json:"served"`
-	Failed        int64           `json:"failed"`
-	Timeouts      int64           `json:"timeouts"`
-	Rejected      int64           `json:"rejected"`
-	Disconnects   int64           `json:"disconnects"`
-	InFlight      int64           `json:"in_flight"`
-	MaxConcurrent int             `json:"max_concurrent"`
-	Tables        map[string]int  `json:"tables"`
-	Cache         cacheStats      `json:"cache"`
-	Resilience    resilienceStats `json:"resilience"`
-	Catalog       *catalogStats   `json:"catalog,omitempty"`
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	tables := make(map[string]int)
-	for _, name := range s.db.TableNames() {
-		if info, err := s.db.TableInfo(name); err == nil {
-			tables[name] = info.Rows
-		}
-	}
-	cc := s.db.CacheCounters()
-	resp := statsResponse{
-		UptimeS:       time.Since(s.start).Seconds(),
-		Served:        s.served.Value(),
-		Failed:        s.failed.Value(),
-		Timeouts:      s.timeouts.Value(),
-		Rejected:      s.rejected.Value(),
-		Disconnects:   s.disconnects.Value(),
-		InFlight:      s.inflight.Load(),
-		MaxConcurrent: s.cfg.MaxConcurrent,
-		Tables:        tables,
-		Cache:         cacheStats{Hits: cc.Hits, Misses: cc.Misses},
-		Resilience: resilienceStats{
-			HandlerPanics:   s.panics.Value(),
-			FailedRows:      s.failedRows.Value(),
-			Retries:         s.retries.Value(),
-			BreakerTrips:    s.breakerTrips.Load(),
-			DegradedQueries: s.degraded.Value(),
-			Breakers:        s.db.BreakerStatuses(),
-		},
-	}
-	if s.chaos != nil {
-		resp.Resilience.ChaosCalls = s.chaos.Calls()
-	}
-	if cat := s.db.Catalog(); cat != nil {
-		st := cat.Stats()
-		resp.Catalog = &catalogStats{
-			Dir:            cat.Dir(),
-			OutcomeRows:    st.OutcomeRows,
-			ColumnMemos:    st.ColumnMemos,
-			ColumnMemoHits: cc.ColumnMemoHits,
-			Flushes:        s.flushes.Value(),
-			FlushErrors:    s.flushErrors.Value(),
-			LastFlushUnix:  s.lastFlush.Load(),
-			Recovered:      st.Recovered,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

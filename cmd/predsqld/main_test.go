@@ -23,7 +23,7 @@ import (
 // testServer builds an in-memory loans DB behind a server. udfDelay
 // simulates an expensive predicate so per-request timeouts have teeth; the
 // cross-query cache is disabled so repeated queries stay expensive.
-func testServer(t *testing.T, n int, udfDelay time.Duration, cfg serverConfig) (*server, *httptest.Server) {
+func testServer(t testing.TB, n int, udfDelay time.Duration, cfg serverConfig) (*server, *httptest.Server) {
 	t.Helper()
 	rng := stats.NewRNG(9)
 	var sb strings.Builder
@@ -201,23 +201,17 @@ func TestServerConcurrentMixedTimeouts(t *testing.T) {
 	}
 
 	// Counters add up and nothing is stuck in flight.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, ts.URL)
+	served, timedOutOrRejected := m[`predsqld_queries_total{status="ok"}`],
+		m[`predsqld_queries_total{status="timeout"}`]+m[`predsqld_queries_total{status="rejected"}`]
+	if served != float64(ok) || timedOutOrRejected != float64(timedOut) {
+		t.Fatalf("served=%v timeouts+rejected=%v, want %d/%d", served, timedOutOrRejected, ok, timedOut)
 	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
+	if n := m["predsqld_in_flight"]; n != 0 {
+		t.Fatalf("%v queries still in flight", n)
 	}
-	if st.Served != int64(ok) || st.Timeouts+st.Rejected != int64(timedOut) {
-		t.Fatalf("stats %+v, want served=%d timeouts+rejected=%d", st, ok, timedOut)
-	}
-	if st.InFlight != 0 {
-		t.Fatalf("%d queries still in flight", st.InFlight)
-	}
-	if st.Tables["loans"] != 240 {
-		t.Fatalf("tables %v", st.Tables)
+	if tables := getTables(t, ts.URL); len(tables) != 1 || tables[0].Name != "loans" || tables[0].Rows != 240 {
+		t.Fatalf("tables %+v", tables)
 	}
 
 	// The pool recovered: one more query succeeds.
@@ -262,17 +256,16 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServerExplainFlagAnalyzeIsAdmitted: "explain": true over an EXPLAIN
-// ANALYZE statement executes UDFs, so it must queue for a slot like any
-// query — with the one slot held and a 50 ms deadline it is turned away
-// with 408 and no UDF is invoked.
+// TestServerExplainFlagAnalyzeIsAdmitted: an EXPLAIN ANALYZE statement
+// executes UDFs, so it must queue for a slot like any query — with the one
+// slot held and a 50 ms deadline it is turned away with 408 and no UDF is
+// invoked.
 func TestServerExplainFlagAnalyzeIsAdmitted(t *testing.T) {
 	srv, ts := testServer(t, 300, time.Millisecond, serverConfig{MaxConcurrent: 1})
 	srv.sem <- struct{}{} // hold the one execution slot
 	defer func() { <-srv.sem }()
 	status, body := mustPostQuery(t, ts.URL, queryRequest{
 		SQL:       "EXPLAIN ANALYZE SELECT * FROM loans WHERE good_credit(id) = 1",
-		Explain:   true,
 		TimeoutMS: 50,
 	})
 	if status != http.StatusRequestTimeout {
@@ -374,7 +367,7 @@ func catalogServer(t *testing.T, n int, dir string) (*server, *httptest.Server, 
 // TestServerDataDirPersistence drives the persistence wiring end to end:
 // serve a workload, flush, "restart" onto the same data dir, and observe
 // the repeated workload costing zero evaluations, with the catalog and
-// cache counters visible in GET /stats.
+// cache counters visible on GET /metrics.
 func TestServerDataDirPersistence(t *testing.T) {
 	dir := t.TempDir()
 	const n = 300
@@ -393,9 +386,9 @@ func TestServerDataDirPersistence(t *testing.T) {
 		t.Fatalf("cold run: %d calls, %d misses, want %d", calls1.Load(), out1.Stats.CacheMisses, n)
 	}
 	srv1.flushCatalog()
-	st1 := getStats(t, ts1.URL)
-	if st1.Catalog == nil || st1.Catalog.OutcomeRows != n || st1.Catalog.Flushes != 1 {
-		t.Fatalf("catalog stats after flush: %+v", st1.Catalog)
+	m1 := scrapeMetrics(t, ts1.URL)
+	if rows, flushes := m1["predsqld_catalog_verdict_rows"], m1["predsqld_catalog_flushes_total"]; rows != n || flushes != 1 {
+		t.Fatalf("catalog after flush: %v verdict rows, %v flushes, want %d and 1", rows, flushes, n)
 	}
 	if err := srv1.db.CloseCatalog(); err != nil {
 		t.Fatal(err)
@@ -420,12 +413,12 @@ func TestServerDataDirPersistence(t *testing.T) {
 	if out2.RowCount != out1.RowCount {
 		t.Fatalf("restart changed the answer: %d vs %d rows", out2.RowCount, out1.RowCount)
 	}
-	st2 := getStats(t, ts2.URL)
-	if st2.Catalog == nil || st2.Catalog.OutcomeRows != n {
-		t.Fatalf("catalog stats after restart: %+v", st2.Catalog)
+	m2 := scrapeMetrics(t, ts2.URL)
+	if rows := m2["predsqld_catalog_verdict_rows"]; rows != n {
+		t.Fatalf("catalog after restart: %v verdict rows, want %d", rows, n)
 	}
-	if st2.Cache.Hits != int64(n) {
-		t.Fatalf("server cache counters after restart: %+v", st2.Cache)
+	if hits := m2[`predsqld_cache_total{result="hit"}`]; hits != n {
+		t.Fatalf("server cache hits after restart: %v, want %d", hits, n)
 	}
 }
 
@@ -447,32 +440,47 @@ func TestServerCatalogFlusher(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if st := getStats(t, ts.URL); st.Catalog == nil || st.Catalog.LastFlushUnix == 0 {
-		t.Fatalf("flusher not visible in stats: %+v", st.Catalog)
+	if last := scrapeMetrics(t, ts.URL)["predsqld_catalog_last_flush_timestamp_seconds"]; last == 0 {
+		t.Fatal("flusher not visible on /metrics: no last flush time")
 	}
 }
 
-// getStats fetches and decodes GET /stats.
-func getStats(t *testing.T, url string) statsResponse {
+// getTables fetches and decodes GET /tables.
+func getTables(t *testing.T, url string) []predeval.TableInfo {
 	t.Helper()
-	resp, err := http.Get(url + "/stats")
+	status, body, err := httpGet(url, "/tables")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var out struct {
+		Tables []predeval.TableInfo `json:"tables"`
+	}
+	if status != http.StatusOK {
+		t.Fatalf("GET /tables: status %d: %s", status, body)
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return out.Tables
 }
 
+// TestServerExplainFlag: EXPLAIN is asked one way, by the SQL keyword. A
+// body still carrying the removed "explain" flag is refused with 400 before
+// anything runs, and the keyword plans without executing.
 func TestServerExplainFlag(t *testing.T) {
 	srv, ts := testServer(t, 300, 50*time.Millisecond, serverConfig{})
-	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:     "SELECT * FROM loans WHERE good_credit(id) = 1 WITH RECALL 0.8 GROUP ON grade",
-		Explain: true,
-	})
+	const sql = "SELECT * FROM loans WHERE good_credit(id) = 1 WITH RECALL 0.8 GROUP ON grade"
+	resp, err := http.Post(ts.URL+"/query", "application/json",
+		strings.NewReader(`{"sql": "`+sql+`", "explain": true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`"explain": true answered %d, want 400`, resp.StatusCode)
+	}
+
+	status, body := mustPostQuery(t, ts.URL, queryRequest{SQL: "EXPLAIN " + sql})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
@@ -496,7 +504,7 @@ func TestServerExplainFlag(t *testing.T) {
 		t.Fatalf("served %d", srv.served.Value())
 	}
 
-	// The EXPLAIN keyword takes the same fast path and payload as the flag.
+	// Case and leading space do not matter to the keyword.
 	status, body = mustPostQuery(t, ts.URL, queryRequest{
 		SQL: "  explain SELECT * FROM loans WHERE good_credit(id) = 1",
 	})
@@ -509,6 +517,9 @@ func TestServerExplainFlag(t *testing.T) {
 	}
 	if len(out.Plan) == 0 || !strings.Contains(out.Plan[0], "exact-eval") {
 		t.Fatalf("plan %q", out.Plan)
+	}
+	if n := scrapeMetrics(t, ts.URL)[`predsqld_udf_duration_seconds_count{udf="good_credit"}`]; n != 0 {
+		t.Fatalf("EXPLAIN invoked the UDF %v times", n)
 	}
 }
 

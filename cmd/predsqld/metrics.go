@@ -6,24 +6,32 @@ import (
 	"io"
 	"net/http"
 	"sync"
+	"time"
 
+	"repro"
+	"repro/internal/catalog"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 )
 
-// The /metrics surface, as Prometheus text exposition: the server's own
-// monotonic counters (admission outcomes, resilience totals, catalog
-// flushes) are registry instruments the handlers increment and GET /stats
-// reads with Value(); state that lives elsewhere (the up/down admission
-// gauges, the engine's batch and cache counters, the breaker table) is read
-// by scrape-time collectors; and the handlers feed two histogram families
-// directly — query latency and per-UDF invocation duration. Every fact has
-// one instrument, so /metrics and /stats cannot drift.
+// The /metrics surface, as Prometheus text exposition, is the one place the
+// server's counters are read: its own monotonic counters (admission
+// outcomes, resilience totals, catalog flushes) are registry instruments the
+// handlers increment; state that lives elsewhere (the up/down admission
+// gauges, the engine's batch and cache counters, the breaker table, the
+// catalog's size) is read by scrape-time collectors; and the handlers feed
+// two histogram families directly — query latency and per-UDF invocation
+// duration. Every fact has one instrument.
 
 // registerMetrics creates the server's instruments in its registry and
 // wires the collectors. Called once from newServer; collectors run at
 // scrape time.
 func (s *server) registerMetrics() {
 	reg := s.metrics
+	start := float64(time.Now().UnixNano()) / 1e9
+	reg.GaugeFunc("predsqld_start_time_seconds",
+		"Unix time the server started; uptime is the scrape time minus this.",
+		func() float64 { return start })
 	s.queryDur = reg.Histogram("predsqld_query_duration_seconds",
 		"Wall time of executed queries (excludes admission waiting).", obs.DefBuckets)
 
@@ -70,31 +78,41 @@ func (s *server) registerMetrics() {
 		"Queries answered with a partial (degraded) result.")
 	s.panics = reg.Counter("predsqld_handler_panics_total",
 		"Handler panics recovered by the middleware.")
+	reg.Collect("predsqld_chaos_calls_total",
+		"UDF calls through the fault injector (present with -chaos-* flags).", "counter",
+		func() []obs.Sample {
+			if s.chaos == nil {
+				return nil
+			}
+			return []obs.Sample{{Value: float64(s.chaos.Calls())}}
+		})
 
-	// Breaker state transitions (trips) and current position, one series per
-	// (table, UDF) breaker. BreakerStatuses returns in sorted order.
-	breakerLabels := func(table, udf string) []obs.Label {
-		return []obs.Label{{Name: "table", Value: table}, {Name: "udf", Value: udf}}
+	// Breaker state transitions (trips) and current position, per (table,
+	// UDF) breaker. BreakerStatuses returns in sorted order.
+	breakerLabels := func(b predeval.BreakerStatus, more ...obs.Label) []obs.Label {
+		return append([]obs.Label{{Name: "table", Value: b.Table}, {Name: "udf", Value: b.UDF}}, more...)
 	}
 	reg.Collect("predsqld_breaker_trips_total",
 		"Closed-to-open transitions per circuit breaker.", "counter",
 		func() []obs.Sample {
 			var out []obs.Sample
 			for _, b := range s.db.BreakerStatuses() {
-				out = append(out, obs.Sample{Labels: breakerLabels(b.Table, b.UDF), Value: float64(b.Trips)})
+				out = append(out, obs.Sample{Labels: breakerLabels(b), Value: float64(b.Trips)})
 			}
 			return out
 		})
-	reg.Collect("predsqld_breaker_open",
-		"1 when the breaker is open or half-open (shedding or probing), 0 when closed.", "gauge",
+	reg.Collect("predsqld_breaker_state",
+		"1 on the breaker's current state (closed, open or half-open), 0 on the others.", "gauge",
 		func() []obs.Sample {
 			var out []obs.Sample
 			for _, b := range s.db.BreakerStatuses() {
-				v := 0.0
-				if b.State != "closed" {
-					v = 1.0
+				for _, state := range []resilience.BreakerState{resilience.BreakerClosed, resilience.BreakerOpen, resilience.BreakerHalfOpen} {
+					v := 0.0
+					if b.State == state.String() {
+						v = 1
+					}
+					out = append(out, obs.Sample{Labels: breakerLabels(b, obs.Label{Name: "state", Value: state.String()}), Value: v})
 				}
-				out = append(out, obs.Sample{Labels: breakerLabels(b.Table, b.UDF), Value: v})
 			}
 			return out
 		})
@@ -108,10 +126,40 @@ func (s *server) registerMetrics() {
 				{Labels: []obs.Label{{Name: "result", Value: "miss"}}, Value: float64(cc.Misses)},
 			}
 		})
+	reg.Collect("predsqld_catalog_column_memo_hits_total",
+		"Queries that skipped correlated-column discovery thanks to a catalog memo.", "counter",
+		func() []obs.Sample {
+			return []obs.Sample{{Value: float64(s.db.CacheCounters().ColumnMemoHits)}}
+		})
 	s.flushes = reg.Counter("predsqld_catalog_flushes_total",
 		"Completed catalog flushes.")
 	s.flushErrors = reg.Counter("predsqld_catalog_flush_errors_total",
 		"Failed catalog flushes.")
+	reg.GaugeFunc("predsqld_catalog_last_flush_timestamp_seconds",
+		"Unix time of the last successful catalog flush (0 before the first).",
+		func() float64 { return float64(s.lastFlush.Load()) })
+
+	// The catalog's own contents, present only with -data-dir.
+	catalogGauge := func(name, help string, value func(catalog.Stats) float64) {
+		reg.Collect(name, help, "gauge", func() []obs.Sample {
+			cat := s.db.Catalog()
+			if cat == nil {
+				return nil
+			}
+			return []obs.Sample{{Value: value(cat.Stats())}}
+		})
+	}
+	catalogGauge("predsqld_catalog_verdict_rows", "UDF verdicts the catalog holds.",
+		func(st catalog.Stats) float64 { return float64(st.OutcomeRows) })
+	catalogGauge("predsqld_catalog_column_memos", "Correlated-column choices the catalog holds.",
+		func(st catalog.Stats) float64 { return float64(st.ColumnMemos) })
+	catalogGauge("predsqld_catalog_recovered", "1 when opening the catalog cut off a damaged log tail.",
+		func(st catalog.Stats) float64 {
+			if st.Recovered {
+				return 1
+			}
+			return 0
+		})
 }
 
 // instrumentUDF wraps a fallible UDF body so every invocation's wall time

@@ -87,11 +87,22 @@ func TestMetricsExposition(t *testing.T) {
 	if _, ok := m["predsqld_catalog_flushes_total"]; !ok {
 		t.Error("catalog_flushes_total missing from exposition")
 	}
+	// Without -data-dir there is no catalog to size.
+	if _, ok := m["predsqld_catalog_verdict_rows"]; ok {
+		t.Error("catalog_verdict_rows present without a catalog")
+	}
+	if start := m["predsqld_start_time_seconds"]; start <= 0 || start > float64(time.Now().Unix()+1) {
+		t.Errorf("start_time_seconds = %v, want a past unix time", start)
+	}
+	// /metrics is the one place counters are read: GET /stats is gone.
+	if status, _, err := httpGet(ts.URL, "/stats"); err != nil || status != http.StatusNotFound {
+		t.Errorf("GET /stats: status %d err %v, want 404", status, err)
+	}
 }
 
-// TestConcurrentScrapes hammers /stats and /metrics while queries run:
-// every scrape must parse as valid exposition and the success counter must
-// be monotone. Run under -race this also proves the collectors race-free
+// TestConcurrentScrapes hammers /metrics from two scrapers while queries
+// run: every scrape must parse as valid exposition and each scraper must see
+// the success counter monotone. Run under -race this also proves the collectors race-free
 // against the handler's atomics.
 func TestConcurrentScrapes(t *testing.T) {
 	_, ts := testServer(t, 200, 100*time.Microsecond, serverConfig{MaxConcurrent: 4})
@@ -139,24 +150,24 @@ func TestConcurrentScrapes(t *testing.T) {
 			}
 		}
 	}
-	var lastOK float64
+	monotone := func() func([]byte) error {
+		var lastOK float64
+		return func(body []byte) error {
+			m, err := obs.ParseExposition(bytes.NewReader(body))
+			if err != nil {
+				return err
+			}
+			ok := m[`predsqld_queries_total{status="ok"}`]
+			if ok < lastOK {
+				return fmt.Errorf("queries_total{ok} went backwards: %v -> %v", lastOK, ok)
+			}
+			lastOK = ok
+			return nil
+		}
+	}
 	scraperWG.Add(2)
-	go scrape("/metrics", func(body []byte) error {
-		m, err := obs.ParseExposition(bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		ok := m[`predsqld_queries_total{status="ok"}`]
-		if ok < lastOK {
-			return fmt.Errorf("queries_total{ok} went backwards: %v -> %v", lastOK, ok)
-		}
-		lastOK = ok
-		return nil
-	})
-	go scrape("/stats", func(body []byte) error {
-		var st statsResponse
-		return json.Unmarshal(body, &st)
-	})
+	go scrape("/metrics", monotone())
+	go scrape("/metrics", monotone())
 
 	wg.Wait()
 	close(done)
@@ -278,26 +289,6 @@ func TestTraceLogWritesJSONLines(t *testing.T) {
 		}
 		if rec.SQL == "" || len(rec.Spans) == 0 {
 			t.Fatalf("empty trace record: %+v", rec)
-		}
-	}
-}
-
-func TestIsExplainSQL(t *testing.T) {
-	cases := []struct {
-		sql  string
-		want bool
-	}{
-		{"EXPLAIN SELECT 1", true},
-		{"explain select 1", true},
-		{"  EXPLAIN\tSELECT 1", true},
-		{"EXPLAIN ANALYZE SELECT 1", false},
-		{"explain analyze select 1", false},
-		{"SELECT 1", false},
-		{"", false},
-	}
-	for _, c := range cases {
-		if got := isExplainSQL(c.sql); got != c.want {
-			t.Errorf("isExplainSQL(%q) = %v, want %v", c.sql, got, c.want)
 		}
 	}
 }

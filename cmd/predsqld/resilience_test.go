@@ -171,19 +171,23 @@ func TestServerStatsResilienceSection(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
 	}
-	st := getStats(t, ts.URL)
-	r := st.Resilience
-	if r.FailedRows != 2 || r.DegradedQueries != 1 || r.Retries < 1 {
-		t.Errorf("resilience section = %+v, want the degraded query's counters", r)
+	m := scrapeMetrics(t, ts.URL)
+	failedRows, degraded, retries := m["predsqld_failed_rows_total"], m["predsqld_degraded_queries_total"], m["predsqld_udf_retries_total"]
+	if failedRows != 2 || degraded != 1 || retries < 1 {
+		t.Errorf("failed rows %v, degraded queries %v, retries %v, want the degraded query's counters", failedRows, degraded, retries)
 	}
-	if len(r.Breakers) != 1 || r.Breakers[0].UDF != "good_credit" || r.Breakers[0].State != "closed" {
-		t.Errorf("breakers = %+v, want one closed good_credit breaker", r.Breakers)
+	breaker := `{state="%s",table="loans",udf="good_credit"}`
+	for state, want := range map[string]float64{"closed": 1, "open": 0, "half-open": 0} {
+		key := "predsqld_breaker_state" + fmt.Sprintf(breaker, state)
+		if got, ok := m[key]; !ok || got != want {
+			t.Errorf("%s = %v (present=%v), want %v: one closed good_credit breaker", key, got, ok, want)
+		}
 	}
 }
 
 // TestServerChaosWiring drives a chaos-wrapped UDF end to end the way the
 // -chaos-* flags do: injected failures outlasting the retry budget produce
-// a degraded partial result, and the chaos call counter reaches /stats.
+// a degraded partial result, and the chaos call counter reaches /metrics.
 func TestServerChaosWiring(t *testing.T) {
 	db := predeval.Open(1)
 	var sb strings.Builder
@@ -225,11 +229,11 @@ func TestServerChaosWiring(t *testing.T) {
 	if !out.Degraded || out.RowCount != 0 {
 		t.Errorf("every row fails its whole retry budget: want an empty degraded result, got %s", body)
 	}
-	st := getStats(t, ts.URL)
-	if st.Resilience.ChaosCalls == 0 {
-		t.Error("chaos call counter missing from /stats")
+	m := scrapeMetrics(t, ts.URL)
+	if m["predsqld_chaos_calls_total"] == 0 {
+		t.Error("chaos call counter missing from /metrics")
 	}
-	if st.Resilience.FailedRows != 40 {
-		t.Errorf("failed_rows = %d, want 40", st.Resilience.FailedRows)
+	if got := m["predsqld_failed_rows_total"]; got != 40 {
+		t.Errorf("failed rows = %v, want 40", got)
 	}
 }

@@ -245,7 +245,7 @@ func TestServerStreamFirstRowBeforeFinalWave(t *testing.T) {
 func TestServerStreamRejectsExplainAnalyze(t *testing.T) {
 	_, ts := streamTestServer(t, 30, 0, 0, nil)
 	for _, req := range []queryRequest{
-		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Explain: true},
+		{SQL: "EXPLAIN ANALYZE SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
 		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Analyze: true},
 		{SQL: "EXPLAIN SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
 	} {

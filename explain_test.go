@@ -30,8 +30,9 @@ func explainDB(t *testing.T) *DB {
 }
 
 // TestExplainGolden pins the EXPLAIN text of every query shape the planner
-// covers. These strings are the public contract of DB.ExplainContext (and of
-// predsqld's "explain" flag) — update them deliberately.
+// covers, as the plan rows QueryContext returns for an EXPLAIN statement.
+// These strings are the public contract of the EXPLAIN keyword (and of
+// predsqld's {"plan": [...]} answer to it) — update them deliberately.
 func TestExplainGolden(t *testing.T) {
 	db := explainDB(t)
 	cases := []struct {
@@ -101,20 +102,6 @@ func TestExplainGolden(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := db.ExplainContext(context.Background(), tc.sql)
-			if err != nil {
-				t.Fatal(err)
-			}
-			lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
-			if len(lines) != len(tc.want) {
-				t.Fatalf("got %d lines, want %d:\n%s", len(lines), len(tc.want), got)
-			}
-			for i := range lines {
-				if lines[i] != tc.want[i] {
-					t.Errorf("line %d:\n got %q\nwant %q", i, lines[i], tc.want[i])
-				}
-			}
-			// The EXPLAIN keyword routes through Query as plan rows.
 			rows, err := db.QueryContext(context.Background(), "EXPLAIN "+tc.sql)
 			if err != nil {
 				t.Fatal(err)
@@ -122,12 +109,16 @@ func TestExplainGolden(t *testing.T) {
 			if cols := rows.Columns(); len(cols) != 1 || cols[0] != "plan" {
 				t.Fatalf("explain columns %v", cols)
 			}
-			if rows.Len() != len(tc.want) {
-				t.Fatalf("explain rows %d, want %d", rows.Len(), len(tc.want))
+			got := make([]string, rows.Len())
+			for i := range got {
+				got[i] = rows.Row(i)[0]
 			}
-			for i := 0; i < rows.Len(); i++ {
-				if rows.Row(i)[0] != tc.want[i] {
-					t.Fatalf("explain row %d = %q, want %q", i, rows.Row(i)[0], tc.want[i])
+			if len(got) != len(tc.want) {
+				t.Fatalf("got %d lines, want %d:\n%s", len(got), len(tc.want), strings.Join(got, "\n"))
+			}
+			for i := range got {
+				if got[i] != tc.want[i] {
+					t.Errorf("line %d:\n got %q\nwant %q", i, got[i], tc.want[i])
 				}
 			}
 		})
@@ -141,7 +132,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	if err := db.RegisterUDF("counted", func(v any) bool { calls++; return true }, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM loans WHERE counted(id) = 1 WITH RECALL 0.8"); err != nil {
+	if _, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM loans WHERE counted(id) = 1 WITH RECALL 0.8"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM loans WHERE counted(id) = 1"); err != nil {
@@ -150,7 +141,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("EXPLAIN invoked the UDF %d times", calls)
 	}
-	if _, err := db.ExplainContext(context.Background(), "SELECT * FROM loans WHERE missing(id) = 1"); err == nil {
+	if _, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM loans WHERE missing(id) = 1"); err == nil {
 		t.Fatal("EXPLAIN of unknown UDF accepted")
 	}
 }
@@ -268,7 +259,7 @@ func TestExplainRejectsWhatExecutionRejects(t *testing.T) {
 	// run returns the error each of the three entry points gives the statement.
 	run := func(sql string) [3]error {
 		var errs [3]error
-		_, errs[0] = db.ExplainContext(context.Background(), sql)
+		_, errs[0] = db.QueryContext(context.Background(), "EXPLAIN "+sql)
 		_, errs[1] = db.QueryContext(context.Background(), sql)
 		_, errs[2] = db.QueryStream(context.Background(), sql, StreamOptions{},
 			func([]int, [][]string) error { return nil })
@@ -324,11 +315,11 @@ func testReRegisteredUDFSeenWhole(t *testing.T) {
 			t.Fatalf("o_e=%g: %d rows at cost %g, want %d rows at cost %g",
 				reg.cost, rows.Len(), rows.Stats().Cost, wantRows, wantCost)
 		}
-		text, err := db.ExplainContext(context.Background(), "SELECT id FROM loans WHERE flip(id) = 1")
+		plan, err := db.QueryContext(context.Background(), "EXPLAIN SELECT id FROM loans WHERE flip(id) = 1")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("cost≈%g)", n*(1+reg.cost)); !strings.Contains(text, want) {
+		if want, text := fmt.Sprintf("cost≈%g)", n*(1+reg.cost)), plan.Row(0)[0]; !strings.Contains(text, want) {
 			t.Fatalf("o_e=%g: EXPLAIN lacks %q:\n%s", reg.cost, want, text)
 		}
 	}

@@ -77,7 +77,7 @@ func TestRegistryNamesSorted(t *testing.T) {
 }
 
 // TestEngineListingsSorted pins the same fix in the engine's two other
-// map-backed listings, GET /tables and GET /stats' breakers.
+// map-backed listings, GET /tables and the breaker series on GET /metrics.
 func TestEngineListingsSorted(t *testing.T) {
 	names := []string{"zeta", "alpha", "mid", "beta", "omega", "kappa", "nu", "eps"}
 	e := New(1)

@@ -66,9 +66,10 @@ type Engine struct {
 
 	cacheMu    sync.Mutex
 	evalCaches map[evalCacheKey]*core.SharedEvalCache
-	// catalog, when non-nil, persists eval-cache outcomes, sampling
-	// evidence and column choices across restarts (see catalog.go). Guarded
-	// by cacheMu; attach before serving queries.
+	// catalog, when non-nil, persists eval-cache outcomes and column
+	// choices across restarts (see catalog.go); no sampling evidence is
+	// kept, so every statement draws its own sample. Guarded by cacheMu;
+	// attach before serving queries.
 	catalog *catalog.Catalog
 
 	// flushedLens remembers each eval cache's size at its last catalog
@@ -304,48 +305,63 @@ func (e *Engine) labeler(st *pipeState) (*core.Sampler, []int) {
 	return s, rows
 }
 
+// label is the labeling loop §4.4 and §6.3.2 share: the labeler's sample is
+// topped up in doubling rounds of ⌈frac·n⌉ more rows, frac from
+// core.DefaultLabelFraction up to 1, until enough accepts the labels or a
+// round has labeled the whole universe. No label at all means every one
+// failed, and labeling more would only fail more, so an empty round also
+// ends the loop (without asking enough). It returns the last round's labels
+// and the universe.
+func (e *Engine) label(ctx context.Context, st *pipeState, enough func(labeled map[int]bool) bool) (map[int]bool, []int, error) {
+	labels, rows := e.labeler(st)
+	target := 0
+	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
+		target += core.LabelTarget(frac, len(rows))
+		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
+			return nil, nil, err
+		}
+		labeled := labels.Outcomes()[0].Results
+		if len(labeled) == 0 || enough(labeled) || frac >= 1 {
+			return labeled, rows, nil
+		}
+	}
+}
+
 // discoverColumn implements Section 4.4's column scan: label a small
 // fraction of tuples, score every low-cardinality column with the
-// Section 3.2 planner, pick the cheapest. It also returns how many rows
-// it labeled.
+// Section 3.2 planner, pick the cheapest. While every candidate is
+// disqualified it labels more, ending with one attempt over the whole
+// universe. It also returns how many rows it labeled.
 func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
 	q := st.q
 	cands := candidateColumns(st)
 	if len(cands) == 0 {
 		return nil, "", 0, fmt.Errorf("engine: table %q has no candidate correlated columns; use GROUP ON or %q", q.Table, VirtualColumn)
 	}
-	labels, rows := e.labeler(st)
-	target := 0
-	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
-		// Each round tops the one label sample up by ⌈frac·n⌉ rows.
-		target += core.LabelTarget(frac, len(rows))
-		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
-			return nil, "", 0, err
-		}
-		labeled := labels.Outcomes()[0].Results
-		if len(labeled) == 0 { // every label failed: labeling more would only fail more
-			_, ferr := st.preds[0].meter.Failure()
-			return nil, "", 0, fmt.Errorf("engine: every row labeled to discover a correlated column for table %q failed: %w", q.Table, ferr)
-		}
-		choice, err := core.SelectColumn(cands, labeled, q.Approx.Constraints(), st.cost)
-		if err == nil {
-			return cands[choice.Index].Groups, choice.Name, len(labeled), nil
-		}
-		// Every candidate disqualified: label more and retry, ending with one
-		// attempt over the whole universe.
-		if frac >= 1 {
-			return nil, "", 0, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
-		}
+	var choice core.ColumnChoice
+	var selErr error
+	labeled, _, err := e.label(ctx, st, func(labeled map[int]bool) bool {
+		choice, selErr = core.SelectColumn(cands, labeled, q.Approx.Constraints(), st.cost)
+		return selErr == nil
+	})
+	switch {
+	case err != nil:
+		return nil, "", 0, err
+	case len(labeled) == 0:
+		_, ferr := st.preds[0].meter.Failure()
+		return nil, "", 0, fmt.Errorf("engine: every row labeled to discover a correlated column for table %q failed: %w", q.Table, ferr)
+	case selErr != nil:
+		return nil, "", 0, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
 	}
+	return cands[choice.Index].Groups, choice.Name, len(labeled), nil
 }
 
 // virtualColumn implements Section 6.3.2: label ~1% of rows and hand them,
 // with the table's encodable features, to ml.VirtualGroups (train, score
 // every row, bucket the scores into equal-frequency groups), counting labels.
-// Labels of one class give the model nothing to learn, so the one label
-// sample is topped up in discoverColumn's doubling rounds until both classes
-// appear or the whole universe is labeled; a universe of one class is then
-// answered as one group.
+// Labels of one class give the model nothing to learn, so labeling goes on
+// until both classes appear or the whole universe is labeled; a universe of
+// one class is then answered as one group.
 func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group, string, int, error) {
 	tbl := st.tbl
 	enc, err := ml.BuildEncoder(tbl, ml.Encoder{
@@ -355,20 +371,9 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
-	labels, rows := e.labeler(st)
-	var labeled map[int]bool
-	target := 0
-	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
-		target += core.LabelTarget(frac, len(rows))
-		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
-			return nil, "", 0, err
-		}
-		labeled = labels.Outcomes()[0].Results
-		// No label at all means every one failed: labeling more would only
-		// fail more.
-		if !ml.OneClass(labeled) || frac >= 1 {
-			break
-		}
+	labeled, rows, err := e.label(ctx, st, func(labeled map[int]bool) bool { return !ml.OneClass(labeled) })
+	if err != nil {
+		return nil, "", 0, err
 	}
 	parts, err := ml.VirtualGroups(func(row int) []float64 { return enc.EncodeRow(tbl, row) }, rows, labeled, virtualBuckets)
 	if err != nil {

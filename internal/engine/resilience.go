@@ -144,13 +144,12 @@ func (e *Engine) breakerFor(tableName, udfName string) *resilience.Breaker {
 	return b
 }
 
-// BreakerStatus is one circuit breaker's observable state. The JSON tags
-// are predsqld's GET /stats "breakers" entry.
+// BreakerStatus is one circuit breaker's observable state.
 type BreakerStatus struct {
-	Table string `json:"table"`
-	UDF   string `json:"udf"`
-	State string `json:"state"`
-	Trips int64  `json:"trips"`
+	Table string
+	UDF   string
+	State string // BreakerState.String: "closed", "open" or "half-open"
+	Trips int64
 }
 
 // BreakerStatuses reports every circuit breaker the engine has created, in

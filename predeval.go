@@ -291,28 +291,6 @@ func (r *Rows) Stats() Stats { return r.stats }
 // keyword or QueryOptions.Analyze. Nil otherwise.
 func (r *Rows) Plan() []string { return r.plan }
 
-// ExplainContext parses a statement and returns its physical operator tree
-// as EXPLAIN text (one operator per line, with estimated costs and the
-// chosen correlated column where known) without executing anything. The
-// EXPLAIN keyword is optional — "SELECT ..." and "EXPLAIN SELECT ..."
-// render the same plan. An EXPLAIN ANALYZE statement is the exception: it
-// EXECUTES the query under ctx (UDFs run, caches fill) and returns the plan
-// annotated with measured per-operator counts.
-func (db *DB) ExplainContext(ctx context.Context, sql string) (string, error) {
-	stmt, err := sqlparse.Parse(sql)
-	if err != nil {
-		return "", err
-	}
-	if stmt.Analyze {
-		root, _, err := db.eng.ExplainAnalyzeContext(ctx, stmt.Query)
-		if err != nil {
-			return "", err
-		}
-		return plan.Format(root), nil
-	}
-	return db.eng.Explain(stmt.Query)
-}
-
 // QueryContext parses and executes one statement of the SQL dialect (see
 // the package documentation and internal/sqlparse) and returns the
 // materialized result. An EXPLAIN-prefixed statement is planned instead of

@@ -204,8 +204,8 @@ func TestQueryJoinBudgetRejected(t *testing.T) {
 		WHERE good_credit(id) = 1 WITH PRECISION 0.7 RECALL 0.7 PROBABILITY 0.8 GROUP ON grade BUDGET 50`
 	const want = "BUDGET is not supported with JOIN"
 	_, queryErr := db.QueryContext(context.Background(), sql)
-	_, explainErr := db.ExplainContext(context.Background(), sql)
-	_, analyzeErr := db.ExplainContext(context.Background(), "EXPLAIN ANALYZE "+sql)
+	_, explainErr := db.QueryContext(context.Background(), "EXPLAIN "+sql)
+	_, analyzeErr := db.QueryContext(context.Background(), "EXPLAIN ANALYZE "+sql)
 	_, streamErr := db.QueryStream(context.Background(), sql, StreamOptions{},
 		func([]int, [][]string) error { return nil })
 	for name, err := range map[string]error{
