@@ -9,13 +9,14 @@
 //	              WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8"
 //
 // The command prints the execution statistics (UDF calls, cost, chosen
-// correlated column) and the first rows of the result. With -analyze the
-// query runs under EXPLAIN ANALYZE instrumentation and the annotated
-// operator tree (measured rows, UDF calls, cache traffic, retries and
-// per-operator wall time) is printed after the result. With -stream the
-// rows print incrementally as execution produces them, and -limit stops
-// evaluation early instead of merely truncating the printout; the stats
-// follow the rows and cover only the work performed.
+// correlated column) and the first rows of the result. Prefix the SQL with
+// EXPLAIN to print the estimated operator tree without executing, or with
+// EXPLAIN ANALYZE to run the statement as usual and print the tree annotated
+// with measured rows, UDF calls, cache traffic, retries and per-operator
+// wall time after the result. With -stream the rows print incrementally as
+// execution produces them, and -limit stops evaluation early instead of
+// merely truncating the printout; the stats follow the rows and cover only
+// the work performed. EXPLAIN statements cannot be streamed.
 package main
 
 import (
@@ -32,14 +33,13 @@ import (
 
 func main() {
 	var (
-		tables  cliutil.MultiFlag
-		truth   = flag.String("truth", "", "labels CSV (id,label) backing the simulated UDF")
-		udf     = flag.String("udf", "good_credit", "UDF name to register")
-		sqlStr  = flag.String("sql", "", "query to run")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		limit   = flag.Int("limit", 10, "max rows to print")
-		analyze = flag.Bool("analyze", false, "run under EXPLAIN ANALYZE and print the annotated plan after the result")
-		stream  = flag.Bool("stream", false, "stream rows as produced (-limit stops evaluation early); stats print after the rows")
+		tables cliutil.MultiFlag
+		truth  = flag.String("truth", "", "labels CSV (id,label) backing the simulated UDF")
+		udf    = flag.String("udf", "good_credit", "UDF name to register")
+		sqlStr = flag.String("sql", "", "query to run (prefix EXPLAIN or EXPLAIN ANALYZE to print the plan)")
+		seed   = flag.Uint64("seed", 1, "random seed")
+		limit  = flag.Int("limit", 10, "max rows to print")
+		stream = flag.Bool("stream", false, "stream rows as produced (-limit stops evaluation early); stats print after the rows")
 	)
 	flag.Var(&tables, "table", "name=path CSV table (repeatable)")
 	flag.Parse()
@@ -74,15 +74,11 @@ func main() {
 	}
 
 	if *stream {
-		if *analyze {
-			fatal(fmt.Errorf("-stream and -analyze are mutually exclusive"))
-		}
 		runStream(db, *sqlStr, *limit)
 		return
 	}
 
-	rows, err := db.QueryContextOptions(context.Background(), *sqlStr,
-		predeval.QueryOptions{Analyze: *analyze})
+	rows, err := db.QueryContext(context.Background(), *sqlStr)
 	if err != nil {
 		fatal(err)
 	}

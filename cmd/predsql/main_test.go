@@ -30,8 +30,8 @@ func TestLoadLabelsWiring(t *testing.T) {
 	}
 }
 
-// TestAnalyzeWiring covers what -analyze does: the query runs with
-// QueryOptions.Analyze and the annotated plan is printable afterwards.
+// TestAnalyzeWiring covers what an EXPLAIN ANALYZE statement prints: the
+// query's own rows, then the annotated plan.
 func TestAnalyzeWiring(t *testing.T) {
 	db := predeval.Open(1)
 	if err := db.LoadCSV("t", strings.NewReader("id\n0\n1\n2\n")); err != nil {
@@ -40,8 +40,7 @@ func TestAnalyzeWiring(t *testing.T) {
 	if err := db.RegisterUDF("f", func(v any) bool { return v.(int64) > 0 }, 0); err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.QueryContextOptions(context.Background(),
-		"SELECT * FROM t WHERE f(id) = 1", predeval.QueryOptions{Analyze: true})
+	rows, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE SELECT * FROM t WHERE f(id) = 1")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,14 @@ import (
 )
 
 // FuzzQueryRequest posts arbitrary bytes as a POST /query body through the
-// server's handler, without a socket, and holds every answer to three rules:
+// server's handler, without a socket, and holds every answer to four rules:
 // the handler never panics; the status is one the endpoint documents (200,
-// 400, 408, 499 or 504); and a 200 body is one JSON object, or NDJSON whose
-// every line is an object and whose last line is a done or an error line.
-// The seeds are the request shapes the server tests send.
+// 400, 408, 499 or 504); a 200 body is one JSON object, or NDJSON whose
+// every line is an object and whose last line is a done or an error line;
+// and a 200 that does not end in an error line was admitted and served once,
+// advancing queries_total{status="ok"} and the query-latency histogram's
+// count by exactly one each. The seeds are the request shapes the server
+// tests send, plus bodies with unknown fields or negative numbers.
 func FuzzQueryRequest(f *testing.F) {
 	const sel = "SELECT * FROM loans WHERE good_credit(id) = 1"
 	for _, req := range []queryRequest{
@@ -32,7 +35,6 @@ func FuzzQueryRequest(f *testing.F) {
 		{SQL: "EXPLAIN ANALYZE " + sel},
 		{SQL: "EXPLAIN " + sel + " WITH RECALL 0.8 GROUP ON grade"},
 		{SQL: "  explain " + sel},
-		{SQL: sel, Analyze: true},
 		{SQL: sel, Trace: true},
 		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", OnFailure: "degrade"},
 		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", OnFailure: "explode"},
@@ -40,7 +42,6 @@ func FuzzQueryRequest(f *testing.F) {
 		{SQL: sel, Stream: true},
 		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Limit: 5},
 		{SQL: "SELECT id, grade FROM loans WHERE good_credit(id) = 1", Stream: true, Trace: true},
-		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Analyze: true},
 		{SQL: "EXPLAIN SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
 		{SQL: "EXPLAIN ANALYZE SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
 	} {
@@ -52,13 +53,24 @@ func FuzzQueryRequest(f *testing.F) {
 	}
 	f.Add([]byte("{not json"))
 	f.Add([]byte(`{"sql": "` + sel + `", "explain": true}`))
+	f.Add([]byte(`{"sql": "` + sel + `", "analyze": true}`))
+	f.Add([]byte(`{"sql": "SELECT id FROM loans WHERE good_credit(id) = 1", "stream": true, "analyze": true}`))
 	f.Add([]byte(`{"sql": "` + sel + `", "stream": true, "limit": -1}`))
+	f.Add([]byte(`{"sql": "` + sel + `", "limit": -1}`))
+	f.Add([]byte(`{"sql": "` + sel + `", "timeout_ms": -1}`))
 
 	srv, _ := testServer(f, 60, 0, serverConfig{})
 	h := srv.handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
+		served, observed := srv.served.Value(), srv.queryDur.Count()
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		countedOnce := func() {
+			if ds, do := srv.served.Value()-served, srv.queryDur.Count()-observed; ds != 1 || do != 1 {
+				t.Fatalf("%q: a 200 advanced queries_total{status=\"ok\"} by %d and the duration count by %d, want 1 and 1",
+					body, ds, do)
+			}
+		}
 		if n := srv.panics.Value(); n != 0 {
 			t.Fatalf("%q: handler panicked (%d recovered): %s", body, n, rr.Body.Bytes())
 		}
@@ -76,6 +88,7 @@ func FuzzQueryRequest(f *testing.F) {
 			if err := json.Unmarshal(rr.Body.Bytes(), &obj); err != nil {
 				t.Fatalf("%q: 200 body is not one JSON object (%v): %s", body, err, rr.Body.Bytes())
 			}
+			countedOnce()
 			return
 		}
 		lines := bytes.Split(bytes.TrimSuffix(rr.Body.Bytes(), []byte("\n")), []byte("\n"))
@@ -85,8 +98,11 @@ func FuzzQueryRequest(f *testing.F) {
 				t.Fatalf("%q: NDJSON line is not a JSON object (%v): %s", body, err, line)
 			}
 		}
-		if _, isErr := obj["error"]; !isErr && string(obj["done"]) != "true" {
-			t.Fatalf("%q: NDJSON ends in neither a done nor an error line: %s", body, lines[len(lines)-1])
+		if _, isErr := obj["error"]; !isErr {
+			if string(obj["done"]) != "true" {
+				t.Fatalf("%q: NDJSON ends in neither a done nor an error line: %s", body, lines[len(lines)-1])
+			}
+			countedOnce()
 		}
 	})
 }

@@ -13,17 +13,19 @@
 // Endpoints:
 //
 //	POST /query    {"sql": "...", "timeout_ms": 500, "limit": 100,
-//	               "analyze": false, "trace": false}
+//	               "trace": false}
 //	               → columns, rows, row ids and execution stats as JSON.
-//	               An unknown field is a 400. A statement prefixed with
-//	               EXPLAIN is planned, not executed: the response is the
-//	               physical operator tree ({"plan": one line per operator})
-//	               and no UDF is ever invoked. With "analyze": true the query
-//	               EXECUTES under EXPLAIN ANALYZE instrumentation: the rows
-//	               come back as usual and "plan" carries the tree annotated
-//	               with measured per-operator counts. With "trace": true the
-//	               response carries "trace": per-phase spans (parse, bind,
-//	               plan, per-operator, materialize) with µs offsets.
+//	               An unknown field, or a negative limit or timeout_ms, is a
+//	               400. Every statement is admitted and run the same way; the
+//	               server does not read the SQL. A statement prefixed with
+//	               EXPLAIN is planned, not executed: zero rows under the
+//	               projection's columns, and "plan" carries the physical
+//	               operator tree, one line per operator; no UDF is invoked.
+//	               EXPLAIN ANALYZE executes: the rows come back as usual and
+//	               "plan" carries the tree annotated with measured
+//	               per-operator counts. With "trace": true the response
+//	               carries "trace": per-phase spans (parse, bind, plan,
+//	               per-operator, materialize) with µs offsets.
 //	               408 if the request waited out its deadline in
 //	               admission, 504 if the deadline expired mid-query, 400 on
 //	               bad input — parse errors include the offending token's
@@ -451,15 +453,15 @@ func (s *server) recoverPanics(next http.Handler) http.Handler {
 type queryRequest struct {
 	SQL string `json:"sql"`
 	// TimeoutMS overrides the server's default per-request timeout
-	// (clamped to -max-timeout). 0 means the default.
+	// (clamped to -max-timeout). 0 means the default; negative is a 400.
 	TimeoutMS int64 `json:"timeout_ms"`
 	// Limit caps the rows and row_ids serialized into the response
-	// (0 = all); row_count always reports the full result size. For a
-	// buffered response the query still executes fully — the limit only
-	// bounds the payload. For a streamed response ("stream": true) the
-	// limit instead STOPS PRODUCTION: once that many rows are written the
-	// upstream evaluation is cancelled, so unevaluated rows are never paid
-	// for and stats cover only the work performed.
+	// (0 = all, negative is a 400); row_count always reports the full
+	// result size. For a buffered response the query still executes
+	// fully — the limit only bounds the payload. For a streamed response
+	// ("stream": true) the limit instead STOPS PRODUCTION: once that many
+	// rows are written the upstream evaluation is cancelled, so unevaluated
+	// rows are never paid for and stats cover only the work performed.
 	Limit int `json:"limit"`
 	// Stream switches the response to chunked NDJSON: one
 	// {"row_id": ..., "row": [...]} object per result row, written and
@@ -468,19 +470,12 @@ type queryRequest struct {
 	// the full execution stats. For streaming plan shapes (exact
 	// selections, conjunction waves) the first rows arrive while later
 	// rows are still unevaluated. An error after rows have been written is
-	// reported as a final {"error": ...} line. Incompatible with EXPLAIN
-	// and "analyze" (400).
+	// reported as a final {"error": ...} line. An EXPLAIN statement cannot
+	// be streamed: it is admitted, then refused with 400.
 	Stream bool `json:"stream"`
 	// OnFailure overrides the server's failure policy for this query:
 	// "fail", "skip" or "degrade" ("" keeps the server default).
 	OnFailure string `json:"on_failure"`
-	// Analyze executes the query with EXPLAIN ANALYZE instrumentation: the
-	// response carries the result as usual plus "plan", the operator tree
-	// annotated with measured per-operator counts. Equivalent to prefixing
-	// the SQL with EXPLAIN ANALYZE (which instead returns the plan as the
-	// result set, like Postgres). Unlike plain EXPLAIN, the query RUNS — it
-	// goes through admission control and invokes UDFs.
-	Analyze bool `json:"analyze"`
 	// Trace records per-phase spans (parse, bind, plan, per-operator,
 	// materialize) and returns them in the response as "trace".
 	Trace bool `json:"trace"`
@@ -500,7 +495,9 @@ type queryResponse struct {
 	// wire format (Degraded is carried above, not inside "stats").
 	Stats     predeval.Stats `json:"stats"`
 	ElapsedMS float64        `json:"elapsed_ms"`
-	// Plan is the EXPLAIN ANALYZE annotated operator tree ("analyze": true).
+	// Plan is the statement's operator tree, one line per operator: the
+	// estimated tree for EXPLAIN, the annotated one for EXPLAIN ANALYZE.
+	// Absent without the keyword.
 	Plan []string `json:"plan,omitempty"`
 	// Trace is the query's span list ("trace": true).
 	Trace []obs.SpanJSON `json:"trace,omitempty"`
@@ -543,12 +540,6 @@ func errorBody(err error) errorResponse {
 		resp.Line, resp.Col = perr.Line, perr.Col
 	}
 	return resp
-}
-
-// explainResponse is the POST /query payload of a plan-only EXPLAIN
-// statement: the operator tree, one line per operator.
-type explainResponse struct {
-	Plan []string `json:"plan"`
 }
 
 // statusClientClosedRequest is nginx's conventional 499 for a client that
@@ -658,39 +649,19 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if strings.TrimSpace(req.SQL) == "" {
+	switch {
+	case strings.TrimSpace(req.SQL) == "":
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing sql"})
 		return
-	}
-	// A statement that does not parse goes the way of any other query, which
-	// reports the parse error through the usual admitted path.
-	stmt, err := sqlparse.Parse(req.SQL)
-	explain := err == nil && stmt.Explain
-	if req.Stream {
-		if explain || req.Analyze {
-			writeJSON(w, http.StatusBadRequest,
-				errorResponse{Error: "explain/analyze cannot be streamed"})
-			return
-		}
-		s.handleStreamQuery(w, r, req)
+	case req.Limit < 0:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative limit %d", req.Limit)})
+		return
+	case req.TimeoutMS < 0:
+		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("negative timeout_ms %d", req.TimeoutMS)})
 		return
 	}
-	if explain && !stmt.Analyze {
-		// Planning never invokes a UDF, so it bypasses admission control: an
-		// EXPLAIN answers immediately even when every slot is busy. EXPLAIN
-		// ANALYZE executes UDFs, so it is admitted like any query.
-		rows, err := s.db.QueryContext(r.Context(), req.SQL)
-		if err != nil {
-			s.failed.Inc()
-			writeJSON(w, http.StatusBadRequest, errorBody(err))
-			return
-		}
-		plan := make([]string, rows.Len())
-		for i := range plan {
-			plan[i] = rows.Row(i)[0]
-		}
-		s.served.Inc()
-		writeJSON(w, http.StatusOK, explainResponse{Plan: plan})
+	if req.Stream {
+		s.handleStreamQuery(w, r, req)
 		return
 	}
 	// The execution slot is held only while the engine runs — response
@@ -700,7 +671,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	info, status, err := s.runAdmitted(r, req, func(ctx context.Context) (predeval.Stats, error) {
 		var err error
 		rows, err = s.db.QueryContextOptions(ctx, req.SQL,
-			predeval.QueryOptions{OnFailure: req.OnFailure, Analyze: req.Analyze})
+			predeval.QueryOptions{OnFailure: req.OnFailure})
 		if err != nil {
 			return predeval.Stats{}, err
 		}

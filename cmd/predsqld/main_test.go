@@ -125,7 +125,23 @@ func TestServerLimitTruncates(t *testing.T) {
 }
 
 func TestServerBadRequests(t *testing.T) {
-	_, ts := testServer(t, 60, 0, serverConfig{})
+	srv, ts := testServer(t, 60, 0, serverConfig{})
+	// A negative limit or timeout_ms is refused before admission in both
+	// modes: 400, and no query is run or counted.
+	const sel = "SELECT * FROM loans WHERE good_credit(id) = 1"
+	for _, req := range []queryRequest{
+		{SQL: sel, Limit: -1},
+		{SQL: sel, Limit: -1, Stream: true},
+		{SQL: sel, TimeoutMS: -1},
+		{SQL: sel, TimeoutMS: -1, Stream: true},
+	} {
+		if status, body := mustPostQuery(t, ts.URL, req); status != http.StatusBadRequest {
+			t.Fatalf("%+v: status %d (%s), want 400", req, status, body)
+		}
+	}
+	if n, failed := srv.queryDur.Count(), srv.failed.Value(); n != 0 || failed != 0 {
+		t.Fatalf("negative limit/timeout_ms reached admission: %d queries observed, %d failed", n, failed)
+	}
 	if status, _ := mustPostQuery(t, ts.URL, queryRequest{SQL: "   "}); status != http.StatusBadRequest {
 		t.Fatalf("empty sql: status %d", status)
 	}
@@ -256,23 +272,44 @@ func TestServerAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestServerExplainFlagAnalyzeIsAdmitted: an EXPLAIN ANALYZE statement
-// executes UDFs, so it must queue for a slot like any query — with the one
-// slot held and a 50 ms deadline it is turned away with 408 and no UDF is
-// invoked.
+// TestServerExplainFlagAnalyzeIsAdmitted: the server does not read the SQL,
+// so an EXPLAIN statement, planned or analyzed, queues for a slot like any
+// query — with the one slot held and a 50 ms deadline each is turned away
+// with 408 and no UDF is invoked.
 func TestServerExplainFlagAnalyzeIsAdmitted(t *testing.T) {
 	srv, ts := testServer(t, 300, time.Millisecond, serverConfig{MaxConcurrent: 1})
 	srv.sem <- struct{}{} // hold the one execution slot
 	defer func() { <-srv.sem }()
-	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:       "EXPLAIN ANALYZE SELECT * FROM loans WHERE good_credit(id) = 1",
-		TimeoutMS: 50,
-	})
-	if status != http.StatusRequestTimeout {
-		t.Fatalf("status %d (%s), want 408", status, body)
+	for _, keyword := range []string{"EXPLAIN", "EXPLAIN ANALYZE"} {
+		status, body := mustPostQuery(t, ts.URL, queryRequest{
+			SQL:       keyword + " SELECT * FROM loans WHERE good_credit(id) = 1",
+			TimeoutMS: 50,
+		})
+		if status != http.StatusRequestTimeout {
+			t.Fatalf("%s: status %d (%s), want 408", keyword, status, body)
+		}
+		if n := scrapeMetrics(t, ts.URL)[`predsqld_udf_duration_seconds_count{udf="good_credit"}`]; n != 0 {
+			t.Fatalf("%s: %v UDF calls outside admission control", keyword, n)
+		}
 	}
-	if n := scrapeMetrics(t, ts.URL)[`predsqld_udf_duration_seconds_count{udf="good_credit"}`]; n != 0 {
-		t.Fatalf("%v UDF calls outside admission control", n)
+}
+
+// TestServerCountsEveryStatementOnce pins the invariant predbench's
+// serve_http check reads: every served statement, EXPLAIN included, advances
+// queries_total{status="ok"} and the query-latency histogram together.
+func TestServerCountsEveryStatementOnce(t *testing.T) {
+	_, ts := testServer(t, 60, 0, serverConfig{})
+	const sel = "SELECT id FROM loans WHERE good_credit(id) = 1"
+	for _, sql := range []string{sel, "EXPLAIN " + sel, "EXPLAIN ANALYZE " + sel} {
+		if status, body := mustPostQuery(t, ts.URL, queryRequest{SQL: sql}); status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", sql, status, body)
+		}
+	}
+	m := scrapeMetrics(t, ts.URL)
+	for _, series := range []string{`predsqld_queries_total{status="ok"}`, "predsqld_query_duration_seconds_count"} {
+		if got := m[series]; got != 3 {
+			t.Errorf("%s = %v, want 3", series, got)
+		}
 	}
 }
 
@@ -464,31 +501,40 @@ func getTables(t *testing.T, url string) []predeval.TableInfo {
 	return out.Tables
 }
 
-// TestServerExplainFlag: EXPLAIN is asked one way, by the SQL keyword. A
-// body still carrying the removed "explain" flag is refused with 400 before
-// anything runs, and the keyword plans without executing.
+// TestServerExplainFlag: EXPLAIN and EXPLAIN ANALYZE are asked one way, by
+// the SQL keyword. A body still carrying the removed "explain" or "analyze"
+// flag is refused with 400 before anything runs, and the keyword plans
+// without executing: zero rows under the projection's columns, the tree
+// under "plan".
 func TestServerExplainFlag(t *testing.T) {
 	srv, ts := testServer(t, 300, 50*time.Millisecond, serverConfig{})
 	const sql = "SELECT * FROM loans WHERE good_credit(id) = 1 WITH RECALL 0.8 GROUP ON grade"
-	resp, err := http.Post(ts.URL+"/query", "application/json",
-		strings.NewReader(`{"sql": "`+sql+`", "explain": true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf(`"explain": true answered %d, want 400`, resp.StatusCode)
+	for _, flag := range []string{"explain", "analyze"} {
+		resp, err := http.Post(ts.URL+"/query", "application/json",
+			strings.NewReader(`{"sql": "`+sql+`", "`+flag+`": true}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf(`"%s": true answered %d, want 400`, flag, resp.StatusCode)
+		}
 	}
 
 	status, body := mustPostQuery(t, ts.URL, queryRequest{SQL: "EXPLAIN " + sql})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
 	}
-	var out struct {
-		Plan []string `json:"plan"`
-	}
+	var out queryResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), `"row_ids":[]`) {
+		t.Errorf("EXPLAIN row_ids is not an empty list: %s", body)
+	}
+	if out.RowCount != 0 || len(out.Rows) != 0 || len(out.Columns) != 2 || out.Columns[0] != "id" {
+		t.Fatalf("EXPLAIN result set: columns %v, %d rows (row_count %d), want [id grade] and none",
+			out.Columns, len(out.Rows), out.RowCount)
 	}
 	if len(out.Plan) == 0 || !strings.Contains(out.Plan[0], "merge") {
 		t.Fatalf("plan %q", out.Plan)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -186,11 +187,13 @@ func TestConcurrentScrapes(t *testing.T) {
 	}
 }
 
+// TestQueryAnalyzeReturnsAnnotatedPlan: a query asked with the EXPLAIN
+// ANALYZE keyword keeps its result set, carries the annotated tree under
+// "plan", returns no trace it was not asked for, and is served once.
 func TestQueryAnalyzeReturnsAnnotatedPlan(t *testing.T) {
 	srv, ts := testServer(t, 300, 0, serverConfig{})
 	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:     "SELECT * FROM loans WHERE good_credit(id) = 1",
-		Analyze: true,
+		SQL: "EXPLAIN ANALYZE SELECT * FROM loans WHERE good_credit(id) = 1",
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
@@ -200,7 +203,7 @@ func TestQueryAnalyzeReturnsAnnotatedPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.RowCount == 0 || len(out.Rows) == 0 {
-		t.Fatal("analyze dropped the result set")
+		t.Fatal("EXPLAIN ANALYZE dropped the result set")
 	}
 	text := strings.Join(out.Plan, "\n")
 	if len(out.Plan) == 0 || !strings.Contains(text, "(actual ") {
@@ -214,30 +217,39 @@ func TestQueryAnalyzeReturnsAnnotatedPlan(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeSQLGoesThroughExecution: an EXPLAIN ANALYZE statement
+// executes and answers what the bare statement answers — rows, row ids and
+// stats — with the annotated tree under "plan".
 func TestExplainAnalyzeSQLGoesThroughExecution(t *testing.T) {
 	srv, ts := testServer(t, 300, 0, serverConfig{})
-	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL: "EXPLAIN ANALYZE SELECT * FROM loans WHERE good_credit(id) = 1",
-	})
-	if status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, body)
+	const sql = "SELECT * FROM loans WHERE good_credit(id) = 1"
+	var outs [2]queryResponse
+	for i, stmt := range []string{sql, "EXPLAIN ANALYZE " + sql} {
+		status, body := mustPostQuery(t, ts.URL, queryRequest{SQL: stmt})
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", stmt, status, body)
+		}
+		if err := json.Unmarshal(body, &outs[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var out queryResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	plain, out := outs[0], outs[1]
+	if out.Stats.Evaluations == 0 || out.RowCount == 0 {
+		t.Fatalf("EXPLAIN ANALYZE did not execute the query: %d evaluations, %d rows",
+			out.Stats.Evaluations, out.RowCount)
 	}
-	// The statement executed (UDF calls happened) and the plan IS the
-	// result set, mirroring the library behavior.
-	if out.Stats.Evaluations == 0 {
-		t.Error("EXPLAIN ANALYZE did not execute the query")
+	if !reflect.DeepEqual(out.Rows, plain.Rows) || !reflect.DeepEqual(out.RowIDs, plain.RowIDs) ||
+		!reflect.DeepEqual(out.Columns, plain.Columns) {
+		t.Fatalf("EXPLAIN ANALYZE changed the result set: %d rows, want %d", out.RowCount, plain.RowCount)
+	}
+	if plain.Plan != nil {
+		t.Errorf("bare statement carries a plan: %v", plain.Plan)
 	}
 	if len(out.Plan) == 0 || !strings.Contains(strings.Join(out.Plan, "\n"), "(actual ") {
 		t.Fatalf("plan not annotated: %v", out.Plan)
 	}
-	// It also shows up in the query-latency histogram, unlike plan-only
-	// EXPLAIN which bypasses admission.
-	if srv.queryDur.Count() != 1 {
-		t.Errorf("query_duration count = %d, want 1", srv.queryDur.Count())
+	if srv.served.Value() != 2 || srv.queryDur.Count() != 2 {
+		t.Errorf("served = %d, query_duration count = %d, want 2 and 2", srv.served.Value(), srv.queryDur.Count())
 	}
 }
 

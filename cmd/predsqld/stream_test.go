@@ -246,7 +246,6 @@ func TestServerStreamRejectsExplainAnalyze(t *testing.T) {
 	_, ts := streamTestServer(t, 30, 0, 0, nil)
 	for _, req := range []queryRequest{
 		{SQL: "EXPLAIN ANALYZE SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
-		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Analyze: true},
 		{SQL: "EXPLAIN SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true},
 	} {
 		status, body := mustPostQuery(t, ts.URL, req)

@@ -1,7 +1,8 @@
 // Creditcheck reproduces the paper's motivating scenario (Section 1): a bank
 // wants to contact customers with good credit, each credit check costs
 // money, and the loan grade correlates with the outcome. The query pins
-// GROUP ON grade and runs under EXPLAIN ANALYZE, so the example prints what
+// GROUP ON grade and asks with EXPLAIN ANALYZE, which returns the campaign
+// list and the annotated plan of the same run, so the example prints what
 // each stage of the pipeline did — how many loans the sample stage examined,
 // how many checks the plan then spent — beside the campaign list's quality.
 //
@@ -50,10 +51,9 @@ func main() {
 	}
 
 	const alpha, beta = 0.9, 0.9
-	rows, err := db.QueryContextOptions(context.Background(),
-		`SELECT id FROM loans WHERE good_credit(id) = 1
-		 WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9 GROUP ON grade`,
-		predeval.QueryOptions{Analyze: true})
+	rows, err := db.QueryContext(context.Background(),
+		`EXPLAIN ANALYZE SELECT id FROM loans WHERE good_credit(id) = 1
+		 WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9 GROUP ON grade`)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -286,16 +286,20 @@ func (r *Rows) RowIDs() []int { return r.ids }
 // Stats returns the execution statistics.
 func (r *Rows) Stats() Stats { return r.stats }
 
-// Plan returns the annotated EXPLAIN ANALYZE plan (one operator per
-// line), when the query ran with analysis on — via the EXPLAIN ANALYZE
-// keyword or QueryOptions.Analyze. Nil otherwise.
+// Plan returns the statement's operator tree, one operator per line: the
+// estimated tree for EXPLAIN, the tree annotated with measured
+// per-operator counts for EXPLAIN ANALYZE. Nil for a statement without
+// the keyword. The plan is metadata of the run; the result set is the
+// statement's own (none for EXPLAIN, which does not execute).
 func (r *Rows) Plan() []string { return r.plan }
 
 // QueryContext parses and executes one statement of the SQL dialect (see
 // the package documentation and internal/sqlparse) and returns the
 // materialized result. An EXPLAIN-prefixed statement is planned instead of
-// executed: the result has a single "plan" column with one row per
-// operator line and zero-valued Stats.
+// executed: the result has the projection's columns, zero rows, zero-valued
+// Stats and the estimated tree on Plan. An EXPLAIN ANALYZE statement
+// executes and returns exactly what the bare statement would, with the
+// annotated tree on Plan.
 //
 // Cancel ctx (or attach a deadline) and the engine stops evaluating UDFs
 // promptly — within at most one in-flight UDF call per worker — returning
@@ -313,11 +317,6 @@ type QueryOptions struct {
 	// OnFailure overrides the DB's failure policy for this query: "fail",
 	// "skip" or "degrade" ("" keeps the DB default). See SetFailurePolicy.
 	OnFailure string
-	// Analyze turns on EXPLAIN ANALYZE instrumentation without changing
-	// what the query returns: the result rows come back as usual, and the
-	// annotated plan is available from Rows.Plan(). (An EXPLAIN ANALYZE
-	// statement instead returns the plan as the result set, like EXPLAIN.)
-	Analyze bool
 }
 
 // parseStatement parses sql under the "parse" span and applies the
@@ -345,63 +344,41 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 		return nil, err
 	}
 	q := stmt.Query
-	if stmt.Explain && !stmt.Analyze {
-		text, err := db.eng.Explain(q)
-		if err != nil {
-			return nil, err
-		}
-		return planRows(planLines(text)), nil
-	}
-	var res *engine.Result
-	var annotated []string
-	if stmt.Analyze || opts.Analyze {
-		var root *plan.Node
-		if root, res, err = db.eng.ExplainAnalyzeContext(ctx, q); err == nil {
-			annotated = planLines(plan.Format(root))
-		}
-	} else {
+	res := &engine.Result{Rows: []int{}} // EXPLAIN's: no rows, zero Stats
+	var root *plan.Node
+	switch {
+	case stmt.Analyze:
+		root, res, err = db.eng.ExplainAnalyzeContext(ctx, q)
+	case stmt.Explain:
+		root, err = db.eng.Plan(q)
+	default:
 		res, err = db.eng.ExecuteContext(ctx, q)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if stmt.Analyze {
-		// EXPLAIN ANALYZE returns the annotated plan as the result set
-		// (like EXPLAIN — and like Postgres, the query's own output is
-		// discarded); Stats still reflect the real execution.
-		rows := planRows(annotated)
-		rows.stats, rows.plan = res.Stats, annotated
-		return rows, nil
-	}
 	var rows *Rows
-	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, annotated) })
+	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, root) })
 	return rows, err
 }
 
 // materialize wraps the result rows with the Renderer QueryStream emits
 // through, so a streamed and a materialized result cannot render
-// differently. Row renders on demand: a caller reading only RowIDs or Len
-// pays for no cell.
-func (db *DB) materialize(q plan.Query, res *engine.Result, annotated []string) (*Rows, error) {
+// differently, and formats the plan root (nil without EXPLAIN) into Plan's
+// lines. Row renders on demand: a caller reading only RowIDs or Len pays
+// for no cell.
+func (db *DB) materialize(q plan.Query, res *engine.Result, root *plan.Node) (*Rows, error) {
 	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
 	}
+	var lines []string
+	if root != nil {
+		lines = strings.Split(strings.TrimRight(plan.Format(root), "\n"), "\n")
+	}
 	ids := res.Rows
 	return &Rows{cols: cols, n: len(ids), row: func(i int) []string { return render(ids[i]) },
-		ids: ids, stats: res.Stats, plan: annotated}, nil
-}
-
-// planLines splits EXPLAIN text into its operator lines.
-func planLines(text string) []string {
-	return strings.Split(strings.TrimRight(text, "\n"), "\n")
-}
-
-// planRows wraps EXPLAIN lines as a one-column result set (one row per
-// operator line), so EXPLAIN statements flow through QueryContext like any
-// other.
-func planRows(lines []string) *Rows {
-	return &Rows{cols: []string{"plan"}, n: len(lines), row: func(i int) []string { return []string{lines[i]} }}
+		ids: ids, stats: res.Stats, plan: lines}, nil
 }
 
 // ErrStopStream can be returned by a QueryStream emit callback to stop

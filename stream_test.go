@@ -180,8 +180,8 @@ func TestQueryStreamStopStream(t *testing.T) {
 	}
 }
 
-// TestQueryStreamRejectsExplain pins that plan-only statements cannot be
-// streamed.
+// TestQueryStreamRejectsExplain pins that EXPLAIN statements, planned or
+// analyzed, cannot be streamed.
 func TestQueryStreamRejectsExplain(t *testing.T) {
 	db, _ := openLoanDB(t, 30)
 	for _, sql := range []string{
