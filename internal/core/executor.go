@@ -49,13 +49,17 @@ type ExecResult struct {
 }
 
 // ExecuteParallelCtx runs the strategy over the groups with one predicate:
-// ExecuteSpansParallelCtx with the one meter, keyed by rng's next draw.
+// ExecuteSpansParallelCtx with the one meter, keyed by rng's next draw, on
+// a pool of up to `parallelism` workers (≤ 0 means GOMAXPROCS) that it
+// builds and closes.
 func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples []SampleOutcome, meter *Meter, cost CostModel, rng *stats.RNG, parallelism int) (ExecResult, error) {
-	return ExecuteSpansParallelCtx(ctx, groups, s, nil, samples, []*Meter{meter}, cost, stats.Key(rng.Uint64()), parallelism)
+	pool := exec.NewPool(parallelism)
+	defer pool.Close()
+	return ExecuteSpansParallelCtx(ctx, groups, s, nil, samples, []*Meter{meter}, cost, stats.Key(rng.Uint64()), pool)
 }
 
 // ExecuteSpansParallelCtx runs the strategy over the groups, fanning UDF
-// calls across up to `parallelism` workers (≤ 0 means GOMAXPROCS). A row
+// calls across the caller's pool. A row
 // of group i that is retrieved and evaluated must pass the meters of
 // spans[i], in order, short-circuiting at the first that rejects it; nil
 // spans mean every meter for every group. samples may be nil (no sampling
@@ -64,7 +68,7 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 // per-tuple coins, so results are identical at every parallelism level and
 // whatever order the groups come in; a cancel returns ctx.Err() and an
 // empty result.
-func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, spans []Span, samples []SampleOutcome, meters []*Meter, cost CostModel, key stats.Key, parallelism int) (ExecResult, error) {
+func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, spans []Span, samples []SampleOutcome, meters []*Meter, cost CostModel, key stats.Key, pool *exec.Pool) (ExecResult, error) {
 	if len(groups) != s.Len() {
 		return ExecResult{}, fmt.Errorf("core: %d groups but strategy covers %d", len(groups), s.Len())
 	}
@@ -126,7 +130,7 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 
 	// Evaluate: the waves fan the expensive calls out and keep the plan
 	// order; a failed evaluation drops its row like a false verdict.
-	w := Waves{Meters: meters, Pool: exec.NewPool(parallelism)}
+	w := Waves{Meters: meters, Pool: pool}
 	out, err := w.Run(ctx, rows, need)
 	if err != nil {
 		return ExecResult{}, err

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -63,7 +64,7 @@ func TestDrawsIgnoreGroupOrder(t *testing.T) {
 		for _, o := range s.Outcomes() {
 			maps.Copy(outcomes, o.Results)
 		}
-		res, err := ExecuteSpansParallelCtx(context.Background(), gs, st, nil, s.Outcomes(), []*Meter{meter}, DefaultCost, key.Sub(ExecuteDraw), 1)
+		res, err := ExecuteSpansParallelCtx(context.Background(), gs, st, nil, s.Outcomes(), []*Meter{meter}, DefaultCost, key.Sub(ExecuteDraw), exec.NewPool(1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,14 +82,22 @@ type Sampler struct {
 	// cut[i] is group i's rank cut: every row ranked below it is recorded in
 	// outcomes[i] or failed, every row at or above it is undrawn.
 	cut []uint64
-	// parallelism caps the workers used to evaluate newly sampled rows
-	// (default 1, fully sequential). Row selection is always sequential, so
+	// pool evaluates newly sampled rows: a caller's (SetPool), or, when nil,
+	// one each top-up builds at parallelism workers (default 1, fully
+	// sequential) and closes. Row selection is always sequential, so
 	// outcomes are identical at any setting.
+	pool        *exec.Pool
 	parallelism int
 }
 
-// SetParallelism sets the worker cap for UDF evaluation during TopUpCtx
-// (≤ 0 means GOMAXPROCS, 1 means sequential).
+// SetPool makes every later top-up evaluate on pool, which the caller
+// owns and closes: the engine hands each sampler its statement's pool, so
+// sampling reuses the workers that evaluate the rest of the statement.
+func (s *Sampler) SetPool(pool *exec.Pool) { s.pool = pool }
+
+// SetParallelism is for callers without a pool: a top-up on a sampler
+// given none by SetPool builds a pool of p workers (≤ 0 means GOMAXPROCS,
+// 1 means sequential) and closes it before returning.
 func (s *Sampler) SetParallelism(p int) { s.parallelism = p }
 
 // NewSampler prepares a single-predicate sampler over the groups: the
@@ -157,7 +165,8 @@ func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
 //
 // TopUpCtx is plan/evaluate split: the rows each group still owes are
 // chosen sequentially by rank, then each predicate runs over the whole
-// batch as one Meter.EvalRows batch on up to SetParallelism workers, in predicate order on the calling goroutine — a
+// batch as one Meter.EvalRows batch on the sampler's pool (SetPool or
+// SetParallelism), in predicate order on the calling goroutine — a
 // circuit breaker the predicates share needs sequential fold points — and
 // outcomes are recorded in plan order, so the sampler's state afterwards is
 // identical at any parallelism level. Sampling never short-circuits: a
@@ -191,7 +200,11 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	// failed invocations must never become sampling evidence, a row missing
 	// one verdict has no joint outcome, and a later top-up to the same
 	// target simply samples the next-ranked rows.
-	pool := exec.NewPool(s.parallelism)
+	pool := s.pool
+	if pool == nil {
+		pool = exec.NewPool(s.parallelism)
+		defer pool.Close()
+	}
 	verdicts := make([][]bool, len(s.meters))
 	var failed []bool
 	for j, m := range s.meters {

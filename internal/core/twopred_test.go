@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -60,7 +61,9 @@ func executeActions(ctx context.Context, groups []Group, acts []TwoPredAction, s
 	if err != nil {
 		return ExecResult{}, err
 	}
-	return ExecuteSpansParallelCtx(ctx, groups, s, spans, samples, []*Meter{m1, m2}, DefaultCost, stats.Key(1), parallelism)
+	pool := exec.NewPool(parallelism)
+	defer pool.Close()
+	return ExecuteSpansParallelCtx(ctx, groups, s, spans, samples, []*Meter{m1, m2}, DefaultCost, stats.Key(1), pool)
 }
 
 // defaultTargets is the engine's sampling allocation over groups.
@@ -270,7 +273,7 @@ func TestExecuteTwoPredicatesValidation(t *testing.T) {
 	// A span must lie within the meters it indexes, and cover one group each.
 	for _, spans := range [][]Span{{{1, 3}}, {{1, 0}}, {{0, 1}, {0, 1}}} {
 		if _, err := ExecuteSpansParallelCtx(context.Background(), groups, FullEvaluation(1), spans, nil,
-			[]*Meter{NewMeter(u1), NewMeter(u2)}, DefaultCost, stats.Key(1), 1); err == nil {
+			[]*Meter{NewMeter(u1), NewMeter(u2)}, DefaultCost, stats.Key(1), exec.NewPool(1)); err == nil {
 			t.Fatalf("spans %v accepted", spans)
 		}
 	}

@@ -248,7 +248,7 @@ func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState
 	var term *evalOp
 	switch root.Op {
 	case plan.OpExactEval, plan.OpConjWaves:
-		term = &evalOp{st: st, node: root, collect: sink == nil, waves: core.Waves{Pool: e.pool()}}
+		term = &evalOp{st: st, node: root, collect: sink == nil, waves: core.Waves{Pool: st.pool}}
 		rest = rest[:len(rest)-1]
 	case plan.OpMerge:
 	default:

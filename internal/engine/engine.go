@@ -130,9 +130,6 @@ func (e *Engine) parallelism() int {
 	return e.Parallelism
 }
 
-// pool returns a worker pool at the engine's parallelism.
-func (e *Engine) pool() *exec.Pool { return exec.NewPool(e.parallelism()) }
-
 // RegisterTable adds a table; the name must be unused.
 func (e *Engine) RegisterTable(t *table.Table) error {
 	e.mu.Lock()
@@ -249,6 +246,11 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 		// (exact shapes draw nothing), so repetitions are independent trials.
 		st.key = stats.Key(e.seed).Sub(e.statements.Add(1) - 1)
 	}
+	// One pool evaluates every UDF-calling stage and the batch loop, so its
+	// workers start about once per statement, not once per batch; it is
+	// closed on every way out, a panic included.
+	st.pool = exec.NewPool(e.parallelism())
+	defer st.pool.Close()
 	if err := e.runPipeline(ctx, root, st, sink); err != nil {
 		return nil, nil, err
 	}
@@ -301,7 +303,7 @@ func candidateColumns(st *pipeState) []core.Candidate {
 func (e *Engine) labeler(st *pipeState) (*core.Sampler, []int) {
 	rows := universe(st.tbl, st.subset)
 	s := core.NewJointSampler([]core.Group{{Key: "all", Rows: rows}}, st.meters()[:1], st.key.Sub(core.LabelDraw))
-	s.SetParallelism(e.parallelism())
+	s.SetPool(st.pool)
 	return s, rows
 }
 

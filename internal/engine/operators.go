@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/resilience"
@@ -67,6 +68,10 @@ type pipeState struct {
 	// key is the statement's draw key (zero for exact shapes, which draw
 	// nothing); stages draw under core.LabelDraw, SampleDraw, ExecuteDraw.
 	key stats.Key
+	// pool is the statement's worker pool (executeStatement builds and
+	// closes it): every UDF-evaluating stage and the streaming terminal
+	// fan out on it.
+	pool *exec.Pool
 
 	// Products of the operators, in pipeline order.
 	groups      []core.Group         // op group-resolve (or join-group)
@@ -400,7 +405,7 @@ func (e *Engine) opSample(ctx context.Context, st *pipeState) (stageOut, error) 
 		groups = []core.Group{{Key: "all", Rows: universe(st.tbl, st.subset)}}
 	}
 	sampler := core.NewJointSampler(groups, st.meters(), st.key.Sub(core.SampleDraw))
-	sampler.SetParallelism(e.parallelism())
+	sampler.SetPool(st.pool)
 	if len(st.preds) == 1 {
 		st.sampler = sampler
 	}
@@ -461,11 +466,11 @@ func (e *Engine) opSolve(mode string, st *pipeState) (stageOut, error) {
 // resilient meters. Sampled rows are resolved from their recorded outcomes
 // for free.
 func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error) {
-	exec, err := core.ExecuteSpansParallelCtx(ctx, st.groups, st.strategy, st.spans, st.samples, st.meters(), st.cost, st.key.Sub(core.ExecuteDraw), e.parallelism())
+	res, err := core.ExecuteSpansParallelCtx(ctx, st.groups, st.strategy, st.spans, st.samples, st.meters(), st.cost, st.key.Sub(core.ExecuteDraw), st.pool)
 	if err != nil {
 		return stageOut{}, err
 	}
-	st.output, st.retrieved = exec.Output, exec.Retrieved
+	st.output, st.retrieved = res.Output, res.Retrieved
 	return stageOut{rows: len(st.output)}, nil
 }
 

@@ -7,18 +7,6 @@ import (
 	"testing"
 )
 
-// admitAll is a gate that admits every row, in segments of the given
-// width (0: one wave), and does not allocate, so the count below is the
-// batch's own.
-type admitAll struct {
-	plan    []bool
-	segment int
-}
-
-func (g *admitAll) Segment() int      { return g.segment }
-func (g *admitAll) Plan(n int) []bool { return g.plan[:n] }
-func (g *admitAll) Record([]bool)     {}
-
 func TestEvalRowsGatedAllocs(t *testing.T) {
 	allocs := func(n, segment int) float64 {
 		rows := make([]int, n)
@@ -26,7 +14,7 @@ func TestEvalRowsGatedAllocs(t *testing.T) {
 		for i := range rows {
 			rows[i], gate.plan[i] = i, true
 		}
-		pool := NewPool(1)
+		pool := NewPool(1) // admitAll allocates nothing: the count is the batch's own
 		eval := func(_ context.Context, row int) (bool, bool) { return row%2 == 0, false }
 		deny := func(int) (bool, bool) { panic("nothing is denied") }
 		return testing.AllocsPerRun(20, func() {

@@ -42,6 +42,8 @@ type Gate interface {
 // rows without invoking (e.g. from a memo or cache) and is called
 // sequentially on the calling goroutine. A nil gate admits everything in
 // one wave. On cancellation both slices are withheld: (nil, nil, ctx.Err()).
+// Like ForEachCtx, it polls ctx.Done() and calls ctx.Err() only once the
+// context has ended.
 //
 // The verdicts and failed slices are index-aligned with rows; a failed row
 // always carries verdict false.
@@ -98,7 +100,7 @@ func (p *Pool) EvalRowsGatedCtx(
 			}
 			verdict[i], fail[i] = eval(ctx, seg[i])
 		})
-		if err == nil && admitted == 0 {
+		if err == nil && admitted == 0 && ended(ctx.Done()) {
 			// A fully-denied segment makes no ctx checks; normalize so a
 			// cancelled caller can't spin through deny-only segments.
 			err = ctx.Err()

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -215,17 +216,19 @@ func Lab(ctx context.Context, in Instance, draw Draw, key stats.Key) (Run, error
 	if err != nil {
 		return Run{}, err
 	}
-	exec, err := core.ExecuteSpansParallelCtx(ctx, in.Groups, strat, nil, sampler.Outcomes(), []*core.Meter{in.Meter}, cost, key.Sub(core.ExecuteDraw), 1)
+	pool := exec.NewPool(1) // the lab's statements run sequentially
+	defer pool.Close()
+	res, err := core.ExecuteSpansParallelCtx(ctx, in.Groups, strat, nil, sampler.Outcomes(), []*core.Meter{in.Meter}, cost, key.Sub(core.ExecuteDraw), pool)
 	if err != nil {
 		return Run{}, err
 	}
-	sort.Ints(exec.Output)
+	sort.Ints(res.Output)
 	run := Run{
-		Rows:        exec.Output,
+		Rows:        res.Output,
 		Evaluations: in.Meter.Calls(),
 		Sampled:     sampler.TotalSampled(),
 	}
-	run.Retrievals = run.Sampled + exec.Retrieved
+	run.Retrievals = run.Sampled + res.Retrieved
 	run.Cost = float64(run.Retrievals)*cost.Retrieve + float64(run.Evaluations)*cost.Evaluate
 	return run, nil
 }

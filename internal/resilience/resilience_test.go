@@ -156,6 +156,43 @@ func TestDoCancelledDuringBackoffReturnsCtxErr(t *testing.T) {
 	}
 }
 
+// errCounter is a live, cancellable context that counts its Err calls; on
+// Go 1.24 each one locks the context's mutex.
+type errCounter struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCounter) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
+// TestDoSuccessNeverAsksErr pins the per-row retry loop at no lock: a
+// successful attempt under a live context makes no ctx.Err() call, and
+// after a cancel no attempt starts.
+func TestDoSuccessNeverAsksErr(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCounter{Context: parent}
+	for row := range 1000 {
+		if v, attempts, err := Do(ctx, Policy{}, uint64(row), func(context.Context) (bool, error) { return row%2 == 0, nil }); err != nil || attempts != 1 || v != (row%2 == 0) {
+			t.Fatalf("row %d: Do = (%v, %d, %v)", row, v, attempts, err)
+		}
+	}
+	if got := ctx.errs.Load(); got != 0 {
+		t.Fatalf("%d ctx.Err() calls on the success path, want 0", got)
+	}
+	cancel()
+	_, attempts, err := Do(ctx, Policy{}, 1, func(context.Context) (bool, error) {
+		t.Fatal("an attempt started after the cancel")
+		return false, nil
+	})
+	if !errors.Is(err, context.Canceled) || attempts != 0 {
+		t.Fatalf("after cancel: attempts %d, err %v; want 0 and context.Canceled", attempts, err)
+	}
+}
+
 // TestDoCallTimeoutClassifiedRetryable: an attempt that outlives its
 // per-call deadline is a typed, retryable Timeout, not a batch abort. Seed
 // it catches: an untyped error on Bound's timeout paths.

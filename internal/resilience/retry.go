@@ -100,20 +100,23 @@ func (p Policy) sleep(ctx context.Context, d time.Duration) error {
 // It returns the verdict, the number of attempts made, and the final
 // error. A context that ends mid-attempt or mid-backoff surfaces as
 // ctx.Err() promptly — the full backoff is never slept out — which callers
-// must treat as a batch abort, not a row failure.
+// must treat as a batch abort, not a row failure. Do polls ctx.Done()
+// before each attempt, which takes no lock, and calls ctx.Err() only once
+// the context has ended, so its success path never calls it.
 func Do(ctx context.Context, p Policy, key uint64, fn func(ctx context.Context) (bool, error)) (bool, int, error) {
+	done := ctx.Done()
 	attempts := 0
 	for {
-		if err := ctx.Err(); err != nil {
-			return false, attempts, err
+		if ended(done) {
+			return false, attempts, ctx.Err()
 		}
 		attempts++
 		v, err := fn(ctx)
 		if err == nil {
 			return v, attempts, nil
 		}
-		if cerr := ctx.Err(); cerr != nil {
-			return false, attempts, cerr
+		if ended(done) {
+			return false, attempts, ctx.Err()
 		}
 		if !Retryable(err) || attempts >= p.maxAttempts() {
 			return false, attempts, err
@@ -121,6 +124,17 @@ func Do(ctx context.Context, p Policy, key uint64, fn func(ctx context.Context) 
 		if serr := p.sleep(ctx, p.Backoff(key, attempts)); serr != nil {
 			return false, attempts, serr
 		}
+	}
+}
+
+// ended reports, without taking the context's lock, whether done — a
+// context's Done channel — is closed. A nil channel never closes.
+func ended(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
 	}
 }
 
