@@ -11,8 +11,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	predeval "repro"
 )
 
 // timeRE strips the display-only wall-time annotation so the remaining
@@ -86,12 +84,11 @@ func TestExplainAnalyzeStatementReturnsPlanAsRows(t *testing.T) {
 	}
 }
 
-// TestQueryOptionsAnalyzeKeepsResultSet: the plan is metadata of the run.
-// On a fresh DB at the same seed, EXPLAIN ANALYZE through
-// QueryContextOptions returns exactly the bare statement's columns, rows,
-// row ids and Stats, with the annotated tree on Plan; the bare statement
-// carries no plan.
-func TestQueryOptionsAnalyzeKeepsResultSet(t *testing.T) {
+// TestQueryContextAnalyzeKeepsResultSet: the plan is metadata of the run.
+// On a fresh DB at the same seed, EXPLAIN ANALYZE through QueryContext
+// returns exactly the bare statement's columns, rows, row ids and Stats,
+// with the annotated tree on Plan; the bare statement carries no plan.
+func TestQueryContextAnalyzeKeepsResultSet(t *testing.T) {
 	const n = 300
 	plain := chaosDB(t, n, 4, acceptanceChaos, "degrade")
 	analyzed := chaosDB(t, n, 4, acceptanceChaos, "degrade")
@@ -100,7 +97,7 @@ func TestQueryOptionsAnalyzeKeepsResultSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := analyzed.QueryContextOptions(context.Background(), "EXPLAIN ANALYZE "+sql, predeval.QueryOptions{})
+	got, err := analyzed.QueryContext(context.Background(), "EXPLAIN ANALYZE "+sql)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,8 +36,6 @@ func FuzzQueryRequest(f *testing.F) {
 		{SQL: "EXPLAIN " + sel + " WITH RECALL 0.8 GROUP ON grade"},
 		{SQL: "  explain " + sel},
 		{SQL: sel, Trace: true},
-		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", OnFailure: "degrade"},
-		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", OnFailure: "explode"},
 		{SQL: sel + " WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9 GROUP ON grade"},
 		{SQL: sel, Stream: true},
 		{SQL: "SELECT id FROM loans WHERE good_credit(id) = 1", Stream: true, Limit: 5},
@@ -58,6 +56,8 @@ func FuzzQueryRequest(f *testing.F) {
 	f.Add([]byte(`{"sql": "` + sel + `", "stream": true, "limit": -1}`))
 	f.Add([]byte(`{"sql": "` + sel + `", "limit": -1}`))
 	f.Add([]byte(`{"sql": "` + sel + `", "timeout_ms": -1}`))
+	f.Add([]byte(`{"sql": "` + sel + `", "on_failure": "degrade"}`))
+	f.Add([]byte(`{"sql": "` + sel + `", "on_failure": "explode"}`))
 
 	srv, _ := testServer(f, 60, 0, serverConfig{})
 	h := srv.handler()

@@ -61,21 +61,14 @@
 //
 // UDF invocations are resilient: each call runs under a per-attempt
 // deadline (-udf-call-timeout) with capped exponential-backoff retries
-// (-udf-retries) and a per-(table, UDF) circuit breaker. -on-failure picks
-// what a row whose invocation ultimately fails means — fail the query
-// ("fail", default), drop the row silently ("skip"), or drop it and mark
-// the response degraded ("degrade"); a request can override per query via
-// "on_failure". Failed rows never contaminate the outcome cache, the
-// durable catalog or learned statistics. A panicking handler answers 500
-// JSON instead of killing the connection, and GET /metrics counts handler
-// panics, failure/retry totals and each breaker's trips and live state.
-//
-// The -chaos-* flags wrap the registered UDF in a fault injector seeded by
-// -seed (transient errors, latency spikes, persistently panicking values,
-// failing first attempts) for end-to-end failure drills:
-//
-//	predsqld ... -on-failure degrade -udf-retries 4 \
-//	         -chaos-error-rate 0.1 -chaos-latency 5ms -chaos-latency-rate 0.05
+// (-udf-retries) and a per-(table, UDF) circuit breaker. -on-failure is
+// the server's one failure policy, for every statement: a row whose
+// invocation ultimately fails fails the query ("fail", default), or is
+// dropped and the response marked degraded ("degrade"). Failed rows never
+// contaminate the outcome cache, the durable catalog or learned
+// statistics. A panicking handler answers 500 JSON instead of killing the
+// connection, and GET /metrics counts handler panics, failure/retry totals
+// and each breaker's trips and live state.
 package main
 
 import (
@@ -120,21 +113,14 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", defaultMaxConcurrent, "queries admitted concurrently; excess queue")
 		timeout       = flag.Duration("timeout", defaultTimeout, "default per-request timeout")
 		maxTimeout    = flag.Duration("max-timeout", defaultMaxTimeout, "ceiling on client-requested timeouts")
-		udfDelay      = flag.Duration("udf-delay", 0, "artificial latency per UDF call (simulates an expensive predicate)")
 		dataDir       = flag.String("data-dir", "", "durable catalog directory: UDF verdicts and correlated-column choices persist across restarts (empty = in-memory only)")
 		flushInterval = flag.Duration("flush-interval", 30*time.Second, "how often the catalog is flushed to disk (0 disables the periodic flush; the drain still flushes)")
 		traceLogPath  = flag.String("trace-log", "", "append one JSON line of per-phase spans for every executed query to this file")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 
-		onFailure      = flag.String("on-failure", "fail", "default failure policy for rows whose UDF invocation ultimately fails: fail, skip or degrade")
+		onFailure      = flag.String("on-failure", "fail", "failure policy for rows whose UDF invocation ultimately fails: fail or degrade")
 		udfRetries     = flag.Int("udf-retries", 0, "max UDF invocation attempts including the first (0 = default 3)")
 		udfCallTimeout = flag.Duration("udf-call-timeout", 0, "per-attempt UDF deadline (0 = unbounded)")
-
-		chaosErrorRate    = flag.Float64("chaos-error-rate", 0, "per-attempt probability of an injected transient UDF error")
-		chaosPanicRate    = flag.Float64("chaos-panic-rate", 0, "per-value probability of a persistently panicking UDF body")
-		chaosLatency      = flag.Duration("chaos-latency", 0, "injected latency spike duration")
-		chaosLatencyRate  = flag.Float64("chaos-latency-rate", 0, "per-attempt probability of an injected latency spike")
-		chaosFailAttempts = flag.Int("chaos-fail-attempts", 0, "fail the first N attempts of every value (retry exerciser)")
 	)
 	flag.Var(&tables, "table", "name=path CSV table (repeatable)")
 	flag.Parse()
@@ -177,26 +163,8 @@ func main() {
 	// be instrumented with per-UDF duration histograms.
 	metrics := obs.NewRegistry()
 
-	pred := labels.Delayed(labels.Predicate(truthLabels), *udfDelay)
-	chaosCfg := resilience.ChaosConfig{
-		Seed:         *seed,
-		ErrorRate:    *chaosErrorRate,
-		PanicRate:    *chaosPanicRate,
-		Latency:      *chaosLatency,
-		LatencyRate:  *chaosLatencyRate,
-		FailAttempts: *chaosFailAttempts,
-	}
+	pred := labels.Predicate(truthLabels)
 	body := func(_ context.Context, v any) (bool, error) { return pred(v), nil }
-	var chaos *resilience.Chaos
-	if chaosCfg.Enabled() {
-		// Chaos mode: the simulated predicate runs behind the seeded fault
-		// schedule, exercising retries, breakers and degradation end to end.
-		chaos = resilience.NewChaos(chaosCfg)
-		body = chaos.Wrap(body)
-		log.Printf("predsqld: chaos injection enabled (seed=%d error-rate=%g panic-rate=%g latency=%v@%g fail-attempts=%d)",
-			chaosCfg.Seed, chaosCfg.ErrorRate, chaosCfg.PanicRate, chaosCfg.Latency, chaosCfg.LatencyRate,
-			chaosCfg.FailAttempts)
-	}
 	if err := db.RegisterUDFErr(*udf, instrumentUDF(metrics, *udf, body), 0); err != nil {
 		log.Fatalf("predsqld: %v", err)
 	}
@@ -219,7 +187,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Metrics:        metrics,
 	})
-	srv.chaos = chaos
 	if *traceLogPath != "" {
 		f, err := os.OpenFile(*traceLogPath, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
@@ -321,9 +288,6 @@ type server struct {
 	db  *predeval.DB
 	cfg serverConfig
 	sem chan struct{}
-	// chaos, when non-nil, is the fault injector wrapped around the UDF
-	// (its calls are counted on GET /metrics).
-	chaos *resilience.Chaos
 	// metrics backs GET /metrics; queryDur is its query-latency histogram.
 	metrics  *obs.Registry
 	queryDur *obs.Histogram
@@ -473,9 +437,6 @@ type queryRequest struct {
 	// reported as a final {"error": ...} line. An EXPLAIN statement cannot
 	// be streamed: it is admitted, then refused with 400.
 	Stream bool `json:"stream"`
-	// OnFailure overrides the server's failure policy for this query:
-	// "fail", "skip" or "degrade" ("" keeps the server default).
-	OnFailure string `json:"on_failure"`
 	// Trace records per-phase spans (parse, bind, plan, per-operator,
 	// materialize) and returns them in the response as "trace".
 	Trace bool `json:"trace"`
@@ -488,8 +449,8 @@ type queryResponse struct {
 	RowIDs    []int      `json:"row_ids"`
 	RowCount  int        `json:"row_count"`
 	Truncated bool       `json:"truncated"`
-	// Degraded marks a partial result: the "degrade" failure policy was in
-	// effect and rows were excluded because their UDF invocation failed.
+	// Degraded marks a partial result: rows were excluded because their UDF
+	// invocation failed, which only the "degrade" failure policy returns.
 	Degraded bool `json:"degraded,omitempty"`
 	// Stats is the engine's own statistics struct; its JSON tags are the
 	// wire format (Degraded is carried above, not inside "stats").
@@ -515,7 +476,7 @@ type streamDone struct {
 	Columns   []string `json:"columns"`
 	RowCount  int      `json:"row_count"`
 	Truncated bool     `json:"truncated"`
-	// Degraded marks a partial result under the "degrade" failure policy.
+	// Degraded marks a partial result (see queryResponse.Degraded).
 	Degraded  bool           `json:"degraded,omitempty"`
 	Stats     predeval.Stats `json:"stats"`
 	ElapsedMS float64        `json:"elapsed_ms"`
@@ -670,8 +631,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var rows *predeval.Rows
 	info, status, err := s.runAdmitted(r, req, func(ctx context.Context) (predeval.Stats, error) {
 		var err error
-		rows, err = s.db.QueryContextOptions(ctx, req.SQL,
-			predeval.QueryOptions{OnFailure: req.OnFailure})
+		rows, err = s.db.QueryContext(ctx, req.SQL)
 		if err != nil {
 			return predeval.Stats{}, err
 		}
@@ -745,8 +705,7 @@ func (s *server) handleStreamQuery(w http.ResponseWriter, r *http.Request, req q
 	var res *predeval.StreamResult
 	info, status, err := s.runAdmitted(r, req, func(ctx context.Context) (predeval.Stats, error) {
 		var err error
-		res, err = s.db.QueryStream(ctx, req.SQL,
-			predeval.StreamOptions{OnFailure: req.OnFailure, Limit: req.Limit}, emit)
+		res, err = s.db.QueryStream(ctx, req.SQL, predeval.StreamOptions{Limit: req.Limit}, emit)
 		if err != nil {
 			return predeval.Stats{}, err
 		}

@@ -43,8 +43,11 @@ func testServer(t testing.TB, n int, udfDelay time.Duration, cfg serverConfig) (
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	pred := labels.Delayed(labels.Predicate(truth), udfDelay)
-	body := func(_ context.Context, v any) (bool, error) { return pred(v), nil }
+	pred := labels.Predicate(truth)
+	body := func(_ context.Context, v any) (bool, error) {
+		time.Sleep(udfDelay)
+		return pred(v), nil
+	}
 	if err := db.RegisterUDFErr("good_credit", instrumentUDF(cfg.Metrics, "good_credit", body), 0); err != nil {
 		t.Fatal(err)
 	}

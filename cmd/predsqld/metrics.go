@@ -78,14 +78,6 @@ func (s *server) registerMetrics() {
 		"Queries answered with a partial (degraded) result.")
 	s.panics = reg.Counter("predsqld_handler_panics_total",
 		"Handler panics recovered by the middleware.")
-	reg.Collect("predsqld_chaos_calls_total",
-		"UDF calls through the fault injector (present with -chaos-* flags).", "counter",
-		func() []obs.Sample {
-			if s.chaos == nil {
-				return nil
-			}
-			return []obs.Sample{{Value: float64(s.chaos.Calls())}}
-		})
 
 	// Breaker state transitions (trips) and current position, per (table,
 	// UDF) breaker. BreakerStatuses returns in sorted order.

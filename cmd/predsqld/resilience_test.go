@@ -15,11 +15,15 @@ import (
 	"repro/internal/resilience"
 )
 
-// fallibleServer builds a server over a 30-row table whose UDF labels even
-// ids true — except the body panics on id 13 and errors on id 17.
-func fallibleServer(t *testing.T) (*server, *httptest.Server) {
+// fallibleServer builds a server under the given failure policy over a
+// 30-row table whose UDF labels even ids true — except the body panics on
+// id 13 and errors on id 17.
+func fallibleServer(t *testing.T, policy string) (*server, *httptest.Server) {
 	t.Helper()
 	db := predeval.Open(1)
+	if err := db.SetFailurePolicy(policy); err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
 	sb.WriteString("id,grade\n")
 	for i := 0; i < 30; i++ {
@@ -56,10 +60,9 @@ func fallibleServer(t *testing.T) (*server, *httptest.Server) {
 }
 
 func TestServerDegradedResponse(t *testing.T) {
-	_, ts := fallibleServer(t)
+	_, ts := fallibleServer(t, "degrade")
 	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:       "SELECT id FROM loans WHERE good_credit(id) = 1",
-		OnFailure: "degrade",
+		SQL: "SELECT id FROM loans WHERE good_credit(id) = 1",
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, body)
@@ -85,7 +88,7 @@ func TestServerDegradedResponse(t *testing.T) {
 }
 
 func TestServerFailPolicyReturns400(t *testing.T) {
-	srv, ts := fallibleServer(t)
+	srv, ts := fallibleServer(t, "fail")
 	status, body := mustPostQuery(t, ts.URL, queryRequest{
 		SQL: "SELECT id FROM loans WHERE good_credit(id) = 1",
 	})
@@ -98,24 +101,37 @@ func TestServerFailPolicyReturns400(t *testing.T) {
 	if srv.panics.Value() != 0 {
 		t.Error("a failing query must not count as a handler panic")
 	}
-	// The server survives: a degrade retry of the same query succeeds.
-	status, _ = mustPostQuery(t, ts.URL, queryRequest{
-		SQL:       "SELECT id FROM loans WHERE good_credit(id) = 1",
-		OnFailure: "degrade",
+	// The server survives: a statement over grade A (even ids, none of
+	// them failing) answers under the same fail policy.
+	status, body = mustPostQuery(t, ts.URL, queryRequest{
+		SQL: "SELECT id FROM loans WHERE grade = 'A' AND good_credit(id) = 1",
 	})
 	if status != http.StatusOK {
-		t.Fatalf("post-failure query: status %d", status)
+		t.Fatalf("post-failure query: status %d: %s", status, body)
 	}
 }
 
+// TestServerRejectsUnknownFailurePolicy: the failure policy is the
+// server's (-on-failure), not a request's. A body carrying "on_failure",
+// with a valid policy or not, is refused with 400 as an unknown field
+// before anything runs.
 func TestServerRejectsUnknownFailurePolicy(t *testing.T) {
-	_, ts := fallibleServer(t)
-	status, body := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:       "SELECT id FROM loans WHERE good_credit(id) = 1",
-		OnFailure: "explode",
-	})
-	if status != http.StatusBadRequest || !strings.Contains(string(body), "failure policy") {
-		t.Fatalf("status %d body %s, want a 400 naming the bad policy", status, body)
+	srv, ts := fallibleServer(t, "fail")
+	for _, policy := range []string{"degrade", "explode"} {
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(
+			`{"sql": "SELECT id FROM loans WHERE good_credit(id) = 1", "on_failure": "`+policy+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		err = json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, `unknown field "on_failure"`) {
+			t.Fatalf(`"on_failure": %q answered %d %q (%v), want a 400 naming the unknown field`, policy, resp.StatusCode, er.Error, err)
+		}
+	}
+	if n := srv.served.Value() + srv.failed.Value(); n != 0 {
+		t.Errorf("%v statements ran; a refused body runs none", n)
 	}
 }
 
@@ -123,7 +139,7 @@ func TestServerRejectsUnknownFailurePolicy(t *testing.T) {
 // panic-recovery middleware: a panicking handler answers 500 JSON, the
 // panic is counted, and http.ErrAbortHandler keeps its meaning.
 func TestRecoverPanicsMiddleware(t *testing.T) {
-	srv, _ := fallibleServer(t)
+	srv, _ := fallibleServer(t, "fail")
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("handler bug")
@@ -163,10 +179,9 @@ func TestRecoverPanicsMiddleware(t *testing.T) {
 }
 
 func TestServerStatsResilienceSection(t *testing.T) {
-	_, ts := fallibleServer(t)
+	_, ts := fallibleServer(t, "degrade")
 	status, _ := mustPostQuery(t, ts.URL, queryRequest{
-		SQL:       "SELECT id FROM loans WHERE good_credit(id) = 1",
-		OnFailure: "degrade",
+		SQL: "SELECT id FROM loans WHERE good_credit(id) = 1",
 	})
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
@@ -185,9 +200,9 @@ func TestServerStatsResilienceSection(t *testing.T) {
 	}
 }
 
-// TestServerChaosWiring drives a chaos-wrapped UDF end to end the way the
-// -chaos-* flags do: injected failures outlasting the retry budget produce
-// a degraded partial result, and the chaos call counter reaches /metrics.
+// TestServerChaosWiring drives a chaos-wrapped UDF end to end: injected
+// failures outlasting the retry budget produce a degraded partial result,
+// and every failed row reaches /metrics.
 func TestServerChaosWiring(t *testing.T) {
 	db := predeval.Open(1)
 	var sb strings.Builder
@@ -214,7 +229,6 @@ func TestServerChaosWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := newServer(db, serverConfig{})
-	srv.chaos = chaos
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(ts.Close)
 
@@ -230,9 +244,6 @@ func TestServerChaosWiring(t *testing.T) {
 		t.Errorf("every row fails its whole retry budget: want an empty degraded result, got %s", body)
 	}
 	m := scrapeMetrics(t, ts.URL)
-	if m["predsqld_chaos_calls_total"] == 0 {
-		t.Error("chaos call counter missing from /metrics")
-	}
 	if got := m["predsqld_failed_rows_total"]; got != 40 {
 		t.Errorf("failed rows = %v, want 40", got)
 	}

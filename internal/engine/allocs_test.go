@@ -4,8 +4,10 @@ package engine
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/dataset"
 	"repro/internal/plan"
 	"repro/internal/resilience"
@@ -107,5 +109,61 @@ func TestStreamingTerminalAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s: one %d-row batch allocated %v times, want at most %v", c.op, DefaultBatchSize, allocs, c.max)
 		}
+	}
+}
+
+// TestWarmFlushAllocs pins the first flush after a warm start at O(1)
+// allocation when the statements learned nothing new: the caches the
+// catalog preloaded are at their flush watermark, so FlushCatalog skips
+// them instead of snapshotting every verdict into a map only to diff it
+// against the catalog's own copy and find nothing to write.
+func TestWarmFlushAllocs(t *testing.T) {
+	const n = 12000
+	tbl, truth := buildLoanTable(t, n, 42)
+	dir := t.TempDir()
+	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
+	open := func() *Engine {
+		e := New(7)
+		if err := e.RegisterTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.RegisterUDF(UDF{Name: "good_credit", Body: pure(func(v table.Value) bool { return truth[v.(int64)] })}); err != nil {
+			t.Fatal(err)
+		}
+		c, err := catalog.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetCatalog(c)
+		return e
+	}
+	cold := open()
+	if _, err := cold.ExecuteContext(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.CloseCatalog(); err != nil {
+		t.Fatal(err)
+	}
+
+	warm := open()
+	defer warm.CloseCatalog()
+	res, err := warm.ExecuteContext(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Evaluations != 0 || res.Stats.CacheHits != n {
+		t.Fatalf("warm statement: %d evaluations, %d cache hits; want 0 and %d", res.Stats.Evaluations, res.Stats.CacheHits, n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = warm.FlushCatalog()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot of 12,000 verdicts is ~100 KiB in a few dozen mallocs; the
+	// flush itself sorts one key.
+	if allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; allocs > 8 || bytes > 1024 {
+		t.Errorf("first flush of an engine warm-started with %d verdicts allocated %d times, %d bytes; want at most 8 and 1 KiB", n, allocs, bytes)
 	}
 }

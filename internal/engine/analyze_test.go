@@ -27,6 +27,7 @@ func analyzeEngine(t testing.TB, parallelism int) *Engine {
 	e.Parallelism = parallelism
 	e.Retry = resilience.Policy{Sleep: func(context.Context, time.Duration) error { return nil }}
 	e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 200, Probes: 2, Segment: 8}
+	e.OnFailure = DegradeFailed
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func analyzeEngine(t testing.TB, parallelism int) *Engine {
 // the result.
 func runAnalyzed(t testing.TB, e *Engine) (string, *Result) {
 	t.Helper()
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestExplainAnalyzeCountsDeterministicAcrossParallelism(t *testing.T) {
 
 func TestExplainAnalyzeActualNodes(t *testing.T) {
 	e := analyzeEngine(t, 4)
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestExplainAnalyzeActualNodes(t *testing.T) {
 
 	// Second query against the tripped breaker: denials recorded, and only
 	// for rows that could not resolve from the warm cache.
-	root2, res2, err := e.ExplainAnalyzeContext(context.Background(), exactQuery(SkipFailed))
+	root2, res2, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	e := analyzeEngine(t, 4)
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := e.ExecuteContext(ctx, exactQuery(SkipFailed)); err != nil {
+	if _, err := e.ExecuteContext(ctx, exactQuery()); err != nil {
 		t.Fatal(err)
 	}
 	names := make(map[string]bool)

@@ -15,7 +15,8 @@ import (
 // newChaosEngine builds an engine over the loan table whose UDF misbehaves
 // deterministically per row id: ids ≡ 3 (mod 7) fail their first attempt
 // with a transient error (the retry then succeeds), and ids ≡ 5 (mod 13)
-// fail every attempt (the row ultimately fails; queries run under "skip").
+// fail every attempt (the row ultimately fails; the engine runs under
+// "degrade").
 // Failure is keyed on the row's value, never on timing or batch shape, so
 // results must be identical at every parallelism level and batch size. The
 // breaker is configured to never trip — trip timing is the one documented
@@ -28,6 +29,7 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 	e.Parallelism = parallelism
 	e.BatchSize = batchSize
 	e.Retry = resilience.Policy{Sleep: func(context.Context, time.Duration) error { return nil }}
+	e.OnFailure = DegradeFailed
 	e.Breaker = resilience.BreakerConfig{Window: 1 << 20, MinCalls: 1 << 20, FailureRate: 1, Segment: 1 << 20}
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
@@ -79,7 +81,7 @@ func newChaosEngine(t testing.TB, n, parallelism, batchSize int) (*Engine, map[i
 var filteredApprox = Query{
 	Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 	Filters: []Filter{{Column: "grade", Value: "B"}},
-	Approx:  approx(0.8, 0.8, 0.8), GroupOn: "purpose", OnFailure: SkipFailed,
+	Approx:  approx(0.8, 0.8, 0.8), GroupOn: "purpose",
 }
 
 // TestBatchDeterminismMatrix pins the PR 1 determinism contract onto the
@@ -94,25 +96,24 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 	queries := map[string]Query{
 		"exact-filtered": {
 			Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
-			Filters: []Filter{{Column: "grade", Value: "B"}}, OnFailure: SkipFailed,
+			Filters: []Filter{{Column: "grade", Value: "B"}},
 		},
 		"conj-waves": {
 			Table: "loans", Predicates: []Conjunct{
 				{UDFName: "good_credit", UDFArg: "id", Want: true},
 				{UDFName: "rich", UDFArg: "income", Want: true},
 			},
-			OnFailure: SkipFailed,
 		},
 		"approx-grouped": {
 			Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
-			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		},
 		"conj-twopred": {
 			Table: "loans", Predicates: []Conjunct{
 				{UDFName: "good_credit", UDFArg: "id", Want: true},
 				{UDFName: "rich", UDFArg: "income", Want: true},
 			},
-			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		},
 		// The filtered universe below a blocking chain: the stages read
 		// st.subset, bound before any of them runs, so the batch size must
@@ -127,7 +128,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 				{UDFName: "rich", UDFArg: "income", Want: true},
 				{UDFName: "even", UDFArg: "id", Want: true},
 			},
-			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+			Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 		},
 	}
 	type combo struct{ parallelism, batch int }
@@ -173,7 +174,7 @@ func TestBatchDeterminismMatrix(t *testing.T) {
 // materialized result: same rows in the same order, same Stats.
 func TestStreamMatchesMaterialized(t *testing.T) {
 	queries := map[string]Query{
-		"exact":           {Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, OnFailure: SkipFailed},
+		"exact":           {Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}},
 		"approx-filtered": filteredApprox,
 	}
 	for name, q := range queries {

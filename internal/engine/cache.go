@@ -31,7 +31,8 @@ type evalCacheKey struct {
 // evalCache returns (creating on first use) the shared cache for key. A
 // freshly created cache seeds itself from the attached durable catalog, so
 // verdicts paid for in earlier process lives are served without ever
-// invoking the UDF.
+// invoking the UDF; what it preloaded is already durable, so its flush
+// watermark starts there.
 func (e *Engine) evalCache(key evalCacheKey) *core.SharedEvalCache {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
@@ -41,6 +42,7 @@ func (e *Engine) evalCache(key evalCacheKey) *core.SharedEvalCache {
 		if e.catalog != nil {
 			if prior := e.catalog.Outcomes(catalog.OutcomeKey{Table: key.table, UDF: key.udf, Column: key.column}); len(prior) > 0 {
 				c.Preload(prior)
+				e.flushedLens[key] = c.Len()
 			}
 		}
 		e.evalCaches[key] = c

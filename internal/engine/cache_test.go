@@ -68,10 +68,11 @@ func TestCacheAfterFailedQueryIsParallelismIndependent(t *testing.T) {
 		if !e.CacheUDFResults {
 			t.Fatal("the cross-query cache is off; the test would compare nothing")
 		}
-		if _, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError)); err == nil {
+		if _, err := e.ExecuteContext(context.Background(), exactQuery()); err == nil {
 			t.Fatal("the FailOnError query did not fail")
 		}
-		res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+		e.OnFailure = DegradeFailed
+		res, err := e.ExecuteContext(context.Background(), exactQuery())
 		if err != nil {
 			t.Fatal(err)
 		}

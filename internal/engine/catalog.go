@@ -29,7 +29,7 @@ import (
 // the statement's failure (see pipeState.failure): a query that fails on a
 // row memoizes nothing, while the verdicts its other rows paid for are
 // genuine and stay cached. The same hygiene extends structurally to
-// per-row failures under the skip/degrade policies: a row whose invocation
+// per-row failures under the degrade policy: a row whose invocation
 // ultimately fails (retries exhausted, breaker denial) is excluded from
 // the eval cache and output before any of the snapshots below are taken,
 // so no failed row is ever persisted as a verdict.

@@ -48,8 +48,8 @@ type Engine struct {
 	// uses the documented defaults). Set before serving queries; existing
 	// breakers keep the config they were created with.
 	Breaker resilience.BreakerConfig
-	// OnFailure is the default failure policy for queries that do not set
-	// their own ("" means FailOnError). See resilience.go.
+	// OnFailure is the failure policy of every statement ("" means
+	// FailOnError). See resilience.go.
 	OnFailure FailurePolicy
 	// BatchSize is the number of rows per execution batch in the
 	// executor's batch loop (see batch.go); ≤ 0 means DefaultBatchSize.

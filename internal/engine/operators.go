@@ -61,9 +61,9 @@ type pipeState struct {
 	// epoch is the invalidation epoch captured before any evaluation (see
 	// persistQueryLearnings).
 	epoch int64
-	// policy is the statement's effective failure policy: FailOnError
-	// turns a failed row into the statement's error (failure), and a
-	// DegradeFailed result that dropped failed rows is flagged Degraded.
+	// policy is the engine's failure policy when the statement bound:
+	// anything but DegradeFailed turns a failed row into the statement's
+	// error (failure).
 	policy FailurePolicy
 	// key is the statement's draw key (zero for exact shapes, which draw
 	// nothing); stages draw under core.LabelDraw, SampleDraw, ExecuteDraw.
@@ -162,7 +162,7 @@ func (st *pipeState) finish(rows []int, retrieved int, exact bool) {
 			stats.BreakerTrips += int(p.breaker.Trips() - p.tripBase)
 		}
 	}
-	stats.Degraded = st.policy == DegradeFailed && stats.FailedRows > 0
+	stats.Degraded = stats.FailedRows > 0
 	stats.Cost = float64(stats.Retrievals)*st.cost.Retrieve + evalCost
 	st.res = &Result{Rows: rows, Stats: stats}
 }
@@ -200,7 +200,7 @@ func (e *Engine) bindStatement(q Query) (*pipeState, error) {
 		return nil, err
 	}
 	st.cost = core.CostModel{Retrieve: core.DefaultCost.Retrieve, Evaluate: st.preds[0].cost}
-	st.policy = e.policyFor(q)
+	st.policy = e.OnFailure
 	// A pinned grouping column is only consulted by grouping shapes (exact
 	// shapes ignore GroupOn), so only those reject a bad name.
 	if q.Approx != nil && q.GroupOn != "" && q.GroupOn != VirtualColumn {

@@ -17,7 +17,6 @@ type (
 
 const (
 	FailOnError   = plan.FailOnError
-	SkipFailed    = plan.SkipFailed
 	DegradeFailed = plan.DegradeFailed
 	VirtualColumn = plan.VirtualColumn
 )
@@ -65,8 +64,9 @@ type Stats struct {
 	// BreakerTrips counts how many times this query tripped a circuit
 	// breaker open.
 	BreakerTrips int `json:"breaker_trips,omitempty"`
-	// Degraded marks a partial result: the failure policy was "degrade"
-	// and at least one row was excluded because its UDF invocation failed.
+	// Degraded marks a partial result: at least one row was excluded
+	// because its UDF invocation failed (FailedRows > 0), which only the
+	// "degrade" failure policy returns; under "fail" such a statement errors.
 	// (On the wire it is a top-level response field, not part of "stats".)
 	Degraded bool `json:"-"`
 }

@@ -16,20 +16,8 @@ import (
 // Resilient invocation wiring: every UDF call the engine issues goes
 // through a rowInvoker — panic capture at the invocation boundary, per-call
 // deadline, retry with deterministic backoff (resilience.Do), a shared
-// per-(table, UDF) circuit breaker — and each query decides via its
-// FailurePolicy what a row whose invocation ultimately fails means.
-
-// policyFor resolves the effective failure policy for a query: the query's
-// own, else the engine default, else FailOnError.
-func (e *Engine) policyFor(q Query) FailurePolicy {
-	if q.OnFailure != "" {
-		return q.OnFailure
-	}
-	if e.OnFailure != "" {
-		return e.OnFailure
-	}
-	return FailOnError
-}
+// per-(table, UDF) circuit breaker — and the engine's FailurePolicy
+// decides what a row whose invocation ultimately fails means.
 
 // retryPolicy resolves the engine's retry policy, seeding the jitter from
 // the engine seed unless the operator pinned one.
@@ -99,10 +87,10 @@ func (r *rowInvoker) EvalErr(ctx context.Context, row int) (bool, error) {
 // failure is the error a FailOnError statement reports once execution
 // finishes: the first predicate, in query order, whose meter recorded a
 // failed row, naming that meter's lowest failed row (a body failure before
-// a breaker denial) — the same row at any parallelism. Under the skip and
-// degrade policies failed rows are excluded instead, and failure is nil.
+// a breaker denial) — the same row at any parallelism. Under the degrade
+// policy failed rows are excluded instead, and failure is nil.
 func (st *pipeState) failure() error {
-	if st.policy != FailOnError {
+	if st.policy == DegradeFailed {
 		return nil
 	}
 	for _, p := range st.preds {

@@ -40,13 +40,13 @@ func newFallibleEngine(t testing.TB, n int, failIDs map[int64]bool) (*Engine, ma
 	return e, truth
 }
 
-func exactQuery(onFailure FailurePolicy) Query {
-	return Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}, OnFailure: onFailure}
+func exactQuery() Query {
+	return Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 }
 
 func TestFailPolicyReturnsTypedError(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{17: true})
-	_, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError))
+	_, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err == nil {
 		t.Fatal("want the query to fail under the fail policy")
 	}
@@ -101,7 +101,7 @@ func TestFailOnErrorNamesSameRowAtAnyParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					_, err = e.ExecuteContext(context.Background(), exactQuery(FailOnError))
+					_, err = e.ExecuteContext(context.Background(), exactQuery())
 					if err == nil || !strings.Contains(err.Error(), "failed on row 100:") {
 						t.Fatalf("p=%d batch=%d: err = %v, want the failure on row 100", par, batch, err)
 					}
@@ -119,10 +119,11 @@ func TestFailOnErrorNamesSameRowAtAnyParallelism(t *testing.T) {
 	}
 }
 
-func TestSkipPolicyExcludesFailedRows(t *testing.T) {
+func TestDegradePolicyExcludesFailedRows(t *testing.T) {
 	failIDs := map[int64]bool{5: true, 100: true, 250: true}
 	e, truth := newFallibleEngine(t, 300, failIDs)
-	res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+	e.OnFailure = DegradeFailed
+	res, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +144,15 @@ func TestSkipPolicyExcludesFailedRows(t *testing.T) {
 	if res.Stats.FailedRows != len(failIDs) {
 		t.Errorf("FailedRows = %d, want %d", res.Stats.FailedRows, len(failIDs))
 	}
-	if res.Stats.Degraded {
-		t.Error("skip must not mark the result degraded")
+	if !res.Stats.Degraded {
+		t.Error("a result that excluded failed rows must be marked degraded")
 	}
 }
 
 func TestDegradePolicyMarksDegraded(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
-	res, err := e.ExecuteContext(context.Background(), exactQuery(DegradeFailed))
+	e.OnFailure = DegradeFailed
+	res, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,8 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 	}
 	// No failures → not degraded, even under the degrade policy.
 	e2, _ := newFallibleEngine(t, 300, nil)
-	res2, err := e2.ExecuteContext(context.Background(), exactQuery(DegradeFailed))
+	e2.OnFailure = DegradeFailed
+	res2, err := e2.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,15 +171,20 @@ func TestDegradePolicyMarksDegraded(t *testing.T) {
 	}
 }
 
+// TestEngineDefaultPolicyApplies: the zero-valued policy is FailOnError,
+// and the engine's policy is every statement's.
 func TestEngineDefaultPolicyApplies(t *testing.T) {
 	e, _ := newFallibleEngine(t, 300, map[int64]bool{5: true})
-	e.OnFailure = SkipFailed
-	res, err := e.ExecuteContext(context.Background(), exactQuery("")) // query defers to the engine default
+	if _, err := e.ExecuteContext(context.Background(), exactQuery()); err == nil {
+		t.Fatal("the zero-valued policy answered a statement with a failed row; want FailOnError's error")
+	}
+	e.OnFailure = DegradeFailed
+	res, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.FailedRows != 1 {
-		t.Fatalf("FailedRows = %d, want 1 under the engine-default skip policy", res.Stats.FailedRows)
+	if res.Stats.FailedRows != 1 || !res.Stats.Degraded {
+		t.Fatalf("FailedRows = %d, Degraded = %v; want 1 and true under the engine's degrade policy", res.Stats.FailedRows, res.Stats.Degraded)
 	}
 }
 
@@ -209,7 +217,7 @@ func TestRetriesCountedAndTransientRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.ExecuteContext(context.Background(), exactQuery(FailOnError))
+	res, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatalf("transient errors within the retry budget must not fail the query: %v", err)
 	}
@@ -239,7 +247,8 @@ func TestBreakerTripRecordedInStats(t *testing.T) {
 	}
 	e, _ := newFallibleEngine(t, 300, failIDs)
 	e.Breaker = resilience.BreakerConfig{Window: 8, MinCalls: 4, FailureRate: 0.5, Cooldown: 200, Probes: 2, Segment: 8}
-	res, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+	e.OnFailure = DegradeFailed
+	res, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,6 +268,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	tbl, truth := buildLoanTable(t, 100, 42)
 	e := New(7)
 	e.Retry = resilience.Policy{Sleep: func(context.Context, time.Duration) error { return nil }}
+	e.OnFailure = DegradeFailed
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +291,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+	res1, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +301,7 @@ func TestFailedRowsNotCachedAcrossQueries(t *testing.T) {
 	mu.Lock()
 	healthy = true
 	mu.Unlock()
-	res2, err := e.ExecuteContext(context.Background(), exactQuery(SkipFailed))
+	res2, err := e.ExecuteContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +336,10 @@ func TestApproximateQueryWithFailingRowsDegrades(t *testing.T) {
 		failIDs[id] = true
 	}
 	e, _ := newFallibleEngine(t, 3000, failIDs)
+	e.OnFailure = DegradeFailed
 	res, err := e.ExecuteContext(context.Background(), Query{
 		Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
-		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: DegradeFailed,
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +366,7 @@ func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 			{UDFName: "good_credit", UDFArg: "id", Want: true},
 			{UDFName: "rich", UDFArg: "income", Want: true},
 		},
-		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade", OnFailure: SkipFailed,
+		Approx: approx(0.8, 0.8, 0.8), GroupOn: "grade",
 	}
 	run := func(parallelism int) *Result {
 		e, _ := newChaosEngine(t, 3000, parallelism, 0)
@@ -384,8 +395,8 @@ func TestTwoPredBreakerTripsDeterministic(t *testing.T) {
 // TestFailureClassification pins the one classification site,
 // rowInvoker.EvalErr, for every failure source that can reach a row: what
 // resilience.Classify makes of the error the fail policy returns, whether
-// that error unwraps to a *resilience.Error, and how many retries the skip
-// policy's Stats report. Only row 17 fails (every row, for the breaker
+// that error unwraps to a *resilience.Error, and how many retries the
+// degrade policy's Stats report. Only row 17 fails (every row, for the breaker
 // denial); the retry policy allows 3 attempts with no backoff. An untyped
 // body error stays Transient and is retried, because DB.RegisterUDFErr
 // documents that contract. A cancelled context is no row failure: the
@@ -407,7 +418,7 @@ func TestFailureClassification(t *testing.T) {
 		kind    resilience.Kind
 		typed   bool  // the error unwraps to *resilience.Error
 		is      error // a sentinel the error must match, when set
-		retries int   // Stats.Retries under the skip policy
+		retries int   // Stats.Retries under the degrade policy
 	}{
 		{name: "plain body error",
 			fail: func(context.Context, context.CancelFunc) (bool, error) {
@@ -453,6 +464,7 @@ func TestFailureClassification(t *testing.T) {
 				tbl, truth := buildLoanTable(t, 64, 42)
 				e := New(7)
 				e.Retry = resilience.Policy{MaxAttempts: 3, Sleep: func(context.Context, time.Duration) error { return nil }}
+				e.OnFailure = policy
 				if c.setup != nil {
 					c.setup(e)
 				}
@@ -473,7 +485,7 @@ func TestFailureClassification(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return e.ExecuteContext(ctx, exactQuery(policy))
+				return e.ExecuteContext(ctx, exactQuery())
 			}
 
 			_, err := run(FailOnError)
@@ -491,21 +503,21 @@ func TestFailureClassification(t *testing.T) {
 				t.Errorf("err = %v, want it to match %v", err, c.is)
 			}
 
-			res, err := run(SkipFailed)
+			res, err := run(DegradeFailed)
 			if c.is == context.Canceled {
 				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("skip policy: err = %v, want the statement aborted with context.Canceled", err)
+					t.Fatalf("degrade policy: err = %v, want the statement aborted with context.Canceled", err)
 				}
 				return
 			}
 			if err != nil {
-				t.Fatalf("skip policy: %v", err)
+				t.Fatalf("degrade policy: %v", err)
 			}
 			if res.Stats.FailedRows == 0 {
-				t.Errorf("skip policy: FailedRows = 0, want the failing row counted")
+				t.Errorf("degrade policy: FailedRows = 0, want the failing row counted")
 			}
 			if res.Stats.Retries != c.retries {
-				t.Errorf("skip policy: Retries = %d, want %d", res.Stats.Retries, c.retries)
+				t.Errorf("degrade policy: Retries = %d, want %d", res.Stats.Retries, c.retries)
 			}
 		})
 	}
@@ -514,7 +526,7 @@ func TestFailureClassification(t *testing.T) {
 // TestUDFPanicUnderCallTimeout: with a per-call deadline the body runs on
 // the deadline's watchdog goroutine, so its panic must be recovered there,
 // inside the invoker's attempt. Under fail the statement's error unwraps to
-// a Panic naming the row; under skip the row is excluded. Seed it catches:
+// a Panic naming the row; under degrade the row is excluded. Seed it catches:
 // the deadline wrapping the raw body with the recover outside it — the
 // panic then escapes on the watchdog goroutine and kills the process.
 func TestUDFPanicUnderCallTimeout(t *testing.T) {
@@ -523,6 +535,7 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		tbl, truth := buildLoanTable(t, 200, 42)
 		e := New(7)
 		e.Retry = resilience.Policy{CallTimeout: time.Second, Sleep: func(context.Context, time.Duration) error { return nil }}
+		e.OnFailure = policy
 		if err := e.RegisterTable(tbl); err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +548,7 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.ExecuteContext(context.Background(), exactQuery(policy))
+		res, err := e.ExecuteContext(context.Background(), exactQuery())
 		return res, truth, err
 	}
 
@@ -548,9 +561,9 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		t.Fatalf("fail policy: err = %v, want it to name row %d", err, panicRow)
 	}
 
-	res, truth, err := run(SkipFailed)
+	res, truth, err := run(DegradeFailed)
 	if err != nil {
-		t.Fatalf("skip policy: %v", err)
+		t.Fatalf("degrade policy: %v", err)
 	}
 	want := 0
 	for id, v := range truth {
@@ -559,11 +572,11 @@ func TestUDFPanicUnderCallTimeout(t *testing.T) {
 		}
 	}
 	if len(res.Rows) != want || res.Stats.FailedRows != 1 {
-		t.Fatalf("skip policy: %d rows, %d failed; want %d rows and the panicking row failed", len(res.Rows), res.Stats.FailedRows, want)
+		t.Fatalf("degrade policy: %d rows, %d failed; want %d rows and the panicking row failed", len(res.Rows), res.Stats.FailedRows, want)
 	}
 	for _, row := range res.Rows {
 		if row == panicRow {
-			t.Fatalf("skip policy: the panicking row %d is in the output", panicRow)
+			t.Fatalf("degrade policy: the panicking row %d is in the output", panicRow)
 		}
 	}
 }
@@ -579,6 +592,7 @@ func TestDiscoveryStopsWhenEveryLabelFails(t *testing.T) {
 	tbl, _ := buildLoanTable(t, n, 42)
 	e := New(7)
 	e.Retry = resilience.Policy{Sleep: func(context.Context, time.Duration) error { return nil }}
+	e.OnFailure = DegradeFailed
 	if err := e.RegisterTable(tbl); err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +604,7 @@ func TestDiscoveryStopsWhenEveryLabelFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := exactQuery(SkipFailed)
+	q := exactQuery()
 	q.Approx = approx(0.8, 0.8, 0.8)
 	_, err = e.ExecuteContext(context.Background(), q)
 	if err == nil || !strings.Contains(err.Error(), "backend down") {

@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Load reads an id,label CSV (header row required) into a lookup map.
@@ -85,18 +84,5 @@ func Predicate(m map[int64]bool) func(v any) bool {
 		default:
 			panic(fmt.Sprintf("labels: unsupported id type %T", v))
 		}
-	}
-}
-
-// Delayed wraps a predicate with a fixed artificial latency per call,
-// simulating a genuinely expensive UDF (remote scoring service, disk).
-// d ≤ 0 returns pred unchanged.
-func Delayed(pred func(v any) bool, d time.Duration) func(v any) bool {
-	if d <= 0 {
-		return pred
-	}
-	return func(v any) bool {
-		time.Sleep(d)
-		return pred(v)
 	}
 }

@@ -56,12 +56,6 @@ type Query struct {
 	Budget float64
 	// Filters are cheap equality predicates evaluated before any UDF work.
 	Filters []Filter
-	// OnFailure decides what a row whose UDF invocation ultimately fails
-	// (after retries, or denied by an open circuit breaker) means: fail the
-	// query (FailOnError, the default), silently exclude the row
-	// (SkipFailed), or exclude it and mark the result degraded
-	// (DegradeFailed). "" defers to the engine default.
-	OnFailure FailurePolicy
 }
 
 // VirtualColumn is the GroupOn value requesting a logistic-regression
@@ -112,8 +106,9 @@ type Filter struct {
 	Value  string
 }
 
-// FailurePolicy decides what a query does with rows whose UDF invocation
-// ultimately fails (after retries, or denied by an open breaker).
+// FailurePolicy decides what a statement does with rows whose UDF
+// invocation ultimately fails (after retries, or denied by an open
+// breaker). It is a setting of the engine, not of a statement.
 type FailurePolicy string
 
 const (
@@ -121,12 +116,10 @@ const (
 	// once execution finishes; no partial result is returned. Failed rows
 	// are still excluded from all evidence, so the engine stays usable.
 	FailOnError FailurePolicy = "fail"
-	// SkipFailed silently excludes failed rows from the result; the failure
-	// counters in Stats are still populated.
-	SkipFailed FailurePolicy = "skip"
-	// DegradeFailed excludes failed rows like SkipFailed and additionally
-	// marks the result Stats.Degraded, so clients can tell a partial answer
-	// from a complete one.
+	// DegradeFailed excludes failed rows from the result; the failure
+	// counters in Stats are populated, and a result that excluded any is
+	// marked Stats.Degraded, so clients can tell a partial answer from a
+	// complete one.
 	DegradeFailed FailurePolicy = "degrade"
 )
 
@@ -135,10 +128,10 @@ func ParseFailurePolicy(s string) (FailurePolicy, error) {
 	switch FailurePolicy(s) {
 	case "":
 		return FailOnError, nil
-	case FailOnError, SkipFailed, DegradeFailed:
+	case FailOnError, DegradeFailed:
 		return FailurePolicy(s), nil
 	default:
-		return "", fmt.Errorf("engine: unknown failure policy %q (want fail, skip or degrade)", s)
+		return "", fmt.Errorf("engine: unknown failure policy %q (want fail or degrade)", s)
 	}
 }
 
@@ -177,9 +170,6 @@ func (q Query) Validate() error {
 	}
 	if q.Join != nil && q.Budget > 0 {
 		return fmt.Errorf("engine: BUDGET is not supported with JOIN")
-	}
-	if _, err := ParseFailurePolicy(string(q.OnFailure)); err != nil {
-		return err
 	}
 	pinned := q.GroupOn != "" && q.GroupOn != VirtualColumn
 	if n == 2 && q.Approx != nil && !pinned {

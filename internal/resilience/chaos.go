@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/stats"
@@ -39,29 +38,20 @@ type ChaosConfig struct {
 	FailAttempts int
 }
 
-// Enabled reports whether the config injects anything.
-func (c ChaosConfig) Enabled() bool {
-	return c.ErrorRate > 0 || c.PanicRate > 0 || (c.LatencyRate > 0 && c.Latency > 0) ||
-		c.FailAttempts > 0
-}
-
-// Chaos wraps fallible UDF bodies with the configured fault schedule.
+// Chaos wraps fallible UDF bodies with the configured fault schedule. It
+// is the shared fault fixture of the tests of this package, the engine,
+// the public API and the query server; no command wires it in.
 type Chaos struct {
 	cfg ChaosConfig
 
 	mu       sync.Mutex
 	attempts map[uint64]int
-
-	calls atomic.Int64
 }
 
 // NewChaos builds a chaos injector.
 func NewChaos(cfg ChaosConfig) *Chaos {
 	return &Chaos{cfg: cfg, attempts: make(map[uint64]int)}
 }
-
-// Calls reports how many wrapped invocations ran (including failed ones).
-func (c *Chaos) Calls() int64 { return c.calls.Load() }
 
 // draw maps a (stream, key, attempt) triple to a uniform [0,1) value.
 func (c *Chaos) draw(stream, key uint64, attempt int) float64 {
@@ -83,7 +73,6 @@ func (c *Chaos) Wrap(fn func(ctx context.Context, v any) (bool, error)) func(ctx
 	return func(ctx context.Context, v any) (bool, error) {
 		key := HashString(fmt.Sprint(v))
 		attempt := c.nextAttempt(key)
-		c.calls.Add(1)
 		if c.cfg.PanicRate > 0 && c.draw(1, key, 0) < c.cfg.PanicRate {
 			panic(fmt.Sprintf("chaos: injected panic (value=%v)", v))
 		}

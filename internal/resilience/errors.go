@@ -93,7 +93,7 @@ func (e *Error) Error() string {
 func (e *Error) Unwrap() error { return e.Err }
 
 // ErrBreakerOpen reports an invocation denied by an open circuit breaker.
-// Never retried; under skip/degrade policies the row counts as failed.
+// Never retried; under the degrade policy the row counts as failed.
 var ErrBreakerOpen = errors.New("resilience: circuit breaker open")
 
 // Classify maps an arbitrary error to a Kind. Typed errors report their

@@ -434,9 +434,6 @@ func TestChaosFailAttempts(t *testing.T) {
 			t.Fatalf("attempt 3: want the real body's verdict, got v=%v err=%v", v, err)
 		}
 	}
-	if c.Calls() != 3 {
-		t.Errorf("Calls() = %d, want 3", c.Calls())
-	}
 }
 
 func TestChaosPanicIsPerValuePersistent(t *testing.T) {
@@ -459,18 +456,6 @@ func TestChaosPanicIsPerValuePersistent(t *testing.T) {
 	}
 	if !anyPanic {
 		t.Error("no value panicked at rate 0.2 over 100 values")
-	}
-}
-
-func TestChaosEnabled(t *testing.T) {
-	if (ChaosConfig{}).Enabled() {
-		t.Error("zero config must be disabled")
-	}
-	if !(ChaosConfig{ErrorRate: 0.1}).Enabled() || !(ChaosConfig{FailAttempts: 1}).Enabled() {
-		t.Error("configured injection must report enabled")
-	}
-	if (ChaosConfig{Latency: time.Millisecond}).Enabled() {
-		t.Error("latency without a rate injects nothing")
 	}
 }
 

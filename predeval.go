@@ -210,11 +210,11 @@ func (db *DB) RegisterUDF(name string, fn func(value any) bool, cost float64) er
 // return an error (remote service failure, timeout) instead of panicking.
 // Invocations run under the DB's retry policy (SetRetryPolicy) behind a
 // per-(table, UDF) circuit breaker; what a row whose invocation ultimately
-// fails means is decided by the failure policy (SetFailurePolicy, or
-// per-query options). Plain returned errors are treated as transient and
-// retried; wrap them in *resilience.Error to control classification. The
-// context carries the per-call deadline — bodies that honor it return
-// promptly on cancellation.
+// fails means is decided by the DB's failure policy (SetFailurePolicy).
+// Plain returned errors are treated as transient and retried; wrap them in
+// *resilience.Error to control classification. The context carries the
+// per-call deadline — bodies that honor it return promptly on
+// cancellation.
 func (db *DB) RegisterUDFErr(name string, fn func(ctx context.Context, value any) (bool, error), cost float64) error {
 	if fn == nil {
 		return fmt.Errorf("predeval: nil UDF %q", name)
@@ -233,11 +233,10 @@ func (db *DB) RegisterUDFErr(name string, fn func(ctx context.Context, value any
 // serving queries (see SetParallelism).
 func (db *DB) SetRetryPolicy(p resilience.Policy) { db.eng.Retry = p }
 
-// SetFailurePolicy sets the default failure policy for queries that do not
-// carry their own: "fail" (default — a failed row fails the query once
-// execution finishes), "skip" (failed rows are silently excluded) or
-// "degrade" (excluded and the result is marked Degraded). Configure before
-// serving queries.
+// SetFailurePolicy sets the failure policy of every statement: "fail"
+// (default — a failed row fails the statement once execution finishes) or
+// "degrade" (failed rows are excluded, and a result that lost any is
+// marked Degraded). Configure before serving queries.
 func (db *DB) SetFailurePolicy(policy string) error {
 	p, err := plan.ParseFailurePolicy(policy)
 	if err != nil {
@@ -308,38 +307,7 @@ func (r *Rows) Plan() []string { return r.plan }
 // cache, so re-running the query resumes from paid-for work. See
 // DESIGN.md, "Cancellation contract".
 func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
-	return db.QueryContextOptions(ctx, sql, QueryOptions{})
-}
-
-// QueryOptions carries per-query execution options that have no SQL
-// surface.
-type QueryOptions struct {
-	// OnFailure overrides the DB's failure policy for this query: "fail",
-	// "skip" or "degrade" ("" keeps the DB default). See SetFailurePolicy.
-	OnFailure string
-}
-
-// parseStatement parses sql under the "parse" span and applies the
-// per-query failure-policy override ("" keeps the DB default).
-func parseStatement(ctx context.Context, sql, onFailure string) (*sqlparse.Statement, error) {
-	var stmt *sqlparse.Statement
-	var err error
-	obs.Timed(ctx, "parse", func() { stmt, err = sqlparse.Parse(sql) })
-	if err != nil {
-		return nil, err
-	}
-	if onFailure != "" {
-		stmt.Query.OnFailure, err = plan.ParseFailurePolicy(onFailure)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return stmt, nil
-}
-
-// QueryContextOptions is QueryContext with per-query options.
-func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOptions) (*Rows, error) {
-	stmt, err := parseStatement(ctx, sql, opts.OnFailure)
+	stmt, err := parseStatement(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -360,6 +328,14 @@ func (db *DB) QueryContextOptions(ctx context.Context, sql string, opts QueryOpt
 	var rows *Rows
 	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, root) })
 	return rows, err
+}
+
+// parseStatement parses sql under the "parse" span.
+func parseStatement(ctx context.Context, sql string) (*sqlparse.Statement, error) {
+	var stmt *sqlparse.Statement
+	var err error
+	obs.Timed(ctx, "parse", func() { stmt, err = sqlparse.Parse(sql) })
+	return stmt, err
 }
 
 // materialize wraps the result rows with the Renderer QueryStream emits
@@ -388,9 +364,6 @@ var ErrStopStream = engine.ErrStopStream
 
 // StreamOptions carries per-stream execution options.
 type StreamOptions struct {
-	// OnFailure overrides the DB's failure policy for this query: "fail",
-	// "skip" or "degrade" ("" keeps the DB default). See SetFailurePolicy.
-	OnFailure string
 	// Limit, when > 0, stops the stream after that many rows: production
 	// is cancelled upstream (unevaluated rows are never paid for), the
 	// result is marked Truncated, and Stats cover only the work performed.
@@ -432,7 +405,7 @@ func (db *DB) QueryStream(ctx context.Context, sql string, opts StreamOptions, e
 	if emit == nil {
 		return nil, fmt.Errorf("predeval: QueryStream requires an emit callback")
 	}
-	stmt, err := parseStatement(ctx, sql, opts.OnFailure)
+	stmt, err := parseStatement(ctx, sql)
 	if err != nil {
 		return nil, err
 	}
@@ -507,6 +480,9 @@ func (db *DB) TableInfo(name string) (TableInfo, error) {
 	return info, nil
 }
 
-// Engine exposes the underlying engine for advanced, non-SQL use (the
-// examples use it to pin columns and run budget queries directly).
+// Engine exposes the underlying engine for advanced, non-SQL use. Its
+// callers are cmd/predsqld, whose /metrics batch gauges read the engine's
+// batch counters, and cmd/predbench, which registers generated tables
+// directly and times engine statements against its probes. Budget queries
+// need no engine access: they are SQL's BUDGET clause.
 func (db *DB) Engine() *engine.Engine { return db.eng }

@@ -126,10 +126,12 @@ func TestChaosAcceptanceFailPolicy(t *testing.T) {
 	if !strings.Contains(err.Error(), "good_credit") {
 		t.Errorf("error does not name the UDF: %v", err)
 	}
-	// The DB survives: the same statement under degrade still answers.
-	rows, err := db.QueryContextOptions(context.Background(),
-		"SELECT id FROM loans WHERE good_credit(id) = 1",
-		predeval.QueryOptions{OnFailure: "degrade"})
+	// The DB survives: set to degrade, it answers the same statement.
+	if err := db.SetFailurePolicy("degrade"); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.QueryContext(context.Background(),
+		"SELECT id FROM loans WHERE good_credit(id) = 1")
 	if err != nil {
 		t.Fatalf("post-failure degrade query: %v", err)
 	}
@@ -163,6 +165,9 @@ func TestRegisterUDFErrKeepsErrorClass(t *testing.T) {
 				if err := db.LoadCSV("loans", strings.NewReader(csv)); err != nil {
 					t.Fatal(err)
 				}
+				if err := db.SetFailurePolicy(policy); err != nil {
+					t.Fatal(err)
+				}
 				db.SetRetryPolicy(resilience.Policy{
 					MaxAttempts: 3,
 					Sleep:       func(context.Context, time.Duration) error { return nil },
@@ -175,18 +180,18 @@ func TestRegisterUDFErrKeepsErrorClass(t *testing.T) {
 				}, 3); err != nil {
 					t.Fatal(err)
 				}
-				return db.QueryContextOptions(context.Background(),
-					"SELECT id FROM loans WHERE good_credit(id) = 1", predeval.QueryOptions{OnFailure: policy})
+				return db.QueryContext(context.Background(),
+					"SELECT id FROM loans WHERE good_credit(id) = 1")
 			}
 			if _, err := run("fail"); err == nil || resilience.Classify(err) != c.kind {
 				t.Errorf("fail policy: err = %v, want it classified %v", err, c.kind)
 			}
-			rows, err := run("skip")
+			rows, err := run("degrade")
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st := rows.Stats(); st.FailedRows != 1 || st.Retries != c.retries {
-				t.Errorf("skip policy: FailedRows %d, Retries %d; want 1, %d", st.FailedRows, st.Retries, c.retries)
+				t.Errorf("degrade policy: FailedRows %d, Retries %d; want 1, %d", st.FailedRows, st.Retries, c.retries)
 			}
 		})
 	}
@@ -253,7 +258,7 @@ func TestCancellationDuringRetry(t *testing.T) {
 }
 
 // TestCatalogTornTailAfterRetryHeavyWorkload (satellite): run a workload
-// where every row retries once and some rows fail permanently (skip
+// where every row retries once and some rows fail permanently (degrade
 // policy), flush it, then tear the final WAL record as a crash would. The
 // reopened catalog must report the recovery, and no synthetic verdict —
 // neither from the torn record nor from the failed rows — may survive: the
@@ -268,7 +273,7 @@ func TestCatalogTornTailAfterRetryHeavyWorkload(t *testing.T) {
 	if err := db1.LoadCSV("loans", strings.NewReader(csv)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db1.SetFailurePolicy("skip"); err != nil {
+	if err := db1.SetFailurePolicy("degrade"); err != nil {
 		t.Fatal(err)
 	}
 	db1.SetRetryPolicy(resilience.Policy{
