@@ -11,9 +11,9 @@ import (
 	"repro/internal/table"
 )
 
-// The in-tree exact golden: the statement shapes of five benchmark
-// workloads (exact_scan, approx_grouped, approx_discover, conjunction and
-// catalog_restart's warm restart) run through DB at seeds 1–3 on the
+// The in-tree exact golden: the statement shapes of six benchmark
+// workloads (exact_scan, approx_grouped, approx_discover, conjunction,
+// expensive_udf and catalog_restart's warm restart) run through DB at seeds 1–3 on the
 // datasets, UDFs and SQL of cmd/predbench/workloads.go, at full scale.
 // Each statement pins its row count, a hash of its row ids, Evaluations,
 // Sampled, Retrievals, its cost over the evaluate-everything statement and
@@ -34,6 +34,8 @@ var goldenPins = []string{
 	"conjunction/approx seed=1 rows=7029 hash=d0d7453c8324c8aa evals=39325 sampled=2173 retrievals=26890 cost_ratio=0.902568799337084 precision=0.9368331199317115 recall=0.9302161322220652",
 	"conjunction/exact seed=1 rows=4561 hash=7ca2a155e7a62726 evals=50580 sampled=0 retrievals=30000 cost_ratio=1 precision=1 recall=1",
 	"conjunction seed=1 cost_ratio=0.946541439322884",
+	"expensive_udf seed=1 rows=13264 hash=4c3342ca94b47aae evals=12870 sampled=1931 retrievals=19759 cost_ratio=0.48640833333333333 precision=0.8356453558504222 recall=0.8209762239834086",
+	"expensive_udf seed=1 cost_ratio=0.4726975",
 	"catalog_restart/approx seed=1 rows=10903 hash=c7b837fd229c3fe5 evals=0 sampled=2846 retrievals=29139 cost_ratio=0.16188333333333332 precision=0.9126845822250756 recall=0.9213888888888889",
 	"catalog_restart/exact seed=1 rows=10800 hash=fc2881a1a1f51bf8 evals=0 sampled=0 retrievals=45000 cost_ratio=0.25 precision=1 recall=1",
 	"catalog_restart seed=1 cost_ratio=0.20594166666666666",
@@ -49,6 +51,8 @@ var goldenPins = []string{
 	"conjunction/approx seed=2 rows=7746 hash=fe5f7918d8aca0da evals=35311 sampled=2173 retrievals=23653 cost_ratio=0.8073743169909596 precision=0.9573973663826492 recall=0.9172541743970315",
 	"conjunction/exact seed=2 rows=4684 hash=c117b19bc1f852dd evals=51586 sampled=0 retrievals=30000 cost_ratio=1 precision=1 recall=1",
 	"conjunction seed=2 cost_ratio=0.908573777255731",
+	"expensive_udf seed=2 rows=13628 hash=dcb55e9ebaec0daa evals=11849 sampled=1931 retrievals=19626 cost_ratio=0.459775 precision=0.8087026709715293 recall=0.8163099029701504",
+	"expensive_udf seed=2 cost_ratio=0.4626275",
 	"catalog_restart/approx seed=2 rows=10992 hash=ee553ff6cc92628d evals=0 sampled=2846 retrievals=29304 cost_ratio=0.1628 precision=0.9097525473071325 recall=0.9259259259259259",
 	"catalog_restart/exact seed=2 rows=10800 hash=607368114d15ff49 evals=0 sampled=0 retrievals=45000 cost_ratio=0.25 precision=1 recall=1",
 	"catalog_restart seed=2 cost_ratio=0.2064",
@@ -64,6 +68,8 @@ var goldenPins = []string{
 	"conjunction/approx seed=3 rows=8389 hash=1e47dca1720d2c87 evals=34542 sampled=2173 retrievals=23653 cost_ratio=0.7930007538799898 precision=0.9409941590177614 recall=0.9302380391232619",
 	"conjunction/exact seed=3 rows=4749 hash=47f3389e8f145865 evals=51987 sampled=0 retrievals=30000 cost_ratio=1 precision=1 recall=1",
 	"conjunction seed=3 cost_ratio=0.8901053343073293",
+	"expensive_udf seed=3 rows=13691 hash=76219a945aa1e892 evals=12371 sampled=1931 retrievals=20000 cost_ratio=0.47594166666666665 precision=0.8184208604192535 recall=0.829938523072365",
+	"expensive_udf seed=3 cost_ratio=0.4789933333333333",
 	"catalog_restart/approx seed=3 rows=10895 hash=a439df616db6ddb0 evals=0 sampled=2846 retrievals=29260 cost_ratio=0.16255555555555556 precision=0.9116108306562644 recall=0.9196296296296296",
 	"catalog_restart/exact seed=3 rows=10800 hash=47d23a80e446cea9 evals=0 sampled=0 retrievals=45000 cost_ratio=0.25 precision=1 recall=1",
 	"catalog_restart seed=3 cost_ratio=0.20627777777777778",
@@ -78,6 +84,7 @@ const (
 	goldenOpsApproxGrouped  = 9
 	goldenOpsApproxDiscover = 10
 	goldenOpsConjunction    = 11
+	goldenOpsExpensiveUDF   = 10
 )
 
 func TestGoldenBenchmarkStatements(t *testing.T) {
@@ -298,6 +305,26 @@ func goldenSeed(t *testing.T, seed uint64) []string {
 			}
 		}
 		lines = append(lines, goldenRatio("conjunction", seed, cost, goldenOpsConjunction, colds[0]+colds[1]))
+	}
+
+	// expensive_udf: prosper at 0.8/0.8/0.8 grouped on grade, cache off.
+	// The workload's UDF burns rounds but answers the label, so the instant
+	// label UDF gives the same verdicts and the same cost.
+	{
+		d := sets[dataset.Prosper.Name]
+		udfs := []goldenUDF{{"f", d.Labels}}
+		base := "SELECT id FROM prosper WHERE f(id) = 1"
+		cold := goldenCold(t, seed, d.Table, udfs, base)[0]
+		db := goldenDB(t, seed, false, d.Table, udfs)
+		cost := 0.0
+		for op := 0; op < goldenOpsExpensiveUDF; op++ {
+			rows := goldenQuery(t, db, base+" WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade")
+			cost += rows.Stats().Cost
+			if op == 0 {
+				lines = append(lines, goldenLine("expensive_udf", seed, rows, d.Truth(), d.TotalCorrect(), cold))
+			}
+		}
+		lines = append(lines, goldenRatio("expensive_udf", seed, cost, goldenOpsExpensiveUDF, cold))
 	}
 
 	// catalog_restart: a cold pass on census writes the durable catalog;
