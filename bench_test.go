@@ -1,5 +1,7 @@
 // Micro-benchmarks for the optimizer paths cmd/predbench (the benchmark of
-// record, BENCHMARK.json) has no layer metric for and no test times. What
+// record, BENCHMARK.json) has no layer metric for and no test times, and
+// approx_grouped's op as a Go benchmark, so -cpu 1,2 can show whether the
+// second CPU pays on the approximate path. What
 // predbench or a test already covers is not repeated here: the paper's
 // tables and figures run in experiments.TestAllExperimentsRun, and the SQL
 // front end, the convex planners, the executor, pool speedup, streaming
@@ -18,31 +20,46 @@ import (
 	"repro/internal/stats"
 )
 
-// BenchmarkIntelSamplePipeline measures one full Intel-Sample run
-// (sample → estimate → plan → execute) on the LC stand-in through the
-// facade, reporting the UDF calls it needed.
-func BenchmarkIntelSamplePipeline(b *testing.B) {
-	d, err := dataset.Generate(dataset.LendingClub.Scaled(0.1), 1)
-	if err != nil {
-		b.Fatal(err)
+// BenchmarkApproxGroupedStatement measures approx_grouped's op through the
+// facade: the four paper datasets, each queried at 0.9/0.9/0.9 GROUP ON its
+// predictor, cache off, the instant label UDF, under a cancellable context.
+// Dataset generation is outside the timer. Run it at -cpu 1,2 to see whether
+// the second CPU pays on the approximate path.
+func BenchmarkApproxGroupedStatement(b *testing.B) {
+	type stmt struct {
+		db  *predeval.DB
+		sql string
 	}
-	db := predeval.Open(2)
-	db.SetUDFCache(false)
-	if err := db.Engine().RegisterTable(d.Table); err != nil {
-		b.Fatal(err)
-	}
-	if err := db.RegisterUDF("good_credit", func(v any) bool { return d.Labels[v.(int64)] }, 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	totalEvals := 0.0
-	for i := 0; i < b.N; i++ {
-		rows, err := db.QueryContext(context.Background(), `SELECT id FROM lc WHERE good_credit(id) = 1
-			WITH PRECISION 0.8 RECALL 0.8 PROBABILITY 0.8 GROUP ON grade`)
+	var stmts []stmt
+	for _, spec := range dataset.All() {
+		d, err := dataset.Generate(spec, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		totalEvals += float64(rows.Stats().Evaluations)
+		db := predeval.Open(1)
+		db.SetUDFCache(false)
+		if err := db.Engine().RegisterTable(d.Table); err != nil {
+			b.Fatal(err)
+		}
+		labels := d.Labels
+		if err := db.RegisterUDF("f", func(v any) bool { return labels[v.(int64)] }, 0); err != nil {
+			b.Fatal(err)
+		}
+		stmts = append(stmts, stmt{db, "SELECT id FROM " + spec.Name + " WHERE f(id) = 1" +
+			" WITH PRECISION 0.9 RECALL 0.9 PROBABILITY 0.9 GROUP ON " + spec.Predictor})
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	b.ResetTimer()
+	totalEvals := 0.0
+	for i := 0; i < b.N; i++ {
+		for _, s := range stmts {
+			rows, err := s.db.QueryContext(ctx, s.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			totalEvals += float64(rows.Stats().Evaluations)
+		}
 	}
 	b.ReportMetric(totalEvals/float64(b.N), "udfcalls/op")
 }

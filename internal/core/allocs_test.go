@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -82,4 +83,40 @@ func TestSamplerTopUpAllocs(t *testing.T) {
 			t.Fatalf("a %d-row top-up over %d rows allocated %d bytes, want at most %d", k, len(rows), bytes, limit)
 		}
 	}
+}
+
+// TestExecuteAllocsIndependentOfGroupSize pins that the coin executor
+// allocates per call, not per row: its buffers are sized once, the sampled
+// rows are one bitset, and the ordered answer reuses that bitset. A group
+// 16 times larger costs no more allocations (the meter is warm, so its
+// pages are not counted).
+func TestExecuteAllocsIndependentOfGroupSize(t *testing.T) {
+	pool := exec.NewPool(1)
+	defer pool.Close()
+	perCall := func(n int) float64 {
+		rows := make([]int, n)
+		for i := range rows {
+			rows[i] = n - 1 - i
+		}
+		groups := []Group{{Key: "all", Rows: rows}}
+		samples := []SampleOutcome{{Results: map[int]bool{}}}
+		for i := 0; i < n; i += 50 {
+			samples[0].Results[i] = i%100 == 0
+		}
+		s := NewStrategy(1)
+		s.R[0], s.E[0] = 0.9, 0.5
+		meters := []*Meter{NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))}
+		run := func() {
+			if _, err := ExecuteSpansParallelCtx(context.Background(), groups, s, nil, samples, meters, DefaultCost, stats.Key(9), pool); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warms the meter's pages
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := perCall(1<<12), perCall(1<<16)
+	if small != large {
+		t.Fatalf("a call over %d rows allocated %v times, over %d rows %v: want the same", 1<<12, small, 1<<16, large)
+	}
+	t.Logf("%v allocations per call", small)
 }

@@ -101,6 +101,9 @@ func (w *Waves) Run(ctx context.Context, rows []int, need []Span) ([]int, error)
 	if cap(w.live) < len(rows) {
 		w.live = make([]int, 0, len(rows))
 	}
+	if need != nil && cap(w.work) < len(rows) {
+		w.work = make([]int, 0, len(rows))
+	}
 	if need != nil && len(w.Meters) > 1 && cap(w.spans) < len(rows) {
 		w.spans = make([]Span, 0, len(rows))
 	}

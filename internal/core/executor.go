@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/exec"
@@ -21,9 +22,12 @@ import (
 // A tuple's coins are keyed by its row (stats.Key.Bernoulli): Bernoulli(R)
 // to retrieve and Bernoulli(E/R) to evaluate, under two sub-keys of the
 // execution key. A PLAN phase flips them in tuple order and emits each
-// returned candidate with the predicate span it still needs, then a
-// parallel EVALUATE phase runs them through one Waves run, which keeps row
-// order, so the output is bit-for-bit identical at every parallelism level.
+// returned candidate with the predicate span it still needs (a bitset of
+// the sampled rows spares each row a map probe), then a parallel EVALUATE
+// phase runs them through one Waves run, and an ORDER walk over a bitset
+// of the survivors returns the answer ascending — the one place an
+// answer is ordered — so the output is bit-for-bit identical at every
+// parallelism level and whatever order the groups list their rows in.
 
 // SampleOutcome records the sampling phase's work for one group.
 type SampleOutcome struct {
@@ -37,7 +41,8 @@ type SampleOutcome struct {
 
 // ExecResult is the outcome of executing a strategy.
 type ExecResult struct {
-	// Output holds the returned row ids (the approximate query answer).
+	// Output holds the returned row ids (the approximate query answer),
+	// ascending, each once.
 	Output []int
 	// Retrieved counts tuples fetched during execution (excluding sampling).
 	Retrieved int
@@ -90,10 +95,28 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 
 	// Plan: flip retrieval/evaluation coins for every tuple in order. A
 	// retrieved tuple needs its group's span when its evaluation coin
-	// lands, and nothing (an empty span) otherwise.
+	// lands, and nothing (an empty span) otherwise. Every sampled row is
+	// marked in one bitset first, so a row pays a bit test and only a
+	// sampled row reads its verdict from its group's map; the candidates
+	// are at most every row, so their buffers are sized once.
 	retrieve, evaluate := key.Sub(1), key.Sub(2)
-	var rows []int
-	var need []Span
+	total, hi := 0, -1
+	for _, g := range groups {
+		total += len(g.Rows)
+	}
+	for _, so := range samples {
+		for row := range so.Results {
+			hi = max(hi, row)
+		}
+	}
+	seen := make(rowBits, words(hi))
+	for _, so := range samples {
+		for row := range so.Results {
+			seen.set(row)
+		}
+	}
+	rows, need := make([]int, 0, total), make([]Span, 0, total)
+	last := -1 // the largest candidate
 	for i, g := range groups {
 		ra, ea := s.R[i], s.E[i]
 		span := Span{To: int32(len(meters))}
@@ -109,12 +132,14 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 			condEval = ea / ra
 		}
 		for _, row := range g.Rows {
-			if v, ok := sampled[row]; ok {
-				// Already paid for during sampling; include iff correct.
-				if v {
-					rows, need = append(rows, row), append(need, Span{})
+			if seen.has(row) {
+				if v, ok := sampled[row]; ok {
+					// Already paid for during sampling; include iff correct.
+					if v {
+						rows, need, last = append(rows, row), append(need, Span{}), max(last, row)
+					}
+					continue
 				}
-				continue
 			}
 			if !retrieve.Bernoulli(row, ra) {
 				continue
@@ -124,7 +149,7 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 			if evaluate.Bernoulli(row, condEval) {
 				sp = span
 			}
-			rows, need = append(rows, row), append(need, sp)
+			rows, need, last = append(rows, row), append(need, sp), max(last, row)
 		}
 	}
 
@@ -135,9 +160,17 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 	if err != nil {
 		return ExecResult{}, err
 	}
-	// The survivors live in scratch sized to every candidate; the answer
-	// keeps only its own rows.
-	res.Output = slices.Clone(out)
+	// Order: the survivors live in scratch sized to every candidate; mark
+	// them in the sampled rows' bitset, cleared and grown to the largest
+	// candidate, and walk it, so the answer holds its own rows ascending.
+	if len(out) > 0 {
+		seen = slices.Grow(seen[:0], words(last))[:words(last)]
+		clear(seen)
+		for _, row := range out {
+			seen.set(row)
+		}
+		res.Output = seen.appendRows(make([]int, 0, len(out)))
+	}
 	for _, n := range w.Evaluated {
 		res.Evaluated += n
 	}
@@ -182,4 +215,27 @@ func ComputeMetrics(output []int, truth func(row int) bool, totalCorrect int) Me
 		m.Recall = float64(correct) / float64(totalCorrect)
 	}
 	return m
+}
+
+// rowBits is a bitset over non-negative row ids, sized by its maker.
+type rowBits []uint64
+
+// words is the length of a rowBits that holds every row up to hi.
+func words(hi int) int { return (hi + 64) >> 6 }
+
+func (b rowBits) set(row int) { b[row>>6] |= 1 << (row & 63) }
+
+func (b rowBits) has(row int) bool {
+	w := uint(row) >> 6
+	return w < uint(len(b)) && b[w]&(1<<(row&63)) != 0
+}
+
+// appendRows appends the set rows to dst in ascending order.
+func (b rowBits) appendRows(dst []int) []int {
+	for w, word := range b {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(word))
+		}
+	}
+	return dst
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/exec"
 	"repro/internal/stats"
 )
 
@@ -102,6 +104,79 @@ func TestExecuteHonorsSampledRows(t *testing.T) {
 		}
 		if !v && outSet[row] {
 			t.Fatalf("sampled-false row %d present in output", row)
+		}
+	}
+}
+
+// TestExecuteOutputAscendingOnSparseUnorderedRows: the executor orders its
+// answer itself. Groups hold sparse row ids just below 1<<20 in shuffled
+// order; sampled rows carry a recorded outcome that contradicts the UDF, so
+// the answer shows it was resolved from the sample. At pool widths 1 and 4
+// the output is the same, strictly ascending, and holds exactly the rows
+// the recorded outcomes and the strategy admit.
+func TestExecuteOutputAscendingOnSparseUnorderedRows(t *testing.T) {
+	rng := stats.NewRNG(411)
+	var all []int
+	for row := 1<<20 - 1; len(all) < 3000; row -= 1 + rng.IntN(40) {
+		all = append(all, row)
+	}
+	rng.Shuffle(len(all), func(a, b int) { all[a], all[b] = all[b], all[a] })
+	truth := func(row int) bool { return stats.Mix64(uint64(row))%3 == 0 }
+	groups := []Group{{Key: "full", Rows: all[:1000]}, {Key: "retrieve", Rows: all[1000:2000]}, {Key: "coins", Rows: all[2000:]}}
+	s := NewStrategy(3)
+	s.R[0], s.E[0] = 1, 1
+	s.R[1] = 1
+	s.R[2], s.E[2] = 0.7, 0.4
+	samples := make([]SampleOutcome, 3)
+	want := map[int]bool{}
+	for i, g := range groups {
+		samples[i].Results = map[int]bool{}
+		for k, row := range g.Rows {
+			if k%9 == 0 {
+				samples[i].Results[row] = !truth(row)
+				if !truth(row) {
+					want[row] = true
+				}
+			} else if i == 0 && truth(row) || i == 1 {
+				want[row] = true
+			}
+		}
+	}
+	var first []int
+	for _, width := range []int{1, 4} {
+		pool := exec.NewPool(width)
+		res, err := ExecuteSpansParallelCtx(context.Background(), groups, s, nil, samples, []*Meter{NewMeter(UDFFunc(truth))}, DefaultCost, stats.Key(5), pool)
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 1; k < len(res.Output); k++ {
+			if res.Output[k-1] >= res.Output[k] {
+				t.Fatalf("width %d: output not strictly ascending at %d: %d then %d", width, k, res.Output[k-1], res.Output[k])
+			}
+		}
+		inCoins := map[int]bool{}
+		for _, row := range groups[2].Rows {
+			inCoins[row] = true
+		}
+		got := 0
+		for _, row := range res.Output {
+			_, sampled := samples[2].Results[row]
+			if inCoins[row] && !sampled {
+				continue // decided by the coins
+			}
+			if !want[row] {
+				t.Fatalf("width %d: row %d in the output, want it out", width, row)
+			}
+			got++
+		}
+		if got != len(want) {
+			t.Fatalf("width %d: %d of the %d decided rows in the output", width, got, len(want))
+		}
+		if width == 1 {
+			first = res.Output
+		} else if !slices.Equal(res.Output, first) {
+			t.Fatalf("width %d: output differs from width 1", width)
 		}
 	}
 }

@@ -127,7 +127,7 @@ func NewJointSampler(groups []Group, meters []*Meter, key stats.Key) *Sampler {
 // them, if fewer) to buf in the group's row order and returns its next cut.
 // A pass hashes the group once for the rows ranked in a window above the
 // cut sized for want plus four standard deviations, so a second pass (over
-// a doubled window) is rare and the ranks to sort are few.
+// a doubled window) is rare and the ranks to select from are few.
 func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
 	key, lo, from, k := s.key, s.cut[i], len(buf), float64(want)
 	var ranks []uint64
@@ -149,14 +149,44 @@ func (s *Sampler) lowest(buf []int, i, want int) ([]int, uint64) {
 	if want = min(want, len(ranks)); want == 0 {
 		return buf, s.cut[i]
 	}
-	slices.Sort(ranks)
-	cut, kept := ranks[want-1], buf[:from]
+	cut, kept := nthSmallest(ranks, want-1), buf[:from]
 	for _, row := range buf[from:] {
 		if key.Rank(row) <= cut {
 			kept = append(kept, row)
 		}
 	}
 	return kept, cut + 1
+}
+
+// nthSmallest returns the k-th smallest of a (0-based), reordering a: a
+// Hoare selection, linear on average. Ranks are hashes, so the middle
+// element is as good a pivot as any.
+func nthSmallest(a []uint64, k int) uint64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		pivot, i, j := a[lo+(hi-lo)/2], lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return a[k]
+		}
+	}
+	return a[k]
 }
 
 // TopUpCtx raises each group's sampled count to targets[i] (no-op for

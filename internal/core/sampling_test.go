@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -30,6 +31,28 @@ func TestTwoThirdPowerAllocator(t *testing.T) {
 	if a.Allocate(nil) != nil {
 		// empty allocation allowed
 		t.Log("empty sizes handled")
+	}
+}
+
+// TestNthSmallestMatchesSort checks the sampler's rank selection against a
+// full sort, on hashed ranks and on small ranges full of duplicates.
+func TestNthSmallestMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(7)
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.IntN(200)
+		a := make([]uint64, n)
+		for i := range a {
+			if trial%2 == 0 {
+				a[i] = rng.Uint64()
+			} else {
+				a[i] = uint64(rng.IntN(5))
+			}
+		}
+		sorted := slices.Sorted(slices.Values(a))
+		k := rng.IntN(n)
+		if got := nthSmallest(slices.Clone(a), k); got != sorted[k] {
+			t.Fatalf("trial %d: nthSmallest(%v, %d) = %d, want %d", trial, a, k, got, sorted[k])
+		}
 	}
 }
 

@@ -475,9 +475,9 @@ func (e *Engine) opProbEval(ctx context.Context, st *pipeState) (stageOut, error
 }
 
 // opMerge finishes every blocking pipeline, sampler-based and §5 alike:
-// sort the output, memoize a discovered column, assemble the result.
+// memoize a discovered column and assemble the result from the executor's
+// output, which it returns ascending.
 func (e *Engine) opMerge(_ context.Context, st *pipeState) (stageOut, error) {
-	sort.Ints(st.output)
 	if st.sampler != nil {
 		e.persistQueryLearnings(st)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -222,7 +221,6 @@ func Lab(ctx context.Context, in Instance, draw Draw, key stats.Key) (Run, error
 	if err != nil {
 		return Run{}, err
 	}
-	sort.Ints(res.Output)
 	run := Run{
 		Rows:        res.Output,
 		Evaluations: in.Meter.Calls(),

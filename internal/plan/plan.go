@@ -35,8 +35,8 @@ const (
 	OpGroupResolve Op = "group-resolve" // correlated-column grouping
 	OpSample       Op = "sample"        // per-group selectivity estimation
 	OpSolve        Op = "solve"         // optimizer: strategy from estimates
-	OpProbEval     Op = "prob-eval"     // per-tuple retrieve/evaluate coins
-	OpMerge        Op = "merge"         // sort row ids, assemble stats
+	OpProbEval     Op = "prob-eval"     // per-tuple coins; rows out ascending
+	OpMerge        Op = "merge"         // persist learnings, assemble stats
 
 	// Exact, conjunction and join operators.
 	OpExactEval  Op = "exact-eval"  // evaluate the predicate on every row

@@ -185,13 +185,55 @@ func (b *Breaker) Plan(n int) []bool {
 
 // Record implements exec.Gate: fold one segment's admitted outcomes, in
 // item order, under one lock. Folding a segment is folding its items one
-// by one; the slice is not retained.
+// by one, but a closed breaker folds a run of successes as a count; the
+// slice is not retained.
 func (b *Breaker) Record(failed []bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, f := range failed {
-		b.fold(f)
+	for i := 0; i < len(failed); {
+		if failed[i] || b.state != BreakerClosed {
+			b.fold(failed[i])
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(failed) && !failed[j] {
+			j++
+		}
+		b.succeed(j - i)
+		i = j
 	}
+}
+
+// succeed folds a closed-state run of k successes in O(min(k, window)).
+// A success only lengthens the window or displaces an older outcome, so
+// the failure share never rises: the one push that can trip is the one
+// that brings the window to MinCalls, and a trip ignores the rest of the
+// run as the open state would. Callers hold b.mu.
+func (b *Breaker) succeed(k int) {
+	if m := b.cfg.minCalls(); b.wlen < m && m <= len(b.window) && b.wlen+k >= m {
+		n := m - b.wlen
+		b.pushSuccesses(n)
+		if float64(b.fails) >= b.cfg.failureRate()*float64(b.wlen) {
+			b.trip()
+			return
+		}
+		k -= n
+	}
+	b.pushSuccesses(k)
+}
+
+// pushSuccesses pushes k successes into the sliding window: k pushes, or,
+// once k fills the window, a window of successes. Callers hold b.mu.
+func (b *Breaker) pushSuccesses(k int) {
+	if k < len(b.window) {
+		for range k {
+			b.push(false)
+		}
+		return
+	}
+	clear(b.window)
+	b.wlen, b.fails, b.widx = len(b.window), 0, (b.widx+k)%len(b.window)
 }
 
 // fold applies one admitted item's outcome. Closed-state outcomes feed the

@@ -395,6 +395,70 @@ func TestBreakerSegmentFoldEqualsRowByRow(t *testing.T) {
 	}
 }
 
+// TestBreakerRecordMatchesPerRowFold: Record's counted success runs leave
+// the breaker exactly where folding each outcome alone does. Random
+// outcome sequences — from all successes to mostly failures, in bursts, so
+// long success runs meet short windows — random window sizes, MinCalls
+// below, at and above the window, and random rates are recorded in random
+// slices by one breaker and folded one outcome at a time by the other;
+// state, trips, cooldown, probes and the window itself must agree after
+// every slice.
+func TestBreakerRecordMatchesPerRowFold(t *testing.T) {
+	type snapshot struct {
+		state                                      BreakerState
+		armed                                      bool
+		window                                     string
+		widx, wlen, fails                          int
+		cooldownLeft, probesIssued, probeSuccesses int
+		trips                                      int64
+	}
+	snap := func(b *Breaker) snapshot {
+		return snapshot{b.state, b.armed, fmt.Sprint(b.window), b.widx, b.wlen, b.fails,
+			b.cooldownLeft, b.probesIssued, b.probeSuccesses, b.trips}
+	}
+	trips := int64(0)
+	for seed := uint64(1); seed <= 400; seed++ {
+		rng := stats.NewRNG(seed)
+		window := 1 + rng.IntN(12)
+		cfg := BreakerConfig{
+			Window: window, MinCalls: 1 + rng.IntN(window+4), FailureRate: 0.05 + 0.95*rng.Float64(),
+			Cooldown: 1 + rng.IntN(8), Probes: 1 + rng.IntN(3),
+		}
+		failPct := []int{0, 1, 5, 20, 50, 90}[rng.IntN(6)]
+		counted, perRow := NewBreaker(cfg), NewBreaker(cfg)
+		for slice := 0; slice < 60; slice++ {
+			n := rng.IntN(3 * window * (1 + rng.IntN(4)))
+			plan, rowPlan := counted.Plan(n), perRow.Plan(n)
+			var outcomes []bool
+			burst := rng.IntN(100) < failPct
+			for i, ok := range plan {
+				if ok != rowPlan[i] {
+					t.Fatalf("seed %d slice %d: plans diverge at item %d", seed, slice, i)
+				}
+				if rng.IntN(8) == 0 {
+					burst = rng.IntN(100) < failPct
+				}
+				if ok {
+					outcomes = append(outcomes, burst && rng.IntN(100) < 70)
+				}
+			}
+			counted.Record(outcomes)
+			perRow.mu.Lock()
+			for _, failed := range outcomes {
+				perRow.fold(failed)
+			}
+			perRow.mu.Unlock()
+			if got, want := snap(counted), snap(perRow); got != want {
+				t.Fatalf("seed %d slice %d (cfg %+v, outcomes %v):\n counted %+v\n per row %+v", seed, slice, cfg, outcomes, got, want)
+			}
+		}
+		trips += counted.Trips()
+	}
+	if trips == 0 {
+		t.Fatal("no seed tripped a breaker: the scenario misses the success-trips case")
+	}
+}
+
 func TestChaosDeterministicSchedule(t *testing.T) {
 	cfg := ChaosConfig{Seed: 99, ErrorRate: 0.3}
 	run := func() []bool {
