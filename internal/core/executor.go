@@ -116,7 +116,6 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 		}
 	}
 	rows, need := make([]int, 0, total), make([]Span, 0, total)
-	last := -1 // the largest candidate
 	for i, g := range groups {
 		ra, ea := s.R[i], s.E[i]
 		span := Span{To: int32(len(meters))}
@@ -136,7 +135,7 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 				if v, ok := sampled[row]; ok {
 					// Already paid for during sampling; include iff correct.
 					if v {
-						rows, need, last = append(rows, row), append(need, Span{}), max(last, row)
+						rows, need = append(rows, row), append(need, Span{})
 					}
 					continue
 				}
@@ -149,7 +148,7 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 			if evaluate.Bernoulli(row, condEval) {
 				sp = span
 			}
-			rows, need, last = append(rows, row), append(need, sp), max(last, row)
+			rows, need = append(rows, row), append(need, sp)
 		}
 	}
 
@@ -162,9 +161,10 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 	}
 	// Order: the survivors live in scratch sized to every candidate; mark
 	// them in the sampled rows' bitset, cleared and grown to the largest
-	// candidate, and walk it, so the answer holds its own rows ascending.
+	// survivor, and walk it, so the answer holds its own rows ascending.
 	if len(out) > 0 {
-		seen = slices.Grow(seen[:0], words(last))[:words(last)]
+		n := words(slices.Max(out))
+		seen = slices.Grow(seen[:0], n)[:n]
 		clear(seen)
 		for _, row := range out {
 			seen.set(row)
