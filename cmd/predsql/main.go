@@ -10,8 +10,8 @@
 //
 // The command prints the execution statistics (UDF calls, cost, chosen
 // correlated column) and the first rows of the result. Prefix the SQL with
-// EXPLAIN to print the estimated operator tree without executing, or with
-// EXPLAIN ANALYZE to run the statement as usual and print the tree annotated
+// EXPLAIN to print the estimated operator chain without executing, or with
+// EXPLAIN ANALYZE to run the statement as usual and print the chain annotated
 // with measured rows, UDF calls, cache traffic, retries and per-operator
 // wall time after the result. With -stream the rows print incrementally as
 // execution produces them, and -limit stops evaluation early instead of

@@ -20,9 +20,9 @@
 //	               server does not read the SQL. A statement prefixed with
 //	               EXPLAIN is planned, not executed: zero rows under the
 //	               projection's columns, and "plan" carries the physical
-//	               operator tree, one line per operator; no UDF is invoked.
+//	               operator chain, one line per operator; no UDF is invoked.
 //	               EXPLAIN ANALYZE executes: the rows come back as usual and
-//	               "plan" carries the tree annotated with measured
+//	               "plan" carries the chain annotated with measured
 //	               per-operator counts. With "trace": true the response
 //	               carries "trace": per-phase spans (parse, bind, plan,
 //	               per-operator, materialize) with µs offsets.
@@ -456,8 +456,8 @@ type queryResponse struct {
 	// wire format (Degraded is carried above, not inside "stats").
 	Stats     predeval.Stats `json:"stats"`
 	ElapsedMS float64        `json:"elapsed_ms"`
-	// Plan is the statement's operator tree, one line per operator: the
-	// estimated tree for EXPLAIN, the annotated one for EXPLAIN ANALYZE.
+	// Plan is the statement's operator chain, one line per operator: the
+	// estimated chain for EXPLAIN, the annotated one for EXPLAIN ANALYZE.
 	// Absent without the keyword.
 	Plan []string `json:"plan,omitempty"`
 	// Trace is the query's span list ("trace": true).

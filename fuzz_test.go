@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/sqlparse"
 )
 
@@ -33,10 +34,13 @@ func fuzzDB(f *testing.F) *DB {
 
 // FuzzParsePlanExplain is the parse → bind → plan → explain target: any
 // string that parses must bind or be rejected with an error — never panic —
-// and once bound, every rewrite rule must shape it and EXPLAIN must render
-// it. Binding is the one gate, so a statement EXPLAIN refuses is refused by
-// execution with the same error before any UDF runs. The seeds are the
-// sqlparse corpus (FuzzParse) plus one statement per remaining plan shape.
+// and once bound, every rewrite rule must shape it into a well-formed chain
+// (a scan of the statement's table first, a filter only right after it,
+// exactly one finisher and that one last) and EXPLAIN must render it, one
+// line per node. Binding is the one gate, so a statement planning refuses is
+// refused by execution with the same error before any UDF runs. The seeds
+// are the sqlparse corpus (FuzzParse) plus one statement per remaining plan
+// shape.
 func FuzzParsePlanExplain(f *testing.F) {
 	for _, seed := range []string{
 		"SELECT * FROM loans WHERE good_credit(id) = 1",
@@ -68,16 +72,28 @@ func FuzzParsePlanExplain(f *testing.F) {
 		if err != nil {
 			return
 		}
-		text, err := eng.Explain(stmt.Query)
+		chain, err := eng.Plan(stmt.Query)
 		if err != nil {
 			if _, xerr := eng.ExecuteContext(context.Background(), stmt.Query); xerr == nil || xerr.Error() != err.Error() {
-				t.Fatalf("%q: EXPLAIN refuses with %q, execution says %v", input, err, xerr)
+				t.Fatalf("%q: planning refuses with %q, execution says %v", input, err, xerr)
 			}
 			return
 		}
-		lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
-		if last := lines[len(lines)-1]; len(lines) < 2 || !strings.Contains(last, "scan table="+stmt.Query.Table) {
-			t.Fatalf("%q: plan does not end in a scan of %q:\n%s", input, stmt.Query.Table, text)
+		text := plan.Format(chain)
+		if lines := strings.Count(text, "\n"); lines != len(chain) {
+			t.Fatalf("%q: EXPLAIN renders %d lines for %d nodes:\n%s", input, lines, len(chain), text)
+		}
+		if len(chain) < 2 || chain[0].Op != plan.OpScan || chain[0].Column != stmt.Query.Table {
+			t.Fatalf("%q: chain does not start with a scan of %q:\n%s", input, stmt.Query.Table, text)
+		}
+		for i, n := range chain {
+			finisher := n.Op == plan.OpExactEval || n.Op == plan.OpConjWaves || n.Op == plan.OpMerge
+			if n.Op == plan.OpFilter && i != 1 {
+				t.Fatalf("%q: filter at position %d, want 1:\n%s", input, i, text)
+			}
+			if finisher != (i == len(chain)-1) {
+				t.Fatalf("%q: node %d (%s) of %d: the one finisher must be last:\n%s", input, i, n.Op, len(chain), text)
+			}
 		}
 	})
 }

@@ -96,8 +96,8 @@ func TestStreamingTerminalAllocs(t *testing.T) {
 		{plan.OpConjWaves, []Conjunct{good, even}, 54},
 	} {
 		q := Query{Table: "loans", Predicates: c.preds}
-		if root, err := e.Plan(q); err != nil || root.Op != c.op {
-			t.Fatalf("%v plans as %v (%v)", c.preds, root, err)
+		if chain, err := e.Plan(q); err != nil || chain[len(chain)-1].Op != c.op {
+			t.Fatalf("%v plans as %v (%v)", c.preds, plan.Format(chain), err)
 		}
 		run := func() {
 			if _, err := e.ExecuteContext(ctx, q); err != nil {

@@ -52,15 +52,15 @@ func analyzeEngine(t testing.TB, parallelism int) *Engine {
 // the result.
 func runAnalyzed(t testing.TB, e *Engine) (string, *Result) {
 	t.Helper()
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
+	chain, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res == nil || root == nil {
+	if res == nil || chain == nil {
 		t.Fatal("ExplainAnalyzeContext returned nil result or plan")
 	}
-	plan.ZeroTimings(root)
-	return plan.Format(root), res
+	plan.ZeroTimings(chain)
+	return plan.Format(chain), res
 }
 
 func TestExplainAnalyzeCountsDeterministicAcrossParallelism(t *testing.T) {
@@ -108,15 +108,15 @@ func TestExplainAnalyzeCountsDeterministicAcrossParallelism(t *testing.T) {
 
 func TestExplainAnalyzeActualNodes(t *testing.T) {
 	e := analyzeEngine(t, 4)
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
+	chain, res, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := root.Find(plan.OpScan)
+	scan := chain.Find(plan.OpScan)
 	if scan == nil || scan.Actual == nil || scan.Actual.Rows != 300 {
 		t.Fatalf("scan node actual = %+v, want rows=300", scan)
 	}
-	eval := root.Find(plan.OpExactEval)
+	eval := chain.Find(plan.OpExactEval)
 	if eval == nil || eval.Actual == nil {
 		t.Fatal("exact-eval node missing actuals")
 	}
@@ -142,11 +142,11 @@ func TestExplainAnalyzeActualNodes(t *testing.T) {
 
 	// Second query against the tripped breaker: denials recorded, and only
 	// for rows that could not resolve from the warm cache.
-	root2, res2, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
+	chain2, res2, err := e.ExplainAnalyzeContext(context.Background(), exactQuery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := root2.Find(plan.OpExactEval).Actual
+	a2 := chain2.Find(plan.OpExactEval).Actual
 	if a2.Denied == 0 {
 		t.Error("second-run denied = 0, want breaker denials recorded")
 	}
@@ -172,30 +172,30 @@ func TestExplainAnalyzeApproxPipeline(t *testing.T) {
 		GroupOn: "grade",
 		Approx:  &Approx{Precision: 0.9, Recall: 0.9, Probability: 0.9},
 	}
-	root, res, err := e.ExplainAnalyzeContext(context.Background(), q)
+	chain, res, err := e.ExplainAnalyzeContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr := root.Find(plan.OpGroupResolve)
+	gr := chain.Find(plan.OpGroupResolve)
 	if gr == nil || gr.Actual == nil || gr.Actual.Groups != 3 {
 		t.Fatalf("group-resolve actual = %+v, want 3 groups", gr)
 	}
-	smp := root.Find(plan.OpSample)
+	smp := chain.Find(plan.OpSample)
 	if smp == nil || smp.Actual == nil || smp.Actual.Rows != res.Stats.Sampled {
 		t.Fatalf("sample actual = %+v, want rows=%d", smp, res.Stats.Sampled)
 	}
-	mrg := root.Find(plan.OpMerge)
+	mrg := chain.Find(plan.OpMerge)
 	if mrg == nil || mrg.Actual == nil || mrg.Actual.Rows != len(res.Rows) {
 		t.Fatalf("merge actual = %+v, want rows=%d", mrg, len(res.Rows))
 	}
 }
 
-// TestPlanIsPipeline pins the invariant that the tree EXPLAIN prints is the
+// TestPlanIsPipeline pins the invariant that the chain EXPLAIN prints is the
 // pipeline that runs: for every statement shape, at parallelism 1 and 8,
-// every node of the analyzed tree carries an Actual (no node is
+// every node of the analyzed chain carries an Actual (no node is
 // display-only), the per-operator deltas add up to the statement's Stats
 // (each operator is the unit of accounting, nothing is charged outside one),
-// and the root reports the result rows.
+// and the finisher reports the result rows.
 func TestPlanIsPipeline(t *testing.T) {
 	base := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}}}
 	with := func(mut func(*Query)) Query {
@@ -248,7 +248,7 @@ func TestPlanIsPipeline(t *testing.T) {
 					ids = append(ids, int64((i*7)%600))
 				}
 				ordersFor(t, e, ids)
-				root, res, err := e.ExplainAnalyzeContext(context.Background(), shape.q)
+				chain, res, err := e.ExplainAnalyzeContext(context.Background(), shape.q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -256,9 +256,9 @@ func TestPlanIsPipeline(t *testing.T) {
 					t.Fatal("query returned or evaluated nothing; the sums below would be vacuous")
 				}
 				var calls, hits, misses int
-				for n := root; n != nil; n = n.Child() {
+				for _, n := range chain {
 					if n.Actual == nil {
-						t.Fatalf("node %s has no Actual: no operator ran it\n%s", n.Op, plan.Format(root))
+						t.Fatalf("node %s has no Actual: no operator ran it\n%s", n.Op, plan.Format(chain))
 					}
 					calls += n.Actual.Calls
 					hits += n.Actual.CacheHits
@@ -266,18 +266,18 @@ func TestPlanIsPipeline(t *testing.T) {
 				}
 				if calls != res.Stats.Evaluations || hits != res.Stats.CacheHits || misses != res.Stats.CacheMisses {
 					t.Errorf("operators account for calls=%d hits=%d misses=%d, Stats say %d/%d/%d\n%s",
-						calls, hits, misses, res.Stats.Evaluations, res.Stats.CacheHits, res.Stats.CacheMisses, plan.Format(root))
+						calls, hits, misses, res.Stats.Evaluations, res.Stats.CacheHits, res.Stats.CacheMisses, plan.Format(chain))
 				}
-				if root.Actual.Rows != len(res.Rows) {
-					t.Errorf("root %s reports %d rows, result has %d", root.Op, root.Actual.Rows, len(res.Rows))
+				if last := chain[len(chain)-1]; last.Actual.Rows != len(res.Rows) {
+					t.Errorf("finisher %s reports %d rows, result has %d", last.Op, last.Actual.Rows, len(res.Rows))
 				}
 				// The filters are answered at bind; their time is the filter
 				// node's, not lost between nodes.
-				if f := root.Find(plan.OpFilter); f != nil && f.Actual.ElapsedNS <= 0 {
-					t.Errorf("filter node reports no elapsed time\n%s", plan.Format(root))
+				if f := chain.Find(plan.OpFilter); f != nil && f.Actual.ElapsedNS <= 0 {
+					t.Errorf("filter node reports no elapsed time\n%s", plan.Format(chain))
 				}
 				if shape.name == "twopred" {
-					if smp := root.Find(plan.OpConjSample); smp.Actual.Rows != res.Stats.Sampled || smp.Actual.Rows == 0 {
+					if smp := chain.Find(plan.OpConjSample); smp.Actual.Rows != res.Stats.Sampled || smp.Actual.Rows == 0 {
 						t.Errorf("conj-sample reports %d rows, Stats.Sampled = %d", smp.Actual.Rows, res.Stats.Sampled)
 					}
 				}

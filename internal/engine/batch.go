@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -12,15 +11,15 @@ import (
 	"repro/internal/table"
 )
 
-// The statement executor. plan.Physical lowers every statement to a linear
-// chain whose nodes all block but one: the streaming terminal (exact-eval,
-// conj-waves), or nothing when the chain ends in the merge stage. runPipeline
-// walks that chain leaf first and runs it in two phases: every blocking stage
-// body once, in chain order — grouping, sampling, solving, the three §5
-// stages and merge, everything whose algorithm needs the whole input — then
-// one batch loop over the row universe. In that loop the streaming terminal
-// evaluates the universe batch by batch, or a blocking chain replays its
-// merged result to the sink.
+// The statement executor. plan.Physical lowers every statement to a
+// plan.Chain, leaf first, whose nodes all block but one: the streaming
+// terminal (exact-eval, conj-waves), or nothing when the chain ends in the
+// merge stage. runPipeline runs that chain in two phases: every blocking
+// stage body once, in chain order — grouping, sampling, solving, the three
+// §5 stages and merge, everything whose algorithm needs the whole input —
+// then one batch loop over the row universe. In that loop the streaming
+// terminal evaluates the universe batch by batch, or a blocking chain
+// replays its merged result to the sink.
 //
 // The determinism contract is untouched: batches are planned sequentially
 // in row order, UDF evaluation inside a batch fans out through
@@ -214,45 +213,29 @@ func (st *pipeState) runStage(ctx context.Context, n *plan.Node, run stageBody) 
 	return err
 }
 
-// runPipeline executes one statement's physical chain (a linear
-// single-child tree: scan, an optional filter, blocking stages, and a
-// streaming terminal or the merge stage on top). The blocking stages run
-// first, leaf first: that order fixes the sequence of meter charges (what a
-// later stage finds in the memo); the draws need no order, each stage's
-// being keyed by its own sub-key of the statement's key. The stages read the
-// row universe from st.subset, bound before the chain runs (the filter node
-// is answered there, from the posting index), so only the batch loop reads
-// the scan. With a nil sink the result is materialized into st.res: a
-// blocking chain has then finished, and no batch is counted. With a sink,
-// result batches are delivered as produced, and an ErrStopStream from the
-// sink stops the loop, leaving Stats covering the evaluation actually
-// performed.
-func (e *Engine) runPipeline(ctx context.Context, root *plan.Node, st *pipeState, sink RowSink) error {
-	var chain []*plan.Node
-	for n := root; n != nil; n = n.Child() {
-		if len(n.Children) > 1 {
-			return fmt.Errorf("engine: physical node %q has %d children, want a linear chain", n.Op, len(n.Children))
-		}
-		chain = append(chain, n)
-	}
-	slices.Reverse(chain) // leaf first
-	if chain[0].Op != plan.OpScan {
-		return fmt.Errorf("engine: pipeline does not end in a scan (got %q)", chain[0].Op)
-	}
+// runPipeline executes one statement's physical chain: the scan, an
+// optional filter, blocking stages, and a streaming terminal or the merge
+// stage last. The blocking stages run first, in chain order: that order
+// fixes the sequence of meter charges (what a later stage finds in the
+// memo); the draws need no order, each stage's being keyed by its own
+// sub-key of the statement's key. The stages read the row universe from
+// st.subset, bound before the chain runs (the filter node is answered
+// there, from the posting index), so only the batch loop reads the scan.
+// With a nil sink the result is materialized into st.res: a blocking chain
+// has then finished, and no batch is counted. With a sink, result batches
+// are delivered as produced, and an ErrStopStream from the sink stops the
+// loop, leaving Stats covering the evaluation actually performed.
+func (e *Engine) runPipeline(ctx context.Context, chain plan.Chain, st *pipeState, sink RowSink) error {
 	scan, filter, rest := chain[0], (*plan.Node)(nil), chain[1:]
 	if len(rest) > 0 && rest[0].Op == plan.OpFilter {
 		filter, rest = rest[0], rest[1:]
 	}
-	// The chain's last operator finishes the result: a streaming terminal,
-	// or the merge stage of a blocking chain.
+	// The chain's last node finishes the result: a streaming terminal, or
+	// the merge stage of a blocking chain, which runs with the stages.
 	var term *evalOp
-	switch root.Op {
-	case plan.OpExactEval, plan.OpConjWaves:
-		term = &evalOp{st: st, node: root, collect: sink == nil, waves: core.Waves{Pool: st.pool}}
+	if last := chain[len(chain)-1]; last.Op != plan.OpMerge {
+		term = &evalOp{st: st, node: last, collect: sink == nil, waves: core.Waves{Pool: st.pool}}
 		rest = rest[:len(rest)-1]
-	case plan.OpMerge:
-	default:
-		return fmt.Errorf("engine: pipeline ends in %q, which finishes no result", root.Op)
 	}
 	for _, n := range rest {
 		body, err := e.stageBody(n)

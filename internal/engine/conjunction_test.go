@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/table"
 )
 
@@ -364,7 +365,7 @@ func TestExplainShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			text, err := e.Explain(tc.mut(base))
+			text, err := explain(e, tc.mut(base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -373,9 +374,18 @@ func TestExplainShapes(t *testing.T) {
 			}
 		})
 	}
-	if _, err := e.Explain(Query{Table: "loans", Predicates: []Conjunct{{UDFName: "missing", UDFArg: "id"}}}); err == nil {
+	if _, err := explain(e, Query{Table: "loans", Predicates: []Conjunct{{UDFName: "missing", UDFArg: "id"}}}); err == nil {
 		t.Fatal("EXPLAIN of unknown UDF accepted")
 	}
+}
+
+// explain renders the query's plan as EXPLAIN text.
+func explain(e *Engine, q Query) (string, error) {
+	chain, err := e.Plan(q)
+	if err != nil {
+		return "", err
+	}
+	return plan.Format(chain), nil
 }
 
 func containsLine(text, substr string) bool {
@@ -430,16 +440,16 @@ func TestExplainValidatesBindings(t *testing.T) {
 		Approx: approx(0.9, 0.9, 0.9), GroupOn: "grade"}
 	q := base
 	q.GroupOn = "nosuch"
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown GROUP ON column accepted")
 	}
 	q = base
 	q.Join = &Join{Table: "loans", LeftKey: "nosuch", RightKey: "id"}
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown join key accepted")
 	}
 	q.Join = &Join{Table: "missing", LeftKey: "id", RightKey: "id"}
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown join table accepted")
 	}
 }
@@ -524,7 +534,7 @@ func TestExplainRejectsBadProjection(t *testing.T) {
 	e, _, _ := newTestEngine(t, 60)
 	q := Query{Table: "loans", Predicates: []Conjunct{{UDFName: "good_credit", UDFArg: "id", Want: true}},
 		Columns: []string{"nosuchcol"}}
-	if _, err := e.Explain(q); err == nil {
+	if _, err := explain(e, q); err == nil {
 		t.Fatal("EXPLAIN with unknown projection column accepted")
 	}
 	if _, err := e.ExecuteContext(context.Background(), q); err == nil {

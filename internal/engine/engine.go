@@ -214,12 +214,12 @@ func (e *Engine) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
 // validate, bind tables and predicates, lower into the physical operator
 // chain, and run it: its blocking stages in order, then one batch loop (see
 // batch.go); shapes differ only in the plan they lower to (see planner.go
-// and operators.go). With analyze set, the executed tree comes back with
-// per-operator Actual counts (EXPLAIN ANALYZE); the returned root is nil
+// and operators.go). With analyze set, the executed chain comes back with
+// per-operator Actual counts (EXPLAIN ANALYZE); the returned chain is nil
 // otherwise. A non-nil sink streams result batches as they are produced
 // instead of materializing Result.Rows. A trace attached to ctx
 // (obs.WithTrace) gets bind/plan/operator spans either way.
-func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, sink RowSink) (*Result, *plan.Node, error) {
+func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, sink RowSink) (*Result, plan.Chain, error) {
 	if err := q.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -233,8 +233,8 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 		return nil, nil, err
 	}
 	st.analyze = analyze
-	var root *plan.Node
-	obs.Timed(ctx, "plan", func() { root, err = plan.Physical(e.buildSpec(st)) })
+	var chain plan.Chain
+	obs.Timed(ctx, "plan", func() { chain, err = plan.Physical(e.buildSpec(st)) })
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,7 +251,7 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 	// closed on every way out, a panic included.
 	st.pool = exec.NewPool(e.parallelism())
 	defer st.pool.Close()
-	if err := e.runPipeline(ctx, root, st, sink); err != nil {
+	if err := e.runPipeline(ctx, chain, st, sink); err != nil {
 		return nil, nil, err
 	}
 	if err := st.failure(); err != nil {
@@ -260,9 +260,9 @@ func (e *Engine) executeStatement(ctx context.Context, q Query, analyze bool, si
 	e.cacheHits.Add(int64(st.res.Stats.CacheHits))
 	e.cacheMisses.Add(int64(st.res.Stats.CacheMisses))
 	if !analyze {
-		root = nil
+		chain = nil
 	}
-	return st.res, root, nil
+	return st.res, chain, nil
 }
 
 // universe resolves a row subset: nil means every row of the table.

@@ -68,7 +68,7 @@ func pinShapes() []struct {
 // streamed and stopped after the first batch, and under EXPLAIN ANALYZE: the
 // trace's span names with their counts (the names predbench keys its
 // per-layer metrics by), the engine's batch counters, the Stats, the result
-// rows, and the analyzed tree with its wall times zeroed. Parallelism 1 and
+// rows, and the analyzed chain with its wall times zeroed. Parallelism 1 and
 // 8 must both match the one golden. A change that means to move one of these
 // deletes the golden and runs the test once, which writes it afresh and
 // fails, and says which moved.
@@ -139,12 +139,12 @@ func runPinCase(t *testing.T, par int, q Query, mode string) string {
 			return nil
 		})
 	case "analyzed":
-		var root *plan.Node
+		var chain plan.Chain
 		var res *Result
-		if root, res, err = e.ExplainAnalyzeContext(ctx, q); err == nil {
+		if chain, res, err = e.ExplainAnalyzeContext(ctx, q); err == nil {
 			rows, stats = res.Rows, res.Stats
-			plan.ZeroTimings(root)
-			tree = plan.Format(root)
+			plan.ZeroTimings(chain)
+			tree = plan.Format(chain)
 		}
 	}
 	if err != nil {

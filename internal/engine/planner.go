@@ -9,7 +9,7 @@ import (
 // The planner layer: a bound statement becomes a plan.Spec (the Query plus
 // what only the engine knows — row counts, the filtered universe's size,
 // per-predicate costs, any catalog-memoized column choice), internal/plan
-// shapes it into a physical operator tree, and the operators in
+// shapes it into a physical operator chain, and the operators in
 // operators.go execute it uniformly.
 // Exact, approximate, conjunction and join queries differ only in the plan
 // shape they lower to.
@@ -39,8 +39,9 @@ func (e *Engine) buildSpec(st *pipeState) plan.Spec {
 	return sp
 }
 
-// Plan builds (without executing) the physical operator tree for a query.
-func (e *Engine) Plan(q Query) (*plan.Node, error) {
+// Plan builds (without executing) the physical operator chain for a query;
+// plan.Format renders it as EXPLAIN text.
+func (e *Engine) Plan(q Query) (plan.Chain, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -54,23 +55,14 @@ func (e *Engine) Plan(q Query) (*plan.Node, error) {
 	return plan.Physical(e.buildSpec(st))
 }
 
-// Explain renders the query's physical plan as EXPLAIN text.
-func (e *Engine) Explain(q Query) (string, error) {
-	n, err := e.Plan(q)
-	if err != nil {
-		return "", err
-	}
-	return plan.Format(n), nil
-}
-
-// ExplainAnalyzeContext EXECUTES the query and returns the physical plan
+// ExplainAnalyzeContext EXECUTES the query and returns the physical chain
 // annotated with per-operator measured counts (plan.Actual) alongside the
 // result. The count fields are bit-identical at any parallelism; only the
 // per-node wall times vary (see plan.ZeroTimings).
-func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q Query) (*plan.Node, *Result, error) {
-	res, root, err := e.executeStatement(ctx, q, true, nil)
+func (e *Engine) ExplainAnalyzeContext(ctx context.Context, q Query) (plan.Chain, *Result, error) {
+	res, chain, err := e.executeStatement(ctx, q, true, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return root, res, nil
+	return chain, res, nil
 }

@@ -5,30 +5,30 @@ import (
 	"strings"
 )
 
-// scanChain builds filter → scan (or a bare scan when there are no cheap
-// filters). The filter's estimate is exact: the engine counted the rows its
+// scanChain starts the chain: the scan, then the filter when there are cheap
+// filters. The filter's estimate is exact: the engine counted the rows its
 // posting lists keep.
-func (s Spec) scanChain() *Node {
+func (s Spec) scanChain() Chain {
 	q := s.Query
 	scan := &Node{Op: OpScan, Column: q.Table, EstRows: s.Rows,
 		Detail: []Attr{{"table", q.Table}}}
 	if len(q.Filters) == 0 {
-		return scan
+		return Chain{scan}
 	}
 	fs := make([]string, len(q.Filters))
 	for i, f := range q.Filters {
 		fs[i] = fmt.Sprintf("%s = %q", f.Column, f.Value)
 	}
-	return &Node{
-		Op:       OpFilter,
-		Children: []*Node{scan},
-		EstRows:  s.FilteredRows,
-		Detail:   []Attr{{"predicates", strings.Join(fs, " AND ")}},
-	}
+	return Chain{scan, &Node{
+		Op:      OpFilter,
+		EstRows: s.FilteredRows,
+		Detail:  []Attr{{"predicates", strings.Join(fs, " AND ")}},
+	}}
 }
 
-// Physical shapes a spec into the physical operator tree the engine
-// executes, one rewrite rule per statement shape:
+// Physical shapes a spec into the physical chain the engine executes, one
+// rewrite rule per statement shape, each appending its stages and finisher
+// to the scan (and filter):
 //
 //   - select + exact          → exact-eval
 //   - select + approx         → group-resolve · sample · solve · prob-eval · merge
@@ -41,7 +41,7 @@ func (s Spec) scanChain() *Node {
 // filter node by the scan it is fused into). The query must pass
 // Query.Validate — the one validator, so a shape no rule covers is refused
 // here with the same error parsing and binding give.
-func Physical(s Spec) (*Node, error) {
+func Physical(s Spec) (Chain, error) {
 	q := s.Query
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -49,63 +49,61 @@ func Physical(s Spec) (*Node, error) {
 	if want := len(q.Predicates); len(s.EvalCosts) != want {
 		return nil, fmt.Errorf("plan: %d predicate costs for %d predicates", len(s.EvalCosts), want)
 	}
-	base := s.scanChain() // filter → scan, the pipeline tail
+	c := s.scanChain()
 	switch {
 	case q.Join != nil:
-		return s.physicalJoin(base), nil
+		return s.physicalJoin(c), nil
 	case len(q.Predicates) > 1:
-		return s.physicalConjunction(base), nil
+		return s.physicalConjunction(c), nil
 	default:
-		return s.physicalSelect(base), nil
+		return s.physicalSelect(c), nil
 	}
 }
 
-func (s Spec) physicalSelect(base *Node) *Node {
+func (s Spec) physicalSelect(c Chain) Chain {
 	q, n := s.Query, s.FilteredRows
 	if q.Approx == nil {
-		return &Node{
-			Op:       OpExactEval,
-			Children: []*Node{base},
-			EstRows:  n,
-			EstCost:  float64(n) * s.perRow(),
-			Detail:   []Attr{{"predicate", q.Predicates[0].String()}},
-		}
+		return append(c, &Node{
+			Op:      OpExactEval,
+			EstRows: n,
+			EstCost: float64(n) * s.perRow(),
+			Detail:  []Attr{{"predicate", q.Predicates[0].String()}},
+		})
 	}
-	gr := s.groupResolve(base)
 	sampleRows := s.estSampleRows(n)
-	sample := &Node{
-		Op:       OpSample,
-		Children: []*Node{gr},
-		EstRows:  sampleRows,
-		EstCost:  float64(sampleRows) * s.perRow(),
-		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
-	}
 	ap := q.Approx
-	solve := &Node{Op: OpSolve, Mode: ModeConstrained, Children: []*Node{sample},
+	solve := &Node{Op: OpSolve, Mode: ModeConstrained,
 		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}}
 	if q.Budget > 0 {
 		solve.Mode = ModeBudget
 		solve.Detail = []Attr{{"objective", fmt.Sprintf("max recall s.t. α=%g ρ=%g cost≤%g", ap.Precision, ap.Probability, q.Budget)}}
 	}
-	eval := &Node{
-		Op:          OpProbEval,
-		Children:    []*Node{solve},
-		EstRows:     n,
-		EstCost:     float64(n-sampleRows) * s.perRow(),
-		CostIsBound: true,
-		Detail:      []Attr{{"strategy", "per-group retrieve/evaluate coins"}},
-	}
-	return s.merge(eval)
+	return append(c,
+		s.groupResolve(),
+		&Node{
+			Op:      OpSample,
+			EstRows: sampleRows,
+			EstCost: float64(sampleRows) * s.perRow(),
+			Detail:  []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
+		},
+		solve,
+		&Node{
+			Op:          OpProbEval,
+			EstRows:     n,
+			EstCost:     float64(n-sampleRows) * s.perRow(),
+			CostIsBound: true,
+			Detail:      []Attr{{"strategy", "per-group retrieve/evaluate coins"}},
+		},
+		merge())
 }
 
-func (s Spec) physicalConjunction(base *Node) *Node {
+func (s Spec) physicalConjunction(c Chain) Chain {
 	q, n := s.Query, s.FilteredRows
 	preds := q.Predicates
 	if q.Approx == nil {
-		return &Node{
+		return append(c, &Node{
 			Op:          OpConjWaves,
 			Mode:        ModeQueryOrder,
-			Children:    []*Node{base},
 			EstRows:     n,
 			EstCost:     float64(n) * s.perRowAll(),
 			CostIsBound: true,
@@ -113,41 +111,38 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 				{"order", predList(preds)},
 				{"short-circuit", "each wave evaluates only prior survivors"},
 			},
-		}
+		})
 	}
 	sampleRows := s.estSampleRows(n)
-	conjSample := func(child *Node) *Node {
-		return &Node{
-			Op:       OpConjSample,
-			Children: []*Node{child},
-			EstRows:  sampleRows,
-			EstCost:  float64(sampleRows) * s.perRowAll(),
-			Detail:   []Attr{{"fused", fmt.Sprintf("all %d predicates per sampled row", len(preds))}},
-		}
+	conjSample := &Node{
+		Op:      OpConjSample,
+		EstRows: sampleRows,
+		EstCost: float64(sampleRows) * s.perRowAll(),
+		Detail:  []Attr{{"fused", fmt.Sprintf("all %d predicates per sampled row", len(preds))}},
 	}
 	if len(preds) == 2 {
-		solve := &Node{Op: OpConjSolve, Children: []*Node{conjSample(s.groupResolve(base))},
-			Detail: []Attr{{"actions", "discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)"}}}
-		exec := &Node{
-			Op:          OpConjExec,
-			Children:    []*Node{solve},
-			EstRows:     n,
-			EstCost:     float64(n-sampleRows) * s.perRowAll(),
-			CostIsBound: true,
-		}
-		return s.merge(exec)
+		return append(c,
+			s.groupResolve(),
+			conjSample,
+			&Node{Op: OpConjSolve,
+				Detail: []Attr{{"actions", "discard | assume-both | eval-f1 | eval-f2 | eval-both (§5)"}}},
+			&Node{
+				Op:          OpConjExec,
+				EstRows:     n,
+				EstCost:     float64(n-sampleRows) * s.perRowAll(),
+				CostIsBound: true,
+			},
+			merge())
 	}
 	// N ≥ 3: sampled selectivities only order the short-circuit waves; the
 	// answer itself is exact, and the waves emit in base-table order, so
 	// (like the exact shape) there is nothing left to merge.
-	child := base
 	if q.GroupOn != "" && q.GroupOn != VirtualColumn {
-		child = s.groupResolve(base)
+		c = append(c, s.groupResolve())
 	}
-	return &Node{
+	return append(c, conjSample, &Node{
 		Op:          OpConjWaves,
 		Mode:        ModeGreedyOrder,
-		Children:    []*Node{conjSample(child)},
 		EstRows:     n,
 		EstCost:     float64(n-sampleRows) * s.perRowAll(),
 		CostIsBound: true,
@@ -155,47 +150,45 @@ func (s Spec) physicalConjunction(base *Node) *Node {
 			{"order", "cheapest-first by sampled cost/(1−selectivity)"},
 			{"short-circuit", "each wave evaluates only prior survivors"},
 		},
-	}
+	})
 }
 
-func (s Spec) physicalJoin(base *Node) *Node {
+func (s Spec) physicalJoin(c Chain) Chain {
 	join, ap := s.Query.Join, s.Query.Approx
-	gr := s.groupResolve(base)
-	jg := &Node{
-		Op:       OpJoinGroup,
-		Column:   join.LeftKey,
-		Children: []*Node{gr},
-		EstRows:  s.FilteredRows,
-		Detail: []Attr{
-			{"weights", fmt.Sprintf("join multiplicity of %s in %s.%s (%d rows)", join.LeftKey, join.Table, join.RightKey, s.JoinRows)},
-		},
-	}
 	n := s.FilteredRows
 	sampleRows := s.estSampleRows(n)
-	sample := &Node{
-		Op:       OpSample,
-		Children: []*Node{jg},
-		EstRows:  sampleRows,
-		EstCost:  float64(sampleRows) * s.perRow(),
-		Detail:   []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
-	}
-	solve := &Node{Op: OpSolve, Mode: ModeJoinWeight, Children: []*Node{sample},
-		Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. join-weighted α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}}
-	eval := &Node{
-		Op:          OpProbEval,
-		Children:    []*Node{solve},
-		EstRows:     n,
-		EstCost:     float64(n-sampleRows) * s.perRow(),
-		CostIsBound: true,
-		Detail:      []Attr{{"strategy", "per-subgroup retrieve/evaluate coins"}},
-	}
-	return s.merge(eval)
+	return append(c,
+		s.groupResolve(),
+		&Node{
+			Op:      OpJoinGroup,
+			Column:  join.LeftKey,
+			EstRows: n,
+			Detail: []Attr{
+				{"weights", fmt.Sprintf("join multiplicity of %s in %s.%s (%d rows)", join.LeftKey, join.Table, join.RightKey, s.JoinRows)},
+			},
+		},
+		&Node{
+			Op:      OpSample,
+			EstRows: sampleRows,
+			EstCost: float64(sampleRows) * s.perRow(),
+			Detail:  []Attr{{"allocator", fmt.Sprintf("two-third-power num=%.3g", s.sampleNum())}},
+		},
+		&Node{Op: OpSolve, Mode: ModeJoinWeight,
+			Detail: []Attr{{"objective", fmt.Sprintf("min cost s.t. join-weighted α=%g β=%g ρ=%g", ap.Precision, ap.Recall, ap.Probability)}}},
+		&Node{
+			Op:          OpProbEval,
+			EstRows:     n,
+			EstCost:     float64(n-sampleRows) * s.perRow(),
+			CostIsBound: true,
+			Detail:      []Attr{{"strategy", "per-subgroup retrieve/evaluate coins"}},
+		},
+		merge())
 }
 
 // groupResolve builds the group-resolve node for the spec's GroupOn.
-func (s Spec) groupResolve(child *Node) *Node {
+func (s Spec) groupResolve() *Node {
 	rows := s.FilteredRows
-	n := &Node{Op: OpGroupResolve, Children: []*Node{child}, EstRows: rows}
+	n := &Node{Op: OpGroupResolve, EstRows: rows}
 	switch groupOn := s.Query.GroupOn; groupOn {
 	case "":
 		n.Mode = ModeAuto
@@ -227,10 +220,9 @@ func (s Spec) groupResolve(child *Node) *Node {
 	return n
 }
 
-// merge appends the common sort/assemble tail.
-func (s Spec) merge(child *Node) *Node {
-	return &Node{Op: OpMerge, Children: []*Node{child},
-		Detail: []Attr{{"output", "row ids, ascending"}}}
+// merge is the finisher of every blocking chain.
+func merge() *Node {
+	return &Node{Op: OpMerge, Detail: []Attr{{"output", "row ids, ascending"}}}
 }
 
 func predList(preds []Conjunct) string {

@@ -5,28 +5,22 @@ import (
 	"strings"
 )
 
-// Format renders a plan tree as the EXPLAIN text: one node per line,
-// box-drawing indentation, with the node's mode, principal column,
-// attributes and cost estimates. The output is stable (attributes are
-// ordered), so it is safe to golden-test.
-func Format(root *Node) string {
+// Format renders a plan chain as the EXPLAIN text: one node per line, from
+// the finisher down to the scan, each indented one level under the node it
+// feeds, with the node's mode, principal column, attributes and cost
+// estimates. The output is stable (attributes are ordered), so it is safe to
+// golden-test.
+func Format(c Chain) string {
 	var b strings.Builder
-	writeNode(&b, root, "", "")
-	return b.String()
-}
-
-func writeNode(b *strings.Builder, n *Node, prefix, childPrefix string) {
-	b.WriteString(prefix)
-	b.WriteString(nodeLine(n))
-	b.WriteByte('\n')
-	for i, c := range n.Children {
-		last := i == len(n.Children)-1
-		connector, extend := "├─ ", "│  "
-		if last {
-			connector, extend = "└─ ", "   "
+	for i := len(c) - 1; i >= 0; i-- {
+		if depth := len(c) - 1 - i; depth > 0 {
+			b.WriteString(strings.Repeat("   ", depth-1))
+			b.WriteString("└─ ")
 		}
-		writeNode(b, c, childPrefix+connector, childPrefix+extend)
+		b.WriteString(nodeLine(c[i]))
+		b.WriteByte('\n')
 	}
+	return b.String()
 }
 
 // nodeLine renders one node: "op[mode] key=value ...  (rows=…, cost≈…)".

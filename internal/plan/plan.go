@@ -3,8 +3,8 @@
 // operators (scan → cheap-filter → group-resolve → sample → solve →
 // probabilistic-eval → merge and its conjunction and join variants). The
 // plan is the pipeline: the engine compiles exactly one operator per node
-// (the filter node fused into the scan's), so the tree EXPLAIN prints is
-// the tree that runs, and under EXPLAIN ANALYZE every node carries what its
+// (the filter node fused into the scan's), so the chain EXPLAIN prints is
+// the chain that runs, and under EXPLAIN ANALYZE every node carries what its
 // operator measurably did.
 //
 // The package also owns the statement itself (query.go): Query and its
@@ -13,8 +13,8 @@
 // this package and not on the engine. It imports nothing above
 // internal/core. The engine hands the rewrite rules a Spec — the Query plus
 // what only it knows (row counts, the filtered universe's size,
-// per-predicate costs, any catalog-memoized column choice) — and compiles
-// the returned tree. Keeping the shapes here
+// per-predicate costs, any catalog-memoized column choice) — and runs the
+// returned Chain. Keeping the shapes here
 // means a new query form is a new rewrite rule plus an operator, not a new
 // dispatch branch.
 package plan
@@ -67,15 +67,13 @@ type Attr struct {
 	Key, Value string
 }
 
-// Node is one plan node. Children run before the node itself; a linear
-// pipeline is a chain of single-child nodes.
+// Node is one plan node: one operator of the pipeline.
 type Node struct {
 	Op   Op
 	Mode string // operator variant, one of the Mode* constants ("" when unique)
 	// Column is the node's principal column (group column, join key), when
 	// meaningful.
-	Column   string
-	Children []*Node
+	Column string
 	// EstRows is the planner's row estimate flowing out of the node;
 	// EstCost its estimated cost in cost-model units. CostIsBound marks an
 	// upper bound (printed "≤") rather than a point estimate ("≈").
@@ -111,45 +109,33 @@ type Actual struct {
 	Retries int
 	Denied  int
 	Failed  int
-	// ElapsedNS is the operator's wall time (children excluded). Display
-	// only: excluded from the determinism contract.
+	// ElapsedNS is the operator's wall time (the nodes below it excluded).
+	// Display only: excluded from the determinism contract.
 	ElapsedNS int64
 }
 
-// ZeroTimings clears every wall-clock field in the tree, leaving only the
+// Chain is a physical plan: one pipeline, one input per node, leaf first.
+// Its first node is the scan; a filter, when the statement has cheap
+// predicates, comes second; then the blocking stages in the order they run;
+// and the last node is the one finisher that produces the result —
+// exact-eval, conj-waves or merge. Physical builds nothing else.
+type Chain []*Node
+
+// ZeroTimings clears every wall-clock field in the chain, leaving only the
 // deterministic count fields — the form determinism tests compare.
-func ZeroTimings(n *Node) {
-	if n == nil {
-		return
-	}
-	if n.Actual != nil {
-		n.Actual.ElapsedNS = 0
-	}
-	for _, c := range n.Children {
-		ZeroTimings(c)
+func ZeroTimings(c Chain) {
+	for _, n := range c {
+		if n.Actual != nil {
+			n.Actual.ElapsedNS = 0
+		}
 	}
 }
 
-// Child returns the single child of a pipeline node (nil when the node has
-// none).
-func (n *Node) Child() *Node {
-	if len(n.Children) == 0 {
-		return nil
-	}
-	return n.Children[0]
-}
-
-// Find returns the first node (preorder) with the given op, or nil.
-func (n *Node) Find(op Op) *Node {
-	if n == nil {
-		return nil
-	}
-	if n.Op == op {
-		return n
-	}
-	for _, c := range n.Children {
-		if m := c.Find(op); m != nil {
-			return m
+// Find returns the first node with the given op, or nil.
+func (c Chain) Find(op Op) *Node {
+	for _, n := range c {
+		if n.Op == op {
+			return n
 		}
 	}
 	return nil

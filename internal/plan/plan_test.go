@@ -22,7 +22,7 @@ func (s *Spec) and(preds ...Conjunct) {
 	}
 }
 
-func mustPhysical(t *testing.T, s Spec) *Node {
+func mustPhysical(t *testing.T, s Spec) Chain {
 	t.Helper()
 	n, err := Physical(s)
 	if err != nil {
@@ -31,10 +31,12 @@ func mustPhysical(t *testing.T, s Spec) *Node {
 	return n
 }
 
-func chain(n *Node) []Op {
+// ops lists a chain's operators from the finisher down to the scan, the
+// order EXPLAIN prints them in.
+func ops(c Chain) []Op {
 	var ops []Op
-	for ; n != nil; n = n.Child() {
-		ops = append(ops, n.Op)
+	for i := len(c) - 1; i >= 0; i-- {
+		ops = append(ops, c[i].Op)
 	}
 	return ops
 }
@@ -104,7 +106,7 @@ func TestPhysicalShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := baseSpec()
 			tc.mut(&s)
-			got := chain(mustPhysical(t, s))
+			got := ops(mustPhysical(t, s))
 			if !opsEqual(got, tc.want) {
 				t.Fatalf("chain %v, want %v", got, tc.want)
 			}

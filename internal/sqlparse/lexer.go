@@ -13,7 +13,7 @@
 // pins the correlated column ("virtual" requests the logistic-regression
 // virtual column); without it the engine discovers a column automatically.
 // BUDGET switches to the fixed-budget objective. An EXPLAIN prefix asks
-// for the physical operator tree instead of executing. Parse errors are
+// for the physical operator chain instead of executing. Parse errors are
 // *Error values carrying the offending token's line and column.
 package sqlparse
 

@@ -285,8 +285,8 @@ func (r *Rows) RowIDs() []int { return r.ids }
 // Stats returns the execution statistics.
 func (r *Rows) Stats() Stats { return r.stats }
 
-// Plan returns the statement's operator tree, one operator per line: the
-// estimated tree for EXPLAIN, the tree annotated with measured
+// Plan returns the statement's operator chain, one operator per line: the
+// estimated chain for EXPLAIN, the chain annotated with measured
 // per-operator counts for EXPLAIN ANALYZE. Nil for a statement without
 // the keyword. The plan is metadata of the run; the result set is the
 // statement's own (none for EXPLAIN, which does not execute).
@@ -296,9 +296,9 @@ func (r *Rows) Plan() []string { return r.plan }
 // the package documentation and internal/sqlparse) and returns the
 // materialized result. An EXPLAIN-prefixed statement is planned instead of
 // executed: the result has the projection's columns, zero rows, zero-valued
-// Stats and the estimated tree on Plan. An EXPLAIN ANALYZE statement
+// Stats and the estimated chain on Plan. An EXPLAIN ANALYZE statement
 // executes and returns exactly what the bare statement would, with the
-// annotated tree on Plan.
+// annotated chain on Plan.
 //
 // Cancel ctx (or attach a deadline) and the engine stops evaluating UDFs
 // promptly — within at most one in-flight UDF call per worker — returning
@@ -313,12 +313,12 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 	}
 	q := stmt.Query
 	res := &engine.Result{Rows: []int{}} // EXPLAIN's: no rows, zero Stats
-	var root *plan.Node
+	var chain plan.Chain
 	switch {
 	case stmt.Analyze:
-		root, res, err = db.eng.ExplainAnalyzeContext(ctx, q)
+		chain, res, err = db.eng.ExplainAnalyzeContext(ctx, q)
 	case stmt.Explain:
-		root, err = db.eng.Plan(q)
+		chain, err = db.eng.Plan(q)
 	default:
 		res, err = db.eng.ExecuteContext(ctx, q)
 	}
@@ -326,7 +326,7 @@ func (db *DB) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 		return nil, err
 	}
 	var rows *Rows
-	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, root) })
+	obs.Timed(ctx, "materialize", func() { rows, err = db.materialize(q, res, chain) })
 	return rows, err
 }
 
@@ -340,17 +340,17 @@ func parseStatement(ctx context.Context, sql string) (*sqlparse.Statement, error
 
 // materialize wraps the result rows with the Renderer QueryStream emits
 // through, so a streamed and a materialized result cannot render
-// differently, and formats the plan root (nil without EXPLAIN) into Plan's
+// differently, and formats the plan chain (nil without EXPLAIN) into Plan's
 // lines. Row renders on demand: a caller reading only RowIDs or Len pays
 // for no cell.
-func (db *DB) materialize(q plan.Query, res *engine.Result, root *plan.Node) (*Rows, error) {
+func (db *DB) materialize(q plan.Query, res *engine.Result, chain plan.Chain) (*Rows, error) {
 	cols, render, err := db.eng.Renderer(q)
 	if err != nil {
 		return nil, err
 	}
 	var lines []string
-	if root != nil {
-		lines = strings.Split(strings.TrimRight(plan.Format(root), "\n"), "\n")
+	if chain != nil {
+		lines = strings.Split(strings.TrimRight(plan.Format(chain), "\n"), "\n")
 	}
 	ids := res.Rows
 	return &Rows{cols: cols, n: len(ids), row: func(i int) []string { return render(ids[i]) },
