@@ -97,12 +97,18 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 	// retrieved tuple needs its group's span when its evaluation coin
 	// lands, and nothing (an empty span) otherwise. Every sampled row is
 	// marked in one bitset first, so a row pays a bit test and only a
-	// sampled row reads its verdict from its group's map; the candidates
-	// are at most every row, so their buffers are sized once.
+	// sampled row reads its verdict from its group's map. A group with
+	// R > 0 adds at most its rows to the candidates and a discarded group
+	// at most its sampled rows, so the buffers are sized once, to what can
+	// be retrieved.
 	retrieve, evaluate := key.Sub(1), key.Sub(2)
 	total, hi := 0, -1
-	for _, g := range groups {
-		total += len(g.Rows)
+	for i, g := range groups {
+		if s.R[i] > 0 {
+			total += len(g.Rows)
+		} else if samples != nil {
+			total += len(samples[i].Results)
+		}
 	}
 	for _, so := range samples {
 		for row := range so.Results {
