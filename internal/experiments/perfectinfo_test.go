@@ -4,34 +4,35 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/stats"
 )
 
 // bruteForcePerfectInfo enumerates all 3^n assignments.
-func bruteForcePerfectInfo(p PerfectInfoInstance) ([]Action, float64) {
-	n := len(p.Correct)
+func bruteForcePerfectInfo(groups []PerfectInfoGroup, cons core.Constraints, cost core.CostModel) ([]Action, float64) {
+	n := len(groups)
 	totalCorrect := 0
-	for _, c := range p.Correct {
-		totalCorrect += c
+	for _, g := range groups {
+		totalCorrect += g.Correct
 	}
-	gamma := p.Beta * float64(totalCorrect)
+	gamma := cons.Beta * float64(totalCorrect)
 	best := math.Inf(1)
 	var bestActs []Action
 	acts := make([]Action, n)
 	var rec func(k int)
 	rec = func(k int) {
 		if k == n {
-			cost, recall, prec := 0.0, 0.0, 0.0
+			total, recall, prec := 0.0, 0.0, 0.0
 			for i, a := range acts {
-				cost += p.cost(i, a)
-				r, pc := p.contribution(i, a)
-				recall += r
-				if p.Alpha > 0 {
-					prec += pc
+				ac := groups[i].action(a, cons.Alpha, cost)
+				total += ac.Cost
+				recall += ac.Recall
+				if cons.Alpha > 0 {
+					prec += ac.Slack
 				}
 			}
-			if recall >= gamma-1e-9 && (p.Alpha <= 0 || prec >= -1e-9) && cost < best {
-				best = cost
+			if recall >= gamma-1e-9 && (cons.Alpha <= 0 || prec >= -1e-9) && total < best {
+				best = total
 				bestActs = append([]Action(nil), acts...)
 			}
 			return
@@ -49,25 +50,18 @@ func TestSolvePerfectInfoPaperExample(t *testing.T) {
 	// Example 3.1: groups of 1000 tuples with 900/500/100 correct,
 	// α = β = 0.9, o_r = 1, o_e = 3. Optimal: retrieve group 0, evaluate
 	// group 1, discard group 2; cost = 1000·1 + 1000·4 = 5000.
-	p := PerfectInfoInstance{
-		Correct:      []int{900, 500, 100},
-		Wrong:        []int{100, 500, 900},
-		Alpha:        0.9,
-		Beta:         0.9,
-		RetrieveCost: 1,
-		EvaluateCost: 3,
-	}
-	acts, cost, err := SolvePerfectInfo(p)
+	groups := []PerfectInfoGroup{{Correct: 900, Wrong: 100}, {Correct: 500, Wrong: 500}, {Correct: 100, Wrong: 900}}
+	plan, err := SolvePerfectInformation(groups, core.Constraints{Alpha: 0.9, Beta: 0.9}, core.CostModel{Retrieve: 1, Evaluate: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cost != 5000 {
-		t.Fatalf("cost %v want 5000 (actions %v)", cost, acts)
+	if plan.Cost != 5000 {
+		t.Fatalf("cost %v want 5000 (actions %v)", plan.Cost, plan.Actions)
 	}
 	want := []Action{Retrieve, Evaluate, Discard}
 	for i := range want {
-		if acts[i] != want[i] {
-			t.Fatalf("actions %v want %v", acts, want)
+		if plan.Actions[i] != want[i] {
+			t.Fatalf("actions %v want %v", plan.Actions, want)
 		}
 	}
 }
@@ -76,25 +70,20 @@ func TestSolvePerfectInfoMatchesBruteForce(t *testing.T) {
 	r := stats.NewRNG(91)
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + r.IntN(6)
-		p := PerfectInfoInstance{
-			Correct:      make([]int, n),
-			Wrong:        make([]int, n),
-			Alpha:        0.5 + 0.4*r.Float64(),
-			Beta:         0.5 + 0.4*r.Float64(),
-			RetrieveCost: 1,
-			EvaluateCost: 1 + float64(r.IntN(5)),
+		cons := core.Constraints{Alpha: 0.5 + 0.4*r.Float64(), Beta: 0.5 + 0.4*r.Float64()}
+		cost := core.CostModel{Retrieve: 1, Evaluate: 1 + float64(r.IntN(5))}
+		groups := make([]PerfectInfoGroup, n)
+		for i := range groups {
+			groups[i].Correct = r.IntN(50)
+			groups[i].Wrong = r.IntN(50)
 		}
-		for i := 0; i < n; i++ {
-			p.Correct[i] = r.IntN(50)
-			p.Wrong[i] = r.IntN(50)
-		}
-		_, wantCost := bruteForcePerfectInfo(p)
-		_, gotCost, err := SolvePerfectInfo(p)
+		_, wantCost := bruteForcePerfectInfo(groups, cons, cost)
+		plan, err := SolvePerfectInformation(groups, cons, cost)
 		if err != nil {
-			t.Fatalf("trial %d: %v (instance %+v)", trial, err, p)
+			t.Fatalf("trial %d: %v (groups %+v)", trial, err, groups)
 		}
-		if math.Abs(gotCost-wantCost) > 1e-6 {
-			t.Fatalf("trial %d: cost %v want %v (instance %+v)", trial, gotCost, wantCost, p)
+		if math.Abs(plan.Cost-wantCost) > 1e-6 {
+			t.Fatalf("trial %d: cost %v want %v (groups %+v, %+v, %+v)", trial, plan.Cost, wantCost, groups, cons, cost)
 		}
 	}
 }
@@ -121,38 +110,26 @@ func TestSolvePerfectInfoAlphaZeroReducesToKnapsack(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		inst := PerfectInfoInstance{
-			Correct:      values,
-			Wrong:        make([]int, n),
-			Alpha:        0,
-			Beta:         float64(threshold) / float64(total),
-			RetrieveCost: 1,
-			EvaluateCost: 100, // must never be chosen when α = 0
+		groups := make([]PerfectInfoGroup, n)
+		for i := range groups {
+			groups[i] = PerfectInfoGroup{Correct: values[i], Wrong: int(weights[i]) - values[i]}
 		}
-		for i := 0; i < n; i++ {
-			inst.Wrong[i] = int(weights[i]) - values[i]
-		}
-		acts, gotCost, err := SolvePerfectInfo(inst)
+		cons := core.Constraints{Alpha: 0, Beta: float64(threshold) / float64(total)}
+		// o_e = 100: evaluation must never be chosen when α = 0.
+		plan, err := SolvePerfectInformation(groups, cons, core.CostModel{Retrieve: 1, Evaluate: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, a := range acts {
+		for i, a := range plan.Actions {
 			if a == Evaluate {
 				t.Fatalf("trial %d: group %d evaluated despite α=0", trial, i)
 			}
 		}
 		// Account for β·total rounding: the B&B needs Σ v·R ≥ β·total which
 		// equals the threshold exactly by construction.
-		if math.Abs(gotCost-wantWeight) > 1e-6 {
-			t.Fatalf("trial %d: B&B cost %v, knapsack weight %v", trial, gotCost, wantWeight)
+		if math.Abs(plan.Cost-wantWeight) > 1e-6 {
+			t.Fatalf("trial %d: B&B cost %v, knapsack weight %v", trial, plan.Cost, wantWeight)
 		}
-	}
-}
-
-func TestSolvePerfectInfoLengthMismatch(t *testing.T) {
-	_, _, err := SolvePerfectInfo(PerfectInfoInstance{Correct: []int{1}, Wrong: []int{1, 2}})
-	if err == nil {
-		t.Fatal("expected length mismatch error")
 	}
 }
 
