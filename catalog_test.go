@@ -2,12 +2,15 @@ package predeval
 
 import (
 	"context"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/catalog"
 )
 
 // openCatalogDB is openLoanDB with a counting UDF body and an attached
@@ -172,5 +175,48 @@ func TestCatalogStatsCacheCounters(t *testing.T) {
 	}
 	if cc := db.CacheCounters(); cc.Hits != 300 || cc.Misses != 300 {
 		t.Fatalf("lifetime counters %+v, want 300 hits / 300 misses", cc)
+	}
+}
+
+// TestCatalogRowsOutsideTheTable: a catalog handed verdicts for rows the
+// table does not have, a negative id and one past its end, opens under a DB
+// and serves the exact statement from its in-table verdicts. A negative id
+// used to reach the engine's eval cache and panic the first query.
+func TestCatalogRowsOutsideTheTable(t *testing.T) {
+	const n = 300
+	dir := t.TempDir()
+	_, truth := loanCSV(n, 9)
+	c, err := catalog.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := catalog.OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
+	c.AddOutcomes(key, maps.All(map[int]bool{-3: true, 0: truth[0], n + 7: true}))
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db, calls := openCatalogDB(t, n, dir)
+	rows, err := db.QueryContext(context.Background(), exactSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i := 0; i < n; i++ {
+		if truth[int64(i)] {
+			want = append(want, i)
+		}
+	}
+	if got := rows.RowIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("exact answer has %d rows, want %d", len(got), len(want))
+	}
+	if got := calls.Load(); got != n-1 {
+		t.Fatalf("the UDF ran %d times, want %d: only row 0's verdict is in the table", got, n-1)
+	}
+	if st := db.Catalog().Stats(); st.OutcomeRows != 2 {
+		t.Fatalf("catalog holds %d verdicts, want 2: the negative row is dropped, the one past the table kept", st.OutcomeRows)
 	}
 }

@@ -5,13 +5,22 @@
 // pass per workload key — so a process restart warm-starts from them
 // instead of re-paying o_e.
 //
+// In memory each (table, UDF, column) key holds a dense verdict set: its
+// rows ascending plus one verdict bit per row, sized by the verdicts it
+// holds and never by the largest row id. The engine reads and adds
+// verdicts as iter.Seq2[int, bool] in ascending row order.
+//
 // On disk a catalog directory holds two files:
 //
 //	catalog.snap   full-state snapshot (rewritten by Compact)
 //	catalog.log    append-only delta log since the snapshot (Flush appends)
 //
 // Both are sequences of length-prefixed, CRC32-checksummed records behind
-// a versioned magic header. Open replays the snapshot and then the log;
+// a versioned magic header; an outcome record is the set's rows as uvarint
+// gaps plus its packed verdict bits (wal.go). Format version 1 files are
+// still read and are rewritten as version 2 by the next Compact, which
+// touches no file when the snapshot already is the state. Open replays the
+// snapshot and then the log;
 // a truncated or corrupted tail is detected by checksum, reported, and
 // cut off — the good prefix is kept and the damaged suffix is never
 // replayed, so a crash can lose recent facts but can never resurrect
@@ -34,6 +43,7 @@ package catalog
 
 import (
 	"fmt"
+	"iter"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -83,7 +93,7 @@ type Catalog struct {
 	dir string
 	log file
 
-	outcomes map[OutcomeKey]map[int]bool
+	outcomes map[OutcomeKey]verdicts
 	columns  map[string]columnChoice
 
 	pending  []record
@@ -97,6 +107,10 @@ type Catalog struct {
 	// broken marks a log whose tail could not be repaired after a failed
 	// append; further writes are refused rather than silently lost.
 	broken bool
+	// snapCurrent reports that both files are at formatVersion and the
+	// snapshot holds exactly the in-memory state: read clean at Open, or
+	// written by Compact, and no fact changed since.
+	snapCurrent bool
 }
 
 // Open creates dir if needed, replays catalog.snap then catalog.log, and
@@ -114,28 +128,23 @@ func openFS(fsys fileSystem, dir string) (*Catalog, error) {
 	c := &Catalog{
 		fs:       fsys,
 		dir:      dir,
-		outcomes: make(map[OutcomeKey]map[int]bool),
+		outcomes: make(map[OutcomeKey]verdicts),
 		columns:  make(map[string]columnChoice),
 	}
 	// Snapshot first: a damaged snapshot tail loses facts (safe — they are
 	// re-paid), never corrupts what follows, because records are
 	// self-contained.
-	snapRecs, _, snapRec, err := readRecordFile(fsys, c.snapPath())
+	snapRecs, _, snapVersion, snapRec, err := readRecordFile(fsys, c.snapPath())
 	if err != nil {
 		return nil, err
-	}
-	for _, r := range snapRecs {
-		c.apply(r)
 	}
 	// Log second, in append order; its tail is truncated on damage so the
 	// file is immediately appendable again.
-	logRecs, logRec, err := recoverLog(fsys, c.logPath())
+	logRecs, logVersion, logRec, err := recoverLog(fsys, c.logPath())
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range logRecs {
-		c.apply(r)
-	}
+	c.replay(snapRecs, logRecs)
 	c.recovery = mergeRecovery(snapRec, logRec)
 	f, fresh, err := openAppend(fsys, c.logPath())
 	if err != nil {
@@ -160,6 +169,9 @@ func openFS(fsys fileSystem, dir string) (*Catalog, error) {
 	}
 	c.log = f
 	c.goodLen = info.Size()
+	// A missing snapshot is current when the log holds nothing either.
+	c.snapCurrent = !snapRec.Truncated && (snapVersion == formatVersion || snapVersion == 0) &&
+		(fresh || logVersion == formatVersion) && c.goodLen == int64(headerLen)
 	return c, nil
 }
 
@@ -176,27 +188,40 @@ func (c *Catalog) Recovery() Recovery {
 	return c.recovery
 }
 
-// apply folds one replayed or freshly buffered record into memory.
-func (c *Catalog) apply(r record) {
-	switch r.Kind {
-	case kindOutcomes:
-		k := OutcomeKey{Table: r.Table, UDF: r.UDF, Column: r.Column}
-		m := c.outcomes[k]
-		if m == nil {
-			m = make(map[int]bool, len(r.Rows))
-			c.outcomes[k] = m
+// replay folds the snapshot's and then the log's records into memory, in
+// order. A key's outcome records are combined once at the end, so a long
+// log costs one sort per key rather than one merge per record.
+func (c *Catalog) replay(files ...[]record) {
+	runs := make(map[OutcomeKey][]verdicts)
+	for _, recs := range files {
+		for _, r := range recs {
+			switch r.Kind {
+			case kindOutcomes:
+				runs[r.key()] = append(runs[r.key()], r.set)
+			case kindColumn:
+				c.columns[r.Key] = columnChoice{udf: r.UDF, chosen: r.Chosen}
+			case kindInvalidate:
+				for k := range runs {
+					if k.UDF == r.UDF {
+						delete(runs, k)
+					}
+				}
+				c.dropUDF(r.UDF)
+			}
+			// Unknown kinds are ignored: facts a newer minor revision writes,
+			// or the sampling evidence ("samples") older builds wrote, which a
+			// repeated statement must not plan on. Compact drops them.
 		}
-		for i, row := range r.Rows {
-			m[row] = r.Bits[i] == '1'
-		}
-	case kindColumn:
-		c.columns[r.Key] = columnChoice{udf: r.UDF, chosen: r.Chosen}
-	case kindInvalidate:
-		c.dropUDF(r.UDF)
 	}
-	// Unknown kinds are ignored: facts a newer minor revision writes, or the
-	// sampling evidence ("samples") older builds wrote, which a repeated
-	// statement must not plan on. Compact drops them.
+	for k, sets := range runs {
+		s := sets[0]
+		if len(sets) > 1 {
+			s = collect(concat(sets))
+		}
+		if s.len() > 0 {
+			c.outcomes[k] = s
+		}
+	}
 }
 
 // dropUDF removes every fact derived from the named UDF's body.
@@ -213,37 +238,31 @@ func (c *Catalog) dropUDF(udf string) {
 	}
 }
 
-// Outcomes returns a copy of the persisted raw verdicts for key (nil when
-// none are known).
-func (c *Catalog) Outcomes(k OutcomeKey) map[int]bool {
+// Outcomes yields the persisted raw verdicts for key in ascending row
+// order (nothing when none are known). It iterates the set held when it
+// was called, without a lock.
+func (c *Catalog) Outcomes(k OutcomeKey) iter.Seq2[int, bool] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return copyRows(c.outcomes[k])
+	return c.outcomes[k].all()
 }
 
 // AddOutcomes merges newly paid-for raw verdicts into the catalog and
 // buffers the genuinely new ones for the next Flush. Re-adding known
-// facts is free (no log growth).
-func (c *Catalog) AddOutcomes(k OutcomeKey, verdicts map[int]bool) {
+// facts is free (no log growth). Negative rows are ignored: a row id is a
+// table position. Any order is accepted; ascending costs no sort.
+func (c *Catalog) AddOutcomes(k OutcomeKey, verdicts iter.Seq2[int, bool]) {
+	next := collect(verdicts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.outcomes[k]
-	delta := diffRows(cur, verdicts)
-	if len(delta) == 0 {
+	delta := cur.missing(next)
+	if delta.len() == 0 {
 		return
 	}
-	if cur == nil {
-		cur = make(map[int]bool, len(delta))
-		c.outcomes[k] = cur
-	}
-	for row, v := range delta {
-		cur[row] = v
-	}
-	rows, bits := encodeRows(delta)
-	c.pending = append(c.pending, record{
-		Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column,
-		Rows: rows, Bits: bits,
-	})
+	c.outcomes[k] = merge(cur, delta)
+	c.pending = append(c.pending, outcomeRecord(k, delta))
+	c.snapCurrent = false
 }
 
 // ChosenColumn returns the memoized Section 4.4 discovery result for the
@@ -265,6 +284,7 @@ func (c *Catalog) SetChosenColumn(key, udf, chosen string) {
 	}
 	c.columns[key] = columnChoice{udf: udf, chosen: chosen}
 	c.pending = append(c.pending, record{Kind: kindColumn, Key: key, UDF: udf, Chosen: chosen})
+	c.snapCurrent = false
 }
 
 // InvalidateUDF durably drops every fact derived from the named UDF: the
@@ -275,6 +295,7 @@ func (c *Catalog) InvalidateUDF(udf string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.dropUDF(udf)
+	c.snapCurrent = false
 	// Drop buffered facts for the UDF too: they were derived from the old
 	// body and must not be flushed after the tombstone.
 	kept := c.pending[:0]
@@ -320,12 +341,18 @@ func (c *Catalog) flushLocked() error {
 // rename + directory fsync) and truncates the log. The log is left
 // untouched unless the new snapshot is durable. Crashing between the
 // rename and the truncate is safe: the old log replays idempotently over
-// the new snapshot because replay preserves record order.
+// the new snapshot because replay preserves record order. When the
+// snapshot already is the state — nothing pending, a log holding only its
+// header, a clean version-2 snapshot, a log that is not broken — Compact
+// touches no file.
 func (c *Catalog) Compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return fmt.Errorf("catalog: closed")
+	}
+	if c.snapCurrent && len(c.pending) == 0 && c.goodLen == int64(headerLen) && !c.broken {
+		return nil
 	}
 	if err := writeSnapshot(c.fs, c.snapPath(), c.snapshotRecords()); err != nil {
 		return err
@@ -350,6 +377,7 @@ func (c *Catalog) Compact() error {
 	}
 	c.pending = c.pending[:0] // already folded into the snapshot
 	c.broken = false          // the fresh log repairs any earlier tail damage
+	c.snapCurrent = true
 	return nil
 }
 
@@ -362,8 +390,7 @@ func (c *Catalog) snapshotRecords() []record {
 	}
 	sort.Slice(okeys, func(i, j int) bool { return lessOutcome(okeys[i], okeys[j]) })
 	for _, k := range okeys {
-		rows, bits := encodeRows(c.outcomes[k])
-		recs = append(recs, record{Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column, Rows: rows, Bits: bits})
+		recs = append(recs, outcomeRecord(k, c.outcomes[k]))
 	}
 	ckeys := make([]string, 0, len(c.columns))
 	for k := range c.columns {
@@ -413,54 +440,10 @@ func (c *Catalog) Stats() Stats {
 		Recovered:      c.recovery.Truncated,
 		RecoveryNote:   c.recovery.Note,
 	}
-	for _, m := range c.outcomes {
-		s.OutcomeRows += len(m)
+	for _, set := range c.outcomes {
+		s.OutcomeRows += set.len()
 	}
 	return s
-}
-
-// copyRows clones a verdict map (nil in, nil out).
-func copyRows(m map[int]bool) map[int]bool {
-	if m == nil {
-		return nil
-	}
-	out := make(map[int]bool, len(m))
-	for row, v := range m {
-		out[row] = v
-	}
-	return out
-}
-
-// diffRows returns the entries of next that cur does not already hold.
-// A row present in both with a different verdict is included (last write
-// wins — this only happens after an invalidation changed the UDF body).
-func diffRows(cur, next map[int]bool) map[int]bool {
-	delta := make(map[int]bool)
-	for row, v := range next {
-		if old, ok := cur[row]; !ok || old != v {
-			delta[row] = v
-		}
-	}
-	return delta
-}
-
-// encodeRows renders a verdict map as a sorted row list plus a '0'/'1'
-// bit string (deterministic on-disk form).
-func encodeRows(m map[int]bool) ([]int, string) {
-	rows := make([]int, 0, len(m))
-	for row := range m {
-		rows = append(rows, row)
-	}
-	sort.Ints(rows)
-	bits := make([]byte, len(rows))
-	for i, row := range rows {
-		if m[row] {
-			bits[i] = '1'
-		} else {
-			bits[i] = '0'
-		}
-	}
-	return rows, string(bits)
 }
 
 func mergeRecovery(a, b Recovery) Recovery {

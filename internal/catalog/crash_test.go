@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"path"
 	"reflect"
 	"sort"
@@ -46,8 +47,8 @@ func columnFact(key, udf, chosen string) fact {
 // facts renders everything c holds, sorted.
 func facts(c *Catalog) []string {
 	var out []string
-	for k, m := range c.outcomes {
-		for row, v := range m {
+	for k, set := range c.outcomes {
+		for row, v := range set.all() {
 			out = append(out, outcomeFact(k, row, v).key)
 		}
 	}
@@ -109,7 +110,7 @@ func crashWorkload(fsys *memFS, o *crashOracle) {
 		return fsys.crashed
 	}
 	outcomes := func(k OutcomeKey, m map[int]bool) {
-		c.AddOutcomes(k, m)
+		c.AddOutcomes(k, maps.All(m))
 		for row, v := range m {
 			o.add(outcomeFact(k, row, v))
 		}
@@ -292,8 +293,9 @@ func TestCrashAtEveryFileOperation(t *testing.T) {
 	t.Logf("%d file operations, %d runs, %d distinct disks reopened", clean.calls, runs, disks)
 }
 
-// FuzzOpen opens a catalog over arbitrary snapshot and log bytes. Open
-// must not panic and refuses only a newer format. Nothing past the first
+// FuzzOpen opens a catalog over arbitrary snapshot and log bytes, in either
+// format version it reads. Open must not panic and refuses only a newer
+// (or unknown) format. Nothing past the first
 // damaged record may be applied: a valid record appended after the damage
 // changes nothing. A second open must hold the same facts and leave the
 // log as the first left it.
@@ -308,9 +310,22 @@ func FuzzOpen(f *testing.F) {
 	f.Add([]byte("PREDCAT\x01"), []byte("PRED"))
 	f.Add([]byte(nil), []byte("not a catalog at all"))
 	f.Add(snap, append(bytes.Clone(logData), frame(legacySamples)...))
+	f.Add(v1File(v1Snap), v1File(v1Log))
+	// A version-2 log whose outcome record checksums but does not decode.
+	damaged := func(gaps, bits []byte) []byte {
+		var b bytes.Buffer
+		b.WriteString(fileMagic + "\x02")
+		if err := writeRecord(&b, record{Kind: kindOutcomes, Table: "t", UDF: "u", Column: "c", Gaps: gaps, Bits: bits}); err != nil {
+			f.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	f.Add(snap, damaged(append(bytes.Repeat([]byte{0x80}, 10), 1), []byte{1})) // overlong uvarint
+	f.Add(snap, damaged([]byte{1, 0}, []byte{3}))                              // zero gap
+	f.Add(snap, damaged(bytes.Repeat([]byte{1}, 9), []byte{0xff}))             // bits cut short
 
 	var extra bytes.Buffer
-	if err := writeRecord(&extra, record{Kind: kindOutcomes, Table: "t", UDF: "u", Column: "c", Rows: []int{7}, Bits: "1"}); err != nil {
+	if err := writeRecord(&extra, outcomeRecord(OutcomeKey{Table: "t", UDF: "u", Column: "c"}, verdicts{rows: []int{7}, bits: []byte{1}})); err != nil {
 		f.Fatal(err)
 	}
 	open := func(snap, logData []byte) (*memFS, []string, Recovery, error) {

@@ -13,21 +13,33 @@ import (
 	"path/filepath"
 )
 
-// On-disk format, version 1. Both catalog files are:
+// On-disk format, version 2. Both catalog files are:
 //
 //	8-byte header: "PREDCAT" + one version byte
 //	then records:  uint32 LE payload length | uint32 LE CRC32-C | payload
 //
-// The payload is one JSON-encoded record. The CRC covers the payload
+// The payload is one JSON-encoded record. An outcome record carries its
+// rows as uvarint gaps (the first counted from -1, so no gap is zero) and
+// its verdicts as packed bits, one per row, least significant first: about
+// one byte a verdict for a dense key, three at most for any table of up to
+// 2^21 rows, before the envelope's base64. The CRC covers the payload
 // only; a record whose length field runs past EOF, whose checksum
 // mismatches, or whose payload does not decode marks the end of the
 // trustworthy prefix — everything before it is valid (each record was
 // fsynced whole before later ones were written), everything from it on is
 // a crash artifact and is discarded.
+//
+// Version 1 wrote outcome rows as decimal ids ("r") and verdicts as one
+// '0'/'1' byte each ("b"). Such a file is still read, and Compact rewrites
+// it as version 2; a version-1 log may also hold version-2 records
+// appended after it was opened, so an outcome record is decoded by its
+// fields, not by its file's header.
 
 const (
 	fileMagic     = "PREDCAT"
-	formatVersion = 1
+	formatVersion = 2
+	// oldestVersion is the oldest format Open still reads.
+	oldestVersion = 1
 	headerLen     = len(fileMagic) + 1
 	// maxRecordLen bounds a single record; anything larger is treated as
 	// tail corruption rather than an allocation request.
@@ -41,7 +53,8 @@ const (
 	kindInvalidate = "invalidate-udf"
 )
 
-// record is the wire form of one catalog fact.
+// record is the wire form of one catalog fact. No tag reuses a letter an
+// older build wrote: its samples records carry "g" and "f".
 type record struct {
 	Kind   string `json:"k"`
 	Table  string `json:"t,omitempty"`
@@ -49,23 +62,53 @@ type record struct {
 	Column string `json:"c,omitempty"`
 	Key    string `json:"w,omitempty"` // workload key (column memos)
 	Chosen string `json:"n,omitempty"` // chosen column (column memos)
-	Rows   []int  `json:"r,omitempty"`
-	Bits   string `json:"b,omitempty"` // one '0'/'1' per entry of Rows
+	Gaps   []byte `json:"d,omitempty"` // outcome rows, see verdicts.gaps
+	Bits   []byte `json:"v,omitempty"` // one verdict bit per row
+	// V1Rows and V1Bits are version 1's outcome encoding, only decoded.
+	V1Rows []int  `json:"r,omitempty"`
+	V1Bits string `json:"b,omitempty"` // one '0'/'1' per entry of V1Rows
+
+	set verdicts // an outcome record's verdicts, decoded
 }
 
-// valid rejects structurally damaged payloads that happen to checksum
-// (e.g. a bit flip before the CRC was computed never reaches disk, but a
-// buggy writer might): replaying them would corrupt memory state.
-func (r record) valid() bool {
-	switch r.Kind {
-	case kindOutcomes:
-		return len(r.Rows) == len(r.Bits)
-	case kindColumn, kindInvalidate:
-		return true
-	default:
-		// Unknown kinds pass through; apply() ignores them.
+// outcomeRecord is the record of key k's verdicts s.
+func outcomeRecord(k OutcomeKey, s verdicts) record {
+	return record{Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column, Gaps: s.gaps(), Bits: s.bits}
+}
+
+func (r record) key() OutcomeKey { return OutcomeKey{Table: r.Table, UDF: r.UDF, Column: r.Column} }
+
+// decode fills an outcome record's set and reports whether the record is
+// whole. It rejects a negative row, a zero gap, bits shorter or longer than
+// the rows, and a record with both encodings: a structurally damaged
+// payload that happens to checksum (a buggy writer) is damage like a bad
+// checksum, never partly applied.
+func (r *record) decode() bool {
+	if r.Kind != kindOutcomes {
+		// Unknown kinds pass through; replay ignores them.
 		return true
 	}
+	if r.V1Rows == nil && r.V1Bits == "" {
+		var ok bool
+		r.set, ok = decodeVerdicts(r.Gaps, r.Bits)
+		return ok
+	}
+	if r.Gaps != nil || r.Bits != nil || len(r.V1Rows) != len(r.V1Bits) {
+		return false
+	}
+	for _, row := range r.V1Rows {
+		if row < 0 {
+			return false
+		}
+	}
+	r.set = collect(func(yield func(int, bool) bool) {
+		for i, row := range r.V1Rows {
+			if !yield(row, r.V1Bits[i] == '1') {
+				return
+			}
+		}
+	})
+	return true
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -144,7 +187,7 @@ func parseRecords(data []byte) (recs []record, goodLen int, note string) {
 			return recs, off, fmt.Sprintf("checksum mismatch at offset %d", off)
 		}
 		var r record
-		if err := json.Unmarshal(payload, &r); err != nil || !r.valid() {
+		if err := json.Unmarshal(payload, &r); err != nil || !r.decode() {
 			return recs, off, fmt.Sprintf("undecodable record at offset %d", off)
 		}
 		recs = append(recs, r)
@@ -156,32 +199,34 @@ func parseRecords(data []byte) (recs []record, goodLen int, note string) {
 // readRecordFile reads and validates one catalog file. A missing file is
 // an empty catalog. A damaged tail is reported, and goodLen is the length
 // of the valid prefix (0 when the header is unusable); the file itself is
-// left untouched.
-func readRecordFile(fsys fileSystem, path string) (recs []record, goodLen int, rec Recovery, err error) {
+// left untouched. version is the header's format version (0 when the file
+// is missing, empty or unrecognized).
+func readRecordFile(fsys fileSystem, path string) (recs []record, goodLen, version int, rec Recovery, err error) {
 	data, err := fsys.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, 0, Recovery{}, nil
+		return nil, 0, 0, Recovery{}, nil
 	}
 	if err != nil {
-		return nil, 0, Recovery{}, fmt.Errorf("catalog: %w", err)
+		return nil, 0, 0, Recovery{}, fmt.Errorf("catalog: %w", err)
 	}
 	if len(data) == 0 {
-		return nil, 0, Recovery{}, nil
+		return nil, 0, 0, Recovery{}, nil
 	}
 	if len(data) < headerLen || string(data[:len(fileMagic)]) != fileMagic {
-		return nil, 0, Recovery{
+		return nil, 0, 0, Recovery{
 			Truncated: true,
 			Note:      fmt.Sprintf("%s: unrecognized header, file ignored", filepath.Base(path)),
 		}, nil
 	}
-	if v := data[len(fileMagic)]; v != formatVersion {
-		return nil, 0, Recovery{}, fmt.Errorf("catalog: %s is format version %d, this build reads version %d", filepath.Base(path), v, formatVersion)
+	if v := data[len(fileMagic)]; v < oldestVersion || v > formatVersion {
+		return nil, 0, 0, Recovery{}, fmt.Errorf("catalog: %s is format version %d, this build reads versions %d to %d", filepath.Base(path), v, oldestVersion, formatVersion)
 	}
+	version = int(data[len(fileMagic)])
 	recs, goodLen, note := parseRecords(data)
 	if note != "" {
-		return recs, goodLen, Recovery{Truncated: true, Note: filepath.Base(path) + ": " + note}, nil
+		return recs, goodLen, version, Recovery{Truncated: true, Note: filepath.Base(path) + ": " + note}, nil
 	}
-	return recs, goodLen, Recovery{}, nil
+	return recs, goodLen, version, Recovery{}, nil
 }
 
 // recoverLog is readRecordFile for the append-only log: a damaged tail is
@@ -189,15 +234,15 @@ func readRecordFile(fsys fileSystem, path string) (recs []record, goodLen int, r
 // emptied (its content cannot be trusted), so appends resume on a clean
 // file. The cut is not synced: until the next sync a crash may restore
 // the damaged tail, and the next Open cuts it again.
-func recoverLog(fsys fileSystem, path string) ([]record, Recovery, error) {
-	recs, goodLen, rec, err := readRecordFile(fsys, path)
+func recoverLog(fsys fileSystem, path string) ([]record, int, Recovery, error) {
+	recs, goodLen, version, rec, err := readRecordFile(fsys, path)
 	if err != nil || !rec.Truncated {
-		return recs, rec, err
+		return recs, version, rec, err
 	}
 	if err := fsys.Truncate(path, int64(goodLen)); err != nil {
-		return nil, rec, fmt.Errorf("catalog: %w", err)
+		return nil, 0, rec, fmt.Errorf("catalog: %w", err)
 	}
-	return recs, rec, nil
+	return recs, version, rec, nil
 }
 
 // openAppend opens the log for appending, creating it if needed. An empty

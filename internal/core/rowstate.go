@@ -145,6 +145,25 @@ func (s *rowStates) install(pi int) *statePage {
 	return p
 }
 
+// storeWord moves the rows of mask in word to their states in vals,
+// leaving the word's other rows as they are, and reports how many of them
+// were unknown before.
+func storeWord(word *atomic.Uint32, mask, vals uint32) int {
+	for {
+		old := word.Load()
+		if !word.CompareAndSwap(old, old&^mask|vals) {
+			continue
+		}
+		n := 0
+		for shift := 0; shift < 32; shift += bitsPerRow {
+			if mask>>shift&stateMask != 0 && old>>shift&stateMask == rowUnknown {
+				n++
+			}
+		}
+		return n
+	}
+}
+
 // await blocks until the row is no longer in flight.
 func (s *rowStates) await(sl slot) {
 	s.mu.Lock()
@@ -172,8 +191,9 @@ func (s *rowStates) release(sl slot, to uint32) {
 	}
 }
 
-// each calls fn for every row that is not unknown, in row order.
-func (s *rowStates) each(fn func(row int, state uint32)) {
+// each calls fn for every row that is not unknown, in row order, until fn
+// returns false.
+func (s *rowStates) each(fn func(row int, state uint32) bool) {
 	dir := s.dir.Load()
 	if dir == nil {
 		return
@@ -186,8 +206,8 @@ func (s *rowStates) each(fn func(row int, state uint32)) {
 		for wi := range p {
 			w := p[wi].Load()
 			for k := 0; w != 0; k, w = k+1, w>>bitsPerRow {
-				if st := w & stateMask; st != rowUnknown {
-					fn(pi*pageRows+wi*rowsPerWord+k, st)
+				if st := w & stateMask; st != rowUnknown && !fn(pi*pageRows+wi*rowsPerWord+k, st) {
+					return
 				}
 			}
 		}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,6 +214,18 @@ func TestSharedEvalCacheModel(t *testing.T) {
 			for row, v := range batch {
 				model[row] = v
 			}
+		case 3:
+			// Ascending, as a durable catalog yields: whole words at a time.
+			lo, n := randRow(), rng.IntN(40)
+			cache.Load(func(yield func(int, bool) bool) {
+				for row := lo; row < lo+n; row++ {
+					v := rng.IntN(2) == 0
+					model[row] = v
+					if !yield(row, v) {
+						return
+					}
+				}
+			})
 		}
 		row := randRow()
 		v, ok := cache.Lookup(row)
@@ -222,8 +236,53 @@ func TestSharedEvalCacheModel(t *testing.T) {
 			t.Fatalf("step %d: Len %d, model %d", step, cache.Len(), len(model))
 		}
 	}
-	if snap := cache.Snapshot(); !reflect.DeepEqual(snap, model) {
-		t.Fatalf("Snapshot has %d rows, model %d, or outcomes differ", len(snap), len(model))
+	if all := maps.Collect(cache.All()); !reflect.DeepEqual(all, model) {
+		t.Fatalf("All yields %d rows, model %d, or outcomes differ", len(all), len(model))
+	}
+	var order []int
+	for row := range cache.All() {
+		order = append(order, row)
+	}
+	if !slices.IsSorted(order) {
+		t.Fatal("All does not yield rows in ascending order")
+	}
+}
+
+// TestSharedEvalCacheLoadRacesStore loads ascending runs while other
+// goroutines store the same rows one at a time: every row is counted once,
+// whichever writer reaches it first.
+func TestSharedEvalCacheLoadRacesStore(t *testing.T) {
+	cache := NewSharedEvalCache()
+	const distinct = 3 * pageRows / 2
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				cache.Load(func(yield func(int, bool) bool) {
+					for row := g; row < distinct; row++ {
+						if !yield(row, row%2 == 0) {
+							return
+						}
+					}
+				})
+				return
+			}
+			for i := 0; i < distinct; i++ {
+				row := (i*7 + g*101) % distinct
+				cache.Store(row, row%2 == 0)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(maps.Collect(cache.All())); cache.Len() != distinct || n != distinct {
+		t.Fatalf("Len %d, All %d rows, want %d", cache.Len(), n, distinct)
+	}
+	for row := 0; row < distinct; row++ {
+		if v, ok := cache.Lookup(row); !ok || v != (row%2 == 0) {
+			t.Fatalf("row %d: Lookup = (%v, %v)", row, v, ok)
+		}
 	}
 }
 
@@ -246,7 +305,7 @@ func TestSharedEvalCacheLenUnderDuplicateStores(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if cache.Len() != distinct || len(cache.Snapshot()) != distinct {
-		t.Fatalf("Len %d, Snapshot %d rows, want %d", cache.Len(), len(cache.Snapshot()), distinct)
+	if n := len(maps.Collect(cache.All())); cache.Len() != distinct || n != distinct {
+		t.Fatalf("Len %d, All %d rows, want %d", cache.Len(), n, distinct)
 	}
 }

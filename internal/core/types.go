@@ -30,6 +30,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
+	"maps"
 	"math"
 	"sync/atomic"
 
@@ -313,22 +315,41 @@ func (c *SharedEvalCache) store(row int, v bool) bool {
 // Len reports how many rows have cached outcomes.
 func (c *SharedEvalCache) Len() int { return int(c.n.Load()) }
 
-// Preload bulk-loads outcomes (e.g. restored from a durable catalog).
-func (c *SharedEvalCache) Preload(m map[int]bool) {
-	added := 0
-	for row, v := range m {
-		if c.store(row, v) {
-			added++
+// Preload bulk-loads outcomes from a map.
+func (c *SharedEvalCache) Preload(m map[int]bool) { c.Load(maps.All(m)) }
+
+// Load stores every outcome seq yields, as Store would, a word of row
+// states at a time: rows in ascending order, as a durable catalog yields
+// them, cost one atomic write per word rather than one per row.
+func (c *SharedEvalCache) Load(seq iter.Seq2[int, bool]) {
+	var (
+		word       *atomic.Uint32 // the word being filled
+		mask, vals uint32         // its rows seen so far, and their states
+		added      int
+	)
+	for row, v := range seq {
+		sl := c.rows.slot(row)
+		if sl.word != word {
+			if mask != 0 {
+				added += storeWord(word, mask, vals)
+			}
+			word, mask, vals = sl.word, 0, 0
 		}
+		mask |= stateMask << sl.shift
+		vals = vals&^(stateMask<<sl.shift) | verdictState(v)<<sl.shift
+	}
+	if mask != 0 {
+		added += storeWord(word, mask, vals)
 	}
 	c.n.Add(int64(added))
 }
 
-// Snapshot copies the current outcomes (e.g. for persisting).
-func (c *SharedEvalCache) Snapshot() map[int]bool {
-	out := make(map[int]bool, c.Len())
-	c.rows.each(func(row int, st uint32) { out[row] = st == rowTrue })
-	return out
+// All yields the cached outcomes in ascending row order (e.g. for
+// persisting). Rows stored while it runs may or may not be yielded.
+func (c *SharedEvalCache) All() iter.Seq2[int, bool] {
+	return func(yield func(int, bool) bool) {
+		c.rows.each(func(row int, st uint32) bool { return yield(row, st == rowTrue) })
+	}
 }
 
 // Meter is the one point a UDF is evaluated through: it counts charged

@@ -32,18 +32,28 @@ type evalCacheKey struct {
 // freshly created cache seeds itself from the attached durable catalog, so
 // verdicts paid for in earlier process lives are served without ever
 // invoking the UDF; what it preloaded is already durable, so its flush
-// watermark starts there.
-func (e *Engine) evalCache(key evalCacheKey) *core.SharedEvalCache {
+// watermark starts there. Only rows of the table, [0, numRows), are
+// seeded: a row id is a table position, and a catalog written for a
+// longer table (or by hand) may hold others.
+func (e *Engine) evalCache(key evalCacheKey, numRows int) *core.SharedEvalCache {
 	e.cacheMu.Lock()
 	defer e.cacheMu.Unlock()
 	c, ok := e.evalCaches[key]
 	if !ok {
 		c = core.NewSharedEvalCache()
 		if e.catalog != nil {
-			if prior := e.catalog.Outcomes(catalog.OutcomeKey{Table: key.table, UDF: key.udf, Column: key.column}); len(prior) > 0 {
-				c.Preload(prior)
-				e.flushedLens[key] = c.Len()
-			}
+			prior := e.catalog.Outcomes(catalog.OutcomeKey{Table: key.table, UDF: key.udf, Column: key.column})
+			c.Load(func(yield func(int, bool) bool) {
+				for row, v := range prior {
+					if row >= numRows {
+						return // ascending: no later row is in the table either
+					}
+					if row >= 0 && !yield(row, v) {
+						return
+					}
+				}
+			})
+			e.flushedLens[key] = c.Len()
 		}
 		e.evalCaches[key] = c
 	}

@@ -92,7 +92,7 @@ func (e *Engine) FlushCatalog() error {
 		if n == e.flushedLens[k] {
 			continue
 		}
-		c.AddOutcomes(catalog.OutcomeKey{Table: k.table, UDF: k.udf, Column: k.column}, sc.Snapshot())
+		c.AddOutcomes(catalog.OutcomeKey{Table: k.table, UDF: k.udf, Column: k.column}, sc.All())
 		e.flushedLens[k] = n
 	}
 	return c.Flush()

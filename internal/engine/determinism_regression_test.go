@@ -28,7 +28,7 @@ func flushedLogBytes(t *testing.T) []byte {
 	e.SetCatalog(c)
 	for i := 0; i < 8; i++ {
 		key := evalCacheKey{table: "loans", udf: fmt.Sprintf("udf%d", i), column: "id"}
-		e.evalCache(key).Store(i, i%2 == 0)
+		e.evalCache(key, 10).Store(i, i%2 == 0)
 	}
 	if err := e.FlushCatalog(); err != nil {
 		t.Fatal(err)

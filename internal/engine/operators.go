@@ -260,7 +260,7 @@ func (e *Engine) resolvePreds(tbl *table.Table, q Query) ([]resolvedPred, error)
 		var cache core.EvalCache
 		if !private && e.CacheUDFResults {
 			key := evalCacheKey{table: q.Table, udf: p.UDFName, column: p.UDFArg}
-			cache = wantFoldedCache{inner: e.evalCache(key), want: p.Want}
+			cache = wantFoldedCache{inner: e.evalCache(key, tbl.NumRows()), want: p.Want}
 		}
 		breaker := e.breakerFor(q.Table, p.UDFName)
 		preds[i] = resolvedPred{spec: p, inv: inv, meter: core.NewResilientMeter(inv, cache, breaker),
