@@ -5,10 +5,9 @@
 // pass per workload key — so a process restart warm-starts from them
 // instead of re-paying o_e.
 //
-// In memory each (table, UDF, column) key holds a dense verdict set: its
-// rows ascending plus one verdict bit per row, sized by the verdicts it
-// holds and never by the largest row id. The engine reads and adds
-// verdicts as iter.Seq2[int, bool] in ascending row order.
+// In memory each (table, UDF, column) key holds one table.Verdicts, the
+// dense verdict set the sampler and the engine use too. The engine reads
+// and adds verdicts as iter.Seq2[int, bool] in ascending row order.
 //
 // On disk a catalog directory holds two files:
 //
@@ -47,6 +46,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"repro/internal/table"
 )
 
 // OutcomeKey identifies one memoizable predicate application: raw UDF
@@ -93,7 +94,7 @@ type Catalog struct {
 	dir string
 	log file
 
-	outcomes map[OutcomeKey]verdicts
+	outcomes map[OutcomeKey]table.Verdicts
 	columns  map[string]columnChoice
 
 	pending  []record
@@ -128,7 +129,7 @@ func openFS(fsys fileSystem, dir string) (*Catalog, error) {
 	c := &Catalog{
 		fs:       fsys,
 		dir:      dir,
-		outcomes: make(map[OutcomeKey]verdicts),
+		outcomes: make(map[OutcomeKey]table.Verdicts),
 		columns:  make(map[string]columnChoice),
 	}
 	// Snapshot first: a damaged snapshot tail loses facts (safe — they are
@@ -192,7 +193,7 @@ func (c *Catalog) Recovery() Recovery {
 // order. A key's outcome records are combined once at the end, so a long
 // log costs one sort per key rather than one merge per record.
 func (c *Catalog) replay(files ...[]record) {
-	runs := make(map[OutcomeKey][]verdicts)
+	runs := make(map[OutcomeKey][]table.Verdicts)
 	for _, recs := range files {
 		for _, r := range recs {
 			switch r.Kind {
@@ -216,9 +217,17 @@ func (c *Catalog) replay(files ...[]record) {
 	for k, sets := range runs {
 		s := sets[0]
 		if len(sets) > 1 {
-			s = collect(concat(sets))
+			s = table.CollectVerdicts(func(yield func(int, bool) bool) {
+				for _, set := range sets {
+					for row, v := range set.All() {
+						if !yield(row, v) {
+							return
+						}
+					}
+				}
+			})
 		}
-		if s.len() > 0 {
+		if s.Len() > 0 {
 			c.outcomes[k] = s
 		}
 	}
@@ -244,7 +253,7 @@ func (c *Catalog) dropUDF(udf string) {
 func (c *Catalog) Outcomes(k OutcomeKey) iter.Seq2[int, bool] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.outcomes[k].all()
+	return c.outcomes[k].All()
 }
 
 // AddOutcomes merges newly paid-for raw verdicts into the catalog and
@@ -252,15 +261,15 @@ func (c *Catalog) Outcomes(k OutcomeKey) iter.Seq2[int, bool] {
 // facts is free (no log growth). Negative rows are ignored: a row id is a
 // table position. Any order is accepted; ascending costs no sort.
 func (c *Catalog) AddOutcomes(k OutcomeKey, verdicts iter.Seq2[int, bool]) {
-	next := collect(verdicts)
+	next := table.CollectVerdicts(verdicts)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.outcomes[k]
-	delta := cur.missing(next)
-	if delta.len() == 0 {
+	delta := cur.Missing(next)
+	if delta.Len() == 0 {
 		return
 	}
-	c.outcomes[k] = merge(cur, delta)
+	c.outcomes[k] = table.MergeVerdicts(cur, delta)
 	c.pending = append(c.pending, outcomeRecord(k, delta))
 	c.snapCurrent = false
 }
@@ -441,7 +450,7 @@ func (c *Catalog) Stats() Stats {
 		RecoveryNote:   c.recovery.Note,
 	}
 	for _, set := range c.outcomes {
-		s.OutcomeRows += set.len()
+		s.OutcomeRows += set.Len()
 	}
 	return s
 }

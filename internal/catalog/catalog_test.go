@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 var okey = OutcomeKey{Table: "loans", UDF: "good_credit", Column: "id"}
@@ -275,7 +277,7 @@ func TestBytesFollowContents(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, r := range recs {
-			if !sort.IntsAreSorted(r.set.rows) {
+			if !sort.IntsAreSorted(r.set.Rows()) {
 				t.Fatalf("%s: %s record for %q lists rows out of order", p, r.Kind, r.UDF)
 			}
 		}
@@ -764,7 +766,7 @@ func TestDamagedOutcomeRecords(t *testing.T) {
 			r.Kind, r.Table, r.UDF, r.Column = kindOutcomes, okey.Table, okey.UDF, okey.Column
 			var buf bytes.Buffer
 			buf.WriteString(fileMagic + "\x02")
-			if err := writeRecord(&buf, outcomeRecord(okey, verdicts{rows: []int{0}, bits: []byte{1}})); err != nil {
+			if err := writeRecord(&buf, outcomeRecord(okey, table.CollectVerdicts(maps.All(map[int]bool{0: true})))); err != nil {
 				t.Fatal(err)
 			}
 			good := buf.Len()
@@ -776,30 +778,5 @@ func TestDamagedOutcomeRecords(t *testing.T) {
 				t.Fatalf("parsed %d records, valid prefix %d of %d (%q); want the damaged record cut", len(recs), goodLen, buf.Len(), note)
 			}
 		})
-	}
-}
-
-// TestVerdictsRoundTrip: the gap encoding decodes to the rows it encoded,
-// from row 0 to the largest int, and collect sorts, dedupes (the last
-// verdict wins) and drops negative rows.
-func TestVerdictsRoundTrip(t *testing.T) {
-	in := map[int]bool{0: true, 1: false, 127: true, 128: true, 1 << 20: false, 1<<20 + 16384: true, math.MaxInt - 1: false, math.MaxInt: true, -7: true}
-	s := collect(maps.All(in))
-	delete(in, -7)
-	if got := maps.Collect(s.all()); !reflect.DeepEqual(got, in) {
-		t.Fatalf("collect: %v, want %v", got, in)
-	}
-	if !sort.IntsAreSorted(s.rows) {
-		t.Fatalf("collect left rows out of order: %v", s.rows)
-	}
-	back, ok := decodeVerdicts(s.gaps(), s.bits)
-	if !ok || !reflect.DeepEqual(back.rows, s.rows) || !reflect.DeepEqual(maps.Collect(back.all()), in) {
-		t.Fatalf("round trip: %v %v, want %v", ok, maps.Collect(back.all()), in)
-	}
-	dup := collect(func(yield func(int, bool) bool) {
-		_ = yield(5, true) && yield(3, true) && yield(5, false)
-	})
-	if got := maps.Collect(dup.all()); !reflect.DeepEqual(got, map[int]bool{3: true, 5: false}) {
-		t.Fatalf("a later verdict for a row must win: %v", got)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/table"
 )
 
 // crashDir is where the crash tests keep the catalog. Its parent exists
@@ -48,7 +50,7 @@ func columnFact(key, udf, chosen string) fact {
 func facts(c *Catalog) []string {
 	var out []string
 	for k, set := range c.outcomes {
-		for row, v := range set.all() {
+		for row, v := range set.All() {
 			out = append(out, outcomeFact(k, row, v).key)
 		}
 	}
@@ -325,7 +327,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(snap, damaged(bytes.Repeat([]byte{1}, 9), []byte{0xff}))             // bits cut short
 
 	var extra bytes.Buffer
-	if err := writeRecord(&extra, outcomeRecord(OutcomeKey{Table: "t", UDF: "u", Column: "c"}, verdicts{rows: []int{7}, bits: []byte{1}})); err != nil {
+	if err := writeRecord(&extra, outcomeRecord(OutcomeKey{Table: "t", UDF: "u", Column: "c"}, table.CollectVerdicts(maps.All(map[int]bool{7: true})))); err != nil {
 		f.Fatal(err)
 	}
 	open := func(snap, logData []byte) (*memFS, []string, Recovery, error) {

@@ -11,6 +11,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+
+	"repro/internal/table"
 )
 
 // On-disk format, version 2. Both catalog files are:
@@ -62,27 +64,27 @@ type record struct {
 	Column string `json:"c,omitempty"`
 	Key    string `json:"w,omitempty"` // workload key (column memos)
 	Chosen string `json:"n,omitempty"` // chosen column (column memos)
-	Gaps   []byte `json:"d,omitempty"` // outcome rows, see verdicts.gaps
+	Gaps   []byte `json:"d,omitempty"` // outcome rows, see table.Verdicts.Gaps
 	Bits   []byte `json:"v,omitempty"` // one verdict bit per row
 	// V1Rows and V1Bits are version 1's outcome encoding, only decoded.
 	V1Rows []int  `json:"r,omitempty"`
 	V1Bits string `json:"b,omitempty"` // one '0'/'1' per entry of V1Rows
 
-	set verdicts // an outcome record's verdicts, decoded
+	set table.Verdicts // an outcome record's verdicts, decoded
 }
 
 // outcomeRecord is the record of key k's verdicts s.
-func outcomeRecord(k OutcomeKey, s verdicts) record {
-	return record{Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column, Gaps: s.gaps(), Bits: s.bits}
+func outcomeRecord(k OutcomeKey, s table.Verdicts) record {
+	return record{Kind: kindOutcomes, Table: k.Table, UDF: k.UDF, Column: k.Column, Gaps: s.Gaps(), Bits: s.Bits()}
 }
 
 func (r record) key() OutcomeKey { return OutcomeKey{Table: r.Table, UDF: r.UDF, Column: r.Column} }
 
 // decode fills an outcome record's set and reports whether the record is
-// whole. It rejects a negative row, a zero gap, bits shorter or longer than
-// the rows, and a record with both encodings: a structurally damaged
-// payload that happens to checksum (a buggy writer) is damage like a bad
-// checksum, never partly applied.
+// whole. It rejects a negative row, what table.DecodeVerdicts refuses, and
+// a record with both encodings: a structurally damaged payload that
+// happens to checksum (a buggy writer) is damage like a bad checksum,
+// never partly applied.
 func (r *record) decode() bool {
 	if r.Kind != kindOutcomes {
 		// Unknown kinds pass through; replay ignores them.
@@ -90,7 +92,7 @@ func (r *record) decode() bool {
 	}
 	if r.V1Rows == nil && r.V1Bits == "" {
 		var ok bool
-		r.set, ok = decodeVerdicts(r.Gaps, r.Bits)
+		r.set, ok = table.DecodeVerdicts(r.Gaps, r.Bits)
 		return ok
 	}
 	if r.Gaps != nil || r.Bits != nil || len(r.V1Rows) != len(r.V1Bits) {
@@ -101,7 +103,7 @@ func (r *record) decode() bool {
 			return false
 		}
 	}
-	r.set = collect(func(yield func(int, bool) bool) {
+	r.set = table.CollectVerdicts(func(yield func(int, bool) bool) {
 		for i, row := range r.V1Rows {
 			if !yield(row, r.V1Bits[i] == '1') {
 				return

@@ -4,11 +4,13 @@ package core
 
 import (
 	"context"
+	"maps"
 	"runtime"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // Allocation pins for the dense verdict state. The race detector changes
@@ -87,7 +89,7 @@ func TestSamplerTopUpAllocs(t *testing.T) {
 
 // TestExecuteAllocsIndependentOfGroupSize pins that the coin executor
 // allocates per call, not per row: its buffers are sized once, the sampled
-// rows are one bitset, and the ordered answer reuses that bitset. A group
+// rows are two bitsets (table.Known), and the ordered answer one more. A group
 // 16 times larger costs no more allocations (the meter is warm, so its
 // pages are not counted).
 func TestExecuteAllocsIndependentOfGroupSize(t *testing.T) {
@@ -99,10 +101,11 @@ func TestExecuteAllocsIndependentOfGroupSize(t *testing.T) {
 			rows[i] = n - 1 - i
 		}
 		groups := []Group{{Key: "all", Rows: rows}}
-		samples := []SampleOutcome{{Results: map[int]bool{}}}
+		sampled := map[int]bool{}
 		for i := 0; i < n; i += 50 {
-			samples[0].Results[i] = i%100 == 0
+			sampled[i] = i%100 == 0
 		}
+		samples := []SampleOutcome{{Results: table.CollectVerdicts(maps.All(sampled))}}
 		s := NewStrategy(1)
 		s.R[0], s.E[0] = 0.9, 0.5
 		meters := []*Meter{NewMeter(UDFFunc(func(row int) bool { return row%3 == 0 }))}

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // This file implements Section 4.4: finding a correlated column. A small
@@ -26,7 +28,7 @@ type Candidate struct {
 	Groups []Group
 }
 
-// ColumnChoice reports the outcome of SelectColumn.
+// ColumnChoice reports the outcome of ChooseColumn.
 type ColumnChoice struct {
 	// Index into the candidates slice; -1 if no candidate qualified.
 	Index int
@@ -37,20 +39,23 @@ type ColumnChoice struct {
 	EstimatedCost []float64
 }
 
-// SelectColumn picks the candidate column whose estimated query cost is
-// lowest. labeled maps row id → UDF outcome for the pre-labeled sample
-// (typically ~1% of rows). Candidates with more than √|labeled| distinct
-// values are disqualified to avoid overfitting the selectivity estimates —
-// the paper's rule; if every candidate is disqualified the caller should
-// label more rows and retry.
-func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cost CostModel) (ColumnChoice, error) {
+// ChooseColumn picks the candidate column whose estimated query cost is
+// lowest. labeled holds the UDF verdicts of the pre-labeled sample
+// (typically ~1% of rows); each candidate's groups are scored with two bit
+// tests per row (table.Known). Candidates with more than √|labeled|
+// distinct values are disqualified to avoid overfitting the selectivity
+// estimates — the paper's rule; if every candidate is disqualified the
+// caller should label more rows and retry.
+func ChooseColumn(cands []Candidate, labeled table.Verdicts, cons Constraints, cost CostModel) (ColumnChoice, error) {
 	if len(cands) == 0 {
 		return ColumnChoice{}, fmt.Errorf("core: no candidate columns")
 	}
-	if len(labeled) == 0 {
+	if labeled.Len() == 0 {
 		return ColumnChoice{}, fmt.Errorf("core: no labeled tuples")
 	}
-	maxGroups := math.Sqrt(float64(len(labeled)))
+	var known table.Known
+	known.Add(labeled)
+	maxGroups := math.Sqrt(float64(labeled.Len()))
 	choice := ColumnChoice{Index: -1, EstimatedCost: make([]float64, len(cands))}
 	best := math.Inf(1)
 	for ci, cand := range cands {
@@ -62,7 +67,7 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 		for gi, g := range cand.Groups {
 			pos, tot := 0, 0
 			for _, row := range g.Rows {
-				if v, ok := labeled[row]; ok {
+				if v, ok := known.Verdict(row); ok {
 					tot++
 					if v {
 						pos++
@@ -93,6 +98,12 @@ func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cos
 	return choice, nil
 }
 
+// SelectColumn is ChooseColumn over labels held in a map, the form
+// cmd/predbench's probes call (ROADMAP item 19).
+func SelectColumn(cands []Candidate, labeled map[int]bool, cons Constraints, cost CostModel) (ColumnChoice, error) {
+	return ChooseColumn(cands, table.CollectVerdicts(maps.All(labeled)), cons, cost)
+}
+
 // DefaultLabelFraction is the fraction of tuples the engine labels to
 // discover a correlated column or train the virtual one (the paper's 1%).
 const DefaultLabelFraction = 0.01
@@ -100,16 +111,26 @@ const DefaultLabelFraction = 0.01
 // LabelTarget is how many rows labeling a fraction of n rows draws.
 func LabelTarget(fraction float64, n int) int { return int(math.Ceil(fraction * float64(n))) }
 
-// LabelFractionParallelCtx labels a uniform random fraction of rows for
-// SelectColumn: one top-up of a one-group sampler keyed by rng's next draw,
-// so the labels at fraction f nest in those at any larger one. Calls fan
-// out across up to `parallelism` workers (≤ 0 means GOMAXPROCS), and a
-// failed row is no label. A cancel returns (nil, ctx.Err()).
-func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng *stats.RNG, parallelism int) (map[int]bool, error) {
+// LabelFraction labels a uniform random fraction of rows for ChooseColumn
+// or ml.VirtualGroups: one top-up of a one-group sampler keyed by rng's
+// next draw, so the labels at fraction f nest in those at any larger one.
+// Calls fan out across up to `parallelism` workers (≤ 0 means GOMAXPROCS),
+// and a failed row is no label. A cancel returns ctx.Err().
+func LabelFraction(ctx context.Context, rows []int, fraction float64, meter *Meter, rng *stats.RNG, parallelism int) (table.Verdicts, error) {
 	s := NewSampler([]Group{{Key: "all", Rows: rows}}, meter, rng)
 	s.SetParallelism(parallelism)
 	if _, err := s.TopUpCtx(ctx, []int{LabelTarget(fraction, len(rows))}); err != nil {
-		return nil, err
+		return table.Verdicts{}, err
 	}
 	return s.Outcomes()[0].Results, nil
+}
+
+// LabelFractionParallelCtx is LabelFraction's map form, for
+// cmd/predbench's probes (ROADMAP item 19). A cancel returns nil.
+func LabelFractionParallelCtx(ctx context.Context, rows []int, fraction float64, meter *Meter, rng *stats.RNG, parallelism int) (map[int]bool, error) {
+	labeled, err := LabelFraction(ctx, rows, fraction, meter, rng, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	return maps.Collect(labeled.All()), nil
 }

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // This file implements query execution (the "Execution" step of
@@ -22,8 +22,8 @@ import (
 // A tuple's coins are keyed by its row (stats.Key.Bernoulli): Bernoulli(R)
 // to retrieve and Bernoulli(E/R) to evaluate, under two sub-keys of the
 // execution key. A PLAN phase flips them in tuple order and emits each
-// returned candidate with the predicate span it still needs (a bitset of
-// the sampled rows spares each row a map probe), then a parallel EVALUATE
+// returned candidate with the predicate span it still needs (the sampled
+// rows' verdicts are two bitsets, table.Known), then a parallel EVALUATE
 // phase runs them through one Waves run, and an ORDER walk over a bitset
 // of the survivors returns the answer ascending — the one place an
 // answer is ordered — so the output is bit-for-bit identical at every
@@ -31,12 +31,11 @@ import (
 
 // SampleOutcome records the sampling phase's work for one group.
 type SampleOutcome struct {
-	// Results maps sampled row id → whether it passed every predicate.
-	Results map[int]bool
-	// Positives counts rows passing every predicate (F⁺ₐ); Pos[j] counts
-	// rows passing predicate j.
-	Positives int
-	Pos       []int
+	// Results holds each sampled row's verdict: whether it passed every
+	// predicate. Results.Trues() counts those rows (F⁺ₐ).
+	Results table.Verdicts
+	// Pos[j] counts sampled rows passing predicate j.
+	Pos []int
 }
 
 // ExecResult is the outcome of executing a strategy.
@@ -69,7 +68,9 @@ func ExecuteParallelCtx(ctx context.Context, groups []Group, s Strategy, samples
 // spans[i], in order, short-circuiting at the first that rejects it; nil
 // spans mean every meter for every group. samples may be nil (no sampling
 // phase) or hold one entry per group; sampled rows are not re-retrieved or
-// re-evaluated — their recorded outcome decides membership. key keys the
+// re-evaluated — their recorded outcome decides membership. The groups
+// must be disjoint, as every partition the engine executes is, since a
+// sampled row's outcome is looked up statement-wide. key keys the
 // per-tuple coins, so results are identical at every parallelism level and
 // whatever order the groups come in; a cancel returns ctx.Err() and an
 // empty result.
@@ -95,30 +96,21 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 
 	// Plan: flip retrieval/evaluation coins for every tuple in order. A
 	// retrieved tuple needs its group's span when its evaluation coin
-	// lands, and nothing (an empty span) otherwise. Every sampled row is
-	// marked in one bitset first, so a row pays a bit test and only a
-	// sampled row reads its verdict from its group's map. A group with
-	// R > 0 adds at most its rows to the candidates and a discarded group
-	// at most its sampled rows, so the buffers are sized once, to what can
-	// be retrieved.
+	// lands, and nothing (an empty span) otherwise. A sampled row's verdict
+	// is two bit tests (table.Known). A group with R > 0 adds at most its
+	// rows to the candidates and a discarded group at most its sampled
+	// rows, so the buffers are sized once, to what can be retrieved.
 	retrieve, evaluate := key.Sub(1), key.Sub(2)
-	total, hi := 0, -1
+	var sampled table.Known
+	total := 0
 	for i, g := range groups {
+		if samples != nil {
+			sampled.Add(samples[i].Results)
+		}
 		if s.R[i] > 0 {
 			total += len(g.Rows)
 		} else if samples != nil {
-			total += len(samples[i].Results)
-		}
-	}
-	for _, so := range samples {
-		for row := range so.Results {
-			hi = max(hi, row)
-		}
-	}
-	seen := make(rowBits, words(hi))
-	for _, so := range samples {
-		for row := range so.Results {
-			seen.set(row)
+			total += samples[i].Results.Len()
 		}
 	}
 	rows, need := make([]int, 0, total), make([]Span, 0, total)
@@ -128,23 +120,17 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 		if spans != nil {
 			span = spans[i]
 		}
-		var sampled map[int]bool
-		if samples != nil {
-			sampled = samples[i].Results
-		}
 		condEval := 0.0
 		if ra > 0 {
 			condEval = ea / ra
 		}
 		for _, row := range g.Rows {
-			if seen.has(row) {
-				if v, ok := sampled[row]; ok {
-					// Already paid for during sampling; include iff correct.
-					if v {
-						rows, need = append(rows, row), append(need, Span{})
-					}
-					continue
+			if v, ok := sampled.Verdict(row); ok {
+				// Already paid for during sampling; include iff correct.
+				if v {
+					rows, need = append(rows, row), append(need, Span{})
 				}
+				continue
 			}
 			if !retrieve.Bernoulli(row, ra) {
 				continue
@@ -166,16 +152,14 @@ func ExecuteSpansParallelCtx(ctx context.Context, groups []Group, s Strategy, sp
 		return ExecResult{}, err
 	}
 	// Order: the survivors live in scratch sized to every candidate; mark
-	// them in the sampled rows' bitset, cleared and grown to the largest
-	// survivor, and walk it, so the answer holds its own rows ascending.
+	// them in a bitset and walk it, so the answer holds its own rows
+	// ascending.
 	if len(out) > 0 {
-		n := words(slices.Max(out))
-		seen = slices.Grow(seen[:0], n)[:n]
-		clear(seen)
+		survivors := table.NewRowBits(slices.Max(out))
 		for _, row := range out {
-			seen.set(row)
+			survivors.Set(row)
 		}
-		res.Output = seen.appendRows(make([]int, 0, len(out)))
+		res.Output = survivors.AppendRows(make([]int, 0, len(out)))
 	}
 	for _, n := range w.Evaluated {
 		res.Evaluated += n
@@ -221,27 +205,4 @@ func ComputeMetrics(output []int, truth func(row int) bool, totalCorrect int) Me
 		m.Recall = float64(correct) / float64(totalCorrect)
 	}
 	return m
-}
-
-// rowBits is a bitset over non-negative row ids, sized by its maker.
-type rowBits []uint64
-
-// words is the length of a rowBits that holds every row up to hi.
-func words(hi int) int { return (hi + 64) >> 6 }
-
-func (b rowBits) set(row int) { b[row>>6] |= 1 << (row & 63) }
-
-func (b rowBits) has(row int) bool {
-	w := uint(row) >> 6
-	return w < uint(len(b)) && b[w]&(1<<(row&63)) != 0
-}
-
-// appendRows appends the set rows to dst in ascending order.
-func (b rowBits) appendRows(dst []int) []int {
-	for w, word := range b {
-		for ; word != 0; word &= word - 1 {
-			dst = append(dst, w<<6|bits.TrailingZeros64(word))
-		}
-	}
-	return dst
 }

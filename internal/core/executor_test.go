@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 func TestExecuteFullEvaluationReturnsExactAnswer(t *testing.T) {
@@ -72,13 +74,11 @@ func TestExecuteHonorsSampledRows(t *testing.T) {
 	rng := stats.NewRNG(407)
 	groups, _, truth := syntheticGroups(rng, []int{100}, []float64{0.5})
 	// Sample 10 rows by hand.
-	samples := []SampleOutcome{{Results: map[int]bool{}}}
+	sampled := map[int]bool{}
 	for _, row := range groups[0].Rows[:10] {
-		samples[0].Results[row] = truth(row)
-		if truth(row) {
-			samples[0].Positives++
-		}
+		sampled[row] = truth(row)
 	}
+	samples := []SampleOutcome{{Results: table.CollectVerdicts(maps.All(sampled))}}
 	calls := 0
 	countingUDF := UDFFunc(func(row int) bool {
 		calls++
@@ -98,7 +98,7 @@ func TestExecuteHonorsSampledRows(t *testing.T) {
 	for _, row := range exec.Output {
 		outSet[row] = true
 	}
-	for row, v := range samples[0].Results {
+	for row, v := range samples[0].Results.All() {
 		if v && !outSet[row] {
 			t.Fatalf("sampled-true row %d missing from output", row)
 		}
@@ -130,10 +130,10 @@ func TestExecuteOutputAscendingOnSparseUnorderedRows(t *testing.T) {
 	samples := make([]SampleOutcome, 3)
 	want := map[int]bool{}
 	for i, g := range groups {
-		samples[i].Results = map[int]bool{}
+		results := map[int]bool{}
 		for k, row := range g.Rows {
 			if k%9 == 0 {
-				samples[i].Results[row] = !truth(row)
+				results[row] = !truth(row)
 				if !truth(row) {
 					want[row] = true
 				}
@@ -141,6 +141,7 @@ func TestExecuteOutputAscendingOnSparseUnorderedRows(t *testing.T) {
 				want[row] = true
 			}
 		}
+		samples[i].Results = table.CollectVerdicts(maps.All(results))
 	}
 	var first []int
 	for _, width := range []int{1, 4} {
@@ -161,7 +162,7 @@ func TestExecuteOutputAscendingOnSparseUnorderedRows(t *testing.T) {
 		}
 		got := 0
 		for _, row := range res.Output {
-			_, sampled := samples[2].Results[row]
+			_, sampled := slices.BinarySearch(samples[2].Results.Rows(), row)
 			if inCoins[row] && !sampled {
 				continue // decided by the coins
 			}

@@ -62,7 +62,7 @@ func TestDrawsIgnoreGroupOrder(t *testing.T) {
 		}
 		outcomes := map[int]bool{}
 		for _, o := range s.Outcomes() {
-			maps.Copy(outcomes, o.Results)
+			maps.Insert(outcomes, o.Results.All())
 		}
 		res, err := ExecuteSpansParallelCtx(context.Background(), gs, st, nil, s.Outcomes(), []*Meter{meter}, DefaultCost, key.Sub(ExecuteDraw), exec.NewPool(1))
 		if err != nil {

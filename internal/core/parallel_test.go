@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // parallelTestGroups builds a few groups with a deterministic ground truth.
@@ -40,16 +42,13 @@ func TestExecuteParallelMatchesSequential(t *testing.T) {
 	mkSamples := func() []SampleOutcome {
 		samples := make([]SampleOutcome, 3)
 		for i := range samples {
-			samples[i] = SampleOutcome{Results: map[int]bool{}}
+			results := map[int]bool{}
 			for k, row := range groups[i].Rows {
 				if k%17 == 0 {
-					v := udf.Eval(row)
-					samples[i].Results[row] = v
-					if v {
-						samples[i].Positives++
-					}
+					results[row] = udf.Eval(row)
 				}
 			}
+			samples[i] = SampleOutcome{Results: table.CollectVerdicts(maps.All(results))}
 		}
 		return samples
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // This file implements Section 4: joint estimation and exploitation.
@@ -118,7 +119,7 @@ func NewJointSampler(groups []Group, meters []*Meter, key stats.Key) *Sampler {
 		parallelism: 1,
 	}
 	for i := range groups {
-		s.outcomes[i] = SampleOutcome{Results: make(map[int]bool), Pos: make([]int, len(meters))}
+		s.outcomes[i] = SampleOutcome{Pos: make([]int, len(meters))}
 	}
 	return s
 }
@@ -212,17 +213,15 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 	if len(s.meters) == 0 {
 		return 0, fmt.Errorf("core: sampler without predicates")
 	}
-	// Plan: the rows each group owes, group-major.
-	var work, groupOf []int
-	cuts := slices.Clone(s.cut)
+	// Plan: the rows each group owes, group-major: group i's are
+	// work[ends[i-1]:ends[i]].
+	var work []int
+	ends, cuts := make([]int, len(s.groups)), slices.Clone(s.cut)
 	for i := range s.groups {
-		if want := targets[i] - len(s.outcomes[i].Results); want > 0 {
-			n := len(work)
+		if want := targets[i] - s.outcomes[i].Results.Len(); want > 0 {
 			work, cuts[i] = s.lowest(work, i, want)
-			for range len(work) - n {
-				groupOf = append(groupOf, i)
-			}
 		}
+		ends[i] = len(work)
 	}
 	// Evaluate in parallel; commit (cut + record) only on full success.
 	// Rows whose evaluation failed under some predicate fall below the cut
@@ -251,24 +250,30 @@ func (s *Sampler) TopUpCtx(ctx context.Context, targets []int) (int, error) {
 			failed[k] = failed[k] || f[k]
 		}
 	}
+	// Each group's new verdicts are one collect and one merge.
 	s.cut = cuts
-	for k, row := range work {
-		if failed[k] {
-			continue
-		}
-		o := &s.outcomes[groupOf[k]]
-		all := true
-		for j, v := range verdicts {
-			if v[k] {
-				o.Pos[j]++
-			} else {
-				all = false
+	from := 0
+	for i, to := range ends {
+		o := &s.outcomes[i]
+		fresh := table.CollectVerdicts(func(yield func(int, bool) bool) {
+			for k := from; k < to; k++ {
+				if failed[k] {
+					continue
+				}
+				all := true
+				for j, v := range verdicts {
+					if v[k] {
+						o.Pos[j]++
+					} else {
+						all = false
+					}
+				}
+				if !yield(work[k], all) {
+					return
+				}
 			}
-		}
-		o.Results[row] = all
-		if all {
-			o.Positives++
-		}
+		})
+		o.Results, from = table.MergeVerdicts(o.Results, fresh), to
 	}
 	return len(work), nil
 }
@@ -281,7 +286,7 @@ func (s *Sampler) Outcomes() []SampleOutcome { return s.outcomes }
 func (s *Sampler) TotalSampled() int {
 	total := 0
 	for _, o := range s.outcomes {
-		total += len(o.Results)
+		total += o.Results.Len()
 	}
 	return total
 }
@@ -292,7 +297,7 @@ func (s *Sampler) Infos() []GroupInfo {
 	infos := make([]GroupInfo, len(s.groups))
 	for i, g := range s.groups {
 		o := s.outcomes[i]
-		infos[i] = GroupInfoFromSample(len(g.Rows), len(o.Results), o.Positives)
+		infos[i] = GroupInfoFromSample(len(g.Rows), o.Results.Len(), o.Results.Trues())
 	}
 	return infos
 }
@@ -303,7 +308,7 @@ func (s *Sampler) Infos() []GroupInfo {
 func (s *Sampler) Selectivities() []float64 {
 	sampled := 0
 	for _, o := range s.outcomes {
-		sampled += len(o.Results)
+		sampled += o.Results.Len()
 	}
 	sels := make([]float64, len(s.meters))
 	for j := range sels {

@@ -94,7 +94,7 @@ func TestSamplerTopUpNoDuplicates(t *testing.T) {
 		for _, r := range groups[i].Rows {
 			inGroup[r] = true
 		}
-		for row := range o.Results {
+		for row := range o.Results.All() {
 			if !inGroup[row] {
 				t.Fatalf("sampled row %d not in group %d", row, i)
 			}
@@ -120,7 +120,7 @@ func TestSamplerInfosMatchPosterior(t *testing.T) {
 	}
 	infos := s.Infos()
 	o := s.Outcomes()[0]
-	want := GroupInfoFromSample(400, 100, o.Positives)
+	want := GroupInfoFromSample(400, 100, o.Results.Trues())
 	if infos[0] != want {
 		t.Fatalf("info %+v want %+v", infos[0], want)
 	}
@@ -156,11 +156,11 @@ func TestSampleConjunctionEstimates(t *testing.T) {
 		t.Fatalf("got %d samples, %d sels", len(s.Outcomes()), len(sels))
 	}
 	for i, o := range s.Outcomes() {
-		if len(o.Results) != 60 {
-			t.Fatalf("group %d sampled %d rows, want 60", i, len(o.Results))
+		if o.Results.Len() != 60 {
+			t.Fatalf("group %d sampled %d rows, want 60", i, o.Results.Len())
 		}
 		pos, all := make([]int, len(udfs)), 0
-		for row, v := range o.Results {
+		for row, v := range o.Results.All() {
 			want := true
 			for j, u := range udfs {
 				if u.Eval(row) {
@@ -176,8 +176,8 @@ func TestSampleConjunctionEstimates(t *testing.T) {
 				all++
 			}
 		}
-		if !reflect.DeepEqual(o.Pos, pos) || o.Positives != all {
-			t.Fatalf("group %d counted %v / %d, results hold %v / %d", i, o.Pos, o.Positives, pos, all)
+		if !reflect.DeepEqual(o.Pos, pos) || o.Results.Trues() != all {
+			t.Fatalf("group %d counted %v / %d, results hold %v / %d", i, o.Pos, o.Results.Trues(), pos, all)
 		}
 	}
 	approx := []float64{0.25, 0.75, 0.9}

@@ -49,7 +49,7 @@ func TwoPredStrategy(acts []TwoPredAction) (Strategy, []Span, error) {
 // sampling and execution: per-group joint cells from a two-predicate
 // Sampler's outcomes, each the mean of one uniform Dirichlet posterior over
 // the four outcomes — (k+1)/(f+4) for k of f sampled rows, with k read
-// from Positives and Pos[j] − Positives — then
+// from Results.Trues() and Pos[j] − Results.Trues() — then
 // PlanTwoPredicates under constraints tightened by Hoeffding margins, so the
 // expectation-level plan carries a probabilistic guarantee. It always
 // returns one action per group: when the margins push the tightened problem
@@ -60,14 +60,14 @@ func PlanTwoPredicatesFromSamples(groups []Group, samples []SampleOutcome, cons 
 	total := 0
 	expCorrect := 0.0
 	for i, g := range groups {
-		s := samples[i]
-		f := float64(len(s.Results) + 4)
+		s, both := samples[i], samples[i].Results.Trues()
+		f := float64(s.Results.Len() + 4)
 		total += len(g.Rows)
 		infos[i] = TwoPredGroup{
 			Size:  len(g.Rows),
-			Both:  float64(s.Positives+1) / f,
-			Only1: float64(s.Pos[0]-s.Positives+1) / f,
-			Only2: float64(s.Pos[1]-s.Positives+1) / f,
+			Both:  float64(both+1) / f,
+			Only1: float64(s.Pos[0]-both+1) / f,
+			Only2: float64(s.Pos[1]-both+1) / f,
 		}
 		expCorrect += float64(len(g.Rows)) * infos[i].Both
 	}

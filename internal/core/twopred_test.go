@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/stats"
+	"repro/internal/table"
 )
 
 // twoPredWorld draws labels for f1 and f2 per group from independent
@@ -89,8 +91,8 @@ func TestSampleTwoPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	samples := s.Outcomes()
-	if len(samples[0].Results) != 100 {
-		t.Fatalf("sampled %d", len(samples[0].Results))
+	if samples[0].Results.Len() != 100 {
+		t.Fatalf("sampled %d", samples[0].Results.Len())
 	}
 	sel := func(g, j int) float64 {
 		return stats.NewBetaPosterior(samples[g].Pos[j], 100-samples[g].Pos[j]).Mean()
@@ -103,7 +105,7 @@ func TestSampleTwoPredicates(t *testing.T) {
 	}
 	// Counts are internally consistent.
 	for _, o := range samples {
-		if o.Positives > o.Pos[0] || o.Positives > o.Pos[1] {
+		if o.Results.Trues() > o.Pos[0] || o.Results.Trues() > o.Pos[1] {
 			t.Fatalf("inconsistent counts %+v", o)
 		}
 	}
@@ -137,9 +139,9 @@ func TestJointSampleDropsFailedRows(t *testing.T) {
 	}
 	sampled := 0
 	for gi, o := range samples {
-		sampled += len(o.Results)
+		sampled += o.Results.Len()
 		pos := []int{0, 0}
-		for row, v := range o.Results {
+		for row, v := range o.Results.All() {
 			if fails1(row) || fails2(row) {
 				t.Fatalf("group %d: failed row %d entered the joint sample", gi, row)
 			}
@@ -230,10 +232,11 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	calls1, calls2 := 0, 0
 	u1 := UDFFunc(func(r int) bool { calls1++; return l1[r] })
 	u2 := UDFFunc(func(r int) bool { calls2++; return l2[r] })
-	samples := []SampleOutcome{{Results: map[int]bool{}}}
+	sampled := map[int]bool{}
 	for _, row := range groups[0].Rows[:30] {
-		samples[0].Results[row] = l1[row] && l2[row]
+		sampled[row] = l1[row] && l2[row]
 	}
+	samples := []SampleOutcome{{Results: table.CollectVerdicts(maps.All(sampled))}}
 	res, err := executeActions(context.Background(), groups, []TwoPredAction{TPEvalBoth}, samples, NewMeter(u1), NewMeter(u2), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +252,7 @@ func TestExecuteTwoPredicatesHonorsSamples(t *testing.T) {
 	for _, r := range res.Output {
 		outSet[r] = true
 	}
-	for row, v := range samples[0].Results {
+	for row, v := range samples[0].Results.All() {
 		if v != outSet[row] {
 			t.Fatalf("sampled row %d membership wrong", row)
 		}

@@ -315,7 +315,8 @@ func (c *SharedEvalCache) store(row int, v bool) bool {
 // Len reports how many rows have cached outcomes.
 func (c *SharedEvalCache) Len() int { return int(c.n.Load()) }
 
-// Preload bulk-loads outcomes from a map.
+// Preload bulk-loads outcomes from a map, for cmd/predbench's probes
+// (ROADMAP item 19).
 func (c *SharedEvalCache) Preload(m map[int]bool) { c.Load(maps.All(m)) }
 
 // Load stores every outcome seq yields, as Store would, a word of row

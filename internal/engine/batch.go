@@ -105,10 +105,10 @@ type evalOp struct {
 
 	span  string // "op:<operator>", one span per evaluated batch
 	waves core.Waves
-	// sampled maps each jointly sampled row to whether it passed every
-	// predicate (greedy conj-waves only): such a row is decided for free.
-	// rows and need are the scratch for a batch without its decided rows.
-	sampled   map[int]bool
+	// sampled knows whether each jointly sampled row passed every predicate
+	// (greedy conj-waves only): such a row is decided for free. rows and
+	// need are the scratch for a batch without its decided rows.
+	sampled   *table.Known
 	rows      []int
 	need      []core.Span
 	retrieved int

@@ -2,10 +2,10 @@ package engine
 
 import (
 	"context"
-	"maps"
 
 	"repro/internal/core"
 	"repro/internal/plan"
+	"repro/internal/table"
 )
 
 // Conjunctions of expensive predicates. Two shapes exist:
@@ -58,9 +58,9 @@ func (o *evalOp) prepareWaves() error {
 		for w, j := range order {
 			meters[w] = st.preds[j].meter
 		}
-		o.sampled = make(map[int]bool)
+		o.sampled = new(table.Known)
 		for _, s := range st.samples {
-			maps.Copy(o.sampled, s.Results)
+			o.sampled.Add(s.Results)
 		}
 	}
 	o.waves.Meters = meters
@@ -79,7 +79,7 @@ func (o *evalOp) evalBatch(ctx context.Context, rows []int) ([]int, int, error) 
 	o.rows, o.need = o.rows[:0], o.need[:0]
 	retrieved := 0
 	for _, row := range rows {
-		pass, ok := o.sampled[row]
+		pass, ok := o.sampled.Verdict(row)
 		switch {
 		case !ok:
 			retrieved++

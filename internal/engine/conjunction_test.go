@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"maps"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -285,9 +286,11 @@ func TestEvalBatchResolvesSampledRows(t *testing.T) {
 			return pass(row)
 		}))
 	}
+	sampled := new(table.Known)
+	sampled.Add(table.CollectVerdicts(maps.All(map[int]bool{1: true, 2: false, 5: true})))
 	o := &evalOp{
 		waves:   core.Waves{Pool: exec.NewPool(1)},
-		sampled: map[int]bool{1: true, 2: false, 5: true},
+		sampled: sampled,
 	}
 	for pass := 0; pass < 2; pass++ { // the second pass reuses the scratch
 		// Fresh meters: a meter remembers the outcomes it evaluated.

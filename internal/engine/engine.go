@@ -314,16 +314,16 @@ func (e *Engine) labeler(st *pipeState) (*core.Sampler, []int) {
 // failed, and labeling more would only fail more, so an empty round also
 // ends the loop (without asking enough). It returns the last round's labels
 // and the universe.
-func (e *Engine) label(ctx context.Context, st *pipeState, enough func(labeled map[int]bool) bool) (map[int]bool, []int, error) {
+func (e *Engine) label(ctx context.Context, st *pipeState, enough func(labeled table.Verdicts) bool) (table.Verdicts, []int, error) {
 	labels, rows := e.labeler(st)
 	target := 0
 	for frac := core.DefaultLabelFraction; ; frac = min(2*frac, 1) {
 		target += core.LabelTarget(frac, len(rows))
 		if _, err := labels.TopUpCtx(ctx, []int{target}); err != nil {
-			return nil, nil, err
+			return table.Verdicts{}, nil, err
 		}
 		labeled := labels.Outcomes()[0].Results
-		if len(labeled) == 0 || enough(labeled) || frac >= 1 {
+		if labeled.Len() == 0 || enough(labeled) || frac >= 1 {
 			return labeled, rows, nil
 		}
 	}
@@ -342,20 +342,20 @@ func (e *Engine) discoverColumn(ctx context.Context, st *pipeState) ([]core.Grou
 	}
 	var choice core.ColumnChoice
 	var selErr error
-	labeled, _, err := e.label(ctx, st, func(labeled map[int]bool) bool {
-		choice, selErr = core.SelectColumn(cands, labeled, q.Approx.Constraints(), st.cost)
+	labeled, _, err := e.label(ctx, st, func(labeled table.Verdicts) bool {
+		choice, selErr = core.ChooseColumn(cands, labeled, q.Approx.Constraints(), st.cost)
 		return selErr == nil
 	})
 	switch {
 	case err != nil:
 		return nil, "", 0, err
-	case len(labeled) == 0:
+	case labeled.Len() == 0:
 		_, ferr := st.preds[0].meter.Failure()
 		return nil, "", 0, fmt.Errorf("engine: every row labeled to discover a correlated column for table %q failed: %w", q.Table, ferr)
 	case selErr != nil:
 		return nil, "", 0, fmt.Errorf("engine: could not qualify any correlated column for table %q", q.Table)
 	}
-	return cands[choice.Index].Groups, choice.Name, len(labeled), nil
+	return cands[choice.Index].Groups, choice.Name, labeled.Len(), nil
 }
 
 // virtualColumn implements Section 6.3.2: label ~1% of rows and hand them,
@@ -373,7 +373,7 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: virtual column needs encodable features: %w", err)
 	}
-	labeled, rows, err := e.label(ctx, st, func(labeled map[int]bool) bool { return !ml.OneClass(labeled) })
+	labeled, rows, err := e.label(ctx, st, func(labeled table.Verdicts) bool { return !ml.OneClass(labeled) })
 	if err != nil {
 		return nil, "", 0, err
 	}
@@ -381,7 +381,7 @@ func (e *Engine) virtualColumn(ctx context.Context, st *pipeState) ([]core.Group
 	if err != nil {
 		return nil, "", 0, fmt.Errorf("engine: training virtual column: %w", err)
 	}
-	return parts, VirtualColumn, len(labeled), nil
+	return parts, VirtualColumn, labeled.Len(), nil
 }
 
 // projection validates the requested columns and returns their indices in

@@ -190,7 +190,7 @@ func TestVirtualColumnLabelsBothClasses(t *testing.T) {
 	if _, err := first.TopUpCtx(ctx, []int{20}); err != nil {
 		t.Fatal(err)
 	}
-	for row, pass := range first.Outcomes()[0].Results {
+	for row, pass := range first.Outcomes()[0].Results.All() {
 		if pass {
 			t.Fatalf("the 1 %% draw labels row %d, a pass: the fixture no longer starts from one class", row)
 		}

@@ -142,7 +142,7 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 	for i := range rows {
 		rows[i] = i
 	}
-	labeled, err := core.LabelFractionParallelCtx(ctx, rows, core.DefaultLabelFraction, in.Meter, rng, 1)
+	labeled, err := core.LabelFraction(ctx, rows, core.DefaultLabelFraction, in.Meter, rng, 1)
 	if err != nil {
 		return AlgoOutcome{}, err
 	}
@@ -151,8 +151,8 @@ func runIntelVirtual(ctx context.Context, d *dataset.Dataset, cons core.Constrai
 		return AlgoOutcome{}, err
 	}
 	run, err := Lab(ctx, in, TwoThirdPower(num), stats.Key(rng.Uint64()))
-	run.Retrievals += len(labeled)
-	run.Cost += float64(len(labeled)) * core.DefaultCost.Retrieve
+	run.Retrievals += labeled.Len()
+	run.Cost += float64(labeled.Len()) * core.DefaultCost.Retrieve
 	return score(d.Truth(), d.TotalCorrect(), cons, run, err)
 }
 

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -120,8 +121,8 @@ func TestSigmoidProperties(t *testing.T) {
 }
 
 // TestVirtualGroupsOrderIndependent pins §6.3.2's determinism: the labeled
-// set reaches VirtualGroups as a map, and neither the order it was filled in
-// nor Go's per-iteration map order may reach the gradient sums — scores are
+// set reaches VirtualGroups collected in opposite insertion orders, and the
+// order it was filled in may not reach the gradient sums — scores are
 // bit-identical, so buckets are too.
 func TestVirtualGroupsOrderIndependent(t *testing.T) {
 	rng := stats.NewRNG(1007)
@@ -132,12 +133,20 @@ func TestVirtualGroupsOrderIndependent(t *testing.T) {
 		rows[i] = i
 	}
 	labeledRows := rng.Perm(len(X))[:300]
-	forward, backward := map[int]bool{}, map[int]bool{}
-	for i := range labeledRows {
-		forward[labeledRows[i]] = y[labeledRows[i]]
-		r := labeledRows[len(labeledRows)-1-i]
-		backward[r] = y[r]
+	collect := func(reverse bool) table.Verdicts {
+		return table.CollectVerdicts(func(yield func(int, bool) bool) {
+			for i := range labeledRows {
+				r := labeledRows[i]
+				if reverse {
+					r = labeledRows[len(labeledRows)-1-i]
+				}
+				if !yield(r, y[r]) {
+					return
+				}
+			}
+		})
 	}
+	forward, backward := collect(false), collect(true)
 	wantScores, err := virtualScores(features, rows, forward)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +353,7 @@ func TestVirtualGroupsOneClassIsOneGroup(t *testing.T) {
 		for _, row := range rng.Perm(len(X))[:20] {
 			labeled[row] = class
 		}
-		groups, err := VirtualGroups(features, rows, labeled, 10)
+		groups, err := VirtualGroups(features, rows, table.CollectVerdicts(maps.All(labeled)), 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +361,7 @@ func TestVirtualGroupsOneClassIsOneGroup(t *testing.T) {
 			t.Fatalf("labels all %v: %d groups, want the universe as one", class, len(groups))
 		}
 	}
-	if _, err := VirtualGroups(features, rows, map[int]bool{}, 10); err == nil {
+	if _, err := VirtualGroups(features, rows, table.Verdicts{}, 10); err == nil {
 		t.Fatal("no labels at all trained a virtual column")
 	}
 }

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/table"
 )
@@ -16,12 +15,10 @@ import (
 // the universe as one bucket.
 //
 // features renders a row's feature vector; rows is the universe; labeled
-// maps row id → UDF outcome for the rows already paid for. Training visits
-// the labeled rows in ascending row order: ranging over the map would feed
-// the gradient accumulation in Go's randomized iteration order, making
-// same-seed runs diverge at the last ulp (and occasionally across a bucket
-// boundary).
-func VirtualGroups(features func(row int) []float64, rows []int, labeled map[int]bool, k int) ([]table.Group, error) {
+// holds the UDF verdicts of the rows already paid for. Training visits the
+// labeled rows in the set's order, ascending, so the gradient sums do not
+// depend on the order the labels were drawn in.
+func VirtualGroups(features func(row int) []float64, rows []int, labeled table.Verdicts, k int) ([]table.Group, error) {
 	if OneClass(labeled) {
 		return []table.Group{{Key: "bucket00", Rows: rows}}, nil
 	}
@@ -43,30 +40,17 @@ func VirtualGroups(features func(row int) []float64, rows []int, labeled map[int
 }
 
 // OneClass reports whether there are labels and they all agree.
-func OneClass(labeled map[int]bool) bool {
-	seen, first := false, false
-	for _, v := range labeled {
-		if !seen {
-			seen, first = true, v
-		} else if v != first {
-			return false
-		}
-	}
-	return seen
+func OneClass(labeled table.Verdicts) bool {
+	trues := labeled.Trues()
+	return labeled.Len() > 0 && (trues == 0 || trues == labeled.Len())
 }
 
 // virtualScores trains on the labeled rows and scores the universe.
-func virtualScores(features func(row int) []float64, rows []int, labeled map[int]bool) ([]float64, error) {
-	labeledRows := make([]int, 0, len(labeled))
-	for row := range labeled {
-		labeledRows = append(labeledRows, row)
-	}
-	sort.Ints(labeledRows)
-	X := make([][]float64, len(labeledRows))
-	y := make([]bool, len(labeledRows))
-	for i, row := range labeledRows {
-		X[i] = features(row)
-		y[i] = labeled[row]
+func virtualScores(features func(row int) []float64, rows []int, labeled table.Verdicts) ([]float64, error) {
+	X := make([][]float64, 0, labeled.Len())
+	y := make([]bool, 0, labeled.Len())
+	for row, v := range labeled.All() {
+		X, y = append(X, features(row)), append(y, v)
 	}
 	var model LogisticRegression
 	if err := model.Fit(X, y); err != nil {
